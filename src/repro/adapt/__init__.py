@@ -43,6 +43,26 @@ unchanged, which conditions 1-2 guarantee), and the live reference count
 :class:`~repro.chaos.localize.LocalizeResult` stores the full slot-space
 ``ghost_flat`` with holes marked ``-1``.
 
+State lifetime: captured by reference, built on first use
+---------------------------------------------------------
+A full inspection does not build ``LoopAdaptState``.  It records a
+:class:`~repro.adapt.state.PendingState` -- the fresh product, every
+indirection array's frozen ``global_view()`` and every data array's
+``Distribution``, all by reference (O(1)) -- and charges the simulated
+bookkeeping cost right there, inside the inspector phase, because the
+*modelled* runtime does that work when it inspects.  The O(refs) host
+build (:func:`~repro.adapt.state.build_adapt_state`) runs when a reader
+first asks :meth:`IncrementalInspector.state_for`: a patch attempt that
+passed every routing check, post-patch verification, or a checkpoint
+save.  It reads only the capture, so later writes and remaps cannot
+leak in: the state equals what an eager build would have produced.  A
+loop re-inspected every step over unchanged content, or whose products
+a remap voids, never builds; a typed patch failure, a restore, or the
+next full inspection drops or replaces the capture.  Each build is
+visible: an ``adapt.state.build_adapt_state`` span, one ``adapt.state``
+event with the reader as ``reason``, and
+``AdaptiveExecutor.history[...]["state_build_wall_seconds"]``.
+
 Wall-time contract (host clock, not simulated time)
 ---------------------------------------------------
 Patching must be cheaper than full re-inspection *for the machine
@@ -86,13 +106,19 @@ from repro.adapt.diff import (
 )
 from repro.adapt.driver import AdaptiveExecutor, IncrementalInspector
 from repro.adapt.patch import PatchResult, patch_product
-from repro.adapt.state import GroupState, LoopAdaptState, build_adapt_state
+from repro.adapt.state import (
+    GroupState,
+    LoopAdaptState,
+    PendingState,
+    build_adapt_state,
+)
 
 __all__ = [
     "AdaptiveExecutor",
     "IncrementalInspector",
     "GroupState",
     "LoopAdaptState",
+    "PendingState",
     "build_adapt_state",
     "PatchResult",
     "patch_product",

@@ -41,6 +41,8 @@ Only the typed hierarchy is caught; unexpected exceptions (``KeyError``,
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 
 from repro.adapt.diff import changed_at, expand_ranges
@@ -49,7 +51,12 @@ from repro.adapt.patch import (
     PatchResult,
     patch_product,
 )
-from repro.adapt.state import build_adapt_state, charge_state_build
+from repro.adapt.state import (
+    LoopAdaptState,
+    PendingState,
+    build_adapt_state,
+    charge_state_build,
+)
 from repro.chaos.ttable import build_translation_table
 from repro.core.dad import DAD
 from repro.core.forall import ForallLoop
@@ -80,7 +87,14 @@ class IncrementalInspector:
         self.program = program
         self.max_change_fraction = max_change_fraction
         self.max_failures = max_failures
-        self.states: dict[str, object] = {}
+        #: per loop, the adapt state of its saved product -- or, until a
+        #: reader first asks through :meth:`state_for`, only the pending
+        #: by-reference capture of the inspection that produced it
+        self._states: dict[str, LoopAdaptState] = {}
+        self._pending: dict[str, PendingState] = {}
+        #: cumulative host wall seconds spent building states (not
+        #: simulated time): lands in whichever step first needs a state
+        self.state_build_wall = 0.0
         #: stats of the most recent successful patch (bench introspection)
         self.last_patch: PatchResult | None = None
         #: the exception that aborted the most recent patch attempt, if
@@ -120,12 +134,58 @@ class IncrementalInspector:
 
     # ------------------------------------------------------------------
     def after_inspect(self, loop: ForallLoop, record: InspectorRecord) -> None:
-        """Capture fresh adapt state after a full inspection (charged)."""
+        """Capture (by reference) what a later patch of this inspection
+        needs, and charge the bookkeeping the modelled runtime does now.
+
+        The host-side build waits for :meth:`state_for`; the simulated
+        charge does not move (``repro.adapt.state`` explains both)."""
         arrays = self.program.arrays
         machine = self.program.machine
-        with machine.obs.span("adapt.state.build_adapt_state", loop=loop.name):
-            self.states[loop.name] = build_adapt_state(record.product, arrays)
+        self._states.pop(loop.name, None)
+        self._pending[loop.name] = PendingState.capture(record.product, arrays)
+        with machine.obs.span("adapt.state.charge", loop=loop.name):
             charge_state_build(machine, record.product, arrays)
+
+    # ------------------------------------------------------------------
+    # state access: every reader goes through state_for
+    # ------------------------------------------------------------------
+    def loops_with_state(self) -> list[str]:
+        """Loops whose saved product has adapt state, built or pending."""
+        return sorted(self._states.keys() | self._pending.keys())
+
+    def state_for(self, loop_name: str, reason: str) -> LoopAdaptState | None:
+        """The loop's adapt state, built now if still pending.
+
+        ``reason`` says who needed it (``"patch"``, ``"verify"``,
+        ``"checkpoint"``); each build emits one ``adapt.state`` event
+        carrying it.  ``None`` when the loop has no state at all.
+        """
+        pending = self._pending.pop(loop_name, None)
+        if pending is not None:
+            t0 = time.perf_counter()
+            with self.program.machine.obs.span(
+                "adapt.state.build_adapt_state", loop=loop_name, reason=reason
+            ):
+                self._states[loop_name] = build_adapt_state(pending)
+            wall = time.perf_counter() - t0
+            self.state_build_wall += wall
+            self.program.events.emit(
+                "adapt.state",
+                reason,
+                {"loop": loop_name, "reason": reason, "host_seconds": wall},
+            )
+        return self._states.get(loop_name)
+
+    def drop_state(self, loop_name: str) -> None:
+        """Forget the loop's state (built or pending)."""
+        self._states.pop(loop_name, None)
+        self._pending.pop(loop_name, None)
+
+    def replace_states(self, states: dict[str, LoopAdaptState]) -> None:
+        """Install built states wholesale (checkpoint restore); every
+        pending capture describes a product the restore discarded."""
+        self._states = dict(states)
+        self._pending.clear()
 
     # ------------------------------------------------------------------
     def attempt(
@@ -144,8 +204,7 @@ class IncrementalInspector:
                 loop.name, "route", "unpatchable_condition",
                 condition=decision.condition,
             )
-        state = self.states.get(loop.name)
-        if state is None:
+        if loop.name not in self.loops_with_state():
             return self._fallback(loop.name, "route", "no_saved_state")
         machine = self.program.machine
         registry = self.program.registry
@@ -168,6 +227,8 @@ class IncrementalInspector:
                 )
             dirty[name] = ranges
 
+        # every routing check passed: this attempt reads the state
+        state = self.state_for(loop.name, "patch")
         obs = machine.obs
         with machine.phase("inspector"):
             machine.charge_compute_all(iops=PATCH_CHECK_IOPS)
@@ -230,7 +291,7 @@ class IncrementalInspector:
                 # report it through last_error + fallback_log.  only the
                 # typed hierarchy is recoverable; anything else is a bug
                 # and propagates.
-                self.states.pop(loop.name, None)
+                self.drop_state(loop.name)
                 self.last_error = exc
                 count = self.failures.get(loop.name, 0) + 1
                 self.failures[loop.name] = count
@@ -279,7 +340,7 @@ class IncrementalInspector:
                 result.product,
                 self.program.arrays,
                 level,
-                state=self.states.get(loop.name),
+                state=self.state_for(loop.name, "verify"),
             )
         except InvariantViolation as exc:
             raise PatchVerifyFailed(
@@ -314,6 +375,9 @@ class AdaptiveExecutor:
     run, a straight reuse hit, or an incremental patch.  ``history``
     keeps per-step ``(mode, simulated inspector seconds, fallbacks)`` so
     adaptive benches can attribute inspector cost to adaptation events
+    (``state_build_wall_seconds`` separates out the one-off host cost
+    of building adapt state, which the first patch after a full
+    inspection pays inside its ``inspect_wall_seconds``)
     and a run can never *silently* continue past a failed verification:
     every fall-back decision the incremental inspector took during a
     step rides along in that step's ``fallbacks`` list.
@@ -352,6 +416,7 @@ class AdaptiveExecutor:
             machine.phase_time("inspector"),
             len(adapt.fallback_log) if adapt is not None else 0,
             prog.inspect_wall,
+            adapt.state_build_wall if adapt is not None else 0.0,
         )
         with machine.obs.span("adapt.step", loop=self.loop.name) as step_span:
             prog.forall(self.loop, n_times=1)
@@ -370,6 +435,12 @@ class AdaptiveExecutor:
                 # inspection (reuse check, diff + patch, or full run):
                 # the number the wall-proportionality bench gate reads
                 "inspect_wall_seconds": prog.inspect_wall - before[4],
+                # the part of it that built adapt state: a one-off cost
+                # of the first step that needs the state after a full
+                # inspection, not a marginal cost of that step's patch
+                "state_build_wall_seconds": (
+                    adapt.state_build_wall - before[5] if adapt is not None else 0.0
+                ),
                 "fallbacks": (
                     list(adapt.fallback_log[before[3] :])
                     if adapt is not None

@@ -681,14 +681,13 @@ def _patch_group_twin(
             ghost_bounds=loc.ghost_bounds,
         )
         # executor caches are value-independent (positions only), so the
-        # sibling's patched caches are this group's too
+        # sibling's patched holder is this group's too
         patterns_new[akey] = PatternData(
             array=gstate.array,
             index=akey[1],
             localized=loc_new,
             ghosts=ghosts_new,
-            exec_space=prim.exec_space,
-            exec_refs=prim.exec_refs,
+            derived=prim.derived,
         )
     ns = pack["new_state"]
     new_state = GroupState(

@@ -15,6 +15,28 @@ Building this state is plain bookkeeping over arrays the inspector
 already produced; the machine is charged a small per-element recording
 cost (the runtime really would tally counts and copy the indirection
 values), which is the price of enabling incremental inspection.
+
+Capture by reference, build on first use
+----------------------------------------
+Most inspections are never patched: a loop re-inspected every time step
+over unchanged content, or one whose products a remap voids, would
+build O(refs) state per inspection and never read it.  So an inspection
+only *captures* the inputs of the build (:class:`PendingState`): the
+product, each indirection array's ``global_view()`` and each data
+array's ``Distribution`` object, all by reference.  That is an O(1)
+snapshot -- a ``DistArray`` never mutates a global view it handed out
+(a write bumps the content version and the next ``global_view()``
+assembles a *new* frozen array), and distributions are immutable
+(``redistribute`` installs another object).  :func:`build_adapt_state`
+turns the capture into a :class:`LoopAdaptState` when a reader first
+needs one (a patch attempt, post-patch verification, a checkpoint); the
+result is element-equal to building at inspection time, whatever was
+written or remapped in between.
+
+The simulated machine is a different matter: the *modelled* runtime
+does the bookkeeping when it inspects, so :func:`charge_state_build` is
+issued at inspection, inside the inspector phase, exactly as before --
+deferring the host work moves no simulated number.
 """
 
 from __future__ import annotations
@@ -24,6 +46,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.inspector import InspectorProduct
+from repro.distribution.base import Distribution
 from repro.distribution.distarray import DistArray
 
 #: integer ops per ghost slot for recording the slot -> key/owner map
@@ -90,6 +113,34 @@ class LoopAdaptState:
     groups: dict[tuple[str, tuple], GroupState] = field(default_factory=dict)
 
 
+@dataclass(frozen=True)
+class PendingState:
+    """The inputs of :func:`build_adapt_state`, held by reference."""
+
+    product: InspectorProduct
+    #: indirection array name -> its global view at inspection (frozen)
+    views: dict[str, np.ndarray]
+    #: data array name -> the distribution the product was inspected under
+    distributions: dict[str, Distribution]
+
+    @classmethod
+    def capture(
+        cls, product: InspectorProduct, arrays: dict[str, DistArray]
+    ) -> "PendingState":
+        """O(1) per array: no element is copied or translated here."""
+        loop = product.loop
+        return cls(
+            product=product,
+            views={
+                name: arrays[name].global_view()
+                for name in loop.indirection_arrays()
+            },
+            distributions={
+                name: arrays[name].distribution for name in loop.data_arrays()
+            },
+        )
+
+
 def product_groups(
     product: InspectorProduct,
 ) -> list[list[tuple[str, str | None]]]:
@@ -106,20 +157,19 @@ def group_state_key(member_keys: list[tuple[str, str | None]]) -> tuple[str, tup
 
 def build_group_state(
     product: InspectorProduct,
-    arrays: dict[str, DistArray],
+    dist: Distribution,
     member_keys: list[tuple[str, str | None]],
 ) -> GroupState:
     """Slot bookkeeping for one group of a *freshly inspected* product.
 
-    A fresh :func:`~repro.chaos.localize.localize` assigns ghost slots in
+    ``dist`` is the group's data-array distribution at inspection.  A
+    fresh :func:`~repro.chaos.localize.localize` assigns ghost slots in
     sorted-key order with no holes, so ``ghost_flat``/``ghost_bounds``
     of any member's ``LocalizeResult`` are exactly the slot space.
     Counts come from one ``bincount`` over each member's localized ghost
     references.
     """
-    array_name = member_keys[0][0]
     first = product.patterns[member_keys[0]].localized
-    dist = arrays[array_name].distribution
     slot_bounds = np.asarray(first.ghost_bounds, dtype=np.int64).copy()
     keys = np.asarray(first.ghost_flat, dtype=np.int64).copy()
     if keys.size:
@@ -140,9 +190,9 @@ def build_group_state(
         ghost = refs >= local_sizes[pid]
         if ghost.any():
             gslot = slot_bounds[pid[ghost]] + (refs[ghost] - local_sizes[pid[ghost]])
-            np.add.at(counts, gslot, 1)
+            counts += np.bincount(gslot, minlength=counts.size)
     state = GroupState(
-        array=array_name,
+        array=member_keys[0][0],
         indexes=tuple(k[1] for k in member_keys),
         slot_bounds=slot_bounds,
         keys=keys,
@@ -150,28 +200,30 @@ def build_group_state(
         lidx=lidx,
         counts=counts,
     )
-    # build the sorted slot index now, while the full inspection is
-    # already paying O(S log S): patches then only merge deltas into it
+    # build the sorted slot index now, while the build is already
+    # paying O(S log S): patches then only merge deltas into it
     state.slot_index(max(dist.size, 1))
     return state
 
 
-def build_adapt_state(
-    product: InspectorProduct,
-    arrays: dict[str, DistArray],
-) -> LoopAdaptState:
-    """Capture snapshots + home map + group states after a full inspection."""
-    snapshots = {
-        name: np.asarray(arrays[name].global_view(), dtype=np.int64).copy()
-        for name in product.loop.indirection_arrays()
-    }
+def build_adapt_state(pending: PendingState) -> LoopAdaptState:
+    """Snapshots + home map + group states of one captured inspection.
+
+    Reads only what ``pending`` holds, never the live program, so the
+    state describes the captured product no matter when it is built.
+    The snapshots are private copies (patches update them in place).
+    """
+    product = pending.product
     state = LoopAdaptState(
         home=product.iteration_partition.owner_of(),
-        snapshots=snapshots,
+        snapshots={
+            name: np.asarray(view, dtype=np.int64).copy()
+            for name, view in pending.views.items()
+        },
     )
     for member_keys in product_groups(product):
         state.groups[group_state_key(member_keys)] = build_group_state(
-            product, arrays, member_keys
+            product, pending.distributions[member_keys[0][0]], member_keys
         )
     return state
 
@@ -179,9 +231,11 @@ def build_adapt_state(
 def charge_state_build(machine, product: InspectorProduct, arrays) -> None:
     """Charge the bookkeeping cost of capturing adapt state.
 
-    Each processor copies its local segment of every indirection array
-    (the snapshot), records its ghost slot map, and tallies its
-    reference counts -- all local integer/memory work.
+    Issued at inspection (see the module docstring), against the live
+    ``arrays`` the product was just inspected over.  Each processor
+    copies its local segment of every indirection array (the snapshot),
+    records its ghost slot map, and tallies its reference counts -- all
+    local integer/memory work.
     """
     n = machine.n_procs
     mem = np.zeros(n)

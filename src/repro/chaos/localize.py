@@ -18,9 +18,9 @@ Reference lists travel in **flat form**: one concatenated value array
 plus CSR bounds (:class:`FlatRefs`), so the whole localize pass — one
 ``dereference_flat`` translation included — runs on single arrays with
 no per-processor concatenation or Python loop.  Plain per-processor
-lists are still accepted and flattened once at entry.  The result is
-flat too: :class:`LocalizeResult` stores ``(values, bounds)`` pairs and
-materializes per-processor list views only when a caller asks for them.
+lists are still accepted as *input* and flattened once at entry.  The
+result is flat only: :class:`LocalizeResult` stores ``(values, bounds)``
+pairs and materializes per-processor list views when a caller asks.
 
 Deduplication uses a direct ``np.sort`` over combined
 ``processor * stride + global_index`` keys (the reference stream is
@@ -72,100 +72,67 @@ def sorted_unique_inverse(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class LocalizeResult:
     """Everything an executor needs for one access pattern.
 
-    The canonical storage is flat (``refs_flat`` + ``ref_bounds``,
-    ``ghost_flat`` + ``ghost_bounds``); the per-processor ``local_refs``
-    and ``ghost_globals`` lists are zero-copy views into it, materialized
-    lazily the first time a caller asks (compat and tests — hot paths
-    stay flat).
+    Storage is flat (``refs_flat`` + ``ref_bounds``, ``ghost_flat`` +
+    ``ghost_bounds``); the per-processor ``local_refs`` and
+    ``ghost_globals`` lists are zero-copy views into it, materialized
+    lazily the first time a caller asks (tests and debugging -- the
+    runtime stays flat).
 
     Attributes
     ----------
-    local_refs:
-        Per processor, the reference list rewritten to localized indices:
-        values ``< local_size`` index the local segment, values ``>=
-        local_size`` index ghost slot ``value - local_size``.
-    ghost_globals:
-        Per processor, the unique off-processor global indices in ghost
-        slot order (useful for debugging and tests).
     local_sizes:
         Per processor, the local segment size of the inspected
         distribution (the local/ghost boundary).
     schedule:
         The communication schedule that fills the ghost buffers.
     refs_flat / ref_bounds:
-        Flat CSR form of ``local_refs``.
+        Per processor (CSR), the reference list rewritten to localized
+        indices: values ``< local_size`` index the local segment, values
+        ``>= local_size`` index ghost slot ``value - local_size``.
     ghost_flat / ghost_bounds:
-        Flat CSR form of ``ghost_globals``.
+        Per processor (CSR), the unique off-processor global indices in
+        ghost slot order.
+    derived:
+        Host-derived holders hanging off this product, keyed by the
+        caller.  Results served from one
+        :class:`~repro.chaos.transcache.TranslationCache` entry share
+        the entry's dict (see that module's "Derived holders"); an
+        uncached result owns a fresh one.
     """
 
     def __init__(
         self,
-        local_refs: "list[np.ndarray] | None" = None,
-        ghost_globals: "list[np.ndarray] | None" = None,
-        local_sizes: "list[int] | None" = None,
-        schedule: CommSchedule | None = None,
-        refs_flat: np.ndarray | None = None,
-        ref_bounds: np.ndarray | None = None,
-        ghost_flat: np.ndarray | None = None,
-        ghost_bounds: np.ndarray | None = None,
+        local_sizes: list[int],
+        schedule: CommSchedule,
+        refs_flat: np.ndarray,
+        ref_bounds: np.ndarray,
+        ghost_flat: np.ndarray,
+        ghost_bounds: np.ndarray,
+        derived: dict | None = None,
     ):
-        if local_refs is None and refs_flat is None:
-            raise ValueError("need local_refs or refs_flat")
-        if refs_flat is not None and ref_bounds is None:
-            raise ValueError("refs_flat needs its ref_bounds CSR array")
-        if ghost_flat is not None and ghost_bounds is None:
-            raise ValueError("ghost_flat needs its ghost_bounds CSR array")
-        self._local_refs = local_refs
-        self._ghost_globals = ghost_globals
         self.local_sizes = local_sizes
         self.schedule = schedule
-        self._refs_flat = refs_flat
-        self._ref_bounds = ref_bounds
-        self._ghost_flat = ghost_flat
-        self._ghost_bounds = ghost_bounds
+        self.refs_flat = refs_flat
+        self.ref_bounds = ref_bounds
+        self.ghost_flat = ghost_flat
+        self.ghost_bounds = ghost_bounds
+        self.derived = {} if derived is None else derived
+        self._local_refs: list[np.ndarray] | None = None
+        self._ghost_globals: list[np.ndarray] | None = None
 
-    # -- flat accessors (canonical) ----------------------------------------
-    @property
-    def refs_flat(self) -> np.ndarray:
-        if self._refs_flat is None:
-            flat = FlatRefs.from_lists(self._local_refs)
-            self._refs_flat, self._ref_bounds = flat.values, flat.bounds
-        return self._refs_flat
-
-    @property
-    def ref_bounds(self) -> np.ndarray:
-        self.refs_flat
-        return self._ref_bounds
-
-    @property
-    def ghost_flat(self) -> np.ndarray:
-        if self._ghost_flat is None:
-            flat = FlatRefs.from_lists(self._ghost_globals)
-            self._ghost_flat, self._ghost_bounds = flat.values, flat.bounds
-        return self._ghost_flat
-
-    @property
-    def ghost_bounds(self) -> np.ndarray:
-        self.ghost_flat
-        return self._ghost_bounds
-
-    # -- per-processor list views (lazy compat) ----------------------------
+    # -- per-processor list views (lazy) -----------------------------------
     @property
     def local_refs(self) -> list[np.ndarray]:
         if self._local_refs is None:
-            b = self._ref_bounds
-            self._local_refs = [
-                self._refs_flat[b[p] : b[p + 1]] for p in range(b.size - 1)
-            ]
+            self._local_refs = FlatRefs(self.refs_flat, self.ref_bounds).segments()
         return self._local_refs
 
     @property
     def ghost_globals(self) -> list[np.ndarray]:
         if self._ghost_globals is None:
-            b = self._ghost_bounds
-            self._ghost_globals = [
-                self._ghost_flat[b[p] : b[p + 1]] for p in range(b.size - 1)
-            ]
+            self._ghost_globals = FlatRefs(
+                self.ghost_flat, self.ghost_bounds
+            ).segments()
         return self._ghost_globals
 
     def split(self, p: int) -> tuple[np.ndarray, np.ndarray]:
@@ -221,6 +188,7 @@ def localize(
                     ref_bounds=entry.ref_bounds,
                     ghost_flat=entry.ghost_flat,
                     ghost_bounds=entry.ghost_bounds,
+                    derived=entry.derived,
                 )
         obs.counter("localize.cache_misses")
     if callable(ref_lists):
@@ -363,6 +331,7 @@ def localize(
                 ref_bounds=ref_bounds,
                 ghost_flat=ugidx,
                 ghost_bounds=ghost_bounds,
+                derived=result.derived,
             ),
         )
     return result

@@ -58,6 +58,27 @@ schedules are shared through :meth:`~repro.chaos.schedule.CommSchedule.
 twin` clones so each product keeps the distinct schedule identity the
 executor's coalescing and ``product_groups`` key on.
 
+Derived holders
+---------------
+Besides the translation product itself, a localize entry carries
+``derived``: a dict of **host-derived, never-charged** per-pattern
+holders that are pure functions of the entry (and of the partition key
+already folded into its version).  The inspector keys it by pattern
+index and stores one :class:`~repro.core.inspector.PatternArrays` per
+member pattern -- the member's flat slice of a coalesced reference list
+plus the executor's combined-space selectors and positions -- so the
+address of a holder is ``(localize slot, version, index)``.  Every
+``LocalizeResult`` served from the entry (warm hits, and the sibling
+``x(edge(i))``/``y(edge(i))`` hit inside one cold inspection) carries
+the same dict, so those O(refs) arrays are built once per *entry*, not
+once per throw-away product.  The dict lives and dies with its entry: a
+new version replaces both, keeping memory bounded by distinct patterns.
+Holder arrays are frozen like everything else here; building one must
+never charge the machine (no charge is recorded for it, so none could
+be replayed).  :meth:`TranslationCache.note_derived` counts holder
+hits/builds, reported under ``stats()["by_kind"]["derived"]`` and kept
+out of the top-level ``hits``/``misses`` (which count slot probes).
+
 The cache object is bound to one program/machine pair: entries hold the
 machine-bound schedule built at cold time and replay charges against the
 machine the cold run charged.  Do not share one cache across machines.
@@ -131,7 +152,9 @@ class LocalizeEntry:
 
     ``schedule`` is the cold run's :class:`CommSchedule`; hits hand out
     ``schedule.twin()`` so every product has its own schedule identity
-    over the same immutable flat arrays.
+    over the same immutable flat arrays.  ``derived`` holds the
+    host-derived per-pattern holders (module docstring, "Derived
+    holders"); every result served from this entry shares it.
     """
 
     __slots__ = (
@@ -142,6 +165,7 @@ class LocalizeEntry:
         "ref_bounds",
         "ghost_flat",
         "ghost_bounds",
+        "derived",
     )
 
     def __init__(
@@ -153,6 +177,7 @@ class LocalizeEntry:
         ref_bounds: np.ndarray,
         ghost_flat: np.ndarray,
         ghost_bounds: np.ndarray,
+        derived: dict,
     ):
         self.charges = charges
         self.schedule = schedule
@@ -161,6 +186,7 @@ class LocalizeEntry:
         self.ref_bounds = _freeze(ref_bounds)
         self.ghost_flat = _freeze(ghost_flat)
         self.ghost_bounds = _freeze(ghost_bounds)
+        self.derived = derived
 
 
 class PartitionEntry:
@@ -194,6 +220,9 @@ class TranslationCache:
         self.kind_hits: dict[str, int] = {}
         self.kind_misses: dict[str, int] = {}
         self.kind_invalidations: dict[str, int] = {}
+        #: derived-holder requests served from an entry / built afresh
+        self.derived_hits = 0
+        self.derived_builds = 0
 
     def get(self, slot: tuple, version: tuple):
         """The entry stored for ``slot`` iff its version matches, else None."""
@@ -215,6 +244,13 @@ class TranslationCache:
             )
         self._slots[slot] = (version, entry)
 
+    def note_derived(self, hit: bool) -> None:
+        """Count one derived-holder request against a localize entry."""
+        if hit:
+            self.derived_hits += 1
+        else:
+            self.derived_builds += 1
+
     def __len__(self) -> int:
         return len(self._slots)
 
@@ -227,7 +263,10 @@ class TranslationCache:
         ``invalidations`` counts entries replaced under a changed
         version key -- the cache's implicit invalidation path.
         ``by_kind`` breaks hits/misses/invalidations/entries down per
-        slot kind (``"localize"`` / ``"partition"``).
+        slot kind (``"localize"`` / ``"partition"``); once any derived
+        holder was requested it also carries ``"derived"`` with the
+        holder ``hits``/``builds`` (not slot probes, so not part of the
+        top-level ``hits``/``misses``).
         """
         kind_entries: dict[str, int] = {}
         for slot in self._slots:
@@ -238,20 +277,26 @@ class TranslationCache:
             | set(self.kind_invalidations)
             | set(kind_entries)
         )
+        by_kind = {
+            kind: {
+                "hits": self.kind_hits.get(kind, 0),
+                "misses": self.kind_misses.get(kind, 0),
+                "invalidations": self.kind_invalidations.get(kind, 0),
+                "entries": kind_entries.get(kind, 0),
+            }
+            for kind in kinds
+        }
+        if self.derived_hits or self.derived_builds:
+            by_kind["derived"] = {
+                "hits": self.derived_hits,
+                "builds": self.derived_builds,
+            }
         return {
             "hits": self.hits,
             "misses": self.misses,
             "invalidations": self.invalidations,
             "entries": len(self._slots),
-            "by_kind": {
-                kind: {
-                    "hits": self.kind_hits.get(kind, 0),
-                    "misses": self.kind_misses.get(kind, 0),
-                    "invalidations": self.kind_invalidations.get(kind, 0),
-                    "entries": kind_entries.get(kind, 0),
-                }
-                for kind in kinds
-            },
+            "by_kind": by_kind,
         }
 
     def patch_view(self) -> "KeyTranslationMemo":

@@ -107,8 +107,10 @@ class _PatternSpace:
 
     ``local_sel``/``ghost_sel`` map the ``DistArray`` flat backing and
     the flat ghost backing into combined-space positions (both are
-    offset-shifted ``arange``s, precomputed once per pattern per
-    execution).
+    offset-shifted ``arange``s).  A space is a pure function of the
+    localize product's sizes, so it is built once and kept on the
+    pattern's shared :class:`~repro.core.inspector.PatternArrays`; its
+    arrays are frozen.
     """
 
     def __init__(self, localized, ghosts) -> None:
@@ -131,10 +133,14 @@ class _PatternSpace:
             np.arange(local_sizes.size, dtype=np.int64), ghost_counts
         )
         self.ghost_sel = np.arange(n_ghost, dtype=np.int64) + local_off[1:][rep_ghost]
+        for arr in (self.offsets, self.local_sel, self.ghost_sel):
+            arr.flags.writeable = False
 
     def refs(self, localized, ref_pid: np.ndarray) -> np.ndarray:
-        """Combined-space position of every localized reference."""
-        return localized.refs_flat + self.offsets[ref_pid]
+        """Combined-space position of every localized reference (frozen)."""
+        refs = localized.refs_flat + self.offsets[ref_pid]
+        refs.flags.writeable = False
+        return refs
 
 
 def _patched_space(old_space: _PatternSpace, old_ghost_off, ghosts) -> _PatternSpace:
@@ -267,9 +273,6 @@ def _execute_once(
     iter_flat, iter_bounds = product.iteration_partition.iters_flat()
     n_it = np.diff(iter_bounds)
     total_iters = int(iter_flat.size)
-    #: processor owning each reference position (flat reference lists of
-    #: every pattern share the iteration bounds)
-    ref_pid = np.repeat(np.arange(n_procs, dtype=np.int64), n_it)
 
     read_keys = {(r.array, r.index) for r in loop.read_refs()}
     # 1. gather all read patterns (one gather per distinct schedule --
@@ -300,9 +303,9 @@ def _execute_once(
         with obs.span("guard.verify_gathers", loop=loop.name):
             _verify_gathers(machine, product, arrays, gather_items, guard_log)
 
-    # flat combined-space setup per pattern, cached on the immutable
-    # product: reuse scenarios execute the same product once per time
-    # step and must not rebuild the selector arrays every time
+    # flat combined-space setup per pattern, cached on the pattern's
+    # shared holder: neither a reused product nor a re-inspected
+    # unchanged pattern rebuilds the selector arrays every time step
     def space_of(key) -> _PatternSpace:
         pat = product.patterns[key]
         if pat.exec_space is None:
@@ -312,6 +315,9 @@ def _execute_once(
     def refs_of(key) -> np.ndarray:
         pat = product.patterns[key]
         if pat.exec_refs is None:
+            # processor owning each reference position (flat reference
+            # lists of every pattern share the iteration bounds)
+            ref_pid = np.repeat(np.arange(n_procs, dtype=np.int64), n_it)
             pat.exec_refs = space_of(key).refs(pat.localized, ref_pid)
         return pat.exec_refs
 

@@ -37,6 +37,36 @@ from repro.distribution.distarray import DistArray
 from repro.machine.machine import Machine
 
 
+class PatternArrays:
+    """Host-derived flat arrays of one access pattern (never charged).
+
+    Everything here is a pure function of one localize product plus the
+    iteration partition it was gathered under, so a single holder serves
+    every :class:`PatternData` built from the same
+    :class:`~repro.chaos.transcache.TranslationCache` entry: each warm
+    re-inspection's throw-away product, and the sibling ``x(edge(i))`` /
+    ``y(edge(i))`` patterns inside one inspection (the entry's
+    ``derived`` dict holds it under the pattern's index).
+
+    ``refs_flat`` / ``ref_bounds`` are the pattern's localized
+    references -- its flat slice of a coalesced reference list.
+    ``exec_space`` / ``exec_refs`` are the executor's combined-space
+    selectors and positions (see ``repro.core.executor``), filled in by
+    the first execution of any product holding this object.  All arrays
+    are frozen: a writer (``patch_exec_caches``) copies first.
+    """
+
+    __slots__ = ("refs_flat", "ref_bounds", "exec_space", "exec_refs")
+
+    def __init__(self, refs_flat: np.ndarray, ref_bounds: np.ndarray):
+        refs_flat.flags.writeable = False
+        ref_bounds.flags.writeable = False
+        self.refs_flat = refs_flat
+        self.ref_bounds = ref_bounds
+        self.exec_space = None
+        self.exec_refs: np.ndarray | None = None
+
+
 @dataclass
 class PatternData:
     """Inspector output for one distinct ``array(index(i))`` pattern.
@@ -44,22 +74,45 @@ class PatternData:
     Under pattern coalescing (PARTI's incremental-schedule optimization)
     several patterns on the same array share one ``LocalizeResult``
     *schedule* and one ghost region; each pattern keeps its own
-    ``localized`` view whose ``local_refs`` index the shared space.
+    ``localized`` view whose ``refs_flat`` index the shared space.
 
     ``exec_space`` / ``exec_refs`` are executor-side caches (see
     ``repro.core.executor``): pure functions of this immutable product
     (the ghost backing never reallocates and the iteration partition is
     fixed), computed lazily on first execution and reused by every
-    subsequent one -- the schedule-reuse scenarios execute the same
-    product once per time step.
+    subsequent one.  They live on ``derived``, the :class:`PatternArrays`
+    holder, which outlives the product when it came from a translation
+    cache entry -- re-inspecting an unchanged pattern every time step
+    then reuses them like the schedule-reuse scenarios do.
     """
 
     array: str
     index: str | None
     localized: LocalizeResult
     ghosts: GhostBuffers
-    exec_space: object | None = field(default=None, repr=False, compare=False)
-    exec_refs: np.ndarray | None = field(default=None, repr=False, compare=False)
+    derived: PatternArrays | None = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if self.derived is None:
+            self.derived = PatternArrays(
+                self.localized.refs_flat, self.localized.ref_bounds
+            )
+
+    @property
+    def exec_space(self):
+        return self.derived.exec_space
+
+    @exec_space.setter
+    def exec_space(self, space) -> None:
+        self.derived.exec_space = space
+
+    @property
+    def exec_refs(self) -> np.ndarray | None:
+        return self.derived.exec_refs
+
+    @exec_refs.setter
+    def exec_refs(self, refs: np.ndarray | None) -> None:
+        self.derived.exec_refs = refs
 
 
 @dataclass
@@ -210,75 +263,90 @@ def run_inspector(
         )
         return slot, version
 
+    # A group of patterns localized together lays its reference stream
+    # out processor-major, members back to back inside each processor's
+    # block.  Every member's per-processor segment has the iteration
+    # partition's size (all streams are gathers over it), so where a
+    # member's references sit in the stream is pure size arithmetic.
+    seg_sizes = np.diff(iter_bounds)
+    positions: dict[tuple[int, int], np.ndarray] = {}
+
+    def member_positions(k: int, n_members: int) -> np.ndarray:
+        """Stream position of every reference of a group's ``k``-th member
+        (a cold group asks twice: to lay the stream out, then to split)."""
+        pos = positions.get((k, n_members))
+        if pos is None:
+            start = n_members * iter_bounds[:-1] + k * seg_sizes
+            pos = positions[(k, n_members)] = np.repeat(
+                start - iter_bounds[:-1], seg_sizes
+            ) + np.arange(iter_flat.size, dtype=np.int64)
+        return pos
+
+    def group_refs(group: tuple) -> FlatRefs:
+        """The group's reference stream (only a cold localize asks)."""
+        if len(group) == 1:
+            return per_proc_refs(group[0])
+        values = np.empty(len(group) * iter_flat.size, dtype=np.int64)
+        for k, index in enumerate(group):
+            values[member_positions(k, len(group))] = per_proc_refs(index).values
+        return FlatRefs(values, len(group) * iter_bounds)
+
+    def member_arrays(loc: LocalizeResult, k: int, group: tuple) -> PatternArrays:
+        """The ``k``-th member's holder, shared through ``loc.derived``.
+
+        Host-level only: nothing here may charge the machine (a warm hit
+        replays the cold run's recorded charges and nothing else).
+        """
+        held = loc.derived.get(group[k])
+        if cache is not None:
+            cache.note_derived(hit=held is not None)
+        if held is None:
+            if len(group) == 1:
+                refs = loc.refs_flat
+            else:
+                refs = loc.refs_flat[member_positions(k, len(group))]
+            held = loc.derived[group[k]] = PatternArrays(refs, iter_bounds)
+        return held
+
     for array_name, indexes in by_array.items():
         arr = arrays[array_name]
         tt = get_ttable(array_name)
-        if (
-            not coalesce_patterns
-            or len(indexes) == 1
-            or array_name in assign_targets
-        ):
-            for index in indexes:
-                with obs.span(
-                    "inspector.localize", array=array_name, patterns=1
-                ):
-                    loc = localize(
-                        machine,
-                        tt,
-                        lambda index=index: per_proc_refs(index),
-                        costs,
-                        cache=cache,
-                        cache_key=loc_cache_key(tt, arr.distribution, (index,)),
-                    )
-                ghosts = GhostBuffers(machine, loc.schedule, dtype=arr.dtype, costs=costs)
-                patterns[(array_name, index)] = PatternData(
-                    array=array_name, index=index, localized=loc, ghosts=ghosts
+        # coalesced: localize the union of all patterns' reference lists
+        # and split the localized references back out per pattern
+        if coalesce_patterns and array_name not in assign_targets:
+            groups = [tuple(indexes)]
+        else:
+            groups = [(index,) for index in indexes]
+        for group in groups:
+            with obs.span(
+                "inspector.localize", array=array_name, patterns=len(group)
+            ):
+                loc = localize(
+                    machine,
+                    tt,
+                    lambda group=group: group_refs(group),
+                    costs,
+                    cache=cache,
+                    cache_key=loc_cache_key(tt, arr.distribution, group),
                 )
-            continue
-
-        # coalesced: localize the union of all patterns' reference lists.
-        # Every pattern's per-processor segment has the same size (all
-        # reference streams are gathers over the iteration partition), so
-        # the concatenation is built lazily -- a warm cache hit skips it
-        # -- and the split back out is pure size arithmetic.
-        def combined_refs(indexes=indexes) -> list:
-            per_pattern = [per_proc_refs(index) for index in indexes]
-            return [
-                np.concatenate([fr.segment(p) for fr in per_pattern])
-                if any(fr.segment(p).size for fr in per_pattern)
-                else np.empty(0, dtype=np.int64)
-                for p in range(n_procs)
-            ]
-
-        with obs.span(
-            "inspector.localize", array=array_name, patterns=len(indexes)
-        ):
-            loc = localize(
-                machine,
-                tt,
-                combined_refs,
-                costs,
-                cache=cache,
-                cache_key=loc_cache_key(tt, arr.distribution, tuple(indexes)),
-            )
-        ghosts = GhostBuffers(machine, loc.schedule, dtype=arr.dtype, costs=costs)
-        # split the localized reference lists back out per pattern
-        seg_sizes = np.diff(iter_bounds)
-        for k, index in enumerate(indexes):
-            split_refs = []
-            for p in range(n_procs):
-                start = k * int(seg_sizes[p])
-                stop = start + int(seg_sizes[p])
-                split_refs.append(loc.local_refs[p][start:stop])
-            view = LocalizeResult(
-                local_refs=split_refs,
-                ghost_globals=loc.ghost_globals,
-                local_sizes=loc.local_sizes,
-                schedule=loc.schedule,
-            )
-            patterns[(array_name, index)] = PatternData(
-                array=array_name, index=index, localized=view, ghosts=ghosts
-            )
+            ghosts = GhostBuffers(machine, loc.schedule, dtype=arr.dtype, costs=costs)
+            for k, index in enumerate(group):
+                held = member_arrays(loc, k, group)
+                view = LocalizeResult(
+                    local_sizes=loc.local_sizes,
+                    schedule=loc.schedule,
+                    refs_flat=held.refs_flat,
+                    ref_bounds=held.ref_bounds,
+                    ghost_flat=loc.ghost_flat,
+                    ghost_bounds=loc.ghost_bounds,
+                )
+                patterns[(array_name, index)] = PatternData(
+                    array=array_name,
+                    index=index,
+                    localized=view,
+                    ghosts=ghosts,
+                    derived=held,
+                )
 
     dist_signatures = {
         name: arrays[name].distribution.signature()

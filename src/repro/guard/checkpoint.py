@@ -16,7 +16,8 @@ A checkpoint captures everything a mid-campaign
   table* so that schedules/buffers shared between coalesced patterns
   come back as shared objects (pattern grouping and executor
   deduplication key on identity),
-* the incremental-inspection state (snapshots, slot bookkeeping, the
+* the incremental-inspection state (snapshots, slot bookkeeping -- built
+  on the spot if the inspection's capture is still pending -- the
   escalation ladder's failure counters and fallback log), and
 * the driver's per-step history.
 
@@ -70,6 +71,12 @@ from repro.machine.stats import COUNTER_FIELDS, CounterBlock, PhaseRecord
 
 _FORMAT = "repro-checkpoint"
 _VERSION = 1
+
+#: driver-history fields kept out of the file, with the value a restored
+#: record gets instead: host-clock bookkeeping added after format
+#: version 1 was fixed.  Files stay byte-compatible in both directions,
+#: and a resumed process (which is handed built state) reports no build.
+_UNSAVED_HISTORY_FIELDS = {"state_build_wall_seconds": 0.0}
 
 
 def previous_checkpoint_path(path) -> str:
@@ -192,7 +199,10 @@ def _product_payload(
 
 def _adapt_payload(adapt) -> dict:
     states = {}
-    for name, state in adapt.states.items():
+    for name in adapt.loops_with_state():
+        # a checkpoint before the first patch builds the state here: the
+        # file always carries the built form, never a pending capture
+        state = adapt.state_for(name, "checkpoint")
         groups = []
         for gkey, g in state.groups.items():
             groups.append(
@@ -280,7 +290,14 @@ def save_checkpoint(path, program, driver=None) -> None:
         "records": records,
         "ttables": ttables,
         "adapt": None if program.adapt is None else _adapt_payload(program.adapt),
-        "driver": None if driver is None else {"history": list(driver.history)},
+        "driver": None
+        if driver is None
+        else {
+            "history": [
+                {k: v for k, v in rec.items() if k not in _UNSAVED_HISTORY_FIELDS}
+                for rec in driver.history
+            ]
+        },
     }
     blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
     envelope = {
@@ -490,14 +507,16 @@ def _restore_adapt(adapt, payload: dict) -> None:
 
     adapt.max_change_fraction = payload["max_change_fraction"]
     adapt.max_failures = payload["max_failures"]
-    adapt.states = {
-        name: LoopAdaptState(
-            home=s["home"],
-            snapshots=dict(s["snapshots"]),
-            groups={gkey: GroupState(**g) for gkey, g in s["groups"]},
-        )
-        for name, s in payload["states"].items()
-    }
+    adapt.replace_states(
+        {
+            name: LoopAdaptState(
+                home=s["home"],
+                snapshots=dict(s["snapshots"]),
+                groups={gkey: GroupState(**g) for gkey, g in s["groups"]},
+            )
+            for name, s in payload["states"].items()
+        }
+    )
     adapt.failures = dict(payload["failures"])
     adapt.disabled = set(payload["disabled"])
     # whole-slice assignment: fallback_log may be an EventLogView over
@@ -546,7 +565,9 @@ def restore_checkpoint(path, program, loops, driver=None) -> dict:
             )
         _restore_adapt(program.adapt, payload["adapt"])
     elif program.adapt is not None:
-        program.adapt.states.clear()
+        program.adapt.replace_states({})
     if driver is not None and payload["driver"] is not None:
-        driver.history = list(payload["driver"]["history"])
+        driver.history = [
+            {**_UNSAVED_HISTORY_FIELDS, **rec} for rec in payload["driver"]["history"]
+        ]
     return payload

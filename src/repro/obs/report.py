@@ -6,7 +6,7 @@ Chrome trace (auto-detected) and prints:
 * a **per-phase** host wall-time table -- root spans (no parent)
   grouped by name, with each phase's share of total root time;
 * the **top-N hot spans** ranked by *self* time (duration minus direct
-  children), so leaf work like ``adapt.state.build_adapt_state`` ranks
+  children), so leaf work like ``executor.statement`` ranks
   above the umbrella spans that merely contain it;
 * counter values and the dropped-span count, when present.
 """

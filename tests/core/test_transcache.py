@@ -279,3 +279,129 @@ class TestInvalidation:
         stats = cache.stats()
         assert stats["entries"] == size0
         assert stats["hits"] == cache.hits and stats["misses"] == cache.misses
+
+
+class TestDerivedHolders:
+    """Host-derived per-pattern arrays hang off the localize entry: built
+    once per (slot, version, index), frozen, shared by every product the
+    entry serves, and never written by a patch."""
+
+    def test_products_of_one_entry_share_frozen_holders(self):
+        m, arrays, loop = random_setup(4, seed=3)
+        cache = TranslationCache()
+        cold = run_inspector(m, loop, arrays, cache=cache)
+        builds = cache.derived_builds
+        # coalesced (ia, ib) groups: x's and y's share one entry, so the
+        # second array's members are holder hits inside the cold run
+        assert builds == 2 and cache.derived_hits == 2
+        warm = run_inspector(m, loop, arrays, cache=cache)
+        assert cache.derived_builds == builds and cache.derived_hits == 6
+        assert cache.stats()["by_kind"]["derived"] == {"hits": 6, "builds": 2}
+        for key, pat in cold.patterns.items():
+            held = pat.derived
+            assert warm.patterns[key].derived is held
+            assert cold.patterns[("y", key[1])].derived is held
+            assert pat.localized.refs_flat is held.refs_flat
+            assert not held.refs_flat.flags.writeable
+            assert not held.ref_bounds.flags.writeable
+        # the executor fills the shared holder once; the warm product
+        # (never executed) sees the same frozen arrays
+        run_executor(m, cold, arrays)
+        for key, pat in warm.patterns.items():
+            assert pat.exec_refs is cold.patterns[key].exec_refs
+            assert pat.exec_space is cold.patterns[key].exec_space
+            assert not pat.exec_refs.flags.writeable
+            for arr in (
+                pat.exec_space.offsets,
+                pat.exec_space.local_sel,
+                pat.exec_space.ghost_sel,
+            ):
+                assert not arr.flags.writeable
+
+    def test_uncached_products_do_not_share(self):
+        m, arrays, loop = random_setup(4, seed=3)
+        a = run_inspector(m, loop, arrays, cache=None)
+        b = run_inspector(m, loop, arrays, cache=None)
+        for key in a.patterns:
+            assert a.patterns[key].derived is not b.patterns[key].derived
+            assert np.array_equal(
+                a.patterns[key].derived.refs_flat, b.patterns[key].derived.refs_flat
+            )
+
+    def test_split_members_match_per_pattern_localize(self):
+        # the flat split of a coalesced product dereferences, member by
+        # member, to the same global targets a per-pattern inspection does
+        m, arrays, loop = random_setup(8, seed=5, dist_kind="irregular")
+        prod = run_inspector(m, loop, arrays, cache=TranslationCache())
+        flat, bounds = prod.iteration_partition.iters_flat()
+        pid = np.repeat(np.arange(8), np.diff(bounds))
+        dist = arrays["x"].distribution
+        for (array, index), pat in prod.patterns.items():
+            loc = pat.localized
+            assert np.array_equal(loc.ref_bounds, bounds)
+            want = np.asarray(arrays[index].global_view(), dtype=np.int64)[flat]
+            ls = np.asarray(loc.local_sizes, dtype=np.int64)
+            ghost = loc.refs_flat >= ls[pid]
+            got = np.empty_like(want)
+            got[ghost] = loc.ghost_flat[
+                loc.ghost_bounds[pid[ghost]] + loc.refs_flat[ghost] - ls[pid[ghost]]
+            ]
+            local = ~ghost
+            assert np.array_equal(dist.owner(want[local]), pid[local])
+            assert np.array_equal(
+                dist.local_index(want[local]), loc.refs_flat[local]
+            )
+            assert np.array_equal(got[ghost], want[ghost])
+
+    def test_patching_one_product_leaves_holder_and_entry_untouched(self):
+        prog, loop, rng = TestInvalidation().build_prog(seed=9, incremental=True)
+        cache = prog.translation_cache
+        prog.forall(loop, reuse=False)
+        first = prog.records[loop.name].product
+        prog.forall(loop, reuse=False)
+        second = prog.records[loop.name].product
+        assert second is not first
+        entries = [e for _, e in cache._slots.values() if hasattr(e, "derived")]
+        frozen = {}
+        for key, pat in first.patterns.items():
+            held = pat.derived
+            assert second.patterns[key].derived is held
+            assert any(held in e.derived.values() for e in entries)
+            frozen[key] = (
+                held,
+                held.exec_space,
+                held.exec_refs,
+                held.refs_flat.copy(),
+                held.exec_refs.copy(),
+                held.exec_space.offsets.copy(),
+                held.exec_space.ghost_sel.copy(),
+            )
+        entry_refs = [(e, e.refs_flat.copy(), e.ghost_flat.copy()) for e in entries]
+
+        # patch the second product (tracked write + reuse-checked sweep)
+        n_data = prog.arrays["x"].size
+        prog.set_array_elements("ia", [1, 4, 9], (np.arange(3) * 7 + 2) % n_data)
+        prog.forall(loop)
+        assert prog.patch_hits == 1
+        patched = prog.records[loop.name].product
+        assert patched is not second
+        rewritten = 0
+        for key, (held, space, refs, refs_flat, exec_refs, offsets, gsel) in frozen.items():
+            assert first.patterns[key].derived is held
+            assert held.exec_space is space and held.exec_refs is refs
+            assert np.array_equal(held.refs_flat, refs_flat)
+            assert np.array_equal(held.exec_refs, exec_refs)
+            assert np.array_equal(space.offsets, offsets)
+            assert np.array_equal(space.ghost_sel, gsel)
+            assert not held.exec_refs.flags.writeable
+            rewritten += patched.patterns[key].derived is not held
+        assert rewritten > 0  # the patch really rebuilt some pattern
+        for entry, refs_flat, ghost_flat in entry_refs:
+            assert np.array_equal(entry.refs_flat, refs_flat)
+            assert np.array_equal(entry.ghost_flat, ghost_flat)
+        # the shared holder still drives a correct sweep: re-inspecting
+        # the *patched* content misses, the patched product is unharmed
+        y0 = prog.arrays["y"].to_global()
+        prog.forall(loop)  # reuse hit on the patched product
+        want = TestInvalidation().reference(prog, y0=y0)
+        assert np.allclose(prog.arrays["y"].to_global(), want)

@@ -106,9 +106,10 @@ def assert_programs_equal(p_a, p_b):
                 pa.patterns[key].ghosts.backing, pb.patterns[key].ghosts.backing
             ), key
     if p_a.adapt is not None:
-        assert set(p_a.adapt.states) == set(p_b.adapt.states)
-        for lname, sa in p_a.adapt.states.items():
-            sb = p_b.adapt.states[lname]
+        assert p_a.adapt.loops_with_state() == p_b.adapt.loops_with_state()
+        for lname in p_a.adapt.loops_with_state():
+            sa = p_a.adapt.state_for(lname, "verify")
+            sb = p_b.adapt.state_for(lname, "verify")
             assert np.array_equal(sa.home, sb.home)
             assert set(sa.snapshots) == set(sb.snapshots)
             for n in sa.snapshots:
@@ -125,7 +126,11 @@ def simulated_history(exe):
     elapsed time on the machine running the simulation, never
     bit-reproducible across runs.  Everything simulated must match."""
     return [
-        {k: v for k, v in rec.items() if k != "inspect_wall_seconds"}
+        {
+            k: v
+            for k, v in rec.items()
+            if k not in ("inspect_wall_seconds", "state_build_wall_seconds")
+        }
         for rec in exe.history
     ]
 

@@ -70,7 +70,7 @@ class TestHealthyProducts:
         mesh, prog, loop, product = inspected(coalesce=coalesce)
         verify_product(product, prog.arrays, "full")
         verify_adapt_state(
-            product, prog.adapt.states[loop.name], prog.arrays, "full"
+            product, prog.adapt.state_for(loop.name, "verify"), prog.arrays, "full"
         )
 
     def test_patched_product_passes_full(self):
@@ -86,7 +86,10 @@ class TestHealthyProducts:
         assert prog.patch_hits == 1
         product = prog.records[loop.name].product
         verify_product(
-            product, prog.arrays, "full", state=prog.adapt.states[loop.name]
+            product,
+            prog.arrays,
+            "full",
+            state=prog.adapt.state_for(loop.name, "verify"),
         )
 
     def test_off_level_skips_everything(self):
@@ -162,7 +165,7 @@ class TestCorruptionDetected:
         from repro.guard.faults import FaultPlan
 
         _, prog, loop, product = inspected()
-        state = prog.adapt.states[loop.name]
+        state = prog.adapt.state_for(loop.name, "verify")
         pat = next(iter(product.patterns.values()))
         assert FaultPlan._flip_schedule(pat.localized.schedule)
         with pytest.raises(InvariantViolation, match="slot map"):
@@ -170,7 +173,7 @@ class TestCorruptionDetected:
 
     def test_drifted_reference_counts_full_only(self):
         _, prog, loop, product = inspected()
-        state = prog.adapt.states[loop.name]
+        state = prog.adapt.state_for(loop.name, "verify")
         gstate = next(
             g for g in state.groups.values() if (g.counts > 0).any()
         )
