@@ -19,9 +19,9 @@ against, which is what lets gather/scatter move every processor's ghost
 data with single fancy-indexes instead of a loop over processors.
 
 ``buf(p)`` hands out a *live slice view* of the backing (writes through
-it hit the flat array), ``buffers`` is the per-processor list of those
-views (compat for callers that still think in lists), and ``fill`` is
-one vector operation over the backing.  The layout is fixed for the
+it hit the flat array) and ``fill`` is one vector operation over the
+backing; the schedule's data movement takes the ``GhostBuffers`` itself
+(or an equally laid-out flat array).  The layout is fixed for the
 lifetime of the object: it is sized by the schedule at construction and
 the backing is never reallocated, so views stay valid.
 
@@ -134,14 +134,6 @@ class GhostBuffers:
                 f"processor id {p} out of range [0, {self.machine.n_procs})"
             )
         return self.backing[self.offsets[p] : self.offsets[p + 1]]
-
-    @property
-    def buffers(self) -> list[np.ndarray]:
-        """Per-processor list of live views into the backing (compat)."""
-        return [
-            self.backing[self.offsets[p] : self.offsets[p + 1]]
-            for p in range(self.machine.n_procs)
-        ]
 
     def fill(self, value) -> None:
         """Reset every buffer (e.g. zero ghosts before accumulating)."""

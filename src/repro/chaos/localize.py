@@ -20,7 +20,8 @@ plus CSR bounds (:class:`FlatRefs`), so the whole localize pass — one
 no per-processor concatenation or Python loop.  Plain per-processor
 lists are still accepted as *input* and flattened once at entry.  The
 result is flat only: :class:`LocalizeResult` stores ``(values, bounds)``
-pairs and materializes per-processor list views when a caller asks.
+pairs; ``FlatRefs(values, bounds).segment(p)`` slices one processor's
+part out of either.
 
 Deduplication uses a direct ``np.sort`` over combined
 ``processor * stride + global_index`` keys (the reference stream is
@@ -37,12 +38,14 @@ telling each owner which of its elements to send.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field, replace
+
 import numpy as np
 
 from repro.chaos.costs import ChaosCosts, DEFAULT_COSTS
 from repro.chaos.flatrefs import FlatRefs
 from repro.chaos.schedule import CommSchedule
-from repro.chaos.transcache import ChargeLog, LocalizeEntry, TranslationCache
+from repro.chaos.transcache import ChargeLog, TranslationCache, _freeze
 from repro.chaos.ttable import TranslationTable
 from repro.machine.machine import Machine
 
@@ -69,14 +72,9 @@ def sorted_unique_inverse(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return uniq, inverse
 
 
+@dataclass(eq=False)
 class LocalizeResult:
-    """Everything an executor needs for one access pattern.
-
-    Storage is flat (``refs_flat`` + ``ref_bounds``, ``ghost_flat`` +
-    ``ghost_bounds``); the per-processor ``local_refs`` and
-    ``ghost_globals`` lists are zero-copy views into it, materialized
-    lazily the first time a caller asks (tests and debugging -- the
-    runtime stays flat).
+    """Everything an executor needs for one access pattern, in flat form.
 
     Attributes
     ----------
@@ -98,48 +96,19 @@ class LocalizeResult:
         :class:`~repro.chaos.transcache.TranslationCache` entry share
         the entry's dict (see that module's "Derived holders"); an
         uncached result owns a fresh one.
+    charges:
+        The cold run's charge tape when this result is (or was served
+        from) a translation-cache entry, else ``None``.
     """
 
-    def __init__(
-        self,
-        local_sizes: list[int],
-        schedule: CommSchedule,
-        refs_flat: np.ndarray,
-        ref_bounds: np.ndarray,
-        ghost_flat: np.ndarray,
-        ghost_bounds: np.ndarray,
-        derived: dict | None = None,
-    ):
-        self.local_sizes = local_sizes
-        self.schedule = schedule
-        self.refs_flat = refs_flat
-        self.ref_bounds = ref_bounds
-        self.ghost_flat = ghost_flat
-        self.ghost_bounds = ghost_bounds
-        self.derived = {} if derived is None else derived
-        self._local_refs: list[np.ndarray] | None = None
-        self._ghost_globals: list[np.ndarray] | None = None
-
-    # -- per-processor list views (lazy) -----------------------------------
-    @property
-    def local_refs(self) -> list[np.ndarray]:
-        if self._local_refs is None:
-            self._local_refs = FlatRefs(self.refs_flat, self.ref_bounds).segments()
-        return self._local_refs
-
-    @property
-    def ghost_globals(self) -> list[np.ndarray]:
-        if self._ghost_globals is None:
-            self._ghost_globals = FlatRefs(
-                self.ghost_flat, self.ghost_bounds
-            ).segments()
-        return self._ghost_globals
-
-    def split(self, p: int) -> tuple[np.ndarray, np.ndarray]:
-        """Boolean masks (is_local, is_ghost) for processor ``p``'s refs."""
-        refs = self.local_refs[p]
-        is_local = refs < self.local_sizes[p]
-        return is_local, ~is_local
+    local_sizes: list[int]
+    schedule: CommSchedule
+    refs_flat: np.ndarray
+    ref_bounds: np.ndarray
+    ghost_flat: np.ndarray
+    ghost_bounds: np.ndarray
+    derived: dict = field(default_factory=dict)
+    charges: ChargeLog | None = None
 
 
 def localize(
@@ -167,9 +136,9 @@ def localize(
     cache / cache_key:
         Optional persistent :class:`TranslationCache` plus the caller's
         ``(slot, version)`` key for this pattern (built from
-        ``repro.core.cachekey`` tokens).  On a hit the saved product is
-        returned (fresh :class:`LocalizeResult`, ``schedule.twin()``,
-        shared frozen arrays) and the cold run's recorded charges are
+        ``repro.core.cachekey`` tokens).  On a hit the saved result is
+        returned with its own ``schedule.twin()`` (frozen arrays and
+        ``derived`` shared) and the cold run's recorded charges are
         replayed -- simulated numbers are bit-identical either way.
     """
     n = machine.n_procs
@@ -181,15 +150,7 @@ def localize(
             obs.counter("localize.cache_hits")
             with obs.span("localize.replay"):
                 entry.charges.replay(machine)
-                return LocalizeResult(
-                    local_sizes=entry.local_sizes,
-                    schedule=entry.schedule.twin(),
-                    refs_flat=entry.refs_flat,
-                    ref_bounds=entry.ref_bounds,
-                    ghost_flat=entry.ghost_flat,
-                    ghost_bounds=entry.ghost_bounds,
-                    derived=entry.derived,
-                )
+                return replace(entry, schedule=entry.schedule.twin())
         obs.counter("localize.cache_misses")
     if callable(ref_lists):
         ref_lists = ref_lists()
@@ -300,7 +261,7 @@ def localize(
     sink.barrier()
 
     with obs.span("localize.schedule.build", n_pairs=int(pair_q.size)):
-        schedule = CommSchedule.from_flat(
+        schedule = CommSchedule(
             machine,
             dist.signature(),
             pair_q,
@@ -320,18 +281,10 @@ def localize(
         ghost_bounds=ghost_bounds,
     )
     if caching:
-        cache.put(
-            cache_key[0],
-            cache_key[1],
-            LocalizeEntry(
-                charges=sink,
-                schedule=schedule,
-                local_sizes=result.local_sizes,
-                refs_flat=localized_flat,
-                ref_bounds=ref_bounds,
-                ghost_flat=ugidx,
-                ghost_bounds=ghost_bounds,
-                derived=result.derived,
-            ),
-        )
+        # the slot holds the result itself: its arrays frozen, the cold
+        # run's tape attached
+        for arr in (localized_flat, ref_bounds, ugidx, ghost_bounds):
+            _freeze(arr)
+        result.charges = sink
+        cache.put(cache_key[0], cache_key[1], result)
     return result

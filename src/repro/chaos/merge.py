@@ -60,7 +60,7 @@ def _merged_exchange(
 
 
 def gather_merged(
-    items: list[tuple[CommSchedule, DistArray, GhostBuffers | list[np.ndarray]]],
+    items: list[tuple[CommSchedule, DistArray, GhostBuffers | np.ndarray]],
 ) -> None:
     """Gather several access patterns in one communication phase.
 
@@ -88,7 +88,7 @@ def gather_merged(
 
 def scatter_op_merged(
     items: list[
-        tuple[CommSchedule, list[np.ndarray], DistArray, np.ufunc]
+        tuple[CommSchedule, GhostBuffers | np.ndarray, DistArray, np.ufunc]
     ],
 ) -> None:
     """Scatter-combine several write patterns in one communication phase.
@@ -127,9 +127,8 @@ def scatter_op_merged(
 def merged_message_count(schedules: list[CommSchedule]) -> tuple[int, int]:
     """(separate, merged) non-empty message counts for a gather phase."""
     separate = sum(s.message_count() for s in schedules)
-    pairs = set()
-    for s in schedules:
-        for (q, p), sl in s.send_lists.items():
-            if len(sl) and q != p:
-                pairs.add((q, p))
-    return separate, len(pairs)
+    cross = [
+        (s._pair_q * s.n_procs + s._pair_p)[s._pair_q != s._pair_p] for s in schedules
+    ]
+    merged = np.unique(np.concatenate(cross)).size if cross else 0
+    return separate, merged

@@ -6,13 +6,16 @@ is built once per redistribution and applied to every array aligned with
 the decomposition -- remapping x, y and the coordinate arrays of a mesh
 shares one :class:`RemapSchedule`.
 
-Like ``CommSchedule``, the move set is stored flattened (CSR-style):
-one (src proc, dst proc, count) triple per communicating pair plus
+Like ``CommSchedule``, the move set is flat (CSR) and has no other
+form: one (src proc, dst proc, count) triple per communicating pair plus
 concatenated old/new local-offset arrays, resolved once to *flat
 backing positions* against the old/new distributions.  ``apply`` is a
 single gather + scatter fancy-index over the arrays' contiguous backing
 storage and pure bincount/ufunc charging -- no Python loop over move
-pairs or processors.
+pairs or processors.  A full build and a patch from a repartitioning
+delta differ only in which elements they group (all of them / the
+touched ones, the rest carried); everything after the grouping is one
+code path.
 """
 
 from __future__ import annotations
@@ -54,32 +57,17 @@ class RemapSchedule:
         machine: Machine,
         old_signature: tuple,
         new_dist: Distribution,
-        moves: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] | None = None,
-        *,
-        pair_p: np.ndarray | None = None,
-        pair_q: np.ndarray | None = None,
-        pair_counts: np.ndarray | None = None,
-        src_index: np.ndarray | None = None,
-        dst_index: np.ndarray | None = None,
+        pair_p: np.ndarray,
+        pair_q: np.ndarray,
+        pair_counts: np.ndarray,
+        src_index: np.ndarray,
+        dst_index: np.ndarray,
         carry_p: np.ndarray | None = None,
         carry_index: np.ndarray | None = None,
     ):
         self.machine = machine
         self.old_signature = old_signature
         self.new_dist = new_dist
-        if moves is not None:
-            # legacy constructor form: flatten the (src, dst) -> offsets
-            # dict once, skipping empty pairs (the old apply did too)
-            items = [(pq, sl, dl) for pq, (sl, dl) in moves.items() if len(sl)]
-            pair_p = np.array([pq[0] for pq, _, _ in items], dtype=np.int64)
-            pair_q = np.array([pq[1] for pq, _, _ in items], dtype=np.int64)
-            pair_counts = np.array([len(sl) for _, sl, _ in items], dtype=np.int64)
-            if items:
-                src_index = np.concatenate([np.asarray(sl, dtype=np.int64) for _, sl, _ in items])
-                dst_index = np.concatenate([np.asarray(dl, dtype=np.int64) for _, _, dl in items])
-            else:
-                src_index = np.empty(0, dtype=np.int64)
-                dst_index = np.empty(0, dtype=np.int64)
         self.pair_p = pair_p
         self.pair_q = pair_q
         self.pair_counts = pair_counts
@@ -104,20 +92,6 @@ class RemapSchedule:
         else:
             self._carry_dst_pos = None
         self._carry_src_pos: np.ndarray | None = None
-
-    @property
-    def moves(self) -> dict[tuple[int, int], tuple[np.ndarray, np.ndarray]]:
-        """(src, dst) -> (old local offsets, new local offsets), materialized
-        lazily from the flattened arrays (compatibility/debugging view)."""
-        out = {}
-        starts = np.concatenate(([0], np.cumsum(self.pair_counts)))
-        for i in range(self.pair_p.size):
-            lo, hi = starts[i], starts[i + 1]
-            out[(int(self.pair_p[i]), int(self.pair_q[i]))] = (
-                self.src_index[lo:hi],
-                self.dst_index[lo:hi],
-            )
-        return out
 
     def element_count(self) -> int:
         """Elements that change processor (self-moves excluded)."""
@@ -179,46 +153,56 @@ class RemapSchedule:
         arr.rebind_flat(self.new_dist, new_data)
 
 
-def build_remap_schedule(
-    machine: Machine,
-    old_dist: Distribution,
-    new_dist: Distribution,
-    costs: ChaosCosts = DEFAULT_COSTS,
-) -> RemapSchedule:
-    """Build the schedule that moves data from ``old_dist`` to ``new_dist``.
-
-    Charges the per-element schedule-construction work (new translation
-    table entries, move-list assembly) plus the exchange of move lists.
-    """
+def _translate_moves(
+    machine: Machine, old_dist: Distribution, new_dist: Distribution, elems: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``(old owner, new owner, old offset, new offset)`` of the global
+    indices ``elems``, once the two distributions are known to be
+    remappable on ``machine``."""
     if old_dist.size != new_dist.size:
         raise ValueError(
             f"cannot remap between sizes {old_dist.size} and {new_dist.size}"
         )
     if old_dist.n_procs != machine.n_procs or new_dist.n_procs != machine.n_procs:
         raise ValueError("distributions must span the machine")
-    n = machine.n_procs
-    size = old_dist.size
-    g = np.arange(size, dtype=np.int64)
-    old_owner = np.asarray(old_dist.owner(g), dtype=np.int64) if size else g
-    new_owner = np.asarray(new_dist.owner(g), dtype=np.int64) if size else g
-    old_lidx = np.asarray(old_dist.local_index(g), dtype=np.int64) if size else g
-    new_lidx = np.asarray(new_dist.local_index(g), dtype=np.int64) if size else g
+    if not elems.size:
+        return elems, elems, elems, elems
+    return tuple(
+        np.asarray(translate(elems), dtype=np.int64)
+        for translate in (
+            old_dist.owner,
+            new_dist.owner,
+            old_dist.local_index,
+            new_dist.local_index,
+        )
+    )
 
-    # one stable sort groups all elements by (old owner, new owner); pair
+
+def _assemble(
+    machine: Machine,
+    old_dist: Distribution,
+    new_dist: Distribution,
+    moves: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
+    costs: ChaosCosts,
+    carry_p: np.ndarray | None = None,
+    carry_index: np.ndarray | None = None,
+) -> RemapSchedule:
+    """Group ``moves`` into pairs, charge the construction, build.
+
+    Charges the per-element remap bookkeeping at the old owner plus the
+    move-list exchange (each element's (gidx, new offset) pair travels
+    to the new owner as schedule metadata) over the cross pairs.
+    """
+    n = machine.n_procs
+    old_owner, new_owner, old_lidx, new_lidx = moves
+    # one stable sort groups the elements by (old owner, new owner); pair
     # ids, counts, and the flattened offset lists fall out without any
     # per-pair Python loop
-    pair_keys, order, bounds = _group_elements(
-        old_owner * n + new_owner if size else np.empty(0, dtype=np.int64)
-    )
+    pair_keys, order, bounds = _group_elements(old_owner * n + new_owner)
     pair_p = pair_keys // n
     pair_q = pair_keys % n
     pair_counts = np.diff(bounds)
-    src_index = old_lidx[order]
-    dst_index = new_lidx[order]
 
-    # charge: per-element remap bookkeeping at the old owner, plus the
-    # move-list exchange (each element's (gidx, new offset) pair travels
-    # to the new owner as schedule metadata)
     per_proc = np.bincount(pair_p, weights=pair_counts, minlength=n)
     machine.charge_compute_all(iops=costs.remap_build * per_proc)
     cross = pair_p != pair_q
@@ -232,12 +216,30 @@ def build_remap_schedule(
         machine,
         old_dist.signature(),
         new_dist,
-        pair_p=pair_p,
-        pair_q=pair_q,
-        pair_counts=pair_counts,
-        src_index=src_index,
-        dst_index=dst_index,
+        pair_p,
+        pair_q,
+        pair_counts,
+        old_lidx[order],
+        new_lidx[order],
+        carry_p,
+        carry_index,
     )
+
+
+def build_remap_schedule(
+    machine: Machine,
+    old_dist: Distribution,
+    new_dist: Distribution,
+    costs: ChaosCosts = DEFAULT_COSTS,
+) -> RemapSchedule:
+    """Build the schedule that moves data from ``old_dist`` to ``new_dist``.
+
+    Charges the per-element schedule-construction work (new translation
+    table entries, move-list assembly) plus the exchange of move lists.
+    """
+    g = np.arange(old_dist.size, dtype=np.int64)
+    moves = _translate_moves(machine, old_dist, new_dist, g)
+    return _assemble(machine, old_dist, new_dist, moves, costs)
 
 
 def patch_remap_schedule(
@@ -260,60 +262,24 @@ def patch_remap_schedule(
     a move-list exchange over the cross pairs only, mirroring
     :func:`build_remap_schedule` shrunk to the touched set.
     """
-    if old_dist.size != new_dist.size:
-        raise ValueError(
-            f"cannot remap between sizes {old_dist.size} and {new_dist.size}"
-        )
-    if old_dist.n_procs != machine.n_procs or new_dist.n_procs != machine.n_procs:
-        raise ValueError("distributions must span the machine")
-    n = machine.n_procs
-    size = old_dist.size
     touched = np.concatenate([plan.moved, plan.repacked])
-    ep = np.asarray(old_dist.owner(touched), dtype=np.int64)
-    eq = np.asarray(new_dist.owner(touched), dtype=np.int64)
-    old_l = np.asarray(old_dist.local_index(touched), dtype=np.int64)
-    new_l = np.asarray(new_dist.local_index(touched), dtype=np.int64)
-    if plan.repacked.size:
-        rp = ep[plan.moved.size :]
-        rq = eq[plan.moved.size :]
-        if not np.array_equal(rp, rq):
-            raise ValueError("repacked elements must keep their processor")
+    moves = _translate_moves(machine, old_dist, new_dist, touched)
+    if plan.repacked.size and not np.array_equal(
+        moves[0][plan.moved.size :], moves[1][plan.moved.size :]
+    ):
+        raise ValueError("repacked elements must keep their processor")
 
-    pair_keys, order, bounds = _group_elements(
-        ep * n + eq if touched.size else np.empty(0, dtype=np.int64)
-    )
-    pair_p = pair_keys // n
-    pair_q = pair_keys % n
-    pair_counts = np.diff(bounds)
-    src_index = old_l[order]
-    dst_index = new_l[order]
-
-    carry_mask = np.ones(size, dtype=bool)
+    carry_mask = np.ones(old_dist.size, dtype=bool)
     carry_mask[touched] = False
     carry_g = np.flatnonzero(carry_mask)
-    carry_p = np.asarray(old_dist.owner(carry_g), dtype=np.int64)
-    carry_index = np.asarray(old_dist.local_index(carry_g), dtype=np.int64)
-
-    per_proc = np.bincount(pair_p, weights=pair_counts, minlength=n)
-    machine.charge_compute_all(iops=costs.remap_build * per_proc)
-    cross = pair_p != pair_q
-    machine.exchange(
-        src=pair_p[cross],
-        dst=pair_q[cross],
-        nbytes=pair_counts[cross] * 2 * costs.index_bytes,
-    )
-    machine.barrier()
-    sched = RemapSchedule(
+    sched = _assemble(
         machine,
-        old_dist.signature(),
+        old_dist,
         new_dist,
-        pair_p=pair_p,
-        pair_q=pair_q,
-        pair_counts=pair_counts,
-        src_index=src_index,
-        dst_index=dst_index,
-        carry_p=carry_p,
-        carry_index=carry_index,
+        moves,
+        costs,
+        carry_p=np.asarray(old_dist.owner(carry_g), dtype=np.int64),
+        carry_index=np.asarray(old_dist.local_index(carry_g), dtype=np.int64),
     )
     if machine.faults is not None:
         # fault injection hook: may desynchronize the patched schedule's
@@ -322,15 +288,9 @@ def patch_remap_schedule(
     return sched
 
 
-def remap_arrays_incremental(
-    arrays: list[DistArray],
-    new_dist: Distribution,
-    plan,
-    costs: ChaosCosts = DEFAULT_COSTS,
-) -> RemapSchedule:
-    """Like :func:`remap_arrays`, with the schedule patched from a
-    :class:`~repro.distribution.irregular.RebalancePlan` delta instead
-    of rebuilt over every element."""
+def _same_layout(arrays: list[DistArray]) -> DistArray:
+    """The first of ``arrays``, once all are known to share one machine
+    and one distribution (so one schedule serves them all)."""
     if not arrays:
         raise ValueError("no arrays to remap")
     first = arrays[0]
@@ -342,6 +302,19 @@ def remap_arrays_incremental(
             )
         if arr.machine is not first.machine:
             raise ValueError("arrays live on different machines")
+    return first
+
+
+def remap_arrays_incremental(
+    arrays: list[DistArray],
+    new_dist: Distribution,
+    plan,
+    costs: ChaosCosts = DEFAULT_COSTS,
+) -> RemapSchedule:
+    """Like :func:`remap_arrays`, with the schedule patched from a
+    :class:`~repro.distribution.irregular.RebalancePlan` delta instead
+    of rebuilt over every element."""
+    first = _same_layout(arrays)
     sched = patch_remap_schedule(
         first.machine, first.distribution, new_dist, plan, costs
     )
@@ -369,17 +342,7 @@ def remap_arrays(
     This is what REDISTRIBUTE does to every array aligned with a
     decomposition: the schedule is built once, applied per array.
     """
-    if not arrays:
-        raise ValueError("no arrays to remap")
-    first = arrays[0]
-    for arr in arrays[1:]:
-        if arr.distribution.signature() != first.distribution.signature():
-            raise ValueError(
-                f"arrays {first.name!r} and {arr.name!r} have different "
-                "distributions; remap them separately"
-            )
-        if arr.machine is not first.machine:
-            raise ValueError("arrays live on different machines")
+    first = _same_layout(arrays)
     sched = build_remap_schedule(first.machine, first.distribution, new_dist, costs)
     for arr in arrays:
         sched.apply(arr, costs)

@@ -3,10 +3,11 @@
 A :class:`CommSchedule` records, for one access pattern against one
 distribution, everything needed to move off-processor data:
 
-* ``send_lists[(q, p)]`` -- local offsets on owner ``q`` of the elements
-  requester ``p`` needs (what ``q`` packs and sends to ``p``), and
-* ``recv_slots[(q, p)]`` -- ghost-buffer slots on ``p`` where those
-  elements land, in wire order.
+* per communicating pair ``(q, p)``, the local offsets on owner ``q`` of
+  the elements requester ``p`` needs (what ``q`` packs and sends to
+  ``p``), and
+* the ghost-buffer slots on ``p`` where those elements land, in wire
+  order.
 
 The same schedule drives data in both directions: ``gather`` prefetches
 off-processor data into ghost buffers before an executor runs (reads),
@@ -14,21 +15,25 @@ and ``scatter``/``scatter_op`` pushes ghost-buffer contributions back to
 the owners afterwards (writes / reductions) -- PARTI's
 ``gather_exchange`` / ``scatter_op`` pair.
 
-Internally the per-pair lists are flattened once, at construction, into
-CSR-style arrays grouped by owner (pack side) and by requester (unpack
-side); hot callers construct directly from flat arrays via
-:meth:`CommSchedule.from_flat` (the pair dicts become lazy compat
-views).  Both sides of an application are then single fancy-indexes:
-the array side over the ``DistArray``'s flat backing storage (pack,
-scatter store, or one ``ufunc.at`` for reductions), and the ghost side
-over a flat CSR ghost backing (``GhostBuffers`` stores every
-processor's buffer in one array; unpack slots resolve to *ghost backing
-positions* ``ghost_offset[p] + slot`` precomputed at construction).
-Callers may still pass per-processor buffer lists, which fall back to a
-compat loop.  Element order inside the flat arrays is pair insertion
-order and pack positions are grouped by owner ascending, so
-duplicate-slot semantics (last writer wins) and floating-point
-accumulation order are identical to the historical per-pair loop.
+Layout
+------
+Storage is flat (CSR) and there is no other form.  The constructor takes
+one ``(owner, requester, length)`` triple per pair plus every pair's
+send offsets and recv slots concatenated in pair order; *flat order* is
+that per-element order.  One builder derives the apply arrays from it:
+``wire_perm`` (wire position -> flat position) groups elements by owner
+``q``, stable, so each owner's wire segment stays in pair order;
+``_pack_idx``/``_pack_owner_rep`` are the send offsets and owners in
+wire order, and ``_unpack_pos`` resolves every recv slot to its *ghost
+backing position* ``ghost_offset[p] + slot`` in a flat CSR ghost backing
+(``GhostBuffers`` stores every processor's buffer in one array).  Both
+sides of an application are then single fancy-indexes: the array side
+over the ``DistArray``'s flat backing storage (pack, scatter store, or
+one ``ufunc.at`` for reductions), the ghost side over the ghost backing.
+Ghost positions of different requesters never collide, so storing in
+flat order fixes each duplicated slot's last writer exactly as a loop
+over pairs in insertion order would; pack positions are grouped by owner
+ascending, so floating-point accumulation order matches that loop too.
 
 A schedule is *bound to a distribution signature*: applying it to an
 array whose distribution has changed since inspection is a hard error
@@ -68,63 +73,28 @@ from repro.distribution.distarray import DistArray
 from repro.machine.machine import Machine
 
 
+def _pair_runs(
+    flat_q: np.ndarray, flat_p: np.ndarray, n: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(pair_q, pair_p, pair_len)`` of the runs of equal ``(p, q)`` in
+    per-element arrays grouped requester-major / owner-minor."""
+    pair_id = flat_p * n + flat_q
+    if pair_id.size:
+        seg_starts = np.concatenate(([0], np.flatnonzero(np.diff(pair_id)) + 1))
+    else:
+        seg_starts = np.empty(0, dtype=np.int64)
+    return (
+        flat_q[seg_starts],
+        flat_p[seg_starts],
+        np.diff(np.append(seg_starts, pair_id.size)),
+    )
+
+
 class CommSchedule:
     """Schedule for gathering/scattering one access pattern's ghost data."""
 
     def __init__(
         self,
-        machine: Machine,
-        dist_signature: tuple,
-        send_lists: dict[tuple[int, int], np.ndarray],
-        recv_slots: dict[tuple[int, int], np.ndarray],
-        ghost_sizes: list[int],
-        costs: ChaosCosts = DEFAULT_COSTS,
-    ):
-        n = machine.n_procs
-        if len(ghost_sizes) != n:
-            raise ValueError(f"expected {n} ghost sizes, got {len(ghost_sizes)}")
-        if set(send_lists) != set(recv_slots):
-            raise ValueError("send_lists and recv_slots must cover the same pairs")
-        self.machine = machine
-        self.dist_signature = dist_signature
-        self._send_dict = {
-            k: np.asarray(v, dtype=np.int64) for k, v in send_lists.items()
-        }
-        self._recv_dict = {
-            k: np.asarray(v, dtype=np.int64) for k, v in recv_slots.items()
-        }
-        self.ghost_sizes = [int(s) for s in ghost_sizes]
-        self.costs = costs
-
-        pairs = [
-            (q, p, sl, self._recv_dict[(q, p)])
-            for (q, p), sl in self._send_dict.items()
-        ]
-        pair_q = np.asarray([q for q, _, _, _ in pairs], dtype=np.int64)
-        pair_p = np.asarray([p for _, p, _, _ in pairs], dtype=np.int64)
-        pair_len = np.asarray([len(sl) for _, _, sl, _ in pairs], dtype=np.int64)
-        if pair_q.size and (
-            pair_q.min() < 0 or pair_q.max() >= n or pair_p.min() < 0 or pair_p.max() >= n
-        ):
-            for q, p, _, _ in pairs:
-                if not (0 <= q < n and 0 <= p < n):
-                    raise ValueError(f"processor pair ({q}, {p}) out of range")
-        for q, p, sl, rs in pairs:
-            if len(sl) != len(rs):
-                raise ValueError(
-                    f"pair ({q}, {p}): {len(sl)} sends but {len(rs)} recv slots"
-                )
-        if pairs:
-            flat_send = np.concatenate([sl for _, _, sl, _ in pairs])
-            flat_recv = np.concatenate([rs for _, _, _, rs in pairs])
-        else:
-            flat_send = np.empty(0, dtype=np.int64)
-            flat_recv = np.empty(0, dtype=np.int64)
-        self._init_flat(pair_q, pair_p, pair_len, flat_send, flat_recv)
-
-    @classmethod
-    def from_flat(
-        cls,
         machine: Machine,
         dist_signature: tuple,
         pair_q: np.ndarray,
@@ -134,33 +104,62 @@ class CommSchedule:
         flat_recv: np.ndarray,
         ghost_sizes: list[int],
         costs: ChaosCosts = DEFAULT_COSTS,
-    ) -> "CommSchedule":
-        """Construct directly from flat pair-grouped arrays (no dicts).
+    ):
+        """Construct from flat pair-grouped arrays.
 
         ``pair_q``/``pair_p``/``pair_len`` describe the communicating
-        pairs in insertion order; ``flat_send``/``flat_recv`` concatenate
-        each pair's local offsets / ghost slots in that order.  The
-        ``send_lists``/``recv_slots`` dict views are materialized lazily
-        for introspection and tests.
+        pairs (owner, requester, element count) in insertion order;
+        ``flat_send``/``flat_recv`` concatenate each pair's local
+        offsets / ghost slots in that order.  Raises ``ValueError`` for
+        a processor id outside ``[0, n_procs)``, for lengths that are
+        negative or do not add up, and for a recv slot outside its
+        requester's ghost region.
         """
         n = machine.n_procs
-        if len(ghost_sizes) != n:
-            raise ValueError(f"expected {n} ghost sizes, got {len(ghost_sizes)}")
-        self = cls.__new__(cls)
-        self.machine = machine
-        self.dist_signature = dist_signature
-        self._send_dict = None
-        self._recv_dict = None
-        self.ghost_sizes = [int(s) for s in ghost_sizes]
-        self.costs = costs
-        self._init_flat(
-            np.asarray(pair_q, dtype=np.int64),
-            np.asarray(pair_p, dtype=np.int64),
-            np.asarray(pair_len, dtype=np.int64),
-            np.asarray(flat_send, dtype=np.int64),
-            np.asarray(flat_recv, dtype=np.int64),
+        pair_q = np.asarray(pair_q, dtype=np.int64)
+        pair_p = np.asarray(pair_p, dtype=np.int64)
+        pair_len = np.asarray(pair_len, dtype=np.int64)
+        flat_send = np.asarray(flat_send, dtype=np.int64)
+        flat_recv = np.asarray(flat_recv, dtype=np.int64)
+        if not (pair_q.shape == pair_p.shape == pair_len.shape == (pair_q.size,)):
+            raise ValueError(
+                "pair_q, pair_p and pair_len must be 1-D and the same length; got "
+                f"{pair_q.shape}, {pair_p.shape}, {pair_len.shape}"
+            )
+        bad = (pair_q < 0) | (pair_q >= n) | (pair_p < 0) | (pair_p >= n)
+        if bad.any():
+            i = int(np.flatnonzero(bad)[0])
+            raise ValueError(
+                f"processor pair ({int(pair_q[i])}, {int(pair_p[i])}) out of "
+                f"range [0, {n})"
+            )
+        if (pair_len < 0).any():
+            raise ValueError(f"negative pair length {int(pair_len.min())}")
+        total = int(pair_len.sum())
+        if flat_send.shape != (total,) or flat_recv.shape != (total,):
+            raise ValueError(
+                f"pair lengths sum to {total} but there are {flat_send.shape} "
+                f"send offsets and {flat_recv.shape} recv slots"
+            )
+        # empty pairs contribute no elements (the flat arrays need no
+        # filtering) and no message
+        live = pair_len > 0
+        if not live.all():
+            pair_q, pair_p, pair_len = pair_q[live], pair_p[live], pair_len[live]
+        flat_q = np.repeat(pair_q, pair_len)
+        self._build(
+            machine,
+            dist_signature,
+            (pair_q, pair_p, pair_len),
+            flat_q,
+            np.repeat(pair_p, pair_len),
+            flat_send,
+            flat_recv,
+            # wire order groups elements by owner q, stable within
+            np.argsort(flat_q, kind="stable"),
+            ghost_sizes,
+            costs,
         )
-        return self
 
     @classmethod
     def from_entries(
@@ -194,20 +193,10 @@ class CommSchedule:
         if order_key is None:
             order_key = entry_recv
         perm = np.lexsort((np.asarray(order_key), entry_q, entry_p))
-        q, p = entry_q[perm], entry_p[perm]
-        n = machine.n_procs
-        pair_id = p * n + q
-        if pair_id.size:
-            seg_starts = np.concatenate(([0], np.flatnonzero(np.diff(pair_id)) + 1))
-        else:
-            seg_starts = np.empty(0, dtype=np.int64)
-        seg_bounds = np.append(seg_starts, pair_id.size)
-        return cls.from_flat(
+        return cls(
             machine,
             dist_signature,
-            q[seg_starts],
-            p[seg_starts],
-            np.diff(seg_bounds),
+            *_pair_runs(entry_q[perm], entry_p[perm], machine.n_procs),
             entry_send[perm],
             entry_recv[perm],
             ghost_sizes,
@@ -377,11 +366,7 @@ class CommSchedule:
         comp_flat = (flat_p * n + flat_q) * K + keep_key
         if E and (np.diff(comp_flat) < 0).any():
             return None
-        # canonical flat order sorts by requester p, so the stable
-        # recv_order in _init_flat was the identity and _unpack_src is
-        # exactly the flat -> wire permutation; invert it for wire -> flat
-        W = np.empty(E, dtype=np.int64)
-        W[self._unpack_src] = np.arange(E, dtype=np.int64)
+        W = self._wire_perm
         comp_wire = (flat_q * n + flat_p) * K + keep_key
         compW = comp_wire[W]
         if E and (np.diff(compW) < 0).any():
@@ -434,205 +419,93 @@ class CommSchedule:
         inv_aperm[aperm] = ar
         wire_perm[add_wpos] = add_newpos[inv_aperm[awperm]]
 
-        return CommSchedule._from_canonical(
+        # the merged arrays are canonically ordered and wire_perm is
+        # already in hand: no argsort
+        new = CommSchedule.__new__(CommSchedule)
+        new._build(
             self.machine,
             self.dist_signature,
+            _pair_runs(flat_q2, flat_p2, n),
             flat_q2,
             flat_p2,
             send2,
             recv2,
             wire_perm,
             ghost_sizes,
-            costs=self.costs,
+            self.costs,
         )
+        return new
 
-    @classmethod
-    def _from_canonical(
-        cls,
+    def _build(
+        self,
         machine: Machine,
         dist_signature: tuple,
+        pairs: tuple[np.ndarray, np.ndarray, np.ndarray],
         flat_q: np.ndarray,
         flat_p: np.ndarray,
         flat_send: np.ndarray,
         flat_recv: np.ndarray,
         wire_perm: np.ndarray,
         ghost_sizes: list[int],
-        costs: ChaosCosts = DEFAULT_COSTS,
-    ) -> "CommSchedule":
-        """Construct from canonically ordered per-element arrays.
+        costs: ChaosCosts,
+    ) -> None:
+        """Derive every apply array from per-element flat input.
 
-        ``flat_*`` are in canonical flat order (requester-major /
-        owner-minor, key-sorted in pairs) and ``wire_perm`` maps wire
-        position -> flat position (the stable by-owner grouping).  Builds
-        every internal array ``_init_flat`` would -- pair segments,
-        pack/unpack sides, ghost positions, charge vectors -- without any
-        argsort, bit-identically to the sorted path.
+        ``pairs`` is the live ``(pair_q, pair_p, pair_len)`` triple and
+        ``flat_q``/``flat_p`` its per-element expansion; ``wire_perm``
+        maps wire position -> flat position (elements grouped by owner,
+        stable).  The constructor computes ``wire_perm`` with one
+        argsort; ``patched`` merges it from the old schedule's.
         """
         n = machine.n_procs
         if len(ghost_sizes) != n:
             raise ValueError(f"expected {n} ghost sizes, got {len(ghost_sizes)}")
-        self = cls.__new__(cls)
         self.machine = machine
         self.dist_signature = dist_signature
-        self._send_dict = None
-        self._recv_dict = None
         self.ghost_sizes = [int(s) for s in ghost_sizes]
         self.costs = costs
-        ghost_sz = np.asarray(self.ghost_sizes, dtype=np.int64)
-        E = flat_q.size
-
-        pair_id = flat_p * n + flat_q
-        if E:
-            seg_starts = np.concatenate(([0], np.flatnonzero(np.diff(pair_id)) + 1))
-        else:
-            seg_starts = np.empty(0, dtype=np.int64)
-        seg_bounds = np.append(seg_starts, E)
-        self._pair_q = flat_q[seg_starts]
-        self._pair_p = flat_p[seg_starts]
-        self._pair_len = np.diff(seg_bounds)
+        #: per-message arrays in pair insertion order (nonempty pairs only)
+        self._pair_q, self._pair_p, self._pair_len = pairs
         self._flat_send = flat_send
         self._flat_recv = flat_recv
-        if E:
-            bad = (flat_recv < 0) | (flat_recv >= ghost_sz[flat_p])
-            if bad.any():
-                i = int(np.flatnonzero(bad)[0])
-                raise ValueError(
-                    f"pair ({int(flat_q[i])}, {int(flat_p[i])}): recv slot out of "
-                    f"range [0, {int(ghost_sz[flat_p[i]])})"
-                )
+        ghost_sz = np.asarray(self.ghost_sizes, dtype=np.int64)
+        bad = (flat_recv < 0) | (flat_recv >= ghost_sz[flat_p])
+        if bad.any():
+            i = int(np.flatnonzero(bad)[0])
+            raise ValueError(
+                f"pair ({int(flat_q[i])}, {int(flat_p[i])}): recv slot out of "
+                f"range [0, {int(ghost_sz[flat_p[i]])})"
+            )
+        E = flat_q.size
+        self._n_elements = E
+        self._wire_perm = wire_perm
 
+        # pack side, wire order: send offsets and owner of each packed
+        # element; flat backing positions are resolved lazily against
+        # the bound distribution
         self._pack_idx = flat_send[wire_perm]
         self._pack_owner_rep = flat_q[wire_perm]
-        self._pack_pos = None
-        # canonical flat order is requester-sorted: recv_order would be
-        # the identity, so the unpack side is the flat arrays themselves
-        self._unpack_dst = flat_recv
-        self._unpack_src = np.empty(E, dtype=np.int64)
-        self._unpack_src[wire_perm] = np.arange(E, dtype=np.int64)
-        recv_counts = (
-            np.bincount(flat_p, minlength=n) if E else np.zeros(n, dtype=np.int64)
-        )
-        self._unpack_offsets = np.concatenate(([0], np.cumsum(recv_counts)))
-        self._unpack_procs = np.flatnonzero(recv_counts)
+        self._pack_pos: np.ndarray | None = None
+
+        # unpack side, flat order: slot s of requester p lives at ghost
+        # backing position ghost_off[p] + s (GhostBuffers layout), fed
+        # by wire position _unpack_src
         self._ghost_off = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(ghost_sz, out=self._ghost_off[1:])
         self._unpack_pos = self._ghost_off[flat_p] + flat_recv
-        self._ghost_pos_wire = np.empty(E, dtype=np.int64)
-        self._ghost_pos_wire[self._unpack_src] = self._unpack_pos
-
-        per_pair_mem = self.costs.pack_unpack_mem * self._pair_len
-        self._pack_mem = np.zeros(n)
-        self._unpack_mem = np.zeros(n)
-        np.add.at(self._pack_mem, self._pair_q, per_pair_mem)
-        np.add.at(self._unpack_mem, self._pair_p, per_pair_mem)
-        self._n_elements = E
-        return self
-
-    def _pair_dicts(self) -> tuple[dict, dict]:
-        if self._send_dict is None:
-            send: dict[tuple[int, int], np.ndarray] = {}
-            recv: dict[tuple[int, int], np.ndarray] = {}
-            starts = np.concatenate(([0], np.cumsum(self._pair_len)))
-            for i in range(self._pair_q.size):
-                key = (int(self._pair_q[i]), int(self._pair_p[i]))
-                send[key] = self._flat_send[starts[i] : starts[i + 1]]
-                recv[key] = self._flat_recv[starts[i] : starts[i + 1]]
-            self._send_dict = send
-            self._recv_dict = recv
-        return self._send_dict, self._recv_dict
-
-    @property
-    def send_lists(self) -> dict[tuple[int, int], np.ndarray]:
-        """(owner, requester) -> local offsets owner packs (compat view)."""
-        return self._pair_dicts()[0]
-
-    @property
-    def recv_slots(self) -> dict[tuple[int, int], np.ndarray]:
-        """(owner, requester) -> ghost slots at the requester (compat view)."""
-        return self._pair_dicts()[1]
-
-    def _init_flat(
-        self,
-        pair_q: np.ndarray,
-        pair_p: np.ndarray,
-        pair_len: np.ndarray,
-        flat_send: np.ndarray,
-        flat_recv: np.ndarray,
-    ) -> None:
-        """Build the CSR-style apply arrays from pair-grouped flat input.
-
-        Nonempty pairs keep their insertion order; per-element flat
-        order is pair order with each pair's elements contiguous.  The
-        pack side groups elements by owner ``q`` (stable, so each owner's
-        segment stays in pair order); the unpack side keeps per-requester
-        element positions in flat order.
-        """
-        n = self.machine.n_procs
-        ghost_sz = np.asarray(self.ghost_sizes, dtype=np.int64)
-        live = pair_len > 0
-        #: per-message arrays in pair insertion order (nonempty pairs
-        #: only; empty pairs contribute no elements, so the flat arrays
-        #: need no filtering)
-        if live.all():
-            self._pair_q = pair_q
-            self._pair_p = pair_p
-            self._pair_len = pair_len
-        else:
-            self._pair_q = pair_q[live]
-            self._pair_p = pair_p[live]
-            self._pair_len = pair_len[live]
-        self._flat_send = flat_send
-        self._flat_recv = flat_recv
-        flat_q = np.repeat(self._pair_q, self._pair_len)
-        flat_p = np.repeat(self._pair_p, self._pair_len)
-        if flat_p.size:
-            bad = (flat_recv < 0) | (flat_recv >= ghost_sz[flat_p])
-            if bad.any():
-                i = int(np.flatnonzero(bad)[0])
-                raise ValueError(
-                    f"pair ({int(flat_q[i])}, {int(flat_p[i])}): recv slot out of "
-                    f"range [0, {int(ghost_sz[flat_p[i]])})"
-                )
-
-        # pack side: wire order groups elements by owner q, stable within
-        wire_perm = np.argsort(flat_q, kind="stable")
-        self._pack_idx = flat_send[wire_perm]
-        owner_counts = np.bincount(flat_q, minlength=n) if flat_q.size else np.zeros(n, dtype=np.int64)
-        #: owner of each packed element (wire order); flat backing
-        #: positions are resolved lazily against the bound distribution
-        self._pack_owner_rep = np.repeat(np.arange(n, dtype=np.int64), owner_counts)
-        self._pack_pos: np.ndarray | None = None
-
-        # unpack side: per requester p, ghost slots in flat (pair) order
-        # plus the wire positions holding their data
-        inv_perm = np.empty(wire_perm.size, dtype=np.int64)
-        inv_perm[wire_perm] = np.arange(wire_perm.size)
-        recv_order = np.argsort(flat_p, kind="stable")
-        self._unpack_dst = flat_recv[recv_order]
-        self._unpack_src = inv_perm[recv_order]
-        recv_counts = np.bincount(flat_p, minlength=n) if flat_p.size else np.zeros(n, dtype=np.int64)
-        self._unpack_offsets = np.concatenate(([0], np.cumsum(recv_counts)))
-        self._unpack_procs = np.flatnonzero(recv_counts)
-        # flat-ghost-backing resolution: slot s of requester p lives at
-        # ghost backing position ghost_off[p] + s (GhostBuffers layout)
-        self._ghost_off = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(ghost_sz, out=self._ghost_off[1:])
-        self._unpack_pos = (
-            self._ghost_off[flat_p[recv_order]] + self._unpack_dst
-        )
+        self._unpack_src = np.empty(E, dtype=np.int64)
+        self._unpack_src[wire_perm] = np.arange(E, dtype=np.int64)
         # reverse path, wire order: every wire position is fed by exactly
         # one ghost backing position, so packing ghosts is one gather
-        self._ghost_pos_wire = np.empty(self._unpack_src.size, dtype=np.int64)
-        self._ghost_pos_wire[self._unpack_src] = self._unpack_pos
+        self._ghost_pos_wire = self._unpack_pos[wire_perm]
 
-        # per-processor pack/unpack memory charges (pair-order accumulation,
-        # matching the historical per-pair loop bit for bit)
-        per_pair_mem = self.costs.pack_unpack_mem * self._pair_len
+        # per-processor pack/unpack memory charges, accumulated in pair
+        # order like a loop over pairs would
+        per_pair_mem = costs.pack_unpack_mem * self._pair_len
         self._pack_mem = np.zeros(n)
         self._unpack_mem = np.zeros(n)
         np.add.at(self._pack_mem, self._pair_q, per_pair_mem)
         np.add.at(self._unpack_mem, self._pair_p, per_pair_mem)
-        self._n_elements = int(self._pair_len.sum())
 
     # ------------------------------------------------------------------
     # introspection
@@ -662,15 +535,13 @@ class CommSchedule:
         if arr.machine is not self.machine:
             raise ValueError("schedule and array live on different machines")
 
-    def _resolve_ghosts(self, ghosts) -> np.ndarray | None:
-        """Resolve ghost storage to its flat CSR backing, if it has one.
+    def _resolve_ghosts(self, ghosts) -> np.ndarray:
+        """The flat CSR backing of ``ghosts``, checked against this layout.
 
         Accepts a :class:`~repro.chaos.buffers.GhostBuffers`-style object
-        (``backing`` + ``offsets`` attributes), a flat 1-D array laid out
-        like one (``ghost_offset[p] + slot``), or the legacy per-processor
-        list of arrays.  Returns the flat backing for the first two forms
-        and ``None`` for the list form (callers fall back to the per-proc
-        compat loop).
+        (``backing`` + ``offsets`` attributes) or a flat 1-D array laid
+        out like one (``ghost_offset[p] + slot``); anything else is a
+        ``TypeError``.
         """
         backing = getattr(ghosts, "backing", None)
         if backing is not None:
@@ -681,27 +552,17 @@ class CommSchedule:
                     f"offsets {offsets!r} != {self._ghost_off!r}"
                 )
             return backing
-        if isinstance(ghosts, np.ndarray):
-            if ghosts.ndim != 1 or ghosts.size != self._ghost_off[-1]:
-                raise ValueError(
-                    f"flat ghost array has shape {ghosts.shape}, schedule "
-                    f"needs ({int(self._ghost_off[-1])},)"
-                )
-            return ghosts
-        self._check_ghost_list(ghosts)
-        return None
-
-    def _check_ghost_list(self, ghosts: list[np.ndarray]) -> None:
-        if len(ghosts) != self.n_procs:
-            raise ValueError(
-                f"expected {self.n_procs} ghost buffers, got {len(ghosts)}"
+        if not isinstance(ghosts, np.ndarray):
+            raise TypeError(
+                "ghosts must be a GhostBuffers or a flat 1-D array, got "
+                f"{type(ghosts).__name__}"
             )
-        for p, buf in enumerate(ghosts):
-            if buf.shape != (self.ghost_sizes[p],):
-                raise ValueError(
-                    f"ghost buffer for processor {p} has shape {buf.shape}, "
-                    f"schedule needs ({self.ghost_sizes[p]},)"
-                )
+        if ghosts.ndim != 1 or ghosts.size != self._ghost_off[-1]:
+            raise ValueError(
+                f"flat ghost array has shape {ghosts.shape}, schedule "
+                f"needs ({int(self._ghost_off[-1])},)"
+            )
+        return ghosts
 
     # ------------------------------------------------------------------
     # flat data movement (shared with merged-communication paths)
@@ -730,39 +591,19 @@ class CommSchedule:
             # charged message volume below is untouched either way
             wire, keep = faults.on_gather_wire(wire)
         backing = self._resolve_ghosts(ghosts)
-        if backing is not None:
-            # one store over the flat ghost backing unpacks every
-            # requester at once; element order is flat (pair) order, so
-            # duplicate-slot last-writer semantics match the old loop
-            if keep is None:
-                backing[self._unpack_pos] = wire[self._unpack_src]
-            else:
-                sel = keep[self._unpack_src]
-                backing[self._unpack_pos[sel]] = wire[self._unpack_src[sel]]
-            return
-        off = self._unpack_offsets
-        for p in self._unpack_procs:
-            seg = slice(off[p], off[p + 1])
-            src = self._unpack_src[seg]
-            dst = self._unpack_dst[seg]
-            if keep is not None:
-                m = keep[src]
-                src, dst = src[m], dst[m]
-            ghosts[p][dst] = wire[src]
+        # one store over the flat ghost backing unpacks every requester
+        # at once; element order is flat (pair) order, so a duplicated
+        # slot keeps its last pair's value
+        if keep is None:
+            backing[self._unpack_pos] = wire[self._unpack_src]
+        else:
+            sel = keep[self._unpack_src]
+            backing[self._unpack_pos[sel]] = wire[self._unpack_src[sel]]
 
     def _gather_from_ghosts(self, ghosts, dtype) -> np.ndarray:
         """Pack ghost contributions onto the wire (reverse direction)."""
         backing = self._resolve_ghosts(ghosts)
-        if backing is not None:
-            # every wire position is fed by exactly one ghost backing
-            # position: packing all requesters is one gather
-            return backing[self._ghost_pos_wire].astype(dtype, copy=False)
-        wire = np.empty(self._n_elements, dtype=dtype)
-        off = self._unpack_offsets
-        for p in self._unpack_procs:
-            seg = slice(off[p], off[p + 1])
-            wire[self._unpack_src[seg]] = ghosts[p][self._unpack_dst[seg]]
-        return wire
+        return backing[self._ghost_pos_wire].astype(dtype, copy=False)
 
     def _move_reverse(
         self,
@@ -774,7 +615,7 @@ class CommSchedule:
         wire = self._gather_from_ghosts(ghosts, arr.dtype)
         # one store/combine over the flat backing: positions are grouped
         # by owner ascending (pack order), so duplicate-slot and
-        # accumulation order match the historical per-owner loop
+        # accumulation order match a loop over owners
         pos = self._pack_positions(arr)
         data = arr.backing_mut()
         if op is None:
@@ -791,12 +632,12 @@ class CommSchedule:
     def gather(self, arr: DistArray, ghosts) -> None:
         """Prefetch off-processor data into ghost buffers (one phase).
 
-        For every pair ``(q, p)``: owner ``q`` packs
-        ``arr.local(q)[send_lists]`` and requester ``p`` stores the wire
-        data at ``ghosts[p][recv_slots]``.  ``ghosts`` is a
-        ``GhostBuffers``, an equivalently laid-out flat array, or a
-        per-processor list of buffers.  Charges packing/unpacking memory
-        traffic and the message exchange.
+        For every pair ``(q, p)``: owner ``q`` packs the pair's send
+        offsets out of ``arr.local(q)`` and requester ``p`` stores the
+        wire data at the pair's slots of its ghost buffer.  ``ghosts``
+        is a ``GhostBuffers`` or an equivalently laid-out flat array.
+        Charges packing/unpacking memory traffic and the message
+        exchange.
         """
         self._check_array(arr)
         m = self.machine

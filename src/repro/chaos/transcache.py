@@ -22,8 +22,13 @@ Layout
 The cache is a flat dict of **slots**.  A slot names the *structural*
 identity of one cached product and holds at most one entry::
 
-    ("localize", loop, (index, ...), ttable kind, costs, P)  -> (version, LocalizeEntry)
+    ("localize", loop, (index, ...), ttable kind, costs, P)  -> (version, LocalizeResult)
     ("partition", loop, n, P, method, ((array, index), ...)) -> (version, PartitionEntry)
+
+A localize slot holds the cold run's
+:class:`~repro.chaos.localize.LocalizeResult` itself -- its flat arrays
+frozen, the run's :class:`ChargeLog` attached as ``charges`` -- and a hit
+is that result with ``schedule`` replaced by ``schedule.twin()``.
 
 The **version** is the volatile part of the key, built from the
 :mod:`repro.core.cachekey` vocabulary: distribution signatures (remaps
@@ -91,7 +96,6 @@ import numpy as np
 __all__ = [
     "ChargeLog",
     "KeyTranslationMemo",
-    "LocalizeEntry",
     "PartitionEntry",
     "TranslationCache",
 ]
@@ -145,48 +149,6 @@ class ChargeLog:
         """Re-issue the recorded charging sequence against ``machine``."""
         for name, args, kw in self.calls:
             getattr(machine, name)(*args, **kw)
-
-
-class LocalizeEntry:
-    """One cached localize product: frozen flat arrays + charge tape.
-
-    ``schedule`` is the cold run's :class:`CommSchedule`; hits hand out
-    ``schedule.twin()`` so every product has its own schedule identity
-    over the same immutable flat arrays.  ``derived`` holds the
-    host-derived per-pattern holders (module docstring, "Derived
-    holders"); every result served from this entry shares it.
-    """
-
-    __slots__ = (
-        "charges",
-        "schedule",
-        "local_sizes",
-        "refs_flat",
-        "ref_bounds",
-        "ghost_flat",
-        "ghost_bounds",
-        "derived",
-    )
-
-    def __init__(
-        self,
-        charges: ChargeLog,
-        schedule,
-        local_sizes: list[int],
-        refs_flat: np.ndarray,
-        ref_bounds: np.ndarray,
-        ghost_flat: np.ndarray,
-        ghost_bounds: np.ndarray,
-        derived: dict,
-    ):
-        self.charges = charges
-        self.schedule = schedule
-        self.local_sizes = local_sizes
-        self.refs_flat = _freeze(refs_flat)
-        self.ref_bounds = _freeze(ref_bounds)
-        self.ghost_flat = _freeze(ghost_flat)
-        self.ghost_bounds = _freeze(ghost_bounds)
-        self.derived = derived
 
 
 class PartitionEntry:

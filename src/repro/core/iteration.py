@@ -52,39 +52,27 @@ _DIRECT_OWNER_CACHE: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 class IterationPartition:
     """Assignment of loop iterations to processors.
 
-    ``iters`` is the per-processor list view; when built by
-    :func:`partition_iterations` the canonical storage is flat
-    (``flat`` + ``bounds``, CSR like ``FlatRefs``) and ``iters[p]`` is a
-    zero-copy slice ``flat[bounds[p]:bounds[p+1]]``.
+    Storage is flat (CSR like ``FlatRefs``): processor ``p`` executes
+    iterations ``flat[bounds[p]:bounds[p+1]]``, ascending.
     """
 
     n_iterations: int
-    iters: list[np.ndarray]
     method: str
-    flat: np.ndarray | None = field(default=None, repr=False)
-    bounds: np.ndarray | None = field(default=None, repr=False)
+    flat: np.ndarray = field(repr=False)
+    bounds: np.ndarray = field(repr=False)
 
     def counts(self) -> list[int]:
-        return [len(it) for it in self.iters]
+        return np.diff(self.bounds).tolist()
 
     def iters_flat(self) -> tuple[np.ndarray, np.ndarray]:
-        """Flat CSR form ``(values, bounds)`` of ``iters`` (cached)."""
-        if self.flat is None:
-            self.bounds = np.zeros(len(self.iters) + 1, dtype=np.int64)
-            np.cumsum([it.size for it in self.iters], out=self.bounds[1:])
-            self.flat = (
-                np.concatenate(self.iters)
-                if self.iters and self.bounds[-1]
-                else np.empty(0, dtype=np.int64)
-            )
+        """The CSR form ``(values, bounds)``."""
         return self.flat, self.bounds
 
     def owner_of(self) -> np.ndarray:
         """Dense iteration -> processor map (one scatter, for tests)."""
         out = np.empty(self.n_iterations, dtype=np.int64)
-        flat, bounds = self.iters_flat()
-        out[flat] = np.repeat(
-            np.arange(len(self.iters), dtype=np.int64), np.diff(bounds)
+        out[self.flat] = np.repeat(
+            np.arange(self.bounds.size - 1, dtype=np.int64), np.diff(self.bounds)
         )
         return out
 
@@ -198,8 +186,7 @@ def partition_from_home(
     counts = np.bincount(home, minlength=n_procs)
     bounds = np.zeros(n_procs + 1, dtype=np.int64)
     np.cumsum(counts, out=bounds[1:])
-    iters = [order[bounds[p] : bounds[p + 1]] for p in range(n_procs)]
-    return IterationPartition(n, iters, method, flat=order, bounds=bounds)
+    return IterationPartition(n, method, flat=order, bounds=bounds)
 
 
 def partition_cache_key(
@@ -256,10 +243,8 @@ def partition_iterations(
     n_procs = machine.n_procs
     refs = method_refs(loop, method)
     if n == 0:
-        empty = [np.empty(0, dtype=np.int64) for _ in range(n_procs)]
         return IterationPartition(
             0,
-            empty,
             method,
             flat=np.empty(0, dtype=np.int64),
             bounds=np.zeros(n_procs + 1, dtype=np.int64),
@@ -270,12 +255,8 @@ def partition_iterations(
         entry = cache.get(*cache_key)
         if entry is not None:
             entry.charges.replay(machine)
-            iters = [
-                entry.flat[entry.bounds[p] : entry.bounds[p + 1]]
-                for p in range(n_procs)
-            ]
             return IterationPartition(
-                n, iters, method, flat=entry.flat, bounds=entry.bounds
+                n, method, flat=entry.flat, bounds=entry.bounds
             )
 
     # cached per-reference owner rows feed the vote directly: no stacked
@@ -306,6 +287,7 @@ def partition_iterations(
     )
     sink.barrier()
     if cache is not None:
-        flat, bounds = part.iters_flat()
-        cache.put(cache_key[0], cache_key[1], PartitionEntry(sink, flat, bounds))
+        cache.put(
+            cache_key[0], cache_key[1], PartitionEntry(sink, part.flat, part.bounds)
+        )
     return part

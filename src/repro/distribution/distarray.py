@@ -15,7 +15,7 @@ Versioning contract
 -------------------
 ``version`` is a monotonically increasing content counter.  Every
 mutating API bumps it: ``from_global``/``set_global``, ``global_set``,
-``rebind``/``rebind_flat``, the runtime's direct backing writes
+``rebind_flat``, the runtime's direct backing writes
 (schedule scatter, remap apply, executor merge), and — via a write
 barrier on the view class — indexed assignment, in-place operators and
 ``ufunc``/``ufunc.at`` writes through views obtained from ``local(p)``.
@@ -262,40 +262,14 @@ class DistArray:
         self._bump()
 
     # -- rebinding (used by CHAOS remap) ---------------------------------------
-    def rebind(self, distribution: Distribution, new_locals: list[np.ndarray]) -> None:
-        """Replace distribution and local segments after a remap.
-
-        Callers (``repro.chaos.remap``) are responsible for having moved
-        the data and charged the machine; this only swaps the bindings,
-        validating shapes.  ``new_locals`` is the per-processor list
-        form; the flat path uses :meth:`rebind_flat`.
-        """
-        if distribution.size != self.size:
-            raise ValueError(
-                f"remap changed array size: {self.size} -> {distribution.size}"
-            )
-        if distribution.n_procs != self.machine.n_procs:
-            raise ValueError("remap distribution spans a different machine size")
-        if len(new_locals) != self.machine.n_procs:
-            raise ValueError(
-                f"expected {self.machine.n_procs} local segments, got {len(new_locals)}"
-            )
-        sizes = distribution.local_sizes()
-        for p, seg in enumerate(new_locals):
-            if seg.shape != (int(sizes[p]),):
-                raise ValueError(
-                    f"segment for processor {p} has shape {seg.shape}, "
-                    f"expected ({int(sizes[p])},)"
-                )
-        self.rebind_flat(
-            distribution,
-            np.concatenate([np.asarray(seg) for seg in new_locals])
-            if new_locals
-            else np.empty(0, dtype=self.dtype),
-        )
-
     def rebind_flat(self, distribution: Distribution, flat: np.ndarray) -> None:
-        """Flat-form rebind: ``flat`` is the new backing in segmented order."""
+        """Replace distribution and backing after a remap.
+
+        ``flat`` is the new backing in segmented order.  Callers
+        (``repro.chaos.remap``) are responsible for having moved the
+        data and charged the machine; this only swaps the bindings,
+        validating shapes.
+        """
         if distribution.size != self.size:
             raise ValueError(
                 f"remap changed array size: {self.size} -> {distribution.size}"

@@ -104,19 +104,14 @@ def _counters_payload(block: CounterBlock) -> dict:
 
 
 def _machine_payload(machine: Machine) -> dict:
-    phases = []
-    for rec in machine.stats.phases:
-        if rec.arrays is not None:
-            counters = _counters_payload(rec.arrays)
-        else:  # legacy per-proc record: re-pack into arrays form
-            block = CounterBlock(machine.n_procs)
-            for p, s in enumerate(rec.per_proc):
-                for name in COUNTER_FIELDS:
-                    getattr(block, name)[p] = getattr(s, name)
-            counters = _counters_payload(block)
-        phases.append(
-            {"name": rec.name, "elapsed": rec.elapsed, "counters": counters}
-        )
+    phases = [
+        {
+            "name": rec.name,
+            "elapsed": rec.elapsed,
+            "counters": _counters_payload(rec.arrays),
+        }
+        for rec in machine.stats.phases
+    ]
     return {"counters": _counters_payload(machine.counters), "phases": phases}
 
 
@@ -400,7 +395,7 @@ def _restore_products(program, payload: dict, loops: dict) -> dict:
     """Rebuild records/schedules/ghosts; returns the record dict."""
     machine = program.machine
     sched_by_id = {
-        sid: CommSchedule.from_flat(
+        sid: CommSchedule(
             machine,
             s["dist_signature"],
             s["pair_q"],
@@ -439,16 +434,11 @@ def _restore_products(program, payload: dict, loops: dict) -> dict:
                 "not serialized)"
             )
         part_p = prod["partition"]
-        flat = part_p["flat"]
-        bounds = part_p["bounds"]
         part = IterationPartition(
             n_iterations=part_p["n_iterations"],
-            iters=[
-                flat[bounds[p] : bounds[p + 1]] for p in range(bounds.size - 1)
-            ],
             method=part_p["method"],
-            flat=flat,
-            bounds=bounds,
+            flat=part_p["flat"],
+            bounds=part_p["bounds"],
         )
         patterns = {}
         for key, pat in prod["patterns"]:

@@ -273,10 +273,16 @@ class FaultPlan:
         start = int(np.concatenate(([0], np.cumsum(plen)))[cand[0]])
         recv = sched._flat_recv.copy()
         recv[start], recv[start + 1] = recv[start + 1], recv[start]
-        sched._send_dict = None
-        sched._recv_dict = None
-        sched._init_flat(
-            sched._pair_q, sched._pair_p, sched._pair_len, sched._flat_send, recv
+        sched.__init__(
+            sched.machine,
+            sched.dist_signature,
+            sched._pair_q,
+            sched._pair_p,
+            sched._pair_len,
+            sched._flat_send,
+            recv,
+            sched.ghost_sizes,
+            costs=sched.costs,
         )
         return True
 

@@ -95,17 +95,17 @@ def allgather_cost(machine: Machine, nbytes_per_proc: int) -> float:
     return dt
 
 
-def alltoallv_cost(machine: Machine, bytes_matrix: Sequence[Sequence[int]]) -> float:
-    """Irregular all-to-all: ``bytes_matrix[src][dst]`` bytes per pair.
+def alltoallv_cost(machine: Machine, traffic: Sequence[Sequence[int]]) -> float:
+    """Irregular all-to-all: ``traffic[src][dst]`` bytes per pair.
 
     Convenience wrapper over :meth:`Machine.exchange` that also
     synchronizes and returns the phase's wall-time contribution.
     """
     n = machine.n_procs
-    if len(bytes_matrix) != n or any(len(row) != n for row in bytes_matrix):
-        raise ValueError(f"bytes_matrix must be {n}x{n}")
+    if len(traffic) != n or any(len(row) != n for row in traffic):
+        raise ValueError(f"traffic matrix must be {n}x{n}")
     start = machine.elapsed()
-    matrix = np.asarray(bytes_matrix, dtype=np.int64)
+    matrix = np.asarray(traffic, dtype=np.int64)
     src, dst = np.nonzero(matrix)
     machine.exchange(src=src, dst=dst, nbytes=matrix[src, dst])
     machine.barrier()

@@ -18,7 +18,7 @@ pure bincount/add.at/ufunc updates with no Python loop over processors;
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -172,42 +172,25 @@ class Machine:
 
     def exchange(
         self,
-        bytes_matrix: Mapping[tuple[int, int], int] | None = None,
         *,
-        src: np.ndarray | Sequence[int] | None = None,
-        dst: np.ndarray | Sequence[int] | None = None,
-        nbytes: np.ndarray | Sequence[int] | None = None,
+        src: np.ndarray | Sequence[int],
+        dst: np.ndarray | Sequence[int],
+        nbytes: np.ndarray | Sequence[int],
     ) -> None:
         """Model an all-to-all-ish exchange phase.
 
-        Traffic is given either as ``bytes_matrix`` mapping ``(src, dst)``
-        to message sizes in bytes, or as parallel ``src``/``dst``/``nbytes``
-        arrays (the vectorized form the CHAOS hot paths use -- no Python
-        loop over message pairs).  Each processor's clock advances by the
-        sum of the costs of the messages it sends plus those it receives
-        (sequential injection, which is how the single-port iPSC/860
-        behaved); zero-byte entries are skipped entirely -- CHAOS
-        schedules never post empty messages.  Per-processor time and
-        counter updates accumulate in pair order, so both input forms
-        produce bit-identical clocks for the same pair sequence.
+        Traffic is given as parallel ``src``/``dst``/``nbytes`` arrays,
+        one entry per message -- no Python loop over message pairs.
+        Each processor's clock advances by the sum of the costs of the
+        messages it sends plus those it receives (sequential injection,
+        which is how the single-port iPSC/860 behaved); zero-byte
+        entries are skipped entirely -- CHAOS schedules never post empty
+        messages.  Per-processor time and counter updates accumulate in
+        pair order.
         """
-        if bytes_matrix is not None:
-            if src is not None or dst is not None or nbytes is not None:
-                raise ValueError("pass either bytes_matrix or src/dst/nbytes arrays")
-            count = len(bytes_matrix)
-            src = np.empty(count, dtype=np.int64)
-            dst = np.empty(count, dtype=np.int64)
-            nbytes = np.empty(count, dtype=np.int64)
-            for i, ((s, d), nb) in enumerate(bytes_matrix.items()):
-                src[i] = s
-                dst[i] = d
-                nbytes[i] = nb
-        elif src is None or dst is None or nbytes is None:
-            raise ValueError("need all of src, dst, and nbytes")
-        else:
-            src = np.asarray(src, dtype=np.int64)
-            dst = np.asarray(dst, dtype=np.int64)
-            nbytes = np.asarray(nbytes, dtype=np.int64)
+        src = np.asarray(src, dtype=np.int64)
+        dst = np.asarray(dst, dtype=np.int64)
+        nbytes = np.asarray(nbytes, dtype=np.int64)
         if not (src.shape == dst.shape == nbytes.shape):
             raise ValueError("src, dst, and nbytes must have matching shapes")
         if src.size == 0:

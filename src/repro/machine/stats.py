@@ -180,27 +180,18 @@ class PhaseRecord:
     advance over all processors between phase start and end (the loosely
     synchronous convention -- everyone waits for the slowest).
 
-    Constructed either from an explicit ``per_proc`` list (tests, legacy
-    callers) or from an ``arrays`` CounterBlock of per-phase deltas; with
-    arrays, the ProcessorStats list materializes lazily on first access
-    and the aggregates are vectorized sums.
+    ``arrays`` is the :class:`CounterBlock` of per-phase deltas, the
+    only storage: the aggregates are vectorized sums over it and
+    ``per_proc`` is a read-only list of :class:`ProcessorStats`
+    snapshots materialized on first access.
     """
 
     __slots__ = ("name", "elapsed", "_per_proc", "arrays")
 
-    def __init__(
-        self,
-        name: str,
-        elapsed: float,
-        per_proc: list[ProcessorStats] | None = None,
-        *,
-        arrays: CounterBlock | None = None,
-    ):
-        if (per_proc is None) == (arrays is None):
-            raise ValueError("pass exactly one of per_proc or arrays")
+    def __init__(self, name: str, elapsed: float, arrays: CounterBlock):
         self.name = name
         self.elapsed = elapsed
-        self._per_proc = per_proc
+        self._per_proc: list[ProcessorStats] | None = None
         self.arrays = arrays
 
     @property
@@ -211,27 +202,19 @@ class PhaseRecord:
 
     @property
     def total_messages(self) -> int:
-        if self.arrays is not None:
-            return int(self.arrays.messages_sent.sum())
-        return sum(s.messages_sent for s in self.per_proc)
+        return int(self.arrays.messages_sent.sum())
 
     @property
     def total_bytes(self) -> int:
-        if self.arrays is not None:
-            return int(self.arrays.bytes_sent.sum())
-        return sum(s.bytes_sent for s in self.per_proc)
+        return int(self.arrays.bytes_sent.sum())
 
     @property
     def total_flops(self) -> float:
-        if self.arrays is not None:
-            return float(self.arrays.flops.sum())
-        return sum(s.flops for s in self.per_proc)
+        return float(self.arrays.flops.sum())
 
     @property
     def max_clock(self) -> float:
-        if self.arrays is not None:
-            return float(self.arrays.clock.max()) if self.arrays.n_procs else 0.0
-        return max((s.clock for s in self.per_proc), default=0.0)
+        return float(self.arrays.clock.max()) if self.arrays.n_procs else 0.0
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"PhaseRecord(name={self.name!r}, elapsed={self.elapsed!r})"

@@ -75,26 +75,13 @@ class MessageTrace:
             )
             return result
 
-        def exchange(bytes_matrix=None, *, src=None, dst=None, nbytes=None):
-            array_args = (src, dst, nbytes)
-            if bytes_matrix is not None and all(a is None for a in array_args):
-                count = len(bytes_matrix)
-                s = np.empty(count, dtype=np.int64)
-                d = np.empty(count, dtype=np.int64)
-                nb = np.empty(count, dtype=np.int64)
-                for i, ((a, b), v) in enumerate(bytes_matrix.items()):
-                    s[i], d[i], nb[i] = a, b, v
-                self._record(s, d, nb)
-                return self._orig_exchange(bytes_matrix)
-            if bytes_matrix is None and all(a is not None for a in array_args):
-                self._record(
-                    np.asarray(src, dtype=np.int64),
-                    np.asarray(dst, dtype=np.int64),
-                    np.asarray(nbytes, dtype=np.int64),
-                )
-                return self._orig_exchange(src=src, dst=dst, nbytes=nbytes)
-            # invalid combination: record nothing, let the machine raise
-            return self._orig_exchange(bytes_matrix, src=src, dst=dst, nbytes=nbytes)
+        def exchange(*, src, dst, nbytes):
+            self._record(
+                np.asarray(src, dtype=np.int64),
+                np.asarray(dst, dtype=np.int64),
+                np.asarray(nbytes, dtype=np.int64),
+            )
+            return self._orig_exchange(src=src, dst=dst, nbytes=nbytes)
 
         self.machine.send = send
         self.machine.exchange = exchange

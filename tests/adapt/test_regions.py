@@ -155,7 +155,7 @@ class TestRegistryEdges:
         old_dad = DAD.of(arr)
         reg.record_block_write([old_dad])  # nmod 1
         new = IrregularDistribution([0, 1, 2, 3] * 2, 4)
-        arr.rebind(new, [np.zeros(new.local_size(p)) for p in range(4)])
+        arr.rebind_flat(new, np.zeros(new.size))
         new_dad = DAD.of(arr)
         reg.record_remap(new_dad)  # nmod 2
         reg.record_block_write([new_dad])  # nmod 3

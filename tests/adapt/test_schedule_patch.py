@@ -30,10 +30,8 @@ class TestEntriesRoundTrip:
         q, p, send, recv = sched.entries()
         # per-element order keys = ghost global indices, aligned with
         # entries -- the wire order a fresh localize produces
-        key_of = np.empty(q.size, dtype=np.int64)
-        for pp in range(4):
-            sel = p == pp
-            key_of[sel] = loc.ghost_globals[pp][recv[sel]]
+        # slot s of requester pp holds ghost_flat[ghost_bounds[pp] + s]
+        key_of = loc.ghost_flat[loc.ghost_bounds[p] + recv]
         rebuilt = CommSchedule.from_entries(
             m, sched.dist_signature, q, p, send, recv,
             sched.ghost_sizes, order_key=key_of,
@@ -58,10 +56,8 @@ class TestPatched:
         loc, _ = make_localized(m)
         sched = loc.schedule
         q, p, send, recv = sched.entries()
-        key_of = np.empty(q.size, dtype=np.int64)
-        for pp in range(4):
-            sel = p == pp
-            key_of[sel] = loc.ghost_globals[pp][recv[sel]]
+        # slot s of requester pp holds ghost_flat[ghost_bounds[pp] + s]
+        key_of = loc.ghost_flat[loc.ghost_bounds[p] + recv]
         same = sched.patched(
             np.ones(q.size, dtype=bool),
             add_q=np.empty(0, dtype=np.int64),

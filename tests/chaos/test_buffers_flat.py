@@ -1,16 +1,16 @@
 """Flat-GhostBuffers equivalence: one backing array vs the seed per-proc lists.
 
-``GhostBuffers`` historically held one NumPy array per processor and the
-schedule unpacked with a loop over receiving processors; both are now one
-flat CSR backing with single fancy-index applications.  These tests keep
-the seed semantics as a naive reference (per-processor zero arrays, a
-per-processor charge loop, and the per-proc list application path, which
-``CommSchedule`` still accepts) and check over randomized schedules that
+``GhostBuffers`` is one flat CSR backing and the schedule applies to it
+with single fancy-indexes.  These tests keep the seed semantics as a
+naive reference (per-processor zero arrays, a per-processor charge loop,
+and the per-pair loop over per-processor buffer lists from
+``tests/chaos/pairs.py``, fed from the test's own pair dicts) and check
+over randomized schedules that
 
 * allocation produces the same buffers and bit-identical machine charges,
 * gather / scatter / scatter_op through the flat backing match the
-  per-proc-list path in contents, clocks and counters (including the
-  order-sensitive duplicate-slot cases), and
+  per-proc-list reference in contents, clocks and counters (including
+  the order-sensitive duplicate-slot cases), and
 * the localize dedup kernel (`sorted_unique_inverse`) honors the
   ``np.unique(..., return_inverse=True)`` contract exactly, so ghost
   slot order is unchanged from the seed.
@@ -21,10 +21,10 @@ import pytest
 
 from repro.chaos import GhostBuffers, build_translation_table, localize
 from repro.chaos.costs import DEFAULT_COSTS
-from repro.chaos.localize import sorted_unique_inverse
-from repro.chaos.schedule import CommSchedule
+from repro.chaos.localize import FlatRefs, sorted_unique_inverse
 from repro.distribution import BlockDistribution, DistArray, IrregularDistribution
 from repro.machine import Machine
+from tests.chaos.pairs import naive_gather, naive_reverse, schedule_from_pairs
 
 
 # ----------------------------------------------------------------------
@@ -48,8 +48,8 @@ class NaiveGhostBuffers:
             b.fill(value)
 
 
-def random_schedule(rng, machine, arr, max_ghost=10):
-    """Random schedule against ``arr`` (duplicate slots allowed)."""
+def random_pairs(rng, machine, arr, max_ghost=10):
+    """Random pair dicts + ghost sizes against ``arr`` (duplicate slots allowed)."""
     n = machine.n_procs
     min_local = min(arr.distribution.local_size(p) for p in range(n))
     ghost_sizes = [int(rng.integers(0, max_ghost + 1)) for _ in range(n)]
@@ -61,8 +61,13 @@ def random_schedule(rng, machine, arr, max_ghost=10):
             count = 0 if ghost_sizes[p] == 0 else int(rng.integers(0, 2 * ghost_sizes[p]))
             send[(q, p)] = rng.integers(0, max(min_local, 1), size=count)
             recv[(q, p)] = rng.integers(0, max(ghost_sizes[p], 1), size=count)
-    return CommSchedule(
-        machine, arr.distribution.signature(), send, recv, ghost_sizes
+    return send, recv, ghost_sizes
+
+
+def random_schedule(rng, machine, arr, max_ghost=10):
+    """Random schedule against ``arr`` (duplicate slots allowed)."""
+    return schedule_from_pairs(
+        machine, arr.distribution.signature(), *random_pairs(rng, machine, arr, max_ghost)
     )
 
 
@@ -128,7 +133,7 @@ def test_buf_views_are_live_and_fill_is_flat():
     if gb.buf(0).size:
         gb.buf(0)[:] = 7.5
         assert np.all(gb.backing[: gb.offsets[1]] == 7.5)
-    gb.buffers[-1][:] = -2.0
+    gb.buf(m.n_procs - 1)[:] = -2.0
     np.testing.assert_array_equal(gb.buf(m.n_procs - 1), gb.backing[gb.offsets[-2] :])
     gb.fill(3.0)
     assert np.all(gb.backing == 3.0)
@@ -148,22 +153,23 @@ def test_charge_flag_skips_charging():
 
 
 # ----------------------------------------------------------------------
-# gather / scatter / scatter_op: flat backing vs per-proc list path
+# gather / scatter / scatter_op: flat backing vs per-proc list reference
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("n_procs,size,seed", CASES)
 def test_gather_flat_matches_list_path(n_procs, size, seed):
     rng = np.random.default_rng(seed + 50)
     m_flat, arr_flat = make_world(n_procs, size, seed)
     m_ref, arr_ref = make_world(n_procs, size, seed)
-    sched_flat = random_schedule(rng, m_flat, arr_flat)
-    rng = np.random.default_rng(seed + 50)
-    sched_ref = random_schedule(rng, m_ref, arr_ref)
+    send, recv, gsizes = random_pairs(rng, m_flat, arr_flat)
+    sched_flat = schedule_from_pairs(
+        m_flat, arr_flat.distribution.signature(), send, recv, gsizes
+    )
 
     gb = GhostBuffers(m_flat, sched_flat, charge=False)
-    ref_bufs = [np.zeros(s) for s in sched_ref.ghost_sizes]
+    ref_bufs = [np.zeros(s) for s in gsizes]
 
     sched_flat.gather(arr_flat, gb)
-    sched_ref.gather(arr_ref, ref_bufs)
+    naive_gather(m_ref, send, recv, arr_ref, ref_bufs)
 
     for p in range(n_procs):
         np.testing.assert_array_equal(gb.buf(p), ref_bufs[p])
@@ -177,9 +183,10 @@ def test_reverse_flat_matches_list_path(n_procs, size, seed, opname):
     rng = np.random.default_rng(seed + 90)
     m_flat, arr_flat = make_world(n_procs, size, seed)
     m_ref, arr_ref = make_world(n_procs, size, seed)
-    sched_flat = random_schedule(rng, m_flat, arr_flat)
-    rng = np.random.default_rng(seed + 90)
-    sched_ref = random_schedule(rng, m_ref, arr_ref)
+    send, recv, gsizes = random_pairs(rng, m_flat, arr_flat)
+    sched_flat = schedule_from_pairs(
+        m_flat, arr_flat.distribution.signature(), send, recv, gsizes
+    )
 
     gb = GhostBuffers(m_flat, sched_flat, charge=False)
     contrib = np.random.default_rng(seed).normal(size=gb.total_elements())
@@ -193,10 +200,9 @@ def test_reverse_flat_matches_list_path(n_procs, size, seed, opname):
     ]
     if op is None:
         sched_flat.scatter(gb, arr_flat)
-        sched_ref.scatter(ref_bufs, arr_ref)
     else:
         sched_flat.scatter_op(gb, arr_flat, op)
-        sched_ref.scatter_op(ref_bufs, arr_ref, op)
+    naive_reverse(m_ref, send, recv, ref_bufs, arr_ref, op)
 
     np.testing.assert_array_equal(arr_flat.to_global(), arr_ref.to_global())
     assert clocks(m_flat) == clocks(m_ref)
@@ -229,14 +235,14 @@ def test_wrong_flat_size_raises():
 
 def test_foreign_ghostbuffers_layout_raises():
     m, arr = make_world(2, 8, 4)
-    sched = CommSchedule(
+    sched = schedule_from_pairs(
         m,
         arr.distribution.signature(),
         {(0, 1): np.array([0, 1])},
         {(0, 1): np.array([0, 1])},
         [0, 2],
     )
-    other = CommSchedule(
+    other = schedule_from_pairs(
         m,
         arr.distribution.signature(),
         {(1, 0): np.array([0])},
@@ -286,14 +292,16 @@ def test_localize_ghost_order_matches_np_unique(seed):
     ]
     res = localize(m, tt, [np.asarray(r, dtype=np.int64) for r in refs])
     owners = np.asarray(dist.owner(np.arange(size)))
+    ghost_globals = FlatRefs(res.ghost_flat, res.ghost_bounds)
+    local_refs = FlatRefs(res.refs_flat, res.ref_bounds)
     for p in range(n_procs):
         off = np.asarray(refs[p])[owners[np.asarray(refs[p], dtype=np.int64)] != p]
-        np.testing.assert_array_equal(res.ghost_globals[p], np.unique(off))
+        np.testing.assert_array_equal(ghost_globals.segment(p), np.unique(off))
         # localized indices reproduce the reference stream
         g = np.arange(size, dtype=np.float64) * 3
         combined = np.concatenate(
-            [g[dist.local_indices(p)], g[res.ghost_globals[p]]]
+            [g[dist.local_indices(p)], g[ghost_globals.segment(p)]]
         )
         np.testing.assert_array_equal(
-            combined[res.local_refs[p]], g[np.asarray(refs[p], dtype=np.int64)]
+            combined[local_refs.segment(p)], g[np.asarray(refs[p], dtype=np.int64)]
         )

@@ -12,6 +12,7 @@ from repro.chaos import (
     scatter_add,
     scatter_op,
 )
+from repro.chaos.flatrefs import FlatRefs
 from repro.distribution import BlockDistribution, DistArray, IrregularDistribution
 from repro.machine import Machine
 
@@ -32,15 +33,23 @@ def make_setup(m, dist, ref_lists, values=None):
     return arr, res, ghosts
 
 
+def local_refs(res, p):
+    return FlatRefs(res.refs_flat, res.ref_bounds).segment(p)
+
+
+def ghost_globals(res, p):
+    return FlatRefs(res.ghost_flat, res.ghost_bounds).segment(p)
+
+
 class TestLocalize:
     def test_on_processor_refs_stay_local(self, m4):
         dist = BlockDistribution(8, 4)
         refs = [dist.local_indices(p) for p in range(4)]  # all owned
         arr, res, ghosts = make_setup(m4, dist, refs)
         assert res.schedule.element_count() == 0
-        assert all(g.size == 0 for g in res.ghost_globals)
+        assert res.ghost_flat.size == 0
         for p in range(4):
-            assert np.all(res.local_refs[p] < res.local_sizes[p])
+            assert np.all(local_refs(res, p) < res.local_sizes[p])
 
     def test_off_processor_refs_get_ghost_slots(self, m4):
         dist = BlockDistribution(8, 4)
@@ -48,21 +57,21 @@ class TestLocalize:
         arr, res, ghosts = make_setup(m4, dist, refs)
         assert res.schedule.element_count() == 4
         for p in range(4):
-            assert res.local_refs[p][0] == res.local_sizes[p]  # first ghost slot
+            assert local_refs(res, p)[0] == res.local_sizes[p]  # first ghost slot
 
     def test_duplicate_refs_deduplicated(self, m4):
         dist = BlockDistribution(8, 4)
         refs = [[7, 7, 7, 7], [], [], []]
         arr, res, ghosts = make_setup(m4, dist, refs)
-        assert res.ghost_globals[0].tolist() == [7]
+        assert ghost_globals(res, 0).tolist() == [7]
         assert res.schedule.element_count() == 1
-        assert np.all(res.local_refs[0] == res.local_sizes[0])
+        assert np.all(local_refs(res, 0) == res.local_sizes[0])
 
     def test_mixed_local_and_ghost(self, m4):
         dist = BlockDistribution(8, 4)
         refs = [[0, 1, 5], [], [], []]
         arr, res, ghosts = make_setup(m4, dist, refs)
-        is_local, is_ghost = res.split(0)
+        is_local = local_refs(res, 0) < res.local_sizes[0]
         assert is_local.tolist() == [True, True, False]
 
     def test_wrong_list_count(self, m4):
@@ -85,7 +94,7 @@ class TestGather:
         gather(res.schedule, arr, ghosts)
         g = arr.to_global()
         for p in range(4):
-            want = g[res.ghost_globals[p]]
+            want = g[ghost_globals(res, p)]
             assert np.array_equal(ghosts.buf(p), want)
 
     def test_executor_view_matches_reference(self, m4):
@@ -98,7 +107,7 @@ class TestGather:
         g = arr.to_global()
         for p in range(4):
             combined = np.concatenate([arr.local(p), ghosts.buf(p)])
-            assert np.array_equal(combined[res.local_refs[p]], g[refs[p]])
+            assert np.array_equal(combined[local_refs(res, p)], g[refs[p]])
 
     def test_gather_charges_messages(self, m4):
         dist = BlockDistribution(8, 4)
@@ -113,15 +122,17 @@ class TestGather:
         # rebind the array to a different distribution
         new = IrregularDistribution([3, 2, 1, 0] * 2, 4)
         vals = arr.to_global()
-        arr.rebind(new, [vals[new.local_indices(p)] for p in range(4)])
+        arr.rebind_flat(
+            new, np.concatenate([vals[new.local_indices(p)] for p in range(4)])
+        )
         with pytest.raises(ValueError, match="stale"):
             gather(res.schedule, arr, ghosts)
 
     def test_wrong_ghost_shape_rejected(self, m4):
         dist = BlockDistribution(8, 4)
         arr, res, _ = make_setup(m4, dist, [[7], [], [], []])
-        bad = [np.zeros(5) for _ in range(4)]
-        with pytest.raises(ValueError, match="ghost buffer"):
+        bad = np.zeros(res.schedule.ghost_total() + 5)
+        with pytest.raises(ValueError, match="flat ghost array"):
             res.schedule.gather(arr, bad)
 
 
@@ -162,7 +173,7 @@ class TestScatter:
         dist = BlockDistribution(8, 4)
         arr, res, ghosts = make_setup(m4, dist, [[3], [], [], []])
         with pytest.raises(TypeError, match="ufunc"):
-            res.schedule.scatter_op(ghosts.buffers, arr, sum)
+            res.schedule.scatter_op(ghosts, arr, sum)
 
     def test_gather_scatter_round_trip_identity(self, m4):
         """scatter(gather(x)) with overwrite semantics leaves x unchanged."""

@@ -40,8 +40,8 @@ class TestGatherMerged:
         m_sep = Machine(4)
         (la, aa, ga), (lb, ab, gb) = setup(m_sep, refs_a, refs_b)
         base = sum(p.stats.messages_sent for p in m_sep.procs)
-        la.schedule.gather(aa, ga.buffers)
-        lb.schedule.gather(ab, gb.buffers)
+        la.schedule.gather(aa, ga)
+        lb.schedule.gather(ab, gb)
         sep_msgs = sum(p.stats.messages_sent for p in m_sep.procs) - base
 
         m_mrg = Machine(4)
@@ -58,8 +58,8 @@ class TestGatherMerged:
         m_sep = Machine(4)
         (la, aa, ga), (lb, ab, gb) = setup(m_sep, refs_a, refs_b)
         t0 = m_sep.elapsed()
-        la.schedule.gather(aa, ga.buffers)
-        lb.schedule.gather(ab, gb.buffers)
+        la.schedule.gather(aa, ga)
+        lb.schedule.gather(ab, gb)
         t_sep = m_sep.elapsed() - t0
 
         m_mrg = Machine(4)
@@ -91,8 +91,8 @@ class TestScatterOpMerged:
         gb.buf(0)[:] = 5.0
         scatter_op_merged(
             [
-                (la.schedule, ga.buffers, aa, np.add),
-                (lb.schedule, gb.buffers, aa, np.add),
+                (la.schedule, ga, aa, np.add),
+                (lb.schedule, gb, aa, np.add),
             ]
         )
         assert aa.to_global()[15] == pytest.approx(7.0)
@@ -101,7 +101,7 @@ class TestScatterOpMerged:
         m = Machine(4)
         (la, aa, ga), _ = setup(m, [[15], [], [], []], [[14], [], [], []])
         with pytest.raises(TypeError, match="ufunc"):
-            scatter_op_merged([(la.schedule, ga.buffers, aa, sum)])
+            scatter_op_merged([(la.schedule, ga, aa, sum)])
 
 
 class TestMergedMessageCount:

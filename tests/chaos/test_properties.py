@@ -4,6 +4,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.chaos import GhostBuffers, build_translation_table, localize
+from repro.chaos.flatrefs import FlatRefs
 from repro.chaos.remap import remap_array
 from repro.distribution import (
     BlockDistribution,
@@ -45,10 +46,11 @@ def test_gather_reproduces_global_reads(case):
     vals = rng.normal(size=dist.size)
     arr = DistArray.from_global(m, dist, vals)
     ghosts = GhostBuffers(m, res.schedule, dtype=arr.dtype)
-    res.schedule.gather(arr, ghosts.buffers)
+    res.schedule.gather(arr, ghosts)
+    local_refs = FlatRefs(res.refs_flat, res.ref_bounds)
     for p in range(n_procs):
         combined = np.concatenate([arr.local(p), ghosts.buf(p)])
-        assert np.array_equal(combined[res.local_refs[p]], vals[refs[p]])
+        assert np.array_equal(combined[local_refs.segment(p)], vals[refs[p]])
 
 
 @given(localize_cases())
@@ -65,13 +67,14 @@ def test_scatter_add_matches_sequential_reduction(case):
 
     # each processor contributes 1.0 per reference, into local part or ghost
     expected = np.zeros(dist.size)
+    local_refs = FlatRefs(res.refs_flat, res.ref_bounds)
     for p in range(n_procs):
         combined = np.zeros(dist.size and (res.local_sizes[p] + ghosts.buf(p).size))
-        np.add.at(combined, res.local_refs[p], 1.0)
+        np.add.at(combined, local_refs.segment(p), 1.0)
         arr.local(p)[:] += combined[: res.local_sizes[p]]
         ghosts.buf(p)[:] = combined[res.local_sizes[p]:]
         np.add.at(expected, refs[p], 1.0)
-    res.schedule.scatter_op(ghosts.buffers, arr, np.add)
+    res.schedule.scatter_op(ghosts, arr, np.add)
     assert np.allclose(arr.to_global(), expected)
 
 
@@ -114,6 +117,7 @@ def test_schedule_counters_consistent(case):
     tt = build_translation_table(m, dist)
     res = localize(m, tt, refs)
     sched = res.schedule
+    _, entry_p, _, entry_recv = sched.entries()
     for p in range(n_procs):
         expected = np.unique(
             np.asarray(refs[p])[
@@ -121,8 +125,5 @@ def test_schedule_counters_consistent(case):
             ] if len(refs[p]) else np.empty(0, dtype=np.int64)
         )
         assert sched.ghost_sizes[p] == expected.size
-        slots = np.concatenate(
-            [rs for (q, pp), rs in sched.recv_slots.items() if pp == p]
-            or [np.empty(0, dtype=np.int64)]
-        )
+        slots = entry_recv[entry_p == p]
         assert sorted(slots.tolist()) == list(range(sched.ghost_sizes[p]))

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.chaos.costs import DEFAULT_COSTS
-from repro.chaos.remap import RemapSchedule, build_remap_schedule
+from repro.chaos.remap import build_remap_schedule
 from repro.distribution import (
     BlockDistribution,
     CyclicDistribution,
@@ -91,7 +91,7 @@ def naive_apply(machine, moves, new_dist, arr, costs=DEFAULT_COSTS):
         nbytes=np.asarray(pair_bytes, dtype=np.int64),
     )
     machine.charge_compute_all(mem=unpack)
-    arr.rebind(new_dist, new_locals)
+    arr.rebind_flat(new_dist, np.concatenate(new_locals))
 
 
 # ----------------------------------------------------------------------
@@ -155,12 +155,14 @@ def test_remap_matches_naive(n_procs, size, seed):
     assert counters(m_flat) == counters(m_ref)
     assert m_flat.elapsed() == m_ref.elapsed()
 
-    # the naive move dict and the lazily-materialized flattened view agree
-    flat_moves = sched.moves
-    assert set(flat_moves) == set(moves)
-    for key in moves:
-        np.testing.assert_array_equal(flat_moves[key][0], moves[key][0])
-        np.testing.assert_array_equal(flat_moves[key][1], moves[key][1])
+    # the naive move dict and the schedule's flat pair segments agree
+    keys = list(zip(sched.pair_p.tolist(), sched.pair_q.tolist()))
+    assert len(keys) == len(set(keys)) and set(keys) == set(moves)
+    starts = np.concatenate(([0], np.cumsum(sched.pair_counts)))
+    for i, key in enumerate(keys):
+        seg = slice(starts[i], starts[i + 1])
+        np.testing.assert_array_equal(sched.src_index[seg], moves[key][0])
+        np.testing.assert_array_equal(sched.dst_index[seg], moves[key][1])
 
 
 @pytest.mark.parametrize("n_procs,size,seed", [(4, 40, 7), (8, 120, 8)])
@@ -224,33 +226,3 @@ def test_apply_honors_custom_costs():
     # the custom run must be strictly dearer but scale on the pack/unpack
     # component only
     assert custom_mem > default_mem
-
-
-def test_legacy_moves_constructor_equivalent():
-    """A schedule built from an explicit moves dict behaves identically to
-    one built from the flattened arrays."""
-    n_procs, size, seed = 4, 36, 9
-    rng = np.random.default_rng(seed)
-    m_a = Machine(n_procs)
-    m_b = Machine(n_procs)
-    old_dist = BlockDistribution(size, n_procs)
-    new_dist = IrregularDistribution(rng.integers(0, n_procs, size=size), n_procs)
-    vals = rng.normal(size=size)
-    arr_a = DistArray.from_global(m_a, old_dist, vals)
-    arr_b = DistArray.from_global(m_b, old_dist, vals)
-
-    flat = build_remap_schedule(m_a, old_dist, new_dist)
-    legacy = RemapSchedule(m_b, old_dist.signature(), new_dist, flat.moves)
-    m_b.counters.clock[:] = m_a.counters.clock
-    m_b.counters.iops[:] = m_a.counters.iops
-    m_b.counters.messages_sent[:] = m_a.counters.messages_sent
-    m_b.counters.messages_received[:] = m_a.counters.messages_received
-    m_b.counters.bytes_sent[:] = m_a.counters.bytes_sent
-    m_b.counters.bytes_received[:] = m_a.counters.bytes_received
-
-    flat.apply(arr_a)
-    legacy.apply(arr_b)
-    assert legacy.element_count() == flat.element_count()
-    np.testing.assert_array_equal(arr_b.to_global(), vals)
-    assert clocks(m_a) == clocks(m_b)
-    assert counters(m_a) == counters(m_b)

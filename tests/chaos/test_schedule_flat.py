@@ -1,68 +1,29 @@
 """Flattened-schedule equivalence: CSR apply path vs the naive pair loop.
 
-``CommSchedule`` historically iterated ``send_lists`` pair by pair; it
-now applies one flattened fancy-index per processor.  These tests keep a
-small naive reference implementation (the old per-pair semantics) and
-check, over randomized schedules, that gather / scatter / scatter_op
-produce *identical* array contents and *bit-identical* per-processor
-machine clocks and counters -- including the order-sensitive cases:
-duplicate recv slots (last writer wins) and floating-point reduction
-accumulation order.
+``CommSchedule`` stores and applies flat CSR arrays only.  These tests
+keep a small naive reference implementation (a loop over per-pair send /
+recv lists and per-processor ghost buffers, ``tests/chaos/pairs.py``),
+feed it from the test's own pair dicts, and check, over randomized
+schedules, that gather / scatter / scatter_op produce *identical* array
+contents and *bit-identical* per-processor machine clocks and counters
+-- including the order-sensitive cases: duplicate recv slots (last
+writer wins) and floating-point reduction accumulation order.
 """
 
 import numpy as np
 import pytest
 
-from repro.chaos.costs import DEFAULT_COSTS
+from repro.chaos.buffers import GhostBuffers
 from repro.chaos.schedule import CommSchedule
 from repro.distribution.distarray import DistArray
 from repro.distribution.regular import BlockDistribution
 from repro.machine.machine import Machine
-
-
-# ----------------------------------------------------------------------
-# naive reference: the historical per-(sender, receiver)-pair loop
-# ----------------------------------------------------------------------
-def naive_gather(machine, send_lists, recv_slots, arr, ghosts, costs=DEFAULT_COSTS):
-    n = machine.n_procs
-    pack = np.zeros(n)
-    unpack = np.zeros(n)
-    wires = {}
-    for (q, p), sl in send_lists.items():
-        if not len(sl):
-            continue
-        ghosts[p][recv_slots[(q, p)]] = arr.local(q)[sl]
-        pack[q] += costs.pack_unpack_mem * len(sl)
-        unpack[p] += costs.pack_unpack_mem * len(sl)
-        wires[(q, p)] = len(sl) * arr.itemsize
-    machine.charge_compute_all(mem=list(pack))
-    machine.exchange(wires)
-    machine.charge_compute_all(mem=list(unpack))
-
-
-def naive_reverse(
-    machine, send_lists, recv_slots, ghosts, arr, op, costs=DEFAULT_COSTS
-):
-    n = machine.n_procs
-    pack = np.zeros(n)
-    unpack = np.zeros(n)
-    combine = np.zeros(n)
-    wires = {}
-    for (q, p), sl in send_lists.items():
-        if not len(sl):
-            continue
-        data = ghosts[p][recv_slots[(q, p)]]
-        if op is None:
-            arr.local(q)[sl] = data
-        else:
-            op.at(arr.local(q), sl, data)
-            combine[q] += 1.0 * len(sl)
-        pack[p] += costs.pack_unpack_mem * len(sl)
-        unpack[q] += costs.pack_unpack_mem * len(sl)
-        wires[(p, q)] = len(sl) * arr.itemsize
-    machine.charge_compute_all(mem=list(pack))
-    machine.exchange(wires)
-    machine.charge_compute_all(mem=list(unpack), flops=list(combine))
+from tests.chaos.pairs import (
+    flatten_pairs,
+    naive_gather,
+    naive_reverse,
+    schedule_from_pairs,
+)
 
 
 # ----------------------------------------------------------------------
@@ -129,15 +90,16 @@ def test_gather_matches_naive(n_procs, size, seed):
     m_ref, arr_ref, _ = make_world(n_procs, size, seed)
     send, recv, gsizes = random_schedule_parts(rng, n_procs, min_local)
 
-    sched = CommSchedule(m_flat, arr_flat.distribution.signature(), send, recv, gsizes)
-    g_flat = [np.zeros(s) for s in gsizes]
+    sched = schedule_from_pairs(
+        m_flat, arr_flat.distribution.signature(), send, recv, gsizes
+    )
+    g_flat = np.zeros(sum(gsizes))
     g_ref = [np.zeros(s) for s in gsizes]
 
     sched.gather(arr_flat, g_flat)
-    naive_gather(m_ref, sched.send_lists, sched.recv_slots, arr_ref, g_ref)
+    naive_gather(m_ref, send, recv, arr_ref, g_ref)
 
-    for p in range(n_procs):
-        np.testing.assert_array_equal(g_flat[p], g_ref[p])
+    np.testing.assert_array_equal(g_flat, np.concatenate(g_ref))
     assert clocks(m_flat) == clocks(m_ref)
     assert counters(m_flat) == counters(m_ref)
 
@@ -150,9 +112,11 @@ def test_reverse_matches_naive(n_procs, size, seed, opname):
     m_ref, arr_ref, _ = make_world(n_procs, size, seed)
     send, recv, gsizes = random_schedule_parts(rng, n_procs, min_local)
 
-    sched = CommSchedule(m_flat, arr_flat.distribution.signature(), send, recv, gsizes)
+    sched = schedule_from_pairs(
+        m_flat, arr_flat.distribution.signature(), send, recv, gsizes
+    )
     contrib = [rng.normal(size=s) for s in gsizes]
-    g_flat = [c.copy() for c in contrib]
+    g_flat = np.concatenate(contrib)
     g_ref = [c.copy() for c in contrib]
 
     op = {"assign": None, "add": np.add, "max": np.maximum}[opname]
@@ -160,7 +124,7 @@ def test_reverse_matches_naive(n_procs, size, seed, opname):
         sched.scatter(g_flat, arr_flat)
     else:
         sched.scatter_op(g_flat, arr_flat, op)
-    naive_reverse(m_ref, sched.send_lists, sched.recv_slots, g_ref, arr_ref, op)
+    naive_reverse(m_ref, send, recv, g_ref, arr_ref, op)
 
     for p in range(n_procs):
         np.testing.assert_array_equal(arr_flat.local(p), arr_ref.local(p))
@@ -183,13 +147,14 @@ def test_empty_and_self_pairs():
         (0, 1): np.array([1, 0]),
     }
     gsizes = [2, 2]
-    sched = CommSchedule(m_flat, arr_flat.distribution.signature(), send, recv, gsizes)
-    g_flat = [np.zeros(2), np.zeros(2)]
+    sched = schedule_from_pairs(
+        m_flat, arr_flat.distribution.signature(), send, recv, gsizes
+    )
+    g_flat = np.zeros(4)
     g_ref = [np.zeros(2), np.zeros(2)]
     sched.gather(arr_flat, g_flat)
-    naive_gather(m_ref, sched.send_lists, sched.recv_slots, arr_ref, g_ref)
-    for p in range(2):
-        np.testing.assert_array_equal(g_flat[p], g_ref[p])
+    naive_gather(m_ref, send, recv, arr_ref, g_ref)
+    np.testing.assert_array_equal(g_flat, np.concatenate(g_ref))
     assert clocks(m_flat) == clocks(m_ref)
     # the empty pair must not produce a message
     assert m_flat.procs[1].stats.messages_sent == 0
@@ -199,7 +164,7 @@ def small_schedule(seed=21):
     rng = np.random.default_rng(seed)
     machine, arr, min_local = make_world(4, 40, seed)
     send, recv, gsizes = random_schedule_parts(rng, 4, min_local)
-    return CommSchedule(machine, arr.distribution.signature(), send, recv, gsizes)
+    return schedule_from_pairs(machine, arr.distribution.signature(), send, recv, gsizes)
 
 
 class TestEntriesImmutability:
@@ -283,3 +248,175 @@ class TestTwin:
         b = tw.entries()
         for x, y in zip(a, b):
             np.testing.assert_array_equal(x, y)
+
+
+# ----------------------------------------------------------------------
+# the one constructor states its contract
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize(
+    "args, exc, match",
+    [
+        # a processor id outside [0, n_procs) names the offending pair
+        (([0], [-1], [1], [0], [0]), ValueError, r"pair \(0, -1\) out of range"),
+        (([4], [1], [1], [0], [0]), ValueError, r"pair \(4, 1\) out of range"),
+        (([0], [1], [-1], [], []), ValueError, "negative pair length -1"),
+        # pair lengths must add up to the send offsets ...
+        (([0], [1], [3], [0, 1], [0, 1]), ValueError, "sum to 3"),
+        # ... and the recv slots must match them one for one
+        (([0], [1], [2], [0, 1], [0]), ValueError, "sum to 2"),
+    ],
+)
+def test_constructor_rejects_malformed_input_by_name(args, exc, match):
+    machine, arr, _ = make_world(4, 40, 0)
+    with pytest.raises(exc, match=match):
+        CommSchedule(machine, arr.distribution.signature(), *args, [2, 2, 2, 2])
+
+
+def test_per_processor_ghost_lists_are_rejected():
+    sched = small_schedule()
+    arr = DistArray(sched.machine, BlockDistribution(40, 4), name="x")
+    lists = [np.zeros(s) for s in sched.ghost_sizes]
+    with pytest.raises(TypeError, match="GhostBuffers or a flat 1-D array"):
+        sched.gather(arr, lists)
+    with pytest.raises(TypeError, match="GhostBuffers or a flat 1-D array"):
+        sched.scatter_op(lists, arr, np.add)
+
+
+# ----------------------------------------------------------------------
+# one builder behind both entries
+# ----------------------------------------------------------------------
+BUILT = (
+    "_pair_q",
+    "_pair_p",
+    "_pair_len",
+    "_flat_send",
+    "_flat_recv",
+    "_pack_idx",
+    "_pack_owner_rep",
+    "_unpack_pos",
+    "_unpack_src",
+    "_ghost_pos_wire",
+    "_pack_mem",
+    "_unpack_mem",
+)
+
+
+def canonical_variants(n_procs, size, seed, monkeypatch):
+    """One random schedule, canonicalized four ways, each on its own world.
+
+    ``from_entries`` and the constructor fed canonical pair arrays go
+    through the pair-grouped entry (argsort); ``patched(keep=all)`` of a
+    canonical schedule goes through the merge entry (wire permutation in
+    hand, no argsort); ``patched`` of the non-canonical original falls
+    back to ``from_entries``.
+    """
+    out = {}
+    no_add = np.empty(0, dtype=np.int64)
+    for name in ("from_entries", "constructor", "merge", "fallback"):
+        machine, arr, min_local = make_world(n_procs, size, seed)
+        send, recv, gsizes = random_schedule_parts(
+            np.random.default_rng(seed + 300), n_procs, min_local
+        )
+        sig = arr.distribution.signature()
+        raw = schedule_from_pairs(machine, sig, send, recv, gsizes)
+        keep = np.ones(raw._n_elements, dtype=bool)
+        if name == "fallback":
+            sched = raw.patched(keep, no_add, no_add, no_add, no_add, gsizes)
+        else:
+            sched = CommSchedule.from_entries(machine, sig, *raw.entries(), gsizes)
+        if name == "constructor":
+            sched = CommSchedule(
+                machine,
+                sig,
+                sched._pair_q,
+                sched._pair_p,
+                sched._pair_len,
+                sched._flat_send,
+                sched._flat_recv,
+                gsizes,
+            )
+        elif name == "merge":
+            with monkeypatch.context() as mp:
+                # the merge entry must not fall back to the lexsort path
+                mp.setattr(CommSchedule, "from_entries", None)
+                sched = sched.patched(keep, no_add, no_add, no_add, no_add, gsizes)
+        out[name] = (machine, arr, sched)
+    return out
+
+
+@pytest.mark.parametrize("n_procs,size,seed", CASES)
+def test_both_builder_entries_agree(n_procs, size, seed, monkeypatch):
+    variants = canonical_variants(n_procs, size, seed, monkeypatch)
+    _, _, ref = variants["from_entries"]
+    assert ref._n_elements  # an empty schedule would prove nothing
+    contrib = np.random.default_rng(seed).normal(size=sum(ref.ghost_sizes))
+    results = {}
+    for name, (machine, arr, sched) in variants.items():
+        for attr in BUILT:
+            np.testing.assert_array_equal(
+                getattr(sched, attr), getattr(ref, attr), err_msg=f"{name}.{attr}"
+            )
+        ghosts = GhostBuffers(machine, sched, charge=False)
+        sched.gather(arr, ghosts)
+        gathered = ghosts.backing.copy()
+        ghosts.backing[:] = contrib
+        sched.scatter_op(ghosts, arr, np.add)
+        sched.scatter(ghosts, arr)
+        results[name] = (gathered, arr.to_global(), clocks(machine), counters(machine))
+    want = results["from_entries"]
+    for name, got in results.items():
+        np.testing.assert_array_equal(got[0], want[0], err_msg=name)
+        np.testing.assert_array_equal(got[1], want[1], err_msg=name)
+        assert got[2:] == want[2:], name
+
+
+def test_noncanonical_schedule_differs_from_its_canonical_form():
+    """The differential test above would be vacuous if the random
+    schedules were already canonical."""
+    machine, arr, min_local = make_world(4, 40, 2)
+    send, recv, gsizes = random_schedule_parts(np.random.default_rng(302), 4, min_local)
+    sig = arr.distribution.signature()
+    raw = schedule_from_pairs(machine, sig, send, recv, gsizes)
+    canon = CommSchedule.from_entries(machine, sig, *raw.entries(), gsizes)
+    assert not np.array_equal(raw._pair_p, canon._pair_p)
+
+
+def test_duplicate_slot_last_writer_is_the_last_pair():
+    """Two owners send to the *same* ghost slot of requester 1, with other
+    requesters' pairs interleaved and the later pair's owner *first* in
+    wire order: the naive per-pair loop's last writer must win."""
+    m_flat, arr_flat, _ = make_world(4, 40, 5)
+    m_ref, arr_ref, _ = make_world(4, 40, 5)
+    send = {
+        (2, 1): np.array([7]),
+        (1, 0): np.array([3, 4]),
+        (3, 2): np.array([1]),
+        (0, 1): np.array([9]),  # same slot as (2, 1): this one must stick
+        (2, 3): np.array([0]),
+    }
+    recv = {
+        (2, 1): np.array([0]),
+        (1, 0): np.array([1, 0]),
+        (3, 2): np.array([0]),
+        (0, 1): np.array([0]),
+        (2, 3): np.array([1]),
+    }
+    gsizes = [2, 1, 1, 2]
+    sched = schedule_from_pairs(
+        m_flat, arr_flat.distribution.signature(), send, recv, gsizes
+    )
+    g_flat = GhostBuffers(m_flat, sched, charge=False)
+    g_ref = [np.zeros(s) for s in gsizes]
+    sched.gather(arr_flat, g_flat)
+    naive_gather(m_ref, send, recv, arr_ref, g_ref)
+    np.testing.assert_array_equal(g_flat.backing, np.concatenate(g_ref))
+    assert g_flat.buf(1)[0] == arr_flat.local(0)[9] != arr_flat.local(2)[7]
+    assert clocks(m_flat) == clocks(m_ref)
+
+
+def test_flatten_pairs_keeps_insertion_order():
+    q, p, n, s, r = flatten_pairs(
+        {(2, 1): [5, 6], (0, 3): [], (1, 0): [4]}, {(2, 1): [0, 1], (0, 3): [], (1, 0): [2]}
+    )
+    assert (q.tolist(), p.tolist(), n.tolist()) == ([2, 0, 1], [1, 3, 0], [2, 0, 1])
+    assert (s.tolist(), r.tolist()) == ([5, 6, 4], [0, 1, 2])

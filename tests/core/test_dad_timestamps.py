@@ -34,7 +34,7 @@ class TestDAD:
         arr = DistArray(m4, BlockDistribution(8, 4))
         before = DAD.of(arr)
         new = IrregularDistribution([3, 2, 1, 0, 3, 2, 1, 0], 4)
-        arr.rebind(new, [np.zeros(new.local_size(p)) for p in range(4)])
+        arr.rebind_flat(new, np.zeros(new.size))
         assert DAD.of(arr) != before
 
     def test_equal_irregular_maps_share_dad(self, m4):
@@ -77,7 +77,7 @@ class TestRegistry:
         arr = DistArray(m4, BlockDistribution(8, 4))
         reg.record_block_write([DAD.of(arr)])
         new = IrregularDistribution([0, 1, 2, 3] * 2, 4)
-        arr.rebind(new, [np.zeros(new.local_size(p)) for p in range(4)])
+        arr.rebind_flat(new, np.zeros(new.size))
         reg.record_remap(DAD.of(arr))
         assert reg.nmod == 2
         assert reg.last_mod(DAD.of(arr)) == 2

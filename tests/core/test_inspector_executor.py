@@ -192,7 +192,9 @@ class TestValidationAndCosts:
         product = run_inspector(m4, loop, arrays)
         new = IrregularDistribution(rng.integers(0, 4, 16), 4)
         vals = arrays["x"].to_global()
-        arrays["x"].rebind(new, [vals[new.local_indices(p)] for p in range(4)])
+        arrays["x"].rebind_flat(
+            new, np.concatenate([vals[new.local_indices(p)] for p in range(4)])
+        )
         with pytest.raises(ValueError, match="redistributed"):
             run_executor(m4, product, arrays)
 

@@ -78,7 +78,7 @@ class TestAlmostOwner:
             [Assign(ArrayRef("y", "ia"), lambda a: a, (ArrayRef("x", "ib"),))],
         )
         part = partition_iterations(m4, loop, arrays)
-        assert sorted(np.concatenate(part.iters).tolist()) == list(range(8))
+        assert sorted(part.flat.tolist()) == list(range(8))
         assert part.owner_of().size == 8
 
     def test_direct_refs_follow_data_distribution(self, m4):

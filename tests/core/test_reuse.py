@@ -50,7 +50,7 @@ class TestConditions:
         m, arrays, reg = setup
         rec = make_record(arrays, reg)
         new = IrregularDistribution(np.arange(16) % 4, 4)
-        arrays["x"].rebind(new, [np.zeros(new.local_size(p)) for p in range(4)])
+        arrays["x"].rebind_flat(new, np.zeros(new.size))
         decision = can_reuse(rec, arrays, reg)
         assert not decision.reusable
         assert "condition 1" in decision.reason and "'x'" in decision.reason
@@ -59,9 +59,7 @@ class TestConditions:
         m, arrays, reg = setup
         rec = make_record(arrays, reg)
         new = IrregularDistribution(np.arange(24) % 4, 4)
-        arrays["ia"].rebind(
-            new, [np.zeros(new.local_size(p), dtype=np.int64) for p in range(4)]
-        )
+        arrays["ia"].rebind_flat(new, np.zeros(new.size, dtype=np.int64))
         decision = can_reuse(rec, arrays, reg)
         assert not decision.reusable
         assert "condition 2" in decision.reason
@@ -124,7 +122,7 @@ class TestDecisionFields:
         m, arrays, reg = setup
         rec = make_record(arrays, reg)
         new = IrregularDistribution(np.arange(16) % 4, 4)
-        arrays["x"].rebind(new, [np.zeros(new.local_size(p)) for p in range(4)])
+        arrays["x"].rebind_flat(new, np.zeros(new.size))
         decision = can_reuse(rec, arrays, reg)
         assert (decision.condition, decision.array) == (1, "x")
         assert "condition 1" in decision.reason
@@ -133,9 +131,7 @@ class TestDecisionFields:
         m, arrays, reg = setup
         rec = make_record(arrays, reg)
         new = IrregularDistribution(np.arange(24) % 4, 4)
-        arrays["ia"].rebind(
-            new, [np.zeros(new.local_size(p), dtype=np.int64) for p in range(4)]
-        )
+        arrays["ia"].rebind_flat(new, np.zeros(new.size, dtype=np.int64))
         decision = can_reuse(rec, arrays, reg)
         assert (decision.condition, decision.array) == (2, "ia")
         assert "condition 2" in decision.reason
@@ -187,14 +183,12 @@ def test_reuse_is_conservative_on_random_traces(trace):
             reg.record_block_write([DAD.of(arrays["y"])])
         elif ev == "remap_x":
             new = IrregularDistribution(np.arange(10) % 2, 2)
-            arrays["x"].rebind(new, [np.zeros(new.local_size(p)) for p in range(2)])
+            arrays["x"].rebind_flat(new, np.zeros(new.size))
             reg.record_remap(DAD.of(arrays["x"]))
             unsafe = True
         elif ev == "remap_ia":
             new = IrregularDistribution((np.arange(12) + 1) % 2, 2)
-            arrays["ia"].rebind(
-                new, [np.zeros(new.local_size(p), dtype=np.int64) for p in range(2)]
-            )
+            arrays["ia"].rebind_flat(new, np.zeros(new.size, dtype=np.int64))
             reg.record_remap(DAD.of(arrays["ia"]))
             unsafe = True
 

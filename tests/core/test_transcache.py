@@ -81,10 +81,8 @@ def assert_products_equal(a, b):
     for key, pa in a.patterns.items():
         pb = b.patterns[key]
         la, lb = pa.localized, pb.localized
-        for ga, gb in zip(la.ghost_globals, lb.ghost_globals):
-            assert np.array_equal(ga, gb)
-        for ra, rb in zip(la.local_refs, lb.local_refs):
-            assert np.array_equal(ra, rb)
+        for name in ("ghost_flat", "ghost_bounds", "refs_flat", "ref_bounds"):
+            assert np.array_equal(getattr(la, name), getattr(lb, name))
         sa, sb = la.schedule, lb.schedule
         assert np.array_equal(sa._flat_send, sb._flat_send)
         assert np.array_equal(sa._flat_recv, sb._flat_recv)

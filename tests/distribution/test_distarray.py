@@ -87,21 +87,21 @@ class TestRebind:
         arr = DistArray.from_global(m4, BlockDistribution(8, 4), vals)
         new = IrregularDistribution([3, 3, 2, 2, 1, 1, 0, 0], 4)
         segs = [vals[new.local_indices(p)] for p in range(4)]
-        arr.rebind(new, segs)
+        arr.rebind_flat(new, np.concatenate(segs))
         assert arr.distribution is new
         assert np.array_equal(arr.to_global(), vals)
 
     def test_rebind_checks_segment_shapes(self, m4):
         arr = DistArray.from_global(m4, BlockDistribution(8, 4), np.arange(8.0))
         new = BlockDistribution(8, 4)
-        bad = [np.zeros(3)] * 4
-        with pytest.raises(ValueError, match="segment for processor 0"):
-            arr.rebind(new, bad)
+        bad = np.concatenate([np.zeros(3)] * 4)
+        with pytest.raises(ValueError, match=r"flat backing has shape \(12,\)"):
+            arr.rebind_flat(new, bad)
 
     def test_rebind_rejects_size_change(self, m4):
         arr = DistArray.from_global(m4, BlockDistribution(8, 4), np.arange(8.0))
         with pytest.raises(ValueError, match="changed array size"):
-            arr.rebind(BlockDistribution(9, 4), [np.zeros(3)] * 4)
+            arr.rebind_flat(BlockDistribution(9, 4), np.zeros(9))
 
 
 class TestDecomposition:

@@ -128,9 +128,10 @@ def test_rebind_and_remap_match_list_oracle(seed):
     flat = DistArray.from_global(m, old, vals)
     ref = ListDistArray(m, old, vals)
 
-    # explicit rebind with per-processor segments (the list-era API)
+    # explicit rebind: the oracle takes per-processor segments (the
+    # list-era API), the runtime their concatenation
     segs = [vals[new.local_indices(p)] for p in range(n_procs)]
-    flat.rebind(new, segs)
+    flat.rebind_flat(new, np.concatenate(segs))
     ref.rebind(new, segs)
     assert_same_state(flat, ref)
     np.testing.assert_array_equal(flat.to_global(), vals)
@@ -161,11 +162,11 @@ def test_localize_round_trip_matches_list_oracle(seed):
     tt = build_translation_table(m, dist)
     res = localize(m, tt, FlatRefs.from_lists(ref_lists))
     ghosts = GhostBuffers(m, res.schedule, dtype=arr.dtype)
-    res.schedule.gather(arr, ghosts.buffers)
+    res.schedule.gather(arr, ghosts)
     for p in range(n_procs):
         combined = np.concatenate([ref.local(p), ghosts.buf(p)])
         np.testing.assert_array_equal(
-            combined[res.local_refs[p]], vals[ref_lists[p]]
+            combined[FlatRefs(res.refs_flat, res.ref_bounds).segment(p)], vals[ref_lists[p]]
         )
 
 
@@ -276,7 +277,9 @@ class TestGlobalViewCache:
         vals = arr.to_global()
         v0 = arr.version
         new = BlockDistribution(12, 4)
-        arr.rebind(new, [vals[new.local_indices(p)] for p in range(4)])
+        arr.rebind_flat(
+            new, np.concatenate([vals[new.local_indices(p)] for p in range(4)])
+        )
         assert arr.version > v0
         np.testing.assert_array_equal(arr.to_global(), vals)
 

@@ -200,6 +200,53 @@ def test_run_with_checkpoint_every_writes_files(tmp_path):
         exe.run(1, checkpoint_every=1)
 
 
+def test_on_disk_format_is_pinned(tmp_path):
+    """Format version 1 and its payload keys, as written since PR 8.
+
+    The in-memory structures are flat-only; the file never stored
+    anything else (``flat``/``bounds``, pair arrays, counter blocks), so
+    a file written by an earlier commit restores unchanged.  A change to
+    any key below needs a new ``_VERSION``.
+    """
+    from repro.guard import checkpoint
+
+    assert (checkpoint._FORMAT, checkpoint._VERSION) == ("repro-checkpoint", 1)
+    path = tmp_path / "campaign.ckpt"
+    mesh, _, prog = build()
+    exe = AdaptiveExecutor(prog, euler_edge_loop(mesh))
+    drive(exe, mesh, 2)
+    save_checkpoint(path, prog, driver=exe)
+    with open(path, "rb") as f:
+        assert set(pickle.load(f)) == {"format", "version", "crc", "payload"}
+    payload = load_checkpoint(path)
+    assert set(payload) == {
+        "n_procs", "machine", "arrays", "registry", "program", "schedules",
+        "ghosts", "records", "ttables", "adapt", "driver",
+    }
+    assert set(payload["machine"]) == {"counters", "phases"}
+    assert set(payload["machine"]["counters"]) == set(COUNTER_FIELDS)
+    for phase in payload["machine"]["phases"]:
+        assert set(phase) == {"name", "elapsed", "counters"}
+        assert set(phase["counters"]) == set(COUNTER_FIELDS)
+    for sched in payload["schedules"].values():
+        assert set(sched) == {
+            "dist_signature", "pair_q", "pair_p", "pair_len", "flat_send",
+            "flat_recv", "ghost_sizes",
+        }
+    for ghosts in payload["ghosts"].values():
+        assert set(ghosts) == {"schedule", "dtype", "backing"}
+    for rec in payload["records"].values():
+        assert set(rec) == {"data_dads", "ind_dads", "ind_last_mod", "product"}
+        product = rec["product"]
+        assert set(product) == {"loop", "partition", "patterns", "dist_signatures"}
+        assert set(product["partition"]) == {"n_iterations", "method", "flat", "bounds"}
+        for _, pat in product["patterns"]:
+            assert set(pat) == {
+                "array", "index", "schedule", "ghosts", "local_sizes", "refs_flat",
+                "ref_bounds", "ghost_flat", "ghost_bounds",
+            }
+
+
 class TestRejectsDamage:
     def make(self, tmp_path):
         path = tmp_path / "c.ckpt"

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.chaos.schedule import CommSchedule
 from repro.guard import (
     InvariantViolation,
     check_level,
@@ -123,12 +124,15 @@ class TestCorruptionDetected:
         order = np.concatenate(
             [np.arange(starts[i], starts[i + 1]) for i in perm]
         )
-        sched._init_flat(
+        sched = CommSchedule(
+            sched.machine,
+            sched.dist_signature,
             sched._pair_q[perm],
             sched._pair_p[perm],
             sched._pair_len[perm],
             sched._flat_send[order],
             sched._flat_recv[order],
+            sched.ghost_sizes,
         )
         with pytest.raises(InvariantViolation, match="pair order"):
             verify_schedule(sched, "cheap", canonical=True)

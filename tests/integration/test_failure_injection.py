@@ -42,7 +42,9 @@ class TestStaleState:
         # remap x behind the runtime's back
         new = IrregularDistribution(np.arange(16) % 4, 4)
         vals = arrays["x"].to_global()
-        arrays["x"].rebind(new, [vals[new.local_indices(p)] for p in range(4)])
+        arrays["x"].rebind_flat(
+            new, np.concatenate([vals[new.local_indices(p)] for p in range(4)])
+        )
         with pytest.raises(ValueError, match="redistributed"):
             run_executor(m, product, arrays)
 
@@ -54,7 +56,7 @@ class TestStaleState:
         wrong = DistArray.from_global(m, CyclicDistribution(16, 4), np.zeros(16))
         ghosts = GhostBuffers(m, res.schedule)
         with pytest.raises(ValueError, match="stale"):
-            res.schedule.gather(wrong, ghosts.buffers)
+            res.schedule.gather(wrong, ghosts)
 
     def test_remap_schedule_refuses_reuse_after_move(self):
         m = Machine(4)
@@ -97,7 +99,7 @@ class TestMachineBoundaries:
         foreign = build_arrays(m2)
         with pytest.raises(ValueError, match="different machines"):
             product.patterns[("x", "ia")].localized.schedule.gather(
-                foreign["x"], product.patterns[("x", "ia")].ghosts.buffers
+                foreign["x"], product.patterns[("x", "ia")].ghosts
             )
 
     def test_out_of_range_indirection_values(self):

@@ -10,6 +10,7 @@ from repro.chaos.costs import DEFAULT_COSTS
 from repro.distribution import BlockDistribution, DistArray
 from repro.machine import Machine
 from repro.machine.costmodel import CostModel
+from tests.chaos.pairs import exchange_pairs
 
 
 def flat_model(**kw):
@@ -36,7 +37,7 @@ class TestPointToPoint:
 
     def test_exchange_sums_per_endpoint(self):
         m = Machine(4, cost_model=flat_model(alpha=1.0))
-        m.exchange({(0, 1): 4, (0, 2): 4, (3, 0): 4})
+        exchange_pairs(m, {(0, 1): 4, (0, 2): 4, (3, 0): 4})
         # proc 0: two sends + one receive = 3 message times
         assert m.clock(0) == pytest.approx(3.0)
         # proc 3: one send
@@ -77,7 +78,7 @@ class TestGatherAccountingExact:
         arr = DistArray.from_global(m, dist, np.arange(4.0))
         ghosts = GhostBuffers(m, res.schedule, charge=False)
         m.reset()
-        res.schedule.gather(arr, ghosts.buffers)
+        res.schedule.gather(arr, ghosts)
         # pack on proc 1: pack_unpack_mem * 1 mem ops; message 8 bytes;
         # unpack on proc 0: pack_unpack_mem * 1
         msg = 1.0 + 0.5 * 8
@@ -98,7 +99,7 @@ class TestGatherAccountingExact:
         arr = DistArray.from_global(m, dist, np.arange(4.0))
         ghosts = GhostBuffers(m, res.schedule, charge=False)
         m.reset()
-        res.schedule.gather(arr, ghosts.buffers)
+        res.schedule.gather(arr, ghosts)
         assert m.elapsed() == 0.0
 
 

@@ -19,6 +19,7 @@ from repro.machine.collectives import allgather_cost, broadcast_cost, reduce_cos
 from repro.machine.costmodel import IPSC860
 from repro.machine.stats import ProcessorStats
 from repro.machine.topology import make_topology
+from tests.chaos.pairs import exchange_pairs
 
 
 # ----------------------------------------------------------------------
@@ -256,7 +257,7 @@ def apply_op(machine, ref, op):
         mat = {}
         for s, d, v in zip(src, dst, nb):
             mat[(int(s), int(d))] = int(v)
-        machine.exchange(dict(mat))
+        exchange_pairs(machine, mat)
         ref.exchange(dict(mat))
     elif kind == "exchange_arrays":
         _, src, dst, nb = op

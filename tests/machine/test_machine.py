@@ -4,6 +4,7 @@ import pytest
 
 from repro.machine import Machine, IPSC860, IDEALIZED
 from repro.machine.topology import RingTopology
+from tests.chaos.pairs import exchange_pairs
 
 
 @pytest.fixture
@@ -84,19 +85,19 @@ class TestSend:
 
 class TestExchange:
     def test_exchange_sums_per_processor(self, m4):
-        m4.exchange({(0, 1): 100, (0, 2): 100, (3, 0): 100})
+        exchange_pairs(m4, {(0, 1): 100, (0, 2): 100, (3, 0): 100})
         # proc 0 sends twice and receives once
         assert m4.procs[0].stats.messages_sent == 2
         assert m4.procs[0].stats.messages_received == 1
         assert m4.clock(0) > m4.clock(3)
 
     def test_zero_byte_messages_skipped(self, m4):
-        m4.exchange({(0, 1): 0})
+        exchange_pairs(m4, {(0, 1): 0})
         assert m4.procs[0].stats.messages_sent == 0
         assert m4.elapsed() == 0.0
 
     def test_self_entry_is_local_copy(self, m4):
-        m4.exchange({(1, 1): 160})
+        exchange_pairs(m4, {(1, 1): 160})
         assert m4.procs[1].stats.messages_sent == 0
         assert m4.clock(1) > 0
 

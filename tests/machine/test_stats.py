@@ -3,7 +3,22 @@
 import pytest
 
 from repro.machine import Machine
-from repro.machine.stats import MachineStats, PhaseRecord, ProcessorStats
+from repro.machine.stats import (
+    COUNTER_FIELDS,
+    CounterBlock,
+    MachineStats,
+    PhaseRecord,
+    ProcessorStats,
+)
+
+
+def block_of(per_proc):
+    """CounterBlock holding a list of scalar ProcessorStats."""
+    block = CounterBlock(len(per_proc))
+    for p, st in enumerate(per_proc):
+        for name in COUNTER_FIELDS:
+            getattr(block, name)[p] = getattr(st, name)
+    return block
 
 
 class TestProcessorStats:
@@ -34,7 +49,9 @@ class TestPhaseRecord:
             ProcessorStats(clock=1.0, messages_sent=3, bytes_sent=300, flops=10.0),
             ProcessorStats(clock=2.0, messages_sent=1, bytes_sent=50, flops=20.0),
         ]
-        return PhaseRecord(name="p", elapsed=2.0, per_proc=per_proc)
+        rec = PhaseRecord(name="p", elapsed=2.0, arrays=block_of(per_proc))
+        assert rec.per_proc == per_proc  # the scalar snapshots round-trip
+        return rec
 
     def test_aggregates(self):
         rec = self.make()
@@ -44,7 +61,7 @@ class TestPhaseRecord:
         assert rec.max_clock == pytest.approx(2.0)
 
     def test_empty_per_proc(self):
-        rec = PhaseRecord(name="e", elapsed=0.0, per_proc=[])
+        rec = PhaseRecord(name="e", elapsed=0.0, arrays=CounterBlock(0))
         assert rec.max_clock == 0.0
         assert rec.total_messages == 0
 
@@ -52,22 +69,22 @@ class TestPhaseRecord:
 class TestMachineStats:
     def test_phase_time_sums_same_name(self):
         ms = MachineStats()
-        ms.add(PhaseRecord("a", 1.0, []))
-        ms.add(PhaseRecord("b", 2.0, []))
-        ms.add(PhaseRecord("a", 3.0, []))
+        ms.add(PhaseRecord("a", 1.0, CounterBlock(0)))
+        ms.add(PhaseRecord("b", 2.0, CounterBlock(0)))
+        ms.add(PhaseRecord("a", 3.0, CounterBlock(0)))
         assert ms.phase_time("a") == pytest.approx(4.0)
         assert ms.phase_time("missing") == 0.0
 
     def test_phase_names_first_appearance_order(self):
         ms = MachineStats()
         for name in ("z", "a", "z", "m"):
-            ms.add(PhaseRecord(name, 1.0, []))
+            ms.add(PhaseRecord(name, 1.0, CounterBlock(0)))
         assert ms.phase_names() == ["z", "a", "m"]
 
     def test_total_and_clear(self):
         ms = MachineStats()
-        ms.add(PhaseRecord("a", 1.5, []))
-        ms.add(PhaseRecord("b", 0.5, []))
+        ms.add(PhaseRecord("a", 1.5, CounterBlock(0)))
+        ms.add(PhaseRecord("b", 0.5, CounterBlock(0)))
         assert ms.total_time() == pytest.approx(2.0)
         ms.clear()
         assert ms.phases == [] and ms.total_time() == 0.0

@@ -7,6 +7,7 @@ from repro.chaos import GhostBuffers, build_translation_table, localize
 from repro.distribution import BlockDistribution, DistArray, IrregularDistribution
 from repro.machine import Machine
 from repro.machine.trace import MessageTrace
+from tests.chaos.pairs import exchange_pairs
 
 
 class TestBasics:
@@ -22,13 +23,13 @@ class TestBasics:
         m = Machine(4)
         with MessageTrace(m) as t:
             m.send(1, 1, 100)
-            m.exchange({(0, 1): 0})
+            exchange_pairs(m, {(0, 1): 0})
         assert t.message_count() == 0
 
     def test_exchange_recorded(self):
         m = Machine(4)
         with MessageTrace(m) as t:
-            m.exchange({(0, 1): 10, (1, 2): 20, (2, 2): 30})
+            exchange_pairs(m, {(0, 1): 10, (1, 2): 20, (2, 2): 30})
         assert t.pairs() == {(0, 1), (1, 2)}
 
     def test_detached_after_exit(self):
@@ -91,7 +92,7 @@ class TestArrayChunkEquivalence:
                         mat = {}
                         for s, d, v in zip(src, dst, nb):
                             mat[(int(s), int(d))] = int(v)
-                        m.exchange(mat)
+                        exchange_pairs(m, mat)
                         pairs = mat.items()
                     else:
                         m.exchange(src=src, dst=dst, nbytes=nb)
@@ -150,5 +151,5 @@ class TestProtocolPatterns:
         arr = DistArray.from_global(m, dist, np.arange(16.0))
         ghosts = GhostBuffers(m, res.schedule)
         with MessageTrace(m) as t:
-            res.schedule.gather(arr, ghosts.buffers)
+            res.schedule.gather(arr, ghosts)
         assert t.total_bytes() == res.schedule.element_count() * arr.itemsize
