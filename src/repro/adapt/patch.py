@@ -453,11 +453,13 @@ def _patch_group(
         pcounts = np.bincount(pinv, minlength=pcomp.size)
         pp, pq = pcomp // n, pcomp % n
         cross = pp != pq
-        exch = (pp[cross], pq[cross], pcounts[cross] * costs.index_bytes)
+        exch = machine.plan_exchange(
+            src=pp[cross], dst=pq[cross], nbytes=pcounts[cross] * costs.index_bytes
+        )
         recv_iops = costs.schedule_build * np.bincount(
             d_q, minlength=n
         ).astype(np.float64)
-        machine.exchange(src=exch[0], dst=exch[1], nbytes=exch[2])
+        machine.charge_exchange(exch)
         machine.charge_compute_all(iops=recv_iops)
 
     # -- rebuild per-member localized reference lists --------------------
@@ -665,8 +667,7 @@ def _patch_group_twin(
     )
     machine.charge_compute_all(iops=pack["sched_iops"])
     if pack["exch"] is not None:
-        src, dst, nbytes = pack["exch"]
-        machine.exchange(src=src, dst=dst, nbytes=nbytes)
+        machine.charge_exchange(pack["exch"])
         machine.charge_compute_all(iops=pack["recv_iops"])
     patterns_new: dict = {}
     for akey in member_keys:

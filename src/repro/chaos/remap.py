@@ -92,6 +92,9 @@ class RemapSchedule:
         else:
             self._carry_dst_pos = None
         self._carry_src_pos: np.ndarray | None = None
+        # itemsize -> planned move exchange, shared by every array the
+        # schedule is applied to
+        self._exchange_charges: dict = {}
 
     def element_count(self) -> int:
         """Elements that change processor (self-moves excluded)."""
@@ -143,12 +146,15 @@ class RemapSchedule:
         pack_w = costs.pack_unpack_mem * self.pair_counts
         pack = np.bincount(self.pair_p, weights=pack_w, minlength=n)
         unpack = np.bincount(self.pair_q, weights=pack_w, minlength=n)
+        charge = self._exchange_charges.get(arr.itemsize)
+        if charge is None:
+            charge = self._exchange_charges[arr.itemsize] = m.plan_exchange(
+                src=self.pair_p,
+                dst=self.pair_q,
+                nbytes=self.pair_counts * arr.itemsize,
+            )
         m.charge_compute_all(mem=pack)
-        m.exchange(
-            src=self.pair_p,
-            dst=self.pair_q,
-            nbytes=self.pair_counts * arr.itemsize,
-        )
+        m.charge_exchange(charge)
         m.charge_compute_all(mem=unpack)
         arr.rebind_flat(self.new_dist, new_data)
 

@@ -506,6 +506,13 @@ class CommSchedule:
         self._unpack_mem = np.zeros(n)
         np.add.at(self._pack_mem, self._pair_q, per_pair_mem)
         np.add.at(self._unpack_mem, self._pair_p, per_pair_mem)
+        # the other per-application charges depend on a call argument,
+        # so they are planned on first use: ``(reverse, itemsize)`` ->
+        # the direction's ExchangeCharge, ``flops_per_element`` -> the
+        # owners' combine flops.  twin() shares both dicts; neither is
+        # ever written to a checkpoint.
+        self._exchange_charges: dict = {}
+        self._combine_flops: dict = {}
 
     # ------------------------------------------------------------------
     # introspection
@@ -626,6 +633,20 @@ class CommSchedule:
     def _wire_bytes(self, itemsize: int) -> np.ndarray:
         return self._pair_len * itemsize
 
+    def _exchange_charge(self, reverse: bool, itemsize: int):
+        """The planned exchange of one application: owners -> requesters
+        for a gather, requesters -> owners in the reverse direction."""
+        charge = self._exchange_charges.get((reverse, itemsize))
+        if charge is None:
+            src, dst = self._pair_q, self._pair_p
+            if reverse:
+                src, dst = dst, src
+            charge = self.machine.plan_exchange(
+                src=src, dst=dst, nbytes=self._wire_bytes(itemsize)
+            )
+            self._exchange_charges[reverse, itemsize] = charge
+        return charge
+
     # ------------------------------------------------------------------
     # data movement
     # ------------------------------------------------------------------
@@ -643,9 +664,7 @@ class CommSchedule:
         m = self.machine
         self._move_gather(arr, ghosts)
         m.charge_compute_all(mem=self._pack_mem)
-        m.exchange(
-            src=self._pair_q, dst=self._pair_p, nbytes=self._wire_bytes(arr.itemsize)
-        )
+        m.charge_exchange(self._exchange_charge(False, arr.itemsize))
         m.charge_compute_all(mem=self._unpack_mem)
 
     def scatter(self, ghosts, arr: DistArray) -> None:
@@ -684,14 +703,15 @@ class CommSchedule:
         if op is None:
             combine = 0.0
         else:
-            combine = np.zeros(self.n_procs)
-            np.add.at(combine, self._pair_q, flops_per_element * self._pair_len)
+            combine = self._combine_flops.get(flops_per_element)
+            if combine is None:
+                combine = np.zeros(self.n_procs)
+                np.add.at(combine, self._pair_q, flops_per_element * self._pair_len)
+                self._combine_flops[flops_per_element] = combine
         # roles swap relative to gather: the requester packs its ghost
         # contributions, the owner unpacks (and combines)
         m.charge_compute_all(mem=self._unpack_mem)
-        m.exchange(
-            src=self._pair_p, dst=self._pair_q, nbytes=self._wire_bytes(arr.itemsize)
-        )
+        m.charge_exchange(self._exchange_charge(True, arr.itemsize))
         m.charge_compute_all(mem=self._pack_mem, flops=combine)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -10,12 +10,14 @@ reference lists, per-processor ghost group bounds, and the communication
 schedule -- so re-inspecting an *unchanged* pattern skips
 ``dereference_flat``, ``sorted_unique_inverse`` and the vote/group
 kernels entirely.  The simulated machine still sees every charge: the
-cold run records its exact charging sequence in a :class:`ChargeLog`,
-and a warm hit replays that sequence verbatim.  Charges are pure
-functions of reference *content*, and equal cache keys guarantee equal
-content, so warm numbers are bit-identical to cold ones -- the
-``check_regression.py`` / golden-table contract holds with the cache on
-or off.
+cold run compiles its charging sequence into a :class:`ChargeLog` tape
+-- each call planned once into the per-processor vectors it adds -- and
+a warm hit applies that tape, one counter update per original call, in
+the original order (see :class:`ChargeLog` for the contract).  Charges
+are pure functions of reference *content*, and equal cache keys
+guarantee equal content, so warm numbers are bit-identical to cold ones
+-- the ``check_regression.py`` / golden-table contract holds with the
+cache on or off.
 
 Layout
 ------
@@ -85,8 +87,11 @@ hits/builds, reported under ``stats()["by_kind"]["derived"]`` and kept
 out of the top-level ``hits``/``misses`` (which count slot probes).
 
 The cache object is bound to one program/machine pair: entries hold the
-machine-bound schedule built at cold time and replay charges against the
-machine the cold run charged.  Do not share one cache across machines.
+machine-bound schedule built at cold time, and their charge tapes hold
+vectors planned for that machine's processor count, topology and cost
+model.  Sharing one cache across machines is a typed failure, not a
+silent mischarge: :meth:`ChargeLog.replay` raises ``ValueError`` for any
+machine but the one that recorded the tape.
 """
 
 from __future__ import annotations
@@ -109,46 +114,74 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 
 
 class ChargeLog:
-    """Recording charge sink: forwards to the machine and keeps the tape.
+    """Recording charge sink: forwards to the machine and compiles the tape.
 
     Cold cache fills route every simulated charge through one of these
-    instead of the machine directly; the sink forwards immediately (the
-    cold run charges exactly what an uncached run would) and records the
-    call.  A later :meth:`replay` re-issues the identical sequence --
-    same methods, same argument arrays, same order -- which is what
-    makes warm hits bit-identical on the simulated side.
+    instead of the machine directly.  The sink *plans* each call against
+    its machine (``plan_exchange`` / ``plan_compute_all``: all the
+    validation and O(messages) folding the call needs), charges the plan
+    at once -- the cold run charges exactly what an uncached run would --
+    and appends the plan to ``tape``.
+
+    Replay contract: :meth:`replay` applies the tape entries in recorded
+    order, **one counter update per original call**.  Floating-point
+    counters (clocks, flops, iops, memory words) are therefore added in
+    exactly the association order of the cold run, which is what makes a
+    warm hit bit-identical on the simulated side; entries are never
+    summed ahead of time (the integer message/byte counters could be
+    folded without changing a bit, the float ones could not).  A replay
+    does no O(messages) work: an ``exchange`` entry is a frozen
+    :class:`~repro.machine.machine.ExchangeCharge`, a
+    ``charge_compute_all`` entry a
+    :class:`~repro.machine.machine.ComputeCharge`, each a handful of
+    length-P adds; ``barrier`` and the scalar ``charge_compute`` replay
+    as the calls they were.  The exchange charges keep their traffic
+    arrays, so a ``MessageTrace`` sees a replayed exchange like a fresh
+    one.
+
+    The plans hold vectors sized and costed for one machine, so a tape
+    replays only against the machine that recorded it.
     """
 
-    __slots__ = ("machine", "calls")
+    __slots__ = ("machine", "tape")
 
     def __init__(self, machine):
         self.machine = machine
-        self.calls: list[tuple[str, tuple, dict]] = []
+        #: ``(Machine method name, positional args)`` per recorded call
+        self.tape: list[tuple[str, tuple]] = []
 
     @property
     def n_procs(self) -> int:
         return self.machine.n_procs
 
-    def charge_compute(self, p, **kw):
-        self.calls.append(("charge_compute", (p,), kw))
-        return self.machine.charge_compute(p, **kw)
+    def charge_compute(self, p, flops=0.0, iops=0.0, mem=0.0):
+        self.tape.append(("charge_compute", (p, flops, iops, mem)))
+        return self.machine.charge_compute(p, flops, iops, mem)
 
     def charge_compute_all(self, **kw):
-        self.calls.append(("charge_compute_all", (), kw))
-        return self.machine.charge_compute_all(**kw)
+        charge = self.machine.plan_compute_all(**kw)
+        self.tape.append(("charge_planned_compute", (charge,)))
+        self.machine.charge_planned_compute(charge)
 
     def exchange(self, **kw):
-        self.calls.append(("exchange", (), kw))
-        return self.machine.exchange(**kw)
+        charge = self.machine.plan_exchange(**kw)
+        self.tape.append(("charge_exchange", (charge,)))
+        # the recording run itself is still a one-shot exchange
+        self.machine.charge_exchange(charge, planned=False)
 
     def barrier(self):
-        self.calls.append(("barrier", (), {}))
+        self.tape.append(("barrier", ()))
         return self.machine.barrier()
 
     def replay(self, machine) -> None:
-        """Re-issue the recorded charging sequence against ``machine``."""
-        for name, args, kw in self.calls:
-            getattr(machine, name)(*args, **kw)
+        """Apply the recorded charges to ``machine`` again, in order."""
+        if machine is not self.machine:
+            raise ValueError(
+                "a charge tape replays only against the machine it was "
+                "recorded on"
+            )
+        for method, args in self.tape:
+            getattr(machine, method)(*args)
 
 
 class PartitionEntry:

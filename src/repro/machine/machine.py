@@ -13,11 +13,20 @@ live in a struct-of-arrays :class:`~repro.machine.stats.CounterBlock`
 (``machine.counters``), so ``exchange`` and ``charge_compute_all`` are
 pure bincount/add.at/ufunc updates with no Python loop over processors;
 ``machine.procs[p].stats`` remains a live per-processor view.
+
+Charging has the same inspector/executor split as the runtime above it:
+``plan_exchange`` / ``plan_compute_all`` turn a call's arguments into
+frozen per-processor vectors (:class:`ExchangeCharge`,
+:class:`ComputeCharge`) and ``charge_exchange`` /
+``charge_planned_compute`` add them to the counters.  The one-shot
+``exchange`` / ``charge_compute_all`` are plan-then-charge, so whoever
+charges the same traffic again keeps the plan and pays O(P) per repeat.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
+from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -31,6 +40,69 @@ from repro.machine.stats import (
     ProcessorStatsView,
 )
 from repro.machine.topology import Topology, make_topology
+
+
+@dataclass(frozen=True, slots=True, eq=False)
+class ExchangeCharge:
+    """What one ``exchange`` call adds to the counters, planned once.
+
+    Built by :meth:`Machine.plan_exchange`, applied (any number of
+    times) by :meth:`Machine.charge_exchange`.  The seven per-processor
+    vectors are read-only; ``src``/``dst``/``nbytes`` are the validated,
+    zero-byte-filtered traffic they were folded from, held by reference
+    so a message tracer hooked on ``charge_exchange`` still sees every
+    message of a charge that is replayed rather than re-planned.
+    ``n_procs``/``topology``/``cost`` are the machine parameters the
+    vectors depend on; a machine refuses a charge planned against others.
+    """
+
+    n_procs: int
+    topology: Topology
+    cost: CostModel
+    src: np.ndarray
+    dst: np.ndarray
+    nbytes: np.ndarray
+    #: cross-processor messages / bytes (self copies excluded)
+    n_messages: int
+    n_bytes: int
+    #: self-copy time and word counts (messages to self are memory copies)
+    clock_add: np.ndarray
+    mem_add: np.ndarray
+    messages_sent: np.ndarray
+    bytes_sent: np.ndarray
+    messages_received: np.ndarray
+    bytes_received: np.ndarray
+    #: send time + receive time of the cross-processor messages
+    msg_time: np.ndarray
+
+    def __post_init__(self) -> None:
+        for vec in (
+            self.clock_add,
+            self.mem_add,
+            self.messages_sent,
+            self.bytes_sent,
+            self.messages_received,
+            self.bytes_received,
+            self.msg_time,
+        ):
+            vec.flags.writeable = False
+
+
+@dataclass(frozen=True, slots=True, eq=False)
+class ComputeCharge:
+    """What one ``charge_compute_all`` call adds, planned once: the
+    broadcast ``flops``/``iops``/``mem`` vectors (read-only views of the
+    caller's arguments) and the time ``dt`` they cost under ``cost``."""
+
+    n_procs: int
+    cost: CostModel
+    dt: np.ndarray
+    flops: np.ndarray
+    iops: np.ndarray
+    mem: np.ndarray
+
+    def __post_init__(self) -> None:
+        self.dt.flags.writeable = False
 
 
 class Processor:
@@ -48,6 +120,21 @@ class Processor:
 
 class Machine:
     """A P-processor distributed-memory machine with modeled time.
+
+    Every charge is *planned*, then *applied*.  ``plan_exchange`` does
+    the O(messages) part of an exchange once -- validation, zero-byte
+    filter, hop counts, message times, the per-processor fold in pair
+    order -- and returns a frozen :class:`ExchangeCharge`;
+    ``charge_exchange`` adds its seven vectors to the counters in a
+    fixed order, O(P) per application and bit-identical every time.
+    ``exchange`` is exactly ``charge_exchange(plan_exchange(...))``;
+    charge tapes (``repro.chaos.transcache.ChargeLog``), communication
+    and remap schedules and the adapt twin-group replay hold the plan
+    and skip straight to the apply.  ``plan_compute_all`` /
+    ``charge_planned_compute`` split ``charge_compute_all`` the same
+    way.  A charge records the ``(n_procs, topology, cost model)`` it
+    was planned against and is refused (``ValueError``) by any other
+    machine.
 
     Parameters
     ----------
@@ -131,16 +218,38 @@ class Machine:
         conversion and the counter updates are whole-array operations --
         no Python loop over processors.
         """
+        self.charge_planned_compute(
+            self.plan_compute_all(flops=flops, iops=iops, mem=mem)
+        )
+
+    def plan_compute_all(
+        self,
+        flops: Sequence[float] | np.ndarray | float = 0.0,
+        iops: Sequence[float] | np.ndarray | float = 0.0,
+        mem: Sequence[float] | np.ndarray | float = 0.0,
+    ) -> ComputeCharge:
+        """Broadcast, validate and cost one ``charge_compute_all`` call
+        without charging it."""
         n = self.n_procs
         fl = np.broadcast_to(np.asarray(flops, dtype=np.float64), (n,))
         io = np.broadcast_to(np.asarray(iops, dtype=np.float64), (n,))
         me = np.broadcast_to(np.asarray(mem, dtype=np.float64), (n,))
         dt = self.cost.compute_time_array(flops=fl, iops=io, mem=me)
+        return ComputeCharge(n, self.cost, dt, fl, io, me)
+
+    def charge_planned_compute(self, charge: ComputeCharge) -> None:
+        """Apply a :class:`ComputeCharge` planned against this machine."""
+        if charge.n_procs != self.n_procs or charge.cost is not self.cost:
+            raise ValueError(
+                f"compute charge planned for {charge.n_procs} processors / "
+                f"{charge.cost.name!r}, machine has {self.n_procs} / "
+                f"{self.cost.name!r}"
+            )
         c = self.counters
-        c.clock += dt
-        c.flops += fl
-        c.iops += io
-        c.mem_ops += me
+        c.clock += charge.dt
+        c.flops += charge.flops
+        c.iops += charge.iops
+        c.mem_ops += charge.mem
 
     # ------------------------------------------------------------------
     # communication primitives
@@ -187,26 +296,45 @@ class Machine:
         entries are skipped entirely -- CHAOS schedules never post empty
         messages.  Per-processor time and counter updates accumulate in
         pair order.
+
+        One-shot form of :meth:`plan_exchange` + :meth:`charge_exchange`;
+        callers that charge the same traffic repeatedly keep the plan.
+        """
+        self.charge_exchange(
+            self.plan_exchange(src=src, dst=dst, nbytes=nbytes), planned=False
+        )
+
+    def plan_exchange(
+        self,
+        *,
+        src: np.ndarray | Sequence[int],
+        dst: np.ndarray | Sequence[int],
+        nbytes: np.ndarray | Sequence[int],
+    ) -> ExchangeCharge:
+        """Validate and cost an exchange phase without charging it.
+
+        Does all the O(messages) work of :meth:`exchange` -- the shape,
+        range and size checks, the zero-byte filter, the self-copy /
+        cross-processor split, hop counts, message times and the
+        per-processor fold in pair order -- and returns the result as a
+        frozen :class:`ExchangeCharge`.  No counter moves.
         """
         src = np.asarray(src, dtype=np.int64)
         dst = np.asarray(dst, dtype=np.int64)
         nbytes = np.asarray(nbytes, dtype=np.int64)
         if not (src.shape == dst.shape == nbytes.shape):
             raise ValueError("src, dst, and nbytes must have matching shapes")
-        if src.size == 0:
-            return
         n = self.n_procs
-        if src.min() < 0 or src.max() >= n or dst.min() < 0 or dst.max() >= n:
-            bad = src if src.min() < 0 or src.max() >= n else dst
-            bad = bad[(bad < 0) | (bad >= n)][0]
-            raise ValueError(f"processor id {int(bad)} out of range [0, {n})")
-        if nbytes.min() < 0:
-            raise ValueError(f"negative message size {int(nbytes.min())}")
-        live = nbytes != 0
-        if not live.all():
-            src, dst, nbytes = src[live], dst[live], nbytes[live]
-            if src.size == 0:
-                return
+        if src.size:
+            if src.min() < 0 or src.max() >= n or dst.min() < 0 or dst.max() >= n:
+                bad = src if src.min() < 0 or src.max() >= n else dst
+                bad = bad[(bad < 0) | (bad >= n)][0]
+                raise ValueError(f"processor id {int(bad)} out of range [0, {n})")
+            if nbytes.min() < 0:
+                raise ValueError(f"negative message size {int(nbytes.min())}")
+            live = nbytes != 0
+            if not live.all():
+                src, dst, nbytes = src[live], dst[live], nbytes[live]
 
         self_mask = src == dst
         clock_add = np.zeros(n)
@@ -234,15 +362,62 @@ class Machine:
             msg_recv = np.bincount(xdst, minlength=n)
             bytes_sent = np.bincount(xsrc, weights=xbytes, minlength=n).astype(np.int64)
             bytes_recv = np.bincount(xdst, weights=xbytes, minlength=n).astype(np.int64)
+        return ExchangeCharge(
+            n_procs=n,
+            topology=self.topology,
+            cost=self.cost,
+            src=src,
+            dst=dst,
+            nbytes=nbytes,
+            n_messages=int(xsrc.size),
+            n_bytes=int(xbytes.sum()),
+            clock_add=clock_add,
+            mem_add=mem_add,
+            messages_sent=msg_sent,
+            bytes_sent=bytes_sent,
+            messages_received=msg_recv,
+            bytes_received=bytes_recv,
+            msg_time=send_time + recv_time,
+        )
 
-        c = self.counters
-        c.clock += clock_add
-        c.mem_ops += mem_add
-        c.messages_sent += msg_sent
-        c.bytes_sent += bytes_sent
-        c.messages_received += msg_recv
-        c.bytes_received += bytes_recv
-        c.clock += send_time + recv_time
+    def charge_exchange(self, charge: ExchangeCharge, *, planned: bool = True) -> None:
+        """Apply an :class:`ExchangeCharge` planned against this machine.
+
+        The single choke point every exchange is charged through -- one
+        shot, charge-tape replay or schedule-held plan -- and therefore
+        where the ``machine.exchange`` obs span and
+        :class:`~repro.machine.trace.MessageTrace` hook.  ``planned``
+        only labels the span: ``False`` for a one-shot :meth:`exchange`.
+        A charge with no traffic left after the zero-byte filter touches
+        nothing.
+        """
+        if (
+            charge.n_procs != self.n_procs
+            or charge.topology is not self.topology
+            or charge.cost is not self.cost
+        ):
+            raise ValueError(
+                f"exchange charge planned for {charge.n_procs} processors on "
+                f"{type(charge.topology).__name__} / {charge.cost.name!r} does "
+                f"not belong to this machine ({self.n_procs} on "
+                f"{type(self.topology).__name__} / {self.cost.name!r})"
+            )
+        if not charge.src.size:
+            return
+        with self.obs.span(
+            "machine.exchange",
+            n_messages=charge.n_messages,
+            nbytes=charge.n_bytes,
+            planned=planned,
+        ):
+            c = self.counters
+            c.clock += charge.clock_add
+            c.mem_ops += charge.mem_add
+            c.messages_sent += charge.messages_sent
+            c.bytes_sent += charge.bytes_sent
+            c.messages_received += charge.messages_received
+            c.bytes_received += charge.bytes_received
+            c.clock += charge.msg_time
 
     def barrier(self) -> float:
         """Synchronize all clocks to the maximum plus a small sync cost."""

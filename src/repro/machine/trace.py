@@ -1,9 +1,13 @@
 """Optional message tracing for the simulated machine.
 
-``MessageTrace`` hooks a machine's ``send``/``exchange`` and records
-every point-to-point message; tests use it to assert on communication
-*patterns* (who talks to whom, symmetry of request/reply protocols) and
-the benches can render a processor-pair traffic matrix.
+``MessageTrace`` hooks a machine's ``send``/``charge_exchange`` and
+records every point-to-point message; tests use it to assert on
+communication *patterns* (who talks to whom, symmetry of request/reply
+protocols) and the benches can render a processor-pair traffic matrix.
+``charge_exchange`` is the one place every exchange is charged -- a
+one-shot ``exchange``, a replayed charge tape or a schedule-held plan --
+and the :class:`~repro.machine.machine.ExchangeCharge` it receives
+carries the traffic it was planned from.
 
 Messages are recorded as array chunks (one ``(src, dst, nbytes)`` array
 triple per traced call), mirroring the machine's struct-of-arrays
@@ -46,7 +50,7 @@ class MessageTrace:
         self._chunks: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
         self._events_cache: list[MessageEvent] | None = []
         self._orig_send = None
-        self._orig_exchange = None
+        self._orig_charge_exchange = None
 
     def _record(self, src: np.ndarray, dst: np.ndarray, nbytes: np.ndarray) -> None:
         live = (src != dst) & (nbytes > 0)
@@ -64,7 +68,7 @@ class MessageTrace:
         if self._orig_send is not None:
             raise RuntimeError("trace already attached")
         self._orig_send = self.machine.send
-        self._orig_exchange = self.machine.exchange
+        self._orig_charge_exchange = self.machine.charge_exchange
 
         def send(src, dst, nbytes):
             result = self._orig_send(src, dst, nbytes)
@@ -75,23 +79,19 @@ class MessageTrace:
             )
             return result
 
-        def exchange(*, src, dst, nbytes):
-            self._record(
-                np.asarray(src, dtype=np.int64),
-                np.asarray(dst, dtype=np.int64),
-                np.asarray(nbytes, dtype=np.int64),
-            )
-            return self._orig_exchange(src=src, dst=dst, nbytes=nbytes)
+        def charge_exchange(charge, **kw):
+            self._record(charge.src, charge.dst, charge.nbytes)
+            return self._orig_charge_exchange(charge, **kw)
 
         self.machine.send = send
-        self.machine.exchange = exchange
+        self.machine.charge_exchange = charge_exchange
         return self
 
     def __exit__(self, *exc) -> None:
         self.machine.send = self._orig_send
-        self.machine.exchange = self._orig_exchange
+        self.machine.charge_exchange = self._orig_charge_exchange
         self._orig_send = None
-        self._orig_exchange = None
+        self._orig_charge_exchange = None
 
     # -- queries ------------------------------------------------------------
     @property

@@ -8,12 +8,38 @@ Chrome trace (auto-detected) and prints:
 * the **top-N hot spans** ranked by *self* time (duration minus direct
   children), so leaf work like ``executor.statement`` ranks
   above the umbrella spans that merely contain it;
+* **per-layer self time** -- the same self times grouped by the
+  ``src/repro/<module>`` layer that owns each span name
+  (:data:`LAYER_PREFIXES`), so "which layer burned this second" reads
+  off one table;
 * counter values and the dropped-span count, when present.
 """
 
 from __future__ import annotations
 
 from .export import load_trace
+
+#: span-name prefix -> owning layer (``src/repro/<module>``); the first
+#: match wins, anything else is reported under ``"other"``
+LAYER_PREFIXES = (
+    ("machine.", "machine"),
+    ("localize.", "chaos"),
+    ("inspector.", "core"),
+    ("executor.", "core"),
+    ("inspect", "core"),
+    ("execute", "core"),
+    ("adapt.", "adapt"),
+    ("guard.", "guard"),
+    ("serve.", "serve"),
+)
+
+
+def layer_of(span_name: str) -> str:
+    """The layer a span name is booked under (see :data:`LAYER_PREFIXES`)."""
+    for prefix, layer in LAYER_PREFIXES:
+        if span_name.startswith(prefix):
+            return layer
+    return "other"
 
 
 def summarize(trace: dict) -> dict:
@@ -47,10 +73,16 @@ def summarize(trace: dict) -> dict:
     for ph in phases.values():
         ph["share"] = ph["total_s"] / root_total if root_total else 0.0
     hot = sorted(names.items(), key=lambda kv: kv[1]["self_s"], reverse=True)
+    layers: dict[str, dict] = {}
+    for name, entry in names.items():
+        layer = layers.setdefault(layer_of(name), {"count": 0, "self_s": 0.0})
+        layer["count"] += entry["count"]
+        layer["self_s"] += entry["self_s"]
     return {
         "phases": phases,
         "names": names,
         "hot": hot,
+        "layers": layers,
         "root_total_s": root_total,
         "counters": trace.get("counters", {}),
         "n_spans": len(spans),
@@ -86,6 +118,13 @@ def render(summary: dict, top: int = 10) -> str:
             f"  {name:<36} {entry['count']:>7} {entry['self_s']:>10.4f} "
             f"{entry['total_s']:>10.4f} {entry['max_s']:>9.4f}"
         )
+    lines.append("")
+    lines.append("per-layer self time:")
+    lines.append(f"  {'layer':<36} {'spans':>7} {'self_s':>10}")
+    for layer, entry in sorted(
+        summary["layers"].items(), key=lambda kv: kv[1]["self_s"], reverse=True
+    ):
+        lines.append(f"  {layer:<36} {entry['count']:>7} {entry['self_s']:>10.4f}")
     if summary["counters"]:
         lines.append("")
         lines.append("counters:")

@@ -249,6 +249,32 @@ class TestTwin:
         for x, y in zip(a, b):
             np.testing.assert_array_equal(x, y)
 
+    def test_exchange_plans_built_once_shared_and_equal_to_naive(self):
+        # the gather / reverse exchange and the combine flops are planned
+        # on first use, then held: repeated applications through the
+        # schedule and its twin == the naive loop repeated, bit for bit
+        rng = np.random.default_rng(33)
+        m_flat, arr_flat, min_local = make_world(8, 61, 4)
+        m_ref, arr_ref, _ = make_world(8, 61, 4)
+        send, recv, gsizes = random_schedule_parts(rng, 8, min_local)
+        sched = schedule_from_pairs(
+            m_flat, arr_flat.distribution.signature(), send, recv, gsizes
+        )
+        tw = sched.twin()
+        assert sched._exchange_charges == {} and sched._combine_flops == {}
+        g_flat = np.zeros(sum(gsizes))
+        g_ref = [np.zeros(s) for s in gsizes]
+        for user in (sched, tw, sched):
+            user.gather(arr_flat, g_flat)
+            naive_gather(m_ref, send, recv, arr_ref, g_ref)
+            user.scatter_op(g_flat, arr_flat, np.add)
+            naive_reverse(m_ref, send, recv, g_ref, arr_ref, np.add)
+        assert clocks(m_flat) == clocks(m_ref)
+        assert counters(m_flat) == counters(m_ref)
+        assert tw._exchange_charges is sched._exchange_charges
+        assert sorted(sched._exchange_charges) == [(False, 8), (True, 8)]
+        assert list(sched._combine_flops) == [1.0]
+
 
 # ----------------------------------------------------------------------
 # the one constructor states its contract

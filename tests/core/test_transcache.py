@@ -7,8 +7,8 @@ loop shapes:
   element-equal to the cold one: same iteration partition, same
   localized references, same ghost key sets, same wire order;
 * **charge oracle** -- simulated machine counters after any sequence of
-  inspections are bit-identical with the cache on and off (the replay
-  mechanism re-issues the cold run's exact charge calls).
+  inspections are bit-identical with the cache on and off (a replay
+  applies the charges the cold run planned, one update per call).
 
 Plus one invalidation test per mutation path: ``set_array_elements``,
 executor-style writes through local views, ``redistribute`` and the
@@ -24,7 +24,7 @@ from repro.core import ArrayRef, ForallLoop, Reduce, run_executor, run_inspector
 from repro.core.program import IrregularProgram
 from repro.distribution import BlockDistribution, CyclicDistribution, DistArray
 from repro.distribution.irregular import IrregularDistribution
-from repro.machine import Machine
+from repro.machine import Machine, MessageTrace
 from repro.machine.stats import COUNTER_FIELDS
 
 
@@ -140,19 +140,120 @@ class TestWarmVsColdOracle:
 
 
 class TestChargeLog:
+    @staticmethod
+    def issue(sink):
+        sink.charge_compute_all(iops=np.array([1.0, 2.0, 3.0, 4.0]))
+        sink.exchange(
+            src=np.array([0, 3, 1]), dst=np.array([2, 3, 0]), nbytes=np.array([64, 24, 0])
+        )
+        sink.barrier()
+        sink.charge_compute(1, flops=7.0)
+
     def test_forwards_and_replays_identically(self):
-        m1, m2, m3 = Machine(4), Machine(4), Machine(4)
+        m1, m2 = Machine(4), Machine(4)
         log = ChargeLog(m1)
-        log.charge_compute_all(iops=np.array([1.0, 2.0, 3.0, 4.0]))
-        log.exchange(src=np.array([0]), dst=np.array([2]), nbytes=np.array([64]))
-        log.barrier()
-        log.charge_compute(1, flops=7.0)
-        # forwarding: m1 charged immediately
+        self.issue(log)
+        self.issue(m2)
+        # forwarding: m1 charged immediately, exactly like direct calls
         assert m1.elapsed() > 0
-        log.replay(m2)
-        log.replay(m3)
-        assert m1.elapsed() == m2.elapsed() == m3.elapsed()
-        assert counters_equal(m1, m2) and counters_equal(m2, m3)
+        assert counters_equal(m1, m2)
+        # each replay == issuing the same calls again
+        for _ in range(2):
+            log.replay(m1)
+            self.issue(m2)
+            assert m1.elapsed() == m2.elapsed()
+            assert counters_equal(m1, m2)
+
+    def test_tape_holds_plans_not_arguments(self):
+        # compiled at record time: a replay re-plans nothing
+        m = Machine(4)
+        log = ChargeLog(m)
+        self.issue(log)
+        assert [name for name, _ in log.tape] == [
+            "charge_planned_compute",
+            "charge_exchange",
+            "barrier",
+            "charge_compute",
+        ]
+        m.plan_exchange = m.plan_compute_all = None  # any re-plan would raise
+        log.replay(m)
+
+    def test_replay_on_another_machine_is_a_typed_failure(self):
+        m1, m2 = Machine(4), Machine(4)
+        log = ChargeLog(m1)
+        self.issue(log)
+        with pytest.raises(ValueError, match="machine it was recorded on"):
+            log.replay(m2)
+        assert m2.elapsed() == 0.0 and not m2.counters.iops.any()
+
+
+class TestReplayEqualsColdInCombination:
+    """k warm re-inspections (compiled tape replay + schedule-held
+    exchange charges) against k cold ones with the cache off, across
+    ``incremental`` x ``merge_communication``: clocks, every counter and
+    every phase record bitwise equal, and a ``MessageTrace`` sees the
+    same messages either way."""
+
+    K = 4
+
+    def run(self, mode, incremental, merge, traced=False):
+        prog, loop, _ = TestInvalidation().build_prog(
+            n_procs=8,
+            n_data=64,
+            n_iter=120,
+            seed=21,
+            incremental=incremental,
+            merge_communication=merge,
+            translation_cache=mode,
+        )
+        trace = MessageTrace(prog.machine)
+        if traced:
+            trace.__enter__()
+        for _ in range(self.K):
+            prog.forall(loop, reuse=False)
+        inspect_bytes = trace.total_bytes()
+        prog.forall(loop)  # reuse hit: executor gathers + scatters only
+        if traced:
+            trace.__exit__()
+        return prog, trace, inspect_bytes
+
+    @pytest.mark.parametrize("merge", [False, True], ids=["unmerged", "merged"])
+    @pytest.mark.parametrize("incremental", [False, True], ids=["full", "incremental"])
+    def test_counters_and_phase_records_bitwise(self, incremental, merge):
+        on, _, _ = self.run("on", incremental, merge)
+        off, _, _ = self.run("off", incremental, merge)
+        assert off.translation_cache is None
+        assert on.translation_cache.hits >= self.K - 1
+        m_on, m_off = on.machine, off.machine
+        for f in COUNTER_FIELDS:
+            a, b = getattr(m_on.counters, f), getattr(m_off.counters, f)
+            assert a.tobytes() == b.tobytes(), f
+        assert len(m_on.stats.phases) == len(m_off.stats.phases) > 0
+        for p_on, p_off in zip(m_on.stats.phases, m_off.stats.phases):
+            assert p_on.name == p_off.name
+            assert p_on.elapsed == p_off.elapsed, p_on.name
+            for f in COUNTER_FIELDS:
+                a, b = getattr(p_on.arrays, f), getattr(p_off.arrays, f)
+                assert a.tobytes() == b.tobytes(), (p_on.name, f)
+        assert np.array_equal(on.arrays["y"].to_global(), off.arrays["y"].to_global())
+
+    @pytest.mark.parametrize("merge", [False, True], ids=["unmerged", "merged"])
+    @pytest.mark.parametrize("incremental", [False, True], ids=["full", "incremental"])
+    def test_message_trace_sees_replayed_and_schedule_held_traffic(
+        self, incremental, merge
+    ):
+        on, warm, warm_inspect = self.run("on", incremental, merge, traced=True)
+        off, cold, cold_inspect = self.run("off", incremental, merge, traced=True)
+        assert on.translation_cache.hits >= self.K - 1
+        assert warm.message_count() == cold.message_count() > 0
+        assert warm.total_bytes() == cold.total_bytes()
+        assert np.array_equal(warm.traffic_matrix(), cold.traffic_matrix())
+        # the last sweep reused its product: what it added is the
+        # executor's gather + scatter traffic alone
+        assert warm_inspect == cold_inspect
+        assert warm.total_bytes() - warm_inspect > 0
+        # and the trace agrees with the machine's own byte counters
+        assert warm.total_bytes() == int(on.machine.counters.bytes_sent.sum())
 
 
 class TestInvalidation:

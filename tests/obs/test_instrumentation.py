@@ -121,6 +121,55 @@ class TestAdaptSpans:
         assert bus_rec.payload is rec
 
 
+class TestMachineExchangeSpan:
+    """One ``machine.exchange`` span per charged exchange, recorded at
+    the ``charge_exchange`` choke point and booked to the machine layer."""
+
+    def test_span_attrs_account_for_every_message(self):
+        mesh, prog, loop = build(obs="on")
+        prog.forall(loop, n_times=1, reuse=False)
+        spans = [s for s in prog.machine.obs.spans if s.name == "machine.exchange"]
+        assert spans
+        counters = prog.machine.counters
+        assert sum(s.attrs["n_messages"] for s in spans) == int(counters.messages_sent.sum())
+        assert sum(s.attrs["nbytes"] for s in spans) == int(counters.bytes_sent.sum())
+        # the cold inspection's exchanges are one-shots; the executor's
+        # gather / scatter charges come from the schedules
+        assert {s.attrs["planned"] for s in spans} == {False, True}
+
+    def test_warm_reinspection_charges_only_planned_exchanges(self):
+        mesh, prog, loop = build(obs="on")
+        prog.forall(loop, n_times=1, reuse=False)
+        prog.machine.obs.clear()
+        prog.forall(loop, n_times=1, reuse=False)
+        by_parent = {s.id: s for s in prog.machine.obs.spans}
+        spans = [s for s in prog.machine.obs.spans if s.name == "machine.exchange"]
+        # translation tables are rebuilt by every inspection (one-shot);
+        # everything the cache served replays planned charges
+        replayed = [s for s in spans if by_parent[s.parent].name == "localize.replay"]
+        assert replayed and all(s.attrs["planned"] for s in replayed)
+
+    def test_report_books_the_span_to_the_machine_layer(self, tmp_path):
+        from repro.obs import summarize
+        from repro.obs.report import layer_of, render
+
+        assert layer_of("machine.exchange") == "machine"
+        assert layer_of("localize.replay") == "chaos"
+        assert layer_of("executor.statement") == layer_of("inspect") == "core"
+        assert layer_of("something.else") == "other"
+        mesh, prog, loop = build(obs="on")
+        prog.forall(loop, n_times=2)
+        path = prog.export_obs(str(tmp_path / "t.trace.json"), fmt="chrome")
+        summary = summarize(load_trace(path))
+        n = sum(1 for s in prog.machine.obs.spans if s.name == "machine.exchange")
+        assert summary["layers"]["machine"]["count"] == n > 0
+        assert sum(l["self_s"] for l in summary["layers"].values()) == pytest.approx(
+            summary["root_total_s"]
+        )
+        text = render(summary)
+        assert "per-layer self time" in text and "machine" in text
+
+
 def _ancestors(span, spans):
     by_id = {s.id: s for s in spans}
     out, cur = set(), span.parent
