@@ -40,11 +40,12 @@ FRACTIONS = [0.01, 0.05, 0.25]
 EPOCHS = 3  # adaptations per run (plus the initial inspection)
 SWEEPS_PER_EPOCH = 2
 
-#: smoke scale: small enough for a ~2s CI run, large enough that the
-#: patch-vs-full wall gap clears single-run host-clock noise (at 1200
-#: nodes the ~6ms walls flip order between runs; at 6000 the patch/full
-#: ratio at 1% churn sits stably near 0.5)
-TINY_NODES = 6000
+#: smoke scale: small enough for a ~4s CI run, large enough that the
+#: patch-vs-full wall gap clears single-run host-clock noise (a patch
+#: has a per-call floor the full inspection does not: at 6000 nodes the
+#: ~7ms walls give a patch/full ratio at 1% churn of 0.73-0.97 run to
+#: run, one bad run from flipping; at 12000 it reads 0.71-0.74)
+TINY_NODES = 12000
 TINY_PROCS = [16]
 
 #: invariant-checking level the bench runs under -- recorded in the

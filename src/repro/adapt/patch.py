@@ -40,14 +40,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.chaos.costs import ChaosCosts, DEFAULT_COSTS
-from repro.chaos.localize import LocalizeResult, sorted_unique_inverse
+from repro.chaos.kernels import majority_owner, pair_counts, sorted_unique_inverse
+from repro.chaos.localize import LocalizeResult
 from repro.chaos.transcache import KeyTranslationMemo, TranslationCache
 from repro.chaos.ttable import TranslationTable
+from repro.core import cachekey
 from repro.core.executor import patch_exec_caches
 from repro.core.inspector import InspectorProduct, PatternData
 from repro.core.iteration import (
     ITERATION_RECORD_BYTES,
-    _majority_owner,
     method_refs,
     partition_from_home,
 )
@@ -167,16 +168,23 @@ def _revote(
     if not changed_iters.size:
         return home_old, _EMPTY
     refs = method_refs(loop, method)
+    # one owner row per distinct (distribution, indirection): references
+    # sharing both share the row object and vote once, weighted
+    by_source: dict[tuple, np.ndarray] = {}
     rows = []
     for ref in refs:
         dist = arrays[ref.array].distribution
-        if ref.index is None:
-            targets = changed_iters
-        else:
-            values = np.asarray(arrays[ref.index].global_view(), dtype=np.int64)
-            targets = values[changed_iters]
-        rows.append(np.asarray(dist.owner(targets), dtype=np.int64))
-    vote = _majority_owner(rows)
+        source = (cachekey.dist_key(dist), ref.index)
+        row = by_source.get(source)
+        if row is None:
+            if ref.index is None:
+                targets = changed_iters
+            else:
+                values = np.asarray(arrays[ref.index].global_view(), dtype=np.int64)
+                targets = values[changed_iters]
+            row = by_source[source] = np.asarray(dist.owner(targets), dtype=np.int64)
+        rows.append(row)
+    vote = majority_owner(rows)
     home_new = home_old.copy()
     home_new[changed_iters] = vote
     moved = changed_iters[vote != home_old[changed_iters]]
@@ -189,9 +197,7 @@ def _revote(
         * (costs.hash_lookup + 2.0)
     )
     if moved.size:
-        n = machine.n_procs
-        pairmat = np.zeros((n, n), dtype=np.int64)
-        np.add.at(pairmat, (home_old[moved], home_new[moved]), 1)
+        pairmat = pair_counts(home_old[moved], home_new[moved], machine.n_procs)
         np.fill_diagonal(pairmat, 0)
         src, dst = np.nonzero(pairmat)
         machine.exchange(

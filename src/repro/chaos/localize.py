@@ -23,12 +23,14 @@ result is flat only: :class:`LocalizeResult` stores ``(values, bounds)``
 pairs; ``FlatRefs(values, bounds).segment(p)`` slices one processor's
 part out of either.
 
-Deduplication uses a direct ``np.sort`` over combined
-``processor * stride + global_index`` keys (the reference stream is
-already grouped by processor, so the combined sort is a bank of
-per-processor sorts) plus one ``searchsorted`` for the inverse mapping
-and per-processor group bounds — the same sorted-unique contract as
-``np.unique(..., return_inverse=True)`` without its indirect argsort.
+Deduplication is one direct sort (``repro.chaos.kernels``) over combined
+``processor * stride + global_index`` keys, each packed with its stream
+position so the sorted keys, the uniques and the inverse mapping all
+fall out of that sort — the same sorted-unique contract as
+``np.unique(..., return_inverse=True)`` without its indirect argsort;
+per-processor group bounds are ``n + 1`` binary searches on the uniques.
+The unique ghosts are then grouped into (requester, owner) pairs by a
+radix sort on the pair id, linear for any processor count.
 
 The cost charged mirrors what PARTI's hashed implementation did per
 reference: a hash probe per reference, an insert per unique off-processor
@@ -44,32 +46,13 @@ import numpy as np
 
 from repro.chaos.costs import ChaosCosts, DEFAULT_COSTS
 from repro.chaos.flatrefs import FlatRefs
+from repro.chaos.kernels import sorted_unique_inverse, stable_order
 from repro.chaos.schedule import CommSchedule
 from repro.chaos.transcache import ChargeLog, TranslationCache, _freeze
 from repro.chaos.ttable import TranslationTable
 from repro.machine.machine import Machine
 
-__all__ = ["FlatRefs", "LocalizeResult", "localize", "sorted_unique_inverse"]
-
-
-def sorted_unique_inverse(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted unique values of ``keys`` plus the inverse mapping.
-
-    Bit-identical contract to ``np.unique(keys, return_inverse=True)``
-    (ascending uniques, ``uniq[inverse] == keys``) but built from one
-    *direct* sort — no indirect argsort — plus one binary-search pass
-    for the inverse, which is substantially faster on the large int64
-    key streams localize produces.
-    """
-    if not keys.size:
-        return keys.copy(), np.empty(0, dtype=np.int64)
-    sorted_keys = np.sort(keys)
-    new_group = np.empty(sorted_keys.size, dtype=bool)
-    new_group[0] = True
-    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=new_group[1:])
-    uniq = sorted_keys[new_group]
-    inverse = np.searchsorted(uniq, keys)
-    return uniq, inverse
+__all__ = ["FlatRefs", "LocalizeResult", "localize"]
 
 
 @dataclass(eq=False)
@@ -181,14 +164,8 @@ def localize(
     # collide across processors because every global index is < dist.size.
     stride = max(dist.size, 1)
     keys = off_pid * stride + off_refs
-    if n * stride <= np.iinfo(np.int32).max:
-        # half-width keys halve the sort/search bandwidth; values are
-        # exact (n * stride bounds every key), so uniques and inverse
-        # are unchanged
-        keys = keys.astype(np.int32)
     with obs.span("localize.dedup", n_off=int(keys.size)):
         uniq_keys, inverse = sorted_unique_inverse(keys)
-    uniq_keys = uniq_keys.astype(np.int64, copy=False)
     # per-processor group bounds on the sorted uniques: n+1 binary
     # searches instead of a bincount over a division-derived pid array
     ghost_bounds = np.searchsorted(
@@ -207,14 +184,16 @@ def localize(
     ref_bounds = refs.bounds
 
     # build schedule entries for each (owner q, requester p) pair: one
-    # stable sort groups the unique ghosts requester-major, owner-minor,
-    # ghost slots ascending within each owner (as per-owner masking did)
+    # stable radix sort groups the unique ghosts requester-major,
+    # owner-minor, ghost slots ascending within each owner (as per-owner
+    # masking did)
     uowners = np.asarray(dist.owner(ugidx), dtype=np.int64) if ugidx.size else ugidx
     ulidx = (
         np.asarray(dist.local_index(ugidx), dtype=np.int64) if ugidx.size else ugidx
     )
-    order = np.argsort(upid * n + uowners, kind="stable")
-    pair_keys = upid[order] * n + uowners[order]
+    pair_keys = upid * n + uowners
+    order = stable_order(pair_keys, n * n)
+    pair_keys = pair_keys[order]
     # pair boundaries on the already-sorted keys (no second sort)
     if pair_keys.size:
         seg_starts = np.concatenate(

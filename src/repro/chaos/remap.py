@@ -25,7 +25,7 @@ import numpy as np
 from repro.chaos.costs import ChaosCosts, DEFAULT_COSTS
 from repro.distribution.base import Distribution
 from repro.distribution.distarray import DistArray
-from repro.machine.machine import Machine
+from repro.machine.machine import Machine, get_or_plan
 
 
 def _group_elements(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -92,9 +92,11 @@ class RemapSchedule:
         else:
             self._carry_dst_pos = None
         self._carry_src_pos: np.ndarray | None = None
-        # itemsize -> planned move exchange, shared by every array the
-        # schedule is applied to
-        self._exchange_charges: dict = {}
+        # the per-application charges, planned on first use and shared
+        # by every array the schedule is applied to: ``("move",
+        # itemsize)`` -> the move ExchangeCharge, ``("pack", words per
+        # element)`` -> the (pack, unpack) ComputeCharges
+        self._charges: dict = {}
 
     def element_count(self) -> int:
         """Elements that change processor (self-moves excluded)."""
@@ -143,19 +145,24 @@ class RemapSchedule:
             new_data[self._dst_pos[~keep]] = 0
             new_data[self._dst_pos[keep]] = wire[keep]
 
-        pack_w = costs.pack_unpack_mem * self.pair_counts
-        pack = np.bincount(self.pair_p, weights=pack_w, minlength=n)
-        unpack = np.bincount(self.pair_q, weights=pack_w, minlength=n)
-        charge = self._exchange_charges.get(arr.itemsize)
-        if charge is None:
-            charge = self._exchange_charges[arr.itemsize] = m.plan_exchange(
-                src=self.pair_p,
-                dst=self.pair_q,
-                nbytes=self.pair_counts * arr.itemsize,
+        def plan_pack():
+            words = costs.pack_unpack_mem * self.pair_counts
+            return [
+                m.plan_compute_all(mem=np.bincount(side, weights=words, minlength=n))
+                for side in (self.pair_p, self.pair_q)
+            ]
+
+        def plan_move():
+            return m.plan_exchange(
+                src=self.pair_p, dst=self.pair_q, nbytes=self.pair_counts * arr.itemsize
             )
-        m.charge_compute_all(mem=pack)
-        m.charge_exchange(charge)
-        m.charge_compute_all(mem=unpack)
+
+        pack, unpack = get_or_plan(
+            self._charges, ("pack", costs.pack_unpack_mem), plan_pack
+        )
+        m.charge_planned_compute(pack)
+        m.charge_exchange(get_or_plan(self._charges, ("move", arr.itemsize), plan_move))
+        m.charge_planned_compute(unpack)
         arr.rebind_flat(self.new_dist, new_data)
 
 

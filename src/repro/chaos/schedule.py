@@ -70,7 +70,7 @@ import numpy as np
 
 from repro.chaos.costs import ChaosCosts, DEFAULT_COSTS
 from repro.distribution.distarray import DistArray
-from repro.machine.machine import Machine
+from repro.machine.machine import Machine, get_or_plan
 
 
 def _pair_runs(
@@ -636,16 +636,16 @@ class CommSchedule:
     def _exchange_charge(self, reverse: bool, itemsize: int):
         """The planned exchange of one application: owners -> requesters
         for a gather, requesters -> owners in the reverse direction."""
-        charge = self._exchange_charges.get((reverse, itemsize))
-        if charge is None:
+
+        def plan():
             src, dst = self._pair_q, self._pair_p
             if reverse:
                 src, dst = dst, src
-            charge = self.machine.plan_exchange(
+            return self.machine.plan_exchange(
                 src=src, dst=dst, nbytes=self._wire_bytes(itemsize)
             )
-            self._exchange_charges[reverse, itemsize] = charge
-        return charge
+
+        return get_or_plan(self._exchange_charges, (reverse, itemsize), plan)
 
     # ------------------------------------------------------------------
     # data movement

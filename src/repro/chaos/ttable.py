@@ -37,6 +37,7 @@ import numpy as np
 
 from repro.chaos.costs import ChaosCosts, DEFAULT_COSTS
 from repro.chaos.flatrefs import FlatRefs
+from repro.chaos.kernels import pair_counts
 from repro.distribution.base import Distribution
 from repro.distribution.regular import BlockDistribution
 from repro.machine.collectives import allgather_cost
@@ -168,11 +169,8 @@ class DistributedTranslationTable(Translator):
         # construction: each element's (owner, offset) entry is sent to its
         # page owner -- one all-to-all of table fragments
         n = machine.n_procs
-        counts = np.zeros((n, n), dtype=np.int64)
-        if dist.size:
-            page_owner = np.asarray(self.pages.owner(np.arange(dist.size)))
-            data_owner = np.asarray(dist.owner(np.arange(dist.size)))
-            np.add.at(counts, (data_owner, page_owner), 1)
+        g = np.arange(dist.size)
+        counts = pair_counts(dist.owner(g), self.pages.owner(g), n)
         off_diag = counts.copy()
         np.fill_diagonal(off_diag, 0)
         src, dst = np.nonzero(off_diag)
@@ -225,15 +223,13 @@ class DistributedTranslationTable(Translator):
         request/probe/reply exchange phases, all count arithmetic -- no
         Python loop over processors and no re-validation scans."""
         n = self.machine.n_procs
-        req_counts = np.zeros((n, n), dtype=np.int64)
-        if values.size:
-            page_owner = self._page_owner(np.asarray(values, dtype=np.int64))
-            pid = np.repeat(
-                np.arange(n, dtype=np.int64), np.diff(bounds).astype(np.int64)
-            )
-            req_counts = np.bincount(
-                pid * n + page_owner, minlength=n * n
-            ).reshape(n, n)
+        # requester * n + page owner, built in place on the page-owner
+        # array (a fresh quotient whenever there are values: the chunk
+        # is nonzero then); the stream is grouped by requester
+        key = self._page_owner(np.asarray(values, dtype=np.int64))
+        if key.size:
+            key += np.repeat(np.arange(0, n * n, n), np.diff(bounds))
+        req_counts = np.bincount(key, minlength=n * n).reshape(n, n)
         # request exchange (indices), probe at owners, reply exchange (pairs)
         off_diag = req_counts.copy()
         np.fill_diagonal(off_diag, 0)

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.chaos.kernels import pair_counts
 from repro.core.dad import DAD
 from repro.distribution.distarray import DistArray
 from repro.machine.machine import Machine
@@ -172,8 +173,7 @@ def _charge_generation(machine, n_vertices, coords, weights, edges) -> None:
         # and shipped to the (block) owner of its first endpoint
         holder = np.arange(n_edges, dtype=np.int64) // echunk
         dest = np.minimum(edges[0] // max(vchunk, 1), n_procs - 1)
-        counts = np.zeros((n_procs, n_procs), dtype=np.int64)
-        np.add.at(counts, (holder, dest), 1)
+        counts = pair_counts(holder, dest, n_procs)
         for p in range(n_procs):
             eiops[p] = GEOCOL_EDGE_IOPS * float(counts[p].sum())
         off_diag = counts.copy()

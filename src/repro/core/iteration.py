@@ -16,11 +16,12 @@ Wall-clock performance notes (simulated charges are unaffected): the
 per-reference ``owner()`` gathers are memoized per (distribution
 signature, indirection-array content version) in a weak cache, so
 re-inspecting the same loop -- the paper's no-reuse scenario does this
-every time step -- never re-translates unchanged indirection arrays; the
-majority vote runs directly over the per-reference owner rows without
-materializing a stacked ``(k, n)`` matrix; and the grouping of
-iterations by home processor is one direct ``np.sort`` over composite
-keys instead of an indirect ``argsort``.
+every time step -- never re-translates unchanged indirection arrays.
+The cold path is linear in the loop size (``repro.chaos.kernels``): the
+majority vote runs over the *distinct* cached owner rows with integer
+weights, the grouping of iterations by home processor is a radix sort
+on the processor id, and the shipped-iteration histogram is one
+``bincount``.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.chaos.costs import ChaosCosts, DEFAULT_COSTS
+from repro.chaos.kernels import majority_owner, pair_counts, stable_order
 from repro.chaos.transcache import ChargeLog, PartitionEntry, TranslationCache
 from repro.core import cachekey
 from repro.core.forall import ForallLoop
@@ -123,42 +125,6 @@ def _ref_owners(
     return rows
 
 
-def _majority_owner(rows: list[np.ndarray]) -> np.ndarray:
-    """Majority vote over k owner rows of length n, ties -> lowest id.
-
-    Equivalent to building the dense (n, n_procs) vote matrix and taking
-    a row-wise argmax, but O(n * k^2) with k = references per iteration
-    (a handful) instead of O(n * P) memory and scattered adds.  Each
-    position's multiplicity comes from one broadcast k x k comparison
-    (no per-row sort); among the positions attaining the row maximum the
-    smallest owner id wins — the dense argmax's tie semantics.  Vote
-    counts fit uint8 (k < 256 always holds in practice), keeping the
-    count block an eighth of the old int64 footprint.
-    """
-    k = len(rows)
-    if k == 1:
-        return rows[0].copy()
-    if k == 2:
-        # both agree -> that owner; split vote -> argmax tie -> lowest id
-        return np.minimum(rows[0], rows[1])
-    n = rows[0].size
-    count_dtype = np.uint8 if k < 256 else np.int64
-    counts = np.ones((k, n), dtype=count_dtype)
-    for j in range(k):
-        for m in range(j + 1, k):
-            eq = rows[j] == rows[m]
-            counts[j] += eq
-            counts[m] += eq
-    cmax = counts[0].copy()
-    for j in range(1, k):
-        np.maximum(cmax, counts[j], out=cmax)
-    big = np.iinfo(np.int64).max
-    winner = np.full(n, big, dtype=np.int64)
-    for j in range(k):
-        np.minimum(winner, np.where(counts[j] == cmax, rows[j], big), out=winner)
-    return winner
-
-
 def method_refs(loop: ForallLoop, method: str):
     """The ArrayRefs a partition method votes over (shared with the
     incremental re-vote in ``repro.adapt`` -- both must select
@@ -177,16 +143,20 @@ def partition_from_home(
     home: np.ndarray, n_procs: int, method: str
 ) -> IterationPartition:
     """Group iterations by home processor, ascending iteration index
-    within each home: composite keys ``home * n + i`` direct-sorted give
-    the stable grouping permutation without an indirect argsort.  Used
-    by :func:`partition_iterations` and the incremental patcher (which
-    must reproduce this grouping exactly)."""
-    n = home.size
-    order = np.sort(home * np.int64(n) + np.arange(n, dtype=np.int64)) % n
+    within each home: a stable radix sort on the processor id (16-bit
+    digits, as many as ``n_procs`` needs).  Used by
+    :func:`partition_iterations` and the incremental patcher (which must
+    reproduce this grouping exactly)."""
     counts = np.bincount(home, minlength=n_procs)
+    if counts.size > n_procs:
+        raise ValueError(
+            f"processor id {int(home.max())} out of range [0, {n_procs})"
+        )
     bounds = np.zeros(n_procs + 1, dtype=np.int64)
     np.cumsum(counts, out=bounds[1:])
-    return IterationPartition(n, method, flat=order, bounds=bounds)
+    return IterationPartition(
+        home.size, method, flat=stable_order(home, n_procs), bounds=bounds
+    )
 
 
 def partition_cache_key(
@@ -259,10 +229,10 @@ def partition_iterations(
                 n, method, flat=entry.flat, bounds=entry.bounds
             )
 
-    # cached per-reference owner rows feed the vote directly: no stacked
-    # (k, n) owner matrix, no re-gather for repeated indirections
+    # cached per-reference owner rows feed the vote directly: repeated
+    # indirections are one row object, which votes once with a weight
     rows = _ref_owners(loop, arrays, refs)
-    home = _majority_owner(rows)  # ties -> lowest proc
+    home = majority_owner(rows)  # ties -> lowest proc
 
     part = partition_from_home(home, n_procs, method)
 
@@ -276,8 +246,7 @@ def partition_iterations(
     )
     # ship iterations whose home differs from their initial block holder
     init_holder = np.asarray(init.owner(np.arange(n, dtype=np.int64)))
-    moved = np.zeros((n_procs, n_procs), dtype=np.int64)
-    np.add.at(moved, (init_holder, home), 1)
+    moved = pair_counts(init_holder, home, n_procs)
     np.fill_diagonal(moved, 0)
     move_p, move_q = np.nonzero(moved)
     sink.exchange(

@@ -105,6 +105,16 @@ class ComputeCharge:
         self.dt.flags.writeable = False
 
 
+def get_or_plan(plans: dict, key, plan):
+    """``plans[key]``, filled from ``plan()`` on first use: how a schedule
+    holds the charges that depend on a call argument (an itemsize, a
+    cost table) -- planned once, applied from the dict ever after."""
+    held = plans.get(key)
+    if held is None:
+        held = plans[key] = plan()
+    return held
+
+
 class Processor:
     """One virtual processor: a rank and a live view of its counters."""
 

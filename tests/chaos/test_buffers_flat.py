@@ -21,7 +21,8 @@ import pytest
 
 from repro.chaos import GhostBuffers, build_translation_table, localize
 from repro.chaos.costs import DEFAULT_COSTS
-from repro.chaos.localize import FlatRefs, sorted_unique_inverse
+from repro.chaos.kernels import sorted_unique_inverse
+from repro.chaos.localize import FlatRefs
 from repro.distribution import BlockDistribution, DistArray, IrregularDistribution
 from repro.machine import Machine
 from tests.chaos.pairs import naive_gather, naive_reverse, schedule_from_pairs
