@@ -29,8 +29,9 @@ Degradation is *graceful and bounded* (the escalation ladder):
    -- correctness never depends on a product that failed verification;
 2. every fallback, including routine routing ones (unpatchable
    condition, missing state or region info, churn over threshold),
-   appends a structured record to ``fallback_log`` and is surfaced
-   per-step through :class:`AdaptiveExecutor.history`;
+   emits a structured ``adapt.fallback`` event (read back through
+   ``fallback_log``) and is surfaced per-step through
+   :class:`AdaptiveExecutor.history`;
 3. after ``max_failures`` patch failures on one loop, incremental
    inspection is disabled for that loop (``disabled``) -- a persistent
    bookkeeping bug cannot cause a patch/fail/re-inspect livelock.
@@ -100,17 +101,6 @@ class IncrementalInspector:
         #: the exception that aborted the most recent patch attempt, if
         #: any -- the driver recovered by falling back to full inspection
         self.last_error: Exception | None = None
-        #: structured record of every fallback to the full inspector:
-        #: {"loop", "stage", "reason", "error", **detail}.  When the
-        #: program carries an event bus this is a live list-shaped view
-        #: over its "adapt.fallback" category (shared structured-event
-        #: schema); standalone construction keeps a plain list.
-        if program is not None and getattr(program, "events", None) is not None:
-            self.fallback_log = program.events.view(
-                "adapt.fallback", name_key="reason"
-            )
-        else:
-            self.fallback_log = []
         #: per-loop count of typed patch failures (aborts + verify)
         self.failures: dict[str, int] = {}
         #: loops whose incremental inspection was disabled after
@@ -118,17 +108,26 @@ class IncrementalInspector:
         self.disabled: set[str] = set()
 
     # ------------------------------------------------------------------
+    @property
+    def fallback_log(self) -> list[dict]:
+        """Every fallback to the full inspector so far, as
+        ``{"loop", "stage", "reason", "error", **detail}`` records: the
+        ``"adapt.fallback"`` category of the program's event bus."""
+        return self.program.events.payloads("adapt.fallback")
+
     def _fallback(self, loop_name: str, stage: str, reason: str, error=None, **detail):
         """Record one fall-back-to-full-inspection decision; returns None
         (the sentinel ``attempt`` hands the caller)."""
-        self.fallback_log.append(
+        self.program.events.emit(
+            "adapt.fallback",
+            reason,
             {
                 "loop": loop_name,
                 "stage": stage,
                 "reason": reason,
                 "error": None if error is None else f"{type(error).__name__}: {error}",
                 **detail,
-            }
+            },
         )
         return None
 
@@ -278,7 +277,6 @@ class IncrementalInspector:
                         changed,
                         self._ttables_for(record),
                         costs=self.program.costs,
-                        cache=self.program.translation_cache,
                     )
                 with obs.span("adapt.verify", loop=loop.name):
                     self._verify_patch(loop, result)
@@ -387,17 +385,7 @@ class AdaptiveExecutor:
     steps, and :meth:`resume` continues bit-identically from one.
     """
 
-    def __init__(self, program, loop: ForallLoop, obs: str | None = None):
-        """``obs="on"`` installs a :class:`repro.obs.Tracer` on the
-        program's machine (same switch as ``IrregularProgram(obs=...)``;
-        ``None`` leaves whatever the program configured)."""
-        if obs is not None:
-            if obs not in ("on", "off"):
-                raise ValueError(f"unknown obs mode {obs!r}; choose on | off")
-            if obs == "on" and not program.machine.obs.enabled:
-                from repro.obs import Tracer
-
-                program.machine.obs = Tracer()
+    def __init__(self, program, loop: ForallLoop):
         self.program = program
         self.loop = loop
         self.history: list[dict] = []
@@ -414,7 +402,7 @@ class AdaptiveExecutor:
             prog.inspector_runs,
             prog.patch_hits,
             machine.phase_time("inspector"),
-            len(adapt.fallback_log) if adapt is not None else 0,
+            len(prog.events.category("adapt.fallback")),
             prog.inspect_wall,
             adapt.state_build_wall if adapt is not None else 0.0,
         )
@@ -441,11 +429,10 @@ class AdaptiveExecutor:
                 "state_build_wall_seconds": (
                     adapt.state_build_wall - before[5] if adapt is not None else 0.0
                 ),
-                "fallbacks": (
-                    list(adapt.fallback_log[before[3] :])
-                    if adapt is not None
-                    else []
-                ),
+                "fallbacks": [
+                    rec.payload
+                    for rec in prog.events.category("adapt.fallback")[before[3] :]
+                ],
             }
         )
         return mode

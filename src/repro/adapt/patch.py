@@ -42,7 +42,7 @@ import numpy as np
 from repro.chaos.costs import ChaosCosts, DEFAULT_COSTS
 from repro.chaos.kernels import majority_owner, pair_counts, sorted_unique_inverse
 from repro.chaos.localize import LocalizeResult
-from repro.chaos.transcache import KeyTranslationMemo, TranslationCache
+from repro.chaos.transcache import KeyTranslationMemo
 from repro.chaos.ttable import TranslationTable
 from repro.core import cachekey
 from repro.core.executor import patch_exec_caches
@@ -720,7 +720,6 @@ def patch_product(
     changed: dict[str, np.ndarray],
     ttables: dict[tuple[str, tuple], TranslationTable],
     costs: ChaosCosts = DEFAULT_COSTS,
-    cache: TranslationCache | None = None,
 ) -> PatchResult:
     """Patch ``product`` for the given changed indirection positions.
 
@@ -775,13 +774,11 @@ def patch_product(
     patterns_new: dict = dict(product.patterns)
     pending_states: dict = {}
     any_patched = False
-    # per-patch key-translation memo: obtained through the shared
-    # TranslationCache when the program runs one (a thin view -- the
-    # memo itself must stay patch-local so each patch's charging is
-    # independent of history), standalone otherwise
-    trans_cache = (
-        cache.patch_view() if cache is not None else KeyTranslationMemo()
-    )
+    # per patch by contract: the patch model charges a group a local
+    # probe only for keys an earlier group of the *same* patch resolved,
+    # so hits must never persist across patches (that would change
+    # simulated numbers)
+    trans_cache = KeyTranslationMemo()
     deltas = _DeltaCache(
         arrays, changed, changed_iters, moved,
         home_old, home_new, inv_old, inv_new,

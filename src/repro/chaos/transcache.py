@@ -136,8 +136,8 @@ class ChargeLog:
     :class:`~repro.machine.machine.ComputeCharge`, each a handful of
     length-P adds; ``barrier`` and the scalar ``charge_compute`` replay
     as the calls they were.  The exchange charges keep their traffic
-    arrays, so a ``MessageTrace`` sees a replayed exchange like a fresh
-    one.
+    arrays, so whoever observes ``Machine.charge_exchange`` sees a
+    replayed exchange like a fresh one.
 
     The plans hold vectors sized and costed for one machine, so a tape
     replays only against the machine that recorded it.
@@ -294,19 +294,6 @@ class TranslationCache:
             "by_kind": by_kind,
         }
 
-    def patch_view(self) -> "KeyTranslationMemo":
-        """A fresh per-patch translation memo (thin view over this cache).
-
-        The memo below implements the shared sorted-composite-key logic;
-        the view is *per patch by contract*: the paper's patch model
-        charges each group a local cache probe only for keys some
-        earlier group of the *same patch* resolved, so hits must never
-        persist across patches (that would change simulated numbers).
-        Each call therefore returns an empty memo; what persists in this
-        cache is the localize-product layer above it.
-        """
-        return KeyTranslationMemo()
-
 
 class KeyTranslationMemo:
     """Sorted-key dereference memo shared by one patch's pattern groups.
@@ -319,10 +306,11 @@ class KeyTranslationMemo:
     hash probe instead of a remote page request.  Keyed by distribution
     signature; one sorted composite-key array per signature.
 
-    Charging scope: one memo per patch (see
-    :meth:`TranslationCache.patch_view`).  The probe charge is paid only
-    when the memo already holds entries for the signature -- replayed
-    identically by the twin-group fast path in ``repro.adapt.patch``.
+    Charging scope: one memo per patch
+    (:func:`~repro.adapt.patch.patch_product` builds it).  The probe
+    charge is paid only when the memo already holds entries for the
+    signature -- replayed identically by the twin-group fast path in
+    ``repro.adapt.patch``.
     """
 
     def __init__(self) -> None:

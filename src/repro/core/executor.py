@@ -27,6 +27,7 @@ from repro.core.forall import Reduce
 from repro.core.inspector import InspectorProduct
 from repro.distribution.distarray import DistArray
 from repro.machine.machine import Machine
+from repro.obs.events import EventBus
 
 #: additive identity per reduction op, for staging buffers
 _IDENTITY = {"add": 0.0, "multiply": 1.0, "min": np.inf, "max": -np.inf}
@@ -40,7 +41,7 @@ def run_executor(
     overhead_factor: float = 1.0,
     merge_communication: bool = False,
     guard: str = "off",
-    guard_log: list | None = None,
+    events: EventBus | None = None,
 ) -> None:
     """Execute a loop ``n_times`` using saved inspector results.
 
@@ -56,7 +57,8 @@ def run_executor(
     level while a fault plan is installed on the machine -- every
     gathered ghost value is checked against the owner's current value;
     a divergence is repaired with one uncharged data-only re-gather
-    (recorded in ``guard_log``) or, if irreparable, raised as an
+    (emitted on the ``events`` bus, category ``"guard"``, when one is
+    passed) or, if irreparable, raised as an
     ``InvariantViolation``.  The check and the repair are host-level:
     they never charge the simulated machine, so guarded runs keep
     bit-identical simulated numbers.
@@ -75,7 +77,7 @@ def run_executor(
                 overhead_factor,
                 merge_communication,
                 guard=guard,
-                guard_log=guard_log,
+                events=events,
             )
 
 
@@ -226,7 +228,7 @@ def patch_exec_caches(
     return space
 
 
-def _verify_gathers(machine, product, arrays, gather_items, guard_log) -> None:
+def _verify_gathers(machine, product, arrays, gather_items, events) -> None:
     """Content-check every gather; repair divergences with an uncharged
     re-gather (fault injection suspended so the repair is clean)."""
     from repro.guard.errors import InvariantViolation
@@ -240,15 +242,17 @@ def _verify_gathers(machine, product, arrays, gather_items, guard_log) -> None:
         with suspended(machine):
             sched._move_gather(arr, ghosts)
         still = gather_divergence(pat, arr)
-        if guard_log is not None:
-            guard_log.append(
+        if events is not None:
+            events.emit(
+                "guard",
+                "gather_divergence",
                 {
                     "event": "gather_divergence",
                     "loop": product.loop.name,
                     "array": pat.array,
                     "n_bad": int(bad.size),
                     "recovered": not still.size,
-                }
+                },
             )
         if still.size:
             raise InvariantViolation(
@@ -266,7 +270,7 @@ def _execute_once(
     overhead: float,
     merge_communication: bool = False,
     guard: str = "off",
-    guard_log: list | None = None,
+    events: EventBus | None = None,
 ) -> None:
     loop = product.loop
     n_procs = machine.n_procs
@@ -301,7 +305,7 @@ def _execute_once(
     # host-level -- charges nothing.
     if gather_items and (guard == "full" or machine.faults is not None):
         with obs.span("guard.verify_gathers", loop=loop.name):
-            _verify_gathers(machine, product, arrays, gather_items, guard_log)
+            _verify_gathers(machine, product, arrays, gather_items, events)
 
     # flat combined-space setup per pattern, cached on the pattern's
     # shared holder: neither a reused product nor a re-inspected

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import os
 import time
+from functools import partial
 
 import numpy as np
 
@@ -117,7 +118,7 @@ class IrregularProgram:
         selects the persistent cross-execution
         :class:`~repro.chaos.transcache.TranslationCache`: translation
         products (owner/offset arrays, dedup inverses, schedules,
-        iteration partitions, per-patch key translations) are keyed by
+        iteration partitions) are keyed by
         content versions and reused across inspections, with the cold
         run's simulated charges replayed verbatim on every hit.  Purely
         a host-wall optimization -- simulated numbers are bit-identical
@@ -173,11 +174,6 @@ class IrregularProgram:
         #: the program's structured-event stream; guard detections,
         #: adapt fallbacks, and (in serve) job lifecycle all land here
         self.events = EventBus()
-        #: structured log of guard detections/recoveries (executor-side
-        #: gather divergences land here; patch fallbacks live in
-        #: ``self.adapt.fallback_log``).  A live list-shaped view over
-        #: the ``"guard"`` category of ``self.events``.
-        self.guard_events = self.events.view("guard", name_key="event")
         self._indirection_dads: set[tuple] = set()
         self.registry = ModificationRegistry()
         self.arrays: dict[str, DistArray] = {}
@@ -482,34 +478,24 @@ class IrregularProgram:
             new_dist, plan = repartition_stable(
                 dec.distribution, move_g, move_to
             )
-            with self.machine.phase("remap"):
-                if dec.arrays:
-                    remap_arrays_incremental(
-                        dec.arrays, new_dist, plan, self.costs
-                    )
-                dec.distribution = new_dist
-            if verify:
-                self._verify_remap(dec.arrays, before)
-            if self.track:
-                for arr in dec.arrays:
-                    self.registry.record_remap(DAD.of(arr))
-                self.machine.charge_compute_all(
-                    iops=RECORD_WRITE_IOPS * max(len(dec.arrays), 1)
-                )
-            return
-        new_dist = (
-            self.distfmts[fmt]
-            if isinstance(fmt, str) and fmt in self.distfmts
-            else self._resolve_spec(dec.size, fmt)
-        )
-        if new_dist.size != dec.size:
-            raise ValueError(
-                f"distribution size {new_dist.size} != decomposition "
-                f"{decomp!r} size {dec.size}"
+            remap = partial(
+                remap_arrays_incremental, dec.arrays, new_dist, plan, self.costs
             )
+        else:
+            new_dist = (
+                self.distfmts[fmt]
+                if isinstance(fmt, str) and fmt in self.distfmts
+                else self._resolve_spec(dec.size, fmt)
+            )
+            if new_dist.size != dec.size:
+                raise ValueError(
+                    f"distribution size {new_dist.size} != decomposition "
+                    f"{decomp!r} size {dec.size}"
+                )
+            remap = partial(remap_arrays, dec.arrays, new_dist, self.costs)
         with self.machine.phase("remap"):
             if dec.arrays:
-                remap_arrays(dec.arrays, new_dist, self.costs)
+                remap()
             dec.distribution = new_dist
         if verify:
             self._verify_remap(dec.arrays, before)
@@ -546,13 +532,15 @@ class IrregularProgram:
             )
             arr.backing_mut()[pos] = ref[bad]
             still = np.flatnonzero(arr.global_view() != ref)
-            self.guard_events.append(
+            self.events.emit(
+                "guard",
+                "remap_divergence",
                 {
                     "event": "remap_divergence",
                     "array": arr.name,
                     "n_bad": int(bad.size),
                     "recovered": not still.size,
-                }
+                },
             )
             if still.size:
                 raise InvariantViolation(
@@ -587,7 +575,7 @@ class IrregularProgram:
                         overhead_factor=self.executor_overhead,
                         merge_communication=self.merge_communication,
                         guard=self.guard,
-                        guard_log=self.guard_events,
+                        events=self.events,
                     )
             if self.track:
                 # a FORALL writes (at most) the whole target array: stamp
@@ -720,6 +708,13 @@ class IrregularProgram:
     # ------------------------------------------------------------------
     # observability
     # ------------------------------------------------------------------
+    @property
+    def guard_events(self) -> list[dict]:
+        """Guard detections/recoveries so far (remap and executor-side
+        gather divergences): the ``"guard"`` category of ``self.events``
+        as a plain list.  Patch fallbacks are ``self.adapt.fallback_log``."""
+        return self.events.payloads("guard")
+
     def obs_snapshot(self) -> MetricsSnapshot:
         """Unified host + simulated metrics for this program's run."""
         return MetricsSnapshot.collect(

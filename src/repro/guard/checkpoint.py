@@ -509,9 +509,9 @@ def _restore_adapt(adapt, payload: dict) -> None:
     )
     adapt.failures = dict(payload["failures"])
     adapt.disabled = set(payload["disabled"])
-    # whole-slice assignment: fallback_log may be an EventLogView over
-    # the program's event bus (plain reassignment would detach it)
-    adapt.fallback_log[:] = [dict(rec) for rec in payload["fallback_log"]]
+    adapt.program.events.replace_category(
+        "adapt.fallback", [dict(rec) for rec in payload["fallback_log"]]
+    )
     adapt.last_patch = None
     adapt.last_error = None
 
@@ -544,7 +544,9 @@ def restore_checkpoint(path, program, loops, driver=None) -> dict:
     program.patch_hits = prog_p["patch_hits"]
     program.geocol_reuse_hits = prog_p["geocol_reuse_hits"]
     program._indirection_dads = set(prog_p["indirection_dads"])
-    program.guard_events[:] = [dict(e) for e in prog_p["guard_events"]]
+    program.events.replace_category(
+        "guard", [dict(e) for e in prog_p["guard_events"]]
+    )
     program.records = _restore_products(program, payload, loops)
     _restore_ttables(program, payload["ttables"])
     if payload["adapt"] is not None:

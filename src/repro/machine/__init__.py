@@ -21,15 +21,8 @@ from repro.machine.topology import (
     make_topology,
 )
 from repro.machine.costmodel import CostModel, IPSC860, IDEALIZED, make_cost_model
-from repro.machine.stats import (
-    CounterBlock,
-    ProcessorStats,
-    ProcessorStatsView,
-    MachineStats,
-    PhaseRecord,
-)
-from repro.machine.machine import Machine, Processor
-from repro.machine.trace import MessageTrace, MessageEvent
+from repro.machine.stats import CounterBlock, MachineStats, PhaseRecord
+from repro.machine.machine import Machine
 from repro.machine.collectives import (
     broadcast_cost,
     reduce_cost,
@@ -51,14 +44,9 @@ __all__ = [
     "IDEALIZED",
     "make_cost_model",
     "CounterBlock",
-    "ProcessorStats",
-    "ProcessorStatsView",
     "MachineStats",
     "PhaseRecord",
     "Machine",
-    "Processor",
-    "MessageTrace",
-    "MessageEvent",
     "broadcast_cost",
     "reduce_cost",
     "allreduce_cost",

@@ -12,7 +12,7 @@ The data itself lives in ``DistArray`` local segments (see
 live in a struct-of-arrays :class:`~repro.machine.stats.CounterBlock`
 (``machine.counters``), so ``exchange`` and ``charge_compute_all`` are
 pure bincount/add.at/ufunc updates with no Python loop over processors;
-``machine.procs[p].stats`` remains a live per-processor view.
+``machine.counters.<field>[p]`` is processor ``p``'s live counter.
 
 Charging has the same inspector/executor split as the runtime above it:
 ``plan_exchange`` / ``plan_compute_all`` turn a call's arguments into
@@ -33,12 +33,7 @@ import numpy as np
 
 from repro.machine.costmodel import CostModel, IPSC860
 from repro.obs.tracer import NULL_TRACER
-from repro.machine.stats import (
-    CounterBlock,
-    MachineStats,
-    PhaseRecord,
-    ProcessorStatsView,
-)
+from repro.machine.stats import CounterBlock, MachineStats, PhaseRecord
 from repro.machine.topology import Topology, make_topology
 
 
@@ -50,8 +45,8 @@ class ExchangeCharge:
     times) by :meth:`Machine.charge_exchange`.  The seven per-processor
     vectors are read-only; ``src``/``dst``/``nbytes`` are the validated,
     zero-byte-filtered traffic they were folded from, held by reference
-    so a message tracer hooked on ``charge_exchange`` still sees every
-    message of a charge that is replayed rather than re-planned.
+    so whoever observes ``charge_exchange`` sees every message of a
+    charge that is replayed rather than re-planned.
     ``n_procs``/``topology``/``cost`` are the machine parameters the
     vectors depend on; a machine refuses a charge planned against others.
     """
@@ -115,19 +110,6 @@ def get_or_plan(plans: dict, key, plan):
     return held
 
 
-class Processor:
-    """One virtual processor: a rank and a live view of its counters."""
-
-    __slots__ = ("rank", "stats")
-
-    def __init__(self, rank: int, counters: CounterBlock):
-        self.rank = rank
-        self.stats = ProcessorStatsView(counters, rank)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"Processor(rank={self.rank}, clock={self.stats.clock:.6f})"
-
-
 class Machine:
     """A P-processor distributed-memory machine with modeled time.
 
@@ -177,8 +159,7 @@ class Machine:
             )
         self.topology = topology
         self.counters = CounterBlock(self.n_procs)
-        self.procs = [Processor(p, self.counters) for p in range(self.n_procs)]
-        self.stats = MachineStats(counters=self.counters)
+        self.stats = MachineStats()
         self._phase_depth = 0
         #: optional repro.guard.faults.FaultPlan; hooks fire when set
         self.faults = None
@@ -395,9 +376,10 @@ class Machine:
 
         The single choke point every exchange is charged through -- one
         shot, charge-tape replay or schedule-held plan -- and therefore
-        where the ``machine.exchange`` obs span and
-        :class:`~repro.machine.trace.MessageTrace` hook.  ``planned``
-        only labels the span: ``False`` for a one-shot :meth:`exchange`.
+        where the ``machine.exchange`` obs span opens and the one
+        method to observe for traffic (the charge holds its ``src`` /
+        ``dst`` / ``nbytes``).  ``planned`` only labels the span:
+        ``False`` for a one-shot :meth:`exchange`.
         A charge with no traffic left after the zero-byte filter touches
         nothing.
         """

@@ -9,9 +9,9 @@ Counters are stored as a struct-of-arrays :class:`CounterBlock` (one
 ndarray per counter across all processors) so the machine's hot paths --
 ``exchange``, ``charge_compute_all``, the collectives -- update them with
 single vectorized operations instead of a Python fold over per-processor
-objects.  :class:`ProcessorStats` remains the scalar snapshot type, and
-:class:`ProcessorStatsView` keeps the historical ``machine.procs[p].stats``
-attribute API working as a live view into the block.
+objects.  The block is the only form: ``machine.counters.<field>[p]`` is
+processor ``p``'s live counter, ``record.arrays.<field>[p]`` its share of
+one phase.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-#: counter names, in the order ProcessorStats declares them
+#: counter names, in CounterBlock slot order
 COUNTER_FIELDS = (
     "clock",
     "messages_sent",
@@ -38,51 +38,11 @@ INT_COUNTER_FIELDS = frozenset(
 )
 
 
-@dataclass
-class ProcessorStats:
-    """Counters for one virtual processor (a plain scalar snapshot)."""
-
-    clock: float = 0.0
-    messages_sent: int = 0
-    messages_received: int = 0
-    bytes_sent: int = 0
-    bytes_received: int = 0
-    flops: float = 0.0
-    iops: float = 0.0
-    mem_ops: float = 0.0
-
-    def snapshot(self) -> "ProcessorStats":
-        return ProcessorStats(
-            clock=self.clock,
-            messages_sent=self.messages_sent,
-            messages_received=self.messages_received,
-            bytes_sent=self.bytes_sent,
-            bytes_received=self.bytes_received,
-            flops=self.flops,
-            iops=self.iops,
-            mem_ops=self.mem_ops,
-        )
-
-    def delta(self, earlier: "ProcessorStats") -> "ProcessorStats":
-        """Counter difference ``self - earlier`` (for phase accounting)."""
-        return ProcessorStats(
-            clock=self.clock - earlier.clock,
-            messages_sent=self.messages_sent - earlier.messages_sent,
-            messages_received=self.messages_received - earlier.messages_received,
-            bytes_sent=self.bytes_sent - earlier.bytes_sent,
-            bytes_received=self.bytes_received - earlier.bytes_received,
-            flops=self.flops - earlier.flops,
-            iops=self.iops - earlier.iops,
-            mem_ops=self.mem_ops - earlier.mem_ops,
-        )
-
-
 class CounterBlock:
     """Struct-of-arrays counters for all processors of one machine.
 
     One ndarray per counter; ``block.clock[p]`` is processor ``p``'s
-    clock.  Hot paths add whole vectors (``block.clock += dt``); the
-    object-per-processor API survives through :class:`ProcessorStatsView`.
+    clock.  Hot paths add whole vectors (``block.clock += dt``).
     """
 
     __slots__ = ("n_procs",) + COUNTER_FIELDS
@@ -112,65 +72,8 @@ class CounterBlock:
         for name in COUNTER_FIELDS:
             getattr(self, name)[:] = 0
 
-    def snapshot(self, p: int) -> ProcessorStats:
-        """Materialize processor ``p``'s counters as a ProcessorStats."""
-        return ProcessorStats(
-            clock=float(self.clock[p]),
-            messages_sent=int(self.messages_sent[p]),
-            messages_received=int(self.messages_received[p]),
-            bytes_sent=int(self.bytes_sent[p]),
-            bytes_received=int(self.bytes_received[p]),
-            flops=float(self.flops[p]),
-            iops=float(self.iops[p]),
-            mem_ops=float(self.mem_ops[p]),
-        )
-
-    def snapshots(self) -> list[ProcessorStats]:
-        return [self.snapshot(p) for p in range(self.n_procs)]
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"CounterBlock(n_procs={self.n_procs}, clock={self.clock!r})"
-
-
-def _view_field(name: str):
-    cast = int if name in INT_COUNTER_FIELDS else float
-
-    def fget(self):
-        return cast(getattr(self._block, name)[self._rank])
-
-    def fset(self, value):
-        getattr(self._block, name)[self._rank] = value
-
-    return property(fget, fset, doc=f"Live {name} counter in the machine's CounterBlock.")
-
-
-class ProcessorStatsView:
-    """Live per-processor window into a :class:`CounterBlock`.
-
-    Reads and writes go straight to the block's arrays, so code written
-    against the old object store (``machine.procs[p].stats.clock += dt``)
-    keeps working unchanged.
-    """
-
-    __slots__ = ("_block", "_rank")
-
-    def __init__(self, block: CounterBlock, rank: int):
-        self._block = block
-        self._rank = rank
-
-    def snapshot(self) -> ProcessorStats:
-        return self._block.snapshot(self._rank)
-
-    def delta(self, earlier: ProcessorStats) -> ProcessorStats:
-        return self.snapshot().delta(earlier)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"ProcessorStatsView(rank={self._rank}, {self.snapshot()!r})"
-
-
-for _name in COUNTER_FIELDS:
-    setattr(ProcessorStatsView, _name, _view_field(_name))
-del _name
 
 
 class PhaseRecord:
@@ -181,24 +84,15 @@ class PhaseRecord:
     synchronous convention -- everyone waits for the slowest).
 
     ``arrays`` is the :class:`CounterBlock` of per-phase deltas, the
-    only storage: the aggregates are vectorized sums over it and
-    ``per_proc`` is a read-only list of :class:`ProcessorStats`
-    snapshots materialized on first access.
+    only storage: the aggregates are vectorized sums over it.
     """
 
-    __slots__ = ("name", "elapsed", "_per_proc", "arrays")
+    __slots__ = ("name", "elapsed", "arrays")
 
     def __init__(self, name: str, elapsed: float, arrays: CounterBlock):
         self.name = name
         self.elapsed = elapsed
-        self._per_proc: list[ProcessorStats] | None = None
         self.arrays = arrays
-
-    @property
-    def per_proc(self) -> list[ProcessorStats]:
-        if self._per_proc is None:
-            self._per_proc = self.arrays.snapshots()
-        return self._per_proc
 
     @property
     def total_messages(self) -> int:
@@ -222,20 +116,9 @@ class PhaseRecord:
 
 @dataclass
 class MachineStats:
-    """Machine-wide aggregation over all processors and phases.
-
-    When bound to a machine's :class:`CounterBlock` (the ``counters``
-    field), ``stats[p]`` lazily materializes processor ``p``'s current
-    counters as a :class:`ProcessorStats` snapshot.
-    """
+    """Machine-wide aggregation over all phases."""
 
     phases: list[PhaseRecord] = field(default_factory=list)
-    counters: CounterBlock | None = field(default=None, repr=False, compare=False)
-
-    def __getitem__(self, p: int) -> ProcessorStats:
-        if self.counters is None:
-            raise TypeError("MachineStats is not bound to a machine's counters")
-        return self.counters.snapshot(p)
 
     def add(self, record: PhaseRecord) -> None:
         self.phases.append(record)

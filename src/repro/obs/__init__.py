@@ -9,10 +9,9 @@ Layout
 * :mod:`~repro.obs.tracer` -- ``Tracer`` / ``NullTracer``: span context
   managers over ``perf_counter_ns``, named counters, instants, a
   bounded buffer.  Dependency-free; the machine layer imports it.
-* :mod:`~repro.obs.events` -- ``EventBus`` + ``EventLogView``: the one
-  structured-event stream behind ``program.guard_events``,
-  ``adapt.fallback_log``, and serve lifecycle events (all three are now
-  list-shaped views over bus categories).
+* :mod:`~repro.obs.events` -- ``EventBus``: the one structured-event
+  stream; ``program.guard_events``, ``adapt.fallback_log`` and serve
+  job/service events are plain payload lists read from its categories.
 * :mod:`~repro.obs.metrics` -- ``MetricsSnapshot``: host span
   aggregates + simulated phase/counter numbers + event counts + cache
   stats in one JSON-ready object.
@@ -23,8 +22,7 @@ Layout
 Enabling
 --------
 Tracing is off by default.  Turn it on per program
-(``IrregularProgram(..., obs="on")``), per executor
-(``AdaptiveExecutor(prog, obs="on")``), per service
+(``IrregularProgram(..., obs="on")``), per service
 (``SimulationService(obs="on")``), or globally via ``REPRO_OBS=on``.
 The tracer lives on the machine (``machine.obs``), so every layer that
 holds a machine reference is instrumented without signature churn.
@@ -45,7 +43,7 @@ Overhead contract
   ``check_regression.py`` exact-match contract.
 """
 
-from .events import EventBus, EventLogView
+from .events import EventBus
 from .export import export_chrome, export_jsonl, export_trace, load_trace
 from .metrics import MetricsSnapshot, aggregate_spans
 from .report import render, report, summarize
@@ -53,7 +51,6 @@ from .tracer import NULL_TRACER, NullTracer, SpanRecord, Tracer
 
 __all__ = [
     "EventBus",
-    "EventLogView",
     "MetricsSnapshot",
     "NULL_TRACER",
     "NullTracer",

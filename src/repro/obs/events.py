@@ -1,31 +1,26 @@
-"""Structured event bus + list-shaped compatibility views.
+"""Structured event bus.
 
-One :class:`EventBus` per program (or per serve service) replaces the
-three historically separate logs -- ``program.guard_events``,
-``adapt.fallback_log``, and serve job/service lifecycle events -- with
-a single ordered stream of ``(seq, category, name, payload)`` records.
+One :class:`EventBus` per program (or per serve service) holds every
+decision log -- guard detections, adapt fallbacks and state builds,
+serve job/service lifecycle -- as a single ordered stream of
+``(seq, category, name, payload)`` records.  Writers ``emit``; readers
+take one category's payload dicts as a plain list
+(:meth:`EventBus.payloads` -- what ``program.guard_events`` and
+``adapt.fallback_log`` return); checkpoint restore swaps one category's
+history wholesale (:meth:`EventBus.replace_category`).
 
-The legacy attributes survive as :class:`EventLogView` objects: live,
-list-shaped windows onto one category of the bus.  A view supports the
-full idiom the existing tests and checkpoint code use on the old plain
-lists -- ``append``, ``len``, indexing and slicing (returning payload
-dicts), iteration, truthiness, equality against a list, ``clear``,
-``extend``, and whole-slice assignment (``view[:] = items``, which the
-checkpoint restore path uses to replace history wholesale).  Appending
-through a view emits onto the bus; emitting onto the bus shows up in
-every view of that category.  The event *name* is lifted from the
-payload via ``name_key`` (``"event"`` for guard/serve records,
-``"reason"`` for adapt fallbacks) so callers keep appending the exact
-dicts they always did.
-
-The bus is always on -- it is bookkeeping the legacy lists already
-paid for -- and is independent of the :mod:`repro.obs.tracer` wall-time
-spans; exporters interleave both into one artifact.
+The bus is always on -- it is bookkeeping, not tracing -- and is
+independent of the :mod:`repro.obs.tracer` wall-time spans; exporters
+interleave both into one artifact.
 """
 
 from __future__ import annotations
 
 import itertools
+
+
+#: payload field that names an event, per category (default ``"event"``)
+_NAME_KEY = {"adapt.fallback": "reason"}
 
 
 class EventRecord:
@@ -70,83 +65,18 @@ class EventBus:
     def counts(self) -> dict[str, int]:
         return {cat: len(recs) for cat, recs in self._by_category.items() if recs}
 
-    def clear_category(self, category: str) -> None:
-        recs = self._by_category.pop(category, [])
-        if recs:
-            drop = set(map(id, recs))
-            self._order = [r for r in self._order if id(r) not in drop]
+    def payloads(self, category: str) -> list[dict]:
+        """One category's payload dicts in emit order, as a fresh list."""
+        return [rec.payload for rec in self._by_category.get(category, ())]
 
-    def view(self, category: str, name_key: str = "event") -> "EventLogView":
-        return EventLogView(self, category, name_key)
-
-
-class EventLogView:
-    """List-shaped live window onto one bus category.
-
-    Yields the *payload dicts*, so code written against the old plain
-    lists (``for e in prog.guard_events: e["recovered"]``) is unchanged.
-    """
-
-    __slots__ = ("_bus", "_category", "_name_key")
-
-    def __init__(self, bus: EventBus, category: str, name_key: str):
-        self._bus = bus
-        self._category = category
-        self._name_key = name_key
-
-    @property
-    def category(self) -> str:
-        return self._category
-
-    def _records(self):
-        return self._bus.category(self._category)
-
-    def append(self, payload: dict) -> None:
-        name = str(payload.get(self._name_key, self._category))
-        self._bus.emit(self._category, name, payload)
-
-    def extend(self, payloads) -> None:
+    def replace_category(self, category: str, payloads) -> None:
+        """Swap one category's history for ``payloads`` (checkpoint
+        restore).  Other categories keep their records and order; the
+        restored events are re-emitted after them, named from the
+        payload field the category's writers use."""
+        dropped = set(map(id, self._by_category.pop(category, ())))
+        if dropped:
+            self._order = [r for r in self._order if id(r) not in dropped]
+        key = _NAME_KEY.get(category, "event")
         for payload in payloads:
-            self.append(payload)
-
-    def clear(self) -> None:
-        self._bus.clear_category(self._category)
-
-    def __len__(self) -> int:
-        return len(self._records())
-
-    def __bool__(self) -> bool:
-        return bool(self._records())
-
-    def __iter__(self):
-        return (rec.payload for rec in self._records())
-
-    def __getitem__(self, idx):
-        recs = self._records()
-        if isinstance(idx, slice):
-            return [rec.payload for rec in recs[idx]]
-        return recs[idx].payload
-
-    def __setitem__(self, idx, value):
-        # Whole-slice replacement is the one mutation the checkpoint
-        # restore path needs; arbitrary writes stay unsupported.
-        if not (isinstance(idx, slice) and idx == slice(None)):
-            raise TypeError(
-                "EventLogView only supports whole-slice assignment (view[:] = ...)"
-            )
-        self.clear()
-        self.extend(value)
-
-    def __eq__(self, other):
-        if isinstance(other, EventLogView):
-            other = list(other)
-        if isinstance(other, list):
-            return list(self) == other
-        return NotImplemented
-
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return eq if eq is NotImplemented else not eq
-
-    def __repr__(self):
-        return f"EventLogView({self._category!r}, {list(self)!r})"
+            self.emit(category, str(payload.get(key, category)), payload)

@@ -277,7 +277,7 @@ def _result(
         "start_step": start_step,
         "resumed": resume_source is not None,
         "resume_source": resume_source,
-        "n_guard_events": len(prog.guard_events),
+        "n_guard_events": len(prog.events.category("guard")),
         "n_faults_fired": (
             0 if machine.faults is None else len(machine.faults.fired)
         ),

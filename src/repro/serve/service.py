@@ -23,9 +23,9 @@ supervisor thread multiplexes everything:
 Every state transition lands as a structured event on the job
 (``queued``/``coalesced``/``running``/``retrying``/``resumed``/
 ``degraded``/``done``/``failed``) and service-level incidents (worker
-restarts, cache quarantines, ``.prev`` checkpoint fallbacks) in
-``service.events`` -- ``Job.status()`` and ``service.health()`` expose
-them without log spelunking.
+restarts, cache quarantines, ``.prev`` checkpoint fallbacks) on the
+service's event bus (``service.bus``) -- ``Job.status()`` and
+``service.health()`` expose them without log spelunking.
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ _DEFAULT_JOB_SECONDS = 1.0
 class Job:
     """Client-side handle of one submitted simulation."""
 
-    def __init__(self, job_id: str, key: str, config: JobConfig, lock, bus=None):
+    def __init__(self, job_id: str, key: str, config: JobConfig, lock, bus):
         self.id = job_id
         self.key = key
         self.config = config
@@ -68,19 +68,17 @@ class Job:
         self.duplicates = 0
         self.result: dict | None = None
         self.error: Exception | None = None
-        #: lifecycle event log; a live view over the service bus's
-        #: per-job category when the service carries one (shared
-        #: structured-event schema), else a plain list
-        if bus is not None:
-            self.events = bus.view(f"serve.job/{job_id}", name_key="event")
-        else:
-            self.events = []
+        #: the service's event bus and this job's lifecycle category on it
+        self._bus = bus
+        self._category = f"serve.job/{job_id}"
         self._lock = lock
         self._finished = threading.Event()
 
     # -- service-side (called under the service lock) -------------------
     def _event(self, kind: str, **detail) -> None:
-        self.events.append({"event": kind, "t": time.time(), **detail})
+        self._bus.emit(
+            self._category, kind, {"event": kind, "t": time.time(), **detail}
+        )
 
     def _finish(self, state: str) -> None:
         self.state = state
@@ -100,7 +98,7 @@ class Job:
                 "state": self.state,
                 "attempts": self.attempts,
                 "duplicates": self.duplicates,
-                "events": [dict(e) for e in self.events],
+                "events": [dict(e) for e in self._bus.payloads(self._category)],
                 "error": None if self.error is None else str(self.error),
             }
 
@@ -154,15 +152,14 @@ class SimulationService:
         enables supervisor-side job-lifecycle spans: one retroactive
         ``serve.job.attempt`` span per worker attempt, exported via
         :meth:`export_obs`.  Workers are separate processes, so their
-        internal spans stay worker-side; the event bus (and the legacy
-        ``job.events`` / ``service.events`` views over it) is always on."""
+        internal spans stay worker-side; the event bus is always on."""
         if obs is None:
             obs = os.environ.get("REPRO_OBS", "off")
         if obs not in ("on", "off"):
             raise ValueError(f"unknown obs mode {obs!r}; choose on | off")
         self.obs = Tracer() if obs == "on" else NULL_TRACER
-        #: structured-event stream; ``self.events`` and every
-        #: ``Job.events`` are list-shaped views over its categories
+        #: structured-event stream: service incidents are its
+        #: ``serve.service`` category, each job's lifecycle ``serve.job/<id>``
         self.bus = EventBus()
         if workers < 1:
             raise ValueError(f"need at least 1 worker, got {workers}")
@@ -194,8 +191,6 @@ class SimulationService:
         self._retry_seq = 0
         self._inflight: dict[str, Job] = {}  # key -> queued/running/retrying job
         self.jobs: dict[str, Job] = {}
-        #: service-level incidents (view over the bus's service category)
-        self.events = self.bus.view("serve.service", name_key="event")
         self._counts = {
             "submitted": 0,
             "completed": 0,
@@ -289,7 +284,7 @@ class SimulationService:
                 "inflight": len(self._inflight),
                 "counts": dict(self._counts),
                 "cache": self.cache.stats(),
-                "events": [dict(e) for e in self.events],
+                "events": [dict(e) for e in self.bus.payloads("serve.service")],
             }
 
     def shutdown(self) -> None:
@@ -329,9 +324,7 @@ class SimulationService:
     # ------------------------------------------------------------------
     def _new_job(self, key: str, config: JobConfig) -> Job:
         self._job_seq += 1
-        job = Job(
-            f"job-{self._job_seq:04d}", key, config, self._lock, bus=self.bus
-        )
+        job = Job(f"job-{self._job_seq:04d}", key, config, self._lock, self.bus)
         self.jobs[job.id] = job
         return job
 
@@ -340,7 +333,9 @@ class SimulationService:
         return _Worker(proc, conn, worker_id)
 
     def _incident(self, kind: str, **detail) -> None:
-        self.events.append({"event": kind, "t": time.time(), **detail})
+        self.bus.emit(
+            "serve.service", kind, {"event": kind, "t": time.time(), **detail}
+        )
 
     def _close_attempt(self, w: _Worker, job, outcome: str) -> None:
         """Record one worker attempt as a retroactive span (obs on only)."""
@@ -539,7 +534,7 @@ class SimulationService:
         if job.attempts >= self.max_attempts:
             reasons = [
                 e.get("reason", e["event"])
-                for e in job.events
+                for e in self.bus.payloads(job._category)
                 if e["event"] in ("retrying", "failed")
             ] + [reason]
             job.error = RetryBudgetExhausted(

@@ -83,21 +83,21 @@ def make_world(n_procs, size, seed):
 
 
 def clocks(machine):
-    return [machine.procs[p].stats.clock for p in range(machine.n_procs)]
+    return machine.counters.clock.tolist()
 
 
 def counters(machine):
     return [
-        (
-            s.stats.messages_sent,
-            s.stats.messages_received,
-            s.stats.bytes_sent,
-            s.stats.bytes_received,
-            s.stats.flops,
-            s.stats.iops,
-            s.stats.mem_ops,
+        getattr(machine.counters, name).tolist()
+        for name in (
+            "messages_sent",
+            "messages_received",
+            "bytes_sent",
+            "bytes_received",
+            "flops",
+            "iops",
+            "mem_ops",
         )
-        for s in machine.procs
     ]
 
 

@@ -112,9 +112,9 @@ class TestGather:
     def test_gather_charges_messages(self, m4):
         dist = BlockDistribution(8, 4)
         arr, res, ghosts = make_setup(m4, dist, [[7], [], [], []])
-        before = m4.procs[3].stats.messages_sent
+        before = m4.counters.messages_sent[3]
         gather(res.schedule, arr, ghosts)
-        assert m4.procs[3].stats.messages_sent == before + 1
+        assert m4.counters.messages_sent[3] == before + 1
 
     def test_stale_schedule_rejected(self, m4):
         dist = BlockDistribution(8, 4)

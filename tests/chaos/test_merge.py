@@ -39,16 +39,16 @@ class TestGatherMerged:
 
         m_sep = Machine(4)
         (la, aa, ga), (lb, ab, gb) = setup(m_sep, refs_a, refs_b)
-        base = sum(p.stats.messages_sent for p in m_sep.procs)
+        base = m_sep.counters.messages_sent.sum()
         la.schedule.gather(aa, ga)
         lb.schedule.gather(ab, gb)
-        sep_msgs = sum(p.stats.messages_sent for p in m_sep.procs) - base
+        sep_msgs = m_sep.counters.messages_sent.sum() - base
 
         m_mrg = Machine(4)
         (la, aa, ga), (lb, ab, gb) = setup(m_mrg, refs_a, refs_b)
-        base = sum(p.stats.messages_sent for p in m_mrg.procs)
+        base = m_mrg.counters.messages_sent.sum()
         gather_merged([(la.schedule, aa, ga), (lb.schedule, ab, gb)])
-        mrg_msgs = sum(p.stats.messages_sent for p in m_mrg.procs) - base
+        mrg_msgs = m_mrg.counters.messages_sent.sum() - base
 
         assert sep_msgs == 2 and mrg_msgs == 1
 

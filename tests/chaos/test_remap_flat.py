@@ -109,20 +109,20 @@ def random_dist(rng, size, n_procs):
 
 
 def clocks(machine):
-    return [machine.procs[p].stats.clock for p in range(machine.n_procs)]
+    return machine.counters.clock.tolist()
 
 
 def counters(machine):
     return [
-        (
-            s.stats.messages_sent,
-            s.stats.messages_received,
-            s.stats.bytes_sent,
-            s.stats.bytes_received,
-            s.stats.iops,
-            s.stats.mem_ops,
+        getattr(machine.counters, name).tolist()
+        for name in (
+            "messages_sent",
+            "messages_received",
+            "bytes_sent",
+            "bytes_received",
+            "iops",
+            "mem_ops",
         )
-        for s in machine.procs
     ]
 
 

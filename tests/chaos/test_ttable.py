@@ -61,24 +61,24 @@ class TestCosts:
         dist = BlockDistribution(100, 4)
         tt = RegularTranslationTable(m4, dist)
         tt.dereference(0, np.arange(100))
-        assert m4.procs[0].stats.messages_sent == 0
-        assert m4.procs[0].stats.clock > 0
+        assert m4.counters.messages_sent[0] == 0
+        assert m4.counters.clock[0] > 0
 
     def test_replicated_charges_build_allgather(self):
         m = Machine(4)
         before = m.elapsed()
         ReplicatedTranslationTable(m, random_irregular(100, 4))
         assert m.elapsed() > before
-        assert m.procs[0].stats.messages_sent > 0
+        assert m.counters.messages_sent[0] > 0
 
     def test_distributed_dereference_messages_page_owners(self):
         m = Machine(4)
         dist = random_irregular(100, 4, seed=1)
         tt = DistributedTranslationTable(m, dist)
-        sent_before = m.procs[0].stats.messages_sent
+        sent_before = m.counters.messages_sent[0]
         # proc 0 asks about indices on pages owned by procs 1..3
         tt.dereference(0, np.arange(30, 100, dtype=np.int64))
-        assert m.procs[0].stats.messages_sent > sent_before
+        assert m.counters.messages_sent[0] > sent_before
 
     def test_local_page_probe_sends_nothing(self):
         m = Machine(4)
@@ -87,7 +87,7 @@ class TestCosts:
         m.reset()
         # pages are block-distributed: indices 0..24 live on page-owner 0
         tt.dereference(0, np.arange(0, 25, dtype=np.int64))
-        assert m.procs[0].stats.messages_sent == 0
+        assert m.counters.messages_sent[0] == 0
 
     def test_batched_dereference_message_parity(self):
         """Batched dereference aggregates by page owner exactly like the
@@ -105,10 +105,10 @@ class TestCosts:
         tt2.dereference_all(refs)
         for p in range(4):
             assert (
-                m_batch.procs[p].stats.messages_sent
-                == m_serial.procs[p].stats.messages_sent
+                m_batch.counters.messages_sent[p]
+                == m_serial.counters.messages_sent[p]
             )
-            assert m_batch.procs[p].stats.bytes_sent == m_serial.procs[p].stats.bytes_sent
+            assert m_batch.counters.bytes_sent[p] == m_serial.counters.bytes_sent[p]
 
     @pytest.mark.parametrize("seed", [3, 4, 5])
     def test_batched_equals_non_batched_results_and_traffic(self, seed):
@@ -137,11 +137,10 @@ class TestCosts:
             np.testing.assert_array_equal(serial[p][1], batched[p][1])
             np.testing.assert_array_equal(serial[p][0], dist.owner(refs[p]))
             np.testing.assert_array_equal(serial[p][1], dist.local_index(refs[p]))
-            st_s, st_b = m_serial.procs[p].stats, m_batch.procs[p].stats
-            assert st_s.messages_sent == st_b.messages_sent
-            assert st_s.messages_received == st_b.messages_received
-            assert st_s.bytes_sent == st_b.bytes_sent
-            assert st_s.bytes_received == st_b.bytes_received
+        for name in ("messages_sent", "messages_received", "bytes_sent", "bytes_received"):
+            np.testing.assert_array_equal(
+                getattr(m_serial.counters, name), getattr(m_batch.counters, name)
+            )
 
 
 class TestFactory:

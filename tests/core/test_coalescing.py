@@ -154,9 +154,9 @@ class TestSavings:
                 for pat in product.patterns.values()
             }
             ghosts = sum(unique_ghosts.values())
-            base = sum(p.stats.messages_sent for p in m.procs)
+            base = m.counters.messages_sent.sum()
             run_executor(m, product, arrays, n_times=1)
-            msgs = sum(p.stats.messages_sent for p in m.procs) - base
+            msgs = m.counters.messages_sent.sum() - base
             stats[co] = (ghosts, msgs)
         # double-counted gather elements collapse into the shared region
         assert stats[True][0] < stats[False][0]

@@ -222,7 +222,7 @@ class TestValidationAndCosts:
         product = run_inspector(m4, loop, arrays)
         m4.reset()
         run_executor(m4, product, arrays)
-        total_flops = sum(p.stats.flops for p in m4.procs)
+        total_flops = m4.counters.flops.sum()
         assert total_flops >= 3 * 24  # statement flops at least
         assert m4.elapsed() > 0
 

@@ -63,7 +63,7 @@ class TestMergeCommunication:
             prog.forall(edge_loop(800), n_times=10)
             stats[merge] = (
                 m.elapsed(),
-                sum(p.stats.messages_sent for p in m.procs),
+                m.counters.messages_sent.sum(),
             )
         assert stats[True][1] < stats[False][1]
         assert stats[True][0] < stats[False][0]

@@ -24,8 +24,9 @@ from repro.core import ArrayRef, ForallLoop, Reduce, run_executor, run_inspector
 from repro.core.program import IrregularProgram
 from repro.distribution import BlockDistribution, CyclicDistribution, DistArray
 from repro.distribution.irregular import IrregularDistribution
-from repro.machine import Machine, MessageTrace
+from repro.machine import Machine
 from repro.machine.stats import COUNTER_FIELDS
+from tests.machine.traffic import byte_matrix, messages, spy_exchanges
 
 
 def counters_equal(m1: Machine, m2: Machine) -> bool:
@@ -191,12 +192,13 @@ class TestReplayEqualsColdInCombination:
     """k warm re-inspections (compiled tape replay + schedule-held
     exchange charges) against k cold ones with the cache off, across
     ``incremental`` x ``merge_communication``: clocks, every counter and
-    every phase record bitwise equal, and a ``MessageTrace`` sees the
-    same messages either way."""
+    every phase record bitwise equal, and a spy on the machine's
+    ``charge_exchange`` choke point sees the same messages either way."""
 
     K = 4
 
-    def run(self, mode, incremental, merge, traced=False):
+    def run(self, mode, incremental, merge):
+        """-> (program, exchange spy, bytes sent by the K inspections)"""
         prog, loop, _ = TestInvalidation().build_prog(
             n_procs=8,
             n_data=64,
@@ -206,16 +208,12 @@ class TestReplayEqualsColdInCombination:
             merge_communication=merge,
             translation_cache=mode,
         )
-        trace = MessageTrace(prog.machine)
-        if traced:
-            trace.__enter__()
-        for _ in range(self.K):
-            prog.forall(loop, reuse=False)
-        inspect_bytes = trace.total_bytes()
-        prog.forall(loop)  # reuse hit: executor gathers + scatters only
-        if traced:
-            trace.__exit__()
-        return prog, trace, inspect_bytes
+        with spy_exchanges(prog.machine) as spy:
+            for _ in range(self.K):
+                prog.forall(loop, reuse=False)
+            inspect_bytes = int(messages(spy)[2].sum())
+            prog.forall(loop)  # reuse hit: executor gathers + scatters only
+        return prog, spy, inspect_bytes
 
     @pytest.mark.parametrize("merge", [False, True], ids=["unmerged", "merged"])
     @pytest.mark.parametrize("incremental", [False, True], ids=["full", "incremental"])
@@ -242,18 +240,19 @@ class TestReplayEqualsColdInCombination:
     def test_message_trace_sees_replayed_and_schedule_held_traffic(
         self, incremental, merge
     ):
-        on, warm, warm_inspect = self.run("on", incremental, merge, traced=True)
-        off, cold, cold_inspect = self.run("off", incremental, merge, traced=True)
+        on, warm, warm_inspect = self.run("on", incremental, merge)
+        off, cold, cold_inspect = self.run("off", incremental, merge)
         assert on.translation_cache.hits >= self.K - 1
-        assert warm.message_count() == cold.message_count() > 0
-        assert warm.total_bytes() == cold.total_bytes()
-        assert np.array_equal(warm.traffic_matrix(), cold.traffic_matrix())
+        warm_bytes, cold_bytes = messages(warm)[2], messages(cold)[2]
+        assert warm_bytes.size == cold_bytes.size > 0
+        assert warm_bytes.sum() == cold_bytes.sum()
+        assert np.array_equal(byte_matrix(warm, 8), byte_matrix(cold, 8))
         # the last sweep reused its product: what it added is the
         # executor's gather + scatter traffic alone
         assert warm_inspect == cold_inspect
-        assert warm.total_bytes() - warm_inspect > 0
-        # and the trace agrees with the machine's own byte counters
-        assert warm.total_bytes() == int(on.machine.counters.bytes_sent.sum())
+        assert warm_bytes.sum() - warm_inspect > 0
+        # and the spied charges agree with the machine's own byte counters
+        assert warm_bytes.sum() == on.machine.counters.bytes_sent.sum()
 
 
 class TestInvalidation:

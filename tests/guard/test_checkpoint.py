@@ -17,6 +17,7 @@ import pytest
 from repro import AdaptiveExecutor
 from repro.guard import (
     CheckpointError,
+    FaultPlan,
     load_checkpoint,
     previous_checkpoint_path,
     save_checkpoint,
@@ -172,8 +173,16 @@ def test_resume_after_kill_is_bit_identical(tmp_path):
 def test_restore_alone_matches_checkpoint_moment(tmp_path):
     path = tmp_path / "campaign.ckpt"
     mesh, m_a, p_a = build()
+    # give both decision logs a history: a repaired gather fault (guard
+    # event, step 0) and a poisoned first patch (verify fallback, step 1)
+    FaultPlan(seed=7).corrupt_gather(nth=0).flip_slots(nth=0).install(m_a)
     exe_a = AdaptiveExecutor(p_a, euler_edge_loop(mesh))
     drive(exe_a, mesh, 2)
+    (fallback,) = p_a.adapt.fallback_log
+    assert fallback["reason"] == "verify_failed"
+    assert [e["event"] for e in p_a.guard_events] == ["gather_divergence"]
+    # each history entry holds exactly its own step's fallback records
+    assert [h["fallbacks"] for h in exe_a.history] == [[], [fallback]]
     save_checkpoint(path, p_a, driver=exe_a)
 
     mesh, m_b, p_b = build()
@@ -181,6 +190,21 @@ def test_restore_alone_matches_checkpoint_moment(tmp_path):
     assert_machines_equal(m_a, m_b)
     assert_programs_equal(p_a, p_b)
     assert simulated_history(exe_a) == simulated_history(exe_b)
+    # the decision logs come back as the same plain lists of dicts
+    assert p_b.guard_events == p_a.guard_events
+    assert p_b.adapt.fallback_log == [fallback]
+    counts = p_a.events.counts()
+    del counts["adapt.state"]  # host-wall build records: not checkpointed
+    assert p_b.events.counts() == counts == {"guard": 1, "adapt.fallback": 1}
+    # a fallback taken after the restore lands after the restored ones
+    restored_seq = max(r.seq for r in p_b.events.all())
+    p_b.redistribute("reg", "block")
+    exe_b.step()
+    log = p_b.adapt.fallback_log
+    assert log[0] == fallback and len(log) == 2
+    assert log[1]["reason"] == "unpatchable_condition"
+    assert exe_b.history[-1]["fallbacks"] == [log[1]]
+    assert p_b.events.category("adapt.fallback")[1].seq > restored_seq
 
 
 def test_run_with_checkpoint_every_writes_files(tmp_path):

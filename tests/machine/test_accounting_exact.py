@@ -113,10 +113,10 @@ class TestDeterministicTotals:
         m = Machine(4, cost_model=model)
         m.charge_compute(0, flops=100, iops=200, mem=300)
         m.send(0, 1, 50)
-        st = m.procs[0].stats
+        c = m.counters
         expected = (
             100 * 1e-6 + 200 * 1e-7 + 300 * 1e-8 + (1e-4 + 50 * 1e-6)
         )
-        assert st.clock == pytest.approx(expected)
-        assert st.flops == 100 and st.iops == 200 and st.mem_ops == 300
-        assert st.bytes_sent == 50
+        assert c.clock[0] == pytest.approx(expected)
+        assert c.flops[0] == 100 and c.iops[0] == 200 and c.mem_ops[0] == 300
+        assert c.bytes_sent[0] == 50

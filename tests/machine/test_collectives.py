@@ -36,8 +36,8 @@ class TestBroadcast:
     def test_root_counters(self):
         m = Machine(4)
         broadcast_cost(m, 100, root=2)
-        assert m.procs[2].stats.messages_sent == 3
-        assert m.procs[0].stats.messages_received == 1
+        assert m.counters.messages_sent[2] == 3
+        assert m.counters.messages_received[0] == 1
 
 
 class TestReduceAllreduce:
@@ -66,9 +66,8 @@ class TestAllgather:
     def test_counters_track_recursive_doubling(self):
         m = Machine(4)
         allgather_cost(m, 100)
-        st = m.procs[0].stats
-        assert st.messages_sent == 2  # log2(4) rounds
-        assert st.bytes_sent == 300  # (2^2 - 1) * 100
+        assert m.counters.messages_sent[0] == 2  # log2(4) rounds
+        assert m.counters.bytes_sent[0] == 300  # (2^2 - 1) * 100
 
 
 class TestAlltoallv:

@@ -63,13 +63,13 @@ class TestSend:
         m4.send(0, 1, 800)
         assert m4.clock(0) == m4.clock(1) > 0
         assert m4.clock(2) == 0.0
-        st0, st1 = m4.procs[0].stats, m4.procs[1].stats
-        assert st0.messages_sent == 1 and st0.bytes_sent == 800
-        assert st1.messages_received == 1 and st1.bytes_received == 800
+        c = m4.counters
+        assert c.messages_sent[0] == 1 and c.bytes_sent[0] == 800
+        assert c.messages_received[1] == 1 and c.bytes_received[1] == 800
 
     def test_send_to_self_is_memcpy(self, m4):
         m4.send(2, 2, 800)
-        assert m4.procs[2].stats.messages_sent == 0
+        assert m4.counters.messages_sent[2] == 0
         assert m4.clock(2) == pytest.approx(100 * IPSC860.mem_time)
 
     def test_farther_costs_more(self):
@@ -87,18 +87,18 @@ class TestExchange:
     def test_exchange_sums_per_processor(self, m4):
         exchange_pairs(m4, {(0, 1): 100, (0, 2): 100, (3, 0): 100})
         # proc 0 sends twice and receives once
-        assert m4.procs[0].stats.messages_sent == 2
-        assert m4.procs[0].stats.messages_received == 1
+        assert m4.counters.messages_sent[0] == 2
+        assert m4.counters.messages_received[0] == 1
         assert m4.clock(0) > m4.clock(3)
 
     def test_zero_byte_messages_skipped(self, m4):
         exchange_pairs(m4, {(0, 1): 0})
-        assert m4.procs[0].stats.messages_sent == 0
+        assert m4.counters.messages_sent[0] == 0
         assert m4.elapsed() == 0.0
 
     def test_self_entry_is_local_copy(self, m4):
         exchange_pairs(m4, {(1, 1): 160})
-        assert m4.procs[1].stats.messages_sent == 0
+        assert m4.counters.messages_sent[1] == 0
         assert m4.clock(1) > 0
 
 
@@ -139,8 +139,8 @@ class TestBarrierAndPhases:
         with m4.phase("w"):
             m4.charge_compute(1, flops=1e6)
         rec = m4.stats.phases[-1]
-        assert rec.per_proc[1].flops == pytest.approx(1e6)
-        assert rec.per_proc[0].flops == 0.0
+        assert rec.arrays.flops[1] == pytest.approx(1e6)
+        assert rec.arrays.flops[0] == 0.0
 
     def test_phase_record_aggregates(self, m4):
         with m4.phase("comm"):

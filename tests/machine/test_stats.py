@@ -1,5 +1,6 @@
 """Direct tests for the stats module (records, deltas, aggregates)."""
 
+import numpy as np
 import pytest
 
 from repro.machine import Machine
@@ -8,50 +9,54 @@ from repro.machine.stats import (
     CounterBlock,
     MachineStats,
     PhaseRecord,
-    ProcessorStats,
 )
 
 
-def block_of(per_proc):
-    """CounterBlock holding a list of scalar ProcessorStats."""
-    block = CounterBlock(len(per_proc))
-    for p, st in enumerate(per_proc):
-        for name in COUNTER_FIELDS:
-            getattr(block, name)[p] = getattr(st, name)
+def block_of(**columns):
+    """CounterBlock with the given per-processor counter columns."""
+    (n,) = {len(col) for col in columns.values()}
+    block = CounterBlock(n)
+    for name, col in columns.items():
+        getattr(block, name)[:] = col
     return block
 
 
-class TestProcessorStats:
-    def test_snapshot_is_independent_copy(self):
-        st = ProcessorStats(clock=1.0, flops=10.0)
-        snap = st.snapshot()
-        st.clock = 5.0
-        st.flops = 99.0
-        assert snap.clock == 1.0 and snap.flops == 10.0
+class TestCounterBlock:
+    def test_copy_is_independent(self):
+        block = block_of(clock=[1.0], flops=[10.0])
+        snap = block.copy()
+        block.clock[0] = 5.0
+        block.flops += 89.0
+        assert snap.clock[0] == 1.0 and snap.flops[0] == 10.0
 
     def test_delta(self):
-        a = ProcessorStats(clock=1.0, messages_sent=2, bytes_sent=100, flops=5.0)
-        b = ProcessorStats(clock=3.5, messages_sent=7, bytes_sent=350, flops=9.0)
+        a = block_of(clock=[1.0], messages_sent=[2], bytes_sent=[100], flops=[5.0])
+        b = block_of(clock=[3.5], messages_sent=[7], bytes_sent=[350], flops=[9.0])
         d = b.delta(a)
-        assert d.clock == pytest.approx(2.5)
-        assert d.messages_sent == 5
-        assert d.bytes_sent == 250
-        assert d.flops == pytest.approx(4.0)
+        assert d.clock[0] == pytest.approx(2.5)
+        assert d.messages_sent[0] == 5
+        assert d.bytes_sent[0] == 250
+        assert d.flops[0] == pytest.approx(4.0)
+        assert d.messages_sent.dtype == np.int64  # counts stay integers
 
     def test_default_zeroes(self):
-        st = ProcessorStats()
-        assert st.clock == 0.0 and st.iops == 0.0 and st.mem_ops == 0.0
+        block = CounterBlock(3)
+        for name in COUNTER_FIELDS:
+            assert not getattr(block, name).any() and getattr(block, name).shape == (3,)
 
 
 class TestPhaseRecord:
     def make(self):
-        per_proc = [
-            ProcessorStats(clock=1.0, messages_sent=3, bytes_sent=300, flops=10.0),
-            ProcessorStats(clock=2.0, messages_sent=1, bytes_sent=50, flops=20.0),
-        ]
-        rec = PhaseRecord(name="p", elapsed=2.0, arrays=block_of(per_proc))
-        assert rec.per_proc == per_proc  # the scalar snapshots round-trip
-        return rec
+        return PhaseRecord(
+            name="p",
+            elapsed=2.0,
+            arrays=block_of(
+                clock=[1.0, 2.0],
+                messages_sent=[3, 1],
+                bytes_sent=[300, 50],
+                flops=[10.0, 20.0],
+            ),
+        )
 
     def test_aggregates(self):
         rec = self.make()

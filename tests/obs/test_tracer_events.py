@@ -128,58 +128,64 @@ class TestEventBus:
             "payload": {"event": "verified", "ok": True},
         }
 
-
-class TestEventLogView:
-    """The view must be a drop-in for the legacy plain-list logs."""
-
-    def test_append_iterate_index_truthiness(self):
+    def test_payloads_in_emit_order(self):
+        """What ``prog.guard_events`` / ``adapt.fallback_log`` return: one
+        category's payload dicts, oldest first, others filtered out."""
         bus = EventBus()
-        view = bus.view("guard", name_key="event")
-        assert not view and len(view) == 0
-        view.append({"event": "verified", "loop": "L2"})
-        view.append({"event": "corrupted"})
-        assert view and len(view) == 2
-        assert view[0]["event"] == "verified"
-        assert view[-1]["event"] == "corrupted"
-        assert [e["event"] for e in view] == ["verified", "corrupted"]
-        # tuple-unpack idiom used by existing tests
-        (first, _second) = view
-        assert first["loop"] == "L2"
+        assert bus.payloads("guard") == []
+        bus.emit("guard", "verified", {"event": "verified", "loop": "L2"})
+        bus.emit("adapt.fallback", "over_threshold", {"reason": "over_threshold"})
+        bus.emit("guard", "corrupted", {"event": "corrupted"})
+        (first, second) = bus.payloads("guard")
+        assert first == {"event": "verified", "loop": "L2"}
+        assert second == {"event": "corrupted"}
+        assert bus.payloads("adapt.fallback") == [{"reason": "over_threshold"}]
 
-    def test_name_key_lifts_event_names(self):
+    def test_payloads_is_a_copy(self):
         bus = EventBus()
-        fallback = bus.view("adapt.fallback", name_key="reason")
-        fallback.append({"reason": "over_threshold", "n_changed": 9})
-        (rec,) = bus.category("adapt.fallback")
-        assert rec.name == "over_threshold"
+        bus.emit("c", "x", {"event": "x"})
+        got = bus.payloads("c")
+        got.append({"event": "not emitted"})
+        got.clear()
+        assert bus.payloads("c") == [{"event": "x"}]
+        assert bus.counts() == {"c": 1}
+        # reading a category nobody wrote does not create it
+        assert bus.payloads("empty") == [] and bus.counts() == {"c": 1}
 
-    def test_slicing_and_equality(self):
+    def test_replace_category_lifts_names_per_category(self):
+        """Restored events are named the way their writers name them:
+        guard / serve records by ``"event"``, adapt fallbacks by
+        ``"reason"``, a payload with neither by its category."""
         bus = EventBus()
-        view = bus.view("c")
-        items = [{"event": "a"}, {"event": "b"}, {"event": "c"}]
-        view.extend(items)
-        assert view[1:] == items[1:]
-        assert view == items
-        assert view != items[:2]
-        assert view == bus.view("c")
+        bus.replace_category("guard", [{"event": "remap_divergence", "n_bad": 2}])
+        bus.replace_category(
+            "adapt.fallback", [{"reason": "over_threshold", "event": "ignored"}]
+        )
+        bus.replace_category("misc", [{"v": 1}])
+        assert [r.name for r in bus.all()] == [
+            "remap_divergence",
+            "over_threshold",
+            "misc",
+        ]
 
-    def test_whole_slice_assignment_only(self):
+    def test_replace_category_keeps_other_categories_and_order(self):
         bus = EventBus()
-        view = bus.view("c")
-        view.append({"event": "old"})
-        restored = [{"event": "a"}, {"event": "b"}]
-        view[:] = restored  # the checkpoint-restore idiom
-        assert list(view) == restored
-        with pytest.raises(TypeError, match="whole-slice"):
-            view[0] = {"event": "nope"}
-        with pytest.raises(TypeError, match="whole-slice"):
-            view[1:] = [{"event": "nope"}]
-
-    def test_views_share_the_bus(self):
-        bus = EventBus()
-        a = bus.view("shared")
-        b = bus.view("shared")
-        a.append({"event": "x"})
-        assert list(b) == [{"event": "x"}]
-        b.clear()
-        assert not a and not bus.counts()
+        bus.emit("a", "a0", {"event": "a0"})
+        bus.emit("b", "b0", {"event": "b0"})
+        bus.emit("a", "a1", {"event": "a1"})
+        bus.emit("c", "c0", {"event": "c0"})
+        restored = [{"event": "r0"}, {"event": "r1"}, {"event": "r2"}]
+        bus.replace_category("a", restored)
+        assert bus.payloads("a") == restored
+        assert bus.payloads("b") == [{"event": "b0"}]
+        assert bus.counts() == {"a": 3, "b": 1, "c": 1}
+        # survivors keep their relative order and seq; the restored
+        # events land after them, and a later emit after those
+        bus.emit("b", "b1", {"event": "b1"})
+        order = bus.all()
+        assert [r.name for r in order] == ["b0", "c0", "r0", "r1", "r2", "b1"]
+        assert [r.seq for r in order] == sorted(r.seq for r in order)
+        # replacing with nothing drops the category
+        bus.replace_category("a", [])
+        assert bus.payloads("a") == [] and bus.counts() == {"b": 2, "c": 1}
+        assert [r.name for r in bus.all()] == ["b0", "c0", "b1"]
