@@ -105,7 +105,7 @@ from repro.adapt.diff import (
     ranges_from_positions,
 )
 from repro.adapt.driver import AdaptiveExecutor, IncrementalInspector
-from repro.adapt.patch import PatchResult, patch_product
+from repro.adapt.patch import patch_product
 from repro.adapt.state import (
     GroupState,
     LoopAdaptState,
@@ -120,7 +120,6 @@ __all__ = [
     "LoopAdaptState",
     "PendingState",
     "build_adapt_state",
-    "PatchResult",
     "patch_product",
     "changed_at",
     "changed_positions",

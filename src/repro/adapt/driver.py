@@ -1,8 +1,11 @@
-"""Routing: full-inspect / reuse / incremental-patch per time step.
+"""The patch rung of the product ladder, and a step-wise driver.
 
-:class:`IncrementalInspector` is the program-facing side of the
-subsystem.  ``IrregularProgram`` (with ``incremental=True``) consults it
-when the Section 3 reuse check fails:
+:class:`IncrementalInspector` is the *patch* rung of the one product
+ladder, ``IrregularProgram.inspect`` (``reuse -> patch -> full``): with
+``incremental=True`` the ladder hands it every failed Section 3 reuse
+check, and it only routes, diffs, patches and verifies -- saving the
+record, running the full inspector and recording the rung taken
+(``product.resolved``) stay with the ladder.  Routing:
 
 * a **condition 1/2** failure (a DAD changed -- some array was
   remapped or resized) is unpatchable: saved owners, local offsets and
@@ -15,8 +18,9 @@ when the Section 3 reuse check fails:
   otherwise the full inspector runs.
 
 :class:`AdaptiveExecutor` is a thin driver for adaptive workloads: it
-steps a loop, classifies each step (``full`` / ``reuse`` / ``patch``)
-and records the simulated inspector cost per step -- what
+steps a loop, reads the rung each step's inspection took (``full`` /
+``reuse`` / ``patch``, from ``program.last_resolution``) and records
+the simulated inspector cost per step -- what
 ``benchmarks/bench_table_adapt.py`` reports.
 
 Degradation is *graceful and bounded* (the escalation ladder):
@@ -47,18 +51,13 @@ import time
 import numpy as np
 
 from repro.adapt.diff import changed_at, expand_ranges
-from repro.adapt.patch import (
-    DIFF_IOPS_PER_ELEMENT,
-    PatchResult,
-    patch_product,
-)
+from repro.adapt.patch import DIFF_IOPS_PER_ELEMENT, patch_product
 from repro.adapt.state import (
     LoopAdaptState,
     PendingState,
     build_adapt_state,
     charge_state_build,
 )
-from repro.chaos.ttable import build_translation_table
 from repro.core.dad import DAD
 from repro.core.forall import ForallLoop
 from repro.core.records import InspectorRecord
@@ -96,11 +95,6 @@ class IncrementalInspector:
         #: cumulative host wall seconds spent building states (not
         #: simulated time): lands in whichever step first needs a state
         self.state_build_wall = 0.0
-        #: stats of the most recent successful patch (bench introspection)
-        self.last_patch: PatchResult | None = None
-        #: the exception that aborted the most recent patch attempt, if
-        #: any -- the driver recovered by falling back to full inspection
-        self.last_error: Exception | None = None
         #: per-loop count of typed patch failures (aborts + verify)
         self.failures: dict[str, int] = {}
         #: loops whose incremental inspection was disabled after
@@ -190,9 +184,10 @@ class IncrementalInspector:
     def attempt(
         self, loop: ForallLoop, record: InspectorRecord, decision: ReuseDecision
     ):
-        """Try to patch after a failed reuse check; ``None`` means the
-        caller must run the full inspector.  Every ``None`` leaves a
-        structured record in ``fallback_log`` saying why."""
+        """Try to patch after a failed reuse check: the patched product
+        (the ladder saves it), or ``None`` when the caller must run the
+        full inspector.  Every ``None`` leaves a structured record in
+        ``fallback_log`` saying why."""
         if loop.name in self.disabled:
             # last rung of the ladder: this loop failed too often
             return self._fallback(loop.name, "route", "incremental_disabled")
@@ -264,33 +259,33 @@ class IncrementalInspector:
                     loop.name, "route", "over_threshold",
                     n_changed=n_changed, n_tracked=n_tracked,
                 )
-            self.last_error = None
             try:
                 with obs.span(
                     "adapt.patch", loop=loop.name, n_changed=n_changed
                 ):
-                    result = patch_product(
+                    # the full inspection (or the restore) stored a table
+                    # under every signature: a missing one is a bug (KeyError)
+                    product = patch_product(
                         machine,
                         record.product,
                         arrays,
                         state,
                         changed,
-                        self._ttables_for(record),
+                        self.program.ttables,
                         costs=self.program.costs,
                     )
                 with obs.span("adapt.verify", loop=loop.name):
-                    self._verify_patch(loop, result)
+                    self._verify_patch(loop, product)
             except (PatchError, InvariantViolation) as exc:
                 # patch_product keeps state consistent on failure (its
                 # slot spaces persist only after every group succeeds),
                 # so the conservative full inspector is a safe recovery:
                 # drop this loop's state (rebuilt after the full run),
                 # count the failure toward the disable threshold, and
-                # report it through last_error + fallback_log.  only the
-                # typed hierarchy is recoverable; anything else is a bug
-                # and propagates.
+                # report it through fallback_log.  only the typed
+                # hierarchy is recoverable; anything else is a bug and
+                # propagates.
                 self.drop_state(loop.name)
-                self.last_error = exc
                 count = self.failures.get(loop.name, 0) + 1
                 self.failures[loop.name] = count
                 if count >= self.max_failures:
@@ -304,16 +299,10 @@ class IncrementalInspector:
                     failure_count=count,
                     disabled=loop.name in self.disabled,
                 )
-        self.last_patch = result
-        record.product = result.product
-        record.ind_last_mod = {
-            name: registry.last_mod(DAD.of(arrays[name]))
-            for name in record.ind_last_mod
-        }
-        return result.product
+        return product
 
     # ------------------------------------------------------------------
-    def _verify_patch(self, loop: ForallLoop, result: PatchResult) -> None:
+    def _verify_patch(self, loop: ForallLoop, product) -> None:
         """Post-patch verification rung of the ladder (host-level, uncharged).
 
         Runs the invariant checkers over the patched product at the
@@ -327,7 +316,7 @@ class IncrementalInspector:
         machine = self.program.machine
         faults = machine.faults
         if faults is not None:
-            faults.on_patched_product(result.product)
+            faults.on_patched_product(product)
         level = getattr(self.program, "guard", "off")
         if level == "off":
             if faults is None:
@@ -335,7 +324,7 @@ class IncrementalInspector:
             level = "cheap"
         try:
             verify_product(
-                result.product,
+                product,
                 self.program.arrays,
                 level,
                 state=self.state_for(loop.name, "verify"),
@@ -346,31 +335,13 @@ class IncrementalInspector:
                 f"verification: {exc}"
             ) from exc
 
-    # ------------------------------------------------------------------
-    def _ttables_for(self, record: InspectorRecord) -> dict:
-        """The program's translation-table cache, topped up defensively.
-
-        Tables were built (and cached) by the full inspection and the
-        distribution signatures are unchanged, so this is normally a
-        pure lookup.
-        """
-        prog = self.program
-        for name in record.data_dads:
-            arr = prog.arrays[name]
-            tkey = (name, arr.distribution.signature())
-            if tkey not in prog.ttables:
-                prog.ttables[tkey] = build_translation_table(
-                    prog.machine, arr.distribution, prog.costs, prog.ttable_variant
-                )
-        return prog.ttables
-
 
 class AdaptiveExecutor:
     """Step-wise driver for one loop of an adaptive computation.
 
     Each :meth:`step` runs one sweep through the program's FORALL path
-    and classifies how its inspection was satisfied: a full inspector
-    run, a straight reuse hit, or an incremental patch.  ``history``
+    and records the rung its inspection took: a full inspector run, a
+    straight reuse hit, or an incremental patch.  ``history``
     keeps per-step ``(mode, simulated inspector seconds, fallbacks)`` so
     adaptive benches can attribute inspector cost to adaptation events
     (``state_build_wall_seconds`` separates out the one-off host cost
@@ -398,44 +369,34 @@ class AdaptiveExecutor:
         prog = self.program
         machine = prog.machine
         adapt = prog.adapt
-        before = (
-            prog.inspector_runs,
-            prog.patch_hits,
-            machine.phase_time("inspector"),
-            len(prog.events.category("adapt.fallback")),
-            prog.inspect_wall,
-            adapt.state_build_wall if adapt is not None else 0.0,
-        )
+        sim0 = machine.phase_time("inspector")
+        n_fallbacks = len(prog.events.category("adapt.fallback"))
+        build0 = adapt.state_build_wall if adapt is not None else 0.0
         with machine.obs.span("adapt.step", loop=self.loop.name) as step_span:
             prog.forall(self.loop, n_times=1)
-            if prog.inspector_runs > before[0]:
-                mode = "full"
-            elif prog.patch_hits > before[1]:
-                mode = "patch"
-            else:
-                mode = "reuse"
-            step_span.set(mode=mode)
+            resolution = prog.last_resolution
+            step_span.set(mode=resolution["rung"])
         self.history.append(
             {
-                "mode": mode,
-                "inspector_time": machine.phase_time("inspector") - before[2],
+                "mode": resolution["rung"],
+                "inspector_time": machine.phase_time("inspector") - sim0,
                 # host wall spent deciding + satisfying this step's
                 # inspection (reuse check, diff + patch, or full run):
                 # the number the wall-proportionality bench gate reads
-                "inspect_wall_seconds": prog.inspect_wall - before[4],
+                "inspect_wall_seconds": resolution["host_seconds"],
                 # the part of it that built adapt state: a one-off cost
                 # of the first step that needs the state after a full
                 # inspection, not a marginal cost of that step's patch
                 "state_build_wall_seconds": (
-                    adapt.state_build_wall - before[5] if adapt is not None else 0.0
+                    adapt.state_build_wall - build0 if adapt is not None else 0.0
                 ),
                 "fallbacks": [
                     rec.payload
-                    for rec in prog.events.category("adapt.fallback")[before[3] :]
+                    for rec in prog.events.category("adapt.fallback")[n_fallbacks:]
                 ],
             }
         )
-        return mode
+        return resolution["rung"]
 
     def run(
         self,

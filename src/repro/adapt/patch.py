@@ -35,8 +35,6 @@ executor results and executor charges are bit-identical.  Only the
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from repro.chaos.costs import ChaosCosts, DEFAULT_COSTS
@@ -44,12 +42,12 @@ from repro.chaos.kernels import majority_owner, pair_counts, sorted_unique_inver
 from repro.chaos.localize import LocalizeResult
 from repro.chaos.transcache import KeyTranslationMemo
 from repro.chaos.ttable import TranslationTable
-from repro.core import cachekey
 from repro.core.executor import patch_exec_caches
 from repro.core.inspector import InspectorProduct, PatternData
 from repro.core.iteration import (
     ITERATION_RECORD_BYTES,
     method_refs,
+    owner_rows,
     partition_from_home,
 )
 from repro.adapt.state import GroupState, LoopAdaptState, group_state_key, product_groups
@@ -136,20 +134,6 @@ class _DeltaCache:
         return out
 
 
-@dataclass
-class PatchResult:
-    """The patched product plus delta statistics (benches report these)."""
-
-    product: InspectorProduct
-    n_changed_values: int = 0
-    n_changed_iterations: int = 0
-    n_moved_iterations: int = 0
-    n_ghosts_added: int = 0
-    n_ghosts_retired: int = 0
-    n_slots_appended: int = 0
-    per_group: dict = field(default_factory=dict)
-
-
 def _revote(
     machine: Machine,
     loop,
@@ -168,23 +152,7 @@ def _revote(
     if not changed_iters.size:
         return home_old, _EMPTY
     refs = method_refs(loop, method)
-    # one owner row per distinct (distribution, indirection): references
-    # sharing both share the row object and vote once, weighted
-    by_source: dict[tuple, np.ndarray] = {}
-    rows = []
-    for ref in refs:
-        dist = arrays[ref.array].distribution
-        source = (cachekey.dist_key(dist), ref.index)
-        row = by_source.get(source)
-        if row is None:
-            if ref.index is None:
-                targets = changed_iters
-            else:
-                values = np.asarray(arrays[ref.index].global_view(), dtype=np.int64)
-                targets = values[changed_iters]
-            row = by_source[source] = np.asarray(dist.owner(targets), dtype=np.int64)
-        rows.append(row)
-    vote = majority_owner(rows)
+    vote = majority_owner(owner_rows(loop, arrays, refs, at=changed_iters))
     home_new = home_old.copy()
     home_new[changed_iters] = vote
     moved = changed_iters[vote != home_old[changed_iters]]
@@ -220,8 +188,8 @@ def _patch_group(
     new_bounds: np.ndarray,
     costs: ChaosCosts,
     trans_cache: KeyTranslationMemo,
-) -> tuple[dict, dict, GroupState] | None:
-    """Patch one pattern group; returns (new PatternData by key, stats,
+) -> tuple[dict, GroupState, dict] | None:
+    """Patch one pattern group; returns (new PatternData by key,
     updated GroupState to persist, twin pack) or ``None`` when the group
     has no delta (saved data reusable as-is, iteration order unchanged).
     Never mutates ``gstate`` -- the caller persists the returned state
@@ -557,13 +525,6 @@ def _patch_group(
         sorted_slot=sorted_slot2,
         index_stride=stride,
     )
-    stats = {
-        "added": int(ghost_mask.sum()),
-        "retired": int(went_dead.size),
-        "revived": int(revived.size),
-        "new_unique": int(n_uniq),
-        "appended": int(n_append.sum()),
-    }
     # everything a structurally identical sibling group needs to replay
     # this patch without recomputing it (see _patch_group_twin)
     pack = {
@@ -578,7 +539,6 @@ def _patch_group(
         "schedule_new": schedule_new,
         "new_patterns": {k[1]: patterns_new[k] for k in member_keys},
         "new_state": new_state,
-        "stats": stats,
         "classify_iops": classify_iops,
         "probe_iops": costs.hash_lookup
         * np.bincount(uniq_proc, minlength=n).astype(np.float64),
@@ -586,7 +546,7 @@ def _patch_group(
         "exch": exch,
         "recv_iops": recv_iops,
     }
-    return patterns_new, stats, new_state, pack
+    return patterns_new, new_state, pack
 
 
 def _same(a, b) -> bool:
@@ -640,7 +600,7 @@ def _patch_group_twin(
     trans_cache: KeyTranslationMemo,
     sig: tuple,
     costs: ChaosCosts,
-) -> tuple[dict, dict, GroupState]:
+) -> tuple[dict, GroupState]:
     """Replay a structurally identical sibling group's patch.
 
     One loop's pattern groups routinely differ only in the data array
@@ -709,7 +669,7 @@ def _patch_group_twin(
         sorted_slot=ns.sorted_slot,
         index_stride=ns.index_stride,
     )
-    return patterns_new, dict(pack["stats"]), new_state
+    return patterns_new, new_state
 
 
 def patch_product(
@@ -720,8 +680,10 @@ def patch_product(
     changed: dict[str, np.ndarray],
     ttables: dict[tuple[str, tuple], TranslationTable],
     costs: ChaosCosts = DEFAULT_COSTS,
-) -> PatchResult:
-    """Patch ``product`` for the given changed indirection positions.
+) -> InspectorProduct:
+    """Patch ``product`` for the given changed indirection positions;
+    returns the patched product (``product`` itself when the value
+    rewrites cancelled out).
 
     ``changed`` maps indirection array name -> sorted positions whose
     values differ from ``state.snapshots`` (from
@@ -764,16 +726,8 @@ def patch_product(
     inv_new = np.empty(n, dtype=np.int64)
     inv_new[new_iter_flat] = np.arange(n, dtype=np.int64)
 
-    result = PatchResult(
-        product=product,
-        n_changed_values=sum(int(c.size) for c in changed.values()),
-        n_changed_iterations=int(changed_iters.size),
-        n_moved_iterations=int(moved.size),
-    )
-
     patterns_new: dict = dict(product.patterns)
     pending_states: dict = {}
-    any_patched = False
     # per patch by contract: the patch model charges a group a local
     # probe only for keys an earlier group of the *same* patch resolved,
     # so hits must never persist across patches (that would change
@@ -834,8 +788,8 @@ def patch_product(
                     group_memo[mkey] = {"none": True}
                     out = None
                 else:
-                    out = full[:3]
-                    group_memo[mkey] = full[3]
+                    out = full[:2]
+                    group_memo[mkey] = full[2]
         except ValueError as exc:
             # schedule/buffer assembly rejected the delta (shrunk ghost
             # region, mismatched shapes): the saved state disagrees with
@@ -845,14 +799,9 @@ def patch_product(
             ) from exc
         if out is None:
             continue
-        group_patterns, stats, new_gstate = out
+        group_patterns, new_gstate = out
         patterns_new.update(group_patterns)
         pending_states[gkey] = new_gstate
-        result.per_group[gkey] = stats
-        result.n_ghosts_added += stats["revived"] + stats["new_unique"]
-        result.n_ghosts_retired += stats["retired"]
-        result.n_slots_appended += stats["appended"]
-        any_patched = True
 
     # every group patched without error: persist the new slot spaces
     for gkey, new_gstate in pending_states.items():
@@ -873,13 +822,12 @@ def patch_product(
         machine.charge_compute_all(mem=snap_mem)
 
     state.home = home_new
-    if not any_patched and new_part is old_part:
+    if not pending_states and new_part is old_part:
         # value rewrites that cancelled out: nothing to patch
-        return result
-    result.product = InspectorProduct(
+        return product
+    return InspectorProduct(
         loop=loop,
         iteration_partition=new_part,
         patterns=patterns_new,
         dist_signatures=dict(product.dist_signatures),
     )
-    return result

@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 
 from repro.core.executor import run_executor
 from repro.core.forall import ForallLoop
-from repro.core.inspector import run_inspector
 from repro.core.program import IrregularProgram
 from repro.machine.costmodel import CostModel, IPSC860
 from repro.machine.machine import Machine
@@ -69,42 +68,15 @@ def _run_loop_phase(
     if path == "compiler":
         prog.forall(loop, n_times=iterations, reuse=reuse)
         return
-    # hand path: the programmer decides when to re-inspect.  The
-    # coalescing flag is passed explicitly (the program's pinned
-    # setting), not left to run_inspector's default: these scenarios
-    # back longitudinal baselines that must stay bit-identical.
+    # hand path: the programmer decides when to re-inspect (once, or
+    # before every sweep) by calling the ladder's full rung directly --
+    # with track=False it charges exactly the inspector -- and runs all
+    # sweeps of one product in one executor phase.
     machine = prog.machine
-    if reuse:
-        with machine.phase("inspector"):
-            product = run_inspector(
-                machine,
-                loop,
-                prog.arrays,
-                iter_method=prog.iter_method,
-                ttable_variant=prog.ttable_variant,
-                costs=prog.costs,
-                ttables=prog.ttables,
-                coalesce_patterns=prog.coalesce_patterns,
-                cache=prog.translation_cache,
-            )
+    for n_sweeps in [iterations] if reuse else [1] * iterations:
+        product = prog.inspect(loop, reuse=False)
         with machine.phase("executor"):
-            run_executor(machine, product, prog.arrays, n_times=iterations)
-    else:
-        for _ in range(iterations):
-            with machine.phase("inspector"):
-                product = run_inspector(
-                    machine,
-                    loop,
-                    prog.arrays,
-                    iter_method=prog.iter_method,
-                    ttable_variant=prog.ttable_variant,
-                    costs=prog.costs,
-                    ttables=prog.ttables,
-                    coalesce_patterns=prog.coalesce_patterns,
-                    cache=prog.translation_cache,
-                )
-            with machine.phase("executor"):
-                run_executor(machine, product, prog.arrays, n_times=1)
+            run_executor(machine, product, prog.arrays, n_times=n_sweeps)
 
 
 def _partition_and_remap(

@@ -21,8 +21,8 @@ def majority_owner(rows: list[np.ndarray]) -> np.ndarray:
     """Majority vote over k owner rows of length n, ties -> lowest id.
 
     Equivalent to building the dense (n, n_procs) vote matrix and taking
-    a row-wise argmax.  Rows that are the *same array object* (the
-    cached owner rows ``_ref_owners`` hands out: ``x(e(i))`` and
+    a row-wise argmax.  Rows that are the *same array object* (what
+    ``core.iteration.owner_rows`` hands out: ``x(e(i))`` and
     ``y(e(i))`` over one distribution share a row) vote once with an
     integer weight, so the pass is O(n * d^2) over the d distinct rows:
     a position's count is its row's weight plus the weights of the rows

@@ -1,9 +1,10 @@
 """Shared cache-key vocabulary for content-addressed host-side caches.
 
-Every wall-clock cache in the runtime -- the iteration partitioner's
-owner-row memos, the persistent :class:`~repro.chaos.transcache.
-TranslationCache`, and the version-gated ``DistArray.global_view`` --
-keys cached work the same way:
+Every wall-clock cache in the runtime -- the persistent
+:class:`~repro.chaos.transcache.TranslationCache` and the version-gated
+``DistArray.global_view`` -- keys cached work the same way (and the
+iteration partitioner groups its per-call owner rows by the same
+distribution key):
 
 * a **distribution key**: :meth:`Distribution.signature` -- ``(kind,
   size, n_procs)`` plus a content digest for irregular/explicit

@@ -12,21 +12,18 @@ block-distributed; each processor translates its iterations' references
 iterations whose home differs from their current holder are shipped --
 an exchange of iteration records.
 
-Wall-clock performance notes (simulated charges are unaffected): the
-per-reference ``owner()`` gathers are memoized per (distribution
-signature, indirection-array content version) in a weak cache, so
-re-inspecting the same loop -- the paper's no-reuse scenario does this
-every time step -- never re-translates unchanged indirection arrays.
+Wall-clock performance notes (simulated charges are unaffected): an
+unchanged loop never reaches the vote -- its partition is a
+``TranslationCache`` hit -- so nothing below is memoized across calls.
 The cold path is linear in the loop size (``repro.chaos.kernels``): the
-majority vote runs over the *distinct* cached owner rows with integer
-weights, the grouping of iterations by home processor is a radix sort
-on the processor id, and the shipped-iteration histogram is one
-``bincount``.
+majority vote runs over the *distinct* owner rows :func:`owner_rows`
+hands out with integer weights, the grouping of iterations by home
+processor is a radix sort on the processor id, and the
+shipped-iteration histogram is one ``bincount``.
 """
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,12 +39,6 @@ from repro.machine.machine import Machine
 
 #: bytes per iteration record when iterations are shipped to their home
 ITERATION_RECORD_BYTES = 16
-
-#: indirection DistArray -> {dist signature: (content version, owners)}
-_INDIRECT_OWNER_CACHE: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-
-#: Distribution -> {n_iterations: owners of arange(n)}
-_DIRECT_OWNER_CACHE: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 
 @dataclass
@@ -79,48 +70,39 @@ class IterationPartition:
         return out
 
 
-def _ref_owners(
-    loop: ForallLoop, arrays: dict[str, DistArray], refs
+def owner_rows(
+    loop: ForallLoop, arrays: dict[str, DistArray], refs, at=None
 ) -> list[np.ndarray]:
     """Home processor of each iteration's target element, per ArrayRef.
 
-    One owner row per reference, read through two weak caches so
-    repeated inspections of unmutated indirection arrays (and repeated
-    references through the same indirection, e.g. ``x(edge1(i))`` and
-    ``y(edge1(i))`` with identically-distributed ``x``/``y``) reuse the
-    same gather.  Rows are cached arrays: callers must not mutate them.
+    One row per distinct ``(dist_key, indirection)`` source, and the
+    **same array object** for every reference sharing that source
+    (``x(edge1(i))`` and ``y(edge1(i))`` with identically-distributed
+    ``x``/``y``): that identity is what ``kernels.majority_owner``
+    weights by.  ``at`` restricts the rows to those iterations (the
+    incremental re-vote); ``None`` means all of them.
     """
     n = loop.n_iterations
+    by_source: dict[tuple, np.ndarray] = {}
     rows = []
     for ref in refs:
         dist = arrays[ref.array].distribution
-        if ref.index is None:
-            per_dist = _DIRECT_OWNER_CACHE.setdefault(dist, {})
-            row = per_dist.get(n)
-            if row is None:
-                row = np.asarray(
-                    dist.owner(np.arange(n, dtype=np.int64)), dtype=np.int64
-                )
-                per_dist[n] = row
-        else:
-            ind = arrays[ref.index]
-            if ind.size != n:
-                raise ValueError(
-                    f"indirection array {ref.index!r} has size {ind.size}, "
-                    f"loop {loop.name!r} iterates {n}"
-                )
-            # (distribution signature, content version) keying from the
-            # shared repro.core.cachekey vocabulary; one row per
-            # signature, replaced when the indirection mutates
-            sig = cachekey.dist_key(dist)
-            per_ind = _INDIRECT_OWNER_CACHE.setdefault(ind, {})
-            hit = per_ind.get(sig)
-            if hit is not None and hit[0] == ind.version:
-                row = hit[1]
+        source = (cachekey.dist_key(dist), ref.index)
+        row = by_source.get(source)
+        if row is None:
+            if ref.index is None:
+                targets = np.arange(n, dtype=np.int64) if at is None else at
             else:
+                ind = arrays[ref.index]
+                if ind.size != n:
+                    raise ValueError(
+                        f"indirection array {ref.index!r} has size {ind.size}, "
+                        f"loop {loop.name!r} iterates {n}"
+                    )
                 targets = np.asarray(ind.global_view(), dtype=np.int64)
-                row = np.asarray(dist.owner(targets), dtype=np.int64)
-                per_ind[sig] = (ind.version, row)
+                if at is not None:
+                    targets = targets[at]
+            row = by_source[source] = np.asarray(dist.owner(targets), dtype=np.int64)
         rows.append(row)
     return rows
 
@@ -229,10 +211,8 @@ def partition_iterations(
                 n, method, flat=entry.flat, bounds=entry.bounds
             )
 
-    # cached per-reference owner rows feed the vote directly: repeated
-    # indirections are one row object, which votes once with a weight
-    rows = _ref_owners(loop, arrays, refs)
-    home = majority_owner(rows)  # ties -> lowest proc
+    # repeated sources are one row object, which votes once with a weight
+    home = majority_owner(owner_rows(loop, arrays, refs))  # ties -> lowest proc
 
     part = partition_from_home(home, n_procs, method)
 

@@ -23,6 +23,11 @@ possible array modifications and performs the conservative reuse check
 before every inspector -- the compiled path.  ``track=False`` is the
 hand-coded baseline: no bookkeeping is charged, and schedule reuse is
 whatever the caller arranges manually.
+
+How a loop gets its inspector product is decided in one place,
+:meth:`IrregularProgram.inspect` -- the ladder ``reuse -> patch -> full``,
+the only caller of ``run_inspector`` and the only writer of ``records``;
+it records the rung taken and why each cheaper rung was refused.
 """
 
 from __future__ import annotations
@@ -197,10 +202,12 @@ class IrregularProgram:
         self.reuse_hits = 0
         self.patch_hits = 0
         self.geocol_reuse_hits = 0
-        #: cumulative host wall seconds spent in ``_inspect`` (reuse
+        #: cumulative host wall seconds spent in ``inspect`` (reuse
         #: check + diff/patch or full inspection) -- *not* simulated
         #: time; adaptive benches compare patch vs full-inspect wall
         self.inspect_wall = 0.0
+        #: how the most recent ``inspect`` got its product (see there)
+        self.last_resolution: dict | None = None
 
     # ------------------------------------------------------------------
     # Fortran D data declarations
@@ -438,11 +445,10 @@ class IrregularProgram:
         except KeyError:
             raise KeyError(f"GeoCoL {geocol!r} was never constructed") from None
         with self.machine.phase("partition"):
-            dist, result = partition_geocol(
+            dist, _ = partition_geocol(
                 self.machine, g, partitioner, n_parts, **kwargs
             )
         self.distfmts[target] = dist
-        self._last_partition_result = result
         return dist
 
     def redistribute(self, decomp: str, fmt=None, *, moved=None) -> None:
@@ -564,7 +570,7 @@ class IrregularProgram:
             raise ValueError(f"negative execution count {n_times}")
         obs = self.machine.obs
         for _ in range(n_times):
-            product = self._inspect(loop, reuse)
+            product = self.inspect(loop, reuse)
             with obs.span("execute", loop=loop.name):
                 with self.machine.phase("executor"):
                     run_executor(
@@ -589,84 +595,108 @@ class IrregularProgram:
                     ],
                 )
 
-    def _inspect(self, loop: ForallLoop, reuse: bool):
-        """Reuse-checked inspection, with host-wall accounting.
+    def inspect(self, loop: ForallLoop, reuse: bool = True):
+        """Resolve ``loop``'s inspector product: the one product ladder.
 
-        The wall clock around the whole decision -- reuse check, diff +
-        patch, or full inspection -- accumulates into
-        ``inspect_wall``; the adaptive bench reads per-step deltas to
-        compare *patch wall* against *full re-inspection wall* (the
-        simulated charges are tracked separately by the machine phases).
+        Cheapest rung first: **reuse** (the saved record passes the
+        Section 3 check; ``track=False`` trusts the caller's ``reuse``),
+        **patch** (``incremental=True``: ``repro.adapt`` repairs a pure
+        condition-3 failure), **full** (``run_inspector``; a warm
+        ``TranslationCache`` hit is this rung with ``cache_misses == 0``).
+        ``reuse=False`` goes straight to the full rung (Table 1's "No
+        Schedule Reuse"; the hand path's manual inspection).
+
+        The decision is kept as ``last_resolution`` -- ``{"loop", "rung",
+        "refused": {rung: reason}, "cache_hits", "cache_misses",
+        "host_seconds"}`` (host wall of the whole decision, *not*
+        simulated time; ``inspect_wall`` sums it) -- and, unless it is a
+        plain reuse hit (those stay the ``reuse_hits`` counter), emitted
+        once on the bus as ``product.resolved``.
         """
         t0 = time.perf_counter()
-        try:
-            with self.machine.obs.span("inspect", loop=loop.name):
-                return self._inspect_impl(loop, reuse)
-        finally:
-            self.inspect_wall += time.perf_counter() - t0
-
-    def _inspect_impl(self, loop: ForallLoop, reuse: bool):
-        record = self.records.get(loop.name)
-        if reuse and record is not None:
-            if self.track:
-                n_tracked = len(record.tracked_arrays())
-                self.machine.charge_compute_all(
-                    iops=CHECK_IOPS_PER_ARRAY * n_tracked
-                )
-                decision = can_reuse(record, self.arrays, self.registry)
-            else:
+        machine, obs = self.machine, self.machine.obs
+        record = self.records.get(loop.name) if reuse else None
+        product, rung, refused = None, "full", {}
+        hits = misses = 0
+        with obs.span("inspect", loop=loop.name) as span:
+            if record is not None:
                 # hand-coded path: caller asked for reuse, trust it
                 decision = True
-            if decision:
-                self.reuse_hits += 1
-                self.machine.obs.counter("inspect.reuse_hits")
-                return record.product
-            if self.adapt is not None:
-                # incremental inspection: a pure condition-3 failure may
-                # be repaired by diffing + patching the saved product
-                product = self.adapt.attempt(loop, record, decision)
-                if product is not None:
-                    self.patch_hits += 1
-                    return product
-        with self.machine.obs.span("inspector.run", loop=loop.name):
-            with self.machine.phase("inspector"):
-                product = run_inspector(
-                    self.machine,
-                    loop,
-                    self.arrays,
-                    iter_method=self.iter_method,
-                    ttable_variant=self.ttable_variant,
-                    costs=self.costs,
-                    ttables=self.ttables,
-                    coalesce_patterns=self.coalesce_patterns,
-                    cache=self.translation_cache,
-                )
-        self.inspector_runs += 1
-        if self.guard != "off":
-            # verify the fresh product at the configured level
-            # (host-level, uncharged -- outside the inspector phase)
-            from repro.guard.invariants import verify_product
+                if self.track:
+                    machine.charge_compute_all(
+                        iops=CHECK_IOPS_PER_ARRAY * len(record.tracked_arrays())
+                    )
+                    decision = can_reuse(record, self.arrays, self.registry)
+                if decision:
+                    product, rung = record.product, "reuse"
+                    self.reuse_hits += 1
+                    obs.counter("inspect.reuse_hits")
+                else:
+                    refused["reuse"] = decision.reason
+                    if self.adapt is not None:
+                        # a pure condition-3 failure may be diffed + patched
+                        product = self.adapt.attempt(loop, record, decision)
+                        if product is not None:
+                            rung = "patch"
+                            self.patch_hits += 1
+                            self._save_record(loop, product)
+                        else:  # attempt emitted one adapt.fallback saying why
+                            refused["patch"] = self.events.category("adapt.fallback")[-1].name
+            if product is None:
+                cache = self.translation_cache
+                probes = (cache.hits, cache.misses) if cache is not None else (0, 0)
+                with obs.span("inspector.run", loop=loop.name), machine.phase("inspector"):
+                    product = run_inspector(
+                        machine,
+                        loop,
+                        self.arrays,
+                        iter_method=self.iter_method,
+                        ttable_variant=self.ttable_variant,
+                        costs=self.costs,
+                        ttables=self.ttables,
+                        coalesce_patterns=self.coalesce_patterns,
+                        cache=cache,
+                    )
+                if cache is not None:
+                    hits, misses = cache.hits - probes[0], cache.misses - probes[1]
+                self.inspector_runs += 1
+                if self.guard != "off":
+                    # host-level, uncharged -- outside the inspector phase
+                    from repro.guard.invariants import verify_product
 
-            with self.machine.obs.span("guard.verify_product", loop=loop.name):
-                verify_product(product, self.arrays, self.guard)
-        for a in loop.indirection_arrays():
-            self._indirection_dads.add(DAD.of(self.arrays[a]).signature)
+                    with obs.span("guard.verify_product", loop=loop.name):
+                        verify_product(product, self.arrays, self.guard)
+                self._save_record(loop, product)
+                if self.adapt is not None:
+                    # capture snapshots + slot bookkeeping for future patches
+                    # (inspector-phase work: it only exists to serve inspection)
+                    with machine.phase("inspector"):
+                        self.adapt.after_inspect(loop, self.records[loop.name])
+            span.set(rung=rung)
+        self.last_resolution = {
+            "loop": loop.name,
+            "rung": rung,
+            "refused": refused,
+            "cache_hits": hits,
+            "cache_misses": misses,
+            "host_seconds": time.perf_counter() - t0,
+        }
+        self.inspect_wall += self.last_resolution["host_seconds"]
+        if rung != "reuse":
+            self.events.emit("product.resolved", rung, self.last_resolution)
+        return product
+
+    def _save_record(self, loop: ForallLoop, product) -> None:
+        """Save the Section 3 record of a full or patched inspection."""
+        ind_dads = {a: DAD.of(self.arrays[a]) for a in loop.indirection_arrays()}
+        self._indirection_dads.update(d.signature for d in ind_dads.values())
         self.records[loop.name] = InspectorRecord(
             loop_name=loop.name,
             data_dads={a: DAD.of(self.arrays[a]) for a in loop.data_arrays()},
-            ind_dads={a: DAD.of(self.arrays[a]) for a in loop.indirection_arrays()},
-            ind_last_mod={
-                a: self.registry.last_mod(DAD.of(self.arrays[a]))
-                for a in loop.indirection_arrays()
-            },
+            ind_dads=ind_dads,
+            ind_last_mod={a: self.registry.last_mod(d) for a, d in ind_dads.items()},
             product=product,
         )
-        if self.adapt is not None:
-            # capture snapshots + slot bookkeeping for future patches
-            # (inspector-phase work: it only exists to serve inspection)
-            with self.machine.phase("inspector"):
-                self.adapt.after_inspect(loop, self.records[loop.name])
-        return product
 
     # ------------------------------------------------------------------
     # helpers

@@ -24,44 +24,34 @@ import numpy as np
 from repro.distribution.base import Distribution
 
 
-class IrregularDistribution(Distribution):
-    """Distribution defined by an explicit per-element owner array."""
+class _OwnerMapDistribution(Distribution):
+    """Shared body of the two owner-map kinds: dense ``_owners`` /
+    ``_local`` lookups plus ``_perm``, the flat-slot -> global-index
+    permutation.  The kinds differ only in how the local map is obtained
+    (and in ``kind`` and what the signature digests)."""
 
-    kind = "irregular"
-
-    def __init__(self, owner_map, n_procs: int):
-        owners = np.ascontiguousarray(owner_map, dtype=np.int64)
-        if owners.ndim != 1:
-            raise ValueError(f"owner map must be 1-D, got shape {owners.shape}")
+    def __init__(self, owners: np.ndarray, n_procs: int):
         super().__init__(owners.size, n_procs)
         if owners.size and (owners.min() < 0 or owners.max() >= n_procs):
             bad = owners[(owners < 0) | (owners >= n_procs)][0]
-            raise ValueError(
-                f"owner map entry {bad} out of range [0, {n_procs})"
-            )
+            raise ValueError(f"owner map entry {bad} out of range [0, {n_procs})")
         self._owners = owners
         self._counts = np.bincount(owners, minlength=n_procs).astype(np.int64)
-        # local offset of g = rank of g among indices owned by the same proc
-        self._local = np.empty(self.size, dtype=np.int64)
-        order = np.argsort(owners, kind="stable")
-        starts = np.zeros(n_procs + 1, dtype=np.int64)
-        np.cumsum(self._counts, out=starts[1:])
-        within = np.arange(self.size, dtype=np.int64) - starts[owners[order]]
-        self._local[order] = within
-        # per-processor lists of owned global indices, local-offset order
-        self._by_proc = [order[starts[p] : starts[p + 1]] for p in range(n_procs)]
-        self._order = order
-        self._starts = starts
-        digest = hashlib.blake2b(owners.tobytes(), digest_size=8).hexdigest()
+        self._starts = np.zeros(n_procs + 1, dtype=np.int64)
+        np.cumsum(self._counts, out=self._starts[1:])
+
+    def _set_layout(self, local: np.ndarray, perm: np.ndarray, *digested) -> None:
+        self._local = local
+        self._perm = perm
+        content = b"".join(a.tobytes() for a in digested)
+        digest = hashlib.blake2b(content, digest_size=8).hexdigest()
         self._sig = (self.kind, self.size, self.n_procs, digest)
 
     def owner(self, gidx):
-        g = self._check_gidx(gidx)
-        return self._owners[g]
+        return self._owners[self._check_gidx(gidx)]
 
     def local_index(self, gidx):
-        g = self._check_gidx(gidx)
-        return self._local[g]
+        return self._local[self._check_gidx(gidx)]
 
     def _translate_checked(self, g):
         # base.translate validated once; two dense gathers remain
@@ -73,7 +63,7 @@ class IrregularDistribution(Distribution):
         n = self._counts[p]
         if li.size and (li.min() < 0 or li.max() >= n):
             raise IndexError(f"local index out of range [0, {n}) on processor {p}")
-        return self._by_proc[p][li]
+        return self._perm[self._starts[p] + li]
 
     def local_size(self, p: int) -> int:
         self._check_proc(p)
@@ -84,14 +74,13 @@ class IrregularDistribution(Distribution):
 
     def local_indices(self, p: int) -> np.ndarray:
         self._check_proc(p)
-        return self._by_proc[p].copy()
+        return self._perm[self._starts[p] : self._starts[p + 1]].copy()
 
     def owner_map(self) -> np.ndarray:
         return self._owners.copy()
 
     def _build_global_perm(self) -> np.ndarray:
-        # the stable owner sort from construction *is* the permutation
-        return self._order
+        return self._perm
 
     def _build_global_perm_inverse(self) -> np.ndarray:
         return self._starts[self._owners] + self._local
@@ -103,7 +92,25 @@ class IrregularDistribution(Distribution):
         return self._sig
 
 
-class ExplicitDistribution(Distribution):
+class IrregularDistribution(_OwnerMapDistribution):
+    """Distribution defined by an explicit per-element owner array."""
+
+    kind = "irregular"
+
+    def __init__(self, owner_map, n_procs: int):
+        owners = np.ascontiguousarray(owner_map, dtype=np.int64)
+        if owners.ndim != 1:
+            raise ValueError(f"owner map must be 1-D, got shape {owners.shape}")
+        super().__init__(owners, n_procs)
+        # local offset of g = rank of g among indices owned by the same
+        # proc, so the stable owner sort *is* the permutation
+        order = np.argsort(owners, kind="stable")
+        local = np.empty(self.size, dtype=np.int64)
+        local[order] = np.arange(self.size, dtype=np.int64) - self._starts[owners[order]]
+        self._set_layout(local, order, owners)
+
+
+class ExplicitDistribution(_OwnerMapDistribution):
     """Distribution with explicit owner *and* local-offset maps.
 
     Where :class:`IrregularDistribution` derives local offsets from
@@ -126,24 +133,15 @@ class ExplicitDistribution(Distribution):
                 f"owner map {owners.shape} and local map {local.shape} "
                 "must be equal-length 1-D arrays"
             )
-        super().__init__(owners.size, n_procs)
-        if owners.size and (owners.min() < 0 or owners.max() >= n_procs):
-            bad = owners[(owners < 0) | (owners >= n_procs)][0]
-            raise ValueError(f"owner map entry {bad} out of range [0, {n_procs})")
-        self._owners = owners
-        self._local = local
-        self._counts = np.bincount(owners, minlength=n_procs).astype(np.int64)
-        self._starts = np.zeros(n_procs + 1, dtype=np.int64)
-        np.cumsum(self._counts, out=self._starts[1:])
+        super().__init__(owners, n_procs)
         if local.size and (local.min() < 0 or (local >= self._counts[owners]).any()):
             g = int(np.flatnonzero((local < 0) | (local >= self._counts[owners]))[0])
             raise ValueError(
                 f"element {g}: local offset {int(local[g])} out of range "
                 f"[0, {int(self._counts[owners[g]])}) on processor {int(owners[g])}"
             )
-        flat = self._starts[owners] + local
         gidx_of_flat = np.full(self.size, -1, dtype=np.int64)
-        gidx_of_flat[flat] = np.arange(self.size, dtype=np.int64)
+        gidx_of_flat[self._starts[owners] + local] = np.arange(self.size, dtype=np.int64)
         if (gidx_of_flat < 0).any():
             s = int(np.flatnonzero(gidx_of_flat < 0)[0])
             p = int(np.searchsorted(self._starts, s, side="right") - 1)
@@ -151,55 +149,10 @@ class ExplicitDistribution(Distribution):
                 f"local offset {s - int(self._starts[p])} on processor {p} "
                 "is assigned twice (layout must be a bijection)"
             )
-        self._flat = flat
-        self._gidx_of_flat = gidx_of_flat
-        digest = hashlib.blake2b(
-            owners.tobytes() + local.tobytes(), digest_size=8
-        ).hexdigest()
-        self._sig = (self.kind, self.size, self.n_procs, digest)
-
-    def owner(self, gidx):
-        return self._owners[self._check_gidx(gidx)]
-
-    def local_index(self, gidx):
-        return self._local[self._check_gidx(gidx)]
-
-    def _translate_checked(self, g):
-        return self._owners[g], self._local[g]
-
-    def global_index(self, p: int, lidx):
-        self._check_proc(p)
-        li = np.asarray(lidx, dtype=np.int64)
-        n = self._counts[p]
-        if li.size and (li.min() < 0 or li.max() >= n):
-            raise IndexError(f"local index out of range [0, {n}) on processor {p}")
-        return self._gidx_of_flat[self._starts[p] + li]
-
-    def local_size(self, p: int) -> int:
-        self._check_proc(p)
-        return int(self._counts[p])
-
-    def local_sizes(self) -> np.ndarray:
-        return self._counts.copy()
-
-    def local_indices(self, p: int) -> np.ndarray:
-        self._check_proc(p)
-        return self._gidx_of_flat[self._starts[p] : self._starts[p + 1]].copy()
-
-    def owner_map(self) -> np.ndarray:
-        return self._owners.copy()
+        self._set_layout(local, gidx_of_flat, owners, local)
 
     def local_map(self) -> np.ndarray:
         return self._local.copy()
-
-    def _build_global_perm(self) -> np.ndarray:
-        return self._gidx_of_flat
-
-    def _build_global_perm_inverse(self) -> np.ndarray:
-        return self._flat
-
-    def signature(self) -> tuple:
-        return self._sig
 
 
 @dataclass

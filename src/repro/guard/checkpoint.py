@@ -512,8 +512,6 @@ def _restore_adapt(adapt, payload: dict) -> None:
     adapt.program.events.replace_category(
         "adapt.fallback", [dict(rec) for rec in payload["fallback_log"]]
     )
-    adapt.last_patch = None
-    adapt.last_error = None
 
 
 def restore_checkpoint(path, program, loops, driver=None) -> dict:

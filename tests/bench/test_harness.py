@@ -51,6 +51,30 @@ class TestRunEulerExperiment:
         res = run_euler_experiment(mesh, 4, path="hand", reuse=False, iterations=3)
         assert res.phase("inspector") > 0
 
+    @pytest.mark.parametrize(
+        "reuse, iterations, inspector, executor, messages",
+        [
+            (True, 5, 0.08229657142857141, 0.08219642857142871, 348),
+            (False, 3, 0.24108400000000005, 0.050277857142857305, 564),
+        ],
+    )
+    def test_hand_path_is_a_caller_of_the_ladder(
+        self, mesh, reuse, iterations, inspector, executor, messages
+    ):
+        """The hand path inspects through ``IrregularProgram.inspect``:
+        its inspections are counted (they read 0 while the harness
+        called ``run_inspector`` itself) and every simulated number is
+        the one the hand-threaded call produced (values pinned at the
+        last commit that had it)."""
+        res = run_euler_experiment(
+            mesh, 4, path="hand", reuse=reuse, iterations=iterations
+        )
+        assert res.meta["inspector_runs"] == (1 if reuse else iterations)
+        assert res.meta["reuse_hits"] == 0
+        assert res.phase("inspector") == inspector
+        assert res.phase("executor") == executor
+        assert res.meta["messages"] == messages
+
     def test_rsb_on_hand_path(self, mesh):
         res = run_euler_experiment(mesh, 4, partitioner="RSB", path="hand", iterations=2)
         assert res.phase("graph_generation") > 0

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import ArrayRef, Assign, ForallLoop, Reduce, partition_iterations
+from repro.core.iteration import owner_rows
 from repro.distribution import BlockDistribution, DistArray, IrregularDistribution
 from repro.machine import Machine
 
@@ -161,3 +162,48 @@ class TestCostsAndEdgeCases:
         part = partition_iterations(m4, loop, arrays)
         # iterations follow the irregular owners of their targets
         assert part.counts() == [4, 0, 0, 4]
+
+
+class TestOwnerRows:
+    """One row per distinct (distribution, indirection) source: the row
+    *object* is shared, because ``majority_owner`` weights by identity."""
+
+    def rows(self, m4, at=None):
+        arrays = setup_arrays(m4, ia=[0, 7, 2, 5, 1, 6, 3, 4], ib=[7] * 8)
+        # z holds the same elements under a different layout
+        arrays["z"] = DistArray.from_global(
+            m4, IrregularDistribution([3, 3, 2, 2, 1, 1, 0, 0], 4), np.zeros(8)
+        )
+        refs = [
+            ArrayRef("x", "ia"),
+            ArrayRef("y", "ia"),
+            ArrayRef("x", "ib"),
+            ArrayRef("z", "ia"),
+            ArrayRef("x"),
+            ArrayRef("y"),
+            ArrayRef("z"),
+        ]
+        loop = ForallLoop("L", 8, [Assign(refs[1], lambda *a: a[0], tuple(refs))])
+        return arrays, refs, owner_rows(loop, arrays, refs, at=at)
+
+    def test_same_source_same_object_otherwise_distinct(self, m4):
+        _, _, (x_ia, y_ia, x_ib, z_ia, x_i, y_i, z_i) = self.rows(m4)
+        assert x_ia is y_ia and x_i is y_i
+        distinct = [x_ia, x_ib, z_ia, x_i, z_i]
+        assert len({id(r) for r in distinct}) == len(distinct)
+
+    def test_rows_are_the_owners_of_the_targets(self, m4):
+        arrays, refs, rows = self.rows(m4)
+        for ref, row in zip(refs, rows):
+            targets = (
+                np.arange(8) if ref.index is None else arrays[ref.index].to_global()
+            )
+            assert np.array_equal(row, arrays[ref.array].distribution.owner(targets))
+
+    def test_at_restricts_every_row_to_those_iterations(self, m4):
+        at = np.array([1, 4, 6])
+        _, _, full = self.rows(m4)
+        _, _, some = self.rows(m4, at=at)
+        assert some[0] is some[1] and some[4] is some[5]
+        for row, sub in zip(full, some):
+            assert np.array_equal(sub, row[at])

@@ -194,7 +194,9 @@ def test_restore_alone_matches_checkpoint_moment(tmp_path):
     assert p_b.guard_events == p_a.guard_events
     assert p_b.adapt.fallback_log == [fallback]
     counts = p_a.events.counts()
-    del counts["adapt.state"]  # host-wall build records: not checkpointed
+    # host-wall build records and per-process product-ladder
+    # diagnostics: not checkpointed
+    del counts["adapt.state"], counts["product.resolved"]
     assert p_b.events.counts() == counts == {"guard": 1, "adapt.fallback": 1}
     # a fallback taken after the restore lands after the restored ones
     restored_seq = max(r.seq for r in p_b.events.all())
