@@ -7,6 +7,13 @@ this matters most for the MD loop (8 read patterns, 2 write patterns).
 
 Reports executor time and message counts with and without merging for
 the Euler (4 patterns) and MD (10 patterns) sweeps.
+
+The Euler row runs with ``coalesce_patterns=False``: the baseline above
+is "k schedules, applied one at a time", and under the default pattern
+coalescing the Euler loop's four patterns already share one schedule
+per array, so ``merge_communication`` has nothing left to merge there
+(identical message counts either way) and the row would measure
+coalescing, not merging.  MD gains under the default and keeps it.
 """
 
 from conftest import run_once
@@ -20,7 +27,9 @@ from repro.workloads.md import md_force_loop, setup_md_program
 
 def run_euler(mesh, merge, sweeps=20):
     m = Machine(16)
-    prog = setup_euler_program(m, mesh, seed=0, merge_communication=merge)
+    prog = setup_euler_program(
+        m, mesh, seed=0, merge_communication=merge, coalesce_patterns=False
+    )
     # partition first: under the initial BLOCK distribution the sorted
     # edge lists make every end_pt1 reference local (owner(e1) <=
     # owner(e2) and ties go low), hiding the merge effect entirely

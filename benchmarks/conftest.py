@@ -2,9 +2,11 @@
 
 Every table bench renders its paper-style table, prints it (visible with
 ``pytest -s``) and writes it under ``benchmarks/out/`` so the text
-survives pytest's output capture; EXPERIMENTS.md records a reference
-run.  Simulated times are deterministic, so pytest-benchmark's wall
-times only measure the *simulation's* Python cost.
+survives pytest's output capture; reference runs are recorded in
+CHANGES.md and, for Tables 1-4, pinned by the golden fixtures under
+``tests/bench/fixtures``.  Simulated times are deterministic, so
+pytest-benchmark's wall times only measure the *simulation's* Python
+cost.
 """
 
 import os

@@ -80,10 +80,10 @@ the patch path is therefore delta-proportional:
   (:func:`repro.core.executor.patch_exec_caches`);
 * pattern groups with provably identical communication structure (same
   distribution, element-equal indirection state -- e.g. the x- and
-  y-patterns of one edge loop) are patched **once**: the second group
-  replays the first's simulated charges and adopts its arrays under a
-  distinct schedule identity (``CommSchedule.twin``), halving patch
-  wall time in the common two-group case.
+  y-patterns of one edge loop) are computed **once**: the second group
+  runs the same group driver on the first's stage values (its frozen
+  charges included) and wraps the shared arrays under a distinct
+  schedule identity (``CommSchedule.twin``), halving patch wall time.
 
 ``benchmarks/bench_table_adapt.py`` gates this: patch wall must beat
 full-re-inspection wall at the smallest churn fraction, and the

@@ -51,7 +51,7 @@ import time
 import numpy as np
 
 from repro.adapt.diff import changed_at, expand_ranges
-from repro.adapt.patch import DIFF_IOPS_PER_ELEMENT, patch_product
+from repro.adapt.patch import patch_product
 from repro.adapt.state import (
     LoopAdaptState,
     PendingState,
@@ -67,6 +67,8 @@ from repro.guard.invariants import verify_product
 
 #: fixed integer ops for deciding whether a reuse failure is patchable
 PATCH_CHECK_IOPS = 10.0
+#: integer ops per dirty element for the snapshot-vs-current compare
+DIFF_IOPS_PER_ELEMENT = 2.0
 
 
 class IncrementalInspector:
@@ -261,7 +263,10 @@ class IncrementalInspector:
                 )
             try:
                 with obs.span(
-                    "adapt.patch", loop=loop.name, n_changed=n_changed
+                    "adapt.patch",
+                    loop=loop.name,
+                    n_changed=n_changed,
+                    groups=len(state.groups),
                 ):
                     # the full inspection (or the restore) stored a table
                     # under every signature: a missing one is a bug (KeyError)

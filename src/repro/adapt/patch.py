@@ -4,42 +4,46 @@ Given the positions whose indirection values actually changed (from
 ``adapt.diff``), :func:`patch_product` produces an
 :class:`~repro.core.inspector.InspectorProduct` equivalent to a fresh
 inspection of the current arrays while charging the simulated machine
-only for delta-proportional work:
+only for delta-proportional work.  It re-votes the changed iterations
+(``_revote``: one compute charge, one exchange of the *moved* iteration
+records), then runs each pattern group through :func:`_patch_group`, a
+driver over stage functions that do host work only and return their
+arrays plus the charges they planned.  The driver applies those at these
+sites, in this order:
 
-1. **re-vote** -- only iterations whose reference targets changed can
-   change home; their majority vote is recomputed and only *moved*
-   iteration records are exchanged;
-2. **reference diff** -- per pattern group, each delta iteration
-   retires its old reference (classified local/ghost from the *saved*
-   localized value, no translation needed) and adds its new one; only
-   the added targets are translated, in one
-   ``ttable.dereference_flat`` over the delta;
-3. **slot update** -- per-slot reference counts absorb the delta;
-   slots hitting zero retire in place (holes), new keys reuse holes
-   then append (see the package docstring's layout contract);
-4. **schedule + buffer patch** -- ``CommSchedule.patched`` retires dead
-   entries and appends revived/new ones (pairs stay requester-major /
-   owner-minor with elements key-sorted, matching a fresh ``localize``
-   wire order exactly), and ``GhostBuffers.patched`` regrows the CSR
-   backing copying retained slots; and
-5. **localized-ref rebuild** -- unchanged references keep their saved
-   localized values (slot positions are stable by construction) and are
-   only permuted into the new iteration order; delta references get
-   values from the delta translation.
+1. **delta** -- retired and added references (:class:`Delta`), the adds
+   classified local/ghost: one membership-probe compute charge;
+2. **slots** -- reference counts absorb the delta: no charge (a negative
+   count aborts here, after the classify charge);
+3. **translate** -- never-seen keys only: a memo-probe compute charge,
+   then the table's ``dereference_flat`` round;
+4. **allocate** -- new keys reuse holes, then append: no charge;
+5. **schedule** -- ``CommSchedule.patched``, then ``GhostBuffers.patched``
+   (buffer-assign compute), then the schedule compute, the delta
+   exchange and the receivers' compute;
+6. **refs** -- localized reference lists in the new order: no charge;
+7. **index** -- the persisted sorted slot index is merged: no charge.
 
-The patched product's iteration partition, ghost key sets, schedule
-pairs, send offsets and wire order equal a from-scratch inspection's;
-executor results and executor charges are bit-identical.  Only the
-*inspector-phase* charges differ -- that is the entire point.
+A group byte-identical to one already patched runs the same driver on
+that sibling's stage values.  The patched product's iteration partition,
+ghost key sets, schedule pairs, send offsets and wire order equal a
+from-scratch inspection's; executor results and executor charges are
+bit-identical.  Only the *inspector-phase* charges differ -- that is the
+entire point.
 """
 
 from __future__ import annotations
+
+import dataclasses
+from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from repro.chaos.costs import ChaosCosts, DEFAULT_COSTS
 from repro.chaos.kernels import majority_owner, pair_counts, sorted_unique_inverse
 from repro.chaos.localize import LocalizeResult
+from repro.chaos.schedule import CommSchedule
 from repro.chaos.transcache import KeyTranslationMemo
 from repro.chaos.ttable import TranslationTable
 from repro.core.executor import patch_exec_caches
@@ -53,10 +57,7 @@ from repro.core.iteration import (
 from repro.adapt.state import GroupState, LoopAdaptState, group_state_key, product_groups
 from repro.distribution.distarray import DistArray
 from repro.guard.errors import PatchAborted
-from repro.machine.machine import Machine
-
-#: integer ops per dirty element for the snapshot-vs-current compare
-DIFF_IOPS_PER_ELEMENT = 2.0
+from repro.machine.machine import ComputeCharge, ExchangeCharge, Machine
 
 _EMPTY = np.empty(0, dtype=np.int64)
 
@@ -174,102 +175,165 @@ def _revote(
     return home_new, moved
 
 
-def _patch_group(
-    machine: Machine,
-    arrays: dict[str, DistArray],
-    product: InspectorProduct,
+# -- stage values: per-patch transients, never pickled ------------------
+@dataclass(frozen=True)
+class _PatchContext:
+    """What every group of one patch shares."""
+
+    machine: Machine
+    product: InspectorProduct
+    costs: ChaosCosts
+    deltas: _DeltaCache
+    #: per patch by contract: a group is charged a local probe only for
+    #: keys an earlier group of the *same* patch resolved, so hits must
+    #: never persist across patches (that would change simulated numbers)
+    memo: KeyTranslationMemo
+    old_to_new: np.ndarray  # old flat position of each new flat position
+    new_bounds: np.ndarray  # CSR bounds of the new flat iteration order
+    partition_changed: bool
+
+
+@dataclass(frozen=True)
+class Delta:
+    """One group's reference delta, member-major in iteration order.
+
+    Retired references are the *ghost* references its delta iterations
+    held (a local one occupies no slot); added references are everything
+    those iterations hold now, local or not."""
+
+    rem_procs: np.ndarray  # requester of each retired ghost reference
+    rem_slots: np.ndarray  # ... and the global slot id it occupied
+    add_procs: np.ndarray  # requester (new home) of each added reference
+    add_targets: np.ndarray  # ... and the global element it targets
+    #: per member ``(D, new_pos)``: its delta iterations and their
+    #: positions in the new flat iteration order
+    members: tuple[tuple[np.ndarray, np.ndarray], ...]
+
+
+@dataclass(frozen=True)
+class _Slots:
+    """The old slot space after the delta's retires and revivals."""
+
+    counts: np.ndarray  # per old slot, before never-seen keys land
+    slot_proc: np.ndarray  # processor of each old slot
+    went_dead: np.ndarray  # old slots whose count hit zero
+    revived: np.ndarray  # holes an added reference hit again
+    gidx: np.ndarray  # add-stream positions of the ghost adds
+    found: np.ndarray  # mask over ghost adds: key has a slot (live or hole)
+    found_slots: np.ndarray  # ... and which old slot
+    uniq_comp: np.ndarray  # never-seen ``proc * stride + key``, ascending
+    uniq_proc: np.ndarray
+    uniq_key: np.ndarray
+    inv_missing: np.ndarray  # not-found ghost add -> position in uniq_comp
+    need: np.ndarray  # never-seen keys per processor
+
+
+@dataclass(frozen=True)
+class _Alloc:
+    """The grown slot space with every never-seen key placed."""
+
+    slot_bounds: np.ndarray
+    keys: np.ndarray
+    owners: np.ndarray
+    lidx: np.ndarray
+    counts: np.ndarray
+    newpos: np.ndarray  # new slot id of each old slot
+    alloc: np.ndarray  # new slot id of each never-seen key
+    reused: np.ndarray  # old slot ids of the holes they took
+    slot_of_add: np.ndarray  # new slot id of each ghost add
+
+
+@dataclass(frozen=True)
+class _GroupPatch:
+    """One group's patch: its inputs, every stage's value, its result.
+    A byte-identical sibling group takes the stage values instead of
+    recomputing them."""
+
+    member_keys: list
+    gstate: GroupState  # the slot state the patch started from
+    delta: Delta
+    adds: tuple[np.ndarray, np.ndarray, ComputeCharge]  # see _classify
+    slots: _Slots
+    alloc: _Alloc
+    schedule: CommSchedule
+    charges: tuple  # see _schedule_charges
+    refs: tuple[tuple[np.ndarray, ...], np.ndarray]  # see _rebuild_refs
+    patterns: dict  # the group's new PatternData by key
+    state: GroupState  # persisted once every group has succeeded
+
+
+# -- stages: host work only; charges are planned and returned -----------
+def _group_delta(
+    ctx: _PatchContext,
     gstate: GroupState,
     member_keys: list,
-    ttable: TranslationTable,
-    deltas: "_DeltaCache",
-    moved: np.ndarray,
-    inv_old: np.ndarray,
-    new_iter_flat: np.ndarray,
-    new_bounds: np.ndarray,
-    costs: ChaosCosts,
-    trans_cache: KeyTranslationMemo,
-) -> tuple[dict, GroupState, dict] | None:
-    """Patch one pattern group; returns (new PatternData by key,
-    updated GroupState to persist, twin pack) or ``None`` when the group
-    has no delta (saved data reusable as-is, iteration order unchanged).
-    Never mutates ``gstate`` -- the caller persists the returned state
-    only after every group has succeeded."""
-    n = machine.n_procs
-    array_name = gstate.array
-    arr = arrays[array_name]
-    dist = arr.distribution
-    first_loc = product.patterns[member_keys[0]].localized
-    local_sizes = np.asarray(first_loc.local_sizes, dtype=np.int64)
-    stride = max(dist.size, 1)
-
-    # -- per-member deltas: retire old refs, collect new ones ------------
-    member_D: list[tuple[np.ndarray, np.ndarray]] = []
-    rem_slot_parts: list[np.ndarray] = []
-    rem_proc_parts: list[np.ndarray] = []
-    add_p_parts: list[np.ndarray] = []
-    add_t_parts: list[np.ndarray] = []
+    local_sizes: np.ndarray,
+) -> Delta | None:
+    """Retire each delta iteration's old reference (local/ghost read off
+    the *saved* localized value, no translation) and collect its new
+    one; ``None`` when no member has a delta iteration (saved data
+    reusable as-is, iteration order unchanged)."""
+    members, rem_procs, rem_slots, add_procs, add_targets = [], [], [], [], []
     for akey in member_keys:
-        D, old_pos, new_pos, p_old, p_new, t_new = deltas.delta(akey[1])
-        member_D.append((D, new_pos))
+        D, old_pos, new_pos, p_old, p_new, t_new = ctx.deltas.delta(akey[1])
+        members.append((D, new_pos))
         if not D.size:
-            add_p_parts.append(_EMPTY)
-            add_t_parts.append(_EMPTY)
             continue
-        lv = product.patterns[akey].localized.refs_flat[old_pos]
+        lv = ctx.product.patterns[akey].localized.refs_flat[old_pos]
         is_ghost = lv >= local_sizes[p_old]
-        if is_ghost.any():
-            gp = p_old[is_ghost]
-            rem_slot_parts.append(
-                gstate.slot_bounds[gp] + (lv[is_ghost] - local_sizes[gp])
-            )
-            rem_proc_parts.append(gp)
-        add_p_parts.append(p_new)
-        add_t_parts.append(t_new)
-
-    add_p = np.concatenate(add_p_parts) if add_p_parts else _EMPTY
-    if not add_p.size and not rem_slot_parts:
+        gp = p_old[is_ghost]
+        rem_procs.append(gp)
+        rem_slots.append(gstate.slot_bounds[gp] + (lv[is_ghost] - local_sizes[gp]))
+        add_procs.append(p_new)
+        add_targets.append(t_new)
+    if not add_procs:
         return None
-    add_t = np.concatenate(add_t_parts) if add_t_parts else _EMPTY
-    rem_slots = (
-        np.concatenate(rem_slot_parts) if rem_slot_parts else _EMPTY
-    )
-    rem_procs = (
-        np.concatenate(rem_proc_parts) if rem_proc_parts else _EMPTY
+    return Delta(
+        rem_procs=np.concatenate(rem_procs),
+        rem_slots=np.concatenate(rem_slots),
+        add_procs=np.concatenate(add_procs),
+        add_targets=np.concatenate(add_targets),
+        members=tuple(members),
     )
 
-    # -- classify the added references locally ---------------------------
-    # Each requester probes its own membership table (a processor always
-    # knows which globals it owns): local targets resolve to their local
-    # offset on the spot, everything else is a ghost candidate.  Charged
-    # as one replicated-table-style probe per added reference.
-    if add_t.size:
-        owners_add = np.asarray(dist.owner(add_t), dtype=np.int64)
-        lidx_add = np.asarray(dist.local_index(add_t), dtype=np.int64)
-    else:
-        owners_add = _EMPTY
-        lidx_add = _EMPTY
-    ghost_mask = owners_add != add_p
-    classify_iops = costs.translate_replicated * np.bincount(
-        add_p, minlength=n
-    ).astype(np.float64)
-    machine.charge_compute_all(iops=classify_iops)
 
-    # -- slot count update: retire / revive / insert ---------------------
+def _classify(
+    machine: Machine, dist, delta: Delta, costs: ChaosCosts
+) -> tuple[np.ndarray, np.ndarray, ComputeCharge]:
+    """``(local offset, is-ghost mask, charge)`` of the added references.
+
+    Each requester probes its own membership table (a processor always
+    knows which globals it owns): local targets resolve to their local
+    offset on the spot, everything else is a ghost candidate.  Planned as
+    one replicated-table-style probe per added reference."""
+    owners = np.asarray(dist.owner(delta.add_targets), dtype=np.int64)
+    lidx = np.asarray(dist.local_index(delta.add_targets), dtype=np.int64)
+    probes = np.bincount(delta.add_procs, minlength=machine.n_procs)
+    return lidx, owners != delta.add_procs, machine.plan_compute_all(
+        iops=costs.translate_replicated * probes.astype(np.float64)
+    )
+
+
+def _slot_counts(
+    gstate: GroupState, delta: Delta, ghost: np.ndarray, stride: int
+) -> _Slots:
+    """Absorb the delta into the per-slot reference counts.
+
+    Ghost adds hitting a tracked slot (live or hole) reuse the saved
+    (owner, local offset): the runtime recorded them at the last
+    inspection and conditions 1-2 guarantee they are still valid.  Only
+    never-before-seen keys are left for the translation table."""
     # work on a copy: gstate must stay untouched until the whole patch
     # succeeds (patch_product persists all groups together at the end),
     # so a mid-patch exception leaves state consistent with the old
     # product and a later attempt can still patch or fall back cleanly
-    counts_entry = gstate.counts
-    counts = counts_entry.copy()
-    if rem_slots.size:
-        # bincount beats ufunc.at by an order of magnitude at this size
-        counts -= np.bincount(rem_slots, minlength=counts.size)
-    gidx = np.flatnonzero(ghost_mask)
-    comp = add_p[gidx] * stride + add_t[gidx]
-    slot_proc_old = gstate.slot_proc()
+    counts = gstate.counts.copy()
+    # bincount beats ufunc.at by an order of magnitude at this size
+    counts -= np.bincount(delta.rem_slots, minlength=counts.size)
+    gidx = np.flatnonzero(ghost)
+    comp = delta.add_procs[gidx] * stride + delta.add_targets[gidx]
     # persisted sorted slot index (built at state capture, merged on
-    # every patch): probing it replaces the old per-patch full argsort
-    # of the slot space, keeping patch wall work delta-proportional
+    # every patch): probing it keeps patch wall work delta-proportional
     msorted, morder = gstate.slot_index(stride)
     if msorted.size:
         pos = np.searchsorted(msorted, comp)
@@ -277,276 +341,321 @@ def _patch_group(
             msorted[np.minimum(pos, msorted.size - 1)] == comp
         )
         found_slots = morder[pos[found]]
+        counts += np.bincount(found_slots, minlength=counts.size)
     else:
         # a group can start with zero tracked ghosts (fully local at
         # inspection); every ghost add is then a never-seen key
         found = np.zeros(comp.size, dtype=bool)
         found_slots = _EMPTY
-    if found_slots.size:
-        counts += np.bincount(found_slots, minlength=counts.size)
     if counts.size and counts.min() < 0:
         raise PatchAborted(
             f"adapt: negative reference count patching group "
-            f"{array_name}/{gstate.indexes} -- state out of sync"
+            f"{gstate.array}/{gstate.indexes} -- state out of sync"
         )
-    went_dead = np.flatnonzero((counts_entry > 0) & (counts == 0))
-    revived = np.flatnonzero((counts_entry == 0) & (counts > 0))
-
-    # -- translate only the *unknown* delta ------------------------------
-    # Ghost adds hitting a tracked slot (live or hole) reuse the saved
-    # (owner, local offset): the runtime recorded them at the last
-    # inspection and conditions 1-2 guarantee they are still valid.
-    # Only never-before-seen keys dereference through the translation
-    # table -- one dereference_flat over that (typically tiny) set, the
-    # only remote-translation traffic a patch pays.
-    comp_missing = comp[~found]
-    uniq_comp, inv_missing = sorted_unique_inverse(comp_missing)
+    uniq_comp, inv_missing = sorted_unique_inverse(comp[~found])
     uniq_proc = uniq_comp // stride
-    uniq_key = uniq_comp % stride
-    n_uniq = uniq_comp.size
-    need = np.bincount(uniq_proc, minlength=n)
-    uniq_owner, uniq_lidx = trans_cache.translate(
-        machine, ttable, stride, uniq_proc, uniq_key, costs
+    return _Slots(
+        counts=counts,
+        slot_proc=gstate.slot_proc(),
+        went_dead=np.flatnonzero((gstate.counts > 0) & (counts == 0)),
+        revived=np.flatnonzero((gstate.counts == 0) & (counts > 0)),
+        gidx=gidx,
+        found=found,
+        found_slots=found_slots,
+        uniq_comp=uniq_comp,
+        uniq_proc=uniq_proc,
+        uniq_key=uniq_comp % stride,
+        inv_missing=inv_missing,
+        need=np.bincount(uniq_proc, minlength=gstate.slot_bounds.size - 1),
     )
 
-    # -- allocate slots: reuse holes ascending, then append --------------
+
+def _allocate(
+    gstate: GroupState,
+    delta: Delta,
+    slots: _Slots,
+    uniq_owner: np.ndarray,
+    uniq_lidx: np.ndarray,
+) -> _Alloc:
+    """Place the never-seen keys: per processor they reuse its holes in
+    ascending slot order, then append at the end of its region."""
     old_bounds = gstate.slot_bounds
+    n = old_bounds.size - 1
     old_sizes = np.diff(old_bounds)
-    free_slots = np.flatnonzero(counts == 0)
-    free_proc = slot_proc_old[free_slots]
-    free_bounds = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(free_proc, minlength=n), out=free_bounds[1:])
-    frank = np.arange(free_slots.size, dtype=np.int64) - free_bounds[free_proc]
+    slot_proc, uniq_proc, need = slots.slot_proc, slots.uniq_proc, slots.need
+    free_slots = np.flatnonzero(slots.counts == 0)
+    free_proc = slot_proc[free_slots]
+    n_free = np.bincount(free_proc, minlength=n)
+    frank = np.arange(free_slots.size, dtype=np.int64) - (np.cumsum(n_free) - n_free)[free_proc]
     usable = frank < need[free_proc]
     reused = free_slots[usable]
-    reused_proc = free_proc[usable]
-    n_reuse = np.bincount(reused_proc, minlength=n)
-    n_append = need - n_reuse
-    new_sizes = old_sizes + n_append
-    slot_bounds_new = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(new_sizes, out=slot_bounds_new[1:])
-    shift = slot_bounds_new[:-1] - old_bounds[:-1]
+    n_reuse = np.bincount(free_proc[usable], minlength=n)
+    slot_bounds = np.concatenate(([0], np.cumsum(old_sizes + need - n_reuse)))
 
     # remap old per-slot arrays into the grown slot space
-    s_new_total = int(slot_bounds_new[-1])
-    newpos_of_old = np.arange(old_bounds[-1], dtype=np.int64) + shift[slot_proc_old]
-    keys2 = np.full(s_new_total, -1, dtype=np.int64)
-    owners2 = np.zeros(s_new_total, dtype=np.int64)
-    lidx2 = np.zeros(s_new_total, dtype=np.int64)
-    counts2 = np.zeros(s_new_total, dtype=np.int64)
-    if newpos_of_old.size:
-        keys2[newpos_of_old] = gstate.keys
-        owners2[newpos_of_old] = gstate.owners
-        lidx2[newpos_of_old] = gstate.lidx
-        counts2[newpos_of_old] = counts
+    total = int(slot_bounds[-1])
+    newpos = (
+        np.arange(old_bounds[-1], dtype=np.int64)
+        + (slot_bounds[:-1] - old_bounds[:-1])[slot_proc]
+    )
+    keys = np.full(total, -1, dtype=np.int64)
+    owners = np.zeros(total, dtype=np.int64)
+    lidx = np.zeros(total, dtype=np.int64)
+    counts = np.zeros(total, dtype=np.int64)
+    keys[newpos] = gstate.keys
+    owners[newpos] = gstate.owners
+    lidx[newpos] = gstate.lidx
+    counts[newpos] = slots.counts
 
-    # assign each unique new key a slot (per proc: reused asc, then appended)
-    uniq_bounds = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(need, out=uniq_bounds[1:])
-    urank = np.arange(n_uniq, dtype=np.int64) - uniq_bounds[uniq_proc]
-    take_reuse = urank < n_reuse[uniq_proc]
-    reuse_bounds = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(n_reuse, out=reuse_bounds[1:])
-    reused_new = reused + shift[reused_proc]
-    alloc = np.empty(n_uniq, dtype=np.int64)
-    if take_reuse.any():
-        tp = uniq_proc[take_reuse]
-        alloc[take_reuse] = reused_new[reuse_bounds[tp] + urank[take_reuse]]
-    grow = ~take_reuse
-    if grow.any():
-        gp = uniq_proc[grow]
-        alloc[grow] = (
-            slot_bounds_new[gp] + old_sizes[gp] + (urank[grow] - n_reuse[gp])
-        )
-    keys2[alloc] = uniq_key
-    owners2[alloc] = uniq_owner
-    lidx2[alloc] = uniq_lidx
-    if inv_missing.size:
-        counts2 += np.bincount(alloc[inv_missing], minlength=counts2.size)
+    # a processor's first n_reuse keys take its reused holes -- both
+    # streams are processor-major and ascending, so they pair off in
+    # order -- and the rest append past its old region
+    urank = np.arange(uniq_proc.size, dtype=np.int64) - (np.cumsum(need) - need)[uniq_proc]
+    grow = urank >= n_reuse[uniq_proc]
+    gp = uniq_proc[grow]
+    alloc = np.empty(uniq_proc.size, dtype=np.int64)
+    alloc[~grow] = newpos[reused]
+    alloc[grow] = slot_bounds[gp] + old_sizes[gp] + (urank[grow] - n_reuse[gp])
+    keys[alloc] = slots.uniq_key
+    owners[alloc] = uniq_owner
+    lidx[alloc] = uniq_lidx
+    counts += np.bincount(alloc[slots.inv_missing], minlength=total)
 
-    # resolved (new-space) slot per ghost add
-    slot_of_ghost_add = np.empty(comp.size, dtype=np.int64)
-    slot_of_ghost_add[found] = found_slots + shift[add_p[gidx[found]]]
-    slot_of_ghost_add[~found] = alloc[inv_missing]
+    slot_of_add = np.empty(slots.gidx.size, dtype=np.int64)
+    slot_of_add[slots.found] = newpos[slots.found_slots]
+    slot_of_add[~slots.found] = alloc[slots.inv_missing]
+    return _Alloc(
+        slot_bounds, keys, owners, lidx, counts, newpos, alloc, reused, slot_of_add
+    )
 
-    # -- schedule patch: retire dead entries, append revived + new -------
-    old_schedule = first_loc.schedule
-    eq, ep, _esend, erecv = old_schedule.entries()
+
+def _patch_schedule(
+    gstate: GroupState, old_schedule: CommSchedule, slots: _Slots, alloc: _Alloc
+) -> CommSchedule:
+    """Retire dead entries, append revived + new ones (pairs stay
+    requester-major / owner-minor with elements key-sorted, a fresh
+    ``localize``'s wire order)."""
+    old_bounds = gstate.slot_bounds
+    _eq, ep, _esend, erecv = old_schedule.entries()
     entry_slot = old_bounds[ep] + erecv
     dead_mask = np.zeros(int(old_bounds[-1]), dtype=bool)
-    dead_mask[went_dead] = True
-    keep = ~dead_mask[entry_slot]
-    sched_add_slots = np.concatenate(
-        [revived + shift[slot_proc_old[revived]], alloc]
-    )
-    add_slot_proc = (
-        np.searchsorted(slot_bounds_new, sched_add_slots, side="right") - 1
-    )
-    schedule_new = old_schedule.patched(
-        keep,
-        add_q=owners2[sched_add_slots],
-        add_p=add_slot_proc,
-        add_send=lidx2[sched_add_slots],
-        add_recv=sched_add_slots - slot_bounds_new[add_slot_proc],
-        ghost_sizes=[int(s) for s in new_sizes],
+    dead_mask[slots.went_dead] = True
+    add_slots = np.concatenate([alloc.newpos[slots.revived], alloc.alloc])
+    add_proc = np.searchsorted(alloc.slot_bounds, add_slots, side="right") - 1
+    return old_schedule.patched(
+        ~dead_mask[entry_slot],
+        add_q=alloc.owners[add_slots],
+        add_p=add_proc,
+        add_send=alloc.lidx[add_slots],
+        add_recv=add_slots - alloc.slot_bounds[add_proc],
+        ghost_sizes=[int(s) for s in np.diff(alloc.slot_bounds)],
         keep_key=gstate.keys[entry_slot],
-        add_key=keys2[sched_add_slots],
-    )
-    ghosts_new = product.patterns[member_keys[0]].ghosts.patched(
-        schedule_new, costs=costs, appended=need
+        add_key=alloc.keys[add_slots],
     )
 
-    # -- charge the delta-proportional inspector work --------------------
-    n_add_per_proc = np.bincount(add_p, minlength=n).astype(np.float64)
-    n_rem_per_proc = np.bincount(rem_procs, minlength=n).astype(np.float64)
-    new_per_proc = need.astype(np.float64)
-    dead_per_proc = np.bincount(
-        slot_proc_old[went_dead], minlength=n
-    ).astype(np.float64)
-    revived_per_proc = np.bincount(
-        slot_proc_old[revived], minlength=n
-    ).astype(np.float64)
-    sched_delta_per_proc = dead_per_proc + revived_per_proc + new_per_proc
-    sched_iops = (
-        costs.hash_lookup * (n_add_per_proc + n_rem_per_proc)
+
+def _schedule_charges(
+    machine: Machine,
+    gstate: GroupState,
+    delta: Delta,
+    slots: _Slots,
+    uniq_owner: np.ndarray,
+    costs: ChaosCosts,
+) -> tuple[ComputeCharge, ExchangeCharge | None, ComputeCharge | None]:
+    """Plan the delta-proportional inspector work: the requesters' hash
+    and schedule-build compute, then (``None`` when no send-list entry
+    changed) requesters telling owners which entries to add/retire, and
+    the owners' compute."""
+    n = machine.n_procs
+
+    def per_proc(procs: np.ndarray) -> np.ndarray:
+        return np.bincount(procs, minlength=n).astype(np.float64)
+
+    dead_proc = slots.slot_proc[slots.went_dead]
+    revived_proc = slots.slot_proc[slots.revived]
+    new_per_proc = slots.need.astype(np.float64)
+    sched = machine.plan_compute_all(
+        iops=costs.hash_lookup * (per_proc(delta.add_procs) + per_proc(delta.rem_procs))
         + costs.hash_insert * new_per_proc
-        + costs.schedule_build * sched_delta_per_proc
+        + costs.schedule_build
+        * (per_proc(dead_proc) + per_proc(revived_proc) + new_per_proc)
     )
-    machine.charge_compute_all(iops=sched_iops)
-    # requesters tell owners which send-list entries to add/retire
-    d_p = np.concatenate(
-        [slot_proc_old[went_dead], slot_proc_old[revived], uniq_proc]
-    )
+    d_p = np.concatenate([dead_proc, revived_proc, slots.uniq_proc])
+    if not d_p.size:
+        return sched, None, None
     d_q = np.concatenate(
-        [gstate.owners[went_dead], gstate.owners[revived], uniq_owner]
+        [gstate.owners[slots.went_dead], gstate.owners[slots.revived], uniq_owner]
     )
-    exch = None
-    recv_iops = None
-    if d_p.size:
-        pcomp, pinv = sorted_unique_inverse(d_p * n + d_q)
-        pcounts = np.bincount(pinv, minlength=pcomp.size)
-        pp, pq = pcomp // n, pcomp % n
-        cross = pp != pq
-        exch = machine.plan_exchange(
-            src=pp[cross], dst=pq[cross], nbytes=pcounts[cross] * costs.index_bytes
-        )
-        recv_iops = costs.schedule_build * np.bincount(
-            d_q, minlength=n
-        ).astype(np.float64)
-        machine.charge_exchange(exch)
-        machine.charge_compute_all(iops=recv_iops)
+    pairmat = pair_counts(d_p, d_q, n)
+    np.fill_diagonal(pairmat, 0)
+    src, dst = np.nonzero(pairmat)
+    exch = machine.plan_exchange(
+        src=src, dst=dst, nbytes=pairmat[src, dst] * costs.index_bytes
+    )
+    recv = machine.plan_compute_all(iops=costs.schedule_build * per_proc(d_q))
+    return sched, exch, recv
 
-    # -- rebuild per-member localized reference lists --------------------
-    old_to_new = inv_old[new_iter_flat]
-    ghost_flat = keys2.copy()
-    ghost_flat[counts2 == 0] = -1
-    patterns_new: dict = {}
-    partition_changed = moved.size > 0
-    shared_space = None
+
+def _rebuild_refs(
+    ctx: _PatchContext,
+    member_keys: list,
+    delta: Delta,
+    lidx: np.ndarray,
+    slots: _Slots,
+    alloc: _Alloc,
+    local_sizes: np.ndarray,
+) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """``(per-member localized reference lists, ghost_flat)``.
+
+    Unchanged references keep their saved localized values (slot
+    positions are stable by construction) and are only permuted into the
+    new iteration order; delta references take their local offset, or
+    their ghost slot past the requester's local segment.  ``ghost_flat``
+    is the slot space's key per slot with holes marked ``-1``."""
+    vals = lidx.copy()
+    gp = delta.add_procs[slots.gidx]
+    vals[slots.gidx] = local_sizes[gp] + (alloc.slot_of_add - alloc.slot_bounds[gp])
+    member_refs = []
     offset = 0
-    for akey, (D, dpos) in zip(member_keys, member_D):
-        pat = product.patterns[akey]
-        new_loc_refs = pat.localized.refs_flat[old_to_new]
-        n_d = D.size
-        if n_d:
-            seg = slice(offset, offset + n_d)
-            p_seg = add_p[seg]
-            vals = lidx_add[seg].copy()
-            gm = ghost_mask[seg]
-            if gm.any():
-                # this member's ghost adds located inside the group-level
-                # ghost-add stream (gidx is sorted add-stream positions)
-                member_ghost = offset + np.flatnonzero(gm)
-                slots = slot_of_ghost_add[np.searchsorted(gidx, member_ghost)]
-                vals[gm] = local_sizes[p_seg[gm]] + (
-                    slots - slot_bounds_new[p_seg[gm]]
-                )
-            new_loc_refs[dpos] = vals
-        offset += n_d
-        loc_new = LocalizeResult(
-            local_sizes=[int(s) for s in local_sizes],
-            schedule=schedule_new,
-            refs_flat=new_loc_refs,
-            ref_bounds=new_bounds,
-            ghost_flat=ghost_flat,
-            ghost_bounds=slot_bounds_new,
-        )
-        new_pat = PatternData(
-            array=array_name, index=akey[1], localized=loc_new, ghosts=ghosts_new
-        )
-        # carry the executor's combined-space caches across the patch
-        # (host-level; delta positions only) instead of dropping them
-        carried = patch_exec_caches(
-            pat,
-            new_pat,
-            changed_pos=dpos,
-            partition_changed=partition_changed,
-            space=shared_space,
-        )
-        if carried is not None:
-            shared_space = carried
-        patterns_new[akey] = new_pat
+    for akey, (D, dpos) in zip(member_keys, delta.members):
+        refs = ctx.product.patterns[akey].localized.refs_flat[ctx.old_to_new]
+        refs[dpos] = vals[offset : offset + D.size]
+        offset += D.size
+        member_refs.append(refs)
+    ghost_flat = alloc.keys.copy()
+    ghost_flat[alloc.counts == 0] = -1
+    return tuple(member_refs), ghost_flat
 
-    # -- merge the delta into the persisted sorted slot index ------------
-    # reused holes change key (drop their old entries), every allocated
-    # slot gains one (uniq_comp is ascending and disjoint from surviving
-    # comps -- a found comp is never allocated), and surviving entries
-    # keep their order with slot ids shifted into the grown space
-    S_old = gstate.keys.size
-    pos_of_slot = np.empty(S_old, dtype=np.int64)
-    pos_of_slot[morder] = np.arange(S_old, dtype=np.int64)
-    live_entry = np.ones(S_old, dtype=bool)
-    live_entry[pos_of_slot[reused]] = False
+
+def _merge_index(
+    gstate: GroupState, stride: int, slots: _Slots, alloc: _Alloc
+) -> GroupState:
+    """The new slot state, its sorted index merged from the old one.
+
+    Reused holes change key (drop their old entries), every allocated
+    slot gains one (``uniq_comp`` is ascending and disjoint from
+    surviving comps -- a found comp is never allocated), and surviving
+    entries keep their order with slot ids shifted into the grown space.
+    """
+    msorted, morder = gstate.slot_index(stride)
+    rekeyed = np.zeros(gstate.keys.size, dtype=bool)
+    rekeyed[alloc.reused] = True
+    live_entry = ~rekeyed[morder]
     kept_comp = msorted[live_entry]
-    kept_slot = (morder + shift[slot_proc_old[morder]])[live_entry]
-    nk = kept_comp.size
-    kr = np.arange(nk, dtype=np.int64)
-    ins = np.searchsorted(kept_comp, uniq_comp, side="right")
-    sorted_comp2 = np.empty(nk + n_uniq, dtype=np.int64)
-    sorted_slot2 = np.empty(nk + n_uniq, dtype=np.int64)
-    added_pos = ins + np.arange(n_uniq, dtype=np.int64)
-    kept_pos = kr + np.searchsorted(ins, kr, side="right")
-    sorted_comp2[kept_pos] = kept_comp
-    sorted_slot2[kept_pos] = kept_slot
-    sorted_comp2[added_pos] = uniq_comp
-    sorted_slot2[added_pos] = alloc
-
-    # the updated slot space, applied by the caller once every group
-    # has patched successfully (atomicity: see counts copy above)
-    new_state = GroupState(
-        array=gstate.array,
-        indexes=gstate.indexes,
-        slot_bounds=slot_bounds_new,
-        keys=keys2,
-        owners=owners2,
-        lidx=lidx2,
-        counts=counts2,
-        sorted_comp=sorted_comp2,
-        sorted_slot=sorted_slot2,
+    ins = np.searchsorted(kept_comp, slots.uniq_comp, side="right")
+    return dataclasses.replace(
+        gstate,
+        slot_bounds=alloc.slot_bounds,
+        keys=alloc.keys,
+        owners=alloc.owners,
+        lidx=alloc.lidx,
+        counts=alloc.counts,
+        sorted_comp=np.insert(kept_comp, ins, slots.uniq_comp),
+        sorted_slot=np.insert(alloc.newpos[morder[live_entry]], ins, alloc.alloc),
         index_stride=stride,
     )
-    # everything a structurally identical sibling group needs to replay
-    # this patch without recomputing it (see _patch_group_twin)
-    pack = {
-        "inds": [k[1] for k in member_keys],
-        "old_gstate": gstate,
-        "old_schedule": old_schedule,
-        "old_refs": {
-            k[1]: product.patterns[k].localized.refs_flat for k in member_keys
-        },
-        "local_sizes": local_sizes,
-        "need": need,
-        "schedule_new": schedule_new,
-        "new_patterns": {k[1]: patterns_new[k] for k in member_keys},
-        "new_state": new_state,
-        "classify_iops": classify_iops,
-        "probe_iops": costs.hash_lookup
-        * np.bincount(uniq_proc, minlength=n).astype(np.float64),
-        "sched_iops": sched_iops,
-        "exch": exch,
-        "recv_iops": recv_iops,
-    }
-    return patterns_new, new_state, pack
+
+
+# -- the group driver: applies the charges, assembles the result --------
+def _patch_group(
+    ctx: _PatchContext,
+    gstate: GroupState,
+    member_keys: list,
+    ttable: TranslationTable,
+    sib: _GroupPatch | None,
+) -> _GroupPatch | None:
+    """Patch one pattern group; ``None`` when it has no delta.
+
+    ``sib`` is the patch of a byte-identical sibling group
+    (:func:`_twin_matches`) or ``None``.  One loop's groups routinely
+    differ only in the data array they move (``x(edge(i))`` vs
+    ``y(edge(i))``); what the check proves equal makes the sibling's
+    stage values this group's too, so a twin takes them, applies the same
+    frozen charges at the same sites, and runs live only what is per
+    group: the translate call, its schedule identity, its ghost backing
+    (its own data values) and the wrapping of the shared arrays.  An
+    abort fires after the charges that precede it here (finding out is
+    part of the simulated price); ``gstate`` is never mutated.
+    """
+    machine, costs = ctx.machine, ctx.costs
+    twin = sib is not None
+    tag = f"{gstate.array}({','.join(map(str, gstate.indexes))})"
+    span = partial(machine.obs.span, group=tag, twin=twin)
+    first = ctx.product.patterns[member_keys[0]]
+    dist = ttable.dist  # the array's current distribution (precondition)
+    stride = max(dist.size, 1)
+    local_sizes = np.asarray(first.localized.local_sizes, dtype=np.int64)
+    with span("adapt.patch.delta"):
+        delta = sib.delta if twin else _group_delta(ctx, gstate, member_keys, local_sizes)
+        if delta is None:
+            return None
+        adds = sib.adds if twin else _classify(machine, dist, delta, costs)
+    lidx, ghost, classify_charge = adds
+    machine.charge_planned_compute(classify_charge)
+    with span("adapt.patch.slots"):
+        slots = sib.slots if twin else _slot_counts(gstate, delta, ghost, stride)
+    with span("adapt.patch.translate"):
+        # live for a twin too: its sibling left every key in the memo,
+        # so this charges exactly the probe and the table's fixed (empty)
+        # request/reply round an independent patch of this group pays
+        uniq_owner, uniq_lidx = ctx.memo.translate(
+            machine, ttable, stride, slots.uniq_proc, slots.uniq_key, costs
+        )
+    with span("adapt.patch.allocate"):
+        alloc = sib.alloc if twin else _allocate(
+            gstate, delta, slots, uniq_owner, uniq_lidx
+        )
+    with span("adapt.patch.schedule"):
+        if twin:
+            # schedules are immutable; the clone keeps the distinct object
+            # identity the executor's coalescing and product_groups key on
+            schedule, charges = sib.schedule.twin(), sib.charges
+        else:
+            schedule = _patch_schedule(gstate, first.localized.schedule, slots, alloc)
+            charges = _schedule_charges(
+                machine, gstate, delta, slots, uniq_owner, costs
+            )
+        ghosts = first.ghosts.patched(schedule, costs=costs, appended=slots.need)
+        sched_charge, exchange, recv_charge = charges
+        machine.charge_planned_compute(sched_charge)
+        if exchange is not None:
+            machine.charge_exchange(exchange)
+            machine.charge_planned_compute(recv_charge)
+    with span("adapt.patch.refs"):
+        refs = sib.refs if twin else _rebuild_refs(
+            ctx, member_keys, delta, lidx, slots, alloc, local_sizes
+        )
+        patterns, space = {}, None
+        for akey, refs_flat, (_D, dpos) in zip(member_keys, refs[0], delta.members):
+            loc = LocalizeResult(
+                local_sizes=local_sizes.tolist(),
+                schedule=schedule,
+                refs_flat=refs_flat,
+                ref_bounds=ctx.new_bounds,
+                ghost_flat=refs[1],
+                ghost_bounds=alloc.slot_bounds,
+            )
+            # executor caches are value-independent (positions only): a
+            # twin adopts its sibling's patched holder, anyone else carries
+            # its own across the patch (host-level, delta positions only;
+            # one patched space shared by the group's members)
+            derived = sib.patterns[sib.gstate.array, akey[1]].derived if twin else None
+            patterns[akey] = pat = PatternData(gstate.array, akey[1], loc, ghosts, derived)
+            if not twin:
+                space = patch_exec_caches(
+                    ctx.product.patterns[akey], pat, dpos, ctx.partition_changed, space
+                )
+    with span("adapt.patch.index"):
+        if twin:
+            state = dataclasses.replace(
+                sib.state, array=gstate.array, indexes=gstate.indexes
+            )
+        else:
+            state = _merge_index(gstate, stride, slots, alloc)
+    return _GroupPatch(
+        member_keys, gstate, delta, adds, slots, alloc, schedule, charges,
+        refs, patterns, state,
+    )
 
 
 def _same(a, b) -> bool:
@@ -559,117 +668,29 @@ def _same(a, b) -> bool:
     return a is b or np.array_equal(a, b)
 
 
-def _twin_matches(pack, product, gstate: GroupState, member_keys: list) -> bool:
-    """Whether this group is byte-identical to the group ``pack`` came
-    from: same indirections, same slot state, same schedule content,
-    same saved localized references.  When it is, the groups perform
-    identical patch work and :func:`_patch_group_twin` applies."""
-    if [k[1] for k in member_keys] != pack["inds"]:
+def _twin_matches(sib: _GroupPatch, product, gstate: GroupState, member_keys: list) -> bool:
+    """Whether this group is byte-identical to the group ``sib`` patched:
+    same indirections, same slot state, same schedule content, same
+    saved localized references (the caller only pairs groups of one
+    distribution signature).  When it is, the groups perform identical
+    patch work and :func:`_patch_group` may share ``sib``'s."""
+    if [k[1] for k in member_keys] != [k[1] for k in sib.member_keys]:
         return False
-    g0 = pack["old_gstate"]
     for f in ("slot_bounds", "keys", "owners", "lidx", "counts"):
-        if not _same(getattr(gstate, f), getattr(g0, f)):
+        if not _same(getattr(gstate, f), getattr(sib.gstate, f)):
             return False
-    first = product.patterns[member_keys[0]].localized
-    s0, s1 = pack["old_schedule"], first.schedule
+    old, old0 = (
+        [product.patterns[k].localized for k in keys]
+        for keys in (member_keys, sib.member_keys)
+    )
+    s1, s0 = old[0].schedule, old0[0].schedule
     if s1 is not s0:
         if s1.ghost_sizes != s0.ghost_sizes:
             return False
         for f in ("_pair_q", "_pair_p", "_pair_len", "_flat_send", "_flat_recv"):
             if not _same(getattr(s1, f), getattr(s0, f)):
                 return False
-    if not np.array_equal(
-        np.asarray(first.local_sizes, dtype=np.int64), pack["local_sizes"]
-    ):
-        return False
-    for akey in member_keys:
-        if not _same(
-            product.patterns[akey].localized.refs_flat, pack["old_refs"][akey[1]]
-        ):
-            return False
-    return True
-
-
-def _patch_group_twin(
-    machine: Machine,
-    product: InspectorProduct,
-    gstate: GroupState,
-    member_keys: list,
-    ttable: TranslationTable,
-    pack: dict,
-    trans_cache: KeyTranslationMemo,
-    sig: tuple,
-    costs: ChaosCosts,
-) -> tuple[dict, GroupState]:
-    """Replay a structurally identical sibling group's patch.
-
-    One loop's pattern groups routinely differ only in the data array
-    they move (``x(edge(i))`` vs ``y(edge(i))``): same distribution,
-    same indirections, and -- verified by :func:`_twin_matches` -- the
-    same slot state, so every host-side array the patch derives is the
-    same.  The sibling shares those arrays outright (schedules are
-    immutable; a :meth:`~repro.chaos.schedule.CommSchedule.twin` clone
-    keeps the distinct object identity the executor's coalescing and
-    ``product_groups`` key on) and rebuilds only what is genuinely
-    per-group: its ghost backing (its own data values) and its simulated
-    charges.  Charges are replayed in _patch_group's exact order --
-    including the translation-cache probe this group would have paid in
-    place of remote dereferences -- so machine numbers are identical to
-    patching each group independently.
-    """
-    schedule_new = pack["schedule_new"].twin()
-    machine.charge_compute_all(iops=pack["classify_iops"])
-    if trans_cache.has_entries(sig):
-        machine.charge_compute_all(iops=pack["probe_iops"])
-    # an independent patch of this group would probe the translation
-    # cache (all hits -- the sibling populated it) and then dereference
-    # an *empty* miss set, which still pays the table's fixed
-    # request/reply round; replay that too
-    ttable.dereference_flat(
-        _EMPTY, np.zeros(machine.n_procs + 1, dtype=np.int64)
-    )
-    ghosts_new = product.patterns[member_keys[0]].ghosts.patched(
-        schedule_new, costs=costs, appended=pack["need"]
-    )
-    machine.charge_compute_all(iops=pack["sched_iops"])
-    if pack["exch"] is not None:
-        machine.charge_exchange(pack["exch"])
-        machine.charge_compute_all(iops=pack["recv_iops"])
-    patterns_new: dict = {}
-    for akey in member_keys:
-        prim = pack["new_patterns"][akey[1]]
-        loc = prim.localized
-        loc_new = LocalizeResult(
-            local_sizes=loc.local_sizes,
-            schedule=schedule_new,
-            refs_flat=loc.refs_flat,
-            ref_bounds=loc.ref_bounds,
-            ghost_flat=loc.ghost_flat,
-            ghost_bounds=loc.ghost_bounds,
-        )
-        # executor caches are value-independent (positions only), so the
-        # sibling's patched holder is this group's too
-        patterns_new[akey] = PatternData(
-            array=gstate.array,
-            index=akey[1],
-            localized=loc_new,
-            ghosts=ghosts_new,
-            derived=prim.derived,
-        )
-    ns = pack["new_state"]
-    new_state = GroupState(
-        array=gstate.array,
-        indexes=gstate.indexes,
-        slot_bounds=ns.slot_bounds,
-        keys=ns.keys,
-        owners=ns.owners,
-        lidx=ns.lidx,
-        counts=ns.counts,
-        sorted_comp=ns.sorted_comp,
-        sorted_slot=ns.sorted_slot,
-        index_stride=ns.index_stride,
-    )
-    return patterns_new, new_state
+    return all(_same(a.refs_flat, b.refs_flat) for a, b in zip(old, old0))
 
 
 def patch_product(
@@ -686,13 +707,14 @@ def patch_product(
     rewrites cancelled out).
 
     ``changed`` maps indirection array name -> sorted positions whose
-    values differ from ``state.snapshots`` (from
-    :func:`~repro.adapt.diff.changed_positions`; diff charges are the
-    caller's).  Preconditions (the caller -- the driver -- verifies
-    them): every data/indirection DAD equals the product's, and
-    ``ttables`` holds the translation table of every referenced array's
-    current distribution.  Mutates ``state`` (home map, snapshots,
-    group slot spaces) to describe the patched product.
+    values differ from ``state.snapshots`` (the driver's
+    :func:`~repro.adapt.diff.expand_ranges` +
+    :func:`~repro.adapt.diff.changed_at` over the dirty windows; diff
+    charges are the caller's).  Preconditions (the caller -- the driver
+    -- verifies them): every data/indirection DAD equals the product's,
+    and ``ttables`` holds the translation table of every referenced
+    array's current distribution.  Mutates ``state`` (home map,
+    snapshots, group slot spaces) to describe the patched product.
     """
     loop = product.loop
     n_procs = machine.n_procs
@@ -709,87 +731,56 @@ def patch_product(
         for c in parts:
             flag[c] = True
         changed_iters = np.flatnonzero(flag)
-    home_old = state.home
     old_part = product.iteration_partition
-    home_new, moved = _revote(
-        machine, loop, arrays, state, changed_iters, old_part.method, costs
-    )
+    with machine.obs.span("adapt.patch.revote", iterations=int(changed_iters.size)):
+        home_new, moved = _revote(
+            machine, loop, arrays, state, changed_iters, old_part.method, costs
+        )
     old_iter_flat, _old_bounds = old_part.iters_flat()
     n = loop.n_iterations
     inv_old = np.empty(n, dtype=np.int64)
     inv_old[old_iter_flat] = np.arange(n, dtype=np.int64)
+    new_part = old_part
     if moved.size:
         new_part = partition_from_home(home_new, n_procs, old_part.method)
-    else:
-        new_part = old_part
     new_iter_flat, new_bounds = new_part.iters_flat()
     inv_new = np.empty(n, dtype=np.int64)
     inv_new[new_iter_flat] = np.arange(n, dtype=np.int64)
+    ctx = _PatchContext(
+        machine=machine,
+        product=product,
+        costs=costs,
+        deltas=_DeltaCache(
+            arrays, changed, changed_iters, moved,
+            state.home, home_new, inv_old, inv_new,
+        ),
+        memo=KeyTranslationMemo(),
+        old_to_new=inv_old[new_iter_flat],
+        new_bounds=new_bounds,
+        partition_changed=moved.size > 0,
+    )
 
     patterns_new: dict = dict(product.patterns)
     pending_states: dict = {}
-    # per patch by contract: the patch model charges a group a local
-    # probe only for keys an earlier group of the *same* patch resolved,
-    # so hits must never persist across patches (that would change
-    # simulated numbers)
-    trans_cache = KeyTranslationMemo()
-    deltas = _DeltaCache(
-        arrays, changed, changed_iters, moved,
-        home_old, home_new, inv_old, inv_new,
-    )
-    group_memo: dict[tuple, dict] = {}
+    # groups over the same indirections and distribution whose slot
+    # state is byte-identical patch identically: the first one's patch
+    # (``None``: an empty delta, a function of the indirections alone,
+    # so every sibling's is empty too) is shared with every sibling
+    done: dict[tuple, _GroupPatch | None] = {}
     for member_keys in product_groups(product):
         gkey = group_state_key(member_keys)
         gstate = state.groups[gkey]
-        arr = arrays[gstate.array]
-        sig = arr.distribution.signature()
-        ttable = ttables[(gstate.array, sig)]
-        # groups over the same indirections and distribution whose slot
-        # state is byte-identical patch identically: compute once, let
-        # every sibling replay the result (charges included)
-        mkey = (tuple(k[1] for k in member_keys), sig)
-        twin = group_memo.get(mkey)
+        sig = arrays[gstate.array].distribution.signature()
+        mkey = (gkey[1], sig)
+        sib = done.get(mkey)
+        if sib is None and mkey in done:
+            continue
+        if sib is not None and not _twin_matches(sib, product, gstate, member_keys):
+            sib = None
         try:
-            if twin is not None and twin.get("none"):
-                # an empty delta is a function of the indirections
-                # alone, so the sibling's is empty too
-                out = None
-            elif twin is not None and _twin_matches(
-                twin, product, gstate, member_keys
-            ):
-                out = _patch_group_twin(
-                    machine,
-                    product,
-                    gstate,
-                    member_keys,
-                    ttable,
-                    twin,
-                    trans_cache,
-                    sig,
-                    costs,
-                )
-            else:
-                full = _patch_group(
-                    machine,
-                    arrays,
-                    product,
-                    gstate,
-                    member_keys,
-                    ttable,
-                    deltas,
-                    moved,
-                    inv_old,
-                    new_iter_flat,
-                    new_bounds,
-                    costs,
-                    trans_cache,
-                )
-                if full is None:
-                    group_memo[mkey] = {"none": True}
-                    out = None
-                else:
-                    out = full[:2]
-                    group_memo[mkey] = full[2]
+            patch = _patch_group(
+                ctx, gstate, member_keys, ttables[(gstate.array, sig)], sib
+            )
         except ValueError as exc:
             # schedule/buffer assembly rejected the delta (shrunk ghost
             # region, mismatched shapes): the saved state disagrees with
@@ -797,15 +788,14 @@ def patch_product(
             raise PatchAborted(
                 f"adapt: patch assembly failed for group {gkey}: {exc}"
             ) from exc
-        if out is None:
-            continue
-        group_patterns, new_gstate = out
-        patterns_new.update(group_patterns)
-        pending_states[gkey] = new_gstate
+        if sib is None:
+            done[mkey] = patch
+        if patch is not None:
+            patterns_new.update(patch.patterns)
+            pending_states[gkey] = patch.state
 
     # every group patched without error: persist the new slot spaces
-    for gkey, new_gstate in pending_states.items():
-        state.groups[gkey] = new_gstate
+    state.groups.update(pending_states)
 
     machine.barrier()
 

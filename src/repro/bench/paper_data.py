@@ -7,7 +7,7 @@ row/column sums and the surrounding text and marked ``approx=True``.
 The shape-comparison helpers quantify how well a measured run reproduces
 the paper's *relationships* (who wins, by what factor) independent of
 absolute calibration; ``tests/bench/test_paper_data.py`` pins the
-paper-side facts, and EXPERIMENTS.md cites the helper outputs.
+paper-side facts, the fixtures in ``tests/bench/fixtures`` the measured.
 """
 
 from __future__ import annotations

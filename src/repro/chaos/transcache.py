@@ -309,17 +309,12 @@ class KeyTranslationMemo:
     Charging scope: one memo per patch
     (:func:`~repro.adapt.patch.patch_product` builds it).  The probe
     charge is paid only when the memo already holds entries for the
-    signature -- replayed identically by the twin-group fast path in
-    ``repro.adapt.patch``.
+    signature; a twin group taking its sibling's stage values still
+    calls :meth:`translate`, so it pays that probe like any other group.
     """
 
     def __init__(self) -> None:
         self._by_sig: dict[tuple, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-
-    def has_entries(self, sig: tuple) -> bool:
-        """Whether a probe against ``sig`` would hit a non-empty memo."""
-        cached = self._by_sig.get(sig)
-        return cached is not None and bool(cached[0].size)
 
     def translate(
         self,

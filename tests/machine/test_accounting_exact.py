@@ -1,6 +1,7 @@
 """Exact time-accounting checks: simulated clocks must equal hand-derived
 alpha-beta arithmetic for small, fully-analyzable scenarios.  Every table
-in EXPERIMENTS.md rests on this bookkeeping."""
+the golden fixtures (``tests/bench/fixtures``) pin rests on this
+bookkeeping."""
 
 import numpy as np
 import pytest

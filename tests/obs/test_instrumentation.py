@@ -102,6 +102,42 @@ class TestAdaptSpans:
         assert inspect.parent is None
         for s in (diff, patch):
             assert _ancestors(s, spans) & {inspect.id}
+        # the patch is not one number: every stage of every group (and
+        # the re-vote) is a child of that single adapt.patch span
+        stages = [s for s in spans if s.name.startswith("adapt.patch.")]
+        assert all(s.parent == patch.id for s in stages)
+        (revote,) = [s for s in stages if s.name == "adapt.patch.revote"]
+        assert revote.attrs["iterations"] == 4  # the union over both edge arrays
+        per_group = {}
+        for s in stages:
+            if s is not revote:
+                per_group.setdefault(s.attrs["group"], []).append(s)
+        assert len(per_group) == patch.attrs["groups"] == 2
+        for group_spans in per_group.values():
+            assert [s.name.removeprefix("adapt.patch.") for s in group_spans] == [
+                "delta", "slots", "translate", "allocate", "schedule", "refs", "index"
+            ]
+            assert len({s.attrs["twin"] for s in group_spans}) == 1
+        assert sorted(g[0].attrs["twin"] for g in per_group.values()) == [False, True]
+
+    def test_report_books_patch_stages_to_the_adapt_layer(self, tmp_path, capsys):
+        from repro.obs.__main__ import main
+        from repro.obs.report import layer_of
+
+        mesh, prog, loop = build(obs="on")
+        prog.forall(loop, n_times=1)
+        mutate(prog, mesh, 4)
+        prog.forall(loop, n_times=1)
+        names = {s.name for s in prog.machine.obs.spans if s.name.startswith("adapt.patch")}
+        assert len(names) == 9  # adapt.patch, .revote and the seven stages
+        assert {layer_of(name) for name in names} == {"adapt"}
+        path = prog.export_obs(str(tmp_path / "t.trace.json"), fmt="chrome")
+        assert main(["report", path, "--top", "40"]) == 0
+        out = capsys.readouterr().out
+        assert all(name in out for name in names)
+        n_adapt = sum(1 for s in prog.machine.obs.spans if s.name.startswith("adapt."))
+        layer_table = " ".join(out.split("per-layer self time:")[1].split())
+        assert f"adapt {n_adapt} " in layer_table
 
     def test_fallback_records_state_rebuild_span(self):
         mesh, prog, loop = build(obs="on")
