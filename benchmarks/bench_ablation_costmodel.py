@@ -11,6 +11,15 @@ the reproduction rests on:
 
 If these invert under any perturbation, the reproduction's conclusions
 would be calibration artifacts; they do not.
+
+The BLOCK-vs-RCB executor claim is a statement about meshes large enough
+for the edge cut to matter.  At ``REPRO_SCALE=tiny`` (200 nodes on 8
+processors, 25 each) a whole run under BLOCK moves only 26 % more bytes
+than under RCB (89 % more at ``small``) in fewer than half the messages
+(1 790 vs 3 845), so once a message costs 10x more (``alpha_x10``) or a
+flop 10x less (``flops_x0.1``) BLOCK's executor wins there.  The claim
+is asserted from ``small`` up, at full strength; the tiny scale CI runs
+checks the other two and that all nine models still execute.
 """
 
 import pytest
@@ -57,5 +66,6 @@ def test_shapes_stable_under_costmodel_perturbation(benchmark, label, factors):
     rcb, rcb_nr, block, rsb = run_once(benchmark, run)
     loop = lambda r: r.phase("inspector") + r.phase("executor")
     assert loop(rcb) < loop(rcb_nr), label
-    assert block.phase("executor") > rcb.phase("executor"), label
+    if scale.name != "tiny":
+        assert block.phase("executor") > rcb.phase("executor"), label
     assert rsb.phase("partition") > 5 * rcb.phase("partition"), label

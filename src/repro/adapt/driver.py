@@ -50,7 +50,7 @@ import time
 
 import numpy as np
 
-from repro.adapt.diff import changed_at, expand_ranges
+from repro.adapt.diff import expand_ranges
 from repro.adapt.patch import patch_product
 from repro.adapt.state import (
     LoopAdaptState,
@@ -248,8 +248,9 @@ class IncrementalInspector:
                                 np.float64
                             )
                         )
-                    cur = np.asarray(arr.global_view(), dtype=np.int64)
-                    chg = changed_at(state.snapshots[name], cur, pos)
+                    # read at the dirty positions only: assembling the global
+                    # view would copy the whole array after every tracked write
+                    chg = pos[state.snapshots[name][pos] != arr.global_get(pos)]
                     changed[name] = chg
                     n_changed += int(chg.size)
                 diff_span.set(n_changed=n_changed, n_tracked=n_tracked)

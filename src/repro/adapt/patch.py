@@ -50,6 +50,7 @@ from repro.core.executor import patch_exec_caches
 from repro.core.inspector import InspectorProduct, PatternData
 from repro.core.iteration import (
     ITERATION_RECORD_BYTES,
+    IterationPartition,
     method_refs,
     owner_rows,
     partition_from_home,
@@ -118,9 +119,7 @@ class _DeltaCache:
         if ind is None:
             t_new = D
         elif D.size:
-            t_new = np.asarray(
-                self._arrays[ind].global_view(), dtype=np.int64
-            )[D]
+            t_new = np.asarray(self._arrays[ind].global_get(D), dtype=np.int64)
         else:
             t_new = _EMPTY
         out = (
@@ -189,7 +188,7 @@ class _PatchContext:
     #: never persist across patches (that would change simulated numbers)
     memo: KeyTranslationMemo
     old_to_new: np.ndarray  # old flat position of each new flat position
-    new_bounds: np.ndarray  # CSR bounds of the new flat iteration order
+    new_part: IterationPartition
     partition_changed: bool
 
 
@@ -331,28 +330,31 @@ def _slot_counts(
     # bincount beats ufunc.at by an order of magnitude at this size
     counts -= np.bincount(delta.rem_slots, minlength=counts.size)
     gidx = np.flatnonzero(ghost)
-    comp = delta.add_procs[gidx] * stride + delta.add_targets[gidx]
-    # persisted sorted slot index (built at state capture, merged on
-    # every patch): probing it keeps patch wall work delta-proportional
+    # the persisted sorted slot index (built at state capture, merged on
+    # every patch) is probed once per distinct composite, in its own order
+    comp, inv = sorted_unique_inverse(delta.add_procs[gidx] * stride + delta.add_targets[gidx])
     msorted, morder = gstate.slot_index(stride)
     if msorted.size:
         pos = np.searchsorted(msorted, comp)
-        found = (pos < msorted.size) & (
+        hit = (pos < msorted.size) & (
             msorted[np.minimum(pos, msorted.size - 1)] == comp
         )
-        found_slots = morder[pos[found]]
+        found = hit[inv]
+        found_slots = morder[pos[inv[found]]]
         counts += np.bincount(found_slots, minlength=counts.size)
     else:
         # a group can start with zero tracked ghosts (fully local at
         # inspection); every ghost add is then a never-seen key
-        found = np.zeros(comp.size, dtype=bool)
+        hit = np.zeros(comp.size, dtype=bool)
+        found = np.zeros(inv.size, dtype=bool)
         found_slots = _EMPTY
     if counts.size and counts.min() < 0:
         raise PatchAborted(
             f"adapt: negative reference count patching group "
             f"{gstate.array}/{gstate.indexes} -- state out of sync"
         )
-    uniq_comp, inv_missing = sorted_unique_inverse(comp[~found])
+    uniq_comp = comp[~hit]
+    inv_missing = (np.cumsum(~hit) - 1)[inv[~found]]
     uniq_proc = uniq_comp // stride
     return _Slots(
         counts=counts,
@@ -631,7 +633,7 @@ def _patch_group(
                 local_sizes=local_sizes.tolist(),
                 schedule=schedule,
                 refs_flat=refs_flat,
-                ref_bounds=ctx.new_bounds,
+                ref_bounds=ctx.new_part.bounds,
                 ghost_flat=refs[1],
                 ghost_bounds=alloc.slot_bounds,
             )
@@ -643,7 +645,8 @@ def _patch_group(
             patterns[akey] = pat = PatternData(gstate.array, akey[1], loc, ghosts, derived)
             if not twin:
                 space = patch_exec_caches(
-                    ctx.product.patterns[akey], pat, dpos, ctx.partition_changed, space
+                    ctx.product.patterns[akey], pat, dpos,
+                    ctx.new_part.proc_of_position()[dpos], ctx.partition_changed, space,
                 )
     with span("adapt.patch.index"):
         if twin:
@@ -708,9 +711,9 @@ def patch_product(
 
     ``changed`` maps indirection array name -> sorted positions whose
     values differ from ``state.snapshots`` (the driver's
-    :func:`~repro.adapt.diff.expand_ranges` +
-    :func:`~repro.adapt.diff.changed_at` over the dirty windows; diff
-    charges are the caller's).  Preconditions (the caller -- the driver
+    :func:`~repro.adapt.diff.expand_ranges` of the dirty windows,
+    compared there against ``global_get``; diff charges are the
+    caller's).  Preconditions (the caller -- the driver
     -- verifies them): every data/indirection DAD equals the product's,
     and ``ttables`` holds the translation table of every referenced
     array's current distribution.  Mutates ``state`` (home map,
@@ -736,27 +739,22 @@ def patch_product(
         home_new, moved = _revote(
             machine, loop, arrays, state, changed_iters, old_part.method, costs
         )
-    old_iter_flat, _old_bounds = old_part.iters_flat()
-    n = loop.n_iterations
-    inv_old = np.empty(n, dtype=np.int64)
-    inv_old[old_iter_flat] = np.arange(n, dtype=np.int64)
     new_part = old_part
     if moved.size:
         new_part = partition_from_home(home_new, n_procs, old_part.method)
-    new_iter_flat, new_bounds = new_part.iters_flat()
-    inv_new = np.empty(n, dtype=np.int64)
-    inv_new[new_iter_flat] = np.arange(n, dtype=np.int64)
+    # the old inverse is the one the previous patch built as its new one
+    inv_old = old_part.inverse()
     ctx = _PatchContext(
         machine=machine,
         product=product,
         costs=costs,
         deltas=_DeltaCache(
             arrays, changed, changed_iters, moved,
-            state.home, home_new, inv_old, inv_new,
+            state.home, home_new, inv_old, new_part.inverse(),
         ),
         memo=KeyTranslationMemo(),
-        old_to_new=inv_old[new_iter_flat],
-        new_bounds=new_bounds,
+        old_to_new=inv_old[new_part.flat],
+        new_part=new_part,
         partition_changed=moved.size > 0,
     )
 
@@ -804,8 +802,7 @@ def patch_product(
     for name, pos in changed.items():
         if not pos.size:
             continue
-        cur = np.asarray(arrays[name].global_view(), dtype=np.int64)
-        state.snapshots[name][pos] = cur[pos]
+        state.snapshots[name][pos] = arrays[name].global_get(pos)
         owners = np.asarray(arrays[name].distribution.owner(pos), dtype=np.int64)
         snap_mem += np.bincount(owners, minlength=n_procs).astype(np.float64)
     if snap_mem.any():

@@ -180,13 +180,9 @@ def build_group_state(
         lidx = np.empty(0, dtype=np.int64)
     counts = np.zeros(keys.size, dtype=np.int64)
     local_sizes = np.asarray(first.local_sizes, dtype=np.int64)
+    pid = product.iteration_partition.proc_of_position()
     for key in member_keys:
-        loc = product.patterns[key].localized
-        refs = loc.refs_flat
-        pid = np.repeat(
-            np.arange(slot_bounds.size - 1, dtype=np.int64),
-            np.diff(loc.ref_bounds),
-        )
+        refs = product.patterns[key].localized.refs_flat
         ghost = refs >= local_sizes[pid]
         if ghost.any():
             gslot = slot_bounds[pid[ghost]] + (refs[ghost] - local_sizes[pid[ghost]])

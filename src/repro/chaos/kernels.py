@@ -2,10 +2,11 @@
 
 What a remap forces the runtime to redo -- the iteration vote and
 grouping, localize's dedup and pair grouping, the processor-pair
-histograms behind the exchange charges -- bottoms out in these four
-kernels.  Each returns arrays bit-identical to the naive form kept as
-its reference in ``tests/core/test_miss_path_kernels.py`` (dense
-vote-matrix argmax, ``np.lexsort``, ``np.unique``, ``np.add.at``), so
+histograms behind the exchange charges -- bottoms out in these
+kernels, as do the write side's range covers and range checks.  Each
+returns arrays bit-identical to the naive form kept as its reference in
+``tests/core/test_miss_path_kernels.py`` (dense vote-matrix argmax,
+``np.lexsort``, ``np.unique``, ``np.add.at``, the element-wise test), so
 no simulated charge depends on them; only host time does.  Widths and
 dtypes are chosen from the observed key range, never by an option.
 """
@@ -14,7 +15,8 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["majority_owner", "pair_counts", "sorted_unique_inverse", "stable_order"]
+__all__ = ["first_segment_outside", "majority_owner", "pair_counts", "sorted_unique",
+           "sorted_unique_inverse", "stable_order"]
 
 
 def majority_owner(rows: list[np.ndarray]) -> np.ndarray:
@@ -70,13 +72,25 @@ def stable_order(keys: np.ndarray, n_keys: int) -> np.ndarray:
     the digit count (one up to 65 536 keys, two up to 2^32).  The caller
     vouches for the range: a wider key is grouped by its low digits only.
     """
-    order = np.argsort(keys.astype(np.uint16), kind="stable")
+    # (a uint8 first digit sorts ~25 % faster when one byte holds every key)
+    order = np.argsort(keys.astype(np.uint8 if n_keys <= 256 else np.uint16), kind="stable")
     shift = 16
     while n_keys > 1 << shift:
         digit = (keys >> shift).astype(np.uint16)
         order = order[np.argsort(digit[order], kind="stable")]
         shift += 16
     return order
+
+
+def sorted_unique(keys: np.ndarray) -> np.ndarray:
+    """``np.unique`` of a 1-D array as a sort (skipped when ``keys`` is
+    non-decreasing already, as tracked writes and move lists are) and a
+    neighbour mask; NumPy >= 2.3 hashes instead, ~15x slower on those."""
+    if keys.size > 1 and (keys[1:] < keys[:-1]).any():
+        keys = np.sort(keys)
+    first = np.ones(keys.size, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    return keys[first]
 
 
 def sorted_unique_inverse(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -90,7 +104,9 @@ def sorted_unique_inverse(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ones, and the inverse is the running group number scattered through
     that permutation -- no indirect argsort, no binary search.  Keys
     that are negative, or too wide to share 62 bits with a position,
-    take ``np.unique`` itself.
+    take ``np.unique`` itself -- a cold path: every caller passes
+    ``processor * stride + global index`` composites, non-negative and
+    far narrower, so only hand-made inputs reach it.
     """
     n = keys.size
     if not n:
@@ -109,6 +125,22 @@ def sorted_unique_inverse(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     inverse = np.empty(n, dtype=np.int64)
     inverse[perm] = np.cumsum(new_group) - 1
     return packed[new_group].astype(keys.dtype, copy=False), inverse
+
+
+def first_segment_outside(values: np.ndarray, bounds: np.ndarray, limit: np.ndarray) -> int | None:
+    """The first CSR segment ``values[bounds[s]:bounds[s + 1]]`` holding
+    a value outside ``[0, limit[s])``, or ``None``: the element-wise test
+    against each segment's limit as two ``reduceat`` extrema per segment,
+    with no per-element temporary.  ``bounds`` is a monotone CSR over all
+    of ``values`` (callers check that first)."""
+    live = np.flatnonzero(np.diff(bounds))
+    if not live.size:
+        return None
+    # with the empty segments dropped, each start runs up to the next
+    starts = bounds[live]
+    lo, hi = np.minimum.reduceat(values, starts), np.maximum.reduceat(values, starts)
+    bad = (lo < 0) | (hi >= limit[live])
+    return int(live[np.argmax(bad)]) if bad.any() else None
 
 
 def pair_counts(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:

@@ -69,6 +69,7 @@ from typing import Callable
 import numpy as np
 
 from repro.chaos.costs import ChaosCosts, DEFAULT_COSTS
+from repro.chaos.kernels import first_segment_outside
 from repro.distribution.distarray import DistArray
 from repro.machine.machine import Machine, get_or_plan
 
@@ -207,19 +208,14 @@ class CommSchedule:
         """Per-element ``(q, p, send, recv)`` arrays in flat (pair) order.
 
         The inverse of :meth:`from_entries`: every moved ghost element as
-        one row, owners/requesters repeated per pair.  All four arrays
-        are non-writeable: ``send``/``recv`` are views of the internal
-        flat arrays (writing through them would silently corrupt the
-        schedule, so NumPy raises instead), and the repeated ``q``/``p``
-        arrays are locked for symmetry.
+        one row, owners/requesters repeated per pair.  The one tuple is
+        derived when the schedule is built and shared by :meth:`twin`;
+        all four arrays are non-writeable: ``send``/``recv`` are views of
+        the internal flat arrays (writing through them would silently
+        corrupt the schedule, so NumPy raises instead), and the repeated
+        ``q``/``p`` arrays are locked because every caller shares them.
         """
-        q = np.repeat(self._pair_q, self._pair_len)
-        p = np.repeat(self._pair_p, self._pair_len)
-        send = self._flat_send[:]
-        recv = self._flat_recv[:]
-        for a in (q, p, send, recv):
-            a.flags.writeable = False
-        return q, p, send, recv
+        return self._entries
 
     def twin(self) -> "CommSchedule":
         """A distinct schedule object sharing every internal array.
@@ -361,8 +357,7 @@ class CommSchedule:
             return None
         if n * n >= (2**63 - 1) // max(K, 1):
             return None  # pragma: no cover - composite key would overflow
-        flat_q = np.repeat(self._pair_q, self._pair_len)
-        flat_p = np.repeat(self._pair_p, self._pair_len)
+        flat_q, flat_p = self._entries[:2]
         comp_flat = (flat_p * n + flat_q) * K + keep_key
         if E and (np.diff(comp_flat) < 0).any():
             return None
@@ -385,21 +380,17 @@ class CommSchedule:
         aperm = np.argsort(add_comp, kind="stable")
         ins = np.searchsorted(comp_flat[kept_idx], add_comp[aperm], side="right")
         add_newpos = ins + ar
-        kept_newpos = kr + np.searchsorted(ins, kr, side="right")
+        # a kept entry moves up by the adds inserted at or before it
+        kept_newpos = kr + np.cumsum(np.bincount(ins, minlength=Sk + 1))[:Sk]
 
         E2 = Sk + d
-        flat_q2 = np.empty(E2, dtype=np.int64)
-        flat_p2 = np.empty(E2, dtype=np.int64)
-        send2 = np.empty(E2, dtype=np.int64)
-        recv2 = np.empty(E2, dtype=np.int64)
-        flat_q2[kept_newpos] = flat_q[kept_idx]
-        flat_p2[kept_newpos] = flat_p[kept_idx]
-        send2[kept_newpos] = self._flat_send[kept_idx]
-        recv2[kept_newpos] = self._flat_recv[kept_idx]
-        flat_q2[add_newpos] = add_q[aperm]
-        flat_p2[add_newpos] = add_p[aperm]
-        send2[add_newpos] = add_send[aperm]
-        recv2[add_newpos] = add_recv[aperm]
+        merged = []
+        for old, add in zip(self._entries, (add_q, add_p, add_send, add_recv)):
+            new = np.empty(E2, dtype=np.int64)
+            new[kept_newpos] = old[kept_idx]
+            new[add_newpos] = add[aperm]
+            merged.append(new)
+        flat_q2, flat_p2, send2, recv2 = merged
 
         # wire-order merge: same game sorted by (q, p, key); the kept
         # run is the old wire order with retired entries masked out
@@ -409,7 +400,7 @@ class CommSchedule:
         awperm = np.argsort(add_wcomp, kind="stable")
         insw = np.searchsorted(compW[keepW], add_wcomp[awperm], side="right")
         add_wpos = insw + ar
-        kept_wpos = kr + np.searchsorted(insw, kr, side="right")
+        kept_wpos = kr + np.cumsum(np.bincount(insw, minlength=Sk + 1))[:Sk]
         # new flat position of every element, addressed by wire position
         rank = np.empty(E, dtype=np.int64)
         rank[kept_idx] = kept_newpos
@@ -469,16 +460,19 @@ class CommSchedule:
         self._flat_send = flat_send
         self._flat_recv = flat_recv
         ghost_sz = np.asarray(self.ghost_sizes, dtype=np.int64)
-        bad = (flat_recv < 0) | (flat_recv >= ghost_sz[flat_p])
-        if bad.any():
-            i = int(np.flatnonzero(bad)[0])
+        pair_bounds = np.concatenate(([0], np.cumsum(self._pair_len)))
+        i = first_segment_outside(flat_recv, pair_bounds, ghost_sz[self._pair_p])
+        if i is not None:
             raise ValueError(
-                f"pair ({int(flat_q[i])}, {int(flat_p[i])}): recv slot out of "
-                f"range [0, {int(ghost_sz[flat_p[i]])})"
+                f"pair ({int(self._pair_q[i])}, {int(self._pair_p[i])}): recv slot "
+                f"out of range [0, {int(ghost_sz[self._pair_p[i]])})"
             )
         E = flat_q.size
         self._n_elements = E
         self._wire_perm = wire_perm
+        self._entries = (flat_q, flat_p, flat_send[:], flat_recv[:])
+        for a in self._entries:
+            a.flags.writeable = False
 
         # pack side, wire order: send offsets and owner of each packed
         # element; flat backing positions are resolved lazily against

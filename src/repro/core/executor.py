@@ -126,54 +126,28 @@ class _PatternSpace:
         n_local = int(local_off[-1])
         n_ghost = int(ghost_off[-1])
         # backing position l of processor p -> combined local_off[p]+ghost_off[p]+l-local_off[p]
-        rep_local = np.repeat(
-            np.arange(local_sizes.size, dtype=np.int64), local_sizes
+        self.local_sel = np.arange(n_local, dtype=np.int64) + np.repeat(
+            ghost_off[:-1], local_sizes
         )
-        self.local_sel = np.arange(n_local, dtype=np.int64) + ghost_off[rep_local]
-        ghost_counts = np.diff(ghost_off)
-        rep_ghost = np.repeat(
-            np.arange(local_sizes.size, dtype=np.int64), ghost_counts
+        self.ghost_sel = np.arange(n_ghost, dtype=np.int64) + np.repeat(
+            local_off[1:], np.diff(ghost_off)
         )
-        self.ghost_sel = np.arange(n_ghost, dtype=np.int64) + local_off[1:][rep_ghost]
         for arr in (self.offsets, self.local_sel, self.ghost_sel):
             arr.flags.writeable = False
 
-    def refs(self, localized, ref_pid: np.ndarray) -> np.ndarray:
-        """Combined-space position of every localized reference (frozen)."""
-        refs = localized.refs_flat + self.offsets[ref_pid]
+    def refs(self, localized, counts: np.ndarray) -> np.ndarray:
+        """Combined-space position of every localized reference (frozen);
+        ``counts`` is the number of references each processor holds."""
+        refs = localized.refs_flat + np.repeat(self.offsets[:-1], counts)
         refs.flags.writeable = False
         return refs
-
-
-def _patched_space(old_space: _PatternSpace, old_ghost_off, ghosts) -> _PatternSpace:
-    """Combined space for a grown ghost layout, derived from the old one.
-
-    Retired slots are holes (positions unchanged) and appends only grow
-    per-processor ghost regions, so the new space is the old one with
-    each processor's block shifted by its ghost growth: ``offsets`` and
-    ``local_sel`` are vector increments of the saved arrays; only
-    ``ghost_sel`` (whose length changed) is re-derived.  Element-equal
-    to a freshly constructed :class:`_PatternSpace`.
-    """
-    sp = _PatternSpace.__new__(_PatternSpace)
-    new_go = ghosts.offsets
-    local_off = old_space.offsets - old_ghost_off
-    sp.offsets = local_off + new_go
-    sp.total = int(sp.offsets[-1])
-    d = new_go - old_ghost_off
-    local_sizes = np.diff(local_off)
-    rep_local = np.repeat(np.arange(local_sizes.size, dtype=np.int64), local_sizes)
-    sp.local_sel = old_space.local_sel + d[rep_local]
-    ghost_counts = np.diff(new_go)
-    rep_ghost = np.repeat(np.arange(local_sizes.size, dtype=np.int64), ghost_counts)
-    sp.ghost_sel = np.arange(int(new_go[-1]), dtype=np.int64) + local_off[1:][rep_ghost]
-    return sp
 
 
 def patch_exec_caches(
     old_pat,
     new_pat,
     changed_pos: np.ndarray,
+    changed_pid: np.ndarray,
     partition_changed: bool,
     space: _PatternSpace | None = None,
 ) -> _PatternSpace | None:
@@ -188,10 +162,11 @@ def patch_exec_caches(
     arrays at the next execution:
 
     * unchanged ghost layout -- the space object is reused outright;
-      grown layout -- it is shift-patched (:func:`_patched_space`);
+      grown layout -- a new one is built (array-sized, not loop-sized);
     * ``exec_refs`` is carried whenever the iteration partition is
       unchanged: offset-shifted per processor if the layout grew, then
-      overwritten at ``changed_pos`` from the new localized values;
+      overwritten at ``changed_pos`` (on processors ``changed_pid``) from
+      the new localized values;
       a changed partition permutes reference order globally, so refs are
       left to the executor's lazy rebuild (the space still carries).
 
@@ -207,8 +182,8 @@ def patch_exec_caches(
     new_off = new_pat.ghosts.offsets
     same_layout = np.array_equal(new_off, old_off)
     if space is None:
-        space = old_space if same_layout else _patched_space(
-            old_space, old_off, new_pat.ghosts
+        space = old_space if same_layout else _PatternSpace(
+            new_pat.localized, new_pat.ghosts
         )
     new_pat.exec_space = space
     refs_old = old_pat.exec_refs
@@ -221,9 +196,9 @@ def patch_exec_caches(
         doff = (new_off - old_off)[:-1]
         refs = refs_old + np.repeat(doff, np.diff(bounds))
     if changed_pos.size:
-        bounds = np.asarray(new_pat.localized.ref_bounds, dtype=np.int64)
-        pid = np.searchsorted(bounds, changed_pos, side="right") - 1
-        refs[changed_pos] = new_pat.localized.refs_flat[changed_pos] + space.offsets[pid]
+        refs[changed_pos] = (
+            new_pat.localized.refs_flat[changed_pos] + space.offsets[changed_pid]
+        )
     new_pat.exec_refs = refs
     return space
 
@@ -319,10 +294,8 @@ def _execute_once(
     def refs_of(key) -> np.ndarray:
         pat = product.patterns[key]
         if pat.exec_refs is None:
-            # processor owning each reference position (flat reference
-            # lists of every pattern share the iteration bounds)
-            ref_pid = np.repeat(np.arange(n_procs, dtype=np.int64), n_it)
-            pat.exec_refs = space_of(key).refs(pat.localized, ref_pid)
+            # every pattern's flat reference list shares the iteration bounds
+            pat.exec_refs = space_of(key).refs(pat.localized, n_it)
         return pat.exec_refs
 
     # combined read arrays: two scatters assemble [local | ghost] blocks

@@ -53,6 +53,10 @@ class IterationPartition:
     method: str
     flat: np.ndarray = field(repr=False)
     bounds: np.ndarray = field(repr=False)
+    # index arrays derived on first use from ``flat``/``bounds`` (which
+    # nobody mutates), frozen: executor, patcher and verifier share them
+    _pid: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    _inv: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def counts(self) -> list[int]:
         return np.diff(self.bounds).tolist()
@@ -61,12 +65,26 @@ class IterationPartition:
         """The CSR form ``(values, bounds)``."""
         return self.flat, self.bounds
 
+    def proc_of_position(self) -> np.ndarray:
+        """Processor executing each flat position (frozen, built once)."""
+        if self._pid is None:
+            ids = np.arange(self.bounds.size - 1, dtype=np.int64)
+            self._pid = np.repeat(ids, np.diff(self.bounds))
+            self._pid.flags.writeable = False
+        return self._pid
+
+    def inverse(self) -> np.ndarray:
+        """Flat position of each iteration (frozen, built once)."""
+        if self._inv is None:
+            self._inv = np.empty(self.n_iterations, dtype=np.int64)
+            self._inv[self.flat] = np.arange(self.n_iterations, dtype=np.int64)
+            self._inv.flags.writeable = False
+        return self._inv
+
     def owner_of(self) -> np.ndarray:
         """Dense iteration -> processor map (one scatter, for tests)."""
         out = np.empty(self.n_iterations, dtype=np.int64)
-        out[self.flat] = np.repeat(
-            np.arange(self.bounds.size - 1, dtype=np.int64), np.diff(self.bounds)
-        )
+        out[self.flat] = self.proc_of_position()
         return out
 
 
@@ -99,9 +117,9 @@ def owner_rows(
                         f"indirection array {ref.index!r} has size {ind.size}, "
                         f"loop {loop.name!r} iterates {n}"
                     )
-                targets = np.asarray(ind.global_view(), dtype=np.int64)
-                if at is not None:
-                    targets = targets[at]
+                # the re-vote reads its positions only: no global view is assembled
+                targets = ind.global_view() if at is None else ind.global_get(at)
+                targets = np.asarray(targets, dtype=np.int64)
             row = by_source[source] = np.asarray(dist.owner(targets), dtype=np.int64)
         rows.append(row)
     return rows

@@ -37,6 +37,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from repro.chaos.kernels import sorted_unique
 from repro.core.dad import DAD
 
 #: per-DAD event-log length that triggers coalescing of the older half
@@ -72,10 +73,10 @@ def ranges_from_positions(positions) -> np.ndarray:
     pos = np.asarray(positions)
     if pos.size and not np.issubdtype(pos.dtype, np.integer):
         raise ValueError(f"positions must be integers, got dtype {pos.dtype}")
-    pos = np.unique(pos.astype(np.int64, copy=False))
+    pos = sorted_unique(pos.astype(np.int64, copy=False).ravel())
     if not pos.size:
         return np.empty((0, 2), dtype=np.int64)
-    if (pos < 0).any():
+    if pos[0] < 0:
         raise ValueError("positions must be non-negative")
     breaks = np.flatnonzero(np.diff(pos) > 1)
     starts = np.concatenate(([0], breaks + 1))
@@ -86,7 +87,8 @@ def ranges_from_positions(positions) -> np.ndarray:
 def merge_ranges(ranges: np.ndarray) -> np.ndarray:
     """Union of half-open ranges: sorted, overlap/adjacency-merged."""
     arr = normalize_ranges(ranges)
-    if arr.shape[0] <= 1:
+    if (arr[1:, 0] > arr[:-1, 1]).all():
+        # already merged (an earlier merge's output, a position cover)
         return arr.copy()
     arr = arr[np.argsort(arr[:, 0], kind="stable")]
     # a range starts a new merged group iff it begins after the running

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.chaos.kernels import sorted_unique
 from repro.distribution.base import Distribution
 
 
@@ -195,7 +196,7 @@ def repartition_stable(
     move_to = np.asarray(move_to, dtype=np.int64)
     if move_g.shape != move_to.shape or move_g.ndim != 1:
         raise ValueError("move_g and move_to must be equal-length 1-D arrays")
-    if move_g.size and np.unique(move_g).size != move_g.size:
+    if sorted_unique(move_g).size != move_g.size:
         raise ValueError("move_g contains duplicate elements")
     if move_to.size and (move_to.min() < 0 or move_to.max() >= n):
         raise ValueError(f"target processor out of range [0, {n})")
@@ -213,7 +214,7 @@ def repartition_stable(
 
     src_proc = old_owner[moved]
     repacked_parts: list[np.ndarray] = []
-    affected = np.unique(np.concatenate([src_proc, dest])) if moved.size else moved
+    affected = sorted_unique(np.concatenate([src_proc, dest]))
     for p in affected:
         dep_l = np.sort(old_local[moved[src_proc == p]])  # holes, ascending
         arr_g = moved[dest == p]  # arrivals, gidx-ascending (moved is sorted)

@@ -97,10 +97,11 @@ _TTABLE_VARIANTS = {
 
 
 # ----------------------------------------------------------------------
-# capture
+# capture, by reference: ``pickle.dumps`` reads the arrays within the
+# call, and writes one several structures hold once (see ``_freeze``)
 # ----------------------------------------------------------------------
 def _counters_payload(block: CounterBlock) -> dict:
-    return {name: getattr(block, name).copy() for name in COUNTER_FIELDS}
+    return {name: getattr(block, name) for name in COUNTER_FIELDS}
 
 
 def _machine_payload(machine: Machine) -> dict:
@@ -123,24 +124,18 @@ def _registry_payload(registry) -> dict:
     return {
         "nmod": registry.nmod,
         "last_mod": dict(registry._last_mod),
-        "events": {
-            sig: [
-                (stamp, None if ranges is None else ranges.copy())
-                for stamp, ranges in events
-            ]
-            for sig, events in registry._events.items()
-        },
+        "events": {sig: list(events) for sig, events in registry._events.items()},
     }
 
 
 def _schedule_payload(sched: CommSchedule) -> dict:
     return {
         "dist_signature": sched.dist_signature,
-        "pair_q": sched._pair_q.copy(),
-        "pair_p": sched._pair_p.copy(),
-        "pair_len": sched._pair_len.copy(),
-        "flat_send": sched._flat_send.copy(),
-        "flat_recv": sched._flat_recv.copy(),
+        "pair_q": sched._pair_q,
+        "pair_p": sched._pair_p,
+        "pair_len": sched._pair_len,
+        "flat_send": sched._flat_send,
+        "flat_recv": sched._flat_recv,
         "ghost_sizes": list(sched.ghost_sizes),
     }
 
@@ -160,7 +155,7 @@ def _product_payload(
             ghosts[gid] = {
                 "schedule": id(pat.ghosts.schedule),
                 "dtype": pat.ghosts.dtype.str,
-                "backing": pat.ghosts.backing.copy(),
+                "backing": pat.ghosts.backing,
             }
         loc = pat.localized
         patterns.append(
@@ -172,10 +167,10 @@ def _product_payload(
                     "schedule": sid,
                     "ghosts": gid,
                     "local_sizes": np.asarray(loc.local_sizes, dtype=np.int64),
-                    "refs_flat": loc.refs_flat.copy(),
-                    "ref_bounds": loc.ref_bounds.copy(),
-                    "ghost_flat": loc.ghost_flat.copy(),
-                    "ghost_bounds": loc.ghost_bounds.copy(),
+                    "refs_flat": loc.refs_flat,
+                    "ref_bounds": loc.ref_bounds,
+                    "ghost_flat": loc.ghost_flat,
+                    "ghost_bounds": loc.ghost_bounds,
                 },
             )
         )
@@ -184,8 +179,8 @@ def _product_payload(
         "partition": {
             "n_iterations": part.n_iterations,
             "method": part.method,
-            "flat": flat.copy(),
-            "bounds": bounds.copy(),
+            "flat": flat,
+            "bounds": bounds,
         },
         "patterns": patterns,
         "dist_signatures": dict(product.dist_signatures),
@@ -206,17 +201,17 @@ def _adapt_payload(adapt) -> dict:
                     {
                         "array": g.array,
                         "indexes": g.indexes,
-                        "slot_bounds": g.slot_bounds.copy(),
-                        "keys": g.keys.copy(),
-                        "owners": g.owners.copy(),
-                        "lidx": g.lidx.copy(),
-                        "counts": g.counts.copy(),
+                        "slot_bounds": g.slot_bounds,
+                        "keys": g.keys,
+                        "owners": g.owners,
+                        "lidx": g.lidx,
+                        "counts": g.counts,
                     },
                 )
             )
         states[name] = {
-            "home": state.home.copy(),
-            "snapshots": {k: v.copy() for k, v in state.snapshots.items()},
+            "home": state.home,
+            "snapshots": dict(state.snapshots),
             "groups": groups,
         }
     return {
@@ -267,7 +262,7 @@ def save_checkpoint(path, program, driver=None) -> None:
             name: {
                 "signature": arr.distribution.signature(),
                 "dtype": arr.dtype.str,
-                "backing": arr.backing_ro.copy(),
+                "backing": arr.backing_ro,
             }
             for name, arr in program.arrays.items()
         },
@@ -378,22 +373,30 @@ def _restore_arrays(program, payload: dict) -> None:
 def _restore_registry(registry, payload: dict) -> None:
     registry.nmod = payload["nmod"]
     registry._last_mod = dict(payload["last_mod"])
-    registry._events = {
-        sig: [
-            (stamp, None if ranges is None else ranges.copy())
-            for stamp, ranges in events
-        ]
-        for sig, events in payload["events"].items()
-    }
+    registry._events = {sig: list(events) for sig, events in payload["events"].items()}
 
 
 def _build_dad(t: tuple) -> DAD:
     return DAD(kind=t[0], size=t[1], signature=t[2])
 
 
+def _freeze(saved) -> None:
+    """Lock every array under ``saved``: restored structures adopt the
+    unpickled arrays, and what was one object when saved (a twin group's
+    arrays, ``ghost_bounds`` / ``slot_bounds``) comes back as one, so a
+    stray in-place write must raise.  What the runtime does write in
+    place (snapshots, backings, counters) is never shared nor passed."""
+    if isinstance(saved, np.ndarray):
+        saved.flags.writeable = False
+    elif isinstance(saved, (dict, list, tuple)):
+        for item in saved.values() if isinstance(saved, dict) else saved:
+            _freeze(item)
+
+
 def _restore_products(program, payload: dict, loops: dict) -> dict:
     """Rebuild records/schedules/ghosts; returns the record dict."""
     machine = program.machine
+    _freeze((payload["schedules"], payload["records"]))
     sched_by_id = {
         sid: CommSchedule(
             machine,
@@ -497,6 +500,7 @@ def _restore_adapt(adapt, payload: dict) -> None:
 
     adapt.max_change_fraction = payload["max_change_fraction"]
     adapt.max_failures = payload["max_failures"]
+    _freeze([s["groups"] for s in payload["states"].values()])
     adapt.replace_states(
         {
             name: LoopAdaptState(

@@ -39,6 +39,7 @@ import zlib
 
 import numpy as np
 
+from repro.chaos.kernels import first_segment_outside, sorted_unique
 from repro.guard.errors import InvariantViolation
 
 #: recognised guard levels, weakest to strongest
@@ -130,13 +131,14 @@ def verify_schedule(schedule, level: str = "cheap", canonical: bool = True) -> N
     if n_el:
         if send.min() < 0:
             _fail("schedule send offset is negative")
-        flat_p = np.repeat(pp, plen)
-        bad = (recv < 0) | (recv >= sizes[flat_p])
-        if bad.any():
-            i = int(np.flatnonzero(bad)[0])
+        starts = np.concatenate(([0], np.cumsum(plen)))
+        k = first_segment_outside(recv, starts, sizes[pp])
+        if k is not None:
+            seg = recv[starts[k] : starts[k + 1]]
+            bad = seg[(seg < 0) | (seg >= sizes[pp[k]])][0]
             _fail(
-                f"schedule recv slot {int(recv[i])} out of range "
-                f"[0, {int(sizes[flat_p[i]])}) for requester {int(flat_p[i])}"
+                f"schedule recv slot {int(bad)} out of range "
+                f"[0, {int(sizes[pp[k]])}) for requester {int(pp[k])}"
             )
         # each ghost backing position is written at most once per gather
         occ = np.bincount(schedule._unpack_pos, minlength=int(off[-1]))
@@ -223,7 +225,7 @@ def _verify_slot_space(pat, arr, level: str) -> None:
                 _fail(f"schedule of {pat.array!r} wire order is not key-sorted within a pair")
             # live keys unique per requester
             comp = p * max(arr.size, 1) + ek
-            if np.unique(comp).size != comp.size:
+            if sorted_unique(comp).size != comp.size:
                 _fail(f"schedule of {pat.array!r} fetches a ghost key twice for one requester")
             # owner / local offset recomputation against the distribution
             dist = arr.distribution
@@ -240,16 +242,26 @@ def _verify_refs(pat, iter_bounds: np.ndarray, level: str) -> None:
     if not np.array_equal(rb, iter_bounds):
         _fail(f"pattern ({pat.array!r}, {pat.index!r}) reference bounds disagree with the iteration partition")
     refs = loc.refs_flat
-    if refs.size:
-        local = np.asarray(loc.local_sizes, dtype=np.int64)
-        ghost = np.diff(np.asarray(loc.ghost_bounds, dtype=np.int64))
-        pid = np.repeat(np.arange(local.size, dtype=np.int64), np.diff(rb))
-        limit = local[pid] + ghost[pid]
-        if (refs < 0).any() or (refs >= limit).any():
-            _fail(
-                f"pattern ({pat.array!r}, {pat.index!r}) localized reference "
-                "out of the combined local+ghost space"
-            )
+    if refs.size != int(rb[-1]):
+        _fail(f"pattern ({pat.array!r}, {pat.index!r}) reference list does not cover its bounds")
+    local = np.asarray(loc.local_sizes, dtype=np.int64)
+    ghost = np.diff(np.asarray(loc.ghost_bounds, dtype=np.int64))
+    if first_segment_outside(refs, rb, local + ghost) is not None:
+        _fail(
+            f"pattern ({pat.array!r}, {pat.index!r}) localized reference "
+            "out of the combined local+ghost space"
+        )
+
+
+def _unseen(seen: set, *inputs) -> bool:
+    """Whether these very objects are new to this pass (and mark them):
+    a checker is a pure function of the arrays it reads and a twin group
+    holds its sibling's objects, so one verdict per distinct inputs still
+    covers the whole product.  Lists (``local_sizes``) count by value."""
+    key = tuple(tuple(x) if isinstance(x, list) else id(x) for x in inputs)
+    new = key not in seen
+    seen.add(key)
+    return new
 
 
 def verify_product(product, arrays, level: str = "cheap", state=None) -> None:
@@ -274,15 +286,17 @@ def verify_product(product, arrays, level: str = "cheap", state=None) -> None:
                 "redistributed since inspection (stale distribution signature)"
             )
     _, iter_bounds = product.iteration_partition.iters_flat()
-    seen: set[int] = set()
+    seen: set = set()
     for pat in product.patterns.values():
-        sched = pat.localized.schedule
-        if id(sched) not in seen:
-            seen.add(id(sched))
-            verify_schedule(sched, level)
+        loc, arr = pat.localized, arrays[pat.array]
+        sched, dist = loc.schedule, arr.distribution
+        if _unseen(seen, pat.ghosts, sched):
             verify_ghosts(pat.ghosts, sched, level)
-            _verify_slot_space(pat, arrays[pat.array], level)
-        _verify_refs(pat, iter_bounds, level)
+        if _unseen(seen, sched.entries(), loc.ghost_flat, loc.ghost_bounds, dist):
+            verify_schedule(sched, level)
+            _verify_slot_space(pat, arr, level)
+        if _unseen(seen, loc.refs_flat, loc.ref_bounds, loc.ghost_bounds, loc.local_sizes):
+            _verify_refs(pat, iter_bounds, level)
     if state is not None:
         verify_adapt_state(product, state, arrays, level)
 
@@ -313,13 +327,18 @@ def verify_adapt_state(product, state, arrays, level: str = "cheap") -> None:
     by_sched: dict[int, list] = {}
     for key, pat in product.patterns.items():
         by_sched.setdefault(id(pat.localized.schedule), []).append(key)
+    seen: set = set()
     for members in by_sched.values():
         gkey = (members[0][0], tuple(k[1] for k in members))
         gstate = state.groups.get(gkey)
         if gstate is None:
             _fail(f"adapt state has no slot bookkeeping for group {gkey}")
-        first = product.patterns[members[0]]
-        loc = first.localized
+        loc = product.patterns[members[0]].localized
+        inputs = [loc.schedule.entries(), loc.ghost_flat, loc.ghost_bounds, loc.local_sizes]
+        inputs += [gstate.slot_bounds, gstate.keys, gstate.owners, gstate.lidx, gstate.counts]
+        inputs += [product.patterns[k].localized.refs_flat for k in members]
+        if not _unseen(seen, getattr(arrays.get(gstate.array), "distribution", None), *inputs):
+            continue  # the twin of a group already checked
         gb = np.asarray(loc.ghost_bounds, dtype=np.int64)
         if not np.array_equal(gstate.slot_bounds, gb):
             _fail(f"group {gkey}: saved slot bounds disagree with the product")
@@ -365,13 +384,9 @@ def verify_adapt_state(product, state, arrays, level: str = "cheap") -> None:
             # recompute reference counts from the localized reference lists
             counts = np.zeros(S, dtype=np.int64)
             local_sizes = np.asarray(loc.local_sizes, dtype=np.int64)
+            pid = product.iteration_partition.proc_of_position()
             for key in members:
-                mloc = product.patterns[key].localized
-                refs = mloc.refs_flat
-                pid = np.repeat(
-                    np.arange(gb.size - 1, dtype=np.int64),
-                    np.diff(np.asarray(mloc.ref_bounds, dtype=np.int64)),
-                )
+                refs = product.patterns[key].localized.refs_flat
                 ghost = refs >= local_sizes[pid]
                 if ghost.any():
                     gslot = gb[pid[ghost]] + (refs[ghost] - local_sizes[pid[ghost]])

@@ -224,9 +224,6 @@ def test_patched_exec_caches_match_fresh(n_procs):
 
         prod = prog_a.records[loop.name].product
         iter_flat, iter_bounds = prod.iteration_partition.iters_flat()
-        ref_pid = np.repeat(
-            np.arange(n_procs, dtype=np.int64), np.diff(iter_bounds)
-        )
         for key, pat in prod.patterns.items():
             if pat.exec_space is None:
                 continue
@@ -237,7 +234,7 @@ def test_patched_exec_caches_match_fresh(n_procs):
             assert pat.exec_space.total == fresh.total, key
             if pat.exec_refs is not None:
                 assert np.array_equal(
-                    pat.exec_refs, fresh.refs(pat.localized, ref_pid)
+                    pat.exec_refs, fresh.refs(pat.localized, np.diff(iter_bounds))
                 ), key
 
         # dropping the carried caches and re-executing from scratch gives

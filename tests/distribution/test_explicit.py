@@ -129,6 +129,25 @@ class TestRepartitionStable:
         with pytest.raises(ValueError, match="duplicate"):
             repartition_stable(self.dist, [1, 1], [0, 1])
 
+    def test_duplicate_check_and_affected_set_need_no_np_unique(self, monkeypatch):
+        # NumPy >= 2.3 hashes in np.unique (slow on the sorted move lists
+        # a balancer emits): both uses go through kernels.sorted_unique
+        rng = np.random.default_rng(12)
+        move_g = rng.choice(60, size=20, replace=False)  # unsorted
+        move_to = rng.integers(0, 4, size=20)
+        want, want_plan = repartition_stable(self.dist, np.sort(move_g), move_to[np.argsort(move_g)])
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("np.unique called by repartition_stable")
+
+        monkeypatch.setattr(np, "unique", forbidden)
+        got, plan = repartition_stable(self.dist, move_g, move_to)
+        assert got.signature() == want.signature()
+        assert np.array_equal(plan.moved, want_plan.moved)
+        assert np.array_equal(plan.repacked, want_plan.repacked)
+        with pytest.raises(ValueError, match="duplicate"):
+            repartition_stable(self.dist, [5, 9, 5], [0, 1, 2])  # not adjacent
+
     def test_rejects_target_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):
             repartition_stable(self.dist, [1], [4])

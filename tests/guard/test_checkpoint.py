@@ -209,6 +209,100 @@ def test_restore_alone_matches_checkpoint_moment(tmp_path):
     assert p_b.events.category("adapt.fallback")[1].seq > restored_seq
 
 
+def restored_arrays(prog, loop_name) -> dict:
+    """Every array the restored product, adapt state and program hold,
+    by a readable path (one array object may sit under several)."""
+    out = {}
+    product = prog.records[loop_name].product
+    part = product.iteration_partition
+    out["partition/flat"], out["partition/bounds"] = part.iters_flat()
+    for key, pat in product.patterns.items():
+        loc = pat.localized
+        for f in ("refs_flat", "ref_bounds", "ghost_flat", "ghost_bounds"):
+            out[f"{key}/{f}"] = getattr(loc, f)
+        # one schedule / ghost buffer object serves a whole pattern group
+        for f in ("_pair_q", "_pair_p", "_pair_len", "_flat_send", "_flat_recv"):
+            out[f"schedule {id(loc.schedule)}/{f}"] = getattr(loc.schedule, f)
+        out[f"ghosts {id(pat.ghosts)}"] = pat.ghosts.backing
+    state = prog.adapt.state_for(loop_name, "verify")
+    out["home"] = state.home
+    for name, snap in state.snapshots.items():
+        out[f"snapshot/{name}"] = snap
+    for gkey, g in state.groups.items():
+        for f in ("slot_bounds", "keys", "owners", "lidx", "counts"):
+            out[f"{gkey}/{f}"] = getattr(g, f)
+    for name, arr in prog.arrays.items():
+        out[f"array/{name}"] = arr.backing_ro
+    return out
+
+
+def test_restored_arrays_shared_means_frozen_private_means_unaliased(tmp_path):
+    """The payload references the live arrays, so pickle writes an array
+    several structures hold once and restore gets it back as *one*
+    object.  That is only safe if nothing writes it in place: whatever
+    came back shared must be frozen, whatever the runtime does write in
+    place (snapshots, ghost backings) must alias nothing -- and the
+    resumed campaign must still equal the uninterrupted one."""
+    path = tmp_path / "campaign.ckpt"
+    mesh, m_ref, p_ref = build()
+    exe_ref = AdaptiveExecutor(p_ref, euler_edge_loop(mesh))
+    drive(exe_ref, mesh, 4)
+
+    mesh, _, p_a = build()
+    exe_a = AdaptiveExecutor(p_a, euler_edge_loop(mesh))
+    drive(exe_a, mesh, 2)  # full, patch: the y group is now the x group's twin
+    save_checkpoint(path, p_a, driver=exe_a)
+
+    # the file holds what was one object once: it loads as one object
+    payload = load_checkpoint(path)
+    loop_name = euler_edge_loop(mesh).name
+    pats = dict(payload["records"][loop_name]["product"]["patterns"])
+    groups = dict(payload["adapt"]["states"][loop_name]["groups"])
+    gx, gy = groups["x", ("end_pt1", "end_pt2")], groups["y", ("end_pt1", "end_pt2")]
+    assert gx["counts"] is gy["counts"] and gx["keys"] is gy["keys"]
+    assert pats["x", "end_pt1"]["refs_flat"] is pats["y", "end_pt1"]["refs_flat"]
+    assert pats["x", "end_pt1"]["ghost_bounds"] is gx["slot_bounds"]
+
+    mesh, m_b, p_b = build()
+    exe_b = AdaptiveExecutor.resume(path, p_b, euler_edge_loop(mesh))
+    arrays = restored_arrays(p_b, loop_name)
+    by_object: dict[int, list[str]] = {}
+    for where, arr in arrays.items():
+        by_object.setdefault(id(arr), []).append(where)
+    shared = {where for names in by_object.values() if len(names) > 1 for where in names}
+    assert any(w.endswith("counts") for w in shared)
+    assert any(w.endswith("refs_flat") for w in shared)
+    for where in sorted(shared):
+        assert not arrays[where].flags.writeable, where
+        with pytest.raises(ValueError, match="read-only"):
+            arrays[where][...] = 0
+    # a stray write to the slot bookkeeping raises instead of reaching the twin
+    for g in p_b.adapt.state_for(loop_name, "verify").groups.values():
+        with pytest.raises(ValueError, match="read-only"):
+            g.counts[0] += 1
+
+    # what the runtime writes in place: private, writeable, aliasing nothing
+    private = [w for w in arrays if w.startswith(("snapshot/", "ghosts "))]
+    assert private and not shared & set(private)
+    for where in private:
+        target = arrays[where]
+        if not target.size:
+            continue
+        before = {w: a.copy() for w, a in arrays.items()}
+        keep = target[0]
+        target[0] = keep + 1  # in place
+        changed = [w for w, a in arrays.items() if not np.array_equal(a, before[w])]
+        assert {id(arrays[w]) for w in changed} == {id(target)}, (where, changed)
+        target[0] = keep
+
+    # two more patch steps off the shared, frozen arrays: bit-identical
+    drive(exe_b, mesh, 2, start=2)
+    assert exe_b.mode_counts() == exe_ref.mode_counts() == {"full": 1, "reuse": 0, "patch": 3}
+    assert_machines_equal(m_ref, m_b)
+    assert_programs_equal(p_ref, p_b)
+    assert simulated_history(exe_ref) == simulated_history(exe_b)
+
+
 def test_run_with_checkpoint_every_writes_files(tmp_path):
     path = tmp_path / "periodic.ckpt"
     mesh, m, prog = build()
