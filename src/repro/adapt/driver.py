@@ -261,6 +261,7 @@ class IncrementalInspector:
                 return self._fallback(
                     loop.name, "route", "over_threshold",
                     n_changed=n_changed, n_tracked=n_tracked,
+                    threshold=self.max_change_fraction,
                 )
             try:
                 with obs.span(

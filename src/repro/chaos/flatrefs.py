@@ -17,15 +17,24 @@ import numpy as np
 class FlatRefs:
     """Per-processor reference lists in flat CSR form.
 
-    ``values`` concatenates every processor's list; processor ``p``'s
-    slice is ``values[bounds[p]:bounds[p+1]]``.
+    ``values`` stacks ``members`` lists back to back, every one laid out
+    by the same ``bounds``: inside a member, processor ``p``'s slice is
+    ``[bounds[p]:bounds[p+1]]`` of its ``bounds[-1]`` values.  One list
+    per processor is the ``members == 1`` case; a coalesced pattern
+    group (every pattern a gather over one iteration partition) has one
+    member per pattern.  ``requesters``, when the caller already holds
+    it, is the processor id of each position of one member.
     """
 
-    __slots__ = ("values", "bounds")
+    __slots__ = ("values", "bounds", "members", "requesters")
 
-    def __init__(self, values: np.ndarray, bounds: np.ndarray):
+    def __init__(
+        self, values: np.ndarray, bounds: np.ndarray, members: int = 1, requesters=None
+    ):
         self.values = np.asarray(values, dtype=np.int64)
         self.bounds = np.asarray(bounds, dtype=np.int64)
+        self.members = members
+        self.requesters = requesters
 
     @classmethod
     def from_lists(cls, ref_lists: "list[np.ndarray] | FlatRefs") -> "FlatRefs":
@@ -39,14 +48,35 @@ class FlatRefs:
         )
         return cls(values, bounds)
 
+    def check(self) -> None:
+        """Raise ``ValueError`` unless ``bounds`` is a CSR over one member
+        and ``values`` / ``requesters`` have the sizes it implies."""
+        b = self.bounds
+        if b.ndim != 1 or not b.size or b[0] != 0 or (b[1:] < b[:-1]).any():
+            raise ValueError(
+                f"reference bounds must start at 0 and never decrease; got {b}"
+            )
+        if self.members < 1 or self.values.shape != (self.members * b[-1],):
+            raise ValueError(
+                f"{self.values.size} reference values for {self.members} "
+                f"member(s) of {int(b[-1])} references each (bounds[-1])"
+            )
+        if self.requesters is not None and self.requesters.shape != (b[-1],):
+            raise ValueError(
+                f"{self.requesters.size} requester ids for {int(b[-1])} "
+                "references per member (bounds[-1])"
+            )
+
     @property
     def n_procs(self) -> int:
         return len(self.bounds) - 1
 
     def sizes(self) -> np.ndarray:
+        """References each processor holds in *one* member."""
         return np.diff(self.bounds)
 
     def segment(self, p: int) -> np.ndarray:
+        """Processor ``p``'s slice of the first (or only) member."""
         return self.values[self.bounds[p] : self.bounds[p + 1]]
 
     def segments(self) -> list[np.ndarray]:

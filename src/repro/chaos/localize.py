@@ -17,11 +17,16 @@ reference, ``localize``
 Reference lists travel in **flat form**: one concatenated value array
 plus CSR bounds (:class:`FlatRefs`), so the whole localize pass — one
 ``dereference_flat`` translation included — runs on single arrays with
-no per-processor concatenation or Python loop.  Plain per-processor
-lists are still accepted as *input* and flattened once at entry.  The
-result is flat only: :class:`LocalizeResult` stores ``(values, bounds)``
-pairs; ``FlatRefs(values, bounds).segment(p)`` slices one processor's
-part out of either.
+no per-processor concatenation or Python loop.  A coalesced pattern
+group is one *stacked* stream: its members' lists back to back, each in
+the same per-processor order under the one ``bounds``, so the requester
+of a position is a row-wise broadcast and a member of the result is a
+slice; plain per-processor lists (accepted as *input*, flattened once at
+entry) are the one-member case of the same body.  Only the
+off-processor references, one index list into the stream, are touched
+after the translation.  The result is flat only: :class:`LocalizeResult`
+stores ``(values, bounds)`` pairs; ``FlatRefs(values, bounds).segment(p)``
+slices one processor's part out of a one-member result.
 
 Deduplication is one direct sort (``repro.chaos.kernels``) over combined
 ``processor * stride + global_index`` keys, each packed with its stream
@@ -69,7 +74,9 @@ class LocalizeResult:
     refs_flat / ref_bounds:
         Per processor (CSR), the reference list rewritten to localized
         indices: values ``< local_size`` index the local segment, values
-        ``>= local_size`` index ghost slot ``value - local_size``.
+        ``>= local_size`` index ghost slot ``value - local_size``.  A
+        stacked input comes back stacked: every member's list, back to
+        back, under the one ``ref_bounds``.
     ghost_flat / ghost_bounds:
         Per processor (CSR), the unique off-processor global indices in
         ghost slot order.
@@ -112,7 +119,8 @@ def localize(
         Translation table of the *data* array's distribution.
     ref_lists:
         The global indices each processor's iterations dereference
-        (repeats allowed and common): a :class:`FlatRefs`, a
+        (repeats allowed and common): a :class:`FlatRefs` (malformed
+        ones are refused with ``ValueError`` before any charge), a
         per-processor list of arrays, or a zero-argument callable
         producing either -- the callable form lets a cache hit skip
         building the reference stream altogether.
@@ -138,6 +146,7 @@ def localize(
     if callable(ref_lists):
         ref_lists = ref_lists()
     refs = FlatRefs.from_lists(ref_lists)
+    refs.check()  # before anything is charged
     if refs.n_procs != n:
         raise ValueError(f"expected {n} reference lists, got {refs.n_procs}")
     # a recording sink forwards every charge unchanged, so a cold fill
@@ -145,17 +154,23 @@ def localize(
     sink = ChargeLog(machine) if caching else machine
     dist = ttable.dist
     flat_refs = refs.values
-    sizes = refs.sizes()
+    seg_sizes = refs.sizes()
+    sizes = refs.members * seg_sizes
+    pid = refs.requesters
+    if pid is None:
+        pid = np.repeat(np.arange(n, dtype=np.int64), seg_sizes)
     with obs.span("localize.dereference", n_refs=int(flat_refs.size)):
-        flat_owner, flat_lidx = ttable.dereference_flat(
-            flat_refs, refs.bounds, sink=sink
+        # ``localized_flat`` starts as the local offsets (a fresh array)
+        flat_owner, localized_flat = ttable.dereference_flat(
+            flat_refs, refs.bounds, sink=sink, requesters=pid
         )
 
     local_sizes_arr = dist.local_sizes()
-    flat_pid = np.repeat(np.arange(n, dtype=np.int64), sizes)
-
-    off = flat_owner != flat_pid
-    off_pid = flat_pid[off]
+    # stream positions of the off-processor references: the requester
+    # ids broadcast over the members' rows, and everything below is
+    # sized by this one index list, not by the stream
+    off = np.flatnonzero(flat_owner.reshape(refs.members, -1) != pid)
+    off_pid = pid[off % max(pid.size, 1)]
     off_refs = flat_refs[off]
     n_off = np.bincount(off_pid, minlength=n)
     # dedup off-processor references per processor with one keyed sorted
@@ -179,8 +194,7 @@ def localize(
 
     # rewrite every reference to a localized index: local offsets stay,
     # off-processor references become local_size + ghost slot
-    localized_flat = flat_lidx.copy()
-    localized_flat[off] = local_sizes_arr[off_pid] + slots[inverse]
+    localized_flat[off] = (local_sizes_arr[upid] + slots)[inverse]
     ref_bounds = refs.bounds
 
     # build schedule entries for each (owner q, requester p) pair: one

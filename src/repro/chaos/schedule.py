@@ -69,7 +69,7 @@ from typing import Callable
 import numpy as np
 
 from repro.chaos.costs import ChaosCosts, DEFAULT_COSTS
-from repro.chaos.kernels import first_segment_outside
+from repro.chaos.kernels import first_segment_outside, stable_order
 from repro.distribution.distarray import DistArray
 from repro.machine.machine import Machine, get_or_plan
 
@@ -157,7 +157,7 @@ class CommSchedule:
             flat_send,
             flat_recv,
             # wire order groups elements by owner q, stable within
-            np.argsort(flat_q, kind="stable"),
+            stable_order(flat_q, n),
             ghost_sizes,
             costs,
         )

@@ -68,8 +68,8 @@ class Translator(ABC):
         """Charge one requesting processor's dereference of ``g``."""
 
     @abstractmethod
-    def _charge_flat(self, sink, values: np.ndarray, bounds: np.ndarray) -> None:
-        """Charge the batched dereference of flat CSR ``(values, bounds)``.
+    def _charge_flat(self, sink, values: np.ndarray, bounds: np.ndarray, requesters) -> None:
+        """Charge the batched dereference :meth:`dereference_flat` describes.
 
         Must be bit-identical to per-processor :meth:`_charge_one` calls
         over the equivalent lists combined into whole-machine phases.
@@ -91,19 +91,25 @@ class Translator(ABC):
         return [self.dereference(p, refs) for p, refs in enumerate(ref_lists)]
 
     def dereference_flat(
-        self, values: np.ndarray, bounds: np.ndarray, sink=None
+        self, values: np.ndarray, bounds: np.ndarray, sink=None, requesters=None
     ) -> tuple[np.ndarray, np.ndarray]:
         """Flat-form batched dereference: one translation for all processors.
 
         ``values`` holds every processor's reference list concatenated;
         ``bounds`` is the ``(P + 1,)`` CSR bound array (processor ``p``'s
-        refs are ``values[bounds[p]:bounds[p+1]]``).  Returns flat
-        ``(owners, local_offsets)`` aligned with ``values``.  Charges are
-        bit-identical to :meth:`dereference_all` on the equivalent lists
-        and go to ``sink`` (the machine, or a recording charge log).
+        refs are ``values[bounds[p]:bounds[p+1]]``).  Several lists laid
+        out by the same ``bounds`` may be stacked back to back (a
+        :class:`FlatRefs` with ``members > 1``); ``requesters`` is the
+        requesting processor of each position of one of them, for a
+        caller that holds it already.  Returns flat ``(owners,
+        local_offsets)`` aligned with ``values``, both fresh arrays the
+        caller may overwrite.  Charges are bit-identical to
+        :meth:`dereference_all` on the equivalent lists and go to
+        ``sink`` (the machine, or a recording charge log).
         """
         owners, lidx = self._translate(values)
-        self._charge_flat(self.machine if sink is None else sink, values, bounds)
+        sink = self.machine if sink is None else sink
+        self._charge_flat(sink, values, bounds, requesters)
         return owners, lidx
 
     def _translate(self, gidx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -129,10 +135,11 @@ class RegularTranslationTable(Translator):
             p, iops=getattr(self.costs, self._per_ref_cost_field) * g.size
         )
 
-    def _charge_flat(self, sink, values: np.ndarray, bounds: np.ndarray) -> None:
+    def _charge_flat(self, sink, values: np.ndarray, bounds: np.ndarray, requesters) -> None:
+        members = np.size(values) // max(int(bounds[-1]), 1)
         sink.charge_compute_all(
             iops=getattr(self.costs, self._per_ref_cost_field)
-            * np.diff(bounds).astype(np.float64)
+            * (members * np.diff(bounds)).astype(np.float64)
         )
 
 
@@ -218,17 +225,20 @@ class DistributedTranslationTable(Translator):
                 src=uq, dst=req_p, nbytes=cnt * 2 * self.costs.index_bytes
             )
 
-    def _charge_flat(self, sink, values: np.ndarray, bounds: np.ndarray) -> None:
+    def _charge_flat(self, sink, values: np.ndarray, bounds: np.ndarray, requesters) -> None:
         """Batched paged-table charging: one page-owner bincount plus the
         request/probe/reply exchange phases, all count arithmetic -- no
         Python loop over processors and no re-validation scans."""
         n = self.machine.n_procs
         # requester * n + page owner, built in place on the page-owner
         # array (a fresh quotient whenever there are values: the chunk
-        # is nonzero then); the stream is grouped by requester
+        # is nonzero then), one row of it per stacked member
         key = self._page_owner(np.asarray(values, dtype=np.int64))
         if key.size:
-            key += np.repeat(np.arange(0, n * n, n), np.diff(bounds))
+            if requesters is None:
+                requesters = np.repeat(np.arange(n), np.diff(bounds))
+            rows = key.reshape(-1, requesters.size)
+            rows += requesters * n
         req_counts = np.bincount(key, minlength=n * n).reshape(n, n)
         # request exchange (indices), probe at owners, reply exchange (pairs)
         off_diag = req_counts.copy()

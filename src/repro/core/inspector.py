@@ -182,27 +182,32 @@ def run_inspector(
 
     # Phase D: localize every distinct access pattern
     n_procs = machine.n_procs
-    ref_cache: dict[str | None, FlatRefs] = {}
+    ref_cache: dict[tuple, FlatRefs] = {}
     patterns: dict[tuple[str, str | None], PatternData] = {}
 
     # flattened iteration partition: reference lists stay in flat
-    # (values, bounds) form end to end — one fancy-index over all
-    # iterations, no per-processor splits or concatenations (the
-    # partition already stores its flat form; no re-concatenation)
+    # (values, bounds) form end to end (the partition already stores its
+    # flat form; no re-concatenation)
     iter_flat, iter_bounds = itpart.iters_flat()
 
-    def per_proc_refs(index: str | None) -> FlatRefs:
-        """Global element indices each processor's iterations touch."""
-        refs = ref_cache.get(index)
+    def group_refs(group: tuple) -> FlatRefs:
+        """Global element indices the iterations touch through the
+        group's patterns (only a cold localize asks): one gather over the
+        partition per pattern, stacked back to back under its bounds."""
+        refs = ref_cache.get(group)
         if refs is None:
-            if index is None:
-                refs = FlatRefs(iter_flat, iter_bounds)
-            else:
-                # cached, content-versioned global assembly: repeated
-                # inspections of an unmutated indirection array reuse it
-                values = np.asarray(arrays[index].global_view(), dtype=np.int64)
-                refs = FlatRefs(values[iter_flat], iter_bounds)
-            ref_cache[index] = refs
+            values = np.empty((len(group), iter_flat.size), dtype=np.int64)
+            for row, index in zip(values, group):
+                if index is None:
+                    row[:] = iter_flat
+                else:
+                    # cached, content-versioned global assembly: repeated
+                    # inspections of an unmutated indirection array reuse it
+                    ind = np.asarray(arrays[index].global_view(), dtype=np.int64)
+                    np.take(ind, iter_flat, out=row)
+            refs = ref_cache[group] = FlatRefs(
+                values.reshape(-1), iter_bounds, len(group), itpart.proc_of_position()
+            )
         return refs
 
     def get_ttable(array_name: str) -> TranslationTable:
@@ -263,36 +268,9 @@ def run_inspector(
         )
         return slot, version
 
-    # A group of patterns localized together lays its reference stream
-    # out processor-major, members back to back inside each processor's
-    # block.  Every member's per-processor segment has the iteration
-    # partition's size (all streams are gathers over it), so where a
-    # member's references sit in the stream is pure size arithmetic.
-    seg_sizes = np.diff(iter_bounds)
-    positions: dict[tuple[int, int], np.ndarray] = {}
-
-    def member_positions(k: int, n_members: int) -> np.ndarray:
-        """Stream position of every reference of a group's ``k``-th member
-        (a cold group asks twice: to lay the stream out, then to split)."""
-        pos = positions.get((k, n_members))
-        if pos is None:
-            start = n_members * iter_bounds[:-1] + k * seg_sizes
-            pos = positions[(k, n_members)] = np.repeat(
-                start - iter_bounds[:-1], seg_sizes
-            ) + np.arange(iter_flat.size, dtype=np.int64)
-        return pos
-
-    def group_refs(group: tuple) -> FlatRefs:
-        """The group's reference stream (only a cold localize asks)."""
-        if len(group) == 1:
-            return per_proc_refs(group[0])
-        values = np.empty(len(group) * iter_flat.size, dtype=np.int64)
-        for k, index in enumerate(group):
-            values[member_positions(k, len(group))] = per_proc_refs(index).values
-        return FlatRefs(values, len(group) * iter_bounds)
-
     def member_arrays(loc: LocalizeResult, k: int, group: tuple) -> PatternArrays:
-        """The ``k``-th member's holder, shared through ``loc.derived``.
+        """The ``k``-th member's holder, shared through ``loc.derived``:
+        its slice of the group's stacked localized references (a view).
 
         Host-level only: nothing here may charge the machine (a warm hit
         replays the cold run's recorded charges and nothing else).
@@ -301,10 +279,7 @@ def run_inspector(
         if cache is not None:
             cache.note_derived(hit=held is not None)
         if held is None:
-            if len(group) == 1:
-                refs = loc.refs_flat
-            else:
-                refs = loc.refs_flat[member_positions(k, len(group))]
+            refs = loc.refs_flat[k * iter_flat.size : (k + 1) * iter_flat.size]
             held = loc.derived[group[k]] = PatternArrays(refs, iter_bounds)
         return held
 

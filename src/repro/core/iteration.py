@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.chaos.costs import ChaosCosts, DEFAULT_COSTS
-from repro.chaos.kernels import majority_owner, pair_counts, stable_order
+from repro.chaos.kernels import majority_owner, stable_order
 from repro.chaos.transcache import ChargeLog, PartitionEntry, TranslationCache
 from repro.core import cachekey
 from repro.core.forall import ForallLoop
@@ -237,14 +237,15 @@ def partition_iterations(
     sink = machine if cache is None else ChargeLog(machine)
     # cost: each processor examines its block of iterations -- one
     # translation probe + vote update per reference
-    init = BlockDistribution(n, n_procs)
-    per_proc_iter = init.local_sizes().astype(np.float64)
+    block_sizes = BlockDistribution(n, n_procs).local_sizes()
     sink.charge_compute_all(
-        iops=per_proc_iter * len(refs) * (costs.hash_lookup + 2.0)
+        iops=block_sizes.astype(np.float64) * len(refs) * (costs.hash_lookup + 2.0)
     )
-    # ship iterations whose home differs from their initial block holder
-    init_holder = np.asarray(init.owner(np.arange(n, dtype=np.int64)))
-    moved = pair_counts(init_holder, home, n_procs)
+    # ship iterations whose home differs from their initial block holder:
+    # a (holder, home) histogram (``partition_from_home`` range-checked ``home``)
+    holder = np.repeat(np.arange(0, n_procs * n_procs, n_procs), block_sizes)
+    moved = np.bincount(holder + home, minlength=n_procs * n_procs)
+    moved = moved.reshape(n_procs, n_procs)
     np.fill_diagonal(moved, 0)
     move_p, move_q = np.nonzero(moved)
     sink.exchange(

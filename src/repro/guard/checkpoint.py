@@ -73,10 +73,10 @@ _FORMAT = "repro-checkpoint"
 _VERSION = 1
 
 #: driver-history fields kept out of the file, with the value a restored
-#: record gets instead: host-clock bookkeeping added after format
-#: version 1 was fixed.  Files stay byte-compatible in both directions,
-#: and a resumed process (which is handed built state) reports no build.
-_UNSAVED_HISTORY_FIELDS = {"state_build_wall_seconds": 0.0}
+#: record gets instead (a file that has one keeps it): host-clock
+#: seconds, which would make the bytes -- and through the envelope's CRC
+#: integer the file size -- differ between two runs of one campaign.
+_UNSAVED_HISTORY_FIELDS = {"state_build_wall_seconds": 0.0, "inspect_wall_seconds": 0.0}
 
 
 def previous_checkpoint_path(path) -> str:
@@ -141,19 +141,23 @@ def _schedule_payload(sched: CommSchedule) -> dict:
 
 
 def _product_payload(
-    product: InspectorProduct, schedules: dict, ghosts: dict
+    product: InspectorProduct, schedules: dict, ghosts: dict, ordinals: dict
 ) -> dict:
+    def ordinal(obj) -> int:
+        # first-seen rank: equal programs write equal bytes (``id()`` varies)
+        return ordinals.setdefault(id(obj), len(ordinals))
+
     part = product.iteration_partition
     flat, bounds = part.iters_flat()
     patterns = []
     for key, pat in product.patterns.items():
-        sid = id(pat.localized.schedule)
+        sid = ordinal(pat.localized.schedule)
         if sid not in schedules:
             schedules[sid] = _schedule_payload(pat.localized.schedule)
-        gid = id(pat.ghosts)
+        gid = ordinal(pat.ghosts)
         if gid not in ghosts:
             ghosts[gid] = {
-                "schedule": id(pat.ghosts.schedule),
+                "schedule": ordinal(pat.ghosts.schedule),
                 "dtype": pat.ghosts.dtype.str,
                 "backing": pat.ghosts.backing,
             }
@@ -242,13 +246,14 @@ def save_checkpoint(path, program, driver=None) -> None:
     machine = program.machine
     schedules: dict[int, dict] = {}
     ghost_bufs: dict[int, dict] = {}
+    ordinals: dict[int, int] = {}  # id(shared object) -> table key
     records = {}
     for name, rec in program.records.items():
         records[name] = {
             "data_dads": {k: _dad_payload(d) for k, d in rec.data_dads.items()},
             "ind_dads": {k: _dad_payload(d) for k, d in rec.ind_dads.items()},
             "ind_last_mod": dict(rec.ind_last_mod),
-            "product": _product_payload(rec.product, schedules, ghost_bufs),
+            "product": _product_payload(rec.product, schedules, ghost_bufs, ordinals),
         }
     ttables = []
     for (aname, sig), tt in program.ttables.items():

@@ -68,6 +68,11 @@ def test_threshold_boundary(n_changed, expect_patch):
         assert rec["reason"] == "over_threshold"
         assert rec["n_changed"] == n_changed
         assert rec["n_tracked"] == 2 * mesh.n_edges
+        # the event says what it lost against: the routing comparison
+        # can be redone from the payload alone
+        (event,) = prog.events.payloads("adapt.fallback")
+        assert event["threshold"] == THRESHOLD_COUNT / (2 * mesh.n_edges)
+        assert event["n_changed"] > event["threshold"] * event["n_tracked"]
 
 
 def test_rewrite_without_change_does_not_count():

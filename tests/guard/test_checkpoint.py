@@ -530,3 +530,36 @@ class TestCrashSafeSave:
         _, _, prog = build(n_procs=8)
         with pytest.raises(CheckpointError, match="processors"):
             AdaptiveExecutor.resume(path, prog, euler_edge_loop(mesh))
+
+
+def test_checkpoint_bytes_are_reproducible(tmp_path):
+    """Two separately built, equal campaigns write byte-identical files.
+
+    The shared-schedule / shared-ghost tables are keyed by first-seen
+    ordinal and the driver history leaves its host-clock seconds out.
+    Keyed by ``id()`` (as the tables were) the payload bytes differed
+    from build to build, and with them the envelope's CRC -- an integer
+    pickle writes in 5 bytes below 2**31 and 7 above, the +-2 wobble of
+    every recorded checkpoint size.
+    """
+    def campaign(tag, junk):
+        mesh, _, prog = build()
+        exe = AdaptiveExecutor(prog, euler_edge_loop(mesh))
+        drive(exe, mesh, 3)
+        save_checkpoint(tmp_path / f"{tag}.ckpt", prog, driver=exe)
+        return junk
+
+    # allocations between the two builds move every later object's id()
+    keep = campaign("a", [np.empty(1000 + 37 * i) for i in range(50)])
+    campaign("b", keep)
+    assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
+    pay = load_checkpoint(tmp_path / "a.ckpt")
+    # the keys are small ordinals, opaque to the loader
+    assert sorted([*pay["schedules"], *pay["ghosts"]]) == list(
+        range(len(pay["schedules"]) + len(pay["ghosts"]))
+    )
+    assert {g["schedule"] for g in pay["ghosts"].values()} <= set(pay["schedules"])
+    # a resumed driver reports none of its predecessor's host seconds
+    mesh, _, prog = build()
+    exe = AdaptiveExecutor.resume(tmp_path / "a.ckpt", prog, euler_edge_loop(mesh))
+    assert [r["inspect_wall_seconds"] for r in exe.history] == [0.0] * 3
