@@ -443,7 +443,9 @@ class AdaptiveExecutor:
         """Rebuild an executor mid-campaign from a checkpoint file.
 
         ``program`` must be a freshly constructed program with the same
-        shape (machine size, arrays, options) as the checkpointed one;
+        shape (machine size, declared decompositions and arrays,
+        options) as the checkpointed one -- the distributions come from
+        the file;
         ``loop`` is the campaign loop (loops hold callables, so they are
         re-bound rather than serialized).  The restored executor's next
         :meth:`step` produces the same simulated numbers the
@@ -454,7 +456,9 @@ class AdaptiveExecutor:
         falls back to it -- a kill mid-write or later disk corruption
         costs at most one checkpoint interval, never the campaign.  The
         executor records which generation it came from in
-        ``resumed_from`` (``"primary"`` or ``"prev"``).
+        ``resumed_from`` (``"primary"`` or ``"prev"``).  Each generation
+        tried is read once; only an unreadable file falls back -- a
+        readable one that does not fit ``program`` raises.
         """
         import os
 
@@ -466,19 +470,15 @@ class AdaptiveExecutor:
         from repro.guard.errors import CheckpointError
 
         exe = cls(program, loop)
-        source = "primary"
         try:
-            # validate the envelope before any program state is touched:
-            # a damaged primary must be able to fall back cleanly
-            load_checkpoint(path)
+            payload, source = load_checkpoint(path), "primary"
         except CheckpointError:
             prev = previous_checkpoint_path(path)
             if not os.path.exists(prev):
                 raise
-            load_checkpoint(prev)  # damaged too -> CheckpointError, no fallback
-            path = prev
-            source = "prev"
-        restore_checkpoint(path, program, {loop.name: loop}, driver=exe)
+            # damaged too -> CheckpointError, no further fallback
+            payload, source = load_checkpoint(prev), "prev"
+        restore_checkpoint(payload, program, {loop.name: loop}, driver=exe)
         exe.resumed_from = source
         return exe
 

@@ -83,7 +83,6 @@ class IrregularProgram:
         coalesce_patterns: bool = True,
         tracking_scope: str = "all",
         incremental: bool = False,
-        incremental_threshold: float = 0.35,
         guard: str | None = None,
         translation_cache: str = "on",
         obs: str | None = None,
@@ -106,7 +105,7 @@ class IrregularProgram:
         the conservative reuse check fails only because indirection
         *values* changed, the saved inspector product is diffed and
         patched instead of rebuilt (falling back to the full inspector
-        when more than ``incremental_threshold`` of the tracked
+        when more than ``adapt.max_change_fraction`` of the tracked
         indirection elements changed, or when no region information is
         available).  Requires ``track=True``.
 
@@ -192,9 +191,7 @@ class IrregularProgram:
             # above core in the layering and is pulled in on demand
             from repro.adapt.driver import IncrementalInspector
 
-            self.adapt = IncrementalInspector(
-                self, max_change_fraction=incremental_threshold
-            )
+            self.adapt = IncrementalInspector(self)
         else:
             self.adapt = None
         # statistics the benches report

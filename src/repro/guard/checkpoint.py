@@ -6,8 +6,9 @@ A checkpoint captures everything a mid-campaign
 
 * the machine's counters (per-processor clocks, message/byte/op tallies)
   and its phase records,
-* every distributed array's flat backing (validated against the live
-  distribution signature on restore),
+* every decomposition's distribution as constructor data and every
+  distributed array's flat backing: restore rebuilds the distributions
+  itself, so resuming needs no replay of the campaign's remaps,
 * the modification registry (``nmod``, ``last_mod``, the per-DAD dirty
   event log),
 * the saved inspector records with their products -- iteration
@@ -34,9 +35,9 @@ Two things are deliberately *not* serialized:
 The file format is an envelope ``{"format", "version", "crc",
 "payload"}`` where ``payload`` is a pickled plain-data dict and ``crc``
 is its CRC-32; :class:`~repro.guard.errors.CheckpointError` is raised on
-a truncated/corrupted file, a version mismatch, or a shape mismatch with
-the program being restored (machine size, array set, distribution
-signatures).
+a truncated/corrupted file, a version mismatch (crash-recovery state
+has no reader for older versions), or a shape mismatch with the program
+being restored (machine size, declared decompositions and arrays).
 
 Scope: the campaign path (``forall`` / array writes / incremental
 patching).  Mapper-coupling state (GeoCoL graphs, partitioner results)
@@ -65,12 +66,37 @@ from repro.core.inspector import InspectorProduct, PatternData
 from repro.core.iteration import IterationPartition
 from repro.core.records import InspectorRecord
 from repro.chaos.localize import LocalizeResult
+from repro.distribution.irregular import ExplicitDistribution, IrregularDistribution
+from repro.distribution.regular import (
+    BlockCyclicDistribution,
+    BlockDistribution,
+    CyclicDistribution,
+)
 from repro.guard.errors import CheckpointError
 from repro.machine.machine import Machine
 from repro.machine.stats import COUNTER_FIELDS, CounterBlock, PhaseRecord
 
 _FORMAT = "repro-checkpoint"
-_VERSION = 1
+_VERSION = 2
+
+
+def _owners(dist):
+    """The owner map in the smallest unsigned dtype holding every processor id."""
+    return dist.owner_map().astype(np.min_scalar_type(dist.n_procs - 1))
+
+
+#: ``kind -> (class, its constructor arguments but n_procs)``: what the
+#: file holds of a distribution, and how restore rebuilds it
+_DISTRIBUTIONS = {
+    "block": (BlockDistribution, lambda d: {"size": d.size}),
+    "cyclic": (CyclicDistribution, lambda d: {"size": d.size}),
+    "block_cyclic": (BlockCyclicDistribution, lambda d: {"size": d.size, "block": d.block}),
+    "irregular": (IrregularDistribution, lambda d: {"owner_map": _owners(d)}),
+    "explicit": (
+        ExplicitDistribution,
+        lambda d: {"owner_map": _owners(d), "local_map": d.local_map()},
+    ),
+}
 
 #: driver-history fields kept out of the file, with the value a restored
 #: record gets instead (a file that has one keeps it): host-clock
@@ -114,6 +140,10 @@ def _machine_payload(machine: Machine) -> dict:
         for rec in machine.stats.phases
     ]
     return {"counters": _counters_payload(machine.counters), "phases": phases}
+
+
+def _distribution_payload(dist) -> dict:
+    return {"kind": dist.kind, **_DISTRIBUTIONS[dist.kind][1](dist)}
 
 
 def _dad_payload(dad: DAD) -> tuple:
@@ -263,9 +293,13 @@ def save_checkpoint(path, program, driver=None) -> None:
     payload = {
         "n_procs": machine.n_procs,
         "machine": _machine_payload(machine),
+        "decomps": {
+            name: _distribution_payload(dec.distribution)
+            for name, dec in program.decomps.items()
+            if dec.distribution is not None
+        },
         "arrays": {
             name: {
-                "signature": arr.distribution.signature(),
                 "dtype": arr.dtype.str,
                 "backing": arr.backing_ro,
             }
@@ -353,26 +387,41 @@ def _restore_machine(machine: Machine, payload: dict) -> None:
         )
 
 
-def _restore_arrays(program, payload: dict) -> None:
-    # validate everything first: a mismatch must leave the program untouched
-    for name, saved in payload.items():
-        arr = program.arrays.get(name)
-        if arr is None:
+def _build_distributions(program, payload: dict) -> list:
+    """Rebuild every checkpointed distribution and match the saved arrays
+    to the program's declarations, mutating nothing; returns
+    ``[(decomposition, distribution)]``."""
+    unmatched = dict(payload["arrays"])
+    built = []
+    for name, saved in payload["decomps"].items():
+        dec = program.decomps.get(name)
+        if dec is None:
+            raise CheckpointError(f"checkpointed decomposition {name!r} is not declared here")
+        args = dict(saved)
+        kind = args.pop("kind")
+        if kind not in _DISTRIBUTIONS:
+            raise CheckpointError(f"decomposition {name!r}: unknown distribution kind {kind!r}")
+        try:
+            dist = _DISTRIBUTIONS[kind][0](**args, n_procs=payload["n_procs"])
+        except (TypeError, ValueError) as exc:
+            raise CheckpointError(f"malformed {kind} distribution {name!r}: {exc}") from exc
+        if dist.size != dec.size:
             raise CheckpointError(
-                f"checkpointed array {name!r} does not exist in this program"
+                f"decomposition {name!r} has size {dec.size}, checkpoint {dist.size}"
             )
-        if arr.distribution.signature() != saved["signature"]:
-            raise CheckpointError(
-                f"array {name!r} has a different distribution than the "
-                "checkpoint (remap the program identically before resuming)"
-            )
-        if arr.dtype.str != saved["dtype"]:
-            raise CheckpointError(
-                f"array {name!r} has dtype {arr.dtype}, checkpoint has "
-                f"{saved['dtype']}"
-            )
-    for name, saved in payload.items():
-        program.arrays[name].backing_mut()[:] = saved["backing"]
+        for arr in dec.arrays:
+            saved_arr = unmatched.pop(arr.name, None)
+            if saved_arr is None:
+                raise CheckpointError(f"array {arr.name!r} of {name!r} is not in the checkpoint")
+            if (saved_arr["dtype"], saved_arr["backing"].shape) != (arr.dtype.str, (arr.size,)):
+                raise CheckpointError(
+                    f"array {arr.name!r} has dtype {arr.dtype} and size {arr.size}, checkpoint "
+                    f"has {saved_arr['dtype']} and shape {saved_arr['backing'].shape}"
+                )
+        built.append((dec, dist))
+    if unmatched:
+        raise CheckpointError(f"checkpointed arrays {sorted(unmatched)} have no aligned match here")
+    return built
 
 
 def _restore_registry(registry, payload: dict) -> None:
@@ -523,26 +572,35 @@ def _restore_adapt(adapt, payload: dict) -> None:
     )
 
 
-def restore_checkpoint(path, program, loops, driver=None) -> dict:
-    """Restore ``program`` (and optionally a driver) from a checkpoint.
+def restore_checkpoint(payload, program, loops, driver=None) -> None:
+    """Restore ``program`` (and optionally a driver) from the payload
+    :func:`load_checkpoint` returned.
 
     ``program`` must be freshly constructed with the same shape as the
-    checkpointed one -- same machine size, same declared arrays with the
-    same distributions; ``loops`` maps loop name to the live
-    :class:`~repro.core.forall.ForallLoop` objects of the campaign.
-    After restoring, continuing the campaign produces simulated numbers
-    bit-identical to a run that never stopped.  Returns the raw payload
-    (for introspection).
+    checkpointed one -- same machine size, same declared decompositions
+    and arrays (their distributions come from the file); ``loops`` maps
+    loop name to the live :class:`~repro.core.forall.ForallLoop` objects
+    of the campaign.  After restoring, continuing the campaign produces
+    simulated numbers bit-identical to a run that never stopped.  A
+    :class:`CheckpointError` is raised before anything is mutated.
     """
-    payload = load_checkpoint(path)
     if payload["n_procs"] != program.machine.n_procs:
         raise CheckpointError(
             f"checkpoint is for {payload['n_procs']} processors, program "
             f"machine has {program.machine.n_procs}"
         )
-    # validate arrays before mutating anything: a shape mismatch must
-    # leave the program untouched
-    _restore_arrays(program, payload["arrays"])
+    if payload["adapt"] is not None and program.adapt is None:
+        raise CheckpointError(
+            "checkpoint carries incremental-inspection state; construct "
+            "the program with incremental=True before resuming"
+        )
+    distributions = _build_distributions(program, payload)
+    records = _restore_products(program, payload, loops)
+    for dec, dist in distributions:
+        dec.distribution = dist
+        for arr in dec.arrays:
+            # a private, writable copy: the loaded array may be read-only
+            arr.rebind_flat(dist, payload["arrays"][arr.name]["backing"].copy())
     _restore_machine(program.machine, payload["machine"])
     _restore_registry(program.registry, payload["registry"])
     prog_p = payload["program"]
@@ -554,14 +612,9 @@ def restore_checkpoint(path, program, loops, driver=None) -> dict:
     program.events.replace_category(
         "guard", [dict(e) for e in prog_p["guard_events"]]
     )
-    program.records = _restore_products(program, payload, loops)
+    program.records = records
     _restore_ttables(program, payload["ttables"])
     if payload["adapt"] is not None:
-        if program.adapt is None:
-            raise CheckpointError(
-                "checkpoint carries incremental-inspection state; construct "
-                "the program with incremental=True before resuming"
-            )
         _restore_adapt(program.adapt, payload["adapt"])
     elif program.adapt is not None:
         program.adapt.replace_states({})
@@ -569,4 +622,3 @@ def restore_checkpoint(path, program, loops, driver=None) -> dict:
         driver.history = [
             {**_UNSAVED_HISTORY_FIELDS, **rec} for rec in payload["driver"]["history"]
         ]
-    return payload

@@ -80,8 +80,8 @@ def fiedler_vector(n: int, edges: np.ndarray, rng: np.random.Generator) -> np.nd
         vec = vecs[:, 0]
         if np.all(np.isfinite(vec)) and np.ptp(vec) > 0:
             return vec
-    except Exception:
-        pass
+    except (np.linalg.LinAlgError, ValueError):
+        pass  # LOBPCG broke down (e.g. a singular Rayleigh-Ritz step): solve below
     if n <= 4000:
         return _dense_fiedler(L.toarray())
     # last resort: shifted power-ish refinement of a random vector is

@@ -7,10 +7,11 @@ carries the whole fault-tolerance story of a single attempt:
 
 * every ``checkpoint_every`` steps the full program + driver state is
   saved through ``repro.guard.checkpoint`` (crash-safe, rotated);
-* when a checkpoint exists at start (this attempt is a retry of a
-  crashed one), the job **resumes** from it instead of starting over --
-  falling back to the rotated ``.prev`` generation when the primary is
-  damaged -- and continues bit-identically with an uninterrupted run;
+* every attempt first tries ``AdaptiveExecutor.resume``: a retry of a
+  crashed attempt continues bit-identically with an uninterrupted run
+  (from the rotated previous generation when the primary is damaged),
+  and a ``CheckpointError`` -- no file, both generations damaged, an
+  older format -- means it starts over: a degradation, not an error;
 * scripted host faults (``crash_at_step`` & co.) kill the process the
   way the chaos harness needs: after the step completes, so the
   supervisor sees a mid-job worker death with a checkpoint on disk.
@@ -29,7 +30,6 @@ import zlib
 import numpy as np
 
 from repro.adapt.driver import AdaptiveExecutor
-from repro.guard.checkpoint import load_checkpoint, previous_checkpoint_path
 from repro.guard.errors import CheckpointError
 from repro.guard.faults import FaultPlan
 from repro.machine.machine import Machine
@@ -90,56 +90,32 @@ class _Scenario:
 
     ``mutate(prog, step)`` applies whatever adaptation precedes ``step``
     (0-based); it must be a pure function of (config, step, current
-    program state) so that a resumed attempt replays the identical
-    stream.  ``replay_distributions`` brings a *fresh* program's
-    distributions to their state after ``steps_done`` steps -- required
-    before ``restore_checkpoint``, which validates distribution
-    signatures (array contents and counters are then overwritten by the
-    restore, so replay charges are discarded).
+    program state) so that a resumed attempt continues the identical
+    stream.
     """
 
     def __init__(self, config: JobConfig, mesh):
         self.config = config
         self.mesh = mesh
         if config.scenario == "adapt":
-            n_events = self._n_events(config.steps)
+            n_events = max((config.steps - 1) // config.adapt_every, 1)
             self.schedule = build_refinement_schedule(
-                mesh, config.fraction, max(n_events, 1), seed=config.seed
+                mesh, config.fraction, n_events, seed=config.seed
             )
 
-    def _n_events(self, steps: int) -> int:
-        k = self.config.adapt_every
-        return len([i for i in range(steps) if i > 0 and i % k == 0])
-
-    def _event_index(self, step: int) -> int | None:
-        k = self.config.adapt_every
-        if step > 0 and step % k == 0:
-            return step // k - 1
-        return None
-
     def mutate(self, prog, step: int) -> None:
-        epoch = self._event_index(step)
-        if epoch is None:
+        k = self.config.adapt_every
+        if step == 0 or step % k:
             return
+        epoch = step // k - 1
         if self.config.scenario == "adapt":
             apply_adaptation(prog, self.schedule.updates[epoch])
         elif self.config.scenario == "rebalance":
-            self._rebalance(prog, epoch)
-
-    def _rebalance(self, prog, epoch: int) -> None:
-        dist = prog.decomps["reg"].distribution
-        w = drifting_weights(self.mesh, epoch, seed=self.config.seed)
-        move_g, move_to = rebalance_moves(dist, w, slack=self.config.slack)
-        if move_g.size:
-            prog.redistribute("reg", moved=(move_g, move_to))
-
-    def replay_distributions(self, prog, steps_done: int) -> None:
-        if self.config.scenario != "rebalance":
-            return  # sweep/adapt never change a distribution
-        for step in range(steps_done):
-            epoch = self._event_index(step)
-            if epoch is not None:
-                self._rebalance(prog, epoch)
+            dist = prog.decomps["reg"].distribution
+            w = drifting_weights(self.mesh, epoch, seed=self.config.seed)
+            move_g, move_to = rebalance_moves(dist, w, slack=self.config.slack)
+            if move_g.size:
+                prog.redistribute("reg", moved=(move_g, move_to))
 
 
 def _build(config: JobConfig):
@@ -158,27 +134,6 @@ def _build(config: JobConfig):
     return mesh, machine, prog, loop, plan
 
 
-def _select_checkpoint(path: str) -> tuple[str, str] | None:
-    """Which checkpoint generation to resume from, if any.
-
-    Returns ``(file, source)`` with ``source`` in ``{"primary", "prev"}``,
-    or ``None`` when no usable checkpoint exists (fresh start).  A
-    damaged primary falls back to the rotated ``.prev``; both damaged
-    means the retry starts from scratch rather than failing -- losing
-    progress is a degradation, not an error.
-    """
-    candidates = [(path, "primary"), (previous_checkpoint_path(path), "prev")]
-    for file, source in candidates:
-        if not os.path.exists(file):
-            continue
-        try:
-            load_checkpoint(file)
-        except CheckpointError:
-            continue
-        return file, source
-    return None
-
-
 def run_job(
     config: JobConfig,
     checkpoint_path: str | None = None,
@@ -192,22 +147,16 @@ def run_job(
     detectable.  ``attempt`` is 1-based; host crash scripting only fires
     while ``attempt <= config.crash_attempts``.
     """
-    from repro.guard.checkpoint import restore_checkpoint
-
     mesh, machine, prog, loop, _plan = _build(config)
-    exe = AdaptiveExecutor(prog, loop)
     scenario = _Scenario(config, mesh)
 
-    start_step = 0
-    resume_source = None
+    exe = AdaptiveExecutor(prog, loop)
     if checkpoint_path is not None:
-        selected = _select_checkpoint(checkpoint_path)
-        if selected is not None:
-            file, resume_source = selected
-            steps_done = len(load_checkpoint(file)["driver"]["history"])
-            scenario.replay_distributions(prog, steps_done)
-            restore_checkpoint(file, prog, {loop.name: loop}, driver=exe)
-            start_step = steps_done
+        try:
+            exe = AdaptiveExecutor.resume(checkpoint_path, prog, loop)
+        except CheckpointError:
+            pass  # no usable generation (and nothing restored): start over
+    start_step = len(exe.history)
 
     for step in range(start_step, config.steps):
         scenario.mutate(prog, step)
@@ -239,7 +188,7 @@ def run_job(
             # no exception propagation, pipe EOF
             os._exit(17)
 
-    return _result(config, machine, prog, exe, attempt, start_step, resume_source)
+    return _result(config, machine, prog, exe, attempt, start_step)
 
 
 def _flip_byte(path: str) -> None:
@@ -251,9 +200,7 @@ def _flip_byte(path: str) -> None:
         f.write(bytes([b[0] ^ 0xFF]))
 
 
-def _result(
-    config, machine, prog, exe, attempt, start_step, resume_source
-) -> dict:
+def _result(config, machine, prog, exe, attempt, start_step) -> dict:
     counter_crcs = {
         name: zlib.crc32(
             np.ascontiguousarray(getattr(machine.counters, name)).tobytes()
@@ -275,8 +222,8 @@ def _result(
         # attempt-history fields: NOT part of the bit-identity contract
         "attempt": attempt,
         "start_step": start_step,
-        "resumed": resume_source is not None,
-        "resume_source": resume_source,
+        "resumed": exe.resumed_from is not None,
+        "resume_source": exe.resumed_from,
         "n_guard_events": len(prog.events.category("guard")),
         "n_faults_fired": (
             0 if machine.faults is None else len(machine.faults.fired)

@@ -40,6 +40,7 @@ from dataclasses import asdict
 
 import numpy as np
 
+from repro.guard.checkpoint import previous_checkpoint_path
 from repro.obs import EventBus, NULL_TRACER, Tracer, export_trace
 from repro.serve.cache import ResultCache
 from repro.serve.config import JobConfig, config_key
@@ -414,7 +415,7 @@ class SimulationService:
             job = self._queue.popleft()
             job.attempts += 1
             ckpt = self._checkpoint_path(job.key)
-            resuming = os.path.exists(ckpt) or os.path.exists(f"{ckpt}.prev")
+            resuming = os.path.exists(ckpt) or os.path.exists(previous_checkpoint_path(ckpt))
             try:
                 w.conn.send(
                     {
@@ -556,7 +557,7 @@ class SimulationService:
             return
         delay = self._backoff(job.attempts)
         ckpt = self._checkpoint_path(job.key)
-        can_resume = os.path.exists(ckpt) or os.path.exists(f"{ckpt}.prev")
+        can_resume = os.path.exists(ckpt) or os.path.exists(previous_checkpoint_path(ckpt))
         job.state = "retrying"
         job._event(
             "retrying",
@@ -586,7 +587,7 @@ class SimulationService:
 
     def _cleanup_checkpoints(self, key: str) -> None:
         ckpt = self._checkpoint_path(key)
-        for path in (ckpt, f"{ckpt}.prev"):
+        for path in (ckpt, previous_checkpoint_path(ckpt)):
             try:
                 os.remove(path)
             except OSError:

@@ -360,7 +360,8 @@ class TestFallbacks:
         assert prog.inspector_runs == 2
 
     def test_threshold_falls_back_to_full(self):
-        mesh, m, prog = self.build(incremental_threshold=0.001)
+        mesh, m, prog = self.build()
+        prog.adapt.max_change_fraction = 0.001
         loop = euler_edge_loop(mesh)
         prog.forall(loop, n_times=1)
         rng = np.random.default_rng(0)

@@ -10,22 +10,25 @@ the resume point and after continuing.
 
 import os
 import pickle
+import zlib
 
 import numpy as np
 import pytest
 
-from repro import AdaptiveExecutor
+from repro import AdaptiveExecutor, IrregularDistribution, IrregularProgram
 from repro.guard import (
     CheckpointError,
     FaultPlan,
     load_checkpoint,
     previous_checkpoint_path,
+    restore_checkpoint,
     save_checkpoint,
 )
 from repro.machine import Machine
 from repro.machine.stats import COUNTER_FIELDS
 from repro.workloads import generate_mesh
 from repro.workloads.euler import euler_edge_loop, setup_euler_program
+from repro.workloads.rebalance import drifting_weights, rebalance_moves
 
 N_PROCS = 4
 
@@ -168,6 +171,98 @@ def test_resume_after_kill_is_bit_identical(tmp_path):
     assert exe_ref.mode_counts() == exe_b.mode_counts()
     # the campaign actually exercised the patch path on both sides
     assert exe_ref.mode_counts()["patch"] >= 1
+
+
+#: steps preceded by a load balancer's move list (before the checkpoint
+#: after step 4: three; after it: one more)
+REBALANCE_BEFORE = (1, 2, 3, 5)
+
+
+def drive_rebalancing(exe, mesh, steps, start=0):
+    """Edge churn every step and, before each step in
+    ``REBALANCE_BEFORE``, an incremental ``redistribute(moved=)`` of the
+    node decomposition (a derivable move list, as ``drive``'s churn)."""
+    prog = exe.program
+    for step in range(start, start + steps):
+        if step in REBALANCE_BEFORE:
+            w = drifting_weights(mesh, step, seed=2)
+            moved = rebalance_moves(prog.decomps["reg"].distribution, w, slack=0.02)
+            assert moved[0].size
+            prog.redistribute("reg", moved=moved)
+        mutate(prog, mesh, step)
+        exe.step()
+
+
+def test_rebalanced_campaign_resumes_without_replay(tmp_path):
+    """The checkpoint carries the distributions: a fresh program that
+    never saw the campaign's three move lists resumes it bit-identically."""
+    path = tmp_path / "rebalance.ckpt"
+    mesh, m_ref, p_ref = build()
+    exe_ref = AdaptiveExecutor(p_ref, euler_edge_loop(mesh))
+    drive_rebalancing(exe_ref, mesh, 6)
+
+    mesh, _, p_a = build()
+    exe_a = AdaptiveExecutor(p_a, euler_edge_loop(mesh))
+    drive_rebalancing(exe_a, mesh, 4)
+    exe_a.checkpoint(path)
+
+    # still on the RCB distribution `build` gave it: nothing replayed
+    mesh, m_b, p_b = build()
+    assert p_b.decomps["reg"].distribution.kind == "irregular"
+    exe_b = AdaptiveExecutor.resume(path, p_b, euler_edge_loop(mesh))
+    restored = p_b.decomps["reg"].distribution
+    assert restored.kind == "explicit" and restored == p_a.decomps["reg"].distribution
+    assert all(arr.distribution is restored for arr in p_b.decomps["reg"].arrays)
+
+    drive_rebalancing(exe_b, mesh, 2, start=4)
+    assert_machines_equal(m_ref, m_b)
+    assert m_b.elapsed() == m_ref.elapsed()
+    assert np.array_equal(p_b.arrays["y"].to_global(), p_ref.arrays["y"].to_global())
+    assert exe_b.mode_counts() == exe_ref.mode_counts()
+    assert exe_ref.mode_counts()["full"] >= 4  # every rebalance voided the product
+    assert_programs_equal(p_ref, p_b)
+    assert simulated_history(exe_ref) == simulated_history(exe_b)
+
+
+@pytest.mark.parametrize(
+    "kind", ["block", "cyclic", "block_cyclic", "irregular", "explicit"]
+)
+def test_every_distribution_kind_round_trips(tmp_path, kind):
+    """Each kind restores from its constructor data to an equal
+    distribution that the aligned array is rebound to, with a private,
+    writable backing."""
+    n = 40
+    rng = np.random.default_rng(3)
+
+    def program():
+        prog = IrregularProgram(Machine(N_PROCS))
+        prog.decomposition("d", n)
+        prog.distribute("d", "block")
+        prog.array("v", "d", values=np.arange(n, dtype=np.float64))
+        return prog
+
+    prog = program()
+    if kind == "irregular":
+        prog.redistribute("d", IrregularDistribution(rng.integers(0, N_PROCS, n), N_PROCS))
+    elif kind == "explicit":
+        moved = np.arange(0, n, 3)
+        prog.redistribute("d", moved=(moved, rng.integers(0, N_PROCS, moved.size)))
+    else:
+        prog.redistribute("d", ("block_cyclic", 3) if kind == "block_cyclic" else kind)
+    saved = prog.decomps["d"].distribution
+    assert saved.kind == kind
+    save_checkpoint(tmp_path / "k.ckpt", prog)
+
+    fresh = program()
+    restore_checkpoint(load_checkpoint(tmp_path / "k.ckpt"), fresh, loops={})
+    dist = fresh.decomps["d"].distribution
+    assert type(dist) is type(saved) and dist.signature() == saved.signature()
+    v = fresh.arrays["v"]
+    assert v.distribution is dist
+    assert np.array_equal(v.backing_ro, prog.arrays["v"].backing_ro)
+    assert np.array_equal(v.to_global(), np.arange(n))
+    v.backing_mut()[0] = -1.0
+    assert prog.arrays["v"].to_global()[0] == 0.0
 
 
 def test_restore_alone_matches_checkpoint_moment(tmp_path):
@@ -321,16 +416,17 @@ def test_run_with_checkpoint_every_writes_files(tmp_path):
 
 
 def test_on_disk_format_is_pinned(tmp_path):
-    """Format version 1 and its payload keys, as written since PR 8.
+    """Format version 2 and its payload keys.
 
-    The in-memory structures are flat-only; the file never stored
-    anything else (``flat``/``bounds``, pair arrays, counter blocks), so
-    a file written by an earlier commit restores unchanged.  A change to
-    any key below needs a new ``_VERSION``.
+    Version 2 added each decomposition's distribution as constructor
+    data and dropped the per-array signature (an aligned array's
+    distribution *is* its decomposition's); everything else is as
+    version 1 wrote it.  A change to any key below needs a new
+    ``_VERSION``.
     """
     from repro.guard import checkpoint
 
-    assert (checkpoint._FORMAT, checkpoint._VERSION) == ("repro-checkpoint", 1)
+    assert (checkpoint._FORMAT, checkpoint._VERSION) == ("repro-checkpoint", 2)
     path = tmp_path / "campaign.ckpt"
     mesh, _, prog = build()
     exe = AdaptiveExecutor(prog, euler_edge_loop(mesh))
@@ -340,9 +436,17 @@ def test_on_disk_format_is_pinned(tmp_path):
         assert set(pickle.load(f)) == {"format", "version", "crc", "payload"}
     payload = load_checkpoint(path)
     assert set(payload) == {
-        "n_procs", "machine", "arrays", "registry", "program", "schedules",
-        "ghosts", "records", "ttables", "adapt", "driver",
+        "n_procs", "machine", "decomps", "arrays", "registry", "program",
+        "schedules", "ghosts", "records", "ttables", "adapt", "driver",
     }
+    # nodes: RCB's owner map in the smallest dtype holding N_PROCS - 1
+    reg, reg2 = payload["decomps"]["reg"], payload["decomps"]["reg2"]
+    assert set(reg) == {"kind", "owner_map"} and reg["kind"] == "irregular"
+    assert reg["owner_map"].dtype == np.uint8
+    assert np.array_equal(reg["owner_map"], prog.decomps["reg"].distribution.owner_map())
+    assert reg2 == {"kind": "block", "size": mesh.n_edges}
+    for saved in payload["arrays"].values():
+        assert set(saved) == {"dtype", "backing"}
     assert set(payload["machine"]) == {"counters", "phases"}
     assert set(payload["machine"]["counters"]) == set(COUNTER_FIELDS)
     for phase in payload["machine"]["phases"]:
@@ -365,6 +469,47 @@ def test_on_disk_format_is_pinned(tmp_path):
                 "array", "index", "schedule", "ghosts", "local_sizes", "refs_flat",
                 "ref_bounds", "ghost_flat", "ghost_bounds",
             }
+
+
+def write_version_1(path):
+    """Rewrite a checkpoint file the way format version 1 laid it out:
+    no ``decomps``, a distribution signature per array, a valid CRC."""
+    payload = load_checkpoint(path)
+    del payload["decomps"]
+    for saved in payload["arrays"].values():
+        saved["signature"] = ("irregular", saved["backing"].size, N_PROCS, "0" * 16)
+    blob = pickle.dumps(payload)
+    envelope = {"format": "repro-checkpoint", "version": 1, "crc": zlib.crc32(blob)}
+    with open(path, "wb") as f:
+        pickle.dump({**envelope, "payload": blob}, f)
+
+
+# payload edits a CRC-valid file cannot carry unless written by a buggy
+# or foreign saver: restore must still refuse each before mutating
+def _missing_decomposition(payload):
+    payload["decomps"]["nodes"] = payload["decomps"].pop("reg")
+
+
+def _wrong_size(payload):
+    payload["decomps"]["reg2"]["size"] += 1
+
+
+def _non_bijective_local_map(payload):
+    owners = payload["decomps"]["reg"]["owner_map"]
+    local = np.zeros(owners.size, dtype=np.int64)  # every element at offset 0
+    payload["decomps"]["reg"] = {"kind": "explicit", "owner_map": owners, "local_map": local}
+
+
+def _unknown_kind(payload):
+    payload["decomps"]["reg2"]["kind"] = "hilbert"
+
+
+def _missing_array(payload):
+    del payload["arrays"]["y"]
+
+
+def _wrong_dtype(payload):
+    payload["arrays"]["x"]["dtype"] = "<f4"
 
 
 class TestRejectsDamage:
@@ -404,34 +549,65 @@ class TestRejectsDamage:
         with pytest.raises(CheckpointError, match="version"):
             load_checkpoint(path)
 
+    def test_version_1_file_is_refused_by_resume(self, tmp_path):
+        """A checkpoint is crash-recovery state, not an archive: an
+        intact file of the previous format (no distributions) has no
+        reader, and the refusal names its version."""
+        path, mesh = self.make(tmp_path)
+        write_version_1(path)
+        _, _, prog = build()
+        with pytest.raises(CheckpointError, match="version 1 unsupported"):
+            AdaptiveExecutor.resume(path, prog, euler_edge_loop(mesh))
+
     def test_wrong_machine_size(self, tmp_path):
         path, mesh = self.make(tmp_path)
         _, _, prog = build(n_procs=8)
         with pytest.raises(CheckpointError, match="processors"):
             AdaptiveExecutor.resume(path, prog, euler_edge_loop(mesh))
 
-    def test_distribution_mismatch(self, tmp_path):
+    @pytest.mark.parametrize(
+        "damage, match",
+        [
+            (_missing_decomposition, "decomposition 'nodes' is not declared"),
+            (_wrong_size, "decomposition 'reg2' has size"),
+            (_non_bijective_local_map, "malformed explicit distribution.*bijection"),
+            (_unknown_kind, "unknown distribution kind 'hilbert'"),
+            (_missing_array, "array 'y' of 'reg' is not in the checkpoint"),
+            (_wrong_dtype, "array 'x' has dtype float64"),
+        ],
+        ids=[
+            "missing_decomposition", "wrong_size", "non_bijective_local_map",
+            "unknown_kind", "missing_array", "wrong_dtype",
+        ],
+    )
+    def test_distribution_mismatch(self, tmp_path, damage, match):
+        """A checkpoint whose distributions or arrays do not fit the
+        program's declarations is refused before anything changes: the
+        program keeps its own (here: never redistributed) distributions,
+        data and counters."""
         path, mesh = self.make(tmp_path)
-        # fresh program without the RCB redistribute: node arrays are
-        # still block-distributed -- signature mismatch, nothing mutated
+        payload = load_checkpoint(path)
+        damage(payload)
         machine = Machine(N_PROCS)
-        prog = setup_euler_program(
-            machine, mesh, seed=11, incremental=True, guard="cheap"
-        )
-        prog.construct("G", mesh.n_nodes, geometry=["xc", "yc", "zc"])
-        prog.set_distribution("fmt", "G", "RCB")
-        x_before = prog.arrays["x"].to_global().copy()
-        with pytest.raises(CheckpointError, match="distribution"):
-            AdaptiveExecutor.resume(path, prog, euler_edge_loop(mesh))
+        prog = setup_euler_program(machine, mesh, seed=11, incremental=True, guard="cheap")
+        x_before = prog.arrays["x"].to_global()
+        clock_before = machine.counters.clock.copy()
+        dists_before = {name: dec.distribution for name, dec in prog.decomps.items()}
+        loop = euler_edge_loop(mesh)
+        with pytest.raises(CheckpointError, match=match):
+            restore_checkpoint(payload, prog, {loop.name: loop})
         assert np.array_equal(prog.arrays["x"].to_global(), x_before)
+        assert np.array_equal(machine.counters.clock, clock_before)
+        assert prog.records == {}
+        for name, dec in prog.decomps.items():
+            assert dec.distribution is dists_before[name]
+            assert all(arr.distribution is dec.distribution for arr in dec.arrays)
 
     def test_missing_loop_binding(self, tmp_path):
-        from repro.guard import restore_checkpoint
-
         path, mesh = self.make(tmp_path)
         _, _, prog = build()
         with pytest.raises(CheckpointError, match="loops mapping"):
-            restore_checkpoint(path, prog, loops={})
+            restore_checkpoint(load_checkpoint(path), prog, loops={})
 
     def test_incremental_state_needs_incremental_program(self, tmp_path):
         path, mesh = self.make(tmp_path)
@@ -498,6 +674,25 @@ class TestCrashSafeSave:
         exe_b = AdaptiveExecutor.resume(path, p_b, euler_edge_loop(mesh))
         assert exe_b.resumed_from == "primary"
         assert len(exe_b.history) == 4
+
+    @pytest.mark.parametrize("damaged", [False, True], ids=["intact", "damaged_primary"])
+    def test_resume_reads_each_generation_once(self, tmp_path, monkeypatch, damaged):
+        from repro.guard import checkpoint
+
+        path, mesh, _ = self.drive_and_save(tmp_path)
+        if damaged:
+            raw = bytearray(path.read_bytes())
+            raw[len(raw) // 2] ^= 0xFF
+            path.write_bytes(bytes(raw))
+        reads = []
+        load = checkpoint.load_checkpoint
+        monkeypatch.setattr(
+            checkpoint, "load_checkpoint", lambda p: reads.append(os.fspath(p)) or load(p)
+        )
+        _, _, p_b = build()
+        AdaptiveExecutor.resume(path, p_b, euler_edge_loop(mesh))
+        prev = previous_checkpoint_path(path)
+        assert reads == ([os.fspath(path), prev] if damaged else [os.fspath(path)])
 
     def test_both_damaged_raises(self, tmp_path):
         path, mesh, _ = self.drive_and_save(tmp_path)

@@ -181,3 +181,26 @@ class TestRSBDetails:
         prob = PartitionProblem(10, edges=np.empty((2, 0), dtype=np.int64))
         res = get_partitioner("RSB").partition(prob, 2)
         assert load_imbalance(res.owner_map, 2) == 1.0
+
+    @pytest.mark.parametrize(
+        "error, caught", [(np.linalg.LinAlgError, True), (ValueError, True), (TypeError, False)]
+    )
+    def test_lobpcg_failure_types(self, monkeypatch, error, caught):
+        """LOBPCG's own breakdowns fall through to the dense solve; any
+        other exception is a bug and propagates."""
+        from repro.partitioners import rsb
+
+        prob = grid_problem(15, 15)  # 225 vertices > _DENSE_N: the LOBPCG branch
+        laplacian = rsb._laplacian(prob.n_vertices, np.asarray(prob.edges, dtype=np.int64))
+
+        def broken(*args, **kwargs):
+            raise error("injected")
+
+        monkeypatch.setattr(rsb.sp.linalg, "lobpcg", broken)
+        rng = np.random.default_rng(0)
+        if caught:
+            got = rsb.fiedler_vector(prob.n_vertices, prob.edges, rng)
+            assert np.array_equal(got, rsb._dense_fiedler(laplacian.toarray()))
+        else:
+            with pytest.raises(TypeError, match="injected"):
+                rsb.fiedler_vector(prob.n_vertices, prob.edges, rng)

@@ -1,16 +1,18 @@
 """Worker-side job execution: resume bit-identity, in process.
 
 These run :func:`repro.serve.jobs.run_job` inline (no subprocesses) so
-the checkpoint/resume/replay logic is pinned independently of the
-supervisor machinery.
+the checkpoint/resume logic is pinned independently of the supervisor
+machinery.
 """
 
 import os
 
 import pytest
 
+from repro.guard import checkpoint
 from repro.serve import JobConfig
-from repro.serve.jobs import _select_checkpoint, bit_identity, run_job
+from repro.serve.jobs import bit_identity, run_job
+from tests.guard.test_checkpoint import write_version_1
 
 
 def adapt_cfg(steps, **kw):
@@ -36,10 +38,14 @@ def interrupted(full_cfg, stop_after, tmp_path, damage_primary=False):
     partial = replace(full_cfg, steps=stop_after, checkpoint_every=stop_after)
     run_job(partial, checkpoint_path=ck)
     if damage_primary:
-        with open(ck, "r+b") as f:
-            f.seek(os.path.getsize(ck) // 2)
-            f.write(b"\xff\xff")
+        damage(ck)
     return ck
+
+
+def damage(path):
+    with open(path, "r+b") as f:
+        f.seek(os.path.getsize(path) // 2)
+        f.write(b"\xff\xff")
 
 
 @pytest.mark.parametrize("make_cfg", [adapt_cfg, rebalance_cfg], ids=["adapt", "rebalance"])
@@ -63,9 +69,7 @@ def test_resume_falls_back_to_prev_generation(tmp_path):
 
     run_job(replace(cfg, steps=2), checkpoint_path=ck)
     run_job(replace(cfg, steps=4), checkpoint_path=ck)
-    with open(ck, "r+b") as f:
-        f.seek(os.path.getsize(ck) // 2)
-        f.write(b"\xff\xff")
+    damage(ck)
     resumed = run_job(cfg, checkpoint_path=ck, attempt=2)
     assert resumed["resume_source"] == "prev"
     assert resumed["start_step"] == 2  # lost one interval, not the campaign
@@ -73,14 +77,41 @@ def test_resume_falls_back_to_prev_generation(tmp_path):
 
 
 def test_both_generations_damaged_restarts_from_scratch(tmp_path):
-    cfg = adapt_cfg(4)
+    cfg = adapt_cfg(6)
     ref = run_job(cfg)
-    ck = interrupted(cfg, 2, tmp_path, damage_primary=True)
-    assert _select_checkpoint(ck) is None
+    # two generations, primary at step 4 and .prev at step 2, both damaged
+    ck = str(tmp_path / "job.ckpt")
+    from dataclasses import replace
+
+    run_job(replace(cfg, steps=4), checkpoint_path=ck)
+    for path in (ck, checkpoint.previous_checkpoint_path(ck)):
+        damage(path)
     restarted = run_job(cfg, checkpoint_path=ck, attempt=2)
     assert not restarted["resumed"]
     assert restarted["start_step"] == 0
     assert bit_identity(restarted) == bit_identity(ref)
+
+
+def test_version_1_checkpoint_restarts_from_scratch(tmp_path):
+    cfg = rebalance_cfg(6)
+    ref = run_job(cfg)
+    ck = interrupted(cfg, 4, tmp_path)
+    write_version_1(ck)
+    restarted = run_job(cfg, checkpoint_path=ck, attempt=2)
+    assert not restarted["resumed"]
+    assert restarted["start_step"] == 0
+    assert bit_identity(restarted) == bit_identity(ref)
+
+
+def test_resume_reads_the_checkpoint_once(tmp_path, monkeypatch):
+    cfg = rebalance_cfg(6)
+    ck = interrupted(cfg, 4, tmp_path)
+    reads = []
+    load = checkpoint.load_checkpoint
+    monkeypatch.setattr(checkpoint, "load_checkpoint", lambda p: reads.append(p) or load(p))
+    resumed = run_job(cfg, checkpoint_path=ck, attempt=2)
+    assert resumed["start_step"] == 4
+    assert reads == [ck]
 
 
 def test_faults_recover_bit_identically(tmp_path):
