@@ -1,14 +1,15 @@
-"""Linear-time host kernels of the cold inspector (the miss path).
+"""Host kernels of the cold inspector (the miss path) and the partitioner.
 
 What a remap forces the runtime to redo -- the iteration vote and
 grouping, localize's dedup and pair grouping, the processor-pair
 histograms behind the exchange charges -- bottoms out in these
-kernels, as do the write side's range covers and range checks.  Each
-returns arrays bit-identical to the naive form kept as its reference in
-``tests/core/test_miss_path_kernels.py`` (dense vote-matrix argmax,
-``np.lexsort``, ``np.unique``, ``np.add.at``, the element-wise test), so
-no simulated charge depends on them; only host time does.  Widths and
-dtypes are chosen from the observed key range, never by an option.
+kernels, as do the write side's range covers and range checks and RCB's
+per-axis presort.  Each returns arrays bit-identical to the naive form
+kept as its reference in ``tests/core/test_miss_path_kernels.py`` (dense
+vote-matrix argmax, ``np.lexsort``, ``np.unique``, ``np.add.at``,
+``np.argsort(kind="stable")``, the element-wise test), so no simulated
+charge depends on them; only host time does.  Widths and dtypes are
+chosen from the observed key range, never by an option.
 """
 
 from __future__ import annotations
@@ -16,7 +17,11 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = ["first_segment_outside", "majority_owner", "pair_counts", "sorted_unique",
-           "sorted_unique_inverse", "stable_order"]
+           "sorted_unique_inverse", "stable_argsort", "stable_order"]
+
+#: bits a packed ``key << bits | position`` word may use (an int64, kept
+#: clear of the sign bit with one to spare)
+_WORD_BITS = 62
 
 
 def majority_owner(rows: list[np.ndarray]) -> np.ndarray:
@@ -82,6 +87,39 @@ def stable_order(keys: np.ndarray, n_keys: int) -> np.ndarray:
     return order
 
 
+def stable_argsort(key: np.ndarray) -> np.ndarray:
+    """``np.argsort(key, kind="stable")`` of a 1-D array, element for
+    element, from one unstable argsort and one direct sort.
+
+    NumPy's stable sort of floats is a merge sort several times slower
+    than its unstable one.  So the fast sort orders the keys, the sorted keys
+    become run ranks (a new rank wherever the key changes: ``-0.0``
+    equals ``0.0`` and every NaN shares the last rank, as under the
+    stable sort's comparisons), and the distinct words ``rank << bits |
+    position`` are sorted once: within a run of equal keys, ascending
+    position *is* the stable order.  Arrays too long to pack a rank and
+    a position into one word take the stable sort itself.
+    """
+    n = key.size
+    bits = max(n - 1, 0).bit_length()
+    if 2 * bits > _WORD_BITS:
+        return np.argsort(key, kind="stable")
+    order = np.argsort(key)
+    ranked = key[order]
+    new_run = np.empty(n, dtype=bool)
+    new_run[:1] = False
+    np.not_equal(ranked[1:], ranked[:-1], out=new_run[1:])
+    if n and ranked.dtype.kind == "f" and np.isnan(ranked[-1]):
+        # NaNs sort last and never compare equal: one run from the first
+        new_run[np.searchsorted(ranked, np.nan) + 1:] = False
+    words = np.cumsum(new_run, dtype=np.int64)
+    words <<= bits
+    words |= order
+    words.sort()
+    words &= (1 << bits) - 1
+    return words
+
+
 def sorted_unique(keys: np.ndarray) -> np.ndarray:
     """``np.unique`` of a 1-D array as a sort (skipped when ``keys`` is
     non-decreasing already, as tracked writes and move lists are) and a
@@ -112,7 +150,7 @@ def sorted_unique_inverse(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if not n:
         return keys.copy(), np.empty(0, dtype=np.int64)
     bits = (n - 1).bit_length()
-    if keys.min() < 0 or int(keys.max()).bit_length() + bits > 62:
+    if keys.min() < 0 or int(keys.max()).bit_length() + bits > _WORD_BITS:
         return np.unique(keys, return_inverse=True)
     packed = keys.astype(np.int64) << bits
     packed |= np.arange(n, dtype=np.int64)

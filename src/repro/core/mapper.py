@@ -38,7 +38,15 @@ def partition_geocol(
             "custom partitioner must provide partition(problem, n_parts)"
         )
     problem = geocol.to_problem()
-    result = partitioner.partition(problem, n_parts)
+    with machine.obs.span(
+        "partitioners.partition",
+        partitioner=getattr(partitioner, "name", type(partitioner).__name__),
+        n_parts=n_parts,
+        n_vertices=problem.n_vertices,
+    ) as span:
+        result = partitioner.partition(problem, n_parts)
+        if "levels" in result.info:
+            span.set(levels=result.info["levels"])
     if result.owner_map.size != geocol.n_vertices:
         raise ValueError(
             f"partitioner returned {result.owner_map.size} owners for "

@@ -24,6 +24,7 @@ from .export import load_trace
 LAYER_PREFIXES = (
     ("machine.", "machine"),
     ("localize.", "chaos"),
+    ("partitioners.", "partitioners"),
     ("inspector.", "core"),
     ("executor.", "core"),
     ("inspect", "core"),

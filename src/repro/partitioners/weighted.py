@@ -35,24 +35,31 @@ def weighted_median_split(
         raise ValueError(f"key shape {key.shape} != weights shape {weights.shape}")
     if not 0.0 < left_fraction < 1.0:
         raise ValueError(f"left_fraction must be in (0, 1), got {left_fraction}")
-    n = key.size
-    mask = np.zeros(n, dtype=bool)
-    if n == 0:
-        return mask
-    if n == 1:
-        mask[0] = True
-        return mask
+    mask = np.zeros(key.size, dtype=bool)
     order = np.argsort(key, kind="stable")
-    cum = np.cumsum(weights[order])
+    mask[order[: _left_count(weights[order], left_fraction)]] = True
+    return mask
+
+
+def _left_count(ordered_weights: np.ndarray, left_fraction: float) -> int:
+    """How many of the key-ordered vertices a weighted split puts left.
+
+    The first vertex whose running weight reaches ``left_fraction`` of
+    the total closes the left side; with no positive weight the count is
+    ``round(n * left_fraction)``.  Either way it is clamped to
+    ``[1, n - 1]``, so two or more vertices leave both sides non-empty;
+    a lone vertex goes left.
+    """
+    n = ordered_weights.size
+    if n < 2:
+        return n
+    cum = np.cumsum(ordered_weights)
     total = cum[-1]
     if total <= 0:
-        k = max(1, int(round(n * left_fraction)))
+        k = int(round(n * left_fraction))
     else:
-        target = left_fraction * total
-        k = int(np.searchsorted(cum, target, side="left")) + 1
-        k = min(max(k, 1), n - 1)
-    mask[order[:k]] = True
-    return mask
+        k = int(np.searchsorted(cum, left_fraction * total, side="left")) + 1
+    return min(max(k, 1), n - 1)
 
 
 @register_partitioner("LOAD")

@@ -7,6 +7,7 @@ as the reference:
 
 * weighted-row majority vote    vs  dense ``(n, P)`` vote matrix argmax
 * radix ``stable_order``        vs  ``np.lexsort((position, key))``
+* packed-rank ``stable_argsort`` vs ``np.argsort(kind="stable")``
 * one-sort dedup                vs  ``np.unique(return_inverse=True)``
 * ``bincount`` pair histogram   vs  ``np.add.at`` on a zero matrix
 
@@ -22,11 +23,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.chaos import DistributedTranslationTable
+from repro.chaos import DistributedTranslationTable, kernels
 from repro.chaos.kernels import (
     majority_owner,
     pair_counts,
     sorted_unique_inverse,
+    stable_argsort,
     stable_order,
 )
 from repro.core.iteration import partition_from_home
@@ -168,6 +170,46 @@ def test_partition_from_home_matches_lexsort(n_procs, n, seed):
     assert part.bounds[0] == 0 and part.bounds.size == n_procs + 1
     if n:
         np.testing.assert_array_equal(part.owner_of(), home)
+
+
+#: values whose comparisons the stable sort treats specially
+SPECIAL_FLOATS = st.sampled_from([np.nan, -np.inf, np.inf, -0.0, 0.0, 1.0, -1.0])
+
+
+@given(
+    st.sampled_from([0, 1, 2, 3, 17, 5_000]),
+    st.lists(SPECIAL_FLOATS | st.floats(), min_size=1, max_size=8),
+    st.floats(0, 1),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=150, deadline=None)
+def test_stable_argsort_matches_numpy_stable(n, pool, fresh_share, seed):
+    # keys drawn from a small pool (many duplicates), a share replaced
+    # by distinct values
+    rng = np.random.default_rng(seed)
+    keys = rng.choice(np.array(pool, dtype=np.float64), size=n)
+    fresh = rng.random(n) < fresh_share
+    keys[fresh] = rng.standard_normal(int(fresh.sum()))
+    assert_same(stable_argsort(keys), np.argsort(keys, kind="stable"))
+
+
+def test_stable_argsort_too_long_to_pack_takes_the_stable_sort(monkeypatch):
+    keys = np.array([2.0, np.nan, -0.0, 1.0, 0.0, np.nan, 2.0, 1.0])
+    sorts = []
+    real = np.argsort
+
+    def spy(a, *args, **kwargs):
+        sorts.append(kwargs.get("kind"))
+        return real(a, *args, **kwargs)
+
+    # 8 keys need 3 position bits: 6 word bits still pack rank and
+    # position, 5 do not
+    monkeypatch.setattr(np, "argsort", spy)
+    for word_bits, path in ((6, None), (5, "stable")):
+        monkeypatch.setattr(kernels, "_WORD_BITS", word_bits)
+        sorts.clear()
+        assert_same(stable_argsort(keys), real(keys, kind="stable"))
+        assert sorts == [path]
 
 
 def test_partition_from_home_rejects_a_home_outside_the_machine():

@@ -206,6 +206,30 @@ class TestMachineExchangeSpan:
         assert "per-layer self time" in text and "machine" in text
 
 
+class TestPartitionerSpan:
+    """One ``partitioners.partition`` span per mapper call, booked to the
+    partitioners layer."""
+
+    def test_report_has_a_partitioners_layer_row(self, tmp_path, capsys):
+        from repro.obs.__main__ import main
+        from repro.obs.report import layer_of
+
+        mesh, prog, loop = build(obs="on")
+        prog.forall(loop, n_times=1)
+        (span,) = [s for s in prog.machine.obs.spans if s.name == "partitioners.partition"]
+        assert span.attrs == {
+            "partitioner": "RCB",
+            "n_parts": N_PROCS,
+            "n_vertices": mesh.n_nodes,
+            "levels": 2,
+        }
+        assert layer_of(span.name) == "partitioners"
+        path = prog.export_obs(str(tmp_path / "t.trace.json"), fmt="chrome")
+        assert main(["report", path]) == 0
+        layer_table = " ".join(capsys.readouterr().out.split("per-layer self time:")[1].split())
+        assert "partitioners 1 " in layer_table
+
+
 def _ancestors(span, spans):
     by_id = {s.id: s for s in spans}
     out, cur = set(), span.parent

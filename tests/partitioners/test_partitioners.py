@@ -89,6 +89,12 @@ class TestWeightedMedianSplit:
         mask = weighted_median_split(np.arange(8.0), np.zeros(8), 0.5)
         assert mask.sum() == 4
 
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_zero_total_weight_leaves_both_sides_nonempty(self, n):
+        # round(n * 0.9) == n: the count is clamped like a weighted one
+        mask = weighted_median_split(np.arange(float(n)), np.zeros(n), 0.9)
+        assert mask.tolist() == [True] * (n - 1) + [False]
+
 
 @pytest.mark.parametrize("name", ["RCB", "RIB", "RSB", "RSB+KL"])
 class TestStructuredPartitioners:
