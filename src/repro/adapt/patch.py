@@ -174,7 +174,7 @@ def _revote(
     return home_new, moved
 
 
-# -- stage values: per-patch transients, never pickled ------------------
+# -- stage values: per-patch transients, never checkpointed -------------
 @dataclass(frozen=True)
 class _PatchContext:
     """What every group of one patch shares."""
@@ -644,9 +644,11 @@ def _patch_group(
             derived = sib.patterns[sib.gstate.array, akey[1]].derived if twin else None
             patterns[akey] = pat = PatternData(gstate.array, akey[1], loc, ghosts, derived)
             if not twin:
+                # the processor of each delta position, off the bounds: no
+                # n-length position -> processor map for a few thousand reads
+                dpid = np.searchsorted(ctx.new_part.bounds, dpos, side="right") - 1
                 space = patch_exec_caches(
-                    ctx.product.patterns[akey], pat, dpos,
-                    ctx.new_part.proc_of_position()[dpos], ctx.partition_changed, space,
+                    ctx.product.patterns[akey], pat, dpos, dpid, ctx.partition_changed, space,
                 )
     with span("adapt.patch.index"):
         if twin:
@@ -666,8 +668,8 @@ def _same(a, b) -> bool:
 
     Twin groups share ndarray objects after their first deduplicated
     patch, so steady-state verification is ``is`` checks; full content
-    compares only happen on the first patch after a capture or a
-    checkpoint restore (pickling breaks sharing)."""
+    compares only happen on the first patch after a capture (a
+    checkpoint restore keeps the sharing: one section per array)."""
     return a is b or np.array_equal(a, b)
 
 

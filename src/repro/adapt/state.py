@@ -70,8 +70,8 @@ class GroupState:
     #: ``slot_proc * stride + key`` of every slot in ascending order
     #: (ties slot-ascending) and ``sorted_slot`` the slot id per entry.
     #: Built once (lazily) and *merged* delta-sized on every patch, so
-    #: lookups never re-sort the slot space.  ``None`` after restore
-    #: from a pre-index checkpoint; rebuilt on first use.
+    #: lookups never re-sort the slot space.  ``None`` after a
+    #: checkpoint restore (the index is not saved); rebuilt on first use.
     sorted_comp: np.ndarray | None = None
     sorted_slot: np.ndarray | None = None
     index_stride: int = 0

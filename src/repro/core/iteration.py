@@ -19,7 +19,8 @@ The cold path is linear in the loop size (``repro.chaos.kernels``): the
 majority vote runs over the *distinct* owner rows :func:`owner_rows`
 hands out with integer weights, the grouping of iterations by home
 processor is a radix sort on the processor id, and the
-shipped-iteration histogram is one ``bincount``.
+shipped-iteration histogram is one ``searchsorted`` of the block
+boundaries per home segment (:func:`shipped_counts`).
 """
 
 from __future__ import annotations
@@ -159,6 +160,25 @@ def partition_from_home(
     )
 
 
+def shipped_counts(part: IterationPartition, block_sizes: np.ndarray) -> np.ndarray:
+    """``counts[holder, home]``: how many iterations block processor
+    ``holder`` starts with that ``part`` homes on ``home``.
+
+    Each home segment of ``part`` ascends, so one ``searchsorted`` of
+    the block boundaries per segment counts it by holder -- no n-length
+    pass over the iterations.
+    """
+    n_procs = block_sizes.size
+    starts = np.zeros(n_procs + 1, dtype=np.int64)
+    np.cumsum(block_sizes, out=starts[1:])
+    bounds = part.bounds.tolist()
+    # below[home, b]: iterations of home's segment that precede block b
+    below = np.empty((n_procs, n_procs + 1), dtype=np.int64)
+    for home in range(n_procs):
+        below[home] = np.searchsorted(part.flat[bounds[home] : bounds[home + 1]], starts)
+    return np.diff(below, axis=1).T
+
+
 def partition_cache_key(
     loop: ForallLoop,
     arrays: dict[str, DistArray],
@@ -242,10 +262,8 @@ def partition_iterations(
         iops=block_sizes.astype(np.float64) * len(refs) * (costs.hash_lookup + 2.0)
     )
     # ship iterations whose home differs from their initial block holder:
-    # a (holder, home) histogram (``partition_from_home`` range-checked ``home``)
-    holder = np.repeat(np.arange(0, n_procs * n_procs, n_procs), block_sizes)
-    moved = np.bincount(holder + home, minlength=n_procs * n_procs)
-    moved = moved.reshape(n_procs, n_procs)
+    # a (holder, home) histogram
+    moved = shipped_counts(part, block_sizes)
     np.fill_diagonal(moved, 0)
     move_p, move_q = np.nonzero(moved)
     sink.exchange(

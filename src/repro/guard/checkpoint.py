@@ -13,8 +13,8 @@ A checkpoint captures everything a mid-campaign
   event log),
 * the saved inspector records with their products -- iteration
   partitions, localized reference lists, communication schedules and
-  ghost buffers, serialized in flat-array form through a *unique-object
-  table* so that schedules/buffers shared between coalesced patterns
+  ghost buffers, in flat-array form; schedules and ghost buffers sit in
+  tables the patterns index, so those shared between coalesced patterns
   come back as shared objects (pattern grouping and executor
   deduplication key on identity),
 * the incremental-inspection state (snapshots, slot bookkeeping -- built
@@ -22,22 +22,73 @@ A checkpoint captures everything a mid-campaign
   escalation ladder's failure counters and fallback log), and
 * the driver's per-step history.
 
-Two things are deliberately *not* serialized:
+Three things are deliberately *not* serialized:
 
 * **loops** -- :class:`~repro.core.forall.ForallLoop` holds user
   callables; the caller re-binds them by name through the ``loops``
-  mapping of :func:`restore_checkpoint`, and
+  mapping of :func:`restore_checkpoint`,
 * **translation tables** -- they are pure functions of (distribution,
   costs, variant); restore rebuilds the cached ones against a scratch
   machine so the (already-checkpointed) construction charges are not
-  applied twice, then rebinds them to the live machine.
+  applied twice, then rebinds them to the live machine, and
+* **what an invariant pins to something saved** -- an adapt state's
+  home map (``verify_adapt_state`` at ``full`` requires it to equal the
+  partition's ``owner_of()``) and each pattern's ``ref_bounds``
+  (``_verify_refs`` requires them to equal the partition's bounds):
+  restore derives both from the restored partition.
 
-The file format is an envelope ``{"format", "version", "crc",
-"payload"}`` where ``payload`` is a pickled plain-data dict and ``crc``
-is its CRC-32; :class:`~repro.guard.errors.CheckpointError` is raised on
-a truncated/corrupted file, a version mismatch (crash-recovery state
-has no reader for older versions), or a shape mismatch with the program
-being restored (machine size, declared decompositions and arrays).
+File format (version 3)
+-----------------------
+One file, three parts, nothing in it executable::
+
+    header    24 bytes: magic b"REPROCKP", version (u32), manifest
+              length (u64), CRC-32 over the header's first 20 bytes
+              followed by the manifest (u32); little-endian
+    manifest  UTF-8 JSON {"sections": [...], "payload": ...}
+    sections  raw array bytes, each starting on a 64-byte boundary
+              (zero padding in between), the last one ending the file
+
+Each section entry is ``{"name", "dtype", "shape", "offset", "crc"}``:
+the key path the array was first met under, a numeric ``dtype.str``
+(kinds ``b i u f c``), the shape, the offset from the first 64-byte
+boundary after the manifest, and the CRC-32 of its bytes as 8 hex
+digits (fixed width: the manifest's length is known before the CRCs
+are, so the save reserves its bytes and fills them in last).  ``payload``
+is the non-array structure in a small tagged JSON: ``{"$array": i}``
+names section ``i``, ``{"$tuple": [...]}`` a tuple, ``{"$dict": [[k,
+v], ...]}`` a dict with a key that is not a plain string,
+``{"$np": [dtype, value]}`` a NumPy scalar; floats round-trip exactly
+(``repr``, NaN and infinities included).  Saving anything else raises a
+``TypeError`` naming its key path.  The array bytes are written straight
+from the live arrays in one pass while a second thread takes their CRCs
+-- no copy of the payload is ever made -- and equal programs write
+equal bytes (deterministic order, no host seconds).
+
+*Sharing rule.*  Every distinct array object is one section, however
+many structures hold it: a twin group's arrays, ``ghost_bounds`` and
+``slot_bounds``, a pattern's references shared by sibling patterns all
+come back as one object.
+
+*Views and copies.*  :func:`load_checkpoint` reads the file once into a
+private buffer (never a memory map: a file rewritten in place must not
+change a loaded array) and hands out every array as a read-only view of
+it, so whatever came back shared is frozen and a stray in-place write
+raises.  What the runtime writes in place is copied once by
+:func:`restore_checkpoint`: distributed-array backings, adapt snapshots,
+ghost backings and the machine's counters.
+
+*Tamper guarantees.*  Loading never unpickles or evaluates anything.
+Before a single array or payload object is built, every byte of the file
+is checked: the header and manifest against their CRC, each section
+against its own, every padding byte for zero, and the file's length
+against the last section's end; the manifest must hold only numeric
+dtypes, shapes and offsets that fit the file, sections in their aligned
+order without overlap, and known tags.  Any failure -- and any file of
+another format, pickle-based versions 1 and 2 included (a checkpoint is
+crash-recovery state, not an archive) -- raises
+:class:`~repro.guard.errors.CheckpointError`, as does a restore into a
+program of another shape (machine size, declared decompositions and
+arrays); restore raises before it mutates anything.
 
 Scope: the campaign path (``forall`` / array writes / incremental
 patching).  Mapper-coupling state (GeoCoL graphs, partitioner results)
@@ -47,8 +98,12 @@ restore is not supported.
 
 from __future__ import annotations
 
+import json
+import math
 import os
-import pickle
+import re
+import struct
+import threading
 import zlib
 
 import numpy as np
@@ -76,8 +131,23 @@ from repro.guard.errors import CheckpointError
 from repro.machine.machine import Machine
 from repro.machine.stats import COUNTER_FIELDS, CounterBlock, PhaseRecord
 
-_FORMAT = "repro-checkpoint"
-_VERSION = 2
+_MAGIC = b"REPROCKP"
+_VERSION = 3
+#: magic, version, manifest length, CRC over the bytes before it + manifest
+_HEADER = struct.Struct("<8sIQI")
+_CRC_START = _HEADER.size - 4
+_ALIGN = 64
+#: the only dtype strings a section may carry: numeric, no structure
+_DTYPE_RE = re.compile(r"[<>|][biufc][0-9]{1,2}")
+#: a section CRC: fixed-width hex, so the manifest's length is known
+#: before the CRCs are
+_CRC_RE = re.compile(r"[0-9a-f]{8}")
+_PAYLOAD_KEYS = frozenset((
+    "n_procs", "machine", "decomps", "arrays", "registry", "program",
+    "schedules", "ghosts", "records", "ttables", "adapt", "driver",
+))
+#: bytes per chunk when a non-contiguous array streams through a buffer
+_CHUNK_BYTES = 1 << 20
 
 
 def _owners(dist):
@@ -100,8 +170,7 @@ _DISTRIBUTIONS = {
 
 #: driver-history fields kept out of the file, with the value a restored
 #: record gets instead (a file that has one keeps it): host-clock
-#: seconds, which would make the bytes -- and through the envelope's CRC
-#: integer the file size -- differ between two runs of one campaign.
+#: seconds, which would make two runs of one campaign write different bytes
 _UNSAVED_HISTORY_FIELDS = {"state_build_wall_seconds": 0.0, "inspect_wall_seconds": 0.0}
 
 
@@ -123,8 +192,8 @@ _TTABLE_VARIANTS = {
 
 
 # ----------------------------------------------------------------------
-# capture, by reference: ``pickle.dumps`` reads the arrays within the
-# call, and writes one several structures hold once (see ``_freeze``)
+# capture, by reference: the payload holds the live arrays, which the
+# save streams into the file (one section per distinct array object)
 # ----------------------------------------------------------------------
 def _counters_payload(block: CounterBlock) -> dict:
     return {name: getattr(block, name) for name in COUNTER_FIELDS}
@@ -170,27 +239,27 @@ def _schedule_payload(sched: CommSchedule) -> dict:
     }
 
 
-def _product_payload(
-    product: InspectorProduct, schedules: dict, ghosts: dict, ordinals: dict
-) -> dict:
-    def ordinal(obj) -> int:
-        # first-seen rank: equal programs write equal bytes (``id()`` varies)
-        return ordinals.setdefault(id(obj), len(ordinals))
+def _table_index(table: list, seen: dict, obj, payload_of) -> int:
+    """Position of ``obj`` in ``table``, appending its payload on first
+    sight: equal programs list their shared objects in equal order."""
+    i = seen.get(id(obj))
+    if i is None:
+        i = seen[id(obj)] = len(table)
+        table.append(payload_of(obj))
+    return i
+
+
+def _product_payload(product: InspectorProduct, schedules: list, ghosts: list, seen: dict) -> dict:
+    def schedule_index(sched) -> int:
+        return _table_index(schedules, seen, sched, _schedule_payload)
+
+    def ghosts_payload(buf) -> dict:
+        return {"schedule": schedule_index(buf.schedule), "backing": buf.backing}
 
     part = product.iteration_partition
     flat, bounds = part.iters_flat()
     patterns = []
     for key, pat in product.patterns.items():
-        sid = ordinal(pat.localized.schedule)
-        if sid not in schedules:
-            schedules[sid] = _schedule_payload(pat.localized.schedule)
-        gid = ordinal(pat.ghosts)
-        if gid not in ghosts:
-            ghosts[gid] = {
-                "schedule": ordinal(pat.ghosts.schedule),
-                "dtype": pat.ghosts.dtype.str,
-                "backing": pat.ghosts.backing,
-            }
         loc = pat.localized
         patterns.append(
             (
@@ -198,11 +267,10 @@ def _product_payload(
                 {
                     "array": pat.array,
                     "index": pat.index,
-                    "schedule": sid,
-                    "ghosts": gid,
+                    "schedule": schedule_index(loc.schedule),
+                    "ghosts": _table_index(ghosts, seen, pat.ghosts, ghosts_payload),
                     "local_sizes": np.asarray(loc.local_sizes, dtype=np.int64),
                     "refs_flat": loc.refs_flat,
-                    "ref_bounds": loc.ref_bounds,
                     "ghost_flat": loc.ghost_flat,
                     "ghost_bounds": loc.ghost_bounds,
                 },
@@ -243,11 +311,7 @@ def _adapt_payload(adapt) -> dict:
                     },
                 )
             )
-        states[name] = {
-            "home": state.home,
-            "snapshots": dict(state.snapshots),
-            "groups": groups,
-        }
+        states[name] = {"snapshots": dict(state.snapshots), "groups": groups}
     return {
         "max_change_fraction": adapt.max_change_fraction,
         "max_failures": adapt.max_failures,
@@ -258,14 +322,196 @@ def _adapt_payload(adapt) -> dict:
     }
 
 
+# ----------------------------------------------------------------------
+# format v3: tagged JSON structure + raw array sections
+# ----------------------------------------------------------------------
+_PLAIN = (type(None), bool, int, float, str)
+
+
+class _Sections:
+    """The arrays a payload holds, one per distinct object, in first-seen order."""
+
+    def __init__(self) -> None:
+        self.arrays: list[np.ndarray] = []
+        self.names: list[str] = []
+        self._index: dict[int, int] = {}
+
+    def add(self, a: np.ndarray, path: str) -> int:
+        i = self._index.get(id(a))
+        if i is None:
+            if a.dtype.kind not in "biufc" or a.dtype.fields is not None:
+                raise TypeError(f"checkpoint payload {path}: cannot store a {a.dtype} array")
+            i = self._index[id(a)] = len(self.arrays)
+            self.arrays.append(a)
+            self.names.append(path)
+        return i
+
+
+def _encode(obj, path: str, sections: _Sections):
+    """``obj`` as tagged JSON, its arrays registered with ``sections``."""
+    kind = type(obj)
+    if kind in _PLAIN:
+        return obj
+    if kind is list:
+        return [_encode(x, f"{path}/{i}", sections) for i, x in enumerate(obj)]
+    if kind is tuple:
+        return {"$tuple": [_encode(x, f"{path}/{i}", sections) for i, x in enumerate(obj)]}
+    if kind is dict:
+        if all(type(k) is str and not k.startswith("$") for k in obj):
+            return {k: _encode(v, f"{path}/{k}", sections) for k, v in obj.items()}
+        return {
+            "$dict": [
+                [_encode(k, f"{path}/{k!r}", sections), _encode(v, f"{path}/{k!r}", sections)]
+                for k, v in obj.items()
+            ]
+        }
+    if isinstance(obj, np.ndarray):
+        return {"$array": sections.add(obj, path)}
+    if isinstance(obj, np.generic) and obj.dtype.kind in "biuf":
+        return {"$np": [obj.dtype.str, obj.item()]}
+    raise TypeError(f"checkpoint payload {path}: cannot store a {kind.__name__}")
+
+
+def _numeric_dtype(s) -> np.dtype:
+    """The dtype a manifest names, if it is a plain numeric one."""
+    if type(s) is str and _DTYPE_RE.fullmatch(s):
+        try:
+            dt = np.dtype(s)
+        except TypeError:
+            pass
+        else:
+            if dt.str == s:
+                return dt
+    raise CheckpointError(f"checkpoint names dtype {s!r}; only numeric dtypes are stored")
+
+
+def _decode(node, views: list):
+    """The payload a tagged JSON ``node`` describes, section ``i`` being
+    ``views[i]``; raises :class:`CheckpointError` on an unknown tag or
+    an out-of-range section reference."""
+    kind = type(node)
+    if kind in _PLAIN:
+        return node
+    if kind is list:
+        return [_decode(x, views) for x in node]
+    tags = [k for k in node if k.startswith("$")]
+    if not tags:
+        return {k: _decode(v, views) for k, v in node.items()}
+    if len(node) != 1:
+        raise CheckpointError(f"checkpoint tag {tags[0]!r} shares an object with other keys")
+    ((tag, body),) = node.items()
+    if tag == "$array":
+        if type(body) is not int or not 0 <= body < len(views):
+            raise CheckpointError(f"checkpoint references section {body!r}, which it lacks")
+        return views[body]
+    if tag == "$tuple" and type(body) is list:
+        return tuple(_decode(x, views) for x in body)
+    if tag == "$dict" and type(body) is list:
+        if not all(type(kv) is list and len(kv) == 2 for kv in body):
+            raise CheckpointError("checkpoint $dict entries must be [key, value] pairs")
+        out = {}
+        for k, v in body:
+            key = _decode(k, views)
+            try:
+                out[key] = _decode(v, views)
+            except TypeError as exc:  # an unhashable key
+                raise CheckpointError(f"checkpoint $dict key {k!r}: {exc}") from exc
+        return out
+    if tag == "$np" and type(body) is list and len(body) == 2:
+        dt = _numeric_dtype(body[0])
+        if dt.kind == "c" or type(body[1]) not in (bool, int, float):
+            raise CheckpointError(f"checkpoint $np value {body!r} is not a numeric scalar")
+        try:
+            return dt.type(body[1])
+        except (OverflowError, ValueError) as exc:
+            raise CheckpointError(f"checkpoint $np value {body!r}: {exc}") from exc
+    raise CheckpointError(f"checkpoint payload holds unknown or malformed tag {tag!r}")
+
+
+def _aligned(n: int) -> int:
+    return -(-n // _ALIGN) * _ALIGN
+
+
+def _byte_chunks(a: np.ndarray):
+    """``a``'s bytes in C order as buffers: the array itself when it is
+    contiguous, else bounded chunks of it (never a whole-array copy)."""
+    if a.flags.c_contiguous:
+        yield a.reshape(-1).view(np.uint8)
+        return
+    for chunk in np.nditer(
+        a,
+        flags=["external_loop", "buffered", "zerosize_ok"],
+        buffersize=max(_CHUNK_BYTES // a.itemsize, 1),
+        order="C",
+    ):
+        yield chunk.view(np.uint8)
+
+
+def _section_crc(a: np.ndarray) -> int:
+    crc = 0
+    for chunk in _byte_chunks(a):
+        crc = zlib.crc32(chunk, crc)
+    return crc
+
+
+def _head(entries: list, payload_json: bytes) -> bytes:
+    """Header + manifest; its length does not depend on the CRC values
+    (fixed-width hex), so placeholders reserve the final layout."""
+    sections_json = json.dumps(entries, separators=(",", ":")).encode()
+    manifest = b'{"sections":' + sections_json + b',"payload":' + payload_json + b"}"
+    head = _HEADER.pack(_MAGIC, _VERSION, len(manifest), 0)[:_CRC_START]
+    crc = zlib.crc32(manifest, zlib.crc32(head))
+    return _HEADER.pack(_MAGIC, _VERSION, len(manifest), crc) + manifest
+
+
+def _write_file(f, payload: dict) -> None:
+    """Stream ``payload`` into ``f``: the sections straight from the live
+    arrays while a second thread takes their CRCs (both release the
+    GIL), then the header and manifest over their reserved bytes."""
+    sections = _Sections()
+    payload_json = json.dumps(_encode(payload, "", sections), separators=(",", ":")).encode()
+    entries, end = [], 0
+    for name, a in zip(sections.names, sections.arrays):
+        offset = _aligned(end)
+        entries.append({
+            "name": name, "dtype": a.dtype.str, "shape": list(a.shape),
+            "offset": offset, "crc": "0" * 8,
+        })
+        end = offset + a.nbytes
+    crcs: list = [None] * len(entries)
+
+    def take_crcs() -> None:
+        for i, a in enumerate(sections.arrays):
+            crcs[i] = _section_crc(a)
+
+    crc_thread = threading.Thread(target=take_crcs, name="checkpoint-crc")
+    crc_thread.start()
+    try:
+        head = _head(entries, payload_json)
+        f.write(bytes(len(head)))
+        base = _aligned(len(head))
+        for entry, a in zip(entries, sections.arrays):
+            f.write(bytes(base + entry["offset"] - f.tell()))  # zero padding
+            for chunk in _byte_chunks(a):
+                f.write(chunk)
+    finally:
+        crc_thread.join()
+    if None in crcs:
+        raise RuntimeError("checkpoint section CRCs were not all taken")
+    for entry, crc in zip(entries, crcs):
+        entry["crc"] = f"{crc:08x}"
+    f.seek(0)
+    f.write(_head(entries, payload_json))
+
+
 def save_checkpoint(path, program, driver=None) -> None:
     """Serialize ``program`` (and optionally an AdaptiveExecutor) to ``path``.
 
-    The file is versioned and CRC-protected; :func:`restore_checkpoint`
-    refuses anything damaged or shape-incompatible.  Nothing is charged
-    to the simulated machine.
+    The file is versioned and CRC-protected (format v3, see the module
+    docstring); :func:`restore_checkpoint` refuses anything damaged or
+    shape-incompatible.  Nothing is charged to the simulated machine.
 
-    The write is crash-safe: the envelope lands in a temporary file that
+    The write is crash-safe: the file lands in a temporary file that
     is atomically renamed into place, and the previous checkpoint (if
     any) is first rotated to ``<path>.prev`` -- a kill at any instant
     leaves either the old checkpoint, the old one at ``.prev`` plus the
@@ -274,16 +520,16 @@ def save_checkpoint(path, program, driver=None) -> None:
     still finds it.
     """
     machine = program.machine
-    schedules: dict[int, dict] = {}
-    ghost_bufs: dict[int, dict] = {}
-    ordinals: dict[int, int] = {}  # id(shared object) -> table key
+    schedules: list[dict] = []
+    ghost_bufs: list[dict] = []
+    seen: dict[int, int] = {}  # id(shared object) -> its table position
     records = {}
     for name, rec in program.records.items():
         records[name] = {
             "data_dads": {k: _dad_payload(d) for k, d in rec.data_dads.items()},
             "ind_dads": {k: _dad_payload(d) for k, d in rec.ind_dads.items()},
             "ind_last_mod": dict(rec.ind_last_mod),
-            "product": _product_payload(rec.product, schedules, ghost_bufs, ordinals),
+            "product": _product_payload(rec.product, schedules, ghost_bufs, seen),
         }
     ttables = []
     for (aname, sig), tt in program.ttables.items():
@@ -298,13 +544,7 @@ def save_checkpoint(path, program, driver=None) -> None:
             for name, dec in program.decomps.items()
             if dec.distribution is not None
         },
-        "arrays": {
-            name: {
-                "dtype": arr.dtype.str,
-                "backing": arr.backing_ro,
-            }
-            for name, arr in program.arrays.items()
-        },
+        "arrays": {name: arr.backing_ro for name, arr in program.arrays.items()},
         "registry": _registry_payload(program.registry),
         "program": {
             "inspector_runs": program.inspector_runs,
@@ -328,18 +568,11 @@ def save_checkpoint(path, program, driver=None) -> None:
             ]
         },
     }
-    blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-    envelope = {
-        "format": _FORMAT,
-        "version": _VERSION,
-        "crc": zlib.crc32(blob),
-        "payload": blob,
-    }
     path = os.fspath(path)
     tmp = f"{path}.tmp{os.getpid()}"
     try:
         with open(tmp, "wb") as f:
-            pickle.dump(envelope, f, protocol=pickle.HIGHEST_PROTOCOL)
+            _write_file(f, payload)
         if os.path.exists(path):
             os.replace(path, previous_checkpoint_path(path))
         os.replace(tmp, path)
@@ -351,27 +584,109 @@ def save_checkpoint(path, program, driver=None) -> None:
 # ----------------------------------------------------------------------
 # load / restore
 # ----------------------------------------------------------------------
+def _read_file(path) -> bytearray:
+    """The whole file in a private buffer (one allocation, no copy)."""
+    try:
+        with open(path, "rb", buffering=0) as f:
+            buf = bytearray(os.fstat(f.fileno()).st_size)
+            if f.readinto(buf) != len(buf) or f.read(1):
+                raise OSError("the file changed size while being read")
+    except OSError as exc:
+        raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
+    return buf
+
+
+def _section_specs(buf, path) -> tuple[list, object]:
+    """Validate every byte of ``buf``; returns the sections' ``(start,
+    dtype, shape)`` and the manifest's payload tree."""
+    size = len(buf)
+    mv = memoryview(buf)
+    if size < _HEADER.size or mv[:8] != _MAGIC:
+        if buf[:1] == b"\x80":  # a pickle stream: format version 1 or 2
+            raise CheckpointError(
+                f"checkpoint {path} is a pickle envelope (format version 2 or "
+                f"older) unsupported (expected {_VERSION}); it is never unpickled"
+            )
+        raise CheckpointError(f"{path} is not a repro checkpoint file")
+    _, version, mlen, mcrc = _HEADER.unpack_from(buf)
+    if version != _VERSION:
+        raise CheckpointError(f"checkpoint version {version} unsupported (expected {_VERSION})")
+    mend = _HEADER.size + mlen
+    if mend > size:
+        raise CheckpointError(f"checkpoint {path}: manifest runs past the end of the file")
+    if zlib.crc32(mv[_HEADER.size : mend], zlib.crc32(mv[:_CRC_START])) != mcrc:
+        raise CheckpointError(f"checkpoint {path} failed its manifest CRC check")
+    try:
+        manifest = json.loads(mv[_HEADER.size : mend].tobytes().decode("utf-8"))
+    except (ValueError, RecursionError) as exc:
+        raise CheckpointError(f"checkpoint {path}: unreadable manifest: {exc}") from exc
+    if type(manifest) is not dict or set(manifest) != {"sections", "payload"} or (
+        type(manifest["sections"]) is not list
+    ):
+        raise CheckpointError(f"checkpoint {path}: manifest is not a v3 manifest")
+    base = _aligned(mend)
+    specs, end = [], mend
+    for sec in manifest["sections"]:
+        if type(sec) is not dict or set(sec) != {"name", "dtype", "shape", "offset", "crc"}:
+            raise CheckpointError(f"checkpoint {path}: malformed section entry {sec!r}")
+        name, shape, offset = sec["name"], sec["shape"], sec["offset"]
+        dt = _numeric_dtype(sec["dtype"])
+        if type(shape) is not list or len(shape) > 32 or not all(
+            type(n) is int and n >= 0 for n in shape
+        ):
+            raise CheckpointError(f"checkpoint section {name!r} has invalid shape {shape!r}")
+        crc = sec["crc"]
+        if type(offset) is not int or not (type(crc) is str and _CRC_RE.fullmatch(crc)):
+            raise CheckpointError(f"checkpoint section {name!r} has a malformed offset or CRC")
+        start = base + offset
+        stop = start + math.prod(shape) * dt.itemsize
+        if start < end:
+            raise CheckpointError(
+                f"checkpoint section {name!r} at {start} overlaps its predecessor "
+                f"(which ends at {end})"
+            )
+        if stop > size:
+            raise CheckpointError(f"checkpoint section {name!r} runs past the end of the file")
+        if start != _aligned(end):
+            raise CheckpointError(
+                f"checkpoint section {name!r} at {start} is not at its aligned offset "
+                f"{_aligned(end)}"
+            )
+        if any(mv[end:start]):
+            raise CheckpointError(f"checkpoint {path}: nonzero padding before section {name!r}")
+        if zlib.crc32(mv[start:stop]) != int(crc, 16):
+            raise CheckpointError(f"checkpoint {path}: section {name!r} failed its CRC check")
+        specs.append((start, dt, tuple(shape)))
+        end = stop
+    if end != size:
+        raise CheckpointError(f"checkpoint {path}: {size - end} trailing bytes after its data")
+    return specs, manifest["payload"]
+
+
+def _views(buf, specs) -> list[np.ndarray]:
+    """One read-only array per section, viewing ``buf`` (nothing copied)."""
+    ro = memoryview(buf).toreadonly()
+    return [
+        np.frombuffer(ro, dtype=dt, count=math.prod(shape), offset=start).reshape(shape)
+        for start, dt, shape in specs
+    ]
+
+
 def load_checkpoint(path) -> dict:
     """Read and validate a checkpoint file; returns the payload dict.
 
-    Raises :class:`CheckpointError` on a damaged or unrecognized file.
+    The file is read once; its arrays come back as read-only views of
+    that one private buffer.  Raises :class:`CheckpointError` on a
+    damaged or unrecognized file, before any payload object is built.
     """
-    try:
-        with open(path, "rb") as f:
-            envelope = pickle.load(f)
-    except (OSError, pickle.UnpicklingError, EOFError, AttributeError) as exc:
-        raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
-    if not isinstance(envelope, dict) or envelope.get("format") != _FORMAT:
-        raise CheckpointError(f"{path} is not a repro checkpoint file")
-    if envelope.get("version") != _VERSION:
-        raise CheckpointError(
-            f"checkpoint version {envelope.get('version')!r} unsupported "
-            f"(expected {_VERSION})"
-        )
-    blob = envelope.get("payload")
-    if not isinstance(blob, bytes) or zlib.crc32(blob) != envelope.get("crc"):
-        raise CheckpointError(f"checkpoint {path} failed its CRC check")
-    return pickle.loads(blob)
+    buf = _read_file(path)
+    specs, tree = _section_specs(buf, path)
+    # a dry run over placeholders: every tag known, every reference in
+    # range, before the first view of the buffer exists
+    _decode(tree, [None] * len(specs))
+    if type(tree) is not dict or set(tree) != _PAYLOAD_KEYS:
+        raise CheckpointError(f"checkpoint {path}: payload lacks the v{_VERSION} keys")
+    return _decode(tree, _views(buf, specs))
 
 
 def _restore_machine(machine: Machine, payload: dict) -> None:
@@ -410,13 +725,13 @@ def _build_distributions(program, payload: dict) -> list:
                 f"decomposition {name!r} has size {dec.size}, checkpoint {dist.size}"
             )
         for arr in dec.arrays:
-            saved_arr = unmatched.pop(arr.name, None)
-            if saved_arr is None:
+            backing = unmatched.pop(arr.name, None)
+            if backing is None:
                 raise CheckpointError(f"array {arr.name!r} of {name!r} is not in the checkpoint")
-            if (saved_arr["dtype"], saved_arr["backing"].shape) != (arr.dtype.str, (arr.size,)):
+            if (backing.dtype.str, backing.shape) != (arr.dtype.str, (arr.size,)):
                 raise CheckpointError(
                     f"array {arr.name!r} has dtype {arr.dtype} and size {arr.size}, checkpoint "
-                    f"has {saved_arr['dtype']} and shape {saved_arr['backing'].shape}"
+                    f"has {backing.dtype} and shape {backing.shape}"
                 )
         built.append((dec, dist))
     if unmatched:
@@ -434,25 +749,14 @@ def _build_dad(t: tuple) -> DAD:
     return DAD(kind=t[0], size=t[1], signature=t[2])
 
 
-def _freeze(saved) -> None:
-    """Lock every array under ``saved``: restored structures adopt the
-    unpickled arrays, and what was one object when saved (a twin group's
-    arrays, ``ghost_bounds`` / ``slot_bounds``) comes back as one, so a
-    stray in-place write must raise.  What the runtime does write in
-    place (snapshots, backings, counters) is never shared nor passed."""
-    if isinstance(saved, np.ndarray):
-        saved.flags.writeable = False
-    elif isinstance(saved, (dict, list, tuple)):
-        for item in saved.values() if isinstance(saved, dict) else saved:
-            _freeze(item)
-
-
 def _restore_products(program, payload: dict, loops: dict) -> dict:
-    """Rebuild records/schedules/ghosts; returns the record dict."""
+    """Rebuild records/schedules/ghosts; returns the record dict.
+
+    The structures adopt the loaded (read-only) arrays; only the ghost
+    backings, which gathers write, are private copies."""
     machine = program.machine
-    _freeze((payload["schedules"], payload["records"]))
-    sched_by_id = {
-        sid: CommSchedule(
+    schedules = [
+        CommSchedule(
             machine,
             s["dist_signature"],
             s["pair_q"],
@@ -463,15 +767,12 @@ def _restore_products(program, payload: dict, loops: dict) -> dict:
             s["ghost_sizes"],
             costs=program.costs,
         )
-        for sid, s in payload["schedules"].items()
-    }
-    ghosts_by_id = {}
-    for gid, g in payload["ghosts"].items():
+        for s in payload["schedules"]
+    ]
+    ghost_bufs = []
+    for g in payload["ghosts"]:
         buf = GhostBuffers(
-            machine,
-            sched_by_id[g["schedule"]],
-            dtype=np.dtype(g["dtype"]),
-            charge=False,
+            machine, schedules[g["schedule"]], dtype=g["backing"].dtype, charge=False
         )
         if buf.backing.size != g["backing"].size:
             raise CheckpointError(
@@ -479,7 +780,7 @@ def _restore_products(program, payload: dict, loops: dict) -> dict:
                 f"({buf.backing.size} != {g['backing'].size})"
             )
         buf.backing[:] = g["backing"]
-        ghosts_by_id[gid] = buf
+        ghost_bufs.append(buf)
     records = {}
     for name, rec in payload["records"].items():
         prod = rec["product"]
@@ -501,9 +802,10 @@ def _restore_products(program, payload: dict, loops: dict) -> dict:
         for key, pat in prod["patterns"]:
             loc = LocalizeResult(
                 local_sizes=pat["local_sizes"],
-                schedule=sched_by_id[pat["schedule"]],
+                schedule=schedules[pat["schedule"]],
                 refs_flat=pat["refs_flat"],
-                ref_bounds=pat["ref_bounds"],
+                # derivable: _verify_refs pins them to the partition's bounds
+                ref_bounds=part.bounds,
                 ghost_flat=pat["ghost_flat"],
                 ghost_bounds=pat["ghost_bounds"],
             )
@@ -511,7 +813,7 @@ def _restore_products(program, payload: dict, loops: dict) -> dict:
                 array=pat["array"],
                 index=pat["index"],
                 localized=loc,
-                ghosts=ghosts_by_id[pat["ghosts"]],
+                ghosts=ghost_bufs[pat["ghosts"]],
             )
         records[name] = InspectorRecord(
             loop_name=name,
@@ -549,22 +851,29 @@ def _restore_ttables(program, payload: list) -> None:
         program.ttables[(aname, sig)] = tt
 
 
-def _restore_adapt(adapt, payload: dict) -> None:
+def _build_adapt_states(payload: dict, records: dict) -> dict:
+    """Every loop's adapt state, mutating nothing.  Snapshots (patches
+    update them in place) are private copies; the home map is derived."""
     from repro.adapt.state import GroupState, LoopAdaptState
 
+    states = {}
+    for name, s in payload["states"].items():
+        rec = records.get(name)
+        if rec is None:
+            raise CheckpointError(f"adapt state of loop {name!r} has no inspector record")
+        states[name] = LoopAdaptState(
+            # derivable: verify_adapt_state (full) pins it to the partition
+            home=rec.product.iteration_partition.owner_of(),
+            snapshots={n: snap.copy() for n, snap in s["snapshots"].items()},
+            groups={gkey: GroupState(**g) for gkey, g in s["groups"]},
+        )
+    return states
+
+
+def _restore_adapt(adapt, payload: dict, states: dict) -> None:
     adapt.max_change_fraction = payload["max_change_fraction"]
     adapt.max_failures = payload["max_failures"]
-    _freeze([s["groups"] for s in payload["states"].values()])
-    adapt.replace_states(
-        {
-            name: LoopAdaptState(
-                home=s["home"],
-                snapshots=dict(s["snapshots"]),
-                groups={gkey: GroupState(**g) for gkey, g in s["groups"]},
-            )
-            for name, s in payload["states"].items()
-        }
-    )
+    adapt.replace_states(states)
     adapt.failures = dict(payload["failures"])
     adapt.disabled = set(payload["disabled"])
     adapt.program.events.replace_category(
@@ -596,11 +905,12 @@ def restore_checkpoint(payload, program, loops, driver=None) -> None:
         )
     distributions = _build_distributions(program, payload)
     records = _restore_products(program, payload, loops)
+    states = None if payload["adapt"] is None else _build_adapt_states(payload["adapt"], records)
     for dec, dist in distributions:
         dec.distribution = dist
         for arr in dec.arrays:
-            # a private, writable copy: the loaded array may be read-only
-            arr.rebind_flat(dist, payload["arrays"][arr.name]["backing"].copy())
+            # a private, writable copy: the loaded array is a read-only view
+            arr.rebind_flat(dist, payload["arrays"][arr.name].copy())
     _restore_machine(program.machine, payload["machine"])
     _restore_registry(program.registry, payload["registry"])
     prog_p = payload["program"]
@@ -614,8 +924,8 @@ def restore_checkpoint(payload, program, loops, driver=None) -> None:
     )
     program.records = records
     _restore_ttables(program, payload["ttables"])
-    if payload["adapt"] is not None:
-        _restore_adapt(program.adapt, payload["adapt"])
+    if states is not None:
+        _restore_adapt(program.adapt, payload["adapt"], states)
     elif program.adapt is not None:
         program.adapt.replace_states({})
     if driver is not None and payload["driver"] is not None:

@@ -239,7 +239,7 @@ class TestEntriesMemo:
         assert not any(value is arr for value in saved.values() for arr in memo)
         path = tmp_path / "c.ckpt"
         save_checkpoint(path, prog, driver=exe)
-        for sched in load_checkpoint(path)["schedules"].values():
+        for sched in load_checkpoint(path)["schedules"]:
             assert set(sched) == set(saved) == {
                 "dist_signature", "pair_q", "pair_p", "pair_len", "flat_send",
                 "flat_recv", "ghost_sizes",

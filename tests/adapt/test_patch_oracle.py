@@ -260,6 +260,39 @@ def test_patched_exec_caches_match_fresh(n_procs):
         assert np.isclose(e_carried, e_fresh, rtol=1e-12, atol=0.0)
 
 
+def test_carried_exec_refs_at_segment_starts_match_fresh():
+    """A patch that keeps the partition but re-targets every processor's
+    first iteration: the carried executor refs at those positions, whose
+    processor the patch reads off the partition bounds, equal a fresh
+    build."""
+    from repro.core.executor import _PatternSpace
+
+    mesh = generate_mesh(350, seed=13)
+    _, prog = build_program(mesh, True, 4, True)
+    loop = euler_edge_loop(mesh)
+    prog.forall(loop, n_times=1)
+    flat, bounds = prog.records[loop.name].product.iteration_partition.iters_flat()
+    firsts = np.sort(flat[bounds[:-1][np.diff(bounds) > 0]])
+    e1, e2 = (prog.arrays[n].to_global() for n in ("end_pt1", "end_pt2"))
+    owner = np.asarray(prog.arrays["x"].distribution.owner(np.arange(mesh.n_nodes)))
+    new = np.empty_like(firsts)
+    for k, i in enumerate(firsts):
+        # another node of the same owner: no vote, and no home, changes
+        same = np.flatnonzero(owner == owner[e2[i]])
+        new[k] = same[(same != e2[i]) & (same != e1[i])][0]
+    prog.set_array_elements("end_pt2", firsts, new)
+    prog.forall(loop, n_times=1)
+    assert prog.patch_hits == 1
+    part = prog.records[loop.name].product.iteration_partition
+    assert np.array_equal(part.flat, flat) and np.array_equal(part.bounds, bounds)
+    for key, pat in prog.records[loop.name].product.patterns.items():
+        assert pat.exec_refs is not None, key
+        fresh = _PatternSpace(pat.localized, pat.ghosts)
+        assert np.array_equal(
+            pat.exec_refs, fresh.refs(pat.localized, np.diff(bounds))
+        ), key
+
+
 def test_owner_computes_partition_method_respected():
     """Regression: re-voting must use the product's partition method --
     under owner_computes a patched partition must equal a fresh one."""

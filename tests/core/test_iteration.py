@@ -2,9 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import ArrayRef, Assign, ForallLoop, Reduce, partition_iterations
-from repro.core.iteration import owner_rows
+from repro.core.iteration import owner_rows, partition_from_home, shipped_counts
 from repro.distribution import BlockDistribution, DistArray, IrregularDistribution
 from repro.machine import Machine
 
@@ -207,3 +208,45 @@ class TestOwnerRows:
         assert some[0] is some[1] and some[4] is some[5]
         for row, sub in zip(full, some):
             assert np.array_equal(sub, row[at])
+
+
+def bincount_shipped(home: np.ndarray, block_sizes: np.ndarray) -> np.ndarray:
+    """The (holder, home) histogram as ``partition_iterations`` once
+    built it: an n-length holder array and one ``bincount`` into P**2."""
+    p = block_sizes.size
+    holder = np.repeat(np.arange(0, p * p, p), block_sizes)
+    return np.bincount(holder + home, minlength=p * p).reshape(p, p)
+
+
+@given(
+    n_procs=st.integers(1, 40),
+    n=st.integers(0, 120),
+    data=st.data(),
+)
+@settings(max_examples=300, deadline=None)
+def test_shipped_counts_equal_the_bincount_histogram(n_procs, n, data):
+    """Per home segment, searchsorted of the block boundaries counts the
+    same (holder, home) integer matrix -- empty homes, P = 1 and n < P
+    included -- so every iteration-shipping charge is unchanged."""
+    homes = data.draw(st.sampled_from(["any", "few", "one"]))
+    hi = {"any": n_procs, "few": min(n_procs, 2), "one": 1}[homes] - 1
+    home = np.asarray(
+        data.draw(st.lists(st.integers(0, hi), min_size=n, max_size=n)), dtype=np.int64
+    )
+    part = partition_from_home(home, n_procs, "almost_owner")
+    block_sizes = BlockDistribution(n, n_procs).local_sizes()
+    got = shipped_counts(part, block_sizes)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, bincount_shipped(home, block_sizes))
+
+
+def test_shipped_counts_on_a_benchmark_sized_partition():
+    rng = np.random.default_rng(5)
+    for n_procs in (1, 3, 64, 256):
+        home = rng.integers(0, n_procs, 20_000)
+        home[home == n_procs // 2] = 0  # one empty home
+        part = partition_from_home(home, n_procs, "almost_owner")
+        block_sizes = BlockDistribution(home.size, n_procs).local_sizes()
+        assert np.array_equal(
+            shipped_counts(part, block_sizes), bincount_shipped(home, block_sizes)
+        )

@@ -8,8 +8,12 @@ saved inspector state must match the reference bit for bit -- both at
 the resume point and after continuing.
 """
 
+import ast
+import json
 import os
+import pathlib
 import pickle
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -332,12 +336,13 @@ def restored_arrays(prog, loop_name) -> dict:
 
 
 def test_restored_arrays_shared_means_frozen_private_means_unaliased(tmp_path):
-    """The payload references the live arrays, so pickle writes an array
-    several structures hold once and restore gets it back as *one*
-    object.  That is only safe if nothing writes it in place: whatever
-    came back shared must be frozen, whatever the runtime does write in
-    place (snapshots, ghost backings) must alias nothing -- and the
-    resumed campaign must still equal the uninterrupted one."""
+    """The payload references the live arrays, so the file holds an
+    array several structures hold as one section and restore gets it
+    back as *one* object.  That is only safe if nothing writes it in
+    place: whatever came back shared must be frozen, whatever the
+    runtime does write in place (snapshots, ghost backings) must alias
+    nothing -- and the resumed campaign must still equal the
+    uninterrupted one."""
     path = tmp_path / "campaign.ckpt"
     mesh, m_ref, p_ref = build()
     exe_ref = AdaptiveExecutor(p_ref, euler_edge_loop(mesh))
@@ -357,6 +362,8 @@ def test_restored_arrays_shared_means_frozen_private_means_unaliased(tmp_path):
     assert gx["counts"] is gy["counts"] and gx["keys"] is gy["keys"]
     assert pats["x", "end_pt1"]["refs_flat"] is pats["y", "end_pt1"]["refs_flat"]
     assert pats["x", "end_pt1"]["ghost_bounds"] is gx["slot_bounds"]
+    # every loaded array is a read-only view of the one buffer read
+    assert not gx["counts"].flags.writeable and not gx["counts"].flags.owndata
 
     mesh, m_b, p_b = build()
     exe_b = AdaptiveExecutor.resume(path, p_b, euler_edge_loop(mesh))
@@ -415,25 +422,75 @@ def test_run_with_checkpoint_every_writes_files(tmp_path):
         exe.run(1, checkpoint_every=1)
 
 
-def test_on_disk_format_is_pinned(tmp_path):
-    """Format version 2 and its payload keys.
+def read_layout(path) -> tuple[dict, bytes, bytes]:
+    """``(manifest, header, data)`` of a v3 file: the parsed JSON manifest,
+    the 24 header bytes, and everything from the first section on."""
+    from repro.guard import checkpoint
 
-    Version 2 added each decomposition's distribution as constructor
-    data and dropped the per-array signature (an aligned array's
-    distribution *is* its decomposition's); everything else is as
-    version 1 wrote it.  A change to any key below needs a new
+    raw = pathlib.Path(path).read_bytes()
+    mlen = checkpoint._HEADER.unpack_from(raw)[2]
+    mend = checkpoint._HEADER.size + mlen
+    manifest = json.loads(raw[checkpoint._HEADER.size : mend])
+    return manifest, raw[: checkpoint._HEADER.size], raw[checkpoint._aligned(mend) :]
+
+
+def rewrite_manifest(path, edit) -> None:
+    """Apply ``edit`` to a file's manifest and write it back the way a
+    (buggy or foreign) saver would: header and manifest CRC valid, the
+    data bytes unchanged after the realigned manifest."""
+    from repro.guard import checkpoint
+
+    manifest, _, data = read_layout(path)
+    edit(manifest)
+    m = json.dumps(manifest, separators=(",", ":")).encode()
+    head = checkpoint._HEADER.pack(checkpoint._MAGIC, checkpoint._VERSION, len(m), 0)
+    crc = zlib.crc32(m, zlib.crc32(head[: checkpoint._CRC_START]))
+    pad = checkpoint._aligned(len(head) + len(m)) - len(head) - len(m)
+    pathlib.Path(path).write_bytes(
+        checkpoint._HEADER.pack(checkpoint._MAGIC, checkpoint._VERSION, len(m), crc)
+        + m + bytes(pad) + data
+    )
+
+
+def test_on_disk_format_is_pinned(tmp_path):
+    """Format version 3: header, manifest, sections -- and the payload keys.
+
+    Version 3 replaced version 2's pickle envelope with a 24-byte header
+    (magic, version, manifest length, CRC over the header and the
+    manifest), a JSON manifest and 64-byte aligned raw array sections,
+    and stopped writing what restore derives (an adapt state's ``home``,
+    each pattern's ``ref_bounds``); the schedule and ghost tables became
+    lists, and arrays and ghost buffers carry their dtype in their
+    section.  Version 2 added each decomposition's distribution as
+    constructor data.  A change to any key below needs a new
     ``_VERSION``.
     """
     from repro.guard import checkpoint
 
-    assert (checkpoint._FORMAT, checkpoint._VERSION) == ("repro-checkpoint", 2)
+    assert (checkpoint._MAGIC, checkpoint._VERSION) == (b"REPROCKP", 3)
     path = tmp_path / "campaign.ckpt"
     mesh, _, prog = build()
     exe = AdaptiveExecutor(prog, euler_edge_loop(mesh))
     drive(exe, mesh, 2)
     save_checkpoint(path, prog, driver=exe)
-    with open(path, "rb") as f:
-        assert set(pickle.load(f)) == {"format", "version", "crc", "payload"}
+    raw = path.read_bytes()
+    magic, version, mlen, crc = checkpoint._HEADER.unpack_from(raw)
+    assert (magic, version, checkpoint._HEADER.size) == (b"REPROCKP", 3, 24)
+    assert crc == zlib.crc32(raw[24 : 24 + mlen], zlib.crc32(raw[:20]))
+    manifest, _, _ = read_layout(path)
+    assert set(manifest) == {"sections", "payload"}
+    base = checkpoint._aligned(24 + mlen)
+    end = 24 + mlen
+    for sec in manifest["sections"]:
+        assert set(sec) == {"name", "dtype", "shape", "offset", "crc"}
+        start = base + sec["offset"]
+        assert start % 64 == 0 and start == checkpoint._aligned(end)
+        assert raw[end:start] == bytes(start - end)  # zero padding
+        end = start + int(np.prod(sec["shape"])) * np.dtype(sec["dtype"]).itemsize
+        assert zlib.crc32(raw[start:end]) == int(sec["crc"], 16)
+    assert end == len(raw)
+    names = [sec["name"] for sec in manifest["sections"]]
+    assert "/decomps/reg/owner_map" in names and "/arrays/x" in names
     payload = load_checkpoint(path)
     assert set(payload) == {
         "n_procs", "machine", "decomps", "arrays", "registry", "program",
@@ -445,20 +502,21 @@ def test_on_disk_format_is_pinned(tmp_path):
     assert reg["owner_map"].dtype == np.uint8
     assert np.array_equal(reg["owner_map"], prog.decomps["reg"].distribution.owner_map())
     assert reg2 == {"kind": "block", "size": mesh.n_edges}
-    for saved in payload["arrays"].values():
-        assert set(saved) == {"dtype", "backing"}
+    for name, backing in payload["arrays"].items():
+        assert backing.dtype == prog.arrays[name].dtype
     assert set(payload["machine"]) == {"counters", "phases"}
     assert set(payload["machine"]["counters"]) == set(COUNTER_FIELDS)
     for phase in payload["machine"]["phases"]:
         assert set(phase) == {"name", "elapsed", "counters"}
         assert set(phase["counters"]) == set(COUNTER_FIELDS)
-    for sched in payload["schedules"].values():
+    assert isinstance(payload["schedules"], list) and isinstance(payload["ghosts"], list)
+    for sched in payload["schedules"]:
         assert set(sched) == {
             "dist_signature", "pair_q", "pair_p", "pair_len", "flat_send",
             "flat_recv", "ghost_sizes",
         }
-    for ghosts in payload["ghosts"].values():
-        assert set(ghosts) == {"schedule", "dtype", "backing"}
+    for ghosts in payload["ghosts"]:
+        assert set(ghosts) == {"schedule", "backing"}
     for rec in payload["records"].values():
         assert set(rec) == {"data_dads", "ind_dads", "ind_last_mod", "product"}
         product = rec["product"]
@@ -467,21 +525,55 @@ def test_on_disk_format_is_pinned(tmp_path):
         for _, pat in product["patterns"]:
             assert set(pat) == {
                 "array", "index", "schedule", "ghosts", "local_sizes", "refs_flat",
-                "ref_bounds", "ghost_flat", "ghost_bounds",
+                "ghost_flat", "ghost_bounds",
+            }
+    for state in payload["adapt"]["states"].values():
+        assert set(state) == {"snapshots", "groups"}
+        for _, group in state["groups"]:
+            assert set(group) == {
+                "array", "indexes", "slot_bounds", "keys", "owners", "lidx", "counts",
             }
 
 
-def write_version_1(path):
-    """Rewrite a checkpoint file the way format version 1 laid it out:
-    no ``decomps``, a distribution signature per array, a valid CRC."""
-    payload = load_checkpoint(path)
-    del payload["decomps"]
-    for saved in payload["arrays"].values():
-        saved["signature"] = ("irregular", saved["backing"].size, N_PROCS, "0" * 16)
-    blob = pickle.dumps(payload)
-    envelope = {"format": "repro-checkpoint", "version": 1, "crc": zlib.crc32(blob)}
+def test_derived_fields_restore_equal(tmp_path):
+    """What the file leaves out comes back equal to what was live."""
+    path = tmp_path / "campaign.ckpt"
+    mesh, _, p_a = build()
+    exe_a = AdaptiveExecutor(p_a, euler_edge_loop(mesh))
+    drive(exe_a, mesh, 3)
+    exe_a.checkpoint(path)
+    mesh, _, p_b = build()
+    AdaptiveExecutor.resume(path, p_b, euler_edge_loop(mesh))
+    name = euler_edge_loop(mesh).name
+    home_a = p_a.adapt.state_for(name, "verify").home
+    home_b = p_b.adapt.state_for(name, "verify").home
+    assert home_b.dtype == home_a.dtype and np.array_equal(home_a, home_b)
+    for key, pat in p_b.records[name].product.patterns.items():
+        live = p_a.records[name].product.patterns[key].localized.ref_bounds
+        assert np.array_equal(pat.localized.ref_bounds, live)
+
+
+def _tripwire(*args):
+    """Called only if something unpickles a crafted envelope."""
+    TRIPPED.append(args)
+
+
+TRIPPED: list = []
+
+
+class _Boom:
+    def __reduce__(self):
+        return (_tripwire, ("unpickled",))
+
+
+def write_pickle_envelope(path, version=2):
+    """Overwrite ``path`` with an intact pickle envelope the way format
+    versions 1 and 2 were written (valid CRC) -- carrying an object that
+    would run code the moment anything unpickled it."""
+    blob = pickle.dumps({"n_procs": N_PROCS, "trap": _Boom()})
+    envelope = {"format": "repro-checkpoint", "version": version, "crc": zlib.crc32(blob)}
     with open(path, "wb") as f:
-        pickle.dump({**envelope, "payload": blob}, f)
+        pickle.dump({**envelope, "payload": blob}, f, protocol=pickle.HIGHEST_PROTOCOL)
 
 
 # payload edits a CRC-valid file cannot carry unless written by a buggy
@@ -509,7 +601,7 @@ def _missing_array(payload):
 
 
 def _wrong_dtype(payload):
-    payload["arrays"]["x"]["dtype"] = "<f4"
+    payload["arrays"]["x"] = payload["arrays"]["x"].astype("<f4")
 
 
 class TestRejectsDamage:
@@ -537,27 +629,35 @@ class TestRejectsDamage:
 
     def test_not_a_checkpoint(self, tmp_path):
         path = tmp_path / "junk.ckpt"
-        path.write_bytes(pickle.dumps({"hello": "world"}))
+        path.write_bytes(b"hello world, this is not a checkpoint")
         with pytest.raises(CheckpointError, match="not a repro checkpoint"):
             load_checkpoint(path)
 
     def test_version_mismatch(self, tmp_path):
         path, _ = self.make(tmp_path)
-        env = pickle.loads(path.read_bytes())
-        env["version"] = 999
-        path.write_bytes(pickle.dumps(env))
-        with pytest.raises(CheckpointError, match="version"):
+        raw = bytearray(path.read_bytes())
+        raw[8:12] = (999).to_bytes(4, "little")
+        path.write_bytes(bytes(raw))
+        with pytest.raises(CheckpointError, match="version 999 unsupported"):
             load_checkpoint(path)
 
-    def test_version_1_file_is_refused_by_resume(self, tmp_path):
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_pickle_envelope_is_refused_by_resume(self, tmp_path, version):
         """A checkpoint is crash-recovery state, not an archive: an
-        intact file of the previous format (no distributions) has no
-        reader, and the refusal names its version."""
+        intact file of an older, pickle-based format has no reader --
+        and is never unpickled, so what it carries never runs."""
         path, mesh = self.make(tmp_path)
-        write_version_1(path)
+        write_pickle_envelope(path, version)
         _, _, prog = build()
-        with pytest.raises(CheckpointError, match="version 1 unsupported"):
+        TRIPPED.clear()
+        with pytest.raises(CheckpointError, match="pickle envelope .* unsupported"):
             AdaptiveExecutor.resume(path, prog, euler_edge_loop(mesh))
+        assert TRIPPED == []
+        # the crafted file really would have run code
+        with open(path, "rb") as f:
+            pickle.loads(pickle.load(f)["payload"])
+        assert TRIPPED == [("unpickled",)]
+        TRIPPED.clear()
 
     def test_wrong_machine_size(self, tmp_path):
         path, mesh = self.make(tmp_path)
@@ -730,12 +830,10 @@ class TestCrashSafeSave:
 def test_checkpoint_bytes_are_reproducible(tmp_path):
     """Two separately built, equal campaigns write byte-identical files.
 
-    The shared-schedule / shared-ghost tables are keyed by first-seen
-    ordinal and the driver history leaves its host-clock seconds out.
-    Keyed by ``id()`` (as the tables were) the payload bytes differed
-    from build to build, and with them the envelope's CRC -- an integer
-    pickle writes in 5 bytes below 2**31 and 7 above, the +-2 wobble of
-    every recorded checkpoint size.
+    The shared-schedule / shared-ghost tables and the array sections are
+    listed in first-seen order and the driver history leaves its
+    host-clock seconds out.  Keyed by ``id()`` (as the tables once were)
+    the bytes differed from build to build.
     """
     def campaign(tag, junk):
         mesh, _, prog = build()
@@ -749,12 +847,332 @@ def test_checkpoint_bytes_are_reproducible(tmp_path):
     campaign("b", keep)
     assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
     pay = load_checkpoint(tmp_path / "a.ckpt")
-    # the keys are small ordinals, opaque to the loader
-    assert sorted([*pay["schedules"], *pay["ghosts"]]) == list(
-        range(len(pay["schedules"]) + len(pay["ghosts"]))
-    )
-    assert {g["schedule"] for g in pay["ghosts"].values()} <= set(pay["schedules"])
+    # patterns and ghost buffers index the tables by position
+    assert {g["schedule"] for g in pay["ghosts"]} <= set(range(len(pay["schedules"])))
     # a resumed driver reports none of its predecessor's host seconds
     mesh, _, prog = build()
     exe = AdaptiveExecutor.resume(tmp_path / "a.ckpt", prog, euler_edge_loop(mesh))
     assert [r["inspect_wall_seconds"] for r in exe.history] == [0.0] * 3
+
+
+# ----------------------------------------------------------------------
+# format v3: what the loader refuses, and what it never does
+# ----------------------------------------------------------------------
+def tiny_checkpoint(path):
+    """A checkpoint of a few kB: a 40-element explicit distribution, one
+    array, the machine's counters and phase records."""
+    prog = IrregularProgram(Machine(N_PROCS))
+    prog.decomposition("d", 40)
+    prog.distribute("d", "block")
+    prog.array("v", "d", values=np.arange(40, dtype=np.float64))
+    moved = np.arange(0, 40, 3)
+    prog.redistribute("d", moved=(moved, np.arange(moved.size) % N_PROCS))
+    save_checkpoint(path, prog)
+    return prog
+
+
+@pytest.fixture
+def no_views(monkeypatch):
+    """Fail the test if the loader builds any array view of the file."""
+    from repro.guard import checkpoint
+
+    def refuse(*args):
+        raise AssertionError("the loader built arrays out of a file it then refused")
+
+    monkeypatch.setattr(checkpoint, "_views", refuse)
+
+
+def _flip(offset_of, bit=0x01):
+    """Damage: XOR one byte, at ``offset_of(raw, manifest)``."""
+    def damage(path):
+        raw = bytearray(path.read_bytes())
+        raw[offset_of(raw, read_layout(path)[0])] ^= bit
+        path.write_bytes(bytes(raw))
+    return damage
+
+
+def _section_start(raw, manifest, i=0):
+    from repro.guard import checkpoint
+
+    mlen = checkpoint._HEADER.unpack_from(raw)[2]
+    return checkpoint._aligned(24 + mlen) + manifest["sections"][i]["offset"]
+
+
+def _edit(fn):
+    return lambda path: rewrite_manifest(path, fn)
+
+
+def _set_section(i, **fields):
+    def edit(manifest):
+        manifest["sections"][i].update(fields)
+    return edit
+
+
+def _unknown_tag(manifest):
+    manifest["payload"]["n_procs"] = {"$pickle": "gASVAAAAAAAAAAB9lC4="}
+
+
+def _truncate(keep):
+    def damage(path):
+        raw = path.read_bytes()
+        path.write_bytes(raw[: keep(raw)])
+    return damage
+
+
+def _trailing(path):
+    path.write_bytes(path.read_bytes() + bytes(64))
+
+
+def _as_pickle_envelope(path):
+    write_pickle_envelope(path, version=2)
+
+
+TAMPER = {
+    "manifest_bit": (_flip(lambda raw, m: 24 + len(raw[24:]) // 50), "manifest CRC"),
+    "section_bit": (_flip(lambda raw, m: _section_start(raw, m) + 3), "failed its CRC"),
+    "truncated_section": (_truncate(lambda raw: len(raw) - 5), "past the end of the file"),
+    "truncated_header": (_truncate(lambda raw: 10), "not a repro checkpoint"),
+    "offset_past_eof": (
+        _edit(_set_section(-1, offset=1 << 30)), "past the end of the file"
+    ),
+    "overlapping_sections": (
+        _edit(lambda m: m["sections"][1].update(offset=m["sections"][0]["offset"])),
+        "overlaps its predecessor",
+    ),
+    "gap_between_sections": (
+        _edit(lambda m: [s.update(offset=s["offset"] + 64) for s in m["sections"][1:]]),
+        "not at its aligned offset",
+    ),
+    "object_dtype": (_edit(_set_section(0, dtype="|O")), "only numeric dtypes"),
+    "void_dtype": (_edit(_set_section(0, dtype="|V8")), "only numeric dtypes"),
+    "subarray_dtype": (_edit(_set_section(0, dtype="('<f8', (2,))")), "only numeric dtypes"),
+    "negative_shape": (_edit(_set_section(0, shape=[-1])), "invalid shape"),
+    "oversized_shape": (_edit(_set_section(0, shape=[1 << 40])), "past the end of the file"),
+    "unknown_tag": (_edit(_unknown_tag), "unknown or malformed tag '\\$pickle'"),
+    "dangling_section_reference": (
+        _edit(lambda m: m["payload"].update(n_procs={"$array": len(m["sections"])})),
+        "which it lacks",
+    ),
+    "manifest_not_v3": (_edit(lambda m: m.pop("payload")), "not a v3 manifest"),
+    "trailing_bytes": (_trailing, "trailing bytes"),
+    "v2_pickle_envelope": (_as_pickle_envelope, "pickle envelope"),
+}
+
+
+class TestTamperMatrix:
+    """Every damaged, truncated, foreign or older-format file raises
+    :class:`CheckpointError` -- before a single array is built, and
+    without ever running code from the file."""
+
+    @pytest.mark.parametrize("case", sorted(TAMPER))
+    def test_refused_before_anything_is_built(self, tmp_path, no_views, case):
+        path = tmp_path / "t.ckpt"
+        tiny_checkpoint(path)
+        damage, match = TAMPER[case]
+        damage(path)
+        TRIPPED.clear()
+        with pytest.raises(CheckpointError, match=match):
+            load_checkpoint(path)
+        assert TRIPPED == []
+
+    def test_manifest_rewrite_alone_still_loads(self, tmp_path):
+        """The crafting helper writes valid files: each case above fails
+        for its damage, not for the rewrite."""
+        path = tmp_path / "t.ckpt"
+        prog = tiny_checkpoint(path)
+        before = path.read_bytes()
+        rewrite_manifest(path, lambda m: None)
+        assert path.read_bytes() == before
+        payload = load_checkpoint(path)
+        assert np.array_equal(payload["arrays"]["v"], prog.arrays["v"].backing_ro)
+
+    @pytest.mark.parametrize("bit", [0x01, 0x80, 0xFF])
+    def test_every_single_byte_flip_is_refused(self, tmp_path, no_views, bit):
+        """Every byte of the file is covered by some check -- header,
+        manifest, section data and the zero padding between them alike --
+        wherever a torn write or an in-place flip lands."""
+        from repro.guard import checkpoint
+
+        path = tmp_path / "t.ckpt"
+        tiny_checkpoint(path)
+        raw = path.read_bytes()
+        manifest, _, _ = read_layout(path)
+        mend = 24 + checkpoint._HEADER.unpack_from(raw)[2]
+        starts = [_section_start(raw, manifest, i) for i in range(len(manifest["sections"]))]
+        assert starts[0] > mend and any(  # padding after the manifest and between sections
+            s > e for s, e in zip(starts[1:], np.add(starts[:-1], 1))
+        )
+        damaged = tmp_path / "d.ckpt"
+        for i in range(len(raw)):
+            flipped = bytearray(raw)
+            flipped[i] ^= bit
+            damaged.write_bytes(bytes(flipped))
+            with pytest.raises(CheckpointError):
+                load_checkpoint(damaged)
+
+
+def test_no_pickle_under_guard():
+    """The loader cannot unpickle what no module of the package imports."""
+    guard = pathlib.Path(__file__).resolve().parents[2] / "src" / "repro" / "guard"
+    sources = sorted(guard.glob("*.py"))
+    assert any(p.name == "checkpoint.py" for p in sources)
+    for source in sources:
+        for node in ast.walk(ast.parse(source.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert not any(n.split(".")[0] in ("pickle", "_pickle") for n in names), source
+
+
+def test_load_peak_memory_is_the_file(tmp_path):
+    """The load reads the file once into one buffer and views it: its
+    traced peak stays within 1.1x the file size (pickle held the file's
+    contents twice)."""
+    path = tmp_path / "big.ckpt"
+    mesh = generate_mesh(6000, seed=4)
+    machine = Machine(N_PROCS)
+    prog = setup_euler_program(machine, mesh, seed=11, incremental=True, guard="cheap")
+    prog.construct("G", mesh.n_nodes, geometry=["xc", "yc", "zc"])
+    prog.set_distribution("fmt", "G", "RCB")
+    prog.redistribute("reg", "fmt")
+    exe = AdaptiveExecutor(prog, euler_edge_loop(mesh))
+    drive(exe, mesh, 2)
+    save_checkpoint(path, prog, driver=exe)
+    size = path.stat().st_size
+    tracemalloc.start()
+    try:
+        payload = load_checkpoint(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert payload["n_procs"] == N_PROCS
+    assert peak <= 1.1 * size, (peak, size)
+
+
+def test_tagged_structure_round_trips(tmp_path):
+    """Tuples, non-string and ``$``-prefixed keys, NumPy scalars and
+    non-finite floats come back as they were saved, by type and bits."""
+    from repro.guard import checkpoint
+
+    _, _, prog = build()
+    odd = {
+        "tuple": (1, ("a", None), []),
+        "int_keys": {3: "x", (1, 2): [True]},
+        "$dollar": {"$array": 1},
+        "floats": [0.1, -0.0, float("inf"), float("-inf"), 1e-310, float("nan")],
+        "numpy": [np.float32(0.1), np.int64(-7), np.uint8(255), np.bool_(True), np.float64(2.5)],
+        "big": 2**70,
+    }
+    prog.events.replace_category("guard", [odd])
+    path = tmp_path / "odd.ckpt"
+    save_checkpoint(path, prog)
+    (back,) = load_checkpoint(path)["program"]["guard_events"]
+    assert back["tuple"] == (1, ("a", None), []) and type(back["tuple"][1]) is tuple
+    assert back["int_keys"] == {3: "x", (1, 2): [True]}
+    assert back["$dollar"] == {"$array": 1}
+    floats = back["floats"]
+    assert [repr(x) for x in floats] == [repr(x) for x in odd["floats"]]
+    assert [type(x) for x in back["numpy"]] == [type(x) for x in odd["numpy"]]
+    assert [x.tobytes() for x in back["numpy"]] == [x.tobytes() for x in odd["numpy"]]
+    assert back["big"] == 2**70
+
+    for bad, where in (({"s": {1, 2}}, "/s"), ({"o": np.array([None])}, "/o")):
+        prog.events.replace_category("guard", [bad])
+        with pytest.raises(TypeError, match=f"program/guard_events/0{where}"):
+            save_checkpoint(tmp_path / "bad.ckpt", prog)
+    assert not (tmp_path / "bad.ckpt").exists()
+    assert not [n for n in os.listdir(tmp_path) if ".tmp" in n]
+    # a non-contiguous array streams through the chunk buffer unchanged
+    strided = np.arange(3 * 50_000, dtype=np.int64).reshape(3, -1)[:, ::7]
+    assert not strided.flags.c_contiguous
+    prog.events.replace_category("guard", [{"strided": strided}])
+    save_checkpoint(path, prog)
+    back = load_checkpoint(path)["program"]["guard_events"][0]["strided"]
+    assert back.shape == strided.shape and np.array_equal(back, strided)
+    assert checkpoint._section_crc(strided) == zlib.crc32(strided.tobytes())
+
+
+def _remap_fault(kind):
+    return lambda p: getattr(p, kind)(nth=0)
+
+
+@pytest.mark.parametrize(
+    "scenario, fault",
+    [
+        ("churn", lambda p: p.corrupt_gather(nth=0)),
+        ("churn", lambda p: p.drop_gather(nth=0, count=3)),
+        ("churn", lambda p: p.duplicate_gather(nth=0)),
+        ("churn", lambda p: p.flip_slots(nth=0)),
+        ("churn", lambda p: p.flip_slots(nth=0).flip_slots(nth=1).flip_slots(nth=2)),
+        ("churn", lambda p: p.stall("executor", proc=1, seconds=2.5, nth=0)),
+        ("rebalance", _remap_fault("corrupt_remap")),
+        ("rebalance", _remap_fault("drop_remap")),
+        ("rebalance", _remap_fault("duplicate_remap")),
+        ("rebalance", _remap_fault("flip_remap")),
+    ],
+    ids=[
+        "corrupt_gather", "drop_gather", "duplicate_gather", "flip_slots",
+        "flip_slots_until_disabled", "stall", "corrupt_remap", "drop_remap",
+        "duplicate_remap", "flip_remap",
+    ],
+)
+def test_every_fault_matrix_payload_saves(tmp_path, scenario, fault):
+    """Whatever guard events, fallback records and history a faulted
+    campaign leaves behind, the tagged encoder stores it: no save can
+    fail at run time, and every decision log loads back equal."""
+    mesh, machine, prog = build()
+    prog.adapt.max_failures = 2
+    plan = fault(FaultPlan(seed=7)).install(machine)
+    exe = AdaptiveExecutor(prog, euler_edge_loop(mesh))
+    (drive if scenario == "churn" else drive_rebalancing)(exe, mesh, 5)
+    assert plan.fired
+    path = tmp_path / "faulted.ckpt"
+    save_checkpoint(path, prog, driver=exe)
+    payload = load_checkpoint(path)
+    assert payload["program"]["guard_events"] == prog.guard_events
+    assert payload["adapt"]["fallback_log"] == prog.adapt.fallback_log
+    assert payload["adapt"]["failures"] == prog.adapt.failures
+    assert payload["adapt"]["disabled"] == sorted(prog.adapt.disabled)
+    assert payload["driver"]["history"] == simulated_history(exe)
+    mesh, m_b, p_b = build()
+    exe_b = AdaptiveExecutor.resume(path, p_b, euler_edge_loop(mesh))
+    assert_machines_equal(machine, m_b)
+    assert simulated_history(exe_b) == simulated_history(exe)
+
+
+def test_concurrent_saves_write_identical_files(tmp_path):
+    """Each save takes its CRCs on a thread of its own: saves running
+    side by side, with the interpreter switching threads as often as it
+    can, still write the one byte-identical, loadable file."""
+    import sys
+    import threading
+
+    _, _, prog = build()
+    save_checkpoint(tmp_path / "ref.ckpt", prog)
+    want = (tmp_path / "ref.ckpt").read_bytes()
+    errors = []
+
+    def save(i):
+        try:
+            save_checkpoint(tmp_path / f"c{i}.ckpt", prog)
+        except Exception as exc:  # reported below, by the main thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=save, args=(i,)) for i in range(6)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=60)
+        assert not any(w.is_alive() for w in workers)
+    finally:
+        sys.setswitchinterval(interval)
+    assert errors == []
+    for i in range(6):
+        assert (tmp_path / f"c{i}.ckpt").read_bytes() == want
+        load_checkpoint(tmp_path / f"c{i}.ckpt")

@@ -12,7 +12,7 @@ import pytest
 from repro.guard import checkpoint
 from repro.serve import JobConfig
 from repro.serve.jobs import bit_identity, run_job
-from tests.guard.test_checkpoint import write_version_1
+from tests.guard.test_checkpoint import write_pickle_envelope
 
 
 def adapt_cfg(steps, **kw):
@@ -92,11 +92,11 @@ def test_both_generations_damaged_restarts_from_scratch(tmp_path):
     assert bit_identity(restarted) == bit_identity(ref)
 
 
-def test_version_1_checkpoint_restarts_from_scratch(tmp_path):
+def test_pickle_envelope_checkpoint_restarts_from_scratch(tmp_path):
     cfg = rebalance_cfg(6)
     ref = run_job(cfg)
     ck = interrupted(cfg, 4, tmp_path)
-    write_version_1(ck)
+    write_pickle_envelope(ck)
     restarted = run_job(cfg, checkpoint_path=ck, attempt=2)
     assert not restarted["resumed"]
     assert restarted["start_step"] == 0
