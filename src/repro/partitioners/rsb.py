@@ -16,9 +16,10 @@ which is why the paper's RSB partitioning time (258 s) towers over RCB's
 
 from __future__ import annotations
 
+import warnings
+from typing import TYPE_CHECKING
+
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.csgraph as csgraph
 
 from repro.partitioners.base import (
     PartitionProblem,
@@ -29,6 +30,9 @@ from repro.partitioners.base import (
 from repro.partitioners.kl import kl_refine
 from repro.partitioners.weighted import weighted_median_split
 
+if TYPE_CHECKING:  # pragma: no cover
+    import scipy.sparse as sp
+
 #: modeled Lanczos iterations per bisection (i860-era, full reorth)
 LANCZOS_ITERS = 150
 #: dense-solve threshold for the actual Fiedler computation
@@ -36,6 +40,8 @@ _DENSE_N = 128
 
 
 def _laplacian(n: int, edges: np.ndarray) -> sp.csr_matrix:
+    import scipy.sparse as sp
+
     u, v = edges
     data = np.ones(2 * edges.shape[1])
     adj = sp.coo_matrix(
@@ -62,14 +68,14 @@ def fiedler_vector(n: int, edges: np.ndarray, rng: np.random.Generator) -> np.nd
     L = _laplacian(n, np.ascontiguousarray(edges, dtype=np.int64))
     if n <= _DENSE_N:
         return _dense_fiedler(L.toarray())
+    from scipy.sparse.linalg import eigsh, lobpcg
+
     ones = np.ones((n, 1)) / np.sqrt(n)
     x = rng.standard_normal((n, 1))
     try:
-        import warnings
-
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            vals, vecs = sp.linalg.lobpcg(
+            vals, vecs = lobpcg(
                 L.tocsr(),
                 x,
                 Y=ones,
@@ -86,7 +92,7 @@ def fiedler_vector(n: int, edges: np.ndarray, rng: np.random.Generator) -> np.nd
         return _dense_fiedler(L.toarray())
     # last resort: shifted power-ish refinement of a random vector is
     # useless; use eigsh which is slow but robust
-    vals, vecs = sp.linalg.eigsh(
+    vals, vecs = eigsh(
         L.tocsc().asfptype(), k=2, which="SM", v0=rng.standard_normal(n)
     )
     order = np.argsort(vals)
@@ -188,6 +194,9 @@ class RSBPartitioner(Partitioner):
             local_edges = np.empty((2, 0), dtype=np.int64)
 
         if local_edges.size:
+            import scipy.sparse as sp
+            import scipy.sparse.csgraph as csgraph
+
             adj = sp.coo_matrix(
                 (
                     np.ones(local_edges.shape[1]),

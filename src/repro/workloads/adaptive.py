@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.chaos.kernels import stable_argsort
 from repro.workloads.mesh import UnstructuredMesh
 
 
@@ -66,8 +67,9 @@ def refine_edges(
     coords = mesh.coords  # (ndim, N)
     if center is None:
         center = coords[:, rng.integers(0, mesh.n_nodes)]
-    # distance of each edge's first endpoint to the refinement center
-    d = np.linalg.norm(coords[:, edges[0]] - center[:, None], axis=0)
+    # distance of each edge's first endpoint to the refinement center,
+    # per node and then gathered: the same per-column sums, on fewer columns
+    d = np.linalg.norm(coords - center[:, None], axis=0)[edges[0]]
     positions = np.sort(np.argpartition(d, n_change - 1)[:n_change])
 
     # reconnect each selected edge to a node near its first endpoint:
@@ -76,7 +78,7 @@ def refine_edges(
     direction = rng.normal(size=mesh.ndim)
     direction /= np.linalg.norm(direction) + 1e-12
     key = direction @ coords  # (N,) projection
-    order = np.argsort(key, kind="stable")
+    order = stable_argsort(key)
     rank = np.empty(mesh.n_nodes, dtype=np.int64)
     rank[order] = np.arange(mesh.n_nodes)
     e1 = edges[0, positions]

@@ -10,7 +10,6 @@ and ADD reductions into per-atom force accumulators at both endpoints.
 from __future__ import annotations
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from repro.core.forall import ArrayRef, ForallLoop, Reduce
 from repro.core.program import IrregularProgram
@@ -75,6 +74,8 @@ def pair_list(coords: np.ndarray, cutoff: float = 8.0) -> np.ndarray:
     """Unique atom pairs within ``cutoff`` Angstroms, as a (2, P) array."""
     if coords.ndim != 2 or coords.shape[0] != 3:
         raise ValueError(f"coords must have shape (3, N), got {coords.shape}")
+    from scipy.spatial import cKDTree
+
     tree = cKDTree(coords.T)
     pairs = tree.query_pairs(cutoff, output_type="ndarray")
     if pairs.size == 0:

@@ -18,7 +18,6 @@ import zipfile
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import Delaunay
 
 #: in-process cache of generated meshes, keyed by the full parameter tuple;
 #: Delaunay on 50k graded points costs seconds, and every benchmark harness
@@ -198,6 +197,8 @@ def generate_mesh(
                 return _fresh_copy(mesh)
             # damaged entry was quarantined: fall through to regenerate
             # (and re-persist below)
+    from scipy.spatial import Delaunay  # only a cache miss pays for SciPy
+
     rng = np.random.default_rng(seed)
     pts = (
         _graded_points(n_nodes, ndim, rng)

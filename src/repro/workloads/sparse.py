@@ -8,12 +8,16 @@ reduction (the y entry).  CHAOS/PARTI's original home turf.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
-import scipy.sparse as sp
 
 from repro.core.forall import ArrayRef, ForallLoop, Reduce
 from repro.core.program import IrregularProgram
 from repro.machine.machine import Machine
+
+if TYPE_CHECKING:  # pragma: no cover
+    import scipy.sparse as sp
 
 #: modeled flops per nonzero (multiply + add)
 SPMV_FLOPS = 2.0
@@ -26,6 +30,8 @@ def random_sparse_csr(
     long-range coupling; rows have ~``nnz_per_row`` entries."""
     if n < 1:
         raise ValueError(f"matrix size must be positive, got {n}")
+    import scipy.sparse as sp
+
     rng = np.random.default_rng(seed)
     rows, cols = [], []
     for k in range(nnz_per_row):

@@ -194,6 +194,8 @@ class TestRSBDetails:
     def test_lobpcg_failure_types(self, monkeypatch, error, caught):
         """LOBPCG's own breakdowns fall through to the dense solve; any
         other exception is a bug and propagates."""
+        import scipy.sparse.linalg
+
         from repro.partitioners import rsb
 
         prob = grid_problem(15, 15)  # 225 vertices > _DENSE_N: the LOBPCG branch
@@ -202,7 +204,8 @@ class TestRSBDetails:
         def broken(*args, **kwargs):
             raise error("injected")
 
-        monkeypatch.setattr(rsb.sp.linalg, "lobpcg", broken)
+        # rsb imports lobpcg at its call site, so the patch is seen there
+        monkeypatch.setattr(scipy.sparse.linalg, "lobpcg", broken)
         rng = np.random.default_rng(0)
         if caught:
             got = rsb.fiedler_vector(prob.n_vertices, prob.edges, rng)
