@@ -98,12 +98,7 @@ loop patches its remaps the way refinement epochs patch their
 schedules.
 """
 
-from repro.adapt.diff import (
-    changed_at,
-    changed_positions,
-    expand_ranges,
-    ranges_from_positions,
-)
+from repro.adapt.diff import expand_ranges, ranges_from_positions
 from repro.adapt.driver import AdaptiveExecutor, IncrementalInspector
 from repro.adapt.patch import patch_product
 from repro.adapt.state import (
@@ -121,8 +116,6 @@ __all__ = [
     "PendingState",
     "build_adapt_state",
     "patch_product",
-    "changed_at",
-    "changed_positions",
     "expand_ranges",
     "ranges_from_positions",
 ]

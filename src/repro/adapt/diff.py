@@ -17,18 +17,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.timestamps import (
-    merge_ranges,
-    normalize_ranges,
-    ranges_from_positions,
-)
+from repro.core.timestamps import merge_ranges, ranges_from_positions
 
-__all__ = [
-    "expand_ranges",
-    "changed_at",
-    "changed_positions",
-    "ranges_from_positions",
-]
+__all__ = ["expand_ranges", "ranges_from_positions"]
 
 
 def expand_ranges(ranges: np.ndarray) -> np.ndarray:
@@ -47,29 +38,3 @@ def expand_ranges(ranges: np.ndarray) -> np.ndarray:
     offsets = np.concatenate(([0], np.cumsum(lens)[:-1]))
     return np.repeat(arr[:, 0] - offsets, lens) + np.arange(total, dtype=np.int64)
 
-
-def changed_at(
-    snapshot: np.ndarray, current: np.ndarray, positions: np.ndarray
-) -> np.ndarray:
-    """The subset of ``positions`` where ``current`` differs from
-    ``snapshot`` -- the diff core, for callers that already expanded
-    their dirty window."""
-    if snapshot.shape != current.shape:
-        raise ValueError(
-            f"snapshot shape {snapshot.shape} != current shape {current.shape}"
-        )
-    if not positions.size:
-        return positions
-    return positions[snapshot[positions] != current[positions]]
-
-
-def changed_positions(
-    snapshot: np.ndarray, current: np.ndarray, ranges: np.ndarray
-) -> np.ndarray:
-    """Positions inside ``ranges`` where ``current`` differs from ``snapshot``.
-
-    Returns a sorted int64 position array.  ``snapshot`` and ``current``
-    are full-length global value arrays; only the dirty window is read.
-    """
-    pos = expand_ranges(normalize_ranges(ranges, snapshot.shape[0]))
-    return changed_at(snapshot, current, pos)

@@ -74,21 +74,13 @@ DIFF_IOPS_PER_ELEMENT = 2.0
 class IncrementalInspector:
     """Per-program incremental-inspection state and patch routing."""
 
-    def __init__(
-        self,
-        program,
-        max_change_fraction: float = 0.35,
-        max_failures: int = 3,
-    ):
-        if not 0.0 < max_change_fraction <= 1.0:
-            raise ValueError(
-                f"max_change_fraction must be in (0, 1], got {max_change_fraction}"
-            )
-        if max_failures < 1:
-            raise ValueError(f"max_failures must be >= 1, got {max_failures}")
+    def __init__(self, program):
         self.program = program
-        self.max_change_fraction = max_change_fraction
-        self.max_failures = max_failures
+        #: patch only while at most this fraction of the tracked
+        #: indirection elements changed
+        self.max_change_fraction = 0.35
+        #: typed patch failures on one loop before it is disabled
+        self.max_failures = 3
         #: per loop, the adapt state of its saved product -- or, until a
         #: reader first asks through :meth:`state_for`, only the pending
         #: by-reference capture of the inspection that produced it
@@ -279,7 +271,6 @@ class IncrementalInspector:
                         state,
                         changed,
                         self.program.ttables,
-                        costs=self.program.costs,
                     )
                 with obs.span("adapt.verify", loop=loop.name):
                     self._verify_patch(loop, product)

@@ -40,7 +40,7 @@ from functools import partial
 
 import numpy as np
 
-from repro.chaos.costs import ChaosCosts, DEFAULT_COSTS
+from repro.chaos.costs import DEFAULT_COSTS
 from repro.chaos.kernels import majority_owner, pair_counts, sorted_unique_inverse
 from repro.chaos.localize import LocalizeResult
 from repro.chaos.schedule import CommSchedule
@@ -141,7 +141,6 @@ def _revote(
     state: LoopAdaptState,
     changed_iters: np.ndarray,
     method: str,
-    costs: ChaosCosts,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Recompute homes for changed iterations; returns (home_new, moved).
 
@@ -162,7 +161,7 @@ def _revote(
     machine.charge_compute_all(
         iops=np.bincount(home_old[changed_iters], minlength=machine.n_procs)
         * len(refs)
-        * (costs.hash_lookup + 2.0)
+        * (DEFAULT_COSTS.hash_lookup + 2.0)
     )
     if moved.size:
         pairmat = pair_counts(home_old[moved], home_new[moved], machine.n_procs)
@@ -181,7 +180,6 @@ class _PatchContext:
 
     machine: Machine
     product: InspectorProduct
-    costs: ChaosCosts
     deltas: _DeltaCache
     #: per patch by contract: a group is charged a local probe only for
     #: keys an earlier group of the *same* patch resolved, so hits must
@@ -297,7 +295,7 @@ def _group_delta(
 
 
 def _classify(
-    machine: Machine, dist, delta: Delta, costs: ChaosCosts
+    machine: Machine, dist, delta: Delta
 ) -> tuple[np.ndarray, np.ndarray, ComputeCharge]:
     """``(local offset, is-ghost mask, charge)`` of the added references.
 
@@ -309,7 +307,7 @@ def _classify(
     lidx = np.asarray(dist.local_index(delta.add_targets), dtype=np.int64)
     probes = np.bincount(delta.add_procs, minlength=machine.n_procs)
     return lidx, owners != delta.add_procs, machine.plan_compute_all(
-        iops=costs.translate_replicated * probes.astype(np.float64)
+        iops=DEFAULT_COSTS.translate_replicated * probes.astype(np.float64)
     )
 
 
@@ -462,7 +460,6 @@ def _schedule_charges(
     delta: Delta,
     slots: _Slots,
     uniq_owner: np.ndarray,
-    costs: ChaosCosts,
 ) -> tuple[ComputeCharge, ExchangeCharge | None, ComputeCharge | None]:
     """Plan the delta-proportional inspector work: the requesters' hash
     and schedule-build compute, then (``None`` when no send-list entry
@@ -477,9 +474,10 @@ def _schedule_charges(
     revived_proc = slots.slot_proc[slots.revived]
     new_per_proc = slots.need.astype(np.float64)
     sched = machine.plan_compute_all(
-        iops=costs.hash_lookup * (per_proc(delta.add_procs) + per_proc(delta.rem_procs))
-        + costs.hash_insert * new_per_proc
-        + costs.schedule_build
+        iops=DEFAULT_COSTS.hash_lookup
+        * (per_proc(delta.add_procs) + per_proc(delta.rem_procs))
+        + DEFAULT_COSTS.hash_insert * new_per_proc
+        + DEFAULT_COSTS.schedule_build
         * (per_proc(dead_proc) + per_proc(revived_proc) + new_per_proc)
     )
     d_p = np.concatenate([dead_proc, revived_proc, slots.uniq_proc])
@@ -492,9 +490,9 @@ def _schedule_charges(
     np.fill_diagonal(pairmat, 0)
     src, dst = np.nonzero(pairmat)
     exch = machine.plan_exchange(
-        src=src, dst=dst, nbytes=pairmat[src, dst] * costs.index_bytes
+        src=src, dst=dst, nbytes=pairmat[src, dst] * DEFAULT_COSTS.index_bytes
     )
-    recv = machine.plan_compute_all(iops=costs.schedule_build * per_proc(d_q))
+    recv = machine.plan_compute_all(iops=DEFAULT_COSTS.schedule_build * per_proc(d_q))
     return sched, exch, recv
 
 
@@ -579,7 +577,7 @@ def _patch_group(
     abort fires after the charges that precede it here (finding out is
     part of the simulated price); ``gstate`` is never mutated.
     """
-    machine, costs = ctx.machine, ctx.costs
+    machine = ctx.machine
     twin = sib is not None
     tag = f"{gstate.array}({','.join(map(str, gstate.indexes))})"
     span = partial(machine.obs.span, group=tag, twin=twin)
@@ -591,7 +589,7 @@ def _patch_group(
         delta = sib.delta if twin else _group_delta(ctx, gstate, member_keys, local_sizes)
         if delta is None:
             return None
-        adds = sib.adds if twin else _classify(machine, dist, delta, costs)
+        adds = sib.adds if twin else _classify(machine, dist, delta)
     lidx, ghost, classify_charge = adds
     machine.charge_planned_compute(classify_charge)
     with span("adapt.patch.slots"):
@@ -601,7 +599,7 @@ def _patch_group(
         # so this charges exactly the probe and the table's fixed (empty)
         # request/reply round an independent patch of this group pays
         uniq_owner, uniq_lidx = ctx.memo.translate(
-            machine, ttable, stride, slots.uniq_proc, slots.uniq_key, costs
+            machine, ttable, stride, slots.uniq_proc, slots.uniq_key
         )
     with span("adapt.patch.allocate"):
         alloc = sib.alloc if twin else _allocate(
@@ -614,10 +612,8 @@ def _patch_group(
             schedule, charges = sib.schedule.twin(), sib.charges
         else:
             schedule = _patch_schedule(gstate, first.localized.schedule, slots, alloc)
-            charges = _schedule_charges(
-                machine, gstate, delta, slots, uniq_owner, costs
-            )
-        ghosts = first.ghosts.patched(schedule, costs=costs, appended=slots.need)
+            charges = _schedule_charges(machine, gstate, delta, slots, uniq_owner)
+        ghosts = first.ghosts.patched(schedule, appended=slots.need)
         sched_charge, exchange, recv_charge = charges
         machine.charge_planned_compute(sched_charge)
         if exchange is not None:
@@ -705,7 +701,6 @@ def patch_product(
     state: LoopAdaptState,
     changed: dict[str, np.ndarray],
     ttables: dict[tuple[str, tuple], TranslationTable],
-    costs: ChaosCosts = DEFAULT_COSTS,
 ) -> InspectorProduct:
     """Patch ``product`` for the given changed indirection positions;
     returns the patched product (``product`` itself when the value
@@ -739,7 +734,7 @@ def patch_product(
     old_part = product.iteration_partition
     with machine.obs.span("adapt.patch.revote", iterations=int(changed_iters.size)):
         home_new, moved = _revote(
-            machine, loop, arrays, state, changed_iters, old_part.method, costs
+            machine, loop, arrays, state, changed_iters, old_part.method
         )
     new_part = old_part
     if moved.size:
@@ -749,7 +744,6 @@ def patch_product(
     ctx = _PatchContext(
         machine=machine,
         product=product,
-        costs=costs,
         deltas=_DeltaCache(
             arrays, changed, changed_iters, moved,
             state.home, home_new, inv_old, new_part.inverse(),

@@ -24,14 +24,14 @@ This package implements all four groups against the simulated machine:
     translate a reference list, deduplicate off-processor accesses,
     assign ghost-buffer slots, and build the communication schedule.
 ``gather_scatter``
-    Convenience wrappers applying schedules to ``DistArray`` objects.
+    The reduction operators a REDUCE statement may name.
 ``remap``
     Distribution-to-distribution array remapping (Phase C of Figure 2).
 ``buffers``
     Ghost-buffer allocation and bookkeeping.
 ``costs``
-    The operation-count constants CHAOS procedures charge; documented
-    and centralized so the calibration ablation can perturb them.
+    The operation-count constants CHAOS procedures charge: one
+    documented, fixed table (``DEFAULT_COSTS``).
 """
 
 from repro.chaos.costs import ChaosCosts, DEFAULT_COSTS
@@ -45,14 +45,8 @@ from repro.chaos.ttable import (
 from repro.chaos.schedule import CommSchedule
 from repro.chaos.localize import LocalizeResult, localize
 from repro.chaos.buffers import GhostBuffers
-from repro.chaos.gather_scatter import (
-    gather,
-    scatter,
-    scatter_add,
-    scatter_op,
-    REDUCTION_OPS,
-)
-from repro.chaos.remap import RemapSchedule, build_remap_schedule, remap_array, remap_arrays
+from repro.chaos.gather_scatter import REDUCTION_OPS
+from repro.chaos.remap import RemapSchedule, build_remap_schedule, remap_arrays
 
 __all__ = [
     "ChaosCosts",
@@ -66,13 +60,8 @@ __all__ = [
     "LocalizeResult",
     "localize",
     "GhostBuffers",
-    "gather",
-    "scatter",
-    "scatter_add",
-    "scatter_op",
     "REDUCTION_OPS",
     "RemapSchedule",
     "build_remap_schedule",
-    "remap_array",
     "remap_arrays",
 ]

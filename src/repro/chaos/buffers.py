@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.chaos.costs import ChaosCosts, DEFAULT_COSTS
+from repro.chaos.costs import DEFAULT_COSTS
 from repro.chaos.schedule import CommSchedule
 from repro.machine.machine import Machine
 
@@ -56,7 +56,6 @@ class GhostBuffers:
         machine: Machine,
         schedule: CommSchedule,
         dtype=np.float64,
-        costs: ChaosCosts = DEFAULT_COSTS,
         charge: bool = True,
     ):
         if schedule.machine is not machine:
@@ -71,13 +70,12 @@ class GhostBuffers:
         self.backing = np.zeros(int(self.offsets[-1]), dtype=self.dtype)
         if charge:
             machine.charge_compute_all(
-                iops=costs.buffer_assign * sizes.astype(np.float64)
+                iops=DEFAULT_COSTS.buffer_assign * sizes.astype(np.float64)
             )
 
     def patched(
         self,
         schedule: CommSchedule,
-        costs: ChaosCosts = DEFAULT_COSTS,
         appended: np.ndarray | None = None,
     ) -> "GhostBuffers":
         """Append-only regrowth: new buffers for a patched schedule.
@@ -97,9 +95,7 @@ class GhostBuffers:
         """
         if schedule.machine is not self.machine:
             raise ValueError("patched schedule lives on a different machine")
-        new = GhostBuffers(
-            self.machine, schedule, dtype=self.dtype, costs=costs, charge=False
-        )
+        new = GhostBuffers(self.machine, schedule, dtype=self.dtype, charge=False)
         old_sizes = np.diff(self.offsets)
         new_sizes = np.diff(new.offsets)
         if (new_sizes < old_sizes).any():
@@ -123,7 +119,7 @@ class GhostBuffers:
         if appended is None:
             appended = new_sizes - old_sizes
         self.machine.charge_compute_all(
-            iops=costs.buffer_assign * np.asarray(appended, dtype=np.float64)
+            iops=DEFAULT_COSTS.buffer_assign * np.asarray(appended, dtype=np.float64)
         )
         return new
 

@@ -6,17 +6,19 @@ assembly, buffer bookkeeping.  On the i860 this code ran at an effective
 ~1-1.5 M integer ops/s (poor cache behaviour), which is why the paper's
 inspector and remap phases cost whole seconds for tens of thousands of
 references.  We reproduce that balance by charging explicit per-element
-operation counts, centralized here so tests can assert on them and the
-calibration ablation can perturb them.
+operation counts, centralized here so tests can assert on them.
 
 Counts are rough i860-era instruction estimates per element for each
 primitive; only their ratios to the flop/byte costs matter for the
-reproduction's table shapes.
+reproduction's table shapes.  They are a fixed calibration: every charge
+site reads the one instance, :data:`DEFAULT_COSTS`.  The calibration
+ablation perturbs the machine's :class:`~repro.machine.costmodel.CostModel`
+instead.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -52,23 +54,6 @@ class ChaosCosts:
 
     index_bytes: int = 4
     """Wire size of one index in request messages (PARTI used 32-bit ints)."""
-
-    def scaled(self, factor: float) -> "ChaosCosts":
-        """Uniformly scale all per-element op counts (for ablations)."""
-        if factor < 0:
-            raise ValueError(f"negative scale factor {factor}")
-        return replace(
-            self,
-            hash_insert=self.hash_insert * factor,
-            hash_lookup=self.hash_lookup * factor,
-            translate_regular=self.translate_regular * factor,
-            translate_replicated=self.translate_replicated * factor,
-            translate_remote=self.translate_remote * factor,
-            schedule_build=self.schedule_build * factor,
-            buffer_assign=self.buffer_assign * factor,
-            remap_build=self.remap_build * factor,
-            pack_unpack_mem=self.pack_unpack_mem * factor,
-        )
 
 
 DEFAULT_COSTS = ChaosCosts()

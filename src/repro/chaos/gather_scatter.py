@@ -1,17 +1,15 @@
-"""Schedule application wrappers: gather / scatter / scatter-op.
+"""The reduction operators the paper's FORALL/REDUCE construct allows
+("addition, accumulation, max, min, etc.").
 
-Thin, name-faithful wrappers over :class:`CommSchedule` methods plus the
-registry of reduction operators the paper's FORALL/REDUCE construct
-allows ("addition, accumulation, max, min, etc.").
+Schedules are applied by :class:`~repro.chaos.schedule.CommSchedule`'s
+own ``gather`` / ``scatter`` / ``scatter_op``; this registry maps a
+REDUCE statement's operator name to the ufunc ``scatter_op`` combines
+with.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from repro.chaos.buffers import GhostBuffers
-from repro.chaos.schedule import CommSchedule
-from repro.distribution.distarray import DistArray
 
 #: Reduction operators permitted in REDUCE statements, by Fortran-ish name.
 REDUCTION_OPS = {
@@ -20,34 +18,3 @@ REDUCTION_OPS = {
     "min": np.minimum,
     "max": np.maximum,
 }
-
-
-def gather(schedule: CommSchedule, arr: DistArray, ghosts: GhostBuffers) -> None:
-    """Prefetch off-processor elements of ``arr`` into ``ghosts``."""
-    schedule.gather(arr, ghosts)
-
-
-def scatter(schedule: CommSchedule, ghosts: GhostBuffers, arr: DistArray) -> None:
-    """Copy ghost values back to their owners (overwrite semantics)."""
-    schedule.scatter(ghosts, arr)
-
-
-def scatter_add(schedule: CommSchedule, ghosts: GhostBuffers, arr: DistArray) -> None:
-    """Accumulate ghost contributions into their owners (+=)."""
-    schedule.scatter_op(ghosts, arr, np.add)
-
-
-def scatter_op(
-    schedule: CommSchedule,
-    ghosts: GhostBuffers,
-    arr: DistArray,
-    op_name: str,
-) -> None:
-    """Combine ghost contributions with a named reduction operator."""
-    try:
-        op = REDUCTION_OPS[op_name]
-    except KeyError:
-        raise ValueError(
-            f"unknown reduction op {op_name!r}; choose from {sorted(REDUCTION_OPS)}"
-        ) from None
-    schedule.scatter_op(ghosts, arr, op)

@@ -49,7 +49,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from repro.chaos.costs import ChaosCosts, DEFAULT_COSTS
+from repro.chaos.costs import DEFAULT_COSTS
 from repro.chaos.flatrefs import FlatRefs
 from repro.chaos.kernels import sorted_unique_inverse, stable_order
 from repro.chaos.schedule import CommSchedule
@@ -105,7 +105,6 @@ def localize(
     machine: Machine,
     ttable: TranslationTable,
     ref_lists,
-    costs: ChaosCosts = DEFAULT_COSTS,
     cache: TranslationCache | None = None,
     cache_key: "tuple[tuple, tuple] | None" = None,
 ) -> LocalizeResult:
@@ -229,11 +228,11 @@ def localize(
     ghost_f = ghost_counts.astype(np.float64)
     sink.charge_compute_all(
         iops=(
-            costs.hash_lookup * sizes.astype(np.float64)
-            + costs.hash_insert * ghost_f
-            + costs.schedule_build * ghost_f
-            + costs.buffer_assign * ghost_f
-            + costs.hash_lookup * n_off.astype(np.float64)
+            DEFAULT_COSTS.hash_lookup * sizes.astype(np.float64)
+            + DEFAULT_COSTS.hash_insert * ghost_f
+            + DEFAULT_COSTS.schedule_build * ghost_f
+            + DEFAULT_COSTS.buffer_assign * ghost_f
+            + DEFAULT_COSTS.hash_lookup * n_off.astype(np.float64)
         ),
     )
 
@@ -245,12 +244,12 @@ def localize(
     sink.exchange(
         src=pair_p[cross],
         dst=pair_q[cross],
-        nbytes=pair_counts[cross] * costs.index_bytes,
+        nbytes=pair_counts[cross] * DEFAULT_COSTS.index_bytes,
     )
     owner_record = np.bincount(
         pair_q, weights=pair_counts.astype(np.float64), minlength=n
     )
-    sink.charge_compute_all(iops=costs.schedule_build * owner_record)
+    sink.charge_compute_all(iops=DEFAULT_COSTS.schedule_build * owner_record)
     sink.barrier()
 
     with obs.span("localize.schedule.build", n_pairs=int(pair_q.size)):
@@ -263,7 +262,6 @@ def localize(
             sorted_lidx,
             sorted_slots,
             ghost_sizes,
-            costs=costs,
         )
     result = LocalizeResult(
         local_sizes=[int(s) for s in local_sizes_arr],

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.chaos.costs import ChaosCosts, DEFAULT_COSTS
+from repro.chaos.costs import DEFAULT_COSTS
 from repro.distribution.base import Distribution
 from repro.distribution.distarray import DistArray
 from repro.machine.machine import Machine, get_or_plan
@@ -94,8 +94,8 @@ class RemapSchedule:
         self._carry_src_pos: np.ndarray | None = None
         # the per-application charges, planned on first use and shared
         # by every array the schedule is applied to: ``("move",
-        # itemsize)`` -> the move ExchangeCharge, ``("pack", words per
-        # element)`` -> the (pack, unpack) ComputeCharges
+        # itemsize)`` -> the move ExchangeCharge, ``"pack"`` -> the
+        # (pack, unpack) ComputeCharges
         self._charges: dict = {}
 
     def element_count(self) -> int:
@@ -103,9 +103,7 @@ class RemapSchedule:
         cross = self.pair_p != self.pair_q
         return int(self.pair_counts[cross].sum())
 
-    def apply(
-        self, arr: DistArray, costs: ChaosCosts = DEFAULT_COSTS
-    ) -> None:
+    def apply(self, arr: DistArray) -> None:
         """Move one array's data and rebind it to the new distribution."""
         if arr.machine is not self.machine:
             raise ValueError("remap schedule and array live on different machines")
@@ -146,7 +144,7 @@ class RemapSchedule:
             new_data[self._dst_pos[keep]] = wire[keep]
 
         def plan_pack():
-            words = costs.pack_unpack_mem * self.pair_counts
+            words = DEFAULT_COSTS.pack_unpack_mem * self.pair_counts
             return [
                 m.plan_compute_all(mem=np.bincount(side, weights=words, minlength=n))
                 for side in (self.pair_p, self.pair_q)
@@ -157,9 +155,7 @@ class RemapSchedule:
                 src=self.pair_p, dst=self.pair_q, nbytes=self.pair_counts * arr.itemsize
             )
 
-        pack, unpack = get_or_plan(
-            self._charges, ("pack", costs.pack_unpack_mem), plan_pack
-        )
+        pack, unpack = get_or_plan(self._charges, "pack", plan_pack)
         m.charge_planned_compute(pack)
         m.charge_exchange(get_or_plan(self._charges, ("move", arr.itemsize), plan_move))
         m.charge_planned_compute(unpack)
@@ -196,7 +192,6 @@ def _assemble(
     old_dist: Distribution,
     new_dist: Distribution,
     moves: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
-    costs: ChaosCosts,
     carry_p: np.ndarray | None = None,
     carry_index: np.ndarray | None = None,
 ) -> RemapSchedule:
@@ -217,12 +212,12 @@ def _assemble(
     pair_counts = np.diff(bounds)
 
     per_proc = np.bincount(pair_p, weights=pair_counts, minlength=n)
-    machine.charge_compute_all(iops=costs.remap_build * per_proc)
+    machine.charge_compute_all(iops=DEFAULT_COSTS.remap_build * per_proc)
     cross = pair_p != pair_q
     machine.exchange(
         src=pair_p[cross],
         dst=pair_q[cross],
-        nbytes=pair_counts[cross] * 2 * costs.index_bytes,
+        nbytes=pair_counts[cross] * 2 * DEFAULT_COSTS.index_bytes,
     )
     machine.barrier()
     return RemapSchedule(
@@ -243,7 +238,6 @@ def build_remap_schedule(
     machine: Machine,
     old_dist: Distribution,
     new_dist: Distribution,
-    costs: ChaosCosts = DEFAULT_COSTS,
 ) -> RemapSchedule:
     """Build the schedule that moves data from ``old_dist`` to ``new_dist``.
 
@@ -252,7 +246,7 @@ def build_remap_schedule(
     """
     g = np.arange(old_dist.size, dtype=np.int64)
     moves = _translate_moves(machine, old_dist, new_dist, g)
-    return _assemble(machine, old_dist, new_dist, moves, costs)
+    return _assemble(machine, old_dist, new_dist, moves)
 
 
 def patch_remap_schedule(
@@ -260,7 +254,6 @@ def patch_remap_schedule(
     old_dist: Distribution,
     new_dist: Distribution,
     plan,
-    costs: ChaosCosts = DEFAULT_COSTS,
 ) -> RemapSchedule:
     """Build a remap schedule from a repartitioning delta alone.
 
@@ -290,7 +283,6 @@ def patch_remap_schedule(
         old_dist,
         new_dist,
         moves,
-        costs,
         carry_p=np.asarray(old_dist.owner(carry_g), dtype=np.int64),
         carry_index=np.asarray(old_dist.local_index(carry_g), dtype=np.int64),
     )
@@ -322,41 +314,25 @@ def remap_arrays_incremental(
     arrays: list[DistArray],
     new_dist: Distribution,
     plan,
-    costs: ChaosCosts = DEFAULT_COSTS,
 ) -> RemapSchedule:
     """Like :func:`remap_arrays`, with the schedule patched from a
     :class:`~repro.distribution.irregular.RebalancePlan` delta instead
     of rebuilt over every element."""
     first = _same_layout(arrays)
-    sched = patch_remap_schedule(
-        first.machine, first.distribution, new_dist, plan, costs
-    )
+    sched = patch_remap_schedule(first.machine, first.distribution, new_dist, plan)
     for arr in arrays:
-        sched.apply(arr, costs)
+        sched.apply(arr)
     return sched
 
 
-def remap_array(
-    arr: DistArray, new_dist: Distribution, costs: ChaosCosts = DEFAULT_COSTS
-) -> RemapSchedule:
-    """Build a schedule and remap a single array; returns the schedule."""
-    sched = build_remap_schedule(arr.machine, arr.distribution, new_dist, costs)
-    sched.apply(arr, costs)
-    return sched
-
-
-def remap_arrays(
-    arrays: list[DistArray],
-    new_dist: Distribution,
-    costs: ChaosCosts = DEFAULT_COSTS,
-) -> RemapSchedule:
+def remap_arrays(arrays: list[DistArray], new_dist: Distribution) -> RemapSchedule:
     """Remap several same-distribution arrays sharing one schedule.
 
     This is what REDISTRIBUTE does to every array aligned with a
     decomposition: the schedule is built once, applied per array.
     """
     first = _same_layout(arrays)
-    sched = build_remap_schedule(first.machine, first.distribution, new_dist, costs)
+    sched = build_remap_schedule(first.machine, first.distribution, new_dist)
     for arr in arrays:
-        sched.apply(arr, costs)
+        sched.apply(arr)
     return sched

@@ -68,7 +68,7 @@ from typing import Callable
 
 import numpy as np
 
-from repro.chaos.costs import ChaosCosts, DEFAULT_COSTS
+from repro.chaos.costs import DEFAULT_COSTS
 from repro.chaos.kernels import first_segment_outside, stable_order
 from repro.distribution.distarray import DistArray
 from repro.machine.machine import Machine, get_or_plan
@@ -104,7 +104,6 @@ class CommSchedule:
         flat_send: np.ndarray,
         flat_recv: np.ndarray,
         ghost_sizes: list[int],
-        costs: ChaosCosts = DEFAULT_COSTS,
     ):
         """Construct from flat pair-grouped arrays.
 
@@ -159,7 +158,6 @@ class CommSchedule:
             # wire order groups elements by owner q, stable within
             stable_order(flat_q, n),
             ghost_sizes,
-            costs,
         )
 
     @classmethod
@@ -173,7 +171,6 @@ class CommSchedule:
         entry_recv: np.ndarray,
         ghost_sizes: list[int],
         order_key: np.ndarray | None = None,
-        costs: ChaosCosts = DEFAULT_COSTS,
     ) -> "CommSchedule":
         """Construct from *per-element* entries in arbitrary order.
 
@@ -201,7 +198,6 @@ class CommSchedule:
             entry_send[perm],
             entry_recv[perm],
             ghost_sizes,
-            costs=costs,
         )
 
     def entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -319,7 +315,6 @@ class CommSchedule:
             np.concatenate([recv[keep], add_recv]),
             ghost_sizes,
             order_key=np.concatenate([keep_key[keep], add_key]),
-            costs=self.costs,
         )
 
     def _patched_merge(
@@ -423,7 +418,6 @@ class CommSchedule:
             recv2,
             wire_perm,
             ghost_sizes,
-            self.costs,
         )
         return new
 
@@ -438,7 +432,6 @@ class CommSchedule:
         flat_recv: np.ndarray,
         wire_perm: np.ndarray,
         ghost_sizes: list[int],
-        costs: ChaosCosts,
     ) -> None:
         """Derive every apply array from per-element flat input.
 
@@ -454,7 +447,6 @@ class CommSchedule:
         self.machine = machine
         self.dist_signature = dist_signature
         self.ghost_sizes = [int(s) for s in ghost_sizes]
-        self.costs = costs
         #: per-message arrays in pair insertion order (nonempty pairs only)
         self._pair_q, self._pair_p, self._pair_len = pairs
         self._flat_send = flat_send
@@ -495,7 +487,7 @@ class CommSchedule:
 
         # per-processor pack/unpack memory charges, accumulated in pair
         # order like a loop over pairs would
-        per_pair_mem = costs.pack_unpack_mem * self._pair_len
+        per_pair_mem = DEFAULT_COSTS.pack_unpack_mem * self._pair_len
         self._pack_mem = np.zeros(n)
         self._unpack_mem = np.zeros(n)
         np.add.at(self._pack_mem, self._pair_q, per_pair_mem)

@@ -24,7 +24,7 @@ Layout
 The cache is a flat dict of **slots**.  A slot names the *structural*
 identity of one cached product and holds at most one entry::
 
-    ("localize", loop, (index, ...), ttable kind, costs, P)  -> (version, LocalizeResult)
+    ("localize", loop, (index, ...), ttable kind, P)         -> (version, LocalizeResult)
     ("partition", loop, n, P, method, ((array, index), ...)) -> (version, PartitionEntry)
 
 A localize slot holds the cold run's
@@ -97,6 +97,8 @@ machine but the one that recorded the tape.
 from __future__ import annotations
 
 import numpy as np
+
+from repro.chaos.costs import DEFAULT_COSTS
 
 __all__ = [
     "ChargeLog",
@@ -323,7 +325,6 @@ class KeyTranslationMemo:
         stride: int,
         uniq_proc: np.ndarray,
         uniq_key: np.ndarray,
-        costs,
     ) -> tuple[np.ndarray, np.ndarray]:
         """(owner, lidx) for per-proc-sorted unique (proc, key) pairs."""
         n = machine.n_procs
@@ -340,7 +341,7 @@ class KeyTranslationMemo:
             )
             # every processor probes its memo once per key
             machine.charge_compute_all(
-                iops=costs.hash_lookup
+                iops=DEFAULT_COSTS.hash_lookup
                 * np.bincount(uniq_proc, minlength=n).astype(np.float64)
             )
         else:

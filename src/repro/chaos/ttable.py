@@ -35,7 +35,7 @@ from abc import ABC, abstractmethod
 
 import numpy as np
 
-from repro.chaos.costs import ChaosCosts, DEFAULT_COSTS
+from repro.chaos.costs import DEFAULT_COSTS
 from repro.chaos.flatrefs import FlatRefs
 from repro.chaos.kernels import pair_counts
 from repro.distribution.base import Distribution
@@ -52,7 +52,7 @@ class Translator(ABC):
     target for the flat path (defaults to the table's machine).
     """
 
-    def __init__(self, machine: Machine, dist: Distribution, costs: ChaosCosts = DEFAULT_COSTS):
+    def __init__(self, machine: Machine, dist: Distribution):
         if dist.n_procs != machine.n_procs:
             raise ValueError(
                 f"distribution spans {dist.n_procs} processors, machine has "
@@ -60,7 +60,6 @@ class Translator(ABC):
             )
         self.machine = machine
         self.dist = dist
-        self.costs = costs
 
     # -- charging hooks (the only per-kind code) ---------------------------
     @abstractmethod
@@ -128,17 +127,15 @@ TranslationTable = Translator
 class RegularTranslationTable(Translator):
     """Closed-form translation for block/cyclic/block-cyclic distributions."""
 
-    _per_ref_cost_field = "translate_regular"
+    _per_ref_cost = DEFAULT_COSTS.translate_regular
 
     def _charge_one(self, sink, p: int, g: np.ndarray) -> None:
-        sink.charge_compute(
-            p, iops=getattr(self.costs, self._per_ref_cost_field) * g.size
-        )
+        sink.charge_compute(p, iops=self._per_ref_cost * g.size)
 
     def _charge_flat(self, sink, values: np.ndarray, bounds: np.ndarray, requesters) -> None:
         members = np.size(values) // max(int(bounds[-1]), 1)
         sink.charge_compute_all(
-            iops=getattr(self.costs, self._per_ref_cost_field)
+            iops=self._per_ref_cost
             * (members * np.diff(bounds)).astype(np.float64)
         )
 
@@ -152,10 +149,10 @@ class ReplicatedTranslationTable(RegularTranslationTable):
     otherwise the regular table's local closed-form shape.
     """
 
-    _per_ref_cost_field = "translate_replicated"
+    _per_ref_cost = DEFAULT_COSTS.translate_replicated
 
-    def __init__(self, machine: Machine, dist: Distribution, costs: ChaosCosts = DEFAULT_COSTS):
-        super().__init__(machine, dist, costs)
+    def __init__(self, machine: Machine, dist: Distribution):
+        super().__init__(machine, dist)
         # model: allgather of (owner, offset) pairs for local fragments
         frag = -(-dist.size // machine.n_procs)
         allgather_cost(machine, frag * 2 * 4)  # two 32-bit words per element
@@ -170,8 +167,8 @@ class DistributedTranslationTable(Translator):
     reply message carrying (owner, offset) pairs.
     """
 
-    def __init__(self, machine: Machine, dist: Distribution, costs: ChaosCosts = DEFAULT_COSTS):
-        super().__init__(machine, dist, costs)
+    def __init__(self, machine: Machine, dist: Distribution):
+        super().__init__(machine, dist)
         self.pages = BlockDistribution(dist.size, machine.n_procs)
         # construction: each element's (owner, offset) entry is sent to its
         # page owner -- one all-to-all of table fragments
@@ -182,7 +179,7 @@ class DistributedTranslationTable(Translator):
         np.fill_diagonal(off_diag, 0)
         src, dst = np.nonzero(off_diag)
         machine.exchange(
-            src=src, dst=dst, nbytes=off_diag[src, dst] * 2 * self.costs.index_bytes
+            src=src, dst=dst, nbytes=off_diag[src, dst] * 2 * DEFAULT_COSTS.index_bytes
         )
         fill = counts.sum(axis=0).astype(float)
         machine.charge_compute_all(iops=2.0 * fill)
@@ -207,7 +204,7 @@ class DistributedTranslationTable(Translator):
         if counts[p]:
             # pages this processor itself owns: local table lookups
             sink.charge_compute(
-                p, iops=self.costs.translate_replicated * int(counts[p])
+                p, iops=DEFAULT_COSTS.translate_replicated * int(counts[p])
             )
             counts[p] = 0
         uq = np.flatnonzero(counts)
@@ -217,12 +214,12 @@ class DistributedTranslationTable(Translator):
             # restricted to one requester, with no per-owner loop
             cnt = counts[uq]
             req_p = np.full(uq.size, p, dtype=np.int64)
-            sink.exchange(src=req_p, dst=uq, nbytes=cnt * self.costs.index_bytes)
+            sink.exchange(src=req_p, dst=uq, nbytes=cnt * DEFAULT_COSTS.index_bytes)
             probe = np.zeros(self.machine.n_procs)
-            probe[uq] = self.costs.translate_remote * cnt
+            probe[uq] = DEFAULT_COSTS.translate_remote * cnt
             sink.charge_compute_all(iops=probe)
             sink.exchange(
-                src=uq, dst=req_p, nbytes=cnt * 2 * self.costs.index_bytes
+                src=uq, dst=req_p, nbytes=cnt * 2 * DEFAULT_COSTS.index_bytes
             )
 
     def _charge_flat(self, sink, values: np.ndarray, bounds: np.ndarray, requesters) -> None:
@@ -246,12 +243,12 @@ class DistributedTranslationTable(Translator):
         req_p, req_q = np.nonzero(off_diag)
         pair_counts = off_diag[req_p, req_q]
         sink.exchange(
-            src=req_p, dst=req_q, nbytes=pair_counts * self.costs.index_bytes
+            src=req_p, dst=req_q, nbytes=pair_counts * DEFAULT_COSTS.index_bytes
         )
         probe = req_counts.sum(axis=0).astype(float)
-        sink.charge_compute_all(iops=self.costs.translate_remote * probe)
+        sink.charge_compute_all(iops=DEFAULT_COSTS.translate_remote * probe)
         sink.exchange(
-            src=req_q, dst=req_p, nbytes=pair_counts * 2 * self.costs.index_bytes
+            src=req_q, dst=req_p, nbytes=pair_counts * 2 * DEFAULT_COSTS.index_bytes
         )
         sink.barrier()
 
@@ -280,7 +277,6 @@ class DistributedTranslationTable(Translator):
 def build_translation_table(
     machine: Machine,
     dist: Distribution,
-    costs: ChaosCosts = DEFAULT_COSTS,
     variant: str = "auto",
 ) -> Translator:
     """Build the right translation table for a distribution.
@@ -295,11 +291,11 @@ def build_translation_table(
     if variant == "regular":
         if dist.kind in ("irregular", "explicit"):
             raise ValueError("closed-form translation needs a regular distribution")
-        return RegularTranslationTable(machine, dist, costs)
+        return RegularTranslationTable(machine, dist)
     if variant == "replicated":
-        return ReplicatedTranslationTable(machine, dist, costs)
+        return ReplicatedTranslationTable(machine, dist)
     if variant == "distributed":
-        return DistributedTranslationTable(machine, dist, costs)
+        return DistributedTranslationTable(machine, dist)
     raise ValueError(
         f"unknown translation table variant {variant!r}; "
         "choose auto | regular | replicated | distributed"

@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.chaos.buffers import GhostBuffers
-from repro.chaos.costs import ChaosCosts, DEFAULT_COSTS
 from repro.chaos.localize import FlatRefs, LocalizeResult, localize
 from repro.chaos.transcache import TranslationCache
 from repro.chaos.ttable import TranslationTable, build_translation_table
@@ -134,7 +133,6 @@ def run_inspector(
     arrays: dict[str, DistArray],
     iter_method: str = "almost_owner",
     ttable_variant: str = "auto",
-    costs: ChaosCosts = DEFAULT_COSTS,
     ttables: dict[tuple[str, tuple], TranslationTable] | None = None,
     coalesce_patterns: bool = True,
     cache: TranslationCache | None = None,
@@ -177,7 +175,7 @@ def run_inspector(
     obs = machine.obs
     with obs.span("inspector.partition", loop=loop.name, method=iter_method):
         itpart = partition_iterations(
-            machine, loop, arrays, iter_method, costs, cache=cache, cache_key=part_key
+            machine, loop, arrays, iter_method, cache=cache, cache_key=part_key
         )
 
     # Phase D: localize every distinct access pattern
@@ -216,9 +214,7 @@ def run_inspector(
         if ttables is not None and tkey in ttables:
             return ttables[tkey]
         with obs.span("inspector.ttable.build", array=array_name):
-            tt = build_translation_table(
-                machine, arr.distribution, costs, ttable_variant
-            )
+            tt = build_translation_table(machine, arr.distribution, ttable_variant)
         if ttables is not None:
             ttables[tkey] = tt
         return tt
@@ -255,7 +251,6 @@ def run_inspector(
             loop.name,
             indexes,
             type(tt).__name__,
-            costs,
             n_procs,
         )
         version = (
@@ -300,11 +295,10 @@ def run_inspector(
                     machine,
                     tt,
                     lambda group=group: group_refs(group),
-                    costs,
                     cache=cache,
                     cache_key=loc_cache_key(tt, arr.distribution, group),
                 )
-            ghosts = GhostBuffers(machine, loc.schedule, dtype=arr.dtype, costs=costs)
+            ghosts = GhostBuffers(machine, loc.schedule, dtype=arr.dtype)
             for k, index in enumerate(group):
                 held = member_arrays(loc, k, group)
                 view = LocalizeResult(

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.chaos.costs import ChaosCosts, DEFAULT_COSTS
+from repro.chaos.costs import DEFAULT_COSTS
 from repro.chaos.kernels import majority_owner, stable_order
 from repro.chaos.transcache import ChargeLog, PartitionEntry, TranslationCache
 from repro.core import cachekey
@@ -213,7 +213,6 @@ def partition_iterations(
     loop: ForallLoop,
     arrays: dict[str, DistArray],
     method: str = "almost_owner",
-    costs: ChaosCosts = DEFAULT_COSTS,
     cache: TranslationCache | None = None,
     cache_key: "tuple[tuple, tuple] | None" = None,
 ) -> IterationPartition:
@@ -259,7 +258,9 @@ def partition_iterations(
     # translation probe + vote update per reference
     block_sizes = BlockDistribution(n, n_procs).local_sizes()
     sink.charge_compute_all(
-        iops=block_sizes.astype(np.float64) * len(refs) * (costs.hash_lookup + 2.0)
+        iops=block_sizes.astype(np.float64)
+        * len(refs)
+        * (DEFAULT_COSTS.hash_lookup + 2.0)
     )
     # ship iterations whose home differs from their initial block holder:
     # a (holder, home) histogram

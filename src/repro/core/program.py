@@ -38,7 +38,7 @@ from functools import partial
 
 import numpy as np
 
-from repro.chaos.costs import ChaosCosts, DEFAULT_COSTS
+from repro.chaos.costs import DEFAULT_COSTS
 from repro.chaos.remap import remap_arrays, remap_arrays_incremental
 from repro.chaos.transcache import TranslationCache
 from repro.core.dad import DAD
@@ -76,27 +76,16 @@ class IrregularProgram:
         machine: Machine,
         iter_method: str = "almost_owner",
         ttable_variant: str = "auto",
-        costs: ChaosCosts = DEFAULT_COSTS,
         executor_overhead: float = 1.0,
         track: bool = True,
         merge_communication: bool = False,
         coalesce_patterns: bool = True,
-        tracking_scope: str = "all",
         incremental: bool = False,
         guard: str | None = None,
         translation_cache: str = "on",
         obs: str | None = None,
     ):
-        """``tracking_scope`` selects what the runtime record covers:
-        ``"all"`` (the paper's implementation: every distributed-array
-        write is stamped) or ``"indirection"`` (the Section 3 "future
-        work" optimization: only writes to arrays sharing a DAD with
-        some loop's indirection array are stamped, cutting tracking
-        cost; the information would come from interprocedural analysis,
-        which we approximate by registering indirection DADs as loops
-        are first inspected).
-
-        ``coalesce_patterns`` (default on) applies PARTI's incremental-
+        """``coalesce_patterns`` (default on) applies PARTI's incremental-
         schedule optimization inside the inspector; pass ``False`` to
         opt out (one schedule per access pattern, the historical
         baseline the coalescing ablation measures).
@@ -139,11 +128,6 @@ class IrregularProgram:
                 f"unknown translation_cache mode {translation_cache!r}; "
                 "choose on | off"
             )
-        if tracking_scope not in ("all", "indirection"):
-            raise ValueError(
-                f"unknown tracking scope {tracking_scope!r}; "
-                "choose all | indirection"
-            )
         if incremental and not track:
             raise ValueError(
                 "incremental inspection needs the runtime modification "
@@ -159,7 +143,6 @@ class IrregularProgram:
             machine.obs = Tracer()
         self.iter_method = iter_method
         self.ttable_variant = ttable_variant
-        self.costs = costs
         self.executor_overhead = executor_overhead
         self.track = track
         self.merge_communication = merge_communication
@@ -167,7 +150,6 @@ class IrregularProgram:
         self.translation_cache = (
             TranslationCache() if translation_cache == "on" else None
         )
-        self.tracking_scope = tracking_scope
         if guard is None:
             guard = os.environ.get("REPRO_GUARD", "off")
         # guard sits above core in the layering (its checkpoint layer
@@ -178,7 +160,6 @@ class IrregularProgram:
         #: the program's structured-event stream; guard detections,
         #: adapt fallbacks, and (in serve) job lifecycle all land here
         self.events = EventBus()
-        self._indirection_dads: set[tuple] = set()
         self.registry = ModificationRegistry()
         self.arrays: dict[str, DistArray] = {}
         self.decomps: dict[str, Decomposition] = {}
@@ -264,7 +245,7 @@ class IrregularProgram:
 
         allgather_cost(
             self.machine,
-            -(-dec.size // self.machine.n_procs) * self.costs.index_bytes,
+            -(-dec.size // self.machine.n_procs) * DEFAULT_COSTS.index_bytes,
         )
         if dec.arrays:
             # live arrays: DISTRIBUTE after ALIGN means a remap
@@ -412,10 +393,6 @@ class IrregularProgram:
             aname: self.registry.last_mod(dad)
             for aname, dad in g.source_dads.items()
         }
-        # GeoCoL freshness uses the same stamps, so its source DADs must
-        # be tracked under the narrowed scope too
-        for dad in g.source_dads.values():
-            self._indirection_dads.add(dad.signature)
         self.geocols[name] = g
         return g
 
@@ -481,9 +458,7 @@ class IrregularProgram:
             new_dist, plan = repartition_stable(
                 dec.distribution, move_g, move_to
             )
-            remap = partial(
-                remap_arrays_incremental, dec.arrays, new_dist, plan, self.costs
-            )
+            remap = partial(remap_arrays_incremental, dec.arrays, new_dist, plan)
         else:
             new_dist = (
                 self.distfmts[fmt]
@@ -495,7 +470,7 @@ class IrregularProgram:
                     f"distribution size {new_dist.size} != decomposition "
                     f"{decomp!r} size {dec.size}"
                 )
-            remap = partial(remap_arrays, dec.arrays, new_dist, self.costs)
+            remap = partial(remap_arrays, dec.arrays, new_dist)
         with self.machine.phase("remap"):
             if dec.arrays:
                 remap()
@@ -649,7 +624,6 @@ class IrregularProgram:
                         self.arrays,
                         iter_method=self.iter_method,
                         ttable_variant=self.ttable_variant,
-                        costs=self.costs,
                         ttables=self.ttables,
                         coalesce_patterns=self.coalesce_patterns,
                         cache=cache,
@@ -686,7 +660,6 @@ class IrregularProgram:
     def _save_record(self, loop: ForallLoop, product) -> None:
         """Save the Section 3 record of a full or patched inspection."""
         ind_dads = {a: DAD.of(self.arrays[a]) for a in loop.indirection_arrays()}
-        self._indirection_dads.update(d.signature for d in ind_dads.values())
         self.records[loop.name] = InspectorRecord(
             loop_name=loop.name,
             data_dads={a: DAD.of(self.arrays[a]) for a in loop.data_arrays()},
@@ -700,20 +673,6 @@ class IrregularProgram:
     # ------------------------------------------------------------------
     def _record_write(self, arrays: list[DistArray], regions=None) -> None:
         dads = [DAD.of(a) for a in arrays]
-        if self.tracking_scope == "indirection":
-            # Section 3 optimization: only DADs known to be shared with
-            # some loop's indirection arrays need stamping.  The check
-            # stays conservative because indirection DADs are registered
-            # before any record for that loop exists.
-            keep = [d.signature in self._indirection_dads for d in dads]
-            dads = [d for d, k in zip(dads, keep) if k]
-            if regions is not None:
-                regions = [r for r, k in zip(regions, keep) if k]
-            if not dads:
-                # still a writing block: nmod advances, nothing stamped
-                self.registry.record_block_write([])
-                self.machine.charge_compute_all(iops=RECORD_WRITE_IOPS)
-                return
         self.registry.record_block_write(dads, regions=regions)
         self.machine.charge_compute_all(iops=RECORD_WRITE_IOPS * max(len(dads), 1))
 

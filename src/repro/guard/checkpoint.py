@@ -28,7 +28,7 @@ Three things are deliberately *not* serialized:
   callables; the caller re-binds them by name through the ``loops``
   mapping of :func:`restore_checkpoint`,
 * **translation tables** -- they are pure functions of (distribution,
-  costs, variant); restore rebuilds the cached ones against a scratch
+  variant); restore rebuilds the cached ones against a scratch
   machine so the (already-checkpointed) construction charges are not
   applied twice, then rebinds them to the live machine, and
 * **what an invariant pins to something saved** -- an adapt state's
@@ -37,7 +37,7 @@ Three things are deliberately *not* serialized:
   (``_verify_refs`` requires them to equal the partition's bounds):
   restore derives both from the restored partition.
 
-File format (version 3)
+File format (version 4)
 -----------------------
 One file, three parts, nothing in it executable::
 
@@ -88,7 +88,9 @@ another format, pickle-based versions 1 and 2 included (a checkpoint is
 crash-recovery state, not an archive) -- raises
 :class:`~repro.guard.errors.CheckpointError`, as does a restore into a
 program of another shape (machine size, declared decompositions and
-arrays); restore raises before it mutates anything.
+arrays) or with another value of an option in :data:`RECORDED_OPTIONS`;
+restore raises before it mutates anything.  Version 4 added those
+options; a version 3 file has no reader.
 
 Scope: the campaign path (``forall`` / array writes / incremental
 patching).  Mapper-coupling state (GeoCoL graphs, partitioner results)
@@ -132,7 +134,7 @@ from repro.machine.machine import Machine
 from repro.machine.stats import COUNTER_FIELDS, CounterBlock, PhaseRecord
 
 _MAGIC = b"REPROCKP"
-_VERSION = 3
+_VERSION = 4
 #: magic, version, manifest length, CRC over the bytes before it + manifest
 _HEADER = struct.Struct("<8sIQI")
 _CRC_START = _HEADER.size - 4
@@ -148,6 +150,21 @@ _PAYLOAD_KEYS = frozenset((
 ))
 #: bytes per chunk when a non-contiguous array streams through a buffer
 _CHUNK_BYTES = 1 << 20
+#: the program options a resumed run must share with the saved one: each
+#: changes what the runtime charges or builds, so a mismatch would carry
+#: on and depart from the uninterrupted run.  Host-only options (guard,
+#: obs, translation_cache) leave every simulated number alone and stay out.
+RECORDED_OPTIONS = (
+    "iter_method", "ttable_variant", "executor_overhead", "track",
+    "merge_communication", "coalesce_patterns", "incremental",
+)
+
+
+def _options(program) -> dict:
+    return {
+        name: program.adapt is not None if name == "incremental" else getattr(program, name)
+        for name in RECORDED_OPTIONS
+    }
 
 
 def _owners(dist):
@@ -323,7 +340,7 @@ def _adapt_payload(adapt) -> dict:
 
 
 # ----------------------------------------------------------------------
-# format v3: tagged JSON structure + raw array sections
+# the file format: tagged JSON structure + raw array sections
 # ----------------------------------------------------------------------
 _PLAIN = (type(None), bool, int, float, str)
 
@@ -507,7 +524,7 @@ def _write_file(f, payload: dict) -> None:
 def save_checkpoint(path, program, driver=None) -> None:
     """Serialize ``program`` (and optionally an AdaptiveExecutor) to ``path``.
 
-    The file is versioned and CRC-protected (format v3, see the module
+    The file is versioned and CRC-protected (format v4, see the module
     docstring); :func:`restore_checkpoint` refuses anything damaged or
     shape-incompatible.  Nothing is charged to the simulated machine.
 
@@ -551,7 +568,7 @@ def save_checkpoint(path, program, driver=None) -> None:
             "reuse_hits": program.reuse_hits,
             "patch_hits": program.patch_hits,
             "geocol_reuse_hits": program.geocol_reuse_hits,
-            "indirection_dads": sorted(program._indirection_dads),
+            "options": _options(program),
             "guard_events": [dict(e) for e in program.guard_events],
         },
         "schedules": schedules,
@@ -623,7 +640,7 @@ def _section_specs(buf, path) -> tuple[list, object]:
     if type(manifest) is not dict or set(manifest) != {"sections", "payload"} or (
         type(manifest["sections"]) is not list
     ):
-        raise CheckpointError(f"checkpoint {path}: manifest is not a v3 manifest")
+        raise CheckpointError(f"checkpoint {path}: manifest is not a v{_VERSION} manifest")
     base = _aligned(mend)
     specs, end = [], mend
     for sec in manifest["sections"]:
@@ -765,7 +782,6 @@ def _restore_products(program, payload: dict, loops: dict) -> dict:
             s["flat_send"],
             s["flat_recv"],
             s["ghost_sizes"],
-            costs=program.costs,
         )
         for s in payload["schedules"]
     ]
@@ -833,7 +849,7 @@ def _restore_products(program, payload: dict, loops: dict) -> dict:
 def _restore_ttables(program, payload: list) -> None:
     """Rebuild cached translation tables without re-charging construction.
 
-    Tables are pure functions of (distribution, costs, variant); their
+    Tables are pure functions of (distribution, variant); their
     build cost was charged before the checkpoint and lives in the
     restored counters, so the rebuild runs against a scratch machine and
     only the finished table is bound to the live one.
@@ -844,9 +860,7 @@ def _restore_ttables(program, payload: list) -> None:
         arr = program.arrays.get(aname)
         if arr is None or arr.distribution.signature() != sig:
             continue  # table for a distribution this program no longer has
-        tt = build_translation_table(
-            scratch, arr.distribution, program.costs, variant
-        )
+        tt = build_translation_table(scratch, arr.distribution, variant)
         tt.machine = program.machine
         program.ttables[(aname, sig)] = tt
 
@@ -898,11 +912,14 @@ def restore_checkpoint(payload, program, loops, driver=None) -> None:
             f"checkpoint is for {payload['n_procs']} processors, program "
             f"machine has {program.machine.n_procs}"
         )
-    if payload["adapt"] is not None and program.adapt is None:
-        raise CheckpointError(
-            "checkpoint carries incremental-inspection state; construct "
-            "the program with incremental=True before resuming"
-        )
+    saved, live = payload["program"]["options"], _options(program)
+    for name in RECORDED_OPTIONS:
+        if saved.get(name) != live[name]:
+            raise CheckpointError(
+                f"checkpoint was saved with {name}={saved.get(name)!r}, this "
+                f"program has {name}={live[name]!r}; construct it with the "
+                "checkpointed options before resuming"
+            )
     distributions = _build_distributions(program, payload)
     records = _restore_products(program, payload, loops)
     states = None if payload["adapt"] is None else _build_adapt_states(payload["adapt"], records)
@@ -918,7 +935,6 @@ def restore_checkpoint(payload, program, loops, driver=None) -> None:
     program.reuse_hits = prog_p["reuse_hits"]
     program.patch_hits = prog_p["patch_hits"]
     program.geocol_reuse_hits = prog_p["geocol_reuse_hits"]
-    program._indirection_dads = set(prog_p["indirection_dads"])
     program.events.replace_category(
         "guard", [dict(e) for e in prog_p["guard_events"]]
     )

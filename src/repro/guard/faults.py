@@ -282,7 +282,6 @@ class FaultPlan:
             sched._flat_send,
             recv,
             sched.ghost_sizes,
-            costs=sched.costs,
         )
         return True
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.adapt.diff import changed_positions, expand_ranges, ranges_from_positions
+from repro.adapt.diff import expand_ranges, ranges_from_positions
 from repro.core.dad import DAD
 from repro.core.timestamps import (
     ModificationRegistry,
@@ -49,18 +49,6 @@ class TestRangeKernels:
         # consecutive runs collapse
         assert ranges_from_positions(np.array([4, 5, 6, 9])).tolist() == [[4, 7], [9, 10]]
         assert ranges_from_positions(np.array([], dtype=np.int64)).shape == (0, 2)
-
-    def test_changed_positions_only_within_ranges(self):
-        snap = np.arange(20)
-        cur = snap.copy()
-        cur[[3, 8, 15]] = -1
-        # position 15 is dirty-but-uncovered: the caller's ranges bound it
-        out = changed_positions(snap, cur, np.array([[0, 10]]))
-        assert out.tolist() == [3, 8]
-
-    def test_changed_positions_shape_mismatch(self):
-        with pytest.raises(ValueError, match="shape"):
-            changed_positions(np.arange(3), np.arange(4), np.array([[0, 2]]))
 
 
 class TestRegistryRegions:

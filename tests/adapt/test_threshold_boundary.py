@@ -87,14 +87,3 @@ def test_rewrite_without_change_does_not_count():
     assert prog.patch_hits == 1
     assert not prog.adapt.fallback_log
 
-
-def test_max_change_fraction_validation():
-    from repro.adapt.driver import IncrementalInspector
-
-    for bad in (0.0, -0.1, 1.5):
-        with pytest.raises(ValueError, match="max_change_fraction"):
-            IncrementalInspector(None, max_change_fraction=bad)
-    with pytest.raises(ValueError, match="max_failures"):
-        IncrementalInspector(None, max_failures=0)
-    # 1.0 is inclusive: "never fall back on churn alone"
-    assert IncrementalInspector(None, max_change_fraction=1.0)

@@ -1,9 +1,6 @@
 """The paper's compiler-vs-hand claim on the second workload (MD)."""
 
-import numpy as np
-
 from repro.bench import run_md_experiment
-from repro.chaos.costs import ChaosCosts, DEFAULT_COSTS
 
 
 class TestMDCompilerVsHand:
@@ -25,34 +22,3 @@ class TestMDCompilerVsHand:
         loop = lambda r: r.phase("inspector") + r.phase("executor")
         assert loop(no) > 2 * loop(reuse)
 
-
-class TestChaosCosts:
-    def test_scaled_uniformly(self):
-        doubled = DEFAULT_COSTS.scaled(2.0)
-        assert doubled.hash_insert == 2 * DEFAULT_COSTS.hash_insert
-        assert doubled.remap_build == 2 * DEFAULT_COSTS.remap_build
-        assert doubled.index_bytes == DEFAULT_COSTS.index_bytes  # wire size fixed
-
-    def test_negative_scale_rejected(self):
-        import pytest
-
-        with pytest.raises(ValueError, match="negative"):
-            DEFAULT_COSTS.scaled(-1.0)
-
-    def test_costs_feed_through_inspector(self):
-        """Doubling CHAOS op counts roughly doubles inspector time."""
-        from repro.chaos import build_translation_table, localize
-        from repro.distribution import BlockDistribution
-        from repro.machine import Machine
-
-        rng = np.random.default_rng(0)
-        refs = [rng.integers(0, 400, 300) for _ in range(4)]
-        times = {}
-        for label, costs in (("1x", DEFAULT_COSTS), ("2x", DEFAULT_COSTS.scaled(2.0))):
-            m = Machine(4)
-            dist = BlockDistribution(400, 4)
-            tt = build_translation_table(m, dist, costs)
-            m.reset()
-            localize(m, tt, refs, costs)
-            times[label] = m.elapsed()
-        assert 1.5 < times["2x"] / times["1x"] < 2.5

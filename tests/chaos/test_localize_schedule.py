@@ -3,16 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.chaos import (
-    GhostBuffers,
-    build_translation_table,
-    gather,
-    localize,
-    scatter,
-    scatter_add,
-    scatter_op,
-)
+from repro.chaos import REDUCTION_OPS, GhostBuffers, build_translation_table, localize
 from repro.chaos.flatrefs import FlatRefs
+from repro.core import ArrayRef, Reduce
 from repro.distribution import BlockDistribution, DistArray, IrregularDistribution
 from repro.machine import Machine
 
@@ -91,7 +84,7 @@ class TestGather:
         dist = BlockDistribution(8, 4)
         refs = [[5, 0], [7], [1], [0, 6]]
         arr, res, ghosts = make_setup(m4, dist, refs)
-        gather(res.schedule, arr, ghosts)
+        res.schedule.gather(arr, ghosts)
         g = arr.to_global()
         for p in range(4):
             want = g[ghost_globals(res, p)]
@@ -103,7 +96,7 @@ class TestGather:
         dist = IrregularDistribution(rng.integers(0, 4, size=30), 4)
         refs = [rng.integers(0, 30, size=12) for _ in range(4)]
         arr, res, ghosts = make_setup(m4, dist, refs)
-        gather(res.schedule, arr, ghosts)
+        res.schedule.gather(arr, ghosts)
         g = arr.to_global()
         for p in range(4):
             combined = np.concatenate([arr.local(p), ghosts.buf(p)])
@@ -113,7 +106,7 @@ class TestGather:
         dist = BlockDistribution(8, 4)
         arr, res, ghosts = make_setup(m4, dist, [[7], [], [], []])
         before = m4.counters.messages_sent[3]
-        gather(res.schedule, arr, ghosts)
+        res.schedule.gather(arr, ghosts)
         assert m4.counters.messages_sent[3] == before + 1
 
     def test_stale_schedule_rejected(self, m4):
@@ -126,7 +119,7 @@ class TestGather:
             new, np.concatenate([vals[new.local_indices(p)] for p in range(4)])
         )
         with pytest.raises(ValueError, match="stale"):
-            gather(res.schedule, arr, ghosts)
+            res.schedule.gather(arr, ghosts)
 
     def test_wrong_ghost_shape_rejected(self, m4):
         dist = BlockDistribution(8, 4)
@@ -143,7 +136,7 @@ class TestScatter:
         arr, res, ghosts = make_setup(m4, dist, refs, values=np.zeros(8))
         for p in range(3):
             ghosts.buf(p)[:] = p + 1.0
-        scatter_add(res.schedule, ghosts, arr)
+        res.schedule.scatter_op(ghosts, arr, np.add)
         assert arr.to_global()[7] == pytest.approx(6.0)
 
     def test_scatter_overwrites(self, m4):
@@ -151,7 +144,7 @@ class TestScatter:
         refs = [[4], [], [], []]
         arr, res, ghosts = make_setup(m4, dist, refs, values=np.zeros(8))
         ghosts.buf(0)[:] = 9.0
-        scatter(res.schedule, ghosts, arr)
+        res.schedule.scatter(ghosts, arr)
         assert arr.to_global()[4] == 9.0
 
     def test_scatter_op_max(self, m4):
@@ -160,14 +153,13 @@ class TestScatter:
         arr, res, ghosts = make_setup(m4, dist, refs, values=np.full(8, 5.0))
         ghosts.buf(0)[:] = 2.0
         ghosts.buf(3)[:] = 11.0
-        scatter_op(res.schedule, ghosts, arr, "max")
+        res.schedule.scatter_op(ghosts, arr, REDUCTION_OPS["max"])
         assert arr.to_global()[3] == 11.0
 
-    def test_unknown_op_rejected(self, m4):
-        dist = BlockDistribution(8, 4)
-        arr, res, ghosts = make_setup(m4, dist, [[3], [], [], []])
+    def test_unknown_op_rejected(self):
+        # op names are validated where a REDUCE statement names one
         with pytest.raises(ValueError, match="unknown reduction"):
-            scatter_op(res.schedule, ghosts, arr, "xor")
+            Reduce("xor", ArrayRef("y", "ia"), lambda a: a, (ArrayRef("x", "ia"),))
 
     def test_non_ufunc_rejected(self, m4):
         dist = BlockDistribution(8, 4)
@@ -182,8 +174,8 @@ class TestScatter:
         refs = [rng.integers(0, 40, size=15) for _ in range(4)]
         vals = rng.normal(size=40)
         arr, res, ghosts = make_setup(m4, dist, refs, values=vals)
-        gather(res.schedule, arr, ghosts)
-        scatter(res.schedule, ghosts, arr)
+        res.schedule.gather(arr, ghosts)
+        res.schedule.scatter(ghosts, arr)
         assert np.allclose(arr.to_global(), vals)
 
 

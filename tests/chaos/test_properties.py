@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.chaos import GhostBuffers, build_translation_table, localize
 from repro.chaos.flatrefs import FlatRefs
-from repro.chaos.remap import remap_array
+from repro.chaos.remap import remap_arrays
 from repro.distribution import (
     BlockDistribution,
     CyclicDistribution,
@@ -102,7 +102,7 @@ def test_remap_preserves_content(case):
     m = Machine(n_procs)
     vals = np.arange(size, dtype=np.float64) * 1.5
     arr = DistArray.from_global(m, BlockDistribution(size, n_procs), vals)
-    remap_array(arr, new)
+    remap_arrays([arr], new)
     assert np.array_equal(arr.to_global(), vals)
 
 

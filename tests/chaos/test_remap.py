@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.chaos.remap import build_remap_schedule, remap_array, remap_arrays
+from repro.chaos.remap import build_remap_schedule, remap_arrays
 from repro.distribution import (
     BlockDistribution,
     CyclicDistribution,
@@ -22,7 +22,7 @@ class TestRemapArray:
     def test_block_to_cyclic_preserves_content(self, m4):
         vals = np.arange(10.0)
         arr = DistArray.from_global(m4, BlockDistribution(10, 4), vals)
-        remap_array(arr, CyclicDistribution(10, 4))
+        remap_arrays([arr], CyclicDistribution(10, 4))
         assert arr.distribution.kind == "cyclic"
         assert np.array_equal(arr.to_global(), vals)
 
@@ -31,7 +31,7 @@ class TestRemapArray:
         vals = rng.normal(size=20)
         arr = DistArray.from_global(m4, BlockDistribution(20, 4), vals)
         new = IrregularDistribution(rng.integers(0, 4, size=20), 4)
-        remap_array(arr, new)
+        remap_arrays([arr], new)
         assert np.allclose(arr.to_global(), vals)
         assert arr.local(2).size == new.local_size(2)
 
@@ -42,7 +42,7 @@ class TestRemapArray:
 
     def test_remap_charges_machine(self, m4):
         arr = DistArray.from_global(m4, BlockDistribution(10, 4), np.arange(10.0))
-        remap_array(arr, CyclicDistribution(10, 4))
+        remap_arrays([arr], CyclicDistribution(10, 4))
         assert m4.elapsed() > 0
         assert m4.counters.messages_sent.sum() > 0
 
@@ -82,6 +82,6 @@ class TestRemapArrays:
         arr = DistArray.from_global(
             m4, BlockDistribution(8, 4), np.arange(8, dtype=np.int64)
         )
-        remap_array(arr, CyclicDistribution(8, 4))
+        remap_arrays([arr], CyclicDistribution(8, 4))
         assert arr.dtype == np.int64
         assert np.array_equal(arr.to_global(), np.arange(8))

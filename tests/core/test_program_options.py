@@ -1,11 +1,19 @@
-"""Tests for program-level options: merged communication and the
-Section 3 tracking-scope optimization."""
+"""Tests for program-level options: merged communication, the runtime
+record every option leaves in place, and the option surface itself."""
+
+import importlib
+import inspect
+import pathlib
+import pkgutil
+import re
 
 import numpy as np
-import pytest
 
-from repro.core import ArrayRef, ForallLoop, IrregularProgram, Reduce
+import repro
+from repro.core import DAD, ArrayRef, ForallLoop, IrregularProgram, Reduce
 from repro.machine import Machine
+
+README = pathlib.Path(__file__).resolve().parents[2] / "README.md"
 
 
 def edge_loop(n_edges):
@@ -69,65 +77,72 @@ class TestMergeCommunication:
         assert stats[True][0] < stats[False][0]
 
 
-class TestTrackingScope:
-    def test_invalid_scope_rejected(self):
-        with pytest.raises(ValueError, match="tracking scope"):
-            IrregularProgram(Machine(2), tracking_scope="everything")
+class TestRuntimeRecord:
+    """The Section 3 record stamps every distributed-array write (the
+    paper's implementation); there is no narrower scope to opt into."""
 
-    def test_data_writes_not_stamped_under_narrow_scope(self):
+    def test_data_writes_are_stamped(self):
         m = Machine(4)
-        prog = build(m, tracking_scope="indirection")
+        prog = build(m)
         prog.forall(edge_loop(40), n_times=1)
-        # y writes happen every sweep; under the narrow scope they are
-        # never stamped (y's DAD differs from the indirection DADs)
-        from repro.core import DAD
-
-        assert prog.registry.last_mod(DAD.of(prog.arrays["y"])) == 0
+        # y is written every sweep and stamped each time, yet the loop's
+        # record only tracks the indirection DADs, so reuse is unharmed
+        stamp = prog.registry.last_mod(DAD.of(prog.arrays["y"]))
+        assert stamp > 0
         prog.forall(edge_loop(40), n_times=3)
-        assert prog.inspector_runs == 1  # reuse unharmed
+        assert prog.registry.last_mod(DAD.of(prog.arrays["y"])) > stamp
+        assert prog.inspector_runs == 1
 
-    def test_indirection_writes_still_invalidate(self):
-        """Safety: the narrowed scope must still catch indirection-array
-        writes (registered at first inspection)."""
+    def test_indirection_writes_invalidate(self):
         m = Machine(4)
-        prog = build(m, tracking_scope="indirection")
+        prog = build(m)
         prog.forall(edge_loop(40), n_times=1)
         rng = np.random.default_rng(1)
         prog.set_array("end_pt1", rng.integers(0, 24, 40))
         prog.forall(edge_loop(40), n_times=1)
         assert prog.inspector_runs == 2
 
-    def test_same_dad_interference_still_conservative(self):
-        """An unrelated array sharing the indirection DAD still forces
-        re-inspection under the narrow scope (DAD-level tracking)."""
+    def test_same_dad_interference_is_conservative(self):
+        """An unrelated array sharing the indirection DAD forces
+        re-inspection (tracking is per DAD, not per array)."""
         m = Machine(4)
-        prog = build(m, tracking_scope="indirection")
+        prog = build(m)
         prog.array("scratch", "reg2", values=np.zeros(40))
         prog.forall(edge_loop(40), n_times=1)
         prog.set_array("scratch", np.ones(40))
         prog.forall(edge_loop(40), n_times=1)
         assert prog.inspector_runs == 2
 
-    def test_results_identical_across_scopes(self):
-        outs = {}
-        for scope in ("all", "indirection"):
-            m = Machine(4)
-            prog = build(m, tracking_scope=scope)
-            prog.forall(edge_loop(40), n_times=4)
-            prog.set_array("end_pt2", np.zeros(40, dtype=np.int64))
-            prog.forall(edge_loop(40), n_times=2)
-            outs[scope] = prog.arrays["y"].to_global()
-        assert np.allclose(outs["all"], outs["indirection"])
 
-    def test_narrow_scope_cheaper_with_many_data_writes(self):
-        times = {}
-        for scope in ("all", "indirection"):
-            m = Machine(4)
-            prog = build(m, tracking_scope=scope)
-            prog.forall(edge_loop(40), n_times=1)
-            m.reset()
-            for s in range(30):
-                prog.set_array("y", np.full(24, float(s)))
-                prog.forall(edge_loop(40), n_times=1)
-            times[scope] = m.elapsed()
-        assert times["indirection"] <= times["all"]
+class TestOptionSurface:
+    """An option stays only while something outside the tests sets it:
+    adding one means adding its row, and its caller, to the README."""
+
+    def test_init_options_match_readme_table(self):
+        params = inspect.signature(IrregularProgram.__init__).parameters
+        options = [name for name in params if name not in ("self", "machine")]
+        assert all(params[name].default is not inspect.Parameter.empty for name in options)
+        section = README.read_text().split("\n## Program options\n", 1)[1].split("\n## ", 1)[0]
+        table = re.findall(r"^\| `(\w+)` \|", section, flags=re.M)
+        assert sorted(options) == sorted(table)
+        assert len(options) == 10
+
+    def test_no_function_takes_a_cost_table(self):
+        """The CHAOS operation counts are one fixed calibration
+        (``repro.chaos.costs.DEFAULT_COSTS``), read at the charge sites."""
+        takers = []
+        for info in pkgutil.walk_packages(repro.__path__, "repro."):
+            if info.name.endswith(".__main__"):
+                continue
+            module = importlib.import_module(info.name)
+            for obj in vars(module).values():
+                if getattr(obj, "__module__", None) != module.__name__:
+                    continue
+                if inspect.isclass(obj):
+                    funcs = [getattr(f, "__func__", f) for f in vars(obj).values()]
+                else:
+                    funcs = [obj]
+                for f in funcs:
+                    if inspect.isfunction(f) and "costs" in inspect.signature(f).parameters:
+                        takers.append(f"{module.__name__}.{f.__qualname__}")
+        assert takers == []

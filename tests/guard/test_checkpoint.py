@@ -453,9 +453,11 @@ def rewrite_manifest(path, edit) -> None:
 
 
 def test_on_disk_format_is_pinned(tmp_path):
-    """Format version 3: header, manifest, sections -- and the payload keys.
+    """Format version 4: header, manifest, sections -- and the payload keys.
 
-    Version 3 replaced version 2's pickle envelope with a 24-byte header
+    Version 4 records the program options a resume must match
+    (``RECORDED_OPTIONS``) and no longer writes the indirection-DAD set
+    of the deleted narrowed tracking scope.  Version 3 replaced version 2's pickle envelope with a 24-byte header
     (magic, version, manifest length, CRC over the header and the
     manifest), a JSON manifest and 64-byte aligned raw array sections,
     and stopped writing what restore derives (an adapt state's ``home``,
@@ -467,7 +469,7 @@ def test_on_disk_format_is_pinned(tmp_path):
     """
     from repro.guard import checkpoint
 
-    assert (checkpoint._MAGIC, checkpoint._VERSION) == (b"REPROCKP", 3)
+    assert (checkpoint._MAGIC, checkpoint._VERSION) == (b"REPROCKP", 4)
     path = tmp_path / "campaign.ckpt"
     mesh, _, prog = build()
     exe = AdaptiveExecutor(prog, euler_edge_loop(mesh))
@@ -475,7 +477,7 @@ def test_on_disk_format_is_pinned(tmp_path):
     save_checkpoint(path, prog, driver=exe)
     raw = path.read_bytes()
     magic, version, mlen, crc = checkpoint._HEADER.unpack_from(raw)
-    assert (magic, version, checkpoint._HEADER.size) == (b"REPROCKP", 3, 24)
+    assert (magic, version, checkpoint._HEADER.size) == (b"REPROCKP", 4, 24)
     assert crc == zlib.crc32(raw[24 : 24 + mlen], zlib.crc32(raw[:20]))
     manifest, _, _ = read_layout(path)
     assert set(manifest) == {"sections", "payload"}
@@ -504,6 +506,16 @@ def test_on_disk_format_is_pinned(tmp_path):
     assert reg2 == {"kind": "block", "size": mesh.n_edges}
     for name, backing in payload["arrays"].items():
         assert backing.dtype == prog.arrays[name].dtype
+    assert set(payload["program"]) == {
+        "inspector_runs", "reuse_hits", "patch_hits", "geocol_reuse_hits", "options",
+        "guard_events",
+    }
+    assert payload["program"]["options"] == {
+        "iter_method": "almost_owner", "ttable_variant": "auto", "executor_overhead": 1.0,
+        "track": True, "merge_communication": False, "coalesce_patterns": True,
+        "incremental": True,
+    }
+    assert tuple(payload["program"]["options"]) == checkpoint.RECORDED_OPTIONS
     assert set(payload["machine"]) == {"counters", "phases"}
     assert set(payload["machine"]["counters"]) == set(COUNTER_FIELDS)
     for phase in payload["machine"]["phases"]:
@@ -714,6 +726,71 @@ class TestRejectsDamage:
         _, _, prog = build(incremental=False)
         with pytest.raises(CheckpointError, match="incremental"):
             AdaptiveExecutor.resume(path, prog, euler_edge_loop(mesh))
+
+    def test_version_3_file_is_refused(self, tmp_path):
+        """Format v3 has no reader: the typed "unsupported" error, as for v2."""
+        path, _ = self.make(tmp_path)
+        raw = bytearray(path.read_bytes())
+        raw[8:12] = (3).to_bytes(4, "little")
+        path.write_bytes(bytes(raw))
+        with pytest.raises(CheckpointError, match="version 3 unsupported \\(expected 4\\)"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "option, value",
+        [
+            ("iter_method", "owner_computes"),
+            ("ttable_variant", "replicated"),
+            ("executor_overhead", 1.07),
+            ("track", False),
+            ("merge_communication", True),
+            ("coalesce_patterns", False),
+            ("incremental", False),
+        ],
+    )
+    def test_option_mismatch_refused_before_anything_changes(self, tmp_path, option, value):
+        """A resume into a program configured otherwise would carry on and
+        depart from the uninterrupted run: each recorded option is
+        checked, named, and refused before the first mutation."""
+        path, mesh = self.make(tmp_path)
+        kwargs = {"incremental": True, "guard": "cheap", option: value}
+        if option == "track":
+            kwargs["incremental"] = False  # incremental needs the record
+        machine = Machine(N_PROCS)
+        prog = setup_euler_program(machine, mesh, seed=11, **kwargs)
+        x_before = prog.arrays["x"].to_global()
+        clock_before = machine.counters.clock.copy()
+        dists_before = {name: dec.distribution for name, dec in prog.decomps.items()}
+        with pytest.raises(CheckpointError, match=f"{option}="):
+            AdaptiveExecutor.resume(path, prog, euler_edge_loop(mesh))
+        assert np.array_equal(prog.arrays["x"].to_global(), x_before)
+        assert np.array_equal(machine.counters.clock, clock_before)
+        assert prog.records == {} and prog.inspector_runs == 0
+        for name, dec in prog.decomps.items():
+            assert dec.distribution is dists_before[name]
+
+
+def test_resume_at_another_guard_level_is_bit_identical(tmp_path):
+    """``guard`` is host-only, so it is not recorded: a campaign saved at
+    ``"cheap"`` may be resumed (and debugged) at ``"full"``."""
+    path = tmp_path / "campaign.ckpt"
+    mesh, m_ref, p_ref = build()
+    exe_ref = AdaptiveExecutor(p_ref, euler_edge_loop(mesh))
+    drive(exe_ref, mesh, 4)
+
+    mesh, _, p_a = build()
+    exe_a = AdaptiveExecutor(p_a, euler_edge_loop(mesh))
+    drive(exe_a, mesh, 2)
+    exe_a.checkpoint(path)
+
+    m_b = Machine(N_PROCS)
+    p_b = setup_euler_program(m_b, mesh, seed=11, incremental=True, guard="full")
+    exe_b = AdaptiveExecutor.resume(path, p_b, euler_edge_loop(mesh))
+    drive(exe_b, mesh, 2, start=2)
+    assert p_b.guard == "full"
+    assert_machines_equal(m_ref, m_b)
+    assert_programs_equal(p_ref, p_b)
+    assert simulated_history(exe_ref) == simulated_history(exe_b)
 
 
 class TestCrashSafeSave:
@@ -953,7 +1030,7 @@ TAMPER = {
         _edit(lambda m: m["payload"].update(n_procs={"$array": len(m["sections"])})),
         "which it lacks",
     ),
-    "manifest_not_v3": (_edit(lambda m: m.pop("payload")), "not a v3 manifest"),
+    "manifest_not_current": (_edit(lambda m: m.pop("payload")), "not a v4 manifest"),
     "trailing_bytes": (_trailing, "trailing bytes"),
     "v2_pickle_envelope": (_as_pickle_envelope, "pickle envelope"),
 }

@@ -72,7 +72,7 @@ class TestGatherAccountingExact:
         model = flat_model(alpha=1.0, beta=0.5, mem_time=0.25)
         m = Machine(2, cost_model=model)
         dist = BlockDistribution(4, 2)
-        tt = build_translation_table(m, dist, DEFAULT_COSTS)
+        tt = build_translation_table(m, dist)
         res = localize(
             m, tt, [np.array([3], dtype=np.int64), np.empty(0, dtype=np.int64)]
         )
@@ -91,7 +91,7 @@ class TestGatherAccountingExact:
     def test_empty_schedule_costs_nothing(self):
         m = Machine(2, cost_model=flat_model(alpha=1.0))
         dist = BlockDistribution(4, 2)
-        tt = build_translation_table(m, dist, DEFAULT_COSTS)
+        tt = build_translation_table(m, dist)
         res = localize(
             m,
             tt,
