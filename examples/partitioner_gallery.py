@@ -1,10 +1,10 @@
 #!/usr/bin/env python
-"""Partitioner gallery: quality vs cost across the whole library.
+"""Partitioner gallery: quality vs cost across the library.
 
-Partitions one synthetic 3-D mesh with every registered partitioner and
-prints the trade-off table the paper's Section 4 discusses: edge cut
-(what the executor pays every iteration), communication volume, load
-imbalance, and the modeled parallel partitioning cost (what you pay
+Partitions one synthetic 3-D mesh with every registered partitioner
+(BLOCK, LOAD, RCB, RSB) and prints the trade-off table the paper's
+Section 4 discusses: edge cut (what the executor pays every iteration),
+load imbalance, and the modeled parallel partitioning cost (what you pay
 once).  Custom partitioners registered by the user appear automatically.
 
     python examples/partitioner_gallery.py [n_nodes] [n_parts]
@@ -15,13 +15,7 @@ import sys
 from repro.machine import Machine
 from repro.core import construct_geocol, partition_geocol
 from repro.distribution import DistArray, BlockDistribution
-from repro.partitioners import (
-    available_partitioners,
-    comm_volume,
-    edge_cut,
-    get_partitioner,
-    load_imbalance,
-)
+from repro.partitioners import available_partitioners, edge_cut, load_imbalance
 from repro.workloads import generate_mesh
 
 
@@ -32,13 +26,12 @@ def main(n_nodes=2000, n_parts=16):
         f"partitioning into {n_parts} parts\n"
     )
     header = (
-        f"{'name':<8} {'edge cut':>9} {'cut %':>6} {'comm vol':>9} "
+        f"{'name':<8} {'edge cut':>9} {'cut %':>6} "
         f"{'imbalance':>9} {'modeled cost':>12}"
     )
     print(header)
     print("-" * len(header))
     for name in available_partitioners():
-        part = get_partitioner(name)
         # feed each partitioner what it needs through the mapper coupler
         machine = Machine(n_parts)
         dist = BlockDistribution(mesh.n_nodes, n_parts)
@@ -54,7 +47,7 @@ def main(n_nodes=2000, n_parts=16):
         )
         machine.reset()
         try:
-            dist_new, result = partition_geocol(machine, g, name)
+            dist_new, _ = partition_geocol(machine, g, name)
         except ValueError as exc:
             print(f"{name:<8} (skipped: {exc})")
             continue
@@ -62,7 +55,6 @@ def main(n_nodes=2000, n_parts=16):
         cut = edge_cut(mesh.edges, owners)
         print(
             f"{name:<8} {cut:>9} {100 * cut / mesh.n_edges:>5.1f}% "
-            f"{comm_volume(mesh.edges, owners):>9} "
             f"{load_imbalance(owners, n_parts):>9.3f} "
             f"{machine.elapsed():>10.3f}s"
         )
@@ -70,8 +62,7 @@ def main(n_nodes=2000, n_parts=16):
         "\n'modeled cost' is the simulated parallel partitioning time on"
         "\nthe iPSC/860 model; 'cut %' drives the executor's per-iteration"
         "\ncommunication. The paper's trade-off: RSB buys the lowest cut at"
-        "\nby far the highest partitioning cost; RCB/SFC are the pragmatic"
-        "\nmiddle; BLOCK/CYCLIC/RANDOM show what ignoring structure costs."
+        "\nby far the highest partitioning cost."
     )
 
 

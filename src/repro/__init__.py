@@ -11,8 +11,8 @@ The package rebuilds the paper's full stack in Python:
   distributions, Fortran-D decompositions, distributed arrays;
 * :mod:`repro.chaos` -- the CHAOS/PARTI runtime: translation tables,
   communication schedules, localize, gather/scatter, remap;
-* :mod:`repro.partitioners` -- BLOCK/CYCLIC/RANDOM/LOAD/RCB/RIB/RSB(+KL)
-  with a registry and quality metrics;
+* :mod:`repro.partitioners` -- BLOCK/LOAD/RCB/RSB with a registry for
+  custom partitioners and quality metrics;
 * :mod:`repro.core` -- the paper's contribution: data access
   descriptors, the nmod/last_mod registry, the conservative schedule-
   reuse check, GeoCoL construction, the mapper coupler, iteration
@@ -52,7 +52,7 @@ Quickstart::
     print(m.elapsed(), prog.reuse_hits)
 """
 
-from repro.machine import Machine, IPSC860, IDEALIZED
+from repro.machine import Machine, IPSC860
 from repro.distribution import (
     BlockDistribution,
     CyclicDistribution,
@@ -99,7 +99,6 @@ __version__ = "1.0.0"
 __all__ = [
     "Machine",
     "IPSC860",
-    "IDEALIZED",
     "BlockDistribution",
     "CyclicDistribution",
     "BlockCyclicDistribution",

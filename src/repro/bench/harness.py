@@ -94,11 +94,11 @@ def _partition_and_remap(
         # partitioner, but the redistribution machinery still runs
         prog.redistribute(node_decomp, "block")
         return
-    if partitioner in ("RSB", "RSB+KL"):
+    if partitioner == "RSB":
         if link_names is None:
             raise ValueError(f"workload {workload!r} has no LINK arrays for RSB")
         prog.construct("G", n_nodes, link=link_names)
-    else:  # geometry-based: RCB / RIB
+    else:  # geometry-based: RCB
         prog.construct("G", n_nodes, geometry=geometry_names)
     prog.set_distribution("distfmt", "G", partitioner)
     prog.redistribute(node_decomp, "distfmt")

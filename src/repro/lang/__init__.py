@@ -59,7 +59,6 @@ from repro.lang.parser import parse, ParseError
 from repro.lang.analysis import analyze, AnalysisError, ProgramInfo
 from repro.lang.lower import lower_forall, compile_expression
 from repro.lang.interp import run_program, CompiledProgram
-from repro.lang.pretty import pretty_expr, pretty_program, pretty_stmt
 
 __all__ = [
     "Token",
@@ -92,7 +91,4 @@ __all__ = [
     "compile_expression",
     "run_program",
     "CompiledProgram",
-    "pretty_expr",
-    "pretty_program",
-    "pretty_stmt",
 ]

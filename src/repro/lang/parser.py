@@ -245,10 +245,6 @@ class _Parser:
         geocol = self.expect_ident().text
         self.expect_ident("USING")
         pname = self.expect_ident().text
-        # allow RSB+KL style names
-        while self.peek().kind == TokenKind.OP and self.peek().text in "+-":
-            op = self.next().text
-            pname += op + self.expect_ident().text
         self.expect_newline()
         return SetStmt(target=target, geocol=geocol, partitioner=pname, line=tok.line)
 

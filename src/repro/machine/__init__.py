@@ -15,42 +15,24 @@ seconds** derived from these counters, never Python wall-clock time.
 from repro.machine.topology import (
     Topology,
     HypercubeTopology,
-    RingTopology,
     FullyConnectedTopology,
-    MeshTopology,
     make_topology,
 )
-from repro.machine.costmodel import CostModel, IPSC860, IDEALIZED, make_cost_model
+from repro.machine.costmodel import CostModel, IPSC860
 from repro.machine.stats import CounterBlock, MachineStats, PhaseRecord
 from repro.machine.machine import Machine
-from repro.machine.collectives import (
-    broadcast_cost,
-    reduce_cost,
-    allreduce_cost,
-    allgather_cost,
-    alltoallv_cost,
-    barrier_cost,
-)
+from repro.machine.collectives import allgather_cost
 
 __all__ = [
     "Topology",
     "HypercubeTopology",
-    "RingTopology",
     "FullyConnectedTopology",
-    "MeshTopology",
     "make_topology",
     "CostModel",
     "IPSC860",
-    "IDEALIZED",
-    "make_cost_model",
     "CounterBlock",
     "MachineStats",
     "PhaseRecord",
     "Machine",
-    "broadcast_cost",
-    "reduce_cost",
-    "allreduce_cost",
     "allgather_cost",
-    "alltoallv_cost",
-    "barrier_cost",
 ]

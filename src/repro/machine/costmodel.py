@@ -126,26 +126,3 @@ class CostModel:
 
 IPSC860 = CostModel(name="ipsc860")
 """Calibrated to the Intel iPSC/860 hypercube used in the paper."""
-
-IDEALIZED = CostModel(
-    alpha=1e-6,
-    beta=1.0 / 100e6,
-    hop_cost=0.0,
-    flop_time=1.0 / 100e6,
-    iop_time=1.0 / 400e6,
-    mem_time=1.0 / 1e9,
-    name="idealized",
-)
-"""A fast flat machine, for ablations."""
-
-_PRESETS = {"ipsc860": IPSC860, "idealized": IDEALIZED}
-
-
-def make_cost_model(name: str = "ipsc860") -> CostModel:
-    """Look up a preset cost model by name."""
-    try:
-        return _PRESETS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown cost model {name!r}; choose from {sorted(_PRESETS)}"
-        ) from None

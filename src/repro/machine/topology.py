@@ -3,13 +3,13 @@
 A topology answers one question for the cost model: how many hops does a
 message from processor ``src`` to processor ``dst`` traverse?  The iPSC/860
 is a binary hypercube, so that is the default everywhere in the
-reproduction; ring and 2-D mesh variants exist for ablations, and a
-fully-connected topology gives the idealized 1-hop-everywhere model.
+reproduction.  A fully-connected topology gives the idealized
+1-hop-everywhere model, and is the one that accepts a processor count
+that is not a power of two.
 """
 
 from __future__ import annotations
 
-import math
 from abc import ABC, abstractmethod
 
 import numpy as np
@@ -122,22 +122,6 @@ class HypercubeTopology(Topology):
         return [p ^ (1 << d) for d in range(self.dim)]
 
 
-class RingTopology(Topology):
-    """Bidirectional ring; hop count is the shorter way around."""
-
-    def hops(self, src: int, dst: int) -> int:
-        self._check(src, dst)
-        d = abs(src - dst)
-        return min(d, self.n_procs - d)
-
-    def _hops_kernel(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
-        d = np.abs(src - dst)
-        return np.minimum(d, self.n_procs - d)
-
-    def diameter(self) -> int:
-        return self.n_procs // 2
-
-
 class FullyConnectedTopology(Topology):
     """Every pair one hop apart: the idealized 'flat' network."""
 
@@ -152,44 +136,14 @@ class FullyConnectedTopology(Topology):
         return 0 if self.n_procs == 1 else 1
 
 
-class MeshTopology(Topology):
-    """2-D mesh with near-square factorization; Manhattan hop distance."""
-
-    def __init__(self, n_procs: int):
-        super().__init__(n_procs)
-        r = int(math.isqrt(n_procs))
-        while n_procs % r:
-            r -= 1
-        self.rows = r
-        self.cols = n_procs // r
-
-    def _coords(self, p: int) -> tuple[int, int]:
-        return divmod(p, self.cols)
-
-    def hops(self, src: int, dst: int) -> int:
-        self._check(src, dst)
-        (r1, c1), (r2, c2) = self._coords(src), self._coords(dst)
-        return abs(r1 - r2) + abs(c1 - c2)
-
-    def _hops_kernel(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
-        r1, c1 = np.divmod(src, self.cols)
-        r2, c2 = np.divmod(dst, self.cols)
-        return np.abs(r1 - r2) + np.abs(c1 - c2)
-
-    def diameter(self) -> int:
-        return (self.rows - 1) + (self.cols - 1)
-
-
 _TOPOLOGIES = {
     "hypercube": HypercubeTopology,
-    "ring": RingTopology,
     "full": FullyConnectedTopology,
-    "mesh": MeshTopology,
 }
 
 
 def make_topology(name: str, n_procs: int) -> Topology:
-    """Construct a topology by name: hypercube | ring | full | mesh."""
+    """Construct a topology by name: hypercube | full."""
     try:
         cls = _TOPOLOGIES[name]
     except KeyError:

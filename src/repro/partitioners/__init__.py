@@ -17,14 +17,9 @@ Included partitioners:
 name      method                                      GeoCoL inputs used
 ========  ==========================================  ===================
 BLOCK     contiguous chunks (HPF BLOCK)               none
-CYCLIC    round-robin                                 none
-RANDOM    uniform random owners (seeded)              none
 LOAD      greedy weighted list scheduling             LOAD
 RCB       recursive coordinate bisection [Berger87]   GEOMETRY (+LOAD)
-RIB       recursive inertial bisection                GEOMETRY (+LOAD)
-SFC       Morton space-filling-curve cut              GEOMETRY (+LOAD)
 RSB       recursive spectral bisection [Simon91]      LINK (+LOAD)
-RSB+KL    RSB followed by Kernighan-Lin refinement    LINK (+LOAD)
 ========  ==========================================  ===================
 """
 
@@ -36,14 +31,11 @@ from repro.partitioners.base import (
     get_partitioner,
     register_partitioner,
 )
-from repro.partitioners.naive import BlockPartitioner, CyclicPartitioner, RandomPartitioner
+from repro.partitioners.naive import BlockPartitioner
 from repro.partitioners.weighted import LoadPartitioner, weighted_median_split
 from repro.partitioners.rcb import RCBPartitioner
-from repro.partitioners.rib import RIBPartitioner
-from repro.partitioners.sfc import SFCPartitioner, morton_keys
-from repro.partitioners.rsb import RSBPartitioner, RSBKLPartitioner, fiedler_vector
-from repro.partitioners.kl import kl_refine
-from repro.partitioners.metrics import edge_cut, comm_volume, load_imbalance, boundary_vertices
+from repro.partitioners.rsb import RSBPartitioner, fiedler_vector
+from repro.partitioners.metrics import edge_cut, load_imbalance
 
 __all__ = [
     "PartitionProblem",
@@ -53,20 +45,11 @@ __all__ = [
     "get_partitioner",
     "register_partitioner",
     "BlockPartitioner",
-    "CyclicPartitioner",
-    "RandomPartitioner",
     "LoadPartitioner",
     "weighted_median_split",
     "RCBPartitioner",
-    "RIBPartitioner",
-    "SFCPartitioner",
-    "morton_keys",
     "RSBPartitioner",
-    "RSBKLPartitioner",
     "fiedler_vector",
-    "kl_refine",
     "edge_cut",
-    "comm_volume",
     "load_imbalance",
-    "boundary_vertices",
 ]

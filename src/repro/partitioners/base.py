@@ -15,6 +15,7 @@ the mapper coupler divides across processors and charges to the machine.
 
 from __future__ import annotations
 
+import re
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 
@@ -66,6 +67,8 @@ class PartitionProblem:
                     f"coords cover {self.coords.shape[1]} vertices, expected "
                     f"{self.n_vertices}"
                 )
+            if not np.isfinite(self.coords).all():
+                raise ValueError("coords must be finite (found NaN or inf)")
         if self.weights is not None:
             self.weights = np.ascontiguousarray(self.weights, dtype=np.float64)
             if self.weights.shape != (self.n_vertices,):
@@ -73,6 +76,8 @@ class PartitionProblem:
                     f"weights must have shape ({self.n_vertices},), got "
                     f"{self.weights.shape}"
                 )
+            if not np.isfinite(self.weights).all():
+                raise ValueError("weights must be finite (found NaN or inf)")
             if self.weights.size and self.weights.min() < 0:
                 raise ValueError("vertex weights must be non-negative")
 
@@ -138,6 +143,8 @@ class Partitioner(ABC):
 
 
 _REGISTRY: dict[str, type[Partitioner]] = {}
+#: a name the directive tokenizer reads as one IDENT
+_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
 def register_partitioner(name: str):
@@ -145,7 +152,14 @@ def register_partitioner(name: str):
 
     This is the hook user-written custom partitioners use too, as long as
     "the calling sequence matches" (a ``partition(problem, n_parts)``).
+    The name must be one identifier, so that ``SET ... USING <name>``
+    can name it from directive source.
     """
+    if not _NAME.fullmatch(name):
+        raise ValueError(
+            f"partitioner name {name!r} is not an identifier "
+            f"({_NAME.pattern}), so directive source could not name it"
+        )
 
     def wrap(cls: type[Partitioner]) -> type[Partitioner]:
         key = name.upper()

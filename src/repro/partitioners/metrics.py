@@ -1,4 +1,4 @@
-"""Partition quality metrics: edge cut, communication volume, imbalance.
+"""Partition quality metrics: edge cut and load imbalance.
 
 These are what the executor-time differences in the paper's Table 2 come
 from: BLOCK on a randomly numbered mesh cuts most edges; RCB cuts what
@@ -27,37 +27,6 @@ def edge_cut(edges: np.ndarray, owners: np.ndarray) -> int:
     if edges.size == 0:
         return 0
     return int((owners[edges[0]] != owners[edges[1]]).sum())
-
-
-def boundary_vertices(edges: np.ndarray, owners: np.ndarray) -> np.ndarray:
-    """Vertices incident to at least one cut edge."""
-    edges, owners = _check(edges, owners)
-    if edges.size == 0:
-        return np.empty(0, dtype=np.int64)
-    cut = owners[edges[0]] != owners[edges[1]]
-    return np.unique(np.concatenate([edges[0][cut], edges[1][cut]]))
-
-
-def comm_volume(edges: np.ndarray, owners: np.ndarray) -> int:
-    """Total gather volume: distinct (vertex, remote part) pairs.
-
-    For each vertex, count the parts other than its own that reference it
-    through an edge; summed over vertices this is exactly the number of
-    ghost copies an edge-loop gather must move.
-    """
-    edges, owners = _check(edges, owners)
-    if edges.size == 0:
-        return 0
-    u, v = edges
-    cut = owners[u] != owners[v]
-    # vertex u is needed by part owners[v] and vice versa
-    pairs = np.concatenate(
-        [
-            np.stack([u[cut], owners[v][cut]], axis=1),
-            np.stack([v[cut], owners[u][cut]], axis=1),
-        ]
-    )
-    return int(np.unique(pairs, axis=0).shape[0])
 
 
 def load_imbalance(owners: np.ndarray, n_parts: int, weights=None) -> float:

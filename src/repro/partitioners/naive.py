@@ -1,4 +1,4 @@
-"""Naive partitioners: BLOCK, CYCLIC, RANDOM.
+"""The naive partitioner: BLOCK.
 
 BLOCK is the paper's baseline ("we assigned each processor contiguous
 blocks of array elements", Table 4): free to compute, oblivious to
@@ -30,40 +30,5 @@ class BlockPartitioner(Partitioner):
             owner_map=owners,
             n_parts=n_parts,
             iops=float(n),  # one pass to write the map
-            sync_rounds=0,
-        )
-
-
-@register_partitioner("CYCLIC")
-class CyclicPartitioner(Partitioner):
-    """Round-robin assignment (HPF CYCLIC)."""
-
-    def partition(self, problem: PartitionProblem, n_parts: int) -> PartitionResult:
-        self.validate(problem, n_parts)
-        n = problem.n_vertices
-        owners = np.arange(n, dtype=np.int64) % n_parts
-        return PartitionResult(
-            owner_map=owners,
-            n_parts=n_parts,
-            iops=float(n),
-            sync_rounds=0,
-        )
-
-
-@register_partitioner("RANDOM")
-class RandomPartitioner(Partitioner):
-    """Uniform random owners; a worst-case-locality control."""
-
-    def __init__(self, seed: int = 0):
-        self.seed = seed
-
-    def partition(self, problem: PartitionProblem, n_parts: int) -> PartitionResult:
-        self.validate(problem, n_parts)
-        rng = np.random.default_rng(self.seed)
-        owners = rng.integers(0, n_parts, size=problem.n_vertices, dtype=np.int64)
-        return PartitionResult(
-            owner_map=owners,
-            n_parts=n_parts,
-            iops=float(problem.n_vertices) * 3.0,  # PRNG + write
             sync_rounds=0,
         )

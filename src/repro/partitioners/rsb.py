@@ -27,7 +27,6 @@ from repro.partitioners.base import (
     Partitioner,
     register_partitioner,
 )
-from repro.partitioners.kl import kl_refine
 from repro.partitioners.weighted import weighted_median_split
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -230,29 +229,3 @@ class RSBPartitioner(Partitioner):
 
         vec = fiedler_vector(n_sub, local_edges, rng)
         return weighted_median_split(vec, weights[idx], frac)
-
-
-@register_partitioner("RSB+KL")
-class RSBKLPartitioner(RSBPartitioner):
-    """RSB followed by a Kernighan-Lin boundary refinement pass."""
-
-    def __init__(self, seed: int = 0, passes: int = 2):
-        super().__init__(seed)
-        self.passes = passes
-
-    def partition(self, problem: PartitionProblem, n_parts: int) -> PartitionResult:
-        res = super().partition(problem, n_parts)
-        refined, moves = kl_refine(
-            problem.edges,
-            res.owner_map,
-            n_parts,
-            weights=problem.weights,
-            max_passes=self.passes,
-        )
-        res.owner_map = refined
-        # refinement cost: gain computation touches every edge per pass
-        res.flops += 2.0 * problem.n_edges * self.passes
-        res.iops += 8.0 * problem.n_edges * self.passes
-        res.sync_rounds += 2 * self.passes
-        res.info["kl_moves"] = moves
-        return res

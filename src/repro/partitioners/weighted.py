@@ -3,7 +3,7 @@
 "Vertex weights can be used as a sole partitioning criterion in
 embarrassingly parallel problems" (Section 4.1.1) -- that is
 :class:`LoadPartitioner`.  The weighted-median split is the primitive the
-recursive bisection partitioners (RCB/RIB/RSB) share: order vertices by a
+recursive bisection partitioners (RCB/RSB) share: order vertices by a
 key and cut so the two sides carry prescribed fractions of total weight.
 """
 

@@ -23,7 +23,6 @@ for bit identical to a fault-free run.
 """
 
 from repro.serve.cache import ResultCache
-from repro.serve.client import ServeClient
 from repro.serve.config import JobConfig, config_key
 from repro.serve.errors import (
     JobFailed,
@@ -41,7 +40,6 @@ __all__ = [
     "run_job",
     "Job",
     "SimulationService",
-    "ServeClient",
     "ServeError",
     "QueueSaturated",
     "RetryBudgetExhausted",

@@ -1,7 +1,7 @@
 """CLI entrypoint: ``python -m repro.serve {demo,chaos}``.
 
-``demo`` stands up a local service, runs a handful of jobs through the
-typed client (including a duplicate and a cache-warm resubmission), and
+``demo`` stands up a local service, submits a handful of jobs
+(including a duplicate and a cache-warm resubmission), and
 prints each job's lifecycle plus the service health snapshot.
 
 ``chaos`` runs the deterministic chaos harness
@@ -17,28 +17,24 @@ import json
 import sys
 
 from repro.serve.chaos import ChaosFailure, run_chaos
-from repro.serve.client import ServeClient
+from repro.serve.config import JobConfig
 from repro.serve.service import SimulationService
 
 
 def _cmd_demo(args) -> int:
+    adapt = JobConfig(
+        scenario="adapt", n_nodes=300, n_procs=4, steps=6,
+        checkpoint_every=2, seed=args.seed,
+    )
+    rebalance = JobConfig(
+        scenario="rebalance", n_nodes=300, n_procs=4, steps=6,
+        adapt_every=2, seed=args.seed,
+    )
+    # two distinct jobs never fill the default queue: no QueueSaturated here
     with SimulationService(workers=args.workers, seed=args.seed) as svc:
-        client = ServeClient(svc)
-        jobs = [
-            client.submit(
-                scenario="adapt", n_nodes=300, n_procs=4, steps=6,
-                checkpoint_every=2, seed=args.seed,
-            ),
-            client.submit(
-                scenario="rebalance", n_nodes=300, n_procs=4, steps=6,
-                adapt_every=2, seed=args.seed,
-            ),
-        ]
+        jobs = [svc.submit(adapt), svc.submit(rebalance)]
         # a duplicate submission coalesces onto the in-flight job
-        dup = client.submit(
-            scenario="adapt", n_nodes=300, n_procs=4, steps=6,
-            checkpoint_every=2, seed=args.seed,
-        )
+        dup = svc.submit(adapt)
         for job in jobs:
             result = job.wait(timeout=600)
             st = job.status()
@@ -50,10 +46,7 @@ def _cmd_demo(args) -> int:
             print(f"  events: {[e['event'] for e in st['events']]}")
         print(f"duplicate coalesced onto {dup.id}: {dup is jobs[0]}")
         # resubmitting a finished config is a cache hit, not a simulation
-        warm = client.submit(
-            scenario="adapt", n_nodes=300, n_procs=4, steps=6,
-            checkpoint_every=2, seed=args.seed,
-        )
+        warm = svc.submit(adapt)
         print(f"warm resubmission done immediately: {warm.done}")
         print("health:", json.dumps(svc.health()["counts"], indent=2))
     return 0

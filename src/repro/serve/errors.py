@@ -39,7 +39,7 @@ class RetryBudgetExhausted(ServeError):
 
 
 class JobFailed(ServeError):
-    """Raised by ``Job.wait()``/``ServeClient`` when the job ended in
+    """Raised by ``Job.wait()`` when the job ended in
     the ``failed`` state; ``cause`` is the terminal error."""
 
     def __init__(self, message: str, cause: Exception | None = None):

@@ -10,10 +10,6 @@ The paper times loops extracted from two real codes we cannot obtain:
   a synthetic 216-molecule water box with a cutoff pair list and a
   Coulomb force sweep (:mod:`~repro.workloads.md`).
 
-A CSR sparse-matrix-vector workload (:mod:`~repro.workloads.sparse`)
-exercises the same machinery on the paper's third motivating domain
-(sparse linear solvers).
-
 ``scale_config`` maps the ``REPRO_SCALE`` environment variable to
 problem sizes: ``small`` (CI-friendly, default) or ``paper``
 (10K / 53K mesh points, full pair list).
@@ -40,12 +36,6 @@ from repro.workloads.md import (
     md_force_loop,
     setup_md_program,
     md_sequential_reference,
-)
-from repro.workloads.sparse import (
-    random_sparse_csr,
-    spmv_loop,
-    setup_spmv_program,
-    spmv_sequential_reference,
 )
 from repro.workloads.adaptive import (
     EdgeUpdate,
@@ -114,10 +104,6 @@ __all__ = [
     "md_force_loop",
     "setup_md_program",
     "md_sequential_reference",
-    "random_sparse_csr",
-    "spmv_loop",
-    "setup_spmv_program",
-    "spmv_sequential_reference",
     "EdgeUpdate",
     "RefinementSchedule",
     "apply_adaptation",

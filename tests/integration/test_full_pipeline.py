@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.machine import Machine
+from repro.partitioners import load_imbalance
 from repro.workloads import generate_mesh, water_box
 from repro.workloads.euler import (
     euler_edge_loop,
@@ -17,16 +18,10 @@ from repro.workloads.md import (
     md_sequential_reference,
     setup_md_program,
 )
-from repro.workloads.sparse import (
-    random_sparse_csr,
-    setup_spmv_program,
-    spmv_loop,
-    spmv_sequential_reference,
-)
 
 
-GEOMETRY_PARTITIONERS = ["RCB", "RIB", "SFC"]
-LINK_PARTITIONERS = ["RSB", "RSB+KL"]
+GEOMETRY_PARTITIONERS = ["RCB"]
+LINK_PARTITIONERS = ["RSB"]
 
 
 class TestEulerAllPartitioners:
@@ -73,10 +68,26 @@ class TestEulerAllPartitioners:
         want = euler_sequential_reference(x, mesh.edges, n_times=2)
         assert np.allclose(prog.arrays["y"].to_global(), want)
         # weighted balance: per-processor degree sums are comparable
-        from repro.partitioners import load_imbalance
-
         owners = prog.arrays["x"].distribution.owner_map()
         assert load_imbalance(owners, 4, weights=deg) < 1.3
+
+    def test_load_only_geocol(self, mesh):
+        """A LOAD-only GeoCoL (Section 4.1.1: weights as the sole
+        criterion) can only be partitioned by LOAD; the sweep stays exact
+        and the per-processor degree sums stay balanced."""
+        m = Machine(4)
+        prog = setup_euler_program(m, mesh, seed=3)
+        x = prog.arrays["x"].to_global()
+        deg = mesh.degree().astype(np.float64)
+        prog.array("w", "reg", values=deg)
+        prog.construct("G", mesh.n_nodes, load="w")
+        prog.set_distribution("fmt", "G", "LOAD")
+        prog.redistribute("reg", "fmt")
+        prog.forall(euler_edge_loop(mesh), n_times=3)
+        want = euler_sequential_reference(x, mesh.edges, n_times=3)
+        assert np.allclose(prog.arrays["y"].to_global(), want)
+        owners = prog.arrays["x"].distribution.owner_map()
+        assert load_imbalance(owners, 4, weights=deg) < 1.01
 
 
 class TestMDPipeline:
@@ -103,23 +114,6 @@ class TestMDPipeline:
         prog.forall(md_force_loop(pairs.shape[1]), n_times=2)
         want = md_sequential_reference(coords, charges, pairs, n_times=2)
         assert np.allclose(prog.arrays["fx"].to_global(), want)
-
-
-class TestSpMVPipeline:
-    def test_spmv_after_load_partition(self):
-        mat = random_sparse_csr(200, seed=2)
-        m = Machine(4)
-        prog = setup_spmv_program(m, mat, seed=2)
-        x = prog.arrays["x"].to_global()
-        # partition rows by their nonzero count (LOAD-only GeoCoL)
-        row_nnz = np.diff(mat.indptr).astype(np.float64)
-        prog.array("w", "vec", values=row_nnz)
-        prog.construct("G", 200, load="w")
-        prog.set_distribution("fmt", "G", "LOAD")
-        prog.redistribute("vec", "fmt")
-        prog.forall(spmv_loop(mat.nnz), n_times=3)
-        want = spmv_sequential_reference(mat, x, n_times=3)
-        assert np.allclose(prog.arrays["y"].to_global(), want)
 
 
 class TestDeterminism:

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.machine.costmodel import CostModel, IDEALIZED, IPSC860, make_cost_model
+from repro.machine.costmodel import CostModel, IPSC860
 
 
 class TestMessageTime:
@@ -54,14 +54,6 @@ class TestPresets:
         # ~100us startup, ~2.8 MB/s bandwidth: an 8KB message ~ 3ms
         t = IPSC860.message_time(8192)
         assert 2e-3 < t < 4e-3
-
-    def test_idealized_is_much_faster(self):
-        assert IDEALIZED.message_time(8192) < IPSC860.message_time(8192) / 10
-
-    def test_factory(self):
-        assert make_cost_model("ipsc860") is IPSC860
-        with pytest.raises(ValueError, match="unknown cost model"):
-            make_cost_model("cray")
 
     def test_invalid_field_rejected(self):
         with pytest.raises(ValueError, match="non-negative"):

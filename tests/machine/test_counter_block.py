@@ -7,7 +7,7 @@ machine whose counters are genuine per-processor objects (``RefStats``,
 local to this file) updated by the historical Python folds (the
 seed-era semantics), drive both through randomized operation sequences
 -- compute charges, sends, dict- and array-form exchanges, barriers,
-nested phases, and the collectives -- and assert *bit-identical*
+nested phases, and the all-gather -- and assert *bit-identical*
 clocks, counters and phase records.
 """
 
@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from repro.machine import Machine
-from repro.machine.collectives import allgather_cost, broadcast_cost, reduce_cost
+from repro.machine.collectives import allgather_cost
 from repro.machine.costmodel import IPSC860
 from repro.machine.stats import COUNTER_FIELDS
 from repro.machine.topology import make_topology
@@ -183,35 +183,7 @@ class RefMachine:
         self.phases.append((name, end - start, per_proc))
 
 
-# seed-era collectives: per-processor loops over the stats objects
-def ref_broadcast(ref, nbytes, root=0):
-    n = ref.n_procs
-    if n == 1:
-        return
-    dt = max(1, (n - 1).bit_length()) * ref.cost.message_time(nbytes)
-    for st in ref.stats_objs:
-        st.clock += dt
-    for p in range(n):
-        if p != root:
-            ref.stats_objs[p].messages_received += 1
-            ref.stats_objs[p].bytes_received += nbytes
-    ref.stats_objs[root].messages_sent += n - 1
-    ref.stats_objs[root].bytes_sent += (n - 1) * nbytes
-    ref.barrier()
-
-
-def ref_reduce(ref, nbytes, root=0):
-    n = ref.n_procs
-    if n == 1:
-        return
-    words = nbytes / 8.0
-    per_level = ref.cost.message_time(nbytes) + ref.cost.compute_time(flops=words)
-    dt = max(1, (n - 1).bit_length()) * per_level
-    for st in ref.stats_objs:
-        st.clock += dt
-    ref.barrier()
-
-
+# the seed-era all-gather: a per-processor loop over the stats objects
 def ref_allgather(ref, nbytes_per_proc):
     n = ref.n_procs
     if n == 1:
@@ -239,7 +211,7 @@ def random_ops(rng, n_procs, count):
     for _ in range(count):
         kind = rng.choice(
             ["compute", "compute_all", "send", "exchange_dict",
-             "exchange_arrays", "barrier", "broadcast", "reduce", "allgather"]
+             "exchange_arrays", "barrier", "allgather"]
         )
         if kind == "compute":
             ops.append((kind, int(rng.integers(n_procs)),
@@ -259,10 +231,6 @@ def random_ops(rng, n_procs, count):
             # duplicates and zero-byte entries deliberately included
             nb = rng.integers(0, 500, k)
             ops.append((kind, src, dst, nb))
-        elif kind == "broadcast":
-            ops.append((kind, int(rng.integers(0, 4096)), int(rng.integers(n_procs))))
-        elif kind == "reduce":
-            ops.append((kind, int(rng.integers(0, 4096))))
         elif kind == "allgather":
             ops.append((kind, int(rng.integers(0, 1024))))
         else:
@@ -298,14 +266,6 @@ def apply_op(machine, ref, op):
     elif kind == "barrier":
         machine.barrier()
         ref.barrier()
-    elif kind == "broadcast":
-        _, nb, root = op
-        broadcast_cost(machine, nb, root)
-        ref_broadcast(ref, nb, root)
-    elif kind == "reduce":
-        _, nb = op
-        reduce_cost(machine, nb)
-        ref_reduce(ref, nb)
     elif kind == "allgather":
         _, nb = op
         allgather_cost(machine, nb)

@@ -170,7 +170,7 @@ class TestChargeIsBoundAndFrozen:
         "other",
         [
             lambda: Machine(8),
-            lambda: Machine(4, topology="ring"),
+            lambda: Machine(4, topology="full"),
             lambda: Machine(4, cost_model=DYADIC),
             lambda: Machine(4),  # same shape, still another machine's topology
         ],

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.machine import Machine, IPSC860, IDEALIZED
-from repro.machine.topology import RingTopology
+from repro.machine import Machine, IPSC860
+from repro.machine.topology import FullyConnectedTopology
 from tests.chaos.pairs import exchange_pairs
 
 
@@ -21,12 +21,12 @@ class TestConstruction:
             Machine(6)
 
     def test_explicit_topology(self):
-        m = Machine(6, topology="ring")
+        m = Machine(6, topology="full")
         assert m.topology.n_procs == 6
 
     def test_topology_instance_size_mismatch(self):
         with pytest.raises(ValueError, match="topology is for"):
-            Machine(4, topology=RingTopology(8))
+            Machine(4, topology=FullyConnectedTopology(8))
 
     def test_zero_procs(self):
         with pytest.raises(ValueError, match="at least one"):
@@ -159,8 +159,9 @@ class TestBarrierAndPhases:
 
 
 class TestCostModelSwap:
-    def test_idealized_machine_is_faster(self):
-        slow, fast = Machine(4), Machine(4, cost_model=IDEALIZED)
+    def test_faster_cost_model_gives_faster_machine(self):
+        fast_model = IPSC860.scaled(alpha=0.01, beta=0.01, hop_cost=0.0)
+        slow, fast = Machine(4), Machine(4, cost_model=fast_model)
         for m in (slow, fast):
             m.send(0, 1, 10_000)
         assert fast.elapsed() < slow.elapsed() / 10

@@ -1,13 +1,12 @@
 """Tests for interconnect topologies."""
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.machine.topology import (
     FullyConnectedTopology,
     HypercubeTopology,
-    MeshTopology,
-    RingTopology,
     make_topology,
 )
 
@@ -57,19 +56,6 @@ class TestHypercube:
             t.hops(-1, 0)
 
 
-class TestRing:
-    def test_hops_takes_shorter_way(self):
-        t = RingTopology(8)
-        assert t.hops(0, 1) == 1
-        assert t.hops(0, 7) == 1
-        assert t.hops(0, 4) == 4
-        assert t.hops(1, 6) == 3
-
-    def test_diameter(self):
-        assert RingTopology(8).diameter() == 4
-        assert RingTopology(7).diameter() == 3
-
-
 class TestFullyConnected:
     def test_all_one_hop(self):
         t = FullyConnectedTopology(5)
@@ -80,26 +66,40 @@ class TestFullyConnected:
     def test_single_proc_diameter(self):
         assert FullyConnectedTopology(1).diameter() == 0
 
+    def test_neighbors_are_all_others(self):
+        assert FullyConnectedTopology(4).neighbors(1) == [0, 2, 3]
 
-class TestMesh:
-    def test_factorization(self):
-        t = MeshTopology(12)
-        assert t.rows * t.cols == 12
-        assert t.rows == 3 and t.cols == 4
 
-    def test_manhattan(self):
-        t = MeshTopology(16)  # 4x4
-        assert t.hops(0, 5) == 2  # (0,0)->(1,1)
-        assert t.hops(0, 15) == 6
+@pytest.mark.parametrize(
+    "name, n_procs",
+    [("hypercube", p) for p in (1, 2, 8, 32)] + [("full", p) for p in (1, 3, 7, 12)],
+)
+class TestEveryTopology:
+    """What the machine's exchange path relies on, for every name
+    ``make_topology`` accepts, at every pair of processors."""
 
-    def test_prime_count_degrades_to_row(self):
-        t = MeshTopology(7)
-        assert t.rows == 1 and t.cols == 7
-        assert t.diameter() == 6
+    @staticmethod
+    def all_pairs(n_procs):
+        return np.divmod(np.arange(n_procs * n_procs), n_procs)
+
+    def test_hops_array_matches_scalar_hops(self, name, n_procs):
+        t = make_topology(name, n_procs)
+        src, dst = self.all_pairs(n_procs)
+        expected = [t.hops(int(s), int(d)) for s, d in zip(src, dst)]
+        assert t.hops_array(src, dst).tolist() == expected
+
+    def test_diameter_is_largest_hop_count(self, name, n_procs):
+        t = make_topology(name, n_procs)
+        assert t.diameter() == int(t.hops_array(*self.all_pairs(n_procs)).max())
+
+    def test_hops_array_range_checked(self, name, n_procs):
+        t = make_topology(name, n_procs)
+        with pytest.raises(ValueError, match="out of range"):
+            t.hops_array(np.array([0]), np.array([n_procs]))
 
 
 class TestFactory:
-    @pytest.mark.parametrize("name", ["hypercube", "ring", "full", "mesh"])
+    @pytest.mark.parametrize("name", ["hypercube", "full"])
     def test_known(self, name):
         t = make_topology(name, 4)
         assert t.n_procs == 4
@@ -110,7 +110,7 @@ class TestFactory:
 
     def test_zero_procs(self):
         with pytest.raises(ValueError, match="at least one"):
-            make_topology("ring", 0)
+            make_topology("full", 0)
 
 
 @given(

@@ -44,6 +44,16 @@ class TestPartitionProblem:
         with pytest.raises(ValueError, match="non-negative"):
             PartitionProblem(2, weights=np.array([1.0, -1.0]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("field", ["weights", "coords"])
+    def test_non_finite_input_rejected(self, field, bad):
+        # one NaN weight passes a ``min() < 0`` check and skews every RCB
+        # split below it; one inf weight takes every cut it reaches
+        arrays = {"weights": np.ones(8), "coords": np.zeros((3, 8))}
+        arrays[field][..., 3] = bad
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            PartitionProblem(8, **{field: arrays[field]})
+
     def test_explicit_weights_returned(self):
         p = PartitionProblem(3, weights=np.array([1.0, 2.0, 3.0]))
         assert p.effective_weights().tolist() == [1.0, 2.0, 3.0]
@@ -62,7 +72,7 @@ class TestPartitionResult:
 class TestRegistry:
     def test_builtins_present(self):
         names = available_partitioners()
-        for expected in ["BLOCK", "CYCLIC", "RANDOM", "LOAD", "RCB", "RIB", "RSB", "RSB+KL"]:
+        for expected in ["BLOCK", "LOAD", "RCB", "RSB"]:
             assert expected in names
 
     def test_case_insensitive_lookup(self):
@@ -73,7 +83,7 @@ class TestRegistry:
             get_partitioner("METIS")
 
     def test_custom_registration_and_duplicate_rejection(self):
-        @register_partitioner("TEST-CUSTOM")
+        @register_partitioner("TEST_CUSTOM")
         class Custom(Partitioner):
             def partition(self, problem, n_parts):
                 self.validate(problem, n_parts)
@@ -83,13 +93,21 @@ class TestRegistry:
                 )
 
         try:
-            p = get_partitioner("test-custom")
+            p = get_partitioner("test_custom")
             res = p.partition(PartitionProblem(5), 2)
             assert res.owner_map.tolist() == [0] * 5
             with pytest.raises(ValueError, match="already registered"):
-                register_partitioner("TEST-CUSTOM")(Custom)
+                register_partitioner("TEST_CUSTOM")(Custom)
         finally:
-            _REGISTRY.pop("TEST-CUSTOM", None)
+            _REGISTRY.pop("TEST_CUSTOM", None)
+
+    @pytest.mark.parametrize("name", ["RSB+KL", "TEST-CUSTOM", "2WAY", "", "A B"])
+    def test_name_must_be_one_identifier(self, name):
+        """``SET ... USING <name>`` reads one identifier, so a name the
+        directive source could not spell is refused at registration."""
+        with pytest.raises(ValueError, match="not an identifier"):
+            register_partitioner(name)
+        assert name.upper() not in _REGISTRY
 
     def test_needs_edges_enforced(self):
         with pytest.raises(ValueError, match="LINK"):

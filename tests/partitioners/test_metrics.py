@@ -1,16 +1,9 @@
-"""Tests for partition metrics and KL refinement."""
+"""Tests for the partition metrics."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from repro.partitioners import (
-    boundary_vertices,
-    comm_volume,
-    edge_cut,
-    kl_refine,
-    load_imbalance,
-)
+from repro.partitioners import edge_cut, load_imbalance
 
 
 PATH = np.array([[0, 1, 2, 3], [1, 2, 3, 4]])  # path on 5 vertices
@@ -38,24 +31,6 @@ class TestEdgeCut:
             edge_cut(np.array([[0], [5]]), np.zeros(3, dtype=int))
 
 
-class TestBoundaryAndVolume:
-    def test_boundary(self):
-        owners = np.array([0, 0, 0, 1, 1])
-        assert boundary_vertices(PATH, owners).tolist() == [2, 3]
-
-    def test_comm_volume_counts_ghost_copies(self):
-        owners = np.array([0, 0, 0, 1, 1])
-        # vertex 2 needed by part 1, vertex 3 needed by part 0
-        assert comm_volume(PATH, owners) == 2
-
-    def test_comm_volume_dedups_shared_vertex(self):
-        # star: center 0 connected to 1,2,3; center on part 0, leaves on 1
-        edges = np.array([[0, 0, 0], [1, 2, 3]])
-        owners = np.array([0, 1, 1, 1])
-        # center needed once by part 1; each leaf needed by part 0
-        assert comm_volume(edges, owners) == 4
-
-
 class TestLoadImbalance:
     def test_balanced(self):
         assert load_imbalance(np.array([0, 1, 0, 1]), 2) == 1.0
@@ -73,56 +48,3 @@ class TestLoadImbalance:
     def test_bad_parts(self):
         with pytest.raises(ValueError, match="at least one part"):
             load_imbalance(np.array([0]), 0)
-
-
-class TestKLRefine:
-    def test_fixes_an_obviously_bad_split(self):
-        # two triangles joined by one edge; bad split puts one vertex wrong
-        edges = np.array([[0, 0, 1, 3, 3, 4, 2], [1, 2, 2, 4, 5, 5, 3]])
-        bad = np.array([0, 0, 1, 1, 1, 1])  # vertex 2 on the wrong side
-        refined, moves = kl_refine(edges, bad, 2)
-        assert moves >= 1
-        assert edge_cut(edges, refined) < edge_cut(edges, bad)
-
-    def test_noop_on_perfect_partition(self):
-        edges = np.array([[0, 1, 3, 4], [1, 2, 4, 5]])  # two paths
-        good = np.array([0, 0, 0, 1, 1, 1])
-        refined, moves = kl_refine(edges, good, 2)
-        assert moves == 0
-        assert np.array_equal(refined, good)
-
-    def test_respects_balance(self):
-        # clique of 4 + isolated vertex: moving everything to one side
-        # would zero the cut but violate balance
-        edges = np.array([[0, 0, 0, 1, 1, 2], [1, 2, 3, 2, 3, 3]])
-        owners = np.array([0, 0, 1, 1, 1])
-        refined, _ = kl_refine(edges, owners, 2, balance_tol=0.05)
-        assert load_imbalance(refined, 2) <= 1.7  # can't all pile up
-
-    def test_input_not_mutated(self):
-        edges = np.array([[0], [1]])
-        owners = np.array([0, 1])
-        out, _ = kl_refine(edges, owners, 2)
-        assert owners.tolist() == [0, 1]
-
-    def test_empty_edges_noop(self):
-        owners = np.array([0, 1, 0])
-        out, moves = kl_refine(None, owners, 2)
-        assert moves == 0 and np.array_equal(out, owners)
-
-
-@given(
-    n=st.integers(min_value=2, max_value=30),
-    seed=st.integers(min_value=0, max_value=1000),
-    k=st.integers(min_value=2, max_value=4),
-)
-@settings(max_examples=40, deadline=None)
-def test_kl_never_increases_cut(n, seed, k):
-    rng = np.random.default_rng(seed)
-    m = rng.integers(1, 3 * n)
-    edges = rng.integers(0, n, size=(2, m))
-    edges = edges[:, edges[0] != edges[1]]
-    owners = rng.integers(0, k, size=n)
-    before = edge_cut(edges, owners)
-    refined, _ = kl_refine(edges, owners, k)
-    assert edge_cut(edges, refined) <= before

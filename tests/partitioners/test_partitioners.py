@@ -32,21 +32,30 @@ def grid_problem(nx=10, ny=10, shuffle_seed=None):
     return PartitionProblem(n, edges=edges, coords=coords)
 
 
+def full_problem(nx=6, ny=6, seed=0):
+    """A grid with LINK, GEOMETRY and LOAD all given, so that every
+    registered partitioner accepts it."""
+    grid = grid_problem(nx, ny)
+    weights = np.random.default_rng(seed).uniform(0.5, 2.0, size=grid.n_vertices)
+    return PartitionProblem(
+        grid.n_vertices, edges=grid.edges, coords=grid.coords, weights=weights
+    )
+
+
 class TestNaive:
     def test_block_contiguous(self):
         res = get_partitioner("BLOCK").partition(PartitionProblem(10), 3)
         assert res.owner_map.tolist() == [0, 0, 0, 0, 1, 1, 1, 1, 2, 2]
 
-    def test_cyclic(self):
-        res = get_partitioner("CYCLIC").partition(PartitionProblem(6), 3)
-        assert res.owner_map.tolist() == [0, 1, 2, 0, 1, 2]
+    @pytest.mark.parametrize("n, p", [(10, 3), (9, 4), (16, 4), (1, 8), (7, 7), (100, 6)])
+    def test_block_matches_block_distribution(self, n, p):
+        # the partitioner and the Fortran D BLOCK format must agree, or a
+        # REDISTRIBUTE to a BLOCK partition would move elements
+        from repro.distribution.regular import BlockDistribution
 
-    def test_random_deterministic_per_seed(self):
-        a = get_partitioner("RANDOM", seed=3).partition(PartitionProblem(50), 4)
-        b = get_partitioner("RANDOM", seed=3).partition(PartitionProblem(50), 4)
-        c = get_partitioner("RANDOM", seed=4).partition(PartitionProblem(50), 4)
-        assert np.array_equal(a.owner_map, b.owner_map)
-        assert not np.array_equal(a.owner_map, c.owner_map)
+        res = get_partitioner("BLOCK").partition(PartitionProblem(n), p)
+        expected = BlockDistribution(n, p).owner(np.arange(n))
+        assert res.owner_map.tolist() == np.asarray(expected).tolist()
 
 
 class TestLoad:
@@ -59,6 +68,61 @@ class TestLoad:
     def test_unit_weights_near_even(self):
         res = get_partitioner("LOAD").partition(PartitionProblem(100), 4)
         assert load_imbalance(res.owner_map, 4) <= 1.01
+
+    @pytest.mark.parametrize("n_parts", [2, 5, 16])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_list_scheduling_bound(self, seed, n_parts):
+        """Greedy list scheduling never exceeds the mean load by more than
+        one vertex's weight, and ``info`` reports the true heaviest part."""
+        w = np.random.default_rng(seed).exponential(1.0, size=200)
+        res = get_partitioner("LOAD").partition(PartitionProblem(200, weights=w), n_parts)
+        loads = np.bincount(res.owner_map, weights=w, minlength=n_parts)
+        assert loads.max() <= w.sum() / n_parts + w.max() + 1e-9
+        assert res.info["max_load"] == pytest.approx(loads.max())
+
+    def test_ignores_link_and_geometry(self):
+        prob = full_problem()
+        bare = PartitionProblem(prob.n_vertices, weights=prob.weights)
+        with_all = get_partitioner("LOAD").partition(prob, 4)
+        weights_only = get_partitioner("LOAD").partition(bare, 4)
+        assert np.array_equal(with_all.owner_map, weights_only.owner_map)
+
+
+@pytest.mark.parametrize("name", ["BLOCK", "LOAD", "RCB", "RSB"])
+class TestEveryRegisteredPartitioner:
+    """Contract every partitioner a ``SET ... USING`` can name keeps."""
+
+    def test_deterministic(self, name):
+        a = get_partitioner(name).partition(full_problem(), 4)
+        b = get_partitioner(name).partition(full_problem(), 4)
+        assert np.array_equal(a.owner_map, b.owner_map)
+
+    def test_single_part(self, name):
+        res = get_partitioner(name).partition(full_problem(), 1)
+        assert np.all(res.owner_map == 0)
+
+    def test_input_left_untouched(self, name):
+        prob = full_problem()
+        before = [prob.edges.copy(), prob.coords.copy(), prob.weights.copy()]
+        get_partitioner(name).partition(prob, 4)
+        after = [prob.edges, prob.coords, prob.weights]
+        assert all(np.array_equal(x, y) for x, y in zip(before, after))
+
+    def test_more_parts_than_vertices(self, name):
+        # every vertex ends up alone on a part; the spare parts stay empty
+        prob = full_problem(1, 3)
+        res = get_partitioner(name).partition(prob, 5)
+        assert len(set(res.owner_map.tolist())) == 3
+
+    def test_empty_problem(self, name):
+        prob = PartitionProblem(
+            0,
+            edges=np.empty((2, 0), dtype=np.int64),
+            coords=np.empty((2, 0)),
+            weights=np.empty(0),
+        )
+        res = get_partitioner(name).partition(prob, 4)
+        assert res.owner_map.size == 0
 
 
 class TestWeightedMedianSplit:
@@ -96,7 +160,7 @@ class TestWeightedMedianSplit:
         assert mask.tolist() == [True] * (n - 1) + [False]
 
 
-@pytest.mark.parametrize("name", ["RCB", "RIB", "RSB", "RSB+KL"])
+@pytest.mark.parametrize("name", ["RCB", "RSB"])
 class TestStructuredPartitioners:
     def test_valid_partition(self, name):
         prob = grid_problem(8, 8)
@@ -112,8 +176,8 @@ class TestStructuredPartitioners:
     def test_beats_random_on_cut(self, name):
         prob = grid_problem(12, 12, shuffle_seed=5)
         res = get_partitioner(name).partition(prob, 4)
-        rand = get_partitioner("RANDOM", seed=0).partition(prob, 4)
-        assert edge_cut(prob.edges, res.owner_map) < edge_cut(prob.edges, rand.owner_map)
+        rand = np.random.default_rng(0).integers(0, 4, size=prob.n_vertices)
+        assert edge_cut(prob.edges, res.owner_map) < edge_cut(prob.edges, rand)
 
     def test_nonpower_of_two_parts(self, name):
         prob = grid_problem(9, 9)
@@ -150,14 +214,6 @@ class TestPartitionQualityOrdering:
         assert cuts["RCB"] < cuts["BLOCK"] / 3
         assert cuts["RSB"] < cuts["BLOCK"] / 3
         assert cuts["RSB"] <= 1.3 * cuts["RCB"]
-
-    def test_kl_does_not_hurt(self):
-        prob = grid_problem(12, 12, shuffle_seed=1)
-        plain = get_partitioner("RSB").partition(prob, 4)
-        refined = get_partitioner("RSB+KL").partition(prob, 4)
-        assert edge_cut(prob.edges, refined.owner_map) <= edge_cut(
-            prob.edges, plain.owner_map
-        )
 
     def test_rsb_cost_exceeds_rcb_cost(self):
         prob = grid_problem(16, 16)

@@ -22,7 +22,7 @@ class TestJobConfig:
             JobConfig(scenario="adapt", n_nodes=300, steps=7),
             JobConfig(scenario="adapt", n_nodes=300, steps=6, seed=9),
             JobConfig(scenario="adapt", n_nodes=300, steps=6, n_procs=16),
-            JobConfig(scenario="adapt", n_nodes=300, steps=6, partitioner="RIB"),
+            JobConfig(scenario="adapt", n_nodes=300, steps=6, partitioner="RSB"),
             JobConfig(
                 scenario="adapt", n_nodes=300, steps=6,
                 faults=(("corrupt_gather", 0),),

@@ -1,4 +1,4 @@
-"""Tests for the Euler, MD and SpMV workloads end-to-end."""
+"""Tests for the Euler and MD workloads end-to-end."""
 
 import numpy as np
 import pytest
@@ -11,13 +11,9 @@ from repro.workloads import (
     md_force_loop,
     md_sequential_reference,
     pair_list,
-    random_sparse_csr,
     scale_config,
     setup_euler_program,
     setup_md_program,
-    setup_spmv_program,
-    spmv_loop,
-    spmv_sequential_reference,
     water_box,
 )
 
@@ -105,26 +101,6 @@ class TestMDSweep:
         prog.forall(loop, n_times=5)
         assert prog.inspector_runs == 1
         assert prog.reuse_hits == 4
-
-
-class TestSpMV:
-    def test_matrix_generator(self):
-        mat = random_sparse_csr(100, nnz_per_row=7, seed=0)
-        assert mat.shape == (100, 100)
-        assert 4 * 100 <= mat.nnz <= 8 * 100
-
-    def test_bad_size(self):
-        with pytest.raises(ValueError, match="positive"):
-            random_sparse_csr(0)
-
-    def test_simulated_spmv_matches_scipy(self):
-        mat = random_sparse_csr(60, seed=3)
-        m = Machine(4)
-        prog = setup_spmv_program(m, mat, seed=3)
-        x = prog.arrays["x"].to_global()
-        prog.forall(spmv_loop(mat.nnz), n_times=2)
-        want = spmv_sequential_reference(mat, x, n_times=2)
-        assert np.allclose(prog.arrays["y"].to_global(), want)
 
 
 class TestScaleConfig:

@@ -79,7 +79,7 @@ class TestGenerateMesh:
             return int((owners[mesh.edges[0]] != owners[mesh.edges[1]]).sum())
 
         assert sorted_mesh.n_edges == shuffled.n_edges
-        # shuffled numbering cuts nearly every edge (BLOCK ~ RANDOM)...
+        # shuffled numbering cuts nearly every edge (BLOCK ~ random owners)...
         assert block_cut(shuffled) > 0.7 * shuffled.n_edges
         # ...and clearly more than a spatially ordered numbering would
         assert block_cut(shuffled) > 1.4 * block_cut(sorted_mesh)
