@@ -55,7 +55,7 @@ GUARD_LEVEL = "cheap"
 #: tag of the patching implementation that produced the numbers; bump
 #: when the patch path's wall profile changes so cross-run comparisons
 #: of wall fields stay apples-to-apples
-IMPLEMENTATION = "inplace-csr-merge+twin-dedup+lazy-state"
+IMPLEMENTATION = "slot-state-schedule+twin-dedup+lazy-state"
 
 
 def _build_program(mesh, n_procs, incremental):

@@ -63,18 +63,21 @@ visible: an ``adapt.state.build_adapt_state`` span, one ``adapt.state``
 event with the reader as ``reason``, and
 ``AdaptiveExecutor.history[...]["state_build_wall_seconds"]``.
 
-Wall-time contract (host clock, not simulated time)
----------------------------------------------------
-Patching must be cheaper than full re-inspection *for the machine
-running the simulation* too, at every churn fraction the adaptive bench
-measures -- otherwise "incremental" only relabels work.  Everything on
-the patch path is therefore delta-proportional:
+Host wall time (not simulated time)
+-----------------------------------
+Patching should be cheaper than full re-inspection *for the machine
+running the simulation* too -- otherwise "incremental" only relabels
+work.  It is at low churn and not at high churn (README "Adaptive
+incremental inspection" has the measured table); the simulated win
+holds at every fraction.  What keeps the patch path small:
 
 * the composite-key slot index is kept **sorted persistently** and
   merge-updated, so lookup is a searchsorted over the delta, never a
   re-sort of the full slot space;
-* schedules and ghost buffers are patched as flat CSR arrays in place
-  (retire/append as above), never rebuilt;
+* a patched group's schedule is read off its patched slot state (the
+  live slots, in the merged index's order) by the one ``CommSchedule``
+  constructor a cold inspection uses, and ghost buffers are regrown
+  append-only (retired slots stay holes, as above);
 * executor caches (``exec_space``/``exec_refs``) are carried across the
   patch and overwritten only at delta positions
   (:func:`repro.core.executor.patch_exec_caches`);

@@ -18,11 +18,12 @@ sites, in this order:
 3. **translate** -- never-seen keys only: a memo-probe compute charge,
    then the table's ``dereference_flat`` round;
 4. **allocate** -- new keys reuse holes, then append: no charge;
-5. **schedule** -- ``CommSchedule.patched``, then ``GhostBuffers.patched``
-   (buffer-assign compute), then the schedule compute, the delta
-   exchange and the receivers' compute;
-6. **refs** -- localized reference lists in the new order: no charge;
-7. **index** -- the persisted sorted slot index is merged: no charge.
+5. **index** -- the persisted sorted slot index is merged: no charge;
+6. **schedule** -- read off the patched slot state's live slots in index
+   order and built by the one ``CommSchedule`` constructor, then
+   ``GhostBuffers.patched`` (buffer-assign compute), then the schedule
+   compute, the delta exchange and the receivers' compute;
+7. **refs** -- localized reference lists in the new order: no charge.
 
 A group byte-identical to one already patched runs the same driver on
 that sibling's stage values.  The patched product's iteration partition,
@@ -41,7 +42,7 @@ from functools import partial
 import numpy as np
 
 from repro.chaos.costs import DEFAULT_COSTS
-from repro.chaos.kernels import majority_owner, pair_counts, sorted_unique_inverse
+from repro.chaos.kernels import majority_owner, pair_counts, sorted_unique_inverse, stable_order
 from repro.chaos.localize import LocalizeResult
 from repro.chaos.schedule import CommSchedule
 from repro.chaos.transcache import KeyTranslationMemo
@@ -429,28 +430,34 @@ def _allocate(
     )
 
 
-def _patch_schedule(
-    gstate: GroupState, old_schedule: CommSchedule, slots: _Slots, alloc: _Alloc
-) -> CommSchedule:
-    """Retire dead entries, append revived + new ones (pairs stay
-    requester-major / owner-minor with elements key-sorted, a fresh
-    ``localize``'s wire order)."""
-    old_bounds = gstate.slot_bounds
-    _eq, ep, _esend, erecv = old_schedule.entries()
-    entry_slot = old_bounds[ep] + erecv
-    dead_mask = np.zeros(int(old_bounds[-1]), dtype=bool)
-    dead_mask[slots.went_dead] = True
-    add_slots = np.concatenate([alloc.newpos[slots.revived], alloc.alloc])
-    add_proc = np.searchsorted(alloc.slot_bounds, add_slots, side="right") - 1
-    return old_schedule.patched(
-        ~dead_mask[entry_slot],
-        add_q=alloc.owners[add_slots],
-        add_p=add_proc,
-        add_send=alloc.lidx[add_slots],
-        add_recv=add_slots - alloc.slot_bounds[add_proc],
-        ghost_sizes=[int(s) for s in np.diff(alloc.slot_bounds)],
-        keep_key=gstate.keys[entry_slot],
-        add_key=alloc.keys[add_slots],
+def _slot_schedule(machine: Machine, dist_signature: tuple, state: GroupState) -> CommSchedule:
+    """The group's schedule read off its patched slot state, built by the
+    constructor a cold inspection uses.
+
+    The entries are exactly the live slots: slot ``s`` of requester
+    ``p`` is ``(owners[s], p, lidx[s], s - slot_bounds[p])``.  The merged
+    sorted index lists every slot ``(p, key)``-ascending, so its live
+    slots regrouped by ``(p, q)`` (stable) are in ``localize``'s
+    canonical ``(p, q, key)`` order."""
+    n = machine.n_procs
+    live = state.counts[state.sorted_slot] > 0
+    slot = state.sorted_slot[live]
+    p = state.sorted_comp[live] // state.index_stride
+    pair = p * n + state.owners[slot]
+    order = stable_order(pair, n * n)
+    slot = slot[order]
+    # pair ids ascending are the requester-major / owner-minor pairs
+    pair_len = np.bincount(pair, minlength=n * n)
+    pair_id = np.flatnonzero(pair_len)
+    return CommSchedule(
+        machine,
+        dist_signature,
+        pair_id % n,
+        pair_id // n,
+        pair_len[pair_id],
+        state.lidx[slot],
+        slot - state.slot_bounds[p[order]],
+        [int(s) for s in np.diff(state.slot_bounds)],
     )
 
 
@@ -605,13 +612,20 @@ def _patch_group(
         alloc = sib.alloc if twin else _allocate(
             gstate, delta, slots, uniq_owner, uniq_lidx
         )
+    with span("adapt.patch.index"):
+        if twin:
+            state = dataclasses.replace(
+                sib.state, array=gstate.array, indexes=gstate.indexes
+            )
+        else:
+            state = _merge_index(gstate, stride, slots, alloc)
     with span("adapt.patch.schedule"):
         if twin:
             # schedules are immutable; the clone keeps the distinct object
             # identity the executor's coalescing and product_groups key on
             schedule, charges = sib.schedule.twin(), sib.charges
         else:
-            schedule = _patch_schedule(gstate, first.localized.schedule, slots, alloc)
+            schedule = _slot_schedule(machine, first.localized.schedule.dist_signature, state)
             charges = _schedule_charges(machine, gstate, delta, slots, uniq_owner)
         ghosts = first.ghosts.patched(schedule, appended=slots.need)
         sched_charge, exchange, recv_charge = charges
@@ -646,13 +660,6 @@ def _patch_group(
                 space = patch_exec_caches(
                     ctx.product.patterns[akey], pat, dpos, dpid, ctx.partition_changed, space,
                 )
-    with span("adapt.patch.index"):
-        if twin:
-            state = dataclasses.replace(
-                sib.state, array=gstate.array, indexes=gstate.indexes
-            )
-        else:
-            state = _merge_index(gstate, stride, slots, alloc)
     return _GroupPatch(
         member_keys, gstate, delta, adds, slots, alloc, schedule, charges,
         refs, patterns, state,

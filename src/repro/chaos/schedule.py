@@ -20,7 +20,9 @@ Layout
 Storage is flat (CSR) and there is no other form.  The constructor takes
 one ``(owner, requester, length)`` triple per pair plus every pair's
 send offsets and recv slots concatenated in pair order; *flat order* is
-that per-element order.  One builder derives the apply arrays from it:
+that per-element order.  The constructor is the one builder --
+``localize``, the patch rung (from a group's patched slot state) and a
+checkpoint restore all call it -- and derives the apply arrays from it:
 ``wire_perm`` (wire position -> flat position) groups elements by owner
 ``q``, stable, so each owner's wire segment stays in pair order;
 ``_pack_idx``/``_pack_owner_rep`` are the send offsets and owners in
@@ -49,10 +51,10 @@ keys and adapt slot bookkeeping):
 * ``_ghost_off`` is the exclusive prefix sum of ``ghost_sizes``;
   ``_pair_len`` entries are strictly positive (live pairs only) and sum
   to ``_flat_send``/``_flat_recv``'s length;
-* every pair id is in ``[0, n_procs)``; canonically built schedules
-  (``localize``, ``from_entries``, ``patched``) keep pairs
-  requester-major / owner-minor, and within a pair elements are sorted
-  by ghost global index (key-sorted wire order);
+* every pair id is in ``[0, n_procs)``; the runtime's schedules
+  (``localize`` and the patch rung) keep pairs requester-major /
+  owner-minor, and within a pair elements are sorted by ghost global
+  index (key-sorted wire order);
 * every recv slot is in range for its requester's ghost region, and no
   ghost backing position is unpacked twice in one gather;
 * after incremental patching, schedule entries target only *live* ghost
@@ -72,23 +74,6 @@ from repro.chaos.costs import DEFAULT_COSTS
 from repro.chaos.kernels import first_segment_outside, stable_order
 from repro.distribution.distarray import DistArray
 from repro.machine.machine import Machine, get_or_plan
-
-
-def _pair_runs(
-    flat_q: np.ndarray, flat_p: np.ndarray, n: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(pair_q, pair_p, pair_len)`` of the runs of equal ``(p, q)`` in
-    per-element arrays grouped requester-major / owner-minor."""
-    pair_id = flat_p * n + flat_q
-    if pair_id.size:
-        seg_starts = np.concatenate(([0], np.flatnonzero(np.diff(pair_id)) + 1))
-    else:
-        seg_starts = np.empty(0, dtype=np.int64)
-    return (
-        flat_q[seg_starts],
-        flat_p[seg_starts],
-        np.diff(np.append(seg_starts, pair_id.size)),
-    )
 
 
 class CommSchedule:
@@ -113,7 +98,9 @@ class CommSchedule:
         offsets / ghost slots in that order.  Raises ``ValueError`` for
         a processor id outside ``[0, n_procs)``, for lengths that are
         negative or do not add up, and for a recv slot outside its
-        requester's ghost region.
+        requester's ghost region.  Send offsets are range-checked
+        against the distribution on first application
+        (:meth:`_pack_positions`).
         """
         n = machine.n_procs
         pair_q = np.asarray(pair_q, dtype=np.int64)
@@ -141,70 +128,88 @@ class CommSchedule:
                 f"pair lengths sum to {total} but there are {flat_send.shape} "
                 f"send offsets and {flat_recv.shape} recv slots"
             )
+        if len(ghost_sizes) != n:
+            raise ValueError(f"expected {n} ghost sizes, got {len(ghost_sizes)}")
         # empty pairs contribute no elements (the flat arrays need no
         # filtering) and no message
         live = pair_len > 0
         if not live.all():
             pair_q, pair_p, pair_len = pair_q[live], pair_p[live], pair_len[live]
+        self.machine = machine
+        self.dist_signature = dist_signature
+        self.ghost_sizes = [int(s) for s in ghost_sizes]
+        #: per-message arrays in pair insertion order (nonempty pairs only)
+        self._pair_q, self._pair_p, self._pair_len = pair_q, pair_p, pair_len
+        self._flat_send = flat_send
+        self._flat_recv = flat_recv
+        ghost_sz = np.asarray(self.ghost_sizes, dtype=np.int64)
+        pair_bounds = np.concatenate(([0], np.cumsum(pair_len)))
+        i = first_segment_outside(flat_recv, pair_bounds, ghost_sz[pair_p])
+        if i is not None:
+            raise ValueError(
+                f"pair ({int(pair_q[i])}, {int(pair_p[i])}): recv slot "
+                f"out of range [0, {int(ghost_sz[pair_p[i]])})"
+            )
         flat_q = np.repeat(pair_q, pair_len)
-        self._build(
-            machine,
-            dist_signature,
-            (pair_q, pair_p, pair_len),
-            flat_q,
-            np.repeat(pair_p, pair_len),
-            flat_send,
-            flat_recv,
-            # wire order groups elements by owner q, stable within
-            stable_order(flat_q, n),
-            ghost_sizes,
-        )
+        flat_p = np.repeat(pair_p, pair_len)
+        E = flat_q.size
+        self._n_elements = E
+        self._entries = (flat_q, flat_p, flat_send[:], flat_recv[:])
+        for a in self._entries:
+            a.flags.writeable = False
 
-    @classmethod
-    def from_entries(
-        cls,
-        machine: Machine,
-        dist_signature: tuple,
-        entry_q: np.ndarray,
-        entry_p: np.ndarray,
-        entry_send: np.ndarray,
-        entry_recv: np.ndarray,
-        ghost_sizes: list[int],
-        order_key: np.ndarray | None = None,
-    ) -> "CommSchedule":
-        """Construct from *per-element* entries in arbitrary order.
+        # wire order groups elements by owner q, stable within.  A pair's
+        # elements are one run in flat order, so ordering the *pairs* by
+        # owner (stable) and laying each run out whole is that order:
+        # wire position w of the run of pair k is flat position
+        # w + pair_start[k] - wire_start[k], and the inverse shifts back
+        by_owner = stable_order(pair_q, n)
+        wire_len = pair_len[by_owner]
+        wire_start = np.empty(pair_len.size, dtype=np.int64)
+        wire_start[by_owner] = np.cumsum(wire_len) - wire_len
+        shift = pair_bounds[:-1] - wire_start
+        positions = np.arange(E, dtype=np.int64)
+        wire_perm = positions + np.repeat(shift[by_owner], wire_len)
+        self._wire_perm = wire_perm
 
-        Each element ``i`` describes one moved ghost: owner ``entry_q[i]``
-        packs its local offset ``entry_send[i]`` for requester
-        ``entry_p[i]``, landing in ghost slot ``entry_recv[i]``.  Entries
-        are grouped into pairs requester-major / owner-minor (the order
-        ``localize`` produces), with elements inside a pair ordered by
-        ``order_key`` (ascending; pass the ghost *global index* to match
-        a fresh inspection's slot-sorted wire order exactly).  This is
-        the assembly primitive the incremental-inspection subsystem uses
-        after retiring/appending entries.
-        """
-        entry_q = np.asarray(entry_q, dtype=np.int64)
-        entry_p = np.asarray(entry_p, dtype=np.int64)
-        entry_send = np.asarray(entry_send, dtype=np.int64)
-        entry_recv = np.asarray(entry_recv, dtype=np.int64)
-        if order_key is None:
-            order_key = entry_recv
-        perm = np.lexsort((np.asarray(order_key), entry_q, entry_p))
-        return cls(
-            machine,
-            dist_signature,
-            *_pair_runs(entry_q[perm], entry_p[perm], machine.n_procs),
-            entry_send[perm],
-            entry_recv[perm],
-            ghost_sizes,
-        )
+        # pack side, wire order: send offsets and owner of each packed
+        # element; flat backing positions are resolved (and the send
+        # offsets range-checked) lazily against the bound distribution
+        self._pack_idx = flat_send[wire_perm]
+        self._pack_owner_rep = np.repeat(pair_q[by_owner], wire_len)
+        self._pack_pos: np.ndarray | None = None
+
+        # unpack side, flat order: slot s of requester p lives at ghost
+        # backing position ghost_off[p] + s (GhostBuffers layout), fed
+        # by wire position _unpack_src
+        self._ghost_off = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(ghost_sz, out=self._ghost_off[1:])
+        self._unpack_pos = self._ghost_off[flat_p] + flat_recv
+        self._unpack_src = positions - np.repeat(shift, pair_len)
+        # reverse path, wire order: every wire position is fed by exactly
+        # one ghost backing position, so packing ghosts is one gather
+        self._ghost_pos_wire = self._unpack_pos[wire_perm]
+
+        # per-processor pack/unpack memory charges, accumulated in pair
+        # order like a loop over pairs would
+        per_pair_mem = DEFAULT_COSTS.pack_unpack_mem * pair_len
+        self._pack_mem = np.zeros(n)
+        self._unpack_mem = np.zeros(n)
+        np.add.at(self._pack_mem, pair_q, per_pair_mem)
+        np.add.at(self._unpack_mem, pair_p, per_pair_mem)
+        # the other per-application charges depend on a call argument,
+        # so they are planned on first use: ``(reverse, itemsize)`` ->
+        # the direction's ExchangeCharge, ``flops_per_element`` -> the
+        # owners' combine flops.  twin() shares both dicts; neither is
+        # ever written to a checkpoint.
+        self._exchange_charges: dict = {}
+        self._combine_flops: dict = {}
 
     def entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Per-element ``(q, p, send, recv)`` arrays in flat (pair) order.
 
-        The inverse of :meth:`from_entries`: every moved ghost element as
-        one row, owners/requesters repeated per pair.  The one tuple is
+        Every moved ghost element as one row, owners/requesters repeated
+        per pair.  The one tuple is
         derived when the schedule is built and shared by :meth:`twin`;
         all four arrays are non-writeable: ``send``/``recv`` are views of
         the internal flat arrays (writing through them would silently
@@ -229,276 +234,6 @@ class CommSchedule:
         new = CommSchedule.__new__(CommSchedule)
         new.__dict__.update(self.__dict__)
         return new
-
-    def patched(
-        self,
-        keep: np.ndarray,
-        add_q: np.ndarray,
-        add_p: np.ndarray,
-        add_send: np.ndarray,
-        add_recv: np.ndarray,
-        ghost_sizes: list[int],
-        keep_key: np.ndarray | None = None,
-        add_key: np.ndarray | None = None,
-    ) -> "CommSchedule":
-        """Retire + append: a new schedule reusing this one's entries.
-
-        ``keep`` masks this schedule's per-element entries (retired
-        entries are dropped); ``add_*`` append new entries.  Ghost slots
-        referenced by kept entries are expected to be unchanged -- the
-        CSR ghost regions may only *grow* (``ghost_sizes`` is the new
-        per-processor slot-space size; pass the old sizes when nothing
-        was appended).  ``keep_key``/``add_key`` order elements within
-        each pair (ghost global indices give fresh-inspection wire
-        order); ghost slots are the default.
-
-        When this schedule is canonically ordered (pairs requester-major
-        / owner-minor, elements key-sorted within a pair -- what
-        ``localize``, ``from_entries`` and ``patched`` itself produce),
-        the new schedule is assembled by *merging* the kept entries (a
-        pre-sorted run) with the sorted added entries: delta-sized sort
-        work instead of a full-entry-set ``lexsort`` round trip, with
-        flat arrays bit-identical to the slow path's.  Non-canonical
-        schedules fall back to ``from_entries``.
-        """
-        add_q = np.asarray(add_q, dtype=np.int64)
-        add_p = np.asarray(add_p, dtype=np.int64)
-        add_send = np.asarray(add_send, dtype=np.int64)
-        add_recv = np.asarray(add_recv, dtype=np.int64)
-        d = add_q.shape[0] if add_q.ndim else -1
-        if add_key is not None:
-            add_key = np.asarray(add_key, dtype=np.int64)
-        # cross-check every add_* length before building any state: a
-        # mismatched caller must fail loudly, not corrupt silently
-        sizes = {
-            "add_q": add_q.shape,
-            "add_p": add_p.shape,
-            "add_send": add_send.shape,
-            "add_recv": add_recv.shape,
-        }
-        if add_key is not None:
-            sizes["add_key"] = add_key.shape
-        if any(s != (d,) for s in sizes.values()):
-            detail = ", ".join(f"{k}={v}" for k, v in sizes.items())
-            raise ValueError(
-                f"patched() add arrays must be 1-D and the same length; got {detail}"
-            )
-        keep = np.asarray(keep, dtype=bool)
-        if keep.shape != (self._n_elements,):
-            raise ValueError(
-                f"keep mask has shape {keep.shape}, schedule has "
-                f"{self._n_elements} entries"
-            )
-        if keep_key is not None:
-            keep_key = np.asarray(keep_key, dtype=np.int64)
-            if keep_key.shape != (self._n_elements,):
-                raise ValueError(
-                    f"keep_key has shape {keep_key.shape}, schedule has "
-                    f"{self._n_elements} entries"
-                )
-        else:
-            keep_key = self._flat_recv
-        if add_key is None:
-            add_key = add_recv
-        fast = self._patched_merge(
-            keep, add_q, add_p, add_send, add_recv, ghost_sizes, keep_key, add_key
-        )
-        if fast is not None:
-            return fast
-        q, p, send, recv = self.entries()
-        return CommSchedule.from_entries(
-            self.machine,
-            self.dist_signature,
-            np.concatenate([q[keep], add_q]),
-            np.concatenate([p[keep], add_p]),
-            np.concatenate([send[keep], add_send]),
-            np.concatenate([recv[keep], add_recv]),
-            ghost_sizes,
-            order_key=np.concatenate([keep_key[keep], add_key]),
-        )
-
-    def _patched_merge(
-        self,
-        keep: np.ndarray,
-        add_q: np.ndarray,
-        add_p: np.ndarray,
-        add_send: np.ndarray,
-        add_recv: np.ndarray,
-        ghost_sizes: list[int],
-        keep_key: np.ndarray,
-        add_key: np.ndarray,
-    ) -> "CommSchedule | None":
-        """Merge-of-presorted-runs fast path for :meth:`patched`.
-
-        Returns ``None`` when this schedule is not canonically ordered
-        (or composite keys would overflow int64) -- the caller then takes
-        the ``from_entries`` lexsort path.  Otherwise the kept entries
-        are a sorted run in both flat order ``(p, q, key)`` and wire
-        order ``(q, p, key)``; the added entries are sorted (delta-sized)
-        and merged in with ``searchsorted``, and every derived array is
-        built directly -- no O(E log E) work, bit-identical results.
-        """
-        n = self.machine.n_procs
-        E = self._n_elements
-        kmax = -1
-        if E:
-            kmax = int(keep_key.max())
-        if add_key.size:
-            kmax = max(kmax, int(add_key.max()))
-        K = kmax + 1
-        if K <= 0 or (E and int(keep_key.min()) < 0) or (
-            add_key.size and int(add_key.min()) < 0
-        ):
-            return None
-        if n * n >= (2**63 - 1) // max(K, 1):
-            return None  # pragma: no cover - composite key would overflow
-        flat_q, flat_p = self._entries[:2]
-        comp_flat = (flat_p * n + flat_q) * K + keep_key
-        if E and (np.diff(comp_flat) < 0).any():
-            return None
-        W = self._wire_perm
-        comp_wire = (flat_q * n + flat_p) * K + keep_key
-        compW = comp_wire[W]
-        if E and (np.diff(compW) < 0).any():
-            return None
-
-        kept_idx = np.flatnonzero(keep)
-        Sk = kept_idx.size
-        d = add_q.size
-        ar = np.arange(d, dtype=np.int64)
-        kr = np.arange(Sk, dtype=np.int64)
-
-        # flat-order merge: added entries sorted by (p, q, key), inserted
-        # after equal kept entries ('right' = lexsort stability, since the
-        # slow path concatenates kept before added)
-        add_comp = (add_p * n + add_q) * K + add_key
-        aperm = np.argsort(add_comp, kind="stable")
-        ins = np.searchsorted(comp_flat[kept_idx], add_comp[aperm], side="right")
-        add_newpos = ins + ar
-        # a kept entry moves up by the adds inserted at or before it
-        kept_newpos = kr + np.cumsum(np.bincount(ins, minlength=Sk + 1))[:Sk]
-
-        E2 = Sk + d
-        merged = []
-        for old, add in zip(self._entries, (add_q, add_p, add_send, add_recv)):
-            new = np.empty(E2, dtype=np.int64)
-            new[kept_newpos] = old[kept_idx]
-            new[add_newpos] = add[aperm]
-            merged.append(new)
-        flat_q2, flat_p2, send2, recv2 = merged
-
-        # wire-order merge: same game sorted by (q, p, key); the kept
-        # run is the old wire order with retired entries masked out
-        keepW = keep[W]
-        kw_flat = W[keepW]  # old flat index of each kept entry, wire order
-        add_wcomp = (add_q * n + add_p) * K + add_key
-        awperm = np.argsort(add_wcomp, kind="stable")
-        insw = np.searchsorted(compW[keepW], add_wcomp[awperm], side="right")
-        add_wpos = insw + ar
-        kept_wpos = kr + np.cumsum(np.bincount(insw, minlength=Sk + 1))[:Sk]
-        # new flat position of every element, addressed by wire position
-        rank = np.empty(E, dtype=np.int64)
-        rank[kept_idx] = kept_newpos
-        wire_perm = np.empty(E2, dtype=np.int64)
-        wire_perm[kept_wpos] = rank[kw_flat]
-        inv_aperm = np.empty(d, dtype=np.int64)
-        inv_aperm[aperm] = ar
-        wire_perm[add_wpos] = add_newpos[inv_aperm[awperm]]
-
-        # the merged arrays are canonically ordered and wire_perm is
-        # already in hand: no argsort
-        new = CommSchedule.__new__(CommSchedule)
-        new._build(
-            self.machine,
-            self.dist_signature,
-            _pair_runs(flat_q2, flat_p2, n),
-            flat_q2,
-            flat_p2,
-            send2,
-            recv2,
-            wire_perm,
-            ghost_sizes,
-        )
-        return new
-
-    def _build(
-        self,
-        machine: Machine,
-        dist_signature: tuple,
-        pairs: tuple[np.ndarray, np.ndarray, np.ndarray],
-        flat_q: np.ndarray,
-        flat_p: np.ndarray,
-        flat_send: np.ndarray,
-        flat_recv: np.ndarray,
-        wire_perm: np.ndarray,
-        ghost_sizes: list[int],
-    ) -> None:
-        """Derive every apply array from per-element flat input.
-
-        ``pairs`` is the live ``(pair_q, pair_p, pair_len)`` triple and
-        ``flat_q``/``flat_p`` its per-element expansion; ``wire_perm``
-        maps wire position -> flat position (elements grouped by owner,
-        stable).  The constructor computes ``wire_perm`` with one
-        argsort; ``patched`` merges it from the old schedule's.
-        """
-        n = machine.n_procs
-        if len(ghost_sizes) != n:
-            raise ValueError(f"expected {n} ghost sizes, got {len(ghost_sizes)}")
-        self.machine = machine
-        self.dist_signature = dist_signature
-        self.ghost_sizes = [int(s) for s in ghost_sizes]
-        #: per-message arrays in pair insertion order (nonempty pairs only)
-        self._pair_q, self._pair_p, self._pair_len = pairs
-        self._flat_send = flat_send
-        self._flat_recv = flat_recv
-        ghost_sz = np.asarray(self.ghost_sizes, dtype=np.int64)
-        pair_bounds = np.concatenate(([0], np.cumsum(self._pair_len)))
-        i = first_segment_outside(flat_recv, pair_bounds, ghost_sz[self._pair_p])
-        if i is not None:
-            raise ValueError(
-                f"pair ({int(self._pair_q[i])}, {int(self._pair_p[i])}): recv slot "
-                f"out of range [0, {int(ghost_sz[self._pair_p[i]])})"
-            )
-        E = flat_q.size
-        self._n_elements = E
-        self._wire_perm = wire_perm
-        self._entries = (flat_q, flat_p, flat_send[:], flat_recv[:])
-        for a in self._entries:
-            a.flags.writeable = False
-
-        # pack side, wire order: send offsets and owner of each packed
-        # element; flat backing positions are resolved lazily against
-        # the bound distribution
-        self._pack_idx = flat_send[wire_perm]
-        self._pack_owner_rep = flat_q[wire_perm]
-        self._pack_pos: np.ndarray | None = None
-
-        # unpack side, flat order: slot s of requester p lives at ghost
-        # backing position ghost_off[p] + s (GhostBuffers layout), fed
-        # by wire position _unpack_src
-        self._ghost_off = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(ghost_sz, out=self._ghost_off[1:])
-        self._unpack_pos = self._ghost_off[flat_p] + flat_recv
-        self._unpack_src = np.empty(E, dtype=np.int64)
-        self._unpack_src[wire_perm] = np.arange(E, dtype=np.int64)
-        # reverse path, wire order: every wire position is fed by exactly
-        # one ghost backing position, so packing ghosts is one gather
-        self._ghost_pos_wire = self._unpack_pos[wire_perm]
-
-        # per-processor pack/unpack memory charges, accumulated in pair
-        # order like a loop over pairs would
-        per_pair_mem = DEFAULT_COSTS.pack_unpack_mem * self._pair_len
-        self._pack_mem = np.zeros(n)
-        self._unpack_mem = np.zeros(n)
-        np.add.at(self._pack_mem, self._pair_q, per_pair_mem)
-        np.add.at(self._unpack_mem, self._pair_p, per_pair_mem)
-        # the other per-application charges depend on a call argument,
-        # so they are planned on first use: ``(reverse, itemsize)`` ->
-        # the direction's ExchangeCharge, ``flops_per_element`` -> the
-        # owners' combine flops.  twin() shares both dicts; neither is
-        # ever written to a checkpoint.
-        self._exchange_charges: dict = {}
-        self._combine_flops: dict = {}
 
     # ------------------------------------------------------------------
     # introspection
@@ -565,10 +300,27 @@ class CommSchedule:
 
         Valid for every array bound to this schedule's distribution
         signature (``_check_array`` enforces that), so the resolution is
-        cached after the first application.
+        cached after the first application.  That first resolution also
+        range-checks every send offset against its owner's local size:
+        an offset past it would silently move another processor's
+        element.
         """
         if self._pack_pos is None:
             off = arr.distribution.flat_offsets()
+            # wire order is owner-grouped: owner q's offsets are one segment
+            bounds = np.searchsorted(self._pack_owner_rep, np.arange(self.n_procs + 1))
+            sizes = np.diff(off)
+            q = first_segment_outside(self._pack_idx, bounds, sizes)
+            if q is not None:
+                seg = self._pack_idx[bounds[q] : bounds[q + 1]]
+                w = int(bounds[q]) + int(np.argmax((seg < 0) | (seg >= sizes[q])))
+                # the pair holding that element's flat position
+                pair_ends = np.cumsum(self._pair_len)
+                k = int(np.searchsorted(pair_ends, self._wire_perm[w], side="right"))
+                raise ValueError(
+                    f"pair ({q}, {int(self._pair_p[k])}): send offset "
+                    f"{int(self._pack_idx[w])} out of range [0, {int(sizes[q])})"
+                )
             self._pack_pos = off[self._pack_owner_rep] + self._pack_idx
         return self._pack_pos
 

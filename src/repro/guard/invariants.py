@@ -98,9 +98,11 @@ def verify_schedule(schedule, level: str = "cheap", canonical: bool = True) -> N
     """Check a ``CommSchedule``'s structural contract.
 
     ``canonical=True`` additionally requires requester-major /
-    owner-minor pair order -- the order ``localize``, ``from_entries``
-    and ``patched`` produce.  Schedules assembled from explicit pair
-    dicts keep insertion order and are checked with ``canonical=False``.
+    owner-minor pair order -- the order ``localize`` and the patch rung
+    produce.  Schedules assembled from explicit pair dicts keep
+    insertion order and are checked with ``canonical=False``.  Send
+    offsets are checked against the distribution by the schedule
+    itself, on first application.
     """
     if check_level(level) == "off":
         return

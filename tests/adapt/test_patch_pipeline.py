@@ -33,7 +33,7 @@ from tests.adapt import test_lazy_state as lazy
 from tests.adapt.test_patch_oracle import build_program, mutate
 from tests.core.test_miss_path_kernels import digest
 
-STAGES = ("delta", "slots", "translate", "allocate", "schedule", "refs", "index")
+STAGES = ("delta", "slots", "translate", "allocate", "index", "schedule", "refs")
 N_EPOCHS = 5
 
 

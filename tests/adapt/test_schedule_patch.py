@@ -1,5 +1,6 @@
-"""Unit tests for CommSchedule entries/from_entries/patched and
-GhostBuffers.patched -- the append/retire primitives patching builds on."""
+"""Unit tests for CommSchedule entries, the merge patcher kept as the
+patch rung's schedule oracle, and GhostBuffers.patched -- the
+append-only regrowth patching builds on."""
 
 import numpy as np
 import pytest
@@ -10,6 +11,9 @@ from repro.chaos.schedule import CommSchedule
 from repro.chaos.ttable import build_translation_table
 from repro.distribution import BlockDistribution
 from repro.machine import Machine
+from tests.chaos import schedule_oracle as oracle
+
+_EMPTY = np.empty(0, dtype=np.int64)
 
 
 def make_localized(m, n=32, seed=0, n_refs=60):
@@ -23,7 +27,7 @@ def make_localized(m, n=32, seed=0, n_refs=60):
 
 
 class TestEntriesRoundTrip:
-    def test_from_entries_reconstructs_schedule(self):
+    def test_oracle_from_entries_reconstructs_schedule(self):
         m = Machine(4)
         loc, dist = make_localized(m)
         sched = loc.schedule
@@ -32,15 +36,11 @@ class TestEntriesRoundTrip:
         # entries -- the wire order a fresh localize produces
         # slot s of requester pp holds ghost_flat[ghost_bounds[pp] + s]
         key_of = loc.ghost_flat[loc.ghost_bounds[p] + recv]
-        rebuilt = CommSchedule.from_entries(
+        rebuilt = oracle.from_entries(
             m, sched.dist_signature, q, p, send, recv,
             sched.ghost_sizes, order_key=key_of,
         )
-        assert np.array_equal(rebuilt._pair_q, sched._pair_q)
-        assert np.array_equal(rebuilt._pair_p, sched._pair_p)
-        assert np.array_equal(rebuilt._pair_len, sched._pair_len)
-        assert np.array_equal(rebuilt._flat_send, sched._flat_send)
-        assert np.array_equal(rebuilt._flat_recv, sched._flat_recv)
+        oracle.assert_schedules_equal(rebuilt, sched)
 
     def test_entries_shapes(self):
         m = Machine(4)
@@ -50,7 +50,10 @@ class TestEntriesRoundTrip:
         assert q.shape == p.shape == send.shape == recv.shape == (total,)
 
 
-class TestPatched:
+class TestOraclePatched:
+    """The merge patcher the patch rung's schedule is diffed against
+    (``tests/chaos/schedule_oracle.py``) keeps its own contract."""
+
     def test_patched_keep_all_is_identity(self):
         m = Machine(4)
         loc, _ = make_localized(m)
@@ -58,19 +61,18 @@ class TestPatched:
         q, p, send, recv = sched.entries()
         # slot s of requester pp holds ghost_flat[ghost_bounds[pp] + s]
         key_of = loc.ghost_flat[loc.ghost_bounds[p] + recv]
-        same = sched.patched(
+        same = oracle.patched(
+            sched,
             np.ones(q.size, dtype=bool),
-            add_q=np.empty(0, dtype=np.int64),
-            add_p=np.empty(0, dtype=np.int64),
-            add_send=np.empty(0, dtype=np.int64),
-            add_recv=np.empty(0, dtype=np.int64),
+            add_q=_EMPTY,
+            add_p=_EMPTY,
+            add_send=_EMPTY,
+            add_recv=_EMPTY,
             ghost_sizes=sched.ghost_sizes,
             keep_key=key_of,
-            add_key=np.empty(0, dtype=np.int64),
+            add_key=_EMPTY,
         )
-        assert np.array_equal(same._flat_send, sched._flat_send)
-        assert np.array_equal(same._flat_recv, sched._flat_recv)
-        assert same.ghost_sizes == sched.ghost_sizes
+        oracle.assert_schedules_equal(same, sched)
 
     def test_retire_and_append_matches_fresh_construction(self):
         """Dropping some entries and appending others equals building
@@ -90,11 +92,11 @@ class TestPatched:
         new_sizes = sizes.copy()
         new_sizes[2] += 1
         new_sizes[3] += 1
-        patched = sched.patched(
-            keep, add_q, add_p, add_send, add_recv, new_sizes,
+        patched = oracle.patched(
+            sched, keep, add_q, add_p, add_send, add_recv, new_sizes,
             keep_key=send, add_key=add_send,
         )
-        direct = CommSchedule.from_entries(
+        direct = oracle.from_entries(
             m,
             sched.dist_signature,
             np.concatenate([q[keep], add_q]),
@@ -104,23 +106,24 @@ class TestPatched:
             new_sizes,
             order_key=np.concatenate([send[keep], add_send]),
         )
-        assert np.array_equal(patched._pair_q, direct._pair_q)
-        assert np.array_equal(patched._pair_p, direct._pair_p)
-        assert np.array_equal(patched._flat_send, direct._flat_send)
-        assert np.array_equal(patched._flat_recv, direct._flat_recv)
+        oracle.assert_schedules_equal(patched, direct)
 
-    def test_bad_keep_mask_rejected(self):
-        m = Machine(4)
-        loc, _ = make_localized(m)
-        with pytest.raises(ValueError, match="keep mask"):
-            loc.schedule.patched(
-                np.ones(3, dtype=bool),
-                add_q=np.empty(0, dtype=np.int64),
-                add_p=np.empty(0, dtype=np.int64),
-                add_send=np.empty(0, dtype=np.int64),
-                add_recv=np.empty(0, dtype=np.int64),
-                ghost_sizes=loc.schedule.ghost_sizes,
-            )
+
+def regrown(sched, ghost_sizes, keep=None):
+    """``sched``'s pairs (those ``keep`` selects) over new ghost sizes."""
+    if keep is None:
+        keep = np.ones(sched._pair_q.size, dtype=bool)
+    elements = np.repeat(keep, sched._pair_len)
+    return CommSchedule(
+        sched.machine,
+        sched.dist_signature,
+        sched._pair_q[keep],
+        sched._pair_p[keep],
+        sched._pair_len[keep],
+        sched._flat_send[elements],
+        sched._flat_recv[elements],
+        ghost_sizes,
+    )
 
 
 class TestGhostBuffersPatched:
@@ -131,18 +134,10 @@ class TestGhostBuffersPatched:
         ghosts = GhostBuffers(m, sched, dtype=np.float64)
         rng = np.random.default_rng(2)
         ghosts.backing[:] = rng.normal(size=ghosts.backing.size)
-        # grow two regions via a patched schedule
-        q, p, send, recv = sched.entries()
+        # grow two regions
         sizes = list(sched.ghost_sizes)
         new_sizes = [s + (2 if i % 2 else 0) for i, s in enumerate(sizes)]
-        grown = sched.patched(
-            np.ones(q.size, dtype=bool),
-            add_q=np.empty(0, dtype=np.int64),
-            add_p=np.empty(0, dtype=np.int64),
-            add_send=np.empty(0, dtype=np.int64),
-            add_recv=np.empty(0, dtype=np.int64),
-            ghost_sizes=new_sizes,
-        )
+        grown = regrown(sched, new_sizes)
         new = ghosts.patched(grown)
         for pp in range(4):
             old_seg = ghosts.buf(pp)
@@ -156,19 +151,11 @@ class TestGhostBuffersPatched:
         ghosts = GhostBuffers(m, sched, dtype=np.float64)
         if not any(sched.ghost_sizes):
             pytest.skip("no ghosts in this draw")
-        q, p, send, recv = sched.entries()
         big = np.argmax(sched.ghost_sizes)
-        keep = p != big  # drop one processor's entries entirely
         new_sizes = list(sched.ghost_sizes)
         new_sizes[big] -= 1
-        shrunk = sched.patched(
-            keep,
-            add_q=np.empty(0, dtype=np.int64),
-            add_p=np.empty(0, dtype=np.int64),
-            add_send=np.empty(0, dtype=np.int64),
-            add_recv=np.empty(0, dtype=np.int64),
-            ghost_sizes=new_sizes,
-        )
+        # drop one processor's entries entirely
+        shrunk = regrown(sched, new_sizes, keep=sched._pair_p != big)
         with pytest.raises(ValueError, match="append-only"):
             ghosts.patched(shrunk)
 
@@ -177,16 +164,7 @@ class TestGhostBuffersPatched:
         loc, _ = make_localized(m, seed=7)
         sched = loc.schedule
         ghosts = GhostBuffers(m, sched, dtype=np.float64)
-        q, p, send, recv = sched.entries()
-        new_sizes = [s + 3 for s in sched.ghost_sizes]
-        grown = sched.patched(
-            np.ones(q.size, dtype=bool),
-            add_q=np.empty(0, dtype=np.int64),
-            add_p=np.empty(0, dtype=np.int64),
-            add_send=np.empty(0, dtype=np.int64),
-            add_recv=np.empty(0, dtype=np.int64),
-            ghost_sizes=new_sizes,
-        )
+        grown = regrown(sched, [s + 3 for s in sched.ghost_sizes])
         iops_before = m.counters.iops.copy()
         ghosts.patched(grown)
         from repro.chaos.costs import DEFAULT_COSTS

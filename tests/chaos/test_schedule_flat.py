@@ -18,6 +18,7 @@ from repro.chaos.schedule import CommSchedule
 from repro.distribution.distarray import DistArray
 from repro.distribution.regular import BlockDistribution
 from repro.machine.machine import Machine
+from tests.chaos import schedule_oracle as oracle
 from tests.chaos.pairs import (
     flatten_pairs,
     naive_gather,
@@ -188,53 +189,6 @@ class TestEntriesImmutability:
         assert recv.base is sched._flat_recv
 
 
-class TestPatchedValidation:
-    """patched() must reject malformed inputs before building any state."""
-
-    def test_mismatched_add_lengths_raise(self):
-        sched = small_schedule()
-        n = sched.entry_count() if hasattr(sched, "entry_count") else sched._n_elements
-        keep = np.ones(n, dtype=bool)
-        two = np.zeros(2, dtype=np.int64)
-        three = np.zeros(3, dtype=np.int64)
-        with pytest.raises(ValueError, match="same length"):
-            sched.patched(keep, two, two, two, three, sched.ghost_sizes)
-        with pytest.raises(ValueError, match="same length"):
-            sched.patched(keep, two, three, two, two, sched.ghost_sizes)
-        with pytest.raises(ValueError, match="same length"):
-            sched.patched(
-                keep, two, two, two, two, sched.ghost_sizes, add_key=three
-            )
-
-    def test_scalar_add_arrays_raise(self):
-        sched = small_schedule()
-        keep = np.ones(sched._n_elements, dtype=bool)
-        with pytest.raises(ValueError, match="1-D"):
-            sched.patched(keep, 1, 1, 1, 1, sched.ghost_sizes)
-
-    def test_bad_keep_shape_raises(self):
-        sched = small_schedule()
-        empty = np.zeros(0, dtype=np.int64)
-        with pytest.raises(ValueError, match="keep mask"):
-            sched.patched(
-                np.ones(sched._n_elements + 1, dtype=bool),
-                empty, empty, empty, empty, sched.ghost_sizes,
-            )
-
-    def test_schedule_untouched_after_rejected_patch(self):
-        sched = small_schedule()
-        before = [a.copy() for a in (sched._flat_send, sched._flat_recv)]
-        two = np.zeros(2, dtype=np.int64)
-        three = np.zeros(3, dtype=np.int64)
-        with pytest.raises(ValueError):
-            sched.patched(
-                np.ones(sched._n_elements, dtype=bool),
-                two, two, two, three, sched.ghost_sizes,
-            )
-        assert np.array_equal(sched._flat_send, before[0])
-        assert np.array_equal(sched._flat_recv, before[1])
-
-
 class TestTwin:
     def test_twin_shares_arrays_under_distinct_identity(self):
         sched = small_schedule()
@@ -298,6 +252,48 @@ def test_constructor_rejects_malformed_input_by_name(args, exc, match):
         CommSchedule(machine, arr.distribution.signature(), *args, [2, 2, 2, 2])
 
 
+@pytest.mark.parametrize("offset", [2, -1], ids=["local_size", "negative"])
+@pytest.mark.parametrize("apply", ["gather", "scatter", "scatter_op"])
+def test_out_of_range_send_offset_is_rejected_on_first_use(apply, offset):
+    """Owner 0 of ``BlockDistribution(8, 4)`` holds 2 elements: offset 2
+    would resolve to global 2 (processor 1's) and -1 to global 7.  The
+    first application refuses, naming the pair, before it moves or
+    charges anything."""
+    machine = Machine(4)
+    dist = BlockDistribution(8, 4)
+    arr = DistArray.from_global(machine, dist, np.arange(8.0), name="x")
+    sched = CommSchedule(machine, dist.signature(), [0], [3], [1], [offset], [0], [0, 0, 0, 1])
+    ghosts = np.full(1, -5.0)
+    clock = clocks(machine)
+    with pytest.raises(ValueError, match=rf"pair \(0, 3\): send offset {offset} out of range \[0, 2\)"):
+        if apply == "gather":
+            sched.gather(arr, ghosts)
+        elif apply == "scatter":
+            sched.scatter(ghosts, arr)
+        else:
+            sched.scatter_op(ghosts, arr, np.add)
+    np.testing.assert_array_equal(arr.to_global(), np.arange(8.0))
+    np.testing.assert_array_equal(ghosts, [-5.0])
+    assert clocks(machine) == clock
+    assert sched._pack_pos is None
+
+
+def test_send_offsets_in_range_on_every_owner_pass():
+    """The range check sees every owner's segment: the last valid offset
+    of each owner moves exactly that element."""
+    machine = Machine(4)
+    dist = BlockDistribution(10, 4)  # local sizes 3, 3, 3, 1
+    arr = DistArray.from_global(machine, dist, np.arange(10.0), name="x")
+    sizes = dist.local_sizes()
+    sched = CommSchedule(
+        machine, dist.signature(), [1, 2, 3, 0], [0, 0, 0, 1],
+        [1, 1, 1, 1], sizes[[1, 2, 3, 0]] - 1, [0, 1, 2, 0], [3, 1, 0, 0],
+    )
+    ghosts = np.zeros(4)
+    sched.gather(arr, ghosts)
+    np.testing.assert_array_equal(ghosts, [5.0, 8.0, 9.0, 2.0])
+
+
 def test_per_processor_ghost_lists_are_rejected():
     sched = small_schedule()
     arr = DistArray(sched.machine, BlockDistribution(40, 4), name="x")
@@ -309,32 +305,17 @@ def test_per_processor_ghost_lists_are_rejected():
 
 
 # ----------------------------------------------------------------------
-# one builder behind both entries
+# the constructor vs the merge patcher's independent derivation
 # ----------------------------------------------------------------------
-BUILT = (
-    "_pair_q",
-    "_pair_p",
-    "_pair_len",
-    "_flat_send",
-    "_flat_recv",
-    "_pack_idx",
-    "_pack_owner_rep",
-    "_unpack_pos",
-    "_unpack_src",
-    "_ghost_pos_wire",
-    "_pack_mem",
-    "_unpack_mem",
-)
-
-
 def canonical_variants(n_procs, size, seed, monkeypatch):
     """One random schedule, canonicalized four ways, each on its own world.
 
-    ``from_entries`` and the constructor fed canonical pair arrays go
-    through the pair-grouped entry (argsort); ``patched(keep=all)`` of a
-    canonical schedule goes through the merge entry (wire permutation in
-    hand, no argsort); ``patched`` of the non-canonical original falls
-    back to ``from_entries``.
+    The oracle's ``from_entries`` and the constructor fed canonical pair
+    arrays derive the wire permutation with the constructor's argsort;
+    the oracle's ``patched(keep=all)`` of a canonical schedule merges it
+    and derives every apply array itself (``schedule_oracle.build``);
+    ``patched`` of the non-canonical original falls back to
+    ``from_entries``.
     """
     out = {}
     no_add = np.empty(0, dtype=np.int64)
@@ -347,9 +328,9 @@ def canonical_variants(n_procs, size, seed, monkeypatch):
         raw = schedule_from_pairs(machine, sig, send, recv, gsizes)
         keep = np.ones(raw._n_elements, dtype=bool)
         if name == "fallback":
-            sched = raw.patched(keep, no_add, no_add, no_add, no_add, gsizes)
+            sched = oracle.patched(raw, keep, no_add, no_add, no_add, no_add, gsizes)
         else:
-            sched = CommSchedule.from_entries(machine, sig, *raw.entries(), gsizes)
+            sched = oracle.from_entries(machine, sig, *raw.entries(), gsizes)
         if name == "constructor":
             sched = CommSchedule(
                 machine,
@@ -364,24 +345,21 @@ def canonical_variants(n_procs, size, seed, monkeypatch):
         elif name == "merge":
             with monkeypatch.context() as mp:
                 # the merge entry must not fall back to the lexsort path
-                mp.setattr(CommSchedule, "from_entries", None)
-                sched = sched.patched(keep, no_add, no_add, no_add, no_add, gsizes)
+                mp.setattr(oracle, "from_entries", None)
+                sched = oracle.patched(sched, keep, no_add, no_add, no_add, no_add, gsizes)
         out[name] = (machine, arr, sched)
     return out
 
 
 @pytest.mark.parametrize("n_procs,size,seed", CASES)
-def test_both_builder_entries_agree(n_procs, size, seed, monkeypatch):
+def test_constructor_agrees_with_merge_oracle(n_procs, size, seed, monkeypatch):
     variants = canonical_variants(n_procs, size, seed, monkeypatch)
     _, _, ref = variants["from_entries"]
     assert ref._n_elements  # an empty schedule would prove nothing
     contrib = np.random.default_rng(seed).normal(size=sum(ref.ghost_sizes))
     results = {}
     for name, (machine, arr, sched) in variants.items():
-        for attr in BUILT:
-            np.testing.assert_array_equal(
-                getattr(sched, attr), getattr(ref, attr), err_msg=f"{name}.{attr}"
-            )
+        oracle.assert_schedules_equal(sched, ref, context=name)
         ghosts = GhostBuffers(machine, sched, charge=False)
         sched.gather(arr, ghosts)
         gathered = ghosts.backing.copy()
@@ -403,7 +381,7 @@ def test_noncanonical_schedule_differs_from_its_canonical_form():
     send, recv, gsizes = random_schedule_parts(np.random.default_rng(302), 4, min_local)
     sig = arr.distribution.signature()
     raw = schedule_from_pairs(machine, sig, send, recv, gsizes)
-    canon = CommSchedule.from_entries(machine, sig, *raw.entries(), gsizes)
+    canon = oracle.from_entries(machine, sig, *raw.entries(), gsizes)
     assert not np.array_equal(raw._pair_p, canon._pair_p)
 
 

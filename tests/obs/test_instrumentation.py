@@ -115,7 +115,7 @@ class TestAdaptSpans:
         assert len(per_group) == patch.attrs["groups"] == 2
         for group_spans in per_group.values():
             assert [s.name.removeprefix("adapt.patch.") for s in group_spans] == [
-                "delta", "slots", "translate", "allocate", "schedule", "refs", "index"
+                "delta", "slots", "translate", "allocate", "index", "schedule", "refs"
             ]
             assert len({s.attrs["twin"] for s in group_spans}) == 1
         assert sorted(g[0].attrs["twin"] for g in per_group.values()) == [False, True]
