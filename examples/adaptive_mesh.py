@@ -8,9 +8,10 @@ the edges are locally re-targeted (``repro.workloads.adaptive``).  The
 conservative runtime record notices the writes, and:
 
 * a plain program re-runs the **full inspector** at every adaptation;
-* an ``incremental=True`` program **diffs** the edge arrays against its
-  snapshot and **patches** the saved schedules and ghost regions --
-  same results, a fraction of the inspector cost.
+* an ``incremental=True`` program **diffs** the edge arrays against the
+  values its saved product was built from and **patches** the saved
+  schedules and ghost regions -- same results, a fraction of the
+  inspector cost.
 
 Both paths are validated against the sequential reference sweep.
 

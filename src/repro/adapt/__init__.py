@@ -7,9 +7,10 @@ pair lists) modify a few percent of an indirection array every few dozen
 time steps and pay the full inspector each time.  This subsystem is the
 CHAOS-lineage follow-on: when the conservative check fails *only*
 because indirection values changed (condition 3, with every DAD intact),
-it diffs the current indirection values against a snapshot taken at the
-last inspection, computes exactly which references moved, and **patches**
-the saved :class:`~repro.core.inspector.InspectorProduct` -- re-voting
+it diffs the current indirection values against the ones the saved
+product was built from (read off its localized references,
+:func:`~repro.adapt.diff.old_targets`), computes exactly which
+references moved, and **patches** the saved :class:`~repro.core.inspector.InspectorProduct` -- re-voting
 only the changed iterations, translating only the added references (one
 ``dereference_flat`` over the delta), and retiring/appending ghost slots
 in place -- while charging the simulated machine only for the delta
@@ -46,9 +47,8 @@ unchanged, which conditions 1-2 guarantee), and the live reference count
 State lifetime: captured by reference, built on first use
 ---------------------------------------------------------
 A full inspection does not build ``LoopAdaptState``.  It records a
-:class:`~repro.adapt.state.PendingState` -- the fresh product, every
-indirection array's frozen ``global_view()`` and every data array's
-``Distribution``, all by reference (O(1)) -- and charges the simulated
+:class:`~repro.adapt.state.PendingState` -- the fresh product and every
+data array's ``Distribution``, both by reference (O(1)) -- and charges the simulated
 bookkeeping cost right there, inside the inspector phase, because the
 *modelled* runtime does that work when it inspects.  The O(refs) host
 build (:func:`~repro.adapt.state.build_adapt_state`) runs when a reader
@@ -78,9 +78,10 @@ holds at every fraction.  What keeps the patch path small:
   live slots, in the merged index's order) by the one ``CommSchedule``
   constructor a cold inspection uses, and ghost buffers are regrown
   append-only (retired slots stay holes, as above);
-* executor caches (``exec_space``/``exec_refs``) are carried across the
-  patch and overwritten only at delta positions
-  (:func:`repro.core.executor.patch_exec_caches`);
+* nothing is copied to remember the old indirection values: the diff
+  reads them off the saved product at the dirty positions only, and a
+  patched pattern's executor caches are built lazily by its first
+  execution, like a fresh inspection's;
 * pattern groups with provably identical communication structure (same
   distribution, element-equal indirection state -- e.g. the x- and
   y-patterns of one edge loop) are computed **once**: the second group
@@ -101,7 +102,7 @@ loop patches its remaps the way refinement epochs patch their
 schedules.
 """
 
-from repro.adapt.diff import expand_ranges, ranges_from_positions
+from repro.adapt.diff import expand_ranges, old_targets, ranges_from_positions
 from repro.adapt.driver import AdaptiveExecutor, IncrementalInspector
 from repro.adapt.patch import patch_product
 from repro.adapt.state import (
@@ -120,5 +121,6 @@ __all__ = [
     "build_adapt_state",
     "patch_product",
     "expand_ranges",
+    "old_targets",
     "ranges_from_positions",
 ]

@@ -50,7 +50,7 @@ import time
 
 import numpy as np
 
-from repro.adapt.diff import expand_ranges
+from repro.adapt.diff import expand_ranges, old_targets
 from repro.adapt.patch import patch_product
 from repro.adapt.state import (
     LoopAdaptState,
@@ -67,7 +67,9 @@ from repro.guard.invariants import verify_product
 
 #: fixed integer ops for deciding whether a reuse failure is patchable
 PATCH_CHECK_IOPS = 10.0
-#: integer ops per dirty element for the snapshot-vs-current compare
+#: integer ops per dirty element for the old-vs-current compare (the
+#: modelled runtime compares against a snapshot; the host reads the old
+#: value off the saved product)
 DIFF_IOPS_PER_ELEMENT = 2.0
 
 
@@ -242,7 +244,8 @@ class IncrementalInspector:
                         )
                     # read at the dirty positions only: assembling the global
                     # view would copy the whole array after every tracked write
-                    chg = pos[state.snapshots[name][pos] != arr.global_get(pos)]
+                    old = old_targets(record.product, arrays, name, pos)
+                    chg = pos[old != arr.global_get(pos)]
                     changed[name] = chg
                     n_changed += int(chg.size)
                 diff_span.set(n_changed=n_changed, n_tracked=n_tracked)

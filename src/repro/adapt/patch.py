@@ -47,7 +47,6 @@ from repro.chaos.localize import LocalizeResult
 from repro.chaos.schedule import CommSchedule
 from repro.chaos.transcache import KeyTranslationMemo
 from repro.chaos.ttable import TranslationTable
-from repro.core.executor import patch_exec_caches
 from repro.core.inspector import InspectorProduct, PatternData
 from repro.core.iteration import (
     ITERATION_RECORD_BYTES,
@@ -188,7 +187,6 @@ class _PatchContext:
     memo: KeyTranslationMemo
     old_to_new: np.ndarray  # old flat position of each new flat position
     new_part: IterationPartition
-    partition_changed: bool
 
 
 @dataclass(frozen=True)
@@ -637,8 +635,8 @@ def _patch_group(
         refs = sib.refs if twin else _rebuild_refs(
             ctx, member_keys, delta, lidx, slots, alloc, local_sizes
         )
-        patterns, space = {}, None
-        for akey, refs_flat, (_D, dpos) in zip(member_keys, refs[0], delta.members):
+        patterns = {}
+        for akey, refs_flat in zip(member_keys, refs[0]):
             loc = LocalizeResult(
                 local_sizes=local_sizes.tolist(),
                 schedule=schedule,
@@ -648,18 +646,10 @@ def _patch_group(
                 ghost_bounds=alloc.slot_bounds,
             )
             # executor caches are value-independent (positions only): a
-            # twin adopts its sibling's patched holder, anyone else carries
-            # its own across the patch (host-level, delta positions only;
-            # one patched space shared by the group's members)
+            # twin adopts its sibling's holder; anyone else gets a fresh
+            # one, which the executor fills on first use
             derived = sib.patterns[sib.gstate.array, akey[1]].derived if twin else None
-            patterns[akey] = pat = PatternData(gstate.array, akey[1], loc, ghosts, derived)
-            if not twin:
-                # the processor of each delta position, off the bounds: no
-                # n-length position -> processor map for a few thousand reads
-                dpid = np.searchsorted(ctx.new_part.bounds, dpos, side="right") - 1
-                space = patch_exec_caches(
-                    ctx.product.patterns[akey], pat, dpos, dpid, ctx.partition_changed, space,
-                )
+            patterns[akey] = PatternData(gstate.array, akey[1], loc, ghosts, derived)
     return _GroupPatch(
         member_keys, gstate, delta, adds, slots, alloc, schedule, charges,
         refs, patterns, state,
@@ -714,14 +704,14 @@ def patch_product(
     rewrites cancelled out).
 
     ``changed`` maps indirection array name -> sorted positions whose
-    values differ from ``state.snapshots`` (the driver's
+    values differ from the ones ``product`` was built from (the driver's
     :func:`~repro.adapt.diff.expand_ranges` of the dirty windows,
-    compared there against ``global_get``; diff charges are the
-    caller's).  Preconditions (the caller -- the driver
-    -- verifies them): every data/indirection DAD equals the product's,
-    and ``ttables`` holds the translation table of every referenced
-    array's current distribution.  Mutates ``state`` (home map,
-    snapshots, group slot spaces) to describe the patched product.
+    compared there by :func:`~repro.adapt.diff.old_targets` against
+    ``global_get``; diff charges are the caller's).  Preconditions (the
+    caller -- the driver -- verifies them): every data/indirection DAD
+    equals the product's, and ``ttables`` holds the translation table of
+    every referenced array's current distribution.  Mutates ``state``
+    (home map, group slot spaces) to describe the patched product.
     """
     loop = product.loop
     n_procs = machine.n_procs
@@ -758,7 +748,6 @@ def patch_product(
         memo=KeyTranslationMemo(),
         old_to_new=inv_old[new_part.flat],
         new_part=new_part,
-        partition_changed=moved.size > 0,
     )
 
     patterns_new: dict = dict(product.patterns)
@@ -800,12 +789,13 @@ def patch_product(
 
     machine.barrier()
 
-    # update snapshots at the changed positions only (owners re-copy them)
+    # the modelled runtime keeps a snapshot of every indirection array
+    # and its owners re-copy the changed positions; the host reads old
+    # values off the product instead (adapt.diff.old_targets)
     snap_mem = np.zeros(n_procs)
     for name, pos in changed.items():
         if not pos.size:
             continue
-        state.snapshots[name][pos] = arrays[name].global_get(pos)
         owners = np.asarray(arrays[name].distribution.owner(pos), dtype=np.int64)
         snap_mem += np.bincount(owners, minlength=n_procs).astype(np.float64)
     if snap_mem.any():

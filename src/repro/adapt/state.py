@@ -2,8 +2,6 @@
 
 A full inspection captures, per loop:
 
-* a **snapshot** of every indirection array's global values (what the
-  reference lists were computed from),
 * the dense **home** map of the iteration partition (iteration ->
   processor), and
 * one :class:`GroupState` per pattern *group* -- the patterns sharing a
@@ -11,10 +9,14 @@ A full inspection captures, per loop:
   described in the package docstring: per global slot id the ghost's
   key, owner, owner-local offset, and live reference count.
 
-Building this state is plain bookkeeping over arrays the inspector
-already produced; the machine is charged a small per-element recording
-cost (the runtime really would tally counts and copy the indirection
-values), which is the price of enabling incremental inspection.
+What the indirection arrays held is not copied: the saved product
+already records the element every iteration referenced, and
+:func:`~repro.adapt.diff.old_targets` reads it back at the dirty
+positions.  Building this state is plain bookkeeping over arrays the
+inspector already produced; the machine is charged a small per-element
+recording cost (the modelled runtime tallies counts and copies the
+indirection values into a snapshot), which is the price of enabling
+incremental inspection.
 
 Capture by reference, build on first use
 ----------------------------------------
@@ -22,16 +24,15 @@ Most inspections are never patched: a loop re-inspected every time step
 over unchanged content, or one whose products a remap voids, would
 build O(refs) state per inspection and never read it.  So an inspection
 only *captures* the inputs of the build (:class:`PendingState`): the
-product, each indirection array's ``global_view()`` and each data
-array's ``Distribution`` object, all by reference.  That is an O(1)
-snapshot -- a ``DistArray`` never mutates a global view it handed out
-(a write bumps the content version and the next ``global_view()``
-assembles a *new* frozen array), and distributions are immutable
-(``redistribute`` installs another object).  :func:`build_adapt_state`
-turns the capture into a :class:`LoopAdaptState` when a reader first
-needs one (a patch attempt, post-patch verification, a checkpoint); the
-result is element-equal to building at inspection time, whatever was
-written or remapped in between.
+product and each data array's ``Distribution`` object, both by
+reference.  That is O(1), and nothing later can leak in: a patch builds
+a new product instead of editing the saved one, and distributions are
+immutable (``redistribute`` installs another object).
+:func:`build_adapt_state` turns the capture into a
+:class:`LoopAdaptState` when a reader first needs one (a patch attempt,
+post-patch verification, a checkpoint); the result is element-equal to
+building at inspection time, whatever was written or remapped in
+between.
 
 The simulated machine is a different matter: the *modelled* runtime
 does the bookkeeping when it inspects, so :func:`charge_state_build` is
@@ -109,7 +110,6 @@ class LoopAdaptState:
     """Everything needed to patch one loop's saved inspector product."""
 
     home: np.ndarray  # dense iteration -> processor map
-    snapshots: dict[str, np.ndarray]  # indirection name -> global values
     groups: dict[tuple[str, tuple], GroupState] = field(default_factory=dict)
 
 
@@ -118,8 +118,6 @@ class PendingState:
     """The inputs of :func:`build_adapt_state`, held by reference."""
 
     product: InspectorProduct
-    #: indirection array name -> its global view at inspection (frozen)
-    views: dict[str, np.ndarray]
     #: data array name -> the distribution the product was inspected under
     distributions: dict[str, Distribution]
 
@@ -128,15 +126,10 @@ class PendingState:
         cls, product: InspectorProduct, arrays: dict[str, DistArray]
     ) -> "PendingState":
         """O(1) per array: no element is copied or translated here."""
-        loop = product.loop
         return cls(
             product=product,
-            views={
-                name: arrays[name].global_view()
-                for name in loop.indirection_arrays()
-            },
             distributions={
-                name: arrays[name].distribution for name in loop.data_arrays()
+                name: arrays[name].distribution for name in product.loop.data_arrays()
             },
         )
 
@@ -203,20 +196,13 @@ def build_group_state(
 
 
 def build_adapt_state(pending: PendingState) -> LoopAdaptState:
-    """Snapshots + home map + group states of one captured inspection.
+    """Home map + group states of one captured inspection.
 
     Reads only what ``pending`` holds, never the live program, so the
     state describes the captured product no matter when it is built.
-    The snapshots are private copies (patches update them in place).
     """
     product = pending.product
-    state = LoopAdaptState(
-        home=product.iteration_partition.owner_of(),
-        snapshots={
-            name: np.asarray(view, dtype=np.int64).copy()
-            for name, view in pending.views.items()
-        },
-    )
+    state = LoopAdaptState(home=product.iteration_partition.owner_of())
     for member_keys in product_groups(product):
         state.groups[group_state_key(member_keys)] = build_group_state(
             product, pending.distributions[member_keys[0][0]], member_keys
@@ -229,9 +215,10 @@ def charge_state_build(machine, product: InspectorProduct, arrays) -> None:
 
     Issued at inspection (see the module docstring), against the live
     ``arrays`` the product was just inspected over.  Each processor
-    copies its local segment of every indirection array (the snapshot),
-    records its ghost slot map, and tallies its reference counts -- all
-    local integer/memory work.
+    copies its local segment of every indirection array (the modelled
+    runtime's snapshot; the host derives it from the product), records
+    its ghost slot map, and tallies its reference counts -- all local
+    integer/memory work.
     """
     n = machine.n_procs
     mem = np.zeros(n)

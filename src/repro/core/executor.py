@@ -143,66 +143,6 @@ class _PatternSpace:
         return refs
 
 
-def patch_exec_caches(
-    old_pat,
-    new_pat,
-    changed_pos: np.ndarray,
-    changed_pid: np.ndarray,
-    partition_changed: bool,
-    space: _PatternSpace | None = None,
-) -> _PatternSpace | None:
-    """Carry a pattern's cached executor arrays across an incremental patch.
-
-    The incremental inspector (``repro.adapt``) preserves every
-    untouched localized reference and keeps retired ghost slots in place,
-    so a patched pattern's ``exec_space``/``exec_refs`` differ from the
-    saved ones only at the patch's delta positions (plus a per-processor
-    offset shift when slots were appended).  This updates exactly those
-    positions instead of dropping the caches and rebuilding O(refs)
-    arrays at the next execution:
-
-    * unchanged ghost layout -- the space object is reused outright;
-      grown layout -- a new one is built (array-sized, not loop-sized);
-    * ``exec_refs`` is carried whenever the iteration partition is
-      unchanged: offset-shifted per processor if the layout grew, then
-      overwritten at ``changed_pos`` (on processors ``changed_pid``) from
-      the new localized values;
-      a changed partition permutes reference order globally, so refs are
-      left to the executor's lazy rebuild (the space still carries).
-
-    ``space`` shares one patched space among coalesced members of a
-    group; the return value is that shared space (``None`` when nothing
-    was cached).  Host-level only: never charges the machine, and the
-    executor produces bit-identical results and charges either way.
-    """
-    old_space = old_pat.exec_space
-    if old_space is None and space is None:
-        return None
-    old_off = old_pat.ghosts.offsets
-    new_off = new_pat.ghosts.offsets
-    same_layout = np.array_equal(new_off, old_off)
-    if space is None:
-        space = old_space if same_layout else _PatternSpace(
-            new_pat.localized, new_pat.ghosts
-        )
-    new_pat.exec_space = space
-    refs_old = old_pat.exec_refs
-    if refs_old is None or partition_changed:
-        return space
-    if same_layout:
-        refs = refs_old if not changed_pos.size else refs_old.copy()
-    else:
-        bounds = np.asarray(new_pat.localized.ref_bounds, dtype=np.int64)
-        doff = (new_off - old_off)[:-1]
-        refs = refs_old + np.repeat(doff, np.diff(bounds))
-    if changed_pos.size:
-        refs[changed_pos] = (
-            new_pat.localized.refs_flat[changed_pos] + space.offsets[changed_pid]
-        )
-    new_pat.exec_refs = refs
-    return space
-
-
 def _verify_gathers(machine, product, arrays, gather_items, events) -> None:
     """Content-check every gather; repair divergences with an uncharged
     re-gather (fault injection suspended so the repair is clean)."""

@@ -52,7 +52,7 @@ class PatternArrays:
     ``exec_space`` / ``exec_refs`` are the executor's combined-space
     selectors and positions (see ``repro.core.executor``), filled in by
     the first execution of any product holding this object.  All arrays
-    are frozen: a writer (``patch_exec_caches``) copies first.
+    are frozen.
     """
 
     __slots__ = ("refs_flat", "ref_bounds", "exec_space", "exec_refs")
@@ -162,6 +162,14 @@ def run_inspector(
     for name in loop.data_arrays() + loop.indirection_arrays():
         if name not in arrays:
             raise KeyError(f"loop {loop.name!r} references unbound array {name!r}")
+    # position i of an indirection is iteration i: the reference lists
+    # and the patch rung's diff (adapt.diff.old_targets) both rely on it
+    for name in loop.indirection_arrays():
+        if arrays[name].size != loop.n_iterations:
+            raise ValueError(
+                f"indirection array {name!r} has size {arrays[name].size}, "
+                f"loop {loop.name!r} iterates {loop.n_iterations}"
+            )
 
     # Phase B: iteration partition.  The partition key doubles as a
     # component of every localize key below: reference streams are

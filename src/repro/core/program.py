@@ -280,7 +280,7 @@ class IrregularProgram:
         """Overwrite an array's contents (a writing statement/intrinsic).
 
         The write is stamped with the full ``[0, size)`` region: the
-        incremental inspector may still diff it against its snapshot
+        incremental inspector may still diff it against the saved product
         (whole-array rewrites of mostly-unchanged values are exactly the
         adaptive-mesh pattern), unlike writes with no region info, which
         force a full re-inspection.
@@ -639,7 +639,7 @@ class IrregularProgram:
                         verify_product(product, self.arrays, self.guard)
                 self._save_record(loop, product)
                 if self.adapt is not None:
-                    # capture snapshots + slot bookkeeping for future patches
+                    # capture the product for future patches' slot bookkeeping
                     # (inspector-phase work: it only exists to serve inspection)
                     with machine.phase("inspector"):
                         self.adapt.after_inspect(loop, self.records[loop.name])

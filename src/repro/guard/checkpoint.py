@@ -17,12 +17,12 @@ A checkpoint captures everything a mid-campaign
   tables the patterns index, so those shared between coalesced patterns
   come back as shared objects (pattern grouping and executor
   deduplication key on identity),
-* the incremental-inspection state (snapshots, slot bookkeeping -- built
-  on the spot if the inspection's capture is still pending -- the
-  escalation ladder's failure counters and fallback log), and
+* the incremental-inspection state (slot bookkeeping -- built on the
+  spot if the inspection's capture is still pending -- the escalation
+  ladder's failure counters and fallback log), and
 * the driver's per-step history.
 
-Three things are deliberately *not* serialized:
+Four things are deliberately *not* serialized:
 
 * **loops** -- :class:`~repro.core.forall.ForallLoop` holds user
   callables; the caller re-binds them by name through the ``loops``
@@ -35,9 +35,11 @@ Three things are deliberately *not* serialized:
   home map (``verify_adapt_state`` at ``full`` requires it to equal the
   partition's ``owner_of()``) and each pattern's ``ref_bounds``
   (``_verify_refs`` requires them to equal the partition's bounds):
-  restore derives both from the restored partition.
+  restore derives both from the restored partition, and
+* **adapt snapshots** -- the diff reads old indirection values off the
+  saved product (:func:`repro.adapt.diff.old_targets`).
 
-File format (version 4)
+File format (version 5)
 -----------------------
 One file, three parts, nothing in it executable::
 
@@ -74,8 +76,8 @@ private buffer (never a memory map: a file rewritten in place must not
 change a loaded array) and hands out every array as a read-only view of
 it, so whatever came back shared is frozen and a stray in-place write
 raises.  What the runtime writes in place is copied once by
-:func:`restore_checkpoint`: distributed-array backings, adapt snapshots,
-ghost backings and the machine's counters.
+:func:`restore_checkpoint`: distributed-array backings, ghost backings
+and the machine's counters.
 
 *Tamper guarantees.*  Loading never unpickles or evaluates anything.
 Before a single array or payload object is built, every byte of the file
@@ -90,7 +92,7 @@ crash-recovery state, not an archive) -- raises
 program of another shape (machine size, declared decompositions and
 arrays) or with another value of an option in :data:`RECORDED_OPTIONS`;
 restore raises before it mutates anything.  Version 4 added those
-options; a version 3 file has no reader.
+options, version 5 dropped adapt snapshots; v3 and v4 have no reader.
 
 Scope: the campaign path (``forall`` / array writes / incremental
 patching).  Mapper-coupling state (GeoCoL graphs, partitioner results)
@@ -134,7 +136,7 @@ from repro.machine.machine import Machine
 from repro.machine.stats import COUNTER_FIELDS, CounterBlock, PhaseRecord
 
 _MAGIC = b"REPROCKP"
-_VERSION = 4
+_VERSION = 5
 #: magic, version, manifest length, CRC over the bytes before it + manifest
 _HEADER = struct.Struct("<8sIQI")
 _CRC_START = _HEADER.size - 4
@@ -328,7 +330,7 @@ def _adapt_payload(adapt) -> dict:
                     },
                 )
             )
-        states[name] = {"snapshots": dict(state.snapshots), "groups": groups}
+        states[name] = {"groups": groups}
     return {
         "max_change_fraction": adapt.max_change_fraction,
         "max_failures": adapt.max_failures,
@@ -524,7 +526,7 @@ def _write_file(f, payload: dict) -> None:
 def save_checkpoint(path, program, driver=None) -> None:
     """Serialize ``program`` (and optionally an AdaptiveExecutor) to ``path``.
 
-    The file is versioned and CRC-protected (format v4, see the module
+    The file is versioned and CRC-protected (format v5, see the module
     docstring); :func:`restore_checkpoint` refuses anything damaged or
     shape-incompatible.  Nothing is charged to the simulated machine.
 
@@ -866,8 +868,7 @@ def _restore_ttables(program, payload: list) -> None:
 
 
 def _build_adapt_states(payload: dict, records: dict) -> dict:
-    """Every loop's adapt state, mutating nothing.  Snapshots (patches
-    update them in place) are private copies; the home map is derived."""
+    """Every loop's adapt state, mutating nothing; the home map is derived."""
     from repro.adapt.state import GroupState, LoopAdaptState
 
     states = {}
@@ -878,7 +879,6 @@ def _build_adapt_states(payload: dict, records: dict) -> dict:
         states[name] = LoopAdaptState(
             # derivable: verify_adapt_state (full) pins it to the partition
             home=rec.product.iteration_partition.owner_of(),
-            snapshots={n: snap.copy() for n, snap in s["snapshots"].items()},
             groups={gkey: GroupState(**g) for gkey, g in s["groups"]},
         )
     return states

@@ -94,15 +94,13 @@ def content_checksum(obj) -> int:
 # ----------------------------------------------------------------------
 # structure-level checkers
 # ----------------------------------------------------------------------
-def verify_schedule(schedule, level: str = "cheap", canonical: bool = True) -> None:
+def verify_schedule(schedule, level: str = "cheap") -> None:
     """Check a ``CommSchedule``'s structural contract.
 
-    ``canonical=True`` additionally requires requester-major /
-    owner-minor pair order -- the order ``localize`` and the patch rung
-    produce.  Schedules assembled from explicit pair dicts keep
-    insertion order and are checked with ``canonical=False``.  Send
-    offsets are checked against the distribution by the schedule
-    itself, on first application.
+    Pairs must be in requester-major / owner-minor order -- the order
+    ``localize`` and the patch rung produce.  Send offsets are checked
+    against the distribution by the schedule itself, on first
+    application.
     """
     if check_level(level) == "off":
         return
@@ -119,13 +117,11 @@ def verify_schedule(schedule, level: str = "cheap", canonical: bool = True) -> N
             _fail("schedule pair processor id out of range")
         if (plen <= 0).any():
             _fail("schedule stores an empty pair (contract: live pairs only)")
-        if canonical:
-            pair_id = pp * n + pq
-            if (np.diff(pair_id) <= 0).any():
-                _fail(
-                    "schedule pairs are not requester-major/owner-minor "
-                    "ordered (canonical pair order)"
-                )
+        if (np.diff(pp * n + pq) <= 0).any():
+            _fail(
+                "schedule pairs are not requester-major/owner-minor "
+                "ordered (canonical pair order)"
+            )
     n_el = int(plen.sum())
     send, recv = schedule._flat_send, schedule._flat_recv
     if send.size != n_el or recv.size != n_el or schedule._n_elements != n_el:
@@ -322,10 +318,6 @@ def verify_adapt_state(product, state, arrays, level: str = "cheap") -> None:
         _fail(f"adapt home map covers {home.size} of {n_iter} iterations")
     if level == "full" and not np.array_equal(home, product.iteration_partition.owner_of()):
         _fail("adapt home map disagrees with the iteration partition")
-    for name, snap in state.snapshots.items():
-        arr = arrays.get(name)
-        if arr is None or snap.size != arr.size:
-            _fail(f"adapt snapshot of {name!r} does not match the bound array")
     by_sched: dict[int, list] = {}
     for key, pat in product.patterns.items():
         by_sched.setdefault(id(pat.localized.schedule), []).append(key)

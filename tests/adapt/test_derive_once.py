@@ -124,12 +124,12 @@ class TestSegmentReduceVerify:
             # (recv repeats slots, which a later check of verify_schedule
             # rejects: stop at the bounds check's verdict)
             try:
-                verify_schedule(sched, "cheap", canonical=False)
+                verify_schedule(sched, "cheap")
             except InvariantViolation as exc:
                 assert "recv slot" not in str(exc)
         else:
             with pytest.raises(InvariantViolation, match="recv slot") as err:
-                verify_schedule(sched, "cheap", canonical=False)
+                verify_schedule(sched, "cheap")
             bad = recv[(recv < 0) | (recv >= np.repeat(sizes, np.diff(bounds)))][0]
             assert f"recv slot {int(bad)} out of range" in str(err.value)
 

@@ -202,10 +202,11 @@ def test_patch_oracle_randomized(n_procs, coalesce):
 
 @pytest.mark.parametrize("n_procs", [2, 4])
 def test_patched_exec_caches_match_fresh(n_procs):
-    """The executor caches carried across a patch (``patch_exec_caches``)
-    must be element-equal to caches built from scratch off the patched
-    product -- and the executor must produce bit-identical results and
-    simulated charges either way."""
+    """The executor caches a patched product holds after its first sweep
+    (a fresh holder per patched pattern, filled lazily; a twin adopts its
+    sibling's) must be element-equal to caches built from scratch off the
+    patched product -- and dropping them and executing again must give
+    bit-identical results and simulated charges."""
     from repro.core.executor import _PatternSpace
 
     mesh = generate_mesh(350, seed=13)
@@ -237,17 +238,17 @@ def test_patched_exec_caches_match_fresh(n_procs):
                     pat.exec_refs, fresh.refs(pat.localized, np.diff(iter_bounds))
                 ), key
 
-        # dropping the carried caches and re-executing from scratch gives
+        # dropping the cached arrays and re-executing from scratch gives
         # bit-identical results and identical simulated executor charges
-        y_carried = prog_a.arrays["y"].to_global().copy()
+        y_cached = prog_a.arrays["y"].to_global().copy()
         e0 = m_a.phase_time("executor")
         prog_a.forall(loop, n_times=1)
-        e_carried = m_a.phase_time("executor") - e0
-        y_after_carried = prog_a.arrays["y"].to_global().copy()
+        e_cached = m_a.phase_time("executor") - e0
+        y_after_cached = prog_a.arrays["y"].to_global().copy()
         for pat in prod.patterns.values():
             pat.exec_space = None
             pat.exec_refs = None
-        prog_a.arrays["y"].set_global(y_carried)
+        prog_a.arrays["y"].set_global(y_cached)
         prog_a.machine.charge_compute_all(
             mem=prog_a.arrays["y"].distribution.local_sizes().astype(np.float64)
         )
@@ -255,16 +256,15 @@ def test_patched_exec_caches_match_fresh(n_procs):
         prog_a.forall(loop, n_times=1)
         e_fresh = m_a.phase_time("executor") - e1
         assert np.array_equal(
-            prog_a.arrays["y"].to_global(), y_after_carried
+            prog_a.arrays["y"].to_global(), y_after_cached
         )
-        assert np.isclose(e_carried, e_fresh, rtol=1e-12, atol=0.0)
+        assert np.isclose(e_cached, e_fresh, rtol=1e-12, atol=0.0)
 
 
 def test_carried_exec_refs_at_segment_starts_match_fresh():
     """A patch that keeps the partition but re-targets every processor's
-    first iteration: the carried executor refs at those positions, whose
-    processor the patch reads off the partition bounds, equal a fresh
-    build."""
+    first iteration: the executor refs the patched product holds after
+    its sweep, at segment starts included, equal a fresh build."""
     from repro.core.executor import _PatternSpace
 
     mesh = generate_mesh(350, seed=13)

@@ -184,6 +184,35 @@ class TestValidationAndCosts:
         with pytest.raises(KeyError, match="ib"):
             run_inspector(m4, loop, arrays)
 
+    @pytest.mark.parametrize("method", ["almost_owner", "owner_computes"])
+    def test_indirection_of_another_size_is_refused(self, method):
+        """Position i of an indirection is iteration i.  The partitioner
+        checks only the references its method votes over -- under
+        owner_computes just the LHS -- so an RHS indirection longer than
+        the loop used to pass inspection and crash the patch rung's
+        re-vote with an IndexError.  The inspector refuses it up front,
+        naming the array, before anything is charged."""
+        from repro.core import IrregularProgram
+
+        m = Machine(4)
+        prog = IrregularProgram(m, iter_method=method, incremental=True)
+        prog.decomposition("d", 40)
+        prog.distribute("d", "block")
+        prog.array("x", "d", values=np.arange(40.0))
+        prog.array("y", "d", values=np.zeros(40))
+        prog.array("edge", "d", values=np.arange(40)[::-1].copy(), dtype=np.int64)
+        loop = ForallLoop(
+            "L", 30, [Assign(ArrayRef("y"), lambda a: a, (ArrayRef("x", "edge"),))]
+        )
+        message = "'edge' has size 40, loop 'L' iterates 30"
+        before = m.elapsed()
+        with pytest.raises(ValueError, match=message):
+            run_inspector(m, loop, prog.arrays, iter_method=method)
+        assert m.elapsed() == before
+        with pytest.raises(ValueError, match=message):
+            prog.forall(loop)
+        assert prog.inspector_runs == 0 and loop.name not in prog.records
+
     def test_stale_product_rejected(self, m4):
         arrays, rng = build(m4)
         loop = ForallLoop(

@@ -119,9 +119,6 @@ def assert_programs_equal(p_a, p_b):
             sa = p_a.adapt.state_for(lname, "verify")
             sb = p_b.adapt.state_for(lname, "verify")
             assert np.array_equal(sa.home, sb.home)
-            assert set(sa.snapshots) == set(sb.snapshots)
-            for n in sa.snapshots:
-                assert np.array_equal(sa.snapshots[n], sb.snapshots[n])
             assert set(sa.groups) == set(sb.groups)
             for gkey, ga in sa.groups.items():
                 gb = sb.groups[gkey]
@@ -325,8 +322,6 @@ def restored_arrays(prog, loop_name) -> dict:
         out[f"ghosts {id(pat.ghosts)}"] = pat.ghosts.backing
     state = prog.adapt.state_for(loop_name, "verify")
     out["home"] = state.home
-    for name, snap in state.snapshots.items():
-        out[f"snapshot/{name}"] = snap
     for gkey, g in state.groups.items():
         for f in ("slot_bounds", "keys", "owners", "lidx", "counts"):
             out[f"{gkey}/{f}"] = getattr(g, f)
@@ -340,7 +335,7 @@ def test_restored_arrays_shared_means_frozen_private_means_unaliased(tmp_path):
     array several structures hold as one section and restore gets it
     back as *one* object.  That is only safe if nothing writes it in
     place: whatever came back shared must be frozen, whatever the
-    runtime does write in place (snapshots, ghost backings) must alias
+    runtime does write in place (array and ghost backings) must alias
     nothing -- and the resumed campaign must still equal the
     uninterrupted one."""
     path = tmp_path / "campaign.ckpt"
@@ -384,7 +379,7 @@ def test_restored_arrays_shared_means_frozen_private_means_unaliased(tmp_path):
             g.counts[0] += 1
 
     # what the runtime writes in place: private, writeable, aliasing nothing
-    private = [w for w in arrays if w.startswith(("snapshot/", "ghosts "))]
+    private = [w for w in arrays if w.startswith("ghosts ")]
     assert private and not shared & set(private)
     for where in private:
         target = arrays[where]
@@ -423,7 +418,7 @@ def test_run_with_checkpoint_every_writes_files(tmp_path):
 
 
 def read_layout(path) -> tuple[dict, bytes, bytes]:
-    """``(manifest, header, data)`` of a v3 file: the parsed JSON manifest,
+    """``(manifest, header, data)`` of a v5 file: the parsed JSON manifest,
     the 24 header bytes, and everything from the first section on."""
     from repro.guard import checkpoint
 
@@ -453,9 +448,10 @@ def rewrite_manifest(path, edit) -> None:
 
 
 def test_on_disk_format_is_pinned(tmp_path):
-    """Format version 4: header, manifest, sections -- and the payload keys.
+    """Format version 5: header, manifest, sections -- and the payload keys.
 
-    Version 4 records the program options a resume must match
+    Version 5 no longer writes the adapt snapshots: the diff reads old
+    indirection values off the saved product.  Version 4 records the program options a resume must match
     (``RECORDED_OPTIONS``) and no longer writes the indirection-DAD set
     of the deleted narrowed tracking scope.  Version 3 replaced version 2's pickle envelope with a 24-byte header
     (magic, version, manifest length, CRC over the header and the
@@ -469,7 +465,7 @@ def test_on_disk_format_is_pinned(tmp_path):
     """
     from repro.guard import checkpoint
 
-    assert (checkpoint._MAGIC, checkpoint._VERSION) == (b"REPROCKP", 4)
+    assert (checkpoint._MAGIC, checkpoint._VERSION) == (b"REPROCKP", 5)
     path = tmp_path / "campaign.ckpt"
     mesh, _, prog = build()
     exe = AdaptiveExecutor(prog, euler_edge_loop(mesh))
@@ -477,7 +473,7 @@ def test_on_disk_format_is_pinned(tmp_path):
     save_checkpoint(path, prog, driver=exe)
     raw = path.read_bytes()
     magic, version, mlen, crc = checkpoint._HEADER.unpack_from(raw)
-    assert (magic, version, checkpoint._HEADER.size) == (b"REPROCKP", 4, 24)
+    assert (magic, version, checkpoint._HEADER.size) == (b"REPROCKP", 5, 24)
     assert crc == zlib.crc32(raw[24 : 24 + mlen], zlib.crc32(raw[:20]))
     manifest, _, _ = read_layout(path)
     assert set(manifest) == {"sections", "payload"}
@@ -493,6 +489,7 @@ def test_on_disk_format_is_pinned(tmp_path):
     assert end == len(raw)
     names = [sec["name"] for sec in manifest["sections"]]
     assert "/decomps/reg/owner_map" in names and "/arrays/x" in names
+    assert not [n for n in names if "snapshot" in n]
     payload = load_checkpoint(path)
     assert set(payload) == {
         "n_procs", "machine", "decomps", "arrays", "registry", "program",
@@ -540,7 +537,7 @@ def test_on_disk_format_is_pinned(tmp_path):
                 "ghost_flat", "ghost_bounds",
             }
     for state in payload["adapt"]["states"].values():
-        assert set(state) == {"snapshots", "groups"}
+        assert set(state) == {"groups"}
         for _, group in state["groups"]:
             assert set(group) == {
                 "array", "indexes", "slot_bounds", "keys", "owners", "lidx", "counts",
@@ -728,13 +725,17 @@ class TestRejectsDamage:
             AdaptiveExecutor.resume(path, prog, euler_edge_loop(mesh))
 
     def test_version_3_file_is_refused(self, tmp_path):
-        """Format v3 has no reader: the typed "unsupported" error, as for v2."""
+        """Formats v3 and v4 have no reader: the typed "unsupported"
+        error, as for v2."""
         path, _ = self.make(tmp_path)
-        raw = bytearray(path.read_bytes())
-        raw[8:12] = (3).to_bytes(4, "little")
-        path.write_bytes(bytes(raw))
-        with pytest.raises(CheckpointError, match="version 3 unsupported \\(expected 4\\)"):
-            load_checkpoint(path)
+        for version in (3, 4):
+            raw = bytearray(path.read_bytes())
+            raw[8:12] = version.to_bytes(4, "little")
+            path.write_bytes(bytes(raw))
+            with pytest.raises(
+                CheckpointError, match=f"version {version} unsupported \\(expected 5\\)"
+            ):
+                load_checkpoint(path)
 
     @pytest.mark.parametrize(
         "option, value",
@@ -1030,7 +1031,7 @@ TAMPER = {
         _edit(lambda m: m["payload"].update(n_procs={"$array": len(m["sections"])})),
         "which it lacks",
     ),
-    "manifest_not_current": (_edit(lambda m: m.pop("payload")), "not a v4 manifest"),
+    "manifest_not_current": (_edit(lambda m: m.pop("payload")), "not a v5 manifest"),
     "trailing_bytes": (_trailing, "trailing bytes"),
     "v2_pickle_envelope": (_as_pickle_envelope, "pickle envelope"),
 }
