@@ -12,12 +12,33 @@ Per execution of a loop's executor:
    the same schedules and combine at the owners (``scatter_op``), and
    assigned off-processor values are written back (``scatter``).
 
+Phase 2 runs the simulated processors on the host's cores.  The
+iterations split into *strips*: runs of whole processors of about
+:data:`STRIP_ITERS` iterations, cut only at processor boundaries.  The
+dispatching thread materializes everything the strips share first
+(combined ``[local | ghost]`` read arrays, reference positions,
+staging), then it and a small process-wide thread pool take strips off
+one queue.  A strip gathers each distinct read reference once, runs the
+loop's statements in program order on its slice and applies their
+``ufunc.at`` or store to the staging.  Every staging slot belongs to
+exactly one processor, and a strip holds all of that processor's
+iterations, so each slot receives the same updates in the same order as
+one serial pass over all processors: results, counters and simulated
+numbers are bit-identical whatever the strip count or the thread count.
+A sweep with one strip -- and every sweep on a host with one usable
+CPU -- runs inline and starts no thread.
+
 The machine is charged the loop's declared flops, the indexed-load
 memory traffic, and the schedule communication; the Python evaluation
 itself is just the simulation vehicle.
 """
 
 from __future__ import annotations
+
+import collections
+import os
+import threading
+import time
 
 import numpy as np
 
@@ -29,8 +50,115 @@ from repro.distribution.distarray import DistArray
 from repro.machine.machine import Machine
 from repro.obs.events import EventBus
 
-#: additive identity per reduction op, for staging buffers
+#: identity per reduction op, for floating-point staging buffers
 _IDENTITY = {"add": 0.0, "multiply": 1.0, "min": np.inf, "max": -np.inf}
+
+#: iterations a compute strip aims for: a strip is the shortest run of
+#: whole processors holding at least this many (the last may hold fewer)
+STRIP_ITERS = 1 << 16
+#: most worker threads the strip pool ever starts
+MAX_STRIP_WORKERS = 3
+
+
+def _staging_fill(kind: str, dtype: np.dtype):
+    """The value staging starts from: ``kind``'s identity in ``dtype``
+    (assigned staging starts from 0; it is masked at the merge)."""
+    if kind in ("min", "max") and dtype.kind in "iu":
+        info = np.iinfo(dtype)
+        return info.max if kind == "min" else info.min
+    return _IDENTITY.get(kind, 0)
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # pragma: no cover - no affinity API (macOS)
+        return os.cpu_count() or 1
+
+
+class _StripPool:
+    """The process-wide thread pool that compute strips run on.
+
+    Created on the first sweep with more than one strip, and only on a
+    host with more than one usable CPU: ``usable CPUs - 1`` workers
+    (at most :data:`MAX_STRIP_WORKERS`), because the dispatching thread
+    takes strips too.  A forked child drops the inherited pool, whose
+    threads do not exist there, and builds its own on demand.
+    """
+
+    _lock = threading.Lock()
+    _executor = None
+    _workers = None
+
+    @classmethod
+    def get(cls):
+        """``(executor, n_workers)``, or ``(None, 0)`` on one usable CPU."""
+        with cls._lock:
+            if cls._workers is None:
+                cls._workers = max(0, min(_usable_cpus() - 1, MAX_STRIP_WORKERS))
+            if cls._executor is None and cls._workers:
+                from concurrent.futures import ThreadPoolExecutor
+
+                cls._executor = ThreadPoolExecutor(
+                    cls._workers, thread_name_prefix="repro-strip"
+                )
+            return cls._executor, cls._workers
+
+    @classmethod
+    def forget(cls) -> None:
+        """Drop the pool without joining it: a forked child's copy has
+        no threads, and its lock may have been held at the fork."""
+        cls._lock = threading.Lock()
+        cls._executor = None
+        cls._workers = None
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_StripPool.forget)
+
+
+def strip_cuts(iter_bounds: np.ndarray, target: int) -> list[int]:
+    """Processor cuts ``[0, ..., P]`` of the compute strips over a
+    partition's per-processor iteration bounds (length ``P + 1``): each
+    strip is the shortest run of whole processors with ``target``
+    iterations or more; the last takes what is left."""
+    n_procs = iter_bounds.size - 1
+    cuts = [0]
+    while cuts[-1] < n_procs:
+        p = int(np.searchsorted(iter_bounds, iter_bounds[cuts[-1]] + target))
+        cuts.append(min(max(p, cuts[-1] + 1), n_procs))
+    return cuts
+
+
+def _run_strips(run_strip, n_strips: int) -> None:
+    """Run ``run_strip(k)`` for every strip ``k``: inline when there is
+    one strip or no pool, else on the pool and the calling thread.
+    Every strip runs even after one raised; then the error of the
+    lowest-numbered failing strip is re-raised as it was raised."""
+    todo = collections.deque(range(n_strips))
+    errors: list[Exception | None] = [None] * n_strips
+
+    def drain() -> None:
+        while True:
+            try:
+                k = todo.popleft()
+            except IndexError:
+                return
+            try:
+                run_strip(k)
+            except Exception as exc:
+                errors[k] = exc
+
+    pool, workers = _StripPool.get() if n_strips > 1 else (None, 0)
+    helpers = [pool.submit(drain) for _ in range(min(workers, n_strips - 1))]
+    try:
+        drain()
+    finally:
+        for helper in helpers:
+            helper.result()
+    for exc in errors:
+        if exc is not None:
+            raise exc
 
 
 def run_executor(
@@ -189,16 +317,16 @@ def _execute_once(
 ) -> None:
     loop = product.loop
     n_procs = machine.n_procs
-    iter_flat, iter_bounds = product.iteration_partition.iters_flat()
+    _, iter_bounds = product.iteration_partition.iters_flat()
     n_it = np.diff(iter_bounds)
-    total_iters = int(iter_flat.size)
 
-    read_keys = {(r.array, r.index) for r in loop.read_refs()}
+    # distinct read references, in a fixed order
+    read_keys = sorted({(r.array, r.index) for r in loop.read_refs()}, key=str)
     # 1. gather all read patterns (one gather per distinct schedule --
     # coalesced patterns share a schedule and are fetched once)
     gather_items = []
     seen_schedules: set[int] = set()
-    for key in sorted(read_keys, key=str):
+    for key in read_keys:
         pat = product.patterns[key]
         sid = id(pat.localized.schedule)
         if sid in seen_schedules:
@@ -224,11 +352,20 @@ def _execute_once(
 
     # flat combined-space setup per pattern, cached on the pattern's
     # shared holder: neither a reused product nor a re-inspected
-    # unchanged pattern rebuilds the selector arrays every time step
+    # unchanged pattern rebuilds the selector arrays every time step.
+    # A space is sized by its localize product alone, so coalesced
+    # siblings (one ghost buffer) share one.
     def space_of(key) -> _PatternSpace:
         pat = product.patterns[key]
         if pat.exec_space is None:
-            pat.exec_space = _PatternSpace(pat.localized, pat.ghosts)
+            pat.exec_space = next(
+                (
+                    q.exec_space
+                    for q in product.patterns.values()
+                    if q.ghosts is pat.ghosts and q.exec_space is not None
+                ),
+                None,
+            ) or _PatternSpace(pat.localized, pat.ghosts)
         return pat.exec_space
 
     def refs_of(key) -> np.ndarray:
@@ -238,18 +375,23 @@ def _execute_once(
             pat.exec_refs = space_of(key).refs(pat.localized, n_it)
         return pat.exec_refs
 
-    # combined read arrays: two scatters assemble [local | ghost] blocks
-    # of all processors at once (read-only backing access: acquiring it
-    # must not perturb the arrays' content versions)
-    combined: dict[tuple[str, str | None], np.ndarray] = {}
+    # combined read arrays, one per distinct (array, schedule, ghost
+    # buffer): two scatters assemble [local | ghost] blocks of all
+    # processors at once (read-only backing access: acquiring it must
+    # not perturb the arrays' content versions)
+    combined: dict[tuple, np.ndarray] = {}
+    operands: dict[tuple[str, str | None], tuple[np.ndarray, np.ndarray]] = {}
     for key in read_keys:
         pat = product.patterns[key]
-        arr = arrays[pat.array]
-        sp = space_of(key)
-        comb = np.empty(sp.total, dtype=arr.dtype)
-        comb[sp.local_sel] = arr.backing_ro
-        comb[sp.ghost_sel] = pat.ghosts.backing
-        combined[key] = comb
+        ckey = (pat.array, id(pat.localized.schedule), id(pat.ghosts))
+        comb = combined.get(ckey)
+        if comb is None:
+            arr = arrays[pat.array]
+            sp = space_of(key)
+            comb = combined[ckey] = np.empty(sp.total, dtype=arr.dtype)
+            comb[sp.local_sel] = arr.backing_ro
+            comb[sp.ghost_sel] = pat.ghosts.backing
+        operands[key] = (comb, refs_of(key))
 
     # staging for writes, grouped so patterns sharing one (coalesced)
     # schedule accumulate into one staging and scatter once
@@ -279,48 +421,80 @@ def _execute_once(
     staging: dict[tuple, np.ndarray] = {}
     assigned_mask: dict[tuple, np.ndarray] = {}
     for gkey, (key, kind) in groups.items():
-        pat = product.patterns[key]
-        arr = arrays[pat.array]
-        fill = _IDENTITY[kind] if kind != "assign" else 0.0
-        staging[gkey] = np.full(space_of(key).total, fill, dtype=arr.dtype)
+        dtype = arrays[product.patterns[key].array].dtype
+        staging[gkey] = np.full(
+            space_of(key).total, _staging_fill(kind, dtype), dtype=dtype
+        )
         if kind == "assign":
             assigned_mask[gkey] = np.zeros(staging[gkey].size, dtype=bool)
 
-    # 2. compute: one vector evaluation per statement over every
-    # processor's iterations at once; staging updates are one store (or
-    # one ufunc.at) over combined-space positions.  Flat order is
-    # processor-major with iteration order within, so duplicate-slot and
-    # accumulation semantics match the historical per-processor loop.
-    flops = np.zeros(n_procs)
-    mem = np.zeros(n_procs)
-    n_it_f = n_it.astype(np.float64)
+    # per statement: kernel, read keys, reduction ufunc (None: a store),
+    # staging target, target positions, assigned mask
+    plan = []
+    for s in loop.statements:
+        lhs_key = (s.lhs.array, s.lhs.index)
+        gkey = group_of[lhs_key]
+        plan.append(
+            (
+                s.func,
+                [(r.array, r.index) for r in s.reads],
+                REDUCTION_OPS[s.op] if isinstance(s, Reduce) else None,
+                staging[gkey],
+                refs_of(lhs_key),
+                assigned_mask.get(gkey),
+            )
+        )
+
+    # 2. compute, one processor strip at a time (see the module
+    # docstring): flat order is processor-major with iteration order
+    # within, and a strip's positions address only its own processors'
+    # staging blocks, so strips touch disjoint slots and duplicate-slot
+    # and accumulation semantics match the historical per-processor loop.
+    cuts = strip_cuts(iter_bounds, STRIP_ITERS)
+
+    def run_strip(k: int) -> None:
+        t0 = time.perf_counter_ns()
+        b0, b1 = int(iter_bounds[cuts[k]]), int(iter_bounds[cuts[k + 1]])
+        try:
+            gathered = {key: comb[refs[b0:b1]] for key, (comb, refs) in operands.items()}
+            for func, reads, ufunc, tgt, refs, mask in plan:
+                vals = np.asarray(func(*[gathered[r] for r in reads]))
+                if vals.shape != (b1 - b0,):
+                    vals = np.broadcast_to(vals, (b1 - b0,))
+                pos = refs[b0:b1]
+                if ufunc is not None:
+                    ufunc.at(tgt, pos, vals)
+                else:
+                    tgt[pos] = vals
+                    mask[pos] = True
+        finally:
+            if obs.enabled:
+                obs.record(
+                    "executor.strip",
+                    t0,
+                    time.perf_counter_ns() - t0,
+                    parent=compute_span.id,
+                    first_proc=cuts[k],
+                    n_procs=cuts[k + 1] - cuts[k],
+                    n_iters=b1 - b0,
+                )
+
     with obs.span(
         "executor.compute",
         loop=loop.name,
         n_statements=len(loop.statements),
-        n_iters=total_iters,
-    ):
-        for s in loop.statements:
-            lhs_key = (s.lhs.array, s.lhs.index)
-            with obs.span("executor.statement", array=s.lhs.array):
-                operands = [
-                    combined[(r.array, r.index)][refs_of((r.array, r.index))]
-                    for r in s.reads
-                ]
-                vals = np.asarray(s.func(*operands))
-                if vals.shape != (total_iters,):
-                    vals = np.broadcast_to(vals, (total_iters,)).copy()
-                gkey = group_of[lhs_key]
-                tgt = staging[gkey]
-                refs = refs_of(lhs_key)
-                if isinstance(s, Reduce):
-                    REDUCTION_OPS[s.op].at(tgt, refs, vals)
-                else:
-                    tgt[refs] = vals
-                    assigned_mask[gkey][refs] = True
-            flops += s.flops * n_it_f
-            mem += 2.0 * (len(s.reads) + 1) * n_it_f
+        n_iters=int(iter_bounds[-1]),
+        n_strips=len(cuts) - 1,
+    ) as compute_span:
+        _run_strips(run_strip, len(cuts) - 1)
 
+    # charges from the iteration counts, once every strip has finished
+    n_it_f = n_it.astype(np.float64)
+    flops = np.zeros(n_procs)
+    mem = np.zeros(n_procs)
+    for s in loop.statements:
+        flops += s.flops * n_it_f
+        mem += 2.0 * (len(s.reads) + 1) * n_it_f
     machine.charge_compute_all(flops=flops * overhead, mem=mem * overhead)
 
     # 3. merge local staging + scatter ghost staging (once per group):

@@ -9,11 +9,16 @@ The paper's assumptions, encoded here as validation rules:
   (``ArrayRef(array, index=ia)``); direct references ``x(i)`` are
   ``ArrayRef(array, index=None)``.
 
-A statement's right-hand side is an arbitrary vectorized Python callable
-over the gathered operand values -- the executor evaluates it once per
-processor on that processor's iterations.  ``flops`` declares the
-modeled floating-point cost per iteration, which is what the machine is
-charged (the callable's Python cost is not measured).
+A statement's right-hand side is a vectorized Python callable over the
+gathered operand values, and it must be a *pure elementwise* function:
+result ``j`` depends only on element ``j`` of each operand (a scalar
+result broadcasts), and it neither mutates its operands nor keeps
+state.  The executor evaluates it on runs of whole processors'
+iterations (*strips*), possibly several at once on different threads,
+and one gathered operand array may be passed to every statement of a
+strip that reads the same reference.  ``flops`` declares the modeled
+floating-point cost per iteration, which is what the machine is charged
+(the callable's Python cost is not measured).
 """
 
 from __future__ import annotations
@@ -38,7 +43,12 @@ class ArrayRef:
 
 @dataclass(frozen=True)
 class Assign:
-    """``lhs = func(*reads)`` -- no loop-carried dependence allowed."""
+    """``lhs = func(*reads)`` -- no loop-carried dependence allowed.
+
+    ``func`` is a pure elementwise function of its operands (see the
+    module docstring); it may run concurrently on disjoint processor
+    strips.
+    """
 
     lhs: ArrayRef
     func: Callable
@@ -53,7 +63,13 @@ class Assign:
 
 @dataclass(frozen=True)
 class Reduce:
-    """``REDUCE(op, lhs, func(*reads))`` -- lhs accumulates contributions."""
+    """``REDUCE(op, lhs, func(*reads))`` -- lhs accumulates contributions.
+
+    ``func`` is a pure elementwise function of its operands (see the
+    module docstring); it may run concurrently on disjoint processor
+    strips.  Contributions still combine into each element in iteration
+    order, whatever the strip split.
+    """
 
     op: str
     lhs: ArrayRef
@@ -76,7 +92,13 @@ Statement = Assign | Reduce
 
 
 class ForallLoop:
-    """A named FORALL loop over ``range(n_iterations)``."""
+    """A named FORALL loop over ``range(n_iterations)``.
+
+    Statements run in program order on every strip of processors; each
+    statement's callable must be a pure elementwise function, and it may
+    run concurrently on disjoint processor strips (see the module
+    docstring).
+    """
 
     def __init__(self, name: str, n_iterations: int, statements: list[Statement]):
         if n_iterations < 0:

@@ -10,8 +10,10 @@ structured events + a metadata header):
 * **Chrome trace** (``fmt="chrome"``) -- a single JSON object with a
   ``traceEvents`` array of complete (``"ph": "X"``) events, instants
   (``"ph": "i"``) and counter samples (``"ph": "C"``), timestamps in
-  microseconds.  Load it in Perfetto (https://ui.perfetto.dev) or
-  ``chrome://tracing`` for a flame view.
+  microseconds.  A span's ``tid`` is its thread's lane (1 for the
+  first thread that used the tracer), so concurrent spans land on
+  separate tracks; bus events sit on ``tid`` 0.  Load it in Perfetto
+  (https://ui.perfetto.dev) or ``chrome://tracing`` for a flame view.
 
 :func:`load_trace` auto-detects the format and normalizes both back to
 ``{"meta", "spans", "events", "counters"}`` for the report CLI and the
@@ -59,7 +61,7 @@ def export_chrome(path, tracer, *, bus=None, meta=None) -> str:
                 "ts": rec.t0_ns / 1000.0,
                 "dur": rec.dur_ns / 1000.0,
                 "pid": pid,
-                "tid": 1,
+                "tid": rec.tid,
                 "cat": "host",
                 "args": args,
             }
@@ -85,7 +87,7 @@ def export_chrome(path, tracer, *, bus=None, meta=None) -> str:
                     "ph": "i",
                     "ts": 0.0,
                     "pid": pid,
-                    "tid": 2,
+                    "tid": 0,  # span lanes are 1, 2, ... (one per thread)
                     "cat": "event",
                     "s": "t",
                     "args": {"seq": rec.seq, **{k: str(v) for k, v in rec.payload.items()}},
@@ -186,6 +188,7 @@ def _load_chrome(fh) -> dict:
                     "name": ev["name"],
                     "t0_ns": int(ev["ts"] * 1000),
                     "dur_ns": int(ev.get("dur", 0) * 1000),
+                    "tid": ev.get("tid"),
                     "attrs": args,
                 }
             )

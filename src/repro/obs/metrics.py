@@ -22,12 +22,15 @@ from __future__ import annotations
 def aggregate_spans(spans) -> dict[str, dict]:
     """Per-name aggregates over span records.
 
-    ``self_s`` is duration minus the duration of direct children --
-    the number that makes leaf hot spots visible under umbrella spans.
+    ``self_s`` is duration minus the duration of direct children on the
+    parent's own thread -- the number that makes leaf hot spots visible
+    under umbrella spans.  A child on another thread ran concurrently
+    with its parent, so it is not subtracted and self times stay >= 0.
     """
+    lane = {rec.id: rec.tid for rec in spans}
     child_ns: dict[int, int] = {}
     for rec in spans:
-        if rec.parent is not None:
+        if rec.parent is not None and lane.get(rec.parent) == rec.tid:
             child_ns[rec.parent] = child_ns.get(rec.parent, 0) + rec.dur_ns
     agg: dict[str, dict] = {}
     for rec in spans:

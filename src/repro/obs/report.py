@@ -6,8 +6,8 @@ Chrome trace (auto-detected) and prints:
 * a **per-phase** host wall-time table -- root spans (no parent)
   grouped by name, with each phase's share of total root time;
 * the **top-N hot spans** ranked by *self* time (duration minus direct
-  children), so leaf work like ``executor.statement`` ranks
-  above the umbrella spans that merely contain it;
+  children on the same thread), so leaf work like ``executor.strip``
+  ranks above the umbrella spans that merely contain it;
 * **per-layer self time** -- the same self times grouped by the
   ``src/repro/<module>`` layer that owns each span name
   (:data:`LAYER_PREFIXES`), so "which layer burned this second" reads
@@ -46,10 +46,13 @@ def layer_of(span_name: str) -> str:
 def summarize(trace: dict) -> dict:
     """Aggregate a loaded trace into phase and hot-span tables."""
     spans = trace["spans"]
+    # self time subtracts direct children on the parent's own thread
+    # (see repro.obs.metrics.aggregate_spans)
+    lane = {rec.get("id"): rec.get("tid") for rec in spans}
     child_ns: dict = {}
     for rec in spans:
         parent = rec.get("parent")
-        if parent is not None:
+        if parent is not None and lane.get(parent) == rec.get("tid"):
             child_ns[parent] = child_ns.get(parent, 0) + rec["dur_ns"]
 
     phases: dict[str, dict] = {}

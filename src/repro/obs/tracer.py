@@ -5,11 +5,16 @@ Two implementations share one duck-typed interface:
 * :class:`Tracer` -- the real thing.  ``span(name, **attrs)`` returns a
   re-entrant context manager that stamps ``time.perf_counter_ns()`` on
   enter/exit and appends one :class:`SpanRecord` to a bounded buffer on
-  exit.  Parent linkage comes from a per-tracer stack, so nesting falls
-  out of ``with`` scoping.  ``counter(name, n)`` bumps a named integer;
-  ``event(name, **attrs)`` records an instant; ``record(...)`` appends
-  a span retroactively from timestamps measured elsewhere (used by the
-  serve supervisor, whose job spans bracket another process's work).
+  exit.  Parent linkage comes from a span stack per thread, so nesting
+  falls out of ``with`` scoping and spans opened concurrently on other
+  threads (the executor's compute strips, kernels they call) never
+  see each other's open spans.  Every record carries its thread's
+  *lane* (``tid``: 1, 2, ... in the order threads first used the
+  tracer), exported as the Chrome trace ``tid``.  ``counter(name, n)``
+  bumps a named integer; ``event(name, **attrs)`` records an instant;
+  ``record(...)`` appends a span retroactively from timestamps measured
+  elsewhere (used by the serve supervisor, whose job spans bracket
+  another process's work, and by the executor's compute strips).
 * :class:`NullTracer` -- the no-op.  Every method body is a constant
   return; ``span()`` hands back one shared, stateless context manager.
   This is what every :class:`~repro.machine.machine.Machine` carries by
@@ -25,21 +30,23 @@ rest of ``repro`` -- the machine layer imports *it*.
 from __future__ import annotations
 
 import itertools
+import threading
 import time
 
 
 class SpanRecord:
     """One closed span: identity, timing, and free-form attributes."""
 
-    __slots__ = ("id", "parent", "name", "t0_ns", "dur_ns", "attrs")
+    __slots__ = ("id", "parent", "name", "t0_ns", "dur_ns", "attrs", "tid")
 
-    def __init__(self, id, parent, name, t0_ns, dur_ns, attrs):
+    def __init__(self, id, parent, name, t0_ns, dur_ns, attrs, tid):
         self.id = id
         self.parent = parent
         self.name = name
         self.t0_ns = t0_ns
         self.dur_ns = dur_ns
         self.attrs = attrs
+        self.tid = tid
 
     def to_dict(self) -> dict:
         rec = {
@@ -49,6 +56,7 @@ class SpanRecord:
             "name": self.name,
             "t0_ns": self.t0_ns,
             "dur_ns": self.dur_ns,
+            "tid": self.tid,
         }
         if self.attrs:
             rec["attrs"] = self.attrs
@@ -76,7 +84,7 @@ class _SpanCtx:
     def __enter__(self):
         tracer = self.tracer
         self.id = next(tracer._ids)
-        stack = tracer._stack
+        stack = tracer._thread().stack
         self.parent = stack[-1] if stack else None
         stack.append(self.id)
         self.t0_ns = time.perf_counter_ns()
@@ -85,10 +93,14 @@ class _SpanCtx:
     def __exit__(self, exc_type, exc, tb):
         dur = time.perf_counter_ns() - self.t0_ns
         tracer = self.tracer
-        tracer._stack.pop()
+        thread = tracer._thread()
+        thread.stack.pop()
         if len(tracer.spans) < tracer.max_spans:
             tracer.spans.append(
-                SpanRecord(self.id, self.parent, self.name, self.t0_ns, dur, self.attrs)
+                SpanRecord(
+                    self.id, self.parent, self.name, self.t0_ns, dur, self.attrs,
+                    thread.lane,
+                )
             )
         else:
             tracer.dropped += 1
@@ -148,7 +160,9 @@ NULL_TRACER = NullTracer()
 class Tracer:
     """Collecting tracer: bounded span buffer + counters + instants."""
 
-    __slots__ = ("max_spans", "spans", "events", "counters", "dropped", "_ids", "_stack")
+    __slots__ = (
+        "max_spans", "spans", "events", "counters", "dropped", "_ids", "_local", "_lanes",
+    )
 
     enabled = True
 
@@ -159,7 +173,16 @@ class Tracer:
         self.counters: dict[str, int] = {}
         self.dropped = 0
         self._ids = itertools.count(1)
-        self._stack: list[int] = []
+        self._local = threading.local()
+        self._lanes = itertools.count(1)
+
+    def _thread(self):
+        """This thread's span stack and lane, made on its first use."""
+        local = self._local
+        if not hasattr(local, "stack"):
+            local.stack = []
+            local.lane = next(self._lanes)
+        return local
 
     def span(self, name, **attrs):
         return _SpanCtx(self, name, attrs)
@@ -186,7 +209,9 @@ class Tracer:
         """
         sid = next(self._ids)
         if len(self.spans) < self.max_spans:
-            self.spans.append(SpanRecord(sid, parent, name, t0_ns, dur_ns, attrs))
+            self.spans.append(
+                SpanRecord(sid, parent, name, t0_ns, dur_ns, attrs, self._thread().lane)
+            )
         else:
             self.dropped += 1
         return sid
@@ -196,4 +221,5 @@ class Tracer:
         self.events.clear()
         self.counters.clear()
         self.dropped = 0
-        self._stack.clear()
+        self._local = threading.local()
+        self._lanes = itertools.count(1)

@@ -71,6 +71,20 @@ class TestCorrectness:
             outs[co] = arrays["y"].to_global()
         assert np.allclose(outs[False], outs[True])
 
+    def test_coalesced_siblings_share_one_exec_space(self):
+        """The executor's combined-space selectors are sized by the
+        localize product alone: x(e1), x(e2) and y(e1), y(e2) -- one
+        ghost buffer per array -- get one space per buffer."""
+        m = Machine(4)
+        arrays, _ = build_arrays(m)
+        product = run_inspector(m, edge_loop(40), arrays, coalesce_patterns=True)
+        run_executor(m, product, arrays)
+        for name in ("x", "y"):
+            a, b = (product.patterns[(name, ix)] for ix in ("e1", "e2"))
+            assert a.ghosts is b.ghosts
+            assert a.exec_space is b.exec_space is not None
+        assert product.patterns[("x", "e1")].exec_space is not product.patterns[("y", "e1")].exec_space
+
     def test_assign_targets_not_coalesced(self):
         """Assign LHS arrays keep per-pattern schedules (and are correct).
 

@@ -6,6 +6,7 @@ and that :func:`load_trace` normalizes to the same logical content.
 """
 
 import json
+import threading
 
 from repro.obs import (
     EventBus,
@@ -138,6 +139,26 @@ class TestReport:
         assert "per-phase host wall time" in text
         assert "adapt.state.build_adapt_state" in text
         assert "hits" in text
+
+    @pytest.mark.parametrize("fmt", ["jsonl", "chrome"])
+    def test_self_time_counts_only_same_thread_children(self, tmp_path, fmt):
+        """Strips on a worker lane run concurrently with their parent: the
+        exported lanes keep the parent's self time at its own work."""
+        tr = Tracer()
+        compute = tr.record("executor.compute", t0_ns=0, dur_ns=1_000_000_000)
+        tr.record("executor.strip", 0, 600_000_000, parent=compute)
+        worker = threading.Thread(
+            target=tr.record, args=("executor.strip", 0, 900_000_000), kwargs={"parent": compute}
+        )
+        worker.start()
+        worker.join(timeout=30)
+        assert not worker.is_alive()
+        path = export_trace(str(tmp_path / "t"), tr, fmt=fmt)
+        spans = load_trace(path)["spans"]
+        assert sorted(s["tid"] for s in spans) == [1, 1, 2]
+        names = summarize(load_trace(path))["names"]
+        assert names["executor.compute"]["self_s"] == pytest.approx(0.4)
+        assert names["executor.strip"]["self_s"] == pytest.approx(1.5)
 
     def test_cli_module(self, tmp_path, capsys):
         from repro.obs.__main__ import main

@@ -191,7 +191,7 @@ class TestMachineExchangeSpan:
 
         assert layer_of("machine.exchange") == "machine"
         assert layer_of("localize.replay") == "chaos"
-        assert layer_of("executor.statement") == layer_of("inspect") == "core"
+        assert layer_of("executor.strip") == layer_of("inspect") == "core"
         assert layer_of("something.else") == "other"
         mesh, prog, loop = build(obs="on")
         prog.forall(loop, n_times=2)

@@ -1,5 +1,7 @@
 """Unit coverage for the span tracer and the structured event bus."""
 
+import threading
+
 import pytest
 
 from repro.obs import NULL_TRACER, EventBus, NullTracer, Tracer, aggregate_spans
@@ -69,6 +71,34 @@ class TestTracer:
         assert job.attrs == {"attempt": 1}
         assert step.parent == pid
 
+    def test_threads_keep_their_own_span_stacks(self):
+        """Two threads interleave nested spans: each span's parent is the
+        enclosing span of its own thread, and each thread has its lane."""
+        tr = Tracer()
+        barrier = threading.Barrier(2)
+
+        def nest(tag):
+            with tr.span(f"outer_{tag}"):
+                barrier.wait()
+                with tr.span(f"inner_{tag}"):
+                    barrier.wait()
+                barrier.wait()
+
+        threads = [threading.Thread(target=nest, args=(t,)) for t in "ab"]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+            assert not t.is_alive()
+        by_name = {s.name: s for s in tr.spans}
+        for tag in "ab":
+            outer, inner = by_name[f"outer_{tag}"], by_name[f"inner_{tag}"]
+            assert outer.parent is None
+            assert inner.parent == outer.id
+            assert inner.tid == outer.tid
+        assert by_name["outer_a"].tid != by_name["outer_b"].tid
+        assert {s.tid for s in tr.spans} == {1, 2}
+
     def test_clear(self):
         tr = Tracer(max_spans=1)
         with tr.span("a"):
@@ -105,6 +135,28 @@ class TestAggregateSpans:
         assert agg["outer"]["self_s"] == pytest.approx(0.4)
         assert agg["leaf"]["self_s"] == pytest.approx(0.6)
         assert agg["outer"]["count"] == 1
+
+    def test_children_on_other_threads_are_not_subtracted(self):
+        """A child span on another thread ran concurrently with its
+        parent: subtracting it would drive the parent's self time below
+        zero (two 0.8 s workers under a 1 s parent)."""
+        tr = Tracer()
+        parent = tr.record("compute", t0_ns=0, dur_ns=1_000_000_000)
+        tr.record("strip", t0_ns=0, dur_ns=300_000_000, parent=parent)
+        main_lane = tr.spans[0].tid
+
+        def worker():
+            tr.record("strip", t0_ns=0, dur_ns=800_000_000, parent=parent)
+
+        for _ in range(2):
+            t = threading.Thread(target=worker)
+            t.start()
+            t.join(timeout=30)
+            assert not t.is_alive()
+        assert {s.tid for s in tr.spans} == {main_lane, main_lane + 1, main_lane + 2}
+        agg = aggregate_spans(tr.spans)
+        assert agg["compute"]["self_s"] == pytest.approx(0.7)
+        assert agg["strip"]["self_s"] == pytest.approx(1.9)
 
 
 class TestEventBus:
