@@ -39,7 +39,7 @@ def run_config(mesh, coalesce, merge, sweeps=20):
     prog.forall(euler_edge_loop(mesh), n_times=sweeps)
     rec = prog.records[euler_edge_loop(mesh).name]
     ghosts = {
-        id(pat.ghosts): pat.ghosts.total_elements()
+        id(pat.localized.schedule): pat.localized.schedule.ghost_total()
         for pat in rec.product.patterns.values()
     }
     return {

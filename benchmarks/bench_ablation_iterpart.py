@@ -74,7 +74,7 @@ def run_read_heavy(rule, n=2000, n_iter=4000, procs=8, seed=0):
         "exec_seconds": m.elapsed() - before_t,
         "bytes_per_sweep": (int(m.counters.bytes_sent.sum()) - before_bytes) / 10,
         "ghost_elements": sum(
-            pat.ghosts.total_elements() for pat in product.patterns.values()
+            pat.localized.schedule.ghost_total() for pat in product.patterns.values()
         ),
     }
 
@@ -128,7 +128,7 @@ def test_symmetric_edge_sweep_ties(benchmark):
                 coalesce_patterns=False,
             )
             out[rule] = sum(
-                pat.ghosts.total_elements() for pat in product.patterns.values()
+                pat.localized.schedule.ghost_total() for pat in product.patterns.values()
             )
         return out
 

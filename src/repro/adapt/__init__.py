@@ -18,7 +18,7 @@ work.  The patched product is equivalent to a from-scratch inspection:
 same iteration partition, same ghost sets, same communication pairs and
 wire contents, bit-identical executor results and executor charges.
 
-Layout contract (mirrors ``buffers.py``/``distarray.py``)
+Layout contract (mirrors ``schedule.py``/``distarray.py``)
 ---------------------------------------------------------
 Per pattern *group* (the patterns sharing one coalesced schedule), ghost
 slots live in one CSR slot space: processor ``p`` owns slots
@@ -26,12 +26,11 @@ slots live in one CSR slot space: processor ``p`` owns slots
 slot id ``slot_bounds[p] + s``.  Patching is **append-only with holes**:
 
 * a retained ghost keeps its per-processor slot index forever -- saved
-  localized reference lists, schedule recv slots, and ghost-buffer
-  positions for unchanged references stay valid across any number of
-  patches;
+  localized reference lists and schedule recv slots for unchanged
+  references stay valid across any number of patches;
 * a ghost whose reference count drops to zero is *retired* in place:
-  its slot becomes a hole (it leaves the schedule, its contents are
-  never read again) but later slots do not shift;
+  its slot becomes a hole (it leaves the schedule and no reference
+  reads it) but later slots do not shift;
 * new ghosts first *reuse* holes (ascending slot order within each
   processor), then *append* at the end of the processor's region, so a
   region only ever grows by the number of never-before-seen ghosts.
@@ -76,8 +75,9 @@ holds at every fraction.  What keeps the patch path small:
   re-sort of the full slot space;
 * a patched group's schedule is read off its patched slot state (the
   live slots, in the merged index's order) by the one ``CommSchedule``
-  constructor a cold inspection uses, and ghost buffers are regrown
-  append-only (retired slots stay holes, as above);
+  constructor a cold inspection uses; slot regrowth is append-only
+  (retired slots stay holes, as above), and no ghost data is copied --
+  ghost buffers are executor scratch, refilled by every sweep's gather;
 * nothing is copied to remember the old indirection values: the diff
   reads them off the saved product at the dirty positions only, and a
   patched pattern's executor caches are built lazily by its first

@@ -20,9 +20,10 @@ sites, in this order:
 4. **allocate** -- new keys reuse holes, then append: no charge;
 5. **index** -- the persisted sorted slot index is merged: no charge;
 6. **schedule** -- read off the patched slot state's live slots in index
-   order and built by the one ``CommSchedule`` constructor, then
-   ``GhostBuffers.patched`` (buffer-assign compute), then the schedule
-   compute, the delta exchange and the receivers' compute;
+   order and built by the one ``CommSchedule`` constructor, then the
+   newly assigned slots' buffer-assign compute (a processor whose ghost
+   region shrank aborts the patch: regrowth is append-only), then the
+   schedule compute, the delta exchange and the receivers' compute;
 7. **refs** -- localized reference lists in the new order: no charge.
 
 A group byte-identical to one already patched runs the same driver on
@@ -625,7 +626,7 @@ def _patch_group(
         else:
             schedule = _slot_schedule(machine, first.localized.schedule.dist_signature, state)
             charges = _schedule_charges(machine, gstate, delta, slots, uniq_owner)
-        ghosts = first.ghosts.patched(schedule, appended=slots.need)
+        _assign_buffers(machine, first.localized.schedule, schedule, slots.need)
         sched_charge, exchange, recv_charge = charges
         machine.charge_planned_compute(sched_charge)
         if exchange is not None:
@@ -649,10 +650,31 @@ def _patch_group(
             # twin adopts its sibling's holder; anyone else gets a fresh
             # one, which the executor fills on first use
             derived = sib.patterns[sib.gstate.array, akey[1]].derived if twin else None
-            patterns[akey] = PatternData(gstate.array, akey[1], loc, ghosts, derived)
+            patterns[akey] = PatternData(gstate.array, akey[1], loc, derived)
     return _GroupPatch(
         member_keys, gstate, delta, adds, slots, alloc, schedule, charges,
         refs, patterns, state,
+    )
+
+
+def _assign_buffers(
+    machine: Machine, old: CommSchedule, new: CommSchedule, need: np.ndarray
+) -> None:
+    """Charge the buffer assignment of a patched schedule's newly assigned
+    slots (``need`` per processor: appended slots and reused holes, each
+    rebound to a new key).  Regrowth is append-only -- retired slots stay
+    as holes -- so a ghost region that shrank is a ``ValueError``."""
+    shrunk = np.flatnonzero(
+        np.asarray(new.ghost_sizes) < np.asarray(old.ghost_sizes)
+    )
+    if shrunk.size:
+        p = int(shrunk[0])
+        raise ValueError(
+            f"ghost region of processor {p} shrank ({old.ghost_sizes[p]} -> "
+            f"{new.ghost_sizes[p]}); patching is append-only"
+        )
+    machine.charge_compute_all(
+        iops=DEFAULT_COSTS.buffer_assign * np.asarray(need, dtype=np.float64)
     )
 
 

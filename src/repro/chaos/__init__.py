@@ -18,7 +18,9 @@ This package implements all four groups against the simulated machine:
 ``schedule``
     ``CommSchedule`` -- the paper's *communication schedule*: per
     processor-pair send lists and ghost-buffer placement, with
-    ``gather`` / ``scatter`` / ``scatter_op`` executors.
+    ``gather`` / ``scatter`` / ``scatter_op`` executors that move ghost
+    data through one flat array in the schedule's layout (the executor
+    allocates it per sweep; no ghost buffer is saved).
 ``localize``
     The PARTI *localize* primitive at the heart of every inspector:
     translate a reference list, deduplicate off-processor accesses,
@@ -27,8 +29,6 @@ This package implements all four groups against the simulated machine:
     The reduction operators a REDUCE statement may name.
 ``remap``
     Distribution-to-distribution array remapping (Phase C of Figure 2).
-``buffers``
-    Ghost-buffer allocation and bookkeeping.
 ``costs``
     The operation-count constants CHAOS procedures charge: one
     documented, fixed table (``DEFAULT_COSTS``).
@@ -44,7 +44,6 @@ from repro.chaos.ttable import (
 )
 from repro.chaos.schedule import CommSchedule
 from repro.chaos.localize import LocalizeResult, localize
-from repro.chaos.buffers import GhostBuffers
 from repro.chaos.gather_scatter import REDUCTION_OPS
 from repro.chaos.remap import RemapSchedule, build_remap_schedule, remap_arrays
 
@@ -59,7 +58,6 @@ __all__ = [
     "CommSchedule",
     "LocalizeResult",
     "localize",
-    "GhostBuffers",
     "REDUCTION_OPS",
     "RemapSchedule",
     "build_remap_schedule",

@@ -7,7 +7,7 @@ startup per neighbour instead of k.  With iPSC/860-class latencies
 the paper's loop L2 gathers two patterns, the MD loop eight.
 
 ``gather_merged`` performs the data movement of every (schedule, array,
-buffers) item but charges the machine a single combined exchange;
+flat ghost array) item but charges the machine a single combined exchange;
 ``merged_message_count`` reports the message saving for the ablation
 bench.
 """
@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.chaos.buffers import GhostBuffers
 from repro.chaos.schedule import CommSchedule
 from repro.distribution.distarray import DistArray
 from repro.machine.machine import Machine
@@ -60,12 +59,12 @@ def _merged_exchange(
 
 
 def gather_merged(
-    items: list[tuple[CommSchedule, DistArray, GhostBuffers | np.ndarray]],
+    items: list[tuple[CommSchedule, DistArray, np.ndarray]],
 ) -> None:
     """Gather several access patterns in one communication phase.
 
-    ``items`` pairs each schedule with the array it reads and the ghost
-    buffers it fills.  Data movement is identical to calling
+    ``items`` pairs each schedule with the array it reads and the flat
+    ghost array (the schedule's layout) it fills.  Data movement is identical to calling
     ``sched.gather`` per item; the charge differs: all wire payloads for
     one (owner, requester) pair travel in a single message.
     """
@@ -87,13 +86,11 @@ def gather_merged(
 
 
 def scatter_op_merged(
-    items: list[
-        tuple[CommSchedule, GhostBuffers | np.ndarray, DistArray, np.ufunc]
-    ],
+    items: list[tuple[CommSchedule, np.ndarray, DistArray, np.ufunc]],
 ) -> None:
     """Scatter-combine several write patterns in one communication phase.
 
-    ``items`` holds (schedule, ghost contribution buffers, target array,
+    ``items`` holds (schedule, flat ghost contributions, target array,
     combining ufunc) tuples; wire payloads per (requester, owner) pair
     are merged exactly like :func:`gather_merged`.
     """

@@ -9,6 +9,10 @@ distribution, everything needed to move off-processor data:
 * the ghost-buffer slots on ``p`` where those elements land, in wire
   order.
 
+The slots are the saved layout; the buffers themselves are not saved.
+Every application takes the ghost data as one flat array in this
+schedule's layout, and the executor allocates that array per sweep.
+
 The same schedule drives data in both directions: ``gather`` prefetches
 off-processor data into ghost buffers before an executor runs (reads),
 and ``scatter``/``scatter_op`` pushes ghost-buffer contributions back to
@@ -28,10 +32,11 @@ checkpoint restore all call it -- and derives the apply arrays from it:
 ``_pack_idx``/``_pack_owner_rep`` are the send offsets and owners in
 wire order, and ``_unpack_pos`` resolves every recv slot to its *ghost
 backing position* ``ghost_offset[p] + slot`` in a flat CSR ghost backing
-(``GhostBuffers`` stores every processor's buffer in one array).  Both
-sides of an application are then single fancy-indexes: the array side
-over the ``DistArray``'s flat backing storage (pack, scatter store, or
-one ``ufunc.at`` for reductions), the ghost side over the ghost backing.
+(every processor's buffer back to back in one 1-D array of
+:meth:`ghost_total` elements).  Both sides of an application are then
+single fancy-indexes: the array side over the ``DistArray``'s flat
+backing storage (pack, scatter store, or one ``ufunc.at`` for
+reductions), the ghost side over the ghost backing.
 Ghost positions of different requesters never collide, so storing in
 flat order fixes each duplicated slot's last writer exactly as a loop
 over pairs in insertion order would; pack positions are grouped by owner
@@ -180,8 +185,8 @@ class CommSchedule:
         self._pack_pos: np.ndarray | None = None
 
         # unpack side, flat order: slot s of requester p lives at ghost
-        # backing position ghost_off[p] + s (GhostBuffers layout), fed
-        # by wire position _unpack_src
+        # backing position ghost_off[p] + s, fed by wire position
+        # _unpack_src
         self._ghost_off = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(ghost_sz, out=self._ghost_off[1:])
         self._unpack_pos = self._ghost_off[flat_p] + flat_recv
@@ -251,7 +256,8 @@ class CommSchedule:
         return int(self._pair_len[self._pair_q != self._pair_p].sum())
 
     def ghost_total(self) -> int:
-        return sum(self.ghost_sizes)
+        """Length of the flat ghost backing every application takes."""
+        return int(self._ghost_off[-1])
 
     def _check_array(self, arr: DistArray) -> None:
         if arr.distribution.signature() != self.dist_signature:
@@ -264,26 +270,13 @@ class CommSchedule:
             raise ValueError("schedule and array live on different machines")
 
     def _resolve_ghosts(self, ghosts) -> np.ndarray:
-        """The flat CSR backing of ``ghosts``, checked against this layout.
-
-        Accepts a :class:`~repro.chaos.buffers.GhostBuffers`-style object
-        (``backing`` + ``offsets`` attributes) or a flat 1-D array laid
-        out like one (``ghost_offset[p] + slot``); anything else is a
-        ``TypeError``.
-        """
-        backing = getattr(ghosts, "backing", None)
-        if backing is not None:
-            offsets = getattr(ghosts, "offsets", None)
-            if offsets is None or not np.array_equal(offsets, self._ghost_off):
-                raise ValueError(
-                    "ghost buffers laid out for a different schedule: "
-                    f"offsets {offsets!r} != {self._ghost_off!r}"
-                )
-            return backing
+        """``ghosts`` checked against this layout: a flat 1-D array of
+        :meth:`ghost_total` elements, slot ``s`` of processor ``p`` at
+        ``ghost_offset[p] + s``.  Anything else is a ``TypeError`` (not
+        an array) or a ``ValueError`` (wrong shape)."""
         if not isinstance(ghosts, np.ndarray):
             raise TypeError(
-                "ghosts must be a GhostBuffers or a flat 1-D array, got "
-                f"{type(ghosts).__name__}"
+                f"ghosts must be a flat 1-D array, got {type(ghosts).__name__}"
             )
         if ghosts.ndim != 1 or ghosts.size != self._ghost_off[-1]:
             raise ValueError(
@@ -342,8 +335,11 @@ class CommSchedule:
         if keep is None:
             backing[self._unpack_pos] = wire[self._unpack_src]
         else:
-            sel = keep[self._unpack_src]
-            backing[self._unpack_pos[sel]] = wire[self._unpack_src[sel]]
+            # a dropped element's slot reads 0, not whatever the buffer
+            # held before, so every drop is visible on every sweep
+            values = wire[self._unpack_src]
+            values[~keep[self._unpack_src]] = 0
+            backing[self._unpack_pos] = values
 
     def _gather_from_ghosts(self, ghosts, dtype) -> np.ndarray:
         """Pack ghost contributions onto the wire (reverse direction)."""
@@ -394,7 +390,7 @@ class CommSchedule:
         For every pair ``(q, p)``: owner ``q`` packs the pair's send
         offsets out of ``arr.local(q)`` and requester ``p`` stores the
         wire data at the pair's slots of its ghost buffer.  ``ghosts``
-        is a ``GhostBuffers`` or an equivalently laid-out flat array.
+        is the flat ghost backing (see :meth:`_resolve_ghosts`).
         Charges packing/unpacking memory traffic and the message
         exchange.
         """

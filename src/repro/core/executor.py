@@ -3,7 +3,10 @@
 Per execution of a loop's executor:
 
 1. **gather** -- for every pattern the loop reads, prefetch off-processor
-   elements into the pattern's ghost buffers (one schedule application);
+   elements into ghost buffers (one schedule application).  The buffers
+   are sweep scratch: the tail of the pattern's combined read array,
+   allocated with it each sweep and laid out as the schedule's flat
+   ghost backing.  The saved product holds only the slot layout;
 2. **compute** -- each processor evaluates every statement vectorized
    over its iterations, reading from ``[local segment | ghost buffer]``
    through the localized reference lists; reduction contributions
@@ -236,16 +239,16 @@ class _PatternSpace:
     single vector ops.
 
     ``local_sel``/``ghost_sel`` map the ``DistArray`` flat backing and
-    the flat ghost backing into combined-space positions (both are
-    offset-shifted ``arange``s).  A space is a pure function of the
-    localize product's sizes, so it is built once and kept on the
+    the schedule's flat ghost backing into combined-space positions
+    (both are offset-shifted ``arange``s).  A space is a pure function
+    of the localize product's sizes, so it is built once and kept on the
     pattern's shared :class:`~repro.core.inspector.PatternArrays`; its
     arrays are frozen.
     """
 
-    def __init__(self, localized, ghosts) -> None:
+    def __init__(self, localized) -> None:
         local_sizes = np.asarray(localized.local_sizes, dtype=np.int64)
-        ghost_off = ghosts.offsets
+        ghost_off = localized.schedule._ghost_off
         local_off = np.zeros(local_sizes.size + 1, dtype=np.int64)
         np.cumsum(local_sizes, out=local_off[1:])
         # combined-space offset of processor p's block
@@ -279,12 +282,12 @@ def _verify_gathers(machine, product, arrays, gather_items, events) -> None:
     from repro.guard.invariants import gather_divergence
 
     for sched, arr, ghosts, pat in gather_items:
-        bad = gather_divergence(pat, arr)
+        bad = gather_divergence(pat, arr, ghosts)
         if not bad.size:
             continue
         with suspended(machine):
             sched._move_gather(arr, ghosts)
-        still = gather_divergence(pat, arr)
+        still = gather_divergence(pat, arr, ghosts)
         if events is not None:
             events.emit(
                 "guard",
@@ -320,21 +323,54 @@ def _execute_once(
     _, iter_bounds = product.iteration_partition.iters_flat()
     n_it = np.diff(iter_bounds)
 
+    # flat combined-space setup per pattern, cached on the pattern's
+    # shared holder: neither a reused product nor a re-inspected
+    # unchanged pattern rebuilds the selector arrays every time step.
+    # A space is sized by its localize product alone, so coalesced
+    # siblings (one schedule) share one.
+    def space_of(key) -> _PatternSpace:
+        pat = product.patterns[key]
+        if pat.exec_space is None:
+            sched = pat.localized.schedule
+            pat.exec_space = next(
+                (
+                    q.exec_space
+                    for q in product.patterns.values()
+                    if q.localized.schedule is sched and q.exec_space is not None
+                ),
+                None,
+            ) or _PatternSpace(pat.localized)
+        return pat.exec_space
+
+    def refs_of(key) -> np.ndarray:
+        pat = product.patterns[key]
+        if pat.exec_refs is None:
+            # every pattern's flat reference list shares the iteration bounds
+            pat.exec_refs = space_of(key).refs(pat.localized, n_it)
+        return pat.exec_refs
+
     # distinct read references, in a fixed order
     read_keys = sorted({(r.array, r.index) for r in loop.read_refs()}, key=str)
-    # 1. gather all read patterns (one gather per distinct schedule --
-    # coalesced patterns share a schedule and are fetched once)
+    # combined read arrays, one per distinct (array, schedule) --
+    # coalesced patterns share a schedule and are fetched once -- each
+    # one ghost region longer than its space: the tail is this sweep's
+    # ghost buffer, in the schedule's flat ghost backing layout
+    combined: dict[tuple, np.ndarray] = {}
+    operands: dict[tuple[str, str | None], tuple[np.ndarray, np.ndarray]] = {}
     gather_items = []
-    seen_schedules: set[int] = set()
     for key in read_keys:
         pat = product.patterns[key]
-        sid = id(pat.localized.schedule)
-        if sid in seen_schedules:
-            continue
-        seen_schedules.add(sid)
-        gather_items.append(
-            (pat.localized.schedule, arrays[pat.array], pat.ghosts, pat)
-        )
+        sched = pat.localized.schedule
+        ckey = (pat.array, id(sched))
+        comb = combined.get(ckey)
+        if comb is None:
+            arr = arrays[pat.array]
+            total = space_of(key).total
+            comb = combined[ckey] = np.empty(
+                total + sched.ghost_total(), dtype=arr.dtype
+            )
+            gather_items.append((sched, arr, comb[total:], pat))
+        operands[key] = (comb, refs_of(key))
     obs = machine.obs
     with obs.span("executor.gather", n_schedules=len(gather_items)):
         if merge_communication and gather_items:
@@ -350,48 +386,13 @@ def _execute_once(
         with obs.span("guard.verify_gathers", loop=loop.name):
             _verify_gathers(machine, product, arrays, gather_items, events)
 
-    # flat combined-space setup per pattern, cached on the pattern's
-    # shared holder: neither a reused product nor a re-inspected
-    # unchanged pattern rebuilds the selector arrays every time step.
-    # A space is sized by its localize product alone, so coalesced
-    # siblings (one ghost buffer) share one.
-    def space_of(key) -> _PatternSpace:
-        pat = product.patterns[key]
-        if pat.exec_space is None:
-            pat.exec_space = next(
-                (
-                    q.exec_space
-                    for q in product.patterns.values()
-                    if q.ghosts is pat.ghosts and q.exec_space is not None
-                ),
-                None,
-            ) or _PatternSpace(pat.localized, pat.ghosts)
-        return pat.exec_space
-
-    def refs_of(key) -> np.ndarray:
-        pat = product.patterns[key]
-        if pat.exec_refs is None:
-            # every pattern's flat reference list shares the iteration bounds
-            pat.exec_refs = space_of(key).refs(pat.localized, n_it)
-        return pat.exec_refs
-
-    # combined read arrays, one per distinct (array, schedule, ghost
-    # buffer): two scatters assemble [local | ghost] blocks of all
-    # processors at once (read-only backing access: acquiring it must
-    # not perturb the arrays' content versions)
-    combined: dict[tuple, np.ndarray] = {}
-    operands: dict[tuple[str, str | None], tuple[np.ndarray, np.ndarray]] = {}
-    for key in read_keys:
-        pat = product.patterns[key]
-        ckey = (pat.array, id(pat.localized.schedule), id(pat.ghosts))
-        comb = combined.get(ckey)
-        if comb is None:
-            arr = arrays[pat.array]
-            sp = space_of(key)
-            comb = combined[ckey] = np.empty(sp.total, dtype=arr.dtype)
-            comb[sp.local_sel] = arr.backing_ro
-            comb[sp.ghost_sel] = pat.ghosts.backing
-        operands[key] = (comb, refs_of(key))
+    # two scatters assemble the [local | ghost] blocks of all processors
+    # at once (read-only backing access: acquiring it must not perturb
+    # the arrays' content versions)
+    for (_, arr, ghosts, pat), comb in zip(gather_items, combined.values()):
+        sp = pat.exec_space
+        comb[sp.local_sel] = arr.backing_ro
+        comb[sp.ghost_sel] = ghosts
 
     # staging for writes, grouped so patterns sharing one (coalesced)
     # schedule accumulate into one staging and scatter once

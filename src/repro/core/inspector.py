@@ -7,12 +7,14 @@ For a loop L the inspector
    builds the reference list each processor's iterations generate,
    localizes it (translation, deduplication, ghost-slot assignment) and
    builds the communication schedule (Phase D), and
-3. allocates ghost buffers bound to each pattern.
+3. charges the allocation of each pattern's ghost buffers.
 
 The returned :class:`InspectorProduct` is exactly what the paper's reuse
 mechanism saves: "communication schedules, loop iteration partitions,
 information that associates off-processor data copies with on-processor
-buffer locations".
+buffer locations".  It holds layout only -- schedules, localized
+references and ghost slot keys; the copies themselves are sweep scratch
+of the executor (``repro.core.executor``).
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.chaos.buffers import GhostBuffers
+from repro.chaos.costs import DEFAULT_COSTS
 from repro.chaos.localize import FlatRefs, LocalizeResult, localize
 from repro.chaos.transcache import TranslationCache
 from repro.chaos.ttable import TranslationTable, build_translation_table
@@ -77,8 +79,8 @@ class PatternData:
 
     ``exec_space`` / ``exec_refs`` are executor-side caches (see
     ``repro.core.executor``): pure functions of this immutable product
-    (the ghost backing never reallocates and the iteration partition is
-    fixed), computed lazily on first execution and reused by every
+    (the schedule's ghost layout and the iteration partition are fixed),
+    computed lazily on first execution and reused by every
     subsequent one.  They live on ``derived``, the :class:`PatternArrays`
     holder, which outlives the product when it came from a translation
     cache entry -- re-inspecting an unchanged pattern every time step
@@ -88,7 +90,6 @@ class PatternData:
     array: str
     index: str | None
     localized: LocalizeResult
-    ghosts: GhostBuffers
     derived: PatternArrays | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -306,7 +307,11 @@ def run_inspector(
                     cache=cache,
                     cache_key=loc_cache_key(tt, arr.distribution, group),
                 )
-            ghosts = GhostBuffers(machine, loc.schedule, dtype=arr.dtype)
+            # the modelled runtime allocates the group's ghost buffers
+            machine.charge_compute_all(
+                iops=DEFAULT_COSTS.buffer_assign
+                * np.asarray(loc.schedule.ghost_sizes, dtype=np.float64)
+            )
             for k, index in enumerate(group):
                 held = member_arrays(loc, k, group)
                 view = LocalizeResult(
@@ -321,7 +326,6 @@ def run_inspector(
                     array=array_name,
                     index=index,
                     localized=view,
-                    ghosts=ghosts,
                     derived=held,
                 )
 

@@ -5,7 +5,7 @@ Four layers (see the module docstrings for contracts and details):
 * :mod:`repro.guard.errors` -- the typed failure hierarchy recovery
   paths catch (never blanket ``Exception``);
 * :mod:`repro.guard.invariants` -- ``off``/``cheap``/``full`` structural
-  and content checkers for schedules, ghost buffers, iteration
+  and content checkers for schedules, localized references, iteration
   partitions, adapt slot bookkeeping, and gathered data;
 * :mod:`repro.guard.faults` -- seeded deterministic fault injection
   (corrupt/drop/duplicate wire data, flipped schedule slots, stalled
@@ -39,7 +39,6 @@ from repro.guard.invariants import (
     content_checksum,
     gather_divergence,
     verify_adapt_state,
-    verify_ghosts,
     verify_partition,
     verify_product,
     verify_schedule,
@@ -63,7 +62,6 @@ __all__ = [
     "save_checkpoint",
     "suspended",
     "verify_adapt_state",
-    "verify_ghosts",
     "verify_partition",
     "verify_product",
     "verify_schedule",

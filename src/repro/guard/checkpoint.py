@@ -12,17 +12,16 @@ A checkpoint captures everything a mid-campaign
 * the modification registry (``nmod``, ``last_mod``, the per-DAD dirty
   event log),
 * the saved inspector records with their products -- iteration
-  partitions, localized reference lists, communication schedules and
-  ghost buffers, in flat-array form; schedules and ghost buffers sit in
-  tables the patterns index, so those shared between coalesced patterns
-  come back as shared objects (pattern grouping and executor
-  deduplication key on identity),
+  partitions, localized reference lists and communication schedules,
+  in flat-array form; schedules sit in a table the patterns index, so
+  one shared between coalesced patterns comes back as one shared object
+  (pattern grouping and executor deduplication key on identity),
 * the incremental-inspection state (slot bookkeeping -- built on the
   spot if the inspection's capture is still pending -- the escalation
   ladder's failure counters and fallback log), and
 * the driver's per-step history.
 
-Four things are deliberately *not* serialized:
+Five things are deliberately *not* serialized:
 
 * **loops** -- :class:`~repro.core.forall.ForallLoop` holds user
   callables; the caller re-binds them by name through the ``loops``
@@ -37,9 +36,12 @@ Four things are deliberately *not* serialized:
   (``_verify_refs`` requires them to equal the partition's bounds):
   restore derives both from the restored partition, and
 * **adapt snapshots** -- the diff reads old indirection values off the
-  saved product (:func:`repro.adapt.diff.old_targets`).
+  saved product (:func:`repro.adapt.diff.old_targets`), and
+* **ghost data** -- ghost buffers are executor scratch, filled by the
+  gather of the sweep that reads them; the product keeps only their
+  layout (schedules, localized references, ghost slot keys).
 
-File format (version 5)
+File format (version 6)
 -----------------------
 One file, three parts, nothing in it executable::
 
@@ -76,8 +78,8 @@ private buffer (never a memory map: a file rewritten in place must not
 change a loaded array) and hands out every array as a read-only view of
 it, so whatever came back shared is frozen and a stray in-place write
 raises.  What the runtime writes in place is copied once by
-:func:`restore_checkpoint`: distributed-array backings, ghost backings
-and the machine's counters.
+:func:`restore_checkpoint`: distributed-array backings and the machine's
+counters.
 
 *Tamper guarantees.*  Loading never unpickles or evaluates anything.
 Before a single array or payload object is built, every byte of the file
@@ -92,7 +94,8 @@ crash-recovery state, not an archive) -- raises
 program of another shape (machine size, declared decompositions and
 arrays) or with another value of an option in :data:`RECORDED_OPTIONS`;
 restore raises before it mutates anything.  Version 4 added those
-options, version 5 dropped adapt snapshots; v3 and v4 have no reader.
+options, version 5 dropped adapt snapshots, version 6 dropped ghost
+buffers; v3 to v5 have no reader.
 
 Scope: the campaign path (``forall`` / array writes / incremental
 patching).  Mapper-coupling state (GeoCoL graphs, partitioner results)
@@ -112,7 +115,6 @@ import zlib
 
 import numpy as np
 
-from repro.chaos.buffers import GhostBuffers
 from repro.chaos.schedule import CommSchedule
 from repro.chaos.ttable import (
     DistributedTranslationTable,
@@ -136,7 +138,7 @@ from repro.machine.machine import Machine
 from repro.machine.stats import COUNTER_FIELDS, CounterBlock, PhaseRecord
 
 _MAGIC = b"REPROCKP"
-_VERSION = 5
+_VERSION = 6
 #: magic, version, manifest length, CRC over the bytes before it + manifest
 _HEADER = struct.Struct("<8sIQI")
 _CRC_START = _HEADER.size - 4
@@ -148,7 +150,7 @@ _DTYPE_RE = re.compile(r"[<>|][biufc][0-9]{1,2}")
 _CRC_RE = re.compile(r"[0-9a-f]{8}")
 _PAYLOAD_KEYS = frozenset((
     "n_procs", "machine", "decomps", "arrays", "registry", "program",
-    "schedules", "ghosts", "records", "ttables", "adapt", "driver",
+    "schedules", "records", "ttables", "adapt", "driver",
 ))
 #: bytes per chunk when a non-contiguous array streams through a buffer
 _CHUNK_BYTES = 1 << 20
@@ -268,13 +270,7 @@ def _table_index(table: list, seen: dict, obj, payload_of) -> int:
     return i
 
 
-def _product_payload(product: InspectorProduct, schedules: list, ghosts: list, seen: dict) -> dict:
-    def schedule_index(sched) -> int:
-        return _table_index(schedules, seen, sched, _schedule_payload)
-
-    def ghosts_payload(buf) -> dict:
-        return {"schedule": schedule_index(buf.schedule), "backing": buf.backing}
-
+def _product_payload(product: InspectorProduct, schedules: list, seen: dict) -> dict:
     part = product.iteration_partition
     flat, bounds = part.iters_flat()
     patterns = []
@@ -286,8 +282,9 @@ def _product_payload(product: InspectorProduct, schedules: list, ghosts: list, s
                 {
                     "array": pat.array,
                     "index": pat.index,
-                    "schedule": schedule_index(loc.schedule),
-                    "ghosts": _table_index(ghosts, seen, pat.ghosts, ghosts_payload),
+                    "schedule": _table_index(
+                        schedules, seen, loc.schedule, _schedule_payload
+                    ),
                     "local_sizes": np.asarray(loc.local_sizes, dtype=np.int64),
                     "refs_flat": loc.refs_flat,
                     "ghost_flat": loc.ghost_flat,
@@ -526,7 +523,7 @@ def _write_file(f, payload: dict) -> None:
 def save_checkpoint(path, program, driver=None) -> None:
     """Serialize ``program`` (and optionally an AdaptiveExecutor) to ``path``.
 
-    The file is versioned and CRC-protected (format v5, see the module
+    The file is versioned and CRC-protected (format v6, see the module
     docstring); :func:`restore_checkpoint` refuses anything damaged or
     shape-incompatible.  Nothing is charged to the simulated machine.
 
@@ -540,7 +537,6 @@ def save_checkpoint(path, program, driver=None) -> None:
     """
     machine = program.machine
     schedules: list[dict] = []
-    ghost_bufs: list[dict] = []
     seen: dict[int, int] = {}  # id(shared object) -> its table position
     records = {}
     for name, rec in program.records.items():
@@ -548,7 +544,7 @@ def save_checkpoint(path, program, driver=None) -> None:
             "data_dads": {k: _dad_payload(d) for k, d in rec.data_dads.items()},
             "ind_dads": {k: _dad_payload(d) for k, d in rec.ind_dads.items()},
             "ind_last_mod": dict(rec.ind_last_mod),
-            "product": _product_payload(rec.product, schedules, ghost_bufs, seen),
+            "product": _product_payload(rec.product, schedules, seen),
         }
     ttables = []
     for (aname, sig), tt in program.ttables.items():
@@ -574,7 +570,6 @@ def save_checkpoint(path, program, driver=None) -> None:
             "guard_events": [dict(e) for e in program.guard_events],
         },
         "schedules": schedules,
-        "ghosts": ghost_bufs,
         "records": records,
         "ttables": ttables,
         "adapt": None if program.adapt is None else _adapt_payload(program.adapt),
@@ -769,10 +764,9 @@ def _build_dad(t: tuple) -> DAD:
 
 
 def _restore_products(program, payload: dict, loops: dict) -> dict:
-    """Rebuild records/schedules/ghosts; returns the record dict.
+    """Rebuild records and schedules; returns the record dict.
 
-    The structures adopt the loaded (read-only) arrays; only the ghost
-    backings, which gathers write, are private copies."""
+    The structures adopt the loaded (read-only) arrays."""
     machine = program.machine
     schedules = [
         CommSchedule(
@@ -787,18 +781,6 @@ def _restore_products(program, payload: dict, loops: dict) -> dict:
         )
         for s in payload["schedules"]
     ]
-    ghost_bufs = []
-    for g in payload["ghosts"]:
-        buf = GhostBuffers(
-            machine, schedules[g["schedule"]], dtype=g["backing"].dtype, charge=False
-        )
-        if buf.backing.size != g["backing"].size:
-            raise CheckpointError(
-                "ghost backing size disagrees with its schedule "
-                f"({buf.backing.size} != {g['backing'].size})"
-            )
-        buf.backing[:] = g["backing"]
-        ghost_bufs.append(buf)
     records = {}
     for name, rec in payload["records"].items():
         prod = rec["product"]
@@ -818,9 +800,15 @@ def _restore_products(program, payload: dict, loops: dict) -> dict:
         )
         patterns = {}
         for key, pat in prod["patterns"]:
+            i = pat["schedule"]
+            if type(i) is not int or not 0 <= i < len(schedules):
+                raise CheckpointError(
+                    f"pattern {key!r} of loop {prod['loop']!r} references "
+                    f"schedule {i!r}; the checkpoint holds {len(schedules)}"
+                )
             loc = LocalizeResult(
                 local_sizes=pat["local_sizes"],
-                schedule=schedules[pat["schedule"]],
+                schedule=schedules[i],
                 refs_flat=pat["refs_flat"],
                 # derivable: _verify_refs pins them to the partition's bounds
                 ref_bounds=part.bounds,
@@ -831,7 +819,6 @@ def _restore_products(program, payload: dict, loops: dict) -> dict:
                 array=pat["array"],
                 index=pat["index"],
                 localized=loc,
-                ghosts=ghost_bufs[pat["ghosts"]],
             )
         records[name] = InspectorRecord(
             loop_name=name,

@@ -3,8 +3,9 @@
 The inspector/executor pipeline distinguishes three failure classes:
 
 * :class:`InvariantViolation` -- a structural or content check over a
-  runtime product (schedule, ghost buffers, iteration partition, adapt
-  state) failed: the product cannot be trusted and must not be executed;
+  runtime product (schedule, localized references, iteration partition,
+  adapt state) or over gathered data failed: the product cannot be
+  trusted and must not be executed;
 * :class:`PatchError` and its subclasses -- the incremental-inspection
   path failed.  :class:`PatchAborted` means the patch itself could not
   be assembled (mid-patch state out of sync, inconsistent slot

@@ -4,8 +4,8 @@ A :class:`FaultPlan` is a seeded script of faults to inject at the
 runtime's three natural hook points:
 
 * **gather wire** (``CommSchedule._move_gather``): corrupt one element
-  of an exchanged chunk, drop elements (the requester keeps stale ghost
-  values), or duplicate one element over another -- the classic
+  of an exchanged chunk, drop elements (the requester's ghost slot reads
+  0 instead of the owner's value), or duplicate one element over another -- the classic
   lost/garbled/replayed-message triad;
 * **remap wire** (``RemapSchedule.apply``): the same triad over the
   moved-element data of an array redistribution -- full rebuilds and
@@ -89,7 +89,7 @@ class FaultPlan:
 
     def drop_gather(self, nth: int = 0, count: int = 1) -> "FaultPlan":
         """Drop ``count`` elements of the ``nth`` non-empty gather: the
-        requesters keep whatever stale values their ghost slots held."""
+        requesters' ghost slots for them read 0, on every sweep alike."""
         self._specs.append(
             {"kind": "drop_gather", "nth": int(nth), "count": int(count), "done": False}
         )

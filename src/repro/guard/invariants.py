@@ -1,9 +1,9 @@
 """Structural and content invariant checkers for runtime products.
 
 Every product the reuse machinery saves -- communication schedules,
-ghost buffers, iteration partitions, adapt slot bookkeeping -- obeys a
-layout contract documented where the structure is defined
-(``chaos/schedule.py``, ``chaos/buffers.py``, ``adapt/__init__.py``).
+localized references, iteration partitions, adapt slot bookkeeping --
+obeys a layout contract documented where the structure is defined
+(``chaos/schedule.py``, ``core/inspector.py``, ``adapt/__init__.py``).
 This module machine-checks those contracts at three levels:
 
 ``off``
@@ -69,8 +69,8 @@ def content_checksum(obj) -> int:
     """CRC32 of an object's flat contents, cached on its version counter.
 
     Accepts a ``DistArray`` (cached: recomputed only when the content
-    version counter moved), a ``GhostBuffers`` (uncached -- ghosts have
-    no version counter), or any ndarray.  Access is strictly read-only.
+    version counter moved) or any ndarray (uncached).  Access is
+    strictly read-only.
     """
     version = getattr(obj, "version", None)
     if version is not None:
@@ -78,8 +78,6 @@ def content_checksum(obj) -> int:
         if cached is not None and cached[0] == version:
             return cached[1]
     backing = getattr(obj, "backing_ro", None)
-    if backing is None:
-        backing = getattr(obj, "backing", None)
     if backing is None:
         backing = np.asarray(obj)
     crc = zlib.crc32(np.ascontiguousarray(backing).tobytes())
@@ -143,24 +141,6 @@ def verify_schedule(schedule, level: str = "cheap") -> None:
         if occ.size and occ.max() > 1:
             s = int(np.argmax(occ))
             _fail(f"ghost backing position {s} unpacked {int(occ[s])} times per gather")
-
-
-def verify_ghosts(ghosts, schedule=None, level: str = "cheap") -> None:
-    """Check a ``GhostBuffers``' backing/offsets agreement."""
-    if check_level(level) == "off":
-        return
-    offsets = ghosts.offsets
-    if offsets[0] != 0 or (np.diff(offsets) < 0).any():
-        _fail("ghost buffer offsets are not a monotone CSR")
-    if ghosts.backing.ndim != 1 or ghosts.backing.size != int(offsets[-1]):
-        _fail(
-            f"ghost backing has {ghosts.backing.size} elements, offsets "
-            f"describe {int(offsets[-1])}"
-        )
-    if schedule is not None:
-        sizes = np.asarray(schedule.ghost_sizes, dtype=np.int64)
-        if not np.array_equal(np.diff(offsets), sizes):
-            _fail("ghost buffer regions disagree with the schedule's ghost sizes")
 
 
 def verify_partition(partition, n_iterations: int | None = None, level: str = "cheap") -> None:
@@ -288,8 +268,6 @@ def verify_product(product, arrays, level: str = "cheap", state=None) -> None:
     for pat in product.patterns.values():
         loc, arr = pat.localized, arrays[pat.array]
         sched, dist = loc.schedule, arr.distribution
-        if _unseen(seen, pat.ghosts, sched):
-            verify_ghosts(pat.ghosts, sched, level)
         if _unseen(seen, sched.entries(), loc.ghost_flat, loc.ghost_bounds, dist):
             verify_schedule(sched, level)
             _verify_slot_space(pat, arr, level)
@@ -392,21 +370,21 @@ def verify_adapt_state(product, state, arrays, level: str = "cheap") -> None:
 # ----------------------------------------------------------------------
 # executor-side content check
 # ----------------------------------------------------------------------
-def gather_divergence(pat, arr) -> np.ndarray:
+def gather_divergence(pat, arr, ghosts: np.ndarray) -> np.ndarray:
     """Ghost backing positions whose contents differ from the owners'.
 
-    After a gather, ghost slot ``s`` of a live key ``k`` must hold the
+    ``ghosts`` is the flat ghost array a gather over ``pat``'s schedule
+    just filled.  Ghost slot ``s`` of a live key ``k`` must hold the
     owner's current value of global element ``k`` bit for bit.  Returns
     the flat ghost backing positions that do not (empty when the gather
     is consistent).  Holes (key ``-1``) are never gathered and are
     skipped.  Read-only: does not touch versions or charge anything.
     """
     keys = np.asarray(pat.localized.ghost_flat, dtype=np.int64)
-    backing = pat.ghosts.backing
     if not keys.size:
         return np.empty(0, dtype=np.int64)
     valid = np.flatnonzero(keys >= 0)
     if not valid.size:
         return np.empty(0, dtype=np.int64)
     want = np.asarray(arr.global_view())[keys[valid]]
-    return valid[backing[valid] != want]
+    return valid[ghosts[valid] != want]

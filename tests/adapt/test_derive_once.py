@@ -262,7 +262,7 @@ class TestTwinGroupsVerifiedOnce:
         from repro.guard import invariants
 
         prog, product, state = self.patched()
-        calls = {"_verify_refs": 0, "verify_schedule": 0, "verify_ghosts": 0}
+        calls = {"_verify_refs": 0, "verify_schedule": 0}
         for name in calls:
             real = getattr(invariants, name)
 
@@ -273,8 +273,8 @@ class TestTwinGroupsVerifiedOnce:
             monkeypatch.setattr(invariants, name, spy)
         invariants.verify_product(product, prog.arrays, "cheap", state=state)
         # four patterns over two distinct reference lists, two twin
-        # schedules over one set of arrays, two ghost buffers of their own
-        assert calls == {"_verify_refs": 2, "verify_schedule": 1, "verify_ghosts": 2}
+        # schedules over one set of arrays
+        assert calls == {"_verify_refs": 2, "verify_schedule": 1}
 
     @pytest.mark.parametrize("level", ["cheap", "full"])
     def test_corruption_in_the_twin_alone_is_caught(self, level):

@@ -10,7 +10,8 @@ from-scratch oracle for A's patched product:
 * identical schedule pair structure, send offsets, and wire order,
 * identical ghost key sets per processor,
 * localized reference lists dereferencing to identical global targets,
-* identical ghost buffer *contents* per key after execution, and
+* identical ghost *contents* per key from a gather through each
+  product's schedule, and
 * bit-identical executor results with matching simulated executor time,
 
 while A's simulated inspector time is strictly below B's.
@@ -20,6 +21,7 @@ import numpy as np
 import pytest
 
 from repro.machine import Machine
+from tests.chaos.pairs import ghost_regions
 from repro.workloads import generate_mesh
 from repro.workloads.euler import (
     euler_edge_loop,
@@ -115,14 +117,18 @@ def assert_products_equivalent(prod_a, prod_b, arrays, n_procs):
             ), key
 
 
-def ghost_contents_by_key(product, key, n_procs):
-    """Mapping arrays (proc, ghost key) -> buffered value, sorted by key."""
+def ghost_contents_by_key(product, key, arr, n_procs):
+    """Mapping arrays (proc, ghost key) -> gathered value, sorted by key:
+    ``arr`` gathered through the pattern's schedule (data movement only,
+    nothing charged)."""
     loc = product.patterns[key].localized
-    ghosts = product.patterns[key].ghosts
+    ghosts = np.zeros(loc.schedule.ghost_total())
+    loc.schedule._move_gather(arr, ghosts)
+    regions = ghost_regions(loc.schedule, ghosts)
     out = {}
     for p in range(n_procs):
         keys = loc.ghost_flat[loc.ghost_bounds[p] : loc.ghost_bounds[p + 1]]
-        vals = ghosts.backing[ghosts.offsets[p] : ghosts.offsets[p + 1]]
+        vals = regions[p]
         live = keys >= 0
         order = np.argsort(keys[live])
         out[p] = (keys[live][order], vals[live][order])
@@ -176,12 +182,12 @@ def test_patch_oracle_randomized(n_procs, coalesce):
         prod_b = prog_b.records[loop.name].product
         assert_products_equivalent(prod_a, prod_b, prog_b.arrays, n_procs)
 
-        # ghost contents per key equal after the sweep's gather
+        # ghost contents per key equal after a gather
         for key in prod_b.patterns:
             if key[0] != "x":
                 continue  # x is the gathered (read) pattern
-            ga = ghost_contents_by_key(prod_a, key, n_procs)
-            gb = ghost_contents_by_key(prod_b, key, n_procs)
+            ga = ghost_contents_by_key(prod_a, key, prog_a.arrays["x"], n_procs)
+            gb = ghost_contents_by_key(prod_b, key, prog_b.arrays["x"], n_procs)
             for p in range(n_procs):
                 assert np.array_equal(ga[p][0], gb[p][0]), (key, p)
                 assert np.array_equal(ga[p][1], gb[p][1]), (key, p)
@@ -228,7 +234,7 @@ def test_patched_exec_caches_match_fresh(n_procs):
         for key, pat in prod.patterns.items():
             if pat.exec_space is None:
                 continue
-            fresh = _PatternSpace(pat.localized, pat.ghosts)
+            fresh = _PatternSpace(pat.localized)
             assert np.array_equal(pat.exec_space.offsets, fresh.offsets), key
             assert np.array_equal(pat.exec_space.local_sel, fresh.local_sel), key
             assert np.array_equal(pat.exec_space.ghost_sel, fresh.ghost_sel), key
@@ -287,7 +293,7 @@ def test_carried_exec_refs_at_segment_starts_match_fresh():
     assert np.array_equal(part.flat, flat) and np.array_equal(part.bounds, bounds)
     for key, pat in prog.records[loop.name].product.patterns.items():
         assert pat.exec_refs is not None, key
-        fresh = _PatternSpace(pat.localized, pat.ghosts)
+        fresh = _PatternSpace(pat.localized)
         assert np.array_equal(
             pat.exec_refs, fresh.refs(pat.localized, np.diff(bounds))
         ), key
@@ -347,7 +353,8 @@ def test_patch_grows_ghosts_from_empty_group():
     prog.forall(loop, n_times=1)
     product = prog.records[loop.name].product
     assert all(
-        pat.ghosts.total_elements() == 0 for pat in product.patterns.values()
+        pat.localized.schedule.ghost_total() == 0
+        for pat in product.patterns.values()
     )
     # retarget a few entries to remote elements: first ghosts ever
     pos = np.array([0, 1, 2], dtype=np.int64)

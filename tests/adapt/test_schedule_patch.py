@@ -1,16 +1,18 @@
 """Unit tests for CommSchedule entries, the merge patcher kept as the
-patch rung's schedule oracle, and GhostBuffers.patched -- the
-append-only regrowth patching builds on."""
+patch rung's schedule oracle, and the patch rung's buffer assignment --
+the append-only regrowth patching builds on."""
 
 import numpy as np
 import pytest
 
-from repro.chaos.buffers import GhostBuffers
+from repro.adapt import patch as patch_mod
+from repro.chaos.costs import DEFAULT_COSTS
 from repro.chaos.localize import localize
 from repro.chaos.schedule import CommSchedule
 from repro.chaos.ttable import build_translation_table
 from repro.distribution import BlockDistribution
 from repro.machine import Machine
+from tests.adapt import test_lazy_state as lazy
 from tests.chaos import schedule_oracle as oracle
 
 _EMPTY = np.empty(0, dtype=np.int64)
@@ -126,29 +128,11 @@ def regrown(sched, ghost_sizes, keep=None):
     )
 
 
-class TestGhostBuffersPatched:
-    def test_contents_copied_to_preserved_positions(self):
-        m = Machine(4)
-        loc, _ = make_localized(m, seed=5)
-        sched = loc.schedule
-        ghosts = GhostBuffers(m, sched, dtype=np.float64)
-        rng = np.random.default_rng(2)
-        ghosts.backing[:] = rng.normal(size=ghosts.backing.size)
-        # grow two regions
-        sizes = list(sched.ghost_sizes)
-        new_sizes = [s + (2 if i % 2 else 0) for i, s in enumerate(sizes)]
-        grown = regrown(sched, new_sizes)
-        new = ghosts.patched(grown)
-        for pp in range(4):
-            old_seg = ghosts.buf(pp)
-            assert np.array_equal(new.buf(pp)[: old_seg.size], old_seg)
-            assert (new.buf(pp)[old_seg.size :] == 0).all()
-
+class TestAssignBuffers:
     def test_shrink_rejected(self):
         m = Machine(4)
         loc, _ = make_localized(m, seed=6)
         sched = loc.schedule
-        ghosts = GhostBuffers(m, sched, dtype=np.float64)
         if not any(sched.ghost_sizes):
             pytest.skip("no ghosts in this draw")
         big = np.argmax(sched.ghost_sizes)
@@ -156,18 +140,37 @@ class TestGhostBuffersPatched:
         new_sizes[big] -= 1
         # drop one processor's entries entirely
         shrunk = regrown(sched, new_sizes, keep=sched._pair_p != big)
+        iops_before = m.counters.iops.copy()
         with pytest.raises(ValueError, match="append-only"):
-            ghosts.patched(shrunk)
+            patch_mod._assign_buffers(m, sched, shrunk, np.zeros(4, dtype=np.int64))
+        assert np.array_equal(m.counters.iops, iops_before)
 
-    def test_charges_only_appended_slots(self):
+    def test_charges_only_newly_assigned_slots(self):
         m = Machine(4)
         loc, _ = make_localized(m, seed=7)
         sched = loc.schedule
-        ghosts = GhostBuffers(m, sched, dtype=np.float64)
         grown = regrown(sched, [s + 3 for s in sched.ghost_sizes])
+        need = np.array([3, 1, 0, 2], dtype=np.int64)
         iops_before = m.counters.iops.copy()
-        ghosts.patched(grown)
-        from repro.chaos.costs import DEFAULT_COSTS
-
+        patch_mod._assign_buffers(m, sched, grown, need)
         delta = m.counters.iops - iops_before
-        assert np.allclose(delta, DEFAULT_COSTS.buffer_assign * 3)
+        assert np.allclose(delta, DEFAULT_COSTS.buffer_assign * need)
+
+
+def test_shrunk_ghost_region_aborts_the_patch(monkeypatch):
+    """A patched schedule whose ghost region shrank is refused by the
+    patch rung: the patch aborts and the inspection falls back to full."""
+    mesh, machine, prog, loop = lazy.build()
+    prog.forall(loop, n_times=1)
+
+    def no_ghosts(machine, dist_signature, state):
+        n = machine.n_procs
+        return CommSchedule(machine, dist_signature, _EMPTY, _EMPTY, _EMPTY, _EMPTY, _EMPTY, [0] * n)
+
+    monkeypatch.setattr(patch_mod, "_slot_schedule", no_ghosts)
+    lazy.mutate(prog, mesh, 0)
+    prog.forall(loop, n_times=1)
+    (fallback,) = prog.adapt.fallback_log
+    assert fallback["reason"] == "patch_aborted"
+    assert "append-only" in fallback["error"]
+    assert prog.inspector_runs == 2 and prog.patch_hits == 0

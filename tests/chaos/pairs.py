@@ -36,6 +36,12 @@ def schedule_from_pairs(machine, sig, send, recv, ghost_sizes):
     return CommSchedule(machine, sig, *flatten_pairs(send, recv), ghost_sizes)
 
 
+def ghost_regions(sched, flat):
+    """Per-processor views of a flat ghost array in ``sched``'s layout:
+    processor ``p``'s buffer is ``flat[ghost_offset[p]:ghost_offset[p+1]]``."""
+    return np.split(flat, np.cumsum(sched.ghost_sizes)[:-1])
+
+
 def exchange_pairs(machine, wires):
     """``machine.exchange`` of a ``(src, dst) -> nbytes`` dict, in dict order."""
     machine.exchange(

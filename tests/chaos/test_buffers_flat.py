@@ -1,14 +1,15 @@
-"""Flat-GhostBuffers equivalence: one backing array vs the seed per-proc lists.
+"""Flat ghost data equivalence: one backing array vs the seed per-proc lists.
 
-``GhostBuffers`` is one flat CSR backing and the schedule applies to it
-with single fancy-indexes.  These tests keep the seed semantics as a
-naive reference (per-processor zero arrays, a per-processor charge loop,
-and the per-pair loop over per-processor buffer lists from
+A schedule moves ghost data through one flat array in its CSR layout
+(processor ``p``'s buffer at ``ghost_offset[p]:ghost_offset[p+1]``) with
+single fancy-indexes.  These tests keep the seed semantics as a naive
+reference (``NaiveGhostBuffers``: one zero array per processor, and the
+per-pair loop over per-processor buffer lists from
 ``tests/chaos/pairs.py``, fed from the test's own pair dicts) and check
 over randomized schedules that
 
-* allocation produces the same buffers and bit-identical machine charges,
-* gather / scatter / scatter_op through the flat backing match the
+* the flat layout splits into exactly the seed's per-processor buffers,
+* gather / scatter / scatter_op through the flat array match the
   per-proc-list reference in contents, clocks and counters (including
   the order-sensitive duplicate-slot cases), and
 * the localize dedup kernel (`sorted_unique_inverse`) honors the
@@ -19,34 +20,27 @@ over randomized schedules that
 import numpy as np
 import pytest
 
-from repro.chaos import GhostBuffers, build_translation_table, localize
-from repro.chaos.costs import DEFAULT_COSTS
+from repro.chaos import build_translation_table, localize
 from repro.chaos.kernels import sorted_unique_inverse
 from repro.chaos.localize import FlatRefs
 from repro.distribution import BlockDistribution, DistArray, IrregularDistribution
 from repro.machine import Machine
-from tests.chaos.pairs import naive_gather, naive_reverse, schedule_from_pairs
+from tests.chaos.pairs import (
+    ghost_regions,
+    naive_gather,
+    naive_reverse,
+    schedule_from_pairs,
+)
 
 
 # ----------------------------------------------------------------------
-# naive reference: the seed's per-processor GhostBuffers semantics
+# naive reference: the seed's per-processor ghost buffers
 # ----------------------------------------------------------------------
 class NaiveGhostBuffers:
-    """Seed implementation: one array per processor, per-proc charge loop."""
+    """Seed layout: one zero array per processor."""
 
-    def __init__(self, machine, schedule, dtype=np.float64, costs=DEFAULT_COSTS):
-        self.dtype = np.dtype(dtype)
-        self.bufs = [
-            np.zeros(schedule.ghost_sizes[p], dtype=self.dtype)
-            for p in range(machine.n_procs)
-        ]
-        machine.charge_compute_all(
-            iops=[costs.buffer_assign * s for s in schedule.ghost_sizes]
-        )
-
-    def fill(self, value):
-        for b in self.bufs:
-            b.fill(value)
+    def __init__(self, schedule, dtype=np.float64):
+        self.bufs = [np.zeros(s, dtype=dtype) for s in schedule.ghost_sizes]
 
 
 def random_pairs(rng, machine, arr, max_ghost=10):
@@ -105,52 +99,19 @@ CASES = [(2, 16, 0), (3, 27, 1), (4, 48, 2), (8, 96, 3)]
 
 
 # ----------------------------------------------------------------------
-# allocation / views / fill / charging
+# layout
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("n_procs,size,seed", CASES)
-def test_allocation_matches_seed(n_procs, size, seed):
-    rng = np.random.default_rng(seed)
-    m_flat, arr_flat = make_world(n_procs, size, seed)
-    m_ref, arr_ref = make_world(n_procs, size, seed)
-    sched_flat = random_schedule(rng, m_flat, arr_flat)
-    rng = np.random.default_rng(seed)
-    sched_ref = random_schedule(rng, m_ref, arr_ref)
-
-    flat = GhostBuffers(m_flat, sched_flat)
-    ref = NaiveGhostBuffers(m_ref, sched_ref)
-
-    assert flat.total_elements() == sum(b.size for b in ref.bufs)
+def test_flat_layout_matches_seed(n_procs, size, seed):
+    m, arr = make_world(n_procs, size, seed)
+    sched = random_schedule(np.random.default_rng(seed), m, arr)
+    flat = np.zeros(sched.ghost_total())
+    ref = NaiveGhostBuffers(sched)
+    assert flat.size == sum(b.size for b in ref.bufs)
+    regions = ghost_regions(sched, flat)
+    assert len(regions) == n_procs
     for p in range(n_procs):
-        np.testing.assert_array_equal(flat.buf(p), ref.bufs[p])
-    assert clocks(m_flat) == clocks(m_ref)
-    assert counters(m_flat) == counters(m_ref)
-
-
-def test_buf_views_are_live_and_fill_is_flat():
-    m, arr = make_world(4, 32, 9)
-    rng = np.random.default_rng(9)
-    sched = random_schedule(rng, m, arr)
-    gb = GhostBuffers(m, sched)
-    if gb.buf(0).size:
-        gb.buf(0)[:] = 7.5
-        assert np.all(gb.backing[: gb.offsets[1]] == 7.5)
-    gb.buf(m.n_procs - 1)[:] = -2.0
-    np.testing.assert_array_equal(gb.buf(m.n_procs - 1), gb.backing[gb.offsets[-2] :])
-    gb.fill(3.0)
-    assert np.all(gb.backing == 3.0)
-    ref = NaiveGhostBuffers(Machine(4), sched)
-    ref.fill(3.0)
-    for p in range(4):
-        np.testing.assert_array_equal(gb.buf(p), ref.bufs[p])
-
-
-def test_charge_flag_skips_charging():
-    m, arr = make_world(2, 8, 0)
-    rng = np.random.default_rng(0)
-    sched = random_schedule(rng, m, arr)
-    before = clocks(m)
-    GhostBuffers(m, sched, charge=False)
-    assert clocks(m) == before
+        np.testing.assert_array_equal(regions[p], ref.bufs[p])
 
 
 # ----------------------------------------------------------------------
@@ -166,14 +127,14 @@ def test_gather_flat_matches_list_path(n_procs, size, seed):
         m_flat, arr_flat.distribution.signature(), send, recv, gsizes
     )
 
-    gb = GhostBuffers(m_flat, sched_flat, charge=False)
-    ref_bufs = [np.zeros(s) for s in gsizes]
+    flat = np.zeros(sched_flat.ghost_total())
+    ref_bufs = NaiveGhostBuffers(sched_flat).bufs
 
-    sched_flat.gather(arr_flat, gb)
+    sched_flat.gather(arr_flat, flat)
     naive_gather(m_ref, send, recv, arr_ref, ref_bufs)
 
-    for p in range(n_procs):
-        np.testing.assert_array_equal(gb.buf(p), ref_bufs[p])
+    for p, region in enumerate(ghost_regions(sched_flat, flat)):
+        np.testing.assert_array_equal(region, ref_bufs[p])
     assert clocks(m_flat) == clocks(m_ref)
     assert counters(m_flat) == counters(m_ref)
 
@@ -189,41 +150,21 @@ def test_reverse_flat_matches_list_path(n_procs, size, seed, opname):
         m_flat, arr_flat.distribution.signature(), send, recv, gsizes
     )
 
-    gb = GhostBuffers(m_flat, sched_flat, charge=False)
-    contrib = np.random.default_rng(seed).normal(size=gb.total_elements())
-    gb.backing[:] = contrib
-    ref_bufs = [
-        contrib[gb.offsets[p] : gb.offsets[p + 1]].copy() for p in range(n_procs)
-    ]
+    contrib = np.random.default_rng(seed).normal(size=sched_flat.ghost_total())
+    ref_bufs = [r.copy() for r in ghost_regions(sched_flat, contrib)]
 
     op = {"assign": None, "add": np.add, "max": np.maximum, "multiply": np.multiply}[
         opname
     ]
     if op is None:
-        sched_flat.scatter(gb, arr_flat)
+        sched_flat.scatter(contrib, arr_flat)
     else:
-        sched_flat.scatter_op(gb, arr_flat, op)
+        sched_flat.scatter_op(contrib, arr_flat, op)
     naive_reverse(m_ref, send, recv, ref_bufs, arr_ref, op)
 
     np.testing.assert_array_equal(arr_flat.to_global(), arr_ref.to_global())
     assert clocks(m_flat) == clocks(m_ref)
     assert counters(m_flat) == counters(m_ref)
-
-
-def test_flat_ndarray_input_is_accepted():
-    """A raw flat array laid out like the ghost backing works directly."""
-    m_a, arr_a = make_world(4, 24, 11)
-    m_b, arr_b = make_world(4, 24, 11)
-    rng = np.random.default_rng(11)
-    sched_a = random_schedule(rng, m_a, arr_a)
-    rng = np.random.default_rng(11)
-    sched_b = random_schedule(rng, m_b, arr_b)
-
-    flat = np.zeros(sum(sched_a.ghost_sizes))
-    gb = GhostBuffers(m_b, sched_b, charge=False)
-    sched_a.gather(arr_a, flat)
-    sched_b.gather(arr_b, gb)
-    np.testing.assert_array_equal(flat, gb.backing)
 
 
 def test_wrong_flat_size_raises():
@@ -232,27 +173,6 @@ def test_wrong_flat_size_raises():
     sched = random_schedule(rng, m, arr)
     with pytest.raises(ValueError, match="flat ghost array"):
         sched.gather(arr, np.zeros(sum(sched.ghost_sizes) + 1))
-
-
-def test_foreign_ghostbuffers_layout_raises():
-    m, arr = make_world(2, 8, 4)
-    sched = schedule_from_pairs(
-        m,
-        arr.distribution.signature(),
-        {(0, 1): np.array([0, 1])},
-        {(0, 1): np.array([0, 1])},
-        [0, 2],
-    )
-    other = schedule_from_pairs(
-        m,
-        arr.distribution.signature(),
-        {(1, 0): np.array([0])},
-        {(1, 0): np.array([0])},
-        [1, 0],
-    )
-    gb_other = GhostBuffers(m, other, charge=False)
-    with pytest.raises(ValueError, match="different schedule"):
-        sched.gather(arr, gb_other)
 
 
 # ----------------------------------------------------------------------

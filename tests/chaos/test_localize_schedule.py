@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.chaos import REDUCTION_OPS, GhostBuffers, build_translation_table, localize
+from repro.chaos import REDUCTION_OPS, build_translation_table, localize
 from repro.chaos.flatrefs import FlatRefs
 from repro.core import ArrayRef, Reduce
 from repro.distribution import BlockDistribution, DistArray, IrregularDistribution
 from repro.machine import Machine
+from tests.chaos.pairs import ghost_regions
 
 
 @pytest.fixture
@@ -16,13 +17,14 @@ def m4():
 
 
 def make_setup(m, dist, ref_lists, values=None):
-    """Localize ref_lists against dist; return (arr, result, ghosts)."""
+    """Localize ref_lists against dist; return (arr, result, ghosts), the
+    ghosts a zeroed flat array in the schedule's layout."""
     tt = build_translation_table(m, dist)
     res = localize(m, tt, [np.asarray(r, dtype=np.int64) for r in ref_lists])
     if values is None:
         values = np.arange(dist.size, dtype=np.float64) * 10
     arr = DistArray.from_global(m, dist, values)
-    ghosts = GhostBuffers(m, res.schedule, dtype=arr.dtype)
+    ghosts = np.zeros(res.schedule.ghost_total(), dtype=arr.dtype)
     return arr, res, ghosts
 
 
@@ -88,7 +90,7 @@ class TestGather:
         g = arr.to_global()
         for p in range(4):
             want = g[ghost_globals(res, p)]
-            assert np.array_equal(ghosts.buf(p), want)
+            assert np.array_equal(ghost_regions(res.schedule, ghosts)[p], want)
 
     def test_executor_view_matches_reference(self, m4):
         """Localized indexing over [local | ghost] reproduces global reads."""
@@ -99,7 +101,7 @@ class TestGather:
         res.schedule.gather(arr, ghosts)
         g = arr.to_global()
         for p in range(4):
-            combined = np.concatenate([arr.local(p), ghosts.buf(p)])
+            combined = np.concatenate([arr.local(p), ghost_regions(res.schedule, ghosts)[p]])
             assert np.array_equal(combined[local_refs(res, p)], g[refs[p]])
 
     def test_gather_charges_messages(self, m4):
@@ -135,7 +137,7 @@ class TestScatter:
         refs = [[7], [7], [7], []]  # three procs contribute to element 7
         arr, res, ghosts = make_setup(m4, dist, refs, values=np.zeros(8))
         for p in range(3):
-            ghosts.buf(p)[:] = p + 1.0
+            ghost_regions(res.schedule, ghosts)[p][:] = p + 1.0
         res.schedule.scatter_op(ghosts, arr, np.add)
         assert arr.to_global()[7] == pytest.approx(6.0)
 
@@ -143,7 +145,7 @@ class TestScatter:
         dist = BlockDistribution(8, 4)
         refs = [[4], [], [], []]
         arr, res, ghosts = make_setup(m4, dist, refs, values=np.zeros(8))
-        ghosts.buf(0)[:] = 9.0
+        ghost_regions(res.schedule, ghosts)[0][:] = 9.0
         res.schedule.scatter(ghosts, arr)
         assert arr.to_global()[4] == 9.0
 
@@ -151,8 +153,8 @@ class TestScatter:
         dist = BlockDistribution(8, 4)  # element 3 is owned by processor 1
         refs = [[3], [], [], [3]]
         arr, res, ghosts = make_setup(m4, dist, refs, values=np.full(8, 5.0))
-        ghosts.buf(0)[:] = 2.0
-        ghosts.buf(3)[:] = 11.0
+        ghost_regions(res.schedule, ghosts)[0][:] = 2.0
+        ghost_regions(res.schedule, ghosts)[3][:] = 11.0
         res.schedule.scatter_op(ghosts, arr, REDUCTION_OPS["max"])
         assert arr.to_global()[3] == 11.0
 
@@ -179,21 +181,9 @@ class TestScatter:
         assert np.allclose(arr.to_global(), vals)
 
 
-class TestGhostBuffers:
+class TestGhostLayout:
     def test_sizes_follow_schedule(self, m4):
         dist = BlockDistribution(8, 4)
         arr, res, ghosts = make_setup(m4, dist, [[7, 5], [], [], []])
-        assert ghosts.buf(0).size == 2
-        assert ghosts.total_elements() == 2
-
-    def test_fill(self, m4):
-        dist = BlockDistribution(8, 4)
-        arr, res, ghosts = make_setup(m4, dist, [[7], [], [], []])
-        ghosts.fill(3.5)
-        assert ghosts.buf(0)[0] == 3.5
-
-    def test_rank_checked(self, m4):
-        dist = BlockDistribution(8, 4)
-        arr, res, ghosts = make_setup(m4, dist, [[7], [], [], []])
-        with pytest.raises(ValueError, match="out of range"):
-            ghosts.buf(4)
+        assert res.schedule.ghost_total() == ghosts.size == 2
+        assert [r.size for r in ghost_regions(res.schedule, ghosts)] == [2, 0, 0, 0]

@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.chaos import GhostBuffers, build_translation_table, localize
+from repro.chaos import build_translation_table, localize
 from repro.chaos.merge import gather_merged, merged_message_count, scatter_op_merged
 from repro.distribution import BlockDistribution, DistArray
 from repro.machine import Machine
+from tests.chaos.pairs import ghost_regions
 
 
 def setup(m, refs_a, refs_b, n=16):
@@ -16,8 +17,8 @@ def setup(m, refs_a, refs_b, n=16):
     loc_b = localize(m, tt, [np.asarray(r, dtype=np.int64) for r in refs_b])
     arr_a = DistArray.from_global(m, dist, np.arange(float(n)), name="a")
     arr_b = DistArray.from_global(m, dist, np.arange(float(n)) * 10, name="b")
-    gh_a = GhostBuffers(m, loc_a.schedule, dtype=arr_a.dtype)
-    gh_b = GhostBuffers(m, loc_b.schedule, dtype=arr_b.dtype)
+    gh_a = np.zeros(loc_a.schedule.ghost_total(), dtype=arr_a.dtype)
+    gh_b = np.zeros(loc_b.schedule.ghost_total(), dtype=arr_b.dtype)
     return (loc_a, arr_a, gh_a), (loc_b, arr_b, gh_b)
 
 
@@ -28,8 +29,8 @@ class TestGatherMerged:
         refs_b = [[14, 13], [0], [0], [0]]
         (la, aa, ga), (lb, ab, gb) = setup(m, refs_a, refs_b)
         gather_merged([(la.schedule, aa, ga), (lb.schedule, ab, gb)])
-        assert ga.buf(0).tolist() == [15.0]
-        assert sorted(gb.buf(0).tolist()) == [130.0, 140.0]
+        assert ghost_regions(la.schedule, ga)[0].tolist() == [15.0]
+        assert sorted(ghost_regions(lb.schedule, gb)[0].tolist()) == [130.0, 140.0]
 
     def test_message_count_reduced(self):
         """Two patterns needing the same neighbour: merged pays one
@@ -87,8 +88,8 @@ class TestScatterOpMerged:
         refs_b = [[15], [], [], []]
         (la, aa, ga), (lb, ab, gb) = setup(m, refs_a, refs_b)
         aa.global_set(np.arange(16), np.zeros(16))
-        ga.buf(0)[:] = 2.0
-        gb.buf(0)[:] = 5.0
+        ghost_regions(la.schedule, ga)[0][:] = 2.0
+        ghost_regions(lb.schedule, gb)[0][:] = 5.0
         scatter_op_merged(
             [
                 (la.schedule, ga, aa, np.add),

@@ -3,7 +3,7 @@
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.chaos import GhostBuffers, build_translation_table, localize
+from repro.chaos import build_translation_table, localize
 from repro.chaos.flatrefs import FlatRefs
 from repro.chaos.remap import remap_arrays
 from repro.distribution import (
@@ -13,6 +13,7 @@ from repro.distribution import (
     IrregularDistribution,
 )
 from repro.machine import Machine
+from tests.chaos.pairs import ghost_regions
 
 
 @st.composite
@@ -45,11 +46,12 @@ def test_gather_reproduces_global_reads(case):
     rng = np.random.default_rng(42)
     vals = rng.normal(size=dist.size)
     arr = DistArray.from_global(m, dist, vals)
-    ghosts = GhostBuffers(m, res.schedule, dtype=arr.dtype)
+    ghosts = np.zeros(res.schedule.ghost_total(), dtype=arr.dtype)
+    regions = ghost_regions(res.schedule, ghosts)
     res.schedule.gather(arr, ghosts)
     local_refs = FlatRefs(res.refs_flat, res.ref_bounds)
     for p in range(n_procs):
-        combined = np.concatenate([arr.local(p), ghosts.buf(p)])
+        combined = np.concatenate([arr.local(p), regions[p]])
         assert np.array_equal(combined[local_refs.segment(p)], vals[refs[p]])
 
 
@@ -63,16 +65,17 @@ def test_scatter_add_matches_sequential_reduction(case):
     tt = build_translation_table(m, dist)
     res = localize(m, tt, refs)
     arr = DistArray.from_global(m, dist, np.zeros(dist.size))
-    ghosts = GhostBuffers(m, res.schedule, dtype=arr.dtype)
+    ghosts = np.zeros(res.schedule.ghost_total(), dtype=arr.dtype)
+    regions = ghost_regions(res.schedule, ghosts)
 
     # each processor contributes 1.0 per reference, into local part or ghost
     expected = np.zeros(dist.size)
     local_refs = FlatRefs(res.refs_flat, res.ref_bounds)
     for p in range(n_procs):
-        combined = np.zeros(dist.size and (res.local_sizes[p] + ghosts.buf(p).size))
+        combined = np.zeros(dist.size and (res.local_sizes[p] + regions[p].size))
         np.add.at(combined, local_refs.segment(p), 1.0)
         arr.local(p)[:] += combined[: res.local_sizes[p]]
-        ghosts.buf(p)[:] = combined[res.local_sizes[p]:]
+        regions[p][:] = combined[res.local_sizes[p]:]
         np.add.at(expected, refs[p], 1.0)
     res.schedule.scatter_op(ghosts, arr, np.add)
     assert np.allclose(arr.to_global(), expected)

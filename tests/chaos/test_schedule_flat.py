@@ -13,7 +13,6 @@ writer wins) and floating-point reduction accumulation order.
 import numpy as np
 import pytest
 
-from repro.chaos.buffers import GhostBuffers
 from repro.chaos.schedule import CommSchedule
 from repro.distribution.distarray import DistArray
 from repro.distribution.regular import BlockDistribution
@@ -21,6 +20,7 @@ from repro.machine.machine import Machine
 from tests.chaos import schedule_oracle as oracle
 from tests.chaos.pairs import (
     flatten_pairs,
+    ghost_regions,
     naive_gather,
     naive_reverse,
     schedule_from_pairs,
@@ -298,9 +298,9 @@ def test_per_processor_ghost_lists_are_rejected():
     sched = small_schedule()
     arr = DistArray(sched.machine, BlockDistribution(40, 4), name="x")
     lists = [np.zeros(s) for s in sched.ghost_sizes]
-    with pytest.raises(TypeError, match="GhostBuffers or a flat 1-D array"):
+    with pytest.raises(TypeError, match="flat 1-D array"):
         sched.gather(arr, lists)
-    with pytest.raises(TypeError, match="GhostBuffers or a flat 1-D array"):
+    with pytest.raises(TypeError, match="flat 1-D array"):
         sched.scatter_op(lists, arr, np.add)
 
 
@@ -360,12 +360,10 @@ def test_constructor_agrees_with_merge_oracle(n_procs, size, seed, monkeypatch):
     results = {}
     for name, (machine, arr, sched) in variants.items():
         oracle.assert_schedules_equal(sched, ref, context=name)
-        ghosts = GhostBuffers(machine, sched, charge=False)
-        sched.gather(arr, ghosts)
-        gathered = ghosts.backing.copy()
-        ghosts.backing[:] = contrib
-        sched.scatter_op(ghosts, arr, np.add)
-        sched.scatter(ghosts, arr)
+        gathered = np.zeros(sched.ghost_total())
+        sched.gather(arr, gathered)
+        sched.scatter_op(contrib, arr, np.add)
+        sched.scatter(contrib, arr)
         results[name] = (gathered, arr.to_global(), clocks(machine), counters(machine))
     want = results["from_entries"]
     for name, got in results.items():
@@ -409,12 +407,12 @@ def test_duplicate_slot_last_writer_is_the_last_pair():
     sched = schedule_from_pairs(
         m_flat, arr_flat.distribution.signature(), send, recv, gsizes
     )
-    g_flat = GhostBuffers(m_flat, sched, charge=False)
+    g_flat = np.zeros(sched.ghost_total())
     g_ref = [np.zeros(s) for s in gsizes]
     sched.gather(arr_flat, g_flat)
     naive_gather(m_ref, send, recv, arr_ref, g_ref)
-    np.testing.assert_array_equal(g_flat.backing, np.concatenate(g_ref))
-    assert g_flat.buf(1)[0] == arr_flat.local(0)[9] != arr_flat.local(2)[7]
+    np.testing.assert_array_equal(g_flat, np.concatenate(g_ref))
+    assert ghost_regions(sched, g_flat)[1][0] == arr_flat.local(0)[9] != arr_flat.local(2)[7]
     assert clocks(m_flat) == clocks(m_ref)
 
 

@@ -74,14 +74,14 @@ class TestCorrectness:
     def test_coalesced_siblings_share_one_exec_space(self):
         """The executor's combined-space selectors are sized by the
         localize product alone: x(e1), x(e2) and y(e1), y(e2) -- one
-        ghost buffer per array -- get one space per buffer."""
+        schedule per array -- get one space per schedule."""
         m = Machine(4)
         arrays, _ = build_arrays(m)
         product = run_inspector(m, edge_loop(40), arrays, coalesce_patterns=True)
         run_executor(m, product, arrays)
         for name in ("x", "y"):
             a, b = (product.patterns[(name, ix)] for ix in ("e1", "e2"))
-            assert a.ghosts is b.ghosts
+            assert a.localized.schedule is b.localized.schedule
             assert a.exec_space is b.exec_space is not None
         assert product.patterns[("x", "e1")].exec_space is not product.patterns[("y", "e1")].exec_space
 
@@ -162,9 +162,9 @@ class TestSavings:
             m = Machine(8)
             arrays, _ = build_arrays(m, n=200, n_iter=600, seed=2)
             product = run_inspector(m, edge_loop(600), arrays, coalesce_patterns=co)
-            # coalesced patterns share ghost buffers: count each once
+            # coalesced patterns share a ghost region: count each once
             unique_ghosts = {
-                id(pat.ghosts): pat.ghosts.total_elements()
+                id(pat.localized.schedule): pat.localized.schedule.ghost_total()
                 for pat in product.patterns.values()
             }
             ghosts = sum(unique_ghosts.values())

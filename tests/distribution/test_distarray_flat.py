@@ -13,7 +13,6 @@ writes through retained ``local(p)`` views.
 import numpy as np
 import pytest
 
-from repro.chaos.buffers import GhostBuffers
 from repro.chaos.localize import FlatRefs, localize
 from repro.chaos.remap import build_remap_schedule
 from repro.chaos.ttable import build_translation_table
@@ -25,6 +24,7 @@ from repro.distribution import (
     IrregularDistribution,
 )
 from repro.machine.machine import Machine
+from tests.chaos.pairs import ghost_regions
 
 
 # ----------------------------------------------------------------------
@@ -161,10 +161,10 @@ def test_localize_round_trip_matches_list_oracle(seed):
     ]
     tt = build_translation_table(m, dist)
     res = localize(m, tt, FlatRefs.from_lists(ref_lists))
-    ghosts = GhostBuffers(m, res.schedule, dtype=arr.dtype)
+    ghosts = np.zeros(res.schedule.ghost_total(), dtype=arr.dtype)
     res.schedule.gather(arr, ghosts)
-    for p in range(n_procs):
-        combined = np.concatenate([ref.local(p), ghosts.buf(p)])
+    for p, region in enumerate(ghost_regions(res.schedule, ghosts)):
+        combined = np.concatenate([ref.local(p), region])
         np.testing.assert_array_equal(
             combined[FlatRefs(res.refs_flat, res.ref_bounds).segment(p)], vals[ref_lists[p]]
         )

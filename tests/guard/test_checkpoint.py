@@ -110,9 +110,6 @@ def assert_programs_equal(p_a, p_b):
             assert np.array_equal(sa._pair_q, sb._pair_q), key
             assert np.array_equal(sa._flat_send, sb._flat_send), key
             assert np.array_equal(sa._flat_recv, sb._flat_recv), key
-            assert np.array_equal(
-                pa.patterns[key].ghosts.backing, pb.patterns[key].ghosts.backing
-            ), key
     if p_a.adapt is not None:
         assert p_a.adapt.loops_with_state() == p_b.adapt.loops_with_state()
         for lname in p_a.adapt.loops_with_state():
@@ -316,17 +313,16 @@ def restored_arrays(prog, loop_name) -> dict:
         loc = pat.localized
         for f in ("refs_flat", "ref_bounds", "ghost_flat", "ghost_bounds"):
             out[f"{key}/{f}"] = getattr(loc, f)
-        # one schedule / ghost buffer object serves a whole pattern group
+        # one schedule object serves a whole pattern group
         for f in ("_pair_q", "_pair_p", "_pair_len", "_flat_send", "_flat_recv"):
             out[f"schedule {id(loc.schedule)}/{f}"] = getattr(loc.schedule, f)
-        out[f"ghosts {id(pat.ghosts)}"] = pat.ghosts.backing
     state = prog.adapt.state_for(loop_name, "verify")
     out["home"] = state.home
     for gkey, g in state.groups.items():
         for f in ("slot_bounds", "keys", "owners", "lidx", "counts"):
             out[f"{gkey}/{f}"] = getattr(g, f)
     for name, arr in prog.arrays.items():
-        out[f"array/{name}"] = arr.backing_ro
+        out[f"array/{name}"] = arr._data  # the backing itself, not a view
     return out
 
 
@@ -335,7 +331,7 @@ def test_restored_arrays_shared_means_frozen_private_means_unaliased(tmp_path):
     array several structures hold as one section and restore gets it
     back as *one* object.  That is only safe if nothing writes it in
     place: whatever came back shared must be frozen, whatever the
-    runtime does write in place (array and ghost backings) must alias
+    runtime does write in place (array backings) must alias
     nothing -- and the resumed campaign must still equal the
     uninterrupted one."""
     path = tmp_path / "campaign.ckpt"
@@ -379,7 +375,7 @@ def test_restored_arrays_shared_means_frozen_private_means_unaliased(tmp_path):
             g.counts[0] += 1
 
     # what the runtime writes in place: private, writeable, aliasing nothing
-    private = [w for w in arrays if w.startswith("ghosts ")]
+    private = [w for w in arrays if w.startswith("array/")]
     assert private and not shared & set(private)
     for where in private:
         target = arrays[where]
@@ -448,9 +444,11 @@ def rewrite_manifest(path, edit) -> None:
 
 
 def test_on_disk_format_is_pinned(tmp_path):
-    """Format version 5: header, manifest, sections -- and the payload keys.
+    """Format version 6: header, manifest, sections -- and the payload keys.
 
-    Version 5 no longer writes the adapt snapshots: the diff reads old
+    Version 6 no longer writes ghost buffers: the executor gathers into
+    per-sweep scratch, so the file holds no ghost table, no per-pattern
+    ghost index and no ghost backing section.  Version 5 no longer writes the adapt snapshots: the diff reads old
     indirection values off the saved product.  Version 4 records the program options a resume must match
     (``RECORDED_OPTIONS``) and no longer writes the indirection-DAD set
     of the deleted narrowed tracking scope.  Version 3 replaced version 2's pickle envelope with a 24-byte header
@@ -465,7 +463,7 @@ def test_on_disk_format_is_pinned(tmp_path):
     """
     from repro.guard import checkpoint
 
-    assert (checkpoint._MAGIC, checkpoint._VERSION) == (b"REPROCKP", 5)
+    assert (checkpoint._MAGIC, checkpoint._VERSION) == (b"REPROCKP", 6)
     path = tmp_path / "campaign.ckpt"
     mesh, _, prog = build()
     exe = AdaptiveExecutor(prog, euler_edge_loop(mesh))
@@ -473,7 +471,7 @@ def test_on_disk_format_is_pinned(tmp_path):
     save_checkpoint(path, prog, driver=exe)
     raw = path.read_bytes()
     magic, version, mlen, crc = checkpoint._HEADER.unpack_from(raw)
-    assert (magic, version, checkpoint._HEADER.size) == (b"REPROCKP", 5, 24)
+    assert (magic, version, checkpoint._HEADER.size) == (b"REPROCKP", 6, 24)
     assert crc == zlib.crc32(raw[24 : 24 + mlen], zlib.crc32(raw[:20]))
     manifest, _, _ = read_layout(path)
     assert set(manifest) == {"sections", "payload"}
@@ -490,10 +488,11 @@ def test_on_disk_format_is_pinned(tmp_path):
     names = [sec["name"] for sec in manifest["sections"]]
     assert "/decomps/reg/owner_map" in names and "/arrays/x" in names
     assert not [n for n in names if "snapshot" in n]
+    assert not [n for n in names if n.startswith("/ghosts")]
     payload = load_checkpoint(path)
     assert set(payload) == {
         "n_procs", "machine", "decomps", "arrays", "registry", "program",
-        "schedules", "ghosts", "records", "ttables", "adapt", "driver",
+        "schedules", "records", "ttables", "adapt", "driver",
     }
     # nodes: RCB's owner map in the smallest dtype holding N_PROCS - 1
     reg, reg2 = payload["decomps"]["reg"], payload["decomps"]["reg2"]
@@ -518,14 +517,12 @@ def test_on_disk_format_is_pinned(tmp_path):
     for phase in payload["machine"]["phases"]:
         assert set(phase) == {"name", "elapsed", "counters"}
         assert set(phase["counters"]) == set(COUNTER_FIELDS)
-    assert isinstance(payload["schedules"], list) and isinstance(payload["ghosts"], list)
+    assert isinstance(payload["schedules"], list)
     for sched in payload["schedules"]:
         assert set(sched) == {
             "dist_signature", "pair_q", "pair_p", "pair_len", "flat_send",
             "flat_recv", "ghost_sizes",
         }
-    for ghosts in payload["ghosts"]:
-        assert set(ghosts) == {"schedule", "backing"}
     for rec in payload["records"].values():
         assert set(rec) == {"data_dads", "ind_dads", "ind_last_mod", "product"}
         product = rec["product"]
@@ -533,7 +530,7 @@ def test_on_disk_format_is_pinned(tmp_path):
         assert set(product["partition"]) == {"n_iterations", "method", "flat", "bounds"}
         for _, pat in product["patterns"]:
             assert set(pat) == {
-                "array", "index", "schedule", "ghosts", "local_sizes", "refs_flat",
+                "array", "index", "schedule", "local_sizes", "refs_flat",
                 "ghost_flat", "ghost_bounds",
             }
     for state in payload["adapt"]["states"].values():
@@ -613,6 +610,12 @@ def _wrong_dtype(payload):
     payload["arrays"]["x"] = payload["arrays"]["x"].astype("<f4")
 
 
+def _dangling_schedule(payload):
+    (rec,) = payload["records"].values()
+    _, pat = rec["product"]["patterns"][-1]
+    pat["schedule"] = len(payload["schedules"])
+
+
 class TestRejectsDamage:
     def make(self, tmp_path):
         path = tmp_path / "c.ckpt"
@@ -683,10 +686,11 @@ class TestRejectsDamage:
             (_unknown_kind, "unknown distribution kind 'hilbert'"),
             (_missing_array, "array 'y' of 'reg' is not in the checkpoint"),
             (_wrong_dtype, "array 'x' has dtype float64"),
+            (_dangling_schedule, "references schedule [0-9]+; the checkpoint holds"),
         ],
         ids=[
             "missing_decomposition", "wrong_size", "non_bijective_local_map",
-            "unknown_kind", "missing_array", "wrong_dtype",
+            "unknown_kind", "missing_array", "wrong_dtype", "dangling_schedule",
         ],
     )
     def test_distribution_mismatch(self, tmp_path, damage, match):
@@ -725,17 +729,34 @@ class TestRejectsDamage:
             AdaptiveExecutor.resume(path, prog, euler_edge_loop(mesh))
 
     def test_version_3_file_is_refused(self, tmp_path):
-        """Formats v3 and v4 have no reader: the typed "unsupported"
+        """Formats v3 to v5 have no reader: the typed "unsupported"
         error, as for v2."""
         path, _ = self.make(tmp_path)
-        for version in (3, 4):
+        for version in (3, 4, 5):
             raw = bytearray(path.read_bytes())
             raw[8:12] = version.to_bytes(4, "little")
             path.write_bytes(bytes(raw))
             with pytest.raises(
-                CheckpointError, match=f"version {version} unsupported \\(expected 5\\)"
+                CheckpointError, match=f"version {version} unsupported \\(expected 6\\)"
             ):
                 load_checkpoint(path)
+
+    def test_version_5_file_is_refused_before_anything_changes(self, tmp_path):
+        """A v5 file (it carries ghost buffers) is refused by resume
+        before the program is touched."""
+        path, mesh = self.make(tmp_path)
+        raw = bytearray(path.read_bytes())
+        raw[8:12] = (5).to_bytes(4, "little")
+        path.write_bytes(bytes(raw))
+        machine = Machine(N_PROCS)
+        prog = setup_euler_program(machine, mesh, seed=11, incremental=True, guard="cheap")
+        x_before = prog.arrays["x"].to_global()
+        clock_before = machine.counters.clock.copy()
+        with pytest.raises(CheckpointError, match="version 5 unsupported"):
+            AdaptiveExecutor.resume(path, prog, euler_edge_loop(mesh))
+        assert np.array_equal(prog.arrays["x"].to_global(), x_before)
+        assert np.array_equal(machine.counters.clock, clock_before)
+        assert prog.records == {}
 
     @pytest.mark.parametrize(
         "option, value",
@@ -908,8 +929,8 @@ class TestCrashSafeSave:
 def test_checkpoint_bytes_are_reproducible(tmp_path):
     """Two separately built, equal campaigns write byte-identical files.
 
-    The shared-schedule / shared-ghost tables and the array sections are
-    listed in first-seen order and the driver history leaves its
+    The shared-schedule table and the array sections are listed in
+    first-seen order and the driver history leaves its
     host-clock seconds out.  Keyed by ``id()`` (as the tables once were)
     the bytes differed from build to build.
     """
@@ -925,8 +946,10 @@ def test_checkpoint_bytes_are_reproducible(tmp_path):
     campaign("b", keep)
     assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
     pay = load_checkpoint(tmp_path / "a.ckpt")
-    # patterns and ghost buffers index the tables by position
-    assert {g["schedule"] for g in pay["ghosts"]} <= set(range(len(pay["schedules"])))
+    # patterns index the schedule table by position
+    (rec,) = pay["records"].values()
+    indexes = {pat["schedule"] for _, pat in rec["product"]["patterns"]}
+    assert indexes == set(range(len(pay["schedules"])))
     # a resumed driver reports none of its predecessor's host seconds
     mesh, _, prog = build()
     exe = AdaptiveExecutor.resume(tmp_path / "a.ckpt", prog, euler_edge_loop(mesh))
@@ -1031,7 +1054,7 @@ TAMPER = {
         _edit(lambda m: m["payload"].update(n_procs={"$array": len(m["sections"])})),
         "which it lacks",
     ),
-    "manifest_not_current": (_edit(lambda m: m.pop("payload")), "not a v5 manifest"),
+    "manifest_not_current": (_edit(lambda m: m.pop("payload")), "not a v6 manifest"),
     "trailing_bytes": (_trailing, "trailing bytes"),
     "v2_pickle_envelope": (_as_pickle_envelope, "pickle envelope"),
 }

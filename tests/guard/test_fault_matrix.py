@@ -70,13 +70,15 @@ def assert_same_simulated_state(m_clean, p_clean, m_fault, p_fault):
     [
         lambda p: p.corrupt_gather(nth=0),
         lambda p: p.corrupt_gather(nth=2),
-        # nth=0: the gathered array never changes between sweeps, so a
-        # drop is only *observable* on the first fill of the (zeroed)
-        # ghost buffers -- later drops leave correct stale values behind
+        # a dropped slot reads 0, so a drop is visible on any sweep, not
+        # only on the first one
         lambda p: p.drop_gather(nth=0, count=3),
+        lambda p: p.drop_gather(nth=1, count=3),
+        lambda p: p.drop_gather(nth=2, count=3),
+        lambda p: p.drop_gather(nth=3, count=3),
         lambda p: p.duplicate_gather(nth=0),
     ],
-    ids=["corrupt-first", "corrupt-later", "drop", "duplicate"],
+    ids=["corrupt-first", "corrupt-later", "drop", "drop-1", "drop-2", "drop-3", "duplicate"],
 )
 def test_wire_fault_detected_and_recovered(fault):
     m_clean, p_clean = run_campaign()
@@ -95,6 +97,27 @@ def test_wire_fault_detected_and_recovered(fault):
     # ... and the simulated run is bit-identical to the clean one
     assert_same_simulated_state(m_clean, p_clean, m_fault, p_fault)
     assert not p_clean.guard_events
+
+
+def test_dropped_gather_slots_read_zero():
+    """A drop leaves its slots at 0 whatever the ghost array held before
+    -- here the previous gather's correct values -- and every other slot
+    gets its owner's value."""
+    mesh, machine, prog, loop = build()
+    prog.forall(loop, n_times=1)
+    sched = prog.records[loop.name].product.patterns["x", "end_pt1"].localized.schedule
+    arr = prog.arrays["x"]
+    clean = np.zeros(sched.ghost_total())
+    sched._move_gather(arr, clean)
+    plan = FaultPlan(seed=7).drop_gather(nth=0, count=3).install(machine)
+    ghosts = clean.copy()
+    sched._move_gather(arr, ghosts)
+    (fired,) = plan.fired
+    dropped = sched._ghost_pos_wire[fired["elements"]]
+    assert dropped.size == 3 and (clean[dropped] != 0).all()
+    assert (ghosts[dropped] == 0).all()
+    kept = np.setdiff1d(np.arange(ghosts.size), dropped)
+    assert np.array_equal(ghosts[kept], clean[kept])
 
 
 def test_wire_fault_detected_even_with_guard_off():

@@ -10,7 +10,6 @@ from repro.guard import (
     content_checksum,
     gather_divergence,
     verify_adapt_state,
-    verify_ghosts,
     verify_partition,
     verify_product,
     verify_schedule,
@@ -96,7 +95,6 @@ class TestHealthyProducts:
     def test_off_level_skips_everything(self):
         # an obviously broken object passes at level off (never inspected)
         verify_schedule(object(), "off")
-        verify_ghosts(object(), level="off")
         verify_partition(object(), level="off")
         verify_product(object(), {}, "off")
 
@@ -137,14 +135,19 @@ class TestCorruptionDetected:
         with pytest.raises(InvariantViolation, match="pair order"):
             verify_schedule(sched, "cheap")
 
-    def test_ghost_backing_size_mismatch(self):
+    def test_ghost_bounds_disagree_with_schedule(self):
+        """The slot layout the executor sizes its ghost scratch by is the
+        schedule's: a pattern whose ghost bounds describe another one is
+        refused."""
         _, prog, _, product = inspected()
         pat = next(
-            p for p in product.patterns.values() if p.ghosts.backing.size
+            p for p in product.patterns.values() if p.localized.schedule.ghost_total()
         )
-        pat.ghosts.backing = pat.ghosts.backing[:-1]
-        with pytest.raises(InvariantViolation, match="backing"):
-            verify_ghosts(pat.ghosts, pat.localized.schedule, "cheap")
+        bounds = np.array(pat.localized.ghost_bounds)
+        bounds[1:] += 1  # one slot more on processor 0
+        pat.localized.ghost_bounds = bounds
+        with pytest.raises(InvariantViolation, match="ghost bounds disagree"):
+            verify_product(product, prog.arrays, "cheap")
 
     def test_partition_lost_iteration(self):
         _, prog, _, product = inspected()
@@ -193,13 +196,16 @@ class TestContentChecks:
         key = next(k for k in product.patterns if k[0] == "x")
         pat = product.patterns[key]
         arr = prog.arrays["x"]
-        assert gather_divergence(pat, arr).size == 0
+        sched = pat.localized.schedule
+        ghosts = np.zeros(sched.ghost_total())
+        sched._move_gather(arr, ghosts)  # data movement only
+        assert gather_divergence(pat, arr, ghosts).size == 0
         keys = np.asarray(pat.localized.ghost_flat)
         live = np.flatnonzero(keys >= 0)
         if not live.size:
             pytest.skip("no ghosts on this configuration")
-        pat.ghosts.backing[live[0]] += 1.0
-        bad = gather_divergence(pat, arr)
+        ghosts[live[0]] += 1.0
+        bad = gather_divergence(pat, arr, ghosts)
         assert np.array_equal(bad, live[:1])
 
     def test_content_checksum_cached_on_version(self):

@@ -8,7 +8,7 @@ is caught at the runtime boundary rather than corrupting data silently.
 import numpy as np
 import pytest
 
-from repro.chaos import GhostBuffers, build_translation_table, localize
+from repro.chaos import build_translation_table, localize
 from repro.chaos.remap import build_remap_schedule
 from repro.core import ArrayRef, ForallLoop, IrregularProgram, Reduce, run_executor, run_inspector
 from repro.distribution import BlockDistribution, CyclicDistribution, DistArray, IrregularDistribution
@@ -54,7 +54,7 @@ class TestStaleState:
         tt = build_translation_table(m, arrays["x"].distribution)
         res = localize(m, tt, [np.array([15]), np.array([]), np.array([]), np.array([])])
         wrong = DistArray.from_global(m, CyclicDistribution(16, 4), np.zeros(16))
-        ghosts = GhostBuffers(m, res.schedule)
+        ghosts = np.zeros(res.schedule.ghost_total())
         with pytest.raises(ValueError, match="stale"):
             res.schedule.gather(wrong, ghosts)
 
@@ -97,10 +97,9 @@ class TestMachineBoundaries:
         arrays = build_arrays(m1)
         product = run_inspector(m1, simple_loop(16), arrays)
         foreign = build_arrays(m2)
+        sched = product.patterns[("x", "ia")].localized.schedule
         with pytest.raises(ValueError, match="different machines"):
-            product.patterns[("x", "ia")].localized.schedule.gather(
-                foreign["x"], product.patterns[("x", "ia")].ghosts
-            )
+            sched.gather(foreign["x"], np.zeros(sched.ghost_total()))
 
     def test_out_of_range_indirection_values(self):
         m = Machine(4)

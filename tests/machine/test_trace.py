@@ -4,7 +4,7 @@ the choke point sees, including protocol-pattern assertions."""
 import numpy as np
 import pytest
 
-from repro.chaos import GhostBuffers, build_translation_table, localize
+from repro.chaos import build_translation_table, localize
 from repro.distribution import BlockDistribution, DistArray, IrregularDistribution
 from repro.machine import Machine
 from tests.chaos.pairs import exchange_pairs
@@ -108,7 +108,7 @@ class TestProtocolPatterns:
             [np.array([15, 8]), np.array([0]), np.array([]), np.array([4])],
         )
         arr = DistArray.from_global(m, dist, np.arange(16.0))
-        ghosts = GhostBuffers(m, res.schedule)
+        ghosts = np.zeros(res.schedule.ghost_total())
         with spy_exchanges(m) as spy:
             res.schedule.gather(arr, ghosts)
         (charge,) = charges(spy)
