@@ -44,9 +44,8 @@ single cold inspection).
 
 Invalidation contract
 ---------------------
-There is no explicit invalidation.  A stored entry is served only when
-the full version key matches; every mutation path changes some component
-of it:
+A stored entry is served only when the full version key matches; every
+mutation path changes some component of it:
 
 * ``set_array_elements`` / any segment-view write bumps the array's
   content version (PR 3 write barriers);
@@ -58,8 +57,18 @@ of it:
   write paths before patching, so the next full inspection of that
   pattern misses and recomputes.
 
-A new version *replaces* the slot's entry, so memory is bounded by the
-number of structurally distinct patterns, not by program history.
+A content key never comes back once its array is written (versions only
+grow), so an entry naming a superseded one is dead.
+:meth:`TranslationCache.prune` drops dead entries: ``put`` records each
+version's :class:`~repro.core.cachekey.ContentKey` parts once, and
+``IrregularProgram.inspect`` prunes against the arrays' current versions
+whenever it leaves the reuse-hit path (the hit path pays nothing).
+Entries keyed only on distribution signatures stay, since a distribution
+can recur.  A new version also *replaces* the slot's entry, so memory is
+bounded by the number of structurally distinct patterns whose inputs are
+current, not by program history -- a pattern the patch rung keeps
+repairing (and so never re-probes) holds nothing after its first write.
+Both paths count under ``invalidations``, once per entry.
 Cached arrays are frozen (``writeable=False``) and shared by every hit;
 schedules are shared through :meth:`~repro.chaos.schedule.CommSchedule.
 twin` clones so each product keeps the distinct schedule identity the
@@ -79,7 +88,9 @@ address of a holder is ``(localize slot, version, index)``.  Every
 ``x(edge(i))``/``y(edge(i))`` hit inside one cold inspection) carries
 the same dict, so those O(refs) arrays are built once per *entry*, not
 once per throw-away product.  The dict lives and dies with its entry: a
-new version replaces both, keeping memory bounded by distinct patterns.
+new version or a prune drops both, so the executor positions of a
+pattern whose indirection was written go with the entry (a product
+still holding a holder keeps it alive; the cache no longer does).
 Holder arrays are frozen like everything else here; building one must
 never charge the machine (no charge is recorded for it, so none could
 be replayed).  :meth:`TranslationCache.note_derived` counts holder
@@ -106,6 +117,20 @@ __all__ = [
     "PartitionEntry",
     "TranslationCache",
 ]
+
+
+def _content_keys(version: tuple) -> tuple:
+    """Every :class:`~repro.core.cachekey.ContentKey` nested in ``version``."""
+    from repro.core.cachekey import ContentKey  # repro.core imports this module
+
+    def walk(part):
+        if isinstance(part, ContentKey):
+            yield part
+        elif isinstance(part, tuple):
+            for sub in part:
+                yield from walk(sub)
+
+    return tuple(walk(version))
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -203,15 +228,18 @@ class TranslationCache:
     See the module docstring for the layout and invalidation contract.
     ``get``/``put`` take the slot (structural key) and version (volatile
     key) separately; a put under a new version replaces the slot's
-    previous entry, bounding memory by the number of distinct slots.
+    previous entry, bounding memory by the number of distinct slots, and
+    :meth:`prune` drops entries of superseded content.
     """
 
     def __init__(self):
         self._slots: dict[tuple, tuple[tuple, object]] = {}
+        #: the content keys each held version names (see :meth:`prune`)
+        self._content: dict[tuple, tuple] = {}
         self.hits = 0
         self.misses = 0
-        #: entries replaced under a new version (the implicit
-        #: invalidation path: same slot, changed content/distribution)
+        #: entries replaced under a new version or pruned (same slot,
+        #: changed content/distribution; or superseded content)
         self.invalidations = 0
         #: per-kind counters, keyed by slot[0] ("localize" / "partition")
         self.kind_hits: dict[str, int] = {}
@@ -235,11 +263,31 @@ class TranslationCache:
     def put(self, slot: tuple, version: tuple, entry) -> None:
         held = self._slots.get(slot)
         if held is not None and held[0] != version:
-            self.invalidations += 1
-            self.kind_invalidations[slot[0]] = (
-                self.kind_invalidations.get(slot[0], 0) + 1
-            )
+            self._count_invalidation(slot)
         self._slots[slot] = (version, entry)
+        self._content[slot] = _content_keys(version)
+
+    def prune(self, live: dict) -> None:
+        """Drop every entry naming a content key no array holds any more.
+
+        ``live`` maps each array's ``uid`` to its current ``version``.
+        A version never goes back, so an entry whose recorded
+        ``ContentKey`` has another version (or whose array is gone) can
+        never be served again.  Entries keyed only on distribution
+        signatures are kept: a distribution can recur.
+        """
+        dead = [
+            slot
+            for slot, keys in self._content.items()
+            if any(live.get(key.uid) != key.version for key in keys)
+        ]
+        for slot in dead:
+            del self._slots[slot], self._content[slot]
+            self._count_invalidation(slot)
+
+    def _count_invalidation(self, slot: tuple) -> None:
+        self.invalidations += 1
+        self.kind_invalidations[slot[0]] = self.kind_invalidations.get(slot[0], 0) + 1
 
     def note_derived(self, hit: bool) -> None:
         """Count one derived-holder request against a localize entry."""
@@ -253,12 +301,13 @@ class TranslationCache:
 
     def clear(self) -> None:
         self._slots.clear()
+        self._content.clear()
 
     def stats(self) -> dict:
         """Counters for bench reports (wall-side only, never simulated).
 
         ``invalidations`` counts entries replaced under a changed
-        version key -- the cache's implicit invalidation path.
+        version key or dropped by :meth:`prune`, once per entry.
         ``by_kind`` breaks hits/misses/invalidations/entries down per
         slot kind (``"localize"`` / ``"partition"``); once any derived
         holder was requested it also carries ``"derived"`` with the

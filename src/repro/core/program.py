@@ -576,7 +576,9 @@ class IrregularProgram:
         condition-3 failure), **full** (``run_inspector``; a warm
         ``TranslationCache`` hit is this rung with ``cache_misses == 0``).
         ``reuse=False`` goes straight to the full rung (Table 1's "No
-        Schedule Reuse"; the hand path's manual inspection).
+        Schedule Reuse"; the hand path's manual inspection).  Any
+        resolution but a reuse hit first prunes the translation cache's
+        entries of superseded content (``TranslationCache.prune``).
 
         The decision is kept as ``last_resolution`` -- ``{"loop", "rung",
         "refused": {rung: reason}, "cache_hits", "cache_misses",
@@ -605,17 +607,21 @@ class IrregularProgram:
                     obs.counter("inspect.reuse_hits")
                 else:
                     refused["reuse"] = decision.reason
-                    if self.adapt is not None:
-                        # a pure condition-3 failure may be diffed + patched
-                        product = self.adapt.attempt(loop, record, decision)
-                        if product is not None:
-                            rung = "patch"
-                            self.patch_hits += 1
-                            self._save_record(loop, product)
-                        else:  # attempt emitted one adapt.fallback saying why
-                            refused["patch"] = self.events.category("adapt.fallback")[-1].name
             if product is None:
                 cache = self.translation_cache
+                if cache is not None:
+                    # off the reuse-hit path: drop entries of superseded content
+                    cache.prune({a.uid: a.version for a in self.arrays.values()})
+                if record is not None and self.adapt is not None:
+                    # a pure condition-3 failure may be diffed + patched
+                    product = self.adapt.attempt(loop, record, decision)
+                    if product is not None:
+                        rung = "patch"
+                        self.patch_hits += 1
+                        self._save_record(loop, product)
+                    else:  # attempt emitted one adapt.fallback saying why
+                        refused["patch"] = self.events.category("adapt.fallback")[-1].name
+            if product is None:
                 probes = (cache.hits, cache.misses) if cache is not None else (0, 0)
                 with obs.span("inspector.run", loop=loop.name), machine.phase("inspector"):
                     product = run_inspector(

@@ -20,7 +20,8 @@ mutating API bumps it: ``from_global``/``set_global``, ``global_set``,
 barrier on the view class — indexed assignment, in-place operators and
 ``ufunc``/``ufunc.at`` writes through views obtained from ``local(p)``.
 ``global_view()`` returns the assembled global array as a cached
-*read-only* array that is recomputed only when ``version`` moved;
+*read-only* array; every bump drops the cached one (no inspection can
+read a superseded view), so it is rebuilt only after ``version`` moved;
 ``to_global()`` returns a fresh writable copy of it.  The one documented
 hole in the barrier: laundering a ``local(p)`` view through
 ``np.asarray``/``.view(np.ndarray)`` before writing bypasses the bump —
@@ -121,8 +122,8 @@ class DistArray:
         self._offsets = distribution.flat_offsets()
         self._data = np.full(distribution.size, fill, dtype=self.dtype)
         self._version = 0
+        #: global_view's cache; every content-version bump drops it
         self._global_cache: np.ndarray | None = None
-        self._global_cache_version = -1
 
     # -- construction ---------------------------------------------------------
     @classmethod
@@ -170,6 +171,7 @@ class DistArray:
 
     def _bump(self) -> None:
         self._version += 1
+        self._global_cache = None
 
     # -- local segment access ---------------------------------------------------
     def _check_proc(self, p: int) -> None:
@@ -225,11 +227,13 @@ class DistArray:
         """The assembled global array as a cached **read-only** view.
 
         Recomputed lazily only when the content version moved; while the
-        array is unmutated this is O(1), which is what lets inspectors
-        read indirection arrays once per run instead of re-assembling
-        them per loop.
+        array is unmutated this is O(1) (the same object every call),
+        which is what lets inspectors read indirection arrays once per
+        run instead of re-assembling them per loop.  A write drops the
+        cached view, so a superseded one lives only as long as a caller
+        still holds it.
         """
-        if self._global_cache_version != self._version:
+        if self._global_cache is None:
             dist = self.distribution
             if dist.global_perm_is_identity():
                 out = self._data.copy()
@@ -237,7 +241,6 @@ class DistArray:
                 out = self._data[dist.global_perm_inverse()]
             out.flags.writeable = False
             self._global_cache = out
-            self._global_cache_version = self._version
         return self._global_cache
 
     def to_global(self) -> np.ndarray:

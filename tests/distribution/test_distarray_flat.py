@@ -10,6 +10,9 @@ invalidates the cached global view on *every* mutation path, including
 writes through retained ``local(p)`` views.
 """
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -301,6 +304,30 @@ class TestGlobalViewCache:
         data[:] = 0.0
         assert arr.version > v0
         assert arr.to_global().tolist() == [0.0] * 12
+
+    @pytest.mark.parametrize("kind", ["cyclic", "block"])
+    def test_write_releases_the_superseded_view(self, m4, kind):
+        arr = make_arr(m4, kind)
+        gv = arr.global_view()
+        assert arr.global_view() is gv  # no write between: the same object
+        gone = weakref.ref(gv)
+        arr.global_set([4], [-1.0])
+        # the caller still holds the old view: it is intact, and stale
+        assert gv[4] == 4.0 and gone() is gv
+        fresh = arr.global_view()
+        assert fresh is not gv and fresh[4] == -1.0
+        assert arr.global_view() is fresh
+        del gv
+        gc.collect()
+        assert gone() is None  # the array kept no reference to it
+
+    def test_view_write_drops_the_cached_view(self, m4):
+        arr = make_arr(m4)
+        gone = weakref.ref(arr.global_view())
+        arr.local(2)[0] = 50.0  # the write barrier bumps the version
+        gc.collect()
+        assert gone() is None
+        assert 50.0 in arr.global_view()
 
 
 class TestLocalViewWriteBarrier:
