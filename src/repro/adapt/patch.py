@@ -47,7 +47,7 @@ from repro.chaos.kernels import majority_owner, pair_counts, sorted_unique_inver
 from repro.chaos.localize import LocalizeResult
 from repro.chaos.schedule import CommSchedule
 from repro.chaos.transcache import KeyTranslationMemo
-from repro.chaos.ttable import TranslationTable
+from repro.chaos.ttable import Translator
 from repro.core.inspector import InspectorProduct, PatternData
 from repro.core.iteration import (
     ITERATION_RECORD_BYTES,
@@ -567,7 +567,7 @@ def _patch_group(
     ctx: _PatchContext,
     gstate: GroupState,
     member_keys: list,
-    ttable: TranslationTable,
+    ttable: Translator,
     sib: _GroupPatch | None,
 ) -> _GroupPatch | None:
     """Patch one pattern group; ``None`` when it has no delta.
@@ -719,7 +719,7 @@ def patch_product(
     arrays: dict[str, DistArray],
     state: LoopAdaptState,
     changed: dict[str, np.ndarray],
-    ttables: dict[tuple[str, tuple], TranslationTable],
+    ttables: dict[tuple[str, tuple], Translator],
 ) -> InspectorProduct:
     """Patch ``product`` for the given changed indirection positions;
     returns the patched product (``product`` itself when the value

@@ -20,21 +20,12 @@ import argparse
 import json
 import sys
 
-from repro.bench.tables import (
-    fig2_phase_breakdown,
-    table1_schedule_reuse,
-    table2_mapper_coupler,
-    table3_rcb_detail,
-    table4_block,
-)
+from repro.bench.tables import TABLE_BUILDERS, fig2_phase_breakdown
 
-_TARGETS = {
-    "table1": lambda args: table1_schedule_reuse(args.scale),
-    "table2": lambda args: table2_mapper_coupler(args.scale, n_procs=args.procs),
-    "table3": lambda args: table3_rcb_detail(args.scale),
-    "table4": lambda args: table4_block(args.scale),
-    "fig2": lambda args: fig2_phase_breakdown(args.scale, n_procs=args.procs),
-}
+#: every target: Tables 1-4, then Figure 2
+_TARGETS = {**TABLE_BUILDERS, "fig2": fig2_phase_breakdown}
+#: the targets timed on ``--procs`` processors
+_TAKES_PROCS = ("table2", "fig2")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -82,12 +73,13 @@ def main(argv: list[str] | None = None) -> int:
     if args.target == "all":
         targets = sorted(_TARGETS)
     elif args.target == "tables":
-        targets = ["table1", "table2", "table3", "table4"]
+        targets = list(TABLE_BUILDERS)
     else:
         targets = [args.target]
     collected: dict[str, list[dict]] = {}
     for name in targets:
-        rows, text = _TARGETS[name](args)
+        kwargs = {"n_procs": args.procs} if name in _TAKES_PROCS else {}
+        rows, text = _TARGETS[name](args.scale, **kwargs)
         collected[name] = rows
         print(text)
         print()

@@ -217,7 +217,7 @@ def fig2_phase_breakdown(scale_name: str | None = None, n_procs: int = 32):
 
 
 # ---------------------------------------------------------------------------
-# bulk assembly (golden-table fixtures, --json output)
+# the tables (golden-table fixtures, ``tables`` and ``all`` CLI targets)
 # ---------------------------------------------------------------------------
 #: table name -> row-producing function, in paper order
 TABLE_BUILDERS = {
@@ -226,17 +226,6 @@ TABLE_BUILDERS = {
     "table3": table3_rcb_detail,
     "table4": table4_block,
 }
-
-
-def all_tables_rows(scale_name: str | None = None) -> dict[str, list[dict]]:
-    """Rows of Tables 1-4 keyed by table name, at one scale.
-
-    This is the machine-readable form behind ``python -m repro.bench
-    --json`` and the golden-table regression fixtures: exact floats, no
-    rendering.  ``scale_name=None`` resolves ``REPRO_SCALE`` (so
-    ``REPRO_SCALE=paper`` reproduces the SC'93 problem sizes).
-    """
-    return {name: build(scale_name)[0] for name, build in TABLE_BUILDERS.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,7 @@ This package implements all four groups against the simulated machine:
 
 from repro.chaos.costs import ChaosCosts, DEFAULT_COSTS
 from repro.chaos.ttable import (
-    TranslationTable,
+    Translator,
     RegularTranslationTable,
     ReplicatedTranslationTable,
     DistributedTranslationTable,
@@ -50,7 +50,7 @@ from repro.chaos.remap import RemapSchedule, build_remap_schedule, remap_arrays
 __all__ = [
     "ChaosCosts",
     "DEFAULT_COSTS",
-    "TranslationTable",
+    "Translator",
     "RegularTranslationTable",
     "ReplicatedTranslationTable",
     "DistributedTranslationTable",

@@ -74,10 +74,3 @@ class FlatRefs:
     def sizes(self) -> np.ndarray:
         """References each processor holds in *one* member."""
         return np.diff(self.bounds)
-
-    def segment(self, p: int) -> np.ndarray:
-        """Processor ``p``'s slice of the first (or only) member."""
-        return self.values[self.bounds[p] : self.bounds[p + 1]]
-
-    def segments(self) -> list[np.ndarray]:
-        return [self.segment(p) for p in range(self.n_procs)]

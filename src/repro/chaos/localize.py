@@ -25,8 +25,8 @@ slice; plain per-processor lists (accepted as *input*, flattened once at
 entry) are the one-member case of the same body.  Only the
 off-processor references, one index list into the stream, are touched
 after the translation.  The result is flat only: :class:`LocalizeResult`
-stores ``(values, bounds)`` pairs; ``FlatRefs(values, bounds).segment(p)``
-slices one processor's part out of a one-member result.
+stores ``(values, bounds)`` pairs; ``values[bounds[p]:bounds[p + 1]]`` is
+one processor's part of a one-member result.
 
 Deduplication is one direct sort (``repro.chaos.kernels``) over combined
 ``processor * stride + global_index`` keys, each packed with its stream
@@ -54,7 +54,7 @@ from repro.chaos.flatrefs import FlatRefs
 from repro.chaos.kernels import sorted_unique_inverse, stable_order
 from repro.chaos.schedule import CommSchedule
 from repro.chaos.transcache import ChargeLog, TranslationCache, _freeze
-from repro.chaos.ttable import TranslationTable
+from repro.chaos.ttable import Translator
 from repro.machine.machine import Machine
 
 __all__ = ["FlatRefs", "LocalizeResult", "localize"]
@@ -103,7 +103,7 @@ class LocalizeResult:
 
 def localize(
     machine: Machine,
-    ttable: TranslationTable,
+    ttable: Translator,
     ref_lists,
     cache: TranslationCache | None = None,
     cache_key: "tuple[tuple, tuple] | None" = None,

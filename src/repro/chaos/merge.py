@@ -7,9 +7,9 @@ startup per neighbour instead of k.  With iPSC/860-class latencies
 the paper's loop L2 gathers two patterns, the MD loop eight.
 
 ``gather_merged`` performs the data movement of every (schedule, array,
-flat ghost array) item but charges the machine a single combined exchange;
-``merged_message_count`` reports the message saving for the ablation
-bench.
+flat ghost array) item but charges the machine a single combined
+exchange; ``scatter_op_merged`` is its reverse, every item's reduction
+folded back to the owners in one exchange.
 """
 
 from __future__ import annotations
@@ -119,13 +119,3 @@ def scatter_op_merged(
     machine.charge_compute_all(mem=pack)
     _merged_exchange(machine, srcs, dsts, nbytes)
     machine.charge_compute_all(mem=unpack, flops=combine)
-
-
-def merged_message_count(schedules: list[CommSchedule]) -> tuple[int, int]:
-    """(separate, merged) non-empty message counts for a gather phase."""
-    separate = sum(s.message_count() for s in schedules)
-    cross = [
-        (s._pair_q * s.n_procs + s._pair_p)[s._pair_q != s._pair_p] for s in schedules
-    ]
-    merged = np.unique(np.concatenate(cross)).size if cross else 0
-    return separate, merged

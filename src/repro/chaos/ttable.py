@@ -13,18 +13,15 @@ irregular distributions PARTI/CHAOS kept an explicit table, either
 
 All variants return identical translations; they differ only in what
 they charge the machine.  That split is the :class:`Translator`
-protocol: the base class owns the *translation* (one validated
-``Distribution.translate`` pass) and the single flat/batched/per-
-processor dereference skeleton, while each table kind supplies only its
-two charging hooks (``_charge_one`` for one requesting processor,
-``_charge_flat`` for the loosely synchronous batched phase).
-``dereference`` operates on one requesting processor's reference list at
-a time; ``dereference_all``/``dereference_flat`` batch the request/reply
-exchanges of all processors into two machine phases, the way CHAOS's
-loosely synchronous dereference actually behaved.
+protocol: :meth:`Translator.dereference_flat` is the one translation
+pass (one validated ``Distribution.translate`` over every processor's
+references), and each table kind supplies one charging hook,
+``_charge_flat``, for the loosely synchronous phase in which all
+processors' requests travel together -- the way CHAOS's dereference
+behaved.
 
-Charging hooks take an explicit **sink** -- normally the machine itself,
-but the persistent :class:`~repro.chaos.transcache.TranslationCache`
+The charging hook takes an explicit **sink** -- normally the machine
+itself, but the persistent :class:`~repro.chaos.transcache.TranslationCache`
 passes a recording :class:`~repro.chaos.transcache.ChargeLog` so a cold
 localize can replay its exact charge sequence on later warm hits.
 """
@@ -36,7 +33,6 @@ from abc import ABC, abstractmethod
 import numpy as np
 
 from repro.chaos.costs import DEFAULT_COSTS
-from repro.chaos.flatrefs import FlatRefs
 from repro.chaos.kernels import pair_counts
 from repro.distribution.base import Distribution
 from repro.distribution.regular import BlockDistribution
@@ -47,9 +43,7 @@ from repro.machine.machine import Machine
 class Translator(ABC):
     """Maps global indices of one distribution to (owner, local offset).
 
-    Concrete tables implement the two charging hooks; translation and
-    the dereference entry points are shared.  ``sink`` is the charge
-    target for the flat path (defaults to the table's machine).
+    Concrete tables implement the charging hook; translation is shared.
     """
 
     def __init__(self, machine: Machine, dist: Distribution):
@@ -61,33 +55,9 @@ class Translator(ABC):
         self.machine = machine
         self.dist = dist
 
-    # -- charging hooks (the only per-kind code) ---------------------------
-    @abstractmethod
-    def _charge_one(self, sink, p: int, g: np.ndarray) -> None:
-        """Charge one requesting processor's dereference of ``g``."""
-
     @abstractmethod
     def _charge_flat(self, sink, values: np.ndarray, bounds: np.ndarray, requesters) -> None:
-        """Charge the batched dereference :meth:`dereference_flat` describes.
-
-        Must be bit-identical to per-processor :meth:`_charge_one` calls
-        over the equivalent lists combined into whole-machine phases.
-        """
-
-    # -- shared dereference skeleton ---------------------------------------
-    def dereference(self, p: int, gidx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Translate processor ``p``'s reference list; charges ``p`` (and,
-        for the distributed table, the page owners)."""
-        g = np.asarray(gidx, dtype=np.int64)
-        owners, lidx = self._translate(g)
-        self._charge_one(self.machine, p, g)
-        return owners, lidx
-
-    def dereference_all(
-        self, ref_lists: list[np.ndarray]
-    ) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Translate every processor's list in one loosely synchronous phase."""
-        return [self.dereference(p, refs) for p, refs in enumerate(ref_lists)]
+        """Charge the batched dereference :meth:`dereference_flat` describes."""
 
     def dereference_flat(
         self, values: np.ndarray, bounds: np.ndarray, sink=None, requesters=None
@@ -98,39 +68,23 @@ class Translator(ABC):
         ``bounds`` is the ``(P + 1,)`` CSR bound array (processor ``p``'s
         refs are ``values[bounds[p]:bounds[p+1]]``).  Several lists laid
         out by the same ``bounds`` may be stacked back to back (a
-        :class:`FlatRefs` with ``members > 1``); ``requesters`` is the
-        requesting processor of each position of one of them, for a
-        caller that holds it already.  Returns flat ``(owners,
-        local_offsets)`` aligned with ``values``, both fresh arrays the
-        caller may overwrite.  Charges are bit-identical to
-        :meth:`dereference_all` on the equivalent lists and go to
-        ``sink`` (the machine, or a recording charge log).
+        :class:`~repro.chaos.flatrefs.FlatRefs` with ``members > 1``);
+        ``requesters`` is the requesting processor of each position of
+        one of them, for a caller that holds it already.  Returns flat
+        ``(owners, local_offsets)`` aligned with ``values``, both fresh
+        arrays the caller may overwrite.  Charges go to ``sink`` (the
+        machine, or a recording charge log).
         """
-        owners, lidx = self._translate(values)
+        owners, lidx = self.dist.translate(np.asarray(values, dtype=np.int64))
         sink = self.machine if sink is None else sink
         self._charge_flat(sink, values, bounds, requesters)
-        return owners, lidx
-
-    def _translate(self, gidx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        g = np.asarray(gidx, dtype=np.int64)
-        owners, lidx = self.dist.translate(g)
-        return (
-            np.asarray(owners, dtype=np.int64),
-            np.asarray(lidx, dtype=np.int64),
-        )
-
-
-#: historical name, kept for callers/tests that type against it
-TranslationTable = Translator
+        return np.asarray(owners, dtype=np.int64), np.asarray(lidx, dtype=np.int64)
 
 
 class RegularTranslationTable(Translator):
     """Closed-form translation for block/cyclic/block-cyclic distributions."""
 
     _per_ref_cost = DEFAULT_COSTS.translate_regular
-
-    def _charge_one(self, sink, p: int, g: np.ndarray) -> None:
-        sink.charge_compute(p, iops=self._per_ref_cost * g.size)
 
     def _charge_flat(self, sink, values: np.ndarray, bounds: np.ndarray, requesters) -> None:
         members = np.size(values) // max(int(bounds[-1]), 1)
@@ -185,52 +139,20 @@ class DistributedTranslationTable(Translator):
         machine.charge_compute_all(iops=2.0 * fill)
         machine.barrier()
 
-    def _page_owner(self, g: np.ndarray) -> np.ndarray:
-        """Page owner of already-validated global indices.
-
-        ``g`` went through ``Distribution.translate`` (one range check)
-        before any charging hook runs, so the page table's own
-        validation pass -- a second min/max scan over the whole stream
-        -- is skipped in favor of the block table's closed-form
-        division.
-        """
-        chunk = self.pages.chunk
-        return g // chunk if chunk else g
-
-    def _charge_one(self, sink, p: int, g: np.ndarray) -> None:
-        if not g.size:
-            return
-        counts = np.bincount(self._page_owner(g), minlength=self.machine.n_procs)
-        if counts[p]:
-            # pages this processor itself owns: local table lookups
-            sink.charge_compute(
-                p, iops=DEFAULT_COSTS.translate_replicated * int(counts[p])
-            )
-            counts[p] = 0
-        uq = np.flatnonzero(counts)
-        if uq.size:
-            # request exchange (indices), probes at the owners, reply
-            # exchange (pairs) -- the batched kernel's three steps,
-            # restricted to one requester, with no per-owner loop
-            cnt = counts[uq]
-            req_p = np.full(uq.size, p, dtype=np.int64)
-            sink.exchange(src=req_p, dst=uq, nbytes=cnt * DEFAULT_COSTS.index_bytes)
-            probe = np.zeros(self.machine.n_procs)
-            probe[uq] = DEFAULT_COSTS.translate_remote * cnt
-            sink.charge_compute_all(iops=probe)
-            sink.exchange(
-                src=uq, dst=req_p, nbytes=cnt * 2 * DEFAULT_COSTS.index_bytes
-            )
-
     def _charge_flat(self, sink, values: np.ndarray, bounds: np.ndarray, requesters) -> None:
         """Batched paged-table charging: one page-owner bincount plus the
         request/probe/reply exchange phases, all count arithmetic -- no
         Python loop over processors and no re-validation scans."""
         n = self.machine.n_procs
         # requester * n + page owner, built in place on the page-owner
-        # array (a fresh quotient whenever there are values: the chunk
-        # is nonzero then), one row of it per stacked member
-        key = self._page_owner(np.asarray(values, dtype=np.int64))
+        # array, one row of it per stacked member.  The page owner is the
+        # block page table's closed-form division: ``dereference_flat``
+        # range-checked the values already, so the page table's own
+        # validation scan is skipped (and the quotient is a fresh array
+        # whenever there are values: the chunk is nonzero then)
+        chunk = self.pages.chunk
+        key = np.asarray(values, dtype=np.int64)
+        key = key // chunk if chunk else key
         if key.size:
             if requesters is None:
                 requesters = np.repeat(np.arange(n), np.diff(bounds))
@@ -251,27 +173,6 @@ class DistributedTranslationTable(Translator):
             src=req_q, dst=req_p, nbytes=pair_counts * 2 * DEFAULT_COSTS.index_bytes
         )
         sink.barrier()
-
-    def dereference_all(
-        self, ref_lists: list[np.ndarray]
-    ) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Batched dereference: one request exchange, probes, one reply.
-
-        Loosely synchronous version used by inspectors: all processors'
-        requests travel in a single exchange phase, so wall time is the
-        max per-processor cost, not the sum.  Delegates to the flat
-        kernel; charges are identical.
-        """
-        n = self.machine.n_procs
-        if len(ref_lists) != n:
-            raise ValueError(f"expected {n} reference lists, got {len(ref_lists)}")
-        refs = FlatRefs.from_lists(ref_lists)
-        owners, lidx = self.dereference_flat(refs.values, refs.bounds)
-        bounds = refs.bounds
-        return [
-            (owners[bounds[p] : bounds[p + 1]], lidx[bounds[p] : bounds[p + 1]])
-            for p in range(n)
-        ]
 
 
 def build_translation_table(

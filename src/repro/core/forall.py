@@ -151,9 +151,6 @@ class ForallLoop:
             seen.setdefault(ref.array, None)
         return list(seen)
 
-    def flops_per_iteration(self) -> float:
-        return sum(s.flops for s in self.statements)
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"ForallLoop({self.name!r}, n={self.n_iterations}, "

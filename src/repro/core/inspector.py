@@ -26,7 +26,7 @@ import numpy as np
 from repro.chaos.costs import DEFAULT_COSTS
 from repro.chaos.localize import FlatRefs, LocalizeResult, localize
 from repro.chaos.transcache import TranslationCache
-from repro.chaos.ttable import TranslationTable, build_translation_table
+from repro.chaos.ttable import Translator, build_translation_table
 from repro.core import cachekey
 from repro.core.forall import Assign, ForallLoop
 from repro.core.iteration import (
@@ -134,7 +134,7 @@ def run_inspector(
     arrays: dict[str, DistArray],
     iter_method: str = "almost_owner",
     ttable_variant: str = "auto",
-    ttables: dict[tuple[str, tuple], TranslationTable] | None = None,
+    ttables: dict[tuple[str, tuple], Translator] | None = None,
     coalesce_patterns: bool = True,
     cache: TranslationCache | None = None,
 ) -> InspectorProduct:
@@ -217,7 +217,7 @@ def run_inspector(
             )
         return refs
 
-    def get_ttable(array_name: str) -> TranslationTable:
+    def get_ttable(array_name: str) -> Translator:
         arr = arrays[array_name]
         tkey = (array_name, arr.distribution.signature())
         if ttables is not None and tkey in ttables:

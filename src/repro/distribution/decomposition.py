@@ -68,16 +68,6 @@ class Decomposition:
             self.arrays.append(array)
             array.decomposition = self
 
-    def unalign(self, array: "DistArray") -> None:
-        """Remove an array from this template's alignment set."""
-        try:
-            self.arrays.remove(array)
-        except ValueError:
-            raise ValueError(
-                f"array {array.name!r} is not aligned with {self.name!r}"
-            ) from None
-        array.decomposition = None
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         kind = self.distribution.kind if self.distribution else "undistributed"
         return (

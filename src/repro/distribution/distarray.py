@@ -194,17 +194,6 @@ class DistArray:
         view._owner = self
         return view
 
-    def local_ro(self, p: int) -> np.ndarray:
-        """Read-only view of processor ``p``'s segment (no barrier cost).
-
-        The runtime's read paths use this so acquiring segments for
-        packing never invalidates the cached global view.
-        """
-        self._check_proc(p)
-        view = self._data[self._offsets[p] : self._offsets[p + 1]]
-        view.flags.writeable = False
-        return view
-
     # -- flat backing access (runtime internals) --------------------------------
     @property
     def backing_ro(self) -> np.ndarray:

@@ -36,7 +36,6 @@ from repro.guard.faults import FaultPlan, suspended
 from repro.guard.invariants import (
     LEVELS,
     check_level,
-    content_checksum,
     gather_divergence,
     verify_adapt_state,
     verify_partition,
@@ -54,7 +53,6 @@ __all__ = [
     "PatchError",
     "PatchVerifyFailed",
     "check_level",
-    "content_checksum",
     "gather_divergence",
     "load_checkpoint",
     "previous_checkpoint_path",

@@ -28,14 +28,10 @@ machine, never bump an array's content version (read-only access only),
 and raise :class:`~repro.guard.errors.InvariantViolation` with a
 description of the first violated contract.  :func:`gather_divergence`
 is the executor-side content check (gathered ghost values vs. the
-owners' current values); :func:`content_checksum` provides CRC32
-content fingerprints cached on the existing version counters.
+owners' current values).
 """
 
 from __future__ import annotations
-
-import weakref
-import zlib
 
 import numpy as np
 
@@ -44,9 +40,6 @@ from repro.guard.errors import InvariantViolation
 
 #: recognised guard levels, weakest to strongest
 LEVELS = ("off", "cheap", "full")
-
-#: object (DistArray-like, with a ``version`` counter) -> (version, crc)
-_CRC_CACHE: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 
 def check_level(level: str) -> str:
@@ -60,33 +53,6 @@ def check_level(level: str) -> str:
 
 def _fail(msg: str) -> None:
     raise InvariantViolation(msg)
-
-
-# ----------------------------------------------------------------------
-# content checksums
-# ----------------------------------------------------------------------
-def content_checksum(obj) -> int:
-    """CRC32 of an object's flat contents, cached on its version counter.
-
-    Accepts a ``DistArray`` (cached: recomputed only when the content
-    version counter moved) or any ndarray (uncached).  Access is
-    strictly read-only.
-    """
-    version = getattr(obj, "version", None)
-    if version is not None:
-        cached = _CRC_CACHE.get(obj)
-        if cached is not None and cached[0] == version:
-            return cached[1]
-    backing = getattr(obj, "backing_ro", None)
-    if backing is None:
-        backing = np.asarray(obj)
-    crc = zlib.crc32(np.ascontiguousarray(backing).tobytes())
-    if version is not None:
-        try:
-            _CRC_CACHE[obj] = (version, crc)
-        except TypeError:  # pragma: no cover - non-weakref-able object
-            pass
-    return crc
 
 
 # ----------------------------------------------------------------------

@@ -83,8 +83,7 @@ class PhaseRecord:
     advance over all processors between phase start and end (the loosely
     synchronous convention -- everyone waits for the slowest).
 
-    ``arrays`` is the :class:`CounterBlock` of per-phase deltas, the
-    only storage: the aggregates are vectorized sums over it.
+    ``arrays`` is the :class:`CounterBlock` of per-phase deltas.
     """
 
     __slots__ = ("name", "elapsed", "arrays")
@@ -93,22 +92,6 @@ class PhaseRecord:
         self.name = name
         self.elapsed = elapsed
         self.arrays = arrays
-
-    @property
-    def total_messages(self) -> int:
-        return int(self.arrays.messages_sent.sum())
-
-    @property
-    def total_bytes(self) -> int:
-        return int(self.arrays.bytes_sent.sum())
-
-    @property
-    def total_flops(self) -> float:
-        return float(self.arrays.flops.sum())
-
-    @property
-    def max_clock(self) -> float:
-        return float(self.arrays.clock.max()) if self.arrays.n_procs else 0.0
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"PhaseRecord(name={self.name!r}, elapsed={self.elapsed!r})"
@@ -126,15 +109,6 @@ class MachineStats:
     def phase_time(self, name: str) -> float:
         """Total elapsed simulated time across all phases named ``name``."""
         return sum(p.elapsed for p in self.phases if p.name == name)
-
-    def phase_names(self) -> list[str]:
-        seen: dict[str, None] = {}
-        for p in self.phases:
-            seen.setdefault(p.name, None)
-        return list(seen)
-
-    def total_time(self) -> float:
-        return sum(p.elapsed for p in self.phases)
 
     def clear(self) -> None:
         self.phases.clear()

@@ -63,10 +63,6 @@ class Topology(ABC):
             count=src.size,
         )
 
-    @abstractmethod
-    def diameter(self) -> int:
-        """Maximum hop count over all processor pairs."""
-
     def _check(self, *procs: int) -> None:
         for p in procs:
             if not 0 <= p < self.n_procs:
@@ -81,11 +77,6 @@ class Topology(ABC):
                 raise ValueError(
                     f"processor id {int(bad)} out of range [0, {self.n_procs})"
                 )
-
-    def neighbors(self, p: int) -> list[int]:
-        """Processors exactly one hop from ``p`` (generic, O(P))."""
-        self._check(p)
-        return [q for q in range(self.n_procs) if q != p and self.hops(p, q) == 1]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}(n_procs={self.n_procs})"
@@ -114,13 +105,6 @@ class HypercubeTopology(Topology):
     def _hops_kernel(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
         return _popcount(src ^ dst)
 
-    def diameter(self) -> int:
-        return self.dim
-
-    def neighbors(self, p: int) -> list[int]:
-        self._check(p)
-        return [p ^ (1 << d) for d in range(self.dim)]
-
 
 class FullyConnectedTopology(Topology):
     """Every pair one hop apart: the idealized 'flat' network."""
@@ -131,9 +115,6 @@ class FullyConnectedTopology(Topology):
 
     def _hops_kernel(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
         return (src != dst).astype(np.int64)
-
-    def diameter(self) -> int:
-        return 0 if self.n_procs == 1 else 1
 
 
 _TOPOLOGIES = {

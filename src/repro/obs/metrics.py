@@ -93,10 +93,6 @@ class MetricsSnapshot:
             cache=cache.stats() if cache is not None else None,
         )
 
-    def host_total(self) -> float:
-        """Total traced host seconds (sum of span self-times)."""
-        return sum(e["self_s"] for e in self.host_spans.values())
-
     def to_dict(self) -> dict:
         out = {
             "host_spans": self.host_spans,

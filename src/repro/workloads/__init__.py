@@ -47,8 +47,6 @@ from repro.workloads.adaptive import (
 from repro.workloads.rebalance import (
     drifting_weights,
     rebalance_moves,
-    run_rebalance_campaign,
-    setup_rebalance_program,
 )
 
 
@@ -111,8 +109,6 @@ __all__ = [
     "refine_edges",
     "drifting_weights",
     "rebalance_moves",
-    "run_rebalance_campaign",
-    "setup_rebalance_program",
     "ScaleConfig",
     "scale_config",
 ]

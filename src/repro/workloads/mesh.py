@@ -54,12 +54,6 @@ class UnstructuredMesh:
         edges = np.sort(edges, axis=0)
         return UnstructuredMesh(coords=self.coords[:, inv], edges=edges)
 
-    def degree(self) -> np.ndarray:
-        deg = np.zeros(self.n_nodes, dtype=np.int64)
-        np.add.at(deg, self.edges[0], 1)
-        np.add.at(deg, self.edges[1], 1)
-        return deg
-
 
 def edges_from_simplices(simplices: np.ndarray) -> np.ndarray:
     """Unique undirected edges (2, E) from a (M, k) simplex array."""

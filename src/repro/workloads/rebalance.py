@@ -1,4 +1,4 @@
-"""Load-imbalance-driven repartitioning scenario (Table 2's epoch loop).
+"""Load-imbalance-driven repartitioning (Table 2's epoch loop).
 
 The paper's mapper/coupler story: an adaptive computation's per-node
 work drifts over time (a shock or refinement front concentrates work),
@@ -10,13 +10,12 @@ O(N) per epoch even when only a handful of elements actually move;
 ``redistribute(..., moved=...)`` makes the remap cost proportional to
 the migration delta instead.
 
-:func:`drifting_weights` produces the deterministic per-epoch work
-model (a Gaussian hotspot whose center walks across the domain);
-:func:`rebalance_moves` is the greedy balancer turning a weighted
-distribution into an element-move list; :func:`run_rebalance_campaign`
-drives the full epoch loop in either full-rebuild or incremental mode.
-Both modes land on bit-identical distributions and array contents --
-only the simulated remap charges differ.
+This module holds the two pieces of that loop a driver needs:
+:func:`drifting_weights`, the deterministic per-epoch work model (a
+Gaussian hotspot whose center walks across the domain), and
+:func:`rebalance_moves`, the greedy balancer turning a weighted
+distribution into an element-move list.  The ``rebalance_remap``
+workload of ``benchmarks/perf`` drives them step by step.
 """
 
 from __future__ import annotations
@@ -24,9 +23,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.distribution.base import Distribution
-from repro.distribution.irregular import repartition_stable
-from repro.machine.machine import Machine
-from repro.workloads.euler import euler_edge_loop, setup_euler_program
 from repro.workloads.mesh import UnstructuredMesh
 
 
@@ -38,8 +34,8 @@ def drifting_weights(
     Weight is ``1 + amplitude * exp(-(d/r)^2)`` where ``d`` is the
     distance to the epoch's hotspot center -- a new deterministic
     center per epoch, modeling a feature moving through the domain.
-    Independent of any distribution, so both campaign modes see the
-    identical load signal.
+    Independent of any distribution, so full-rebuild and incremental
+    remaps see the identical load signal.
     """
     rng = np.random.default_rng(seed)
     centers = rng.integers(0, mesh.n_nodes, size=epoch + 1)
@@ -91,58 +87,3 @@ def rebalance_moves(
         np.asarray(move_g, dtype=np.int64),
         np.asarray(move_to, dtype=np.int64),
     )
-
-
-def setup_rebalance_program(machine: Machine, mesh: UnstructuredMesh, seed: int = 0, **kwargs):
-    """Euler program partitioned by RCB: the campaign's starting state."""
-    prog = setup_euler_program(machine, mesh, seed=seed, **kwargs)
-    prog.construct("G", mesh.n_nodes, geometry=["xc", "yc", "zc"][: mesh.ndim])
-    prog.set_distribution("fmt", "G", "RCB")
-    prog.redistribute("reg", "fmt")
-    return prog
-
-
-def run_rebalance_campaign(
-    mesh: UnstructuredMesh,
-    n_procs: int,
-    epochs: int,
-    sweeps: int = 1,
-    incremental: bool = True,
-    seed: int = 0,
-    slack: float = 0.05,
-    fault_plan=None,
-    **program_kwargs,
-):
-    """Drive ``epochs`` rebalance/remap/sweep rounds.
-
-    ``incremental=False`` builds each epoch's remap schedule from
-    scratch over every element (``build_remap_schedule``'s O(N) path);
-    ``incremental=True`` derives it from the move delta
-    (:func:`~repro.chaos.remap.patch_remap_schedule`).  Both modes apply
-    the *same* ``repartition_stable``-produced distribution, so machine
-    state outside the remap phase and every array's contents are
-    bit-identical between them.  ``fault_plan`` (a
-    :class:`~repro.guard.faults.FaultPlan`) is installed on the machine
-    before any work runs, so the remap fault matrix can target both the
-    setup redistribution and the per-epoch patched remaps.  Returns
-    ``(machine, program, moves_per_epoch)``.
-    """
-    machine = Machine(n_procs)
-    if fault_plan is not None:
-        fault_plan.install(machine)
-    prog = setup_rebalance_program(machine, mesh, seed=seed, **program_kwargs)
-    loop = euler_edge_loop(mesh)
-    prog.forall(loop, n_times=sweeps)
-    moves_per_epoch: list[int] = []
-    for epoch in range(epochs):
-        w = drifting_weights(mesh, epoch, seed=seed)
-        dist = prog.decomps["reg"].distribution
-        move_g, move_to = rebalance_moves(dist, w, slack=slack)
-        moves_per_epoch.append(int(move_g.size))
-        if incremental:
-            prog.redistribute("reg", moved=(move_g, move_to))
-        else:
-            new_dist, _ = repartition_stable(dist, move_g, move_to)
-            prog.redistribute("reg", new_dist)
-        prog.forall(loop, n_times=sweeps)
-    return machine, prog, moves_per_epoch

@@ -252,7 +252,8 @@ def test_routing_fallbacks_never_build(build_calls):
     prog.forall(loop, n_times=1)
     # a write with no region information: also decided before the build
     arr = prog.arrays["end_pt2"]
-    arr.local(0)[0] = int(arr.local_ro(0)[0])
+    seg = arr.local(0)
+    seg[0] = int(seg[0])
     prog._record_write([arr])
     prog.forall(loop, n_times=1)
     assert [r["reason"] for r in prog.adapt.fallback_log] == [

@@ -5,13 +5,19 @@ one recv-slot list per ``(owner, requester)`` pair -- and keep the naive
 per-pair loop over those dicts as the reference the flat apply path is
 checked against.  ``schedule_from_pairs`` is the one place that flattens
 such dicts into the constructor's arguments; the naive references are
-fed from the test's own dicts, never from a runtime view.
+fed from the test's own dicts, never from a runtime view.  ``segment``
+reads one processor's part of a flat ``(values, bounds)`` result back.
 """
 
 import numpy as np
 
 from repro.chaos.costs import DEFAULT_COSTS
 from repro.chaos.schedule import CommSchedule
+
+
+def segment(values, bounds, p):
+    """Processor ``p``'s slice of a one-member flat stream."""
+    return values[bounds[p] : bounds[p + 1]]
 
 
 def flatten_pairs(send, recv):

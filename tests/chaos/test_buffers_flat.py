@@ -22,7 +22,6 @@ import pytest
 
 from repro.chaos import build_translation_table, localize
 from repro.chaos.kernels import sorted_unique_inverse
-from repro.chaos.localize import FlatRefs
 from repro.distribution import BlockDistribution, DistArray, IrregularDistribution
 from repro.machine import Machine
 from tests.chaos.pairs import (
@@ -30,6 +29,7 @@ from tests.chaos.pairs import (
     naive_gather,
     naive_reverse,
     schedule_from_pairs,
+    segment,
 )
 
 
@@ -213,16 +213,16 @@ def test_localize_ghost_order_matches_np_unique(seed):
     ]
     res = localize(m, tt, [np.asarray(r, dtype=np.int64) for r in refs])
     owners = np.asarray(dist.owner(np.arange(size)))
-    ghost_globals = FlatRefs(res.ghost_flat, res.ghost_bounds)
-    local_refs = FlatRefs(res.refs_flat, res.ref_bounds)
     for p in range(n_procs):
+        ghost_globals = segment(res.ghost_flat, res.ghost_bounds, p)
         off = np.asarray(refs[p])[owners[np.asarray(refs[p], dtype=np.int64)] != p]
-        np.testing.assert_array_equal(ghost_globals.segment(p), np.unique(off))
+        np.testing.assert_array_equal(ghost_globals, np.unique(off))
         # localized indices reproduce the reference stream
         g = np.arange(size, dtype=np.float64) * 3
         combined = np.concatenate(
-            [g[dist.local_indices(p)], g[ghost_globals.segment(p)]]
+            [g[dist.local_indices(p)], g[ghost_globals]]
         )
         np.testing.assert_array_equal(
-            combined[local_refs.segment(p)], g[np.asarray(refs[p], dtype=np.int64)]
+            combined[segment(res.refs_flat, res.ref_bounds, p)],
+            g[np.asarray(refs[p], dtype=np.int64)],
         )

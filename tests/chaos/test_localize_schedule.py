@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 from repro.chaos import REDUCTION_OPS, build_translation_table, localize
-from repro.chaos.flatrefs import FlatRefs
 from repro.core import ArrayRef, Reduce
 from repro.distribution import BlockDistribution, DistArray, IrregularDistribution
 from repro.machine import Machine
-from tests.chaos.pairs import ghost_regions
+from tests.chaos.pairs import ghost_regions, segment
 
 
 @pytest.fixture
@@ -29,11 +28,11 @@ def make_setup(m, dist, ref_lists, values=None):
 
 
 def local_refs(res, p):
-    return FlatRefs(res.refs_flat, res.ref_bounds).segment(p)
+    return segment(res.refs_flat, res.ref_bounds, p)
 
 
 def ghost_globals(res, p):
-    return FlatRefs(res.ghost_flat, res.ghost_bounds).segment(p)
+    return segment(res.ghost_flat, res.ghost_bounds, p)
 
 
 class TestLocalize:

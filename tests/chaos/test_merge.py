@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.chaos import build_translation_table, localize
-from repro.chaos.merge import gather_merged, merged_message_count, scatter_op_merged
+from repro.chaos.merge import gather_merged, scatter_op_merged
 from repro.distribution import BlockDistribution, DistArray
 from repro.machine import Machine
 from tests.chaos.pairs import ghost_regions
@@ -103,16 +103,6 @@ class TestScatterOpMerged:
         (la, aa, ga), _ = setup(m, [[15], [], [], []], [[14], [], [], []])
         with pytest.raises(TypeError, match="ufunc"):
             scatter_op_merged([(la.schedule, ga, aa, sum)])
-
-
-class TestMergedMessageCount:
-    def test_counts(self):
-        m = Machine(4)
-        (la, aa, ga), (lb, ab, gb) = setup(
-            m, [[15], [], [], []], [[14], [], [], []]
-        )
-        separate, merged = merged_message_count([la.schedule, lb.schedule])
-        assert separate == 2 and merged == 1
 
 
 class TestExecutorIntegration:

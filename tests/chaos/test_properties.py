@@ -4,7 +4,6 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.chaos import build_translation_table, localize
-from repro.chaos.flatrefs import FlatRefs
 from repro.chaos.remap import remap_arrays
 from repro.distribution import (
     BlockDistribution,
@@ -13,7 +12,7 @@ from repro.distribution import (
     IrregularDistribution,
 )
 from repro.machine import Machine
-from tests.chaos.pairs import ghost_regions
+from tests.chaos.pairs import ghost_regions, segment
 
 
 @st.composite
@@ -49,10 +48,9 @@ def test_gather_reproduces_global_reads(case):
     ghosts = np.zeros(res.schedule.ghost_total(), dtype=arr.dtype)
     regions = ghost_regions(res.schedule, ghosts)
     res.schedule.gather(arr, ghosts)
-    local_refs = FlatRefs(res.refs_flat, res.ref_bounds)
     for p in range(n_procs):
         combined = np.concatenate([arr.local(p), regions[p]])
-        assert np.array_equal(combined[local_refs.segment(p)], vals[refs[p]])
+        assert np.array_equal(combined[segment(res.refs_flat, res.ref_bounds, p)], vals[refs[p]])
 
 
 @given(localize_cases())
@@ -70,10 +68,9 @@ def test_scatter_add_matches_sequential_reduction(case):
 
     # each processor contributes 1.0 per reference, into local part or ghost
     expected = np.zeros(dist.size)
-    local_refs = FlatRefs(res.refs_flat, res.ref_bounds)
     for p in range(n_procs):
         combined = np.zeros(dist.size and (res.local_sizes[p] + regions[p].size))
-        np.add.at(combined, local_refs.segment(p), 1.0)
+        np.add.at(combined, segment(res.refs_flat, res.ref_bounds, p), 1.0)
         arr.local(p)[:] += combined[: res.local_sizes[p]]
         regions[p][:] = combined[res.local_sizes[p]:]
         np.add.at(expected, refs[p], 1.0)

@@ -19,7 +19,7 @@ import pytest
 from repro.guard import FaultPlan
 from repro.machine.stats import COUNTER_FIELDS
 from repro.workloads import generate_mesh
-from repro.workloads.rebalance import run_rebalance_campaign
+from tests.workloads.helpers import run_rebalance_campaign
 
 N_PROCS = 4
 EPOCHS = 2

@@ -32,6 +32,7 @@ from repro.distribution.irregular import ExplicitDistribution
 from repro.machine import Machine
 from repro.machine.machine import ComputeCharge, ExchangeCharge
 from repro.machine.stats import COUNTER_FIELDS
+from tests.chaos.pairs import segment
 from tests.core.test_miss_path_kernels import COMPUTE_VECTORS, EXCHANGE_VECTORS, digest
 
 N_PROCS = 8  # the default hypercube wants a power of two
@@ -259,9 +260,9 @@ def test_stacked_localize_matches_the_dict_and_loop_reference(kind, variant, k, 
     n_refs = int(res.ref_bounds[-1])
     assert res.refs_flat.size == k * n_refs
     for j, member in enumerate(members):
-        view = FlatRefs(res.refs_flat[j * n_refs : (j + 1) * n_refs], res.ref_bounds)
+        view = res.refs_flat[j * n_refs : (j + 1) * n_refs]
         for p in range(N_PROCS):
-            got = view.segment(p).tolist()
+            got = segment(view, res.ref_bounds, p).tolist()
             assert got == localized[j][p]
             combined = dist.local_indices(p).tolist() + ghosts[p]
             assert [combined[v] for v in got] == member[p]

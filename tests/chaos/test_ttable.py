@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.chaos.flatrefs import FlatRefs
 from repro.chaos.ttable import (
     DistributedTranslationTable,
     RegularTranslationTable,
@@ -11,6 +12,7 @@ from repro.chaos.ttable import (
 )
 from repro.distribution import BlockDistribution, CyclicDistribution, IrregularDistribution
 from repro.machine import Machine
+from tests.chaos import ttable_oracle
 
 
 @pytest.fixture
@@ -23,36 +25,36 @@ def random_irregular(size, n_procs, seed=0):
     return IrregularDistribution(rng.integers(0, n_procs, size=size), n_procs)
 
 
+def one_requester(n_procs, p, refs):
+    """``(values, bounds)`` of a flat stream in which only ``p`` holds
+    references."""
+    values = np.asarray(refs, dtype=np.int64)
+    bounds = np.zeros(n_procs + 1, dtype=np.int64)
+    bounds[p + 1 :] = values.size
+    return values, bounds
+
+
 class TestCorrectness:
     @pytest.mark.parametrize("variant", ["replicated", "distributed"])
     def test_matches_distribution(self, m4, variant):
-        dist = random_irregular(50, 4)
+        dist = random_irregular(60, 4, seed=3)
         tt = build_translation_table(m4, dist, variant=variant)
-        g = np.arange(50, dtype=np.int64)
-        owners, lidx = tt.dereference(1, g)
-        assert np.array_equal(owners, dist.owner(g))
-        assert np.array_equal(lidx, dist.local_index(g))
+        refs = FlatRefs.from_lists([np.arange(p, 60, 4, dtype=np.int64) for p in range(4)])
+        owners, lidx = tt.dereference_flat(refs.values, refs.bounds)
+        assert np.array_equal(owners, dist.owner(refs.values))
+        assert np.array_equal(lidx, dist.local_index(refs.values))
 
     def test_regular_table(self, m4):
         dist = CyclicDistribution(20, 4)
         tt = build_translation_table(m4, dist)
         assert isinstance(tt, RegularTranslationTable)
-        owners, lidx = tt.dereference(0, np.array([5, 6, 7]))
+        owners, lidx = tt.dereference_flat(*one_requester(4, 0, [5, 6, 7]))
         assert owners.tolist() == [1, 2, 3]
-
-    def test_dereference_all_matches_single(self, m4):
-        dist = random_irregular(60, 4, seed=3)
-        tt = DistributedTranslationTable(m4, dist)
-        refs = [np.arange(p, 60, 4, dtype=np.int64) for p in range(4)]
-        batched = tt.dereference_all(refs)
-        for p, (owners, lidx) in enumerate(batched):
-            assert np.array_equal(owners, dist.owner(refs[p]))
-            assert np.array_equal(lidx, dist.local_index(refs[p]))
 
     def test_empty_reference_list(self, m4):
         dist = random_irregular(10, 4)
         tt = DistributedTranslationTable(m4, dist)
-        owners, lidx = tt.dereference(2, np.empty(0, dtype=np.int64))
+        owners, lidx = tt.dereference_flat(*one_requester(4, 2, []))
         assert owners.size == 0 and lidx.size == 0
 
 
@@ -60,7 +62,7 @@ class TestCosts:
     def test_regular_translation_is_cheap_and_local(self, m4):
         dist = BlockDistribution(100, 4)
         tt = RegularTranslationTable(m4, dist)
-        tt.dereference(0, np.arange(100))
+        tt.dereference_flat(*one_requester(4, 0, np.arange(100)))
         assert m4.counters.messages_sent[0] == 0
         assert m4.counters.clock[0] > 0
 
@@ -77,7 +79,7 @@ class TestCosts:
         tt = DistributedTranslationTable(m, dist)
         sent_before = m.counters.messages_sent[0]
         # proc 0 asks about indices on pages owned by procs 1..3
-        tt.dereference(0, np.arange(30, 100, dtype=np.int64))
+        tt.dereference_flat(*one_requester(4, 0, np.arange(30, 100)))
         assert m.counters.messages_sent[0] > sent_before
 
     def test_local_page_probe_sends_nothing(self):
@@ -86,61 +88,68 @@ class TestCosts:
         tt = DistributedTranslationTable(m, dist)
         m.reset()
         # pages are block-distributed: indices 0..24 live on page-owner 0
-        tt.dereference(0, np.arange(0, 25, dtype=np.int64))
-        assert m.counters.messages_sent[0] == 0
+        tt.dereference_flat(*one_requester(4, 0, np.arange(0, 25)))
+        assert m.counters.messages_sent.sum() == 0
 
-    def test_batched_dereference_message_parity(self):
-        """Batched dereference aggregates by page owner exactly like the
-        per-processor path: same message counts, same bytes."""
-        dist = random_irregular(200, 4, seed=2)
-        refs = [np.arange(200, dtype=np.int64) for _ in range(4)]
-        m_serial = Machine(4)
-        tt = DistributedTranslationTable(m_serial, dist)
-        m_serial.reset()
-        for p in range(4):
-            tt.dereference(p, refs[p])
-        m_batch = Machine(4)
-        tt2 = DistributedTranslationTable(m_batch, dist)
-        m_batch.reset()
-        tt2.dereference_all(refs)
-        for p in range(4):
-            assert (
-                m_batch.counters.messages_sent[p]
-                == m_serial.counters.messages_sent[p]
-            )
-            assert m_batch.counters.bytes_sent[p] == m_serial.counters.bytes_sent[p]
 
+#: every per-processor counter a translation charge moves
+CHARGED_COUNTERS = (
+    "iops", "messages_sent", "messages_received", "bytes_sent", "bytes_received",
+)  # fmt: skip
+
+
+class TestPerProcessorOracle:
+    """The batched phase charges every processor exactly what the
+    per-processor form (``ttable_oracle``) charges it, one requesting
+    processor at a time: same translations, same iops, messages and
+    bytes -- for every table kind, one or two stacked members, with or
+    without the caller's ``requesters``."""
+
+    @pytest.mark.parametrize("variant", ["regular", "replicated", "distributed"])
+    @pytest.mark.parametrize("members", [1, 2])
+    @pytest.mark.parametrize("pass_requesters", [False, True])
     @pytest.mark.parametrize("seed", [3, 4, 5])
-    def test_batched_equals_non_batched_results_and_traffic(self, seed):
-        """Both dereference paths share the paged-request kernel: identical
-        translations and identical per-pair request/reply traffic on
-        randomized reference lists (duplicates and gaps included)."""
+    def test_flat_charges_equal_per_processor_charges(
+        self, variant, members, pass_requesters, seed
+    ):
         rng = np.random.default_rng(seed)
         n_procs, size = 8, 150
-        dist = random_irregular(size, n_procs, seed=seed)
-        refs = [
-            rng.integers(0, size, size=int(rng.integers(0, 80))).astype(np.int64)
-            for _ in range(n_procs)
-        ]
-        m_serial = Machine(n_procs)
-        tt_serial = DistributedTranslationTable(m_serial, dist)
-        m_serial.reset()
-        serial = [tt_serial.dereference(p, refs[p]) for p in range(n_procs)]
+        dist = (
+            BlockDistribution(size, n_procs)
+            if variant == "regular"
+            else random_irregular(size, n_procs, seed=seed)
+        )
+        # duplicates, gaps and empty lists; every member laid out by the
+        # same bounds, as a coalesced pattern group is
+        sizes = rng.integers(0, 40, size=n_procs)
+        sizes[rng.integers(0, n_procs)] = 0
+        bounds = np.concatenate(([0], np.cumsum(sizes))).astype(np.int64)
+        stacked = rng.integers(0, size, size=(members, int(bounds[-1])))
+        requesters = np.repeat(np.arange(n_procs), sizes) if pass_requesters else None
 
-        m_batch = Machine(n_procs)
-        tt_batch = DistributedTranslationTable(m_batch, dist)
-        m_batch.reset()
-        batched = tt_batch.dereference_all(refs)
+        m_flat = Machine(n_procs)
+        tt = build_translation_table(m_flat, dist, variant=variant)
+        m_flat.reset()
+        owners, lidx = tt.dereference_flat(stacked.ravel(), bounds, requesters=requesters)
 
-        for p in range(n_procs):
-            np.testing.assert_array_equal(serial[p][0], batched[p][0])
-            np.testing.assert_array_equal(serial[p][1], batched[p][1])
-            np.testing.assert_array_equal(serial[p][0], dist.owner(refs[p]))
-            np.testing.assert_array_equal(serial[p][1], dist.local_index(refs[p]))
-        for name in ("messages_sent", "messages_received", "bytes_sent", "bytes_received"):
+        m_one = Machine(n_procs)
+        oracle_tt = build_translation_table(m_one, dist, variant=variant)
+        m_one.reset()
+        per_proc = ttable_oracle.dereference_all(
+            oracle_tt,
+            [stacked[:, bounds[p] : bounds[p + 1]].ravel() for p in range(n_procs)],
+        )
+
+        for p, (o, li) in enumerate(per_proc):
+            seg = slice(bounds[p], bounds[p + 1])
+            np.testing.assert_array_equal(owners.reshape(members, -1)[:, seg].ravel(), o)
+            np.testing.assert_array_equal(lidx.reshape(members, -1)[:, seg].ravel(), li)
+        for name in CHARGED_COUNTERS:
             np.testing.assert_array_equal(
-                getattr(m_serial.counters, name), getattr(m_batch.counters, name)
+                getattr(m_flat.counters, name), getattr(m_one.counters, name), err_msg=name
             )
+        if variant == "distributed":
+            assert m_flat.counters.messages_sent.sum() > 0
 
 
 class TestFactory:

@@ -53,10 +53,6 @@ class TestForallLoop:
     def test_written_arrays(self):
         assert self.make_l2().written_arrays() == ["y"]
 
-    def test_flops_sum(self):
-        loop = self.make_l2()
-        assert loop.flops_per_iteration() == 2.0
-
     def test_l1_single_statement(self):
         """The paper's loop L1: y(ia(i)) = x(ib(i)) + x(ic(i))."""
         loop = ForallLoop(

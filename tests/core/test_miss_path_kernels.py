@@ -36,7 +36,7 @@ from repro.distribution import IrregularDistribution
 from repro.machine.machine import ComputeCharge, ExchangeCharge, Machine
 from repro.machine.stats import COUNTER_FIELDS
 from repro.workloads.mesh import generate_mesh
-from repro.workloads.rebalance import run_rebalance_campaign
+from tests.workloads.helpers import run_rebalance_campaign
 
 
 # ----------------------------------------------------------------------

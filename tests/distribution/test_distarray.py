@@ -147,14 +147,3 @@ class TestDecomposition:
         dec.align(arr)
         dec.align(arr)
         assert dec.arrays == [arr]
-
-    def test_unalign(self, m4):
-        dec = Decomposition("reg", 10)
-        dist = BlockDistribution(10, 4)
-        dec.distribute(dist)
-        arr = DistArray(m4, dist)
-        dec.align(arr)
-        dec.unalign(arr)
-        assert dec.arrays == [] and arr.decomposition is None
-        with pytest.raises(ValueError, match="not aligned"):
-            dec.unalign(arr)

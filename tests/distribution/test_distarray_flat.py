@@ -27,7 +27,7 @@ from repro.distribution import (
     IrregularDistribution,
 )
 from repro.machine.machine import Machine
-from tests.chaos.pairs import ghost_regions
+from tests.chaos.pairs import ghost_regions, segment
 
 
 # ----------------------------------------------------------------------
@@ -169,7 +169,7 @@ def test_localize_round_trip_matches_list_oracle(seed):
     for p, region in enumerate(ghost_regions(res.schedule, ghosts)):
         combined = np.concatenate([ref.local(p), region])
         np.testing.assert_array_equal(
-            combined[FlatRefs(res.refs_flat, res.ref_bounds).segment(p)], vals[ref_lists[p]]
+            combined[segment(res.refs_flat, res.ref_bounds, p)], vals[ref_lists[p]]
         )
 
 
@@ -239,7 +239,6 @@ class TestGlobalViewCache:
         assert arr.global_view() is gv  # cache hit, same object
         arr.to_global()
         arr.global_get([3, 5])
-        arr.local_ro(1)
         arr.backing_ro
         assert arr.version == v0
         assert arr.global_view() is gv
@@ -253,10 +252,10 @@ class TestGlobalViewCache:
         g[0] = 99.0  # fresh copy, must be writable
         assert arr.global_view()[0] != 99.0
 
-    def test_local_ro_rejects_writes(self, m4):
+    def test_backing_ro_rejects_writes(self, m4):
         arr = make_arr(m4)
         with pytest.raises((ValueError, RuntimeError)):
-            arr.local_ro(0)[0] = 1.0
+            arr.backing_ro[0] = 1.0
 
     def test_global_set_invalidates(self, m4):
         arr = make_arr(m4)

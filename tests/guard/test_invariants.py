@@ -7,7 +7,6 @@ from repro.chaos.schedule import CommSchedule
 from repro.guard import (
     InvariantViolation,
     check_level,
-    content_checksum,
     gather_divergence,
     verify_adapt_state,
     verify_partition,
@@ -207,17 +206,3 @@ class TestContentChecks:
         ghosts[live[0]] += 1.0
         bad = gather_divergence(pat, arr, ghosts)
         assert np.array_equal(bad, live[:1])
-
-    def test_content_checksum_cached_on_version(self):
-        machine = Machine(2)
-        from repro.distribution import BlockDistribution, DistArray
-
-        arr = DistArray.from_global(
-            machine, BlockDistribution(8, 2), np.arange(8.0)
-        )
-        c0 = content_checksum(arr)
-        assert content_checksum(arr) == c0  # cache hit, same content
-        arr.global_set(np.array([3]), np.array([99.0]))
-        c1 = content_checksum(arr)
-        assert c1 != c0
-        assert content_checksum(np.arange(8.0)) == c0  # raw ndarray path

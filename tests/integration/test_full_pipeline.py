@@ -18,6 +18,7 @@ from repro.workloads.md import (
     md_sequential_reference,
     setup_md_program,
 )
+from tests.workloads.helpers import degree
 
 
 GEOMETRY_PARTITIONERS = ["RCB"]
@@ -59,7 +60,7 @@ class TestEulerAllPartitioners:
         m = Machine(4)
         prog = setup_euler_program(m, mesh, seed=3)
         x = prog.arrays["x"].to_global()
-        deg = mesh.degree().astype(np.float64)
+        deg = degree(mesh).astype(np.float64)
         prog.array("w", "reg", values=deg)
         prog.construct("G", mesh.n_nodes, geometry=["xc", "yc", "zc"], load="w")
         prog.set_distribution("fmt", "G", "RCB")
@@ -78,7 +79,7 @@ class TestEulerAllPartitioners:
         m = Machine(4)
         prog = setup_euler_program(m, mesh, seed=3)
         x = prog.arrays["x"].to_global()
-        deg = mesh.degree().astype(np.float64)
+        deg = degree(mesh).astype(np.float64)
         prog.array("w", "reg", values=deg)
         prog.construct("G", mesh.n_nodes, load="w")
         prog.set_distribution("fmt", "G", "LOAD")

@@ -319,10 +319,6 @@ def test_phases_match_object_store(n_procs, seed):
     for rec, (_, elapsed, per_proc) in zip(machine.stats.phases, ref.phases):
         assert rec.elapsed == elapsed
         assert_block_matches(rec.arrays, per_proc)
-        assert rec.total_messages == sum(s.messages_sent for s in per_proc)
-        assert rec.total_bytes == sum(s.bytes_sent for s in per_proc)
-        assert rec.total_flops == sum(s.flops for s in per_proc)
-        assert rec.max_clock == max((s.clock for s in per_proc), default=0.0)
     assert_identical(machine, ref)
 
 

@@ -147,8 +147,8 @@ class TestBarrierAndPhases:
             m4.send(0, 1, 1000)
             m4.send(2, 3, 500)
         rec = m4.stats.phases[-1]
-        assert rec.total_messages == 2
-        assert rec.total_bytes == 1500
+        assert rec.arrays.messages_sent.sum() == 2
+        assert rec.arrays.bytes_sent.sum() == 1500
 
     def test_reset(self, m4):
         with m4.phase("x"):

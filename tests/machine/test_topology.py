@@ -34,20 +34,6 @@ class TestHypercube:
             for b in range(8):
                 assert t.hops(a, b) == t.hops(b, a)
 
-    def test_diameter(self):
-        assert HypercubeTopology(64).diameter() == 6
-
-    def test_neighbors(self):
-        t = HypercubeTopology(8)
-        assert sorted(t.neighbors(0)) == [1, 2, 4]
-        assert sorted(t.neighbors(5)) == [1, 4, 7]
-
-    def test_neighbors_are_one_hop(self):
-        t = HypercubeTopology(16)
-        for p in range(16):
-            for q in t.neighbors(p):
-                assert t.hops(p, q) == 1
-
     def test_out_of_range(self):
         t = HypercubeTopology(4)
         with pytest.raises(ValueError, match="out of range"):
@@ -61,13 +47,6 @@ class TestFullyConnected:
         t = FullyConnectedTopology(5)
         assert t.hops(2, 2) == 0
         assert t.hops(0, 4) == 1
-        assert t.diameter() == 1
-
-    def test_single_proc_diameter(self):
-        assert FullyConnectedTopology(1).diameter() == 0
-
-    def test_neighbors_are_all_others(self):
-        assert FullyConnectedTopology(4).neighbors(1) == [0, 2, 3]
 
 
 @pytest.mark.parametrize(
@@ -87,10 +66,6 @@ class TestEveryTopology:
         src, dst = self.all_pairs(n_procs)
         expected = [t.hops(int(s), int(d)) for s, d in zip(src, dst)]
         assert t.hops_array(src, dst).tolist() == expected
-
-    def test_diameter_is_largest_hop_count(self, name, n_procs):
-        t = make_topology(name, n_procs)
-        assert t.diameter() == int(t.hops_array(*self.all_pairs(n_procs)).max())
 
     def test_hops_array_range_checked(self, name, n_procs):
         t = make_topology(name, n_procs)

@@ -89,7 +89,8 @@ class TestProtocolPatterns:
         dist = IrregularDistribution(rng.integers(0, 4, 64), 4)
         tt = build_translation_table(m, dist, variant="distributed")
         with spy_exchanges(m) as spy:
-            tt.dereference(0, np.arange(64, dtype=np.int64))
+            # processor 0 holds every reference, the others none
+            tt.dereference_flat(np.arange(64), np.array([0, 64, 64, 64, 64]))
         seen = pairs(spy)
         requests = {(a, b) for (a, b) in seen if a == 0}
         assert requests

@@ -250,7 +250,7 @@ class TestSnapshotAndExport:
         assert d["simulated_counters"]["messages"] > 0
         assert "inspect" in d["host_spans"] and "execute" in d["host_spans"]
         assert d["host_spans"]["inspect"]["count"] >= 3
-        assert snap.host_total() > 0
+        assert sum(e["self_s"] for e in d["host_spans"].values()) > 0
         assert d["event_counts"].get("adapt.fallback") == 1
         assert d["cache"] is None or "hits" in d["cache"]
 

@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 from repro.partitioners import PartitionProblem, get_partitioner, weighted_median_split
 from repro.partitioners.rcb import MEDIAN_PROBES, PROBE_IOPS, RECORD_BYTES
 from repro.workloads.mesh import generate_mesh
+from tests.workloads.helpers import degree
 
 
 def recursive_rcb(problem, n_parts):
@@ -99,7 +100,7 @@ def test_no_vertex_or_one(n, n_parts):
 @pytest.mark.parametrize("weighted", [False, True])
 def test_mesh(n_parts, weighted):
     mesh = generate_mesh(2_000, seed=0)
-    weights = mesh.degree().astype(float) if weighted else None
+    weights = degree(mesh).astype(float) if weighted else None
     assert_matches_recursion(
         PartitionProblem(mesh.n_nodes, coords=mesh.coords, weights=weights), n_parts
     )

@@ -7,6 +7,7 @@ import pytest
 
 from repro.workloads import edges_from_simplices, generate_mesh
 from repro.workloads.mesh import UnstructuredMesh
+from tests.workloads.helpers import degree
 
 
 class TestEdgesFromSimplices:
@@ -89,7 +90,7 @@ class TestGenerateMesh:
         rng = np.random.default_rng(0)
         renamed = mesh.renumbered(rng)
         # degree multiset is invariant under renumbering
-        assert sorted(mesh.degree().tolist()) == sorted(renamed.degree().tolist())
+        assert sorted(degree(mesh).tolist()) == sorted(degree(renamed).tolist())
         # edge lengths are invariant too
         def lengths(m):
             d = m.coords[:, m.edges[0]] - m.coords[:, m.edges[1]]

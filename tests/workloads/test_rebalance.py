@@ -4,13 +4,9 @@ import numpy as np
 import pytest
 
 from repro.workloads import generate_mesh
-from repro.workloads.rebalance import (
-    drifting_weights,
-    rebalance_moves,
-    run_rebalance_campaign,
-    setup_rebalance_program,
-)
+from repro.workloads.rebalance import drifting_weights, rebalance_moves
 from repro.machine import Machine
+from tests.workloads.helpers import run_rebalance_campaign, setup_rebalance_program
 
 N_PROCS = 4
 EPOCHS = 3
