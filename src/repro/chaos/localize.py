@@ -14,28 +14,41 @@ reference, ``localize``
 5. builds the :class:`~repro.chaos.schedule.CommSchedule` that fetches
    the ghost elements.
 
-Reference lists travel in **flat form**: one concatenated value array
-plus CSR bounds (:class:`FlatRefs`), so the whole localize pass — one
-``dereference_flat`` translation included — runs on single arrays with
-no per-processor concatenation or Python loop.  A coalesced pattern
-group is one *stacked* stream: its members' lists back to back, each in
-the same per-processor order under the one ``bounds``, so the requester
-of a position is a row-wise broadcast and a member of the result is a
-slice; plain per-processor lists (accepted as *input*, flattened once at
-entry) are the one-member case of the same body.  Only the
-off-processor references, one index list into the stream, are touched
-after the translation.  The result is flat only: :class:`LocalizeResult`
-stores ``(values, bounds)`` pairs; ``values[bounds[p]:bounds[p + 1]]`` is
-one processor's part of a one-member result.
+Reference lists travel in **flat form** (:class:`FlatRefs`): CSR bounds
+over one stream, materialised or gathered through the inspector's
+indirection arrays.  A coalesced pattern group is one *stacked* stream:
+its members' lists back to back, each in the same per-processor order
+under the one ``bounds``; plain per-processor lists (accepted as
+*input*, flattened once at entry) are the one-member case.  The result
+is flat only: :class:`LocalizeResult` stores ``(values, bounds)``
+pairs; ``values[bounds[p]:bounds[p + 1]]`` is one processor's part of a
+one-member result.
 
-Deduplication is one direct sort (``repro.chaos.kernels``) over combined
-``processor * stride + global_index`` keys, each packed with its stream
-position so the sorted keys, the uniques and the inverse mapping all
-fall out of that sort — the same sorted-unique contract as
-``np.unique(..., return_inverse=True)`` without its indirect argsort;
-per-processor group bounds are ``n + 1`` binary searches on the uniques.
-The unique ghosts are then grouped into (requester, owner) pairs by a
-radix sort on the pair id, linear for any processor count.
+**Strips.**  Steps 1-4 and the pair grouping of step 5 are one body run
+per *strip* -- a run of whole processors (``repro.chaos.strips``) -- on
+the strip pool.  For its processors a strip reads its block of every
+member straight from the stream, translates it, counts what the
+translation table charges (:meth:`~repro.chaos.ttable.Translator.strip_counts`),
+masks the off-processor references, deduplicates them with one keyed
+sort, assigns ghost slots, writes its part of the localized references
+and groups its unique ghosts into ``(requester, owner)`` pair runs.
+Deduplication is one direct sort (``repro.chaos.kernels``) over
+``processor * stride + global_index`` keys, the same sorted-unique
+contract as ``np.unique(..., return_inverse=True)``; ascending keys give
+the sorted-global ghost slot order per processor, like PARTI's hashed
+order.  A stable radix sort on the pair id groups the ghosts
+requester-major, owner-minor, slots ascending.  Keys are
+requester-major and strips hold disjoint runs of processors, so the
+strips' uniques, slots and pairs concatenate in processor order into
+exactly what one pass over the whole stream gives.  Localizing a
+gathered stream, nothing stream-sized exists but the localized
+references themselves.
+
+After the strips, serially, come every charge (the table's, then
+localize's own, in one fixed order) and the one ``CommSchedule``
+construction.  An out-of-range reference is refused with the
+``IndexError`` of the first bad value in stream order, and a malformed
+stream with ``ValueError``, before anything is charged.
 
 The cost charged mirrors what PARTI's hashed implementation did per
 reference: a hash probe per reference, an insert per unique off-processor
@@ -45,10 +58,12 @@ telling each owner which of its elements to send.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from repro.chaos import strips
 from repro.chaos.costs import DEFAULT_COSTS
 from repro.chaos.flatrefs import FlatRefs
 from repro.chaos.kernels import sorted_unique_inverse, stable_order
@@ -148,106 +163,78 @@ def localize(
     refs.check()  # before anything is charged
     if refs.n_procs != n:
         raise ValueError(f"expected {n} reference lists, got {refs.n_procs}")
+    dist = ttable.dist
+    local_sizes = dist.local_sizes()
+    bounds = refs.bounds
+    localized = np.empty(refs.members * int(bounds[-1]), dtype=np.int64)
+    cuts = strips.strip_cuts(bounds, strips.STRIP_ITERS)
+    parts: list = [None] * (len(cuts) - 1)
+    out_of_range: list[tuple[int, int, IndexError]] = []
+
+    def run_strip(k: int) -> None:
+        t0 = time.perf_counter_ns()
+        try:
+            parts[k] = _localize_strip(
+                ttable, refs, cuts[k], cuts[k + 1], local_sizes, localized
+            )
+        except _OutOfRange as exc:
+            out_of_range.append((exc.member, k, exc.error))
+        finally:
+            if obs.enabled:
+                b0, b1 = bounds[cuts[k]], bounds[cuts[k + 1]]
+                obs.record(
+                    "localize.strip",
+                    t0,
+                    time.perf_counter_ns() - t0,
+                    parent=strips_span.id,
+                    first_proc=cuts[k],
+                    n_procs=cuts[k + 1] - cuts[k],
+                    n_refs=refs.members * int(b1 - b0),
+                )
+
+    with obs.span(
+        "localize.strips", n_refs=localized.size, n_strips=len(cuts) - 1
+    ) as strips_span:
+        strips.run_strips(run_strip, len(cuts) - 1)
+    if out_of_range:
+        # the first bad value in stream order: lowest member, then strip
+        raise min(out_of_range, key=lambda e: e[:2])[2]
+    (
+        counts, n_off, ghost_counts, ghost_flat, pair_p, pair_q, pair_len, send, recv
+    ) = (np.concatenate(field) for field in zip(*parts))
+    del parts
+    ghost_bounds = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(ghost_counts, out=ghost_bounds[1:])
+
     # a recording sink forwards every charge unchanged, so a cold fill
     # charges exactly what an uncached run would
     sink = ChargeLog(machine) if caching else machine
-    dist = ttable.dist
-    flat_refs = refs.values
-    seg_sizes = refs.sizes()
-    sizes = refs.members * seg_sizes
-    pid = refs.requesters
-    if pid is None:
-        pid = np.repeat(np.arange(n, dtype=np.int64), seg_sizes)
-    with obs.span("localize.dereference", n_refs=int(flat_refs.size)):
-        # ``localized_flat`` starts as the local offsets (a fresh array)
-        flat_owner, localized_flat = ttable.dereference_flat(
-            flat_refs, refs.bounds, sink=sink, requesters=pid
-        )
-
-    local_sizes_arr = dist.local_sizes()
-    # stream positions of the off-processor references: the requester
-    # ids broadcast over the members' rows, and everything below is
-    # sized by this one index list, not by the stream
-    off = np.flatnonzero(flat_owner.reshape(refs.members, -1) != pid)
-    off_pid = pid[off % max(pid.size, 1)]
-    off_refs = flat_refs[off]
-    n_off = np.bincount(off_pid, minlength=n)
-    # dedup off-processor references per processor with one keyed sorted
-    # unique; ascending keys give deterministic (sorted-global) ghost
-    # slot order per processor, like PARTI's hashed order.  Keys cannot
-    # collide across processors because every global index is < dist.size.
-    stride = max(dist.size, 1)
-    keys = off_pid * stride + off_refs
-    with obs.span("localize.dedup", n_off=int(keys.size)):
-        uniq_keys, inverse = sorted_unique_inverse(keys)
-    # per-processor group bounds on the sorted uniques: n+1 binary
-    # searches instead of a bincount over a division-derived pid array
-    ghost_bounds = np.searchsorted(
-        uniq_keys, np.arange(n + 1, dtype=np.int64) * stride
-    )
-    ghost_counts = np.diff(ghost_bounds)
-    upid = np.repeat(np.arange(n, dtype=np.int64), ghost_counts)
-    ugidx = uniq_keys - upid * stride
-    slots = np.arange(uniq_keys.size, dtype=np.int64) - ghost_bounds[upid]
-    ghost_sizes = [int(c) for c in ghost_counts]
-
-    # rewrite every reference to a localized index: local offsets stay,
-    # off-processor references become local_size + ghost slot
-    localized_flat[off] = (local_sizes_arr[upid] + slots)[inverse]
-    ref_bounds = refs.bounds
-
-    # build schedule entries for each (owner q, requester p) pair: one
-    # stable radix sort groups the unique ghosts requester-major,
-    # owner-minor, ghost slots ascending within each owner (as per-owner
-    # masking did)
-    uowners = np.asarray(dist.owner(ugidx), dtype=np.int64) if ugidx.size else ugidx
-    ulidx = (
-        np.asarray(dist.local_index(ugidx), dtype=np.int64) if ugidx.size else ugidx
-    )
-    pair_keys = upid * n + uowners
-    order = stable_order(pair_keys, n * n)
-    pair_keys = pair_keys[order]
-    # pair boundaries on the already-sorted keys (no second sort)
-    if pair_keys.size:
-        seg_starts = np.concatenate(
-            ([0], np.flatnonzero(np.diff(pair_keys)) + 1)
-        )
-    else:
-        seg_starts = np.empty(0, dtype=np.int64)
-    seg_keys = pair_keys[seg_starts] if pair_keys.size else pair_keys
-    seg_bounds = np.append(seg_starts, order.size)
-    pair_counts = np.diff(seg_bounds)
-    pair_p = seg_keys // n
-    pair_q = seg_keys % n
-    sorted_lidx = ulidx[order]
-    sorted_slots = slots[order]
-
-    # charge inspector integer work per processor: one hash probe per
+    ttable.charge_counts(sink, counts)
+    # inspector integer work per processor: one hash probe per
     # reference, an insert per unique ghost, schedule build + buffer
     # assignment, and a localized-index rewrite probe per off-proc ref
     ghost_f = ghost_counts.astype(np.float64)
     sink.charge_compute_all(
         iops=(
-            DEFAULT_COSTS.hash_lookup * sizes.astype(np.float64)
+            DEFAULT_COSTS.hash_lookup * (refs.members * refs.sizes()).astype(np.float64)
             + DEFAULT_COSTS.hash_insert * ghost_f
             + DEFAULT_COSTS.schedule_build * ghost_f
             + DEFAULT_COSTS.buffer_assign * ghost_f
             + DEFAULT_COSTS.hash_lookup * n_off.astype(np.float64)
         ),
     )
-
     # request exchange: each requester tells each owner which local
     # elements to send (index lists on the wire); owners then record
-    # their send lists.  Pairs are already requester-major / owner-minor
-    # ascending — the same order the dense-matrix nonzero scan produced.
+    # their send lists.  Pairs are requester-major / owner-minor
+    # ascending -- the same order the dense-matrix nonzero scan produced.
     cross = pair_p != pair_q
     sink.exchange(
         src=pair_p[cross],
         dst=pair_q[cross],
-        nbytes=pair_counts[cross] * DEFAULT_COSTS.index_bytes,
+        nbytes=pair_len[cross] * DEFAULT_COSTS.index_bytes,
     )
     owner_record = np.bincount(
-        pair_q, weights=pair_counts.astype(np.float64), minlength=n
+        pair_q, weights=pair_len.astype(np.float64), minlength=n
     )
     sink.charge_compute_all(iops=DEFAULT_COSTS.schedule_build * owner_record)
     sink.barrier()
@@ -258,24 +245,104 @@ def localize(
             dist.signature(),
             pair_q,
             pair_p,
-            pair_counts,
-            sorted_lidx,
-            sorted_slots,
-            ghost_sizes,
+            pair_len,
+            send,
+            recv,
+            [int(c) for c in ghost_counts],
         )
     result = LocalizeResult(
-        local_sizes=[int(s) for s in local_sizes_arr],
+        local_sizes=[int(s) for s in local_sizes],
         schedule=schedule,
-        refs_flat=localized_flat,
-        ref_bounds=ref_bounds,
-        ghost_flat=ugidx,
+        refs_flat=localized,
+        ref_bounds=bounds,
+        ghost_flat=ghost_flat,
         ghost_bounds=ghost_bounds,
     )
     if caching:
         # the slot holds the result itself: its arrays frozen, the cold
         # run's tape attached
-        for arr in (localized_flat, ref_bounds, ugidx, ghost_bounds):
+        for arr in (localized, bounds, ghost_flat, ghost_bounds):
             _freeze(arr)
         result.charges = sink
         cache.put(cache_key[0], cache_key[1], result)
     return result
+
+
+class _OutOfRange(Exception):
+    """A strip's first out-of-range reference: the stacked member it is
+    in and the translation's ``IndexError``."""
+
+    def __init__(self, member: int, error: IndexError):
+        super().__init__(member, error)
+        self.member = member
+        self.error = error
+
+
+def _localize_strip(ttable, refs, p0, p1, local_sizes, localized):
+    """Localize processors ``p0 .. p1 - 1`` of ``refs``: writes their
+    localized references into ``localized`` and returns their share of
+    the merged fields -- table counts, off-processor reference counts,
+    ghost counts, unique ghosts, and the pair runs ``(p, q, length)``
+    with their send offsets and ghost slots, all in processor order.
+    Charges nothing."""
+    dist = ttable.dist
+    n = dist.n_procs
+    stride = max(dist.size, 1)  # keys cannot collide: every global < size
+    b0, b1 = int(refs.bounds[p0]), int(refs.bounds[p1])
+    sizes = np.diff(refs.bounds[p0 : p1 + 1])
+    procs = np.arange(p0, p1, dtype=np.int64)
+    pid = (
+        np.repeat(procs, sizes) if refs.requesters is None else refs.requesters[b0:b1]
+    )
+    # every member's references of the strip, one row each
+    vals = refs.block(b0, b1)
+    try:
+        owners, lidx = dist.translate(vals)
+    except IndexError as exc:
+        # the first bad value in row order is in the lowest bad member
+        bad = ((vals < 0) | (vals >= dist.size)).any(axis=1)
+        raise _OutOfRange(int(np.argmax(bad)), exc) from None
+    # the off-processor references: positions into the block, requester
+    # ids broadcast over its rows
+    off = np.flatnonzero(owners != pid)
+    del owners
+    off_pid = pid[off % max(pid.size, 1)]
+    n_off = np.bincount(off_pid - p0, minlength=p1 - p0)
+    # dedup: ascending keys are requester-major, sorted-global within
+    keys = off_pid * stride + vals.reshape(-1)[off]
+    uniq_keys, inverse = sorted_unique_inverse(keys)
+    ghost_bounds = np.searchsorted(uniq_keys, np.append(procs, p1) * stride)
+    ghost_counts = np.diff(ghost_bounds)
+    upid = np.repeat(procs, ghost_counts)
+    ugidx = uniq_keys - upid * stride
+    slots = np.arange(uniq_keys.size, dtype=np.int64) - ghost_bounds[upid - p0]
+    # local offsets stay; off-processor references become local_size +
+    # ghost slot (``lidx`` is the translation's fresh array)
+    local = lidx.reshape(-1)
+    local[off] = (local_sizes[upid] + slots)[inverse]
+    localized.reshape(refs.members, -1)[:, b0:b1] = local.reshape(vals.shape)
+    del lidx, local  # freed before the table's counts allocate their key
+    counts = ttable.strip_counts(vals, pid, p0, sizes)
+
+    # the unique ghosts grouped into (requester p, owner q) pair runs:
+    # one stable radix sort on the strip-relative pair id, ghost slots
+    # ascending within each run
+    uowners, ulidx = dist.translate(ugidx)
+    pair_keys = (upid - p0) * n + uowners
+    order = stable_order(pair_keys, (p1 - p0) * n)
+    pair_keys = pair_keys[order]
+    starts = np.flatnonzero(np.diff(pair_keys)) + 1
+    if pair_keys.size:
+        starts = np.concatenate(([0], starts))
+    run_keys = pair_keys[starts]
+    return (
+        counts,
+        n_off,
+        ghost_counts,
+        ugidx,
+        p0 + run_keys // n,
+        run_keys % n,
+        np.diff(np.append(starts, order.size)),
+        np.asarray(ulidx, dtype=np.int64)[order],
+        slots[order],
+    )

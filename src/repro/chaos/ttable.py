@@ -11,17 +11,26 @@ irregular distributions PARTI/CHAOS kept an explicit table, either
   the page's owner and a reply.  This is CHAOS's scalable default and the
   variant whose communication shows up in the paper's inspector times.
 
-All variants return identical translations; they differ only in what
-they charge the machine.  That split is the :class:`Translator`
-protocol: :meth:`Translator.dereference_flat` is the one translation
-pass (one validated ``Distribution.translate`` over every processor's
-references), and each table kind supplies one charging hook,
-``_charge_flat``, for the loosely synchronous phase in which all
-processors' requests travel together -- the way CHAOS's dereference
-behaved.
+All variants return identical translations (one validated
+``Distribution.translate``); they differ only in what they charge the
+machine for the loosely synchronous phase in which all processors'
+requests travel together -- the way CHAOS's dereference behaved.  That
+charge is split in two so the translation can run in processor strips
+(``repro.chaos.localize``):
 
-The charging hook takes an explicit **sink** -- normally the machine
-itself, but the persistent :class:`~repro.chaos.transcache.TranslationCache`
+* :meth:`Translator.strip_counts` -- per strip, what the charge needs to
+  know about its processors' references: each processor's reference
+  count, or the paged table's rows of the ``(requester, page owner)``
+  histogram.  Pure host arithmetic, charged nothing;
+* :meth:`Translator.charge_counts` -- one charge from the strips'
+  counts stacked in processor order, after every strip has finished.
+
+:meth:`Translator.dereference_flat` is both halves over a whole stream
+in one call, for a caller that holds the stream already (the
+translation cache's key memo).
+
+The charge goes to an explicit **sink** -- normally the machine itself,
+but the persistent :class:`~repro.chaos.transcache.TranslationCache`
 passes a recording :class:`~repro.chaos.transcache.ChargeLog` so a cold
 localize can replay its exact charge sequence on later warm hits.
 """
@@ -43,7 +52,8 @@ from repro.machine.machine import Machine
 class Translator(ABC):
     """Maps global indices of one distribution to (owner, local offset).
 
-    Concrete tables implement the charging hook; translation is shared.
+    Concrete tables implement the two charging halves
+    (:meth:`strip_counts`, :meth:`charge_counts`); translation is shared.
     """
 
     def __init__(self, machine: Machine, dist: Distribution):
@@ -56,8 +66,25 @@ class Translator(ABC):
         self.dist = dist
 
     @abstractmethod
-    def _charge_flat(self, sink, values: np.ndarray, bounds: np.ndarray, requesters) -> None:
-        """Charge the batched dereference :meth:`dereference_flat` describes."""
+    def strip_counts(
+        self, values: np.ndarray, requesters: np.ndarray, first: int, sizes: np.ndarray
+    ) -> np.ndarray:
+        """Per-processor counts of one strip's references, for
+        :meth:`charge_counts`.
+
+        ``values`` is the ``(members, refs)`` block of every stacked
+        member's references of processors ``first, first + 1, ...``
+        (already range-checked), ``requesters`` the requesting processor
+        of each column, ``sizes`` how many columns each of those
+        processors holds.  Returns one row per processor; the strips'
+        rows stack in processor order into what one call over the whole
+        stream returns.
+        """
+
+    @abstractmethod
+    def charge_counts(self, sink, counts: np.ndarray) -> None:
+        """Charge ``sink`` the batched dereference whose per-processor
+        counts (:meth:`strip_counts`, every processor's row) are ``counts``."""
 
     def dereference_flat(
         self, values: np.ndarray, bounds: np.ndarray, sink=None, requesters=None
@@ -75,9 +102,15 @@ class Translator(ABC):
         arrays the caller may overwrite.  Charges go to ``sink`` (the
         machine, or a recording charge log).
         """
-        owners, lidx = self.dist.translate(np.asarray(values, dtype=np.int64))
-        sink = self.machine if sink is None else sink
-        self._charge_flat(sink, values, bounds, requesters)
+        values = np.asarray(values, dtype=np.int64)
+        owners, lidx = self.dist.translate(values)
+        sizes = np.diff(bounds)
+        if requesters is None:
+            requesters = np.repeat(np.arange(sizes.size, dtype=np.int64), sizes)
+        # one row per stacked member (one empty row for an empty stream)
+        members = max(values.size // max(int(bounds[-1]), 1), 1)
+        counts = self.strip_counts(values.reshape(members, -1), requesters, 0, sizes)
+        self.charge_counts(self.machine if sink is None else sink, counts)
         return np.asarray(owners, dtype=np.int64), np.asarray(lidx, dtype=np.int64)
 
 
@@ -86,12 +119,11 @@ class RegularTranslationTable(Translator):
 
     _per_ref_cost = DEFAULT_COSTS.translate_regular
 
-    def _charge_flat(self, sink, values: np.ndarray, bounds: np.ndarray, requesters) -> None:
-        members = np.size(values) // max(int(bounds[-1]), 1)
-        sink.charge_compute_all(
-            iops=self._per_ref_cost
-            * (members * np.diff(bounds)).astype(np.float64)
-        )
+    def strip_counts(self, values, requesters, first, sizes):
+        return values.shape[0] * sizes
+
+    def charge_counts(self, sink, counts: np.ndarray) -> None:
+        sink.charge_compute_all(iops=self._per_ref_cost * counts.astype(np.float64))
 
 
 class ReplicatedTranslationTable(RegularTranslationTable):
@@ -139,35 +171,33 @@ class DistributedTranslationTable(Translator):
         machine.charge_compute_all(iops=2.0 * fill)
         machine.barrier()
 
-    def _charge_flat(self, sink, values: np.ndarray, bounds: np.ndarray, requesters) -> None:
-        """Batched paged-table charging: one page-owner bincount plus the
-        request/probe/reply exchange phases, all count arithmetic -- no
-        Python loop over processors and no re-validation scans."""
+    def strip_counts(self, values, requesters, first, sizes):
+        """The strip's rows of the ``(requester, page owner)`` histogram:
+        one bincount over ``(requester - first) * n + page owner``, built
+        in place on the page-owner array, one row of it per stacked
+        member.  The page owner is the block page table's closed-form
+        division: the values are range-checked already, so the page
+        table's own validation scan is skipped (and the quotient is a
+        fresh array whenever there are values: the chunk is nonzero
+        then)."""
         n = self.machine.n_procs
-        # requester * n + page owner, built in place on the page-owner
-        # array, one row of it per stacked member.  The page owner is the
-        # block page table's closed-form division: ``dereference_flat``
-        # range-checked the values already, so the page table's own
-        # validation scan is skipped (and the quotient is a fresh array
-        # whenever there are values: the chunk is nonzero then)
         chunk = self.pages.chunk
-        key = np.asarray(values, dtype=np.int64)
-        key = key // chunk if chunk else key
+        key = values // chunk if chunk else values
         if key.size:
-            if requesters is None:
-                requesters = np.repeat(np.arange(n), np.diff(bounds))
-            rows = key.reshape(-1, requesters.size)
-            rows += requesters * n
-        req_counts = np.bincount(key, minlength=n * n).reshape(n, n)
-        # request exchange (indices), probe at owners, reply exchange (pairs)
-        off_diag = req_counts.copy()
+            key += (requesters - first) * n
+        return np.bincount(key.reshape(-1), minlength=sizes.size * n).reshape(sizes.size, n)
+
+    def charge_counts(self, sink, counts: np.ndarray) -> None:
+        """The request exchange (indices), the probe at the page owners
+        and the reply exchange (pairs), all count arithmetic."""
+        off_diag = counts.copy()
         np.fill_diagonal(off_diag, 0)
         req_p, req_q = np.nonzero(off_diag)
         pair_counts = off_diag[req_p, req_q]
         sink.exchange(
             src=req_p, dst=req_q, nbytes=pair_counts * DEFAULT_COSTS.index_bytes
         )
-        probe = req_counts.sum(axis=0).astype(float)
+        probe = counts.sum(axis=0).astype(float)
         sink.charge_compute_all(iops=DEFAULT_COSTS.translate_remote * probe)
         sink.exchange(
             src=req_q, dst=req_p, nbytes=pair_counts * 2 * DEFAULT_COSTS.index_bytes

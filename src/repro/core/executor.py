@@ -16,12 +16,12 @@ Per execution of a loop's executor:
    assigned off-processor values are written back (``scatter``).
 
 Phase 2 runs the simulated processors on the host's cores.  The
-iterations split into *strips*: runs of whole processors of about
-:data:`STRIP_ITERS` iterations, cut only at processor boundaries.  The
-dispatching thread materializes everything the strips share first
-(combined ``[local | ghost]`` read arrays, reference positions,
-staging), then it and a small process-wide thread pool take strips off
-one queue.  A strip gathers each distinct read reference once, runs the
+iterations split into *strips* (``repro.chaos.strips``): runs of whole
+processors of about ``STRIP_ITERS`` iterations, cut only at processor
+boundaries.  The dispatching thread materializes everything the strips
+share first (combined ``[local | ghost]`` read arrays, reference
+positions, staging), then it and the process-wide strip pool take
+strips off one queue.  A strip gathers each distinct read reference once, runs the
 loop's statements in program order on its slice and applies their
 ``ufunc.at`` or store to the staging.  Every staging slot belongs to
 exactly one processor, and a strip holds all of that processor's
@@ -38,13 +38,11 @@ itself is just the simulation vehicle.
 
 from __future__ import annotations
 
-import collections
-import os
-import threading
 import time
 
 import numpy as np
 
+from repro.chaos import strips
 from repro.chaos.gather_scatter import REDUCTION_OPS
 from repro.chaos.merge import gather_merged, scatter_op_merged
 from repro.core.forall import Reduce
@@ -56,12 +54,6 @@ from repro.obs.events import EventBus
 #: identity per reduction op, for floating-point staging buffers
 _IDENTITY = {"add": 0.0, "multiply": 1.0, "min": np.inf, "max": -np.inf}
 
-#: iterations a compute strip aims for: a strip is the shortest run of
-#: whole processors holding at least this many (the last may hold fewer)
-STRIP_ITERS = 1 << 16
-#: most worker threads the strip pool ever starts
-MAX_STRIP_WORKERS = 3
-
 
 def _staging_fill(kind: str, dtype: np.dtype):
     """The value staging starts from: ``kind``'s identity in ``dtype``
@@ -70,98 +62,6 @@ def _staging_fill(kind: str, dtype: np.dtype):
         info = np.iinfo(dtype)
         return info.max if kind == "min" else info.min
     return _IDENTITY.get(kind, 0)
-
-
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - no affinity API (macOS)
-        return os.cpu_count() or 1
-
-
-class _StripPool:
-    """The process-wide thread pool that compute strips run on.
-
-    Created on the first sweep with more than one strip, and only on a
-    host with more than one usable CPU: ``usable CPUs - 1`` workers
-    (at most :data:`MAX_STRIP_WORKERS`), because the dispatching thread
-    takes strips too.  A forked child drops the inherited pool, whose
-    threads do not exist there, and builds its own on demand.
-    """
-
-    _lock = threading.Lock()
-    _executor = None
-    _workers = None
-
-    @classmethod
-    def get(cls):
-        """``(executor, n_workers)``, or ``(None, 0)`` on one usable CPU."""
-        with cls._lock:
-            if cls._workers is None:
-                cls._workers = max(0, min(_usable_cpus() - 1, MAX_STRIP_WORKERS))
-            if cls._executor is None and cls._workers:
-                from concurrent.futures import ThreadPoolExecutor
-
-                cls._executor = ThreadPoolExecutor(
-                    cls._workers, thread_name_prefix="repro-strip"
-                )
-            return cls._executor, cls._workers
-
-    @classmethod
-    def forget(cls) -> None:
-        """Drop the pool without joining it: a forked child's copy has
-        no threads, and its lock may have been held at the fork."""
-        cls._lock = threading.Lock()
-        cls._executor = None
-        cls._workers = None
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_StripPool.forget)
-
-
-def strip_cuts(iter_bounds: np.ndarray, target: int) -> list[int]:
-    """Processor cuts ``[0, ..., P]`` of the compute strips over a
-    partition's per-processor iteration bounds (length ``P + 1``): each
-    strip is the shortest run of whole processors with ``target``
-    iterations or more; the last takes what is left."""
-    n_procs = iter_bounds.size - 1
-    cuts = [0]
-    while cuts[-1] < n_procs:
-        p = int(np.searchsorted(iter_bounds, iter_bounds[cuts[-1]] + target))
-        cuts.append(min(max(p, cuts[-1] + 1), n_procs))
-    return cuts
-
-
-def _run_strips(run_strip, n_strips: int) -> None:
-    """Run ``run_strip(k)`` for every strip ``k``: inline when there is
-    one strip or no pool, else on the pool and the calling thread.
-    Every strip runs even after one raised; then the error of the
-    lowest-numbered failing strip is re-raised as it was raised."""
-    todo = collections.deque(range(n_strips))
-    errors: list[Exception | None] = [None] * n_strips
-
-    def drain() -> None:
-        while True:
-            try:
-                k = todo.popleft()
-            except IndexError:
-                return
-            try:
-                run_strip(k)
-            except Exception as exc:
-                errors[k] = exc
-
-    pool, workers = _StripPool.get() if n_strips > 1 else (None, 0)
-    helpers = [pool.submit(drain) for _ in range(min(workers, n_strips - 1))]
-    try:
-        drain()
-    finally:
-        for helper in helpers:
-            helper.result()
-    for exc in errors:
-        if exc is not None:
-            raise exc
 
 
 def run_executor(
@@ -451,7 +351,7 @@ def _execute_once(
     # within, and a strip's positions address only its own processors'
     # staging blocks, so strips touch disjoint slots and duplicate-slot
     # and accumulation semantics match the historical per-processor loop.
-    cuts = strip_cuts(iter_bounds, STRIP_ITERS)
+    cuts = strips.strip_cuts(iter_bounds, strips.STRIP_ITERS)
 
     def run_strip(k: int) -> None:
         t0 = time.perf_counter_ns()
@@ -487,7 +387,7 @@ def _execute_once(
         n_iters=int(iter_bounds[-1]),
         n_strips=len(cuts) - 1,
     ) as compute_span:
-        _run_strips(run_strip, len(cuts) - 1)
+        strips.run_strips(run_strip, len(cuts) - 1)
 
     # charges from the iteration counts, once every strip has finished
     n_it_f = n_it.astype(np.float64)

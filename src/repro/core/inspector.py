@@ -189,7 +189,6 @@ def run_inspector(
 
     # Phase D: localize every distinct access pattern
     n_procs = machine.n_procs
-    ref_cache: dict[tuple, FlatRefs] = {}
     patterns: dict[tuple[str, str | None], PatternData] = {}
 
     # flattened iteration partition: reference lists stay in flat
@@ -199,23 +198,21 @@ def run_inspector(
 
     def group_refs(group: tuple) -> FlatRefs:
         """Global element indices the iterations touch through the
-        group's patterns (only a cold localize asks): one gather over the
-        partition per pattern, stacked back to back under its bounds."""
-        refs = ref_cache.get(group)
-        if refs is None:
-            values = np.empty((len(group), iter_flat.size), dtype=np.int64)
-            for row, index in zip(values, group):
-                if index is None:
-                    row[:] = iter_flat
-                else:
-                    # cached, content-versioned global assembly: repeated
-                    # inspections of an unmutated indirection array reuse it
-                    ind = np.asarray(arrays[index].global_view(), dtype=np.int64)
-                    np.take(ind, iter_flat, out=row)
-            refs = ref_cache[group] = FlatRefs(
-                values.reshape(-1), iter_bounds, len(group), itpart.proc_of_position()
-            )
-        return refs
+        group's patterns (only a cold localize asks): per pattern, its
+        indirection read at the partition's positions, stacked back to
+        back under its bounds -- gathered strip by strip inside
+        ``localize``, never assembled here."""
+        # cached, content-versioned global assembly: repeated
+        # inspections of an unmutated indirection array reuse it
+        sources = [
+            None
+            if index is None
+            else np.asarray(arrays[index].global_view(), dtype=np.int64)
+            for index in group
+        ]
+        return FlatRefs.gathered(
+            sources, iter_flat, iter_bounds, itpart.proc_of_position()
+        )
 
     def get_ttable(array_name: str) -> Translator:
         arr = arrays[array_name]

@@ -437,52 +437,60 @@ class IrregularProgram:
         proportional to the number of elements that move, not the array
         size (the mapper/coupler epoch loop of the paper's Table 2).
         """
-        dec = self._decomp(decomp)
-        # remap content verification: at guard "full" always, and at any
-        # level while faults are being injected (mirrors the post-gather
-        # check).  host-level -- charges nothing.
-        verify = dec.arrays and (
-            self.machine.faults is not None or self.guard == "full"
-        )
-        before = (
-            {arr.name: arr.to_global() for arr in dec.arrays} if verify else None
-        )
-        if moved is not None:
-            if fmt is not None:
-                raise ValueError("pass either fmt or moved=, not both")
-            if dec.distribution is None:
-                raise ValueError(
-                    f"decomposition {decomp!r} is not distributed yet"
+        obs = self.machine.obs
+        with obs.span("redistribute", decomp=decomp):
+            dec = self._decomp(decomp)
+            # remap content verification: at guard "full" always, and at any
+            # level while faults are being injected (mirrors the post-gather
+            # check).  host-level -- charges nothing.
+            verify = dec.arrays and (
+                self.machine.faults is not None or self.guard == "full"
+            )
+            before = (
+                {arr.name: arr.to_global() for arr in dec.arrays} if verify else None
+            )
+            if moved is not None:
+                if fmt is not None:
+                    raise ValueError("pass either fmt or moved=, not both")
+                if dec.distribution is None:
+                    raise ValueError(
+                        f"decomposition {decomp!r} is not distributed yet"
+                    )
+                move_g, move_to = moved
+                with obs.span("distribution.repartition", n_moves=int(np.size(move_g))):
+                    new_dist, plan = repartition_stable(
+                        dec.distribution, move_g, move_to
+                    )
+                remap = partial(remap_arrays_incremental, dec.arrays, new_dist, plan)
+            else:
+                new_dist = (
+                    self.distfmts[fmt]
+                    if isinstance(fmt, str) and fmt in self.distfmts
+                    else self._resolve_spec(dec.size, fmt)
                 )
-            move_g, move_to = moved
-            new_dist, plan = repartition_stable(
-                dec.distribution, move_g, move_to
-            )
-            remap = partial(remap_arrays_incremental, dec.arrays, new_dist, plan)
-        else:
-            new_dist = (
-                self.distfmts[fmt]
-                if isinstance(fmt, str) and fmt in self.distfmts
-                else self._resolve_spec(dec.size, fmt)
-            )
-            if new_dist.size != dec.size:
-                raise ValueError(
-                    f"distribution size {new_dist.size} != decomposition "
-                    f"{decomp!r} size {dec.size}"
+                if new_dist.size != dec.size:
+                    raise ValueError(
+                        f"distribution size {new_dist.size} != decomposition "
+                        f"{decomp!r} size {dec.size}"
+                    )
+                remap = partial(remap_arrays, dec.arrays, new_dist)
+            with self.machine.phase("remap"):
+                if dec.arrays:
+                    with obs.span(
+                        "remap.arrays",
+                        n_arrays=len(dec.arrays),
+                        incremental=moved is not None,
+                    ):
+                        remap()
+                dec.distribution = new_dist
+            if verify:
+                self._verify_remap(dec.arrays, before)
+            if self.track:
+                for arr in dec.arrays:
+                    self.registry.record_remap(DAD.of(arr))
+                self.machine.charge_compute_all(
+                    iops=RECORD_WRITE_IOPS * max(len(dec.arrays), 1)
                 )
-            remap = partial(remap_arrays, dec.arrays, new_dist)
-        with self.machine.phase("remap"):
-            if dec.arrays:
-                remap()
-            dec.distribution = new_dist
-        if verify:
-            self._verify_remap(dec.arrays, before)
-        if self.track:
-            for arr in dec.arrays:
-                self.registry.record_remap(DAD.of(arr))
-            self.machine.charge_compute_all(
-                iops=RECORD_WRITE_IOPS * max(len(dec.arrays), 1)
-            )
 
     def _verify_remap(self, arrays, before: dict) -> None:
         """Content-check a redistribution; repair divergences host-level.

@@ -160,7 +160,6 @@ class Machine:
         self.topology = topology
         self.counters = CounterBlock(self.n_procs)
         self.stats = MachineStats()
-        self._phase_depth = 0
         #: optional repro.guard.faults.FaultPlan; hooks fire when set
         self.faults = None
         #: host-side span tracer (repro.obs); the shared no-op by
@@ -437,13 +436,11 @@ class Machine:
         self.barrier()
         start = self.elapsed()
         before = self.counters.copy()
-        self._phase_depth += 1
         if self.faults is not None:
             self.faults.on_phase(self, name, "enter")
         try:
             yield
         finally:
-            self._phase_depth -= 1
             if self.faults is not None:
                 self.faults.on_phase(self, name, "exit")
             self.barrier()

@@ -96,7 +96,6 @@ class HypercubeTopology(Topology):
             raise ValueError(
                 f"hypercube needs a power-of-two processor count, got {n_procs}"
             )
-        self.dim = n_procs.bit_length() - 1
 
     def hops(self, src: int, dst: int) -> int:
         self._check(src, dst)

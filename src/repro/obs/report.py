@@ -29,6 +29,9 @@ LAYER_PREFIXES = (
     ("executor.", "core"),
     ("inspect", "core"),
     ("execute", "core"),
+    ("redistribute", "core"),
+    ("distribution.", "distribution"),
+    ("remap.", "chaos"),
     ("adapt.", "adapt"),
     ("guard.", "guard"),
     ("serve.", "serve"),

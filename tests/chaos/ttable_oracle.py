@@ -2,12 +2,14 @@
 charging hooks are diffed against.
 
 The runtime dereferences through a translation table loosely
-synchronously: ``Translator.dereference_flat`` translates every
-processor's references in one pass and each table kind charges the
-whole phase through its one hook, ``_charge_flat``.  Before that the
-tables also had a per-processor form -- ``Translator.dereference(p,
-refs)``, ``dereference_all`` over a list of lists and a ``_charge_one``
-hook per kind -- that charged one requesting processor at a time.  It
+synchronously: every processor's references are translated in one phase
+(in processor strips inside ``localize``, or in one pass by
+``Translator.dereference_flat``) and each table kind charges the whole
+phase once, from the strips' counts (``strip_counts`` /
+``charge_counts``).  Before that the tables also had a per-processor
+form -- ``Translator.dereference(p, refs)``, ``dereference_all`` over a
+list of lists and a ``_charge_one`` hook per kind -- that charged one
+requesting processor at a time.  It
 lives on here as free functions, so ``tests/chaos/test_ttable.py`` can
 hold every processor's ``iops``, message and byte counters of the
 batched phase against the sum of the per-processor charges.

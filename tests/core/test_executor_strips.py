@@ -19,7 +19,7 @@ import warnings
 import numpy as np
 import pytest
 
-import repro.core.executor as executor
+import repro.chaos.strips as strips
 from repro.chaos.gather_scatter import REDUCTION_OPS
 from repro.core import ArrayRef, Assign, ForallLoop, Reduce, run_executor, run_inspector
 from repro.distribution import BlockDistribution, DistArray, IrregularDistribution
@@ -40,12 +40,12 @@ MANY = 1
 @pytest.fixture
 def pool(monkeypatch):
     """A fresh strip pool with two workers, whatever the host's CPUs."""
-    executor._StripPool.forget()
-    monkeypatch.setattr(executor, "_usable_cpus", lambda: 3)
+    strips._StripPool.forget()
+    monkeypatch.setattr(strips, "_usable_cpus", lambda: 3)
     yield
-    if executor._StripPool._executor is not None:
-        executor._StripPool._executor.shutdown(wait=True)
-    executor._StripPool.forget()
+    if strips._StripPool._executor is not None:
+        strips._StripPool._executor.shutdown(wait=True)
+    strips._StripPool.forget()
 
 
 def make_arrays(m, dtype, seed=0):
@@ -119,7 +119,7 @@ def sweep(monkeypatch, target, kind="add", dtype=np.float64, coalesce=True,
           merge=False, guard="off", faults=None, n_times=2):
     """Inspect and run ``kind``'s loop ``n_times`` with strip target
     ``target``; returns (snapshot, the NumPy reference check)."""
-    monkeypatch.setattr(executor, "STRIP_ITERS", target)
+    monkeypatch.setattr(strips, "STRIP_ITERS", target)
     m = Machine(N_PROCS)
     arrays = make_arrays(m, dtype)
     want_name, want = reference(kind, arrays, n_times)
@@ -138,10 +138,10 @@ def sweep(monkeypatch, target, kind="add", dtype=np.float64, coalesce=True,
 
 def test_strip_cuts_are_whole_processor_runs():
     bounds = np.array([0, 5, 5, 9, 30, 31, 31, 40])
-    assert executor.strip_cuts(bounds, 1) == [0, 1, 3, 4, 5, 7]
-    assert executor.strip_cuts(bounds, 10) == [0, 4, 7]
-    assert executor.strip_cuts(bounds, 1 << 30) == [0, 7]
-    assert executor.strip_cuts(np.zeros(4, dtype=np.int64), 1) == [0, 3]
+    assert strips.strip_cuts(bounds, 1) == [0, 1, 3, 4, 5, 7]
+    assert strips.strip_cuts(bounds, 10) == [0, 4, 7]
+    assert strips.strip_cuts(bounds, 1 << 30) == [0, 7]
+    assert strips.strip_cuts(np.zeros(4, dtype=np.int64), 1) == [0, 3]
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.int64])
@@ -159,7 +159,7 @@ def test_many_strips_under_rapid_thread_switching(pool, monkeypatch):
     """Three workers plus the dispatcher on this host's cores, switching
     threads every microsecond: a strip run twice, skipped or racing
     another strip's staging slots would change a bit of the result."""
-    monkeypatch.setattr(executor, "_usable_cpus", lambda: 8)
+    monkeypatch.setattr(strips, "_usable_cpus", lambda: 8)
     want, _ = sweep(monkeypatch, ONE, n_times=3)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -169,7 +169,7 @@ def test_many_strips_under_rapid_thread_switching(pool, monkeypatch):
             assert ok and got == want
     finally:
         sys.setswitchinterval(interval)
-    assert executor._StripPool._workers == executor.MAX_STRIP_WORKERS
+    assert strips._StripPool._workers == strips.MAX_STRIP_WORKERS
 
 
 def test_guard_full_under_gather_faults(pool, monkeypatch):
@@ -208,7 +208,7 @@ def raising_loop(calls, in_worker):
 def test_worker_error_surfaces_typed_and_changes_nothing(pool, monkeypatch):
     after = {}
     for target, in_worker in ((ONE, False), (MANY, True)):
-        monkeypatch.setattr(executor, "STRIP_ITERS", target)
+        monkeypatch.setattr(strips, "STRIP_ITERS", target)
         m = Machine(N_PROCS)
         arrays = make_arrays(m, np.float64)
         calls = []
@@ -222,44 +222,44 @@ def test_worker_error_surfaces_typed_and_changes_nothing(pool, monkeypatch):
         after[target] = state
         # every strip ran although one raised
         bounds = product.iteration_partition.iters_flat()[1]
-        assert len(calls) == len(executor.strip_cuts(bounds, target)) - 1
+        assert len(calls) == len(strips.strip_cuts(bounds, target)) - 1
     # the gather was charged in both, the compute charge in neither
     assert after[MANY] == after[ONE]
 
 
 def test_one_strip_sweep_starts_no_thread(monkeypatch):
-    executor._StripPool.forget()
+    strips._StripPool.forget()
     threads = threading.active_count()
-    sweep(monkeypatch, executor.STRIP_ITERS)
-    assert executor._StripPool._executor is None
+    sweep(monkeypatch, strips.STRIP_ITERS)
+    assert strips._StripPool._executor is None
     assert threading.active_count() == threads
 
 
 def test_one_usable_cpu_starts_no_thread(monkeypatch):
-    executor._StripPool.forget()
-    monkeypatch.setattr(executor, "_usable_cpus", lambda: 1)
+    strips._StripPool.forget()
+    monkeypatch.setattr(strips, "_usable_cpus", lambda: 1)
     threads = threading.active_count()
     try:
         _, ok = sweep(monkeypatch, MANY)
         assert ok
-        assert executor._StripPool._executor is None
+        assert strips._StripPool._executor is None
         assert threading.active_count() == threads
     finally:
-        executor._StripPool.forget()  # the next sweep counts the real CPUs
+        strips._StripPool.forget()  # the next sweep counts the real CPUs
 
 
 def test_strip_spans_nest_under_compute_on_their_threads(pool, monkeypatch):
-    monkeypatch.setattr(executor, "STRIP_ITERS", MANY)
+    monkeypatch.setattr(strips, "STRIP_ITERS", MANY)
     m = Machine(N_PROCS)
     m.obs = Tracer()
     arrays = make_arrays(m, np.float64)
     product = run_inspector(m, make_loop("add"), arrays)
     run_executor(m, product, arrays)
     (compute,) = [s for s in m.obs.spans if s.name == "executor.compute"]
-    strips = [s for s in m.obs.spans if s.name == "executor.strip"]
-    assert len(strips) == compute.attrs["n_strips"] > 1
-    assert {s.parent for s in strips} == {compute.id}
-    assert sum(s.attrs["n_iters"] for s in strips) == N_ITER
+    spans = [s for s in m.obs.spans if s.name == "executor.strip"]
+    assert len(spans) == compute.attrs["n_strips"] > 1
+    assert {s.parent for s in spans} == {compute.id}
+    assert sum(s.attrs["n_iters"] for s in spans) == N_ITER
     assert all(agg["self_s"] >= 0 for agg in aggregate_spans(m.obs.spans).values())
 
 
@@ -269,7 +269,7 @@ def test_strip_spans_nest_under_compute_on_their_threads(pool, monkeypatch):
 def test_min_max_staging_starts_from_the_dtype_identity(pool, monkeypatch, op, dtype, target):
     """REDUCE(MIN/MAX) over an integer array: untouched elements keep
     their value, touched ones combine exactly (no cast of +-inf)."""
-    monkeypatch.setattr(executor, "STRIP_ITERS", target)
+    monkeypatch.setattr(strips, "STRIP_ITERS", target)
     m = Machine(N_PROCS)
     arrays = make_arrays(m, dtype)
     arrays["k"] = DistArray.from_global(
@@ -292,7 +292,7 @@ def test_min_max_staging_starts_from_the_dtype_identity(pool, monkeypatch, op, d
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def test_forked_child_drops_the_inherited_pool(pool, monkeypatch):
     want, ok = sweep(monkeypatch, MANY)
-    assert ok and executor._StripPool._executor is not None
+    assert ok and strips._StripPool._executor is not None
     r, w = os.pipe()
     with warnings.catch_warnings():
         # Python 3.12+ warns about forking a process that has threads
@@ -300,9 +300,9 @@ def test_forked_child_drops_the_inherited_pool(pool, monkeypatch):
         pid = os.fork()
     if pid == 0:  # pragma: no cover - the child reports through the pipe
         try:
-            dropped = executor._StripPool._executor is None
+            dropped = strips._StripPool._executor is None
             got, ok = sweep(monkeypatch, MANY)
-            rebuilt = executor._StripPool._executor is not None
+            rebuilt = strips._StripPool._executor is not None
             os.write(w, b"1" if dropped and ok and rebuilt and got == want else b"0")
         finally:
             os._exit(0)

@@ -313,7 +313,7 @@ def test_pair_counts_rejects_mismatched_shapes():
 
 
 def test_paged_table_charging_leaves_the_reference_stream_alone():
-    # _charge_flat builds its histogram key in place -- on its own
+    # strip_counts builds its histogram key in place -- on its own
     # page-owner array, never on the caller's references
     rng = np.random.default_rng(4)
     n_procs, size = 8, 90

@@ -17,9 +17,13 @@ class TestHypercube:
             HypercubeTopology(6)
 
     def test_dim(self):
-        assert HypercubeTopology(1).dim == 0
-        assert HypercubeTopology(2).dim == 1
-        assert HypercubeTopology(32).dim == 5
+        # a d-cube's diameter is d hops, reached from 0 only at the
+        # opposite corner
+        for n_procs, dim in ((1, 0), (2, 1), (32, 5)):
+            t = HypercubeTopology(n_procs)
+            hops = [t.hops(0, q) for q in range(n_procs)]
+            assert max(hops) == dim
+            assert hops.index(dim) == n_procs - 1
 
     def test_hops_is_hamming_distance(self):
         t = HypercubeTopology(16)

@@ -230,6 +230,34 @@ class TestPartitionerSpan:
         assert "partitioners 1 " in layer_table
 
 
+class TestRedistributeSpans:
+    """A redistribution leaves one ``redistribute`` span holding its
+    remap (``remap.arrays``) and, for a move list, the layout derivation
+    (``distribution.repartition``); none is booked under "other"."""
+
+    def test_full_and_incremental_redistribute(self):
+        from repro.obs.report import layer_of
+
+        mesh, prog, loop = build(obs="on")
+        (full,) = [s for s in prog.machine.obs.spans if s.name == "redistribute"]
+        prog.machine.obs.clear()
+        dist = prog.arrays["x"].distribution
+        move_g = np.arange(0, mesh.n_nodes, 7, dtype=np.int64)
+        move_to = (np.asarray(dist.owner(move_g)) + 1) % N_PROCS
+        prog.redistribute("reg", moved=(move_g, move_to))
+        spans = prog.machine.obs.spans
+        (inc,) = [s for s in spans if s.name == "redistribute"]
+        (repart,) = [s for s in spans if s.name == "distribution.repartition"]
+        (remap,) = [s for s in spans if s.name == "remap.arrays"]
+        assert full.attrs == inc.attrs == {"decomp": "reg"}
+        assert repart.parent == remap.parent == inc.id
+        assert repart.attrs == {"n_moves": move_g.size}
+        assert remap.attrs["incremental"] and remap.attrs["n_arrays"] > 0
+        assert layer_of("redistribute") == "core"
+        assert layer_of("distribution.repartition") == "distribution"
+        assert layer_of("remap.arrays") == "chaos"
+
+
 def _ancestors(span, spans):
     by_id = {s.id: s for s in spans}
     out, cur = set(), span.parent
