@@ -6,10 +6,15 @@ Given the positions whose indirection values actually changed (from
 inspection of the current arrays while charging the simulated machine
 only for delta-proportional work.  It re-votes the changed iterations
 (``_revote``: one compute charge, one exchange of the *moved* iteration
-records), then runs each pattern group through :func:`_patch_group`, a
-driver over stage functions that do host work only and return their
-arrays plus the charges they planned.  The driver applies those at these
-sites, in this order:
+records) and starts the *order task* (:func:`_order`) on the strip pool
+(:func:`repro.chaos.strips.start`; inline, at once, on one usable CPU):
+the new iteration partition, its inverse, and every saved localized
+reference list gathered into the new order by processor strips -- the
+passes over every iteration, none of which a slot-space stage reads.
+Meanwhile it runs each pattern group through
+:func:`_patch_group`, a driver over stage functions that do host work
+only and return their arrays plus the charges they planned.  The driver
+applies those at these sites, in this order:
 
 1. **delta** -- retired and added references (:class:`Delta`), the adds
    classified local/ghost: one membership-probe compute charge;
@@ -25,6 +30,8 @@ sites, in this order:
    region shrank aborts the patch: regrowth is append-only), then the
    schedule compute, the delta exchange and the receivers' compute;
 7. **refs** -- localized reference lists in the new order: no charge.
+   The first group here joins the order task and writes its delta
+   positions into the task's gathered lists.
 
 A group byte-identical to one already patched runs the same driver on
 that sibling's stage values.  The patched product's iteration partition,
@@ -37,11 +44,14 @@ entire point.
 from __future__ import annotations
 
 import dataclasses
+import time
 from dataclasses import dataclass
 from functools import partial
+from typing import Callable
 
 import numpy as np
 
+from repro.chaos import strips
 from repro.chaos.costs import DEFAULT_COSTS
 from repro.chaos.kernels import majority_owner, pair_counts, sorted_unique_inverse, stable_order
 from repro.chaos.localize import LocalizeResult
@@ -69,12 +79,14 @@ class _DeltaCache:
 
     Every group member referencing indirection ``ind`` has the same
     delta iteration set ``D = moved ∪ changed[ind]`` and the same
-    derived gathers (old/new flat positions, homes, new targets) -- and
+    derived gathers (old flat positions, homes, new targets) -- and
     one loop's groups overwhelmingly share indirections (``x(edge(i))``
     and ``y(edge(i))`` both reference through ``edge``), so these are
     computed once per patch instead of once per member.  ``moved`` and
     every ``changed[...]`` are sorted subsets of ``changed_iters``, so
     the union is a flag-merge over ``changed_iters`` (no re-sort).
+    Positions in the *new* flat order wait for the order task (see
+    :func:`_rebuild_refs`).
     """
 
     def __init__(
@@ -86,7 +98,6 @@ class _DeltaCache:
         home_old: np.ndarray,
         home_new: np.ndarray,
         inv_old: np.ndarray,
-        inv_new: np.ndarray,
     ) -> None:
         self._arrays = arrays
         self._changed = changed
@@ -96,14 +107,13 @@ class _DeltaCache:
         self._home_old = home_old
         self._home_new = home_new
         self._inv_old = inv_old
-        self._inv_new = inv_new
         self._by_ind: dict[str | None, tuple] = {}
 
     def delta(self, ind: str | None):
-        """``(D, old_pos, new_pos, p_old, p_new, t_new)`` for one
-        indirection: the delta iterations, their positions in the old
-        and new flat iteration orders, their old and new homes, and the
-        global element each one now targets."""
+        """``(D, old_pos, p_old, p_new, t_new)`` for one indirection: the
+        delta iterations, their positions in the old flat iteration
+        order, their old and new homes, and the global element each one
+        now targets."""
         hit = self._by_ind.get(ind)
         if hit is not None:
             return hit
@@ -126,13 +136,49 @@ class _DeltaCache:
         out = (
             D,
             self._inv_old[D] if D.size else _EMPTY,
-            self._inv_new[D] if D.size else _EMPTY,
             self._home_old[D] if D.size else _EMPTY,
             self._home_new[D] if D.size else _EMPTY,
             t_new,
         )
         self._by_ind[ind] = out
         return out
+
+
+def _order(obs, old_part, home: np.ndarray, moved: bool, lists: list):
+    """The order task: the partition grouping iterations by ``home``
+    (``old_part`` itself when no iteration moved), its inverse built, and
+    each ``(saved, out)`` of ``lists``: a saved localized reference list
+    gathered into the new order in ``out``, a processor strip at a time."""
+    with obs.span("adapt.patch.order", iterations=int(home.size)) as span:
+        part = old_part
+        if moved:
+            part = partition_from_home(home, old_part.bounds.size - 1, old_part.method)
+        part.inverse()
+        flat, bounds = part.iters_flat()
+        inv_old = old_part.inverse()
+        cuts = strips.strip_cuts(bounds, strips.STRIP_ITERS)
+
+        def run_strip(k: int) -> None:
+            t0 = time.perf_counter_ns()
+            b0, b1 = int(bounds[cuts[k]]), int(bounds[cuts[k + 1]])
+            try:
+                old_pos = inv_old[flat[b0:b1]]
+                for saved, out in lists:
+                    np.take(saved, old_pos, out=out[b0:b1], mode="clip")
+            finally:
+                if obs.enabled:
+                    obs.record(
+                        "adapt.patch.strip",
+                        t0,
+                        time.perf_counter_ns() - t0,
+                        parent=span.id,
+                        first_proc=cuts[k],
+                        n_procs=cuts[k + 1] - cuts[k],
+                        n_iters=b1 - b0,
+                    )
+
+        strips.run_strips(run_strip, len(cuts) - 1)
+    return part
 
 
 def _revote(
@@ -186,8 +232,13 @@ class _PatchContext:
     #: keys an earlier group of the *same* patch resolved, so hits must
     #: never persist across patches (that would change simulated numbers)
     memo: KeyTranslationMemo
-    old_to_new: np.ndarray  # old flat position of each new flat position
-    new_part: IterationPartition
+    #: the join of the order task: the new iteration partition, its
+    #: inverse built (the old partition itself when no iteration moved)
+    order: Callable[[], IterationPartition]
+    #: ``id`` of each saved localized reference list -> the order task's
+    #: copy of it in the new order, and the ones a group has written to
+    reordered: dict[int, np.ndarray]
+    taken: set[int]
 
 
 @dataclass(frozen=True)
@@ -202,9 +253,8 @@ class Delta:
     rem_slots: np.ndarray  # ... and the global slot id it occupied
     add_procs: np.ndarray  # requester (new home) of each added reference
     add_targets: np.ndarray  # ... and the global element it targets
-    #: per member ``(D, new_pos)``: its delta iterations and their
-    #: positions in the new flat iteration order
-    members: tuple[tuple[np.ndarray, np.ndarray], ...]
+    #: per member: its delta iterations
+    members: tuple[np.ndarray, ...]
 
 
 @dataclass(frozen=True)
@@ -272,8 +322,8 @@ def _group_delta(
     reusable as-is, iteration order unchanged)."""
     members, rem_procs, rem_slots, add_procs, add_targets = [], [], [], [], []
     for akey in member_keys:
-        D, old_pos, new_pos, p_old, p_new, t_new = ctx.deltas.delta(akey[1])
-        members.append((D, new_pos))
+        D, old_pos, p_old, p_new, t_new = ctx.deltas.delta(akey[1])
+        members.append(D)
         if not D.size:
             continue
         lv = ctx.product.patterns[akey].localized.refs_flat[old_pos]
@@ -515,17 +565,26 @@ def _rebuild_refs(
 
     Unchanged references keep their saved localized values (slot
     positions are stable by construction) and are only permuted into the
-    new iteration order; delta references take their local offset, or
-    their ghost slot past the requester's local segment.  ``ghost_flat``
-    is the slot space's key per slot with holes marked ``-1``."""
+    new iteration order -- the order task's gathered copies, joined
+    here; delta references take their local offset, or their ghost slot
+    past the requester's local segment.  ``ghost_flat`` is the slot
+    space's key per slot with holes marked ``-1``."""
     vals = lidx.copy()
     gp = delta.add_procs[slots.gidx]
     vals[slots.gidx] = local_sizes[gp] + (alloc.slot_of_add - alloc.slot_bounds[gp])
+    inv_new = ctx.order().inverse()
     member_refs = []
     offset = 0
-    for akey, (D, dpos) in zip(member_keys, delta.members):
-        refs = ctx.product.patterns[akey].localized.refs_flat[ctx.old_to_new]
-        refs[dpos] = vals[offset : offset + D.size]
+    for akey, D in zip(member_keys, delta.members):
+        key = id(ctx.product.patterns[akey].localized.refs_flat)
+        refs = ctx.reordered[key]
+        if key in ctx.taken:
+            # a group sharing this list, patched apart from it, wrote its
+            # delta first: one list is one indirection, so it wrote the
+            # very positions overwritten here
+            refs = refs.copy()
+        ctx.taken.add(key)
+        refs[inv_new[D]] = vals[offset : offset + D.size]
         offset += D.size
         member_refs.append(refs)
     ghost_flat = alloc.keys.copy()
@@ -642,7 +701,7 @@ def _patch_group(
                 local_sizes=local_sizes.tolist(),
                 schedule=schedule,
                 refs_flat=refs_flat,
-                ref_bounds=ctx.new_part.bounds,
+                ref_bounds=ctx.order().bounds,
                 ghost_flat=refs[1],
                 ghost_bounds=alloc.slot_bounds,
             )
@@ -755,21 +814,23 @@ def patch_product(
         home_new, moved = _revote(
             machine, loop, arrays, state, changed_iters, old_part.method
         )
-    new_part = old_part
-    if moved.size:
-        new_part = partition_from_home(home_new, n_procs, old_part.method)
-    # the old inverse is the one the previous patch built as its new one
+    # the order task's passes over every iteration feed no slot-space
+    # stage: they run on the strip pool while the groups' stages run here
+    # (first and inline on one usable CPU), into arrays allocated here;
+    # the old inverse is the one the previous patch's order task built
     inv_old = old_part.inverse()
+    saved = {id(p.localized.refs_flat): p.localized.refs_flat for p in product.patterns.values()}
+    reordered = {key: np.empty(loop.n_iterations, dtype=np.int64) for key in saved}
+    lists = [(saved[key], reordered[key]) for key in saved]
+    order = strips.start(partial(_order, machine.obs, old_part, home_new, bool(moved.size), lists))
     ctx = _PatchContext(
         machine=machine,
         product=product,
-        deltas=_DeltaCache(
-            arrays, changed, changed_iters, moved,
-            state.home, home_new, inv_old, new_part.inverse(),
-        ),
+        deltas=_DeltaCache(arrays, changed, changed_iters, moved, state.home, home_new, inv_old),
         memo=KeyTranslationMemo(),
-        old_to_new=inv_old[new_part.flat],
-        new_part=new_part,
+        order=order,
+        reordered=reordered,
+        taken=set(),
     )
 
     patterns_new: dict = dict(product.patterns)
@@ -779,32 +840,37 @@ def patch_product(
     # (``None``: an empty delta, a function of the indirections alone,
     # so every sibling's is empty too) is shared with every sibling
     done: dict[tuple, _GroupPatch | None] = {}
-    for member_keys in product_groups(product):
-        gkey = group_state_key(member_keys)
-        gstate = state.groups[gkey]
-        sig = arrays[gstate.array].distribution.signature()
-        mkey = (gkey[1], sig)
-        sib = done.get(mkey)
-        if sib is None and mkey in done:
-            continue
-        if sib is not None and not _twin_matches(sib, product, gstate, member_keys):
-            sib = None
-        try:
-            patch = _patch_group(
-                ctx, gstate, member_keys, ttables[(gstate.array, sig)], sib
-            )
-        except ValueError as exc:
-            # schedule/buffer assembly rejected the delta (shrunk ghost
-            # region, mismatched shapes): the saved state disagrees with
-            # the product -- a recoverable abort, nothing persisted yet
-            raise PatchAborted(
-                f"adapt: patch assembly failed for group {gkey}: {exc}"
-            ) from exc
-        if sib is None:
-            done[mkey] = patch
-        if patch is not None:
-            patterns_new.update(patch.patterns)
-            pending_states[gkey] = patch.state
+    try:
+        for member_keys in product_groups(product):
+            gkey = group_state_key(member_keys)
+            gstate = state.groups[gkey]
+            sig = arrays[gstate.array].distribution.signature()
+            mkey = (gkey[1], sig)
+            sib = done.get(mkey)
+            if sib is None and mkey in done:
+                continue
+            if sib is not None and not _twin_matches(sib, product, gstate, member_keys):
+                sib = None
+            try:
+                patch = _patch_group(
+                    ctx, gstate, member_keys, ttables[(gstate.array, sig)], sib
+                )
+            except ValueError as exc:
+                # schedule/buffer assembly rejected the delta (shrunk ghost
+                # region, mismatched shapes): the saved state disagrees with
+                # the product -- a recoverable abort, nothing persisted yet
+                raise PatchAborted(
+                    f"adapt: patch assembly failed for group {gkey}: {exc}"
+                ) from exc
+            if sib is None:
+                done[mkey] = patch
+            if patch is not None:
+                patterns_new.update(patch.patterns)
+                pending_states[gkey] = patch.state
+    finally:
+        # the order task's result is read on every path, an abort's too:
+        # no patch leaves work running behind it
+        new_part = order()
 
     # every group patched without error: persist the new slot spaces
     state.groups.update(pending_states)

@@ -42,7 +42,7 @@ deferring the host work moves no simulated number.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -200,13 +200,24 @@ def build_adapt_state(pending: PendingState) -> LoopAdaptState:
 
     Reads only what ``pending`` holds, never the live program, so the
     state describes the captured product no matter when it is built.
+    Twin groups -- another data array under the same distribution
+    object, holding the same reference and ghost-key arrays
+    (``x(edge(i))`` / ``y(edge(i))``) -- get one build, the same arrays
+    under their own name.
     """
     product = pending.product
     state = LoopAdaptState(home=product.iteration_partition.owner_of())
+    built: dict[tuple, GroupState] = {}
     for member_keys in product_groups(product):
-        state.groups[group_state_key(member_keys)] = build_group_state(
-            product, pending.distributions[member_keys[0][0]], member_keys
-        )
+        gkey = group_state_key(member_keys)
+        dist = pending.distributions[gkey[0]]
+        locs = [product.patterns[key].localized for key in member_keys]
+        inputs = (id(dist), gkey[1], id(locs[0].ghost_flat), *(id(loc.refs_flat) for loc in locs))
+        twin = built.get(inputs)
+        if twin is None:
+            state.groups[gkey] = built[inputs] = build_group_state(product, dist, member_keys)
+        else:
+            state.groups[gkey] = replace(twin, array=gkey[0])
     return state
 
 

@@ -49,7 +49,8 @@ class RemapSchedule:
 
     The flattened form: ``pair_p[i]``/``pair_q[i]``/``pair_counts[i]``
     describe the i-th communicating pair; ``src_index``/``dst_index``
-    hold all pairs' local offsets concatenated in pair order.
+    hold all pairs' local offsets concatenated in pair order (the
+    destination side is kept only as flat backing positions).
     """
 
     def __init__(
@@ -72,7 +73,6 @@ class RemapSchedule:
         self.pair_q = pair_q
         self.pair_counts = pair_counts
         self.src_index = src_index
-        self.dst_index = dst_index
         # flat backing positions: the destination side is known now (the
         # new distribution is in hand); the source side is resolved on
         # first apply() from the array's current (old) distribution

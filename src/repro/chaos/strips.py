@@ -1,16 +1,19 @@
 """Processor strips: the one runner that spreads simulated processors
 over the host's cores.
 
-Both the executor's compute phase and the cold ``localize`` split their
-work into *strips*: runs of whole processors of about
-:data:`STRIP_ITERS` positions (iterations, or references per stacked
-member), cut only at processor boundaries (:func:`strip_cuts`).  A strip
-owns every position of its processors, so strips write disjoint output
-and their results concatenate in processor order into exactly what one
-pass over all processors gives.  :func:`run_strips` takes strips off one
-queue on the calling thread and a small process-wide thread pool; one
-strip -- and every run on a host with one usable CPU -- runs inline and
-starts no thread.
+The executor's compute phase, the cold ``localize`` and the patch rung's
+reference reorder split their work into *strips*: runs of whole
+processors of about :data:`STRIP_ITERS` positions (iterations, or
+references per stacked member), cut only at processor boundaries
+(:func:`strip_cuts`).  A strip owns every position of its processors,
+so strips write disjoint output and their results concatenate in
+processor order into exactly what one pass over all processors gives.
+:func:`run_strips` takes strips off one queue on the calling thread and
+a small process-wide thread pool; one strip -- and every run on a host
+with one usable CPU, or from a pool thread -- runs inline and starts no
+thread.  :func:`start` runs one task beside the caller on the same pool
+and hands back its join: the patch rung's *order task*, whose strips
+therefore run inline on the worker that took it.
 """
 
 from __future__ import annotations
@@ -21,13 +24,21 @@ import threading
 
 import numpy as np
 
-__all__ = ["MAX_STRIP_WORKERS", "STRIP_ITERS", "run_strips", "strip_cuts"]
+__all__ = ["MAX_STRIP_WORKERS", "STRIP_ITERS", "run_strips", "start", "strip_cuts"]
 
 #: positions a strip aims for: a strip is the shortest run of whole
 #: processors holding at least this many (the last may hold fewer)
 STRIP_ITERS = 1 << 16
 #: most worker threads the strip pool ever starts
 MAX_STRIP_WORKERS = 3
+
+
+#: ``on`` is set on the pool's own threads: their strips and tasks run inline
+_pool_thread = threading.local()
+
+
+def _mark_pool_thread() -> None:
+    _pool_thread.on = True
 
 
 def _usable_cpus() -> int:
@@ -40,8 +51,8 @@ def _usable_cpus() -> int:
 class _StripPool:
     """The process-wide thread pool that strips run on.
 
-    Created on the first run with more than one strip, and only on a
-    host with more than one usable CPU: ``usable CPUs - 1`` workers
+    Created on first use (a run of more than one strip, or a task), and
+    only on a host with more than one usable CPU: ``usable CPUs - 1`` workers
     (at most :data:`MAX_STRIP_WORKERS`), because the dispatching thread
     takes strips too.  A forked child drops the inherited pool, whose
     threads do not exist there, and builds its own on demand.
@@ -53,7 +64,11 @@ class _StripPool:
 
     @classmethod
     def get(cls):
-        """``(executor, n_workers)``, or ``(None, 0)`` on one usable CPU."""
+        """``(executor, n_workers)``, or ``(None, 0)`` on one usable CPU
+        and on the pool's own threads (a task never waits on the queue
+        it is blocking)."""
+        if getattr(_pool_thread, "on", False):
+            return None, 0
         with cls._lock:
             if cls._workers is None:
                 cls._workers = max(0, min(_usable_cpus() - 1, MAX_STRIP_WORKERS))
@@ -61,7 +76,9 @@ class _StripPool:
                 from concurrent.futures import ThreadPoolExecutor
 
                 cls._executor = ThreadPoolExecutor(
-                    cls._workers, thread_name_prefix="repro-strip"
+                    cls._workers,
+                    thread_name_prefix="repro-strip",
+                    initializer=_mark_pool_thread,
                 )
             return cls._executor, cls._workers
 
@@ -89,6 +106,18 @@ def strip_cuts(bounds: np.ndarray, target: int) -> list[int]:
         p = int(np.searchsorted(bounds, bounds[cuts[-1]] + target))
         cuts.append(min(max(p, cuts[-1] + 1), n_procs))
     return cuts
+
+
+def start(task):
+    """Run ``task()`` beside the caller; returns its join, a zero-argument
+    callable giving the task's result or re-raising its error.  On the
+    pool when there is one; with none, inline and at once, so the task
+    runs in the caller's order."""
+    pool, _ = _StripPool.get()
+    if pool is None:
+        result = task()
+        return lambda: result
+    return pool.submit(task).result
 
 
 def run_strips(run_strip, n_strips: int) -> None:

@@ -123,14 +123,18 @@ def _content_keys(version: tuple) -> tuple:
     """Every :class:`~repro.core.cachekey.ContentKey` nested in ``version``."""
     from repro.core.cachekey import ContentKey  # repro.core imports this module
 
-    def walk(part):
-        if isinstance(part, ContentKey):
-            yield part
-        elif isinstance(part, tuple):
-            for sub in part:
-                yield from walk(sub)
+    return tuple(_walk(version, ContentKey))
 
-    return tuple(walk(version))
+
+def _walk(part, kind):
+    """The ``kind`` instances nested in tuple ``part``, depth first.  A
+    module-level function: a nested one that recurses into itself is a
+    reference cycle, left for the collector on every call."""
+    if isinstance(part, kind):
+        yield part
+    elif isinstance(part, tuple):
+        for sub in part:
+            yield from _walk(sub, kind)
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:

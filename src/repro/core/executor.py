@@ -19,11 +19,13 @@ Phase 2 runs the simulated processors on the host's cores.  The
 iterations split into *strips* (``repro.chaos.strips``): runs of whole
 processors of about ``STRIP_ITERS`` iterations, cut only at processor
 boundaries.  The dispatching thread materializes everything the strips
-share first (combined ``[local | ghost]`` read arrays, reference
-positions, staging), then it and the process-wide strip pool take
-strips off one queue.  A strip gathers each distinct read reference once, runs the
-loop's statements in program order on its slice and applies their
-``ufunc.at`` or store to the staging.  Every staging slot belongs to
+share first (combined ``[local | ghost]`` read arrays, staging, and an
+empty array for each fresh pattern's combined-space reference
+positions), then it and the process-wide strip pool take strips off one
+queue.  A strip fills its slice of those positions, gathers each
+distinct read reference once, runs the loop's statements in program
+order on its slice and applies their ``ufunc.at`` or store to the
+staging.  Every staging slot belongs to
 exactly one processor, and a strip holds all of that processor's
 iterations, so each slot receives the same updates in the same order as
 one serial pass over all processors: results, counters and simulated
@@ -166,13 +168,6 @@ class _PatternSpace:
         for arr in (self.offsets, self.local_sel, self.ghost_sel):
             arr.flags.writeable = False
 
-    def refs(self, localized, counts: np.ndarray) -> np.ndarray:
-        """Combined-space position of every localized reference (frozen);
-        ``counts`` is the number of references each processor holds."""
-        refs = localized.refs_flat + np.repeat(self.offsets[:-1], counts)
-        refs.flags.writeable = False
-        return refs
-
 
 def _verify_gathers(machine, product, arrays, gather_items, events) -> None:
     """Content-check every gather; repair divergences with an uncharged
@@ -242,12 +237,22 @@ def _execute_once(
             ) or _PatternSpace(pat.localized)
         return pat.exec_space
 
+    # combined-space position of every localized reference (its
+    # processor's block offset added): a fresh holder's array is filled
+    # by the compute strips, each its own slice, and cached once every
+    # strip has succeeded
+    fresh: dict[int, tuple] = {}  # id(holder) -> (holder, array)
+
     def refs_of(key) -> np.ndarray:
         pat = product.patterns[key]
-        if pat.exec_refs is None:
+        if pat.exec_refs is not None:
+            return pat.exec_refs
+        if id(pat.derived) not in fresh:
+            space_of(key)
             # every pattern's flat reference list shares the iteration bounds
-            pat.exec_refs = space_of(key).refs(pat.localized, n_it)
-        return pat.exec_refs
+            refs = np.empty(int(iter_bounds[-1]), dtype=np.int64)
+            fresh[id(pat.derived)] = (pat.derived, refs)
+        return fresh[id(pat.derived)][1]
 
     # distinct read references, in a fixed order
     read_keys = sorted({(r.array, r.index) for r in loop.read_refs()}, key=str)
@@ -355,8 +360,12 @@ def _execute_once(
 
     def run_strip(k: int) -> None:
         t0 = time.perf_counter_ns()
-        b0, b1 = int(iter_bounds[cuts[k]]), int(iter_bounds[cuts[k + 1]])
+        p0, p1 = cuts[k], cuts[k + 1]
+        b0, b1 = int(iter_bounds[p0]), int(iter_bounds[p1])
         try:
+            for held, refs in fresh.values():
+                offsets = np.repeat(held.exec_space.offsets[p0:p1], n_it[p0:p1])
+                np.add(held.refs_flat[b0:b1], offsets, out=refs[b0:b1])
             gathered = {key: comb[refs[b0:b1]] for key, (comb, refs) in operands.items()}
             for func, reads, ufunc, tgt, refs, mask in plan:
                 vals = np.asarray(func(*[gathered[r] for r in reads]))
@@ -375,8 +384,8 @@ def _execute_once(
                     t0,
                     time.perf_counter_ns() - t0,
                     parent=compute_span.id,
-                    first_proc=cuts[k],
-                    n_procs=cuts[k + 1] - cuts[k],
+                    first_proc=p0,
+                    n_procs=p1 - p0,
                     n_iters=b1 - b0,
                 )
 
@@ -388,6 +397,9 @@ def _execute_once(
         n_strips=len(cuts) - 1,
     ) as compute_span:
         strips.run_strips(run_strip, len(cuts) - 1)
+    for held, refs in fresh.values():
+        refs.flags.writeable = False
+        held.exec_refs = refs
 
     # charges from the iteration counts, once every strip has finished
     n_it_f = n_it.astype(np.float64)

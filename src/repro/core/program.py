@@ -180,10 +180,6 @@ class IrregularProgram:
         self.reuse_hits = 0
         self.patch_hits = 0
         self.geocol_reuse_hits = 0
-        #: cumulative host wall seconds spent in ``inspect`` (reuse
-        #: check + diff/patch or full inspection) -- *not* simulated
-        #: time; adaptive benches compare patch vs full-inspect wall
-        self.inspect_wall = 0.0
         #: how the most recent ``inspect`` got its product (see there)
         self.last_resolution: dict | None = None
 
@@ -591,9 +587,9 @@ class IrregularProgram:
         The decision is kept as ``last_resolution`` -- ``{"loop", "rung",
         "refused": {rung: reason}, "cache_hits", "cache_misses",
         "host_seconds"}`` (host wall of the whole decision, *not*
-        simulated time; ``inspect_wall`` sums it) -- and, unless it is a
-        plain reuse hit (those stay the ``reuse_hits`` counter), emitted
-        once on the bus as ``product.resolved``.
+        simulated time; the adaptive driver's history records it) -- and,
+        unless it is a plain reuse hit (those stay the ``reuse_hits``
+        counter), emitted once on the bus as ``product.resolved``.
         """
         t0 = time.perf_counter()
         machine, obs = self.machine, self.machine.obs
@@ -666,7 +662,6 @@ class IrregularProgram:
             "cache_misses": misses,
             "host_seconds": time.perf_counter() - t0,
         }
-        self.inspect_wall += self.last_resolution["host_seconds"]
         if rung != "reuse":
             self.events.emit("product.resolved", rung, self.last_resolution)
         return product

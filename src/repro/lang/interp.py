@@ -52,7 +52,6 @@ class CompiledProgram:
         scalars: dict[str, float] | None = None,
         **program_kwargs,
     ):
-        self.source = source
         self.machine = machine
         self.sizes = dict(sizes or {})
         self.data = dict(data or {})
@@ -62,7 +61,6 @@ class CompiledProgram:
         self.program = IrregularProgram(machine, **program_kwargs)
         self._loop_cache: dict[int, object] = {}
         self._align_of: dict[str, str] = {}
-        self.executed_foralls = 0
 
     # ------------------------------------------------------------------
     def run(self) -> "CompiledProgram":
@@ -130,7 +128,6 @@ class CompiledProgram:
             self._loop_cache[key] = lower_forall(stmt, env, self.scalars)
         loop = self._loop_cache[key]
         self.program.forall(loop, n_times=n_times)
-        self.executed_foralls += n_times
 
     # ------------------------------------------------------------------
     def _create_array(self, name: str, decomp: str) -> None:

@@ -118,6 +118,34 @@ def test_built_state_equals_eager_build_despite_later_writes():
     assert_states_equal(eager, built)
 
 
+@pytest.mark.parametrize("coalesce", [True, False])
+def test_twin_groups_share_one_state_build(coalesce, monkeypatch):
+    """``y(edge(i))`` holds ``x(edge(i))``'s references under one
+    distribution: its group state is built once and shared, and equals a
+    build of its own."""
+    import repro.adapt.state as state_mod
+
+    real = state_mod.build_group_state
+    built = []
+    monkeypatch.setattr(
+        state_mod, "build_group_state", lambda *args: built.append(args[2]) or real(*args)
+    )
+    _, _, prog, loop = build(coalesce_patterns=coalesce)
+    prog.forall(loop, n_times=1)
+    state = prog.adapt.state_for(loop.name, "verify")
+    assert len(state.groups) == 2 * len(built) and all(k[0][0] == "x" for k in built)
+    product = prog.records[loop.name].product
+    dist = prog.arrays["y"].distribution
+    for (array, indexes), gstate in state.groups.items():
+        twin = state.groups["x", indexes]
+        assert (gstate.array, gstate.indexes) == (array, indexes)
+        for f in GROUP_FIELDS:
+            assert getattr(gstate, f) is getattr(twin, f), (array, f)
+        alone = real(product, dist, [(array, i) for i in indexes])
+        for f in GROUP_FIELDS:
+            assert np.array_equal(getattr(gstate, f), getattr(alone, f)), (array, f)
+
+
 def test_state_is_built_once_and_then_kept(build_calls):
     _, _, prog, loop = build()
     prog.forall(loop, n_times=1)

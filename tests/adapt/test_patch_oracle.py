@@ -206,6 +206,13 @@ def test_patch_oracle_randomized(n_procs, coalesce):
         )
 
 
+def exec_refs_of(space, localized, counts):
+    """Combined-space position of every localized reference, built whole
+    (the executor's strips fill theirs a slice at a time); ``counts`` is
+    the number of references each processor holds."""
+    return localized.refs_flat + np.repeat(space.offsets[:-1], counts)
+
+
 @pytest.mark.parametrize("n_procs", [2, 4])
 def test_patched_exec_caches_match_fresh(n_procs):
     """The executor caches a patched product holds after its first sweep
@@ -241,7 +248,7 @@ def test_patched_exec_caches_match_fresh(n_procs):
             assert pat.exec_space.total == fresh.total, key
             if pat.exec_refs is not None:
                 assert np.array_equal(
-                    pat.exec_refs, fresh.refs(pat.localized, np.diff(iter_bounds))
+                    pat.exec_refs, exec_refs_of(fresh, pat.localized, np.diff(iter_bounds))
                 ), key
 
         # dropping the cached arrays and re-executing from scratch gives
@@ -295,7 +302,7 @@ def test_carried_exec_refs_at_segment_starts_match_fresh():
         assert pat.exec_refs is not None, key
         fresh = _PatternSpace(pat.localized)
         assert np.array_equal(
-            pat.exec_refs, fresh.refs(pat.localized, np.diff(bounds))
+            pat.exec_refs, exec_refs_of(fresh, pat.localized, np.diff(bounds))
         ), key
 
 

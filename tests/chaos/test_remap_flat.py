@@ -162,7 +162,10 @@ def test_remap_matches_naive(n_procs, size, seed):
     for i, key in enumerate(keys):
         seg = slice(starts[i], starts[i + 1])
         np.testing.assert_array_equal(sched.src_index[seg], moves[key][0])
-        np.testing.assert_array_equal(sched.dst_index[seg], moves[key][1])
+        # the values the pair moved landed at the naive move's offsets
+        p, q = key
+        sent = vals[old_dist.global_index(p, sched.src_index[seg])]
+        np.testing.assert_array_equal(arr_flat.local(q)[moves[key][1]], sent)
 
 
 @pytest.mark.parametrize("n_procs,size,seed", [(4, 40, 7), (8, 120, 8)])

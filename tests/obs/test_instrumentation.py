@@ -104,8 +104,18 @@ class TestAdaptSpans:
             assert _ancestors(s, spans) & {inspect.id}
         # the patch is not one number: every stage of every group (and
         # the re-vote) is a child of that single adapt.patch span
-        stages = [s for s in spans if s.name.startswith("adapt.patch.")]
+        stages = [
+            s for s in spans
+            if s.name.startswith("adapt.patch.")
+            and s.name not in ("adapt.patch.order", "adapt.patch.strip")
+        ]
         assert all(s.parent == patch.id for s in stages)
+        # the order task is a root on a pool worker's lane (with no pool,
+        # a child of the patch); its gather strips nest under it
+        (order,) = by_name["adapt.patch.order"]
+        assert order.parent in (None, patch.id)
+        assert by_name["adapt.patch.strip"]
+        assert all(s.parent == order.id for s in by_name["adapt.patch.strip"])
         (revote,) = [s for s in stages if s.name == "adapt.patch.revote"]
         assert revote.attrs["iterations"] == 4  # the union over both edge arrays
         per_group = {}
@@ -129,7 +139,8 @@ class TestAdaptSpans:
         mutate(prog, mesh, 4)
         prog.forall(loop, n_times=1)
         names = {s.name for s in prog.machine.obs.spans if s.name.startswith("adapt.patch")}
-        assert len(names) == 9  # adapt.patch, .revote and the seven stages
+        # adapt.patch, .revote, the seven stages, the order task and the refs strips
+        assert len(names) == 11
         assert {layer_of(name) for name in names} == {"adapt"}
         path = prog.export_obs(str(tmp_path / "t.trace.json"), fmt="chrome")
         assert main(["report", path, "--top", "40"]) == 0
