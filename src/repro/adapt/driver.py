@@ -5,7 +5,9 @@ ladder, ``IrregularProgram.inspect`` (``reuse -> patch -> full``): with
 ``incremental=True`` the ladder hands it every failed Section 3 reuse
 check, and it only routes, diffs, patches and verifies -- saving the
 record, running the full inspector and recording the rung taken
-(``product.resolved``) stay with the ladder.  Routing:
+(``product.resolved``) stay with the ladder.  It keeps the program's
+parts it reads, not the program, so that nothing in a program points
+back at its owner and a dropped program is freed at once.  Routing:
 
 * a **condition 1/2** failure (a DAD changed -- some array was
   remapped or resized) is unpatchable: saved owners, local offsets and
@@ -74,10 +76,22 @@ DIFF_IOPS_PER_ELEMENT = 2.0
 
 
 class IncrementalInspector:
-    """Per-program incremental-inspection state and patch routing."""
+    """Per-program incremental-inspection state and patch routing.
+
+    Holds the parts of its program a patch reads (machine, arrays, event
+    bus, registry, translation tables, guard level; none is ever
+    rebound), never the program: the program holds this object, so a
+    back-pointer would make every program a reference cycle, freed only
+    by the collector's next full pass instead of by its last user.
+    """
 
     def __init__(self, program):
-        self.program = program
+        self.machine = program.machine
+        self.arrays = program.arrays
+        self.events = program.events
+        self.registry = program.registry
+        self.ttables = program.ttables
+        self.guard = program.guard
         #: patch only while at most this fraction of the tracked
         #: indirection elements changed
         self.max_change_fraction = 0.35
@@ -103,12 +117,12 @@ class IncrementalInspector:
         """Every fallback to the full inspector so far, as
         ``{"loop", "stage", "reason", "error", **detail}`` records: the
         ``"adapt.fallback"`` category of the program's event bus."""
-        return self.program.events.payloads("adapt.fallback")
+        return self.events.payloads("adapt.fallback")
 
     def _fallback(self, loop_name: str, stage: str, reason: str, error=None, **detail):
         """Record one fall-back-to-full-inspection decision; returns None
         (the sentinel ``attempt`` hands the caller)."""
-        self.program.events.emit(
+        self.events.emit(
             "adapt.fallback",
             reason,
             {
@@ -128,12 +142,10 @@ class IncrementalInspector:
 
         The host-side build waits for :meth:`state_for`; the simulated
         charge does not move (``repro.adapt.state`` explains both)."""
-        arrays = self.program.arrays
-        machine = self.program.machine
         self._states.pop(loop.name, None)
-        self._pending[loop.name] = PendingState.capture(record.product, arrays)
-        with machine.obs.span("adapt.state.charge", loop=loop.name):
-            charge_state_build(machine, record.product, arrays)
+        self._pending[loop.name] = PendingState.capture(record.product, self.arrays)
+        with self.machine.obs.span("adapt.state.charge", loop=loop.name):
+            charge_state_build(self.machine, record.product, self.arrays)
 
     # ------------------------------------------------------------------
     # state access: every reader goes through state_for
@@ -152,13 +164,13 @@ class IncrementalInspector:
         pending = self._pending.pop(loop_name, None)
         if pending is not None:
             t0 = time.perf_counter()
-            with self.program.machine.obs.span(
+            with self.machine.obs.span(
                 "adapt.state.build_adapt_state", loop=loop_name, reason=reason
             ):
                 self._states[loop_name] = build_adapt_state(pending)
             wall = time.perf_counter() - t0
             self.state_build_wall += wall
-            self.program.events.emit(
+            self.events.emit(
                 "adapt.state",
                 reason,
                 {"loop": loop_name, "reason": reason, "host_seconds": wall},
@@ -196,9 +208,9 @@ class IncrementalInspector:
             )
         if loop.name not in self.loops_with_state():
             return self._fallback(loop.name, "route", "no_saved_state")
-        machine = self.program.machine
-        registry = self.program.registry
-        arrays = self.program.arrays
+        machine = self.machine
+        registry = self.registry
+        arrays = self.arrays
         stale = [
             name
             for name, stamp in record.ind_last_mod.items()
@@ -273,7 +285,7 @@ class IncrementalInspector:
                         arrays,
                         state,
                         changed,
-                        self.program.ttables,
+                        self.ttables,
                     )
                 with obs.span("adapt.verify", loop=loop.name):
                     self._verify_patch(loop, product)
@@ -314,11 +326,10 @@ class IncrementalInspector:
         first, so injected slot flips face the same verification real
         corruption would.
         """
-        machine = self.program.machine
-        faults = machine.faults
+        faults = self.machine.faults
         if faults is not None:
             faults.on_patched_product(product)
-        level = getattr(self.program, "guard", "off")
+        level = self.guard
         if level == "off":
             if faults is None:
                 return
@@ -326,7 +337,7 @@ class IncrementalInspector:
         try:
             verify_product(
                 product,
-                self.program.arrays,
+                self.arrays,
                 level,
                 state=self.state_for(loop.name, "verify"),
             )

@@ -5,7 +5,10 @@ fixes a size and carries the current distribution; distributed arrays are
 *aligned* with it and are remapped together when it is redistributed.
 The actual data movement of a redistribution is performed by
 ``repro.chaos.remap`` (driven from ``repro.core``); this class only tracks
-the template/alignment relationships and distribution identity.
+the template/alignment relationships and distribution identity.  The
+relationship is one-way: the template lists its arrays, and an array
+does not point back at its template, so a dropped program's arrays are
+freed by reference counting rather than kept as a cycle.
 """
 
 from __future__ import annotations
@@ -66,7 +69,6 @@ class Decomposition:
             )
         if array not in self.arrays:
             self.arrays.append(array)
-            array.decomposition = self
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         kind = self.distribution.kind if self.distribution else "undistributed"

@@ -36,15 +36,11 @@ and tests, and deliberately charge *nothing* to the simulated machine.
 from __future__ import annotations
 
 import itertools
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.distribution.base import Distribution
 from repro.machine.machine import Machine
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.distribution.decomposition import Decomposition
 
 _uid_counter = itertools.count(1)
 
@@ -118,7 +114,6 @@ class DistArray:
         self.dtype = np.dtype(dtype)
         self.uid = next(_uid_counter)
         self.name = name if name is not None else f"arr{self.uid}"
-        self.decomposition: "Decomposition | None" = None
         self._offsets = distribution.flat_offsets()
         self._data = np.full(distribution.size, fill, dtype=self.dtype)
         self._version = 0

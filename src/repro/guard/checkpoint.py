@@ -871,13 +871,14 @@ def _build_adapt_states(payload: dict, records: dict) -> dict:
     return states
 
 
-def _restore_adapt(adapt, payload: dict, states: dict) -> None:
+def _restore_adapt(program, payload: dict, states: dict) -> None:
+    adapt = program.adapt
     adapt.max_change_fraction = payload["max_change_fraction"]
     adapt.max_failures = payload["max_failures"]
     adapt.replace_states(states)
     adapt.failures = dict(payload["failures"])
     adapt.disabled = set(payload["disabled"])
-    adapt.program.events.replace_category(
+    program.events.replace_category(
         "adapt.fallback", [dict(rec) for rec in payload["fallback_log"]]
     )
 
@@ -928,7 +929,7 @@ def restore_checkpoint(payload, program, loops, driver=None) -> None:
     program.records = records
     _restore_ttables(program, payload["ttables"])
     if states is not None:
-        _restore_adapt(program.adapt, payload["adapt"], states)
+        _restore_adapt(program, payload["adapt"], states)
     elif program.adapt is not None:
         program.adapt.replace_states({})
     if driver is not None and payload["driver"] is not None:

@@ -60,68 +60,8 @@ def compile_expression(expr, loop_var: str, scalars: dict[str, float] | None = N
     expression vectorized over iterations; ``flops`` is the modeled cost
     per iteration.  Scalar identifiers are baked in from ``scalars``.
     """
-    scalars = scalars or {}
     slots: dict[ArrayRef, int] = {}
-    flops = 0.0
-
-    def build(node):
-        nonlocal flops
-        if isinstance(node, Num):
-            v = node.value
-            return lambda ops: v
-        if isinstance(node, Var):
-            try:
-                v = float(scalars[node.name])
-            except KeyError:
-                raise KeyError(
-                    f"scalar {node.name!r} has no bound value"
-                ) from None
-            return lambda ops: v
-        if isinstance(node, ArrayIndex):
-            ref = _ref_of(node, loop_var)
-            slot = slots.setdefault(ref, len(slots))
-            return lambda ops: ops[slot]
-        if isinstance(node, BinOp):
-            lf, rf = build(node.left), build(node.right)
-            flops += _FLOPS_POW if node.op == "**" else _FLOPS_BINOP
-            op = node.op
-            if op == "+":
-                return lambda ops: lf(ops) + rf(ops)
-            if op == "-":
-                return lambda ops: lf(ops) - rf(ops)
-            if op == "*":
-                return lambda ops: lf(ops) * rf(ops)
-            if op == "/":
-                return lambda ops: lf(ops) / rf(ops)
-            if op == "**":
-                return lambda ops: lf(ops) ** rf(ops)
-            raise ValueError(f"unsupported operator {op!r}")
-        if isinstance(node, UnOp):
-            f = build(node.operand)
-            flops += _FLOPS_BINOP
-            return lambda ops: -f(ops)
-        if isinstance(node, Call):
-            argfs = [build(a) for a in node.args]
-            flops += _FLOPS_CALL
-            if node.func in _INTRINSIC_FUNCS:
-                if len(argfs) != 1:
-                    raise ValueError(f"{node.func} takes one argument")
-                fn = _INTRINSIC_FUNCS[node.func]
-                f0 = argfs[0]
-                return lambda ops: fn(f0(ops))
-            if node.func == "MIN":
-                return lambda ops: _variadic(np.minimum, argfs, ops)
-            if node.func == "MAX":
-                return lambda ops: _variadic(np.maximum, argfs, ops)
-            if node.func == "MOD":
-                if len(argfs) != 2:
-                    raise ValueError("MOD takes two arguments")
-                fa, fb = argfs
-                return lambda ops: np.mod(fa(ops), fb(ops))
-            raise ValueError(f"unknown intrinsic {node.func!r}")
-        raise ValueError(f"unsupported expression node {node!r}")
-
-    evaluator = build(expr)
+    evaluator, flops = _build(expr, loop_var, scalars or {}, slots)
     refs = tuple(slots)  # insertion order == slot order
 
     def func(*operands):
@@ -132,6 +72,67 @@ def compile_expression(expr, loop_var: str, scalars: dict[str, float] | None = N
         return evaluator(operands)
 
     return func, refs, flops
+
+
+def _build(node, loop_var: str, scalars: dict[str, float], slots: dict[ArrayRef, int]):
+    """Lower one expression node: ``(closure over operands, flops)``.
+
+    Module level, not nested in :func:`compile_expression`: a nested
+    self-recursive function is a reference cycle holding every closure
+    it built, freed only by the collector's next full pass."""
+    if isinstance(node, Num):
+        v = node.value
+        return (lambda ops: v), 0.0
+    if isinstance(node, Var):
+        try:
+            v = float(scalars[node.name])
+        except KeyError:
+            raise KeyError(f"scalar {node.name!r} has no bound value") from None
+        return (lambda ops: v), 0.0
+    if isinstance(node, ArrayIndex):
+        ref = _ref_of(node, loop_var)
+        slot = slots.setdefault(ref, len(slots))
+        return (lambda ops: ops[slot]), 0.0
+    if isinstance(node, BinOp):
+        lf, lflops = _build(node.left, loop_var, scalars, slots)
+        rf, rflops = _build(node.right, loop_var, scalars, slots)
+        flops = lflops + rflops + (_FLOPS_POW if node.op == "**" else _FLOPS_BINOP)
+        op = node.op
+        if op == "+":
+            return (lambda ops: lf(ops) + rf(ops)), flops
+        if op == "-":
+            return (lambda ops: lf(ops) - rf(ops)), flops
+        if op == "*":
+            return (lambda ops: lf(ops) * rf(ops)), flops
+        if op == "/":
+            return (lambda ops: lf(ops) / rf(ops)), flops
+        if op == "**":
+            return (lambda ops: lf(ops) ** rf(ops)), flops
+        raise ValueError(f"unsupported operator {op!r}")
+    if isinstance(node, UnOp):
+        f, flops = _build(node.operand, loop_var, scalars, slots)
+        return (lambda ops: -f(ops)), flops + _FLOPS_BINOP
+    if isinstance(node, Call):
+        built = [_build(a, loop_var, scalars, slots) for a in node.args]
+        argfs = [f for f, _ in built]
+        flops = sum(fl for _, fl in built) + _FLOPS_CALL
+        if node.func in _INTRINSIC_FUNCS:
+            if len(argfs) != 1:
+                raise ValueError(f"{node.func} takes one argument")
+            fn = _INTRINSIC_FUNCS[node.func]
+            f0 = argfs[0]
+            return (lambda ops: fn(f0(ops))), flops
+        if node.func == "MIN":
+            return (lambda ops: _variadic(np.minimum, argfs, ops)), flops
+        if node.func == "MAX":
+            return (lambda ops: _variadic(np.maximum, argfs, ops)), flops
+        if node.func == "MOD":
+            if len(argfs) != 2:
+                raise ValueError("MOD takes two arguments")
+            fa, fb = argfs
+            return (lambda ops: np.mod(fa(ops), fb(ops))), flops
+        raise ValueError(f"unknown intrinsic {node.func!r}")
+    raise ValueError(f"unsupported expression node {node!r}")
 
 
 def _variadic(ufunc, argfs, ops):

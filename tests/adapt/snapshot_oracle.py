@@ -75,7 +75,7 @@ class SnapshotOracle:
 
         def after_inspect(inc, loop, record):
             real_after(inc, loop, record)
-            self.take(inc.program.arrays, loop)
+            self.take(inc.arrays, loop)
 
         def old_targets(product, arrays, name, pos):
             got = real_old(product, arrays, name, pos)

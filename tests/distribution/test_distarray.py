@@ -111,7 +111,7 @@ class TestDecomposition:
         dec.distribute(dist)
         arr = DistArray(m4, dist, name="x")
         dec.align(arr)
-        assert arr.decomposition is dec
+        assert arr in dec.arrays
         assert dec.arrays == [arr]
 
     def test_align_before_distribute_fails(self, m4):
