@@ -64,7 +64,7 @@ def old_targets(
     loc = pat.localized
     part = product.iteration_partition
     f = part.inverse()[pos]
-    p = part.proc_of_position()[f]
+    p = np.searchsorted(part.bounds, f, side="right") - 1
     v = loc.refs_flat[f]
     local_size = np.asarray(loc.local_sizes, dtype=np.int64)[p]
     dist = arrays[pat.array].distribution

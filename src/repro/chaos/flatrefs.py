@@ -29,29 +29,25 @@ class FlatRefs:
     ``[bounds[p]:bounds[p+1]]`` of its ``bounds[-1]`` values.  One list
     per processor is the ``members == 1`` case; a coalesced pattern
     group (every pattern a gather over one iteration partition) has one
-    member per pattern.  ``requesters``, when the caller already holds
-    it, is the processor id of each position of one member.
+    member per pattern.
 
     A materialised stream holds ``values`` (every member, back to back);
     a gathered one (:meth:`gathered`) holds ``sources`` and
     ``positions`` instead, and its ``values`` is ``None``.
     """
 
-    __slots__ = ("values", "bounds", "members", "requesters", "sources", "positions")
+    __slots__ = ("values", "bounds", "members", "sources", "positions")
 
-    def __init__(
-        self, values: np.ndarray, bounds: np.ndarray, members: int = 1, requesters=None
-    ):
+    def __init__(self, values: np.ndarray, bounds: np.ndarray, members: int = 1):
         self.values = np.asarray(values, dtype=np.int64)
         self.bounds = np.asarray(bounds, dtype=np.int64)
         self.members = members
-        self.requesters = requesters
         self.sources = None
         self.positions = None
 
     @classmethod
     def gathered(
-        cls, sources: list, positions: np.ndarray, bounds: np.ndarray, requesters=None
+        cls, sources: list, positions: np.ndarray, bounds: np.ndarray
     ) -> "FlatRefs":
         """The stream whose member ``j`` holds ``sources[j][positions]``
         (``positions`` itself where ``sources[j]`` is ``None``), never
@@ -60,7 +56,6 @@ class FlatRefs:
         refs.values = None
         refs.bounds = np.asarray(bounds, dtype=np.int64)
         refs.members = len(sources)
-        refs.requesters = requesters
         refs.sources = sources
         refs.positions = positions
         return refs
@@ -79,7 +74,7 @@ class FlatRefs:
 
     def check(self) -> None:
         """Raise ``ValueError`` unless ``bounds`` is a CSR over one member
-        and the stream / ``requesters`` have the sizes it implies."""
+        and the stream has the size it implies."""
         b = self.bounds
         if b.ndim != 1 or not b.size or b[0] != 0 or (b[1:] < b[:-1]).any():
             raise ValueError(
@@ -102,11 +97,6 @@ class FlatRefs:
             raise ValueError(
                 f"{self.values.size} reference values for {self.members} "
                 f"member(s) of {int(b[-1])} references each (bounds[-1])"
-            )
-        if self.requesters is not None and self.requesters.shape != (b[-1],):
-            raise ValueError(
-                f"{self.requesters.size} requester ids for {int(b[-1])} "
-                "references per member (bounds[-1])"
             )
 
     @property

@@ -291,9 +291,7 @@ def _localize_strip(ttable, refs, p0, p1, local_sizes, localized):
     b0, b1 = int(refs.bounds[p0]), int(refs.bounds[p1])
     sizes = np.diff(refs.bounds[p0 : p1 + 1])
     procs = np.arange(p0, p1, dtype=np.int64)
-    pid = (
-        np.repeat(procs, sizes) if refs.requesters is None else refs.requesters[b0:b1]
-    )
+    pid = np.repeat(procs, sizes)
     # every member's references of the strip, one row each
     vals = refs.block(b0, b1)
     try:

@@ -64,11 +64,13 @@ version's :class:`~repro.core.cachekey.ContentKey` parts once, and
 ``IrregularProgram.inspect`` prunes against the arrays' current versions
 whenever it leaves the reuse-hit path (the hit path pays nothing).
 Entries keyed only on distribution signatures stay, since a distribution
-can recur.  A new version also *replaces* the slot's entry, so memory is
-bounded by the number of structurally distinct patterns whose inputs are
-current, not by program history -- a pattern the patch rung keeps
-repairing (and so never re-probes) holds nothing after its first write.
-Both paths count under ``invalidations``, once per entry.
+can recur.  A miss evicts the slot's entry of another version at once,
+before the cold run it triggers allocates the replacement that ``put``
+stores, so a slot never holds two products and memory is bounded by the
+number of structurally distinct patterns whose inputs are current, not
+by program history -- a pattern the patch rung keeps repairing (and so
+never re-probes) holds nothing after its first write.  Both paths count
+under ``invalidations``, once per entry.
 Cached arrays are frozen (``writeable=False``) and shared by every hit;
 schedules are shared through :meth:`~repro.chaos.schedule.CommSchedule.
 twin` clones so each product keeps the distinct schedule identity the
@@ -231,9 +233,10 @@ class TranslationCache:
 
     See the module docstring for the layout and invalidation contract.
     ``get``/``put`` take the slot (structural key) and version (volatile
-    key) separately; a put under a new version replaces the slot's
-    previous entry, bounding memory by the number of distinct slots, and
-    :meth:`prune` drops entries of superseded content.
+    key) separately; a miss evicts the slot's entry of another version
+    (a put under a new version would replace it), bounding memory by the
+    number of distinct slots, and :meth:`prune` drops entries of
+    superseded content.
     """
 
     def __init__(self):
@@ -242,8 +245,8 @@ class TranslationCache:
         self._content: dict[tuple, tuple] = {}
         self.hits = 0
         self.misses = 0
-        #: entries replaced under a new version or pruned (same slot,
-        #: changed content/distribution; or superseded content)
+        #: entries evicted by a miss or replaced under a new version (same
+        #: slot, changed content/distribution), or pruned (superseded content)
         self.invalidations = 0
         #: per-kind counters, keyed by slot[0] ("localize" / "partition")
         self.kind_hits: dict[str, int] = {}
@@ -254,12 +257,19 @@ class TranslationCache:
         self.derived_builds = 0
 
     def get(self, slot: tuple, version: tuple):
-        """The entry stored for ``slot`` iff its version matches, else None."""
+        """The entry stored for ``slot`` iff its version matches, else None.
+
+        A miss evicts the slot's entry of another version at once: the
+        caller's ``put`` would replace it, and the cold run that precedes
+        that ``put`` should not have to hold both."""
         held = self._slots.get(slot)
         if held is not None and held[0] == version:
             self.hits += 1
             self.kind_hits[slot[0]] = self.kind_hits.get(slot[0], 0) + 1
             return held[1]
+        if held is not None:
+            del self._slots[slot], self._content[slot]
+            self._count_invalidation(slot)
         self.misses += 1
         self.kind_misses[slot[0]] = self.kind_misses.get(slot[0], 0) + 1
         return None
@@ -310,8 +320,8 @@ class TranslationCache:
     def stats(self) -> dict:
         """Counters for bench reports (wall-side only, never simulated).
 
-        ``invalidations`` counts entries replaced under a changed
-        version key or dropped by :meth:`prune`, once per entry.
+        ``invalidations`` counts entries evicted or replaced under a
+        changed version key or dropped by :meth:`prune`, once per entry.
         ``by_kind`` breaks hits/misses/invalidations/entries down per
         slot kind (``"localize"`` / ``"partition"``); once any derived
         holder was requested it also carries ``"derived"`` with the

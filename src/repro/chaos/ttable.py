@@ -54,7 +54,10 @@ class Translator(ABC):
 
     Concrete tables implement the two charging halves
     (:meth:`strip_counts`, :meth:`charge_counts`); translation is shared.
+    ``variant`` names the kind for :func:`build_translation_table`.
     """
+
+    variant: str
 
     def __init__(self, machine: Machine, dist: Distribution):
         if dist.n_procs != machine.n_procs:
@@ -117,6 +120,7 @@ class Translator(ABC):
 class RegularTranslationTable(Translator):
     """Closed-form translation for block/cyclic/block-cyclic distributions."""
 
+    variant = "regular"
     _per_ref_cost = DEFAULT_COSTS.translate_regular
 
     def strip_counts(self, values, requesters, first, sizes):
@@ -135,6 +139,7 @@ class ReplicatedTranslationTable(RegularTranslationTable):
     otherwise the regular table's local closed-form shape.
     """
 
+    variant = "replicated"
     _per_ref_cost = DEFAULT_COSTS.translate_replicated
 
     def __init__(self, machine: Machine, dist: Distribution):
@@ -152,6 +157,8 @@ class DistributedTranslationTable(Translator):
     a request message carrying the indices, a probe at the owner, and a
     reply message carrying (owner, offset) pairs.
     """
+
+    variant = "distributed"
 
     def __init__(self, machine: Machine, dist: Distribution):
         super().__init__(machine, dist)
@@ -231,3 +238,13 @@ def build_translation_table(
         f"unknown translation table variant {variant!r}; "
         "choose auto | regular | replicated | distributed"
     )
+
+
+def build_uncharged(machine: Machine, dist: Distribution, variant: str) -> Translator:
+    """A table whose build ``machine`` was charged for already (a
+    superseded distribution that recurs, a checkpoint restore): built
+    against a scratch machine, then bound to ``machine``.  A table is a
+    pure function of its distribution and variant."""
+    tt = build_translation_table(Machine(machine.n_procs), dist, variant)
+    tt.machine = machine
+    return tt

@@ -26,7 +26,7 @@ import numpy as np
 from repro.chaos.costs import DEFAULT_COSTS
 from repro.chaos.localize import FlatRefs, LocalizeResult, localize
 from repro.chaos.transcache import TranslationCache
-from repro.chaos.ttable import Translator, build_translation_table
+from repro.chaos.ttable import Translator, build_translation_table, build_uncharged
 from repro.core import cachekey
 from repro.core.forall import Assign, ForallLoop
 from repro.core.iteration import (
@@ -134,7 +134,7 @@ def run_inspector(
     arrays: dict[str, DistArray],
     iter_method: str = "almost_owner",
     ttable_variant: str = "auto",
-    ttables: dict[tuple[str, tuple], Translator] | None = None,
+    ttables: dict[tuple[str, tuple], Translator | str] | None = None,
     coalesce_patterns: bool = True,
     cache: TranslationCache | None = None,
 ) -> InspectorProduct:
@@ -143,7 +143,9 @@ def run_inspector(
     ``ttables`` is an optional cache of translation tables keyed by
     ``(array name, distribution signature)``; the program context passes
     one so repeated inspections of differently-indexed loops over the
-    same arrays don't rebuild tables.
+    same arrays don't rebuild tables.  A superseded distribution's entry
+    holds only the table's variant (``IrregularProgram.redistribute``);
+    if that distribution recurs, the table is rebuilt uncharged.
 
     ``coalesce_patterns=True`` (the default) applies PARTI's
     incremental-schedule idea: all patterns referencing one array are
@@ -202,27 +204,26 @@ def run_inspector(
         indirection read at the partition's positions, stacked back to
         back under its bounds -- gathered strip by strip inside
         ``localize``, never assembled here."""
-        # cached, content-versioned global assembly: repeated
-        # inspections of an unmutated indirection array reuse it
         sources = [
             None
             if index is None
-            else np.asarray(arrays[index].global_view(), dtype=np.int64)
+            else np.asarray(arrays[index].global_read(), dtype=np.int64)
             for index in group
         ]
-        return FlatRefs.gathered(
-            sources, iter_flat, iter_bounds, itpart.proc_of_position()
-        )
+        return FlatRefs.gathered(sources, iter_flat, iter_bounds)
 
     def get_ttable(array_name: str) -> Translator:
         arr = arrays[array_name]
         tkey = (array_name, arr.distribution.signature())
-        if ttables is not None and tkey in ttables:
-            return ttables[tkey]
-        with obs.span("inspector.ttable.build", array=array_name):
-            tt = build_translation_table(machine, arr.distribution, ttable_variant)
-        if ttables is not None:
-            ttables[tkey] = tt
+        tt = None if ttables is None else ttables.get(tkey)
+        if isinstance(tt, str):
+            # a superseded table kept only its key and variant; charged once
+            tt = ttables[tkey] = build_uncharged(machine, arr.distribution, tt)
+        if tt is None:
+            with obs.span("inspector.ttable.build", array=array_name):
+                tt = build_translation_table(machine, arr.distribution, ttable_variant)
+            if ttables is not None:
+                ttables[tkey] = tt
         return tt
 
     # distinct patterns per array, in first-appearance order

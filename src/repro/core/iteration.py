@@ -54,9 +54,8 @@ class IterationPartition:
     method: str
     flat: np.ndarray = field(repr=False)
     bounds: np.ndarray = field(repr=False)
-    # index arrays derived on first use from ``flat``/``bounds`` (which
-    # nobody mutates), frozen: executor, patcher and verifier share them
-    _pid: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    # derived on first use from ``flat`` (which nobody mutates), frozen:
+    # executor, patcher and verifier share it
     _inv: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def counts(self) -> list[int]:
@@ -67,12 +66,10 @@ class IterationPartition:
         return self.flat, self.bounds
 
     def proc_of_position(self) -> np.ndarray:
-        """Processor executing each flat position (frozen, built once)."""
-        if self._pid is None:
-            ids = np.arange(self.bounds.size - 1, dtype=np.int64)
-            self._pid = np.repeat(ids, np.diff(self.bounds))
-            self._pid.flags.writeable = False
-        return self._pid
+        """Processor executing each flat position (built on each call:
+        a product does not keep an array its executor never reads)."""
+        ids = np.arange(self.bounds.size - 1, dtype=np.int64)
+        return np.repeat(ids, np.diff(self.bounds))
 
     def inverse(self) -> np.ndarray:
         """Flat position of each iteration (frozen, built once)."""
@@ -119,7 +116,7 @@ def owner_rows(
                         f"loop {loop.name!r} iterates {n}"
                     )
                 # the re-vote reads its positions only: no global view is assembled
-                targets = ind.global_view() if at is None else ind.global_get(at)
+                targets = ind.global_read() if at is None else ind.global_get(at)
                 targets = np.asarray(targets, dtype=np.int64)
             row = by_source[source] = np.asarray(dist.owner(targets), dtype=np.int64)
         rows.append(row)

@@ -478,7 +478,15 @@ class IrregularProgram:
                         incremental=moved is not None,
                     ):
                         remap()
-                dec.distribution = new_dist
+                old, dec.distribution = dec.distribution, new_dist
+            if old is not None and old.signature() != new_dist.signature():
+                # a superseded table keeps only its key and variant (and
+                # not the distribution): a recurring one is rebuilt uncharged
+                for arr in dec.arrays:
+                    key = (arr.name, old.signature())
+                    tt = self.ttables.get(key)
+                    if tt is not None and not isinstance(tt, str):
+                        self.ttables[key] = tt.variant
             if verify:
                 self._verify_remap(dec.arrays, before)
             if self.track:
@@ -559,6 +567,7 @@ class IrregularProgram:
                         guard=self.guard,
                         events=self.events,
                     )
+            del product  # the next inspection's full rung may free it
             if self.track:
                 # a FORALL writes (at most) the whole target array: stamp
                 # the full region so an indirection sharing the DAD can
@@ -626,6 +635,12 @@ class IrregularProgram:
                     else:  # attempt emitted one adapt.fallback saying why
                         refused["patch"] = self.events.category("adapt.fallback")[-1].name
             if product is None:
+                # free the superseded product, and what only it needs,
+                # before the full rung builds its replacement
+                record = None
+                self.records.pop(loop.name, None)
+                if self.adapt is not None:
+                    self.adapt.drop_state(loop.name)
                 probes = (cache.hits, cache.misses) if cache is not None else (0, 0)
                 with obs.span("inspector.run", loop=loop.name), machine.phase("inspector"):
                     product = run_inspector(

@@ -28,6 +28,11 @@ hole in the barrier: laundering a ``local(p)`` view through
 runtime code never does that, and external callers should mutate through
 the documented APIs.
 
+The inspector reads its indirection arrays through ``global_read()``:
+the read-only backing itself when the layout is the identity (an array
+on a BLOCK template is never assembled or copied), ``global_view()``
+otherwise.  It finishes reading before anything writes the array.
+
 The convenience accessors (``to_global`` / ``from_global`` /
 ``global_get`` / ``global_set``) exist for construction, verification
 and tests, and deliberately charge *nothing* to the simulated machine.
@@ -226,6 +231,15 @@ class DistArray:
             out.flags.writeable = False
             self._global_cache = out
         return self._global_cache
+
+    def global_read(self) -> np.ndarray:
+        """The global array for a read that ends before the next write:
+        the read-only backing itself when the layout is the identity (no
+        copy), else :meth:`global_view`.  The inspector reads its
+        indirection arrays so."""
+        if self.distribution.global_perm_is_identity():
+            return self.backing_ro
+        return self.global_view()
 
     def to_global(self) -> np.ndarray:
         """Assemble the global array (fresh writable copy of the cache)."""

@@ -27,9 +27,10 @@ Five things are deliberately *not* serialized:
   callables; the caller re-binds them by name through the ``loops``
   mapping of :func:`restore_checkpoint`,
 * **translation tables** -- they are pure functions of (distribution,
-  variant); restore rebuilds the cached ones against a scratch
-  machine so the (already-checkpointed) construction charges are not
-  applied twice, then rebinds them to the live machine, and
+  variant); the file lists every cached ``(array, signature, variant)``
+  and restore rebuilds the tables of current distributions uncharged
+  (the construction charges are in the restored counters), keeping
+  the others as key-only entries like the live run's superseded ones, and
 * **what an invariant pins to something saved** -- an adapt state's
   home map (``verify_adapt_state`` at ``full`` requires it to equal the
   partition's ``owner_of()``) and each pattern's ``ref_bounds``
@@ -116,12 +117,7 @@ import zlib
 import numpy as np
 
 from repro.chaos.schedule import CommSchedule
-from repro.chaos.ttable import (
-    DistributedTranslationTable,
-    RegularTranslationTable,
-    ReplicatedTranslationTable,
-    build_translation_table,
-)
+from repro.chaos.ttable import build_uncharged
 from repro.core.dad import DAD
 from repro.core.inspector import InspectorProduct, PatternData
 from repro.core.iteration import IterationPartition
@@ -204,12 +200,6 @@ def previous_checkpoint_path(path) -> str:
     the last good checkpoint.
     """
     return f"{os.fspath(path)}.prev"
-
-_TTABLE_VARIANTS = {
-    RegularTranslationTable: "regular",
-    ReplicatedTranslationTable: "replicated",
-    DistributedTranslationTable: "distributed",
-}
 
 
 # ----------------------------------------------------------------------
@@ -546,11 +536,10 @@ def save_checkpoint(path, program, driver=None) -> None:
             "ind_last_mod": dict(rec.ind_last_mod),
             "product": _product_payload(rec.product, schedules, seen),
         }
-    ttables = []
-    for (aname, sig), tt in program.ttables.items():
-        variant = _TTABLE_VARIANTS.get(type(tt))
-        if variant is not None:
-            ttables.append((aname, sig, variant))
+    ttables = [
+        (aname, sig, tt if isinstance(tt, str) else tt.variant)
+        for (aname, sig), tt in program.ttables.items()
+    ]
     payload = {
         "n_procs": machine.n_procs,
         "machine": _machine_payload(machine),
@@ -836,22 +825,23 @@ def _restore_products(program, payload: dict, loops: dict) -> dict:
 
 
 def _restore_ttables(program, payload: list) -> None:
-    """Rebuild cached translation tables without re-charging construction.
+    """Reinstall the cached translation tables without re-charging them.
 
-    Tables are pure functions of (distribution, variant); their
-    build cost was charged before the checkpoint and lives in the
-    restored counters, so the rebuild runs against a scratch machine and
-    only the finished table is bound to the live one.
+    Every table's build was charged before the checkpoint and lives in
+    the restored counters.  A table of a current distribution is rebuilt
+    uncharged; any other keeps only its key and variant, as a superseded
+    table does in the live run, so a remap back to its distribution does
+    not pay the build again.
     """
     program.ttables.clear()
-    scratch = Machine(program.machine.n_procs)
     for aname, sig, variant in payload:
         arr = program.arrays.get(aname)
-        if arr is None or arr.distribution.signature() != sig:
-            continue  # table for a distribution this program no longer has
-        tt = build_translation_table(scratch, arr.distribution, variant)
-        tt.machine = program.machine
-        program.ttables[(aname, sig)] = tt
+        live = arr is not None and arr.distribution.signature() == sig
+        program.ttables[(aname, sig)] = (
+            build_uncharged(program.machine, arr.distribution, variant)
+            if live
+            else variant
+        )
 
 
 def _build_adapt_states(payload: dict, records: dict) -> dict:

@@ -1,9 +1,10 @@
 """An adaptive run frees its cold product once nothing can read it.
 
 After the first indirection write, the step-0 translation-cache entries
-are keyed on superseded content and the pre-write global views of the
-edge arrays are stale: no inspection can read any of them again.  The
-first patch step must leave them collectable.  Weakrefs make this
+are keyed on superseded content: no inspection can read them again.  The
+first patch step must leave them collectable.  The edge arrays sit on a
+BLOCK template, so the cold inspection reads their backing and never
+assembles (copies) a global view of them at all.  Weakrefs make this
 deterministic (no memory thresholds), and a run with pruning disabled
 gives the same results and simulated numbers.
 """
@@ -40,17 +41,16 @@ def campaign(n_patches=3, probe=None):
 
 
 def cold_refs(prog):
-    """Weakrefs to the step-0 localize entries, their executor positions
-    and the edge arrays' global views."""
+    """Weakrefs to the step-0 localize entries and their executor
+    positions; the cold step built no global view of the edge arrays."""
     cache = prog.translation_cache
     entries = [entry for slot, (_, entry) in cache._slots.items() if slot[0] == "localize"]
     exec_refs = [h.exec_refs for e in entries for h in e.derived.values()]
-    views = [prog.arrays[name]._global_cache for name in EDGE_ARRAYS]
-    assert entries and all(r is not None for r in exec_refs + views)
+    assert entries and all(r is not None for r in exec_refs)
+    assert all(prog.arrays[name]._global_cache is None for name in EDGE_ARRAYS)
     return {
         "entries": [weakref.ref(e) for e in entries],
         "exec_refs": [weakref.ref(r) for r in exec_refs],
-        "views": [weakref.ref(v) for v in views],
     }
 
 

@@ -7,8 +7,8 @@ strip count and the thread count, every field of the
 :class:`LocalizeResult` -- the schedule's entries included -- and every
 charge (the recorded tape when cached, the counters and clocks always)
 must be bit-identical to one strip over the whole stream, for every
-table kind, one or two stacked members, with and without the caller's
-requester ids, and for every input form: a materialised stream, the
+table kind, one or two stacked members, with and without processors that
+hold no references, and for every input form: a materialised stream, the
 inspector's gathered one, and per-processor lists.  A bad reference
 in any strip is refused with the ``IndexError`` of the first bad value
 in stream order, and a malformed stream with ``ValueError``, before
@@ -71,31 +71,31 @@ def make_dist(variant: str, rng):
     return IrregularDistribution(rng.integers(0, N_PROCS, size=SIZE), N_PROCS)
 
 
-def make_stream(rng, members: int):
-    """An iteration partition (positions, bounds, requester ids) and one
-    index array per member; with two members the second is the direct
-    one (``x(i)``: the positions themselves)."""
+def make_stream(rng, members: int, gaps: bool = True):
+    """An iteration partition (positions, bounds) and one index array per
+    member; with two members the second is the direct one (``x(i)``: the
+    positions themselves).  With ``gaps``, the ``EMPTY_PROCS`` hold no
+    iterations."""
     home = rng.integers(0, N_PROCS, size=N_ITER)
-    home[np.isin(home, EMPTY_PROCS)] = 0
+    if gaps:
+        home[np.isin(home, EMPTY_PROCS)] = 0
     positions = np.argsort(home, kind="stable").astype(np.int64)
     bounds = np.zeros(N_PROCS + 1, dtype=np.int64)
     np.cumsum(np.bincount(home, minlength=N_PROCS), out=bounds[1:])
-    pid = np.repeat(np.arange(N_PROCS, dtype=np.int64), np.diff(bounds))
     sources = [rng.integers(0, SIZE, size=N_ITER)] + [None] * (members - 1)
-    return positions, bounds, pid, sources
+    return positions, bounds, sources
 
 
 def materialise(positions, sources):
     return np.concatenate([positions if s is None else s[positions] for s in sources])
 
 
-def refs_for(form, positions, bounds, pid, sources, requesters):
-    pid = pid if requesters else None
+def refs_for(form, positions, bounds, sources):
     if form == "gathered":
-        return FlatRefs.gathered(sources, positions, bounds, pid)
+        return FlatRefs.gathered(sources, positions, bounds)
     values = materialise(positions, sources)
     if form == "flat":
-        return FlatRefs(values, bounds, len(sources), pid)
+        return FlatRefs(values, bounds, len(sources))
     return [values[bounds[p] : bounds[p + 1]] for p in range(N_PROCS)]
 
 
@@ -129,26 +129,26 @@ def run(monkeypatch, pool, target, on, variant, dist, refs, cached):
 
 
 CASES = [
-    (variant, members, requesters, form, cached)
+    (variant, members, gaps, form, cached)
     for variant in ("regular", "replicated", "distributed")
     for members in (1, 2)
-    for requesters in (False, True)
+    for gaps in (False, True)
     for form in ("flat", "gathered", "lists")
     for cached in (False, True)
-    if not (form == "lists" and (members > 1 or requesters))
+    if not (form == "lists" and members > 1)
 ]
 
 
-@pytest.mark.parametrize("variant, members, requesters, form, cached", CASES)
+@pytest.mark.parametrize("variant, members, gaps, form, cached", CASES)
 def test_every_strip_split_is_bit_identical_to_one_strip(
-    pool, monkeypatch, variant, members, requesters, form, cached
+    pool, monkeypatch, variant, members, gaps, form, cached
 ):
     rng = np.random.default_rng([members, len(variant), len(form)])
     dist = make_dist(variant, rng)
-    stream = make_stream(rng, members)
+    stream = make_stream(rng, members, gaps)
     results = [
         run(monkeypatch, pool, target, on, variant, dist,
-            refs_for(form, *stream, requesters), cached)
+            refs_for(form, *stream), cached)
         for target, on in RUNS
     ]
     assert results[0]["entries"][0], "the case must need ghosts"
@@ -164,7 +164,7 @@ def test_many_strips_under_rapid_thread_switching(pool, monkeypatch):
     dist = make_dist("distributed", rng)
     stream = make_stream(rng, 2)
     want = run(monkeypatch, pool, ONE, False, "distributed", dist,
-               refs_for("gathered", *stream, True), True)
+               refs_for("gathered", *stream), True)
     monkeypatch.setattr(strips, "STRIP_ITERS", MANY)
     pool(True)
     monkeypatch.setattr(strips, "_usable_cpus", lambda: 8)
@@ -174,7 +174,7 @@ def test_many_strips_under_rapid_thread_switching(pool, monkeypatch):
         for _ in range(5):
             machine = Machine(N_PROCS)
             table = build_translation_table(machine, dist, variant="distributed")
-            res = localize(machine, table, refs_for("gathered", *stream, True),
+            res = localize(machine, table, refs_for("gathered", *stream),
                            cache=TranslationCache(), cache_key=(("s",), ("v",)))
             assert outcome(machine, res) == want
     finally:
@@ -190,7 +190,7 @@ def test_materialised_and_gathered_streams_give_one_result(pool, monkeypatch, va
     monkeypatch.setattr(strips, "STRIP_ITERS", MANY)
     pool(True)
     flat, gathered = (
-        outcome_of(variant, dist, refs_for(form, *stream, True)) for form in ("flat", "gathered")
+        outcome_of(variant, dist, refs_for(form, *stream)) for form in ("flat", "gathered")
     )
     assert flat == gathered
 
@@ -203,12 +203,12 @@ def outcome_of(variant, dist, refs):
 
 def test_strips_leave_a_gathered_streams_sources_alone(pool, monkeypatch):
     rng = np.random.default_rng(2)
-    positions, bounds, pid, sources = make_stream(rng, 2)
+    positions, bounds, sources = make_stream(rng, 2)
     kept = [positions.copy(), sources[0].copy()]
     monkeypatch.setattr(strips, "STRIP_ITERS", MANY)
     pool(True)
     outcome_of("distributed", make_dist("distributed", rng),
-               FlatRefs.gathered(sources, positions, bounds, pid))
+               FlatRefs.gathered(sources, positions, bounds))
     np.testing.assert_array_equal(positions, kept[0])
     np.testing.assert_array_equal(sources[0], kept[1])
 
@@ -238,7 +238,7 @@ def test_out_of_range_reference_names_the_first_in_stream_order(
 ):
     rng = np.random.default_rng(5)
     dist = make_dist(variant, rng)
-    positions, bounds, pid, _ = make_stream(rng, 2)
+    positions, bounds, _ = make_stream(rng, 2)
     sources = [rng.integers(0, SIZE, size=N_ITER) for _ in range(2)]
     for member, p, value in planted:
         # the processor's first reference in that member
@@ -251,7 +251,7 @@ def test_out_of_range_reference_names_the_first_in_stream_order(
         machine = Machine(N_PROCS)
         table = build_translation_table(machine, dist, variant=variant)
         before = counters(machine)
-        refs = refs_for(form, positions, bounds, pid, sources, True)
+        refs = refs_for(form, positions, bounds, sources)
         with pytest.raises(IndexError, match=re.escape(message)):
             localize(machine, table, refs)
         assert counters(machine) == before
@@ -260,24 +260,24 @@ def test_out_of_range_reference_names_the_first_in_stream_order(
 @pytest.mark.parametrize(
     "make, message",
     [
-        (lambda v, b, pid: FlatRefs(v[:-1], b, 2), "for 2 member"),
-        (lambda v, b, pid: FlatRefs(v, b[::-1], 2), "never decrease"),
-        (lambda v, b, pid: FlatRefs(v, b, 2, pid[1:]), "requester ids"),
-        (lambda v, b, pid: FlatRefs.gathered([None, None], v[: b[-1] - 1], b), "gather positions"),
-        (lambda v, b, pid: FlatRefs.gathered([v[:5], None], np.arange(b[-1]), b), "holds 5 values"),
+        (lambda v, b: FlatRefs(v[:-1], b, 2), "for 2 member"),
+        (lambda v, b: FlatRefs(v, b[::-1], 2), "never decrease"),
+        (lambda v, b: FlatRefs.gathered([None, None], v, b[::-1]), "never decrease"),
+        (lambda v, b: FlatRefs.gathered([None, None], v[: b[-1] - 1], b), "gather positions"),
+        (lambda v, b: FlatRefs.gathered([v[:5], None], np.arange(b[-1]), b), "holds 5 values"),
     ],
 )
 def test_malformed_stream_is_refused_before_any_charge(pool, monkeypatch, make, message):
     rng = np.random.default_rng(6)
     dist = make_dist("distributed", rng)
-    positions, bounds, pid, sources = make_stream(rng, 2)
+    positions, bounds, sources = make_stream(rng, 2)
     monkeypatch.setattr(strips, "STRIP_ITERS", MANY)
     pool(True)
     machine = Machine(N_PROCS)
     table = build_translation_table(machine, dist, variant="distributed")
     before = counters(machine)
     with pytest.raises(ValueError, match=message):
-        localize(machine, table, make(materialise(positions, sources), bounds, pid))
+        localize(machine, table, make(materialise(positions, sources), bounds))
     assert counters(machine) == before
 
 
@@ -286,13 +286,13 @@ def test_malformed_stream_is_refused_before_any_charge(pool, monkeypatch, make, 
 # ----------------------------------------------------------------------
 def test_strip_spans_nest_under_the_strips_span(pool, monkeypatch):
     rng = np.random.default_rng(8)
-    positions, bounds, pid, sources = make_stream(rng, 2)
+    positions, bounds, sources = make_stream(rng, 2)
     monkeypatch.setattr(strips, "STRIP_ITERS", MANY)
     pool(True)
     machine = Machine(N_PROCS)
     machine.obs = Tracer()
     table = build_translation_table(machine, make_dist("distributed", rng), variant="distributed")
-    localize(machine, table, FlatRefs.gathered(sources, positions, bounds, pid))
+    localize(machine, table, FlatRefs.gathered(sources, positions, bounds))
     (outer,) = [s for s in machine.obs.spans if s.name == "localize.strips"]
     spans = sorted(
         (s for s in machine.obs.spans if s.name == "localize.strip"),
@@ -312,6 +312,6 @@ def test_one_strip_starts_no_thread():
     threads = threading.active_count()
     rng = np.random.default_rng(1)
     outcome_of("distributed", make_dist("distributed", rng),
-               refs_for("gathered", *make_stream(rng, 2), True))
+               refs_for("gathered", *make_stream(rng, 2)))
     assert strips._StripPool._executor is None
     assert threading.active_count() == threads

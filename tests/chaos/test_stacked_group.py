@@ -83,14 +83,13 @@ def make_members(dist, k: int, shape: str, rng) -> list[list[list[int]]]:
     return members
 
 
-def stack(members, requesters: bool) -> FlatRefs:
+def stack(members) -> FlatRefs:
     sizes = [len(refs) for refs in members[0]]
     bounds = np.concatenate(([0], np.cumsum(sizes))).astype(np.int64)
     values = np.array(
         [g for member in members for refs in member for g in refs], dtype=np.int64
     )
-    pid = np.repeat(np.arange(N_PROCS), sizes) if requesters else None
-    return FlatRefs(values, bounds, len(members), pid)
+    return FlatRefs(values, bounds, len(members))
 
 
 # ----------------------------------------------------------------------
@@ -243,7 +242,7 @@ def test_stacked_localize_matches_the_dict_and_loop_reference(kind, variant, k, 
     res = localize(
         machine,
         table,
-        stack(members, requesters=True),
+        stack(members),
         cache=TranslationCache(),
         cache_key=(("slot",), ("version",)),
     )
@@ -270,12 +269,12 @@ def test_stacked_localize_matches_the_dict_and_loop_reference(kind, variant, k, 
     assert tape_rows(res.charges.tape) == tape_rows(ref_sink.tape)
     assert counters(machine) == counters(ref_machine)
 
-    # the requester ids are optional, and one member may come as lists
+    # uncached, the same; one member may come as lists
     bare = Machine(N_PROCS)
     again = localize(
         bare,
         build_translation_table(bare, dist, variant=variant),
-        stack(members, requesters=False) if k > 1 else [np.array(r) for r in members[0]],
+        stack(members) if k > 1 else [np.array(r) for r in members[0]],
     )
     assert again.refs_flat.tolist() == res.refs_flat.tolist()
     assert again.ghost_flat.tolist() == res.ghost_flat.tolist()
@@ -284,23 +283,23 @@ def test_stacked_localize_matches_the_dict_and_loop_reference(kind, variant, k, 
 
 @pytest.mark.parametrize("variant", ["replicated", "distributed"])
 @pytest.mark.parametrize(
-    "values, bounds, members, requesters, message",
+    "values, bounds, members, message",
     [
-        (range(4), [0, 1, 2, 3, 4, 4, 4, 5, 6], 1, None, "4 reference values for 1 member"),
-        (range(7), [0, 1, 2, 3, 4, 4, 4, 5, 6], 2, None, "7 reference values for 2 member"),
-        (range(6), [0, 4, 2, 3, 5, 5, 5, 5, 6], 1, None, "never decrease"),
-        (range(6), [1, 1, 2, 3, 5, 5, 5, 5, 6], 1, None, "start at 0"),
-        (range(6), [0, 1, 2, 3, 5, 5, 5, 5, 6], 1, np.zeros(5, dtype=np.int64), "5 requester ids for 6"),
+        (range(4), [0, 1, 2, 3, 4, 4, 4, 5, 6], 1, "4 reference values for 1 member"),
+        (range(7), [0, 1, 2, 3, 4, 4, 4, 5, 6], 2, "7 reference values for 2 member"),
+        (range(6), [0, 4, 2, 3, 5, 5, 5, 5, 6], 1, "never decrease"),
+        (range(6), [1, 1, 2, 3, 5, 5, 5, 5, 6], 1, "start at 0"),
+        (range(0), [], 1, "start at 0"),
     ],
 )
 def test_malformed_stream_is_refused_before_any_charge(
-    variant, values, bounds, members, requesters, message
+    variant, values, bounds, members, message
 ):
     rng = np.random.default_rng(0)
     machine = Machine(N_PROCS)
     table = build_translation_table(machine, make_dist("irregular", rng), variant=variant)
     before = counters(machine)
-    refs = FlatRefs(np.array(values), np.array(bounds), members, requesters)
+    refs = FlatRefs(np.array(values), np.array(bounds), members)
     with pytest.raises(ValueError, match=message):
         localize(machine, table, refs)
     assert counters(machine) == before

@@ -379,6 +379,41 @@ class TestInvalidation:
         assert stats["hits"] == cache.hits and stats["misses"] == cache.misses
 
 
+def test_a_miss_evicts_the_slots_other_version_with_unchanged_stats():
+    """A miss deletes the slot's entry of another version at once and
+    counts the invalidation there; the ``put`` that follows every runtime
+    miss then stores the new entry.  Scripted so, the counters equal
+    those of replacing the entry at the ``put``, and no slot ever holds
+    an entry of a version its last probe did not ask for."""
+    from repro.core.cachekey import ContentKey
+
+    cache = TranslationCache()
+    loc, part = ("localize", "L", ("ia",)), ("partition", "L", 30)
+    v1, v2 = (("block",), ContentKey(1, 0)), (("block",), ContentKey(1, 1))
+    cache.put(loc, v1, "loc-1")
+    cache.put(part, v1, "part-1")
+    assert cache.get(loc, v1) == "loc-1" and cache.get(part, v1) == "part-1"
+    for slot, entry in ((part, "part-2"), (loc, "loc-2")):
+        assert cache.get(slot, v2) is None
+        assert slot not in cache._slots, "a miss left the superseded entry"
+        cache.put(slot, v2, entry)
+    assert cache.get(("localize", "M", ()), v1) is None  # an empty slot: nothing evicted
+    assert cache.get(loc, v2) == "loc-2"
+    cache.prune({1: 1})  # every held entry names the live content
+    assert cache.stats() == {
+        "hits": 3,
+        "misses": 3,
+        "invalidations": 2,
+        "entries": 2,
+        "by_kind": {
+            "localize": {"hits": 2, "misses": 2, "invalidations": 1, "entries": 1},
+            "partition": {"hits": 1, "misses": 1, "invalidations": 1, "entries": 1},
+        },
+    }
+    cache.prune({1: 2})
+    assert len(cache) == 0 and cache.invalidations == 4
+
+
 class TestDerivedHolders:
     """Host-derived per-pattern arrays hang off the localize entry: built
     once per (slot, version, index), frozen, shared by every product the

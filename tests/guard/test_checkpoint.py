@@ -37,8 +37,8 @@ from repro.workloads.rebalance import drifting_weights, rebalance_moves
 N_PROCS = 4
 
 
-def build(n_procs=N_PROCS, incremental=True):
-    mesh = generate_mesh(300, seed=4)
+def build(n_procs=N_PROCS, incremental=True, n_nodes=300):
+    mesh = generate_mesh(n_nodes, seed=4)
     machine = Machine(n_procs)
     prog = setup_euler_program(
         machine, mesh, seed=11, incremental=incremental, guard="cheap"
@@ -220,6 +220,49 @@ def test_rebalanced_campaign_resumes_without_replay(tmp_path):
     assert exe_ref.mode_counts()["full"] >= 4  # every rebalance voided the product
     assert_programs_equal(p_ref, p_b)
     assert simulated_history(exe_ref) == simulated_history(exe_b)
+
+
+def remap_back(exe, mesh, part):
+    """Part 0: a step on RCB, a load balancer's move list, a step; part
+    1: back to the RCB layout, a step."""
+    prog = exe.program
+    if part == 0:
+        exe.step()
+        w = drifting_weights(mesh, 0, seed=2)
+        prog.redistribute("reg", moved=rebalance_moves(prog.decomps["reg"].distribution, w))
+    else:
+        prog.redistribute("reg", "fmt")
+    exe.step()
+
+
+def test_remap_back_after_resume_pays_no_table_build(tmp_path):
+    """RCB -> ``moved=`` -> RCB, checkpointed on the moved layout.  The
+    file lists the RCB layout's tables, which the resumed program keeps
+    as key-only entries: the remap back rebuilds them uncharged, as the
+    uninterrupted run does with its own superseded entries."""
+    path = tmp_path / "remap_back.ckpt"
+    mesh, m_ref, p_ref = build(n_nodes=600)
+    exe_ref = AdaptiveExecutor(p_ref, euler_edge_loop(mesh))
+    remap_back(exe_ref, mesh, 0)
+    remap_back(exe_ref, mesh, 1)
+
+    mesh, _, p_a = build(n_nodes=600)
+    exe_a = AdaptiveExecutor(p_a, euler_edge_loop(mesh))
+    remap_back(exe_a, mesh, 0)
+    exe_a.checkpoint(path)
+
+    mesh, m_b, p_b = build(n_nodes=600)
+    exe_b = AdaptiveExecutor.resume(path, p_b, euler_edge_loop(mesh))
+    # x's and y's RCB tables came back as keys only, the moved ones built
+    assert sorted(isinstance(tt, str) for tt in p_b.ttables.values()) == [
+        False, False, True, True,
+    ]
+    remap_back(exe_b, mesh, 1)
+    assert exe_b.mode_counts() == exe_ref.mode_counts() == {"full": 3, "reuse": 0, "patch": 0}
+    assert m_b.elapsed() == m_ref.elapsed()
+    assert_machines_equal(m_ref, m_b)
+    assert_programs_equal(p_ref, p_b)
+    assert list(p_b.ttables) == list(p_ref.ttables)
 
 
 @pytest.mark.parametrize(
