@@ -278,7 +278,8 @@ class IncrementalInspector:
                     groups=len(state.groups),
                 ):
                     # the full inspection (or the restore) stored a table
-                    # under every signature: a missing one is a bug (KeyError)
+                    # or its key under every signature: a missing one is a
+                    # bug (KeyError)
                     product = patch_product(
                         machine,
                         record.product,

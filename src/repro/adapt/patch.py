@@ -57,7 +57,7 @@ from repro.chaos.kernels import majority_owner, pair_counts, sorted_unique_inver
 from repro.chaos.localize import LocalizeResult
 from repro.chaos.schedule import CommSchedule
 from repro.chaos.transcache import KeyTranslationMemo
-from repro.chaos.ttable import Translator
+from repro.chaos.ttable import TableCache, Translator
 from repro.core.inspector import InspectorProduct, PatternData
 from repro.core.iteration import (
     ITERATION_RECORD_BYTES,
@@ -778,7 +778,7 @@ def patch_product(
     arrays: dict[str, DistArray],
     state: LoopAdaptState,
     changed: dict[str, np.ndarray],
-    ttables: dict[tuple[str, tuple], Translator],
+    ttables: TableCache,
 ) -> InspectorProduct:
     """Patch ``product`` for the given changed indirection positions;
     returns the patched product (``product`` itself when the value
@@ -790,8 +790,9 @@ def patch_product(
     compared there by :func:`~repro.adapt.diff.old_targets` against
     ``global_get``; diff charges are the caller's).  Preconditions (the
     caller -- the driver -- verifies them): every data/indirection DAD
-    equals the product's, and ``ttables`` holds the translation table of
-    every referenced array's current distribution.  Mutates ``state``
+    equals the product's, and ``ttables`` has held the translation table
+    of every referenced array's current distribution (``get`` rebuilds
+    one a remap away and back left as a key).  Mutates ``state``
     (home map, group slot spaces) to describe the patched product.
     """
     loop = product.loop
@@ -844,17 +845,16 @@ def patch_product(
         for member_keys in product_groups(product):
             gkey = group_state_key(member_keys)
             gstate = state.groups[gkey]
-            sig = arrays[gstate.array].distribution.signature()
-            mkey = (gkey[1], sig)
+            dist = arrays[gstate.array].distribution
+            mkey = (gkey[1], dist.signature())
             sib = done.get(mkey)
             if sib is None and mkey in done:
                 continue
             if sib is not None and not _twin_matches(sib, product, gstate, member_keys):
                 sib = None
+            ttable = ttables.get(machine, gstate.array, dist)
             try:
-                patch = _patch_group(
-                    ctx, gstate, member_keys, ttables[(gstate.array, sig)], sib
-                )
+                patch = _patch_group(ctx, gstate, member_keys, ttable, sib)
             except ValueError as exc:
                 # schedule/buffer assembly rejected the delta (shrunk ghost
                 # region, mismatched shapes): the saved state disagrees with

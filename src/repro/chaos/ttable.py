@@ -240,11 +240,58 @@ def build_translation_table(
     )
 
 
-def build_uncharged(machine: Machine, dist: Distribution, variant: str) -> Translator:
-    """A table whose build ``machine`` was charged for already (a
-    superseded distribution that recurs, a checkpoint restore): built
-    against a scratch machine, then bound to ``machine``.  A table is a
-    pure function of its distribution and variant."""
-    tt = build_translation_table(Machine(machine.n_procs), dist, variant)
-    tt.machine = machine
-    return tt
+class TableCache:
+    """Translation tables keyed by ``(array name, distribution
+    signature)``, each built -- and charged -- once.  A table is a pure
+    function of its distribution and variant, so a left layout's table
+    keeps only its variant (:meth:`supersede`); if the layout recurs,
+    :meth:`get` rebuilds it against a scratch machine and binds it to
+    the caller's.  :meth:`restore` installs a checkpoint's
+    :meth:`entries` as keys only.  :meth:`get` never returns a key.
+    """
+
+    def __init__(self):
+        self._tables: dict[tuple[str, tuple], Translator | str] = {}
+
+    def __len__(self) -> int:
+        return len(self._tables)
+
+    def get(
+        self, machine: Machine, name: str, dist: Distribution, variant: str | None = None
+    ) -> Translator:
+        """``name``'s table for ``dist``; ``variant`` builds and charges
+        one never held (without it, that is a ``KeyError``)."""
+        key = (name, dist.signature())
+        tt = self._tables.get(key)
+        if isinstance(tt, str):
+            tt = build_translation_table(Machine(machine.n_procs), dist, tt)
+            tt.machine = machine
+        elif tt is None:
+            if variant is None:
+                raise KeyError(key)
+            with machine.obs.span("inspector.ttable.build", array=name):
+                tt = build_translation_table(machine, dist, variant)
+        self._tables[key] = tt
+        return tt
+
+    def supersede(self, names, sig: tuple) -> None:
+        """Keep only the key and variant of ``names``' tables under ``sig``."""
+        for name in names:
+            tt = self._tables.get((name, sig))
+            if tt is not None and not isinstance(tt, str):
+                self._tables[(name, sig)] = tt.variant
+
+    def entries(self) -> list[tuple[str, tuple, str]]:
+        """``(array name, signature, variant)`` of every key, in order."""
+        return [
+            (name, sig, tt if isinstance(tt, str) else tt.variant)
+            for (name, sig), tt in self._tables.items()
+        ]
+
+    def built(self) -> int:
+        """How many entries hold a table (the rest hold only a key)."""
+        return sum(not isinstance(tt, str) for tt in self._tables.values())
+
+    def restore(self, entries) -> None:
+        """Replace every entry by the saved ``entries``, keys only."""
+        self._tables = {(name, sig): variant for name, sig, variant in entries}

@@ -26,7 +26,7 @@ import numpy as np
 from repro.chaos.costs import DEFAULT_COSTS
 from repro.chaos.localize import FlatRefs, LocalizeResult, localize
 from repro.chaos.transcache import TranslationCache
-from repro.chaos.ttable import Translator, build_translation_table, build_uncharged
+from repro.chaos.ttable import TableCache
 from repro.core import cachekey
 from repro.core.forall import Assign, ForallLoop
 from repro.core.iteration import (
@@ -134,18 +134,16 @@ def run_inspector(
     arrays: dict[str, DistArray],
     iter_method: str = "almost_owner",
     ttable_variant: str = "auto",
-    ttables: dict[tuple[str, tuple], Translator | str] | None = None,
+    ttables: TableCache | None = None,
     coalesce_patterns: bool = True,
     cache: TranslationCache | None = None,
 ) -> InspectorProduct:
     """Run the full inspector for ``loop``.
 
-    ``ttables`` is an optional cache of translation tables keyed by
-    ``(array name, distribution signature)``; the program context passes
-    one so repeated inspections of differently-indexed loops over the
-    same arrays don't rebuild tables.  A superseded distribution's entry
-    holds only the table's variant (``IrregularProgram.redistribute``);
-    if that distribution recurs, the table is rebuilt uncharged.
+    ``ttables`` is an optional
+    :class:`~repro.chaos.ttable.TableCache`; the program context passes
+    its own so repeated inspections of differently-indexed loops over
+    the same arrays (or a layout that recurs) don't charge a table twice.
 
     ``coalesce_patterns=True`` (the default) applies PARTI's
     incremental-schedule idea: all patterns referencing one array are
@@ -212,20 +210,6 @@ def run_inspector(
         ]
         return FlatRefs.gathered(sources, iter_flat, iter_bounds)
 
-    def get_ttable(array_name: str) -> Translator:
-        arr = arrays[array_name]
-        tkey = (array_name, arr.distribution.signature())
-        tt = None if ttables is None else ttables.get(tkey)
-        if isinstance(tt, str):
-            # a superseded table kept only its key and variant; charged once
-            tt = ttables[tkey] = build_uncharged(machine, arr.distribution, tt)
-        if tt is None:
-            with obs.span("inspector.ttable.build", array=array_name):
-                tt = build_translation_table(machine, arr.distribution, ttable_variant)
-            if ttables is not None:
-                ttables[tkey] = tt
-        return tt
-
     # distinct patterns per array, in first-appearance order
     by_array: dict[str, list[str | None]] = {}
     for ref in loop.refs():
@@ -285,9 +269,10 @@ def run_inspector(
             held = loc.derived[group[k]] = PatternArrays(refs, iter_bounds)
         return held
 
+    tables = TableCache() if ttables is None else ttables
     for array_name, indexes in by_array.items():
         arr = arrays[array_name]
-        tt = get_ttable(array_name)
+        tt = tables.get(machine, array_name, arr.distribution, ttable_variant)
         # coalesced: localize the union of all patterns' reference lists
         # and split the localized references back out per pattern
         if coalesce_patterns and array_name not in assign_targets:

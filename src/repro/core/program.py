@@ -41,6 +41,7 @@ import numpy as np
 from repro.chaos.costs import DEFAULT_COSTS
 from repro.chaos.remap import remap_arrays, remap_arrays_incremental
 from repro.chaos.transcache import TranslationCache
+from repro.chaos.ttable import TableCache
 from repro.core.dad import DAD
 from repro.core.forall import ForallLoop
 from repro.core.geocol import GeoCoL, construct_geocol
@@ -166,7 +167,7 @@ class IrregularProgram:
         self.geocols: dict[str, GeoCoL] = {}
         self.distfmts: dict[str, Distribution] = {}
         self.records: dict[str, InspectorRecord] = {}
-        self.ttables: dict = {}
+        self.ttables = TableCache()
         if incremental:
             # core stays importable without adapt; the subsystem sits
             # above core in the layering and is pulled in on demand
@@ -480,13 +481,8 @@ class IrregularProgram:
                         remap()
                 old, dec.distribution = dec.distribution, new_dist
             if old is not None and old.signature() != new_dist.signature():
-                # a superseded table keeps only its key and variant (and
-                # not the distribution): a recurring one is rebuilt uncharged
-                for arr in dec.arrays:
-                    key = (arr.name, old.signature())
-                    tt = self.ttables.get(key)
-                    if tt is not None and not isinstance(tt, str):
-                        self.ttables[key] = tt.variant
+                # the left layout's tables keep only their keys
+                self.ttables.supersede([arr.name for arr in dec.arrays], old.signature())
             if verify:
                 self._verify_remap(dec.arrays, before)
             if self.track:

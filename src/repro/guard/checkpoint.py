@@ -28,9 +28,9 @@ Five things are deliberately *not* serialized:
   mapping of :func:`restore_checkpoint`,
 * **translation tables** -- they are pure functions of (distribution,
   variant); the file lists every cached ``(array, signature, variant)``
-  and restore rebuilds the tables of current distributions uncharged
-  (the construction charges are in the restored counters), keeping
-  the others as key-only entries like the live run's superseded ones, and
+  and restore installs them as key-only entries, like the live run's
+  superseded ones, which the next reader rebuilds uncharged (the
+  construction charges are in the restored counters), and
 * **what an invariant pins to something saved** -- an adapt state's
   home map (``verify_adapt_state`` at ``full`` requires it to equal the
   partition's ``owner_of()``) and each pattern's ``ref_bounds``
@@ -117,7 +117,6 @@ import zlib
 import numpy as np
 
 from repro.chaos.schedule import CommSchedule
-from repro.chaos.ttable import build_uncharged
 from repro.core.dad import DAD
 from repro.core.inspector import InspectorProduct, PatternData
 from repro.core.iteration import IterationPartition
@@ -536,10 +535,6 @@ def save_checkpoint(path, program, driver=None) -> None:
             "ind_last_mod": dict(rec.ind_last_mod),
             "product": _product_payload(rec.product, schedules, seen),
         }
-    ttables = [
-        (aname, sig, tt if isinstance(tt, str) else tt.variant)
-        for (aname, sig), tt in program.ttables.items()
-    ]
     payload = {
         "n_procs": machine.n_procs,
         "machine": _machine_payload(machine),
@@ -560,7 +555,7 @@ def save_checkpoint(path, program, driver=None) -> None:
         },
         "schedules": schedules,
         "records": records,
-        "ttables": ttables,
+        "ttables": program.ttables.entries(),
         "adapt": None if program.adapt is None else _adapt_payload(program.adapt),
         "driver": None
         if driver is None
@@ -824,26 +819,6 @@ def _restore_products(program, payload: dict, loops: dict) -> dict:
     return records
 
 
-def _restore_ttables(program, payload: list) -> None:
-    """Reinstall the cached translation tables without re-charging them.
-
-    Every table's build was charged before the checkpoint and lives in
-    the restored counters.  A table of a current distribution is rebuilt
-    uncharged; any other keeps only its key and variant, as a superseded
-    table does in the live run, so a remap back to its distribution does
-    not pay the build again.
-    """
-    program.ttables.clear()
-    for aname, sig, variant in payload:
-        arr = program.arrays.get(aname)
-        live = arr is not None and arr.distribution.signature() == sig
-        program.ttables[(aname, sig)] = (
-            build_uncharged(program.machine, arr.distribution, variant)
-            if live
-            else variant
-        )
-
-
 def _build_adapt_states(payload: dict, records: dict) -> dict:
     """Every loop's adapt state, mutating nothing; the home map is derived."""
     from repro.adapt.state import GroupState, LoopAdaptState
@@ -917,7 +892,9 @@ def restore_checkpoint(payload, program, loops, driver=None) -> None:
         "guard", [dict(e) for e in prog_p["guard_events"]]
     )
     program.records = records
-    _restore_ttables(program, payload["ttables"])
+    # every table's build is in the restored counters: keys only, which
+    # the next reader rebuilds uncharged
+    program.ttables.restore(payload["ttables"])
     if states is not None:
         _restore_adapt(program, payload["adapt"], states)
     elif program.adapt is not None:

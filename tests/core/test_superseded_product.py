@@ -21,9 +21,14 @@ import pytest
 
 import repro.chaos.strips as strips
 import repro.core.inspector as inspector
+from repro.core.forall import ForallLoop
 from repro.machine import Machine
 from repro.workloads import generate_mesh
-from repro.workloads.euler import euler_edge_loop, setup_euler_program
+from repro.workloads.euler import (
+    euler_edge_loop,
+    euler_flux_loop_statements,
+    setup_euler_program,
+)
 from repro.workloads.rebalance import drifting_weights, rebalance_moves
 from tests.chaos.test_localize_strips import MANY, pool  # noqa: F401
 
@@ -164,3 +169,27 @@ def test_a_failed_full_inspection_leaves_no_product(strip_pool, collector_off, a
     assert prog.last_resolution["rung"] == "full"
     assert prog.last_resolution["refused"] == {}
     assert seen and seen[0] == []
+
+
+@pytest.mark.parametrize("between", ["nothing", "other loop"])
+def test_a_patch_after_a_remap_back_rebuilds_the_superseded_table(between):
+    """The saved product outlives a remap away and back: its layout's
+    translation tables were dropped to their keys on the way out, so the
+    patch rung rebuilds them uncharged on the way back, as a full
+    inspection would."""
+    mesh, prog, loop = build()
+    prog.forall(loop)
+    rcb = prog.decomps["reg"].distribution.signature()
+    move(prog, mesh, 0)
+    if between == "other loop":
+        other = ForallLoop("half_sweep", mesh.n_edges, euler_flux_loop_statements()[:1])
+        prog.forall(other)  # never reads the RCB layout's tables
+    prog.redistribute("reg", "fmt")
+    assert prog.decomps["reg"].distribution.signature() == rcb
+    built = prog.ttables.built()
+    assert built < len(prog.ttables)  # RCB's tables are keys only
+    pick = np.arange(0, mesh.n_edges, 53)
+    prog.set_array_elements("end_pt2", pick, (mesh.edges[1, pick] + 1) % mesh.n_nodes)
+    prog.forall(loop)
+    assert prog.last_resolution["rung"] == "patch"
+    assert prog.ttables.built() > built

@@ -237,9 +237,9 @@ def remap_back(exe, mesh, part):
 
 def test_remap_back_after_resume_pays_no_table_build(tmp_path):
     """RCB -> ``moved=`` -> RCB, checkpointed on the moved layout.  The
-    file lists the RCB layout's tables, which the resumed program keeps
-    as key-only entries: the remap back rebuilds them uncharged, as the
-    uninterrupted run does with its own superseded entries."""
+    file lists the RCB layout's tables too; the resumed program keeps
+    every table as a key-only entry, so the remap back rebuilds them
+    uncharged, as the uninterrupted run does with its superseded ones."""
     path = tmp_path / "remap_back.ckpt"
     mesh, m_ref, p_ref = build(n_nodes=600)
     exe_ref = AdaptiveExecutor(p_ref, euler_edge_loop(mesh))
@@ -253,16 +253,52 @@ def test_remap_back_after_resume_pays_no_table_build(tmp_path):
 
     mesh, m_b, p_b = build(n_nodes=600)
     exe_b = AdaptiveExecutor.resume(path, p_b, euler_edge_loop(mesh))
-    # x's and y's RCB tables came back as keys only, the moved ones built
-    assert sorted(isinstance(tt, str) for tt in p_b.ttables.values()) == [
-        False, False, True, True,
-    ]
+    # x's and y's tables of both layouts came back as keys only
+    assert (len(p_b.ttables), p_b.ttables.built()) == (4, 0)
     remap_back(exe_b, mesh, 1)
     assert exe_b.mode_counts() == exe_ref.mode_counts() == {"full": 3, "reuse": 0, "patch": 0}
     assert m_b.elapsed() == m_ref.elapsed()
     assert_machines_equal(m_ref, m_b)
     assert_programs_equal(p_ref, p_b)
-    assert list(p_b.ttables) == list(p_ref.ttables)
+    assert p_b.ttables.entries() == p_ref.ttables.entries()
+
+
+def leave_and_return(exe, mesh, part):
+    """Part 0: a step on RCB, then a load balancer's move list; part 1:
+    back to the RCB layout, an indirection write, a step."""
+    prog = exe.program
+    if part == 0:
+        exe.step()
+        w = drifting_weights(mesh, 0, seed=2)
+        prog.redistribute("reg", moved=rebalance_moves(prog.decomps["reg"].distribution, w))
+    else:
+        prog.redistribute("reg", "fmt")
+        mutate(prog, mesh, 1)
+        exe.step()
+
+
+def test_a_record_of_a_left_layout_patches_after_resume(tmp_path):
+    """Checkpointed on the moved layout before the loop ran on it: the
+    saved product's tables are keys in the file.  Back on its layout,
+    the write patches it through rebuilt tables, as in the
+    uninterrupted run."""
+    path = tmp_path / "left_layout.ckpt"
+    mesh, m_ref, p_ref = build()
+    exe_ref = AdaptiveExecutor(p_ref, euler_edge_loop(mesh))
+    leave_and_return(exe_ref, mesh, 0)
+    leave_and_return(exe_ref, mesh, 1)
+
+    mesh, _, p_a = build()
+    exe_a = AdaptiveExecutor(p_a, euler_edge_loop(mesh))
+    leave_and_return(exe_a, mesh, 0)
+    exe_a.checkpoint(path)
+
+    mesh, m_b, p_b = build()
+    exe_b = AdaptiveExecutor.resume(path, p_b, euler_edge_loop(mesh))
+    leave_and_return(exe_b, mesh, 1)
+    assert exe_b.mode_counts() == exe_ref.mode_counts() == {"full": 1, "reuse": 0, "patch": 1}
+    assert_machines_equal(m_ref, m_b)
+    assert_programs_equal(p_ref, p_b)
 
 
 @pytest.mark.parametrize(
