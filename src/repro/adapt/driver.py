@@ -470,20 +470,30 @@ class AdaptiveExecutor:
 
         from repro.guard.checkpoint import (
             load_checkpoint,
+            payload_sections,
             previous_checkpoint_path,
             restore_checkpoint,
         )
         from repro.guard.errors import CheckpointError
 
+        obs = program.machine.obs
+
+        def read(p) -> dict:
+            with obs.span("guard.checkpoint.read") as span:
+                payload = load_checkpoint(p)
+                if obs.enabled:
+                    span.set(bytes=os.path.getsize(p), sections=payload_sections(payload))
+            return payload
+
         exe = cls(program, loop)
         try:
-            payload, source = load_checkpoint(path), "primary"
+            payload, source = read(path), "primary"
         except CheckpointError:
             prev = previous_checkpoint_path(path)
             if not os.path.exists(prev):
                 raise
             # damaged too -> CheckpointError, no further fallback
-            payload, source = load_checkpoint(prev), "prev"
+            payload, source = read(prev), "prev"
         restore_checkpoint(payload, program, {loop.name: loop}, driver=exe)
         exe.resumed_from = source
         return exe

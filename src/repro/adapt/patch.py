@@ -35,7 +35,7 @@ applies those at these sites, in this order:
 
 A group byte-identical to one already patched runs the same driver on
 that sibling's stage values.  The patched product's iteration partition,
-ghost key sets, schedule pairs, send offsets and wire order equal a
+ghost key sets, schedule pairs, send offsets and element order equal a
 from-scratch inspection's; executor results and executor charges are
 bit-identical.  Only the *inspector-phase* charges differ -- that is the
 entire point.

@@ -6,8 +6,7 @@ distribution, everything needed to move off-processor data:
 * per communicating pair ``(q, p)``, the local offsets on owner ``q`` of
   the elements requester ``p`` needs (what ``q`` packs and sends to
   ``p``), and
-* the ghost-buffer slots on ``p`` where those elements land, in wire
-  order.
+* the ghost-buffer slots on ``p`` where those elements land.
 
 The slots are the saved layout; the buffers themselves are not saved.
 Every application takes the ghost data as one flat array in this
@@ -26,21 +25,23 @@ one ``(owner, requester, length)`` triple per pair plus every pair's
 send offsets and recv slots concatenated in pair order; *flat order* is
 that per-element order.  The constructor is the one builder --
 ``localize``, the patch rung (from a group's patched slot state) and a
-checkpoint restore all call it -- and derives the apply arrays from it:
-``wire_perm`` (wire position -> flat position) groups elements by owner
-``q``, stable, so each owner's wire segment stays in pair order;
-``_pack_idx``/``_pack_owner_rep`` are the send offsets and owners in
-wire order, and ``_unpack_pos`` resolves every recv slot to its *ghost
+checkpoint restore all call it.  A schedule stores its inputs and two
+position arrays in flat order: ``_unpack_pos``, each recv slot's *ghost
 backing position* ``ghost_offset[p] + slot`` in a flat CSR ghost backing
 (every processor's buffer back to back in one 1-D array of
-:meth:`ghost_total` elements).  Both sides of an application are then
-single fancy-indexes: the array side over the ``DistArray``'s flat
-backing storage (pack, scatter store, or one ``ufunc.at`` for
-reductions), the ghost side over the ghost backing.
-Ghost positions of different requesters never collide, so storing in
-flat order fixes each duplicated slot's last writer exactly as a loop
-over pairs in insertion order would; pack positions are grouped by owner
-ascending, so floating-point accumulation order matches that loop too.
+:meth:`ghost_total` elements), and the pack positions ``flat_offset[q] +
+send offset`` into the ``DistArray``'s flat backing, which need the
+distribution and are resolved on first use into one array every
+:meth:`twin` shares.  A gather is ``ghosts[unpack_pos] =
+backing[pack_pos]``; the reverse direction stores (or ``ufunc.at``
+combines) ``ghosts[unpack_pos]`` at ``pack_pos``.  Ghost positions of
+different requesters never collide, so storing in flat order fixes each
+duplicated slot's last writer exactly as a loop over pairs in insertion
+order would; pack positions of different owners never collide either,
+so every owner element receives its contributions in the order a loop
+over owners, each sending its pairs in turn, applies them.  Nothing
+stores the owner-grouped wire order of a real exchange: only fault
+injection derives it, so that a wire fault hits the element it names.
 
 A schedule is *bound to a distribution signature*: applying it to an
 array whose distribution has changed since inspection is a hard error
@@ -59,7 +60,7 @@ keys and adapt slot bookkeeping):
 * every pair id is in ``[0, n_procs)``; the runtime's schedules
   (``localize`` and the patch rung) keep pairs requester-major /
   owner-minor, and within a pair elements are sorted by ghost global
-  index (key-sorted wire order);
+  index (key-sorted flat order);
 * every recv slot is in range for its requester's ghost region, and no
   ghost backing position is unpacked twice in one gather;
 * after incremental patching, schedule entries target only *live* ghost
@@ -79,6 +80,15 @@ from repro.chaos.costs import DEFAULT_COSTS
 from repro.chaos.kernels import first_segment_outside, stable_order
 from repro.distribution.distarray import DistArray
 from repro.machine.machine import Machine, get_or_plan
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """A read-only view of ``a``, or ``a`` itself when it is read-only
+    already (schedules restored from one checkpoint array keep sharing it)."""
+    if a.flags.writeable:
+        a = a.view()
+        a.flags.writeable = False
+    return a
 
 
 class CommSchedule:
@@ -145,8 +155,8 @@ class CommSchedule:
         self.ghost_sizes = [int(s) for s in ghost_sizes]
         #: per-message arrays in pair insertion order (nonempty pairs only)
         self._pair_q, self._pair_p, self._pair_len = pair_q, pair_p, pair_len
-        self._flat_send = flat_send
-        self._flat_recv = flat_recv
+        self._flat_send = _frozen(flat_send)
+        self._flat_recv = _frozen(flat_recv)
         ghost_sz = np.asarray(self.ghost_sizes, dtype=np.int64)
         pair_bounds = np.concatenate(([0], np.cumsum(pair_len)))
         i = first_segment_outside(flat_recv, pair_bounds, ghost_sz[pair_p])
@@ -155,45 +165,18 @@ class CommSchedule:
                 f"pair ({int(pair_q[i])}, {int(pair_p[i])}): recv slot "
                 f"out of range [0, {int(ghost_sz[pair_p[i]])})"
             )
-        flat_q = np.repeat(pair_q, pair_len)
-        flat_p = np.repeat(pair_p, pair_len)
-        E = flat_q.size
-        self._n_elements = E
-        self._entries = (flat_q, flat_p, flat_send[:], flat_recv[:])
-        for a in self._entries:
-            a.flags.writeable = False
+        self._n_elements = total
 
-        # wire order groups elements by owner q, stable within.  A pair's
-        # elements are one run in flat order, so ordering the *pairs* by
-        # owner (stable) and laying each run out whole is that order:
-        # wire position w of the run of pair k is flat position
-        # w + pair_start[k] - wire_start[k], and the inverse shifts back
-        by_owner = stable_order(pair_q, n)
-        wire_len = pair_len[by_owner]
-        wire_start = np.empty(pair_len.size, dtype=np.int64)
-        wire_start[by_owner] = np.cumsum(wire_len) - wire_len
-        shift = pair_bounds[:-1] - wire_start
-        positions = np.arange(E, dtype=np.int64)
-        wire_perm = positions + np.repeat(shift[by_owner], wire_len)
-        self._wire_perm = wire_perm
-
-        # pack side, wire order: send offsets and owner of each packed
-        # element; flat backing positions are resolved (and the send
-        # offsets range-checked) lazily against the bound distribution
-        self._pack_idx = flat_send[wire_perm]
-        self._pack_owner_rep = np.repeat(pair_q[by_owner], wire_len)
-        self._pack_pos: np.ndarray | None = None
-
-        # unpack side, flat order: slot s of requester p lives at ghost
-        # backing position ghost_off[p] + s, fed by wire position
-        # _unpack_src
+        # unpack side: slot s of requester p lives at ghost backing
+        # position ghost_off[p] + s
         self._ghost_off = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(ghost_sz, out=self._ghost_off[1:])
-        self._unpack_pos = self._ghost_off[flat_p] + flat_recv
-        self._unpack_src = positions - np.repeat(shift, pair_len)
-        # reverse path, wire order: every wire position is fed by exactly
-        # one ghost backing position, so packing ghosts is one gather
-        self._ghost_pos_wire = self._unpack_pos[wire_perm]
+        self._unpack_pos = np.repeat(self._ghost_off[pair_p], pair_len) + flat_recv
+        self._unpack_pos.flags.writeable = False
+        # pack side: flat backing positions, resolved (and the send
+        # offsets range-checked) on first use against the bound
+        # distribution; one holder shared by every twin
+        self._pack_pos: list = [None]
 
         # per-processor pack/unpack memory charges, accumulated in pair
         # order like a loop over pairs would
@@ -211,17 +194,11 @@ class CommSchedule:
         self._combine_flops: dict = {}
 
     def entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Per-element ``(q, p, send, recv)`` arrays in flat (pair) order.
-
-        Every moved ghost element as one row, owners/requesters repeated
-        per pair.  The one tuple is
-        derived when the schedule is built and shared by :meth:`twin`;
-        all four arrays are non-writeable: ``send``/``recv`` are views of
-        the internal flat arrays (writing through them would silently
-        corrupt the schedule, so NumPy raises instead), and the repeated
-        ``q``/``p`` arrays are locked because every caller shares them.
-        """
-        return self._entries
+        """Per-element ``(q, p, send, recv)`` arrays in flat (pair) order:
+        ``q``/``p`` repeated per pair, built on each call (only the guard
+        asks), ``send``/``recv`` the schedule's own read-only arrays."""
+        q, p = (np.repeat(a, self._pair_len) for a in (self._pair_q, self._pair_p))
+        return q, p, self._flat_send, self._flat_recv
 
     def twin(self) -> "CommSchedule":
         """A distinct schedule object sharing every internal array.
@@ -289,62 +266,59 @@ class CommSchedule:
     # flat data movement (shared with merged-communication paths)
     # ------------------------------------------------------------------
     def _pack_positions(self, arr: DistArray) -> np.ndarray:
-        """Flat backing positions of the packed elements (wire order).
+        """Flat backing positions of the packed elements (flat order).
 
         Valid for every array bound to this schedule's distribution
         signature (``_check_array`` enforces that), so the resolution is
-        cached after the first application.  That first resolution also
-        range-checks every send offset against its owner's local size:
-        an offset past it would silently move another processor's
-        element.
+        kept after the first application, for this schedule and its
+        twins.  That first resolution also range-checks every send
+        offset against its owner's local size: an offset past it would
+        silently move another processor's element.
         """
-        if self._pack_pos is None:
+        pos = self._pack_pos[0]
+        if pos is None:
             off = arr.distribution.flat_offsets()
-            # wire order is owner-grouped: owner q's offsets are one segment
-            bounds = np.searchsorted(self._pack_owner_rep, np.arange(self.n_procs + 1))
             sizes = np.diff(off)
-            q = first_segment_outside(self._pack_idx, bounds, sizes)
-            if q is not None:
-                seg = self._pack_idx[bounds[q] : bounds[q + 1]]
-                w = int(bounds[q]) + int(np.argmax((seg < 0) | (seg >= sizes[q])))
-                # the pair holding that element's flat position
-                pair_ends = np.cumsum(self._pair_len)
-                k = int(np.searchsorted(pair_ends, self._wire_perm[w], side="right"))
+            send, plen = self._flat_send, self._pair_len
+            bounds = np.concatenate(([0], np.cumsum(plen)))
+            if first_segment_outside(send, bounds, sizes[self._pair_q]) is not None:
+                # name the offending element a pass over the owners in
+                # ascending order meets first (the lowest owner's first)
+                flat_q = np.repeat(self._pair_q, plen)
+                bad = (send < 0) | (send >= sizes[flat_q])
+                q = int(flat_q[bad].min())
+                f = int(np.flatnonzero(bad & (flat_q == q))[0])
+                k = int(np.searchsorted(bounds, f, side="right")) - 1
                 raise ValueError(
                     f"pair ({q}, {int(self._pair_p[k])}): send offset "
-                    f"{int(self._pack_idx[w])} out of range [0, {int(sizes[q])})"
+                    f"{int(send[f])} out of range [0, {int(sizes[q])})"
                 )
-            self._pack_pos = off[self._pack_owner_rep] + self._pack_idx
-        return self._pack_pos
+            pos = np.repeat(off[self._pair_q], plen) + send
+            pos.flags.writeable = False
+            self._pack_pos[0] = pos
+        return pos
 
     def _move_gather(self, arr: DistArray, ghosts) -> None:
-        """Pack owners' elements onto the wire, unpack into ghost buffers."""
+        """Pack owners' elements, unpack them into ghost buffers."""
         # one fancy-index over the flat backing packs every owner at once
-        wire = arr.backing_ro[self._pack_positions(arr)]
-        keep = None
+        values = arr.backing_ro[self._pack_positions(arr)]
         faults = self.machine.faults
         if faults is not None:
             # fault injection hook: may corrupt/duplicate wire elements
             # (returns a perturbed copy) or drop some (keep mask); the
-            # charged message volume below is untouched either way
-            wire, keep = faults.on_gather_wire(wire)
-        backing = self._resolve_ghosts(ghosts)
+            # charged message volume is untouched either way.  Faults
+            # name wire positions: elements grouped by owner, stable
+            wire_perm = stable_order(np.repeat(self._pair_q, self._pair_len), self.n_procs)
+            wire, keep = faults.on_gather_wire(values[wire_perm])
+            values[wire_perm] = wire
+            if keep is not None:
+                # a dropped element's slot reads 0, not whatever the
+                # buffer held before, so every drop is visible on every sweep
+                values[wire_perm[~keep]] = 0
         # one store over the flat ghost backing unpacks every requester
         # at once; element order is flat (pair) order, so a duplicated
         # slot keeps its last pair's value
-        if keep is None:
-            backing[self._unpack_pos] = wire[self._unpack_src]
-        else:
-            # a dropped element's slot reads 0, not whatever the buffer
-            # held before, so every drop is visible on every sweep
-            values = wire[self._unpack_src]
-            values[~keep[self._unpack_src]] = 0
-            backing[self._unpack_pos] = values
-
-    def _gather_from_ghosts(self, ghosts, dtype) -> np.ndarray:
-        """Pack ghost contributions onto the wire (reverse direction)."""
-        backing = self._resolve_ghosts(ghosts)
-        return backing[self._ghost_pos_wire].astype(dtype, copy=False)
+        self._resolve_ghosts(ghosts)[self._unpack_pos] = values
 
     def _move_reverse(
         self,
@@ -353,16 +327,16 @@ class CommSchedule:
         op: Callable | None,
     ) -> None:
         """Pack ghost contributions, store/combine at the owners."""
-        wire = self._gather_from_ghosts(ghosts, arr.dtype)
-        # one store/combine over the flat backing: positions are grouped
-        # by owner ascending (pack order), so duplicate-slot and
-        # accumulation order match a loop over owners
+        values = self._resolve_ghosts(ghosts)[self._unpack_pos].astype(arr.dtype, copy=False)
+        # one store/combine over the flat backing in flat order: each
+        # owner element receives its contributions in pair order, as a
+        # loop over owners would apply them
         pos = self._pack_positions(arr)
         data = arr.backing_mut()
         if op is None:
-            data[pos] = wire
+            data[pos] = values
         else:
-            op.at(data, pos, wire)
+            op.at(data, pos, values)
 
     def _wire_bytes(self, itemsize: int) -> np.ndarray:
         return self._pair_len * itemsize
@@ -403,8 +377,9 @@ class CommSchedule:
 
     def scatter(self, ghosts, arr: DistArray) -> None:
         """Reverse movement, overwrite semantics: ghost copies are sent
-        back to the owners and stored (last writer per slot wins in wire
-        order -- callers needing determinism use distinct slots)."""
+        back to the owners and stored (the last contribution per owner
+        element wins, in pair order -- callers needing determinism use
+        distinct slots)."""
         self._apply_reverse(ghosts, arr, op=None)
 
     def scatter_op(

@@ -90,7 +90,7 @@ class Translator(ABC):
         counts (:meth:`strip_counts`, every processor's row) are ``counts``."""
 
     def dereference_flat(
-        self, values: np.ndarray, bounds: np.ndarray, sink=None, requesters=None
+        self, values: np.ndarray, bounds: np.ndarray, sink=None
     ) -> tuple[np.ndarray, np.ndarray]:
         """Flat-form batched dereference: one translation for all processors.
 
@@ -98,18 +98,15 @@ class Translator(ABC):
         ``bounds`` is the ``(P + 1,)`` CSR bound array (processor ``p``'s
         refs are ``values[bounds[p]:bounds[p+1]]``).  Several lists laid
         out by the same ``bounds`` may be stacked back to back (a
-        :class:`~repro.chaos.flatrefs.FlatRefs` with ``members > 1``);
-        ``requesters`` is the requesting processor of each position of
-        one of them, for a caller that holds it already.  Returns flat
-        ``(owners, local_offsets)`` aligned with ``values``, both fresh
-        arrays the caller may overwrite.  Charges go to ``sink`` (the
-        machine, or a recording charge log).
+        :class:`~repro.chaos.flatrefs.FlatRefs` with ``members > 1``).
+        Returns flat ``(owners, local_offsets)`` aligned with ``values``,
+        both fresh arrays the caller may overwrite.  Charges go to
+        ``sink`` (the machine, or a recording charge log).
         """
         values = np.asarray(values, dtype=np.int64)
         owners, lidx = self.dist.translate(values)
         sizes = np.diff(bounds)
-        if requesters is None:
-            requesters = np.repeat(np.arange(sizes.size, dtype=np.int64), sizes)
+        requesters = np.repeat(np.arange(sizes.size, dtype=np.int64), sizes)
         # one row per stacked member (one empty row for an empty stream)
         members = max(values.size // max(int(bounds[-1]), 1), 1)
         counts = self.strip_counts(values.reshape(members, -1), requesters, 0, sizes)

@@ -19,10 +19,12 @@ Phase 2 runs the simulated processors on the host's cores.  The
 iterations split into *strips* (``repro.chaos.strips``): runs of whole
 processors of about ``STRIP_ITERS`` iterations, cut only at processor
 boundaries.  The dispatching thread materializes everything the strips
-share first (combined ``[local | ghost]`` read arrays, staging, and an
-empty array for each fresh pattern's combined-space reference
-positions), then it and the process-wide strip pool take strips off one
-queue.  A strip fills its slice of those positions, gathers each
+share first (combined ``[local | ghost]`` read arrays, staging, and,
+for a pattern holder on its second execution, an empty array for its
+combined-space reference positions), then it and the process-wide strip
+pool take strips off one queue.  A strip computes its slice of each
+holder's positions (into that array, or into a temporary on a holder's
+first execution: a product that runs once keeps none), gathers each
 distinct read reference once, runs the loop's statements in program
 order on its slice and applies their ``ufunc.at`` or store to the
 staging.  Every staging slot belongs to
@@ -225,34 +227,37 @@ def _execute_once(
     # siblings (one schedule) share one.
     def space_of(key) -> _PatternSpace:
         pat = product.patterns[key]
-        if pat.exec_space is None:
+        held = pat.derived
+        if held.exec_space is None:
             sched = pat.localized.schedule
-            pat.exec_space = next(
+            held.exec_space = next(
                 (
-                    q.exec_space
+                    q.derived.exec_space
                     for q in product.patterns.values()
-                    if q.localized.schedule is sched and q.exec_space is not None
+                    if q.localized.schedule is sched and q.derived.exec_space is not None
                 ),
                 None,
             ) or _PatternSpace(pat.localized)
-        return pat.exec_space
+        return held.exec_space
 
     # combined-space position of every localized reference (its
-    # processor's block offset added): a fresh holder's array is filled
-    # by the compute strips, each its own slice, and cached once every
-    # strip has succeeded
-    fresh: dict[int, tuple] = {}  # id(holder) -> (holder, array)
+    # processor's block offset added), per holder.  The compute strips
+    # fill them slice by slice: on a holder's first execution into
+    # per-strip temporaries, on its second into the array it keeps once
+    # every strip has succeeded
+    positions: dict[int, tuple] = {}  # id(holder) -> (holder, array to keep or None)
 
-    def refs_of(key) -> np.ndarray:
+    def holder_of(key) -> int:
         pat = product.patterns[key]
-        if pat.exec_refs is not None:
-            return pat.exec_refs
-        if id(pat.derived) not in fresh:
+        held = pat.derived
+        if id(held) not in positions:
             space_of(key)
-            # every pattern's flat reference list shares the iteration bounds
-            refs = np.empty(int(iter_bounds[-1]), dtype=np.int64)
-            fresh[id(pat.derived)] = (pat.derived, refs)
-        return fresh[id(pat.derived)][1]
+            keep = None
+            if held.exec_refs is None and held.ran:
+                # every pattern's flat reference list shares the iteration bounds
+                keep = np.empty(int(iter_bounds[-1]), dtype=np.int64)
+            positions[id(held)] = (held, keep)
+        return id(held)
 
     # distinct read references, in a fixed order
     read_keys = sorted({(r.array, r.index) for r in loop.read_refs()}, key=str)
@@ -275,7 +280,7 @@ def _execute_once(
                 total + sched.ghost_total(), dtype=arr.dtype
             )
             gather_items.append((sched, arr, comb[total:], pat))
-        operands[key] = (comb, refs_of(key))
+        operands[key] = (comb, holder_of(key))
     obs = machine.obs
     with obs.span("executor.gather", n_schedules=len(gather_items)):
         if merge_communication and gather_items:
@@ -295,7 +300,7 @@ def _execute_once(
     # at once (read-only backing access: acquiring it must not perturb
     # the arrays' content versions)
     for (_, arr, ghosts, pat), comb in zip(gather_items, combined.values()):
-        sp = pat.exec_space
+        sp = pat.derived.exec_space
         comb[sp.local_sel] = arr.backing_ro
         comb[sp.ghost_sel] = ghosts
 
@@ -335,7 +340,7 @@ def _execute_once(
             assigned_mask[gkey] = np.zeros(staging[gkey].size, dtype=bool)
 
     # per statement: kernel, read keys, reduction ufunc (None: a store),
-    # staging target, target positions, assigned mask
+    # staging target, target positions' holder, assigned mask
     plan = []
     for s in loop.statements:
         lhs_key = (s.lhs.array, s.lhs.index)
@@ -346,7 +351,7 @@ def _execute_once(
                 [(r.array, r.index) for r in s.reads],
                 REDUCTION_OPS[s.op] if isinstance(s, Reduce) else None,
                 staging[gkey],
-                refs_of(lhs_key),
+                holder_of(lhs_key),
                 assigned_mask.get(gkey),
             )
         )
@@ -363,15 +368,20 @@ def _execute_once(
         p0, p1 = cuts[k], cuts[k + 1]
         b0, b1 = int(iter_bounds[p0]), int(iter_bounds[p1])
         try:
-            for held, refs in fresh.values():
-                offsets = np.repeat(held.exec_space.offsets[p0:p1], n_it[p0:p1])
-                np.add(held.refs_flat[b0:b1], offsets, out=refs[b0:b1])
-            gathered = {key: comb[refs[b0:b1]] for key, (comb, refs) in operands.items()}
-            for func, reads, ufunc, tgt, refs, mask in plan:
+            at = {}
+            for hid, (held, keep) in positions.items():
+                if held.exec_refs is not None:
+                    at[hid] = held.exec_refs[b0:b1]
+                else:
+                    offsets = np.repeat(held.exec_space.offsets[p0:p1], n_it[p0:p1])
+                    out = None if keep is None else keep[b0:b1]
+                    at[hid] = np.add(held.refs_flat[b0:b1], offsets, out=out)
+            gathered = {key: comb[at[h]] for key, (comb, h) in operands.items()}
+            for func, reads, ufunc, tgt, h, mask in plan:
                 vals = np.asarray(func(*[gathered[r] for r in reads]))
                 if vals.shape != (b1 - b0,):
                     vals = np.broadcast_to(vals, (b1 - b0,))
-                pos = refs[b0:b1]
+                pos = at[h]
                 if ufunc is not None:
                     ufunc.at(tgt, pos, vals)
                 else:
@@ -397,9 +407,11 @@ def _execute_once(
         n_strips=len(cuts) - 1,
     ) as compute_span:
         strips.run_strips(run_strip, len(cuts) - 1)
-    for held, refs in fresh.values():
-        refs.flags.writeable = False
-        held.exec_refs = refs
+    for held, keep in positions.values():
+        if keep is not None:
+            keep.flags.writeable = False
+            held.exec_refs = keep
+        held.ran = True
 
     # charges from the iteration counts, once every strip has finished
     n_it_f = n_it.astype(np.float64)

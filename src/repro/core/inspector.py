@@ -51,13 +51,16 @@ class PatternArrays:
 
     ``refs_flat`` / ``ref_bounds`` are the pattern's localized
     references -- its flat slice of a coalesced reference list.
-    ``exec_space`` / ``exec_refs`` are the executor's combined-space
-    selectors and positions (see ``repro.core.executor``), filled in by
-    the first execution of any product holding this object.  All arrays
+    ``exec_space`` is the executor's combined-space selectors (see
+    ``repro.core.executor``), filled in by the first execution of any
+    product holding this object.  ``exec_refs``, the combined-space
+    positions, is kept only from the second: ``ran`` records that one
+    finished, so a product that runs once (a patched one, one built on
+    the miss path) keeps no second copy of its references.  All arrays
     are frozen.
     """
 
-    __slots__ = ("refs_flat", "ref_bounds", "exec_space", "exec_refs")
+    __slots__ = ("refs_flat", "ref_bounds", "exec_space", "exec_refs", "ran")
 
     def __init__(self, refs_flat: np.ndarray, ref_bounds: np.ndarray):
         refs_flat.flags.writeable = False
@@ -66,6 +69,7 @@ class PatternArrays:
         self.ref_bounds = ref_bounds
         self.exec_space = None
         self.exec_refs: np.ndarray | None = None
+        self.ran = False
 
 
 @dataclass
@@ -77,14 +81,10 @@ class PatternData:
     *schedule* and one ghost region; each pattern keeps its own
     ``localized`` view whose ``refs_flat`` index the shared space.
 
-    ``exec_space`` / ``exec_refs`` are executor-side caches (see
-    ``repro.core.executor``): pure functions of this immutable product
-    (the schedule's ghost layout and the iteration partition are fixed),
-    computed lazily on first execution and reused by every
-    subsequent one.  They live on ``derived``, the :class:`PatternArrays`
-    holder, which outlives the product when it came from a translation
-    cache entry -- re-inspecting an unchanged pattern every time step
-    then reuses them like the schedule-reuse scenarios do.
+    ``derived`` (:class:`PatternArrays`) also holds the executor's
+    caches; it outlives the product when it came from a translation
+    cache entry, so re-inspecting an unchanged pattern every time step
+    reuses them like the schedule-reuse scenarios do.
     """
 
     array: str
@@ -97,22 +97,6 @@ class PatternData:
             self.derived = PatternArrays(
                 self.localized.refs_flat, self.localized.ref_bounds
             )
-
-    @property
-    def exec_space(self):
-        return self.derived.exec_space
-
-    @exec_space.setter
-    def exec_space(self, space) -> None:
-        self.derived.exec_space = space
-
-    @property
-    def exec_refs(self) -> np.ndarray | None:
-        return self.derived.exec_refs
-
-    @exec_refs.setter
-    def exec_refs(self, refs: np.ndarray | None) -> None:
-        self.derived.exec_refs = refs
 
 
 @dataclass

@@ -82,6 +82,9 @@ raises.  What the runtime writes in place is copied once by
 :func:`restore_checkpoint`: distributed-array backings and the machine's
 counters.
 
+*Spans.*  A save records ``guard.checkpoint.write``, a resume one
+``guard.checkpoint.read`` per file read, each with ``bytes`` and ``sections``.
+
 *Tamper guarantees.*  Loading never unpickles or evaluates anything.
 Before a single array or payload object is built, every byte of the file
 is checked: the header and manifest against their CRC, each section
@@ -469,10 +472,11 @@ def _head(entries: list, payload_json: bytes) -> bytes:
     return _HEADER.pack(_MAGIC, _VERSION, len(manifest), crc) + manifest
 
 
-def _write_file(f, payload: dict) -> None:
+def _write_file(f, payload: dict) -> int:
     """Stream ``payload`` into ``f``: the sections straight from the live
     arrays while a second thread takes their CRCs (both release the
-    GIL), then the header and manifest over their reserved bytes."""
+    GIL), then the header and manifest over their reserved bytes;
+    returns the number of sections."""
     sections = _Sections()
     payload_json = json.dumps(_encode(payload, "", sections), separators=(",", ":")).encode()
     entries, end = [], 0
@@ -507,6 +511,15 @@ def _write_file(f, payload: dict) -> None:
         entry["crc"] = f"{crc:08x}"
     f.seek(0)
     f.write(_head(entries, payload_json))
+    return len(entries)
+
+
+def payload_sections(payload: dict) -> int:
+    """How many array sections ``payload`` holds: one per distinct array
+    object, as a file stores them (the sharing rule)."""
+    sections = _Sections()
+    _encode(payload, "", sections)
+    return len(sections.arrays)
 
 
 def save_checkpoint(path, program, driver=None) -> None:
@@ -568,15 +581,17 @@ def save_checkpoint(path, program, driver=None) -> None:
     }
     path = os.fspath(path)
     tmp = f"{path}.tmp{os.getpid()}"
-    try:
-        with open(tmp, "wb") as f:
-            _write_file(f, payload)
-        if os.path.exists(path):
-            os.replace(path, previous_checkpoint_path(path))
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.remove(tmp)
+    with machine.obs.span("guard.checkpoint.write") as span:
+        try:
+            with open(tmp, "wb") as f:
+                n_sections = _write_file(f, payload)
+            if os.path.exists(path):
+                os.replace(path, previous_checkpoint_path(path))
+            os.replace(tmp, path)
+        finally:
+            if os.path.exists(tmp):
+                os.remove(tmp)
+        span.set(bytes=os.path.getsize(path), sections=n_sections)
 
 
 # ----------------------------------------------------------------------

@@ -17,7 +17,7 @@ This module machine-checks those contracts at three levels:
 ``full``
     Everything in ``cheap`` plus order and content checks that need
     sorts or distribution dereferences: requester-major/owner-minor
-    pair order, key-sorted wire order within each pair, ghost-key
+    pair order, key-sorted elements within each pair, ghost-key
     uniqueness per requester, owner/local-offset recomputation against
     the live distribution, iteration-partition permutation, reference
     counts recomputed from the localized reference lists, and the home
@@ -160,13 +160,13 @@ def _verify_slot_space(pat, arr, level: str) -> None:
             s = int(slot[np.flatnonzero(ek < 0)[0]])
             _fail(f"schedule of {pat.array!r} references retired ghost slot {s}")
         if level == "full":
-            # wire order: within each pair, elements sorted by ghost key
+            # within each pair, elements sorted by ghost key
             pair_rep = np.repeat(
                 np.arange(sched._pair_q.size, dtype=np.int64), sched._pair_len
             )
             same = pair_rep[1:] == pair_rep[:-1]
             if (np.diff(ek)[same] <= 0).any():
-                _fail(f"schedule of {pat.array!r} wire order is not key-sorted within a pair")
+                _fail(f"schedule of {pat.array!r} is not key-sorted within a pair")
             # live keys unique per requester
             comp = p * max(arr.size, 1) + ek
             if sorted_unique(comp).size != comp.size:
@@ -200,7 +200,8 @@ def _verify_refs(pat, iter_bounds: np.ndarray, level: str) -> None:
 def _unseen(seen: set, *inputs) -> bool:
     """Whether these very objects are new to this pass (and mark them):
     a checker is a pure function of the arrays it reads and a twin group
-    holds its sibling's objects, so one verdict per distinct inputs still
+    holds its sibling's objects -- a schedule is named by the input
+    arrays its twins share -- so one verdict per distinct inputs still
     covers the whole product.  Lists (``local_sizes``) count by value."""
     key = tuple(tuple(x) if isinstance(x, list) else id(x) for x in inputs)
     new = key not in seen
@@ -234,7 +235,8 @@ def verify_product(product, arrays, level: str = "cheap", state=None) -> None:
     for pat in product.patterns.values():
         loc, arr = pat.localized, arrays[pat.array]
         sched, dist = loc.schedule, arr.distribution
-        if _unseen(seen, sched.entries(), loc.ghost_flat, loc.ghost_bounds, dist):
+        shared = (sched._pair_q, sched._flat_send, sched._flat_recv)
+        if _unseen(seen, *shared, loc.ghost_flat, loc.ghost_bounds, dist):
             verify_schedule(sched, level)
             _verify_slot_space(pat, arr, level)
         if _unseen(seen, loc.refs_flat, loc.ref_bounds, loc.ghost_bounds, loc.local_sizes):
@@ -272,7 +274,9 @@ def verify_adapt_state(product, state, arrays, level: str = "cheap") -> None:
         if gstate is None:
             _fail(f"adapt state has no slot bookkeeping for group {gkey}")
         loc = product.patterns[members[0]].localized
-        inputs = [loc.schedule.entries(), loc.ghost_flat, loc.ghost_bounds, loc.local_sizes]
+        sched = loc.schedule
+        inputs = [sched._pair_q, sched._flat_send, sched._flat_recv, loc.ghost_flat]
+        inputs += [loc.ghost_bounds, loc.local_sizes]
         inputs += [gstate.slot_bounds, gstate.keys, gstate.owners, gstate.lidx, gstate.counts]
         inputs += [product.patterns[k].localized.refs_flat for k in members]
         if not _unseen(seen, getattr(arrays.get(gstate.array), "distribution", None), *inputs):

@@ -118,8 +118,9 @@ class TestSegmentReduceVerify:
                 make(recv.copy())
         # a healthy schedule corrupted in place: only the verifier sees it
         healthy = np.where((recv < 0) | (recv >= np.repeat(sizes, np.diff(bounds))), 0, recv)
-        sched = make(healthy.copy())
-        sched._flat_recv[:] = recv
+        given = healthy.copy()
+        sched = make(given)
+        given[:] = recv  # through the array the schedule holds a view of
         if want is None:
             # (recv repeats slots, which a later check of verify_schedule
             # rejects: stop at the bounds check's verdict)
@@ -209,8 +210,12 @@ def churn(prog, mesh, step, size=25):
     prog.set_array_elements("end_pt2", pick, new)
 
 
-class TestEntriesMemo:
-    def test_one_frozen_tuple_shared_by_twin(self):
+class TestScheduleLayout:
+    """A schedule keeps its inputs and two flat-order position arrays,
+    and a twin shares all of them, the lazily resolved pack positions
+    included."""
+
+    def twins(self):
         mesh, prog, loop, exe = adaptive_campaign()
         churn(prog, mesh, 0)
         assert exe.step() == "patch"
@@ -219,28 +224,40 @@ class TestEntriesMemo:
             for p in prog.records[loop.name].product.patterns.values()
         }
         assert len(scheds) == 2  # the x group and its twin, the y group
-        a, b = scheds.values()
-        assert a.entries() is a.entries() is b.entries()
-        assert a.twin().entries() is a.entries()
+        return prog, exe, list(scheds.values())
+
+    def test_twins_share_every_array(self):
+        _, _, (a, b) = self.twins()
+        for f in ("_pair_q", "_pair_p", "_pair_len", "_flat_send", "_flat_recv", "_unpack_pos"):
+            assert getattr(a, f) is getattr(b, f), f
+        # the patch step executed both: one resolution serves the two
+        assert a._pack_pos[0] is not None and a._pack_pos[0] is b._pack_pos[0]
         q, p, send, recv = a.entries()
         np.testing.assert_array_equal(q, np.repeat(a._pair_q, a._pair_len))
         np.testing.assert_array_equal(p, np.repeat(a._pair_p, a._pair_len))
-        assert send.base is a._flat_send and recv.base is a._flat_recv
-        for arr in (q, p, send, recv):
+        assert send is a._flat_send and recv is a._flat_recv
+        for arr in (send, recv, a._unpack_pos, a._pack_pos[0]):
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 0
 
-    def test_absent_from_checkpoint_payloads(self, tmp_path):
+    def test_four_arrays_of_the_element_count(self):
+        _, _, (a, _) = self.twins()
+        E = a._n_elements
+        assert E > 1
+        held = [
+            name for name, v in vars(a).items()
+            if isinstance(v, np.ndarray) and v.size == E
+        ]
+        assert sorted(held) == ["_flat_recv", "_flat_send", "_unpack_pos"]
+        assert a._pack_pos[0].size == E
+
+    def test_positions_absent_from_checkpoint_payloads(self, tmp_path):
         from repro.guard.checkpoint import _schedule_payload
 
-        mesh, prog, loop, exe = adaptive_campaign()
-        churn(prog, mesh, 0)
-        exe.step()
-        live = next(iter(prog.records[loop.name].product.patterns.values())).localized.schedule
-        memo = live.entries()
-        assert memo[0].size
+        prog, exe, (live, _) = self.twins()
         saved = _schedule_payload(live)
-        assert not any(value is arr for value in saved.values() for arr in memo)
+        derived = (live._unpack_pos, live._pack_pos[0])
+        assert not any(value is arr for value in saved.values() for arr in derived)
         path = tmp_path / "c.ckpt"
         save_checkpoint(path, prog, driver=exe)
         for sched in load_checkpoint(path)["schedules"]:

@@ -215,7 +215,7 @@ def exec_refs_of(space, localized, counts):
 
 @pytest.mark.parametrize("n_procs", [2, 4])
 def test_patched_exec_caches_match_fresh(n_procs):
-    """The executor caches a patched product holds after its first sweep
+    """The executor caches a patched product holds after its sweeps
     (a fresh holder per patched pattern, filled lazily; a twin adopts its
     sibling's) must be element-equal to caches built from scratch off the
     patched product -- and dropping them and executing again must give
@@ -239,16 +239,16 @@ def test_patched_exec_caches_match_fresh(n_procs):
         prod = prog_a.records[loop.name].product
         iter_flat, iter_bounds = prod.iteration_partition.iters_flat()
         for key, pat in prod.patterns.items():
-            if pat.exec_space is None:
+            if pat.derived.exec_space is None:
                 continue
             fresh = _PatternSpace(pat.localized)
-            assert np.array_equal(pat.exec_space.offsets, fresh.offsets), key
-            assert np.array_equal(pat.exec_space.local_sel, fresh.local_sel), key
-            assert np.array_equal(pat.exec_space.ghost_sel, fresh.ghost_sel), key
-            assert pat.exec_space.total == fresh.total, key
-            if pat.exec_refs is not None:
+            assert np.array_equal(pat.derived.exec_space.offsets, fresh.offsets), key
+            assert np.array_equal(pat.derived.exec_space.local_sel, fresh.local_sel), key
+            assert np.array_equal(pat.derived.exec_space.ghost_sel, fresh.ghost_sel), key
+            assert pat.derived.exec_space.total == fresh.total, key
+            if pat.derived.exec_refs is not None:
                 assert np.array_equal(
-                    pat.exec_refs, exec_refs_of(fresh, pat.localized, np.diff(iter_bounds))
+                    pat.derived.exec_refs, exec_refs_of(fresh, pat.localized, np.diff(iter_bounds))
                 ), key
 
         # dropping the cached arrays and re-executing from scratch gives
@@ -259,8 +259,8 @@ def test_patched_exec_caches_match_fresh(n_procs):
         e_cached = m_a.phase_time("executor") - e0
         y_after_cached = prog_a.arrays["y"].to_global().copy()
         for pat in prod.patterns.values():
-            pat.exec_space = None
-            pat.exec_refs = None
+            pat.derived.exec_space = None
+            pat.derived.exec_refs = None
         prog_a.arrays["y"].set_global(y_cached)
         prog_a.machine.charge_compute_all(
             mem=prog_a.arrays["y"].distribution.local_sizes().astype(np.float64)
@@ -277,7 +277,7 @@ def test_patched_exec_caches_match_fresh(n_procs):
 def test_carried_exec_refs_at_segment_starts_match_fresh():
     """A patch that keeps the partition but re-targets every processor's
     first iteration: the executor refs the patched product holds after
-    its sweep, at segment starts included, equal a fresh build."""
+    its second sweep, at segment starts included, equal a fresh build."""
     from repro.core.executor import _PatternSpace
 
     mesh = generate_mesh(350, seed=13)
@@ -296,13 +296,18 @@ def test_carried_exec_refs_at_segment_starts_match_fresh():
     prog.set_array_elements("end_pt2", firsts, new)
     prog.forall(loop, n_times=1)
     assert prog.patch_hits == 1
-    part = prog.records[loop.name].product.iteration_partition
+    # one sweep keeps no positions; the second (a reuse) keeps them
+    product = prog.records[loop.name].product
+    assert all(pat.derived.exec_refs is None for pat in product.patterns.values())
+    prog.forall(loop, n_times=1)
+    assert prog.records[loop.name].product is product
+    part = product.iteration_partition
     assert np.array_equal(part.flat, flat) and np.array_equal(part.bounds, bounds)
     for key, pat in prog.records[loop.name].product.patterns.items():
-        assert pat.exec_refs is not None, key
+        assert pat.derived.exec_refs is not None, key
         fresh = _PatternSpace(pat.localized)
         assert np.array_equal(
-            pat.exec_refs, exec_refs_of(fresh, pat.localized, np.diff(bounds))
+            pat.derived.exec_refs, exec_refs_of(fresh, pat.localized, np.diff(bounds))
         ), key
 
 

@@ -111,7 +111,7 @@ def outcome(prog, loop, tape) -> dict:
     got = {"partition": [a.tobytes() for a in (part.flat, part.bounds, part.inverse())]}
     for key, pat in product.patterns.items():
         loc = pat.localized
-        arrays = (loc.refs_flat, loc.ref_bounds, loc.ghost_flat, loc.ghost_bounds, pat.exec_refs)
+        arrays = (loc.refs_flat, loc.ref_bounds, loc.ghost_flat, loc.ghost_bounds)
         got[key] = [np.asarray(a).tobytes() for a in arrays + loc.schedule.entries()]
         got[key].append(loc.schedule.ghost_sizes)
     state = prog.adapt.state_for(loop.name, "verify")
@@ -221,16 +221,18 @@ def test_aborted_patch_raises_after_the_same_charges(pool, monkeypatch, kind, me
 # ----------------------------------------------------------------------
 # the executor's strip-filled references
 # ----------------------------------------------------------------------
-def test_failed_first_sweep_caches_no_executor_references(pool, monkeypatch):
-    """A strip of a patched product's first sweep raises: no holder keeps
-    a partly filled array, and the next sweep fills and caches it whole,
-    bit-identical to a run where nothing failed."""
-    want = run(monkeypatch, pool, MANY, True, 0.05)
+def test_failed_sweeps_keep_no_executor_positions(pool, monkeypatch):
+    """A patched product's holders keep their combined-space positions
+    only from their second finished sweep on.  A strip raising in the
+    first or the second sweep leaves no holder with an array (not even
+    a partly filled one), and a failed first sweep does not count as
+    run; the next two sweeps keep the positions whole and frozen."""
     mesh, machine, prog, loop = start(monkeypatch, pool, MANY, True)
     churn_step(prog, mesh, 0.05)
     product = prog.inspect(loop)
     assert prog.patch_hits == 1
-    assert all(pat.exec_refs is None for pat in product.patterns.values())
+    holders = {id(p.derived): p.derived for p in product.patterns.values()}.values()
+    assert not any(h.ran or h.exec_refs is not None for h in holders)
     calls = []
     func = loop.statements[0].func
 
@@ -240,19 +242,34 @@ def test_failed_first_sweep_caches_no_executor_references(pool, monkeypatch):
             raise RuntimeError("kernel failed")
         return func(*args)
 
-    failing = ForallLoop(
-        loop.name,
-        loop.n_iterations,
-        [dataclasses.replace(loop.statements[0], func=third_strip_raises)] + loop.statements[1:],
+    failing = dataclasses.replace(
+        product,
+        loop=ForallLoop(
+            loop.name,
+            loop.n_iterations,
+            [dataclasses.replace(loop.statements[0], func=third_strip_raises)]
+            + loop.statements[1:],
+        ),
     )
     with pytest.raises(RuntimeError, match="kernel failed"):
-        run_executor(machine, dataclasses.replace(product, loop=failing), prog.arrays)
+        run_executor(machine, failing, prog.arrays)
     assert len(calls) > 3  # every strip ran
-    assert all(pat.exec_refs is None for pat in product.patterns.values())
+    assert not any(h.ran or h.exec_refs is not None for h in holders)
+    # one finished sweep keeps nothing ...
     run_executor(machine, product, prog.arrays)
+    assert all(h.ran and h.exec_refs is None for h in holders)
+    # ... nor does a second one that fails ...
+    calls.clear()
+    with pytest.raises(RuntimeError, match="kernel failed"):
+        run_executor(machine, failing, prog.arrays)
+    assert all(h.exec_refs is None for h in holders)
+    # ... and the next finished one keeps one frozen array per holder
+    run_executor(machine, product, prog.arrays)
+    _, bounds = product.iteration_partition.iters_flat()
     for key, pat in product.patterns.items():
-        assert not pat.exec_refs.flags.writeable
-        assert pat.exec_refs.tobytes() == want[key][4], key
+        assert not pat.derived.exec_refs.flags.writeable
+        want = pat.localized.refs_flat + np.repeat(pat.derived.exec_space.offsets[:-1], np.diff(bounds))
+        assert pat.derived.exec_refs.tobytes() == want.tobytes(), key
 
 
 # ----------------------------------------------------------------------

@@ -42,15 +42,17 @@ def campaign(n_patches=3, probe=None):
 
 def cold_refs(prog):
     """Weakrefs to the step-0 localize entries and their executor
-    positions; the cold step built no global view of the edge arrays."""
+    spaces; the cold step built no global view of the edge arrays, and
+    its one sweep kept no executor positions."""
     cache = prog.translation_cache
     entries = [entry for slot, (_, entry) in cache._slots.items() if slot[0] == "localize"]
-    exec_refs = [h.exec_refs for e in entries for h in e.derived.values()]
-    assert entries and all(r is not None for r in exec_refs)
+    holders = [h for e in entries for h in e.derived.values()]
+    assert entries and all(h.ran and h.exec_space is not None for h in holders)
+    assert all(h.exec_refs is None for h in holders)
     assert all(prog.arrays[name]._global_cache is None for name in EDGE_ARRAYS)
     return {
         "entries": [weakref.ref(e) for e in entries],
-        "exec_refs": [weakref.ref(r) for r in exec_refs],
+        "exec_spaces": [weakref.ref(h.exec_space) for h in holders],
     }
 
 

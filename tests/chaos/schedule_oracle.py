@@ -1,5 +1,5 @@
-"""The merge-based schedule patcher, kept as the reference the patch
-rung's schedule is diffed against.
+"""The merge-based schedule patcher and the wire-order schedule, kept as
+the references the runtime's schedules are diffed against.
 
 The patch rung builds a patched group's ``CommSchedule`` from its
 patched slot state with the one constructor a cold inspection uses.
@@ -13,6 +13,14 @@ every array of the new schedule against it.  ``build`` is the
 constructor's old second entry: it derives the apply arrays from a
 wire permutation in hand, so the merge path shares no derivation with
 the constructor.
+
+A :class:`WireSchedule` (``build``'s product, or :func:`wire_schedule`
+from constructor input) also keeps the old data movement: it packs
+owners' elements in wire order (grouped by owner, stable), and the
+requesters unpack them through the inverse permutation.  The
+constructor's schedule moves data in flat order with no wire order at
+all, and ``tests/chaos/test_schedule_flat.py`` holds every application
+bit-identical to this one, fault injection included.
 """
 
 import numpy as np
@@ -21,19 +29,14 @@ from repro.chaos.costs import DEFAULT_COSTS
 from repro.chaos.kernels import first_segment_outside
 from repro.chaos.schedule import CommSchedule
 
-#: every array a schedule derives, and the scalars beside them
+#: every array a schedule keeps, and the scalars beside them
 SCHEDULE_FIELDS = (
     "_pair_q",
     "_pair_p",
     "_pair_len",
     "_flat_send",
     "_flat_recv",
-    "_wire_perm",
-    "_pack_idx",
-    "_pack_owner_rep",
     "_unpack_pos",
-    "_unpack_src",
-    "_ghost_pos_wire",
     "_ghost_off",
     "_pack_mem",
     "_unpack_mem",
@@ -41,7 +44,7 @@ SCHEDULE_FIELDS = (
 
 
 def assert_schedules_equal(got, want, context=""):
-    """Every derived array, ``entries()``, ``ghost_sizes`` and the
+    """Every kept array, ``entries()``, ``ghost_sizes`` and the
     signature of ``got`` equal ``want``'s, dtype included."""
     for f in SCHEDULE_FIELDS:
         a, b = getattr(got, f), getattr(want, f)
@@ -52,6 +55,83 @@ def assert_schedules_equal(got, want, context=""):
     assert got._n_elements == want._n_elements, context
     assert got.ghost_sizes == want.ghost_sizes, context
     assert got.dist_signature == want.dist_signature, context
+
+
+def wire_perm_of(flat_q):
+    """Wire position -> flat position: elements grouped by owner, stable."""
+    return np.argsort(flat_q, kind="stable")
+
+
+class WireSchedule(CommSchedule):
+    """A schedule that moves data the old way, through wire order.
+
+    Its apply arrays come from :func:`build`: ``_pack_idx`` /
+    ``_pack_owner_rep`` are the send offsets and owners in wire order,
+    ``_unpack_src`` is the wire position feeding each flat position and
+    ``_ghost_pos_wire`` the ghost backing position feeding each wire
+    position on the way back.  Checks and charges are the
+    constructor's."""
+
+    def _pack_positions(self, arr):
+        if self._pack_pos is None:
+            off = arr.distribution.flat_offsets()
+            # wire order is owner-grouped: owner q's offsets are one segment
+            bounds = np.searchsorted(self._pack_owner_rep, np.arange(self.n_procs + 1))
+            sizes = np.diff(off)
+            q = first_segment_outside(self._pack_idx, bounds, sizes)
+            if q is not None:
+                seg = self._pack_idx[bounds[q] : bounds[q + 1]]
+                w = int(bounds[q]) + int(np.argmax((seg < 0) | (seg >= sizes[q])))
+                pair_ends = np.cumsum(self._pair_len)
+                k = int(np.searchsorted(pair_ends, self._wire_perm[w], side="right"))
+                raise ValueError(
+                    f"pair ({q}, {int(self._pair_p[k])}): send offset "
+                    f"{int(self._pack_idx[w])} out of range [0, {int(sizes[q])})"
+                )
+            self._pack_pos = off[self._pack_owner_rep] + self._pack_idx
+        return self._pack_pos
+
+    def _move_gather(self, arr, ghosts):
+        wire = arr.backing_ro[self._pack_positions(arr)]
+        keep = None
+        if self.machine.faults is not None:
+            wire, keep = self.machine.faults.on_gather_wire(wire)
+        backing = self._resolve_ghosts(ghosts)
+        if keep is None:
+            backing[self._unpack_pos] = wire[self._unpack_src]
+        else:
+            values = wire[self._unpack_src]
+            values[~keep[self._unpack_src]] = 0
+            backing[self._unpack_pos] = values
+
+    def _move_reverse(self, ghosts, arr, op):
+        wire = self._resolve_ghosts(ghosts)[self._ghost_pos_wire].astype(arr.dtype, copy=False)
+        pos = self._pack_positions(arr)
+        data = arr.backing_mut()
+        if op is None:
+            data[pos] = wire
+        else:
+            op.at(data, pos, wire)
+
+
+def wire_schedule(
+    machine, dist_signature, pair_q, pair_p, pair_len, flat_send, flat_recv, ghost_sizes
+) -> WireSchedule:
+    """A :class:`WireSchedule` from the constructor's input (any pair
+    order; empty pairs dropped as the constructor drops them)."""
+    pair_q, pair_p, pair_len, flat_send, flat_recv = (
+        np.asarray(a, dtype=np.int64) for a in (pair_q, pair_p, pair_len, flat_send, flat_recv)
+    )
+    live = pair_len > 0
+    pairs = (pair_q[live], pair_p[live], pair_len[live])
+    flat_q = np.repeat(pairs[0], pairs[2])
+    flat_p = np.repeat(pairs[1], pairs[2])
+    new = WireSchedule.__new__(WireSchedule)
+    build(
+        new, machine, dist_signature, pairs, flat_q, flat_p, flat_send, flat_recv,
+        wire_perm_of(flat_q), ghost_sizes,
+    )
+    return new
 
 
 def _pair_runs(flat_q, flat_p, n):
@@ -108,9 +188,6 @@ def build(
     E = flat_q.size
     self._n_elements = E
     self._wire_perm = wire_perm
-    self._entries = (flat_q, flat_p, flat_send[:], flat_recv[:])
-    for a in self._entries:
-        a.flags.writeable = False
 
     self._pack_idx = flat_send[wire_perm]
     self._pack_owner_rep = flat_q[wire_perm]
@@ -266,11 +343,11 @@ def patched_merge(
         return None
     if n * n >= (2**63 - 1) // max(K, 1):
         return None  # pragma: no cover - composite key would overflow
-    flat_q, flat_p = self._entries[:2]
+    flat_q, flat_p, flat_send, flat_recv = self.entries()
     comp_flat = (flat_p * n + flat_q) * K + keep_key
     if E and (np.diff(comp_flat) < 0).any():
         return None
-    W = self._wire_perm
+    W = wire_perm_of(flat_q)
     comp_wire = (flat_q * n + flat_p) * K + keep_key
     compW = comp_wire[W]
     if E and (np.diff(compW) < 0).any():
@@ -294,7 +371,9 @@ def patched_merge(
 
     E2 = Sk + d
     merged = []
-    for old, add in zip(self._entries, (add_q, add_p, add_send, add_recv)):
+    for old, add in zip(
+        (flat_q, flat_p, flat_send, flat_recv), (add_q, add_p, add_send, add_recv)
+    ):
         new = np.empty(E2, dtype=np.int64)
         new[kept_newpos] = old[kept_idx]
         new[add_newpos] = add[aperm]
@@ -319,7 +398,7 @@ def patched_merge(
     inv_aperm[aperm] = ar
     wire_perm[add_wpos] = add_newpos[inv_aperm[awperm]]
 
-    new = CommSchedule.__new__(CommSchedule)
+    new = WireSchedule.__new__(WireSchedule)
     build(
         new,
         self.machine,

@@ -13,9 +13,11 @@ writer wins) and floating-point reduction accumulation order.
 import numpy as np
 import pytest
 
+from repro.chaos.merge import gather_merged, scatter_op_merged
 from repro.chaos.schedule import CommSchedule
 from repro.distribution.distarray import DistArray
 from repro.distribution.regular import BlockDistribution
+from repro.guard.faults import FaultPlan
 from repro.machine.machine import Machine
 from tests.chaos import schedule_oracle as oracle
 from tests.chaos.pairs import (
@@ -168,25 +170,44 @@ def small_schedule(seed=21):
     return schedule_from_pairs(machine, arr.distribution.signature(), send, recv, gsizes)
 
 
-class TestEntriesImmutability:
-    """Writing through entries() views must raise, not corrupt."""
+class TestEntries:
+    """``entries()`` reads the stored arrays; only ``q``/``p`` are built."""
 
-    def test_all_four_views_are_readonly(self):
+    def test_send_recv_are_the_stored_read_only_arrays(self):
         sched = small_schedule()
         q, p, send, recv = sched.entries()
         assert q.size  # a trivially empty schedule would prove nothing
-        for view in (q, p, send, recv):
-            assert not view.flags.writeable
+        assert send is sched._flat_send and recv is sched._flat_recv
+        for view in (send, recv):
             with pytest.raises(ValueError, match="read-only"):
                 view[0] = 99
+        np.testing.assert_array_equal(q, np.repeat(sched._pair_q, sched._pair_len))
+        np.testing.assert_array_equal(p, np.repeat(sched._pair_p, sched._pair_len))
 
-    def test_send_recv_are_views_not_copies(self):
-        # zero-copy is the point of the flat layout: entries() must not
-        # silently duplicate the arrays to get safety
-        sched = small_schedule()
-        _, _, send, recv = sched.entries()
-        assert send.base is sched._flat_send
-        assert recv.base is sched._flat_recv
+    def test_the_callers_arrays_are_viewed_not_frozen(self):
+        # zero-copy is the point of the flat layout, and the schedule
+        # must not change the flags of arrays it was handed
+        machine, arr, min_local = make_world(4, 40, 21)
+        send, recv, gsizes = random_schedule_parts(np.random.default_rng(21), 4, min_local)
+        parts = flatten_pairs(send, recv)
+        sched = CommSchedule(machine, arr.distribution.signature(), *parts, gsizes)
+        for given, kept in ((parts[3], sched._flat_send), (parts[4], sched._flat_recv)):
+            assert given.flags.writeable and not kept.flags.writeable
+            assert kept.base is given
+
+    def test_read_only_input_is_kept_as_is(self):
+        # a checkpoint restore hands in frozen arrays: schedules built
+        # from one array keep sharing that very object
+        machine, arr, min_local = make_world(4, 40, 21)
+        send, recv, gsizes = random_schedule_parts(np.random.default_rng(21), 4, min_local)
+        parts = flatten_pairs(send, recv)
+        for a in parts[3:]:
+            a.flags.writeable = False
+        sig = arr.distribution.signature()
+        a = CommSchedule(machine, sig, *parts, gsizes)
+        b = CommSchedule(machine, sig, *parts, gsizes)
+        assert a._flat_send is b._flat_send is parts[3]
+        assert a._flat_recv is b._flat_recv is parts[4]
 
 
 class TestTwin:
@@ -202,6 +223,19 @@ class TestTwin:
         b = tw.entries()
         for x, y in zip(a, b):
             np.testing.assert_array_equal(x, y)
+
+    def test_twins_share_one_pack_position_array(self):
+        machine, arr, min_local = make_world(4, 40, 21)
+        send, recv, gsizes = random_schedule_parts(np.random.default_rng(21), 4, min_local)
+        sched = schedule_from_pairs(machine, arr.distribution.signature(), send, recv, gsizes)
+        tw = sched.twin()
+        assert sched._pack_pos[0] is None
+        # the twin resolves them on its first gather; the original reuses them
+        tw.gather(arr, np.zeros(tw.ghost_total()))
+        pos = tw._pack_pos[0]
+        assert pos is not None and not pos.flags.writeable
+        assert sched._pack_positions(arr) is pos
+        assert sched.twin()._pack_positions(arr) is pos
 
     def test_exchange_plans_built_once_shared_and_equal_to_naive(self):
         # the gather / reverse exchange and the combine flops are planned
@@ -275,7 +309,29 @@ def test_out_of_range_send_offset_is_rejected_on_first_use(apply, offset):
     np.testing.assert_array_equal(arr.to_global(), np.arange(8.0))
     np.testing.assert_array_equal(ghosts, [-5.0])
     assert clocks(machine) == clock
-    assert sched._pack_pos is None
+    assert sched._pack_pos[0] is None
+
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_out_of_range_send_offset_names_the_pair_the_wire_oracle_names(seed):
+    """Several bad offsets in several pairs, pairs in any order: the
+    flat range check names the same pair and offset as a check over the
+    owner-grouped wire (the lowest owner's first bad element)."""
+    rng = np.random.default_rng(seed)
+    machine, arr, min_local = make_world(4, 40, seed)
+    send, recv, gsizes = random_schedule_parts(rng, 4, min_local)
+    for key in [k for k in send if len(send[k])][::2]:
+        send[key] = send[key].copy()
+        send[key][rng.integers(len(send[key]))] = rng.choice([-1, 10**6])
+    parts = flatten_pairs(send, recv)
+    sig = arr.distribution.signature()
+    messages = []
+    for make in (CommSchedule, oracle.wire_schedule):
+        with pytest.raises(ValueError, match="send offset") as err:
+            make(machine, sig, *parts, gsizes).gather(arr, np.zeros(sum(gsizes)))
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
 
 
 def test_send_offsets_in_range_on_every_owner_pass():
@@ -422,3 +478,58 @@ def test_flatten_pairs_keeps_insertion_order():
     )
     assert (q.tolist(), p.tolist(), n.tolist()) == ([2, 0, 1], [1, 3, 0], [2, 0, 1])
     assert (s.tolist(), r.tolist()) == ([5, 6, 4], [0, 1, 2])
+
+
+# ----------------------------------------------------------------------
+# flat-order moves vs the wire-order oracle
+# ----------------------------------------------------------------------
+#: every wire fault a gather can suffer, and none
+WIRE_FAULTS = {
+    "none": lambda plan: plan,
+    "corrupt": lambda plan: plan.corrupt_gather(nth=0),
+    "drop": lambda plan: plan.drop_gather(nth=0, count=3),
+    "duplicate": lambda plan: plan.duplicate_gather(nth=0),
+}
+
+
+def wire_oracle_run(make, n_procs, size, seed, fault, merged):
+    """Two random schedules over one array (pairs in random order,
+    duplicate recv slots), built by ``make``, driven through a gather,
+    a ``scatter_op`` and a ``scatter`` each -- merged or one by one --
+    under a fault plan; returns everything the moves left behind."""
+    machine, arr, min_local = make_world(n_procs, size, seed)
+    rng = np.random.default_rng(seed + 500)
+    sig = arr.distribution.signature()
+    scheds = []
+    for _ in range(2):
+        send, recv, gsizes = random_schedule_parts(rng, n_procs, min_local)
+        scheds.append(make(machine, sig, *flatten_pairs(send, recv), gsizes))
+    contribs = [rng.normal(size=s.ghost_total()) for s in scheds]
+    plan = WIRE_FAULTS[fault](FaultPlan(seed=seed)).install(machine)
+    # stale values in the ghost arrays, so a dropped slot's 0 shows
+    gathered = [np.full(s.ghost_total(), -3.0) for s in scheds]
+    if merged:
+        gather_merged([(s, arr, g) for s, g in zip(scheds, gathered)])
+        scatter_op_merged([(s, c, arr, np.maximum) for s, c in zip(scheds, contribs)])
+    else:
+        for s, g in zip(scheds, gathered):
+            s.gather(arr, g)
+        for s, c in zip(scheds, contribs):
+            s.scatter_op(c, arr, np.add)
+    for s, c in zip(scheds, contribs):
+        s.scatter(c, arr)
+    return gathered, arr.to_global(), clocks(machine), counters(machine), plan.fired
+
+
+@pytest.mark.parametrize("merged", [False, True], ids=["single", "merged"])
+@pytest.mark.parametrize("fault", list(WIRE_FAULTS))
+@pytest.mark.parametrize("n_procs,size,seed", CASES)
+def test_flat_moves_are_bit_identical_to_the_wire_oracle(n_procs, size, seed, fault, merged):
+    got = wire_oracle_run(CommSchedule, n_procs, size, seed, fault, merged)
+    want = wire_oracle_run(oracle.wire_schedule, n_procs, size, seed, fault, merged)
+    for a, b in zip(got[0], want[0]):
+        assert a.tobytes() == b.tobytes()
+    assert got[1].tobytes() == want[1].tobytes()
+    assert got[2:] == want[2:]
+    # each fault fired, on the same wire element(s) of both
+    assert len(got[4]) == (fault != "none")

@@ -102,15 +102,16 @@ class TestPerProcessorOracle:
     """The batched phase charges every processor exactly what the
     per-processor form (``ttable_oracle``) charges it, one requesting
     processor at a time: same translations, same iops, messages and
-    bytes -- for every table kind, one or two stacked members, with or
-    without the caller's ``requesters``."""
+    bytes -- for every table kind, one or two stacked members, counted
+    over the whole stream or as processor strips (``strip_counts`` per
+    strip, rows stacked, one ``charge_counts``)."""
 
     @pytest.mark.parametrize("variant", ["regular", "replicated", "distributed"])
     @pytest.mark.parametrize("members", [1, 2])
-    @pytest.mark.parametrize("pass_requesters", [False, True])
+    @pytest.mark.parametrize("in_strips", [False, True])
     @pytest.mark.parametrize("seed", [3, 4, 5])
     def test_flat_charges_equal_per_processor_charges(
-        self, variant, members, pass_requesters, seed
+        self, variant, members, in_strips, seed
     ):
         rng = np.random.default_rng(seed)
         n_procs, size = 8, 150
@@ -125,12 +126,22 @@ class TestPerProcessorOracle:
         sizes[rng.integers(0, n_procs)] = 0
         bounds = np.concatenate(([0], np.cumsum(sizes))).astype(np.int64)
         stacked = rng.integers(0, size, size=(members, int(bounds[-1])))
-        requesters = np.repeat(np.arange(n_procs), sizes) if pass_requesters else None
 
         m_flat = Machine(n_procs)
         tt = build_translation_table(m_flat, dist, variant=variant)
         m_flat.reset()
-        owners, lidx = tt.dereference_flat(stacked.ravel(), bounds, requesters=requesters)
+        if in_strips:
+            # what the cold localize's strips do: each counts its own
+            # processors' references, the rows stack in processor order
+            owners, lidx = tt.dist.translate(stacked.ravel())
+            rows = []
+            for p0, p1 in ((0, 3), (3, 4), (4, n_procs)):
+                block = stacked[:, bounds[p0] : bounds[p1]]
+                pid = np.repeat(np.arange(p0, p1), sizes[p0:p1])
+                rows.append(tt.strip_counts(block, pid, p0, sizes[p0:p1]))
+            tt.charge_counts(m_flat, np.concatenate(rows))
+        else:
+            owners, lidx = tt.dereference_flat(stacked.ravel(), bounds)
 
         m_one = Machine(n_procs)
         oracle_tt = build_translation_table(m_one, dist, variant=variant)

@@ -82,8 +82,8 @@ class TestCorrectness:
         for name in ("x", "y"):
             a, b = (product.patterns[(name, ix)] for ix in ("e1", "e2"))
             assert a.localized.schedule is b.localized.schedule
-            assert a.exec_space is b.exec_space is not None
-        assert product.patterns[("x", "e1")].exec_space is not product.patterns[("y", "e1")].exec_space
+            assert a.derived.exec_space is b.derived.exec_space is not None
+        assert product.patterns[("x", "e1")].derived.exec_space is not product.patterns[("y", "e1")].derived.exec_space
 
     def test_assign_targets_not_coalesced(self):
         """Assign LHS arrays keep per-pattern schedules (and are correct).

@@ -155,6 +155,27 @@ def test_many_strips_are_bit_identical_to_one(pool, monkeypatch, dtype, kind, co
     assert many == one
 
 
+@pytest.mark.parametrize("coalesce", [True, False])
+def test_positions_are_kept_from_a_holders_second_sweep_on(pool, monkeypatch, coalesce):
+    """A product that runs once keeps no combined-space positions: its
+    strips compute theirs into temporaries.  The second sweep keeps one
+    frozen array per holder, later sweeps read it, and the result is the reference's throughout."""
+    monkeypatch.setattr(strips, "STRIP_ITERS", MANY)
+    m = Machine(N_PROCS)
+    arrays = make_arrays(m, np.float64)
+    _, want = reference("add", arrays, 4)
+    product = run_inspector(m, make_loop("add"), arrays, coalesce_patterns=coalesce)
+    holders = list({id(p.derived): p.derived for p in product.patterns.values()}.values())
+    run_executor(m, product, arrays)
+    assert all(h.ran and h.exec_refs is None for h in holders)
+    run_executor(m, product, arrays)
+    kept = [h.exec_refs for h in holders]
+    assert all(r is not None and not r.flags.writeable for r in kept)
+    run_executor(m, product, arrays, n_times=2)
+    assert all(h.exec_refs is r for h, r in zip(holders, kept))
+    assert np.allclose(arrays["y"].to_global(), want)
+
+
 def test_many_strips_under_rapid_thread_switching(pool, monkeypatch):
     """Three workers plus the dispatcher on this host's cores, switching
     threads every microsecond: a strip run twice, skipped or racing

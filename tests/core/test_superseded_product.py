@@ -2,7 +2,7 @@
 
 When the product ladder reaches the full rung, the product it gives up
 on -- its localized references, schedules, iteration partition and
-executor positions -- and a distribution only that product still named
+executor spaces and positions -- and a distribution only that product still named
 are freed *before* the inspector builds the replacement: the moment the
 new inspection's cold ``localize`` starts, weakrefs to all of them are
 dead.  Four ways to get there (a move list, a re-inspection after an
@@ -58,8 +58,10 @@ def held_by(prog, loop, dist=None) -> dict:
         refs = pat.localized.refs_flat
         objs[f"{key} refs_flat"] = refs if refs.base is None else refs.base
         objs[f"{key} schedule"] = pat.localized.schedule
-        assert pat.exec_refs is not None
-        objs[f"{key} exec_refs"] = pat.exec_refs
+        assert pat.derived.exec_space is not None
+        objs[f"{key} exec_space"] = pat.derived.exec_space
+        if pat.derived.exec_refs is not None:  # kept from a holder's second sweep on
+            objs[f"{key} exec_refs"] = pat.derived.exec_refs
     if dist is not None:
         objs["distribution"] = dist
     return {name: weakref.ref(obj) for name, obj in objs.items()}

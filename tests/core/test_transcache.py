@@ -437,17 +437,23 @@ class TestDerivedHolders:
             assert pat.localized.refs_flat is held.refs_flat
             assert not held.refs_flat.flags.writeable
             assert not held.ref_bounds.flags.writeable
-        # the executor fills the shared holder once; the warm product
-        # (never executed) sees the same frozen arrays
+        # the executor fills the shared holder's space on its first
+        # sweep and keeps its positions from the second on -- the warm
+        # product's sweep counts, it is the same holder -- and both
+        # products see the same frozen arrays
         run_executor(m, cold, arrays)
         for key, pat in warm.patterns.items():
-            assert pat.exec_refs is cold.patterns[key].exec_refs
-            assert pat.exec_space is cold.patterns[key].exec_space
-            assert not pat.exec_refs.flags.writeable
+            assert pat.derived.ran and pat.derived.exec_refs is None
+            assert pat.derived.exec_space is cold.patterns[key].derived.exec_space
+        run_executor(m, warm, arrays)
+        for key, pat in warm.patterns.items():
+            assert pat.derived.exec_refs is cold.patterns[key].derived.exec_refs
+            assert pat.derived.exec_space is cold.patterns[key].derived.exec_space
+            assert not pat.derived.exec_refs.flags.writeable
             for arr in (
-                pat.exec_space.offsets,
-                pat.exec_space.local_sel,
-                pat.exec_space.ghost_sel,
+                pat.derived.exec_space.offsets,
+                pat.derived.exec_space.local_sel,
+                pat.derived.exec_space.ghost_sel,
             ):
                 assert not arr.flags.writeable
 

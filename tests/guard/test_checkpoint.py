@@ -1033,6 +1033,10 @@ def test_checkpoint_bytes_are_reproducible(tmp_path):
     mesh, _, prog = build()
     exe = AdaptiveExecutor.resume(tmp_path / "a.ckpt", prog, euler_edge_loop(mesh))
     assert [r["inspect_wall_seconds"] for r in exe.history] == [0.0] * 3
+    # ... and saving it at once writes the very same file: schedules
+    # restored from one shared array keep sharing it (one section)
+    save_checkpoint(tmp_path / "c.ckpt", prog, driver=exe)
+    assert (tmp_path / "c.ckpt").read_bytes() == (tmp_path / "a.ckpt").read_bytes()
 
 
 # ----------------------------------------------------------------------

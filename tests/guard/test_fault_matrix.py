@@ -113,7 +113,9 @@ def test_dropped_gather_slots_read_zero():
     ghosts = clean.copy()
     sched._move_gather(arr, ghosts)
     (fired,) = plan.fired
-    dropped = sched._ghost_pos_wire[fired["elements"]]
+    # the fault names wire positions: elements grouped by owner, stable
+    wire = np.argsort(np.repeat(sched._pair_q, sched._pair_len), kind="stable")
+    dropped = sched._unpack_pos[wire[fired["elements"]]]
     assert dropped.size == 3 and (clean[dropped] != 0).all()
     assert (ghosts[dropped] == 0).all()
     kept = np.setdiff1d(np.arange(ghosts.size), dropped)

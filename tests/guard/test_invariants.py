@@ -105,8 +105,10 @@ class TestCorruptionDetected:
         sched = pat.localized.schedule
         if not sched._flat_recv.size:
             pytest.skip("no ghosts on this configuration")
-        # in-place corruption: construction-time validation can't see it
-        sched._flat_recv[0] = max(sched.ghost_sizes) + 5
+        # in-place corruption through the array the schedule was built
+        # from (it holds a read-only view): construction-time validation
+        # can't see it
+        sched._flat_recv.base[0] = max(sched.ghost_sizes) + 5
         with pytest.raises(InvariantViolation, match="recv slot"):
             verify_schedule(sched, "cheap")
 

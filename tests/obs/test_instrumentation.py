@@ -347,3 +347,38 @@ class TestCacheStats:
         total = sum(k["hits"] for k in stats["by_kind"].values())
         assert total == stats["hits"]
         assert derived["builds"] > 0 and derived["hits"] > 0
+
+
+class TestCheckpointSpans:
+    """A save records ``guard.checkpoint.write`` and a resume
+    ``guard.checkpoint.read``, each with the file's bytes and section
+    count, booked to the guard layer; with tracing off neither exists."""
+
+    def save_and_resume(self, tmp_path, obs):
+        from repro import AdaptiveExecutor
+
+        mesh, prog, loop = build(obs=obs)
+        exe = AdaptiveExecutor(prog, loop)
+        exe.step()
+        path = tmp_path / "c.ckpt"
+        exe.checkpoint(path)
+        _, fresh, _ = build(obs=obs)
+        AdaptiveExecutor.resume(path, fresh, loop)
+        return path, prog, fresh
+
+    def test_on_records_both_with_bytes_and_sections(self, tmp_path):
+        from repro.guard.checkpoint import load_checkpoint, payload_sections
+        from repro.obs.report import layer_of
+
+        path, prog, fresh = self.save_and_resume(tmp_path, "on")
+        (write,) = [s for s in prog.machine.obs.spans if s.name == "guard.checkpoint.write"]
+        (read,) = [s for s in fresh.machine.obs.spans if s.name == "guard.checkpoint.read"]
+        n_sections = payload_sections(load_checkpoint(path))
+        assert n_sections > 0
+        for span in (write, read):
+            assert span.attrs == {"bytes": path.stat().st_size, "sections": n_sections}
+            assert layer_of(span.name) == "guard"
+
+    def test_off_records_none(self, tmp_path):
+        _, prog, fresh = self.save_and_resume(tmp_path, "off")
+        assert prog.machine.obs is NULL_TRACER and fresh.machine.obs is NULL_TRACER
