@@ -37,10 +37,11 @@ def run_config(mesh, coalesce, merge, sweeps=20):
     prog.redistribute("reg", "fmt")
     m.reset()
     prog.forall(euler_edge_loop(mesh), n_times=sweeps)
-    rec = prog.records[euler_edge_loop(mesh).name]
+    product = prog.records[euler_edge_loop(mesh).name].product
+    # one ghost region per pattern group (the x and y groups each gather)
     ghosts = {
-        id(pat.localized.schedule): pat.localized.schedule.ghost_total()
-        for pat in rec.product.patterns.values()
+        (array, indexes): product.pattern(array, indexes[0]).localized.schedule.ghost_total()
+        for array, indexes in product.groups
     }
     return {
         "config": ("coalesce (default)" if coalesce else "plain (opt-out)")

@@ -82,12 +82,12 @@ holds at every fraction.  What keeps the patch path small:
   reads them off the saved product at the dirty positions only, and a
   patched pattern's executor caches are built lazily by its first
   execution, like a fresh inspection's;
-* pattern groups with provably identical communication structure (same
-  distribution, element-equal indirection state -- e.g. the x- and
-  y-patterns of one edge loop) are computed **once**: the second group
-  runs the same group driver on the first's stage values (its frozen
-  charges included) and wraps the shared arrays under a distinct
-  schedule identity (``CommSchedule.twin``), halving patch wall time.
+* pattern groups that hold one layout (the same input objects,
+  :meth:`~repro.core.inspector.InspectorProduct.layout_key` -- e.g. the
+  x- and y-patterns of one edge loop) are computed **once**: the second
+  group runs the same group driver on the first's stage values (its
+  frozen charges included) and takes the first's new schedule and
+  arrays themselves, halving patch wall time.
 
 ``benchmarks/bench_table_adapt.py`` gates this: patch wall must beat
 full-re-inspection wall at the smallest churn fraction, and the

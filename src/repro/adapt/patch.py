@@ -33,12 +33,14 @@ applies those at these sites, in this order:
    The first group here joins the order task and writes its delta
    positions into the task's gathered lists.
 
-A group byte-identical to one already patched runs the same driver on
-that sibling's stage values.  The patched product's iteration partition,
-ghost key sets, schedule pairs, send offsets and element order equal a
-from-scratch inspection's; executor results and executor charges are
-bit-identical.  Only the *inspector-phase* charges differ -- that is the
-entire point.
+A group holding the layout of one already patched (the same input
+objects, :meth:`~repro.core.inspector.InspectorProduct.layout_key`)
+runs the same driver on that sibling's stage values and takes its new
+schedule and arrays themselves.  The patched product's iteration
+partition, ghost key sets, schedule pairs, send offsets and element
+order equal a from-scratch inspection's; executor results and executor
+charges are bit-identical.  Only the *inspector-phase* charges differ --
+that is the entire point.
 """
 
 from __future__ import annotations
@@ -58,7 +60,7 @@ from repro.chaos.localize import LocalizeResult
 from repro.chaos.schedule import CommSchedule
 from repro.chaos.transcache import KeyTranslationMemo
 from repro.chaos.ttable import TableCache, Translator
-from repro.core.inspector import InspectorProduct, PatternData
+from repro.core.inspector import InspectorProduct, PatternData, group_members
 from repro.core.iteration import (
     ITERATION_RECORD_BYTES,
     IterationPartition,
@@ -66,7 +68,7 @@ from repro.core.iteration import (
     owner_rows,
     partition_from_home,
 )
-from repro.adapt.state import GroupState, LoopAdaptState, group_state_key, product_groups
+from repro.adapt.state import GroupState, LoopAdaptState
 from repro.distribution.distarray import DistArray
 from repro.guard.errors import PatchAborted
 from repro.machine.machine import ComputeCharge, ExchangeCharge, Machine
@@ -292,12 +294,10 @@ class _Alloc:
 
 @dataclass(frozen=True)
 class _GroupPatch:
-    """One group's patch: its inputs, every stage's value, its result.
-    A byte-identical sibling group takes the stage values instead of
+    """One group's patch: every stage's value and its result.  A sibling
+    group holding the same layout takes the stage values instead of
     recomputing them."""
 
-    member_keys: list
-    gstate: GroupState  # the slot state the patch started from
     delta: Delta
     adds: tuple[np.ndarray, np.ndarray, ComputeCharge]  # see _classify
     slots: _Slots
@@ -631,57 +631,52 @@ def _patch_group(
 ) -> _GroupPatch | None:
     """Patch one pattern group; ``None`` when it has no delta.
 
-    ``sib`` is the patch of a byte-identical sibling group
-    (:func:`_twin_matches`) or ``None``.  One loop's groups routinely
-    differ only in the data array they move (``x(edge(i))`` vs
-    ``y(edge(i))``); what the check proves equal makes the sibling's
-    stage values this group's too, so a twin takes them, applies the same
-    frozen charges at the same sites, and runs live only what is per
-    group: the translate call, its schedule identity, its ghost backing
-    (its own data values) and the wrapping of the shared arrays.  An
-    abort fires after the charges that precede it here (finding out is
-    part of the simulated price); ``gstate`` is never mutated.
+    ``sib`` is the patch of a sibling group holding this group's layout
+    or ``None``.  One loop's groups routinely differ only in the data
+    array they move (``x(edge(i))`` vs ``y(edge(i))``); one layout makes
+    the sibling's stage values this group's too, so a shared group takes
+    them, applies the same frozen charges at the same sites, and runs
+    live only what is per group: the translate call and the group's own
+    patterns over the sibling's new schedule and arrays.  An abort fires
+    after the charges that precede it here (finding out is part of the
+    simulated price); ``gstate`` is never mutated.
     """
     machine = ctx.machine
-    twin = sib is not None
+    shared = sib is not None
     tag = f"{gstate.array}({','.join(map(str, gstate.indexes))})"
-    span = partial(machine.obs.span, group=tag, twin=twin)
+    span = partial(machine.obs.span, group=tag, shared=shared)
     first = ctx.product.patterns[member_keys[0]]
     dist = ttable.dist  # the array's current distribution (precondition)
     stride = max(dist.size, 1)
     local_sizes = np.asarray(first.localized.local_sizes, dtype=np.int64)
     with span("adapt.patch.delta"):
-        delta = sib.delta if twin else _group_delta(ctx, gstate, member_keys, local_sizes)
+        delta = sib.delta if shared else _group_delta(ctx, gstate, member_keys, local_sizes)
         if delta is None:
             return None
-        adds = sib.adds if twin else _classify(machine, dist, delta)
+        adds = sib.adds if shared else _classify(machine, dist, delta)
     lidx, ghost, classify_charge = adds
     machine.charge_planned_compute(classify_charge)
     with span("adapt.patch.slots"):
-        slots = sib.slots if twin else _slot_counts(gstate, delta, ghost, stride)
+        slots = sib.slots if shared else _slot_counts(gstate, delta, ghost, stride)
     with span("adapt.patch.translate"):
-        # live for a twin too: its sibling left every key in the memo,
-        # so this charges exactly the probe and the table's fixed (empty)
-        # request/reply round an independent patch of this group pays
+        # live for a shared group too: its sibling left every key in the
+        # memo, so this charges exactly the probe and the table's fixed
+        # (empty) request/reply round an independent patch of this group pays
         uniq_owner, uniq_lidx = ctx.memo.translate(
             machine, ttable, stride, slots.uniq_proc, slots.uniq_key
         )
     with span("adapt.patch.allocate"):
-        alloc = sib.alloc if twin else _allocate(
+        alloc = sib.alloc if shared else _allocate(
             gstate, delta, slots, uniq_owner, uniq_lidx
         )
     with span("adapt.patch.index"):
-        if twin:
-            state = dataclasses.replace(
-                sib.state, array=gstate.array, indexes=gstate.indexes
-            )
+        if shared:
+            state = dataclasses.replace(sib.state, array=gstate.array)
         else:
             state = _merge_index(gstate, stride, slots, alloc)
     with span("adapt.patch.schedule"):
-        if twin:
-            # schedules are immutable; the clone keeps the distinct object
-            # identity the executor's coalescing and product_groups key on
-            schedule, charges = sib.schedule.twin(), sib.charges
+        if shared:
+            schedule, charges = sib.schedule, sib.charges
         else:
             schedule = _slot_schedule(machine, first.localized.schedule.dist_signature, state)
             charges = _schedule_charges(machine, gstate, delta, slots, uniq_owner)
@@ -692,7 +687,7 @@ def _patch_group(
             machine.charge_exchange(exchange)
             machine.charge_planned_compute(recv_charge)
     with span("adapt.patch.refs"):
-        refs = sib.refs if twin else _rebuild_refs(
+        refs = sib.refs if shared else _rebuild_refs(
             ctx, member_keys, delta, lidx, slots, alloc, local_sizes
         )
         patterns = {}
@@ -706,14 +701,11 @@ def _patch_group(
                 ghost_bounds=alloc.slot_bounds,
             )
             # executor caches are value-independent (positions only): a
-            # twin adopts its sibling's holder; anyone else gets a fresh
-            # one, which the executor fills on first use
-            derived = sib.patterns[sib.gstate.array, akey[1]].derived if twin else None
+            # shared group adopts its sibling's holder; anyone else gets a
+            # fresh one, which the executor fills from its second sweep on
+            derived = sib.patterns[sib.state.array, akey[1]].derived if shared else None
             patterns[akey] = PatternData(gstate.array, akey[1], loc, derived)
-    return _GroupPatch(
-        member_keys, gstate, delta, adds, slots, alloc, schedule, charges,
-        refs, patterns, state,
-    )
+    return _GroupPatch(delta, adds, slots, alloc, schedule, charges, refs, patterns, state)
 
 
 def _assign_buffers(
@@ -735,41 +727,6 @@ def _assign_buffers(
     machine.charge_compute_all(
         iops=DEFAULT_COSTS.buffer_assign * np.asarray(need, dtype=np.float64)
     )
-
-
-def _same(a, b) -> bool:
-    """Array equality with an identity fast path.
-
-    Twin groups share ndarray objects after their first deduplicated
-    patch, so steady-state verification is ``is`` checks; full content
-    compares only happen on the first patch after a capture (a
-    checkpoint restore keeps the sharing: one section per array)."""
-    return a is b or np.array_equal(a, b)
-
-
-def _twin_matches(sib: _GroupPatch, product, gstate: GroupState, member_keys: list) -> bool:
-    """Whether this group is byte-identical to the group ``sib`` patched:
-    same indirections, same slot state, same schedule content, same
-    saved localized references (the caller only pairs groups of one
-    distribution signature).  When it is, the groups perform identical
-    patch work and :func:`_patch_group` may share ``sib``'s."""
-    if [k[1] for k in member_keys] != [k[1] for k in sib.member_keys]:
-        return False
-    for f in ("slot_bounds", "keys", "owners", "lidx", "counts"):
-        if not _same(getattr(gstate, f), getattr(sib.gstate, f)):
-            return False
-    old, old0 = (
-        [product.patterns[k].localized for k in keys]
-        for keys in (member_keys, sib.member_keys)
-    )
-    s1, s0 = old[0].schedule, old0[0].schedule
-    if s1 is not s0:
-        if s1.ghost_sizes != s0.ghost_sizes:
-            return False
-        for f in ("_pair_q", "_pair_p", "_pair_len", "_flat_send", "_flat_recv"):
-            if not _same(getattr(s1, f), getattr(s0, f)):
-                return False
-    return all(_same(a.refs_flat, b.refs_flat) for a, b in zip(old, old0))
 
 
 def patch_product(
@@ -836,22 +793,18 @@ def patch_product(
 
     patterns_new: dict = dict(product.patterns)
     pending_states: dict = {}
-    # groups over the same indirections and distribution whose slot
-    # state is byte-identical patch identically: the first one's patch
-    # (``None``: an empty delta, a function of the indirections alone,
-    # so every sibling's is empty too) is shared with every sibling
+    # groups holding one layout patch identically: the first one's patch
+    # (``None``: an empty delta) is shared with every sibling
     done: dict[tuple, _GroupPatch | None] = {}
     try:
-        for member_keys in product_groups(product):
-            gkey = group_state_key(member_keys)
+        for gkey in product.groups:
+            member_keys = group_members(gkey)
             gstate = state.groups[gkey]
-            dist = arrays[gstate.array].distribution
-            mkey = (gkey[1], dist.signature())
-            sib = done.get(mkey)
-            if sib is None and mkey in done:
+            layout = product.layout_key(gkey)
+            sib = done.get(layout)
+            if sib is None and layout in done:
                 continue
-            if sib is not None and not _twin_matches(sib, product, gstate, member_keys):
-                sib = None
+            dist = arrays[gstate.array].distribution
             ttable = ttables.get(machine, gstate.array, dist)
             try:
                 patch = _patch_group(ctx, gstate, member_keys, ttable, sib)
@@ -863,7 +816,7 @@ def patch_product(
                     f"adapt: patch assembly failed for group {gkey}: {exc}"
                 ) from exc
             if sib is None:
-                done[mkey] = patch
+                done[layout] = patch
             if patch is not None:
                 patterns_new.update(patch.patterns)
                 pending_states[gkey] = patch.state
@@ -898,4 +851,5 @@ def patch_product(
         iteration_partition=new_part,
         patterns=patterns_new,
         dist_signatures=dict(product.dist_signatures),
+        groups=product.groups,
     )

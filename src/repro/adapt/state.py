@@ -4,8 +4,9 @@ A full inspection captures, per loop:
 
 * the dense **home** map of the iteration partition (iteration ->
   processor), and
-* one :class:`GroupState` per pattern *group* -- the patterns sharing a
-  (possibly coalesced) schedule -- tracking the CSR ghost slot space
+* one :class:`GroupState` per pattern *group* (the product's
+  ``groups``: the patterns localized together under one, possibly
+  coalesced, schedule) tracking the CSR ghost slot space
   described in the package docstring: per global slot id the ghost's
   key, owner, owner-local offset, and live reference count.
 
@@ -46,7 +47,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from repro.core.inspector import InspectorProduct
+from repro.core.inspector import InspectorProduct, group_members
 from repro.distribution.base import Distribution
 from repro.distribution.distarray import DistArray
 
@@ -134,20 +135,6 @@ class PendingState:
         )
 
 
-def product_groups(
-    product: InspectorProduct,
-) -> list[list[tuple[str, str | None]]]:
-    """Pattern keys grouped by shared schedule, in first-appearance order."""
-    by_sched: dict[int, list[tuple[str, str | None]]] = {}
-    for key, pat in product.patterns.items():
-        by_sched.setdefault(id(pat.localized.schedule), []).append(key)
-    return list(by_sched.values())
-
-
-def group_state_key(member_keys: list[tuple[str, str | None]]) -> tuple[str, tuple]:
-    return (member_keys[0][0], tuple(k[1] for k in member_keys))
-
-
 def build_group_state(
     product: InspectorProduct,
     dist: Distribution,
@@ -200,24 +187,23 @@ def build_adapt_state(pending: PendingState) -> LoopAdaptState:
 
     Reads only what ``pending`` holds, never the live program, so the
     state describes the captured product no matter when it is built.
-    Twin groups -- another data array under the same distribution
-    object, holding the same reference and ghost-key arrays
-    (``x(edge(i))`` / ``y(edge(i))``) -- get one build, the same arrays
-    under their own name.
+    Groups holding one layout (:meth:`InspectorProduct.layout_key`:
+    ``x(edge(i))`` / ``y(edge(i))`` served by one translation-cache
+    entry) get one build, the same arrays under their own name.
     """
     product = pending.product
     state = LoopAdaptState(home=product.iteration_partition.owner_of())
     built: dict[tuple, GroupState] = {}
-    for member_keys in product_groups(product):
-        gkey = group_state_key(member_keys)
-        dist = pending.distributions[gkey[0]]
-        locs = [product.patterns[key].localized for key in member_keys]
-        inputs = (id(dist), gkey[1], id(locs[0].ghost_flat), *(id(loc.refs_flat) for loc in locs))
-        twin = built.get(inputs)
-        if twin is None:
-            state.groups[gkey] = built[inputs] = build_group_state(product, dist, member_keys)
+    for gkey in product.groups:
+        layout = product.layout_key(gkey)
+        done = built.get(layout)
+        if done is None:
+            dist = pending.distributions[gkey[0]]
+            state.groups[gkey] = built[layout] = build_group_state(
+                product, dist, group_members(gkey)
+            )
         else:
-            state.groups[gkey] = replace(twin, array=gkey[0])
+            state.groups[gkey] = replace(done, array=gkey[0])
     return state
 
 
@@ -236,7 +222,8 @@ def charge_state_build(machine, product: InspectorProduct, arrays) -> None:
     for name in product.loop.indirection_arrays():
         mem += arrays[name].distribution.local_sizes().astype(np.float64)
     iops = np.zeros(n)
-    for member_keys in product_groups(product):
+    for gkey in product.groups:
+        member_keys = group_members(gkey)
         first = product.patterns[member_keys[0]].localized
         iops += STATE_IOPS_PER_GHOST * np.diff(
             np.asarray(first.ghost_bounds, dtype=np.float64)

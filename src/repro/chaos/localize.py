@@ -59,7 +59,7 @@ telling each owner which of its elements to send.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -141,10 +141,11 @@ def localize(
     cache / cache_key:
         Optional persistent :class:`TranslationCache` plus the caller's
         ``(slot, version)`` key for this pattern (built from
-        ``repro.core.cachekey`` tokens).  On a hit the saved result is
-        returned with its own ``schedule.twin()`` (frozen arrays and
-        ``derived`` shared) and the cold run's recorded charges are
-        replayed -- simulated numbers are bit-identical either way.
+        ``repro.core.cachekey`` tokens).  On a hit the saved result
+        itself is returned (its schedule, frozen arrays and ``derived``
+        shared by every product built from it) and the cold run's
+        recorded charges are replayed -- simulated numbers are
+        bit-identical either way.
     """
     n = machine.n_procs
     obs = machine.obs
@@ -155,7 +156,7 @@ def localize(
             obs.counter("localize.cache_hits")
             with obs.span("localize.replay"):
                 entry.charges.replay(machine)
-                return replace(entry, schedule=entry.schedule.twin())
+                return entry
         obs.counter("localize.cache_misses")
     if callable(ref_lists):
         ref_lists = ref_lists()

@@ -293,7 +293,7 @@ def patch_remap_schedule(
     return sched
 
 
-def _same_layout(arrays: list[DistArray]) -> DistArray:
+def _common_layout(arrays: list[DistArray]) -> DistArray:
     """The first of ``arrays``, once all are known to share one machine
     and one distribution (so one schedule serves them all)."""
     if not arrays:
@@ -318,7 +318,7 @@ def remap_arrays_incremental(
     """Like :func:`remap_arrays`, with the schedule patched from a
     :class:`~repro.distribution.irregular.RebalancePlan` delta instead
     of rebuilt over every element."""
-    first = _same_layout(arrays)
+    first = _common_layout(arrays)
     sched = patch_remap_schedule(first.machine, first.distribution, new_dist, plan)
     for arr in arrays:
         sched.apply(arr)
@@ -331,7 +331,7 @@ def remap_arrays(arrays: list[DistArray], new_dist: Distribution) -> RemapSchedu
     This is what REDISTRIBUTE does to every array aligned with a
     decomposition: the schedule is built once, applied per array.
     """
-    first = _same_layout(arrays)
+    first = _common_layout(arrays)
     sched = build_remap_schedule(first.machine, first.distribution, new_dist)
     for arr in arrays:
         sched.apply(arr)

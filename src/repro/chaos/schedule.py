@@ -31,10 +31,13 @@ backing position* ``ghost_offset[p] + slot`` in a flat CSR ghost backing
 (every processor's buffer back to back in one 1-D array of
 :meth:`ghost_total` elements), and the pack positions ``flat_offset[q] +
 send offset`` into the ``DistArray``'s flat backing, which need the
-distribution and are resolved on first use into one array every
-:meth:`twin` shares.  A gather is ``ghosts[unpack_pos] =
-backing[pack_pos]``; the reverse direction stores (or ``ufunc.at``
-combines) ``ghosts[unpack_pos]`` at ``pack_pos``.  Ghost positions of
+distribution and are resolved on first use.  A schedule is immutable
+once built, so every pattern group with this layout holds this one
+object (the ``x(edge(i))`` / ``y(edge(i))`` siblings of one distribution
+included): groups are named by key, not by schedule identity.  A gather
+is ``ghosts[unpack_pos] = backing[pack_pos]``; the reverse direction
+stores (or ``ufunc.at`` combines) ``ghosts[unpack_pos]`` at
+``pack_pos``.  Ghost positions of
 different requesters never collide, so storing in flat order fixes each
 duplicated slot's last writer exactly as a loop over pairs in insertion
 order would; pack positions of different owners never collide either,
@@ -175,8 +178,8 @@ class CommSchedule:
         self._unpack_pos.flags.writeable = False
         # pack side: flat backing positions, resolved (and the send
         # offsets range-checked) on first use against the bound
-        # distribution; one holder shared by every twin
-        self._pack_pos: list = [None]
+        # distribution
+        self._pack_pos: np.ndarray | None = None
 
         # per-processor pack/unpack memory charges, accumulated in pair
         # order like a loop over pairs would
@@ -188,8 +191,7 @@ class CommSchedule:
         # the other per-application charges depend on a call argument,
         # so they are planned on first use: ``(reverse, itemsize)`` ->
         # the direction's ExchangeCharge, ``flops_per_element`` -> the
-        # owners' combine flops.  twin() shares both dicts; neither is
-        # ever written to a checkpoint.
+        # owners' combine flops.  Neither is ever written to a checkpoint.
         self._exchange_charges: dict = {}
         self._combine_flops: dict = {}
 
@@ -199,23 +201,6 @@ class CommSchedule:
         asks), ``send``/``recv`` the schedule's own read-only arrays."""
         q, p = (np.repeat(a, self._pair_len) for a in (self._pair_q, self._pair_p))
         return q, p, self._flat_send, self._flat_recv
-
-    def twin(self) -> "CommSchedule":
-        """A distinct schedule object sharing every internal array.
-
-        Schedules are immutable after construction, so two pattern
-        groups whose communication structure is provably identical (same
-        distribution, same indirection values -- e.g. ``x(edge(i))`` and
-        ``y(edge(i))`` after one incremental patch) can share the flat
-        arrays while keeping separate identities.  Identity matters:
-        the executor coalesces gathers and groups scatter staging by
-        schedule object, and ``product_groups`` delimits pattern groups
-        the same way -- a *shared* object would fuse two groups that
-        move different data.
-        """
-        new = CommSchedule.__new__(CommSchedule)
-        new.__dict__.update(self.__dict__)
-        return new
 
     # ------------------------------------------------------------------
     # introspection
@@ -270,12 +255,12 @@ class CommSchedule:
 
         Valid for every array bound to this schedule's distribution
         signature (``_check_array`` enforces that), so the resolution is
-        kept after the first application, for this schedule and its
-        twins.  That first resolution also range-checks every send
-        offset against its owner's local size: an offset past it would
-        silently move another processor's element.
+        kept after the first application.  That first resolution also
+        range-checks every send offset against its owner's local size:
+        an offset past it would silently move another processor's
+        element.
         """
-        pos = self._pack_pos[0]
+        pos = self._pack_pos
         if pos is None:
             off = arr.distribution.flat_offsets()
             sizes = np.diff(off)
@@ -295,7 +280,7 @@ class CommSchedule:
                 )
             pos = np.repeat(off[self._pair_q], plen) + send
             pos.flags.writeable = False
-            self._pack_pos[0] = pos
+            self._pack_pos = pos
         return pos
 
     def _move_gather(self, arr: DistArray, ghosts) -> None:

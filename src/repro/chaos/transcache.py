@@ -30,7 +30,8 @@ identity of one cached product and holds at most one entry::
 A localize slot holds the cold run's
 :class:`~repro.chaos.localize.LocalizeResult` itself -- its flat arrays
 frozen, the run's :class:`ChargeLog` attached as ``charges`` -- and a hit
-is that result with ``schedule`` replaced by ``schedule.twin()``.
+is that result itself: every product built from one entry holds its one
+schedule and arrays.
 
 The **version** is the volatile part of the key, built from the
 :mod:`repro.core.cachekey` vocabulary: distribution signatures (remaps
@@ -71,10 +72,9 @@ number of structurally distinct patterns whose inputs are current, not
 by program history -- a pattern the patch rung keeps repairing (and so
 never re-probes) holds nothing after its first write.  Both paths count
 under ``invalidations``, once per entry.
-Cached arrays are frozen (``writeable=False``) and shared by every hit;
-schedules are shared through :meth:`~repro.chaos.schedule.CommSchedule.
-twin` clones so each product keeps the distinct schedule identity the
-executor's coalescing and ``product_groups`` key on.
+Cached arrays and schedules are immutable and shared by every hit: a
+product names its pattern groups by ``(array, indexes)`` key, so the
+sibling groups one entry serves stay two groups over one layout.
 
 Derived holders
 ---------------
@@ -374,8 +374,9 @@ class KeyTranslationMemo:
     Charging scope: one memo per patch
     (:func:`~repro.adapt.patch.patch_product` builds it).  The probe
     charge is paid only when the memo already holds entries for the
-    signature; a twin group taking its sibling's stage values still
-    calls :meth:`translate`, so it pays that probe like any other group.
+    signature; a group sharing its sibling's layout, and so taking its
+    sibling's stage values, still calls :meth:`translate`, so it pays
+    that probe like any other group.
     """
 
     def __init__(self) -> None:

@@ -19,8 +19,9 @@ Phase 2 runs the simulated processors on the host's cores.  The
 iterations split into *strips* (``repro.chaos.strips``): runs of whole
 processors of about ``STRIP_ITERS`` iterations, cut only at processor
 boundaries.  The dispatching thread materializes everything the strips
-share first (combined ``[local | ghost]`` read arrays, staging, and,
-for a pattern holder on its second execution, an empty array for its
+share first (combined ``[local | ghost]`` read arrays and staging, one
+per pattern group -- the product's ``groups`` keys -- and, for a
+pattern holder on its second execution, an empty array for its
 combined-space reference positions), then it and the process-wide strip
 pool take strips off one queue.  A strip computes its slice of each
 holder's positions (into that array, or into a temporary on a holder's
@@ -50,7 +51,7 @@ from repro.chaos import strips
 from repro.chaos.gather_scatter import REDUCTION_OPS
 from repro.chaos.merge import gather_merged, scatter_op_merged
 from repro.core.forall import Reduce
-from repro.core.inspector import InspectorProduct
+from repro.core.inspector import InspectorProduct, group_members
 from repro.distribution.distarray import DistArray
 from repro.machine.machine import Machine
 from repro.obs.events import EventBus
@@ -145,9 +146,9 @@ class _PatternSpace:
     ``local_sel``/``ghost_sel`` map the ``DistArray`` flat backing and
     the schedule's flat ghost backing into combined-space positions
     (both are offset-shifted ``arange``s).  A space is a pure function
-    of the localize product's sizes, so it is built once and kept on the
-    pattern's shared :class:`~repro.core.inspector.PatternArrays`; its
-    arrays are frozen.
+    of the layout's sizes: a sweep builds one per layout, and a pattern's
+    :class:`~repro.core.inspector.PatternArrays` keeps it from the
+    holder's second finished sweep on; its arrays are frozen.
     """
 
     def __init__(self, localized) -> None:
@@ -220,63 +221,54 @@ def _execute_once(
     _, iter_bounds = product.iteration_partition.iters_flat()
     n_it = np.diff(iter_bounds)
 
-    # flat combined-space setup per pattern, cached on the pattern's
-    # shared holder: neither a reused product nor a re-inspected
-    # unchanged pattern rebuilds the selector arrays every time step.
-    # A space is sized by its localize product alone, so coalesced
-    # siblings (one schedule) share one.
+    # every pattern's group; one combined space per layout this sweep,
+    # unless a pattern's holder kept one (neither a reused product nor a
+    # re-inspected unchanged pattern rebuilds the selector arrays every
+    # time step)
+    group_of = {key: g for g in product.groups for key in group_members(g)}
+    spaces: dict[tuple, _PatternSpace] = {}  # layout key -> its space
+
     def space_of(key) -> _PatternSpace:
-        pat = product.patterns[key]
-        held = pat.derived
-        if held.exec_space is None:
-            sched = pat.localized.schedule
-            held.exec_space = next(
-                (
-                    q.derived.exec_space
-                    for q in product.patterns.values()
-                    if q.localized.schedule is sched and q.derived.exec_space is not None
-                ),
-                None,
-            ) or _PatternSpace(pat.localized)
-        return held.exec_space
+        layout = product.layout_key(group_of[key])
+        space = spaces.get(layout)
+        if space is None:
+            pat = product.patterns[key]
+            space = spaces[layout] = pat.derived.exec_space or _PatternSpace(pat.localized)
+        return space
 
     # combined-space position of every localized reference (its
     # processor's block offset added), per holder.  The compute strips
     # fill them slice by slice: on a holder's first execution into
     # per-strip temporaries, on its second into the array it keeps once
     # every strip has succeeded
-    positions: dict[int, tuple] = {}  # id(holder) -> (holder, array to keep or None)
+    positions: dict[int, tuple] = {}  # id(holder) -> (holder, array to keep or None, space)
 
     def holder_of(key) -> int:
-        pat = product.patterns[key]
-        held = pat.derived
+        held = product.patterns[key].derived
         if id(held) not in positions:
-            space_of(key)
             keep = None
             if held.exec_refs is None and held.ran:
                 # every pattern's flat reference list shares the iteration bounds
                 keep = np.empty(int(iter_bounds[-1]), dtype=np.int64)
-            positions[id(held)] = (held, keep)
+            positions[id(held)] = (held, keep, space_of(key))
         return id(held)
 
     # distinct read references, in a fixed order
     read_keys = sorted({(r.array, r.index) for r in loop.read_refs()}, key=str)
-    # combined read arrays, one per distinct (array, schedule) --
-    # coalesced patterns share a schedule and are fetched once -- each
-    # one ghost region longer than its space: the tail is this sweep's
-    # ghost buffer, in the schedule's flat ghost backing layout
+    # combined read arrays, one per group -- coalesced patterns share a
+    # schedule and are fetched once -- each one ghost region longer than
+    # its space: the tail is this sweep's ghost buffer, in the
+    # schedule's flat ghost backing layout
     combined: dict[tuple, np.ndarray] = {}
     operands: dict[tuple[str, str | None], tuple[np.ndarray, np.ndarray]] = {}
     gather_items = []
     for key in read_keys:
-        pat = product.patterns[key]
-        sched = pat.localized.schedule
-        ckey = (pat.array, id(sched))
-        comb = combined.get(ckey)
+        comb = combined.get(group_of[key])
         if comb is None:
-            arr = arrays[pat.array]
+            pat = product.patterns[key]
+            sched, arr = pat.localized.schedule, arrays[pat.array]
             total = space_of(key).total
-            comb = combined[ckey] = np.empty(
+            comb = combined[group_of[key]] = np.empty(
                 total + sched.ghost_total(), dtype=arr.dtype
             )
             gather_items.append((sched, arr, comb[total:], pat))
@@ -300,7 +292,7 @@ def _execute_once(
     # at once (read-only backing access: acquiring it must not perturb
     # the arrays' content versions)
     for (_, arr, ghosts, pat), comb in zip(gather_items, combined.values()):
-        sp = pat.derived.exec_space
+        sp = space_of((pat.array, pat.index))
         comb[sp.local_sel] = arr.backing_ro
         comb[sp.ghost_sel] = ghosts
 
@@ -318,16 +310,9 @@ def _execute_once(
             )
         write_plan[key] = kind
 
-    group_of: dict[tuple[str, str | None], tuple] = {}
-    groups: dict[tuple, tuple] = {}  # gkey -> (pattern key exemplar, kind)
+    groups: dict[tuple, tuple] = {}  # (group, kind) -> (pattern key exemplar, kind)
     for key, kind in write_plan.items():
-        pat = product.patterns[key]
-        gkey = (pat.array, kind, id(pat.localized.schedule))
-        group_of[key] = gkey
-        prev = groups.get(gkey)
-        if prev is not None and prev[1] != kind:  # pragma: no cover - defensive
-            raise ValueError("conflicting kinds in one staging group")
-        groups.setdefault(gkey, (key, kind))
+        groups.setdefault((group_of[key], kind), (key, kind))
 
     staging: dict[tuple, np.ndarray] = {}
     assigned_mask: dict[tuple, np.ndarray] = {}
@@ -344,7 +329,7 @@ def _execute_once(
     plan = []
     for s in loop.statements:
         lhs_key = (s.lhs.array, s.lhs.index)
-        gkey = group_of[lhs_key]
+        gkey = (group_of[lhs_key], write_plan[lhs_key])
         plan.append(
             (
                 s.func,
@@ -369,11 +354,11 @@ def _execute_once(
         b0, b1 = int(iter_bounds[p0]), int(iter_bounds[p1])
         try:
             at = {}
-            for hid, (held, keep) in positions.items():
+            for hid, (held, keep, space) in positions.items():
                 if held.exec_refs is not None:
                     at[hid] = held.exec_refs[b0:b1]
                 else:
-                    offsets = np.repeat(held.exec_space.offsets[p0:p1], n_it[p0:p1])
+                    offsets = np.repeat(space.offsets[p0:p1], n_it[p0:p1])
                     out = None if keep is None else keep[b0:b1]
                     at[hid] = np.add(held.refs_flat[b0:b1], offsets, out=out)
             gathered = {key: comb[at[h]] for key, (comb, h) in operands.items()}
@@ -407,10 +392,12 @@ def _execute_once(
         n_strips=len(cuts) - 1,
     ) as compute_span:
         strips.run_strips(run_strip, len(cuts) - 1)
-    for held, keep in positions.values():
-        if keep is not None:
-            keep.flags.writeable = False
-            held.exec_refs = keep
+    for held, keep, space in positions.values():
+        if held.ran:  # the holder's second finished sweep: keep what it built
+            held.exec_space = space
+            if keep is not None:
+                keep.flags.writeable = False
+                held.exec_refs = keep
         held.ran = True
 
     # charges from the iteration counts, once every strip has finished

@@ -51,13 +51,12 @@ class PatternArrays:
 
     ``refs_flat`` / ``ref_bounds`` are the pattern's localized
     references -- its flat slice of a coalesced reference list.
-    ``exec_space`` is the executor's combined-space selectors (see
-    ``repro.core.executor``), filled in by the first execution of any
-    product holding this object.  ``exec_refs``, the combined-space
-    positions, is kept only from the second: ``ran`` records that one
-    finished, so a product that runs once (a patched one, one built on
-    the miss path) keeps no second copy of its references.  All arrays
-    are frozen.
+    ``exec_space`` (the executor's combined-space selectors, see
+    ``repro.core.executor``) and ``exec_refs`` (the combined-space
+    positions) are kept only from the holder's second finished
+    execution on: ``ran`` records that one finished, so a product that
+    runs once (a patched one, one built on the miss path) keeps neither.
+    All arrays are frozen.
     """
 
     __slots__ = ("refs_flat", "ref_bounds", "exec_space", "exec_refs", "ran")
@@ -99,17 +98,48 @@ class PatternData:
             )
 
 
+def group_members(group: tuple[str, tuple]) -> list[tuple[str, str | None]]:
+    """The pattern keys of ``group``: ``(array, index)`` per index."""
+    return [(group[0], ix) for ix in group[1]]
+
+
 @dataclass
 class InspectorProduct:
-    """Saved inspector results for one loop (the reusable artifact)."""
+    """Saved inspector results for one loop (the reusable artifact).
+
+    ``groups`` names the pattern groups -- the patterns localized
+    together, sharing one schedule and ghost region -- as ``(array,
+    indexes)`` keys in first-appearance order; group ``(a, (i, j))``
+    holds patterns ``(a, i)`` and ``(a, j)``.  A group is its key, not
+    its objects: sibling groups over one distribution (``x(edge(i))`` /
+    ``y(edge(i))``) may hold the very same layout objects -- the
+    translation cache's one entry, or one patch's result.
+    """
 
     loop: ForallLoop
     iteration_partition: IterationPartition
     patterns: dict[tuple[str, str | None], PatternData]
     dist_signatures: dict[str, tuple]
+    groups: tuple[tuple[str, tuple[str | None, ...]], ...]
 
     def pattern(self, array: str, index: str | None) -> PatternData:
         return self.patterns[(array, index)]
+
+    def layout_key(self, group: tuple[str, tuple]) -> tuple:
+        """What ``group``'s layout is built from: its indexes and the
+        identities of its input objects -- the schedule's input arrays,
+        the ghost slot keys and each member's localized references.
+        Groups with equal keys hold one layout, so building their adapt
+        state, patching them and verifying them is the same work, done
+        once; equal content in distinct objects counts as two layouts.
+        Valid while this product holds those objects."""
+        locs = [self.patterns[key].localized for key in group_members(group)]
+        sched = locs[0].schedule
+        inputs = (
+            sched._pair_q, sched._pair_p, sched._pair_len, sched._flat_send,
+            sched._flat_recv, locs[0].ghost_flat, *(loc.refs_flat for loc in locs),
+        )
+        return (group[1], *map(id, inputs))
 
 
 def run_inspector(
@@ -174,6 +204,7 @@ def run_inspector(
     # Phase D: localize every distinct access pattern
     n_procs = machine.n_procs
     patterns: dict[tuple[str, str | None], PatternData] = {}
+    pattern_groups: list[tuple[str, tuple]] = []
 
     # flattened iteration partition: reference lists stay in flat
     # (values, bounds) form end to end (the partition already stores its
@@ -279,6 +310,7 @@ def run_inspector(
                 iops=DEFAULT_COSTS.buffer_assign
                 * np.asarray(loc.schedule.ghost_sizes, dtype=np.float64)
             )
+            pattern_groups.append((array_name, group))
             for k, index in enumerate(group):
                 held = member_arrays(loc, k, group)
                 view = LocalizeResult(
@@ -305,4 +337,5 @@ def run_inspector(
         iteration_partition=itpart,
         patterns=patterns,
         dist_signatures=dist_signatures,
+        groups=tuple(pattern_groups),
     )

@@ -14,8 +14,9 @@ A checkpoint captures everything a mid-campaign
 * the saved inspector records with their products -- iteration
   partitions, localized reference lists and communication schedules,
   in flat-array form; schedules sit in a table the patterns index, so
-  one shared between coalesced patterns comes back as one shared object
-  (pattern grouping and executor deduplication key on identity),
+  one shared between patterns (coalesced ones, or sibling groups over
+  one layout) comes back as one shared object, and restore derives the
+  product's pattern groups from each pattern's array and schedule index,
 * the incremental-inspection state (slot bookkeeping -- built on the
   spot if the inspection's capture is still pending -- the escalation
   ladder's failure counters and fallback log), and
@@ -70,9 +71,9 @@ from the live arrays in one pass while a second thread takes their CRCs
 equal bytes (deterministic order, no host seconds).
 
 *Sharing rule.*  Every distinct array object is one section, however
-many structures hold it: a twin group's arrays, ``ghost_bounds`` and
-``slot_bounds``, a pattern's references shared by sibling patterns all
-come back as one object.
+many structures hold it: the slot state sibling groups share,
+``ghost_bounds`` and ``slot_bounds``, a pattern's references shared by
+sibling patterns all come back as one object.
 
 *Views and copies.*  :func:`load_checkpoint` reads the file once into a
 private buffer (never a memory map: a file rewritten in place must not
@@ -121,7 +122,7 @@ import numpy as np
 
 from repro.chaos.schedule import CommSchedule
 from repro.core.dad import DAD
-from repro.core.inspector import InspectorProduct, PatternData
+from repro.core.inspector import InspectorProduct, PatternArrays, PatternData
 from repro.core.iteration import IterationPartition
 from repro.core.records import InspectorRecord
 from repro.chaos.localize import LocalizeResult
@@ -798,6 +799,8 @@ def _restore_products(program, payload: dict, loops: dict) -> dict:
             bounds=part_p["bounds"],
         )
         patterns = {}
+        groups: dict[tuple, list] = {}  # (array, schedule index) -> indexes
+        holders: dict[int, PatternArrays] = {}  # one per reference list, as live
         for key, pat in prod["patterns"]:
             i = pat["schedule"]
             if type(i) is not int or not 0 <= i < len(schedules):
@@ -814,11 +817,16 @@ def _restore_products(program, payload: dict, loops: dict) -> dict:
                 ghost_flat=pat["ghost_flat"],
                 ghost_bounds=pat["ghost_bounds"],
             )
+            held = holders.get(id(loc.refs_flat))
+            if held is None:
+                held = holders[id(loc.refs_flat)] = PatternArrays(loc.refs_flat, part.bounds)
             patterns[key] = PatternData(
                 array=pat["array"],
                 index=pat["index"],
                 localized=loc,
+                derived=held,
             )
+            groups.setdefault((pat["array"], i), []).append(pat["index"])
         records[name] = InspectorRecord(
             loop_name=name,
             data_dads={k: _build_dad(t) for k, t in rec["data_dads"].items()},
@@ -829,6 +837,7 @@ def _restore_products(program, payload: dict, loops: dict) -> dict:
                 iteration_partition=part,
                 patterns=patterns,
                 dist_signatures=dict(prod["dist_signatures"]),
+                groups=tuple((array, tuple(ixs)) for (array, _), ixs in groups.items()),
             ),
         )
     return records

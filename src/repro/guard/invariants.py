@@ -36,6 +36,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.chaos.kernels import first_segment_outside, sorted_unique
+from repro.core.inspector import group_members
 from repro.guard.errors import InvariantViolation
 
 #: recognised guard levels, weakest to strongest
@@ -199,11 +200,14 @@ def _verify_refs(pat, iter_bounds: np.ndarray, level: str) -> None:
 
 def _unseen(seen: set, *inputs) -> bool:
     """Whether these very objects are new to this pass (and mark them):
-    a checker is a pure function of the arrays it reads and a twin group
-    holds its sibling's objects -- a schedule is named by the input
-    arrays its twins share -- so one verdict per distinct inputs still
-    covers the whole product.  Lists (``local_sizes``) count by value."""
-    key = tuple(tuple(x) if isinstance(x, list) else id(x) for x in inputs)
+    a checker is a pure function of the objects it reads, so one verdict
+    per distinct inputs covers every group holding them -- groups with
+    one layout (``InspectorProduct.layout_key``) are checked once.
+    Layout keys and lists (``local_sizes``) count by value."""
+    key = tuple(
+        x if isinstance(x, tuple) else tuple(x) if isinstance(x, list) else id(x)
+        for x in inputs
+    )
     new = key not in seen
     seen.add(key)
     return new
@@ -232,15 +236,17 @@ def verify_product(product, arrays, level: str = "cheap", state=None) -> None:
             )
     _, iter_bounds = product.iteration_partition.iters_flat()
     seen: set = set()
-    for pat in product.patterns.values():
-        loc, arr = pat.localized, arrays[pat.array]
-        sched, dist = loc.schedule, arr.distribution
-        shared = (sched._pair_q, sched._flat_send, sched._flat_recv)
-        if _unseen(seen, *shared, loc.ghost_flat, loc.ghost_bounds, dist):
-            verify_schedule(sched, level)
-            _verify_slot_space(pat, arr, level)
-        if _unseen(seen, loc.refs_flat, loc.ref_bounds, loc.ghost_bounds, loc.local_sizes):
-            _verify_refs(pat, iter_bounds, level)
+    for group in product.groups:
+        members = [product.patterns[key] for key in group_members(group)]
+        loc, arr = members[0].localized, arrays[group[0]]
+        layout = product.layout_key(group)
+        if _unseen(seen, layout, loc.ghost_bounds, arr.distribution):
+            verify_schedule(loc.schedule, level)
+            _verify_slot_space(members[0], arr, level)
+        for pat in members:
+            m = pat.localized
+            if _unseen(seen, m.refs_flat, m.ref_bounds, m.ghost_bounds, m.local_sizes):
+                _verify_refs(pat, iter_bounds, level)
     if state is not None:
         verify_adapt_state(product, state, arrays, level)
 
@@ -264,23 +270,17 @@ def verify_adapt_state(product, state, arrays, level: str = "cheap") -> None:
         _fail(f"adapt home map covers {home.size} of {n_iter} iterations")
     if level == "full" and not np.array_equal(home, product.iteration_partition.owner_of()):
         _fail("adapt home map disagrees with the iteration partition")
-    by_sched: dict[int, list] = {}
-    for key, pat in product.patterns.items():
-        by_sched.setdefault(id(pat.localized.schedule), []).append(key)
     seen: set = set()
-    for members in by_sched.values():
-        gkey = (members[0][0], tuple(k[1] for k in members))
+    for gkey in product.groups:
+        members = group_members(gkey)
         gstate = state.groups.get(gkey)
         if gstate is None:
             _fail(f"adapt state has no slot bookkeeping for group {gkey}")
         loc = product.patterns[members[0]].localized
-        sched = loc.schedule
-        inputs = [sched._pair_q, sched._flat_send, sched._flat_recv, loc.ghost_flat]
-        inputs += [loc.ghost_bounds, loc.local_sizes]
+        inputs = [product.layout_key(gkey), loc.ghost_bounds, loc.local_sizes]
         inputs += [gstate.slot_bounds, gstate.keys, gstate.owners, gstate.lidx, gstate.counts]
-        inputs += [product.patterns[k].localized.refs_flat for k in members]
         if not _unseen(seen, getattr(arrays.get(gstate.array), "distribution", None), *inputs):
-            continue  # the twin of a group already checked
+            continue  # a group over these very objects is checked
         gb = np.asarray(loc.ghost_bounds, dtype=np.int64)
         if not np.array_equal(gstate.slot_bounds, gb):
             _fail(f"group {gkey}: saved slot bounds disagree with the product")

@@ -121,8 +121,8 @@ class Machine:
     fixed order, O(P) per application and bit-identical every time.
     ``exchange`` is exactly ``charge_exchange(plan_exchange(...))``;
     charge tapes (``repro.chaos.transcache.ChargeLog``), communication
-    and remap schedules and the adapt twin-group replay hold the plan
-    and skip straight to the apply.  ``plan_compute_all`` /
+    and remap schedules and the patch rung's shared-layout replay hold
+    the plan and skip straight to the apply.  ``plan_compute_all`` /
     ``charge_planned_compute`` split ``charge_compute_all`` the same
     way.  A charge records the ``(n_procs, topology, cost model)`` it
     was planned against and is refused (``ValueError``) by any other

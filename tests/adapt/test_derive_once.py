@@ -9,8 +9,8 @@ is pinned here to the naive form it replaced, kept as the oracle:
                                    vs  the element-wise range test
 * ``IterationPartition.inverse`` / ``proc_of_position``
                                    vs  scatter / ``np.repeat`` built here
-* ``CommSchedule.entries``         built once, frozen, shared by twins
-* twin groups                      verified once per distinct input objects
+* ``CommSchedule.entries``         built per call from the frozen inputs
+* groups over one layout           verified once per distinct input objects
 * ``kernels.sorted_unique`` / ``ranges_from_positions``
                                    vs  ``np.unique``
 * one patch step at ``guard="cheap"`` with ``np.unique`` forbidden
@@ -188,7 +188,7 @@ class TestPartitionIndexArrays:
 
 
 # ----------------------------------------------------------------------
-# (c) entries() is one frozen tuple, shared by twins, never saved
+# (c) one schedule per layout, shared by sibling groups, never saved
 # ----------------------------------------------------------------------
 def adaptive_campaign(n_procs=4, n_nodes=300):
     mesh = generate_mesh(n_nodes, seed=4)
@@ -212,65 +212,60 @@ def churn(prog, mesh, step, size=25):
 
 class TestScheduleLayout:
     """A schedule keeps its inputs and two flat-order position arrays,
-    and a twin shares all of them, the lazily resolved pack positions
-    included."""
+    and sibling groups over one layout hold the one schedule object."""
 
-    def twins(self):
+    def patched(self):
         mesh, prog, loop, exe = adaptive_campaign()
         churn(prog, mesh, 0)
         assert exe.step() == "patch"
-        scheds = {
-            id(p.localized.schedule): p.localized.schedule
-            for p in prog.records[loop.name].product.patterns.values()
-        }
-        assert len(scheds) == 2  # the x group and its twin, the y group
-        return prog, exe, list(scheds.values())
+        product = prog.records[loop.name].product
+        scheds = {id(p.localized.schedule): p.localized.schedule for p in product.patterns.values()}
+        # the x group and the y group: two groups, one schedule
+        assert len(product.groups) == 2 and len(scheds) == 1
+        return prog, exe, next(iter(scheds.values()))
 
-    def test_twins_share_every_array(self):
-        _, _, (a, b) = self.twins()
-        for f in ("_pair_q", "_pair_p", "_pair_len", "_flat_send", "_flat_recv", "_unpack_pos"):
-            assert getattr(a, f) is getattr(b, f), f
-        # the patch step executed both: one resolution serves the two
-        assert a._pack_pos[0] is not None and a._pack_pos[0] is b._pack_pos[0]
+    def test_siblings_share_one_schedule(self):
+        _, _, a = self.patched()
+        # the patch step executed it: the pack positions are resolved once
+        assert a._pack_pos is not None
         q, p, send, recv = a.entries()
         np.testing.assert_array_equal(q, np.repeat(a._pair_q, a._pair_len))
         np.testing.assert_array_equal(p, np.repeat(a._pair_p, a._pair_len))
         assert send is a._flat_send and recv is a._flat_recv
-        for arr in (send, recv, a._unpack_pos, a._pack_pos[0]):
+        for arr in (send, recv, a._unpack_pos, a._pack_pos):
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 0
 
     def test_four_arrays_of_the_element_count(self):
-        _, _, (a, _) = self.twins()
+        _, _, a = self.patched()
         E = a._n_elements
         assert E > 1
         held = [
             name for name, v in vars(a).items()
             if isinstance(v, np.ndarray) and v.size == E
         ]
-        assert sorted(held) == ["_flat_recv", "_flat_send", "_unpack_pos"]
-        assert a._pack_pos[0].size == E
+        assert sorted(held) == ["_flat_recv", "_flat_send", "_pack_pos", "_unpack_pos"]
 
     def test_positions_absent_from_checkpoint_payloads(self, tmp_path):
         from repro.guard.checkpoint import _schedule_payload
 
-        prog, exe, (live, _) = self.twins()
+        prog, exe, live = self.patched()
         saved = _schedule_payload(live)
-        derived = (live._unpack_pos, live._pack_pos[0])
+        derived = (live._unpack_pos, live._pack_pos)
         assert not any(value is arr for value in saved.values() for arr in derived)
         path = tmp_path / "c.ckpt"
         save_checkpoint(path, prog, driver=exe)
-        for sched in load_checkpoint(path)["schedules"]:
-            assert set(sched) == set(saved) == {
-                "dist_signature", "pair_q", "pair_p", "pair_len", "flat_send",
-                "flat_recv", "ghost_sizes",
-            }
+        (sched,) = load_checkpoint(path)["schedules"]  # one entry per layout
+        assert set(sched) == set(saved) == {
+            "dist_signature", "pair_q", "pair_p", "pair_len", "flat_send",
+            "flat_recv", "ghost_sizes",
+        }
 
 
-class TestTwinGroupsVerifiedOnce:
-    """After a patch the y group holds the x group's very arrays; the
+class TestSharedLayoutVerifiedOnce:
+    """After a patch the y group holds the x group's very objects; the
     verifier gives one verdict per distinct set of input objects -- and
-    must still see anything that differs in the twin alone."""
+    must still see anything that differs in y's own view."""
 
     def patched(self):
         mesh, prog, loop, exe = adaptive_campaign()
@@ -293,26 +288,52 @@ class TestTwinGroupsVerifiedOnce:
 
             monkeypatch.setattr(invariants, name, spy)
         invariants.verify_product(product, prog.arrays, "cheap", state=state)
-        # four patterns over two distinct reference lists, two twin
-        # schedules over one set of arrays
+        # four patterns over two distinct reference lists, two groups
+        # over one schedule
         assert calls == {"_verify_refs": 2, "verify_schedule": 1}
 
     @pytest.mark.parametrize("level", ["cheap", "full"])
-    def test_corruption_in_the_twin_alone_is_caught(self, level):
+    def test_corruption_in_ys_own_view_is_caught(self, level):
+        prog, product, state = self.patched()
+        from repro.guard import verify_product
+
+        verify_product(product, prog.arrays, level, state=state)
+        y = product.patterns["y", "end_pt1"]
+        # a reference out of the combined space in y's own view of the list
+        bad = y.localized.refs_flat.copy()
+        bad[-1] = 10**9
+        y.localized.refs_flat = bad
+        with pytest.raises(InvariantViolation, match=r"combined local\+ghost"):
+            verify_product(product, prog.arrays, level, state=state)
+
+    def test_a_retargeted_reference_in_ys_own_view_is_caught_at_full(self):
+        from repro.guard import verify_product
+
+        prog, product, state = self.patched()
+        y = product.patterns["y", "end_pt1"]
+        loc = y.localized
+        # processor 0's first local reference moved onto its first ghost
+        # slot: still in range, but that slot's reference count drifts
+        p0 = int(np.flatnonzero(np.diff(loc.ghost_bounds) > 0)[0])
+        start, stop = int(loc.ref_bounds[p0]), int(loc.ref_bounds[p0 + 1])
+        local = loc.local_sizes[p0]
+        i = start + int(np.flatnonzero(loc.refs_flat[start:stop] < local)[0])
+        bad = loc.refs_flat.copy()
+        bad[i] = local
+        loc.refs_flat = bad
+        verify_product(product, prog.arrays, "cheap", state=state)
+        with pytest.raises(InvariantViolation, match="reference counts drifted"):
+            verify_product(product, prog.arrays, "full", state=state)
+
+    @pytest.mark.parametrize("level", ["cheap", "full"])
+    def test_a_flipped_shared_schedule_is_caught(self, level):
         from repro.guard import FaultPlan, verify_product
 
         prog, product, state = self.patched()
-        verify_product(product, prog.arrays, level, state=state)
         y = product.patterns["y", "end_pt1"]
-        # a reference out of the combined space in y's own copy of the list
-        bad = y.localized.refs_flat.copy()
-        bad[-1] = 10**9
-        good, y.localized.refs_flat = y.localized.refs_flat, bad
-        with pytest.raises(InvariantViolation, match=r"combined local\+ghost"):
-            verify_product(product, prog.arrays, level, state=state)
-        y.localized.refs_flat = good
-        # y's schedule desynchronised from the slot map (what flip_slots injects)
-        assert y.localized.schedule is not product.patterns["x", "end_pt1"].localized.schedule
+        # the shared schedule desynchronised from the slot map (what
+        # flip_slots injects): both groups hold it
+        assert y.localized.schedule is product.patterns["x", "end_pt1"].localized.schedule
         assert FaultPlan._flip_schedule(y.localized.schedule)
         with pytest.raises(InvariantViolation):
             verify_product(product, prog.arrays, level, state=state)

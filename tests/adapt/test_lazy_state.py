@@ -119,7 +119,7 @@ def test_built_state_equals_eager_build_despite_later_writes():
 
 
 @pytest.mark.parametrize("coalesce", [True, False])
-def test_twin_groups_share_one_state_build(coalesce, monkeypatch):
+def test_sibling_groups_share_one_state_build(coalesce, monkeypatch):
     """``y(edge(i))`` holds ``x(edge(i))``'s references under one
     distribution: its group state is built once and shared, and equals a
     build of its own."""
@@ -137,10 +137,10 @@ def test_twin_groups_share_one_state_build(coalesce, monkeypatch):
     product = prog.records[loop.name].product
     dist = prog.arrays["y"].distribution
     for (array, indexes), gstate in state.groups.items():
-        twin = state.groups["x", indexes]
+        sibling = state.groups["x", indexes]
         assert (gstate.array, gstate.indexes) == (array, indexes)
         for f in GROUP_FIELDS:
-            assert getattr(gstate, f) is getattr(twin, f), (array, f)
+            assert getattr(gstate, f) is getattr(sibling, f), (array, f)
         alone = real(product, dist, [(array, i) for i in indexes])
         for f in GROUP_FIELDS:
             assert np.array_equal(getattr(gstate, f), getattr(alone, f)), (array, f)

@@ -7,8 +7,8 @@ Every campaign here runs under :class:`SnapshotOracle`, the snapshot
 bookkeeping it replaced, which checks each derived value and each
 ``changed`` set the driver hands to ``patch_product``.  The scenarios
 cover what the derivation reads through: coalesced and per-pattern
-groups (twins included), BLOCK and RCB data distributions, both
-iteration methods, a group with no ghosts at inspection, reused holes,
+groups (sibling groups over one layout included), BLOCK and RCB data
+distributions, both iteration methods, a group with no ghosts at inspection, reused holes,
 moved iterations, the first patch after a checkpoint restore, and a
 patch after ``redistribute(moved=)`` forced a full inspection.
 """

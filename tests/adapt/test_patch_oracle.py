@@ -216,10 +216,11 @@ def exec_refs_of(space, localized, counts):
 @pytest.mark.parametrize("n_procs", [2, 4])
 def test_patched_exec_caches_match_fresh(n_procs):
     """The executor caches a patched product holds after its sweeps
-    (a fresh holder per patched pattern, filled lazily; a twin adopts its
-    sibling's) must be element-equal to caches built from scratch off the
-    patched product -- and dropping them and executing again must give
-    bit-identical results and simulated charges."""
+    (a fresh holder per patched pattern, filled lazily; a sibling group
+    over one layout adopts its sibling's) must be element-equal to caches
+    built from scratch off the patched product -- and dropping them and
+    executing again must give bit-identical results and simulated
+    charges."""
     from repro.core.executor import _PatternSpace
 
     mesh = generate_mesh(350, seed=13)
@@ -236,28 +237,26 @@ def test_patched_exec_caches_match_fresh(n_procs):
         prog_a.forall(loop, n_times=1)
         assert prog_a.patch_hits == epoch + 1
 
+        # the patched product's second sweep keeps its executor caches
         prod = prog_a.records[loop.name].product
-        iter_flat, iter_bounds = prod.iteration_partition.iters_flat()
-        for key, pat in prod.patterns.items():
-            if pat.derived.exec_space is None:
-                continue
-            fresh = _PatternSpace(pat.localized)
-            assert np.array_equal(pat.derived.exec_space.offsets, fresh.offsets), key
-            assert np.array_equal(pat.derived.exec_space.local_sel, fresh.local_sel), key
-            assert np.array_equal(pat.derived.exec_space.ghost_sel, fresh.ghost_sel), key
-            assert pat.derived.exec_space.total == fresh.total, key
-            if pat.derived.exec_refs is not None:
-                assert np.array_equal(
-                    pat.derived.exec_refs, exec_refs_of(fresh, pat.localized, np.diff(iter_bounds))
-                ), key
-
-        # dropping the cached arrays and re-executing from scratch gives
-        # bit-identical results and identical simulated executor charges
         y_cached = prog_a.arrays["y"].to_global().copy()
         e0 = m_a.phase_time("executor")
         prog_a.forall(loop, n_times=1)
         e_cached = m_a.phase_time("executor") - e0
         y_after_cached = prog_a.arrays["y"].to_global().copy()
+        iter_flat, iter_bounds = prod.iteration_partition.iters_flat()
+        for key, pat in prod.patterns.items():
+            fresh = _PatternSpace(pat.localized)
+            assert np.array_equal(pat.derived.exec_space.offsets, fresh.offsets), key
+            assert np.array_equal(pat.derived.exec_space.local_sel, fresh.local_sel), key
+            assert np.array_equal(pat.derived.exec_space.ghost_sel, fresh.ghost_sel), key
+            assert pat.derived.exec_space.total == fresh.total, key
+            assert np.array_equal(
+                pat.derived.exec_refs, exec_refs_of(fresh, pat.localized, np.diff(iter_bounds))
+            ), key
+
+        # dropping the cached arrays and re-executing from scratch gives
+        # bit-identical results and identical simulated executor charges
         for pat in prod.patterns.values():
             pat.derived.exec_space = None
             pat.derived.exec_refs = None

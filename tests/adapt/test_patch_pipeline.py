@@ -1,21 +1,22 @@
-"""The patch rung's group pipeline: one body, shared by twins.
+"""The patch rung's group pipeline: one body, shared by sibling groups.
 
 ``repro.adapt.patch._patch_group`` is a driver over stage functions; a
-group byte-identical to one already patched takes its sibling's stage
-values instead of recomputing them.  These tests pin what that sharing
-and the staging must never change:
+group holding the layout of one already patched (the same input objects,
+``InspectorProduct.layout_key``) takes its sibling's stage values instead
+of recomputing them.  These tests pin what that sharing and the staging
+must never change:
 
-* sharing is invisible: the oracle-test history run with the twin check
-  forced off charges, times and computes bit-identically;
+* sharing is invisible: the oracle-test history run over shared layouts
+  (translation cache on) and over independent ones (cache off), or
+  resumed from a checkpoint whose sibling groups name two schedule
+  entries over shared sections, charges, times and computes
+  bit-identically;
 * an aborted patch charges what it charged before aborting (digests
   recorded at the parent commit by this file's own functions);
 * the first stage's :class:`~repro.adapt.patch.Delta` equals a
   dict-and-loop reference that shares no kernel with it;
-* a twin group's patterns share the sibling's arrays and keep their own
-  schedule object.
-
-Everything but the stage-span and ``Delta`` tests also runs, and
-passes, against the pre-pipeline ``_patch_group`` / ``_patch_group_twin``.
+* a shared group's patterns hold the sibling's arrays and schedule, and
+  stay a group of their own.
 """
 
 from collections import Counter
@@ -24,8 +25,7 @@ import numpy as np
 import pytest
 
 from repro.adapt import patch as patch_mod
-from repro.adapt.state import product_groups
-from repro.guard import FaultPlan
+from repro.guard import FaultPlan, load_checkpoint, restore_checkpoint, save_checkpoint
 from repro.machine.stats import COUNTER_FIELDS
 from repro.workloads import generate_mesh
 from repro.workloads.euler import euler_edge_loop
@@ -37,51 +37,112 @@ STAGES = ("delta", "slots", "translate", "allocate", "index", "schedule", "refs"
 N_EPOCHS = 5
 
 
+def oracle_writes(mesh, n_procs, coalesce):
+    """The oracle test's edge writes: per epoch, 5 % of the edges
+    re-targeted, as ``(positions, end_pt1, end_pt2)``."""
+    rng = np.random.default_rng(1234 + n_procs + int(coalesce))
+    edges = mesh.edges.copy()
+    for _ in range(N_EPOCHS):
+        edges, pick = mutate(edges, mesh.n_nodes, rng, fraction=0.05)
+        yield pick, edges[0, pick], edges[1, pick]
+
+
+def write_epoch(prog, loop, pick, e1, e2):
+    prog.set_array_elements("end_pt1", pick, e1)
+    prog.set_array_elements("end_pt2", pick, e2)
+    prog.forall(loop, n_times=1)
+    assert prog.last_resolution["rung"] == "patch"
+
+
 def run_oracle_history(n_procs, coalesce, **kwargs):
     """The oracle test's scenario: 5 epochs x 5 % edge churn, all patched.
     Returns the machine, the program and the obs span count after each
     epoch (all zeros with obs off)."""
     mesh = generate_mesh(400, seed=9)
-    rng = np.random.default_rng(1234 + n_procs + int(coalesce))
     machine, prog = build_program(mesh, True, n_procs, coalesce, **kwargs)
     loop = euler_edge_loop(mesh)
-    edges = mesh.edges.copy()
     prog.forall(loop, n_times=1)
     marks = [len(machine.obs.spans)]
-    for _ in range(N_EPOCHS):
-        edges, pick = mutate(edges, mesh.n_nodes, rng, fraction=0.05)
-        prog.set_array_elements("end_pt1", pick, edges[0, pick])
-        prog.set_array_elements("end_pt2", pick, edges[1, pick])
-        prog.forall(loop, n_times=1)
+    for write in oracle_writes(mesh, n_procs, coalesce):
+        write_epoch(prog, loop, *write)
         marks.append(len(machine.obs.spans))
     assert prog.patch_hits == N_EPOCHS and prog.inspector_runs == 1
     return machine, prog, marks
 
 
+def assert_same_run(a, prog_a, b, prog_b):
+    """Counters, clocks, every phase time and ``y``: bit-identical."""
+    for field in COUNTER_FIELDS:
+        assert getattr(a.counters, field).tobytes() == getattr(b.counters, field).tobytes(), field
+    assert a.elapsed() == b.elapsed()
+    phases = {r.name for r in a.stats.phases}
+    assert phases == {r.name for r in b.stats.phases}
+    for name in phases:
+        assert a.phase_time(name) == b.phase_time(name), name
+    assert prog_a.arrays["y"].to_global().tobytes() == prog_b.arrays["y"].to_global().tobytes()
+
+
 @pytest.mark.parametrize("n_procs", [4, 16])
 @pytest.mark.parametrize("coalesce", [True, False])
-def test_twin_group_equals_independent_patch(n_procs, coalesce, monkeypatch):
+def test_shared_layout_equals_independent_patch(n_procs, coalesce):
     shared, prog_shared, _ = run_oracle_history(n_procs, coalesce)
-    monkeypatch.setattr(patch_mod, "_twin_matches", lambda *args: False)
-    alone, prog_alone, _ = run_oracle_history(n_procs, coalesce)
-    for field in COUNTER_FIELDS:
-        assert np.array_equal(
-            getattr(shared.counters, field), getattr(alone.counters, field)
-        ), field
-    assert shared.elapsed() == alone.elapsed()
-    phases = {r.name for r in shared.stats.phases}
-    assert phases == {r.name for r in alone.stats.phases}
-    for name in phases:
-        assert shared.phase_time(name) == alone.phase_time(name), name
-    assert np.array_equal(
-        prog_shared.arrays["y"].to_global(), prog_alone.arrays["y"].to_global()
+    # no translation cache: every group holds layout objects of its own
+    alone, prog_alone, _ = run_oracle_history(n_procs, coalesce, translation_cache="off")
+    assert_same_run(shared, prog_shared, alone, prog_alone)
+
+
+@pytest.mark.parametrize("coalesce", [True, False])
+def test_sibling_entries_of_an_older_checkpoint_patch_like_the_uninterrupted_run(
+    tmp_path, coalesce
+):
+    """A file written while each group held its own schedule object names
+    one schedule entry per sibling group, over shared sections.  Such a
+    file, restored and patched, runs on bit-identically."""
+    whole, prog_whole, _ = run_oracle_history(4, coalesce)
+    mesh = generate_mesh(400, seed=9)
+    loop = euler_edge_loop(mesh)
+    writes = list(oracle_writes(mesh, 4, coalesce))
+    _, prog = build_program(mesh, True, 4, coalesce)
+    prog.forall(loop, n_times=1)
+    write_epoch(prog, loop, *writes[0])
+    path = tmp_path / "c.ckpt"
+    save_checkpoint(path, prog)
+
+    payload = load_checkpoint(path)
+    table = payload["schedules"]
+    entry_of: dict = {}
+    for _, pat in payload["records"][loop.name]["product"]["patterns"]:
+        if pat["array"] == "y":
+            i = pat["schedule"]
+            if i not in entry_of:
+                entry_of[i] = len(table)
+                table.append(dict(table[i]))  # the same section views
+            pat["schedule"] = entry_of[i]
+    machine, resumed = build_program(mesh, True, 4, coalesce)
+    restore_checkpoint(payload, resumed, {loop.name: loop})
+    product = resumed.records[loop.name].product
+    for ind in ("end_pt1", "end_pt2"):
+        sx = product.patterns["x", ind].localized.schedule
+        sy = product.patterns["y", ind].localized.schedule
+        assert sx is not sy and sx._flat_send is sy._flat_send
+    for write in writes[1:]:
+        write_epoch(resumed, loop, *write)
+    assert_same_run(whole, prog_whole, machine, resumed)
+    # their input objects were the same, so the patch shared the work and
+    # the siblings now hold one schedule
+    product = resumed.records[loop.name].product
+    assert product.patterns["x", "end_pt1"].localized.schedule is (
+        product.patterns["y", "end_pt1"].localized.schedule
     )
 
 
 @pytest.mark.parametrize("n_procs", [4, 16])
 @pytest.mark.parametrize("coalesce", [True, False])
-def test_shared_branch_taken_every_epoch(n_procs, coalesce):
-    machine, _, marks = run_oracle_history(n_procs, coalesce, obs="on")
+@pytest.mark.parametrize("cache", ["on", "off"])
+def test_shared_branch_taken_every_epoch(n_procs, coalesce, cache):
+    machine, _, marks = run_oracle_history(
+        n_procs, coalesce, obs="on", translation_cache=cache
+    )
     spans = machine.obs.spans
     for lo, hi in zip(marks, marks[1:]):
         stage_spans = [s for s in spans[lo:hi] if s.name.startswith("adapt.patch.")]
@@ -89,14 +150,17 @@ def test_shared_branch_taken_every_epoch(n_procs, coalesce):
         for s in stage_spans:
             # the per-patch spans: the re-vote, the order task, the refs strips
             if s.name not in ("adapt.patch.revote", "adapt.patch.order", "adapt.patch.strip"):
-                by_group.setdefault((s.attrs["group"], s.attrs["twin"]), []).append(
+                by_group.setdefault((s.attrs["group"], s.attrs["shared"]), []).append(
                     s.name.removeprefix("adapt.patch.")
                 )
-        # every group ran every stage once, in order, primary or twin
+        # every group ran every stage once, in order, computing or shared
         assert all(tuple(names) == STAGES for names in by_group.values()), by_group
-        twins = [group for group, twin in by_group if twin]
-        # x/y siblings: half the groups take their sibling's stage values
-        assert len(twins) == len(by_group) // 2 >= 1
+        shared = [group for group, took in by_group if took]
+        if cache == "on":
+            # x/y siblings: half the groups take their sibling's stage values
+            assert len(shared) == len(by_group) // 2 >= 1
+        else:
+            assert not shared and by_group
 
 
 # digests of the machine's counters right after the fallback inspection,
@@ -165,7 +229,9 @@ def naive_group_delta(product, home_new, ind_old, ind_new, member_keys):
 def test_delta_stage_matches_naive_reference(coalesce, monkeypatch):
     mesh = generate_mesh(400, seed=9)
     rng = np.random.default_rng(31)
-    _, prog = build_program(mesh, True, 4, coalesce)
+    # no translation cache: every group computes its own delta (none
+    # holds a sibling's layout)
+    _, prog = build_program(mesh, True, 4, coalesce, translation_cache="off")
     loop = euler_edge_loop(mesh)
     prog.forall(loop, n_times=1)
     before = prog.records[loop.name].product
@@ -184,12 +250,10 @@ def test_delta_stage_matches_naive_reference(coalesce, monkeypatch):
         return delta
 
     monkeypatch.setattr(patch_mod, "_group_delta", recording)
-    # every group computes its own delta (none takes a sibling's)
-    monkeypatch.setattr(patch_mod, "_twin_matches", lambda *args: False)
     prog.forall(loop, n_times=1)
     assert prog.patch_hits == 1
     after = prog.records[loop.name].product
-    assert after is not before and len(seen) == len(product_groups(before))
+    assert after is not before and len(seen) == len(before.groups)
 
     ind_new = {name: prog.arrays[name].to_global() for name in inds}
     flat, bounds = after.iteration_partition.iters_flat()
@@ -218,17 +282,18 @@ def test_delta_stage_matches_naive_reference(coalesce, monkeypatch):
 
 
 @pytest.mark.parametrize("coalesce", [True, False])
-def test_twin_patterns_share_arrays_but_not_the_schedule(coalesce):
+def test_sibling_patterns_share_the_schedule_and_stay_two_groups(coalesce):
     _, prog, _ = run_oracle_history(4, coalesce)
     (record,) = prog.records.values()
     product = record.product
-    groups = product_groups(product)
-    assert len(groups) == (2 if coalesce else 4)
+    assert len(product.groups) == (2 if coalesce else 4)
     for ind in ("end_pt1", "end_pt2"):
         px, py = product.patterns["x", ind], product.patterns["y", ind]
         assert px.localized.refs_flat is py.localized.refs_flat
         assert px.localized.ghost_flat is py.localized.ghost_flat
         assert px.derived is py.derived
-        # identity delimits the groups (product_groups keys on it) and
-        # keeps the executor's per-schedule gathers of the siblings apart
-        assert px.localized.schedule is not py.localized.schedule
+        # one layout object; the product's keys keep the groups apart
+        assert px.localized.schedule is py.localized.schedule
+        group = {g[0]: g for g in product.groups if ind in g[1]}
+        assert group["x"] != group["y"]
+        assert product.layout_key(group["x"]) == product.layout_key(group["y"])

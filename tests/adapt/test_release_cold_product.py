@@ -41,18 +41,18 @@ def campaign(n_patches=3, probe=None):
 
 
 def cold_refs(prog):
-    """Weakrefs to the step-0 localize entries and their executor
-    spaces; the cold step built no global view of the edge arrays, and
-    its one sweep kept no executor positions."""
+    """Weakrefs to the step-0 localize entries and their localized
+    references; the cold step built no global view of the edge arrays,
+    and its one sweep kept no executor space or positions."""
     cache = prog.translation_cache
     entries = [entry for slot, (_, entry) in cache._slots.items() if slot[0] == "localize"]
     holders = [h for e in entries for h in e.derived.values()]
-    assert entries and all(h.ran and h.exec_space is not None for h in holders)
-    assert all(h.exec_refs is None for h in holders)
+    assert entries and all(h.ran for h in holders)
+    assert all(h.exec_space is None and h.exec_refs is None for h in holders)
     assert all(prog.arrays[name]._global_cache is None for name in EDGE_ARRAYS)
     return {
         "entries": [weakref.ref(e) for e in entries],
-        "exec_spaces": [weakref.ref(h.exec_space) for h in holders],
+        "refs": [weakref.ref(e.refs_flat) for e in entries],
     }
 
 

@@ -9,7 +9,7 @@ patch is rebuilt by it from the same inputs and every schedule array
 must be equal: pairs, flat arrays, wire permutation, pack/unpack arrays,
 ghost positions, memory charges, ghost sizes and signature.  Scenarios:
 1 / 5 / 25 % edge churn at P = 4 and 16 with pattern coalescing on and
-off (every Euler loop has twin groups), a group with no ghosts at
+off (every Euler loop has sibling groups), a group with no ghosts at
 inspection, and the first patch after a checkpoint restore (the sorted
 slot index is not saved, so it is rebuilt).
 """
@@ -19,8 +19,9 @@ import pytest
 
 from repro import AdaptiveExecutor
 from repro.adapt import patch as patch_mod
-from repro.adapt.state import build_group_state, product_groups
+from repro.adapt.state import build_group_state
 from repro.core import ArrayRef, ForallLoop, IrregularProgram, Reduce
+from repro.core.inspector import group_members
 from repro.machine import Machine
 from repro.workloads import generate_mesh
 from repro.workloads.euler import euler_edge_loop
@@ -45,7 +46,7 @@ def compared(monkeypatch):
             oracle.assert_schedules_equal(patch.schedule, want, context=str(member_keys))
             seen.append(
                 {
-                    "twin": sib is not None,
+                    "shared": sib is not None,
                     "unindexed": unindexed,
                     "old_ghosts": old.ghost_total(),
                     "elements": patch.schedule._n_elements,
@@ -74,10 +75,10 @@ def test_slot_schedule_equals_merge_oracle(fraction, n_procs, coalesce, compared
         prog.set_array_elements("end_pt2", pick, edges[1, pick])
         prog.forall(loop, n_times=1)
     assert prog.patch_hits == epochs and prog.inspector_runs == 1
-    groups = len(product_groups(prog.records[loop.name].product))
+    groups = len(prog.records[loop.name].product.groups)
     assert len(compared) == epochs * groups
     # x/y siblings: half the groups take their sibling's schedule
-    assert sum(r["twin"] for r in compared) == len(compared) // 2 >= 1
+    assert sum(r["shared"] for r in compared) == len(compared) // 2 >= 1
 
 
 def test_group_with_no_ghosts_at_inspection(compared):
@@ -126,7 +127,7 @@ def test_first_patch_after_checkpoint_restore(tmp_path, compared):
     exe_b.step()
     first = len(compared)
     # the first patch rebuilt the index it then merged and read
-    assert any(not r["twin"] for r in compared[:first])
+    assert any(not r["shared"] for r in compared[:first])
     assert all(r["unindexed"] for r in compared[:first])
     lazy.mutate(prog_b, mesh, 1)
     exe_b.step()
@@ -144,8 +145,9 @@ def test_fresh_slot_state_reads_back_the_inspected_schedule(coalesce):
     loop = euler_edge_loop(mesh)
     prog.forall(loop, n_times=1)
     product = prog.records[loop.name].product
-    for member_keys in product_groups(product):
-        dist = prog.arrays[member_keys[0][0]].distribution
+    for gkey in product.groups:
+        member_keys = group_members(gkey)
+        dist = prog.arrays[gkey[0]].distribution
         state = build_group_state(product, dist, member_keys)
         want = product.patterns[member_keys[0]].localized.schedule
         got = patch_mod._slot_schedule(machine, want.dist_signature, state)

@@ -210,37 +210,21 @@ class TestEntries:
         assert a._flat_recv is b._flat_recv is parts[4]
 
 
-class TestTwin:
-    def test_twin_shares_arrays_under_distinct_identity(self):
-        sched = small_schedule()
-        tw = sched.twin()
-        assert tw is not sched
-        assert tw._flat_send is sched._flat_send
-        assert tw._flat_recv is sched._flat_recv
-        assert tw._pair_q is sched._pair_q
-        assert tw.ghost_sizes == sched.ghost_sizes
-        a = sched.entries()
-        b = tw.entries()
-        for x, y in zip(a, b):
-            np.testing.assert_array_equal(x, y)
-
-    def test_twins_share_one_pack_position_array(self):
+class TestResolvedOnce:
+    def test_pack_positions_resolved_on_first_use_then_kept(self):
         machine, arr, min_local = make_world(4, 40, 21)
         send, recv, gsizes = random_schedule_parts(np.random.default_rng(21), 4, min_local)
         sched = schedule_from_pairs(machine, arr.distribution.signature(), send, recv, gsizes)
-        tw = sched.twin()
-        assert sched._pack_pos[0] is None
-        # the twin resolves them on its first gather; the original reuses them
-        tw.gather(arr, np.zeros(tw.ghost_total()))
-        pos = tw._pack_pos[0]
+        assert sched._pack_pos is None
+        sched.gather(arr, np.zeros(sched.ghost_total()))
+        pos = sched._pack_pos
         assert pos is not None and not pos.flags.writeable
         assert sched._pack_positions(arr) is pos
-        assert sched.twin()._pack_positions(arr) is pos
 
-    def test_exchange_plans_built_once_shared_and_equal_to_naive(self):
+    def test_exchange_plans_built_once_and_equal_to_naive(self):
         # the gather / reverse exchange and the combine flops are planned
-        # on first use, then held: repeated applications through the
-        # schedule and its twin == the naive loop repeated, bit for bit
+        # on first use, then held: repeated applications == the naive
+        # loop repeated, bit for bit
         rng = np.random.default_rng(33)
         m_flat, arr_flat, min_local = make_world(8, 61, 4)
         m_ref, arr_ref, _ = make_world(8, 61, 4)
@@ -248,18 +232,16 @@ class TestTwin:
         sched = schedule_from_pairs(
             m_flat, arr_flat.distribution.signature(), send, recv, gsizes
         )
-        tw = sched.twin()
         assert sched._exchange_charges == {} and sched._combine_flops == {}
         g_flat = np.zeros(sum(gsizes))
         g_ref = [np.zeros(s) for s in gsizes]
-        for user in (sched, tw, sched):
-            user.gather(arr_flat, g_flat)
+        for _ in range(3):
+            sched.gather(arr_flat, g_flat)
             naive_gather(m_ref, send, recv, arr_ref, g_ref)
-            user.scatter_op(g_flat, arr_flat, np.add)
+            sched.scatter_op(g_flat, arr_flat, np.add)
             naive_reverse(m_ref, send, recv, g_ref, arr_ref, np.add)
         assert clocks(m_flat) == clocks(m_ref)
         assert counters(m_flat) == counters(m_ref)
-        assert tw._exchange_charges is sched._exchange_charges
         assert sorted(sched._exchange_charges) == [(False, 8), (True, 8)]
         assert list(sched._combine_flops) == [1.0]
 
@@ -309,7 +291,7 @@ def test_out_of_range_send_offset_is_rejected_on_first_use(apply, offset):
     np.testing.assert_array_equal(arr.to_global(), np.arange(8.0))
     np.testing.assert_array_equal(ghosts, [-5.0])
     assert clocks(machine) == clock
-    assert sched._pack_pos[0] is None
+    assert sched._pack_pos is None
 
 
 

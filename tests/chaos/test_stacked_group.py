@@ -373,12 +373,14 @@ def test_group_members_are_views_of_one_array_and_siblings_share_holders():
         assert member.size == n_iter
         for other in refs[j + 1 :]:
             assert not np.shares_memory(member, other)
-    # x(ia(i)) and y(ia(i)) are one cache entry: one holder, one array
+    # x(ia(i)) and y(ia(i)) are one cache entry: one holder, one array,
+    # one schedule, and still two groups
     for ix in indexes:
         px, py = product.pattern("x", ix), product.pattern("y", ix)
         assert px.derived is py.derived
         assert px.localized.refs_flat is py.localized.refs_flat
-        assert px.localized.schedule is not py.localized.schedule
+        assert px.localized.schedule is py.localized.schedule
+    assert product.groups == (("x", indexes), ("y", indexes))
 
     # a warm re-inspection serves the same views and allocates nothing
     # the size of a reference list (it never builds the stream)

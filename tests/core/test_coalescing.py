@@ -12,6 +12,7 @@ from repro.core import (
     run_executor,
     run_inspector,
 )
+from repro.chaos.transcache import TranslationCache
 from repro.distribution import BlockDistribution, DistArray
 from repro.machine import Machine
 
@@ -74,16 +75,40 @@ class TestCorrectness:
     def test_coalesced_siblings_share_one_exec_space(self):
         """The executor's combined-space selectors are sized by the
         localize product alone: x(e1), x(e2) and y(e1), y(e2) -- one
-        schedule per array -- get one space per schedule."""
+        schedule per array -- get one space per layout."""
         m = Machine(4)
         arrays, _ = build_arrays(m)
         product = run_inspector(m, edge_loop(40), arrays, coalesce_patterns=True)
-        run_executor(m, product, arrays)
+        run_executor(m, product, arrays, n_times=2)  # kept from the second sweep on
         for name in ("x", "y"):
             a, b = (product.patterns[(name, ix)] for ix in ("e1", "e2"))
             assert a.localized.schedule is b.localized.schedule
             assert a.derived.exec_space is b.derived.exec_space is not None
         assert product.patterns[("x", "e1")].derived.exec_space is not product.patterns[("y", "e1")].derived.exec_space
+
+    def test_arrays_over_one_layout_gather_their_own_values(self):
+        """x(e1(i)), w(e1(i)) and y(e1(i)) over one distribution hold one
+        layout object (one translation-cache entry serves all three), yet
+        each group gathers and scatters its own array."""
+        m = Machine(4)
+        arrays, rng = build_arrays(m)
+        arrays["w"] = DistArray.from_global(
+            m, arrays["x"].distribution, rng.normal(size=24), name="w"
+        )
+        x1, w1 = ArrayRef("x", "e1"), ArrayRef("w", "e1")
+        loop = ForallLoop(
+            "sweep", 40, [Reduce("add", ArrayRef("y", "e1"), lambda a, b: a * b, (x1, w1))]
+        )
+        product = run_inspector(m, loop, arrays, cache=TranslationCache())
+        assert product.groups == (("x", ("e1",)), ("w", ("e1",)), ("y", ("e1",)))
+        scheds = {id(p.localized.schedule) for p in product.patterns.values()}
+        assert len(scheds) == 1
+        run_executor(m, product, arrays, n_times=2)
+        x, w, e1 = (arrays[k].to_global() for k in ("x", "w", "e1"))
+        want = np.zeros_like(x)
+        for _ in range(2):
+            np.add.at(want, e1, x[e1] * w[e1])
+        assert np.allclose(arrays["y"].to_global(), want)
 
     def test_assign_targets_not_coalesced(self):
         """Assign LHS arrays keep per-pattern schedules (and are correct).

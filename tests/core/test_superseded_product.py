@@ -58,9 +58,8 @@ def held_by(prog, loop, dist=None) -> dict:
         refs = pat.localized.refs_flat
         objs[f"{key} refs_flat"] = refs if refs.base is None else refs.base
         objs[f"{key} schedule"] = pat.localized.schedule
-        assert pat.derived.exec_space is not None
-        objs[f"{key} exec_space"] = pat.derived.exec_space
-        if pat.derived.exec_refs is not None:  # kept from a holder's second sweep on
+        if pat.derived.exec_space is not None:  # kept from a holder's second sweep on
+            objs[f"{key} exec_space"] = pat.derived.exec_space
             objs[f"{key} exec_refs"] = pat.derived.exec_refs
     if dist is not None:
         objs["distribution"] = dist
@@ -123,8 +122,9 @@ def test_a_reinspection_after_a_write_frees_the_product(
     strip_pool, collector_off, at_cold_localize, cache
 ):
     mesh, prog, loop = build(translation_cache=cache)
-    prog.forall(loop)
+    prog.forall(loop, 2)  # the second sweep keeps the executor's space and positions
     held = held_by(prog, loop)
+    assert any(name.endswith("exec_space") for name in held)
     pick = np.arange(0, mesh.n_edges, 7)
     prog.set_array_elements("end_pt2", pick, (mesh.edges[1, pick] + 1) % mesh.n_nodes)
     seen = at_cold_localize(held)
@@ -171,6 +171,19 @@ def test_a_failed_full_inspection_leaves_no_product(strip_pool, collector_off, a
     assert prog.last_resolution["rung"] == "full"
     assert prog.last_resolution["refused"] == {}
     assert seen and seen[0] == []
+
+
+def test_a_product_that_runs_once_keeps_no_executor_space():
+    """The executor's combined space and positions are kept only from a
+    pattern holder's second finished sweep on: a product that runs once
+    (every patched one, every one on the miss path) keeps neither."""
+    mesh, prog, loop = build()
+    prog.forall(loop)
+    holders = [pat.derived for pat in prog.records[loop.name].product.patterns.values()]
+    assert all(h.ran and h.exec_space is None and h.exec_refs is None for h in holders)
+    prog.forall(loop)  # a reuse hit: the same product's second sweep
+    assert prog.last_resolution["rung"] == "reuse"
+    assert all(h.exec_space is not None and h.exec_refs is not None for h in holders)
 
 
 @pytest.mark.parametrize("between", ["nothing", "other loop"])

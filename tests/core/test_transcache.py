@@ -437,14 +437,13 @@ class TestDerivedHolders:
             assert pat.localized.refs_flat is held.refs_flat
             assert not held.refs_flat.flags.writeable
             assert not held.ref_bounds.flags.writeable
-        # the executor fills the shared holder's space on its first
-        # sweep and keeps its positions from the second on -- the warm
-        # product's sweep counts, it is the same holder -- and both
-        # products see the same frozen arrays
+        # the executor keeps the shared holder's space and positions from
+        # its second sweep on -- the warm product's sweep counts, it is
+        # the same holder -- and both products see the same frozen arrays
         run_executor(m, cold, arrays)
         for key, pat in warm.patterns.items():
             assert pat.derived.ran and pat.derived.exec_refs is None
-            assert pat.derived.exec_space is cold.patterns[key].derived.exec_space
+            assert pat.derived.exec_space is None
         run_executor(m, warm, arrays)
         for key, pat in warm.patterns.items():
             assert pat.derived.exec_refs is cold.patterns[key].derived.exec_refs

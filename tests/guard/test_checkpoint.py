@@ -420,7 +420,7 @@ def test_restored_arrays_shared_means_frozen_private_means_unaliased(tmp_path):
 
     mesh, _, p_a = build()
     exe_a = AdaptiveExecutor(p_a, euler_edge_loop(mesh))
-    drive(exe_a, mesh, 2)  # full, patch: the y group is now the x group's twin
+    drive(exe_a, mesh, 2)  # full, patch: the y group holds the x group's layout
     save_checkpoint(path, p_a, driver=exe_a)
 
     # the file holds what was one object once: it loads as one object
@@ -448,7 +448,7 @@ def test_restored_arrays_shared_means_frozen_private_means_unaliased(tmp_path):
         assert not arrays[where].flags.writeable, where
         with pytest.raises(ValueError, match="read-only"):
             arrays[where][...] = 0
-    # a stray write to the slot bookkeeping raises instead of reaching the twin
+    # a stray write to the slot bookkeeping raises instead of reaching the sibling
     for g in p_b.adapt.state_for(loop_name, "verify").groups.values():
         with pytest.raises(ValueError, match="read-only"):
             g.counts[0] += 1
@@ -473,6 +473,25 @@ def test_restored_arrays_shared_means_frozen_private_means_unaliased(tmp_path):
     assert_machines_equal(m_ref, m_b)
     assert_programs_equal(p_ref, p_b)
     assert simulated_history(exe_ref) == simulated_history(exe_b)
+
+
+def test_restored_siblings_share_one_pattern_holder(tmp_path):
+    """Restore gives the patterns over one reference list one holder, as
+    the live run does, so a resumed run keeps the executor's space and
+    positions once per list, not once per pattern."""
+    path = tmp_path / "campaign.ckpt"
+    mesh, _, p_a = build()
+    exe_a = AdaptiveExecutor(p_a, euler_edge_loop(mesh))
+    drive(exe_a, mesh, 2)
+    save_checkpoint(path, p_a, driver=exe_a)
+    mesh, _, p_b = build()
+    AdaptiveExecutor.resume(path, p_b, euler_edge_loop(mesh))
+    loop_name = euler_edge_loop(mesh).name
+    for prog in (p_a, p_b):
+        patterns = prog.records[loop_name].product.patterns
+        for ind in ("end_pt1", "end_pt2"):
+            assert patterns["x", ind].derived is patterns["y", ind].derived
+        assert patterns["x", "end_pt1"].derived is not patterns["x", "end_pt2"].derived
 
 
 def test_run_with_checkpoint_every_writes_files(tmp_path):

@@ -209,3 +209,80 @@ def test_plan_is_deterministic():
     runs = [run_campaign(plan=p) for p in plans]
     assert plans[0].fired == plans[1].fired
     assert_same_simulated_state(*runs[0], *runs[1])
+
+
+def fault_timeline(make, steps=4):
+    """The steps on which anything happened, each as ``(step, faults
+    fired, fallback reasons, guard events)``; step 0 is the full
+    inspection, each later step one churn write and its sweep."""
+    plan = make(FaultPlan(seed=7))
+    mesh, machine, prog, loop = build()
+    plan.install(machine)
+    edges = mesh.edges.copy()
+    timeline = []
+    fired = falls = events = 0
+    for step in range(steps + 1):
+        if step:
+            mutate(prog, mesh, edges, step - 1)
+        prog.forall(loop, n_times=1)
+        new = (
+            [dict(f) for f in plan.fired[fired:]],
+            [r["reason"] for r in prog.adapt.fallback_log[falls:]],
+            [(e["event"], e["array"], e["n_bad"], e["recovered"]) for e in prog.guard_events[events:]],
+        )
+        if any(new):
+            timeline.append((step, *new))
+        fired, falls, events = len(plan.fired), len(prog.adapt.fallback_log), len(prog.guard_events)
+    return timeline
+
+
+#: faults whose whole timeline is pinned below
+TIMELINE_FAULTS = {
+    "corrupt_gather_0": lambda p: p.corrupt_gather(nth=0),
+    "corrupt_gather_2": lambda p: p.corrupt_gather(nth=2),
+    "drop_gather_1": lambda p: p.drop_gather(nth=1, count=3),
+    "duplicate_gather_0": lambda p: p.duplicate_gather(nth=0),
+    "flip_slots_0": lambda p: p.flip_slots(nth=0),
+    "flip_slots_2": lambda p: p.flip_slots(nth=2),
+    "flip_slots_0_to_3": lambda p: p.flip_slots(nth=0).flip_slots(nth=1).flip_slots(nth=2).flip_slots(nth=3),
+    "stall_executor": lambda p: p.stall("executor", proc=1, seconds=2.5, when="enter", nth=0),
+}
+
+#: every fault's timeline, recorded at the commit before a pattern group
+#: became a value (when ``y(edge(i))`` held a clone of ``x(edge(i))``'s
+#: schedule): with the schedule shared, each fault still fires at the same
+#: event, on the same element, and is caught on the same step
+PINNED_TIMELINES = {
+    "corrupt_gather_0": [
+        (0, [{"kind": "corrupt_gather", "gather": 0, "element": 155}], [], [("gather_divergence", "x", 1, True)]),
+    ],
+    "corrupt_gather_2": [
+        (2, [{"kind": "corrupt_gather", "gather": 2, "element": 171}], [], [("gather_divergence", "x", 1, True)]),
+    ],
+    "drop_gather_1": [
+        (1, [{"kind": "drop_gather", "gather": 1, "elements": [108, 119, 163]}], [], [("gather_divergence", "x", 3, True)]),
+    ],
+    "duplicate_gather_0": [
+        (0, [{"kind": "duplicate_gather", "gather": 0, "element": 156}], [], [("gather_divergence", "x", 1, True)]),
+    ],
+    "flip_slots_0": [
+        (1, [{"kind": "flip_slots", "patch": 0, "array": "x"}], ["verify_failed"], []),
+    ],
+    "flip_slots_0_to_3": [
+        (1, [{"kind": "flip_slots", "patch": 0, "array": "x"}], ["verify_failed"], []),
+        (2, [{"kind": "flip_slots", "patch": 1, "array": "x"}], ["verify_failed"], []),
+        (3, [{"kind": "flip_slots", "patch": 2, "array": "x"}], ["verify_failed"], []),
+        (4, [], ["incremental_disabled"], []),
+    ],
+    "flip_slots_2": [
+        (3, [{"kind": "flip_slots", "patch": 2, "array": "x"}], ["verify_failed"], []),
+    ],
+    "stall_executor": [
+        (0, [{"kind": "stall", "phase": "executor", "when": "enter", "proc": 1, "seconds": 2.5}], [], []),
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(TIMELINE_FAULTS))
+def test_every_fault_fires_and_is_caught_where_it_always_was(name):
+    assert fault_timeline(TIMELINE_FAULTS[name]) == PINNED_TIMELINES[name]

@@ -127,8 +127,8 @@ class TestAdaptSpans:
             assert [s.name.removeprefix("adapt.patch.") for s in group_spans] == [
                 "delta", "slots", "translate", "allocate", "index", "schedule", "refs"
             ]
-            assert len({s.attrs["twin"] for s in group_spans}) == 1
-        assert sorted(g[0].attrs["twin"] for g in per_group.values()) == [False, True]
+            assert len({s.attrs["shared"] for s in group_spans}) == 1
+        assert sorted(g[0].attrs["shared"] for g in per_group.values()) == [False, True]
 
     def test_report_books_patch_stages_to_the_adapt_layer(self, tmp_path, capsys):
         from repro.obs.__main__ import main
