@@ -45,22 +45,27 @@ unchanged, which conditions 1-2 guarantee), and the live reference count
 
 State lifetime: captured by reference, built on first use
 ---------------------------------------------------------
-A full inspection does not build ``LoopAdaptState``.  It records a
-:class:`~repro.adapt.state.PendingState` -- the fresh product and every
-data array's ``Distribution``, both by reference (O(1)) -- and charges the simulated
+A full inspection does not build ``LoopAdaptState``.  It captures the
+fresh product, by reference (O(1)), and charges the simulated
 bookkeeping cost right there, inside the inspector phase, because the
 *modelled* runtime does that work when it inspects.  The O(refs) host
 build (:func:`~repro.adapt.state.build_adapt_state`) runs when a reader
 first asks :meth:`IncrementalInspector.state_for`: a patch attempt that
 passed every routing check, post-patch verification, or a checkpoint
-save.  It reads only the capture, so later writes and remaps cannot
-leak in: the state equals what an eager build would have produced.  A
-loop re-inspected every step over unchanged content, or whose products
-a remap voids, never builds; a typed patch failure, a restore, or the
-next full inspection drops or replaces the capture.  Each build is
-visible: an ``adapt.state.build_adapt_state`` span, one ``adapt.state``
-event with the reader as ``reason``, and
+save.  It reads only the product -- slot keys and bounds are its ghost
+layout, owners and owner-local offsets its schedule entries -- so later
+writes and remaps cannot leak in: the state equals what an eager build
+would have produced.  A loop re-inspected every step over unchanged
+content, or whose products a remap voids, never builds; a typed patch
+failure, a restore, or the next full inspection drops or replaces the
+capture.  Each build is visible: an ``adapt.state.build_adapt_state``
+span, one ``adapt.state`` event with the reader as ``reason``, and
 ``AdaptiveExecutor.history[...]["state_build_wall_seconds"]``.
+
+The slot state is the layout a checkpoint stores: a restore rebuilds
+each schedule from it with :meth:`~repro.adapt.state.GroupState.schedule`,
+the patch rung's builder, and the ghost keys with
+:meth:`~repro.adapt.state.GroupState.ghost_flat`.
 
 Host wall time (not simulated time)
 -----------------------------------
@@ -105,19 +110,13 @@ schedules.
 from repro.adapt.diff import expand_ranges, old_targets, ranges_from_positions
 from repro.adapt.driver import AdaptiveExecutor, IncrementalInspector
 from repro.adapt.patch import patch_product
-from repro.adapt.state import (
-    GroupState,
-    LoopAdaptState,
-    PendingState,
-    build_adapt_state,
-)
+from repro.adapt.state import GroupState, LoopAdaptState, build_adapt_state
 
 __all__ = [
     "AdaptiveExecutor",
     "IncrementalInspector",
     "GroupState",
     "LoopAdaptState",
-    "PendingState",
     "build_adapt_state",
     "patch_product",
     "expand_ranges",

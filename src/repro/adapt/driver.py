@@ -15,7 +15,7 @@ back at its owner and a dropped program is freed at once.  Routing:
   captured;
 * a **condition 3** failure (indirection *values* may have changed)
   is diffed: if every stale indirection has region information and the
-  changed-value fraction is under ``max_change_fraction``, the saved
+  changed-value fraction is under :data:`MAX_CHANGE_FRACTION`, the saved
   product is patched (:func:`~repro.adapt.patch.patch_product`);
   otherwise the full inspector runs.
 
@@ -38,7 +38,7 @@ Degradation is *graceful and bounded* (the escalation ladder):
    emits a structured ``adapt.fallback`` event (read back through
    ``fallback_log``) and is surfaced per-step through
    :class:`AdaptiveExecutor.history`;
-3. after ``max_failures`` patch failures on one loop, incremental
+3. after :data:`MAX_FAILURES` patch failures on one loop, incremental
    inspection is disabled for that loop (``disabled``) -- a persistent
    bookkeeping bug cannot cause a patch/fail/re-inspect livelock.
 
@@ -54,14 +54,10 @@ import numpy as np
 
 from repro.adapt.diff import expand_ranges, old_targets
 from repro.adapt.patch import patch_product
-from repro.adapt.state import (
-    LoopAdaptState,
-    PendingState,
-    build_adapt_state,
-    charge_state_build,
-)
+from repro.adapt.state import LoopAdaptState, build_adapt_state, charge_state_build
 from repro.core.dad import DAD
 from repro.core.forall import ForallLoop
+from repro.core.inspector import InspectorProduct
 from repro.core.records import InspectorRecord
 from repro.core.reuse import ReuseDecision
 from repro.guard.errors import InvariantViolation, PatchError, PatchVerifyFailed
@@ -73,6 +69,11 @@ PATCH_CHECK_IOPS = 10.0
 #: modelled runtime compares against a snapshot; the host reads the old
 #: value off the saved product)
 DIFF_IOPS_PER_ELEMENT = 2.0
+#: patch only while at most this fraction of the tracked indirection
+#: elements changed
+MAX_CHANGE_FRACTION = 0.35
+#: typed patch failures on one loop before it is disabled
+MAX_FAILURES = 3
 
 
 class IncrementalInspector:
@@ -92,23 +93,18 @@ class IncrementalInspector:
         self.registry = program.registry
         self.ttables = program.ttables
         self.guard = program.guard
-        #: patch only while at most this fraction of the tracked
-        #: indirection elements changed
-        self.max_change_fraction = 0.35
-        #: typed patch failures on one loop before it is disabled
-        self.max_failures = 3
         #: per loop, the adapt state of its saved product -- or, until a
-        #: reader first asks through :meth:`state_for`, only the pending
-        #: by-reference capture of the inspection that produced it
+        #: reader first asks through :meth:`state_for`, only that
+        #: product, captured by reference
         self._states: dict[str, LoopAdaptState] = {}
-        self._pending: dict[str, PendingState] = {}
+        self._pending: dict[str, InspectorProduct] = {}
         #: cumulative host wall seconds spent building states (not
         #: simulated time): lands in whichever step first needs a state
         self.state_build_wall = 0.0
         #: per-loop count of typed patch failures (aborts + verify)
         self.failures: dict[str, int] = {}
         #: loops whose incremental inspection was disabled after
-        #: ``max_failures`` failures (the ladder's last rung)
+        #: :data:`MAX_FAILURES` failures (the ladder's last rung)
         self.disabled: set[str] = set()
 
     # ------------------------------------------------------------------
@@ -143,7 +139,7 @@ class IncrementalInspector:
         The host-side build waits for :meth:`state_for`; the simulated
         charge does not move (``repro.adapt.state`` explains both)."""
         self._states.pop(loop.name, None)
-        self._pending[loop.name] = PendingState.capture(record.product, self.arrays)
+        self._pending[loop.name] = record.product
         with self.machine.obs.span("adapt.state.charge", loop=loop.name):
             charge_state_build(self.machine, record.product, self.arrays)
 
@@ -261,14 +257,14 @@ class IncrementalInspector:
                     changed[name] = chg
                     n_changed += int(chg.size)
                 diff_span.set(n_changed=n_changed, n_tracked=n_tracked)
-            if n_tracked and n_changed > self.max_change_fraction * n_tracked:
+            if n_tracked and n_changed > MAX_CHANGE_FRACTION * n_tracked:
                 # too much churn: a full inspection is the better deal
                 # (the diff work above was the price of finding out).
                 # the comparison is strict: exactly-at-threshold patches.
                 return self._fallback(
                     loop.name, "route", "over_threshold",
                     n_changed=n_changed, n_tracked=n_tracked,
-                    threshold=self.max_change_fraction,
+                    threshold=MAX_CHANGE_FRACTION,
                 )
             try:
                 with obs.span(
@@ -302,7 +298,7 @@ class IncrementalInspector:
                 self.drop_state(loop.name)
                 count = self.failures.get(loop.name, 0) + 1
                 self.failures[loop.name] = count
-                if count >= self.max_failures:
+                if count >= MAX_FAILURES:
                     self.disabled.add(loop.name)
                 stage = "verify" if isinstance(exc, PatchVerifyFailed) else "patch"
                 return self._fallback(

@@ -24,11 +24,12 @@ applies those at these sites, in this order:
    then the table's ``dereference_flat`` round;
 4. **allocate** -- new keys reuse holes, then append: no charge;
 5. **index** -- the persisted sorted slot index is merged: no charge;
-6. **schedule** -- read off the patched slot state's live slots in index
-   order and built by the one ``CommSchedule`` constructor, then the
-   newly assigned slots' buffer-assign compute (a processor whose ghost
-   region shrank aborts the patch: regrowth is append-only), then the
-   schedule compute, the delta exchange and the receivers' compute;
+6. **schedule** -- read off the patched slot state by
+   :meth:`~repro.adapt.state.GroupState.schedule` (the builder a
+   checkpoint restore uses too), then the newly assigned slots'
+   buffer-assign compute (a processor whose ghost region shrank aborts
+   the patch: regrowth is append-only), then the schedule compute, the
+   delta exchange and the receivers' compute;
 7. **refs** -- localized reference lists in the new order: no charge.
    The first group here joins the order task and writes its delta
    positions into the task's gathered lists.
@@ -55,7 +56,7 @@ import numpy as np
 
 from repro.chaos import strips
 from repro.chaos.costs import DEFAULT_COSTS
-from repro.chaos.kernels import majority_owner, pair_counts, sorted_unique_inverse, stable_order
+from repro.chaos.kernels import majority_owner, pair_counts, sorted_unique_inverse
 from repro.chaos.localize import LocalizeResult
 from repro.chaos.schedule import CommSchedule
 from repro.chaos.transcache import KeyTranslationMemo
@@ -304,7 +305,7 @@ class _GroupPatch:
     alloc: _Alloc
     schedule: CommSchedule
     charges: tuple  # see _schedule_charges
-    refs: tuple[tuple[np.ndarray, ...], np.ndarray]  # see _rebuild_refs
+    refs: tuple[tuple[np.ndarray, ...], np.ndarray]  # member lists, ghost_flat
     patterns: dict  # the group's new PatternData by key
     state: GroupState  # persisted once every group has succeeded
 
@@ -479,37 +480,6 @@ def _allocate(
     )
 
 
-def _slot_schedule(machine: Machine, dist_signature: tuple, state: GroupState) -> CommSchedule:
-    """The group's schedule read off its patched slot state, built by the
-    constructor a cold inspection uses.
-
-    The entries are exactly the live slots: slot ``s`` of requester
-    ``p`` is ``(owners[s], p, lidx[s], s - slot_bounds[p])``.  The merged
-    sorted index lists every slot ``(p, key)``-ascending, so its live
-    slots regrouped by ``(p, q)`` (stable) are in ``localize``'s
-    canonical ``(p, q, key)`` order."""
-    n = machine.n_procs
-    live = state.counts[state.sorted_slot] > 0
-    slot = state.sorted_slot[live]
-    p = state.sorted_comp[live] // state.index_stride
-    pair = p * n + state.owners[slot]
-    order = stable_order(pair, n * n)
-    slot = slot[order]
-    # pair ids ascending are the requester-major / owner-minor pairs
-    pair_len = np.bincount(pair, minlength=n * n)
-    pair_id = np.flatnonzero(pair_len)
-    return CommSchedule(
-        machine,
-        dist_signature,
-        pair_id % n,
-        pair_id // n,
-        pair_len[pair_id],
-        state.lidx[slot],
-        slot - state.slot_bounds[p[order]],
-        [int(s) for s in np.diff(state.slot_bounds)],
-    )
-
-
 def _schedule_charges(
     machine: Machine,
     gstate: GroupState,
@@ -560,15 +530,14 @@ def _rebuild_refs(
     slots: _Slots,
     alloc: _Alloc,
     local_sizes: np.ndarray,
-) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
-    """``(per-member localized reference lists, ghost_flat)``.
+) -> tuple[np.ndarray, ...]:
+    """The per-member localized reference lists.
 
     Unchanged references keep their saved localized values (slot
     positions are stable by construction) and are only permuted into the
     new iteration order -- the order task's gathered copies, joined
     here; delta references take their local offset, or their ghost slot
-    past the requester's local segment.  ``ghost_flat`` is the slot
-    space's key per slot with holes marked ``-1``."""
+    past the requester's local segment."""
     vals = lidx.copy()
     gp = delta.add_procs[slots.gidx]
     vals[slots.gidx] = local_sizes[gp] + (alloc.slot_of_add - alloc.slot_bounds[gp])
@@ -587,9 +556,7 @@ def _rebuild_refs(
         refs[inv_new[D]] = vals[offset : offset + D.size]
         offset += D.size
         member_refs.append(refs)
-    ghost_flat = alloc.keys.copy()
-    ghost_flat[alloc.counts == 0] = -1
-    return tuple(member_refs), ghost_flat
+    return tuple(member_refs)
 
 
 def _merge_index(
@@ -678,7 +645,7 @@ def _patch_group(
         if shared:
             schedule, charges = sib.schedule, sib.charges
         else:
-            schedule = _slot_schedule(machine, first.localized.schedule.dist_signature, state)
+            schedule = state.schedule(machine, first.localized.schedule.dist_signature, stride)
             charges = _schedule_charges(machine, gstate, delta, slots, uniq_owner)
         _assign_buffers(machine, first.localized.schedule, schedule, slots.need)
         sched_charge, exchange, recv_charge = charges
@@ -687,8 +654,9 @@ def _patch_group(
             machine.charge_exchange(exchange)
             machine.charge_planned_compute(recv_charge)
     with span("adapt.patch.refs"):
-        refs = sib.refs if shared else _rebuild_refs(
-            ctx, member_keys, delta, lidx, slots, alloc, local_sizes
+        refs = sib.refs if shared else (
+            _rebuild_refs(ctx, member_keys, delta, lidx, slots, alloc, local_sizes),
+            state.ghost_flat(),
         )
         patterns = {}
         for akey, refs_flat in zip(member_keys, refs[0]):

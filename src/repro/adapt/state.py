@@ -24,16 +24,21 @@ Capture by reference, build on first use
 Most inspections are never patched: a loop re-inspected every time step
 over unchanged content, or one whose products a remap voids, would
 build O(refs) state per inspection and never read it.  So an inspection
-only *captures* the inputs of the build (:class:`PendingState`): the
-product and each data array's ``Distribution`` object, both by
-reference.  That is O(1), and nothing later can leak in: a patch builds
-a new product instead of editing the saved one, and distributions are
-immutable (``redistribute`` installs another object).
-:func:`build_adapt_state` turns the capture into a
+only *captures* its product, by reference.  That is O(1), and nothing
+later can leak in: a patch builds a new product instead of editing the
+saved one, and the build reads the product alone -- each slot's owner
+and owner-local offset come off the product's own schedule entries,
+never off a distribution, so a ``redistribute`` in between changes
+nothing.  :func:`build_adapt_state` turns the capture into a
 :class:`LoopAdaptState` when a reader first needs one (a patch attempt,
 post-patch verification, a checkpoint); the result is element-equal to
 building at inspection time, whatever was written or remapped in
 between.
+
+The slot state is also what a checkpoint stores of a product's layout:
+:meth:`GroupState.schedule` is the one schedule-from-slots builder, used
+by the patch rung and by a restore alike, and :meth:`GroupState.ghost_flat`
+gives the ghost keys a product holds.
 
 The simulated machine is a different matter: the *modelled* runtime
 does the bookkeeping when it inspects, so :func:`charge_state_build` is
@@ -47,9 +52,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from repro.chaos.kernels import stable_order
+from repro.chaos.schedule import CommSchedule
 from repro.core.inspector import InspectorProduct, group_members
-from repro.distribution.base import Distribution
-from repro.distribution.distarray import DistArray
 
 #: integer ops per ghost slot for recording the slot -> key/owner map
 STATE_IOPS_PER_GHOST = 4.0
@@ -72,8 +77,7 @@ class GroupState:
     #: ``slot_proc * stride + key`` of every slot in ascending order
     #: (ties slot-ascending) and ``sorted_slot`` the slot id per entry.
     #: Built once (lazily) and *merged* delta-sized on every patch, so
-    #: lookups never re-sort the slot space.  ``None`` after a
-    #: checkpoint restore (the index is not saved); rebuilt on first use.
+    #: lookups never re-sort the slot space.
     sorted_comp: np.ndarray | None = None
     sorted_slot: np.ndarray | None = None
     index_stride: int = 0
@@ -105,6 +109,50 @@ class GroupState:
             self.index_stride = stride
         return self.sorted_comp, self.sorted_slot
 
+    def schedule(self, machine, dist_signature: tuple, stride: int) -> CommSchedule:
+        """The group's schedule read off its slot state, built by the
+        constructor a cold inspection uses: the patch rung's schedule and
+        a checkpoint restore's.  ``stride`` exceeds every key (the data
+        array's size).
+
+        The entries are exactly the live slots: slot ``s`` of requester
+        ``p`` is ``(owners[s], p, lidx[s], s - slot_bounds[p])``.  The
+        sorted slot index lists every slot ``(p, key)``-ascending, so its
+        live slots regrouped by ``(p, q)`` (stable) are in ``localize``'s
+        canonical ``(p, q, key)`` order."""
+        n = machine.n_procs
+        comp, order = self.slot_index(stride)
+        live = self.counts[order] > 0
+        slot = order[live]
+        p = comp[live] // stride
+        pair = p * n + self.owners[slot]
+        regroup = stable_order(pair, n * n)
+        slot = slot[regroup]
+        # pair ids ascending are the requester-major / owner-minor pairs
+        pair_len = np.bincount(pair, minlength=n * n)
+        pair_id = np.flatnonzero(pair_len)
+        return CommSchedule(
+            machine,
+            dist_signature,
+            pair_id % n,
+            pair_id // n,
+            pair_len[pair_id],
+            self.lidx[slot],
+            slot - self.slot_bounds[p[regroup]],
+            [int(s) for s in np.diff(self.slot_bounds)],
+        )
+
+    def ghost_flat(self) -> np.ndarray:
+        """The ghost key per slot as a product holds it: ``keys`` itself
+        when no slot is a hole, else a frozen copy with the holes set to -1."""
+        holes = self.counts == 0
+        if not holes.any():
+            return self.keys
+        out = self.keys.copy()
+        out[holes] = -1
+        out.flags.writeable = False
+        return out
+
 
 @dataclass
 class LoopAdaptState:
@@ -114,50 +162,27 @@ class LoopAdaptState:
     groups: dict[tuple[str, tuple], GroupState] = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
-class PendingState:
-    """The inputs of :func:`build_adapt_state`, held by reference."""
-
-    product: InspectorProduct
-    #: data array name -> the distribution the product was inspected under
-    distributions: dict[str, Distribution]
-
-    @classmethod
-    def capture(
-        cls, product: InspectorProduct, arrays: dict[str, DistArray]
-    ) -> "PendingState":
-        """O(1) per array: no element is copied or translated here."""
-        return cls(
-            product=product,
-            distributions={
-                name: arrays[name].distribution for name in product.loop.data_arrays()
-            },
-        )
-
-
 def build_group_state(
-    product: InspectorProduct,
-    dist: Distribution,
-    member_keys: list[tuple[str, str | None]],
+    product: InspectorProduct, member_keys: list[tuple[str, str | None]]
 ) -> GroupState:
     """Slot bookkeeping for one group of a *freshly inspected* product.
 
-    ``dist`` is the group's data-array distribution at inspection.  A
-    fresh :func:`~repro.chaos.localize.localize` assigns ghost slots in
-    sorted-key order with no holes, so ``ghost_flat``/``ghost_bounds``
-    of any member's ``LocalizeResult`` are exactly the slot space.
-    Counts come from one ``bincount`` over each member's localized ghost
-    references.
+    A fresh :func:`~repro.chaos.localize.localize` assigns ghost slots in
+    sorted-key order with no holes, so the slot space is the group's
+    ghost layout itself: ``ghost_bounds`` and ``ghost_flat`` are held,
+    not copied, and each slot's owner and owner-local offset are read
+    off the schedule entry that fills it.  Counts come from one
+    ``bincount`` over each member's localized ghost references.
     """
     first = product.patterns[member_keys[0]].localized
-    slot_bounds = np.asarray(first.ghost_bounds, dtype=np.int64).copy()
-    keys = np.asarray(first.ghost_flat, dtype=np.int64).copy()
-    if keys.size:
-        owners = np.asarray(dist.owner(keys), dtype=np.int64)
-        lidx = np.asarray(dist.local_index(keys), dtype=np.int64)
-    else:
-        owners = np.empty(0, dtype=np.int64)
-        lidx = np.empty(0, dtype=np.int64)
+    slot_bounds = np.asarray(first.ghost_bounds, dtype=np.int64)
+    keys = np.asarray(first.ghost_flat, dtype=np.int64)
+    q, p, send, recv = first.schedule.entries()
+    slot = slot_bounds[p] + recv
+    owners = np.zeros(keys.size, dtype=np.int64)
+    lidx = np.zeros(keys.size, dtype=np.int64)
+    owners[slot] = q
+    lidx[slot] = send
     counts = np.zeros(keys.size, dtype=np.int64)
     local_sizes = np.asarray(first.local_sizes, dtype=np.int64)
     pid = product.iteration_partition.proc_of_position()
@@ -167,7 +192,7 @@ def build_group_state(
         if ghost.any():
             gslot = slot_bounds[pid[ghost]] + (refs[ghost] - local_sizes[pid[ghost]])
             counts += np.bincount(gslot, minlength=counts.size)
-    state = GroupState(
+    return GroupState(
         array=member_keys[0][0],
         indexes=tuple(k[1] for k in member_keys),
         slot_bounds=slot_bounds,
@@ -176,31 +201,25 @@ def build_group_state(
         lidx=lidx,
         counts=counts,
     )
-    # build the sorted slot index now, while the build is already
-    # paying O(S log S): patches then only merge deltas into it
-    state.slot_index(max(dist.size, 1))
-    return state
 
 
-def build_adapt_state(pending: PendingState) -> LoopAdaptState:
-    """Home map + group states of one captured inspection.
+def build_adapt_state(product: InspectorProduct) -> LoopAdaptState:
+    """Home map + group states of one captured inspection's product.
 
-    Reads only what ``pending`` holds, never the live program, so the
-    state describes the captured product no matter when it is built.
-    Groups holding one layout (:meth:`InspectorProduct.layout_key`:
-    ``x(edge(i))`` / ``y(edge(i))`` served by one translation-cache
-    entry) get one build, the same arrays under their own name.
+    Reads only the product, never the live program, so the state
+    describes it no matter when it is built.  Groups holding one layout
+    (:meth:`InspectorProduct.layout_key`: ``x(edge(i))`` /
+    ``y(edge(i))`` served by one translation-cache entry) get one build,
+    the same arrays under their own name.
     """
-    product = pending.product
     state = LoopAdaptState(home=product.iteration_partition.owner_of())
     built: dict[tuple, GroupState] = {}
     for gkey in product.groups:
         layout = product.layout_key(gkey)
         done = built.get(layout)
         if done is None:
-            dist = pending.distributions[gkey[0]]
             state.groups[gkey] = built[layout] = build_group_state(
-                product, dist, group_members(gkey)
+                product, group_members(gkey)
             )
         else:
             state.groups[gkey] = replace(done, array=gkey[0])

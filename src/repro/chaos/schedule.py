@@ -24,8 +24,9 @@ Storage is flat (CSR) and there is no other form.  The constructor takes
 one ``(owner, requester, length)`` triple per pair plus every pair's
 send offsets and recv slots concatenated in pair order; *flat order* is
 that per-element order.  The constructor is the one builder --
-``localize``, the patch rung (from a group's patched slot state) and a
-checkpoint restore all call it.  A schedule stores its inputs and two
+``localize`` calls it, and so does ``GroupState.schedule``, which reads
+a schedule off a group's slot state for the patch rung and a checkpoint
+restore alike.  A schedule stores its inputs and two
 position arrays in flat order: ``_unpack_pos``, each recv slot's *ghost
 backing position* ``ghost_offset[p] + slot`` in a flat CSR ghost backing
 (every processor's buffer back to back in one 1-D array of
@@ -87,7 +88,7 @@ from repro.machine.machine import Machine, get_or_plan
 
 def _frozen(a: np.ndarray) -> np.ndarray:
     """A read-only view of ``a``, or ``a`` itself when it is read-only
-    already (schedules restored from one checkpoint array keep sharing it)."""
+    already."""
     if a.flags.writeable:
         a = a.view()
         a.flags.writeable = False
@@ -197,8 +198,9 @@ class CommSchedule:
 
     def entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Per-element ``(q, p, send, recv)`` arrays in flat (pair) order:
-        ``q``/``p`` repeated per pair, built on each call (only the guard
-        asks), ``send``/``recv`` the schedule's own read-only arrays."""
+        ``q``/``p`` repeated per pair, built on each call (the guard and
+        an adapt state build ask), ``send``/``recv`` the schedule's own
+        read-only arrays."""
         q, p = (np.repeat(a, self._pair_len) for a in (self._pair_q, self._pair_p))
         return q, p, self._flat_send, self._flat_recv
 

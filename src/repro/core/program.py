@@ -95,9 +95,9 @@ class IrregularProgram:
         the conservative reuse check fails only because indirection
         *values* changed, the saved inspector product is diffed and
         patched instead of rebuilt (falling back to the full inspector
-        when more than ``adapt.max_change_fraction`` of the tracked
-        indirection elements changed, or when no region information is
-        available).  Requires ``track=True``.
+        when more than ``repro.adapt.driver.MAX_CHANGE_FRACTION`` of the
+        tracked indirection elements changed, or when no region
+        information is available).  Requires ``track=True``.
 
         ``guard`` selects runtime invariant checking (``"off"`` /
         ``"cheap"`` / ``"full"``; see ``repro.guard``): inspector

@@ -11,18 +11,38 @@ A checkpoint captures everything a mid-campaign
   itself, so resuming needs no replay of the campaign's remaps,
 * the modification registry (``nmod``, ``last_mod``, the per-DAD dirty
   event log),
-* the saved inspector records with their products -- iteration
-  partitions, localized reference lists and communication schedules,
-  in flat-array form; schedules sit in a table the patterns index, so
-  one shared between patterns (coalesced ones, or sibling groups over
-  one layout) comes back as one shared object, and restore derives the
-  product's pattern groups from each pattern's array and schedule index,
-* the incremental-inspection state (slot bookkeeping -- built on the
-  spot if the inspection's capture is still pending -- the escalation
-  ladder's failure counters and fallback log), and
+* the saved inspector records with their products, each stored once,
+  as what the paper's reuse mechanism saves: the iteration partition,
+  the ``dist_signatures``, and per pattern group (in the product's
+  order) its ``array``, ``indexes``, ``local_sizes``, its *slot state*
+  (``slot_bounds``, ``keys``, ``owners``, ``lidx``, ``counts``: the
+  information that associates off-processor copies with buffer
+  locations) and each member's localized references,
+* the incremental-inspection ladder's failure counters and fallback
+  log, and
 * the driver's per-step history.
 
-Five things are deliberately *not* serialized:
+What a product holds beyond that is derived on restore, once per
+distinct slot state (sibling groups -- ``x(edge(i))`` / ``y(edge(i))``
+-- store the very same arrays, so they are one section each and share
+what is derived):
+
+* the **communication schedule**, built from the slot state by
+  :meth:`~repro.adapt.state.GroupState.schedule`, the patch rung's
+  builder: its entries are the live slots;
+* the **ghost layout**: ``ghost_bounds`` is ``slot_bounds`` itself and
+  ``ghost_flat`` is ``keys`` itself (a copy with holes set to -1 when a
+  slot is a hole);
+* for an incremental program, the loop's **adapt state**: the very
+  group states restored, plus the home map.
+
+``owners`` and ``lidx`` stay stored although a live distribution could
+translate the keys again: a record left stale by ``redistribute`` holds
+a layout of a distribution no program has any more, and it must restore
+(and, remapped back, be reused or patched) all the same.  The rebuild
+reads the stored owners and offsets, never a distribution.
+
+Six things are deliberately *not* serialized:
 
 * **loops** -- :class:`~repro.core.forall.ForallLoop` holds user
   callables; the caller re-binds them by name through the ``loops``
@@ -31,19 +51,19 @@ Five things are deliberately *not* serialized:
   variant); the file lists every cached ``(array, signature, variant)``
   and restore installs them as key-only entries, like the live run's
   superseded ones, which the next reader rebuilds uncharged (the
-  construction charges are in the restored counters), and
+  construction charges are in the restored counters),
 * **what an invariant pins to something saved** -- an adapt state's
   home map (``verify_adapt_state`` at ``full`` requires it to equal the
   partition's ``owner_of()``) and each pattern's ``ref_bounds``
   (``_verify_refs`` requires them to equal the partition's bounds):
-  restore derives both from the restored partition, and
+  restore derives both from the restored partition,
+* **what the slot state determines** -- schedules and ghost keys, above,
 * **adapt snapshots** -- the diff reads old indirection values off the
   saved product (:func:`repro.adapt.diff.old_targets`), and
 * **ghost data** -- ghost buffers are executor scratch, filled by the
-  gather of the sweep that reads them; the product keeps only their
-  layout (schedules, localized references, ghost slot keys).
+  gather of the sweep that reads them.
 
-File format (version 6)
+File format (version 7)
 -----------------------
 One file, three parts, nothing in it executable::
 
@@ -71,9 +91,8 @@ from the live arrays in one pass while a second thread takes their CRCs
 equal bytes (deterministic order, no host seconds).
 
 *Sharing rule.*  Every distinct array object is one section, however
-many structures hold it: the slot state sibling groups share,
-``ghost_bounds`` and ``slot_bounds``, a pattern's references shared by
-sibling patterns all come back as one object.
+many structures hold it: the slot state and the references sibling
+groups share come back as one object.
 
 *Views and copies.*  :func:`load_checkpoint` reads the file once into a
 private buffer (never a memory map: a file rewritten in place must not
@@ -84,7 +103,9 @@ raises.  What the runtime writes in place is copied once by
 counters.
 
 *Spans.*  A save records ``guard.checkpoint.write``, a resume one
-``guard.checkpoint.read`` per file read, each with ``bytes`` and ``sections``.
+``guard.checkpoint.read`` per file read, each with ``bytes`` and
+``sections``, then one ``guard.checkpoint.restore`` with ``layouts``
+(pattern groups restored) and ``schedules`` (schedules rebuilt).
 
 *Tamper guarantees.*  Loading never unpickles or evaluates anything.
 Before a single array or payload object is built, every byte of the file
@@ -98,9 +119,11 @@ crash-recovery state, not an archive) -- raises
 :class:`~repro.guard.errors.CheckpointError`, as does a restore into a
 program of another shape (machine size, declared decompositions and
 arrays) or with another value of an option in :data:`RECORDED_OPTIONS`;
-restore raises before it mutates anything.  Version 4 added those
-options, version 5 dropped adapt snapshots, version 6 dropped ghost
-buffers; v3 to v5 have no reader.
+restore raises before it mutates anything -- a malformed slot state
+too (arrays of unequal length, an owner out of range, a negative count,
+bounds that are not monotone).  Version 4 added those options, version
+5 dropped adapt snapshots, version 6 dropped ghost buffers, version 7
+stores each layout once, as its slot state; v3 to v6 have no reader.
 
 Scope: the campaign path (``forall`` / array writes / incremental
 patching).  Mapper-coupling state (GeoCoL graphs, partitioner results)
@@ -117,12 +140,12 @@ import re
 import struct
 import threading
 import zlib
+from dataclasses import replace
 
 import numpy as np
 
-from repro.chaos.schedule import CommSchedule
 from repro.core.dad import DAD
-from repro.core.inspector import InspectorProduct, PatternArrays, PatternData
+from repro.core.inspector import InspectorProduct, PatternArrays, PatternData, group_members
 from repro.core.iteration import IterationPartition
 from repro.core.records import InspectorRecord
 from repro.chaos.localize import LocalizeResult
@@ -137,7 +160,7 @@ from repro.machine.machine import Machine
 from repro.machine.stats import COUNTER_FIELDS, CounterBlock, PhaseRecord
 
 _MAGIC = b"REPROCKP"
-_VERSION = 6
+_VERSION = 7
 #: magic, version, manifest length, CRC over the bytes before it + manifest
 _HEADER = struct.Struct("<8sIQI")
 _CRC_START = _HEADER.size - 4
@@ -149,7 +172,7 @@ _DTYPE_RE = re.compile(r"[<>|][biufc][0-9]{1,2}")
 _CRC_RE = re.compile(r"[0-9a-f]{8}")
 _PAYLOAD_KEYS = frozenset((
     "n_procs", "machine", "decomps", "arrays", "registry", "program",
-    "schedules", "records", "ttables", "adapt", "driver",
+    "records", "ttables", "adapt", "driver",
 ))
 #: bytes per chunk when a non-contiguous array streams through a buffer
 _CHUNK_BYTES = 1 << 20
@@ -241,50 +264,26 @@ def _registry_payload(registry) -> dict:
     }
 
 
-def _schedule_payload(sched: CommSchedule) -> dict:
-    return {
-        "dist_signature": sched.dist_signature,
-        "pair_q": sched._pair_q,
-        "pair_p": sched._pair_p,
-        "pair_len": sched._pair_len,
-        "flat_send": sched._flat_send,
-        "flat_recv": sched._flat_recv,
-        "ghost_sizes": list(sched.ghost_sizes),
-    }
+#: a group's slot state: what a file stores of its layout
+_SLOT_FIELDS = ("slot_bounds", "keys", "owners", "lidx", "counts")
 
 
-def _table_index(table: list, seen: dict, obj, payload_of) -> int:
-    """Position of ``obj`` in ``table``, appending its payload on first
-    sight: equal programs list their shared objects in equal order."""
-    i = seen.get(id(obj))
-    if i is None:
-        i = seen[id(obj)] = len(table)
-        table.append(payload_of(obj))
-    return i
-
-
-def _product_payload(product: InspectorProduct, schedules: list, seen: dict) -> dict:
+def _product_payload(product: InspectorProduct, groups: dict) -> dict:
+    """The product as stored: partition, signatures and, per group, its
+    slot state (``groups``: the loop's group states) and references."""
     part = product.iteration_partition
     flat, bounds = part.iters_flat()
-    patterns = []
-    for key, pat in product.patterns.items():
-        loc = pat.localized
-        patterns.append(
-            (
-                key,
-                {
-                    "array": pat.array,
-                    "index": pat.index,
-                    "schedule": _table_index(
-                        schedules, seen, loc.schedule, _schedule_payload
-                    ),
-                    "local_sizes": np.asarray(loc.local_sizes, dtype=np.int64),
-                    "refs_flat": loc.refs_flat,
-                    "ghost_flat": loc.ghost_flat,
-                    "ghost_bounds": loc.ghost_bounds,
-                },
-            )
-        )
+    entries = []
+    for gkey in product.groups:
+        g = groups[gkey]
+        locs = [product.patterns[key].localized for key in group_members(gkey)]
+        entries.append({
+            "array": gkey[0],
+            "indexes": gkey[1],
+            "local_sizes": [int(n) for n in locs[0].local_sizes],
+            **{f: getattr(g, f) for f in _SLOT_FIELDS},
+            "refs_flat": [loc.refs_flat for loc in locs],
+        })
     return {
         "loop": product.loop.name,
         "partition": {
@@ -293,38 +292,13 @@ def _product_payload(product: InspectorProduct, schedules: list, seen: dict) -> 
             "flat": flat,
             "bounds": bounds,
         },
-        "patterns": patterns,
         "dist_signatures": dict(product.dist_signatures),
+        "groups": entries,
     }
 
 
 def _adapt_payload(adapt) -> dict:
-    states = {}
-    for name in adapt.loops_with_state():
-        # a checkpoint before the first patch builds the state here: the
-        # file always carries the built form, never a pending capture
-        state = adapt.state_for(name, "checkpoint")
-        groups = []
-        for gkey, g in state.groups.items():
-            groups.append(
-                (
-                    gkey,
-                    {
-                        "array": g.array,
-                        "indexes": g.indexes,
-                        "slot_bounds": g.slot_bounds,
-                        "keys": g.keys,
-                        "owners": g.owners,
-                        "lidx": g.lidx,
-                        "counts": g.counts,
-                    },
-                )
-            )
-        states[name] = {"groups": groups}
     return {
-        "max_change_fraction": adapt.max_change_fraction,
-        "max_failures": adapt.max_failures,
-        "states": states,
         "failures": dict(adapt.failures),
         "disabled": sorted(adapt.disabled),
         "fallback_log": [dict(rec) for rec in adapt.fallback_log],
@@ -526,7 +500,7 @@ def payload_sections(payload: dict) -> int:
 def save_checkpoint(path, program, driver=None) -> None:
     """Serialize ``program`` (and optionally an AdaptiveExecutor) to ``path``.
 
-    The file is versioned and CRC-protected (format v6, see the module
+    The file is versioned and CRC-protected (format v7, see the module
     docstring); :func:`restore_checkpoint` refuses anything damaged or
     shape-incompatible.  Nothing is charged to the simulated machine.
 
@@ -538,16 +512,22 @@ def save_checkpoint(path, program, driver=None) -> None:
     at ``.prev``, where :meth:`~repro.adapt.driver.AdaptiveExecutor.resume`
     still finds it.
     """
+    from repro.adapt.state import build_adapt_state
+
     machine = program.machine
-    schedules: list[dict] = []
-    seen: dict[int, int] = {}  # id(shared object) -> its table position
+    adapt = program.adapt
     records = {}
     for name, rec in program.records.items():
+        # an incremental program's state, built here if still pending: the
+        # very group states a patch reads; anyone else's, built for the file
+        state = None if adapt is None else adapt.state_for(name, "checkpoint")
+        if state is None:
+            state = build_adapt_state(rec.product)
         records[name] = {
             "data_dads": {k: _dad_payload(d) for k, d in rec.data_dads.items()},
             "ind_dads": {k: _dad_payload(d) for k, d in rec.ind_dads.items()},
             "ind_last_mod": dict(rec.ind_last_mod),
-            "product": _product_payload(rec.product, schedules, seen),
+            "product": _product_payload(rec.product, state.groups),
         }
     payload = {
         "n_procs": machine.n_procs,
@@ -567,10 +547,9 @@ def save_checkpoint(path, program, driver=None) -> None:
             "options": _options(program),
             "guard_events": [dict(e) for e in program.guard_events],
         },
-        "schedules": schedules,
         "records": records,
         "ttables": program.ttables.entries(),
-        "adapt": None if program.adapt is None else _adapt_payload(program.adapt),
+        "adapt": None if adapt is None else _adapt_payload(adapt),
         "driver": None
         if driver is None
         else {
@@ -763,25 +742,41 @@ def _build_dad(t: tuple) -> DAD:
     return DAD(kind=t[0], size=t[1], signature=t[2])
 
 
-def _restore_products(program, payload: dict, loops: dict) -> dict:
-    """Rebuild records and schedules; returns the record dict.
+def _slot_state(g: dict, n_procs: int, size: int, where: str):
+    """The group's stored slot state as a ``GroupState``, refused unless
+    it is one a schedule can be read off."""
+    from repro.adapt.state import GroupState
 
-    The structures adopt the loaded (read-only) arrays."""
-    machine = program.machine
-    schedules = [
-        CommSchedule(
-            machine,
-            s["dist_signature"],
-            s["pair_q"],
-            s["pair_p"],
-            s["pair_len"],
-            s["flat_send"],
-            s["flat_recv"],
-            s["ghost_sizes"],
+    arrays = [g.get(f) for f in _SLOT_FIELDS]
+    if not all(isinstance(a, np.ndarray) and a.ndim == 1 and a.dtype == np.int64 for a in arrays):
+        raise CheckpointError(f"{where}: slot state arrays must be 1-D int64")
+    bounds, keys, owners, lidx, counts = arrays
+    if bounds.size != n_procs + 1 or bounds[0] != 0 or (np.diff(bounds) < 0).any():
+        raise CheckpointError(
+            f"{where}: slot_bounds are not monotone bounds from 0 over {n_procs} processors"
         )
-        for s in payload["schedules"]
-    ]
-    records = {}
+    for f, a in zip(_SLOT_FIELDS[1:], arrays[1:]):
+        if a.size != bounds[-1]:
+            raise CheckpointError(f"{where}: {f} covers {a.size} of {int(bounds[-1])} slots")
+    if keys.size and (
+        owners.min() < 0 or owners.max() >= n_procs or keys.min() < 0 or keys.max() >= size
+    ):
+        raise CheckpointError(f"{where}: a slot owner or key is out of range")
+    if counts.size and (counts.min() < 0 or lidx.min() < 0):
+        raise CheckpointError(f"{where}: a negative reference count or local offset")
+    return GroupState(g["array"], g["indexes"], *arrays)
+
+
+def _restore_products(program, payload: dict, loops: dict) -> tuple[dict, dict, int]:
+    """Rebuild the records, mutating nothing; returns them, each loop's
+    group states and the number of schedules built.
+
+    The structures adopt the loaded (read-only) arrays.  Each distinct
+    slot state gets one schedule and one ghost key array, which every
+    group holding it shares."""
+    machine = program.machine
+    layouts: dict[tuple, tuple] = {}  # slot-state inputs -> (state, schedule, ghost_flat)
+    records, group_states = {}, {}
     for name, rec in payload["records"].items():
         prod = rec["product"]
         loop = loops.get(prod["loop"])
@@ -798,35 +793,40 @@ def _restore_products(program, payload: dict, loops: dict) -> dict:
             flat=part_p["flat"],
             bounds=part_p["bounds"],
         )
-        patterns = {}
-        groups: dict[tuple, list] = {}  # (array, schedule index) -> indexes
+        patterns, states = {}, {}
         holders: dict[int, PatternArrays] = {}  # one per reference list, as live
-        for key, pat in prod["patterns"]:
-            i = pat["schedule"]
-            if type(i) is not int or not 0 <= i < len(schedules):
-                raise CheckpointError(
-                    f"pattern {key!r} of loop {prod['loop']!r} references "
-                    f"schedule {i!r}; the checkpoint holds {len(schedules)}"
+        for g in prod["groups"]:
+            gkey = (g["array"], g["indexes"])
+            where = f"group {gkey} of loop {prod['loop']!r}"
+            arr, sig = program.arrays.get(gkey[0]), prod["dist_signatures"].get(gkey[0])
+            if arr is None or sig is None or len(g["refs_flat"]) != len(gkey[1]):
+                raise CheckpointError(f"{where} does not fit the loop's arrays and patterns")
+            inputs = (*(id(g.get(f)) for f in _SLOT_FIELDS), sig, arr.size)
+            if inputs not in layouts:
+                state = _slot_state(g, machine.n_procs, arr.size, where)
+                try:
+                    schedule = state.schedule(machine, sig, max(arr.size, 1))
+                except ValueError as exc:
+                    raise CheckpointError(f"{where}: {exc}") from exc
+                layouts[inputs] = (state, schedule, state.ghost_flat())
+            state, schedule, ghost_flat = layouts[inputs]
+            states[gkey] = replace(state, array=gkey[0], indexes=gkey[1])
+            for index, refs in zip(gkey[1], g["refs_flat"]):
+                if refs.shape != part.flat.shape:
+                    raise CheckpointError(f"{where}: a reference list does not cover the loop")
+                held = holders.get(id(refs))
+                if held is None:
+                    held = holders[id(refs)] = PatternArrays(refs, part.bounds)
+                loc = LocalizeResult(
+                    local_sizes=list(g["local_sizes"]),
+                    schedule=schedule,
+                    refs_flat=refs,
+                    # derivable: _verify_refs pins them to the partition's bounds
+                    ref_bounds=part.bounds,
+                    ghost_flat=ghost_flat,
+                    ghost_bounds=state.slot_bounds,
                 )
-            loc = LocalizeResult(
-                local_sizes=pat["local_sizes"],
-                schedule=schedules[i],
-                refs_flat=pat["refs_flat"],
-                # derivable: _verify_refs pins them to the partition's bounds
-                ref_bounds=part.bounds,
-                ghost_flat=pat["ghost_flat"],
-                ghost_bounds=pat["ghost_bounds"],
-            )
-            held = holders.get(id(loc.refs_flat))
-            if held is None:
-                held = holders[id(loc.refs_flat)] = PatternArrays(loc.refs_flat, part.bounds)
-            patterns[key] = PatternData(
-                array=pat["array"],
-                index=pat["index"],
-                localized=loc,
-                derived=held,
-            )
-            groups.setdefault((pat["array"], i), []).append(pat["index"])
+                patterns[gkey[0], index] = PatternData(gkey[0], index, loc, held)
         records[name] = InspectorRecord(
             loop_name=name,
             data_dads={k: _build_dad(t) for k, t in rec["data_dads"].items()},
@@ -837,34 +837,22 @@ def _restore_products(program, payload: dict, loops: dict) -> dict:
                 iteration_partition=part,
                 patterns=patterns,
                 dist_signatures=dict(prod["dist_signatures"]),
-                groups=tuple((array, tuple(ixs)) for (array, _), ixs in groups.items()),
+                groups=tuple(states),
             ),
         )
-    return records
+        group_states[name] = states
+    return records, group_states, len(layouts)
 
 
-def _build_adapt_states(payload: dict, records: dict) -> dict:
-    """Every loop's adapt state, mutating nothing; the home map is derived."""
-    from repro.adapt.state import GroupState, LoopAdaptState
+def _restore_adapt(program, payload: dict, records: dict, group_states: dict) -> None:
+    from repro.adapt.state import LoopAdaptState
 
-    states = {}
-    for name, s in payload["states"].items():
-        rec = records.get(name)
-        if rec is None:
-            raise CheckpointError(f"adapt state of loop {name!r} has no inspector record")
-        states[name] = LoopAdaptState(
-            # derivable: verify_adapt_state (full) pins it to the partition
-            home=rec.product.iteration_partition.owner_of(),
-            groups={gkey: GroupState(**g) for gkey, g in s["groups"]},
-        )
-    return states
-
-
-def _restore_adapt(program, payload: dict, states: dict) -> None:
     adapt = program.adapt
-    adapt.max_change_fraction = payload["max_change_fraction"]
-    adapt.max_failures = payload["max_failures"]
-    adapt.replace_states(states)
+    adapt.replace_states({
+        # derivable: verify_adapt_state (full) pins the home map to the partition
+        name: LoopAdaptState(rec.product.iteration_partition.owner_of(), group_states[name])
+        for name, rec in records.items()
+    })
     adapt.failures = dict(payload["failures"])
     adapt.disabled = set(payload["disabled"])
     program.events.replace_category(
@@ -884,46 +872,45 @@ def restore_checkpoint(payload, program, loops, driver=None) -> None:
     simulated numbers bit-identical to a run that never stopped.  A
     :class:`CheckpointError` is raised before anything is mutated.
     """
-    if payload["n_procs"] != program.machine.n_procs:
-        raise CheckpointError(
-            f"checkpoint is for {payload['n_procs']} processors, program "
-            f"machine has {program.machine.n_procs}"
-        )
-    saved, live = payload["program"]["options"], _options(program)
-    for name in RECORDED_OPTIONS:
-        if saved.get(name) != live[name]:
+    with program.machine.obs.span("guard.checkpoint.restore") as span:
+        if payload["n_procs"] != program.machine.n_procs:
             raise CheckpointError(
-                f"checkpoint was saved with {name}={saved.get(name)!r}, this "
-                f"program has {name}={live[name]!r}; construct it with the "
-                "checkpointed options before resuming"
+                f"checkpoint is for {payload['n_procs']} processors, program "
+                f"machine has {program.machine.n_procs}"
             )
-    distributions = _build_distributions(program, payload)
-    records = _restore_products(program, payload, loops)
-    states = None if payload["adapt"] is None else _build_adapt_states(payload["adapt"], records)
-    for dec, dist in distributions:
-        dec.distribution = dist
-        for arr in dec.arrays:
-            # a private, writable copy: the loaded array is a read-only view
-            arr.rebind_flat(dist, payload["arrays"][arr.name].copy())
-    _restore_machine(program.machine, payload["machine"])
-    _restore_registry(program.registry, payload["registry"])
-    prog_p = payload["program"]
-    program.inspector_runs = prog_p["inspector_runs"]
-    program.reuse_hits = prog_p["reuse_hits"]
-    program.patch_hits = prog_p["patch_hits"]
-    program.geocol_reuse_hits = prog_p["geocol_reuse_hits"]
-    program.events.replace_category(
-        "guard", [dict(e) for e in prog_p["guard_events"]]
-    )
-    program.records = records
-    # every table's build is in the restored counters: keys only, which
-    # the next reader rebuilds uncharged
-    program.ttables.restore(payload["ttables"])
-    if states is not None:
-        _restore_adapt(program, payload["adapt"], states)
-    elif program.adapt is not None:
-        program.adapt.replace_states({})
-    if driver is not None and payload["driver"] is not None:
-        driver.history = [
-            {**_UNSAVED_HISTORY_FIELDS, **rec} for rec in payload["driver"]["history"]
-        ]
+        saved, live = payload["program"]["options"], _options(program)
+        for name in RECORDED_OPTIONS:
+            if saved.get(name) != live[name]:
+                raise CheckpointError(
+                    f"checkpoint was saved with {name}={saved.get(name)!r}, this "
+                    f"program has {name}={live[name]!r}; construct it with the "
+                    "checkpointed options before resuming"
+                )
+        distributions = _build_distributions(program, payload)
+        records, group_states, n_schedules = _restore_products(program, payload, loops)
+        span.set(layouts=sum(map(len, group_states.values())), schedules=n_schedules)
+        for dec, dist in distributions:
+            dec.distribution = dist
+            for arr in dec.arrays:
+                # a private, writable copy: the loaded array is a read-only view
+                arr.rebind_flat(dist, payload["arrays"][arr.name].copy())
+        _restore_machine(program.machine, payload["machine"])
+        _restore_registry(program.registry, payload["registry"])
+        prog_p = payload["program"]
+        program.inspector_runs = prog_p["inspector_runs"]
+        program.reuse_hits = prog_p["reuse_hits"]
+        program.patch_hits = prog_p["patch_hits"]
+        program.geocol_reuse_hits = prog_p["geocol_reuse_hits"]
+        program.events.replace_category(
+            "guard", [dict(e) for e in prog_p["guard_events"]]
+        )
+        program.records = records
+        # every table's build is in the restored counters: keys only, which
+        # the next reader rebuilds uncharged
+        program.ttables.restore(payload["ttables"])
+        if program.adapt is not None:  # recorded options: the file's is too
+            _restore_adapt(program, payload["adapt"], records, group_states)
+        if driver is not None and payload["driver"] is not None:
+            driver.history = [
+                {**_UNSAVED_HISTORY_FIELDS, **rec} for rec in payload["driver"]["history"]
+            ]

@@ -247,19 +247,28 @@ class TestScheduleLayout:
         assert sorted(held) == ["_flat_recv", "_flat_send", "_pack_pos", "_unpack_pos"]
 
     def test_positions_absent_from_checkpoint_payloads(self, tmp_path):
-        from repro.guard.checkpoint import _schedule_payload
-
+        """A file holds no schedule, so none of its derived positions: a
+        group stores its slot state, and the restore reads the siblings'
+        one schedule off it and derives its positions afresh."""
         prog, exe, live = self.patched()
-        saved = _schedule_payload(live)
-        derived = (live._unpack_pos, live._pack_pos)
-        assert not any(value is arr for value in saved.values() for arr in derived)
         path = tmp_path / "c.ckpt"
         save_checkpoint(path, prog, driver=exe)
-        (sched,) = load_checkpoint(path)["schedules"]  # one entry per layout
-        assert set(sched) == set(saved) == {
-            "dist_signature", "pair_q", "pair_p", "pair_len", "flat_send",
-            "flat_recv", "ghost_sizes",
-        }
+        (rec,) = load_checkpoint(path)["records"].values()
+        for group in rec["product"]["groups"]:
+            assert set(group) == {
+                "array", "indexes", "local_sizes", "slot_bounds", "keys", "owners",
+                "lidx", "counts", "refs_flat",
+            }
+        mesh = generate_mesh(300, seed=4)
+        resumed = setup_euler_program(Machine(4), mesh, seed=11, incremental=True, guard="cheap")
+        loop = euler_edge_loop(mesh)
+        AdaptiveExecutor.resume(path, resumed, loop)
+        product = resumed.records[loop.name].product
+        (got,) = {id(p.localized.schedule): p.localized.schedule
+                  for p in product.patterns.values()}.values()
+        for f in ("_pair_q", "_pair_p", "_pair_len", "_flat_send", "_flat_recv", "_unpack_pos"):
+            np.testing.assert_array_equal(getattr(got, f), getattr(live, f))
+        assert got.ghost_sizes == live.ghost_sizes and got._pack_pos is None
 
 
 class TestSharedLayoutVerifiedOnce:

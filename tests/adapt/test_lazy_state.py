@@ -1,8 +1,8 @@
 """Adapt state is captured by reference at inspection, built on first use.
 
-An inspection records a :class:`~repro.adapt.state.PendingState` (the
-product and the data arrays' distributions, by reference) and charges the bookkeeping; the
-O(refs) :func:`~repro.adapt.state.build_adapt_state` runs only when a
+An inspection captures its product by reference and charges the
+bookkeeping; the O(refs) :func:`~repro.adapt.state.build_adapt_state`
+runs only when a
 patch attempt, a post-patch verification or a checkpoint first reads
 the state.  These tests pin the deferral to the eager behaviour it
 replaced:
@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 from repro import AdaptiveExecutor
-from repro.adapt import PendingState, build_adapt_state
+from repro.adapt import build_adapt_state
 from repro.guard import FaultPlan, load_checkpoint, save_checkpoint
 from repro.guard.invariants import verify_adapt_state
 from repro.machine import Machine
@@ -65,7 +65,7 @@ def eager_state(prog, loop):
     """What the pre-deferral runtime built: the state of the loop's
     saved product, built *now* from the live arrays."""
     product = prog.records[loop.name].product
-    return build_adapt_state(PendingState.capture(product, prog.arrays))
+    return build_adapt_state(product)
 
 
 def assert_states_equal(a, b):
@@ -97,9 +97,9 @@ def build_calls(monkeypatch):
 
     calls = []
 
-    def counting(pending):
-        calls.append(pending.product.loop.name)
-        return build_adapt_state(pending)
+    def counting(product):
+        calls.append(product.loop.name)
+        return build_adapt_state(product)
 
     monkeypatch.setattr(driver, "build_adapt_state", counting)
     return calls
@@ -128,20 +128,19 @@ def test_sibling_groups_share_one_state_build(coalesce, monkeypatch):
     real = state_mod.build_group_state
     built = []
     monkeypatch.setattr(
-        state_mod, "build_group_state", lambda *args: built.append(args[2]) or real(*args)
+        state_mod, "build_group_state", lambda *args: built.append(args[1]) or real(*args)
     )
     _, _, prog, loop = build(coalesce_patterns=coalesce)
     prog.forall(loop, n_times=1)
     state = prog.adapt.state_for(loop.name, "verify")
     assert len(state.groups) == 2 * len(built) and all(k[0][0] == "x" for k in built)
     product = prog.records[loop.name].product
-    dist = prog.arrays["y"].distribution
     for (array, indexes), gstate in state.groups.items():
         sibling = state.groups["x", indexes]
         assert (gstate.array, gstate.indexes) == (array, indexes)
         for f in GROUP_FIELDS:
             assert getattr(gstate, f) is getattr(sibling, f), (array, f)
-        alone = real(product, dist, [(array, i) for i in indexes])
+        alone = real(product, [(array, i) for i in indexes])
         for f in GROUP_FIELDS:
             assert np.array_equal(getattr(gstate, f), getattr(alone, f)), (array, f)
 
@@ -205,8 +204,9 @@ def test_checkpoint_before_first_patch_resumes_bit_identically(tmp_path):
 
 def test_redistribute_before_checkpoint_builds_against_inspected_layout(tmp_path):
     """A remap between the inspection and the first reader must not leak
-    into the state: it is built against the *captured* distributions,
-    so it stays consistent with the (now void) product it describes."""
+    into the state: owners and offsets are read off the product's own
+    schedule entries, so it stays consistent with the (now void) product
+    it describes."""
     mesh, _, prog, loop = build()
     prog.forall(loop, n_times=1)
     product = prog.records[loop.name].product

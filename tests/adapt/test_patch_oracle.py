@@ -20,6 +20,7 @@ while A's simulated inspector time is strictly below B's.
 import numpy as np
 import pytest
 
+from repro.adapt import driver as driver_mod
 from repro.machine import Machine
 from tests.chaos.pairs import ghost_regions
 from repro.workloads import generate_mesh
@@ -410,9 +411,9 @@ class TestFallbacks:
         assert prog.patch_hits == 0
         assert prog.inspector_runs == 2
 
-    def test_threshold_falls_back_to_full(self):
+    def test_threshold_falls_back_to_full(self, monkeypatch):
+        monkeypatch.setattr(driver_mod, "MAX_CHANGE_FRACTION", 0.001)
         mesh, m, prog = self.build()
-        prog.adapt.max_change_fraction = 0.001
         loop = euler_edge_loop(mesh)
         prog.forall(loop, n_times=1)
         rng = np.random.default_rng(0)

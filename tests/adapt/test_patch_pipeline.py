@@ -7,10 +7,8 @@ of recomputing them.  These tests pin what that sharing and the staging
 must never change:
 
 * sharing is invisible: the oracle-test history run over shared layouts
-  (translation cache on) and over independent ones (cache off), or
-  resumed from a checkpoint whose sibling groups name two schedule
-  entries over shared sections, charges, times and computes
-  bit-identically;
+  (translation cache on) and over independent ones (cache off) charges,
+  times and computes bit-identically;
 * an aborted patch charges what it charged before aborting (digests
   recorded at the parent commit by this file's own functions);
 * the first stage's :class:`~repro.adapt.patch.Delta` equals a
@@ -25,7 +23,7 @@ import numpy as np
 import pytest
 
 from repro.adapt import patch as patch_mod
-from repro.guard import FaultPlan, load_checkpoint, restore_checkpoint, save_checkpoint
+from repro.guard import FaultPlan
 from repro.machine.stats import COUNTER_FIELDS
 from repro.workloads import generate_mesh
 from repro.workloads.euler import euler_edge_loop
@@ -89,51 +87,6 @@ def test_shared_layout_equals_independent_patch(n_procs, coalesce):
     # no translation cache: every group holds layout objects of its own
     alone, prog_alone, _ = run_oracle_history(n_procs, coalesce, translation_cache="off")
     assert_same_run(shared, prog_shared, alone, prog_alone)
-
-
-@pytest.mark.parametrize("coalesce", [True, False])
-def test_sibling_entries_of_an_older_checkpoint_patch_like_the_uninterrupted_run(
-    tmp_path, coalesce
-):
-    """A file written while each group held its own schedule object names
-    one schedule entry per sibling group, over shared sections.  Such a
-    file, restored and patched, runs on bit-identically."""
-    whole, prog_whole, _ = run_oracle_history(4, coalesce)
-    mesh = generate_mesh(400, seed=9)
-    loop = euler_edge_loop(mesh)
-    writes = list(oracle_writes(mesh, 4, coalesce))
-    _, prog = build_program(mesh, True, 4, coalesce)
-    prog.forall(loop, n_times=1)
-    write_epoch(prog, loop, *writes[0])
-    path = tmp_path / "c.ckpt"
-    save_checkpoint(path, prog)
-
-    payload = load_checkpoint(path)
-    table = payload["schedules"]
-    entry_of: dict = {}
-    for _, pat in payload["records"][loop.name]["product"]["patterns"]:
-        if pat["array"] == "y":
-            i = pat["schedule"]
-            if i not in entry_of:
-                entry_of[i] = len(table)
-                table.append(dict(table[i]))  # the same section views
-            pat["schedule"] = entry_of[i]
-    machine, resumed = build_program(mesh, True, 4, coalesce)
-    restore_checkpoint(payload, resumed, {loop.name: loop})
-    product = resumed.records[loop.name].product
-    for ind in ("end_pt1", "end_pt2"):
-        sx = product.patterns["x", ind].localized.schedule
-        sy = product.patterns["y", ind].localized.schedule
-        assert sx is not sy and sx._flat_send is sy._flat_send
-    for write in writes[1:]:
-        write_epoch(resumed, loop, *write)
-    assert_same_run(whole, prog_whole, machine, resumed)
-    # their input objects were the same, so the patch shared the work and
-    # the siblings now hold one schedule
-    product = resumed.records[loop.name].product
-    assert product.patterns["x", "end_pt1"].localized.schedule is (
-        product.patterns["y", "end_pt1"].localized.schedule
-    )
 
 
 @pytest.mark.parametrize("n_procs", [4, 16])

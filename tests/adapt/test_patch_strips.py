@@ -24,6 +24,7 @@ import pytest
 import repro.chaos.strips as strips
 from repro.adapt import driver as driver_mod
 from repro.adapt import patch as patch_mod
+from repro.adapt.state import GroupState
 from repro.chaos.schedule import CommSchedule
 from repro.core.executor import run_executor
 from repro.core.forall import ForallLoop
@@ -169,18 +170,19 @@ def test_many_strips_under_rapid_thread_switching(pool, monkeypatch):
 # ----------------------------------------------------------------------
 # aborts: the same error after the same charges
 # ----------------------------------------------------------------------
-def no_ghosts(machine, dist_signature, state):
+def no_ghosts(state, machine, dist_signature, stride):
     n = machine.n_procs
     return CommSchedule(machine, dist_signature, _EMPTY, _EMPTY, _EMPTY, _EMPTY, _EMPTY, [0] * n)
 
 
 def abort_outcome(monkeypatch, pool, target, on, kind):
+    real_schedule = GroupState.schedule
     mesh, machine, prog, loop = start(monkeypatch, pool, target, on)
     if kind == "negative_count":
         for gstate in prog.adapt.state_for(loop.name, "verify").groups.values():
             gstate.counts[:] = 0  # out of sync: the first retire goes negative
     else:
-        monkeypatch.setattr(patch_mod, "_slot_schedule", no_ghosts)
+        monkeypatch.setattr(GroupState, "schedule", no_ghosts)
     churn_step(prog, mesh, 0.05)
     raised = []
 
@@ -195,7 +197,7 @@ def abort_outcome(monkeypatch, pool, target, on, kind):
     monkeypatch.setattr(driver_mod, "patch_product", watched)
     prog.forall(loop, n_times=1)
     monkeypatch.setattr(driver_mod, "patch_product", real)
-    monkeypatch.setattr(patch_mod, "_slot_schedule", patch_mod._slot_schedule)
+    monkeypatch.setattr(GroupState, "schedule", real_schedule)
     assert prog.inspector_runs == 2 and prog.patch_hits == 0
     (fallback,) = prog.adapt.fallback_log
     return raised, fallback["reason"], counters(machine), clocks(machine)
@@ -208,9 +210,7 @@ def abort_outcome(monkeypatch, pool, target, on, kind):
 def test_aborted_patch_raises_after_the_same_charges(pool, monkeypatch, kind, message):
     results = []
     for target, on in RUNS:
-        real_schedule = patch_mod._slot_schedule
         results.append(abort_outcome(monkeypatch, pool, target, on, kind))
-        monkeypatch.setattr(patch_mod, "_slot_schedule", real_schedule)
     (raised,), reason, _, _ = results[0]
     assert raised[0] == "PatchAborted" and message in raised[1]
     assert reason == "patch_aborted"

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.adapt import patch as patch_mod
+from repro.adapt.state import GroupState
 from repro.chaos.costs import DEFAULT_COSTS
 from repro.chaos.localize import localize
 from repro.chaos.schedule import CommSchedule
@@ -163,11 +164,11 @@ def test_shrunk_ghost_region_aborts_the_patch(monkeypatch):
     mesh, machine, prog, loop = lazy.build()
     prog.forall(loop, n_times=1)
 
-    def no_ghosts(machine, dist_signature, state):
+    def no_ghosts(state, machine, dist_signature, stride):
         n = machine.n_procs
         return CommSchedule(machine, dist_signature, _EMPTY, _EMPTY, _EMPTY, _EMPTY, _EMPTY, [0] * n)
 
-    monkeypatch.setattr(patch_mod, "_slot_schedule", no_ghosts)
+    monkeypatch.setattr(GroupState, "schedule", no_ghosts)
     lazy.mutate(prog, mesh, 0)
     prog.forall(loop, n_times=1)
     (fallback,) = prog.adapt.fallback_log

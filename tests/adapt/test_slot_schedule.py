@@ -1,8 +1,8 @@
 """The patch rung's schedule, read off the patched slot state, equals the
 merge patcher it replaced.
 
-``repro.adapt.patch._slot_schedule`` builds a patched group's schedule
-from its live slots with the constructor a cold inspection uses.  The
+``GroupState.schedule`` builds a patched group's schedule from its live
+slots with the constructor a cold inspection uses.  The
 merge patcher (``CommSchedule.patched`` fed by ``_patch_schedule``) is
 kept in ``tests/chaos/schedule_oracle.py``; here every group of every
 patch is rebuilt by it from the same inputs and every schedule array
@@ -10,8 +10,9 @@ must be equal: pairs, flat arrays, wire permutation, pack/unpack arrays,
 ghost positions, memory charges, ghost sizes and signature.  Scenarios:
 1 / 5 / 25 % edge churn at P = 4 and 16 with pattern coalescing on and
 off (every Euler loop has sibling groups), a group with no ghosts at
-inspection, and the first patch after a checkpoint restore (the sorted
-slot index is not saved, so it is rebuilt).
+inspection, and the first patches after a checkpoint restore (the
+sorted slot index is not saved: the restore builds it to read the
+schedule off, and the first patch merges into it).
 """
 
 import numpy as np
@@ -122,13 +123,15 @@ def test_first_patch_after_checkpoint_restore(tmp_path, compared):
     mesh, _, prog_b, loop_b = lazy.build()
     exe_b = AdaptiveExecutor.resume(path, prog_b, loop_b)
     state = prog_b.adapt.state_for(loop_b.name, "verify")
-    assert all(g.sorted_comp is None for g in state.groups.values())
+    # the restore built each index to read the schedule off, under the
+    # stride a patch probes with (the array's size)
+    for g in state.groups.values():
+        assert g.index_stride == prog_b.arrays[g.array].size
     lazy.mutate(prog_b, mesh, 0)
     exe_b.step()
     first = len(compared)
-    # the first patch rebuilt the index it then merged and read
     assert any(not r["shared"] for r in compared[:first])
-    assert all(r["unindexed"] for r in compared[:first])
+    assert not any(r["unindexed"] for r in compared[:first])
     lazy.mutate(prog_b, mesh, 1)
     exe_b.step()
     assert exe_b.mode_counts()["patch"] == 2
@@ -147,8 +150,7 @@ def test_fresh_slot_state_reads_back_the_inspected_schedule(coalesce):
     product = prog.records[loop.name].product
     for gkey in product.groups:
         member_keys = group_members(gkey)
-        dist = prog.arrays[gkey[0]].distribution
-        state = build_group_state(product, dist, member_keys)
+        state = build_group_state(product, member_keys)
         want = product.patterns[member_keys[0]].localized.schedule
-        got = patch_mod._slot_schedule(machine, want.dist_signature, state)
+        got = state.schedule(machine, want.dist_signature, prog.arrays[gkey[0]].size)
         oracle.assert_schedules_equal(got, want, context=str(member_keys))

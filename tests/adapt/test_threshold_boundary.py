@@ -1,7 +1,7 @@
-"""`max_change_fraction` boundary: exactly-at-threshold still patches.
+"""`MAX_CHANGE_FRACTION` boundary: exactly-at-threshold still patches.
 
 The routing comparison in :meth:`IncrementalInspector.attempt` is
-``n_changed > max_change_fraction * n_tracked`` -- strictly greater.
+``n_changed > MAX_CHANGE_FRACTION * n_tracked`` -- strictly greater.
 These tests pin the fraction so the threshold falls on an integer count
 of changed edges and probe one-below, exactly-at, and one-above.
 """
@@ -9,15 +9,16 @@ of changed edges and probe one-below, exactly-at, and one-above.
 import numpy as np
 import pytest
 
+from repro.adapt import driver as driver_mod
 from repro.machine import Machine
 from repro.workloads import generate_mesh
 from repro.workloads.euler import euler_edge_loop, setup_euler_program
 
 N_PROCS = 4
-THRESHOLD_COUNT = 16  # max_change_fraction is set to THRESHOLD_COUNT/n_edges
+THRESHOLD_COUNT = 16  # MAX_CHANGE_FRACTION is set to THRESHOLD_COUNT/n_edges
 
 
-def build():
+def build(monkeypatch):
     mesh = generate_mesh(300, seed=4)
     machine = Machine(N_PROCS)
     prog = setup_euler_program(machine, mesh, seed=11, incremental=True)
@@ -29,7 +30,7 @@ def build():
     # end_pt1 and end_pt2 share a DAD (same kind/size/distribution), so
     # mutating end_pt2 stales both and the diff tracks 2*n_edges values;
     # pin the fraction so the threshold falls exactly on THRESHOLD_COUNT
-    prog.adapt.max_change_fraction = THRESHOLD_COUNT / (2 * mesh.n_edges)
+    monkeypatch.setattr(driver_mod, "MAX_CHANGE_FRACTION", THRESHOLD_COUNT / (2 * mesh.n_edges))
     return mesh, prog, loop
 
 
@@ -52,8 +53,8 @@ def mutate_exactly(prog, mesh, n_changed):
     ],
     ids=["one-under", "exactly-at", "one-over"],
 )
-def test_threshold_boundary(n_changed, expect_patch):
-    mesh, prog, loop = build()
+def test_threshold_boundary(monkeypatch, n_changed, expect_patch):
+    mesh, prog, loop = build(monkeypatch)
     runs_before, hits_before = prog.inspector_runs, prog.patch_hits
     mutate_exactly(prog, mesh, n_changed)
     prog.forall(loop, n_times=1)
@@ -75,10 +76,10 @@ def test_threshold_boundary(n_changed, expect_patch):
         assert event["n_changed"] > event["threshold"] * event["n_tracked"]
 
 
-def test_rewrite_without_change_does_not_count():
+def test_rewrite_without_change_does_not_count(monkeypatch):
     """Only *value* changes count toward the threshold: rewriting the
     whole dirty window with identical values patches trivially."""
-    mesh, prog, loop = build()
+    mesh, prog, loop = build(monkeypatch)
     vals = np.asarray(prog.arrays["end_pt2"].global_view(), dtype=np.int64)
     prog.set_array_elements(
         "end_pt2", np.arange(mesh.n_edges, dtype=np.int64), vals.copy()

@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 
 from repro import AdaptiveExecutor, IrregularDistribution, IrregularProgram
+from repro.adapt import driver as driver_mod
 from repro.guard import (
     CheckpointError,
     FaultPlan,
@@ -426,12 +427,12 @@ def test_restored_arrays_shared_means_frozen_private_means_unaliased(tmp_path):
     # the file holds what was one object once: it loads as one object
     payload = load_checkpoint(path)
     loop_name = euler_edge_loop(mesh).name
-    pats = dict(payload["records"][loop_name]["product"]["patterns"])
-    groups = dict(payload["adapt"]["states"][loop_name]["groups"])
+    groups = {
+        (g["array"], g["indexes"]): g for g in payload["records"][loop_name]["product"]["groups"]
+    }
     gx, gy = groups["x", ("end_pt1", "end_pt2")], groups["y", ("end_pt1", "end_pt2")]
     assert gx["counts"] is gy["counts"] and gx["keys"] is gy["keys"]
-    assert pats["x", "end_pt1"]["refs_flat"] is pats["y", "end_pt1"]["refs_flat"]
-    assert pats["x", "end_pt1"]["ghost_bounds"] is gx["slot_bounds"]
+    assert gx["refs_flat"][0] is gy["refs_flat"][0]
     # every loaded array is a read-only view of the one buffer read
     assert not gx["counts"].flags.writeable and not gx["counts"].flags.owndata
 
@@ -542,9 +543,11 @@ def rewrite_manifest(path, edit) -> None:
 
 
 def test_on_disk_format_is_pinned(tmp_path):
-    """Format version 6: header, manifest, sections -- and the payload keys.
+    """Format version 7: header, manifest, sections -- and the payload keys.
 
-    Version 6 no longer writes ghost buffers: the executor gathers into
+    Version 7 stores each layout once, as its slot state: no schedule
+    table, no per-pattern ``ghost_flat``/``ghost_bounds`` and no adapt
+    state section -- restore derives them.  Version 6 no longer writes ghost buffers: the executor gathers into
     per-sweep scratch, so the file holds no ghost table, no per-pattern
     ghost index and no ghost backing section.  Version 5 no longer writes the adapt snapshots: the diff reads old
     indirection values off the saved product.  Version 4 records the program options a resume must match
@@ -561,7 +564,7 @@ def test_on_disk_format_is_pinned(tmp_path):
     """
     from repro.guard import checkpoint
 
-    assert (checkpoint._MAGIC, checkpoint._VERSION) == (b"REPROCKP", 6)
+    assert (checkpoint._MAGIC, checkpoint._VERSION) == (b"REPROCKP", 7)
     path = tmp_path / "campaign.ckpt"
     mesh, _, prog = build()
     exe = AdaptiveExecutor(prog, euler_edge_loop(mesh))
@@ -569,7 +572,7 @@ def test_on_disk_format_is_pinned(tmp_path):
     save_checkpoint(path, prog, driver=exe)
     raw = path.read_bytes()
     magic, version, mlen, crc = checkpoint._HEADER.unpack_from(raw)
-    assert (magic, version, checkpoint._HEADER.size) == (b"REPROCKP", 6, 24)
+    assert (magic, version, checkpoint._HEADER.size) == (b"REPROCKP", 7, 24)
     assert crc == zlib.crc32(raw[24 : 24 + mlen], zlib.crc32(raw[:20]))
     manifest, _, _ = read_layout(path)
     assert set(manifest) == {"sections", "payload"}
@@ -587,10 +590,11 @@ def test_on_disk_format_is_pinned(tmp_path):
     assert "/decomps/reg/owner_map" in names and "/arrays/x" in names
     assert not [n for n in names if "snapshot" in n]
     assert not [n for n in names if n.startswith("/ghosts")]
+    assert not [n for n in names if "schedule" in n or "ghost" in n or "/states/" in n]
     payload = load_checkpoint(path)
     assert set(payload) == {
         "n_procs", "machine", "decomps", "arrays", "registry", "program",
-        "schedules", "records", "ttables", "adapt", "driver",
+        "records", "ttables", "adapt", "driver",
     }
     # nodes: RCB's owner map in the smallest dtype holding N_PROCS - 1
     reg, reg2 = payload["decomps"]["reg"], payload["decomps"]["reg2"]
@@ -615,28 +619,19 @@ def test_on_disk_format_is_pinned(tmp_path):
     for phase in payload["machine"]["phases"]:
         assert set(phase) == {"name", "elapsed", "counters"}
         assert set(phase["counters"]) == set(COUNTER_FIELDS)
-    assert isinstance(payload["schedules"], list)
-    for sched in payload["schedules"]:
-        assert set(sched) == {
-            "dist_signature", "pair_q", "pair_p", "pair_len", "flat_send",
-            "flat_recv", "ghost_sizes",
-        }
     for rec in payload["records"].values():
         assert set(rec) == {"data_dads", "ind_dads", "ind_last_mod", "product"}
         product = rec["product"]
-        assert set(product) == {"loop", "partition", "patterns", "dist_signatures"}
+        assert set(product) == {"loop", "partition", "dist_signatures", "groups"}
         assert set(product["partition"]) == {"n_iterations", "method", "flat", "bounds"}
-        for _, pat in product["patterns"]:
-            assert set(pat) == {
-                "array", "index", "schedule", "local_sizes", "refs_flat",
-                "ghost_flat", "ghost_bounds",
-            }
-    for state in payload["adapt"]["states"].values():
-        assert set(state) == {"groups"}
-        for _, group in state["groups"]:
+        for group in product["groups"]:
             assert set(group) == {
-                "array", "indexes", "slot_bounds", "keys", "owners", "lidx", "counts",
+                "array", "indexes", "local_sizes", "slot_bounds", "keys", "owners",
+                "lidx", "counts", "refs_flat",
             }
+            assert len(group["refs_flat"]) == len(group["indexes"])
+            assert all(type(n) is int for n in group["local_sizes"])
+    assert set(payload["adapt"]) == {"failures", "disabled", "fallback_log"}
 
 
 def test_derived_fields_restore_equal(tmp_path):
@@ -708,10 +703,22 @@ def _wrong_dtype(payload):
     payload["arrays"]["x"] = payload["arrays"]["x"].astype("<f4")
 
 
-def _dangling_schedule(payload):
-    (rec,) = payload["records"].values()
-    _, pat = rec["product"]["patterns"][-1]
-    pat["schedule"] = len(payload["schedules"])
+def _slot_damage(field, edit):
+    """Damage: one slot-state array of the last group, edited in a copy
+    (its sibling keeps the stored section, so the two differ)."""
+    def damage(payload):
+        (rec,) = payload["records"].values()
+        group = rec["product"]["groups"][-1]
+        a = group[field].copy()
+        group[field] = edit(a)
+    return damage
+
+
+def _set(i, value):
+    def edit(a):
+        a[i] = value
+        return a
+    return edit
 
 
 class TestRejectsDamage:
@@ -784,11 +791,15 @@ class TestRejectsDamage:
             (_unknown_kind, "unknown distribution kind 'hilbert'"),
             (_missing_array, "array 'y' of 'reg' is not in the checkpoint"),
             (_wrong_dtype, "array 'x' has dtype float64"),
-            (_dangling_schedule, "references schedule [0-9]+; the checkpoint holds"),
+            (_slot_damage("keys", lambda a: a[:-1]), "keys covers"),
+            (_slot_damage("owners", _set(0, N_PROCS)), "owner or key is out of range"),
+            (_slot_damage("counts", _set(0, -1)), "negative reference count"),
+            (_slot_damage("slot_bounds", _set(1, -1)), "slot_bounds are not monotone"),
         ],
         ids=[
             "missing_decomposition", "wrong_size", "non_bijective_local_map",
-            "unknown_kind", "missing_array", "wrong_dtype", "dangling_schedule",
+            "unknown_kind", "missing_array", "wrong_dtype", "slot_state_length",
+            "slot_owner_range", "slot_negative_count", "slot_bounds_not_monotone",
         ],
     )
     def test_distribution_mismatch(self, tmp_path, damage, match):
@@ -827,15 +838,15 @@ class TestRejectsDamage:
             AdaptiveExecutor.resume(path, prog, euler_edge_loop(mesh))
 
     def test_version_3_file_is_refused(self, tmp_path):
-        """Formats v3 to v5 have no reader: the typed "unsupported"
+        """Formats v3 to v6 have no reader: the typed "unsupported"
         error, as for v2."""
         path, _ = self.make(tmp_path)
-        for version in (3, 4, 5):
+        for version in (3, 4, 5, 6):
             raw = bytearray(path.read_bytes())
             raw[8:12] = version.to_bytes(4, "little")
             path.write_bytes(bytes(raw))
             with pytest.raises(
-                CheckpointError, match=f"version {version} unsupported \\(expected 6\\)"
+                CheckpointError, match=f"version {version} unsupported \\(expected 7\\)"
             ):
                 load_checkpoint(path)
 
@@ -1027,10 +1038,10 @@ class TestCrashSafeSave:
 def test_checkpoint_bytes_are_reproducible(tmp_path):
     """Two separately built, equal campaigns write byte-identical files.
 
-    The shared-schedule table and the array sections are listed in
-    first-seen order and the driver history leaves its
-    host-clock seconds out.  Keyed by ``id()`` (as the tables once were)
-    the bytes differed from build to build.
+    The array sections are listed in first-seen order and the driver
+    history leaves its host-clock seconds out.  Keyed by ``id()`` (as the
+    shared-object tables once were) the bytes differed from build to
+    build.
     """
     def campaign(tag, junk):
         mesh, _, prog = build()
@@ -1043,17 +1054,12 @@ def test_checkpoint_bytes_are_reproducible(tmp_path):
     keep = campaign("a", [np.empty(1000 + 37 * i) for i in range(50)])
     campaign("b", keep)
     assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
-    pay = load_checkpoint(tmp_path / "a.ckpt")
-    # patterns index the schedule table by position
-    (rec,) = pay["records"].values()
-    indexes = {pat["schedule"] for _, pat in rec["product"]["patterns"]}
-    assert indexes == set(range(len(pay["schedules"])))
     # a resumed driver reports none of its predecessor's host seconds
     mesh, _, prog = build()
     exe = AdaptiveExecutor.resume(tmp_path / "a.ckpt", prog, euler_edge_loop(mesh))
     assert [r["inspect_wall_seconds"] for r in exe.history] == [0.0] * 3
-    # ... and saving it at once writes the very same file: schedules
-    # restored from one shared array keep sharing it (one section)
+    # ... and saving it at once writes the very same file: group states
+    # restored from one shared section keep sharing it
     save_checkpoint(tmp_path / "c.ckpt", prog, driver=exe)
     assert (tmp_path / "c.ckpt").read_bytes() == (tmp_path / "a.ckpt").read_bytes()
 
@@ -1156,7 +1162,7 @@ TAMPER = {
         _edit(lambda m: m["payload"].update(n_procs={"$array": len(m["sections"])})),
         "which it lacks",
     ),
-    "manifest_not_current": (_edit(lambda m: m.pop("payload")), "not a v6 manifest"),
+    "manifest_not_current": (_edit(lambda m: m.pop("payload")), "not a v7 manifest"),
     "trailing_bytes": (_trailing, "trailing bytes"),
     "v2_pickle_envelope": (_as_pickle_envelope, "pickle envelope"),
 }
@@ -1322,12 +1328,12 @@ def _remap_fault(kind):
         "duplicate_remap", "flip_remap",
     ],
 )
-def test_every_fault_matrix_payload_saves(tmp_path, scenario, fault):
+def test_every_fault_matrix_payload_saves(tmp_path, monkeypatch, scenario, fault):
     """Whatever guard events, fallback records and history a faulted
     campaign leaves behind, the tagged encoder stores it: no save can
     fail at run time, and every decision log loads back equal."""
+    monkeypatch.setattr(driver_mod, "MAX_FAILURES", 2)
     mesh, machine, prog = build()
-    prog.adapt.max_failures = 2
     plan = fault(FaultPlan(seed=7)).install(machine)
     exe = AdaptiveExecutor(prog, euler_edge_loop(mesh))
     (drive if scenario == "churn" else drive_rebalancing)(exe, mesh, 5)

@@ -11,6 +11,7 @@ run (faults perturb data, never charges; recovery is host-level).
 import numpy as np
 import pytest
 
+from repro.adapt import driver as driver_mod
 from repro.guard import FaultPlan
 from repro.machine import Machine
 from repro.workloads import generate_mesh
@@ -156,12 +157,12 @@ def test_flip_slots_fails_verification_and_falls_back():
         )
 
 
-def test_repeated_flips_disable_incremental_for_loop():
+def test_repeated_flips_disable_incremental_for_loop(monkeypatch):
+    monkeypatch.setattr(driver_mod, "MAX_FAILURES", 2)
     plan = FaultPlan(seed=7)
     for nth in range(4):
         plan.flip_slots(nth=nth)
     mesh, machine, prog, loop = build()
-    prog.adapt.max_failures = 2
     plan.install(machine)
     edges = mesh.edges.copy()
     prog.forall(loop, n_times=1)
