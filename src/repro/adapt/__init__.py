@@ -35,13 +35,13 @@ slot id ``slot_bounds[p] + s``.  Patching is **append-only with holes**:
   processor), then *append* at the end of the processor's region, so a
   region only ever grows by the number of never-before-seen ghosts.
 
-``GroupState`` tracks, per global slot id: the ghost's global array
-index (``keys``; stale in holes until reused), its owner and owner-local
-offset (``owners``/``lidx``; valid while the distribution signature is
-unchanged, which conditions 1-2 guarantee), and the live reference count
-(``counts``; 0 marks a hole).  A patched
-:class:`~repro.chaos.localize.LocalizeResult` stores the full slot-space
-``ghost_flat`` with holes marked ``-1``.
+The layout is the product's :class:`~repro.chaos.schedule.SlotState`,
+per global slot id: the ghost's global array index (``keys``; stale in
+holes until reused) and its owner and owner-local offset
+(``owners``/``lidx``; valid while the distribution signature is
+unchanged, which conditions 1-2 guarantee).  ``GroupState`` adds the
+live reference count (``counts``; 0 marks a hole) and the sorted slot
+index.  A hole is also a slot absent from the schedule's slot order.
 
 State lifetime: captured by reference, built on first use
 ---------------------------------------------------------
@@ -52,9 +52,9 @@ bookkeeping cost right there, inside the inspector phase, because the
 build (:func:`~repro.adapt.state.build_adapt_state`) runs when a reader
 first asks :meth:`IncrementalInspector.state_for`: a patch attempt that
 passed every routing check, post-patch verification, or a checkpoint
-save.  It reads only the product -- slot keys and bounds are its ghost
-layout, owners and owner-local offsets its schedule entries -- so later
-writes and remaps cannot leak in: the state equals what an eager build
+save.  It reads only the product -- the reference counts are one
+``bincount`` over its localized references -- so later writes and
+remaps cannot leak in: the state equals what an eager build
 would have produced.  A loop re-inspected every step over unchanged
 content, or whose products a remap voids, never builds; a typed patch
 failure, a restore, or the next full inspection drops or replaces the
@@ -62,10 +62,10 @@ capture.  Each build is visible: an ``adapt.state.build_adapt_state``
 span, one ``adapt.state`` event with the reader as ``reason``, and
 ``AdaptiveExecutor.history[...]["state_build_wall_seconds"]``.
 
-The slot state is the layout a checkpoint stores: a restore rebuilds
-each schedule from it with :meth:`~repro.adapt.state.GroupState.schedule`,
-the patch rung's builder, and the ghost keys with
-:meth:`~repro.adapt.state.GroupState.ghost_flat`.
+The slot state is the layout a checkpoint stores, with the counts: a
+restore reads each schedule off it with
+:meth:`~repro.adapt.state.GroupState.schedule`, the patch rung's
+builder.
 
 Host wall time (not simulated time)
 -----------------------------------
@@ -79,8 +79,8 @@ holds at every fraction.  What keeps the patch path small:
   merge-updated, so lookup is a searchsorted over the delta, never a
   re-sort of the full slot space;
 * a patched group's schedule is read off its patched slot state (the
-  live slots, in the merged index's order) by the one ``CommSchedule``
-  constructor a cold inspection uses; slot regrowth is append-only
+  live slots, in the merged index's order) by the one builder a cold
+  inspection uses, :meth:`~repro.chaos.schedule.SlotState.schedule`; slot regrowth is append-only
   (retired slots stay holes, as above), and no ghost data is copied --
   ghost buffers are executor scratch, refilled by every sweep's gather;
 * nothing is copied to remember the old indirection values: the diff

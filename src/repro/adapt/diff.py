@@ -56,8 +56,8 @@ def old_targets(
     iteration ``i`` references through ``name`` in any pattern indexed
     by it: its localized value ``v`` on processor ``p`` is local offset
     ``v`` of the data array's distribution, or ghost slot
-    ``v - local_sizes[p]``, whose key ``ghost_flat`` records (a
-    referenced slot is live, never a hole).  Exact while every DAD is
+    ``v - local_sizes[p]``, whose key the group's slot state records
+    (a referenced slot is live, never a hole).  Exact while every DAD is
     the product's -- the diff runs only after a condition-3 refusal.
     """
     pat = next(p for (_, index), p in product.patterns.items() if index == name)
@@ -69,7 +69,8 @@ def old_targets(
     local_size = np.asarray(loc.local_sizes, dtype=np.int64)[p]
     dist = arrays[pat.array].distribution
     local = np.take(dist.global_perm(), dist.flat_offsets()[p] + v, mode="clip")
-    if not loc.ghost_flat.size:
+    keys = loc.slots.keys
+    if not keys.size:
         return local
-    slot = loc.ghost_bounds[p] + (v - local_size)
-    return np.where(v < local_size, local, np.take(loc.ghost_flat, slot, mode="clip"))
+    slot = loc.slots.slot_bounds[p] + (v - local_size)
+    return np.where(v < local_size, local, np.take(keys, slot, mode="clip"))

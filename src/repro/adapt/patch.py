@@ -24,9 +24,9 @@ applies those at these sites, in this order:
    then the table's ``dereference_flat`` round;
 4. **allocate** -- new keys reuse holes, then append: no charge;
 5. **index** -- the persisted sorted slot index is merged: no charge;
-6. **schedule** -- read off the patched slot state by
-   :meth:`~repro.adapt.state.GroupState.schedule` (the builder a
-   checkpoint restore uses too), then the newly assigned slots'
+6. **schedule** -- read off the patched slot state's live slots by
+   :meth:`~repro.adapt.state.GroupState.schedule` (the one builder,
+   :meth:`~repro.chaos.schedule.SlotState.schedule`), then the newly assigned slots'
    buffer-assign compute (a processor whose ghost region shrank aborts
    the patch: regrowth is append-only), then the schedule compute, the
    delta exchange and the receivers' compute;
@@ -58,7 +58,7 @@ from repro.chaos import strips
 from repro.chaos.costs import DEFAULT_COSTS
 from repro.chaos.kernels import majority_owner, pair_counts, sorted_unique_inverse
 from repro.chaos.localize import LocalizeResult
-from repro.chaos.schedule import CommSchedule
+from repro.chaos.schedule import CommSchedule, SlotState
 from repro.chaos.transcache import KeyTranslationMemo
 from repro.chaos.ttable import TableCache, Translator
 from repro.core.inspector import InspectorProduct, PatternData, group_members
@@ -282,10 +282,7 @@ class _Slots:
 class _Alloc:
     """The grown slot space with every never-seen key placed."""
 
-    slot_bounds: np.ndarray
-    keys: np.ndarray
-    owners: np.ndarray
-    lidx: np.ndarray
+    layout: SlotState
     counts: np.ndarray
     newpos: np.ndarray  # new slot id of each old slot
     alloc: np.ndarray  # new slot id of each never-seen key
@@ -305,7 +302,7 @@ class _GroupPatch:
     alloc: _Alloc
     schedule: CommSchedule
     charges: tuple  # see _schedule_charges
-    refs: tuple[tuple[np.ndarray, ...], np.ndarray]  # member lists, ghost_flat
+    refs: tuple[np.ndarray, ...]  # member lists
     patterns: dict  # the group's new PatternData by key
     state: GroupState  # persisted once every group has succeeded
 
@@ -313,7 +310,7 @@ class _GroupPatch:
 # -- stages: host work only; charges are planned and returned -----------
 def _group_delta(
     ctx: _PatchContext,
-    gstate: GroupState,
+    slot_bounds: np.ndarray,
     member_keys: list,
     local_sizes: np.ndarray,
 ) -> Delta | None:
@@ -331,7 +328,7 @@ def _group_delta(
         is_ghost = lv >= local_sizes[p_old]
         gp = p_old[is_ghost]
         rem_procs.append(gp)
-        rem_slots.append(gstate.slot_bounds[gp] + (lv[is_ghost] - local_sizes[gp]))
+        rem_slots.append(slot_bounds[gp] + (lv[is_ghost] - local_sizes[gp]))
         add_procs.append(p_new)
         add_targets.append(t_new)
     if not add_procs:
@@ -363,7 +360,7 @@ def _classify(
 
 
 def _slot_counts(
-    gstate: GroupState, delta: Delta, ghost: np.ndarray, stride: int
+    gstate: GroupState, layout: SlotState, delta: Delta, ghost: np.ndarray, stride: int
 ) -> _Slots:
     """Absorb the delta into the per-slot reference counts.
 
@@ -382,7 +379,7 @@ def _slot_counts(
     # the persisted sorted slot index (built at state capture, merged on
     # every patch) is probed once per distinct composite, in its own order
     comp, inv = sorted_unique_inverse(delta.add_procs[gidx] * stride + delta.add_targets[gidx])
-    msorted, morder = gstate.slot_index(stride)
+    msorted, morder = gstate.slot_index(layout, stride)
     if msorted.size:
         pos = np.searchsorted(msorted, comp)
         hit = (pos < msorted.size) & (
@@ -407,7 +404,7 @@ def _slot_counts(
     uniq_proc = uniq_comp // stride
     return _Slots(
         counts=counts,
-        slot_proc=gstate.slot_proc(),
+        slot_proc=layout.slot_proc(),
         went_dead=np.flatnonzero((gstate.counts > 0) & (counts == 0)),
         revived=np.flatnonzero((gstate.counts == 0) & (counts > 0)),
         gidx=gidx,
@@ -417,20 +414,19 @@ def _slot_counts(
         uniq_proc=uniq_proc,
         uniq_key=uniq_comp % stride,
         inv_missing=inv_missing,
-        need=np.bincount(uniq_proc, minlength=gstate.slot_bounds.size - 1),
+        need=np.bincount(uniq_proc, minlength=layout.slot_bounds.size - 1),
     )
 
 
 def _allocate(
-    gstate: GroupState,
-    delta: Delta,
+    layout: SlotState,
     slots: _Slots,
     uniq_owner: np.ndarray,
     uniq_lidx: np.ndarray,
 ) -> _Alloc:
     """Place the never-seen keys: per processor they reuse its holes in
     ascending slot order, then append at the end of its region."""
-    old_bounds = gstate.slot_bounds
+    old_bounds = layout.slot_bounds
     n = old_bounds.size - 1
     old_sizes = np.diff(old_bounds)
     slot_proc, uniq_proc, need = slots.slot_proc, slots.uniq_proc, slots.need
@@ -453,9 +449,9 @@ def _allocate(
     owners = np.zeros(total, dtype=np.int64)
     lidx = np.zeros(total, dtype=np.int64)
     counts = np.zeros(total, dtype=np.int64)
-    keys[newpos] = gstate.keys
-    owners[newpos] = gstate.owners
-    lidx[newpos] = gstate.lidx
+    keys[newpos] = layout.keys
+    owners[newpos] = layout.owners
+    lidx[newpos] = layout.lidx
     counts[newpos] = slots.counts
 
     # a processor's first n_reuse keys take its reused holes -- both
@@ -476,13 +472,13 @@ def _allocate(
     slot_of_add[slots.found] = newpos[slots.found_slots]
     slot_of_add[~slots.found] = alloc[slots.inv_missing]
     return _Alloc(
-        slot_bounds, keys, owners, lidx, counts, newpos, alloc, reused, slot_of_add
+        SlotState(slot_bounds, keys, owners, lidx), counts, newpos, alloc, reused, slot_of_add
     )
 
 
 def _schedule_charges(
     machine: Machine,
-    gstate: GroupState,
+    owners: np.ndarray,
     delta: Delta,
     slots: _Slots,
     uniq_owner: np.ndarray,
@@ -509,9 +505,7 @@ def _schedule_charges(
     d_p = np.concatenate([dead_proc, revived_proc, slots.uniq_proc])
     if not d_p.size:
         return sched, None, None
-    d_q = np.concatenate(
-        [gstate.owners[slots.went_dead], gstate.owners[slots.revived], uniq_owner]
-    )
+    d_q = np.concatenate([owners[slots.went_dead], owners[slots.revived], uniq_owner])
     pairmat = pair_counts(d_p, d_q, n)
     np.fill_diagonal(pairmat, 0)
     src, dst = np.nonzero(pairmat)
@@ -540,7 +534,7 @@ def _rebuild_refs(
     past the requester's local segment."""
     vals = lidx.copy()
     gp = delta.add_procs[slots.gidx]
-    vals[slots.gidx] = local_sizes[gp] + (alloc.slot_of_add - alloc.slot_bounds[gp])
+    vals[slots.gidx] = local_sizes[gp] + (alloc.slot_of_add - alloc.layout.slot_bounds[gp])
     inv_new = ctx.order().inverse()
     member_refs = []
     offset = 0
@@ -560,27 +554,23 @@ def _rebuild_refs(
 
 
 def _merge_index(
-    gstate: GroupState, stride: int, slots: _Slots, alloc: _Alloc
+    gstate: GroupState, layout: SlotState, stride: int, slots: _Slots, alloc: _Alloc
 ) -> GroupState:
-    """The new slot state, its sorted index merged from the old one.
+    """The new counts, and the sorted index merged from the old one.
 
     Reused holes change key (drop their old entries), every allocated
     slot gains one (``uniq_comp`` is ascending and disjoint from
     surviving comps -- a found comp is never allocated), and surviving
     entries keep their order with slot ids shifted into the grown space.
     """
-    msorted, morder = gstate.slot_index(stride)
-    rekeyed = np.zeros(gstate.keys.size, dtype=bool)
+    msorted, morder = gstate.slot_index(layout, stride)
+    rekeyed = np.zeros(layout.keys.size, dtype=bool)
     rekeyed[alloc.reused] = True
     live_entry = ~rekeyed[morder]
     kept_comp = msorted[live_entry]
     ins = np.searchsorted(kept_comp, slots.uniq_comp, side="right")
     return dataclasses.replace(
         gstate,
-        slot_bounds=alloc.slot_bounds,
-        keys=alloc.keys,
-        owners=alloc.owners,
-        lidx=alloc.lidx,
         counts=alloc.counts,
         sorted_comp=np.insert(kept_comp, ins, slots.uniq_comp),
         sorted_slot=np.insert(alloc.newpos[morder[live_entry]], ins, alloc.alloc),
@@ -613,18 +603,19 @@ def _patch_group(
     tag = f"{gstate.array}({','.join(map(str, gstate.indexes))})"
     span = partial(machine.obs.span, group=tag, shared=shared)
     first = ctx.product.patterns[member_keys[0]]
+    layout = first.localized.slots
     dist = ttable.dist  # the array's current distribution (precondition)
     stride = max(dist.size, 1)
     local_sizes = np.asarray(first.localized.local_sizes, dtype=np.int64)
     with span("adapt.patch.delta"):
-        delta = sib.delta if shared else _group_delta(ctx, gstate, member_keys, local_sizes)
+        delta = sib.delta if shared else _group_delta(ctx, layout.slot_bounds, member_keys, local_sizes)
         if delta is None:
             return None
         adds = sib.adds if shared else _classify(machine, dist, delta)
     lidx, ghost, classify_charge = adds
     machine.charge_planned_compute(classify_charge)
     with span("adapt.patch.slots"):
-        slots = sib.slots if shared else _slot_counts(gstate, delta, ghost, stride)
+        slots = sib.slots if shared else _slot_counts(gstate, layout, delta, ghost, stride)
     with span("adapt.patch.translate"):
         # live for a shared group too: its sibling left every key in the
         # memo, so this charges exactly the probe and the table's fixed
@@ -633,20 +624,20 @@ def _patch_group(
             machine, ttable, stride, slots.uniq_proc, slots.uniq_key
         )
     with span("adapt.patch.allocate"):
-        alloc = sib.alloc if shared else _allocate(
-            gstate, delta, slots, uniq_owner, uniq_lidx
-        )
+        alloc = sib.alloc if shared else _allocate(layout, slots, uniq_owner, uniq_lidx)
     with span("adapt.patch.index"):
         if shared:
             state = dataclasses.replace(sib.state, array=gstate.array)
         else:
-            state = _merge_index(gstate, stride, slots, alloc)
-    with span("adapt.patch.schedule"):
+            state = _merge_index(gstate, layout, stride, slots, alloc)
+    with span("adapt.patch.schedule", n_slots=alloc.counts.size) as sched_span:
         if shared:
             schedule, charges = sib.schedule, sib.charges
         else:
-            schedule = state.schedule(machine, first.localized.schedule.dist_signature, stride)
-            charges = _schedule_charges(machine, gstate, delta, slots, uniq_owner)
+            sig = first.localized.schedule.dist_signature
+            schedule = state.schedule(alloc.layout, machine, sig, stride)
+            charges = _schedule_charges(machine, layout.owners, delta, slots, uniq_owner)
+        sched_span.set(n_pairs=int(schedule._pair_q.size))
         _assign_buffers(machine, first.localized.schedule, schedule, slots.need)
         sched_charge, exchange, recv_charge = charges
         machine.charge_planned_compute(sched_charge)
@@ -654,19 +645,17 @@ def _patch_group(
             machine.charge_exchange(exchange)
             machine.charge_planned_compute(recv_charge)
     with span("adapt.patch.refs"):
-        refs = sib.refs if shared else (
-            _rebuild_refs(ctx, member_keys, delta, lidx, slots, alloc, local_sizes),
-            state.ghost_flat(),
+        refs = sib.refs if shared else _rebuild_refs(
+            ctx, member_keys, delta, lidx, slots, alloc, local_sizes
         )
         patterns = {}
-        for akey, refs_flat in zip(member_keys, refs[0]):
+        for akey, refs_flat in zip(member_keys, refs):
             loc = LocalizeResult(
                 local_sizes=local_sizes.tolist(),
                 schedule=schedule,
                 refs_flat=refs_flat,
                 ref_bounds=ctx.order().bounds,
-                ghost_flat=refs[1],
-                ghost_bounds=alloc.slot_bounds,
+                slots=alloc.layout,
             )
             # executor caches are value-independent (positions only): a
             # shared group adopts its sibling's holder; anyone else gets a

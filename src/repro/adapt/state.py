@@ -6,12 +6,15 @@ A full inspection captures, per loop:
   processor), and
 * one :class:`GroupState` per pattern *group* (the product's
   ``groups``: the patterns localized together under one, possibly
-  coalesced, schedule) tracking the CSR ghost slot space
-  described in the package docstring: per global slot id the ghost's
-  key, owner, owner-local offset, and live reference count.
+  coalesced, schedule) holding the live reference count of every slot
+  of the group's ghost layout, and the layout's sorted slot index.
 
-What the indirection arrays held is not copied: the saved product
-already records the element every iteration referenced, and
+The layout itself is the product's: each group's
+:class:`~repro.chaos.schedule.SlotState` (per global slot id the ghost's
+key, owner and owner-local offset, in the CSR slot space described in
+the package docstring), which ``localize`` emits and a patch replaces.
+What the indirection arrays held is not copied either: the saved
+product already records the element every iteration referenced, and
 :func:`~repro.adapt.diff.old_targets` reads it back at the dirty
 positions.  Building this state is plain bookkeeping over arrays the
 inspector already produced; the machine is charged a small per-element
@@ -26,19 +29,17 @@ over unchanged content, or one whose products a remap voids, would
 build O(refs) state per inspection and never read it.  So an inspection
 only *captures* its product, by reference.  That is O(1), and nothing
 later can leak in: a patch builds a new product instead of editing the
-saved one, and the build reads the product alone -- each slot's owner
-and owner-local offset come off the product's own schedule entries,
-never off a distribution, so a ``redistribute`` in between changes
-nothing.  :func:`build_adapt_state` turns the capture into a
+saved one, and the build reads the product alone, never a
+distribution, so a ``redistribute`` in between changes nothing.
+:func:`build_adapt_state` turns the capture into a
 :class:`LoopAdaptState` when a reader first needs one (a patch attempt,
 post-patch verification, a checkpoint); the result is element-equal to
 building at inspection time, whatever was written or remapped in
 between.
 
-The slot state is also what a checkpoint stores of a product's layout:
-:meth:`GroupState.schedule` is the one schedule-from-slots builder, used
-by the patch rung and by a restore alike, and :meth:`GroupState.ghost_flat`
-gives the ghost keys a product holds.
+:meth:`GroupState.schedule` reads a schedule off the live slots of a
+layout with :meth:`~repro.chaos.schedule.SlotState.schedule`, the one
+builder: the patch rung's schedule and a checkpoint restore's.
 
 The simulated machine is a different matter: the *modelled* runtime
 does the bookkeeping when it inspects, so :func:`charge_state_build` is
@@ -52,8 +53,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from repro.chaos.kernels import stable_order
-from repro.chaos.schedule import CommSchedule
+from repro.chaos.schedule import CommSchedule, SlotState
 from repro.core.inspector import InspectorProduct, group_members
 
 #: integer ops per ghost slot for recording the slot -> key/owner map
@@ -64,14 +64,11 @@ STATE_IOPS_PER_REF = 1.0
 
 @dataclass
 class GroupState:
-    """CSR ghost-slot bookkeeping for one pattern group (see package doc)."""
+    """Reference counts and sorted slot index of one pattern group's
+    layout (see package doc); the layout is the product's."""
 
     array: str
     indexes: tuple[str | None, ...]
-    slot_bounds: np.ndarray  # (P + 1,) CSR bounds of the slot space
-    keys: np.ndarray  # (S,) ghost global index per slot (stale in holes)
-    owners: np.ndarray  # (S,) owning processor of each ghost key
-    lidx: np.ndarray  # (S,) owner-local offset of each ghost key
     counts: np.ndarray  # (S,) live reference count; 0 marks a hole
     #: persisted sorted slot index: ``sorted_comp`` holds the composite
     #: ``slot_proc * stride + key`` of every slot in ascending order
@@ -82,15 +79,9 @@ class GroupState:
     sorted_slot: np.ndarray | None = None
     index_stride: int = 0
 
-    def slot_proc(self) -> np.ndarray:
-        """Processor owning each global slot id."""
-        return np.repeat(
-            np.arange(self.slot_bounds.size - 1, dtype=np.int64),
-            np.diff(self.slot_bounds),
-        )
-
-    def slot_index(self, stride: int) -> tuple[np.ndarray, np.ndarray]:
-        """``(sorted_comp, sorted_slot)`` for ``stride``, building on miss.
+    def slot_index(self, layout: SlotState, stride: int) -> tuple[np.ndarray, np.ndarray]:
+        """``(sorted_comp, sorted_slot)`` of ``layout`` for ``stride``,
+        building on miss.
 
         The one argsort here runs only on first use (or after a stride
         change, which implies a new distribution and therefore fresh
@@ -102,56 +93,21 @@ class GroupState:
             or self.sorted_slot is None
             or self.index_stride != stride
         ):
-            comp = self.slot_proc() * stride + self.keys
+            comp = layout.slot_proc() * stride + layout.keys
             order = np.argsort(comp, kind="stable")
             self.sorted_comp = comp[order]
             self.sorted_slot = order
             self.index_stride = stride
         return self.sorted_comp, self.sorted_slot
 
-    def schedule(self, machine, dist_signature: tuple, stride: int) -> CommSchedule:
-        """The group's schedule read off its slot state, built by the
-        constructor a cold inspection uses: the patch rung's schedule and
-        a checkpoint restore's.  ``stride`` exceeds every key (the data
-        array's size).
-
-        The entries are exactly the live slots: slot ``s`` of requester
-        ``p`` is ``(owners[s], p, lidx[s], s - slot_bounds[p])``.  The
-        sorted slot index lists every slot ``(p, key)``-ascending, so its
-        live slots regrouped by ``(p, q)`` (stable) are in ``localize``'s
-        canonical ``(p, q, key)`` order."""
-        n = machine.n_procs
-        comp, order = self.slot_index(stride)
-        live = self.counts[order] > 0
-        slot = order[live]
-        p = comp[live] // stride
-        pair = p * n + self.owners[slot]
-        regroup = stable_order(pair, n * n)
-        slot = slot[regroup]
-        # pair ids ascending are the requester-major / owner-minor pairs
-        pair_len = np.bincount(pair, minlength=n * n)
-        pair_id = np.flatnonzero(pair_len)
-        return CommSchedule(
-            machine,
-            dist_signature,
-            pair_id % n,
-            pair_id // n,
-            pair_len[pair_id],
-            self.lidx[slot],
-            slot - self.slot_bounds[p[regroup]],
-            [int(s) for s in np.diff(self.slot_bounds)],
-        )
-
-    def ghost_flat(self) -> np.ndarray:
-        """The ghost key per slot as a product holds it: ``keys`` itself
-        when no slot is a hole, else a frozen copy with the holes set to -1."""
-        holes = self.counts == 0
-        if not holes.any():
-            return self.keys
-        out = self.keys.copy()
-        out[holes] = -1
-        out.flags.writeable = False
-        return out
+    def schedule(
+        self, layout: SlotState, machine, dist_signature: tuple, stride: int
+    ) -> CommSchedule:
+        """The schedule of ``layout``'s live slots (``counts > 0``) in
+        sorted-index order: the patch rung's schedule and a checkpoint
+        restore's.  ``stride`` exceeds every key (the data array's size)."""
+        _, order = self.slot_index(layout, stride)
+        return layout.schedule(machine, dist_signature, order[self.counts[order] > 0])
 
 
 @dataclass
@@ -165,25 +121,12 @@ class LoopAdaptState:
 def build_group_state(
     product: InspectorProduct, member_keys: list[tuple[str, str | None]]
 ) -> GroupState:
-    """Slot bookkeeping for one group of a *freshly inspected* product.
-
-    A fresh :func:`~repro.chaos.localize.localize` assigns ghost slots in
-    sorted-key order with no holes, so the slot space is the group's
-    ghost layout itself: ``ghost_bounds`` and ``ghost_flat`` are held,
-    not copied, and each slot's owner and owner-local offset are read
-    off the schedule entry that fills it.  Counts come from one
-    ``bincount`` over each member's localized ghost references.
-    """
+    """Reference counts of one group of ``product``: one ``bincount``
+    per member over its localized ghost references' global slot ids.
+    The guard's recount calls this too."""
     first = product.patterns[member_keys[0]].localized
-    slot_bounds = np.asarray(first.ghost_bounds, dtype=np.int64)
-    keys = np.asarray(first.ghost_flat, dtype=np.int64)
-    q, p, send, recv = first.schedule.entries()
-    slot = slot_bounds[p] + recv
-    owners = np.zeros(keys.size, dtype=np.int64)
-    lidx = np.zeros(keys.size, dtype=np.int64)
-    owners[slot] = q
-    lidx[slot] = send
-    counts = np.zeros(keys.size, dtype=np.int64)
+    slot_bounds = first.slots.slot_bounds
+    counts = np.zeros(first.slots.keys.size, dtype=np.int64)
     local_sizes = np.asarray(first.local_sizes, dtype=np.int64)
     pid = product.iteration_partition.proc_of_position()
     for key in member_keys:
@@ -195,10 +138,6 @@ def build_group_state(
     return GroupState(
         array=member_keys[0][0],
         indexes=tuple(k[1] for k in member_keys),
-        slot_bounds=slot_bounds,
-        keys=keys,
-        owners=owners,
-        lidx=lidx,
         counts=counts,
     )
 
@@ -244,9 +183,7 @@ def charge_state_build(machine, product: InspectorProduct, arrays) -> None:
     for gkey in product.groups:
         member_keys = group_members(gkey)
         first = product.patterns[member_keys[0]].localized
-        iops += STATE_IOPS_PER_GHOST * np.diff(
-            np.asarray(first.ghost_bounds, dtype=np.float64)
-        )
+        iops += STATE_IOPS_PER_GHOST * np.diff(first.slots.slot_bounds).astype(np.float64)
         for key in member_keys:
             loc = product.patterns[key].localized
             iops += STATE_IOPS_PER_REF * np.diff(

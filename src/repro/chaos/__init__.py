@@ -20,11 +20,13 @@ This package implements all four groups against the simulated machine:
     processor-pair send lists and ghost-buffer placement, with
     ``gather`` / ``scatter`` / ``scatter_op`` executors that move ghost
     data through one flat array in the schedule's layout (the executor
-    allocates it per sweep; no ghost buffer is saved).
+    allocates it per sweep; no ghost buffer is saved), read off a
+    ``SlotState``, the layout's one form.
 ``localize``
     The PARTI *localize* primitive at the heart of every inspector:
     translate a reference list, deduplicate off-processor accesses,
-    assign ghost-buffer slots, and build the communication schedule.
+    assign ghost-buffer slots (the slot state), and read the
+    communication schedule off them.
 ``gather_scatter``
     The reduction operators a REDUCE statement may name.
 ``remap``

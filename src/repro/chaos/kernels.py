@@ -165,19 +165,22 @@ def sorted_unique_inverse(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return packed[new_group].astype(keys.dtype, copy=False), inverse
 
 
-def first_segment_outside(values: np.ndarray, bounds: np.ndarray, limit: np.ndarray) -> int | None:
+def first_segment_outside(
+    values: np.ndarray, bounds: np.ndarray, limit: np.ndarray, start: np.ndarray | None = None
+) -> int | None:
     """The first CSR segment ``values[bounds[s]:bounds[s + 1]]`` holding
-    a value outside ``[0, limit[s])``, or ``None``: the element-wise test
-    against each segment's limit as two ``reduceat`` extrema per segment,
-    with no per-element temporary.  ``bounds`` is a monotone CSR over all
-    of ``values`` (callers check that first)."""
+    a value outside ``[start[s], limit[s])`` (``start`` 0 when ``None``),
+    or ``None``: the element-wise test against each segment's range as
+    two ``reduceat`` extrema per segment, with no per-element temporary.
+    ``bounds`` is a monotone CSR over all of ``values`` (callers check
+    that first)."""
     live = np.flatnonzero(np.diff(bounds))
     if not live.size:
         return None
     # with the empty segments dropped, each start runs up to the next
     starts = bounds[live]
     lo, hi = np.minimum.reduceat(values, starts), np.maximum.reduceat(values, starts)
-    bad = (lo < 0) | (hi >= limit[live])
+    bad = (lo < (0 if start is None else start[live])) | (hi >= limit[live])
     return int(live[np.argmax(bad)]) if bad.any() else None
 
 

@@ -11,8 +11,10 @@ reference, ``localize``
 4. rewrites each reference list into *localized* indices -- offsets into
    the concatenation ``[local segment | ghost buffer]`` -- so the executor
    is pure local indexing, and
-5. builds the :class:`~repro.chaos.schedule.CommSchedule` that fetches
-   the ghost elements.
+5. emits the group's layout, its :class:`~repro.chaos.schedule.SlotState`
+   (each slot's key, owner and owner-local offset), and reads the
+   :class:`~repro.chaos.schedule.CommSchedule` that fetches the ghost
+   elements off it.
 
 Reference lists travel in **flat form** (:class:`FlatRefs`): CSR bounds
 over one stream, materialised or gathered through the inspector's
@@ -24,29 +26,29 @@ is flat only: :class:`LocalizeResult` stores ``(values, bounds)``
 pairs; ``values[bounds[p]:bounds[p + 1]]`` is one processor's part of a
 one-member result.
 
-**Strips.**  Steps 1-4 and the pair grouping of step 5 are one body run
+**Strips.**  Steps 1-4 and the slot state of step 5 are one body run
 per *strip* -- a run of whole processors (``repro.chaos.strips``) -- on
 the strip pool.  For its processors a strip reads its block of every
 member straight from the stream, translates it, counts what the
 translation table charges (:meth:`~repro.chaos.ttable.Translator.strip_counts`),
 masks the off-processor references, deduplicates them with one keyed
 sort, assigns ghost slots, writes its part of the localized references
-and groups its unique ghosts into ``(requester, owner)`` pair runs.
+and translates its unique ghosts into their owners and offsets.
 Deduplication is one direct sort (``repro.chaos.kernels``) over
 ``processor * stride + global_index`` keys, the same sorted-unique
 contract as ``np.unique(..., return_inverse=True)``; ascending keys give
 the sorted-global ghost slot order per processor, like PARTI's hashed
-order.  A stable radix sort on the pair id groups the ghosts
-requester-major, owner-minor, slots ascending.  Keys are
-requester-major and strips hold disjoint runs of processors, so the
-strips' uniques, slots and pairs concatenate in processor order into
-exactly what one pass over the whole stream gives.  Localizing a
-gathered stream, nothing stream-sized exists but the localized
-references themselves.
+order.  Keys are requester-major and strips hold disjoint runs of
+processors, so the strips' uniques and their translations concatenate
+in processor order into exactly what one pass over the whole stream
+gives.  Localizing a gathered stream, nothing stream-sized exists but
+the localized references themselves.
 
-After the strips, serially, come every charge (the table's, then
-localize's own, in one fixed order) and the one ``CommSchedule``
-construction.  An out-of-range reference is refused with the
+After the strips, serially, come the schedule, read off the slot state
+by :meth:`~repro.chaos.schedule.SlotState.schedule` (one stable radix
+sort on the pair id groups the slots requester-major, owner-minor,
+keys ascending), and every charge (the table's, then localize's own,
+in one fixed order).  An out-of-range reference is refused with the
 ``IndexError`` of the first bad value in stream order, and a malformed
 stream with ``ValueError``, before anything is charged.
 
@@ -66,8 +68,8 @@ import numpy as np
 from repro.chaos import strips
 from repro.chaos.costs import DEFAULT_COSTS
 from repro.chaos.flatrefs import FlatRefs
-from repro.chaos.kernels import sorted_unique_inverse, stable_order
-from repro.chaos.schedule import CommSchedule
+from repro.chaos.kernels import sorted_unique_inverse
+from repro.chaos.schedule import CommSchedule, SlotState
 from repro.chaos.transcache import ChargeLog, TranslationCache, _freeze
 from repro.chaos.ttable import Translator
 from repro.machine.machine import Machine
@@ -92,9 +94,12 @@ class LocalizeResult:
         ``>= local_size`` index ghost slot ``value - local_size``.  A
         stacked input comes back stacked: every member's list, back to
         back, under the one ``ref_bounds``.
-    ghost_flat / ghost_bounds:
-        Per processor (CSR), the unique off-processor global indices in
-        ghost slot order.
+    slots:
+        The ghost layout the schedule is read off: per global slot id
+        (processor ``p``'s ghost slot ``s`` is ``slots.slot_bounds[p] +
+        s``) the ghost's global index, owner and owner-local offset.  A
+        fresh result's slots are each processor's unique off-processor
+        global indices, ascending, with no holes.
     derived:
         Host-derived holders hanging off this product, keyed by the
         caller.  Results served from one
@@ -110,8 +115,7 @@ class LocalizeResult:
     schedule: CommSchedule
     refs_flat: np.ndarray
     ref_bounds: np.ndarray
-    ghost_flat: np.ndarray
-    ghost_bounds: np.ndarray
+    slots: SlotState
     derived: dict = field(default_factory=dict)
     charges: ChargeLog | None = None
 
@@ -200,12 +204,17 @@ def localize(
     if out_of_range:
         # the first bad value in stream order: lowest member, then strip
         raise min(out_of_range, key=lambda e: e[:2])[2]
-    (
-        counts, n_off, ghost_counts, ghost_flat, pair_p, pair_q, pair_len, send, recv
-    ) = (np.concatenate(field) for field in zip(*parts))
+    counts, n_off, ghost_counts, keys, owners, lidx = (
+        np.concatenate(field) for field in zip(*parts)
+    )
     del parts
-    ghost_bounds = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(ghost_counts, out=ghost_bounds[1:])
+    slot_bounds = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(ghost_counts, out=slot_bounds[1:])
+    slots = SlotState(slot_bounds, keys, owners, lidx)
+    with obs.span("localize.schedule.build", n_slots=keys.size) as span:
+        schedule = slots.schedule(machine, dist.signature(), np.arange(keys.size))
+        span.set(n_pairs=int(schedule._pair_q.size))
+    pair_q, pair_p, pair_len = schedule._pair_q, schedule._pair_p, schedule._pair_len
 
     # a recording sink forwards every charge unchanged, so a cold fill
     # charges exactly what an uncached run would
@@ -240,29 +249,17 @@ def localize(
     sink.charge_compute_all(iops=DEFAULT_COSTS.schedule_build * owner_record)
     sink.barrier()
 
-    with obs.span("localize.schedule.build", n_pairs=int(pair_q.size)):
-        schedule = CommSchedule(
-            machine,
-            dist.signature(),
-            pair_q,
-            pair_p,
-            pair_len,
-            send,
-            recv,
-            [int(c) for c in ghost_counts],
-        )
     result = LocalizeResult(
         local_sizes=[int(s) for s in local_sizes],
         schedule=schedule,
         refs_flat=localized,
         ref_bounds=bounds,
-        ghost_flat=ghost_flat,
-        ghost_bounds=ghost_bounds,
+        slots=slots,
     )
     if caching:
         # the slot holds the result itself: its arrays frozen, the cold
         # run's tape attached
-        for arr in (localized, bounds, ghost_flat, ghost_bounds):
+        for arr in (localized, bounds, slot_bounds, keys, owners, lidx):
             _freeze(arr)
         result.charges = sink
         cache.put(cache_key[0], cache_key[1], result)
@@ -283,11 +280,9 @@ def _localize_strip(ttable, refs, p0, p1, local_sizes, localized):
     """Localize processors ``p0 .. p1 - 1`` of ``refs``: writes their
     localized references into ``localized`` and returns their share of
     the merged fields -- table counts, off-processor reference counts,
-    ghost counts, unique ghosts, and the pair runs ``(p, q, length)``
-    with their send offsets and ghost slots, all in processor order.
-    Charges nothing."""
+    ghost counts, and the slot state: unique ghosts, their owners and
+    owner-local offsets, all in processor order.  Charges nothing."""
     dist = ttable.dist
-    n = dist.n_procs
     stride = max(dist.size, 1)  # keys cannot collide: every global < size
     b0, b1 = int(refs.bounds[p0]), int(refs.bounds[p1])
     sizes = np.diff(refs.bounds[p0 : p1 + 1])
@@ -322,26 +317,4 @@ def _localize_strip(ttable, refs, p0, p1, local_sizes, localized):
     localized.reshape(refs.members, -1)[:, b0:b1] = local.reshape(vals.shape)
     del lidx, local  # freed before the table's counts allocate their key
     counts = ttable.strip_counts(vals, pid, p0, sizes)
-
-    # the unique ghosts grouped into (requester p, owner q) pair runs:
-    # one stable radix sort on the strip-relative pair id, ghost slots
-    # ascending within each run
-    uowners, ulidx = dist.translate(ugidx)
-    pair_keys = (upid - p0) * n + uowners
-    order = stable_order(pair_keys, (p1 - p0) * n)
-    pair_keys = pair_keys[order]
-    starts = np.flatnonzero(np.diff(pair_keys)) + 1
-    if pair_keys.size:
-        starts = np.concatenate(([0], starts))
-    run_keys = pair_keys[starts]
-    return (
-        counts,
-        n_off,
-        ghost_counts,
-        ugidx,
-        p0 + run_keys // n,
-        run_keys % n,
-        np.diff(np.append(starts, order.size)),
-        np.asarray(ulidx, dtype=np.int64)[order],
-        slots[order],
-    )
+    return (counts, n_off, ghost_counts, ugidx, *dist.translate(ugidx))

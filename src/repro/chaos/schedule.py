@@ -20,30 +20,33 @@ the owners afterwards (writes / reductions) -- PARTI's
 
 Layout
 ------
-Storage is flat (CSR) and there is no other form.  The constructor takes
-one ``(owner, requester, length)`` triple per pair plus every pair's
-send offsets and recv slots concatenated in pair order; *flat order* is
-that per-element order.  The constructor is the one builder --
-``localize`` calls it, and so does ``GroupState.schedule``, which reads
-a schedule off a group's slot state for the patch rung and a checkpoint
-restore alike.  A schedule stores its inputs and two
-position arrays in flat order: ``_unpack_pos``, each recv slot's *ghost
-backing position* ``ghost_offset[p] + slot`` in a flat CSR ghost backing
-(every processor's buffer back to back in one 1-D array of
-:meth:`ghost_total` elements), and the pack positions ``flat_offset[q] +
+A layout has one form, its :class:`SlotState`: one CSR slot space over
+every processor's ghost buffer (processor ``p`` owns global slot ids
+``slot_bounds[p]:slot_bounds[p + 1]``) and, per global slot, the ghost's
+key, owner and owner-local offset.  ``localize`` emits it, the patch
+rung patches it, a checkpoint stores it, and :meth:`SlotState.schedule`
+is the one builder that reads a schedule off it: for ``localize``, the
+patch rung and a checkpoint restore alike.
+
+A schedule stores its pairs (owner, requester, element count), requester-major
+/ owner-minor, and its *slot order*: the global slot id of every element in
+*flat order*, pair after pair.  A global slot id is the slot's *ghost backing
+position* in a flat ghost backing (every processor's buffer back to back in
+one 1-D array of :meth:`ghost_total` elements), so the slot order is the
+unpack positions ``_unpack_pos`` itself.  Send offsets are the slot state's
+``lidx`` read at the slot order, and the pack positions ``flat_offset[q] +
 send offset`` into the ``DistArray``'s flat backing, which need the
-distribution and are resolved on first use.  A schedule is immutable
-once built, so every pattern group with this layout holds this one
-object (the ``x(edge(i))`` / ``y(edge(i))`` siblings of one distribution
-included): groups are named by key, not by schedule identity.  A gather
-is ``ghosts[unpack_pos] = backing[pack_pos]``; the reverse direction
-stores (or ``ufunc.at`` combines) ``ghosts[unpack_pos]`` at
-``pack_pos``.  Ghost positions of
-different requesters never collide, so storing in flat order fixes each
-duplicated slot's last writer exactly as a loop over pairs in insertion
-order would; pack positions of different owners never collide either,
-so every owner element receives its contributions in the order a loop
-over owners, each sending its pairs in turn, applies them.  Nothing
+distribution, are resolved on first use.  A schedule is immutable once
+built, so every pattern group with this layout holds this one object (the
+``x(edge(i))`` / ``y(edge(i))`` siblings of one distribution included):
+groups are named by key, not by schedule identity.  A gather is
+``ghosts[unpack_pos] = backing[pack_pos]``; the reverse direction stores (or
+``ufunc.at`` combines) ``ghosts[unpack_pos]`` at ``pack_pos``.  Ghost
+positions of different requesters never collide, so storing in flat order
+fixes each duplicated slot's last writer exactly as a loop over pairs in
+insertion order would; pack positions of different owners never collide
+either, so every owner element receives its contributions in the order a
+loop over owners, each sending its pairs in turn, applies them.  Nothing
 stores the owner-grouped wire order of a real exchange: only fault
 injection derives it, so that a wire fault hits the element it names.
 
@@ -55,27 +58,24 @@ runtime enforces it defensively too).
 Invariant contract
 ------------------
 Machine-checked by :func:`repro.guard.invariants.verify_schedule` (and
-the product-level checkers that cross-reference the localized ghost
-keys and adapt slot bookkeeping):
+the product-level checkers that cross-reference the slot state and the
+adapt reference counts):
 
-* ``_ghost_off`` is the exclusive prefix sum of ``ghost_sizes``;
-  ``_pair_len`` entries are strictly positive (live pairs only) and sum
-  to ``_flat_send``/``_flat_recv``'s length;
-* every pair id is in ``[0, n_procs)``; the runtime's schedules
-  (``localize`` and the patch rung) keep pairs requester-major /
-  owner-minor, and within a pair elements are sorted by ghost global
-  index (key-sorted flat order);
-* every recv slot is in range for its requester's ghost region, and no
-  ghost backing position is unpacked twice in one gather;
-* after incremental patching, schedule entries target only *live* ghost
-  slots: occupancy over the slot space must equal ``counts > 0`` of the
-  saved adapt state (retired slots are holes no entry touches), and
-  each entry's ``(owner, send offset, ghost key)`` must agree with the
-  saved per-slot map.
+* ``_ghost_off`` is the slot state's ``slot_bounds``; ``_pair_len``
+  entries are strictly positive (live pairs only) and sum to the slot
+  order's length;
+* every pair id is in ``[0, n_procs)``; pairs are requester-major /
+  owner-minor, and within a pair elements are sorted by ghost key;
+* every element's slot lies in its requester's region, and no slot is
+  unpacked twice in one gather;
+* the slot order lists exactly the *live* slots: after incremental
+  patching a slot whose reference count is 0 is a hole the order leaves
+  out, and every element's pair owner is its slot's owner.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -84,6 +84,54 @@ from repro.chaos.costs import DEFAULT_COSTS
 from repro.chaos.kernels import first_segment_outside, stable_order
 from repro.distribution.distarray import DistArray
 from repro.machine.machine import Machine, get_or_plan
+
+
+@dataclass(frozen=True, eq=False)
+class SlotState:
+    """One pattern group's ghost layout, per global slot id ``s``: the
+    ghost's global index ``keys[s]``, its owner ``owners[s]`` and
+    owner-local offset ``lidx[s]``; processor ``p``'s slots are
+    ``slot_bounds[p]:slot_bounds[p + 1]``.  A slot no schedule entry
+    reads is a hole, whose arrays hold stale values."""
+
+    slot_bounds: np.ndarray  # (P + 1,) CSR bounds of the slot space
+    keys: np.ndarray  # (S,)
+    owners: np.ndarray  # (S,)
+    lidx: np.ndarray  # (S,)
+
+    def slot_proc(self) -> np.ndarray:
+        """Processor owning each global slot id."""
+        return np.repeat(
+            np.arange(self.slot_bounds.size - 1, dtype=np.int64),
+            np.diff(self.slot_bounds),
+        )
+
+    def schedule(self, machine: Machine, dist_signature: tuple, live: np.ndarray) -> "CommSchedule":
+        """The schedule fetching the slots ``live``: slot ``s`` of
+        requester ``p`` is the element ``(owners[s], p, lidx[s])``.
+
+        ``live`` lists the slots to fetch ``(p, key)``-ascending (a fresh
+        layout's ``arange``), so regrouping it by ``(p, q)`` (stable)
+        gives the canonical ``(p, q, key)`` order."""
+        n = machine.n_procs
+        pair = self.slot_proc()[live] * n + self.owners[live]
+        regroup = stable_order(pair, n * n)
+        # pair ids ascending are the requester-major / owner-minor pairs;
+        # each run of one id is a pair's elements
+        pair = pair[regroup]
+        first = np.ones(pair.size, dtype=bool)
+        first[1:] = pair[1:] != pair[:-1]
+        starts = np.flatnonzero(first)
+        return CommSchedule(
+            machine,
+            dist_signature,
+            pair[starts] % n,
+            pair[starts] // n,
+            np.diff(np.append(starts, pair.size)),
+            live[regroup],
+            self.lidx,
+            self.slot_bounds,
+        )
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -105,28 +153,27 @@ class CommSchedule:
         pair_q: np.ndarray,
         pair_p: np.ndarray,
         pair_len: np.ndarray,
-        flat_send: np.ndarray,
-        flat_recv: np.ndarray,
-        ghost_sizes: list[int],
+        order: np.ndarray,
+        lidx: np.ndarray,
+        slot_bounds: np.ndarray,
     ):
-        """Construct from flat pair-grouped arrays.
+        """Construct from flat pair-grouped arrays over a slot space.
 
         ``pair_q``/``pair_p``/``pair_len`` describe the communicating
         pairs (owner, requester, element count) in insertion order;
-        ``flat_send``/``flat_recv`` concatenate each pair's local
-        offsets / ghost slots in that order.  Raises ``ValueError`` for
-        a processor id outside ``[0, n_procs)``, for lengths that are
-        negative or do not add up, and for a recv slot outside its
-        requester's ghost region.  Send offsets are range-checked
-        against the distribution on first application
-        (:meth:`_pack_positions`).
+        ``order`` concatenates each pair's global slot ids in that
+        order, ``lidx`` is the send offset of each global slot and
+        ``slot_bounds`` the slot space's CSR bounds.
+        :meth:`SlotState.schedule` is the caller.  Raises ``ValueError``
+        for a processor id outside ``[0, n_procs)``, for lengths that
+        are negative or do not add up, and for a slot outside its
+        requester's region.  Send offsets are range-checked against the
+        distribution on first application (:meth:`_pack_positions`).
         """
         n = machine.n_procs
-        pair_q = np.asarray(pair_q, dtype=np.int64)
-        pair_p = np.asarray(pair_p, dtype=np.int64)
-        pair_len = np.asarray(pair_len, dtype=np.int64)
-        flat_send = np.asarray(flat_send, dtype=np.int64)
-        flat_recv = np.asarray(flat_recv, dtype=np.int64)
+        pair_q, pair_p, pair_len, order, slot_bounds = (
+            np.asarray(a, dtype=np.int64) for a in (pair_q, pair_p, pair_len, order, slot_bounds)
+        )
         if not (pair_q.shape == pair_p.shape == pair_len.shape == (pair_q.size,)):
             raise ValueError(
                 "pair_q, pair_p and pair_len must be 1-D and the same length; got "
@@ -142,41 +189,35 @@ class CommSchedule:
         if (pair_len < 0).any():
             raise ValueError(f"negative pair length {int(pair_len.min())}")
         total = int(pair_len.sum())
-        if flat_send.shape != (total,) or flat_recv.shape != (total,):
-            raise ValueError(
-                f"pair lengths sum to {total} but there are {flat_send.shape} "
-                f"send offsets and {flat_recv.shape} recv slots"
-            )
-        if len(ghost_sizes) != n:
-            raise ValueError(f"expected {n} ghost sizes, got {len(ghost_sizes)}")
-        # empty pairs contribute no elements (the flat arrays need no
-        # filtering) and no message
+        if order.shape != (total,):
+            raise ValueError(f"pair lengths sum to {total} but there are {order.shape} slots")
+        if slot_bounds.shape != (n + 1,) or slot_bounds[0] != 0 or (np.diff(slot_bounds) < 0).any():
+            raise ValueError(f"slot bounds are not monotone CSR bounds over {n} processors")
+        if np.shape(lidx) != (int(slot_bounds[-1]),):
+            raise ValueError(f"{np.shape(lidx)} send offsets for {int(slot_bounds[-1])} slots")
+        # empty pairs contribute no elements and no message
         live = pair_len > 0
         if not live.all():
             pair_q, pair_p, pair_len = pair_q[live], pair_p[live], pair_len[live]
+        pair_bounds = np.concatenate(([0], np.cumsum(pair_len)))
+        i = first_segment_outside(order, pair_bounds, slot_bounds[pair_p + 1], slot_bounds[pair_p])
+        if i is not None:
+            p = int(pair_p[i])
+            raise ValueError(
+                f"pair ({int(pair_q[i])}, {p}): slot out of range "
+                f"[{int(slot_bounds[p])}, {int(slot_bounds[p + 1])})"
+            )
         self.machine = machine
         self.dist_signature = dist_signature
-        self.ghost_sizes = [int(s) for s in ghost_sizes]
+        self.ghost_sizes = np.diff(slot_bounds).tolist()
         #: per-message arrays in pair insertion order (nonempty pairs only)
         self._pair_q, self._pair_p, self._pair_len = pair_q, pair_p, pair_len
-        self._flat_send = _frozen(flat_send)
-        self._flat_recv = _frozen(flat_recv)
-        ghost_sz = np.asarray(self.ghost_sizes, dtype=np.int64)
-        pair_bounds = np.concatenate(([0], np.cumsum(pair_len)))
-        i = first_segment_outside(flat_recv, pair_bounds, ghost_sz[pair_p])
-        if i is not None:
-            raise ValueError(
-                f"pair ({int(pair_q[i])}, {int(pair_p[i])}): recv slot "
-                f"out of range [0, {int(ghost_sz[pair_p[i]])})"
-            )
         self._n_elements = total
-
-        # unpack side: slot s of requester p lives at ghost backing
-        # position ghost_off[p] + s
-        self._ghost_off = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(ghost_sz, out=self._ghost_off[1:])
-        self._unpack_pos = np.repeat(self._ghost_off[pair_p], pair_len) + flat_recv
-        self._unpack_pos.flags.writeable = False
+        #: slot ``s`` lives at ghost backing position ``s``: the slot
+        #: order is the unpack side, and ``_ghost_off`` the slot bounds
+        self._ghost_off = _frozen(slot_bounds)
+        self._unpack_pos = _frozen(order)
+        self._lidx = lidx
         # pack side: flat backing positions, resolved (and the send
         # offsets range-checked) on first use against the bound
         # distribution
@@ -195,14 +236,6 @@ class CommSchedule:
         # owners' combine flops.  Neither is ever written to a checkpoint.
         self._exchange_charges: dict = {}
         self._combine_flops: dict = {}
-
-    def entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Per-element ``(q, p, send, recv)`` arrays in flat (pair) order:
-        ``q``/``p`` repeated per pair, built on each call (the guard and
-        an adapt state build ask), ``send``/``recv`` the schedule's own
-        read-only arrays."""
-        q, p = (np.repeat(a, self._pair_len) for a in (self._pair_q, self._pair_p))
-        return q, p, self._flat_send, self._flat_recv
 
     # ------------------------------------------------------------------
     # introspection
@@ -266,7 +299,8 @@ class CommSchedule:
         if pos is None:
             off = arr.distribution.flat_offsets()
             sizes = np.diff(off)
-            send, plen = self._flat_send, self._pair_len
+            plen = self._pair_len
+            send = self._lidx[self._unpack_pos]
             bounds = np.concatenate(([0], np.cumsum(plen)))
             if first_segment_outside(send, bounds, sizes[self._pair_q]) is not None:
                 # name the offending element a pass over the owners in
@@ -280,7 +314,8 @@ class CommSchedule:
                     f"pair ({q}, {int(self._pair_p[k])}): send offset "
                     f"{int(send[f])} out of range [0, {int(sizes[q])})"
                 )
-            pos = np.repeat(off[self._pair_q], plen) + send
+            pos = send
+            pos += np.repeat(off[self._pair_q], plen)
             pos.flags.writeable = False
             self._pack_pos = pos
         return pos

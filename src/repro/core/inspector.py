@@ -12,9 +12,10 @@ For a loop L the inspector
 The returned :class:`InspectorProduct` is exactly what the paper's reuse
 mechanism saves: "communication schedules, loop iteration partitions,
 information that associates off-processor data copies with on-processor
-buffer locations".  It holds layout only -- schedules, localized
-references and ghost slot keys; the copies themselves are sweep scratch
-of the executor (``repro.core.executor``).
+buffer locations".  It holds layout only -- each group's slot state
+(ghost keys, owners, offsets), the schedule read off it and the localized
+references; the copies themselves are sweep scratch of the executor
+(``repro.core.executor``).
 """
 
 from __future__ import annotations
@@ -127,19 +128,14 @@ class InspectorProduct:
 
     def layout_key(self, group: tuple[str, tuple]) -> tuple:
         """What ``group``'s layout is built from: its indexes and the
-        identities of its input objects -- the schedule's input arrays,
-        the ghost slot keys and each member's localized references.
+        identities of its input objects -- the slot state its schedule
+        is read off and each member's localized references.
         Groups with equal keys hold one layout, so building their adapt
         state, patching them and verifying them is the same work, done
         once; equal content in distinct objects counts as two layouts.
         Valid while this product holds those objects."""
         locs = [self.patterns[key].localized for key in group_members(group)]
-        sched = locs[0].schedule
-        inputs = (
-            sched._pair_q, sched._pair_p, sched._pair_len, sched._flat_send,
-            sched._flat_recv, locs[0].ghost_flat, *(loc.refs_flat for loc in locs),
-        )
-        return (group[1], *map(id, inputs))
+        return (group[1], id(locs[0].slots), *(id(loc.refs_flat) for loc in locs))
 
 
 def run_inspector(
@@ -318,8 +314,7 @@ def run_inspector(
                     schedule=loc.schedule,
                     refs_flat=held.refs_flat,
                     ref_bounds=held.ref_bounds,
-                    ghost_flat=loc.ghost_flat,
-                    ghost_bounds=loc.ghost_bounds,
+                    slots=loc.slots,
                 )
                 patterns[(array_name, index)] = PatternData(
                     array=array_name,

@@ -27,14 +27,11 @@ distinct slot state (sibling groups -- ``x(edge(i))`` / ``y(edge(i))``
 -- store the very same arrays, so they are one section each and share
 what is derived):
 
-* the **communication schedule**, built from the slot state by
-  :meth:`~repro.adapt.state.GroupState.schedule`, the patch rung's
-  builder: its entries are the live slots;
-* the **ghost layout**: ``ghost_bounds`` is ``slot_bounds`` itself and
-  ``ghost_flat`` is ``keys`` itself (a copy with holes set to -1 when a
-  slot is a hole);
+* the **communication schedule**, read off the slot state's live slots
+  by :meth:`~repro.adapt.state.GroupState.schedule`, the patch rung's
+  builder;
 * for an incremental program, the loop's **adapt state**: the very
-  group states restored, plus the home map.
+  group states restored (reference counts), plus the home map.
 
 ``owners`` and ``lidx`` stay stored although a live distribution could
 translate the keys again: a record left stale by ``redistribute`` holds
@@ -57,7 +54,7 @@ Six things are deliberately *not* serialized:
   partition's ``owner_of()``) and each pattern's ``ref_bounds``
   (``_verify_refs`` requires them to equal the partition's bounds):
   restore derives both from the restored partition,
-* **what the slot state determines** -- schedules and ghost keys, above,
+* **what the slot state determines** -- schedules, above,
 * **adapt snapshots** -- the diff reads old indirection values off the
   saved product (:func:`repro.adapt.diff.old_targets`), and
 * **ghost data** -- ghost buffers are executor scratch, filled by the
@@ -149,6 +146,7 @@ from repro.core.inspector import InspectorProduct, PatternArrays, PatternData, g
 from repro.core.iteration import IterationPartition
 from repro.core.records import InspectorRecord
 from repro.chaos.localize import LocalizeResult
+from repro.chaos.schedule import SlotState
 from repro.distribution.irregular import ExplicitDistribution, IrregularDistribution
 from repro.distribution.regular import (
     BlockCyclicDistribution,
@@ -264,13 +262,15 @@ def _registry_payload(registry) -> dict:
     }
 
 
-#: a group's slot state: what a file stores of its layout
+#: a group's slot state: what a file stores of its layout (the
+#: product's ``SlotState`` fields, then the group state's counts)
 _SLOT_FIELDS = ("slot_bounds", "keys", "owners", "lidx", "counts")
 
 
 def _product_payload(product: InspectorProduct, groups: dict) -> dict:
     """The product as stored: partition, signatures and, per group, its
-    slot state (``groups``: the loop's group states) and references."""
+    slot state (its layout, and the counts of ``groups``: the loop's group
+    states) and references."""
     part = product.iteration_partition
     flat, bounds = part.iters_flat()
     entries = []
@@ -281,7 +281,8 @@ def _product_payload(product: InspectorProduct, groups: dict) -> dict:
             "array": gkey[0],
             "indexes": gkey[1],
             "local_sizes": [int(n) for n in locs[0].local_sizes],
-            **{f: getattr(g, f) for f in _SLOT_FIELDS},
+            **{f: getattr(locs[0].slots, f) for f in _SLOT_FIELDS[:-1]},
+            "counts": g.counts,
             "refs_flat": [loc.refs_flat for loc in locs],
         })
     return {
@@ -743,8 +744,8 @@ def _build_dad(t: tuple) -> DAD:
 
 
 def _slot_state(g: dict, n_procs: int, size: int, where: str):
-    """The group's stored slot state as a ``GroupState``, refused unless
-    it is one a schedule can be read off."""
+    """The group's stored slot state as its layout and ``GroupState``,
+    refused unless it is one a schedule can be read off."""
     from repro.adapt.state import GroupState
 
     arrays = [g.get(f) for f in _SLOT_FIELDS]
@@ -764,7 +765,7 @@ def _slot_state(g: dict, n_procs: int, size: int, where: str):
         raise CheckpointError(f"{where}: a slot owner or key is out of range")
     if counts.size and (counts.min() < 0 or lidx.min() < 0):
         raise CheckpointError(f"{where}: a negative reference count or local offset")
-    return GroupState(g["array"], g["indexes"], *arrays)
+    return SlotState(bounds, keys, owners, lidx), GroupState(g["array"], g["indexes"], counts)
 
 
 def _restore_products(program, payload: dict, loops: dict) -> tuple[dict, dict, int]:
@@ -772,10 +773,10 @@ def _restore_products(program, payload: dict, loops: dict) -> tuple[dict, dict, 
     group states and the number of schedules built.
 
     The structures adopt the loaded (read-only) arrays.  Each distinct
-    slot state gets one schedule and one ghost key array, which every
+    slot state gets one layout object and one schedule, which every
     group holding it shares."""
     machine = program.machine
-    layouts: dict[tuple, tuple] = {}  # slot-state inputs -> (state, schedule, ghost_flat)
+    layouts: dict[tuple, tuple] = {}  # slot-state inputs -> (layout, state, schedule)
     records, group_states = {}, {}
     for name, rec in payload["records"].items():
         prod = rec["product"]
@@ -803,13 +804,13 @@ def _restore_products(program, payload: dict, loops: dict) -> tuple[dict, dict, 
                 raise CheckpointError(f"{where} does not fit the loop's arrays and patterns")
             inputs = (*(id(g.get(f)) for f in _SLOT_FIELDS), sig, arr.size)
             if inputs not in layouts:
-                state = _slot_state(g, machine.n_procs, arr.size, where)
+                layout, state = _slot_state(g, machine.n_procs, arr.size, where)
                 try:
-                    schedule = state.schedule(machine, sig, max(arr.size, 1))
+                    schedule = state.schedule(layout, machine, sig, max(arr.size, 1))
                 except ValueError as exc:
                     raise CheckpointError(f"{where}: {exc}") from exc
-                layouts[inputs] = (state, schedule, state.ghost_flat())
-            state, schedule, ghost_flat = layouts[inputs]
+                layouts[inputs] = (layout, state, schedule)
+            layout, state, schedule = layouts[inputs]
             states[gkey] = replace(state, array=gkey[0], indexes=gkey[1])
             for index, refs in zip(gkey[1], g["refs_flat"]):
                 if refs.shape != part.flat.shape:
@@ -823,8 +824,7 @@ def _restore_products(program, payload: dict, loops: dict) -> tuple[dict, dict, 
                     refs_flat=refs,
                     # derivable: _verify_refs pins them to the partition's bounds
                     ref_bounds=part.bounds,
-                    ghost_flat=ghost_flat,
-                    ghost_bounds=state.slot_bounds,
+                    slots=layout,
                 )
                 patterns[gkey[0], index] = PatternData(gkey[0], index, loc, held)
         records[name] = InspectorRecord(

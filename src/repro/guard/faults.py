@@ -10,9 +10,10 @@ runtime's three natural hook points:
 * **remap wire** (``RemapSchedule.apply``): the same triad over the
   moved-element data of an array redistribution -- full rebuilds and
   delta-patched schedules (``patch_remap_schedule``) alike;
-* **patched product** (``IncrementalInspector`` post-patch): swap two
-  recv slots within one schedule pair, breaking the slot map exactly the
-  way out-of-sync incremental bookkeeping would;
+* **patched product** (``IncrementalInspector`` post-patch): swap the
+  slots of two owners of one requester in a schedule's slot order,
+  breaking the slot map exactly the way out-of-sync incremental
+  bookkeeping would;
 * **patched remap schedule** (``patch_remap_schedule``): swap two
   destination slots of a delta-derived remap schedule, desynchronizing
   it from the repartition plan the way stale move bookkeeping would;
@@ -102,8 +103,8 @@ class FaultPlan:
         return self
 
     def flip_slots(self, nth: int = 0) -> "FaultPlan":
-        """Swap two recv slots within one pair of the ``nth`` patched
-        schedule, desynchronizing it from the saved slot bookkeeping."""
+        """Swap the slots of two owners of one requester in the ``nth``
+        patched schedule, desynchronizing it from the saved slot state."""
         self._specs.append({"kind": "flip_slots", "nth": int(nth), "done": False})
         return self
 
@@ -265,24 +266,19 @@ class FaultPlan:
 
     @staticmethod
     def _flip_schedule(sched) -> bool:
-        """Swap the first two recv slots of the first multi-element pair."""
-        plen = sched._pair_len
-        cand = np.flatnonzero(plen >= 2)
-        if not cand.size:
+        """Swap two slot-order entries of the first requester with two or
+        more pairs, one from each of its first two pairs (two owners):
+        each element then names the other owner's slot."""
+        pp = sched._pair_p
+        k = np.flatnonzero(pp[1:] == pp[:-1])
+        if not k.size:
             return False
-        start = int(np.concatenate(([0], np.cumsum(plen)))[cand[0]])
-        recv = sched._flat_recv.copy()
-        recv[start], recv[start + 1] = recv[start + 1], recv[start]
-        sched.__init__(
-            sched.machine,
-            sched.dist_signature,
-            sched._pair_q,
-            sched._pair_p,
-            sched._pair_len,
-            sched._flat_send,
-            recv,
-            sched.ghost_sizes,
-        )
+        a = int(sched._pair_len[: k[0]].sum())
+        b = a + int(sched._pair_len[k[0]])
+        order = sched._unpack_pos.copy()
+        order[a], order[b] = order[b], order[a]
+        order.flags.writeable = False
+        sched._unpack_pos, sched._pack_pos = order, None
         return True
 
     def on_phase(self, machine, name: str, when: str) -> None:

@@ -12,7 +12,7 @@ This module machine-checks those contracts at three levels:
     Linear vectorized scans: CSR bounds monotone and agreeing across
     structures, ids and slots in range, unpack positions unique per
     gather, schedule occupancy consistent with live slot counts (hole
-    accounting), schedule entries consistent with the saved slot map.
+    accounting), each schedule element's owner its slot's owner.
     Fast enough to run after every incremental patch.
 ``full``
     Everything in ``cheap`` plus order and content checks that need
@@ -88,23 +88,21 @@ def verify_schedule(schedule, level: str = "cheap") -> None:
                 "ordered (canonical pair order)"
             )
     n_el = int(plen.sum())
-    send, recv = schedule._flat_send, schedule._flat_recv
-    if send.size != n_el or recv.size != n_el or schedule._n_elements != n_el:
-        _fail("schedule flat arrays disagree with pair lengths")
+    order = schedule._unpack_pos
+    if order.size != n_el or schedule._n_elements != n_el:
+        _fail("schedule slot order disagrees with pair lengths")
     if n_el:
-        if send.min() < 0:
-            _fail("schedule send offset is negative")
         starts = np.concatenate(([0], np.cumsum(plen)))
-        k = first_segment_outside(recv, starts, sizes[pp])
+        k = first_segment_outside(order, starts, off[pp + 1], off[pp])
         if k is not None:
-            seg = recv[starts[k] : starts[k + 1]]
-            bad = seg[(seg < 0) | (seg >= sizes[pp[k]])][0]
             _fail(
-                f"schedule recv slot {int(bad)} out of range "
-                f"[0, {int(sizes[pp[k]])}) for requester {int(pp[k])}"
+                f"schedule slot out of range [{int(off[pp[k]])}, "
+                f"{int(off[pp[k] + 1])}) for requester {int(pp[k])}"
             )
+        if schedule._lidx[order].min() < 0:
+            _fail("schedule send offset is negative")
         # each ghost backing position is written at most once per gather
-        occ = np.bincount(schedule._unpack_pos, minlength=int(off[-1]))
+        occ = np.bincount(order, minlength=int(off[-1]))
         if occ.size and occ.max() > 1:
             s = int(np.argmax(occ))
             _fail(f"ghost backing position {s} unpacked {int(occ[s])} times per gather")
@@ -133,51 +131,43 @@ def verify_partition(partition, n_iterations: int | None = None, level: str = "c
 # ----------------------------------------------------------------------
 # product-level checkers
 # ----------------------------------------------------------------------
-def _schedule_entry_slots(schedule, ghost_bounds) -> tuple:
-    """Per-entry (q, p, send, global slot id) arrays of a schedule."""
-    q, p, send, recv = schedule.entries()
-    return q, p, send, ghost_bounds[p] + recv
-
-
 def _verify_slot_space(pat, arr, level: str) -> None:
-    """Ghost slot space of one pattern group vs. its schedule and array."""
+    """Slot state of one pattern group vs. its schedule and array: the
+    live slots (the schedule's slot order) hold keys in range, and at
+    ``full`` the keys are sorted within each pair, unique per requester,
+    and owned where the distribution says."""
     loc = pat.localized
-    sched = loc.schedule
-    gb = np.asarray(loc.ghost_bounds, dtype=np.int64)
+    sched, slots = loc.schedule, loc.slots
+    gb = slots.slot_bounds
     if not np.array_equal(gb, sched._ghost_off):
-        _fail(f"pattern {pat.array!r} ghost bounds disagree with its schedule")
-    keys = np.asarray(loc.ghost_flat, dtype=np.int64)
-    if keys.size != int(gb[-1]):
-        _fail(f"pattern {pat.array!r} ghost key array does not cover the slot space")
-    if keys.size and (keys < -1).any():
-        _fail(f"pattern {pat.array!r} has a ghost key below -1")
-    live = keys >= 0
-    if live.any() and keys[live].max() >= arr.size:
+        _fail(f"pattern {pat.array!r} slot bounds disagree with its schedule")
+    S = int(gb[-1])
+    if not slots.keys.size == slots.owners.size == slots.lidx.size == S:
+        _fail(f"pattern {pat.array!r} slot state does not cover the slot space")
+    slot = sched._unpack_pos
+    if not slot.size:
+        return
+    ek = slots.keys[slot]
+    if ek.min() < 0 or ek.max() >= arr.size:
         _fail(f"pattern {pat.array!r} ghost key out of range [0, {arr.size})")
-    q, p, send, slot = _schedule_entry_slots(sched, gb)
-    if slot.size:
-        ek = keys[slot]
-        if (ek < 0).any():
-            s = int(slot[np.flatnonzero(ek < 0)[0]])
-            _fail(f"schedule of {pat.array!r} references retired ghost slot {s}")
-        if level == "full":
-            # within each pair, elements sorted by ghost key
-            pair_rep = np.repeat(
-                np.arange(sched._pair_q.size, dtype=np.int64), sched._pair_len
-            )
-            same = pair_rep[1:] == pair_rep[:-1]
-            if (np.diff(ek)[same] <= 0).any():
-                _fail(f"schedule of {pat.array!r} is not key-sorted within a pair")
-            # live keys unique per requester
-            comp = p * max(arr.size, 1) + ek
-            if sorted_unique(comp).size != comp.size:
-                _fail(f"schedule of {pat.array!r} fetches a ghost key twice for one requester")
-            # owner / local offset recomputation against the distribution
-            dist = arr.distribution
-            if not np.array_equal(np.asarray(dist.owner(ek), dtype=np.int64), q):
-                _fail(f"schedule of {pat.array!r}: entry owner disagrees with distribution")
-            if not np.array_equal(np.asarray(dist.local_index(ek), dtype=np.int64), send):
-                _fail(f"schedule of {pat.array!r}: send offset disagrees with distribution")
+    if level == "full":
+        # within each pair, elements sorted by ghost key
+        pair_rep = np.repeat(np.arange(sched._pair_q.size, dtype=np.int64), sched._pair_len)
+        same = pair_rep[1:] == pair_rep[:-1]
+        if (np.diff(ek)[same] <= 0).any():
+            _fail(f"schedule of {pat.array!r} is not key-sorted within a pair")
+        # live keys unique per requester
+        p = np.repeat(sched._pair_p, sched._pair_len)
+        comp = p * max(arr.size, 1) + ek
+        if sorted_unique(comp).size != comp.size:
+            _fail(f"schedule of {pat.array!r} fetches a ghost key twice for one requester")
+        # owner / local offset recomputation against the distribution
+        dist = arr.distribution
+        q = np.repeat(sched._pair_q, sched._pair_len)
+        if not np.array_equal(np.asarray(dist.owner(ek), dtype=np.int64), q):
+            _fail(f"schedule of {pat.array!r}: entry owner disagrees with distribution")
+        if not np.array_equal(np.asarray(dist.local_index(ek), dtype=np.int64), slots.lidx[slot]):
+            _fail(f"schedule of {pat.array!r}: send offset disagrees with distribution")
 
 
 def _verify_refs(pat, iter_bounds: np.ndarray, level: str) -> None:
@@ -190,7 +180,7 @@ def _verify_refs(pat, iter_bounds: np.ndarray, level: str) -> None:
     if refs.size != int(rb[-1]):
         _fail(f"pattern ({pat.array!r}, {pat.index!r}) reference list does not cover its bounds")
     local = np.asarray(loc.local_sizes, dtype=np.int64)
-    ghost = np.diff(np.asarray(loc.ghost_bounds, dtype=np.int64))
+    ghost = np.diff(loc.slots.slot_bounds)
     if first_segment_outside(refs, rb, local + ghost) is not None:
         _fail(
             f"pattern ({pat.array!r}, {pat.index!r}) localized reference "
@@ -240,12 +230,12 @@ def verify_product(product, arrays, level: str = "cheap", state=None) -> None:
         members = [product.patterns[key] for key in group_members(group)]
         loc, arr = members[0].localized, arrays[group[0]]
         layout = product.layout_key(group)
-        if _unseen(seen, layout, loc.ghost_bounds, arr.distribution):
+        if _unseen(seen, layout, arr.distribution):
             verify_schedule(loc.schedule, level)
             _verify_slot_space(members[0], arr, level)
         for pat in members:
             m = pat.localized
-            if _unseen(seen, m.refs_flat, m.ref_bounds, m.ghost_bounds, m.local_sizes):
+            if _unseen(seen, m.refs_flat, m.ref_bounds, m.slots, m.local_sizes):
                 _verify_refs(pat, iter_bounds, level)
     if state is not None:
         verify_adapt_state(product, state, arrays, level)
@@ -255,15 +245,18 @@ def verify_adapt_state(product, state, arrays, level: str = "cheap") -> None:
     """Cross-check saved adapt bookkeeping against the product it describes.
 
     The cheap pass is the hole-accounting contract: every live slot
-    (reference count > 0) appears exactly once as a schedule recv slot,
-    holes never appear, and each schedule entry's (owner, send offset,
-    key) triple matches the saved per-slot map.  The full pass also
-    recomputes reference counts from the localized reference lists,
-    re-derives owners/offsets from the live distribution, and compares
-    the home map against the iteration partition.
+    (reference count > 0) appears exactly once in the schedule's slot
+    order, holes never appear, and each element's pair owner is its
+    slot's owner.  The full pass also recounts references from the
+    localized reference lists, re-derives the live slots' owners and
+    offsets from the live distribution, and compares the home map
+    against the iteration partition.
     """
     if check_level(level) == "off":
         return
+    # deferred: repro.adapt imports this module
+    from repro.adapt.state import build_group_state
+
     n_iter = product.loop.n_iterations
     home = state.home
     if home.size != n_iter:
@@ -277,63 +270,36 @@ def verify_adapt_state(product, state, arrays, level: str = "cheap") -> None:
         if gstate is None:
             _fail(f"adapt state has no slot bookkeeping for group {gkey}")
         loc = product.patterns[members[0]].localized
-        inputs = [product.layout_key(gkey), loc.ghost_bounds, loc.local_sizes]
-        inputs += [gstate.slot_bounds, gstate.keys, gstate.owners, gstate.lidx, gstate.counts]
-        if not _unseen(seen, getattr(arrays.get(gstate.array), "distribution", None), *inputs):
+        dist = getattr(arrays.get(gstate.array), "distribution", None)
+        if not _unseen(seen, dist, product.layout_key(gkey), loc.local_sizes, gstate.counts):
             continue  # a group over these very objects is checked
-        gb = np.asarray(loc.ghost_bounds, dtype=np.int64)
-        if not np.array_equal(gstate.slot_bounds, gb):
-            _fail(f"group {gkey}: saved slot bounds disagree with the product")
-        S = int(gb[-1])
-        for aname, a in (
-            ("keys", gstate.keys),
-            ("owners", gstate.owners),
-            ("lidx", gstate.lidx),
-            ("counts", gstate.counts),
-        ):
-            if a.size != S:
-                _fail(f"group {gkey}: {aname} covers {a.size} of {S} slots")
-        if gstate.counts.size and gstate.counts.min() < 0:
+        slots, counts = loc.slots, gstate.counts
+        S = slots.keys.size
+        if counts.size != S:
+            _fail(f"group {gkey}: counts cover {counts.size} of {S} slots")
+        if S and counts.min() < 0:
             _fail(f"group {gkey}: negative ghost reference count")
-        q, p, send, slot = _schedule_entry_slots(loc.schedule, gb)
+        slot = loc.schedule._unpack_pos
         occ = np.bincount(slot, minlength=S) if slot.size else np.zeros(S, dtype=np.int64)
-        live = gstate.counts > 0
+        live = counts > 0
         if not np.array_equal(occ.astype(bool), live):
             _fail(
                 f"group {gkey}: hole accounting broken -- schedule occupancy "
                 "disagrees with live slot counts"
             )
-        if slot.size:
-            if not np.array_equal(gstate.owners[slot], q):
-                _fail(f"group {gkey}: schedule entry owner disagrees with slot map")
-            if not np.array_equal(gstate.lidx[slot], send):
-                _fail(f"group {gkey}: schedule send offset disagrees with slot map")
-            keys = np.asarray(loc.ghost_flat, dtype=np.int64)
-            if not np.array_equal(gstate.keys[slot], keys[slot]):
-                _fail(f"group {gkey}: schedule ghost keys disagree with slot map")
+        q = np.repeat(loc.schedule._pair_q, loc.schedule._pair_len)
+        if not np.array_equal(slots.owners[slot], q):
+            _fail(f"group {gkey}: schedule entry owner disagrees with slot map")
         if level == "full":
-            dist = arrays[gstate.array].distribution
             if live.any():
-                lk = gstate.keys[live]
-                if not np.array_equal(
-                    np.asarray(dist.owner(lk), dtype=np.int64), gstate.owners[live]
-                ):
+                lk = slots.keys[live]
+                if not np.array_equal(np.asarray(dist.owner(lk), dtype=np.int64), slots.owners[live]):
                     _fail(f"group {gkey}: saved slot owners disagree with distribution")
                 if not np.array_equal(
-                    np.asarray(dist.local_index(lk), dtype=np.int64), gstate.lidx[live]
+                    np.asarray(dist.local_index(lk), dtype=np.int64), slots.lidx[live]
                 ):
                     _fail(f"group {gkey}: saved slot offsets disagree with distribution")
-            # recompute reference counts from the localized reference lists
-            counts = np.zeros(S, dtype=np.int64)
-            local_sizes = np.asarray(loc.local_sizes, dtype=np.int64)
-            pid = product.iteration_partition.proc_of_position()
-            for key in members:
-                refs = product.patterns[key].localized.refs_flat
-                ghost = refs >= local_sizes[pid]
-                if ghost.any():
-                    gslot = gb[pid[ghost]] + (refs[ghost] - local_sizes[pid[ghost]])
-                    np.add.at(counts, gslot, 1)
-            if not np.array_equal(counts, gstate.counts):
+            if not np.array_equal(build_group_state(product, members).counts, counts):
                 _fail(f"group {gkey}: reference counts drifted from the reference lists")
 
 
@@ -344,17 +310,17 @@ def gather_divergence(pat, arr, ghosts: np.ndarray) -> np.ndarray:
     """Ghost backing positions whose contents differ from the owners'.
 
     ``ghosts`` is the flat ghost array a gather over ``pat``'s schedule
-    just filled.  Ghost slot ``s`` of a live key ``k`` must hold the
-    owner's current value of global element ``k`` bit for bit.  Returns
-    the flat ghost backing positions that do not (empty when the gather
-    is consistent).  Holes (key ``-1``) are never gathered and are
-    skipped.  Read-only: does not touch versions or charge anything.
+    just filled.  Every slot the schedule fetches (its slot order) must
+    hold the owner's current value of its key bit for bit.  Returns the
+    flat ghost backing positions that do not, ascending (empty when the
+    gather is consistent).  Holes are never gathered and are skipped.
+    Read-only: does not touch versions or charge anything.
     """
-    keys = np.asarray(pat.localized.ghost_flat, dtype=np.int64)
-    if not keys.size:
-        return np.empty(0, dtype=np.int64)
-    valid = np.flatnonzero(keys >= 0)
+    loc = pat.localized
+    fetched = np.zeros(ghosts.size, dtype=bool)
+    fetched[loc.schedule._unpack_pos] = True
+    valid = np.flatnonzero(fetched)
     if not valid.size:
-        return np.empty(0, dtype=np.int64)
-    want = np.asarray(arr.global_view())[keys[valid]]
+        return valid
+    want = np.asarray(arr.global_view())[loc.slots.keys[valid]]
     return valid[ghosts[valid] != want]

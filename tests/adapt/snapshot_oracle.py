@@ -24,6 +24,7 @@ can assert its scenario really reached the case it is named after.
 import numpy as np
 
 import repro.adapt.driver as driver
+from tests.chaos.schedule_oracle import ghost_flat
 
 
 def reused_holes(old, new) -> int:
@@ -32,11 +33,11 @@ def reused_holes(old, new) -> int:
     n = 0
     for key, pat in new.patterns.items():
         lo, ln = old.patterns[key].localized, pat.localized
-        ob = np.asarray(lo.ghost_bounds, dtype=np.int64)
-        nb = np.asarray(ln.ghost_bounds, dtype=np.int64)
+        ob, nb = lo.slots.slot_bounds, ln.slots.slot_bounds
+        old_keys, new_keys = ghost_flat(lo), ghost_flat(ln)
         for p in range(ob.size - 1):
-            was = lo.ghost_flat[ob[p] : ob[p + 1]]
-            now = ln.ghost_flat[nb[p] : nb[p] + was.size]
+            was = old_keys[ob[p] : ob[p + 1]]
+            now = new_keys[nb[p] : nb[p] + was.size]
             n += int(((was < 0) & (now >= 0)).sum())
     return n
 

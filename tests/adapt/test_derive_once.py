@@ -9,7 +9,7 @@ is pinned here to the naive form it replaced, kept as the oracle:
                                    vs  the element-wise range test
 * ``IterationPartition.inverse`` / ``proc_of_position``
                                    vs  scatter / ``np.repeat`` built here
-* ``CommSchedule.entries``         built per call from the frozen inputs
+* a schedule's slot order          the unpack positions themselves
 * groups over one layout           verified once per distinct input objects
 * ``kernels.sorted_unique`` / ``ranges_from_positions``
                                    vs  ``np.unique``
@@ -32,6 +32,7 @@ from repro.guard.invariants import _verify_refs
 from repro.machine import Machine
 from repro.workloads import generate_mesh
 from repro.workloads.euler import euler_edge_loop, setup_euler_program
+from tests.chaos.schedule_oracle import entries
 
 
 # ----------------------------------------------------------------------
@@ -71,7 +72,7 @@ def refs_pattern(values, bounds, limit):
         ref_bounds=bounds,
         refs_flat=values,
         local_sizes=limit.tolist(),
-        ghost_bounds=np.zeros(limit.size + 1, dtype=np.int64),
+        slots=SimpleNamespace(slot_bounds=np.zeros(limit.size + 1, dtype=np.int64)),
     )
     return SimpleNamespace(array="x", index="e", localized=loc)
 
@@ -93,46 +94,47 @@ class TestSegmentReduceVerify:
     @settings(max_examples=150, deadline=None)
     @given(segment_cases())
     def test_schedule_bounds_checks_match_elementwise(self, case):
-        """Pairs are the segments and the requester's ghost size the
-        limit: the constructor and ``verify_schedule`` (given a recv
-        slot corrupted after construction) reject exactly what the
-        element-wise test rejects."""
+        """Pairs are the segments and the requester's ghost region the
+        range of its slots: the constructor and ``verify_schedule`` (given
+        a slot corrupted after construction) reject exactly what the
+        element-wise test rejects, naming the requester."""
         recv, bounds, sizes = case
         live = np.flatnonzero(np.diff(bounds))  # schedules store live pairs only
         want = elementwise_first_bad(recv, bounds, sizes)
+        # segment s is the pair (owner s + 1, requester s) of a machine
+        # wider than there are segments
+        ghost_sizes = np.ones(16, dtype=np.int64)
+        ghost_sizes[: sizes.size] = sizes
+        slot_bounds = np.concatenate(([0], np.cumsum(ghost_sizes)))
+        first = slot_bounds[np.repeat(np.arange(sizes.size), np.diff(bounds))]
 
-        def make(flat_recv):
-            # segment s is the pair (owner s + 1, requester s) of a machine
-            # wider than there are segments
-            ghost_sizes = np.ones(16, dtype=np.int64)
-            ghost_sizes[: sizes.size] = sizes
+        def make(order):
             return CommSchedule(
                 Machine(16), ("sig",), live + 1, live, np.diff(bounds)[live],
-                np.zeros(recv.size, dtype=np.int64), flat_recv, ghost_sizes.tolist(),
+                order, np.zeros(int(slot_bounds[-1]), dtype=np.int64), slot_bounds,
             )
 
         if want is None:
-            make(recv.copy())
+            make(first + recv)
         else:
-            with pytest.raises(ValueError, match="recv slot out of range"):
-                make(recv.copy())
+            with pytest.raises(ValueError, match=rf"pair \({want + 1}, {want}\): slot out of range"):
+                make(first + recv)
         # a healthy schedule corrupted in place: only the verifier sees it
         healthy = np.where((recv < 0) | (recv >= np.repeat(sizes, np.diff(bounds))), 0, recv)
-        given = healthy.copy()
+        given = first + healthy
         sched = make(given)
-        given[:] = recv  # through the array the schedule holds a view of
+        given[:] = first + recv  # through the array the schedule holds a view of
         if want is None:
             # (recv repeats slots, which a later check of verify_schedule
             # rejects: stop at the bounds check's verdict)
             try:
                 verify_schedule(sched, "cheap")
             except InvariantViolation as exc:
-                assert "recv slot" not in str(exc)
+                assert "slot out of range" not in str(exc)
         else:
-            with pytest.raises(InvariantViolation, match="recv slot") as err:
+            with pytest.raises(InvariantViolation, match="slot out of range") as err:
                 verify_schedule(sched, "cheap")
-            bad = recv[(recv < 0) | (recv >= np.repeat(sizes, np.diff(bounds)))][0]
-            assert f"recv slot {int(bad)} out of range" in str(err.value)
+            assert str(err.value).endswith(f"for requester {want}")
 
     def test_reference_list_must_cover_its_bounds(self):
         bounds = np.array([0, 2, 4])
@@ -211,8 +213,9 @@ def churn(prog, mesh, step, size=25):
 
 
 class TestScheduleLayout:
-    """A schedule keeps its inputs and two flat-order position arrays,
-    and sibling groups over one layout hold the one schedule object."""
+    """A schedule keeps its pairs, its slot order (the unpack positions)
+    and the pack positions, reads send offsets off its slot state, and
+    sibling groups over one layout hold the one schedule object."""
 
     def patched(self):
         mesh, prog, loop, exe = adaptive_campaign()
@@ -225,26 +228,43 @@ class TestScheduleLayout:
         return prog, exe, next(iter(scheds.values()))
 
     def test_siblings_share_one_schedule(self):
-        _, _, a = self.patched()
+        prog, exe, a = self.patched()
         # the patch step executed it: the pack positions are resolved once
         assert a._pack_pos is not None
-        q, p, send, recv = a.entries()
-        np.testing.assert_array_equal(q, np.repeat(a._pair_q, a._pair_len))
-        np.testing.assert_array_equal(p, np.repeat(a._pair_p, a._pair_len))
-        assert send is a._flat_send and recv is a._flat_recv
-        for arr in (send, recv, a._unpack_pos, a._pack_pos):
+        slots = prog.records[exe.loop.name].product.patterns["x", "end_pt1"].localized.slots
+        assert a._lidx is slots.lidx and a._ghost_off.base is slots.slot_bounds
+        q, p, send, recv = entries(a)
+        np.testing.assert_array_equal(a._unpack_pos, slots.slot_bounds[p] + recv)
+        np.testing.assert_array_equal(slots.owners[a._unpack_pos], q)
+        for arr in (a._unpack_pos, a._pack_pos):
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 0
 
-    def test_four_arrays_of_the_element_count(self):
+    def test_two_arrays_of_the_element_count(self):
         _, _, a = self.patched()
         E = a._n_elements
         assert E > 1
+        # (``_lidx`` is the slot state's own array, one offset per slot)
         held = [
             name for name, v in vars(a).items()
-            if isinstance(v, np.ndarray) and v.size == E
+            if isinstance(v, np.ndarray) and v.size == E and name != "_lidx"
         ]
-        assert sorted(held) == ["_flat_recv", "_flat_send", "_pack_pos", "_unpack_pos"]
+        assert sorted(held) == ["_pack_pos", "_unpack_pos"]
+
+    def test_a_fresh_layout_holds_five_arrays_of_its_ghost_count(self):
+        """Keys, owners, offsets, the slot order and the pack positions:
+        a schedule copies nothing of its slot state."""
+        mesh, prog, loop, exe = adaptive_campaign()
+        loc = prog.records[loop.name].product.patterns["x", "end_pt1"].localized
+        S = loc.slots.keys.size
+        assert S > 1 and loc.schedule._pack_pos is not None
+        objs = [loc.slots, loc.schedule]
+        held = {
+            id(v.base if v.base is not None else v)
+            for o in objs for v in vars(o).values()
+            if isinstance(v, np.ndarray) and v.size == S
+        }
+        assert len(held) == 5
 
     def test_positions_absent_from_checkpoint_payloads(self, tmp_path):
         """A file holds no schedule, so none of its derived positions: a
@@ -266,8 +286,10 @@ class TestScheduleLayout:
         product = resumed.records[loop.name].product
         (got,) = {id(p.localized.schedule): p.localized.schedule
                   for p in product.patterns.values()}.values()
-        for f in ("_pair_q", "_pair_p", "_pair_len", "_flat_send", "_flat_recv", "_unpack_pos"):
+        for f in ("_pair_q", "_pair_p", "_pair_len", "_unpack_pos"):
             np.testing.assert_array_equal(getattr(got, f), getattr(live, f))
+        for a, b in zip(entries(got), entries(live)):
+            np.testing.assert_array_equal(a, b)
         assert got.ghost_sizes == live.ghost_sizes and got._pack_pos is None
 
 
@@ -323,7 +345,7 @@ class TestSharedLayoutVerifiedOnce:
         loc = y.localized
         # processor 0's first local reference moved onto its first ghost
         # slot: still in range, but that slot's reference count drifts
-        p0 = int(np.flatnonzero(np.diff(loc.ghost_bounds) > 0)[0])
+        p0 = int(np.flatnonzero(np.diff(loc.slots.slot_bounds) > 0)[0])
         start, stop = int(loc.ref_bounds[p0]), int(loc.ref_bounds[p0 + 1])
         local = loc.local_sizes[p0]
         i = start + int(np.flatnonzero(loc.refs_flat[start:stop] < local)[0])

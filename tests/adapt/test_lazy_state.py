@@ -29,15 +29,8 @@ from repro.workloads import generate_mesh
 from repro.workloads.euler import euler_edge_loop, setup_euler_program
 
 N_PROCS = 4
-GROUP_FIELDS = (
-    "slot_bounds",
-    "keys",
-    "owners",
-    "lidx",
-    "counts",
-    "sorted_comp",
-    "sorted_slot",
-)
+#: a group state's arrays (its layout is the product's slot state)
+GROUP_FIELDS = ("counts", "sorted_comp", "sorted_slot")
 
 
 def build(guard="cheap", **kwargs):
@@ -204,9 +197,9 @@ def test_checkpoint_before_first_patch_resumes_bit_identically(tmp_path):
 
 def test_redistribute_before_checkpoint_builds_against_inspected_layout(tmp_path):
     """A remap between the inspection and the first reader must not leak
-    into the state: owners and offsets are read off the product's own
-    schedule entries, so it stays consistent with the (now void) product
-    it describes."""
+    into the state: it reads the product alone, so it stays consistent
+    with the (now void) product it describes, whose slot state holds the
+    inspected owners."""
     mesh, _, prog, loop = build()
     prog.forall(loop, n_times=1)
     product = prog.records[loop.name].product
@@ -223,11 +216,10 @@ def test_redistribute_before_checkpoint_builds_against_inspected_layout(tmp_path
     assert_states_equal(eager, built)
     # owners/offsets agree with the product's own schedules
     verify_adapt_state(product, built, prog.arrays, "cheap")
-    for gstate in built.groups.values():
+    for (array, indexes), gstate in built.groups.items():
+        slots = product.patterns[array, indexes[0]].localized.slots
         live = gstate.counts > 0
-        assert np.array_equal(
-            gstate.owners[live], inspected_owner[gstate.keys[live]]
-        )
+        assert np.array_equal(slots.owners[live], inspected_owner[slots.keys[live]])
     # and the void product is simply re-inspected on the next sweep
     runs = prog.inspector_runs
     prog.forall(loop, n_times=1)

@@ -78,7 +78,7 @@ def test_old_targets_match_the_snapshot(oracle, coalesce, dist, method):
 
 def test_old_targets_before_the_first_ghost(oracle):
     """A group with no ghosts at inspection: every old reference is local
-    (``ghost_flat`` is empty) until a patch brings the first ghosts."""
+    (its slot state holds no slot) until a patch brings the first ghosts."""
     n = 32
     prog = IrregularProgram(Machine(N_PROCS), incremental=True)
     prog.decomposition("d", n)
@@ -93,7 +93,7 @@ def test_old_targets_before_the_first_ghost(oracle):
     )
     prog.forall(loop, n_times=1)
     product = prog.records[loop.name].product
-    assert all(not pat.localized.ghost_flat.size for pat in product.patterns.values())
+    assert all(not pat.localized.slots.keys.size for pat in product.patterns.values())
     pos = np.arange(4, dtype=np.int64)
     assert np.array_equal(old_targets(product, prog.arrays, "ia", pos), pos)
     for step, vals in enumerate(([16, 17, 18, 19], [20, 17, 2, 3])):

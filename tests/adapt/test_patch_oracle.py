@@ -23,6 +23,7 @@ import pytest
 from repro.adapt import driver as driver_mod
 from repro.machine import Machine
 from tests.chaos.pairs import ghost_regions
+from tests.chaos import schedule_oracle as oracle
 from repro.workloads import generate_mesh
 from repro.workloads.euler import (
     euler_edge_loop,
@@ -67,7 +68,7 @@ def deref_targets(product, pattern_key, n_procs):
     refs = loc.refs_flat
     bounds = loc.ref_bounds
     pid = np.repeat(np.arange(n_procs, dtype=np.int64), np.diff(bounds))
-    keys, kb = loc.ghost_flat, loc.ghost_bounds
+    keys, kb = loc.slots.keys, loc.slots.slot_bounds
     out = np.empty(refs.size, dtype=np.int64)
     ghost = refs >= ls[pid]
     out[ghost] = keys[kb[pid[ghost]] + (refs[ghost] - ls[pid[ghost]])]
@@ -91,11 +92,12 @@ def assert_products_equivalent(prod_a, prod_b, arrays, n_procs):
         assert np.array_equal(sa._pair_q, sb._pair_q), key
         assert np.array_equal(sa._pair_p, sb._pair_p), key
         assert np.array_equal(sa._pair_len, sb._pair_len), key
-        assert np.array_equal(sa._flat_send, sb._flat_send), key
+        assert np.array_equal(oracle.entries(sa)[2], oracle.entries(sb)[2]), key
         # ghost key sets per processor (A may carry -1 holes)
+        keys_a, keys_b = oracle.ghost_flat(la), oracle.ghost_flat(lb)
         for p in range(n_procs):
-            ka = la.ghost_flat[la.ghost_bounds[p] : la.ghost_bounds[p + 1]]
-            kb = lb.ghost_flat[lb.ghost_bounds[p] : lb.ghost_bounds[p + 1]]
+            ka = keys_a[la.slots.slot_bounds[p] : la.slots.slot_bounds[p + 1]]
+            kb = keys_b[lb.slots.slot_bounds[p] : lb.slots.slot_bounds[p + 1]]
             assert set(ka[ka >= 0].tolist()) == set(kb.tolist()), (key, p)
         # localized references hit identical global targets; the expected
         # target of iteration i is ind[i] (or i for direct references)
@@ -127,8 +129,9 @@ def ghost_contents_by_key(product, key, arr, n_procs):
     loc.schedule._move_gather(arr, ghosts)
     regions = ghost_regions(loc.schedule, ghosts)
     out = {}
+    all_keys = oracle.ghost_flat(loc)
     for p in range(n_procs):
-        keys = loc.ghost_flat[loc.ghost_bounds[p] : loc.ghost_bounds[p + 1]]
+        keys = all_keys[loc.slots.slot_bounds[p] : loc.slots.slot_bounds[p + 1]]
         vals = regions[p]
         live = keys >= 0
         order = np.argsort(keys[live])

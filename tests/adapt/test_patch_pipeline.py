@@ -197,9 +197,9 @@ def test_delta_stage_matches_naive_reference(coalesce, monkeypatch):
     seen = []
     stage = patch_mod._group_delta
 
-    def recording(ctx, gstate, member_keys, local_sizes):
-        delta = stage(ctx, gstate, member_keys, local_sizes)
-        seen.append((gstate, list(member_keys), delta))
+    def recording(ctx, slot_bounds, member_keys, local_sizes):
+        delta = stage(ctx, slot_bounds, member_keys, local_sizes)
+        seen.append((slot_bounds, list(member_keys), delta))
         return delta
 
     monkeypatch.setattr(patch_mod, "_group_delta", recording)
@@ -217,14 +217,14 @@ def test_delta_stage_matches_naive_reference(coalesce, monkeypatch):
     home_old[old_flat] = np.repeat(np.arange(4), np.diff(old_bounds))
     assert (home_new != home_old).any()  # the mutation moves iterations too
 
-    for gstate, member_keys, delta in seen:
+    for slot_bounds, member_keys, delta in seen:
         retired, added = naive_group_delta(
             before, home_new, ind_old, ind_new, member_keys
         )
         got_retired = Counter(
             zip(
                 delta.rem_procs.tolist(),
-                (delta.rem_slots - gstate.slot_bounds[delta.rem_procs]).tolist(),
+                (delta.rem_slots - slot_bounds[delta.rem_procs]).tolist(),
             )
         )
         got_added = Counter(zip(delta.add_procs.tolist(), delta.add_targets.tolist()))
@@ -243,7 +243,7 @@ def test_sibling_patterns_share_the_schedule_and_stay_two_groups(coalesce):
     for ind in ("end_pt1", "end_pt2"):
         px, py = product.patterns["x", ind], product.patterns["y", ind]
         assert px.localized.refs_flat is py.localized.refs_flat
-        assert px.localized.ghost_flat is py.localized.ghost_flat
+        assert px.localized.slots is py.localized.slots
         assert px.derived is py.derived
         # one layout object; the product's keys keep the groups apart
         assert px.localized.schedule is py.localized.schedule

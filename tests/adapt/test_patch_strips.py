@@ -25,7 +25,6 @@ import repro.chaos.strips as strips
 from repro.adapt import driver as driver_mod
 from repro.adapt import patch as patch_mod
 from repro.adapt.state import GroupState
-from repro.chaos.schedule import CommSchedule
 from repro.core.executor import run_executor
 from repro.core.forall import ForallLoop
 from repro.machine.stats import COUNTER_FIELDS
@@ -33,6 +32,7 @@ from repro.workloads import generate_mesh
 from repro.workloads.euler import euler_edge_loop
 from tests.adapt.test_lazy_state import GROUP_FIELDS
 from tests.adapt.test_patch_oracle import build_program, mutate
+from tests.chaos.schedule_oracle import entries, schedule_from_flat
 from tests.chaos.test_localize_strips import MANY, ONE, RUNS, pool  # noqa: F401
 
 N_PROCS = 8
@@ -112,8 +112,9 @@ def outcome(prog, loop, tape) -> dict:
     got = {"partition": [a.tobytes() for a in (part.flat, part.bounds, part.inverse())]}
     for key, pat in product.patterns.items():
         loc = pat.localized
-        arrays = (loc.refs_flat, loc.ref_bounds, loc.ghost_flat, loc.ghost_bounds)
-        got[key] = [np.asarray(a).tobytes() for a in arrays + loc.schedule.entries()]
+        slots = loc.slots
+        arrays = (loc.refs_flat, loc.ref_bounds, slots.slot_bounds, slots.keys, slots.owners, slots.lidx)
+        got[key] = [np.asarray(a).tobytes() for a in arrays + entries(loc.schedule)]
         got[key].append(loc.schedule.ghost_sizes)
     state = prog.adapt.state_for(loop.name, "verify")
     got["home"] = state.home.tobytes()
@@ -170,9 +171,9 @@ def test_many_strips_under_rapid_thread_switching(pool, monkeypatch):
 # ----------------------------------------------------------------------
 # aborts: the same error after the same charges
 # ----------------------------------------------------------------------
-def no_ghosts(state, machine, dist_signature, stride):
+def no_ghosts(state, layout, machine, dist_signature, stride):
     n = machine.n_procs
-    return CommSchedule(machine, dist_signature, _EMPTY, _EMPTY, _EMPTY, _EMPTY, _EMPTY, [0] * n)
+    return schedule_from_flat(machine, dist_signature, _EMPTY, _EMPTY, _EMPTY, _EMPTY, _EMPTY, [0] * n)
 
 
 def abort_outcome(monkeypatch, pool, target, on, kind):

@@ -1,4 +1,4 @@
-"""Unit tests for CommSchedule entries, the merge patcher kept as the
+"""Unit tests for schedule entries (``schedule_oracle.entries``), the merge patcher kept as the
 patch rung's schedule oracle, and the patch rung's buffer assignment --
 the append-only regrowth patching builds on."""
 
@@ -9,7 +9,6 @@ from repro.adapt import patch as patch_mod
 from repro.adapt.state import GroupState
 from repro.chaos.costs import DEFAULT_COSTS
 from repro.chaos.localize import localize
-from repro.chaos.schedule import CommSchedule
 from repro.chaos.ttable import build_translation_table
 from repro.distribution import BlockDistribution
 from repro.machine import Machine
@@ -34,11 +33,11 @@ class TestEntriesRoundTrip:
         m = Machine(4)
         loc, dist = make_localized(m)
         sched = loc.schedule
-        q, p, send, recv = sched.entries()
+        q, p, send, recv = oracle.entries(sched)
         # per-element order keys = ghost global indices, aligned with
         # entries -- the wire order a fresh localize produces
-        # slot s of requester pp holds ghost_flat[ghost_bounds[pp] + s]
-        key_of = loc.ghost_flat[loc.ghost_bounds[p] + recv]
+        # slot s of requester pp holds keys[slot_bounds[pp] + s]
+        key_of = loc.slots.keys[loc.slots.slot_bounds[p] + recv]
         rebuilt = oracle.from_entries(
             m, sched.dist_signature, q, p, send, recv,
             sched.ghost_sizes, order_key=key_of,
@@ -48,7 +47,7 @@ class TestEntriesRoundTrip:
     def test_entries_shapes(self):
         m = Machine(4)
         loc, _ = make_localized(m)
-        q, p, send, recv = loc.schedule.entries()
+        q, p, send, recv = oracle.entries(loc.schedule)
         total = int(loc.schedule._pair_len.sum())
         assert q.shape == p.shape == send.shape == recv.shape == (total,)
 
@@ -61,9 +60,9 @@ class TestOraclePatched:
         m = Machine(4)
         loc, _ = make_localized(m)
         sched = loc.schedule
-        q, p, send, recv = sched.entries()
-        # slot s of requester pp holds ghost_flat[ghost_bounds[pp] + s]
-        key_of = loc.ghost_flat[loc.ghost_bounds[p] + recv]
+        q, p, send, recv = oracle.entries(sched)
+        # slot s of requester pp holds keys[slot_bounds[pp] + s]
+        key_of = loc.slots.keys[loc.slots.slot_bounds[p] + recv]
         same = oracle.patched(
             sched,
             np.ones(q.size, dtype=bool),
@@ -83,7 +82,7 @@ class TestOraclePatched:
         m = Machine(4)
         loc, _ = make_localized(m, seed=3)
         sched = loc.schedule
-        q, p, send, recv = sched.entries()
+        q, p, send, recv = oracle.entries(sched)
         rng = np.random.default_rng(1)
         keep = rng.random(q.size) > 0.3
         # appended entries: new ghost slots at the end of each region
@@ -117,14 +116,15 @@ def regrown(sched, ghost_sizes, keep=None):
     if keep is None:
         keep = np.ones(sched._pair_q.size, dtype=bool)
     elements = np.repeat(keep, sched._pair_len)
-    return CommSchedule(
+    _q, _p, send, recv = oracle.entries(sched)
+    return oracle.schedule_from_flat(
         sched.machine,
         sched.dist_signature,
         sched._pair_q[keep],
         sched._pair_p[keep],
         sched._pair_len[keep],
-        sched._flat_send[elements],
-        sched._flat_recv[elements],
+        send[elements],
+        recv[elements],
         ghost_sizes,
     )
 
@@ -164,9 +164,11 @@ def test_shrunk_ghost_region_aborts_the_patch(monkeypatch):
     mesh, machine, prog, loop = lazy.build()
     prog.forall(loop, n_times=1)
 
-    def no_ghosts(state, machine, dist_signature, stride):
+    def no_ghosts(state, layout, machine, dist_signature, stride):
         n = machine.n_procs
-        return CommSchedule(machine, dist_signature, _EMPTY, _EMPTY, _EMPTY, _EMPTY, _EMPTY, [0] * n)
+        return oracle.schedule_from_flat(
+            machine, dist_signature, _EMPTY, _EMPTY, _EMPTY, _EMPTY, _EMPTY, [0] * n
+        )
 
     monkeypatch.setattr(GroupState, "schedule", no_ghosts)
     lazy.mutate(prog, mesh, 0)

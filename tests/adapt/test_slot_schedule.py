@@ -2,12 +2,13 @@
 merge patcher it replaced.
 
 ``GroupState.schedule`` builds a patched group's schedule from its live
-slots with the constructor a cold inspection uses.  The
+slots with the builder a cold inspection uses
+(``SlotState.schedule``).  The
 merge patcher (``CommSchedule.patched`` fed by ``_patch_schedule``) is
 kept in ``tests/chaos/schedule_oracle.py``; here every group of every
 patch is rebuilt by it from the same inputs and every schedule array
-must be equal: pairs, flat arrays, wire permutation, pack/unpack arrays,
-ghost positions, memory charges, ghost sizes and signature.  Scenarios:
+must be equal: pairs, per-element entries, unpack positions, memory
+charges, ghost sizes and signature.  Scenarios:
 1 / 5 / 25 % edge churn at P = 4 and 16 with pattern coalescing on and
 off (every Euler loop has sibling groups), a group with no ghosts at
 inspection, and the first patches after a checkpoint restore (the
@@ -42,8 +43,9 @@ def compared(monkeypatch):
         unindexed = gstate.sorted_comp is None
         patch = drive(ctx, gstate, member_keys, ttable, sib)
         if patch is not None:
-            old = ctx.product.patterns[member_keys[0]].localized.schedule
-            want = oracle.patch_schedule(gstate, old, patch.slots, patch.alloc)
+            loc = ctx.product.patterns[member_keys[0]].localized
+            old = loc.schedule
+            want = oracle.patch_schedule(loc.slots, old, patch.slots, patch.alloc)
             oracle.assert_schedules_equal(patch.schedule, want, context=str(member_keys))
             seen.append(
                 {
@@ -151,6 +153,40 @@ def test_fresh_slot_state_reads_back_the_inspected_schedule(coalesce):
     for gkey in product.groups:
         member_keys = group_members(gkey)
         state = build_group_state(product, member_keys)
-        want = product.patterns[member_keys[0]].localized.schedule
-        got = state.schedule(machine, want.dist_signature, prog.arrays[gkey[0]].size)
+        loc = product.patterns[member_keys[0]].localized
+        want = loc.schedule
+        got = state.schedule(loc.slots, machine, want.dist_signature, prog.arrays[gkey[0]].size)
         oracle.assert_schedules_equal(got, want, context=str(member_keys))
+
+
+@pytest.mark.parametrize("coalesce", [True, False])
+def test_fresh_schedule_equals_the_wire_schedule_of_its_pairs(coalesce):
+    """A fresh product's schedule equals the oracle's ``WireSchedule``
+    built from the same pairs -- each processor's slots grouped by owner
+    in a loop here, keys ascending -- array for array and move for move."""
+    mesh = generate_mesh(400, seed=9)
+    machine, prog = build_program(mesh, True, 16, coalesce)
+    loop = euler_edge_loop(mesh)
+    prog.forall(loop, n_times=1)
+    product = prog.records[loop.name].product
+    for gkey in product.groups:
+        loc = product.patterns[group_members(gkey)[0]].localized
+        slots, arr = loc.slots, prog.arrays[gkey[0]]
+        pairs, send, recv = [], [], []
+        for p in range(machine.n_procs):
+            mine = np.arange(slots.slot_bounds[p], slots.slot_bounds[p + 1])
+            for q in np.unique(slots.owners[mine]):
+                s = mine[slots.owners[mine] == q]
+                pairs.append((q, p, s.size))
+                send.append(slots.lidx[s])
+                recv.append(s - slots.slot_bounds[p])
+        q, p, n = (np.array(col, dtype=np.int64) for col in zip(*pairs))
+        want = oracle.wire_schedule(
+            machine, loc.schedule.dist_signature, q, p, n,
+            np.concatenate(send), np.concatenate(recv), loc.schedule.ghost_sizes,
+        )
+        oracle.assert_schedules_equal(loc.schedule, want, context=str(gkey))
+        gathered = [np.zeros(want.ghost_total()) for _ in range(2)]
+        for sched, ghosts in zip((loc.schedule, want), gathered):
+            sched._move_gather(arr, ghosts)
+        np.testing.assert_array_equal(*gathered)

@@ -4,7 +4,9 @@ Tests describe a schedule the way the paper does -- one send list and
 one recv-slot list per ``(owner, requester)`` pair -- and keep the naive
 per-pair loop over those dicts as the reference the flat apply path is
 checked against.  ``schedule_from_pairs`` is the one place that flattens
-such dicts into the constructor's arguments; the naive references are
+such dicts into a schedule (through
+``schedule_oracle.schedule_from_flat``: a slot's elements name one send
+offset); the naive references are
 fed from the test's own dicts, never from a runtime view.  ``segment``
 reads one processor's part of a flat ``(values, bounds)`` result back.
 """
@@ -12,7 +14,7 @@ reads one processor's part of a flat ``(values, bounds)`` result back.
 import numpy as np
 
 from repro.chaos.costs import DEFAULT_COSTS
-from repro.chaos.schedule import CommSchedule
+from tests.chaos.schedule_oracle import schedule_from_flat
 
 
 def segment(values, bounds, p):
@@ -39,7 +41,7 @@ def flatten_pairs(send, recv):
 
 def schedule_from_pairs(machine, sig, send, recv, ghost_sizes):
     """A ``CommSchedule`` from ``(owner, requester) -> array`` dicts."""
-    return CommSchedule(machine, sig, *flatten_pairs(send, recv), ghost_sizes)
+    return schedule_from_flat(machine, sig, *flatten_pairs(send, recv), ghost_sizes)
 
 
 def ghost_regions(sched, flat):

@@ -1,8 +1,16 @@
 """The merge-based schedule patcher and the wire-order schedule, kept as
-the references the runtime's schedules are diffed against.
+the references the runtime's schedules are diffed against, and the
+per-element vocabulary tests read schedules in.
+
+A runtime schedule stores its pairs and its slot order, and reads send
+offsets off its slot state's ``lidx``; :func:`entries` derives the
+per-element ``(q, p, send, recv)`` arrays the old ``CommSchedule.entries``
+returned, and :func:`schedule_from_flat` builds a runtime schedule from
+the old constructor's flat input (pair arrays, per-element send offsets
+and recv slots, ghost sizes).
 
 The patch rung builds a patched group's ``CommSchedule`` from its
-patched slot state with the one constructor a cold inspection uses.
+patched slot state with the one builder a cold inspection uses.
 Before that it retired dead entries from the old schedule and merged
 revived and never-seen ones in: ``CommSchedule.patched`` (a merge of
 presorted runs that also merged the wire permutation, with a
@@ -34,8 +42,6 @@ SCHEDULE_FIELDS = (
     "_pair_q",
     "_pair_p",
     "_pair_len",
-    "_flat_send",
-    "_flat_recv",
     "_unpack_pos",
     "_ghost_off",
     "_pack_mem",
@@ -44,17 +50,59 @@ SCHEDULE_FIELDS = (
 
 
 def assert_schedules_equal(got, want, context=""):
-    """Every kept array, ``entries()``, ``ghost_sizes`` and the
+    """Every kept array, :func:`entries`, ``ghost_sizes`` and the
     signature of ``got`` equal ``want``'s, dtype included."""
     for f in SCHEDULE_FIELDS:
         a, b = getattr(got, f), getattr(want, f)
         assert a.dtype == b.dtype, (context, f)
         np.testing.assert_array_equal(a, b, err_msg=f"{context} {f}")
-    for a, b in zip(got.entries(), want.entries()):
+    for a, b in zip(entries(got), entries(want)):
         np.testing.assert_array_equal(a, b, err_msg=f"{context} entries")
     assert got._n_elements == want._n_elements, context
     assert got.ghost_sizes == want.ghost_sizes, context
     assert got.dist_signature == want.dist_signature, context
+
+
+def entries(sched):
+    """Per-element ``(q, p, send, recv)`` arrays of ``sched`` in flat
+    (pair) order: the owner and requester of each element's pair, its
+    send offset (a runtime schedule's slot state ``lidx`` at its slot; a
+    :class:`WireSchedule` keeps its own) and its recv slot within the
+    requester's ghost region."""
+    q, p = (np.repeat(a, sched._pair_len) for a in (sched._pair_q, sched._pair_p))
+    if isinstance(sched, WireSchedule):
+        send = sched._flat_send
+    else:
+        send = sched._lidx[sched._unpack_pos]
+    return q, p, send, sched._unpack_pos - sched._ghost_off[p]
+
+
+def ghost_flat(loc):
+    """The ghost key per slot of a localized result with the holes (slots
+    its schedule does not fetch) set to -1, as a ``LocalizeResult`` held
+    it before it held its slot state."""
+    keys = np.full(loc.slots.keys.size, -1, dtype=np.int64)
+    live = loc.schedule._unpack_pos
+    keys[live] = loc.slots.keys[live]
+    return keys
+
+
+def schedule_from_flat(
+    machine, dist_signature, pair_q, pair_p, pair_len, flat_send, flat_recv, ghost_sizes
+) -> CommSchedule:
+    """The runtime schedule of the old constructor's flat input: the
+    ghost regions ``ghost_sizes`` back to back are the slot space, each
+    element's slot is ``slot_bounds[p] + recv``, and each slot's ``lidx``
+    the send offset its elements name -- one per slot, as in a layout."""
+    pair_p, pair_len, flat_send, flat_recv = (
+        np.asarray(a, dtype=np.int64) for a in (pair_p, pair_len, flat_send, flat_recv)
+    )
+    slot_bounds = np.concatenate(([0], np.cumsum(ghost_sizes, dtype=np.int64)))
+    order = slot_bounds[np.repeat(pair_p, pair_len)] + flat_recv
+    lidx = np.zeros(int(slot_bounds[-1]), dtype=np.int64)
+    lidx[order] = flat_send
+    assert np.array_equal(lidx[order], flat_send), "a slot's elements name two send offsets"
+    return CommSchedule(machine, dist_signature, pair_q, pair_p, pair_len, order, lidx, slot_bounds)
 
 
 def wire_perm_of(flat_q):
@@ -233,7 +281,7 @@ def from_entries(
     if order_key is None:
         order_key = entry_recv
     perm = np.lexsort((np.asarray(order_key), entry_q, entry_p))
-    return CommSchedule(
+    return schedule_from_flat(
         machine,
         dist_signature,
         *_pair_runs(entry_q[perm], entry_p[perm], machine.n_procs),
@@ -297,7 +345,7 @@ def patched(
                 f"{self._n_elements} entries"
             )
     else:
-        keep_key = self._flat_recv
+        keep_key = entries(self)[3]
     if add_key is None:
         add_key = add_recv
     fast = patched_merge(
@@ -305,7 +353,7 @@ def patched(
     )
     if fast is not None:
         return fast
-    q, p, send, recv = self.entries()
+    q, p, send, recv = entries(self)
     return from_entries(
         self.machine,
         self.dist_signature,
@@ -343,7 +391,7 @@ def patched_merge(
         return None
     if n * n >= (2**63 - 1) // max(K, 1):
         return None  # pragma: no cover - composite key would overflow
-    flat_q, flat_p, flat_send, flat_recv = self.entries()
+    flat_q, flat_p, flat_send, flat_recv = entries(self)
     comp_flat = (flat_p * n + flat_q) * K + keep_key
     if E and (np.diff(comp_flat) < 0).any():
         return None
@@ -414,25 +462,27 @@ def patched_merge(
     return new
 
 
-def patch_schedule(gstate, old_schedule, slots, alloc) -> CommSchedule:
-    """The patch rung's old schedule stage: retire dead entries, append
-    revived + new ones (pairs requester-major / owner-minor, elements
-    key-sorted, a fresh ``localize``'s wire order)."""
-    old_bounds = gstate.slot_bounds
-    _eq, ep, _esend, erecv = old_schedule.entries()
+def patch_schedule(layout, old_schedule, slots, alloc) -> CommSchedule:
+    """The patch rung's old schedule stage over the old ``layout``:
+    retire dead entries, append revived + new ones (pairs
+    requester-major / owner-minor, elements key-sorted, a fresh
+    ``localize``'s wire order)."""
+    old_bounds = layout.slot_bounds
+    _eq, ep, _esend, erecv = entries(old_schedule)
     entry_slot = old_bounds[ep] + erecv
     dead_mask = np.zeros(int(old_bounds[-1]), dtype=bool)
     dead_mask[slots.went_dead] = True
     add_slots = np.concatenate([alloc.newpos[slots.revived], alloc.alloc])
-    add_proc = np.searchsorted(alloc.slot_bounds, add_slots, side="right") - 1
+    new = alloc.layout
+    add_proc = np.searchsorted(new.slot_bounds, add_slots, side="right") - 1
     return patched(
         old_schedule,
         ~dead_mask[entry_slot],
-        add_q=alloc.owners[add_slots],
+        add_q=new.owners[add_slots],
         add_p=add_proc,
-        add_send=alloc.lidx[add_slots],
-        add_recv=add_slots - alloc.slot_bounds[add_proc],
-        ghost_sizes=[int(s) for s in np.diff(alloc.slot_bounds)],
-        keep_key=gstate.keys[entry_slot],
-        add_key=alloc.keys[add_slots],
+        add_send=new.lidx[add_slots],
+        add_recv=add_slots - new.slot_bounds[add_proc],
+        ghost_sizes=[int(s) for s in np.diff(new.slot_bounds)],
+        keep_key=layout.keys[entry_slot],
+        add_key=new.keys[add_slots],
     )

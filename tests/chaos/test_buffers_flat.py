@@ -44,18 +44,20 @@ class NaiveGhostBuffers:
 
 
 def random_pairs(rng, machine, arr, max_ghost=10):
-    """Random pair dicts + ghost sizes against ``arr`` (duplicate slots allowed)."""
+    """Random pair dicts + ghost sizes against ``arr`` (duplicate slots
+    allowed; each slot has one random send offset)."""
     n = machine.n_procs
     min_local = min(arr.distribution.local_size(p) for p in range(n))
     ghost_sizes = [int(rng.integers(0, max_ghost + 1)) for _ in range(n)]
+    slot_send = [rng.integers(0, max(min_local, 1), size=g) for g in ghost_sizes]
     send, recv = {}, {}
     for q in range(n):
         for p in range(n):
             if rng.random() < 0.5:
                 continue
             count = 0 if ghost_sizes[p] == 0 else int(rng.integers(0, 2 * ghost_sizes[p]))
-            send[(q, p)] = rng.integers(0, max(min_local, 1), size=count)
             recv[(q, p)] = rng.integers(0, max(ghost_sizes[p], 1), size=count)
+            send[(q, p)] = slot_send[p][recv[(q, p)]]
     return send, recv, ghost_sizes
 
 
@@ -214,7 +216,7 @@ def test_localize_ghost_order_matches_np_unique(seed):
     res = localize(m, tt, [np.asarray(r, dtype=np.int64) for r in refs])
     owners = np.asarray(dist.owner(np.arange(size)))
     for p in range(n_procs):
-        ghost_globals = segment(res.ghost_flat, res.ghost_bounds, p)
+        ghost_globals = segment(res.slots.keys, res.slots.slot_bounds, p)
         off = np.asarray(refs[p])[owners[np.asarray(refs[p], dtype=np.int64)] != p]
         np.testing.assert_array_equal(ghost_globals, np.unique(off))
         # localized indices reproduce the reference stream

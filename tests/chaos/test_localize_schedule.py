@@ -32,7 +32,7 @@ def local_refs(res, p):
 
 
 def ghost_globals(res, p):
-    return segment(res.ghost_flat, res.ghost_bounds, p)
+    return segment(res.slots.keys, res.slots.slot_bounds, p)
 
 
 class TestLocalize:
@@ -41,7 +41,7 @@ class TestLocalize:
         refs = [dist.local_indices(p) for p in range(4)]  # all owned
         arr, res, ghosts = make_setup(m4, dist, refs)
         assert res.schedule.element_count() == 0
-        assert res.ghost_flat.size == 0
+        assert res.slots.keys.size == 0
         for p in range(4):
             assert np.all(local_refs(res, p) < res.local_sizes[p])
 

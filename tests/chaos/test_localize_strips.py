@@ -1,10 +1,11 @@
 """Strip invariance of the cold ``localize``.
 
-``localize`` runs its translate / off-mask / dedup / rewrite / pair
-grouping body once per processor strip (``repro.chaos.strips``), on the
+``localize`` runs its translate / off-mask / dedup / rewrite / slot
+state body once per processor strip (``repro.chaos.strips``), on the
 strip pool, and merges the strips in processor order.  Whatever the
 strip count and the thread count, every field of the
-:class:`LocalizeResult` -- the schedule's entries included -- and every
+:class:`LocalizeResult` -- its slot state and the schedule's entries
+included -- and every
 charge (the recorded tape when cached, the counters and clocks always)
 must be bit-identical to one strip over the whole stream, for every
 table kind, one or two stacked members, with and without processors that
@@ -12,7 +13,8 @@ hold no references, and for every input form: a materialised stream, the
 inspector's gathered one, and per-processor lists.  A bad reference
 in any strip is refused with the ``IndexError`` of the first bad value
 in stream order, and a malformed stream with ``ValueError``, before
-anything is charged.
+anything is charged.  The slot state's owners and offsets are the
+distribution's for its keys.
 """
 
 import re
@@ -31,6 +33,7 @@ from repro.distribution import BlockDistribution, IrregularDistribution
 from repro.machine import Machine
 from repro.machine.stats import COUNTER_FIELDS
 from repro.obs import Tracer
+from tests.chaos.schedule_oracle import entries
 from tests.chaos.test_stacked_group import tape_rows
 
 N_PROCS = 8
@@ -100,19 +103,15 @@ def refs_for(form, positions, bounds, sources):
 
 
 def outcome(machine, res) -> dict:
-    """Every field of a result, its schedule's entries and the machine's
-    charges, as comparable values."""
-    got = {
-        name: np.asarray(getattr(res, name)).tobytes()
-        for name in ("refs_flat", "ref_bounds", "ghost_flat", "ghost_bounds")
-    }
-    got["dtypes"] = [
-        getattr(res, name).dtype.str
-        for name in ("refs_flat", "ref_bounds", "ghost_flat", "ghost_bounds")
+    """Every field of a result, its slot state, its schedule's entries and
+    the machine's charges, as comparable values."""
+    arrays = [res.refs_flat, res.ref_bounds] + [
+        getattr(res.slots, name) for name in ("slot_bounds", "keys", "owners", "lidx")
     ]
+    got = {"arrays": [a.tobytes() for a in arrays], "dtypes": [a.dtype.str for a in arrays]}
     got["local_sizes"] = res.local_sizes
     got["ghost_sizes"] = res.schedule.ghost_sizes
-    got["entries"] = [a.tolist() for a in res.schedule.entries()]
+    got["entries"] = [a.tolist() for a in entries(res.schedule)]
     got["tape"] = None if res.charges is None else tape_rows(res.charges.tape)
     got["counters"] = {f: getattr(machine.counters, f).tobytes() for f in COUNTER_FIELDS}
     got["clocks"] = [machine.clock(p) for p in range(N_PROCS)] + [machine.elapsed()]
@@ -125,7 +124,11 @@ def run(monkeypatch, pool, target, on, variant, dist, refs, cached):
     machine = Machine(N_PROCS)
     table = build_translation_table(machine, dist, variant=variant)
     kwargs = dict(cache=TranslationCache(), cache_key=(("s",), ("v",))) if cached else {}
-    return outcome(machine, localize(machine, table, refs, **kwargs))
+    res = localize(machine, table, refs, **kwargs)
+    keys = res.slots.keys
+    np.testing.assert_array_equal(res.slots.owners, dist.owner(keys))
+    np.testing.assert_array_equal(res.slots.lidx, dist.local_index(keys))
+    return outcome(machine, res)
 
 
 CASES = [

@@ -13,6 +13,7 @@ from repro.distribution import (
 )
 from repro.machine import Machine
 from tests.chaos.pairs import ghost_regions, segment
+from tests.chaos.schedule_oracle import entries
 
 
 @st.composite
@@ -117,7 +118,7 @@ def test_schedule_counters_consistent(case):
     tt = build_translation_table(m, dist)
     res = localize(m, tt, refs)
     sched = res.schedule
-    _, entry_p, _, entry_recv = sched.entries()
+    _, entry_p, _, entry_recv = entries(sched)
     for p in range(n_procs):
         expected = np.unique(
             np.asarray(refs[p])[

@@ -1,20 +1,24 @@
 """Flattened-schedule equivalence: CSR apply path vs the naive pair loop.
 
-``CommSchedule`` stores and applies flat CSR arrays only.  These tests
+``CommSchedule`` stores and applies flat CSR arrays only: its pairs, its
+slot order and its slot state's ``lidx``.  These tests
 keep a small naive reference implementation (a loop over per-pair send /
 recv lists and per-processor ghost buffers, ``tests/chaos/pairs.py``),
 feed it from the test's own pair dicts, and check, over randomized
 schedules, that gather / scatter / scatter_op produce *identical* array
 contents and *bit-identical* per-processor machine clocks and counters
 -- including the order-sensitive cases: duplicate recv slots (last
-writer wins) and floating-point reduction accumulation order.
+writer wins) and floating-point reduction accumulation order.  A slot
+holds one send offset (a layout has one per slot), so every pair
+fetching a slot names that offset; pairs of different owners still
+move different elements into it.
 """
 
 import numpy as np
 import pytest
 
 from repro.chaos.merge import gather_merged, scatter_op_merged
-from repro.chaos.schedule import CommSchedule
+from repro.chaos.schedule import CommSchedule, SlotState
 from repro.distribution.distarray import DistArray
 from repro.distribution.regular import BlockDistribution
 from repro.guard.faults import FaultPlan
@@ -33,8 +37,10 @@ from tests.chaos.pairs import (
 # randomized schedule construction
 # ----------------------------------------------------------------------
 def random_schedule_parts(rng, n_procs, local_size, max_ghost=12):
-    """Random send/recv pair dicts (duplicates allowed) + ghost sizes."""
+    """Random send/recv pair dicts (duplicates allowed) + ghost sizes;
+    each ghost slot has one random send offset."""
     ghost_sizes = [int(rng.integers(0, max_ghost + 1)) for _ in range(n_procs)]
+    slot_send = [rng.integers(0, local_size, size=g) for g in ghost_sizes]
     send_lists = {}
     recv_slots = {}
     pairs = [
@@ -51,8 +57,8 @@ def random_schedule_parts(rng, n_procs, local_size, max_ghost=12):
             count = int(rng.integers(0, 2 * ghost_sizes[p] + 1))
         # duplicate send offsets and recv slots are deliberately allowed:
         # they exercise last-writer-wins and accumulation-order semantics
-        send_lists[(q, p)] = rng.integers(0, local_size, size=count)
         recv_slots[(q, p)] = rng.integers(0, max(ghost_sizes[p], 1), size=count)
+        send_lists[(q, p)] = slot_send[p][recv_slots[(q, p)]]
     return send_lists, recv_slots, ghost_sizes
 
 
@@ -170,44 +176,49 @@ def small_schedule(seed=21):
     return schedule_from_pairs(machine, arr.distribution.signature(), send, recv, gsizes)
 
 
-class TestEntries:
-    """``entries()`` reads the stored arrays; only ``q``/``p`` are built."""
+class TestSlotOrder:
+    """A schedule stores its slot order and reads send offsets off the
+    slot state's ``lidx``; :func:`oracle.entries` derives the rest."""
 
-    def test_send_recv_are_the_stored_read_only_arrays(self):
+    def test_slot_order_is_the_unpack_positions(self):
         sched = small_schedule()
-        q, p, send, recv = sched.entries()
+        q, p, send, recv = oracle.entries(sched)
         assert q.size  # a trivially empty schedule would prove nothing
-        assert send is sched._flat_send and recv is sched._flat_recv
-        for view in (send, recv):
-            with pytest.raises(ValueError, match="read-only"):
-                view[0] = 99
-        np.testing.assert_array_equal(q, np.repeat(sched._pair_q, sched._pair_len))
-        np.testing.assert_array_equal(p, np.repeat(sched._pair_p, sched._pair_len))
+        np.testing.assert_array_equal(sched._unpack_pos, sched._ghost_off[p] + recv)
+        np.testing.assert_array_equal(send, sched._lidx[sched._unpack_pos])
+        with pytest.raises(ValueError, match="read-only"):
+            sched._unpack_pos[0] = 99
+        assert not hasattr(sched, "_flat_send") and not hasattr(sched, "_flat_recv")
 
-    def test_the_callers_arrays_are_viewed_not_frozen(self):
-        # zero-copy is the point of the flat layout, and the schedule
-        # must not change the flags of arrays it was handed
-        machine, arr, min_local = make_world(4, 40, 21)
-        send, recv, gsizes = random_schedule_parts(np.random.default_rng(21), 4, min_local)
-        parts = flatten_pairs(send, recv)
-        sched = CommSchedule(machine, arr.distribution.signature(), *parts, gsizes)
-        for given, kept in ((parts[3], sched._flat_send), (parts[4], sched._flat_recv)):
-            assert given.flags.writeable and not kept.flags.writeable
-            assert kept.base is given
+    def test_the_layouts_arrays_are_held_not_copied(self):
+        # a schedule holds its slot state's lidx and bounds themselves,
+        # and must not change the flags of arrays it was handed
+        machine, arr, _ = make_world(4, 40, 21)
+        slots = SlotState(
+            np.array([0, 2, 3, 3, 5]),
+            np.array([30, 35, 1, 12, 13]),
+            np.array([3, 3, 0, 1, 1]),
+            np.array([0, 5, 1, 2, 3]),
+        )
+        sched = slots.schedule(machine, arr.distribution.signature(), np.arange(5))
+        assert sched._lidx is slots.lidx
+        assert sched._ghost_off.base is slots.slot_bounds
+        assert slots.slot_bounds.flags.writeable and not sched._ghost_off.flags.writeable
+        assert sched.ghost_sizes == [2, 1, 0, 2]
+        assert list(zip(*(a.tolist() for a in oracle.entries(sched)))) == [
+            (3, 0, 0, 0), (3, 0, 5, 1), (0, 1, 1, 0), (1, 3, 2, 0), (1, 3, 3, 1),
+        ]
 
-    def test_read_only_input_is_kept_as_is(self):
+    def test_read_only_bounds_are_kept_as_is(self):
         # a checkpoint restore hands in frozen arrays: schedules built
-        # from one array keep sharing that very object
-        machine, arr, min_local = make_world(4, 40, 21)
-        send, recv, gsizes = random_schedule_parts(np.random.default_rng(21), 4, min_local)
-        parts = flatten_pairs(send, recv)
-        for a in parts[3:]:
-            a.flags.writeable = False
+        # from one slot state keep sharing that very object
+        machine, arr, _ = make_world(4, 40, 21)
+        bounds = np.array([0, 1, 1, 1, 1])
+        bounds.flags.writeable = False
+        slots = SlotState(bounds, np.array([20]), np.array([2]), np.array([0]))
         sig = arr.distribution.signature()
-        a = CommSchedule(machine, sig, *parts, gsizes)
-        b = CommSchedule(machine, sig, *parts, gsizes)
-        assert a._flat_send is b._flat_send is parts[3]
-        assert a._flat_recv is b._flat_recv is parts[4]
+        a, b = (slots.schedule(machine, sig, np.arange(1)) for _ in range(2))
+        assert a._ghost_off is b._ghost_off is bounds
 
 
 class TestResolvedOnce:
@@ -249,23 +260,29 @@ class TestResolvedOnce:
 # ----------------------------------------------------------------------
 # the one constructor states its contract
 # ----------------------------------------------------------------------
+#: a slot space of two slots per processor, with their send offsets
+BOUNDS, LIDX = [0, 2, 4, 6, 8], np.zeros(8, dtype=np.int64)
+
+
 @pytest.mark.parametrize(
     "args, exc, match",
     [
         # a processor id outside [0, n_procs) names the offending pair
-        (([0], [-1], [1], [0], [0]), ValueError, r"pair \(0, -1\) out of range"),
-        (([4], [1], [1], [0], [0]), ValueError, r"pair \(4, 1\) out of range"),
-        (([0], [1], [-1], [], []), ValueError, "negative pair length -1"),
-        # pair lengths must add up to the send offsets ...
-        (([0], [1], [3], [0, 1], [0, 1]), ValueError, "sum to 3"),
-        # ... and the recv slots must match them one for one
-        (([0], [1], [2], [0, 1], [0]), ValueError, "sum to 2"),
+        (([0], [-1], [1], [0], LIDX, BOUNDS), ValueError, r"pair \(0, -1\) out of range"),
+        (([4], [1], [1], [2], LIDX, BOUNDS), ValueError, r"pair \(4, 1\) out of range"),
+        (([0], [1], [-1], [], LIDX, BOUNDS), ValueError, "negative pair length -1"),
+        # pair lengths must add up to the slot order
+        (([0], [1], [3], [2, 3], LIDX, BOUNDS), ValueError, "sum to 3"),
+        # every slot lies in its requester's region
+        (([0], [1], [2], [2, 4], LIDX, BOUNDS), ValueError, r"pair \(0, 1\): slot out of range \[2, 4\)"),
+        (([0], [1], [1], [2], LIDX, [0, 2, 1, 6, 8]), ValueError, "not monotone"),
+        (([0], [1], [1], [2], LIDX[:7], BOUNDS), ValueError, "send offsets for 8 slots"),
     ],
 )
 def test_constructor_rejects_malformed_input_by_name(args, exc, match):
     machine, arr, _ = make_world(4, 40, 0)
     with pytest.raises(exc, match=match):
-        CommSchedule(machine, arr.distribution.signature(), *args, [2, 2, 2, 2])
+        CommSchedule(machine, arr.distribution.signature(), *args)
 
 
 @pytest.mark.parametrize("offset", [2, -1], ids=["local_size", "negative"])
@@ -278,7 +295,7 @@ def test_out_of_range_send_offset_is_rejected_on_first_use(apply, offset):
     machine = Machine(4)
     dist = BlockDistribution(8, 4)
     arr = DistArray.from_global(machine, dist, np.arange(8.0), name="x")
-    sched = CommSchedule(machine, dist.signature(), [0], [3], [1], [offset], [0], [0, 0, 0, 1])
+    sched = CommSchedule(machine, dist.signature(), [0], [3], [1], [0], np.array([offset]), [0, 0, 0, 0, 1])
     ghosts = np.full(1, -5.0)
     clock = clocks(machine)
     with pytest.raises(ValueError, match=rf"pair \(0, 3\): send offset {offset} out of range \[0, 2\)"):
@@ -304,12 +321,15 @@ def test_out_of_range_send_offset_names_the_pair_the_wire_oracle_names(seed):
     machine, arr, min_local = make_world(4, 40, seed)
     send, recv, gsizes = random_schedule_parts(rng, 4, min_local)
     for key in [k for k in send if len(send[k])][::2]:
-        send[key] = send[key].copy()
-        send[key][rng.integers(len(send[key]))] = rng.choice([-1, 10**6])
+        # a bad offset for one slot: every pair fetching it names it
+        slot, bad = recv[key][rng.integers(len(send[key]))], rng.choice([-1, 10**6])
+        for q, p in send:
+            if p == key[1]:
+                send[q, p] = np.where(recv[q, p] == slot, bad, send[q, p])
     parts = flatten_pairs(send, recv)
     sig = arr.distribution.signature()
     messages = []
-    for make in (CommSchedule, oracle.wire_schedule):
+    for make in (oracle.schedule_from_flat, oracle.wire_schedule):
         with pytest.raises(ValueError, match="send offset") as err:
             make(machine, sig, *parts, gsizes).gather(arr, np.zeros(sum(gsizes)))
         messages.append(str(err.value))
@@ -325,7 +345,7 @@ def test_send_offsets_in_range_on_every_owner_pass():
     sizes = dist.local_sizes()
     sched = CommSchedule(
         machine, dist.signature(), [1, 2, 3, 0], [0, 0, 0, 1],
-        [1, 1, 1, 1], sizes[[1, 2, 3, 0]] - 1, [0, 1, 2, 0], [3, 1, 0, 0],
+        [1, 1, 1, 1], [0, 1, 2, 3], sizes[[1, 2, 3, 0]] - 1, [0, 3, 4, 4, 4],
     )
     ghosts = np.zeros(4)
     sched.gather(arr, ghosts)
@@ -349,8 +369,9 @@ def canonical_variants(n_procs, size, seed, monkeypatch):
     """One random schedule, canonicalized four ways, each on its own world.
 
     The oracle's ``from_entries`` and the constructor fed canonical pair
-    arrays derive the wire permutation with the constructor's argsort;
-    the oracle's ``patched(keep=all)`` of a canonical schedule merges it
+    arrays (both through ``schedule_from_flat``) read the slot order off
+    the flat input; the oracle's ``patched(keep=all)`` of a canonical
+    schedule merges it
     and derives every apply array itself (``schedule_oracle.build``);
     ``patched`` of the non-canonical original falls back to
     ``from_entries``.
@@ -368,16 +389,15 @@ def canonical_variants(n_procs, size, seed, monkeypatch):
         if name == "fallback":
             sched = oracle.patched(raw, keep, no_add, no_add, no_add, no_add, gsizes)
         else:
-            sched = oracle.from_entries(machine, sig, *raw.entries(), gsizes)
+            sched = oracle.from_entries(machine, sig, *oracle.entries(raw), gsizes)
         if name == "constructor":
-            sched = CommSchedule(
+            sched = oracle.schedule_from_flat(
                 machine,
                 sig,
                 sched._pair_q,
                 sched._pair_p,
                 sched._pair_len,
-                sched._flat_send,
-                sched._flat_recv,
+                *oracle.entries(sched)[2:],
                 gsizes,
             )
         elif name == "merge":
@@ -417,18 +437,19 @@ def test_noncanonical_schedule_differs_from_its_canonical_form():
     send, recv, gsizes = random_schedule_parts(np.random.default_rng(302), 4, min_local)
     sig = arr.distribution.signature()
     raw = schedule_from_pairs(machine, sig, send, recv, gsizes)
-    canon = oracle.from_entries(machine, sig, *raw.entries(), gsizes)
+    canon = oracle.from_entries(machine, sig, *oracle.entries(raw), gsizes)
     assert not np.array_equal(raw._pair_p, canon._pair_p)
 
 
 def test_duplicate_slot_last_writer_is_the_last_pair():
-    """Two owners send to the *same* ghost slot of requester 1, with other
-    requesters' pairs interleaved and the later pair's owner *first* in
-    wire order: the naive per-pair loop's last writer must win."""
+    """Two owners send to the *same* ghost slot of requester 1 (the
+    slot's one offset, 9: different elements), with other requesters'
+    pairs interleaved and the later pair's owner *first* in wire order:
+    the naive per-pair loop's last writer must win."""
     m_flat, arr_flat, _ = make_world(4, 40, 5)
     m_ref, arr_ref, _ = make_world(4, 40, 5)
     send = {
-        (2, 1): np.array([7]),
+        (2, 1): np.array([9]),
         (1, 0): np.array([3, 4]),
         (3, 2): np.array([1]),
         (0, 1): np.array([9]),  # same slot as (2, 1): this one must stick
@@ -450,7 +471,7 @@ def test_duplicate_slot_last_writer_is_the_last_pair():
     sched.gather(arr_flat, g_flat)
     naive_gather(m_ref, send, recv, arr_ref, g_ref)
     np.testing.assert_array_equal(g_flat, np.concatenate(g_ref))
-    assert ghost_regions(sched, g_flat)[1][0] == arr_flat.local(0)[9] != arr_flat.local(2)[7]
+    assert ghost_regions(sched, g_flat)[1][0] == arr_flat.local(0)[9] != arr_flat.local(2)[9]
     assert clocks(m_flat) == clocks(m_ref)
 
 
@@ -507,7 +528,7 @@ def wire_oracle_run(make, n_procs, size, seed, fault, merged):
 @pytest.mark.parametrize("fault", list(WIRE_FAULTS))
 @pytest.mark.parametrize("n_procs,size,seed", CASES)
 def test_flat_moves_are_bit_identical_to_the_wire_oracle(n_procs, size, seed, fault, merged):
-    got = wire_oracle_run(CommSchedule, n_procs, size, seed, fault, merged)
+    got = wire_oracle_run(oracle.schedule_from_flat, n_procs, size, seed, fault, merged)
     want = wire_oracle_run(oracle.wire_schedule, n_procs, size, seed, fault, merged)
     for a, b in zip(got[0], want[0]):
         assert a.tobytes() == b.tobytes()

@@ -33,6 +33,7 @@ from repro.machine import Machine
 from repro.machine.machine import ComputeCharge, ExchangeCharge
 from repro.machine.stats import COUNTER_FIELDS
 from tests.chaos.pairs import segment
+from tests.chaos.schedule_oracle import entries as schedule_entries
 from tests.core.test_miss_path_kernels import COMPUTE_VECTORS, EXCHANGE_VECTORS, digest
 
 N_PROCS = 8  # the default hypercube wants a power of two
@@ -248,12 +249,12 @@ def test_stacked_localize_matches_the_dict_and_loop_reference(kind, variant, k, 
     )
 
     # ghost lists and their CSR bounds
-    assert res.ghost_bounds.tolist() == np.cumsum([0] + [len(g) for g in ghosts]).tolist()
-    assert res.ghost_flat.tolist() == [g for gl in ghosts for g in gl]
+    assert res.slots.slot_bounds.tolist() == np.cumsum([0] + [len(g) for g in ghosts]).tolist()
+    assert res.slots.keys.tolist() == [g for gl in ghosts for g in gl]
     assert res.schedule.ghost_sizes == [len(g) for g in ghosts]
     assert res.local_sizes == dist.local_sizes().tolist()
     # who sends which local offset to whose ghost slot, in wire order
-    assert list(zip(*(a.tolist() for a in res.schedule.entries()))) == entries
+    assert list(zip(*(a.tolist() for a in schedule_entries(res.schedule)))) == entries
     # every member's localized references: against the reference, and
     # decoded back through [local segment | ghost buffer] to the globals
     n_refs = int(res.ref_bounds[-1])
@@ -277,7 +278,7 @@ def test_stacked_localize_matches_the_dict_and_loop_reference(kind, variant, k, 
         stack(members) if k > 1 else [np.array(r) for r in members[0]],
     )
     assert again.refs_flat.tolist() == res.refs_flat.tolist()
-    assert again.ghost_flat.tolist() == res.ghost_flat.tolist()
+    assert again.slots.keys.tolist() == res.slots.keys.tolist()
     assert counters(bare) == counters(machine)
 
 

@@ -36,6 +36,7 @@ from repro.distribution import IrregularDistribution
 from repro.machine.machine import ComputeCharge, ExchangeCharge, Machine
 from repro.machine.stats import COUNTER_FIELDS
 from repro.workloads.mesh import generate_mesh
+from tests.chaos.schedule_oracle import entries
 from tests.workloads.helpers import run_rebalance_campaign
 
 
@@ -381,8 +382,8 @@ def product_parts(product):
         loc = product.patterns[key].localized
         yield key
         yield loc.local_sizes
-        yield from (loc.refs_flat, loc.ref_bounds, loc.ghost_flat, loc.ghost_bounds)
-        yield from loc.schedule.entries()
+        yield from (loc.refs_flat, loc.ref_bounds, loc.slots.keys, loc.slots.slot_bounds)
+        yield from entries(loc.schedule)
 
 
 def tape_parts(cache):

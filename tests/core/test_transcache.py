@@ -26,6 +26,7 @@ from repro.distribution import BlockDistribution, CyclicDistribution, DistArray
 from repro.distribution.irregular import IrregularDistribution
 from repro.machine import Machine
 from repro.machine.stats import COUNTER_FIELDS
+from tests.chaos.schedule_oracle import entries
 from tests.machine.traffic import byte_matrix, messages, spy_exchanges
 
 
@@ -82,11 +83,12 @@ def assert_products_equal(a, b):
     for key, pa in a.patterns.items():
         pb = b.patterns[key]
         la, lb = pa.localized, pb.localized
-        for name in ("ghost_flat", "ghost_bounds", "refs_flat", "ref_bounds"):
+        for name in ("refs_flat", "ref_bounds"):
             assert np.array_equal(getattr(la, name), getattr(lb, name))
-        sa, sb = la.schedule, lb.schedule
-        assert np.array_equal(sa._flat_send, sb._flat_send)
-        assert np.array_equal(sa._flat_recv, sb._flat_recv)
+        for name in ("slot_bounds", "keys", "owners", "lidx"):
+            assert np.array_equal(getattr(la.slots, name), getattr(lb.slots, name))
+        for ea, eb in zip(entries(la.schedule), entries(lb.schedule)):
+            assert np.array_equal(ea, eb)
 
 
 class TestWarmVsColdOracle:
@@ -481,8 +483,8 @@ class TestDerivedHolders:
             ls = np.asarray(loc.local_sizes, dtype=np.int64)
             ghost = loc.refs_flat >= ls[pid]
             got = np.empty_like(want)
-            got[ghost] = loc.ghost_flat[
-                loc.ghost_bounds[pid[ghost]] + loc.refs_flat[ghost] - ls[pid[ghost]]
+            got[ghost] = loc.slots.keys[
+                loc.slots.slot_bounds[pid[ghost]] + loc.refs_flat[ghost] - ls[pid[ghost]]
             ]
             local = ~ghost
             assert np.array_equal(dist.owner(want[local]), pid[local])
@@ -514,7 +516,7 @@ class TestDerivedHolders:
                 held.exec_space.offsets.copy(),
                 held.exec_space.ghost_sel.copy(),
             )
-        entry_refs = [(e, e.refs_flat.copy(), e.ghost_flat.copy()) for e in entries]
+        entry_refs = [(e, e.refs_flat.copy(), e.slots.keys.copy()) for e in entries]
 
         # patch the second product (tracked write + reuse-checked sweep)
         n_data = prog.arrays["x"].size
@@ -536,7 +538,7 @@ class TestDerivedHolders:
         assert rewritten > 0  # the patch really rebuilt some pattern
         for entry, refs_flat, ghost_flat in entry_refs:
             assert np.array_equal(entry.refs_flat, refs_flat)
-            assert np.array_equal(entry.ghost_flat, ghost_flat)
+            assert np.array_equal(entry.slots.keys, ghost_flat)
         # the shared holder still drives a correct sweep: re-inspecting
         # the *patched* content misses, the patched product is unharmed
         y0 = prog.arrays["y"].to_global()

@@ -34,8 +34,11 @@ from repro.machine.stats import COUNTER_FIELDS
 from repro.workloads import generate_mesh
 from repro.workloads.euler import euler_edge_loop, setup_euler_program
 from repro.workloads.rebalance import drifting_weights, rebalance_moves
+from tests.chaos.schedule_oracle import entries
 
 N_PROCS = 4
+#: a layout's arrays (``SlotState``)
+SLOT_FIELDS = ("slot_bounds", "keys", "owners", "lidx")
 
 
 def build(n_procs=N_PROCS, incremental=True, n_nodes=300):
@@ -106,11 +109,12 @@ def assert_programs_equal(p_a, p_b):
         for key in pa.patterns:
             la, lb = pa.patterns[key].localized, pb.patterns[key].localized
             assert np.array_equal(la.refs_flat, lb.refs_flat), key
-            assert np.array_equal(la.ghost_flat, lb.ghost_flat), key
+            for f in SLOT_FIELDS:
+                assert np.array_equal(getattr(la.slots, f), getattr(lb.slots, f)), (key, f)
             sa, sb = la.schedule, lb.schedule
             assert np.array_equal(sa._pair_q, sb._pair_q), key
-            assert np.array_equal(sa._flat_send, sb._flat_send), key
-            assert np.array_equal(sa._flat_recv, sb._flat_recv), key
+            for ea, eb in zip(entries(sa), entries(sb)):
+                assert np.array_equal(ea, eb), key
     if p_a.adapt is not None:
         assert p_a.adapt.loops_with_state() == p_b.adapt.loops_with_state()
         for lname in p_a.adapt.loops_with_state():
@@ -119,9 +123,7 @@ def assert_programs_equal(p_a, p_b):
             assert np.array_equal(sa.home, sb.home)
             assert set(sa.groups) == set(sb.groups)
             for gkey, ga in sa.groups.items():
-                gb = sb.groups[gkey]
-                for f in ("slot_bounds", "keys", "owners", "lidx", "counts"):
-                    assert np.array_equal(getattr(ga, f), getattr(gb, f)), (gkey, f)
+                assert np.array_equal(ga.counts, sb.groups[gkey].counts), gkey
 
 
 def simulated_history(exe):
@@ -391,16 +393,17 @@ def restored_arrays(prog, loop_name) -> dict:
     out["partition/flat"], out["partition/bounds"] = part.iters_flat()
     for key, pat in product.patterns.items():
         loc = pat.localized
-        for f in ("refs_flat", "ref_bounds", "ghost_flat", "ghost_bounds"):
+        for f in ("refs_flat", "ref_bounds"):
             out[f"{key}/{f}"] = getattr(loc, f)
+        for f in SLOT_FIELDS:
+            out[f"{key}/{f}"] = getattr(loc.slots, f)
         # one schedule object serves a whole pattern group
-        for f in ("_pair_q", "_pair_p", "_pair_len", "_flat_send", "_flat_recv"):
+        for f in ("_pair_q", "_pair_p", "_pair_len", "_unpack_pos"):
             out[f"schedule {id(loc.schedule)}/{f}"] = getattr(loc.schedule, f)
     state = prog.adapt.state_for(loop_name, "verify")
     out["home"] = state.home
     for gkey, g in state.groups.items():
-        for f in ("slot_bounds", "keys", "owners", "lidx", "counts"):
-            out[f"{gkey}/{f}"] = getattr(g, f)
+        out[f"{gkey}/counts"] = g.counts
     for name, arr in prog.arrays.items():
         out[f"array/{name}"] = arr._data  # the backing itself, not a view
     return out

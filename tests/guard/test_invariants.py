@@ -1,5 +1,7 @@
 """Invariant checkers: pass on healthy products, catch seeded corruption."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -103,13 +105,13 @@ class TestCorruptionDetected:
         _, prog, _, product = inspected()
         pat = next(iter(product.patterns.values()))
         sched = pat.localized.schedule
-        if not sched._flat_recv.size:
+        if not sched._unpack_pos.size:
             pytest.skip("no ghosts on this configuration")
         # in-place corruption through the array the schedule was built
         # from (it holds a read-only view): construction-time validation
         # can't see it
-        sched._flat_recv.base[0] = max(sched.ghost_sizes) + 5
-        with pytest.raises(InvariantViolation, match="recv slot"):
+        sched._unpack_pos.base[0] = sched.ghost_total() + 5
+        with pytest.raises(InvariantViolation, match="slot out of range"):
             verify_schedule(sched, "cheap")
 
     def test_non_canonical_pair_order(self):
@@ -129,9 +131,9 @@ class TestCorruptionDetected:
             sched._pair_q[perm],
             sched._pair_p[perm],
             sched._pair_len[perm],
-            sched._flat_send[order],
-            sched._flat_recv[order],
-            sched.ghost_sizes,
+            sched._unpack_pos[order],
+            sched._lidx,
+            sched._ghost_off,
         )
         with pytest.raises(InvariantViolation, match="pair order"):
             verify_schedule(sched, "cheap")
@@ -144,10 +146,10 @@ class TestCorruptionDetected:
         pat = next(
             p for p in product.patterns.values() if p.localized.schedule.ghost_total()
         )
-        bounds = np.array(pat.localized.ghost_bounds)
+        bounds = np.array(pat.localized.slots.slot_bounds)
         bounds[1:] += 1  # one slot more on processor 0
-        pat.localized.ghost_bounds = bounds
-        with pytest.raises(InvariantViolation, match="ghost bounds disagree"):
+        pat.localized.slots = dataclasses.replace(pat.localized.slots, slot_bounds=bounds)
+        with pytest.raises(InvariantViolation, match="slot bounds disagree"):
             verify_product(product, prog.arrays, "cheap")
 
     def test_partition_lost_iteration(self):
@@ -201,7 +203,7 @@ class TestContentChecks:
         ghosts = np.zeros(sched.ghost_total())
         sched._move_gather(arr, ghosts)  # data movement only
         assert gather_divergence(pat, arr, ghosts).size == 0
-        keys = np.asarray(pat.localized.ghost_flat)
+        keys = np.asarray(pat.localized.slots.keys)
         live = np.flatnonzero(keys >= 0)
         if not live.size:
             pytest.skip("no ghosts on this configuration")

@@ -2,9 +2,9 @@
 
 A checkpoint stores each pattern group once, as its slot state
 (``slot_bounds``, ``keys``, ``owners``, ``lidx``, ``counts``) and its
-members' references; the restore builds each schedule with the patch
-rung's builder (``GroupState.schedule``) and derives ``ghost_flat`` /
-``ghost_bounds``.  Differential over four campaigns, each checkpointed
+members' references; the restore builds each layout object and reads
+each schedule off its live slots with the patch rung's builder
+(``GroupState.schedule``).  Differential over four campaigns, each checkpointed
 and resumed into a fresh program:
 
 * an adaptive campaign whose slot spaces hold holes,
@@ -15,8 +15,8 @@ and resumed into a fresh program:
 * the MD workload (five sibling groups over one layout per indirection).
 
 In each, every restored layout is array-equal to the live one (the
-schedule's five input arrays and ``ghost_sizes``, ``ghost_flat``,
-``ghost_bounds``, references), sibling groups share one restored
+slot state, the schedule's pairs, slot order, entries and
+``ghost_sizes``, references), sibling groups share one restored
 schedule object exactly where the live ones share one, and the resumed
 campaign runs on bit-identically: clock, counter CRCs, result CRC.
 """
@@ -35,10 +35,11 @@ from repro.workloads import generate_mesh
 from repro.workloads.euler import euler_edge_loop, setup_euler_program
 from repro.workloads.md import md_force_loop, setup_md_program
 from repro.workloads.rebalance import drifting_weights, rebalance_moves
+from tests.chaos.schedule_oracle import entries
 
 N_PROCS = 4
-SCHEDULE_INPUTS = ("_pair_q", "_pair_p", "_pair_len", "_flat_send", "_flat_recv")
-SLOT_FIELDS = ("slot_bounds", "keys", "owners", "lidx", "counts")
+SCHEDULE_INPUTS = ("_pair_q", "_pair_p", "_pair_len", "_unpack_pos")
+SLOT_FIELDS = ("slot_bounds", "keys", "owners", "lidx")
 
 
 def euler(incremental=True, **kwargs):
@@ -157,9 +158,13 @@ def assert_layouts_equal(live, restored):
                 sa, sb = la.schedule, lb.schedule
                 for f in SCHEDULE_INPUTS:
                     np.testing.assert_array_equal(getattr(sa, f), getattr(sb, f), err_msg=f)
+                for ea, eb in zip(entries(sa), entries(sb)):
+                    np.testing.assert_array_equal(ea, eb)
                 assert sa.ghost_sizes == sb.ghost_sizes
                 assert sa.dist_signature == sb.dist_signature == a.dist_signatures[gkey[0]]
-                for f in ("ghost_flat", "ghost_bounds", "refs_flat", "ref_bounds"):
+                for f in SLOT_FIELDS:
+                    np.testing.assert_array_equal(getattr(la.slots, f), getattr(lb.slots, f))
+                for f in ("refs_flat", "ref_bounds"):
                     np.testing.assert_array_equal(getattr(la, f), getattr(lb, f), err_msg=f)
                 assert list(la.local_sizes) == list(lb.local_sizes)
         if live.adapt is not None:
@@ -167,12 +172,14 @@ def assert_layouts_equal(live, restored):
             gb = restored.adapt.state_for(name, "verify").groups
             assert list(ga) == list(gb)
             for gkey in ga:
-                for f in SLOT_FIELDS:
-                    np.testing.assert_array_equal(getattr(ga[gkey], f), getattr(gb[gkey], f))
-                # the restored state is the one the product's layout was read off
+                np.testing.assert_array_equal(ga[gkey].counts, gb[gkey].counts)
+                # the restored schedule fetches exactly the live slots
                 g, loc = gb[gkey], b.patterns[group_members(gkey)[0]].localized
-                assert loc.ghost_bounds is g.slot_bounds
-                np.testing.assert_array_equal(loc.ghost_flat, np.where(g.counts > 0, g.keys, -1))
+                assert np.shares_memory(loc.schedule._ghost_off, loc.slots.slot_bounds)
+                assert loc.schedule._lidx is loc.slots.lidx
+                np.testing.assert_array_equal(
+                    np.sort(loc.schedule._unpack_pos), np.flatnonzero(g.counts > 0)
+                )
 
 
 def fingerprint(prog, result):

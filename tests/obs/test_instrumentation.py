@@ -82,6 +82,13 @@ class TestAdaptSpans:
     def test_patch_attempt_nesting_and_attrs(self):
         mesh, prog, loop = build(obs="on")
         prog.forall(loop, n_times=1)
+        # a schedule build reports its size: slots in, pairs out
+        builds = [s for s in prog.machine.obs.spans if s.name == "localize.schedule.build"]
+        sched = prog.records[loop.name].product.patterns["x", "end_pt1"].localized.schedule
+        assert builds and all(set(s.attrs) >= {"n_slots", "n_pairs"} for s in builds)
+        assert (sched.ghost_total(), sched._pair_q.size) in {
+            (s.attrs["n_slots"], s.attrs["n_pairs"]) for s in builds
+        }
         prog.machine.obs.clear()
         mutate(prog, mesh, 4)
         prog.forall(loop, n_times=1)
@@ -129,6 +136,12 @@ class TestAdaptSpans:
             ]
             assert len({s.attrs["shared"] for s in group_spans}) == 1
         assert sorted(g[0].attrs["shared"] for g in per_group.values()) == [False, True]
+        sched = prog.records[loop.name].product.patterns["x", "end_pt1"].localized.schedule
+        for s in stages:
+            if s.name == "adapt.patch.schedule":
+                assert (s.attrs["n_slots"], s.attrs["n_pairs"]) == (
+                    sched.ghost_total(), sched._pair_q.size
+                )
 
     def test_report_books_patch_stages_to_the_adapt_layer(self, tmp_path, capsys):
         from repro.obs.__main__ import main
