@@ -43,24 +43,28 @@ unchanged, which conditions 1-2 guarantee).  ``GroupState`` adds the
 live reference count (``counts``; 0 marks a hole) and the sorted slot
 index.  A hole is also a slot absent from the schedule's slot order.
 
-State lifetime: captured by reference, built on first use
----------------------------------------------------------
-A full inspection does not build ``LoopAdaptState``.  It captures the
-fresh product, by reference (O(1)), and charges the simulated
-bookkeeping cost right there, inside the inspector phase, because the
-*modelled* runtime does that work when it inspects.  The O(refs) host
-build (:func:`~repro.adapt.state.build_adapt_state`) runs when a reader
-first asks :meth:`IncrementalInspector.state_for`: a patch attempt that
-passed every routing check, post-patch verification, or a checkpoint
+State lifetime: carried by the product, built on first use
+----------------------------------------------------------
+``LoopAdaptState`` is a value its product carries
+(``InspectorProduct.adapt_state``); nothing else holds it, so whatever
+frees a product frees its state.  A full inspection does not build it:
+it charges the simulated bookkeeping cost right there, inside the
+inspector phase, because the *modelled* runtime does that work when it
+inspects.  The O(refs) host build
+(:func:`~repro.adapt.state.build_adapt_state`) runs when a reader first
+asks :meth:`IncrementalInspector.state_of` for the saved product's
+state: a patch attempt that passed every routing check, or a checkpoint
 save.  It reads only the product -- the reference counts are one
 ``bincount`` over its localized references -- so later writes and
-remaps cannot leak in: the state equals what an eager build
-would have produced.  A loop re-inspected every step over unchanged
-content, or whose products a remap voids, never builds; a typed patch
-failure, a restore, or the next full inspection drops or replaces the
-capture.  Each build is visible: an ``adapt.state.build_adapt_state``
-span, one ``adapt.state`` event with the reader as ``reason``, and
-``AdaptiveExecutor.history[...]["state_build_wall_seconds"]``.
+remaps cannot leak in: the state equals what an eager build would have
+produced.  A loop re-inspected every step over unchanged content, or
+whose products a remap voids, never builds.  A patch never mutates its
+input's state: the patched product is born with its own (the new home
+map and group states), a restored product with the one its file holds,
+and a typed patch failure leaves nothing to drop.  Each build is
+visible: an ``adapt.state.build_adapt_state`` span (``n_slots``,
+``n_refs``), one ``adapt.state`` event with the reader as ``reason``,
+and ``AdaptiveExecutor.history[...]["state_build_wall_seconds"]``.
 
 The slot state is the layout a checkpoint stores, with the counts: a
 restore reads each schedule off it with

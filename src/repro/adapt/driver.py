@@ -11,8 +11,7 @@ back at its owner and a dropped program is freed at once.  Routing:
 
 * a **condition 1/2** failure (a DAD changed -- some array was
   remapped or resized) is unpatchable: saved owners, local offsets and
-  schedules are void; the full inspector runs and fresh adapt state is
-  captured;
+  schedules are void; the full inspector runs;
 * a **condition 3** failure (indirection *values* may have changed)
   is diffed: if every stale indirection has region information and the
   changed-value fraction is under :data:`MAX_CHANGE_FRACTION`, the saved
@@ -30,11 +29,12 @@ Degradation is *graceful and bounded* (the escalation ladder):
 1. a patch attempt that raises a typed failure
    (:class:`~repro.guard.errors.PatchAborted`, or
    :class:`~repro.guard.errors.PatchVerifyFailed` when the patched
-   product fails post-patch invariant verification) discards the loop's
-   saved adapt state and falls back to the conservative full inspector
-   -- correctness never depends on a product that failed verification;
+   product fails post-patch invariant verification) falls back to the
+   conservative full inspector, whose product replaces the saved one and
+   its state -- correctness never depends on a product that failed
+   verification;
 2. every fallback, including routine routing ones (unpatchable
-   condition, missing state or region info, churn over threshold),
+   condition, missing region info, churn over threshold),
    emits a structured ``adapt.fallback`` event (read back through
    ``fallback_log``) and is surfaced per-step through
    :class:`AdaptiveExecutor.history`;
@@ -77,7 +77,7 @@ MAX_FAILURES = 3
 
 
 class IncrementalInspector:
-    """Per-program incremental-inspection state and patch routing.
+    """Per-program patch routing and failure counters.
 
     Holds the parts of its program a patch reads (machine, arrays, event
     bus, registry, translation tables, guard level; none is ever
@@ -93,11 +93,6 @@ class IncrementalInspector:
         self.registry = program.registry
         self.ttables = program.ttables
         self.guard = program.guard
-        #: per loop, the adapt state of its saved product -- or, until a
-        #: reader first asks through :meth:`state_for`, only that
-        #: product, captured by reference
-        self._states: dict[str, LoopAdaptState] = {}
-        self._pending: dict[str, InspectorProduct] = {}
         #: cumulative host wall seconds spent building states (not
         #: simulated time): lands in whichever step first needs a state
         self.state_build_wall = 0.0
@@ -133,56 +128,38 @@ class IncrementalInspector:
 
     # ------------------------------------------------------------------
     def after_inspect(self, loop: ForallLoop, record: InspectorRecord) -> None:
-        """Capture (by reference) what a later patch of this inspection
-        needs, and charge the bookkeeping the modelled runtime does now.
-
-        The host-side build waits for :meth:`state_for`; the simulated
-        charge does not move (``repro.adapt.state`` explains both)."""
-        self._states.pop(loop.name, None)
-        self._pending[loop.name] = record.product
+        """Charge the adapt-state bookkeeping the modelled runtime does
+        when it inspects; the host-side build waits for :meth:`state_of`
+        (``repro.adapt.state`` explains both)."""
         with self.machine.obs.span("adapt.state.charge", loop=loop.name):
             charge_state_build(self.machine, record.product, self.arrays)
 
-    # ------------------------------------------------------------------
-    # state access: every reader goes through state_for
-    # ------------------------------------------------------------------
-    def loops_with_state(self) -> list[str]:
-        """Loops whose saved product has adapt state, built or pending."""
-        return sorted(self._states.keys() | self._pending.keys())
+    def state_of(self, product: InspectorProduct, reason: str) -> LoopAdaptState:
+        """``product``'s adapt state, built and attached now if it has none.
 
-    def state_for(self, loop_name: str, reason: str) -> LoopAdaptState | None:
-        """The loop's adapt state, built now if still pending.
-
-        ``reason`` says who needed it (``"patch"``, ``"verify"``,
-        ``"checkpoint"``); each build emits one ``adapt.state`` event
-        carrying it.  ``None`` when the loop has no state at all.
+        ``reason`` says who needed it (``"patch"``, ``"checkpoint"``);
+        each build records one ``adapt.state.build_adapt_state`` span
+        (``n_slots``, ``n_refs``: slots and references tallied) and emits
+        one ``adapt.state`` event carrying it.
         """
-        pending = self._pending.pop(loop_name, None)
-        if pending is not None:
+        if product.adapt_state is None:
+            name = product.loop.name
             t0 = time.perf_counter()
             with self.machine.obs.span(
-                "adapt.state.build_adapt_state", loop=loop_name, reason=reason
-            ):
-                self._states[loop_name] = build_adapt_state(pending)
+                "adapt.state.build_adapt_state", loop=name, reason=reason
+            ) as span:
+                product.adapt_state = build_adapt_state(product)
+                locs = [pat.localized for pat in product.patterns.values()]
+                span.set(
+                    n_slots=sum({id(loc.slots): loc.slots.keys.size for loc in locs}.values()),
+                    n_refs=sum({id(loc.refs_flat): loc.refs_flat.size for loc in locs}.values()),
+                )
             wall = time.perf_counter() - t0
             self.state_build_wall += wall
             self.events.emit(
-                "adapt.state",
-                reason,
-                {"loop": loop_name, "reason": reason, "host_seconds": wall},
+                "adapt.state", reason, {"loop": name, "reason": reason, "host_seconds": wall}
             )
-        return self._states.get(loop_name)
-
-    def drop_state(self, loop_name: str) -> None:
-        """Forget the loop's state (built or pending)."""
-        self._states.pop(loop_name, None)
-        self._pending.pop(loop_name, None)
-
-    def replace_states(self, states: dict[str, LoopAdaptState]) -> None:
-        """Install built states wholesale (checkpoint restore); every
-        pending capture describes a product the restore discarded."""
-        self._states = dict(states)
-        self._pending.clear()
+        return product.adapt_state
 
     # ------------------------------------------------------------------
     def attempt(
@@ -202,8 +179,6 @@ class IncrementalInspector:
                 loop.name, "route", "unpatchable_condition",
                 condition=decision.condition,
             )
-        if loop.name not in self.loops_with_state():
-            return self._fallback(loop.name, "route", "no_saved_state")
         machine = self.machine
         registry = self.registry
         arrays = self.arrays
@@ -226,7 +201,7 @@ class IncrementalInspector:
             dirty[name] = ranges
 
         # every routing check passed: this attempt reads the state
-        state = self.state_for(loop.name, "patch")
+        state = self.state_of(record.product, "patch")
         obs = machine.obs
         with machine.phase("inspector"):
             machine.charge_compute_all(iops=PATCH_CHECK_IOPS)
@@ -277,25 +252,16 @@ class IncrementalInspector:
                     # or its key under every signature: a missing one is a
                     # bug (KeyError)
                     product = patch_product(
-                        machine,
-                        record.product,
-                        arrays,
-                        state,
-                        changed,
-                        self.ttables,
+                        machine, record.product, arrays, changed, self.ttables
                     )
                 with obs.span("adapt.verify", loop=loop.name):
                     self._verify_patch(loop, product)
             except (PatchError, InvariantViolation) as exc:
-                # patch_product keeps state consistent on failure (its
-                # slot spaces persist only after every group succeeds),
-                # so the conservative full inspector is a safe recovery:
-                # drop this loop's state (rebuilt after the full run),
-                # count the failure toward the disable threshold, and
-                # report it through fallback_log.  only the typed
-                # hierarchy is recoverable; anything else is a bug and
-                # propagates.
-                self.drop_state(loop.name)
+                # patch_product mutates nothing it is given, so the
+                # conservative full inspector is a safe recovery: count
+                # the failure toward the disable threshold and report it
+                # through fallback_log.  only the typed hierarchy is
+                # recoverable; anything else is a bug and propagates.
                 count = self.failures.get(loop.name, 0) + 1
                 self.failures[loop.name] = count
                 if count >= MAX_FAILURES:
@@ -332,12 +298,7 @@ class IncrementalInspector:
                 return
             level = "cheap"
         try:
-            verify_product(
-                product,
-                self.arrays,
-                level,
-                state=self.state_for(loop.name, "verify"),
-            )
+            verify_product(product, self.arrays, level)
         except InvariantViolation as exc:
             raise PatchVerifyFailed(
                 f"patched product for loop {loop.name!r} failed {level} "

@@ -188,7 +188,7 @@ def _revote(
     machine: Machine,
     loop,
     arrays: dict[str, DistArray],
-    state: LoopAdaptState,
+    home_old: np.ndarray,
     changed_iters: np.ndarray,
     method: str,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -197,7 +197,6 @@ def _revote(
     Uses the same reference selection as ``partition_iterations`` for
     ``method`` so the patched home map equals a fresh partitioning's.
     """
-    home_old = state.home
     if not changed_iters.size:
         return home_old, _EMPTY
     refs = method_refs(loop, method)
@@ -304,7 +303,7 @@ class _GroupPatch:
     charges: tuple  # see _schedule_charges
     refs: tuple[np.ndarray, ...]  # member lists
     patterns: dict  # the group's new PatternData by key
-    state: GroupState  # persisted once every group has succeeded
+    state: GroupState  # the patched product's, once every group has succeeded
 
 
 # -- stages: host work only; charges are planned and returned -----------
@@ -368,16 +367,13 @@ def _slot_counts(
     (owner, local offset): the runtime recorded them at the last
     inspection and conditions 1-2 guarantee they are still valid.  Only
     never-before-seen keys are left for the translation table."""
-    # work on a copy: gstate must stay untouched until the whole patch
-    # succeeds (patch_product persists all groups together at the end),
-    # so a mid-patch exception leaves state consistent with the old
-    # product and a later attempt can still patch or fall back cleanly
+    # work on a copy: the input product's state is never mutated
     counts = gstate.counts.copy()
     # bincount beats ufunc.at by an order of magnitude at this size
     counts -= np.bincount(delta.rem_slots, minlength=counts.size)
     gidx = np.flatnonzero(ghost)
-    # the persisted sorted slot index (built at state capture, merged on
-    # every patch) is probed once per distinct composite, in its own order
+    # the persisted sorted slot index (merged on every patch) is probed
+    # once per distinct composite, in its own order
     comp, inv = sorted_unique_inverse(delta.add_procs[gidx] * stride + delta.add_targets[gidx])
     msorted, morder = gstate.slot_index(layout, stride)
     if msorted.size:
@@ -615,6 +611,8 @@ def _patch_group(
     lidx, ghost, classify_charge = adds
     machine.charge_planned_compute(classify_charge)
     with span("adapt.patch.slots"):
+        if not shared:  # a copy holding the slot index, sorted now if it has none
+            gstate = gstate.indexed(layout, stride)
         slots = sib.slots if shared else _slot_counts(gstate, layout, delta, ghost, stride)
     with span("adapt.patch.translate"):
         # live for a shared group too: its sibling left every key in the
@@ -690,13 +688,14 @@ def patch_product(
     machine: Machine,
     product: InspectorProduct,
     arrays: dict[str, DistArray],
-    state: LoopAdaptState,
     changed: dict[str, np.ndarray],
     ttables: TableCache,
 ) -> InspectorProduct:
-    """Patch ``product`` for the given changed indirection positions;
-    returns the patched product (``product`` itself when the value
-    rewrites cancelled out).
+    """Patch ``product`` against its ``adapt_state`` for the given
+    changed indirection positions; returns the patched product, born
+    with its own :class:`~repro.adapt.state.LoopAdaptState` (``product``
+    itself when the value rewrites cancelled out).  Mutates nothing it
+    is given, so a typed failure leaves ``product`` as it was.
 
     ``changed`` maps indirection array name -> sorted positions whose
     values differ from the ones ``product`` was built from (the driver's
@@ -706,10 +705,11 @@ def patch_product(
     caller -- the driver -- verifies them): every data/indirection DAD
     equals the product's, and ``ttables`` has held the translation table
     of every referenced array's current distribution (``get`` rebuilds
-    one a remap away and back left as a key).  Mutates ``state``
-    (home map, group slot spaces) to describe the patched product.
+    one a remap away and back left as a key), and ``product`` carries
+    its adapt state.
     """
     loop = product.loop
+    state = product.adapt_state
     n_procs = machine.n_procs
 
     parts = [c for c in changed.values() if c.size]
@@ -727,7 +727,7 @@ def patch_product(
     old_part = product.iteration_partition
     with machine.obs.span("adapt.patch.revote", iterations=int(changed_iters.size)):
         home_new, moved = _revote(
-            machine, loop, arrays, state, changed_iters, old_part.method
+            machine, loop, arrays, state.home, changed_iters, old_part.method
         )
     # the order task's passes over every iteration feed no slot-space
     # stage: they run on the strip pool while the groups' stages run here
@@ -749,7 +749,8 @@ def patch_product(
     )
 
     patterns_new: dict = dict(product.patterns)
-    pending_states: dict = {}
+    groups_new: dict = dict(state.groups)
+    patched = False
     # groups holding one layout patch identically: the first one's patch
     # (``None``: an empty delta) is shared with every sibling
     done: dict[tuple, _GroupPatch | None] = {}
@@ -768,7 +769,7 @@ def patch_product(
             except ValueError as exc:
                 # schedule/buffer assembly rejected the delta (shrunk ghost
                 # region, mismatched shapes): the saved state disagrees with
-                # the product -- a recoverable abort, nothing persisted yet
+                # the product -- a recoverable abort
                 raise PatchAborted(
                     f"adapt: patch assembly failed for group {gkey}: {exc}"
                 ) from exc
@@ -776,14 +777,12 @@ def patch_product(
                 done[layout] = patch
             if patch is not None:
                 patterns_new.update(patch.patterns)
-                pending_states[gkey] = patch.state
+                groups_new[gkey] = patch.state
+                patched = True
     finally:
         # the order task's result is read on every path, an abort's too:
         # no patch leaves work running behind it
         new_part = order()
-
-    # every group patched without error: persist the new slot spaces
-    state.groups.update(pending_states)
 
     machine.barrier()
 
@@ -799,8 +798,7 @@ def patch_product(
     if snap_mem.any():
         machine.charge_compute_all(mem=snap_mem)
 
-    state.home = home_new
-    if not pending_states and new_part is old_part:
+    if not patched and new_part is old_part:
         # value rewrites that cancelled out: nothing to patch
         return product
     return InspectorProduct(
@@ -809,4 +807,5 @@ def patch_product(
         patterns=patterns_new,
         dist_signatures=dict(product.dist_signatures),
         groups=product.groups,
+        adapt_state=LoopAdaptState(home_new, groups_new),
     )

@@ -1,6 +1,6 @@
 """Saved state the incremental inspector diffs and patches against.
 
-A full inspection captures, per loop:
+A product's adapt state (:class:`LoopAdaptState`) holds:
 
 * the dense **home** map of the iteration partition (iteration ->
   processor), and
@@ -22,20 +22,20 @@ recording cost (the modelled runtime tallies counts and copies the
 indirection values into a snapshot), which is the price of enabling
 incremental inspection.
 
-Capture by reference, build on first use
-----------------------------------------
-Most inspections are never patched: a loop re-inspected every time step
-over unchanged content, or one whose products a remap voids, would
-build O(refs) state per inspection and never read it.  So an inspection
-only *captures* its product, by reference.  That is O(1), and nothing
-later can leak in: a patch builds a new product instead of editing the
-saved one, and the build reads the product alone, never a
-distribution, so a ``redistribute`` in between changes nothing.
-:func:`build_adapt_state` turns the capture into a
-:class:`LoopAdaptState` when a reader first needs one (a patch attempt,
-post-patch verification, a checkpoint); the result is element-equal to
-building at inspection time, whatever was written or remapped in
-between.
+Carried by the product, built on first use
+------------------------------------------
+The state is a value its product carries
+(``InspectorProduct.adapt_state``); nothing else holds it.  Most
+inspections are never patched: a loop re-inspected every time step over
+unchanged content, or one whose products a remap voids, would build
+O(refs) state per inspection and never read it.  So a full inspection's
+product starts without one, and :func:`build_adapt_state` runs when a
+reader first needs it (a patch attempt, a checkpoint).  The build reads
+the product alone, never a distribution, so the result is element-equal
+to building at inspection time, whatever was written or remapped in
+between.  A patch never edits its input's state: the patched product is
+born with a new one (the new home map and group states), and a restored
+product with the one its file holds.
 
 :meth:`GroupState.schedule` reads a schedule off the live slots of a
 layout with :meth:`~repro.chaos.schedule.SlotState.schedule`, the one
@@ -49,7 +49,7 @@ deferring the host work moves no simulated number.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -62,7 +62,7 @@ STATE_IOPS_PER_GHOST = 4.0
 STATE_IOPS_PER_REF = 1.0
 
 
-@dataclass
+@dataclass(frozen=True)
 class GroupState:
     """Reference counts and sorted slot index of one pattern group's
     layout (see package doc); the layout is the product's."""
@@ -73,32 +73,32 @@ class GroupState:
     #: persisted sorted slot index: ``sorted_comp`` holds the composite
     #: ``slot_proc * stride + key`` of every slot in ascending order
     #: (ties slot-ascending) and ``sorted_slot`` the slot id per entry.
-    #: Built once (lazily) and *merged* delta-sized on every patch, so
-    #: lookups never re-sort the slot space.
+    #: Absent until a patch or a restore first needs it, then *merged*
+    #: delta-sized on every patch, so lookups never re-sort the slot space.
     sorted_comp: np.ndarray | None = None
     sorted_slot: np.ndarray | None = None
     index_stride: int = 0
 
     def slot_index(self, layout: SlotState, stride: int) -> tuple[np.ndarray, np.ndarray]:
-        """``(sorted_comp, sorted_slot)`` of ``layout`` for ``stride``,
-        building on miss.
+        """``(sorted_comp, sorted_slot)`` of ``layout`` for ``stride``:
+        the persisted index, or one sorted now and not kept (a state is
+        never mutated; :meth:`indexed` keeps one).
 
-        The one argsort here runs only on first use (or after a stride
-        change, which implies a new distribution and therefore fresh
-        state anyway); patches keep the index current by merging their
-        delta instead of calling back into this.
+        The one argsort here runs only for a state without an index (or
+        after a stride change, which implies a new distribution and
+        therefore fresh state anyway); patches keep the index current by
+        merging their delta instead of calling back into this.
         """
-        if (
-            self.sorted_comp is None
-            or self.sorted_slot is None
-            or self.index_stride != stride
-        ):
-            comp = layout.slot_proc() * stride + layout.keys
-            order = np.argsort(comp, kind="stable")
-            self.sorted_comp = comp[order]
-            self.sorted_slot = order
-            self.index_stride = stride
-        return self.sorted_comp, self.sorted_slot
+        if self.sorted_comp is not None and self.index_stride == stride:
+            return self.sorted_comp, self.sorted_slot
+        comp = layout.slot_proc() * stride + layout.keys
+        order = np.argsort(comp, kind="stable")
+        return comp[order], order
+
+    def indexed(self, layout: SlotState, stride: int) -> GroupState:
+        """This state with its slot index for ``stride`` persisted."""
+        comp, order = self.slot_index(layout, stride)
+        return replace(self, sorted_comp=comp, sorted_slot=order, index_stride=stride)
 
     def schedule(
         self, layout: SlotState, machine, dist_signature: tuple, stride: int
@@ -110,12 +110,13 @@ class GroupState:
         return layout.schedule(machine, dist_signature, order[self.counts[order] > 0])
 
 
-@dataclass
+@dataclass(frozen=True)
 class LoopAdaptState:
-    """Everything needed to patch one loop's saved inspector product."""
+    """Everything needed to patch one loop's saved inspector product:
+    the value ``InspectorProduct.adapt_state`` holds."""
 
     home: np.ndarray  # dense iteration -> processor map
-    groups: dict[tuple[str, tuple], GroupState] = field(default_factory=dict)
+    groups: dict[tuple[str, tuple], GroupState]
 
 
 def build_group_state(
@@ -143,7 +144,7 @@ def build_group_state(
 
 
 def build_adapt_state(product: InspectorProduct) -> LoopAdaptState:
-    """Home map + group states of one captured inspection's product.
+    """Home map + group states of ``product`` (not attached to it).
 
     Reads only the product, never the live program, so the state
     describes it no matter when it is built.  Groups holding one layout
@@ -151,22 +152,20 @@ def build_adapt_state(product: InspectorProduct) -> LoopAdaptState:
     ``y(edge(i))`` served by one translation-cache entry) get one build,
     the same arrays under their own name.
     """
-    state = LoopAdaptState(home=product.iteration_partition.owner_of())
+    groups: dict[tuple, GroupState] = {}
     built: dict[tuple, GroupState] = {}
     for gkey in product.groups:
         layout = product.layout_key(gkey)
         done = built.get(layout)
         if done is None:
-            state.groups[gkey] = built[layout] = build_group_state(
-                product, group_members(gkey)
-            )
+            groups[gkey] = built[layout] = build_group_state(product, group_members(gkey))
         else:
-            state.groups[gkey] = replace(done, array=gkey[0])
-    return state
+            groups[gkey] = replace(done, array=gkey[0])
+    return LoopAdaptState(product.iteration_partition.owner_of(), groups)
 
 
 def charge_state_build(machine, product: InspectorProduct, arrays) -> None:
-    """Charge the bookkeeping cost of capturing adapt state.
+    """Charge the bookkeeping cost of a product's adapt state.
 
     Issued at inspection (see the module docstring), against the live
     ``arrays`` the product was just inspected over.  Each processor

@@ -115,6 +115,11 @@ class InspectorProduct:
     its objects: sibling groups over one distribution (``x(edge(i))`` /
     ``y(edge(i))``) may hold the very same layout objects -- the
     translation cache's one entry, or one patch's result.
+
+    ``adapt_state`` is the ``repro.adapt.state.LoopAdaptState`` a patch
+    reads (typed loosely: ``repro.core`` never imports ``repro.adapt``),
+    and nothing else holds it.  A full inspection's product gets it from
+    its first reader; a patched or restored one is born with it.
     """
 
     loop: ForallLoop
@@ -122,6 +127,7 @@ class InspectorProduct:
     patterns: dict[tuple[str, str | None], PatternData]
     dist_signatures: dict[str, tuple]
     groups: tuple[tuple[str, tuple[str | None, ...]], ...]
+    adapt_state: object = field(default=None, repr=False, compare=False)
 
     def pattern(self, array: str, index: str | None) -> PatternData:
         return self.patterns[(array, index)]

@@ -80,7 +80,8 @@ class IterationPartition:
         return self._inv
 
     def owner_of(self) -> np.ndarray:
-        """Dense iteration -> processor map (one scatter, for tests)."""
+        """Dense iteration -> processor map, fresh per call (one scatter):
+        the adapt state's home map, built or restored."""
         out = np.empty(self.n_iterations, dtype=np.int64)
         out[self.flat] = self.proc_of_position()
         return out

@@ -635,8 +635,6 @@ class IrregularProgram:
                 # before the full rung builds its replacement
                 record = None
                 self.records.pop(loop.name, None)
-                if self.adapt is not None:
-                    self.adapt.drop_state(loop.name)
                 probes = (cache.hits, cache.misses) if cache is not None else (0, 0)
                 with obs.span("inspector.run", loop=loop.name), machine.phase("inspector"):
                     product = run_inspector(
@@ -660,7 +658,7 @@ class IrregularProgram:
                         verify_product(product, self.arrays, self.guard)
                 self._save_record(loop, product)
                 if self.adapt is not None:
-                    # capture the product for future patches' slot bookkeeping
+                    # charge the slot bookkeeping future patches read
                     # (inspector-phase work: it only exists to serve inspection)
                     with machine.phase("inspector"):
                         self.adapt.after_inspect(loop, self.records[loop.name])
@@ -678,7 +676,9 @@ class IrregularProgram:
         return product
 
     def _save_record(self, loop: ForallLoop, product) -> None:
-        """Save the Section 3 record of a full or patched inspection."""
+        """Save the Section 3 record of a full or patched inspection, and
+        drop the dirty events every record over its indirection DADs has
+        seen (a record asks only for events past its own stamp)."""
         ind_dads = {a: DAD.of(self.arrays[a]) for a in loop.indirection_arrays()}
         self.records[loop.name] = InspectorRecord(
             loop_name=loop.name,
@@ -687,6 +687,13 @@ class IrregularProgram:
             ind_last_mod={a: self.registry.last_mod(d) for a, d in ind_dads.items()},
             product=product,
         )
+        for dad in set(ind_dads.values()):
+            self.registry.drop_events(dad, min(
+                rec.ind_last_mod[a]
+                for rec in self.records.values()
+                for a, d in rec.ind_dads.items()
+                if d.signature == dad.signature
+            ))
 
     # ------------------------------------------------------------------
     # helpers

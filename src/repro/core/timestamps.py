@@ -25,10 +25,12 @@ union of every range recorded for a DAD after a given stamp, or ``None``
 when some write in that window carried no region information (the
 conservative answer: anything may have changed).  Writes recorded the
 paper's way -- no regions -- therefore degrade gracefully to the
-Section 3 behaviour.  The per-DAD event log is bounded: old events are
-coalesced (union of ranges at the *newest* stamp of the folded window)
-once the log exceeds a small cap, which can only widen -- never shrink
--- what a later ``dirty_ranges`` query reports.
+Section 3 behaviour.  The per-DAD event log is bounded: saving a record
+drops a DAD's events at or below the smallest stamp any record over it
+holds (:meth:`ModificationRegistry.drop_events`; a record only asks past
+its own), and old events are coalesced (union of ranges at the *newest*
+stamp of the folded window) once the log exceeds a small cap, which can
+only widen -- never shrink -- what a later ``dirty_ranges`` query reports.
 """
 
 from __future__ import annotations
@@ -163,6 +165,12 @@ class ModificationRegistry:
                 ranges = normalize_ranges(ranges, dad.size)
             self._record_event(dad.signature, ranges)
         return self.nmod
+
+    def drop_events(self, dad: DAD, upto: int) -> None:
+        """Forget ``dad``'s events stamped at or below ``upto``: no
+        ``dirty_ranges(dad, since)`` with ``since >= upto`` changes."""
+        if dad.signature in self._events:
+            self._events[dad.signature] = [e for e in self._events[dad.signature] if e[0] > upto]
 
     def record_remap(self, new_dad: DAD) -> int:
         """An array was remapped: its DAD changed.

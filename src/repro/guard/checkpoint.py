@@ -30,8 +30,9 @@ what is derived):
 * the **communication schedule**, read off the slot state's live slots
   by :meth:`~repro.adapt.state.GroupState.schedule`, the patch rung's
   builder;
-* for an incremental program, the loop's **adapt state**: the very
-  group states restored (reference counts), plus the home map.
+* for an incremental program, the product's **adapt state**: the very
+  group states restored (reference counts, with the sorted slot index
+  the schedule was read in), plus the home map.
 
 ``owners`` and ``lidx`` stay stored although a live distribution could
 translate the keys again: a record left stale by ``redistribute`` holds
@@ -519,11 +520,11 @@ def save_checkpoint(path, program, driver=None) -> None:
     adapt = program.adapt
     records = {}
     for name, rec in program.records.items():
-        # an incremental program's state, built here if still pending: the
-        # very group states a patch reads; anyone else's, built for the file
-        state = None if adapt is None else adapt.state_for(name, "checkpoint")
-        if state is None:
-            state = build_adapt_state(rec.product)
+        # an incremental program's product keeps the state built here (a
+        # patch reads it); anyone else's is built for the file alone
+        state = build_adapt_state(rec.product) if adapt is None else adapt.state_of(
+            rec.product, "checkpoint"
+        )
         records[name] = {
             "data_dads": {k: _dad_payload(d) for k, d in rec.data_dads.items()},
             "ind_dads": {k: _dad_payload(d) for k, d in rec.ind_dads.items()},
@@ -768,16 +769,19 @@ def _slot_state(g: dict, n_procs: int, size: int, where: str):
     return SlotState(bounds, keys, owners, lidx), GroupState(g["array"], g["indexes"], counts)
 
 
-def _restore_products(program, payload: dict, loops: dict) -> tuple[dict, dict, int]:
-    """Rebuild the records, mutating nothing; returns them, each loop's
-    group states and the number of schedules built.
+def _restore_products(program, payload: dict, loops: dict) -> tuple[dict, int]:
+    """Rebuild the records, mutating nothing; returns them and the
+    number of schedules built.
 
     The structures adopt the loaded (read-only) arrays.  Each distinct
     slot state gets one layout object and one schedule, which every
-    group holding it shares."""
+    group holding it shares.  An incremental program's products are
+    born with their adapt state."""
+    from repro.adapt.state import LoopAdaptState
+
     machine = program.machine
     layouts: dict[tuple, tuple] = {}  # slot-state inputs -> (layout, state, schedule)
-    records, group_states = {}, {}
+    records = {}
     for name, rec in payload["records"].items():
         prod = rec["product"]
         loop = loops.get(prod["loop"])
@@ -805,8 +809,10 @@ def _restore_products(program, payload: dict, loops: dict) -> tuple[dict, dict, 
             inputs = (*(id(g.get(f)) for f in _SLOT_FIELDS), sig, arr.size)
             if inputs not in layouts:
                 layout, state = _slot_state(g, machine.n_procs, arr.size, where)
+                stride = max(arr.size, 1)
+                state = state.indexed(layout, stride)  # kept: a patch probes it
                 try:
-                    schedule = state.schedule(layout, machine, sig, max(arr.size, 1))
+                    schedule = state.schedule(layout, machine, sig, stride)
                 except ValueError as exc:
                     raise CheckpointError(f"{where}: {exc}") from exc
                 layouts[inputs] = (layout, state, schedule)
@@ -838,26 +844,13 @@ def _restore_products(program, payload: dict, loops: dict) -> tuple[dict, dict, 
                 patterns=patterns,
                 dist_signatures=dict(prod["dist_signatures"]),
                 groups=tuple(states),
+                # derivable: verify_adapt_state (full) pins the home map to the partition
+                adapt_state=None
+                if program.adapt is None
+                else LoopAdaptState(part.owner_of(), states),
             ),
         )
-        group_states[name] = states
-    return records, group_states, len(layouts)
-
-
-def _restore_adapt(program, payload: dict, records: dict, group_states: dict) -> None:
-    from repro.adapt.state import LoopAdaptState
-
-    adapt = program.adapt
-    adapt.replace_states({
-        # derivable: verify_adapt_state (full) pins the home map to the partition
-        name: LoopAdaptState(rec.product.iteration_partition.owner_of(), group_states[name])
-        for name, rec in records.items()
-    })
-    adapt.failures = dict(payload["failures"])
-    adapt.disabled = set(payload["disabled"])
-    program.events.replace_category(
-        "adapt.fallback", [dict(rec) for rec in payload["fallback_log"]]
-    )
+    return records, len(layouts)
 
 
 def restore_checkpoint(payload, program, loops, driver=None) -> None:
@@ -887,8 +880,11 @@ def restore_checkpoint(payload, program, loops, driver=None) -> None:
                     "checkpointed options before resuming"
                 )
         distributions = _build_distributions(program, payload)
-        records, group_states, n_schedules = _restore_products(program, payload, loops)
-        span.set(layouts=sum(map(len, group_states.values())), schedules=n_schedules)
+        records, n_schedules = _restore_products(program, payload, loops)
+        span.set(
+            layouts=sum(len(rec.product.groups) for rec in records.values()),
+            schedules=n_schedules,
+        )
         for dec, dist in distributions:
             dec.distribution = dist
             for arr in dec.arrays:
@@ -908,8 +904,13 @@ def restore_checkpoint(payload, program, loops, driver=None) -> None:
         # every table's build is in the restored counters: keys only, which
         # the next reader rebuilds uncharged
         program.ttables.restore(payload["ttables"])
-        if program.adapt is not None:  # recorded options: the file's is too
-            _restore_adapt(program, payload["adapt"], records, group_states)
+        adapt, saved = program.adapt, payload["adapt"]
+        if adapt is not None:  # recorded options: the file's is too
+            adapt.failures = dict(saved["failures"])
+            adapt.disabled = set(saved["disabled"])
+            program.events.replace_category(
+                "adapt.fallback", [dict(rec) for rec in saved["fallback_log"]]
+            )
         if driver is not None and payload["driver"] is not None:
             driver.history = [
                 {**_UNSAVED_HISTORY_FIELDS, **rec} for rec in payload["driver"]["history"]

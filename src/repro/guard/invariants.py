@@ -203,13 +203,13 @@ def _unseen(seen: set, *inputs) -> bool:
     return new
 
 
-def verify_product(product, arrays, level: str = "cheap", state=None) -> None:
-    """Check a whole ``InspectorProduct`` (and optionally its adapt state).
+def verify_product(product, arrays, level: str = "cheap") -> None:
+    """Check a whole ``InspectorProduct`` (and its adapt state, if any).
 
     Covers the iteration partition, distribution-signature freshness,
     every distinct schedule + ghost-buffer pair, every pattern's
-    localized references, and -- when ``state`` (a ``LoopAdaptState``)
-    is given -- the saved slot bookkeeping via
+    localized references, and -- when the product carries an
+    ``adapt_state`` -- the saved slot bookkeeping via
     :func:`verify_adapt_state`.
     """
     if check_level(level) == "off":
@@ -237,12 +237,12 @@ def verify_product(product, arrays, level: str = "cheap", state=None) -> None:
             m = pat.localized
             if _unseen(seen, m.refs_flat, m.ref_bounds, m.slots, m.local_sizes):
                 _verify_refs(pat, iter_bounds, level)
-    if state is not None:
-        verify_adapt_state(product, state, arrays, level)
+    if product.adapt_state is not None:
+        verify_adapt_state(product, arrays, level)
 
 
-def verify_adapt_state(product, state, arrays, level: str = "cheap") -> None:
-    """Cross-check saved adapt bookkeeping against the product it describes.
+def verify_adapt_state(product, arrays, level: str = "cheap") -> None:
+    """Cross-check a product's adapt state against the product itself.
 
     The cheap pass is the hole-accounting contract: every live slot
     (reference count > 0) appears exactly once in the schedule's slot
@@ -257,6 +257,9 @@ def verify_adapt_state(product, state, arrays, level: str = "cheap") -> None:
     # deferred: repro.adapt imports this module
     from repro.adapt.state import build_group_state
 
+    state = product.adapt_state
+    if state is None:
+        _fail(f"product of loop {product.loop.name!r} carries no adapt state")
     n_iter = product.loop.n_iterations
     home = state.home
     if home.size != n_iter:

@@ -85,12 +85,12 @@ class SnapshotOracle:
             self.checked += int(pos.size)
             return got
 
-        def patch_product(machine, product, arrays, state, changed, ttables):
+        def patch_product(machine, product, arrays, changed, ttables):
             snap = self.snapshots[id(arrays), product.loop.name]
             for name, chg in changed.items():
                 want = np.flatnonzero(snap[name] != arrays[name].to_global())
                 assert np.array_equal(chg, want), (product.loop.name, name)
-            out = real_patch(machine, product, arrays, state, changed, ttables)
+            out = real_patch(machine, product, arrays, changed, ttables)
             # the deleted in-place update: the changed positions only
             for name, pos in changed.items():
                 snap[name][pos] = arrays[name].global_get(pos)

@@ -182,7 +182,8 @@ class TestPartitionIndexArrays:
             churn(prog, mesh, step)
             assert exe.step() == "patch"
         part = prog.records[loop.name].product.iteration_partition
-        state = prog.adapt.state_for(loop.name, "verify")
+        # a patched product is born with its adapt state
+        state = prog.records[loop.name].product.adapt_state
         fresh = partition_from_home(state.home, prog.machine.n_procs, part.method)
         np.testing.assert_array_equal(part.flat, fresh.flat)
         np.testing.assert_array_equal(part.inverse(), fresh.inverse())
@@ -302,13 +303,12 @@ class TestSharedLayoutVerifiedOnce:
         mesh, prog, loop, exe = adaptive_campaign()
         churn(prog, mesh, 0)
         assert exe.step() == "patch"
-        product = prog.records[loop.name].product
-        return prog, product, prog.adapt.state_for(loop.name, "verify")
+        return prog, prog.records[loop.name].product  # born with its adapt state
 
     def test_shared_inputs_checked_once_own_inputs_always(self, monkeypatch):
         from repro.guard import invariants
 
-        prog, product, state = self.patched()
+        prog, product = self.patched()
         calls = {"_verify_refs": 0, "verify_schedule": 0}
         for name in calls:
             real = getattr(invariants, name)
@@ -318,29 +318,29 @@ class TestSharedLayoutVerifiedOnce:
                 return _real(*args, **kwargs)
 
             monkeypatch.setattr(invariants, name, spy)
-        invariants.verify_product(product, prog.arrays, "cheap", state=state)
+        invariants.verify_product(product, prog.arrays, "cheap")
         # four patterns over two distinct reference lists, two groups
         # over one schedule
         assert calls == {"_verify_refs": 2, "verify_schedule": 1}
 
     @pytest.mark.parametrize("level", ["cheap", "full"])
     def test_corruption_in_ys_own_view_is_caught(self, level):
-        prog, product, state = self.patched()
+        prog, product = self.patched()
         from repro.guard import verify_product
 
-        verify_product(product, prog.arrays, level, state=state)
+        verify_product(product, prog.arrays, level)
         y = product.patterns["y", "end_pt1"]
         # a reference out of the combined space in y's own view of the list
         bad = y.localized.refs_flat.copy()
         bad[-1] = 10**9
         y.localized.refs_flat = bad
         with pytest.raises(InvariantViolation, match=r"combined local\+ghost"):
-            verify_product(product, prog.arrays, level, state=state)
+            verify_product(product, prog.arrays, level)
 
     def test_a_retargeted_reference_in_ys_own_view_is_caught_at_full(self):
         from repro.guard import verify_product
 
-        prog, product, state = self.patched()
+        prog, product = self.patched()
         y = product.patterns["y", "end_pt1"]
         loc = y.localized
         # processor 0's first local reference moved onto its first ghost
@@ -352,22 +352,22 @@ class TestSharedLayoutVerifiedOnce:
         bad = loc.refs_flat.copy()
         bad[i] = local
         loc.refs_flat = bad
-        verify_product(product, prog.arrays, "cheap", state=state)
+        verify_product(product, prog.arrays, "cheap")
         with pytest.raises(InvariantViolation, match="reference counts drifted"):
-            verify_product(product, prog.arrays, "full", state=state)
+            verify_product(product, prog.arrays, "full")
 
     @pytest.mark.parametrize("level", ["cheap", "full"])
     def test_a_flipped_shared_schedule_is_caught(self, level):
         from repro.guard import FaultPlan, verify_product
 
-        prog, product, state = self.patched()
+        prog, product = self.patched()
         y = product.patterns["y", "end_pt1"]
         # the shared schedule desynchronised from the slot map (what
         # flip_slots injects): both groups hold it
         assert y.localized.schedule is product.patterns["x", "end_pt1"].localized.schedule
         assert FaultPlan._flip_schedule(y.localized.schedule)
         with pytest.raises(InvariantViolation):
-            verify_product(product, prog.arrays, level, state=state)
+            verify_product(product, prog.arrays, level)
 
 
 # ----------------------------------------------------------------------

@@ -1,19 +1,21 @@
-"""Adapt state is captured by reference at inspection, built on first use.
+"""A product carries its own adapt state, built on first use.
 
-An inspection captures its product by reference and charges the
-bookkeeping; the O(refs) :func:`~repro.adapt.state.build_adapt_state`
-runs only when a
-patch attempt, a post-patch verification or a checkpoint first reads
-the state.  These tests pin the deferral to the eager behaviour it
-replaced:
+An inspection charges the bookkeeping; the O(refs)
+:func:`~repro.adapt.state.build_adapt_state` runs only when a patch
+attempt or a checkpoint first reads the state of the saved product
+(``IncrementalInspector.state_of``), which then carries it as
+``adapt_state``; a patched product is born with its own.  These tests
+pin the deferral to the eager behaviour it replaced:
 
+* warm re-inspections never build, and the first patch builds exactly
+  once;
 * the built state is element-equal to one built at inspection time,
   whatever was written or remapped in between;
 * a checkpoint taken before the first patch resumes bit-identically;
-* a failed patch drops the state, and the next full inspection pends a
-  fresh one (no stale built state survives);
-* warm re-inspections never build, the first patch builds exactly once,
-  and the build is visible (span, ``adapt.state`` event, history field).
+* a patch never mutates its input's state -- not when it succeeds, not
+  when it aborts, not when its result fails verification -- and after a
+  failure the next full inspection's product builds afresh;
+* the build is visible (span, ``adapt.state`` event, history field).
 """
 
 import numpy as np
@@ -56,9 +58,33 @@ def mutate(prog, mesh, step, arrays=("end_pt2",)):
 
 def eager_state(prog, loop):
     """What the pre-deferral runtime built: the state of the loop's
-    saved product, built *now* from the live arrays."""
+    saved product, built *now* from the live arrays (and not attached)."""
     product = prog.records[loop.name].product
     return build_adapt_state(product)
+
+
+def saved_state(prog, loop):
+    """The saved product's adapt state, built and attached through the
+    program's getter if it has none."""
+    return prog.adapt.state_of(prog.records[loop.name].product, "test")
+
+
+def state_arrays(state) -> list:
+    """Copies of every array (or ``None``) and the stride of ``state``."""
+    out = [state.home.copy()]
+    for g in state.groups.values():
+        out += [None if a is None else a.copy() for a in (g.counts, g.sorted_comp, g.sorted_slot)]
+        out.append(g.index_stride)
+    return out
+
+
+def assert_same_arrays(got: list, want: list):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        if isinstance(b, np.ndarray):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        else:
+            assert a == b
 
 
 def assert_states_equal(a, b):
@@ -104,10 +130,10 @@ def test_built_state_equals_eager_build_despite_later_writes():
     before = prog.arrays["end_pt1"].to_global()
     eager = eager_state(prog, loop)
     # tracked writes to both indirection arrays *after* the inspection:
-    # the capture holds the inspected views, not the arrays
+    # the product holds the inspected views, not the arrays
     mutate(prog, mesh, 0, arrays=("end_pt1", "end_pt2"))
     assert not np.array_equal(prog.arrays["end_pt1"].to_global(), before)
-    built = prog.adapt.state_for(loop.name, "verify")
+    built = saved_state(prog, loop)
     assert_states_equal(eager, built)
 
 
@@ -125,7 +151,7 @@ def test_sibling_groups_share_one_state_build(coalesce, monkeypatch):
     )
     _, _, prog, loop = build(coalesce_patterns=coalesce)
     prog.forall(loop, n_times=1)
-    state = prog.adapt.state_for(loop.name, "verify")
+    state = saved_state(prog, loop)
     assert len(state.groups) == 2 * len(built) and all(k[0][0] == "x" for k in built)
     product = prog.records[loop.name].product
     for (array, indexes), gstate in state.groups.items():
@@ -138,13 +164,15 @@ def test_sibling_groups_share_one_state_build(coalesce, monkeypatch):
             assert np.array_equal(getattr(gstate, f), getattr(alone, f)), (array, f)
 
 
-def test_state_is_built_once_and_then_kept(build_calls):
+def test_state_is_built_once_and_then_carried(build_calls):
     _, _, prog, loop = build()
     prog.forall(loop, n_times=1)
-    first = prog.adapt.state_for(loop.name, "verify")
-    assert prog.adapt.state_for(loop.name, "patch") is first
+    product = prog.records[loop.name].product
+    assert product.adapt_state is None
+    first = prog.adapt.state_of(product, "checkpoint")
+    assert prog.adapt.state_of(product, "patch") is first
+    assert product.adapt_state is first
     assert build_calls == [loop.name]
-    assert prog.adapt.state_for("no_such_loop", "patch") is None
 
 
 def test_checkpoint_before_first_patch_resumes_bit_identically(tmp_path):
@@ -162,8 +190,8 @@ def test_checkpoint_before_first_patch_resumes_bit_identically(tmp_path):
     exe_ref.step()
     campaign(exe_ref, mesh, 0, steps)
 
-    # checkpoint right after the first (full) inspection: the state is
-    # still pending, so the save is what builds it
+    # checkpoint right after the first (full) inspection: the product has
+    # no state yet, so the save is what builds it
     mesh, m_a, p_a, loop_a = build()
     exe_a = AdaptiveExecutor(p_a, loop_a)
     exe_a.step()
@@ -186,9 +214,10 @@ def test_checkpoint_before_first_patch_resumes_bit_identically(tmp_path):
     }
     assert_machines_equal(m_ref, m_b)
     assert np.array_equal(p_ref.arrays["y"].to_global(), p_b.arrays["y"].to_global())
+    # patched products, each born with its state
     assert_states_equal(
-        p_ref.adapt.state_for(loop_ref.name, "verify"),
-        p_b.adapt.state_for(loop_b.name, "verify"),
+        p_ref.records[loop_ref.name].product.adapt_state,
+        p_b.records[loop_b.name].product.adapt_state,
     )
     # the checkpointing run itself is undisturbed by having built early
     campaign(exe_a, mesh, 0, steps)
@@ -212,10 +241,10 @@ def test_redistribute_before_checkpoint_builds_against_inspected_layout(tmp_path
     )
     save_checkpoint(tmp_path / "remapped.ckpt", prog)  # builds; must not raise
 
-    built = prog.adapt.state_for(loop.name, "verify")
+    built = product.adapt_state
     assert_states_equal(eager, built)
     # owners/offsets agree with the product's own schedules
-    verify_adapt_state(product, built, prog.arrays, "cheap")
+    verify_adapt_state(product, prog.arrays, "cheap")
     for (array, indexes), gstate in built.groups.items():
         slots = product.patterns[array, indexes[0]].localized.slots
         live = gstate.counts > 0
@@ -227,7 +256,7 @@ def test_redistribute_before_checkpoint_builds_against_inspected_layout(tmp_path
     assert prog.adapt.fallback_log[-1]["reason"] == "unpatchable_condition"
 
 
-def test_verify_failure_drops_state_and_next_inspection_repends(build_calls):
+def test_verify_failure_keeps_no_state_and_the_next_product_builds_afresh(build_calls):
     mesh, machine, prog, loop = build()
     FaultPlan(seed=7).flip_slots(nth=0).install(machine)
     prog.forall(loop, n_times=1)
@@ -235,22 +264,25 @@ def test_verify_failure_drops_state_and_next_inspection_repends(build_calls):
     prog.forall(loop, n_times=1)  # patch poisoned -> verify fails -> full
     assert [r["reason"] for r in prog.adapt.fallback_log] == ["verify_failed"]
     assert prog.inspector_runs == 2
-    # the failed attempt built once; the fallback inspection only pended
+    # the failed attempt built once; the fallback inspection's product
+    # starts without a state
     assert build_calls == [loop.name]
-    assert prog.adapt.loops_with_state() == [loop.name]
+    product = prog.records[loop.name].product
+    assert product.adapt_state is None
     # the next reader builds again -- from the *new* inspection
-    fresh = prog.adapt.state_for(loop.name, "verify")
+    fresh = saved_state(prog, loop)
     assert_states_equal(fresh, eager_state(prog, loop))
     assert build_calls == [loop.name, loop.name]
     mutate(prog, mesh, 1)
     prog.forall(loop, n_times=1)
     assert prog.patch_hits == 1
+    assert build_calls == [loop.name, loop.name]
 
 
-def test_patch_abort_drops_state_and_next_inspection_repends(build_calls):
+def test_patch_abort_keeps_no_state_and_the_next_product_builds_afresh(build_calls):
     mesh, _, prog, loop = build()
     prog.forall(loop, n_times=1)
-    stale = prog.adapt.state_for(loop.name, "verify")
+    stale = saved_state(prog, loop)
     for gstate in stale.groups.values():
         gstate.counts[:] = 0  # out of sync: the first retire goes negative
     mutate(prog, mesh, 0)
@@ -258,10 +290,41 @@ def test_patch_abort_drops_state_and_next_inspection_repends(build_calls):
     assert [r["reason"] for r in prog.adapt.fallback_log] == ["patch_aborted"]
     assert prog.inspector_runs == 2 and prog.patch_hits == 0
     assert build_calls == [loop.name]
-    fresh = prog.adapt.state_for(loop.name, "verify")
+    assert prog.records[loop.name].product.adapt_state is None
+    fresh = saved_state(prog, loop)
     assert fresh is not stale
     assert_states_equal(fresh, eager_state(prog, loop))
     assert build_calls == [loop.name, loop.name]
+
+
+@pytest.mark.parametrize("outcome", ["patched", "patch_aborted", "verify_failed"])
+def test_a_patch_never_mutates_its_input_state(outcome):
+    """Whatever the attempt's outcome, the input product keeps the very
+    state object it had, with bit-identical arrays."""
+    mesh, machine, prog, loop = build()
+    if outcome == "verify_failed":
+        FaultPlan(seed=7).flip_slots(nth=1).install(machine)  # the second patch
+    prog.forall(loop, n_times=1)
+    mutate(prog, mesh, 0)
+    prog.forall(loop, n_times=1)  # a patch: its product carries a sorted index
+    assert prog.patch_hits == 1
+    product = prog.records[loop.name].product
+    state = product.adapt_state
+    if outcome == "patch_aborted":
+        for gstate in state.groups.values():
+            gstate.counts[:] = 0  # out of sync: the first retire goes negative
+    before = state_arrays(state)
+    assert any(g.sorted_comp is not None for g in state.groups.values())
+    mutate(prog, mesh, 1)
+    prog.forall(loop, n_times=1)
+    reasons = [r["reason"] for r in prog.adapt.fallback_log]
+    if outcome == "patched":
+        assert prog.patch_hits == 2 and reasons == []
+        assert prog.records[loop.name].product.adapt_state is not state
+    else:
+        assert prog.patch_hits == 1 and reasons == [outcome]
+    assert product.adapt_state is state
+    assert_same_arrays(state_arrays(state), before)
 
 
 def test_routing_fallbacks_never_build(build_calls):
@@ -299,7 +362,7 @@ def test_warm_reinspections_never_build_first_patch_builds_once(build_calls):
     mutate(prog, mesh, 1)
     prog.forall(loop, n_times=1)
     assert prog.patch_hits == 2
-    assert build_calls == [loop.name]  # later patches update it in place
+    assert build_calls == [loop.name]  # later patches are born with theirs
 
 
 def test_deferral_is_visible_in_spans_events_and_history():

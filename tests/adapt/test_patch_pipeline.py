@@ -132,7 +132,7 @@ def abort_fingerprint(kind):
         FaultPlan(seed=7).flip_slots(nth=0).install(machine)
     prog.forall(loop, n_times=1)
     if kind == "negative_count":
-        for gstate in prog.adapt.state_for(loop.name, "verify").groups.values():
+        for gstate in lazy.saved_state(prog, loop).groups.values():
             gstate.counts[:] = 0  # out of sync: the first retire goes negative
     lazy.mutate(prog, mesh, 0)
     prog.forall(loop, n_times=1)

@@ -30,7 +30,7 @@ from repro.core.forall import ForallLoop
 from repro.machine.stats import COUNTER_FIELDS
 from repro.workloads import generate_mesh
 from repro.workloads.euler import euler_edge_loop
-from tests.adapt.test_lazy_state import GROUP_FIELDS
+from tests.adapt.test_lazy_state import GROUP_FIELDS, saved_state
 from tests.adapt.test_patch_oracle import build_program, mutate
 from tests.chaos.schedule_oracle import entries, schedule_from_flat
 from tests.chaos.test_localize_strips import MANY, ONE, RUNS, pool  # noqa: F401
@@ -116,7 +116,7 @@ def outcome(prog, loop, tape) -> dict:
         arrays = (loc.refs_flat, loc.ref_bounds, slots.slot_bounds, slots.keys, slots.owners, slots.lidx)
         got[key] = [np.asarray(a).tobytes() for a in arrays + entries(loc.schedule)]
         got[key].append(loc.schedule.ghost_sizes)
-    state = prog.adapt.state_for(loop.name, "verify")
+    state = product.adapt_state  # a patched product is born with it
     got["home"] = state.home.tobytes()
     for gkey, g in state.groups.items():
         got[gkey] = [getattr(g, f).tobytes() for f in GROUP_FIELDS] + [g.index_stride]
@@ -180,7 +180,7 @@ def abort_outcome(monkeypatch, pool, target, on, kind):
     real_schedule = GroupState.schedule
     mesh, machine, prog, loop = start(monkeypatch, pool, target, on)
     if kind == "negative_count":
-        for gstate in prog.adapt.state_for(loop.name, "verify").groups.values():
+        for gstate in saved_state(prog, loop).groups.values():
             gstate.counts[:] = 0  # out of sync: the first retire goes negative
     else:
         monkeypatch.setattr(GroupState, "schedule", no_ghosts)

@@ -124,7 +124,7 @@ def test_first_patch_after_checkpoint_restore(tmp_path, compared):
     exe.checkpoint(path)
     mesh, _, prog_b, loop_b = lazy.build()
     exe_b = AdaptiveExecutor.resume(path, prog_b, loop_b)
-    state = prog_b.adapt.state_for(loop_b.name, "verify")
+    state = prog_b.records[loop_b.name].product.adapt_state  # restored with it
     # the restore built each index to read the schedule off, under the
     # stride a patch probes with (the array's size)
     for g in state.groups.values():

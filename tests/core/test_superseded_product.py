@@ -1,13 +1,14 @@
 """A full inspection starts with one layout alive per loop.
 
 When the product ladder reaches the full rung, the product it gives up
-on -- its localized references, schedules, iteration partition and
-executor spaces and positions -- and a distribution only that product still named
-are freed *before* the inspector builds the replacement: the moment the
-new inspection's cold ``localize`` starts, weakrefs to all of them are
-dead.  Four ways to get there (a move list, a re-inspection after an
-indirection write, ``forall(loop, 2, reuse=False)``, and a full
-inspection that raised), each with the strip pool on and off.
+on -- its localized references, schedules, iteration partition,
+executor spaces and positions and adapt state -- and a distribution only
+that product still named are freed *before* the inspector builds the
+replacement: the moment the new inspection's cold ``localize`` starts,
+weakrefs to all of them are dead.  Five ways to get there (a move list,
+a re-inspection after an indirection write, one after a patch,
+``forall(loop, 2, reuse=False)``, and a full inspection that raised),
+each with the strip pool on and off.
 
 The collector is off throughout: everything must die by reference
 counting, not at the collector's next pass.
@@ -51,7 +52,7 @@ def build(**kwargs):
 
 
 def held_by(prog, loop, dist=None) -> dict:
-    """Weakrefs to the saved product's layout (and to ``dist``)."""
+    """Weakrefs to the saved product's layout and adapt state (and to ``dist``)."""
     product = prog.records[loop.name].product
     objs = {"partition flat": product.iteration_partition.flat}
     for key, pat in product.patterns.items():
@@ -61,6 +62,13 @@ def held_by(prog, loop, dist=None) -> dict:
         if pat.derived.exec_space is not None:  # kept from a holder's second sweep on
             objs[f"{key} exec_space"] = pat.derived.exec_space
             objs[f"{key} exec_refs"] = pat.derived.exec_refs
+    state = product.adapt_state
+    if state is not None:  # a patched product is born with it
+        objs["adapt home"] = state.home
+        for gkey, g in state.groups.items():
+            for f in ("counts", "sorted_comp", "sorted_slot"):
+                if getattr(g, f) is not None:
+                    objs[f"{gkey} {f}"] = getattr(g, f)
     if dist is not None:
         objs["distribution"] = dist
     return {name: weakref.ref(obj) for name, obj in objs.items()}
@@ -132,6 +140,22 @@ def test_a_reinspection_after_a_write_frees_the_product(
     assert seen and seen[0] == []
 
 
+def test_a_reinspection_after_a_patch_frees_the_patched_state(
+    strip_pool, collector_off, at_cold_localize
+):
+    mesh, prog, loop = build()
+    prog.forall(loop)
+    pick = np.arange(0, mesh.n_edges, 53)
+    prog.set_array_elements("end_pt2", pick, (mesh.edges[1, pick] + 1) % mesh.n_nodes)
+    prog.forall(loop)
+    assert prog.last_resolution["rung"] == "patch"
+    held = held_by(prog, loop)
+    assert {"adapt home"} < set(held) and any(n.endswith("sorted_slot") for n in held)
+    seen = at_cold_localize(held)
+    prog.forall(loop, reuse=False)
+    assert seen and seen[0] == []
+
+
 def test_a_repeated_forall_does_not_keep_its_previous_product(
     strip_pool, collector_off, at_cold_localize
 ):
@@ -163,8 +187,7 @@ def test_a_failed_full_inspection_leaves_no_product(strip_pool, collector_off, a
     prog.set_array_elements("end_pt2", [5], [mesh.n_nodes])  # out of range
     with pytest.raises(IndexError):
         prog.forall(loop, reuse=False)
-    assert loop.name not in prog.records
-    assert prog.adapt.loops_with_state() == []
+    assert loop.name not in prog.records  # nor the adapt state it carried
     prog.set_array_elements("end_pt2", [5], [good])
     seen = at_cold_localize(held)
     prog.forall(loop)  # no saved product: the full rung, not a patch

@@ -116,10 +116,9 @@ def assert_programs_equal(p_a, p_b):
             for ea, eb in zip(entries(sa), entries(sb)):
                 assert np.array_equal(ea, eb), key
     if p_a.adapt is not None:
-        assert p_a.adapt.loops_with_state() == p_b.adapt.loops_with_state()
-        for lname in p_a.adapt.loops_with_state():
-            sa = p_a.adapt.state_for(lname, "verify")
-            sb = p_b.adapt.state_for(lname, "verify")
+        for lname in p_a.records:
+            sa = p_a.adapt.state_of(p_a.records[lname].product, "test")
+            sb = p_b.adapt.state_of(p_b.records[lname].product, "test")
             assert np.array_equal(sa.home, sb.home)
             assert set(sa.groups) == set(sb.groups)
             for gkey, ga in sa.groups.items():
@@ -400,7 +399,7 @@ def restored_arrays(prog, loop_name) -> dict:
         # one schedule object serves a whole pattern group
         for f in ("_pair_q", "_pair_p", "_pair_len", "_unpack_pos"):
             out[f"schedule {id(loc.schedule)}/{f}"] = getattr(loc.schedule, f)
-    state = prog.adapt.state_for(loop_name, "verify")
+    state = product.adapt_state  # a restored product is born with it
     out["home"] = state.home
     for gkey, g in state.groups.items():
         out[f"{gkey}/counts"] = g.counts
@@ -453,7 +452,7 @@ def test_restored_arrays_shared_means_frozen_private_means_unaliased(tmp_path):
         with pytest.raises(ValueError, match="read-only"):
             arrays[where][...] = 0
     # a stray write to the slot bookkeeping raises instead of reaching the sibling
-    for g in p_b.adapt.state_for(loop_name, "verify").groups.values():
+    for g in p_b.records[loop_name].product.adapt_state.groups.values():
         with pytest.raises(ValueError, match="read-only"):
             g.counts[0] += 1
 
@@ -647,8 +646,8 @@ def test_derived_fields_restore_equal(tmp_path):
     mesh, _, p_b = build()
     AdaptiveExecutor.resume(path, p_b, euler_edge_loop(mesh))
     name = euler_edge_loop(mesh).name
-    home_a = p_a.adapt.state_for(name, "verify").home
-    home_b = p_b.adapt.state_for(name, "verify").home
+    home_a = p_a.records[name].product.adapt_state.home  # patched
+    home_b = p_b.records[name].product.adapt_state.home  # restored
     assert home_b.dtype == home_a.dtype and np.array_equal(home_a, home_b)
     for key, pat in p_b.records[name].product.patterns.items():
         live = p_a.records[name].product.patterns[key].localized.ref_bounds

@@ -70,9 +70,8 @@ class TestHealthyProducts:
     def test_fresh_product_passes_full(self, coalesce):
         mesh, prog, loop, product = inspected(coalesce=coalesce)
         verify_product(product, prog.arrays, "full")
-        verify_adapt_state(
-            product, prog.adapt.state_for(loop.name, "verify"), prog.arrays, "full"
-        )
+        prog.adapt.state_of(product, "test")
+        verify_adapt_state(product, prog.arrays, "full")
 
     def test_patched_product_passes_full(self):
         mesh, prog, loop, product = inspected()
@@ -86,12 +85,8 @@ class TestHealthyProducts:
         prog.forall(loop, n_times=1)
         assert prog.patch_hits == 1
         product = prog.records[loop.name].product
-        verify_product(
-            product,
-            prog.arrays,
-            "full",
-            state=prog.adapt.state_for(loop.name, "verify"),
-        )
+        assert product.adapt_state is not None  # checked with the product
+        verify_product(product, prog.arrays, "full")
 
     def test_off_level_skips_everything(self):
         # an obviously broken object passes at level off (never inspected)
@@ -174,23 +169,23 @@ class TestCorruptionDetected:
         from repro.guard.faults import FaultPlan
 
         _, prog, loop, product = inspected()
-        state = prog.adapt.state_for(loop.name, "verify")
+        prog.adapt.state_of(product, "test")
         pat = next(iter(product.patterns.values()))
         assert FaultPlan._flip_schedule(pat.localized.schedule)
         with pytest.raises(InvariantViolation, match="slot map"):
-            verify_adapt_state(product, state, prog.arrays, "cheap")
+            verify_adapt_state(product, prog.arrays, "cheap")
 
     def test_drifted_reference_counts_full_only(self):
         _, prog, loop, product = inspected()
-        state = prog.adapt.state_for(loop.name, "verify")
+        state = prog.adapt.state_of(product, "test")
         gstate = next(
             g for g in state.groups.values() if (g.counts > 0).any()
         )
         live = np.flatnonzero(gstate.counts > 0)
         gstate.counts[live[0]] += 1
-        verify_adapt_state(product, state, prog.arrays, "cheap")
+        verify_adapt_state(product, prog.arrays, "cheap")
         with pytest.raises(InvariantViolation, match="counts drifted"):
-            verify_adapt_state(product, state, prog.arrays, "full")
+            verify_adapt_state(product, prog.arrays, "full")
 
 
 class TestContentChecks:

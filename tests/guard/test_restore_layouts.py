@@ -168,8 +168,8 @@ def assert_layouts_equal(live, restored):
                     np.testing.assert_array_equal(getattr(la, f), getattr(lb, f), err_msg=f)
                 assert list(la.local_sizes) == list(lb.local_sizes)
         if live.adapt is not None:
-            ga = live.adapt.state_for(name, "verify").groups
-            gb = restored.adapt.state_for(name, "verify").groups
+            ga = live.adapt.state_of(a, "test").groups
+            gb = restored.adapt.state_of(b, "test").groups
             assert list(ga) == list(gb)
             for gkey in ga:
                 np.testing.assert_array_equal(ga[gkey].counts, gb[gkey].counts)
@@ -202,7 +202,8 @@ def test_restored_layouts_equal_the_live_ones_and_resume_bit_identically(tmp_pat
     drive(live, loop, data, 0)
     save_checkpoint(path, live)
     if case == "adaptive_holes":
-        groups = live.adapt.state_for(loop.name, "verify").groups.values()
+        # the save attached the state it wrote
+        groups = live.records[loop.name].product.adapt_state.groups.values()
         assert all((g.counts == 0).any() for g in groups)
     if case == "stale_remapped_back":
         sig = live.records[loop.name].product.dist_signatures["x"]

@@ -166,11 +166,17 @@ class TestAdaptSpans:
     def test_fallback_records_state_rebuild_span(self):
         mesh, prog, loop = build(obs="on")
         prog.forall(loop, n_times=1)
+        product = prog.records[loop.name].product
         prog.machine.obs.clear()
         mutate(prog, mesh, mesh.n_edges)
         prog.forall(loop, n_times=1)
         names = [s.name for s in prog.machine.obs.spans]
-        assert "adapt.state.build_adapt_state" in names
+        (built,) = [s for s in prog.machine.obs.spans if s.name == "adapt.state.build_adapt_state"]
+        # element counts of the build: the slots of each distinct layout
+        # (sibling groups share one) and every reference tallied
+        layouts = {id(g.counts): g.counts.size for g in product.adapt_state.groups.values()}
+        assert built.attrs["n_slots"] == sum(layouts.values()) > 0
+        assert built.attrs["n_refs"] == 2 * loop.n_iterations  # end_pt1, end_pt2
         assert "inspector.run" in names  # fell back to a full inspection
         # the structured fallback event rode the bus, and the legacy
         # view over it still reads like the old list
